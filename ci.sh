@@ -28,11 +28,15 @@ done
 echo "==> exp_fault_recovery --quick"
 cargo run --release -p dla-bench --bin exp_fault_recovery -- --quick >/dev/null
 
-echo "==> exp_cost_profile --quick (asserts fixed-base audit beats the refold ladder)"
-cargo run --release -p dla-bench --bin exp_cost_profile -- --quick >/dev/null
+echo "==> benchmark/run.sh --test (harness tests incl. the 1/32-size smoke of every workload)"
+benchmark/run.sh --test >/dev/null
+
+echo "==> exp_cost_profile (asserts fixed-base audit beats the refold ladder, no reveal decryptions at a ring collector)"
+cargo run --release -p dla-bench --bin exp_cost_profile >/dev/null
 if command -v jq >/dev/null 2>&1; then
     jq -e '
         .experiment == "cost_profile"
+        and (.quick | not)
         and (.protocols | all(has("fixed_base_builds") and has("multi_exp_terms")))
         and (.fixed_base_vs_ladder.table_builds == 1)
         and (.fixed_base_vs_ladder.fixed_base_mont_mul_steps
@@ -42,7 +46,7 @@ else
     python3 - <<'PY'
 import json
 d = json.load(open("BENCH_cost_profile.json"))
-assert d["experiment"] == "cost_profile"
+assert d["experiment"] == "cost_profile" and not d["quick"]
 for p in d["protocols"]:
     assert "fixed_base_builds" in p and "multi_exp_terms" in p
 fb = d["fixed_base_vs_ladder"]

@@ -53,7 +53,7 @@ fn loaded(seed: u64) -> DlaCluster {
 #[test]
 fn many_auditors_many_queries_match_serial_reference() {
     const AUDITORS: usize = 4;
-    const ROUNDS: usize = 3;
+    const ROUNDS: usize = 6;
 
     // Serial single-auditor reference, on an identically seeded and
     // loaded cluster.
@@ -67,11 +67,15 @@ fn many_auditors_many_queries_match_serial_reference() {
     // cluster — every call multiplexes its subqueries over fresh
     // transport sessions.
     let cluster = loaded(33);
+    // All auditors leave the gate together: a query is short enough
+    // that one spawned after another could finish before it starts.
+    let gate = std::sync::Barrier::new(AUDITORS);
     let outcomes = crossbeam::scope(|s| {
         let handles: Vec<_> = (0..AUDITORS)
             .map(|a| {
-                let cluster = &cluster;
+                let (cluster, gate) = (&cluster, &gate);
                 s.spawn(move || {
+                    gate.wait();
                     let mut mine = Vec::with_capacity(ROUNDS);
                     for round in 0..ROUNDS {
                         let qi = (a + round * 2) % QUERIES.len();

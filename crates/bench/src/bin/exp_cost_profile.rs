@@ -80,7 +80,7 @@ struct FixedBaseProfile {
 }
 
 /// Audits the same sealed trail twice: the ladder auditor refolds each
-/// epoch from `x₀` (one modexp ladder per epoch), the accelerated
+/// epoch from `x₀` (one modexp ladder per item), the accelerated
 /// auditor derives the per-epoch exponents and settles every claim in
 /// one RLC batch check over the cached `x₀` table. Digest agreement,
 /// equal items-folded units and the strict Montgomery-step win are all
@@ -109,10 +109,12 @@ fn profile_fixed_base_vs_ladder(quick: bool) -> FixedBaseProfile {
         .collect();
 
     let (ladder_ok, ladder_cost) = metered(|| {
-        epoch_items
-            .iter()
-            .zip(&digests)
-            .all(|(items, digest)| params.accumulate(items.iter().map(Vec::as_slice)) == *digest)
+        epoch_items.iter().zip(&digests).all(|(items, digest)| {
+            let refolded = items
+                .iter()
+                .fold(params.start().clone(), |acc, item| params.fold(&acc, item));
+            refolded == *digest
+        })
     });
     let (accel_ok, accel_cost) = metered(|| {
         let claims: Vec<(Ubig, Ubig)> = epoch_items
@@ -275,6 +277,15 @@ fn main() {
             .expect("ranking runs")
             .report
     }));
+
+    // The ∩ₛ cell's collector (node 0) is a ring position: it reads
+    // the revealed plaintexts off its own returned set, so the only
+    // exponentiations are the Σ|Sᵢ|·n relay encryptions.
+    assert_eq!(
+        profiles[0].costs.modexp,
+        (n * set_size * n) as u64,
+        "ring-collector ∩ₛ must run no reveal decryptions"
+    );
 
     // Cross-check: the telemetry sink and the session meter count the
     // same traffic and rounds.

@@ -1,6 +1,6 @@
 //! Experiment P10: the crypto hot-path ablation grid. Runs the same
-//! seeded 4-party secure set intersection (256-bit domain, reveal pass)
-//! across every combination of
+//! seeded 4-party secure set intersection (256-bit domain, reveal pass
+//! to a collector outside the ring) across every combination of
 //!
 //! * exponentiation algorithm — `schoolbook` (division-based ladder),
 //!   `binary` (Montgomery bit-at-a-time), `windowed` (Montgomery
@@ -97,7 +97,10 @@ fn run_cell(
     let mut result = None;
     for _ in 0..iters {
         let recorder = Recorder::new();
-        let mut net = SimNet::new(n, NetConfig::ideal());
+        // The collector is an extra node: an in-ring collector would
+        // skip the reveal pass, and the grid wants every exponentiation
+        // of the full protocol.
+        let mut net = SimNet::new(n + 1, NetConfig::ideal());
         let session_id = net.open_session();
         let link = SimLink::new(&mut net);
         let ring = Ring::canonical(n);
@@ -105,7 +108,7 @@ fn run_cell(
         let started = Instant::now();
         let outcome = {
             let _install = recorder.install();
-            SsiSession::new(Session::new(&link, session_id), &ring, &domain, NodeId(0))
+            SsiSession::new(Session::new(&link, session_id), &ring, &domain, NodeId(n))
                 .reveal(true)
                 .batch(batch.0)
                 .run(inputs, &mut rng)

@@ -154,7 +154,10 @@ impl AccumulatorParams {
         self.ctx.modexp(acc, &self.item_exponent(item))
     }
 
-    /// Accumulates a full collection starting from `x₀`.
+    /// Accumulates a full collection starting from `x₀` — Eq. 9
+    /// collapses the per-item ladder into the one fixed-base power of
+    /// [`AccumulatorParams::accumulate_batch`], bit-identical to
+    /// folding item by item.
     ///
     /// # Examples
     ///
@@ -172,9 +175,7 @@ impl AccumulatorParams {
     where
         I: IntoIterator<Item = &'a [u8]>,
     {
-        items
-            .into_iter()
-            .fold(self.x0.clone(), |acc, item| self.fold(&acc, item))
+        self.accumulate_batch(&items.into_iter().collect::<Vec<_>>())
     }
 
     /// Folds a whole batch of items into each of several running
@@ -239,8 +240,8 @@ impl AccumulatorParams {
     }
 
     /// Accumulates a whole collection from `x₀` in **one** fixed-base
-    /// power, `x₀^{∏ yᵢ}` — the same value [`AccumulatorParams::accumulate`]
-    /// reaches with one ladder per item.
+    /// power, `x₀^{∏ yᵢ}` — the same value a chain of
+    /// [`AccumulatorParams::fold`]s reaches with one ladder per item.
     #[must_use]
     pub fn accumulate_batch(&self, items: &[&[u8]]) -> Ubig {
         if items.is_empty() {
@@ -1094,7 +1095,9 @@ mod tests {
     fn power_of_start_matches_ladder_and_accumulate() {
         let p = params();
         let items: Vec<&[u8]> = vec![b"a", b"b", b"c", b"d"];
-        let sequential = p.accumulate(items.iter().copied());
+        let sequential = items
+            .iter()
+            .fold(p.start().clone(), |acc, item| p.fold(&acc, item));
         let batched = p.accumulate_batch(&items);
         assert_eq!(sequential, batched);
         // And directly against the generic ladder on the same exponent.

@@ -782,6 +782,84 @@ mod tests {
         assert_ne!(domain.decode(&a), domain.decode(&b));
     }
 
+    /// Encodings captured from the commit before the Jacobi probe was
+    /// rewritten: the accepted pad byte — hence every ciphertext and
+    /// wire byte downstream — did not move. 8-byte items are bare
+    /// glsns, 24-byte items the equality join's `glsn ‖ H(v)[..16]`.
+    #[test]
+    fn encode_vectors_are_pinned() {
+        let join = |glsn: u64, value: &str| {
+            let mut item = glsn.to_be_bytes().to_vec();
+            item.extend_from_slice(&sha256::digest(value.as_bytes())[..16]);
+            item
+        };
+        let glsns = [
+            0,
+            1,
+            2,
+            7,
+            1000,
+            0x139a_ef78,
+            u64::MAX,
+            0x0123_4567_89ab_cdef,
+        ];
+        let joins = [
+            join(1, "TCP"),
+            join(2, "UDP"),
+            join(0x139a_ef78, "U1"),
+            join(u64::MAX, "a longer attribute value"),
+        ];
+        let pinned: [(CommutativeDomain, [&str; 8], [&str; 4]); 2] = [
+            (
+                CommutativeDomain::fixed_256(),
+                [
+                    "3",
+                    "100",
+                    "201",
+                    "700",
+                    "3e801",
+                    "139aef7800",
+                    "ffffffffffffffff02",
+                    "123456789abcdef02",
+                ],
+                [
+                    "12e9430507b92dee11e1a03bc534f670000",
+                    "2dc4030f9688d6e67dfc4c5f8f7afcbdb00",
+                    "139aef78316ca0efda6296d8f2c11d1e20890d2200",
+                    "ffffffffffffffff641f3e36b2163a75256ff04ce0c96d2b01",
+                ],
+            ),
+            (
+                CommutativeDomain::fixed_512(),
+                [
+                    "3",
+                    "100",
+                    "201",
+                    "700",
+                    "3e800",
+                    "139aef7801",
+                    "ffffffffffffffff00",
+                    "123456789abcdef00",
+                ],
+                [
+                    "12e9430507b92dee11e1a03bc534f670003",
+                    "2dc4030f9688d6e67dfc4c5f8f7afcbdb00",
+                    "139aef78316ca0efda6296d8f2c11d1e20890d2201",
+                    "ffffffffffffffff641f3e36b2163a75256ff04ce0c96d2b00",
+                ],
+            ),
+        ];
+        for (domain, glsn_hex, join_hex) in &pinned {
+            for (glsn, hex) in glsns.iter().zip(glsn_hex) {
+                let encoded = domain.encode(&glsn.to_be_bytes()).unwrap();
+                assert_eq!(encoded.to_hex(), *hex, "{domain:?} glsn {glsn:#x}");
+            }
+            for (item, hex) in joins.iter().zip(join_hex) {
+                assert_eq!(domain.encode(item).unwrap().to_hex(), *hex, "{domain:?}");
+            }
+        }
+    }
+
     #[test]
     fn qr_tests_agree_and_encode_identically() {
         let jacobi_domain = CommutativeDomain::fixed_256();

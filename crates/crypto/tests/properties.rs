@@ -81,6 +81,27 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 
+    /// `accumulate` (one fixed-base power over `∏ yᵢ`) ≡ the per-item
+    /// fold ladder, from the empty collection through the table's
+    /// capacity (4 items on the 512-bit modulus) into the chunked
+    /// fallback — and it still bills one `AccumulatorFold` per item.
+    #[test]
+    fn accumulate_matches_the_fold_ladder(
+        items in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..40), 0..=9),
+    ) {
+        let params = AccumulatorParams::fixed_512();
+        let ladder = items
+            .iter()
+            .fold(params.start().clone(), |acc, item| params.fold(&acc, item));
+        let recorder = dla_telemetry::Recorder::new();
+        let batched = {
+            let _guard = recorder.install();
+            params.accumulate(items.iter().map(Vec::as_slice))
+        };
+        prop_assert_eq!(batched, ladder);
+        prop_assert_eq!(recorder.take().total_cost().acc_fold, items.len() as u64);
+    }
+
     #[test]
     fn shamir_reconstructs_from_any_quorum(
         secret in any::<u64>(),

@@ -7,13 +7,31 @@
 //! equal plaintexts — produce equal fully-encrypted values
 //! (`E132(e) = E321(e) = E213(e)` in Figure 4), so the collector can
 //! intersect ciphertexts. Plaintexts of the intersection are recovered
-//! by one decryption pass around the ring.
+//! by one decryption pass around the ring — unless a party already
+//! holds them:
+//!
+//! * a collector that **is a ring position** owns one of the input
+//!   sets, and every common element is in it. Relays encrypt element by
+//!   element and **preserve order**, so element `j` of its own set,
+//!   returned fully encrypted, is the ciphertext of its plaintext `j`:
+//!   it reads the answer off its own list and no decryption pass runs.
+//!   Its set coming back with a different length, or a repeated
+//!   ciphertext, is a protocol error. Order preservation itself is a
+//!   **trust assumption** the collector cannot check: a relay that
+//!   permutes the set makes it report the right number of wrong items.
+//!   `∩ₛ` is a protocol for honest-but-curious relays — the
+//!   decryption pass trusts its decryptors the same way (the last one
+//!   may hand back any plaintexts it likes);
+//! * a **one-position ring with reveal** has nothing to intersect with
+//!   and ends with the collector holding the holder's plaintexts, so
+//!   the holder ships its encoded set in one message and no layer is
+//!   ever applied.
 //!
 //! What leaks (allowed "secondary information", Definition 1): set
 //! sizes, and to the collector the intersection cardinality; plaintext
-//! values of *common* elements leak only to the parties the reveal pass
-//! visits, which is the paper's "matter of choice to decide which
-//! node(s) would receive" the result.
+//! values of *common* elements leak only to the collector and the
+//! parties a reveal pass visits, which is the paper's "matter of choice
+//! to decide which node(s) would receive" the result.
 
 use crate::report::{Meter, ProtocolReport};
 use crate::MpcError;
@@ -28,7 +46,9 @@ use std::collections::BTreeSet;
 /// Result of a secure set intersection run.
 #[derive(Debug, Clone)]
 pub struct SsiOutcome {
-    /// Fully-encrypted common elements (sorted, deduplicated).
+    /// Fully-encrypted common elements (sorted, deduplicated). A
+    /// one-position ring with reveal applies no layer: there these are
+    /// the holder's encodings.
     pub common_encrypted: Vec<Ubig>,
     /// Decrypted common items (present only when `reveal` was
     /// requested).
@@ -63,7 +83,8 @@ pub struct TraceHop {
 ///
 /// `inputs[i]` is the private set of the node at ring position `i`
 /// (byte items; duplicates are removed). When `reveal` is true, the
-/// intersection's plaintexts are recovered with a decryption pass and
+/// intersection's plaintexts are recovered — by a decryption pass, or
+/// from the collector's own set when it is a ring position — and
 /// returned.
 ///
 /// # Errors
@@ -152,7 +173,7 @@ impl<'a> SsiSession<'a> {
         }
     }
 
-    /// Requests the plaintext reveal pass.
+    /// Requests the intersection's plaintexts at the collector.
     #[must_use]
     pub fn reveal(mut self, reveal: bool) -> Self {
         self.reveal = reveal;
@@ -250,19 +271,32 @@ pub(crate) fn run<R: Rng + ?Sized>(
     let meter = Meter::start_session(net);
     let _telemetry = crate::report::SessionTelemetry::begin(net, "secure-set-intersection");
 
-    // Per-party key generation (local, no traffic).
-    let keys: Vec<PhKey> = (0..n).map(|_| PhKey::generate(domain, rng)).collect();
+    let encoded = encode_canonical(domain, inputs)?;
 
-    // Each party deduplicates, encodes into the QR subgroup and applies
-    // its own layer.
+    // One holder, reveal: the collector ends up with the holder's
+    // plaintexts whatever happens in between, so they are all it is
+    // sent.
+    if n == 1 && reveal {
+        let holder = ring.at(0);
+        net.send(holder, collector, encode_set(0, &encoded[0]));
+        let envelope = net.recv_from(collector, holder)?;
+        let (_, elements) = decode_set(&envelope.payload)?;
+        let mut items: Vec<Vec<u8>> = elements.iter().map(|e| domain.decode(e)).collect();
+        items.sort();
+        let report = meter.finish_session(net, "secure-set-intersection", n, 1);
+        return Ok(SsiOutcome {
+            common_encrypted: elements,
+            common_items: Some(items),
+            report,
+        });
+    }
+
+    // Per-party key generation (local, no traffic), then each owner
+    // applies its own layer.
+    let keys: Vec<PhKey> = (0..n).map(|_| PhKey::generate(domain, rng)).collect();
     let mut sets: Vec<Vec<Ubig>> = Vec::with_capacity(n);
-    for (i, raw) in inputs.iter().enumerate() {
-        let canonical: BTreeSet<Vec<u8>> = raw.iter().cloned().collect();
-        let encoded: Vec<Ubig> = canonical
-            .iter()
-            .map(|item| domain.encode(item).map_err(MpcError::from))
-            .collect::<Result<_, MpcError>>()?;
-        let encrypted = keys[i].encrypt_batch(&encoded, batch);
+    for (i, plain) in encoded.iter().enumerate() {
+        let encrypted = keys[i].encrypt_batch(plain, batch);
         if let Some(t) = trace.as_deref_mut() {
             t.push(TraceHop {
                 origin: i,
@@ -317,7 +351,8 @@ pub(crate) fn run<R: Rng + ?Sized>(
 
     // Collection round: final holders ship the fully-encrypted sets to
     // the collector, which intersects ciphertext sets.
-    let mut received: Vec<BTreeSet<Vec<u8>>> = Vec::with_capacity(n);
+    let own = ring.position(collector);
+    let mut returned: Vec<Vec<Ubig>> = Vec::with_capacity(n);
     #[allow(clippy::needless_range_loop)] // origin indexes sets and ring positions together
     for origin in 0..n {
         let final_holder = ring.at((origin + n - 1) % n);
@@ -328,16 +363,38 @@ pub(crate) fn run<R: Rng + ?Sized>(
         );
         let envelope = net.recv_from(collector, final_holder)?;
         let (_, elements) = decode_set(&envelope.payload)?;
-        received.push(elements.iter().map(Ubig::to_bytes_be).collect());
+        if own == Some(origin) {
+            check_own_set(&elements, encoded[origin].len())?;
+        }
+        returned.push(elements);
     }
+    let received: Vec<BTreeSet<Vec<u8>>> = returned
+        .iter()
+        .map(|set| set.iter().map(Ubig::to_bytes_be).collect())
+        .collect();
     let mut common: BTreeSet<Vec<u8>> = received.first().cloned().unwrap_or_default();
     for set in &received[1..] {
         common = common.intersection(set).cloned().collect();
     }
     let common_encrypted: Vec<Ubig> = common.iter().map(|b| Ubig::from_bytes_be(b)).collect();
 
-    // Optional reveal: one decryption pass around the ring.
-    let common_items = if reveal {
+    // Optional reveal. A ring-position collector already holds every
+    // common plaintext: the ones whose ciphertexts, at the same
+    // positions of its own returned set, survived the intersection.
+    // Anyone else needs one decryption pass around the ring.
+    let mut rounds = (n - 1) + 1;
+    let common_items = if !reveal {
+        None
+    } else if let Some(pos) = own {
+        let mut items: Vec<Vec<u8>> = returned[pos]
+            .iter()
+            .zip(&encoded[pos])
+            .filter(|(ciphertext, _)| common.contains(&ciphertext.to_bytes_be()))
+            .map(|(_, plain)| domain.decode(plain))
+            .collect();
+        items.sort();
+        Some(items)
+    } else {
         let mut current = common_encrypted.clone();
         let mut holder = collector;
         #[allow(clippy::needless_range_loop)] // pos walks the ring and the key table together
@@ -352,20 +409,62 @@ pub(crate) fn run<R: Rng + ?Sized>(
         net.send(holder, collector, encode_set(u64::MAX, &current));
         let envelope = net.recv_from(collector, holder)?;
         let (_, elements) = decode_set(&envelope.payload)?;
+        rounds += n + 1;
         let mut items: Vec<Vec<u8>> = elements.iter().map(|e| domain.decode(e)).collect();
         items.sort();
         Some(items)
-    } else {
-        None
     };
 
-    let rounds = (n - 1) + 1 + usize::from(reveal) * (n + 1);
     let report = meter.finish_session(net, "secure-set-intersection", n, rounds);
     Ok(SsiOutcome {
         common_encrypted,
         common_items,
         report,
     })
+}
+
+/// Each party's set encoded into the QR subgroup in canonical
+/// (sorted-plaintext) order — the order it travels in — and
+/// deduplicated on the *encoding*: items that differ only in leading
+/// zero bytes encode alike, and a set travels as distinct elements.
+pub(crate) fn encode_canonical(
+    domain: &CommutativeDomain,
+    inputs: &[Vec<Vec<u8>>],
+) -> Result<Vec<Vec<Ubig>>, MpcError> {
+    inputs
+        .iter()
+        .map(|raw| {
+            let canonical: BTreeSet<&Vec<u8>> = raw.iter().collect();
+            let mut seen = BTreeSet::new();
+            let mut encoded = Vec::with_capacity(canonical.len());
+            for item in canonical {
+                let element = domain.encode(item)?;
+                if seen.insert(element.clone()) {
+                    encoded.push(element);
+                }
+            }
+            Ok(encoded)
+        })
+        .collect()
+}
+
+/// A ring-position collector's own set must come back from the ring
+/// as `sent` distinct ciphertexts (the cipher is a bijection on
+/// distinct plaintexts): a relay that dropped, added or duplicated an
+/// element stops the run rather than shifting the answer. This is a
+/// shape check only — a relay that *reorders* the set, or swaps in as
+/// many other distinct values, passes it (see the module docs).
+pub(crate) fn check_own_set(returned: &[Ubig], sent: usize) -> Result<(), MpcError> {
+    let distinct: BTreeSet<&Ubig> = returned.iter().collect();
+    if returned.len() == sent && distinct.len() == sent {
+        Ok(())
+    } else {
+        Err(MpcError::Protocol(format!(
+            "collector's own set left with {sent} elements and returned with {} ({} distinct)",
+            returned.len(),
+            distinct.len()
+        )))
+    }
 }
 
 /// Wire tag of every SSI relay/collection message — the byte an
@@ -484,20 +583,60 @@ mod tests {
 
     #[test]
     fn message_complexity_is_n_times_n_minus_1_plus_n() {
+        // A ring-position collector reads the plaintexts off its own
+        // set: reveal costs it no message and no round.
         for n in [2usize, 3, 5] {
-            let (mut net, ring, domain, mut rng) = setup(n);
-            let inputs = vec![items(&["a", "b"]); n];
-            let outcome = secure_set_intersection(
-                &mut net,
-                &ring,
-                &domain,
-                &inputs,
-                NodeId(0),
-                false,
-                &mut rng,
-            )
-            .unwrap();
-            assert_eq!(outcome.report.messages as usize, n * (n - 1) + n, "n={n}");
+            for reveal in [false, true] {
+                let (mut net, ring, domain, mut rng) = setup(n);
+                let inputs = vec![items(&["a", "b"]); n];
+                let outcome = secure_set_intersection(
+                    &mut net,
+                    &ring,
+                    &domain,
+                    &inputs,
+                    NodeId(0),
+                    reveal,
+                    &mut rng,
+                )
+                .unwrap();
+                let report = &outcome.report;
+                assert_eq!(report.messages as usize, n * (n - 1) + n, "n={n}");
+                assert_eq!(report.rounds, n, "n={n} reveal={reveal}");
+                assert_eq!(outcome.common_items.is_some(), reveal);
+            }
+        }
+    }
+
+    #[test]
+    fn message_complexity_with_an_outside_collector_adds_the_reveal_pass() {
+        for n in [1usize, 2, 4] {
+            for reveal in [false, true] {
+                let mut net = SimNet::new(n + 1, NetConfig::ideal());
+                let (_, ring, domain, mut rng) = setup(n);
+                let inputs = vec![items(&["a", "b"]); n];
+                let outcome = secure_set_intersection(
+                    &mut net,
+                    &ring,
+                    &domain,
+                    &inputs,
+                    NodeId(n),
+                    reveal,
+                    &mut rng,
+                )
+                .unwrap();
+                // One holder with reveal: its encoded set, one message.
+                let (messages, rounds) = match (n, reveal) {
+                    (1, true) => (1, 1),
+                    (_, true) => (n * (n - 1) + n + n + 1, n + n + 1),
+                    (_, false) => (n * (n - 1) + n, n),
+                };
+                let report = &outcome.report;
+                assert_eq!(report.messages as usize, messages, "n={n} reveal={reveal}");
+                assert_eq!(report.rounds, rounds, "n={n} reveal={reveal}");
+                if reveal {
+                    assert_eq!(outcome.common_items.unwrap(), items(&["a", "b"]));
+                }
+            }
         }
     }
 
@@ -581,11 +720,13 @@ mod tests {
     #[test]
     fn single_party_ring_returns_own_set() {
         let (mut net, ring, domain, mut rng) = setup(1);
-        let inputs = vec![items(&["only"])];
+        let inputs = vec![items(&["only", "only", "one"])];
         let outcome =
             secure_set_intersection(&mut net, &ring, &domain, &inputs, NodeId(0), true, &mut rng)
                 .unwrap();
-        assert_eq!(outcome.common_items.unwrap(), items(&["only"]));
+        assert_eq!(outcome.cardinality(), 2);
+        assert_eq!(outcome.common_items.unwrap(), items(&["one", "only"]));
+        assert_eq!((outcome.report.messages, outcome.report.rounds), (1, 1));
     }
 
     #[test]

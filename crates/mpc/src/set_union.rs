@@ -8,8 +8,31 @@
 //! pass — "without revealing the owner(s) of each of the items":
 //! because deduplication and decryption happen on the merged list,
 //! nobody learns which party contributed which element.
+//!
+//! Owners send their sets in canonical (sorted-plaintext) order and
+//! relays encrypt element by element, preserving it; one layer of the
+//! cipher already makes ciphertext order unrelated to plaintext order,
+//! so positions link nothing for anyone but the owner.
+//!
+//! A collector that **is a ring position** already holds part of the
+//! answer: its own set. It takes the ciphertexts of its own returned
+//! set out of the merged list — matching by value, so this step does
+//! not depend on relay order — and adds its own plaintexts locally.
+//! Only the remaining `|∪| − |S_c|` elements are decrypted, a number
+//! every relay could already compute from the sizes it saw, and they
+//! travel **backwards** round the ring (`c−1, c−2, …, c+1`) with the
+//! collector taking its own layer off last, at home. So no relay ever
+//! holds a plaintext, and the only relay-phase ciphertexts a relay
+//! could line up with what it sees in the pass — the ones wearing the
+//! same layers — are the collector's own set, which is absent from the
+//! pass by construction: nobody can tell which of its own items the
+//! collector also holds. (Forwards from `c+1` would let that node
+//! match the pass against the fully-encrypted set it delivered in the
+//! collection round.) A collector outside the ring has no key: the
+//! pass runs `0, 1, …, n−1` and hands it the plaintexts.
 
 use crate::report::{Meter, ProtocolReport};
+use crate::set_intersection::{check_own_set, encode_canonical};
 use crate::MpcError;
 use dla_bigint::Ubig;
 use dla_crypto::pohlig_hellman::{BatchMode, CommutativeDomain, PhKey};
@@ -151,18 +174,13 @@ fn run<R: Rng + ?Sized>(
 
     let keys: Vec<PhKey> = (0..n).map(|_| PhKey::generate(domain, rng)).collect();
 
-    // Owner encryption. To thwart position-based linking, each owner
-    // shuffles its set before sending (BTreeSet ordering of ciphertexts
-    // is unrelated to plaintext order anyway after one layer).
-    let mut sets: Vec<Vec<Ubig>> = Vec::with_capacity(n);
-    for (i, raw) in inputs.iter().enumerate() {
-        let canonical: BTreeSet<Vec<u8>> = raw.iter().cloned().collect();
-        let encoded: Vec<Ubig> = canonical
-            .iter()
-            .map(|item| domain.encode(item).map_err(MpcError::from))
-            .collect::<Result<_, MpcError>>()?;
-        sets.push(keys[i].encrypt_batch(&encoded, batch));
-    }
+    // Owner encryption, in canonical (sorted-plaintext) order.
+    let encoded = encode_canonical(domain, inputs)?;
+    let mut sets: Vec<Vec<Ubig>> = keys
+        .iter()
+        .zip(&encoded)
+        .map(|(key, plain)| key.encrypt_batch(plain, batch))
+        .collect();
 
     // Relay rounds.
     #[allow(clippy::needless_range_loop)] // origin indexes sets/history in parallel
@@ -179,39 +197,62 @@ fn run<R: Rng + ?Sized>(
     }
 
     // Collect and deduplicate ("keeping only one copy of any redundant
-    // entries").
+    // entries"). A collector in the ring sets its own returned
+    // ciphertexts aside: it knows what they decrypt to.
+    let own = ring.position(collector);
+    let mut own_returned: Vec<Vec<u8>> = Vec::new();
     let mut merged: BTreeSet<Vec<u8>> = BTreeSet::new();
     #[allow(clippy::needless_range_loop)] // origin indexes sets and ring positions together
     for origin in 0..n {
         let final_holder = ring.at((origin + n - 1) % n);
         net.send(final_holder, collector, encode_msg(&sets[origin]));
         let envelope = net.recv_from(collector, final_holder)?;
-        for e in decode_msg(&envelope.payload)? {
-            merged.insert(e.to_bytes_be());
+        let elements = decode_msg(&envelope.payload)?;
+        if own == Some(origin) {
+            check_own_set(&elements, encoded[origin].len())?;
+            own_returned = elements.iter().map(Ubig::to_bytes_be).collect();
+        } else {
+            merged.extend(elements.iter().map(Ubig::to_bytes_be));
         }
+    }
+    for ciphertext in &own_returned {
+        merged.remove(ciphertext);
     }
     let mut current: Vec<Ubig> = merged.iter().map(|b| Ubig::from_bytes_be(b)).collect();
 
-    // Decryption pass around the ring.
+    // Decryption pass. A ring collector sends the rest backwards round
+    // the ring and removes its own layer last, locally; an outside
+    // collector has the ring decrypt in order and return plaintexts.
+    let pass: Vec<usize> = match own {
+        Some(c) => (1..n).map(|k| (c + n - k) % n).collect(),
+        None => (0..n).collect(),
+    };
+    let mut rounds = (n - 1) + 1 + pass.len();
     let mut holder = collector;
-    #[allow(clippy::needless_range_loop)] // pos walks the ring and the key table together
-    for pos in 0..n {
+    for &pos in &pass {
         let node = ring.at(pos);
         net.send(holder, node, encode_msg(&current));
         let envelope = net.recv_from(node, holder)?;
         current = keys[pos].decrypt_batch(&decode_msg(&envelope.payload)?, batch);
         holder = node;
     }
-    net.send(holder, collector, encode_msg(&current));
-    let envelope = net.recv_from(collector, holder)?;
-    let mut items: Vec<Vec<u8>> = decode_msg(&envelope.payload)?
+    if holder != collector {
+        net.send(holder, collector, encode_msg(&current));
+        let envelope = net.recv_from(collector, holder)?;
+        current = decode_msg(&envelope.payload)?;
+        rounds += 1;
+    }
+    if let Some(c) = own {
+        current = keys[c].decrypt_batch(&current, batch);
+    }
+    let mut items: Vec<Vec<u8>> = current
         .iter()
+        .chain(own.map_or(&[][..], |pos| &encoded[pos]))
         .map(|e| domain.decode(e))
         .collect();
     items.sort();
     items.dedup();
 
-    let rounds = (n - 1) + 1 + (n + 1);
     let report = meter.finish_session(net, "secure-set-union", n, rounds);
     Ok(UnionOutcome { items, report })
 }
@@ -306,18 +347,58 @@ mod tests {
 
     #[test]
     fn message_count_matches_protocol_structure() {
-        for n in [2usize, 4] {
-            let (mut net, ring, domain, mut rng) = setup(n);
-            let inputs = vec![items(&["a"]); n];
-            let outcome =
-                secure_set_union(&mut net, &ring, &domain, &inputs, NodeId(0), &mut rng).unwrap();
-            // n(n−1) relay + n collect + (n+1) decrypt-pass messages.
-            assert_eq!(
-                outcome.report.messages as usize,
-                n * (n - 1) + n + n + 1,
-                "n={n}"
-            );
+        // n(n−1) relay + n collect messages, then the decrypt pass: n+1
+        // messages for a collector outside the ring (node n); one fewer
+        // for a ring position (node 0), which removes the last layer at
+        // home — and none at all when it is the only position.
+        for n in [1usize, 2, 4] {
+            for collector in [NodeId(0), NodeId(n)] {
+                let mut net = SimNet::new(n + 1, NetConfig::ideal());
+                let (_, ring, domain, mut rng) = setup(n);
+                let inputs: Vec<_> = (0..n).map(|i| items(&["a", &format!("p{i}")])).collect();
+                let outcome =
+                    secure_set_union(&mut net, &ring, &domain, &inputs, collector, &mut rng)
+                        .unwrap();
+                assert_eq!(outcome.cardinality(), n + 1, "n={n} at {collector}");
+                let pass = match (collector == NodeId(n), n) {
+                    (true, _) => n + 1,
+                    (false, 1) => 0,
+                    (false, _) => n,
+                };
+                assert_eq!(
+                    outcome.report.messages as usize,
+                    n * (n - 1) + n + pass,
+                    "n={n} at {collector}"
+                );
+                assert_eq!(outcome.report.rounds, n + pass, "n={n} at {collector}");
+            }
         }
+    }
+
+    #[test]
+    fn ring_collector_decrypts_only_what_it_does_not_hold() {
+        // The decrypt pass carries |∪| − |S_c| elements: with the
+        // collector's set covering the union, nothing at all.
+        let count_modexp = |inputs: &[Vec<Vec<u8>>]| {
+            let (mut net, ring, domain, mut rng) = setup(inputs.len());
+            let recorder = dla_telemetry::Recorder::new();
+            let outcome = {
+                let _guard = recorder.install();
+                secure_set_union(&mut net, &ring, &domain, inputs, NodeId(0), &mut rng).unwrap()
+            };
+            (outcome.items, recorder.take().total_cost().modexp)
+        };
+        let (union, modexp) =
+            count_modexp(&[items(&["a", "b", "c"]), items(&["b"]), items(&["c", "a"])]);
+        assert_eq!(union, items(&["a", "b", "c"]));
+        assert_eq!(modexp, 6 * 3, "relay encryptions only");
+        let (union, modexp) = count_modexp(&[items(&["a"]), items(&["b", "c"])]);
+        assert_eq!(union, items(&["a", "b", "c"]));
+        assert_eq!(
+            modexp,
+            3 * 2 + 2 * 2,
+            "two foreign elements through two layers"
+        );
     }
 
     #[test]

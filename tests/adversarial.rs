@@ -198,6 +198,192 @@ fn corrupted_share_cannot_skew_an_aggregate() {
     }
 }
 
+#[test]
+fn a_relay_reshaping_the_collectors_own_set_fail_stops_the_run() {
+    // A ring-position collector reads ∩ₛ answers off its own set as
+    // returned by the ring, and ∪ₛ sets those ciphertexts aside. A
+    // relay that drops, adds, duplicates or truncates an element on
+    // the collector-origin hop must stop the run rather than shift or
+    // shrink the answer. (A same-length reordering is not caught: see
+    // the next test.)
+    use confidential_audit::bigint::Ubig;
+    use confidential_audit::crypto::pohlig_hellman::CommutativeDomain;
+    use confidential_audit::mpc::set_intersection::{secure_set_intersection, SET_TAG};
+    use confidential_audit::mpc::set_union::secure_set_union;
+    use confidential_audit::mpc::MpcError;
+    use confidential_audit::net::adversary::{Adversary, ScriptedAdversary, Tamper, TamperRule};
+    use confidential_audit::net::topology::Ring;
+    use confidential_audit::net::wire::Writer;
+    use confidential_audit::net::{NetConfig, NodeId, SimNet};
+    use std::sync::Arc;
+    const UNION_TAG: u8 = 0x02;
+
+    let domain = CommutativeDomain::fixed_256();
+    let ring = Ring::canonical(3);
+    let set =
+        |names: &[&str]| -> Vec<Vec<u8>> { names.iter().map(|s| s.as_bytes().to_vec()).collect() };
+    let inputs = vec![
+        set(&["c", "d", "e"]),
+        set(&["d", "e", "f"]),
+        set(&["e", "f", "g"]),
+    ];
+    // A well-formed set message of arbitrary group elements.
+    let forged = |tag: u8, values: &[u64]| {
+        let elements: Vec<Ubig> = values.iter().map(|&v| Ubig::from_u64(v)).collect();
+        let mut w = Writer::new();
+        w.put_u8(tag);
+        if tag == SET_TAG {
+            w.put_u64(0);
+        }
+        w.put_list(&elements, |w, e| {
+            w.put_bytes(&e.to_bytes_be());
+        });
+        w.finish()
+    };
+    // Node 1's second message to node 2 is the relay hop of the set
+    // that left the collector (node 0); `None` is the honest control.
+    let run = |tag: u8, action: Option<Tamper>| {
+        let mut adversary = ScriptedAdversary::new().compromise(1);
+        if let Some(action) = action {
+            adversary = adversary.rule(TamperRule {
+                from: Some(1),
+                to: Some(2),
+                tag: Some(tag),
+                skip: 1,
+                fires: 1,
+                action,
+            });
+        }
+        let adversary = Arc::new(adversary);
+        let mut net = SimNet::new(3, NetConfig::ideal());
+        net.set_adversary(Arc::clone(&adversary) as Arc<dyn Adversary>);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(51);
+        let answer = if tag == SET_TAG {
+            secure_set_intersection(&mut net, &ring, &domain, &inputs, NodeId(0), true, &mut rng)
+                .map(|o| o.common_items.expect("reveal was requested"))
+        } else {
+            secure_set_union(&mut net, &ring, &domain, &inputs, NodeId(0), &mut rng)
+                .map(|o| o.items)
+        };
+        (answer, adversary.report().forged)
+    };
+
+    for (tag, honest) in [
+        (SET_TAG, set(&["e"])),
+        (UNION_TAG, set(&["c", "d", "e", "f", "g"])),
+    ] {
+        let (answer, forged_count) = run(tag, None);
+        assert_eq!(answer.unwrap(), honest);
+        assert_eq!(forged_count, 0);
+        // One element dropped, one added, one duplicated in place.
+        for values in [&[4, 9][..], &[4, 9, 16, 25], &[4, 9, 9]] {
+            let (answer, forged_count) = run(tag, Some(Tamper::Replace(forged(tag, values))));
+            assert_eq!(forged_count, 1, "the rule must hit the relay hop");
+            assert!(
+                matches!(answer, Err(MpcError::Protocol(_))),
+                "tag {tag:#x}: own set of 3 replaced by {values:?} gave {answer:?}"
+            );
+        }
+        let (answer, forged_count) = run(tag, Some(Tamper::Truncate(11)));
+        assert_eq!(forged_count, 1);
+        assert!(
+            answer.is_err(),
+            "tag {tag:#x}: truncated blob gave {answer:?}"
+        );
+    }
+}
+
+#[test]
+fn a_relay_reordering_the_collectors_own_set_is_an_undetected_lie() {
+    // Pins the trust assumption of the ring-collector ∩ₛ reveal:
+    // relays preserve element order. One that permutes the collector's
+    // own set passes the shape check, and the collector reports the
+    // right number of wrong items — the same class of lie as a
+    // decryptor of the reveal pass handing back plaintexts of its
+    // choosing. ∪ₛ matches by value and does not care.
+    use confidential_audit::crypto::pohlig_hellman::CommutativeDomain;
+    use confidential_audit::mpc::set_intersection::{secure_set_intersection, SET_TAG};
+    use confidential_audit::mpc::set_union::secure_set_union;
+    use confidential_audit::net::adversary::{Adversary, ScriptedAdversary, Tamper, TamperRule};
+    use confidential_audit::net::topology::Ring;
+    use confidential_audit::net::wire::{Reader, Writer};
+    use confidential_audit::net::{NetConfig, NodeId, SimNet};
+    use std::sync::Arc;
+    const UNION_TAG: u8 = 0x02;
+
+    let domain = CommutativeDomain::fixed_256();
+    let ring = Ring::canonical(3);
+    let set =
+        |names: &[&str]| -> Vec<Vec<u8>> { names.iter().map(|s| s.as_bytes().to_vec()).collect() };
+    let inputs = vec![
+        set(&["c", "d", "e"]),
+        set(&["d", "e", "f"]),
+        set(&["e", "f", "g"]),
+    ];
+    // One seeded run at collector node 0; `action`, if any, hits node
+    // 1's second message to node 2 — the relay hop of the collector's
+    // set. Returns the answer and that hop's honest payload.
+    let run = |tag: u8, action: Option<Tamper>| {
+        let mut net = SimNet::new(3, NetConfig::ideal().with_payload_capture());
+        if let Some(action) = action {
+            let adversary = ScriptedAdversary::new().compromise(1).rule(TamperRule {
+                from: Some(1),
+                to: Some(2),
+                tag: Some(tag),
+                skip: 1,
+                fires: 1,
+                action,
+            });
+            net.set_adversary(Arc::new(adversary) as Arc<dyn Adversary>);
+        }
+        let mut rng = rand::rngs::StdRng::seed_from_u64(51);
+        let answer = if tag == SET_TAG {
+            secure_set_intersection(&mut net, &ring, &domain, &inputs, NodeId(0), true, &mut rng)
+                .map(|o| o.common_items.expect("reveal was requested"))
+        } else {
+            secure_set_union(&mut net, &ring, &domain, &inputs, NodeId(0), &mut rng)
+                .map(|o| o.items)
+        };
+        let hop = net
+            .captured_payloads()
+            .iter()
+            .filter(|(from, to, _)| (*from, *to) == (NodeId(1), NodeId(2)))
+            .nth(1)
+            .expect("the collector-origin relay hop")
+            .2
+            .clone();
+        (answer.unwrap(), hop)
+    };
+
+    for (tag, honest, lied) in [
+        (SET_TAG, set(&["e"]), set(&["c"])),
+        (
+            UNION_TAG,
+            set(&["c", "d", "e", "f", "g"]),
+            set(&["c", "d", "e", "f", "g"]),
+        ),
+    ] {
+        let (answer, hop) = run(tag, None);
+        assert_eq!(answer, honest);
+        // The same message with its first and last element exchanged:
+        // position 0 (plaintext c) now wears e's ciphertext.
+        let mut r = Reader::new(&hop);
+        let mut w = Writer::new();
+        w.put_u8(r.get_u8().unwrap());
+        if tag == SET_TAG {
+            w.put_u64(r.get_u64().unwrap());
+        }
+        let mut elements = r.get_list(|r| r.get_bytes().map(<[u8]>::to_vec)).unwrap();
+        assert_eq!(elements.len(), 3);
+        elements.swap(0, 2);
+        w.put_list(&elements, |w, e| {
+            w.put_bytes(e);
+        });
+        let (answer, _) = run(tag, Some(Tamper::Replace(w.finish())));
+        assert_eq!(answer, lied, "tag {tag:#x}");
+    }
+}
+
 /// The expected detector matrix per attack class: which of the §4.1
 /// mechanisms is responsible for catching each lie.
 fn expected_detectors(class: AttackClass) -> DetectorMatrix {
