@@ -14,6 +14,14 @@ cargo test -q -p dla-telemetry
 cargo test -q -p dla-audit --test telemetry_equivalence
 cargo test -q -p dla-net --test reliable_telemetry
 
+echo "==> tcp_transport in release, then again pinned to one CPU"
+cargo test -q --release -p dla-net --test tcp_transport
+if command -v taskset >/dev/null 2>&1; then
+    # One CPU is the schedule the benchmark measures, and the one where
+    # hand-off ordering bugs in the socket transport surface.
+    taskset -c 0 cargo test -q --release -p dla-net --test tcp_transport
+fi
+
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -82,6 +82,14 @@ impl Envelope {
     #[must_use]
     pub fn encode(&self) -> Bytes {
         let mut w = Writer::new();
+        self.encode_into(&mut w);
+        w.finish()
+    }
+
+    /// Appends the [`Envelope::encode`] bytes to a message under
+    /// construction (the socket transport writes them straight behind
+    /// its frame header).
+    pub fn encode_into(&self, w: &mut Writer) {
         w.put_u64(self.session.0)
             .put_u64(self.from.0 as u64)
             .put_u64(self.to.0 as u64)
@@ -89,7 +97,6 @@ impl Envelope {
             .put_u64(self.deliver_at.as_nanos())
             .put_u64(u64::from(self.checksum))
             .put_bytes(&self.payload);
-        w.finish()
     }
 
     /// Inverse of [`Envelope::encode`].

@@ -22,10 +22,26 @@
 //!   demux thread fills from incoming deliver frames, demultiplexed by
 //!   session exactly like [`crate::ChannelNet`].
 //! * Node processes run [`serve`] (the `dla-node` binary is a thin
-//!   wrapper): an accept loop plus per-peer writer threads, a
+//!   wrapper): an accept loop plus one reader thread per connection, a
 //!   connect/accept handshake that exchanges node ids, dial-on-demand
 //!   between peers with reconnect-and-backoff, and a deposit store for
 //!   fragments shipped via [`TcpNet::deposit`].
+//!
+//! # One syscall and one wake-up per hop
+//!
+//! Payloads are a few dozen bytes, so a hop costs what its framing
+//! costs. A frame is built once behind four reserved length-prefix
+//! bytes and leaves in one `write`; readers are `BufReader`s wrapped
+//! *after* the handshake, so a small frame arrives in one `read`. There
+//! are no writer threads or queues: a connection's write half is a
+//! mutex-guarded stream, written inline by whichever thread has the
+//! frame (the handle is cloned out of the connection table first — no
+//! socket write under the table lock). Inline writes can block, but
+//! never in a cycle: callers → a node's reader-for-the-coordinator →
+//! a peer's reader-for-that-node → the coordinator's reader, which
+//! **never writes** (DESIGN.md §13 has the argument in full). A peer
+//! that does not read trips [`WRITE_STALL`]: a closed link and a lost
+//! frame, where a writer thread's queue would have grown without bound.
 //!
 //! Timers run on the pluggable [`Clock`] driver ([`crate::WallClock`]
 //! by default): receive deadlines, and — through
@@ -42,12 +58,12 @@ use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::io::{self, Read, Write as IoWrite};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufReader, Read, Write as IoWrite};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Protocol magic exchanged in the handshake ("DLA1TCP1").
 const MAGIC: u64 = 0x444C_4131_5443_5031;
@@ -57,6 +73,10 @@ const COORD: u64 = u64::MAX;
 /// rejected *before* any allocation, so a hostile peer cannot make a
 /// reader allocate unbounded memory.
 pub const MAX_FRAME: usize = 16 * 1024 * 1024;
+/// How long an inline frame write may wait on a peer that is not
+/// taking bytes before the connection is shut down. The default receive
+/// deadline: a longer stall has already failed whoever waits on it.
+pub const WRITE_STALL: Duration = Duration::from_secs(5);
 
 const FRAME_HELLO: u8 = 0x01;
 const FRAME_ROUTE: u8 = 0x02;
@@ -67,23 +87,47 @@ const FRAME_STORED: u8 = 0x06;
 const FRAME_SHUTDOWN: u8 = 0x07;
 const FRAME_BYE: u8 = 0x08;
 
-/// Writes one length-prefixed frame (`u32` big-endian length, then the
-/// body).
-///
-/// # Errors
-///
-/// Propagates I/O failures; rejects bodies above [`MAX_FRAME`].
-pub fn write_frame(w: &mut impl IoWrite, body: &[u8]) -> io::Result<()> {
-    if body.len() > MAX_FRAME {
+/// The length prefix for a `len`-byte frame body.
+fn frame_prefix(len: usize) -> io::Result<[u8; 4]> {
+    if len > MAX_FRAME {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
             "frame exceeds MAX_FRAME",
         ));
     }
-    let len = body.len() as u32;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(body)?;
+    Ok((len as u32).to_be_bytes())
+}
+
+/// Writes one length-prefixed frame (`u32` big-endian length, then the
+/// body) as a single buffer in a single `write_all`: on a socket, one
+/// `write` syscall and — under `TCP_NODELAY` — one segment.
+///
+/// # Errors
+///
+/// Propagates I/O failures; rejects bodies above [`MAX_FRAME`].
+pub fn write_frame(w: &mut impl IoWrite, body: &[u8]) -> io::Result<()> {
+    let prefix = frame_prefix(body.len())?;
+    let mut frame = Vec::with_capacity(prefix.len() + body.len());
+    frame.extend_from_slice(&prefix);
+    frame.extend_from_slice(body);
+    w.write_all(&frame)?;
     w.flush()
+}
+
+/// Starts an outgoing frame behind four reserved length-prefix bytes
+/// ([`seal`] patches them): one buffer, built once, whatever its size.
+fn frame(tag: u8) -> Writer {
+    let mut w = Writer::new();
+    w.put_u32(0).put_u8(tag);
+    w
+}
+
+/// Patches the reserved prefix with the body length.
+fn seal(w: Writer) -> io::Result<Vec<u8>> {
+    let mut frame = w.into_vec();
+    let prefix = frame_prefix(frame.len() - 4)?;
+    frame[..4].copy_from_slice(&prefix);
+    Ok(frame)
 }
 
 /// Reads one length-prefixed frame.
@@ -121,30 +165,30 @@ pub fn decode_envelope(frame: &[u8], node: NodeId) -> Result<Envelope, NetError>
     Envelope::decode(frame).map_err(|_| NetError::Corrupt(node))
 }
 
-fn envelope_frame(tag: u8, envelope: &Envelope) -> Vec<u8> {
-    let encoded = envelope.encode();
-    let mut body = Vec::with_capacity(1 + encoded.len());
-    body.push(tag);
-    body.extend_from_slice(&encoded);
-    body
+fn envelope_frame(tag: u8, envelope: &Envelope) -> io::Result<Vec<u8>> {
+    let mut w = frame(tag);
+    envelope.encode_into(&mut w);
+    seal(w)
 }
 
-fn hello_frame(sender: u64, n: u64) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_u8(FRAME_HELLO)
-        .put_u64(MAGIC)
-        .put_u64(sender)
-        .put_u64(n);
-    w.finish().to_vec()
-}
-
-fn parse_hello(body: &[u8]) -> io::Result<(u64, u64)> {
-    let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
-    let mut r = Reader::new(body);
-    match (r.get_u8(), r.get_u64(), r.get_u64(), r.get_u64()) {
-        (Ok(FRAME_HELLO), Ok(magic), Ok(sender), Ok(n)) if magic == MAGIC => Ok((sender, n)),
-        _ => Err(bad("malformed handshake")),
+/// A control frame: `tag`, then `fields` as big-endian `u64`s.
+fn fields_frame(tag: u8, fields: &[u64]) -> io::Result<Vec<u8>> {
+    let mut w = frame(tag);
+    for &field in fields {
+        w.put_u64(field);
     }
+    seal(w)
+}
+
+/// The `N` leading `u64` fields of a control frame's body (after the
+/// tag byte); `None` when it is too short.
+fn parse_fields<const N: usize>(body: &[u8]) -> Option<[u64; N]> {
+    let mut r = Reader::new(body.get(1..)?);
+    let mut fields = [0u64; N];
+    for field in &mut fields {
+        *field = r.get_u64().ok()?;
+    }
+    Some(fields)
 }
 
 /// Dials `addr`, retrying with exponential backoff until `deadline`
@@ -153,7 +197,7 @@ fn parse_hello(body: &[u8]) -> io::Result<(u64, u64)> {
 /// that is still starting up, or that dropped a connection, is retried
 /// rather than declared gone).
 fn dial_with_backoff(addr: SocketAddr, deadline: Duration) -> io::Result<TcpStream> {
-    let started = std::time::Instant::now();
+    let started = Instant::now();
     let mut pause = Duration::from_millis(25);
     loop {
         match TcpStream::connect(addr) {
@@ -175,9 +219,49 @@ fn dial_with_backoff(addr: SocketAddr, deadline: Duration) -> io::Result<TcpStre
 /// Performs the connect-side handshake: announce ourselves, read the
 /// peer's announcement back.
 fn handshake(stream: &mut TcpStream, us: u64, n: u64) -> io::Result<(u64, u64)> {
-    write_frame(stream, &hello_frame(us, n))?;
+    stream.write_all(&fields_frame(FRAME_HELLO, &[MAGIC, us, n])?)?;
     let body = read_frame(stream)?;
-    parse_hello(&body)
+    match (body.first(), parse_fields(&body)) {
+        (Some(&FRAME_HELLO), Some([MAGIC, peer, n])) => Ok((peer, n)),
+        _ => Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "malformed handshake",
+        )),
+    }
+}
+
+/// A connection's write half, written inline by whichever thread has
+/// a frame; the lock keeps frames whole on a shared connection.
+type Link = Arc<Mutex<TcpStream>>;
+
+/// A handshaken stream's write half, write-stall timeout armed.
+fn new_link(stream: &TcpStream) -> io::Result<Link> {
+    let write_half = stream.try_clone()?;
+    write_half.set_write_timeout(Some(WRITE_STALL))?;
+    Ok(Arc::new(Mutex::new(write_half)))
+}
+
+/// Writes one sealed frame on `link` — normally a single `write`; a
+/// blocking write comes back short only when the send timeout fired.
+/// A frame still unwritten after [`WRITE_STALL`], like any failure,
+/// shuts the connection down (a partial frame has desynchronised it),
+/// which also ends the reader thread on its other half.
+fn write_link(link: &Link, frame: &[u8]) -> io::Result<()> {
+    let mut stream = link.lock();
+    let (started, mut rest) = (Instant::now(), frame);
+    let result = loop {
+        match stream.write(rest) {
+            Ok(n) if n == rest.len() => break Ok(()),
+            Ok(n) if n > 0 && started.elapsed() < WRITE_STALL => rest = &rest[n..],
+            Ok(_) => break Err(io::ErrorKind::TimedOut.into()),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => break Err(e),
+        }
+    };
+    if result.is_err() {
+        let _ = stream.shutdown(Shutdown::Both);
+    }
+    result
 }
 
 // ---------------------------------------------------------------------
@@ -202,7 +286,7 @@ pub struct NodeConfig {
 }
 
 /// What one node process did, reported in its farewell frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NodeReport {
     /// Node id.
     pub id: usize,
@@ -220,13 +304,35 @@ pub struct NodeReport {
     pub digest: u64,
 }
 
-#[derive(Debug, Default)]
+impl NodeReport {
+    /// The farewell frame's fields, in wire order.
+    fn to_fields(&self) -> [u64; 6] {
+        [
+            self.id as u64,
+            self.routed,
+            self.forwarded,
+            self.stored,
+            self.stored_bytes,
+            self.digest,
+        ]
+    }
+
+    fn from_fields([id, routed, forwarded, stored, stored_bytes, digest]: [u64; 6]) -> Self {
+        let id = id as usize;
+        NodeReport {
+            id,
+            routed,
+            forwarded,
+            stored,
+            stored_bytes,
+            digest,
+        }
+    }
+}
+
+#[derive(Debug)]
 struct NodeStats {
-    routed: u64,
-    forwarded: u64,
-    stored: u64,
-    stored_bytes: u64,
-    digest: u64,
+    report: NodeReport,
     fragments: Vec<(u64, Vec<u8>)>,
 }
 
@@ -235,81 +341,85 @@ struct NodeState {
     id: u64,
     n: u64,
     peers: Vec<Option<SocketAddr>>,
-    writers: Mutex<HashMap<u64, Sender<Vec<u8>>>>,
+    links: Mutex<HashMap<u64, Link>>,
     /// Peers whose current connection *we* initiated. An inbound HELLO
     /// announcing such a peer is a simultaneous connect (both sides
     /// dialed at once), not a spoof, and must be accepted — rejecting
     /// it would close the stream the peer is already writing on.
     dialed: Mutex<BTreeSet<u64>>,
-    writer_handles: Mutex<Vec<thread::JoinHandle<()>>>,
     stats: Mutex<NodeStats>,
     done: AtomicBool,
     done_tx: Sender<()>,
 }
 
 impl NodeState {
-    /// Registers a connection's writer thread and returns the sending
-    /// half. A peer with a live writer is only re-registered on a
-    /// simultaneous connect (the accept loop checks `dialed`); any
-    /// other replacement requires the dead connection to deregister
-    /// itself first, so an impostor can never displace a live session.
-    fn register(self: &Arc<Self>, peer: u64, stream: TcpStream) -> Sender<Vec<u8>> {
-        let (tx, rx): (Sender<Vec<u8>>, Receiver<Vec<u8>>) = unbounded();
-        let state = Arc::clone(self);
-        let mut write_half = stream.try_clone().expect("clone stream for writer");
-        let handle = thread::spawn(move || {
-            // recv() keeps draining queued frames after every sender
-            // drops, so shutdown can flush the farewell by dropping the
-            // map entry and joining this thread.
-            while let Ok(frame) = rx.recv() {
-                if write_frame(&mut write_half, &frame).is_err() {
-                    // Connection died: deregister so the next send
-                    // re-dials with backoff.
-                    state.writers.lock().remove(&peer);
-                    state.dialed.lock().remove(&peer);
-                    break;
-                }
-            }
-        });
-        self.writer_handles.lock().push(handle);
-        self.writers.lock().insert(peer, tx.clone());
-        let state = Arc::clone(self);
-        thread::spawn(move || state.reader_loop(peer, stream));
-        tx
+    /// Registers a handshaken connection — its write half in the link
+    /// table, its read half on a new reader thread — and returns the
+    /// link. The accept loop never registers over a live link: a dead
+    /// connection must deregister itself first, so an impostor can
+    /// never displace a live session.
+    fn register(self: &Arc<Self>, peer: u64, stream: TcpStream) -> io::Result<Link> {
+        let link = new_link(&stream)?;
+        self.links.lock().insert(peer, Arc::clone(&link));
+        self.spawn_reader(peer, stream);
+        Ok(link)
     }
 
-    /// A writer for `peer`, dialing on demand (with reconnect backoff)
-    /// when no live connection exists. Peer ids the coordinator hosts
-    /// in-process resolve to the coordinator connection.
-    fn writer_for(self: &Arc<Self>, peer: u64) -> Option<Sender<Vec<u8>>> {
-        let target = if (peer as usize) < self.peers.len() && self.peers[peer as usize].is_none() {
-            COORD
-        } else {
-            peer
-        };
-        if let Some(tx) = self.writers.lock().get(&target) {
-            return Some(tx.clone());
+    fn spawn_reader(self: &Arc<Self>, peer: u64, stream: TcpStream) {
+        let state = Arc::clone(self);
+        thread::spawn(move || state.reader_loop(peer, stream));
+    }
+
+    /// The link to `target` (a serving peer's id, or [`COORD`]),
+    /// dialing on demand (with reconnect backoff) when no live
+    /// connection exists. The handle is cloned out of the table:
+    /// callers write with the table unlocked.
+    fn link_for(self: &Arc<Self>, target: u64) -> Option<Link> {
+        if let Some(link) = self.links.lock().get(&target) {
+            return Some(Arc::clone(link));
         }
-        if target == COORD {
-            return None; // the coordinator always dials us, never vice versa
-        }
-        if target == self.id {
-            return None; // self-traffic is dispatched locally, never dialed
+        if target == COORD || target == self.id {
+            // The coordinator always dials us, never vice versa; and
+            // self-traffic is dispatched locally, never dialed.
+            return None;
         }
         let addr = self.peers.get(target as usize).copied().flatten()?;
         let mut stream = dial_with_backoff(addr, Duration::from_secs(10)).ok()?;
         let (peer_id, _) = handshake(&mut stream, self.id, self.n).ok()?;
         if peer_id != target {
             // Whatever answered at the peer's address is lying about
-            // its id; don't register a writer under a name it may use
+            // its id; don't register a link under a name it may use
             // to impersonate the real node.
             return None;
         }
         self.dialed.lock().insert(peer_id);
-        Some(self.register(peer_id, stream))
+        self.register(peer_id, stream).ok()
     }
 
-    fn reader_loop(self: Arc<Self>, peer: u64, mut stream: TcpStream) {
+    /// Writes `frame` to `peer` inline; ids the coordinator hosts
+    /// in-process resolve to the coordinator connection. A failed or
+    /// stalled write has already shut the connection down; deregister
+    /// it (unless a re-dial has replaced it already) so the next send
+    /// re-dials with backoff.
+    fn send(self: &Arc<Self>, peer: u64, frame: io::Result<Vec<u8>>) {
+        let coordinator_hosted = self.peers.get(peer as usize).is_some_and(Option::is_none);
+        let target = if coordinator_hosted { COORD } else { peer };
+        let (Ok(frame), Some(link)) = (frame, self.link_for(target)) else {
+            return;
+        };
+        if write_link(&link, &frame).is_err() {
+            let mut links = self.links.lock();
+            if links.get(&target).is_some_and(|l| Arc::ptr_eq(l, &link)) {
+                links.remove(&target);
+                self.dialed.lock().remove(&target);
+            }
+        }
+    }
+
+    fn reader_loop(self: Arc<Self>, peer: u64, stream: TcpStream) {
+        // Wrapped only now: the handshake read the raw stream, so no
+        // byte of it can be stranded in a buffer.
+        let mut stream = BufReader::new(stream);
         loop {
             if self.done.load(Ordering::Acquire) {
                 return;
@@ -330,27 +440,19 @@ impl NodeState {
                 if envelope.from.0 as u64 != self.id {
                     return; // misrouted: we only originate our own traffic
                 }
-                self.stats.lock().routed += 1;
+                self.stats.lock().report.routed += 1;
                 if envelope.to.0 as u64 == self.id {
                     // Self-hop: forward locally. Dialing our own
                     // listener would trip the spoof guard (the accept
                     // loop refuses a HELLO announcing our own id).
-                    self.dispatch(peer, &envelope_frame(FRAME_FWD, &envelope));
-                } else if let Some(tx) = self.writer_for(envelope.to.0 as u64) {
-                    let _ = tx.send(envelope_frame(FRAME_FWD, &envelope));
+                    self.forward(&envelope);
+                } else {
+                    self.send(envelope.to.0 as u64, envelope_frame(FRAME_FWD, &envelope));
                 }
             }
             Some(FRAME_FWD) => {
-                let Ok(envelope) = decode_envelope(&body[1..], NodeId(self.id as usize)) else {
-                    return;
-                };
-                if envelope.to.0 as u64 != self.id {
-                    return;
-                }
-                self.stats.lock().forwarded += 1;
-                // Final leg: hand the envelope up to the coordinator.
-                if let Some(tx) = self.writers.lock().get(&COORD) {
-                    let _ = tx.send(envelope_frame(FRAME_DELIVER, &envelope));
+                if let Ok(envelope) = decode_envelope(&body[1..], NodeId(self.id as usize)) {
+                    self.forward(&envelope);
                 }
             }
             Some(FRAME_STORE) => {
@@ -360,36 +462,23 @@ impl NodeState {
                 };
                 let (count, digest) = {
                     let mut stats = self.stats.lock();
-                    let mut seed = stats.digest.to_be_bytes().to_vec();
-                    seed.extend_from_slice(payload);
-                    stats.digest = u64::from(crc32(&seed));
-                    stats.stored += 1;
-                    stats.stored_bytes += payload.len() as u64;
                     stats.fragments.push((glsn, payload.to_vec()));
-                    (stats.stored, stats.digest)
+                    let report = &mut stats.report;
+                    let mut seed = report.digest.to_be_bytes().to_vec();
+                    seed.extend_from_slice(payload);
+                    report.digest = u64::from(crc32(&seed));
+                    report.stored += 1;
+                    report.stored_bytes += payload.len() as u64;
+                    (report.stored, report.digest)
                 };
-                if let Some(tx) = self.writers.lock().get(&peer) {
-                    let mut w = Writer::new();
-                    w.put_u8(FRAME_STORED)
-                        .put_u64(glsn)
-                        .put_u64(count)
-                        .put_u64(digest);
-                    let _ = tx.send(w.finish().to_vec());
-                }
+                self.send(peer, fields_frame(FRAME_STORED, &[glsn, count, digest]));
             }
             Some(FRAME_SHUTDOWN) => {
-                let report = self.report();
-                if let Some(tx) = self.writers.lock().get(&peer) {
-                    let mut w = Writer::new();
-                    w.put_u8(FRAME_BYE)
-                        .put_u64(report.id as u64)
-                        .put_u64(report.routed)
-                        .put_u64(report.forwarded)
-                        .put_u64(report.stored)
-                        .put_u64(report.stored_bytes)
-                        .put_u64(report.digest);
-                    let _ = tx.send(w.finish().to_vec());
-                }
+                // Written before `done_tx` fires: once `serve` returns
+                // the process may exit, and the farewell must already
+                // be in the socket.
+                let farewell = self.report().to_fields();
+                self.send(peer, fields_frame(FRAME_BYE, &farewell));
                 self.done.store(true, Ordering::Release);
                 let _ = self.done_tx.send(());
             }
@@ -397,16 +486,18 @@ impl NodeState {
         }
     }
 
-    fn report(&self) -> NodeReport {
-        let stats = self.stats.lock();
-        NodeReport {
-            id: self.id as usize,
-            routed: stats.routed,
-            forwarded: stats.forwarded,
-            stored: stats.stored,
-            stored_bytes: stats.stored_bytes,
-            digest: stats.digest,
+    /// Final leg of an envelope addressed to this node: hand it up to
+    /// the coordinator.
+    fn forward(self: &Arc<Self>, envelope: &Envelope) {
+        if envelope.to.0 as u64 != self.id {
+            return;
         }
+        self.stats.lock().report.forwarded += 1;
+        self.send(COORD, envelope_frame(FRAME_DELIVER, envelope));
+    }
+
+    fn report(&self) -> NodeReport {
+        self.stats.lock().report.clone()
     }
 }
 
@@ -427,12 +518,15 @@ pub fn serve(listener: TcpListener, config: NodeConfig) -> io::Result<NodeReport
         id: config.id as u64,
         n: config.peers.len() as u64,
         peers: config.peers,
-        writers: Mutex::new(HashMap::new()),
+        links: Mutex::new(HashMap::new()),
         dialed: Mutex::new(BTreeSet::new()),
-        writer_handles: Mutex::new(Vec::new()),
         stats: Mutex::new(NodeStats {
-            digest: config.key,
-            ..NodeStats::default()
+            report: NodeReport {
+                id: config.id,
+                digest: config.key,
+                ..NodeReport::default()
+            },
+            fragments: Vec::new(),
         }),
         done: AtomicBool::new(false),
         done_tx,
@@ -445,38 +539,37 @@ pub fn serve(listener: TcpListener, config: NodeConfig) -> io::Result<NodeReport
             }
             let _ = stream.set_nodelay(true);
             // Accept-side handshake: announce ourselves, learn the
-            // dialer's id, then wire up reader + writer threads. A
-            // dialer announcing our own id, or an id whose live session
-            // *they* initiated, is a spoof attempt — registering it
-            // would let the newcomer hijack the existing writer (and
+            // dialer's id, then register the link and start its
+            // reader. A dialer announcing our own id, or an id that
+            // already has a live link, is a spoof attempt — registering
+            // it would let the newcomer hijack the existing link (and
             // with it any acks addressed to that peer), so the
             // connection is dropped instead. The one legitimate
             // conflict is a simultaneous connect: we dialed the peer
-            // while it dialed us. Its inbound connection is accepted
-            // (the peer is already writing on it) and takes over the
-            // writer slot; the crossing credit is consumed so a second
-            // conflicting HELLO is back to being a spoof.
+            // while it dialed us. The peer is already writing on its
+            // connection, so that one is read — but we keep writing on
+            // ours: were the link slot to change hands, frames in
+            // flight on the old connection could be overtaken by later
+            // ones on the new. The crossing credit is consumed, so a
+            // second conflicting HELLO is back to being a spoof.
             if let Ok((peer, _)) = handshake(&mut stream, acceptor.id, acceptor.n) {
-                let crossing = acceptor.dialed.lock().remove(&peer);
-                if peer == acceptor.id || (!crossing && acceptor.writers.lock().contains_key(&peer))
-                {
-                    continue;
+                if acceptor.dialed.lock().remove(&peer) {
+                    acceptor.spawn_reader(peer, stream);
+                } else if peer != acceptor.id && !acceptor.links.lock().contains_key(&peer) {
+                    let _ = acceptor.register(peer, stream);
                 }
-                acceptor.register(peer, stream);
             }
         }
     });
     let _ = done_rx.recv();
     // Unblock the accept loop so the thread exits promptly.
     let _ = TcpStream::connect(own_addr);
-    // Flush in-flight frames (the BYE farewell in particular) before
-    // returning: drop every sender so the writer threads drain their
-    // queues and exit, then join them. Without this a node process can
-    // exit before the farewell reaches the coordinator.
-    state.writers.lock().clear();
-    let handles: Vec<_> = state.writer_handles.lock().drain(..).collect();
-    for handle in handles {
-        let _ = handle.join();
+    // The farewell is already in the coordinator's socket (written
+    // before `done` fired). Close every connection so the reader
+    // threads on both ends of each see end-of-stream and exit.
+    let links: Vec<Link> = state.links.lock().drain().map(|(_, link)| link).collect();
+    for link in links {
+        let _ = link.lock().shutdown(Shutdown::Both);
     }
     Ok(state.report())
 }
@@ -507,6 +600,11 @@ impl Default for TcpConfig {
     }
 }
 
+/// A STORED acknowledgement as a coordinator reader hands it over:
+/// the node whose connection it arrived on — a glsn alone does not say
+/// *who* stored it — then the frame's `[glsn, count, digest]`.
+type StoredAck = (usize, [u64; 3]);
+
 #[derive(Debug)]
 struct TcpInbox {
     rx: Receiver<Envelope>,
@@ -520,12 +618,14 @@ struct TcpInbox {
 pub struct TcpNet {
     n: usize,
     local: BTreeSet<usize>,
-    writers: Vec<Option<Sender<Vec<u8>>>>,
+    links: Vec<Option<Link>>,
     inbox_tx: Vec<Sender<Envelope>>,
     inboxes: Vec<Mutex<TcpInbox>>,
-    stored_rx: Mutex<Receiver<(u64, u64, u64)>>,
+    stored_rx: Mutex<Receiver<StoredAck>>,
     bye_rx: Mutex<Receiver<NodeReport>>,
-    stats: Mutex<TrafficStats>,
+    /// Shared with the reader threads, which count the malformed
+    /// envelopes they drop.
+    stats: Arc<Mutex<TrafficStats>>,
     timeout: SimTime,
     clock: Arc<dyn Clock>,
 }
@@ -567,7 +667,8 @@ impl TcpNet {
             .unzip();
         let (stored_tx, stored_rx) = unbounded();
         let (bye_tx, bye_rx) = unbounded();
-        let mut writers: Vec<Option<Sender<Vec<u8>>>> = vec![None; n];
+        let stats = Arc::new(Mutex::new(TrafficStats::new()));
+        let mut links: Vec<Option<Link>> = vec![None; n];
         for (id, addr) in peers.iter().enumerate() {
             let Some(addr) = addr else { continue };
             if local.contains(&id) {
@@ -581,32 +682,23 @@ impl TcpNet {
                     format!("peer at {addr} announced id {peer}, expected {id}"),
                 ));
             }
-            let (tx, rx): (Sender<Vec<u8>>, Receiver<Vec<u8>>) = unbounded();
-            let mut write_half = stream.try_clone()?;
+            links[id] = Some(new_link(&stream)?);
+            let (inbox_tx, stored_tx, bye_tx) =
+                (inbox_tx.clone(), stored_tx.clone(), bye_tx.clone());
+            let stats = Arc::clone(&stats);
             thread::spawn(move || {
-                while let Ok(frame) = rx.recv() {
-                    if write_frame(&mut write_half, &frame).is_err() {
-                        break;
-                    }
-                }
+                coordinator_reader(stream, id, &inbox_tx, &stored_tx, &bye_tx, &stats);
             });
-            let inbox_tx = inbox_tx.clone();
-            let stored_tx = stored_tx.clone();
-            let bye_tx = bye_tx.clone();
-            thread::spawn(move || {
-                coordinator_reader(&mut stream, n, &inbox_tx, &stored_tx, &bye_tx);
-            });
-            writers[id] = Some(tx);
         }
         Ok(TcpNet {
             n,
             local,
-            writers,
+            links,
             inbox_tx,
             inboxes,
             stored_rx: Mutex::new(stored_rx),
             bye_rx: Mutex::new(bye_rx),
-            stats: Mutex::new(TrafficStats::new()),
+            stats,
             timeout: config.timeout,
             clock: config.clock,
         })
@@ -624,29 +716,42 @@ impl TcpNet {
         self.stats.lock().clone()
     }
 
+    /// Writes `frame` to the process serving `node`, inline. `false`
+    /// when nothing serves `node`, the frame is oversized, or the write
+    /// failed or stalled — which has shut the connection down, so
+    /// every later write to it fails at once.
+    fn write_to(&self, node: usize, frame: io::Result<Vec<u8>>) -> bool {
+        match (self.links.get(node), frame) {
+            (Some(Some(link)), Ok(frame)) => write_link(link, &frame).is_ok(),
+            _ => false,
+        }
+    }
+
     /// Ships a deposit fragment to the process serving `node` and waits
     /// for its acknowledgement: the node's running `(count, digest)`
-    /// after storing it. One deposit may be outstanding at a time.
+    /// after storing it. One deposit is outstanding at a time.
     ///
     /// # Errors
     ///
     /// [`NetError::Timeout`] when `node` is not a connected remote
     /// process or the acknowledgement does not arrive in time.
     pub fn deposit(&self, node: NodeId, glsn: u64, payload: &[u8]) -> Result<(u64, u64), NetError> {
-        let Some(tx) = self.writers.get(node.0).and_then(|w| w.as_ref()) else {
-            return Err(NetError::Timeout(node));
-        };
-        let mut w = Writer::new();
-        w.put_u8(FRAME_STORE).put_u64(glsn).put_bytes(payload);
-        if tx.send(w.finish().to_vec()).is_err() {
+        let rx = self.stored_rx.lock();
+        let mut w = frame(FRAME_STORE);
+        w.put_u64(glsn).put_bytes(payload);
+        if !self.write_to(node.0, seal(w)) {
             return Err(NetError::Timeout(node));
         }
-        let rx = self.stored_rx.lock();
-        let deadline = self.timeout.to_duration();
+        // One deadline for the whole wait: acks of earlier, timed-out
+        // deposits are skipped without extending it.
+        let deadline = Instant::now() + self.timeout.to_duration();
         loop {
-            match rx.recv_timeout(deadline) {
-                Ok((acked, count, digest)) if acked == glsn => return Ok((count, digest)),
-                Ok(_) => continue, // stale ack from an earlier deposit
+            let left = deadline.saturating_duration_since(Instant::now());
+            match rx.recv_timeout(left) {
+                Ok((from, [acked, count, digest])) if from == node.0 && acked == glsn => {
+                    return Ok((count, digest));
+                }
+                Ok(_) => {} // late ack of an earlier deposit
                 Err(_) => return Err(NetError::Timeout(node)),
             }
         }
@@ -656,12 +761,9 @@ impl TcpNet {
     /// farewell reports (waiting up to the receive timeout for each).
     #[must_use]
     pub fn shutdown(&self) -> Vec<NodeReport> {
-        let mut expected = 0usize;
-        for tx in self.writers.iter().flatten() {
-            if tx.send(vec![FRAME_SHUTDOWN]).is_ok() {
-                expected += 1;
-            }
-        }
+        let expected = (0..self.n)
+            .filter(|&node| self.write_to(node, seal(frame(FRAME_SHUTDOWN))))
+            .count();
         let rx = self.bye_rx.lock();
         let mut reports = Vec::with_capacity(expected);
         for _ in 0..expected {
@@ -686,95 +788,67 @@ impl TcpNet {
         assert!(node.0 < self.n, "node {node} out of range");
         let mut inbox = self.inboxes[node.0].lock();
         let matches = |e: &Envelope| e.session == session && from.is_none_or(|f| e.from == f);
-        if let Some(pos) = inbox.stash.iter().position(&matches) {
-            let envelope = inbox.stash.remove(pos).expect("position just found");
-            self.stats
-                .lock()
-                .record_delivery(envelope.session, envelope.payload.len());
-            dla_telemetry::record(dla_telemetry::CostKind::MsgDelivered, 1);
-            return Ok(envelope);
-        }
-        let deadline = self.clock.now() + self.timeout;
-        loop {
-            let now = self.clock.now();
-            if now >= deadline {
-                return Err(NetError::Timeout(node));
-            }
-            let left = deadline - now;
-            let envelope = match inbox.rx.recv_timeout(left.to_duration()) {
-                Ok(envelope) => envelope,
-                Err(_) => {
-                    if self.clock.is_virtual() {
-                        self.clock.advance(left);
-                    }
-                    continue;
+        let envelope = if let Some(pos) = inbox.stash.iter().position(&matches) {
+            inbox.stash.remove(pos).expect("position just found")
+        } else {
+            let deadline = self.clock.now() + self.timeout;
+            loop {
+                let now = self.clock.now();
+                if now >= deadline {
+                    return Err(NetError::Timeout(node));
                 }
-            };
-            if matches(&envelope) {
-                self.stats
-                    .lock()
-                    .record_delivery(envelope.session, envelope.payload.len());
-                dla_telemetry::record(dla_telemetry::CostKind::MsgDelivered, 1);
-                return Ok(envelope);
+                let left = deadline - now;
+                match inbox.rx.recv_timeout(left.to_duration()) {
+                    Ok(envelope) if matches(&envelope) => break envelope,
+                    Ok(envelope) => inbox.stash.push_back(envelope),
+                    Err(_) if self.clock.is_virtual() => self.clock.advance(left),
+                    Err(_) => {}
+                }
             }
-            inbox.stash.push_back(envelope);
-        }
+        };
+        self.stats
+            .lock()
+            .record_delivery(envelope.session, envelope.payload.len());
+        dla_telemetry::record(dla_telemetry::CostKind::MsgDelivered, 1);
+        Ok(envelope)
     }
 }
 
-/// The coordinator's reader/demux loop for one node connection:
+/// The coordinator's reader/demux loop for the connection to `node`:
 /// deliver and forward frames land in the per-node inboxes (malformed
-/// envelopes are dropped and counted — the reliable layer recovers
-/// them by retransmission), store acks and farewells go to their
-/// dedicated channels.
+/// envelopes are dropped and counted in `messages_corrupted` — the
+/// reliable layer recovers them by retransmission), store acks and
+/// farewells go to their dedicated channels. It only reads the socket
+/// and fills unbounded channels — it never writes, which is what lets
+/// every inline write in the mesh eventually drain.
 fn coordinator_reader(
-    stream: &mut TcpStream,
-    n: usize,
+    stream: TcpStream,
+    node: usize,
     inbox_tx: &[Sender<Envelope>],
-    stored_tx: &Sender<(u64, u64, u64)>,
+    stored_tx: &Sender<StoredAck>,
     bye_tx: &Sender<NodeReport>,
+    stats: &Mutex<TrafficStats>,
 ) {
-    while let Ok(body) = read_frame(stream) {
+    // Wrapped after the handshake, which read the raw stream.
+    let mut stream = BufReader::new(stream);
+    while let Ok(body) = read_frame(&mut stream) {
         match body.first().copied() {
-            Some(FRAME_DELIVER | FRAME_FWD) => {
-                let Ok(envelope) = Envelope::decode(&body[1..]) else {
-                    continue;
-                };
-                if envelope.to.0 < n {
-                    let _ = inbox_tx[envelope.to.0].send(envelope);
+            Some(FRAME_DELIVER | FRAME_FWD) => match Envelope::decode(&body[1..]) {
+                Ok(envelope) => {
+                    if let Some(inbox) = inbox_tx.get(envelope.to.0) {
+                        let _ = inbox.send(envelope);
+                    }
                 }
-            }
+                Err(_) => stats.lock().messages_corrupted += 1,
+            },
             Some(FRAME_STORED) => {
-                let mut r = Reader::new(&body[1..]);
-                if let (Ok(glsn), Ok(count), Ok(digest)) = (r.get_u64(), r.get_u64(), r.get_u64()) {
-                    let _ = stored_tx.send((glsn, count, digest));
+                if let Some(ack) = parse_fields(&body) {
+                    let _ = stored_tx.send((node, ack));
                 }
             }
             Some(FRAME_BYE) => {
-                let mut r = Reader::new(&body[1..]);
-                if let (
-                    Ok(id),
-                    Ok(routed),
-                    Ok(forwarded),
-                    Ok(stored),
-                    Ok(stored_bytes),
-                    Ok(digest),
-                ) = (
-                    r.get_u64(),
-                    r.get_u64(),
-                    r.get_u64(),
-                    r.get_u64(),
-                    r.get_u64(),
-                    r.get_u64(),
-                ) {
-                    let _ = bye_tx.send(NodeReport {
-                        id: id as usize,
-                        routed,
-                        forwarded,
-                        stored,
-                        stored_bytes,
-                        digest,
-                    });
+                if let Some(fields) = parse_fields(&body) {
+                    let _ = bye_tx.send(NodeReport::from_fields(fields));
                 }
             }
             _ => {}
@@ -796,22 +870,18 @@ impl Transport for TcpNet {
         dla_telemetry::record(dla_telemetry::CostKind::BytesSent, payload.len() as u64);
         let now = self.clock.now();
         let envelope = Envelope::new(session, from, to, payload, now, now);
-        let from_local = self.local.contains(&from.0) || self.writers[from.0].is_none();
-        let dropped = if from_local {
-            if self.local.contains(&to.0) || self.writers[to.0].is_none() {
-                // Both endpoints hosted here: a loopback delivery.
-                self.inbox_tx[to.0].send(envelope).is_err()
-            } else {
-                // We are the origin: forward straight to the owner of `to`.
-                let tx = self.writers[to.0].as_ref().expect("checked above");
-                tx.send(envelope_frame(FRAME_FWD, &envelope)).is_err()
-            }
-        } else {
+        let hosted = |node: usize| self.local.contains(&node) || self.links[node].is_none();
+        let delivered = if !hosted(from.0) {
             // Ask the process serving `from` to originate the send.
-            let tx = self.writers[from.0].as_ref().expect("checked above");
-            tx.send(envelope_frame(FRAME_ROUTE, &envelope)).is_err()
+            self.write_to(from.0, envelope_frame(FRAME_ROUTE, &envelope))
+        } else if !hosted(to.0) {
+            // We are the origin: forward straight to the owner of `to`.
+            self.write_to(to.0, envelope_frame(FRAME_FWD, &envelope))
+        } else {
+            // Both endpoints hosted here: a loopback delivery.
+            self.inbox_tx[to.0].send(envelope).is_ok()
         };
-        if dropped {
+        if !delivered {
             self.stats.lock().messages_dropped += 1;
         }
     }

@@ -7,15 +7,82 @@
 
 use bytes::Bytes;
 use dla_net::adversary::{scenario_rng, AdversaryNet, ScriptedAdversary, Tamper, TamperRule};
-use dla_net::tcp::{read_frame, serve, write_frame, NodeConfig, TcpConfig, TcpNet};
+use dla_net::tcp::{
+    decode_envelope, read_frame, serve, write_frame, NodeConfig, TcpConfig, TcpNet, WRITE_STALL,
+};
 use dla_net::time::SimTime;
-use dla_net::{ChannelNet, NetError, NodeId, Session, SessionId, Transport};
+use dla_net::wire::Writer;
+use dla_net::{ChannelNet, Envelope, NetError, NodeId, Session, SessionId, Transport};
 use rand::Rng;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+// Frame tags of the mesh protocol (private to `dla_net::tcp`), for the
+// tests that script one end of a connection by hand.
+const HELLO: u8 = 0x01;
+const FWD: u8 = 0x03;
+const DELIVER: u8 = 0x04;
+const STORE: u8 = 0x05;
+const STORED: u8 = 0x06;
+const SHUTDOWN: u8 = 0x07;
+const BYE: u8 = 0x08;
+/// Protocol magic ("DLA1TCP1").
+const MAGIC: u64 = 0x444C_4131_5443_5031;
+
+/// A control frame body: the tag, then big-endian `u64` fields.
+fn control(tag: u8, fields: &[u64]) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.put_u8(tag);
+    for &field in fields {
+        w.put_u64(field);
+    }
+    w.finish().to_vec()
+}
+
+/// An envelope frame body: the tag, then the encoded envelope.
+fn envelope_body(tag: u8, session: u64, from: usize, to: usize, payload: &[u8]) -> Vec<u8> {
+    let envelope = Envelope::new(
+        SessionId(session),
+        NodeId(from),
+        NodeId(to),
+        Bytes::copy_from_slice(payload),
+        SimTime::ZERO,
+        SimTime::ZERO,
+    );
+    let mut body = vec![tag];
+    body.extend_from_slice(&envelope.encode());
+    body
+}
+
+/// The accept side of the handshake as a hand-scripted node `id` of an
+/// `n`-node mesh plays it; returns the connection and the dialer's
+/// announced id.
+fn accept_as(listener: &TcpListener, id: u64, n: usize) -> (TcpStream, u64) {
+    let (mut stream, _) = listener.accept().expect("accept");
+    stream.set_nodelay(true).expect("nodelay");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let hello = read_frame(&mut stream).expect("dialer's hello");
+    assert_eq!(hello.first(), Some(&HELLO));
+    let dialer = u64::from_be_bytes(hello[9..17].try_into().expect("sender id"));
+    write_frame(&mut stream, &control(HELLO, &[MAGIC, id, n as u64])).expect("our hello");
+    (stream, dialer)
+}
+
+/// Answers the coordinator's SHUTDOWN on a scripted connection with an
+/// all-zero farewell from node `id`, so `TcpNet::shutdown` need not
+/// wait out its timeout.
+fn say_bye(stream: &mut TcpStream, id: u64) {
+    let frame = read_frame(stream).expect("shutdown frame");
+    assert_eq!(frame, [SHUTDOWN]);
+    write_frame(stream, &control(BYE, &[id, 0, 0, 0, 0, 0])).expect("bye");
+}
 
 /// Binds `remote` loopback listeners and serves each on a thread; ids
 /// `remote..remote + local` (if any) stay coordinator-hosted.
@@ -225,16 +292,11 @@ fn hello_spoofing_cannot_hijack_a_live_session() {
         attacker
             .set_read_timeout(Some(Duration::from_secs(5)))
             .expect("read timeout");
-        let mut hello = dla_net::wire::Writer::new();
-        hello
-            .put_u8(0x01) // FRAME_HELLO
-            .put_u64(0x444C_4131_5443_5031) // protocol MAGIC ("DLA1TCP1")
-            .put_u64(announced)
-            .put_u64(peers.len() as u64);
-        write_frame(&mut attacker, &hello.finish()).expect("send spoofed hello");
+        let hello = control(HELLO, &[MAGIC, announced, peers.len() as u64]);
+        write_frame(&mut attacker, &hello).expect("send spoofed hello");
         // The node answers with its own hello before validating ours...
         let body = read_frame(&mut attacker).expect("node's hello");
-        assert_eq!(body.first(), Some(&0x01));
+        assert_eq!(body.first(), Some(&HELLO));
         // ...then drops the connection: the attacker never receives
         // another frame (in particular, no stolen STORED ack).
         assert!(
@@ -313,4 +375,343 @@ fn scripted_attacks_replay_identically_on_channel_and_tcp() {
     assert_eq!(channel_seen, tcp_seen);
     assert_ne!(channel_seen[0], channel_seen[1], "second message is forged");
     assert_eq!(channel_adversary.report(), tcp_adversary.report());
+}
+
+/// A writer that counts how often it is called.
+#[derive(Default)]
+struct CountingWriter {
+    writes: usize,
+    bytes: Vec<u8>,
+}
+
+impl Write for CountingWriter {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.writes += 1;
+        self.bytes.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn a_frame_leaves_in_exactly_one_write() {
+    // Prefix and body in one `write`: on a TCP_NODELAY socket that is
+    // one syscall and one segment, at every size — no small-frame
+    // special case.
+    for len in [0usize, 1, 57, 4096, 65_536, 1 << 20] {
+        let body: Vec<u8> = (0..len).map(|i| i as u8).collect();
+        let mut wire = CountingWriter::default();
+        write_frame(&mut wire, &body).expect("write");
+        assert_eq!(wire.writes, 1, "{len}-byte body");
+        assert_eq!(wire.bytes.len(), 4 + len);
+        assert_eq!(
+            read_frame(&mut wire.bytes.as_slice()).expect("reads back"),
+            body
+        );
+    }
+}
+
+#[test]
+fn eight_threads_share_connections_without_tearing_a_frame() {
+    const THREADS: usize = 8;
+    const PER_THREAD: usize = 42;
+    const SIZES: [usize; 7] = [1, 7, 64, 1_500, 4_096, 65_536, 262_144];
+    let (peers, handles) = spawn_mesh(3, 0);
+    let config = TcpConfig {
+        timeout: SimTime::from_millis(20_000),
+        ..TcpConfig::default()
+    };
+    let net = TcpNet::connect(&peers, BTreeSet::new(), config).expect("connect");
+
+    // Every thread writes inline on the same three coordinator links,
+    // and the node processes forward on shared peer links. A torn frame
+    // desynchronises its stream: the checks below would see a corrupt
+    // or missing envelope.
+    thread::scope(|scope| {
+        for t in 0..THREADS {
+            let net = &net;
+            scope.spawn(move || {
+                let session = Session::new(net, SessionId(100 + t as u64));
+                let mut sent: HashMap<(usize, usize), Vec<Vec<u8>>> = HashMap::new();
+                for i in 0..PER_THREAD {
+                    let from = (t + i) % 3;
+                    let to = (from + 1 + i % 2) % 3;
+                    let fill = (t * PER_THREAD + i) as u8;
+                    let mut payload = vec![fill; SIZES[i % SIZES.len()]];
+                    payload[0] = i as u8;
+                    session.send(NodeId(from), NodeId(to), Bytes::from(payload.clone()));
+                    sent.entry((from, to)).or_default().push(payload);
+                }
+                // Per (session, from, to) the mesh is FIFO: one
+                // connection per leg, one reader per connection.
+                for ((from, to), payloads) in sent {
+                    for expected in payloads {
+                        let envelope = session
+                            .recv_from(NodeId(to), NodeId(from))
+                            .expect("every envelope arrives");
+                        assert!(envelope.is_intact());
+                        assert!(
+                            envelope.payload == expected,
+                            "thread {t}: {from}->{to} reordered"
+                        );
+                    }
+                }
+            });
+        }
+    });
+
+    let stats = net.stats();
+    assert_eq!((stats.messages_corrupted, stats.messages_dropped), (0, 0));
+    let reports = net.shutdown();
+    let total = (THREADS * PER_THREAD) as u64;
+    assert_eq!(reports.iter().map(|r| r.routed).sum::<u64>(), total);
+    assert_eq!(reports.iter().map(|r| r.forwarded).sum::<u64>(), total);
+    for handle in handles {
+        handle.join().expect("join").expect("serve");
+    }
+}
+
+#[test]
+fn a_mute_peer_costs_a_closed_link_and_the_node_keeps_serving() {
+    // Node 0 is a real serve loop. Node 1 handshakes and then never
+    // reads. The coordinator hosts id 1 itself, so only node 0 dials
+    // the mute peer.
+    let mute = TcpListener::bind("127.0.0.1:0").expect("bind mute peer");
+    let node = TcpListener::bind("127.0.0.1:0").expect("bind node");
+    let peers = vec![
+        Some(node.local_addr().expect("addr")),
+        Some(mute.local_addr().expect("addr")),
+    ];
+    let config = NodeConfig {
+        id: 0,
+        peers: peers.clone(),
+        role: "app".to_string(),
+        key: 1,
+    };
+    let server = thread::spawn(move || serve(node, config));
+    let peer = thread::spawn(move || {
+        // Held open, never read.
+        let (_first, dialer) = accept_as(&mute, 1, 2);
+        assert_eq!(dialer, 0);
+        // A second connection from node 0 means it gave the first one
+        // up: a live link is never re-dialed.
+        let (mut second, dialer) = accept_as(&mute, 1, 2);
+        assert_eq!(dialer, 0);
+        let frame = read_frame(&mut second).expect("frame on the re-dialed link");
+        assert_eq!(frame[0], FWD);
+        let envelope = decode_envelope(&frame[1..], NodeId(1)).expect("intact");
+        assert_eq!(&envelope.payload[..], b"again");
+    });
+
+    let config = TcpConfig {
+        timeout: SimTime::from_millis(1_000),
+        ..TcpConfig::default()
+    };
+    let local: BTreeSet<usize> = [1].into_iter().collect();
+    let net = TcpNet::connect(&peers, local, config).expect("connect");
+    let session = Session::new(&net, SessionId(3));
+
+    // Fill the link to the mute peer. Node 0 handles the coordinator's
+    // frames in order, so a STORE acknowledged means the FWD before it
+    // was fully written; the first STORE that times out means node 0 is
+    // stuck in that write.
+    let chunk = Bytes::from(vec![0x5A; 1 << 20]);
+    let mut glsn = 0u64;
+    let stuck_since = loop {
+        assert!(glsn < 256, "256 MiB never filled a loopback socket");
+        let before = Instant::now();
+        session.send(NodeId(0), NodeId(1), chunk.clone());
+        glsn += 1;
+        match net.deposit(NodeId(0), glsn, b"probe") {
+            Ok(_) => {}
+            Err(e) => {
+                assert_eq!(e, NetError::Timeout(NodeId(0)));
+                break before;
+            }
+        }
+    };
+
+    // The node answers STOREs again once — and only once — the stall
+    // timeout has closed the link: nobody has drained a byte of it.
+    let came_back = loop {
+        assert!(stuck_since.elapsed() < WRITE_STALL + Duration::from_secs(20));
+        glsn += 1;
+        if net.deposit(NodeId(0), glsn, b"probe").is_ok() {
+            break stuck_since.elapsed();
+        }
+    };
+    assert!(came_back >= WRITE_STALL, "freed after {came_back:?}");
+
+    session.send(NodeId(0), NodeId(1), Bytes::from_static(b"again"));
+    peer.join().expect("mute peer script");
+
+    let reports = net.shutdown();
+    assert_eq!(reports.len(), 1);
+    assert_eq!(reports[0].stored, glsn, "every STORE was eventually served");
+    server.join().expect("join").expect("serve");
+}
+
+#[test]
+fn a_simultaneous_connect_does_not_move_traffic_to_the_other_connection() {
+    // Node 0 is real, node 1 is scripted and hosted by nobody else. Node
+    // 0 dials node 1 to forward "first"; node 1 then dials node 0 as if
+    // it had started its own connect at the same moment.
+    let scripted = TcpListener::bind("127.0.0.1:0").expect("bind scripted node");
+    let node = TcpListener::bind("127.0.0.1:0").expect("bind node");
+    let node_addr = node.local_addr().expect("addr");
+    let peers = vec![Some(node_addr), Some(scripted.local_addr().expect("addr"))];
+    let config = NodeConfig {
+        id: 0,
+        peers: peers.clone(),
+        role: "app".to_string(),
+        key: 1,
+    };
+    let server = thread::spawn(move || serve(node, config));
+    let local: BTreeSet<usize> = [1].into_iter().collect();
+    let net = TcpNet::connect(&peers, local, quick_config()).expect("connect");
+    let session = Session::new(&net, SessionId(6));
+
+    let forwarded = |stream: &mut TcpStream| {
+        let frame = read_frame(stream).expect("a frame on node 0's own connection");
+        assert_eq!(frame[0], FWD);
+        decode_envelope(&frame[1..], NodeId(1))
+            .expect("intact")
+            .payload
+    };
+    session.send(NodeId(0), NodeId(1), Bytes::from_static(b"first"));
+    let (mut theirs, dialer) = accept_as(&scripted, 1, 2);
+    assert_eq!(dialer, 0);
+    assert_eq!(&forwarded(&mut theirs)[..], b"first");
+
+    // The crossing connection is accepted and read...
+    let mut ours = TcpStream::connect(node_addr).expect("dial node 0");
+    write_frame(&mut ours, &control(HELLO, &[MAGIC, 1, 2])).expect("hello");
+    assert_eq!(read_frame(&mut ours).expect("node 0's hello")[0], HELLO);
+    write_frame(&mut ours, &envelope_body(FWD, 6, 1, 0, b"ping")).expect("ping");
+    let ping = session.recv_from(NodeId(0), NodeId(1)).expect("ping");
+    assert_eq!(&ping.payload[..], b"ping");
+
+    // ...but node 0 keeps writing on the connection it dialed: a frame
+    // switched onto the other one could overtake "first" in flight.
+    session.send(NodeId(0), NodeId(1), Bytes::from_static(b"second"));
+    theirs
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    assert_eq!(&forwarded(&mut theirs)[..], b"second");
+
+    assert_eq!(net.shutdown().len(), 1);
+    server.join().expect("join").expect("serve");
+}
+
+#[test]
+fn fifty_shutdowns_deliver_every_farewell() {
+    for cycle in 0..50u64 {
+        let (peers, handles) = spawn_mesh(2, 0);
+        let net = TcpNet::connect(&peers, BTreeSet::new(), quick_config()).expect("connect");
+        net.deposit(NodeId(1), cycle, b"fragment").expect("ack");
+        let session = Session::new(&net, SessionId(cycle));
+        session.send(NodeId(0), NodeId(1), Bytes::from_static(b"hop"));
+        session.recv(NodeId(1)).expect("delivery");
+
+        // The farewell is written before the serve loop may return, so
+        // it is never lost to a node exiting first — and it carries the
+        // same counters the node returns.
+        let reports = net.shutdown();
+        assert_eq!(reports.len(), 2, "cycle {cycle}: a BYE went missing");
+        assert_eq!((reports[0].routed, reports[1].forwarded), (1, 1));
+        assert_eq!(reports[1].stored, 1);
+        for (handle, farewell) in handles.into_iter().zip(&reports) {
+            let returned = handle.join().expect("join").expect("serve");
+            assert_eq!(&returned, farewell, "cycle {cycle}");
+        }
+    }
+}
+
+#[test]
+fn a_late_ack_from_one_node_is_not_taken_for_anothers() {
+    // Node 0 is scripted: it sits on its STORED ack until the
+    // coordinator has given up. Node 1 is a real serve loop.
+    let slow = TcpListener::bind("127.0.0.1:0").expect("bind slow node");
+    let real = TcpListener::bind("127.0.0.1:0").expect("bind real node");
+    let peers = vec![
+        Some(slow.local_addr().expect("addr")),
+        Some(real.local_addr().expect("addr")),
+    ];
+    let config = NodeConfig {
+        id: 1,
+        peers: peers.clone(),
+        role: "app".to_string(),
+        key: 9,
+    };
+    let server = thread::spawn(move || serve(real, config));
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let script = thread::spawn(move || {
+        let (mut stream, dialer) = accept_as(&slow, 0, 2);
+        assert_eq!(dialer, u64::MAX, "the coordinator dials");
+        let store = read_frame(&mut stream).expect("store frame");
+        assert_eq!(store[0], STORE);
+        release_rx.recv().expect("test signals");
+        // The late ack, then a marker envelope on the same connection:
+        // whoever has received the marker knows the ack is queued.
+        write_frame(&mut stream, &control(STORED, &[7, 77, 0xDEAD])).expect("late ack");
+        write_frame(&mut stream, &envelope_body(DELIVER, 5, 0, 1, b"marker")).expect("marker");
+        say_bye(&mut stream, 0);
+    });
+
+    let config = TcpConfig {
+        timeout: SimTime::from_millis(1_000),
+        ..TcpConfig::default()
+    };
+    let net = TcpNet::connect(&peers, BTreeSet::new(), config).expect("connect");
+    assert_eq!(
+        net.deposit(NodeId(0), 7, b"held"),
+        Err(NetError::Timeout(NodeId(0)))
+    );
+    release_tx.send(()).expect("script alive");
+    let marker = Session::new(&net, SessionId(5))
+        .recv(NodeId(1))
+        .expect("marker");
+    assert_eq!(&marker.payload[..], b"marker");
+
+    // Same glsn, different node: node 0's stale `(7, 77, 0xDEAD)` is
+    // first in the queue and must not be taken for node 1's answer.
+    let (count, digest) = net
+        .deposit(NodeId(1), 7, b"real")
+        .expect("node 1's own ack");
+    assert_eq!(count, 1);
+    assert_ne!(digest, 0xDEAD);
+
+    let reports = net.shutdown();
+    assert_eq!(reports.len(), 2);
+    assert_eq!((reports[1].stored, reports[1].digest), (1, digest));
+    script.join().expect("script");
+    server.join().expect("join").expect("serve");
+}
+
+#[test]
+fn a_corrupt_deliver_frame_is_dropped_and_counted() {
+    // A scripted node 0 hands the coordinator one DELIVER frame with a
+    // flipped payload byte, then an intact one.
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let peers = vec![Some(listener.local_addr().expect("addr")), None];
+    let script = thread::spawn(move || {
+        let (mut stream, _) = accept_as(&listener, 0, 2);
+        let mut corrupt = envelope_body(DELIVER, 8, 0, 1, b"payload");
+        *corrupt.last_mut().expect("non-empty") ^= 0x01;
+        write_frame(&mut stream, &corrupt).expect("corrupt frame");
+        write_frame(&mut stream, &envelope_body(DELIVER, 8, 0, 1, b"payload")).expect("good frame");
+        say_bye(&mut stream, 0);
+    });
+    let net = TcpNet::connect(&peers, BTreeSet::new(), quick_config()).expect("connect");
+    let envelope = Session::new(&net, SessionId(8))
+        .recv(NodeId(1))
+        .expect("the intact frame");
+    assert_eq!(&envelope.payload[..], b"payload");
+    // Same connection, same reader: the corrupt frame was seen first.
+    assert_eq!(net.stats().messages_corrupted, 1);
+    assert_eq!(net.shutdown().len(), 1);
+    script.join().expect("script");
 }
