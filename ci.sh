@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Full CI gate: release build, tests, lints, formatting.
+# Full CI gate: release build, tests, lints, doc links, formatting.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -24,6 +24,9 @@ fi
 
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc -D warnings (intra-doc links must resolve)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> cargo fmt --check"
 cargo fmt --check
@@ -61,49 +64,6 @@ fb = d["fixed_base_vs_ladder"]
 assert fb["table_builds"] == 1
 assert fb["fixed_base_mont_mul_steps"] < fb["ladder_mont_mul_steps"], \
     "fixed-base audit must take fewer Montgomery steps than the refold ladder"
-PY
-fi
-
-echo "==> exp_crypto_hotpath --quick (asserts windowed beats binary, accel >= 2x windowed)"
-cargo run --release -p dla-bench --bin exp_crypto_hotpath -- --quick >/dev/null
-if command -v jq >/dev/null 2>&1; then
-    jq -e '
-        .experiment == "crypto_hotpath"
-        and (.cells | length == 16)
-        and (.cells | all(has("elapsed_ms") and has("modexp")
-                          and has("mont_mul_steps") and has("modexp_per_sec")))
-        and ([.cells[] | select(.exp == "windowed" and .qr == "jacobi"
-                                and .batch == "serial")][0].modexp_per_sec
-             > [.cells[] | select(.exp == "binary" and .qr == "jacobi"
-                                  and .batch == "serial")][0].modexp_per_sec)
-        and (.speedup_accel_vs_windowed >= 2.0)
-        and ([.cells[] | select(.exp == "accel" and .qr == "jacobi"
-                                and .batch == "serial")][0].modexp_per_sec
-             >= 2 * [.cells[] | select(.exp == "windowed" and .qr == "jacobi"
-                                       and .batch == "serial")][0].modexp_per_sec)
-    ' BENCH_crypto_hotpath.json >/dev/null
-else
-    python3 - <<'PY'
-import json
-d = json.load(open("BENCH_crypto_hotpath.json"))
-assert d["experiment"] == "crypto_hotpath"
-cells = d["cells"]
-assert len(cells) == 16
-for c in cells:
-    for key in ("elapsed_ms", "modexp", "mont_mul_steps", "modexp_per_sec"):
-        assert key in c, key
-pick = lambda e, q, b: next(
-    c for c in cells if (c["exp"], c["qr"], c["batch"]) == (e, q, b)
-)
-assert (
-    pick("windowed", "jacobi", "serial")["modexp_per_sec"]
-    > pick("binary", "jacobi", "serial")["modexp_per_sec"]
-), "windowed modexp throughput must strictly beat binary"
-assert d["speedup_accel_vs_windowed"] >= 2.0, "accel kernel below 2x over windowed"
-assert (
-    pick("accel", "jacobi", "serial")["modexp_per_sec"]
-    >= 2 * pick("windowed", "jacobi", "serial")["modexp_per_sec"]
-), "accel modexp throughput must be at least 2x windowed"
 PY
 fi
 

@@ -5,7 +5,7 @@
 use crate::AuditError;
 use dla_bigint::Ubig;
 use dla_crypto::accumulator::{AccumulatorParams, CheckpointChain};
-use dla_crypto::pohlig_hellman::{BatchMode, CommutativeDomain, ExpAlgo};
+use dla_crypto::pohlig_hellman::CommutativeDomain;
 use dla_crypto::schnorr::{SchnorrGroup, SchnorrKeyPair};
 use dla_logstore::acl::{OperationSet, Ticket, TicketAuthority};
 use dla_logstore::epoch::{EpochId, EpochPolicy};
@@ -48,16 +48,6 @@ pub struct ClusterConfig {
     /// copy at log time, enabling [`DlaCluster::rereplicate`] after a
     /// node loss. Off by default (costs one extra message per fragment).
     pub standby_replication: bool,
-    /// How ring protocols push each hop's element set through the
-    /// commutative cipher. Serial by default; `Pooled` spreads the
-    /// exponentiations over worker threads without changing a byte of
-    /// any transcript.
-    pub batch_mode: BatchMode,
-    /// Which exponentiation ladder the commutative cipher runs on.
-    /// Defaults to the accelerated fixed-width kernel; the slower
-    /// ladders stay available as differential oracles — every algorithm
-    /// produces identical ciphertexts and transcripts.
-    pub exp_algo: ExpAlgo,
     /// Glsns per trail epoch (the sharding grain). Deposits are
     /// assigned to epochs at allocation time; when the open epoch rolls
     /// forward, earlier epochs are sealed and their accumulator digests
@@ -91,8 +81,6 @@ impl ClusterConfig {
             capture_payloads: false,
             journal_dir: None,
             standby_replication: false,
-            batch_mode: BatchMode::Serial,
-            exp_algo: ExpAlgo::default(),
             epoch_length: 1024,
             retransmit: ReliableConfig::default(),
             health: crate::health::HealthConfig::default(),
@@ -151,25 +139,6 @@ impl ClusterConfig {
     #[must_use]
     pub fn with_journal_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
         self.journal_dir = Some(dir.into());
-        self
-    }
-
-    /// Selects the crypto batch mode for ring protocols (default
-    /// [`BatchMode::Serial`]). Answers, transcripts and telemetry op
-    /// totals are identical in every mode.
-    #[must_use]
-    pub fn with_batch_mode(mut self, batch_mode: BatchMode) -> Self {
-        self.batch_mode = batch_mode;
-        self
-    }
-
-    /// Selects the exponentiation algorithm for the cluster's
-    /// commutative cipher (default [`ExpAlgo::Accel`]). Answers,
-    /// transcripts and telemetry op totals are identical for every
-    /// algorithm; only the arithmetic route differs.
-    #[must_use]
-    pub fn with_exp_algo(mut self, exp_algo: ExpAlgo) -> Self {
-        self.exp_algo = exp_algo;
         self
     }
 
@@ -353,7 +322,6 @@ pub struct ClusterCtx {
     group: SchnorrGroup,
     domain: CommutativeDomain,
     acc_params: AccumulatorParams,
-    batch_mode: BatchMode,
 }
 
 impl ClusterCtx {
@@ -385,12 +353,6 @@ impl ClusterCtx {
     #[must_use]
     pub fn accumulator_params(&self) -> &AccumulatorParams {
         &self.acc_params
-    }
-
-    /// The configured crypto batch mode for ring protocols.
-    #[must_use]
-    pub fn batch_mode(&self) -> BatchMode {
-        self.batch_mode
     }
 }
 
@@ -696,9 +658,8 @@ impl DlaCluster {
                 schema: config.schema,
                 partition,
                 group,
-                domain: CommutativeDomain::fixed_256().with_exp_algo(config.exp_algo),
+                domain: CommutativeDomain::fixed_256(),
                 acc_params,
-                batch_mode: config.batch_mode,
             }),
             nodes,
             net: SharedNet::new(net),

@@ -373,7 +373,6 @@ pub fn execute_on_clamped(
     let session = Session::new(transport, combine_session);
     let outcome = SsiSession::new(session, &ring, cluster.domain(), cluster.auditor_node())
         .reveal(reveal)
-        .batch(cluster.ctx().batch_mode())
         .run(&inputs, &mut rng)
         .map_err(AuditError::Mpc)?;
     reports.push(outcome.report.clone());
@@ -777,7 +776,6 @@ fn execute_cross(
         .collect();
     let ring = Ring::new(contributing.iter().map(|&n| NodeId(n)).collect());
     let outcome = UnionSession::new(*session, &ring, cluster.domain(), NodeId(holder))
-        .batch(cluster.ctx().batch_mode())
         .run(&inputs, rng)
         .map_err(AuditError::Mpc)?;
     reports.push(outcome.report.clone());
@@ -829,7 +827,6 @@ fn equality_join(
     let ring = Ring::new(vec![NodeId(left_node), NodeId(right_node)]);
     let outcome = SsiSession::new(*session, &ring, cluster.domain(), NodeId(left_node))
         .reveal(true)
-        .batch(cluster.ctx().batch_mode())
         .run(&[left_items, right_items], rng)
         .map_err(AuditError::Mpc)?;
     reports.push(outcome.report.clone());
@@ -856,7 +853,6 @@ fn equality_join(
     let ring = Ring::new(vec![NodeId(left_node), NodeId(right_node)]);
     let presence = SsiSession::new(*session, &ring, cluster.domain(), NodeId(left_node))
         .reveal(true)
-        .batch(cluster.ctx().batch_mode())
         .run(&[left_presence, right_presence], rng)
         .map_err(AuditError::Mpc)?;
     reports.push(presence.report.clone());

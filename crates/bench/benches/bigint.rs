@@ -1,6 +1,8 @@
-//! Substrate ablation: Montgomery vs. schoolbook modular
-//! exponentiation — the optimization every protocol's CPU budget rides
-//! on.
+//! Substrate ablation: every modular-exponentiation rung side by side
+//! — division-based schoolbook, Montgomery bit-at-a-time, the generic
+//! sliding window and the fixed-width kernel production runs on — the
+//! optimization every protocol's CPU budget rides on. This is where the
+//! P10/P15 ladder (EXPERIMENTS.md) is re-measured on demand.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dla_bigint::modular;
@@ -32,6 +34,15 @@ fn bench_modexp(c: &mut Criterion) {
                 b.iter(|| black_box(ctx.modexp(&base, &exp)));
             },
         );
+        // The slower Montgomery rungs kept as differential oracles.
+        group.bench_with_input(BenchmarkId::new("modexp_binary", label), &p, |b, p| {
+            let ctx = MontgomeryContext::new(p).expect("odd modulus");
+            b.iter(|| black_box(ctx.modexp_binary(&base, &exp)));
+        });
+        group.bench_with_input(BenchmarkId::new("modexp_generic", label), &p, |b, p| {
+            let ctx = MontgomeryContext::new(p).expect("odd modulus");
+            b.iter(|| black_box(ctx.modexp_generic(&base, &exp)));
+        });
     }
     group.finish();
 }

@@ -5,11 +5,11 @@
 //! exponentiation cost is the system's CPU budget. Montgomery REDC
 //! replaces the per-step division of schoolbook reduction with two
 //! multiplications and a shift, and this module layers three further
-//! optimisations on top (see `DESIGN.md` §11 and the
-//! `exp_crypto_hotpath` bench for the measured ablation):
+//! optimisations on top (see `DESIGN.md` §11; `cargo bench -p dla-bench
+//! --bench bigint` times the rungs side by side):
 //!
 //! * **Scratch-buffer CIOS** — every multiplication step of an
-//!   exponentiation runs through one reusable [`Scratch`] workspace,
+//!   exponentiation runs through one reusable `Scratch` workspace,
 //!   so a 256-bit [`MontgomeryContext::modexp`] performs no per-step
 //!   heap allocations (the old path allocated one vector per
 //!   `mont_mul`, ~380 for a 256-bit exponent).
@@ -19,9 +19,9 @@
 //! * **Sliding-window exponentiation** — a 4–5-bit window with an
 //!   odd-powers table cuts the number of general multiplies from
 //!   ~`bits/2` to ~`bits/(w+1)`; the bit-at-a-time path remains as
-//!   [`MontgomeryContext::modexp_binary`] for the ablation baseline,
-//!   and [`crate::modular::modexp_schoolbook`] stays the
-//!   differential-test oracle.
+//!   [`MontgomeryContext::modexp_binary`] and the division-based
+//!   [`crate::modular::modexp_schoolbook`] stay as differential-test
+//!   oracles.
 //!
 //! [`crate::modular::modexp`] uses a [`MontgomeryContext`]
 //! automatically whenever the modulus is odd and large enough to
@@ -670,9 +670,9 @@ impl MontgomeryContext {
 
     /// `base^exp mod n` by sliding-window exponentiation in Montgomery
     /// form — the default, fastest path. Window width adapts to the
-    /// exponent size (up to 5 bits; see [`window_width`]), and 4- and
+    /// exponent size (up to 5 bits; see `window_width`), and 4- and
     /// 8-limb moduli (the 256/512-bit protocol primes) route through
-    /// the fully unrolled [`FixedCtx`] kernel.
+    /// the fully unrolled `FixedCtx` kernel.
     #[must_use]
     pub fn modexp(&self, base: &Ubig, exp: &Ubig) -> Ubig {
         dla_telemetry::record(dla_telemetry::CostKind::ModExp, 1);
@@ -688,7 +688,7 @@ impl MontgomeryContext {
 
     /// `base^exp mod n` on the generic slice kernel regardless of limb
     /// count — the PR 4 windowed path, retained verbatim as the
-    /// differential oracle and the `windowed` ablation rung.
+    /// differential oracle for the fixed-width kernels.
     #[must_use]
     pub fn modexp_generic(&self, base: &Ubig, exp: &Ubig) -> Ubig {
         self.modexp_windowed(base, exp, window_width(exp.bit_len()))
@@ -785,8 +785,8 @@ impl MontgomeryContext {
     }
 
     /// `base^exp mod n` by the classic bit-at-a-time square-and-multiply,
-    /// allocating per step — retained as the pre-windowed baseline the
-    /// `exp_crypto_hotpath` ablation measures against.
+    /// allocating per step — retained as the pre-windowed baseline and
+    /// differential oracle.
     #[must_use]
     pub fn modexp_binary(&self, base: &Ubig, exp: &Ubig) -> Ubig {
         dla_telemetry::record(dla_telemetry::CostKind::ModExp, 1);
@@ -827,8 +827,8 @@ impl MontgomeryContext {
     }
 
     /// Batch exponentiation pinned to the generic slice kernel — the
-    /// PR 4 behaviour, kept as the `windowed` ablation rung and the
-    /// differential oracle for the fixed-width kernel.
+    /// PR 4 behaviour, kept as the differential oracle for the
+    /// fixed-width kernel.
     #[must_use]
     pub fn modexp_batch_generic(&self, bases: &[Ubig], exp: &Ubig) -> Vec<Ubig> {
         self.modexp_batch_inner(bases, exp, false)

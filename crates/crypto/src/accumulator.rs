@@ -255,7 +255,7 @@ impl AccumulatorParams {
     /// random-linear-combination check instead of one power per claim:
     /// draw Fiat–Shamir randomizers `rⱼ` from the claims themselves and
     /// test `x₀^{Σ rⱼ·Eⱼ} = ∏ digestⱼ^{rⱼ}` — the left side one
-    /// fixed-base power, the right side one [`multi_exp`] product.
+    /// fixed-base power, the right side one [`multi_exp()`] product.
     /// Coefficient arithmetic is over ℤ (the group order is unknown),
     /// so a forged digest slips through only by guessing a 128-bit
     /// `rⱼ` relation. Callers wanting to *localise* a failure fall back

@@ -31,71 +31,19 @@ use rand::Rng;
 use std::fmt;
 use std::sync::Arc;
 
-/// Which exponentiation algorithm [`CommutativeDomain::pow`] routes
-/// through. The default is the fastest path; the others exist so the
-/// `exp_crypto_hotpath` ablation can measure each rung of the ladder.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ExpAlgo {
-    /// Division-based schoolbook square-and-multiply (slowest rung).
-    Schoolbook,
-    /// Montgomery bit-at-a-time square-and-multiply (the pre-windowed
-    /// baseline).
-    Binary,
-    /// Montgomery sliding-window with an odd-powers table on the
-    /// generic slice kernel — the previous default, retained as an
-    /// ablation rung and differential oracle.
-    Windowed,
-    /// Sliding-window exponentiation on the fixed-width Montgomery
-    /// kernel (fully unrolled 4/8-limb CIOS), with exponents reduced by
-    /// the known group order `p − 1 = 2q` first (default).
-    #[default]
-    Accel,
-}
-
-/// Which quadratic-residue test [`CommutativeDomain::encode`] probes
-/// pad bytes with.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum QrTest {
-    /// Euler criterion `x^q ≟ 1 (mod p)` — one full exponent-`q`
-    /// modexp per probe (ablation baseline).
-    Euler,
-    /// Binary Jacobi symbol `(x/p) ≟ 1` — O(bits²) word operations,
-    /// the same answer at a fraction of the cost (default).
-    #[default]
-    Jacobi,
-}
-
-/// How [`PhKey::encrypt_batch`]/[`PhKey::decrypt_batch`] distribute
-/// work over a travelling set.
-///
-/// Both modes produce **bit-identical** ciphertext vectors (same
-/// order, same values) and identical telemetry op totals; `Pooled`
-/// only divides the wall-clock across scoped worker threads.
+/// How [`PhKey::encrypt_batch`]/[`PhKey::decrypt_batch`] walk a
+/// travelling set: one thread, one shared exponent plan and Montgomery
+/// scratch. There is no other mode and the argument carries no choice;
+/// the type exists only because `benchmark/src/probes.rs` calls
+/// `key.encrypt_batch(&batch, BatchMode::Serial)` and a PR may not edit
+/// the benchmark it is judged on. The next PR free to touch
+/// `benchmark/` drops the argument and this enum (ROADMAP item 2).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum BatchMode {
-    /// One thread, one shared Montgomery scratch (default;
-    /// allocation-free per element).
+    /// The only mode.
     #[default]
     Serial,
-    /// Scoped worker threads, each with its own scratch; the caller's
-    /// telemetry recorder is propagated into every worker
-    /// ([`dla_telemetry::Recorder::install`] pattern). Worker-side
-    /// costs merge into the same recorder but are not attributed to
-    /// the calling thread's innermost scope. Batches smaller than
-    /// [`POOLED_MIN_BATCH`] run serially — spawning threads for a
-    /// handful of exponentiations costs more than it saves.
-    Pooled {
-        /// Upper bound on worker threads (clamped to the element
-        /// count; `0` and `1` degenerate to serial).
-        threads: usize,
-    },
 }
-
-/// Smallest travelling-set size [`BatchMode::Pooled`] actually fans
-/// out for. Below this, thread spawn/join overhead exceeds the whole
-/// batch's exponentiation work, so pooled requests degrade to the
-/// serial shared-plan path (bit-identical results either way).
-pub const POOLED_MIN_BATCH: usize = 32;
 
 /// A precomputed 256-bit safe prime (p = 2q + 1, q prime), verified by
 /// the test suite. Used for fast deterministic tests and benches.
@@ -119,8 +67,9 @@ pub struct CommutativeDomain {
     /// Cached Montgomery state for `p` (odd by construction), shared by
     /// every key over this domain.
     ctx: Arc<MontgomeryContext>,
-    exp_algo: ExpAlgo,
-    qr_test: QrTest,
+    /// The group order `p − 1 = 2q` of `Z_p^*`: exponents reduce by it,
+    /// key pairs invert modulo it.
+    order: Arc<Ubig>,
 }
 
 impl PartialEq for CommutativeDomain {
@@ -150,43 +99,19 @@ impl CommutativeDomain {
 
     fn from_parts(p: Ubig, q: Ubig) -> Self {
         let ctx = MontgomeryContext::new(&p).expect("safe primes are odd");
+        let order = &p - &Ubig::one();
         CommutativeDomain {
             p: Arc::new(p),
             q: Arc::new(q),
             ctx: Arc::new(ctx),
-            exp_algo: ExpAlgo::default(),
-            qr_test: QrTest::default(),
+            order: Arc::new(order),
         }
     }
 
-    /// Selects the exponentiation algorithm (ablation knob; defaults to
-    /// [`ExpAlgo::Accel`]). All choices compute identical values.
-    #[must_use]
-    pub fn with_exp_algo(mut self, algo: ExpAlgo) -> Self {
-        self.exp_algo = algo;
-        self
-    }
-
-    /// Selects the quadratic-residue test used by
-    /// [`encode`](Self::encode) (ablation knob; defaults to
-    /// [`QrTest::Jacobi`]). Both choices accept exactly the same pad
-    /// bytes, so encodings are bit-identical either way.
-    #[must_use]
-    pub fn with_qr_test(mut self, qr: QrTest) -> Self {
-        self.qr_test = qr;
-        self
-    }
-
-    /// The active exponentiation algorithm.
-    #[must_use]
-    pub fn exp_algo(&self) -> ExpAlgo {
-        self.exp_algo
-    }
-
-    /// The active quadratic-residue test.
-    #[must_use]
-    pub fn qr_test(&self) -> QrTest {
-        self.qr_test
+    fn from_hex(hex: &str) -> Self {
+        let p = Ubig::from_hex(hex).expect("valid constant");
+        let q = (&p - &Ubig::one()) >> 1;
+        Self::from_parts(p, q)
     }
 
     /// Builds a domain from a known safe prime.
@@ -209,17 +134,13 @@ impl CommutativeDomain {
     /// The standard 256-bit test domain (see [`SAFE_PRIME_256_HEX`]).
     #[must_use]
     pub fn fixed_256() -> Self {
-        let p = Ubig::from_hex(SAFE_PRIME_256_HEX).expect("valid constant");
-        let q = (&p - &Ubig::one()) >> 1;
-        Self::from_parts(p, q)
+        Self::from_hex(SAFE_PRIME_256_HEX)
     }
 
     /// The standard 512-bit domain (see [`SAFE_PRIME_512_HEX`]).
     #[must_use]
     pub fn fixed_512() -> Self {
-        let p = Ubig::from_hex(SAFE_PRIME_512_HEX).expect("valid constant");
-        let q = (&p - &Ubig::one()) >> 1;
-        Self::from_parts(p, q)
+        Self::from_hex(SAFE_PRIME_512_HEX)
     }
 
     /// The prime modulus `p`.
@@ -235,20 +156,13 @@ impl CommutativeDomain {
     }
 
     /// `base^exp mod p` — the hot operation of every commutative-cipher
-    /// protocol. Routed per [`with_exp_algo`](Self::with_exp_algo);
-    /// the default goes through the cached Montgomery context's
-    /// sliding-window exponentiation.
+    /// protocol: sliding-window exponentiation on the cached context's
+    /// fixed-width Montgomery kernel, with the exponent first reduced
+    /// by the known group order.
     #[must_use]
     pub fn pow(&self, base: &Ubig, exp: &Ubig) -> Ubig {
-        match self.exp_algo {
-            ExpAlgo::Schoolbook => dla_bigint::modular::modexp_schoolbook(base, exp, &self.p),
-            ExpAlgo::Binary => self.ctx.modexp_binary(base, exp),
-            ExpAlgo::Windowed => self.ctx.modexp_generic(base, exp),
-            ExpAlgo::Accel => match self.reduce_exp(exp) {
-                Some(r) => self.ctx.modexp(base, &r),
-                None => self.ctx.modexp(base, exp),
-            },
-        }
+        let reduced = self.reduce_exp(exp);
+        self.ctx.modexp(base, reduced.as_ref().unwrap_or(exp))
     }
 
     /// Reduces an exponent by the known group order `p − 1 = 2q`
@@ -259,75 +173,31 @@ impl CommutativeDomain {
     /// which keeps the non-unit edge case `0^e = 0` intact (reducing it
     /// to an actual zero exponent would flip the answer to `1`).
     fn reduce_exp(&self, exp: &Ubig) -> Option<Ubig> {
-        let order = self.p.as_ref() - &Ubig::one();
-        if *exp < order {
+        let order = self.order.as_ref();
+        if exp < order {
             return None;
         }
-        let r = exp % &order;
-        Some(if r.is_zero() { order } else { r })
+        let r = exp % order;
+        Some(if r.is_zero() { order.clone() } else { r })
     }
 
-    /// `base^exp mod p` for every base in `bases`, in order.
-    ///
-    /// The serial windowed path shares one exponent plan and one
-    /// Montgomery scratch across the whole slice
-    /// ([`MontgomeryContext::modexp_batch`]); `Pooled` splits the slice
-    /// into contiguous chunks across scoped worker threads, each
-    /// carrying the caller's telemetry recorder. Results and telemetry
-    /// op totals are identical across all modes.
+    /// `base^exp mod p` for every base in `bases`, in order, sharing
+    /// one exponent plan and one Montgomery scratch across the whole
+    /// slice ([`MontgomeryContext::modexp_batch`]). Element `i` equals
+    /// `self.pow(&bases[i], exp)` bit for bit.
     #[must_use]
-    pub fn pow_batch(&self, bases: &[Ubig], exp: &Ubig, mode: BatchMode) -> Vec<Ubig> {
-        match mode {
-            BatchMode::Serial => self.pow_batch_serial(bases, exp),
-            BatchMode::Pooled { threads } => {
-                let threads = threads.min(bases.len());
-                if threads <= 1 || bases.len() < POOLED_MIN_BATCH {
-                    return self.pow_batch_serial(bases, exp);
-                }
-                let recorder = dla_telemetry::current();
-                let chunk = bases.len().div_ceil(threads);
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = bases
-                        .chunks(chunk)
-                        .map(|part| {
-                            let recorder = recorder.clone();
-                            s.spawn(move || {
-                                let _guard = recorder.as_ref().map(|r| r.install());
-                                self.pow_batch_serial(part, exp)
-                            })
-                        })
-                        .collect();
-                    let mut out = Vec::with_capacity(bases.len());
-                    for h in handles {
-                        out.extend(h.join().expect("pow_batch worker panicked"));
-                    }
-                    out
-                })
-            }
-        }
+    pub fn pow_batch(&self, bases: &[Ubig], exp: &Ubig) -> Vec<Ubig> {
+        let reduced = self.reduce_exp(exp);
+        self.ctx
+            .modexp_batch(bases, reduced.as_ref().unwrap_or(exp))
     }
 
-    fn pow_batch_serial(&self, bases: &[Ubig], exp: &Ubig) -> Vec<Ubig> {
-        match self.exp_algo {
-            ExpAlgo::Windowed => self.ctx.modexp_batch_generic(bases, exp),
-            ExpAlgo::Accel => {
-                let reduced = self.reduce_exp(exp);
-                self.ctx
-                    .modexp_batch(bases, reduced.as_ref().unwrap_or(exp))
-            }
-            _ => bases.iter().map(|b| self.pow(b, exp)).collect(),
-        }
-    }
-
-    /// Whether `x` is a quadratic residue mod `p`, by the configured
-    /// [`QrTest`]. For the safe-prime moduli used here the two tests
-    /// agree on every input in `1..p`.
+    /// Whether `x` is a quadratic residue mod `p`, by the binary Jacobi
+    /// symbol `(x/p) ≟ 1` — O(bits²) word operations where the Euler
+    /// criterion `x^q ≟ 1` would spend a full modexp.
     #[must_use]
     pub fn is_quadratic_residue(&self, x: &Ubig) -> bool {
-        match self.qr_test {
-            QrTest::Euler => self.pow(x, &self.q).is_one(),
-            QrTest::Jacobi => jacobi(x, &self.p) == 1,
-        }
+        jacobi(x, &self.p) == 1
     }
 
     /// Maximum byte length [`CommutativeDomain::encode`] accepts for
@@ -362,9 +232,6 @@ impl CommutativeDomain {
             if candidate.is_zero() || candidate.is_one() {
                 continue;
             }
-            // QR test: Jacobi symbol by default; the Euler criterion
-            // x^q ≟ 1 (mod p) under the ablation knob. Same accepted
-            // pad bytes either way, so the encoding is stable.
             if self.is_quadratic_residue(&candidate) {
                 return Ok(candidate);
             }
@@ -451,10 +318,10 @@ impl fmt::Debug for PhKey {
 impl PhKey {
     /// Generates a random key pair over `domain`.
     pub fn generate<R: Rng + ?Sized>(domain: &CommutativeDomain, rng: &mut R) -> Self {
-        let p_minus_1 = domain.modulus() - &Ubig::one();
+        let order = domain.order.as_ref();
         loop {
-            let e = Ubig::random_range(rng, &Ubig::from_u64(3), &p_minus_1);
-            if let Some(d) = modinv(&e, &p_minus_1) {
+            let e = Ubig::random_range(rng, &Ubig::from_u64(3), order);
+            if let Some(d) = modinv(&e, order) {
                 return PhKey {
                     domain: domain.clone(),
                     e,
@@ -471,8 +338,7 @@ impl PhKey {
     /// Returns [`CryptoError::InvalidParameter`] if `e` is not coprime
     /// to `p − 1` (no decryption exponent exists).
     pub fn from_exponent(domain: &CommutativeDomain, e: Ubig) -> Result<Self, CryptoError> {
-        let p_minus_1 = domain.modulus() - &Ubig::one();
-        let d = modinv(&e, &p_minus_1)
+        let d = modinv(&e, &domain.order)
             .ok_or(CryptoError::InvalidParameter("exponent not coprime to p-1"))?;
         Ok(PhKey {
             domain: domain.clone(),
@@ -488,19 +354,19 @@ impl PhKey {
     }
 
     /// Encrypts a whole travelling set in order, sharing one exponent
-    /// plan and Montgomery scratch across the slice (and optionally a
-    /// worker pool). Element `i` of the result equals
-    /// `self.encrypt(&ms[i])` bit for bit in every [`BatchMode`].
+    /// plan and Montgomery scratch across the slice. Element `i` of the
+    /// result equals `self.encrypt(&ms[i])` bit for bit. (The second
+    /// argument carries no choice — see [`BatchMode`].)
     #[must_use]
-    pub fn encrypt_batch(&self, ms: &[Ubig], mode: BatchMode) -> Vec<Ubig> {
-        self.domain.pow_batch(ms, &self.e, mode)
+    pub fn encrypt_batch(&self, ms: &[Ubig], _mode: BatchMode) -> Vec<Ubig> {
+        self.domain.pow_batch(ms, &self.e)
     }
 
     /// Removes this key's layer from a whole travelling set in order;
     /// the batched counterpart of [`CommutativeKey::decrypt`].
     #[must_use]
-    pub fn decrypt_batch(&self, cs: &[Ubig], mode: BatchMode) -> Vec<Ubig> {
-        self.domain.pow_batch(cs, &self.d, mode)
+    pub fn decrypt_batch(&self, cs: &[Ubig], _mode: BatchMode) -> Vec<Ubig> {
+        self.domain.pow_batch(cs, &self.d)
     }
 }
 
@@ -572,7 +438,7 @@ impl CommutativeKey for XorKey {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dla_bigint::modular::modexp;
+    use dla_bigint::modular::{modexp, modexp_schoolbook};
     use rand::SeedableRng;
 
     fn rng() -> rand::rngs::StdRng {
@@ -862,48 +728,54 @@ mod tests {
 
     #[test]
     fn qr_tests_agree_and_encode_identically() {
-        let jacobi_domain = CommutativeDomain::fixed_256();
-        let euler_domain = CommutativeDomain::fixed_256().with_qr_test(QrTest::Euler);
+        // The Euler criterion x^q ≟ 1 (mod p), on the schoolbook oracle,
+        // is the definition the Jacobi probe must agree with.
+        let domain = CommutativeDomain::fixed_256();
+        let euler =
+            |x: &Ubig| modexp_schoolbook(x, domain.subgroup_order(), domain.modulus()).is_one();
         let mut rng = rng();
         for _ in 0..30 {
-            let x = Ubig::random_below(&mut rng, jacobi_domain.modulus());
+            let x = Ubig::random_below(&mut rng, domain.modulus());
             if x.is_zero() {
                 continue;
             }
             assert_eq!(
-                jacobi_domain.is_quadratic_residue(&x),
-                euler_domain.is_quadratic_residue(&x),
+                domain.is_quadratic_residue(&x),
+                euler(&x),
                 "x={}",
                 x.to_hex()
             );
         }
+        // The pad search accepts the first byte the Euler criterion
+        // would: every smaller pad is a non-residue, the chosen one is.
         for msg in [b"e".as_slice(), b"glsn=139aef78", b"", b"set element 19"] {
-            assert_eq!(
-                jacobi_domain.encode(msg).unwrap(),
-                euler_domain.encode(msg).unwrap(),
-                "pad search must accept the same byte under both tests"
-            );
+            let encoded = domain.encode(msg).unwrap();
+            assert!(euler(&encoded));
+            let mut skipped = Ubig::from_bytes_be(msg) << 8;
+            while skipped < encoded {
+                assert!(skipped.is_zero() || skipped.is_one() || !euler(&skipped));
+                skipped = &skipped + &Ubig::one();
+            }
         }
     }
 
     #[test]
     fn exp_algos_agree_on_ciphertexts() {
+        // The production path against the slow rungs kept in dla-bigint
+        // as oracles: division-based schoolbook and the generic-kernel
+        // sliding window.
         let mut rng = rng();
-        let base = CommutativeDomain::fixed_256();
-        let key = PhKey::generate(&base, &mut rng);
-        let m = base.fingerprint(b"ablation element");
-        let reference = key.encrypt(&m);
-        for algo in [
-            ExpAlgo::Schoolbook,
-            ExpAlgo::Binary,
-            ExpAlgo::Windowed,
-            ExpAlgo::Accel,
-        ] {
-            let domain = CommutativeDomain::fixed_256().with_exp_algo(algo);
-            let alt = PhKey::from_exponent(&domain, key.e.clone()).unwrap();
-            assert_eq!(alt.encrypt(&m), reference, "{algo:?}");
-            assert_eq!(alt.decrypt(&reference), m, "{algo:?}");
-        }
+        let domain = CommutativeDomain::fixed_256();
+        let ctx = MontgomeryContext::new(domain.modulus()).unwrap();
+        let key = PhKey::generate(&domain, &mut rng);
+        let m = domain.fingerprint(b"ablation element");
+        let c = key.encrypt(&m);
+        assert_eq!(c, modexp_schoolbook(&m, &key.e, domain.modulus()));
+        assert_eq!(c, ctx.modexp_generic(&m, &key.e));
+        assert_eq!(c, ctx.modexp_binary(&m, &key.e));
+        assert_eq!(key.decrypt(&c), m);
+        assert_eq!(m, modexp_schoolbook(&c, &key.d, domain.modulus()));
+        assert_eq!(m, ctx.modexp_generic(&c, &key.d));
     }
 
     #[test]
@@ -915,57 +787,39 @@ mod tests {
             .map(|i| domain.fingerprint(&i.to_be_bytes()))
             .collect();
         let expected: Vec<Ubig> = ms.iter().map(|m| key.encrypt(m)).collect();
-        for mode in [
-            BatchMode::Serial,
-            BatchMode::Pooled { threads: 3 },
-            BatchMode::Pooled { threads: 16 },
-            BatchMode::Pooled { threads: 0 },
-        ] {
-            assert_eq!(key.encrypt_batch(&ms, mode), expected, "{mode:?}");
-        }
-        let back = key.decrypt_batch(&expected, BatchMode::Pooled { threads: 4 });
-        assert_eq!(back, ms);
-        assert!(key
-            .encrypt_batch(&[], BatchMode::Pooled { threads: 4 })
-            .is_empty());
+        assert_eq!(key.encrypt_batch(&ms, BatchMode::Serial), expected);
+        assert_eq!(key.decrypt_batch(&expected, BatchMode::Serial), ms);
+        assert!(key.encrypt_batch(&[], BatchMode::Serial).is_empty());
     }
 
     #[test]
-    fn pooled_batch_telemetry_totals_match_serial() {
+    fn batch_telemetry_counts_one_modexp_per_element() {
         let domain = CommutativeDomain::fixed_256();
         let mut rng = rng();
         let key = PhKey::generate(&domain, &mut rng);
         let ms: Vec<Ubig> = (0..7u32)
             .map(|i| domain.fingerprint(&i.to_be_bytes()))
             .collect();
-
-        let count = |mode: BatchMode| {
-            let recorder = dla_telemetry::Recorder::new();
-            let out = {
-                let _guard = recorder.install();
-                key.encrypt_batch(&ms, mode)
-            };
-            let cost = recorder.take().total_cost();
-            (out, cost.modexp, cost.mont_mul_steps)
-        };
-        let (serial_out, serial_exp, serial_steps) = count(BatchMode::Serial);
-        let (pooled_out, pooled_exp, pooled_steps) = count(BatchMode::Pooled { threads: 3 });
-        assert_eq!(serial_out, pooled_out);
-        assert_eq!(serial_exp, pooled_exp);
-        assert_eq!(serial_steps, pooled_steps);
-        assert_eq!(serial_exp, ms.len() as u64);
-        assert!(serial_steps > 0);
+        let recorder = dla_telemetry::Recorder::new();
+        {
+            let _guard = recorder.install();
+            let _ = key.encrypt_batch(&ms, BatchMode::Serial);
+        }
+        let cost = recorder.take().total_cost();
+        assert_eq!(cost.modexp, ms.len() as u64);
+        assert!(cost.mont_mul_steps > 0);
     }
 
     #[test]
     fn accel_reduces_exponents_by_group_order() {
-        // base^e = base^(e mod 2q) for units; the Accel rung reduces,
-        // the Windowed oracle never does — answers must still match.
-        let accel = CommutativeDomain::fixed_256();
-        let oracle = CommutativeDomain::fixed_256().with_exp_algo(ExpAlgo::Windowed);
-        let order = accel.modulus() - &Ubig::one();
+        // base^e = base^(e mod 2q) for units; `pow` reduces, the
+        // schoolbook and generic-window oracles never do — answers must
+        // still match.
+        let domain = CommutativeDomain::fixed_256();
+        let ctx = MontgomeryContext::new(domain.modulus()).unwrap();
+        let order = domain.modulus() - &Ubig::one();
         let mut rng = rng();
-        let base = accel.fingerprint(b"reduction probe");
+        let base = domain.fingerprint(b"reduction probe");
         for exp in [
             Ubig::zero(),
             Ubig::one(),
@@ -976,42 +830,19 @@ mod tests {
             &(&order * &Ubig::from_u64(7)) + &Ubig::from_u64(12345),
             Ubig::random_bits(&mut rng, 1000),
         ] {
+            let got = domain.pow(&base, &exp);
+            assert_eq!(got, ctx.modexp_generic(&base, &exp), "exp={}", exp.to_hex());
             assert_eq!(
-                accel.pow(&base, &exp),
-                oracle.pow(&base, &exp),
+                got,
+                modexp_schoolbook(&base, &exp, domain.modulus()),
                 "exp={}",
                 exp.to_hex()
             );
         }
         // The zero guard: 0^e must stay 0 even when e ≡ 0 (mod 2q).
-        assert_eq!(accel.pow(&Ubig::zero(), &order), Ubig::zero());
-        assert_eq!(accel.pow(&Ubig::zero(), &(&order << 1)), Ubig::zero());
-        assert_eq!(accel.pow(&Ubig::zero(), &Ubig::zero()), Ubig::one());
-    }
-
-    #[test]
-    fn pooled_below_threshold_degrades_to_serial() {
-        let domain = CommutativeDomain::fixed_256();
-        let mut rng = rng();
-        let key = PhKey::generate(&domain, &mut rng);
-        const { assert!(POOLED_MIN_BATCH > 2) };
-        let ms: Vec<Ubig> = (0..POOLED_MIN_BATCH as u32 - 1)
-            .map(|i| domain.fingerprint(&i.to_be_bytes()))
-            .collect();
-        // Identical values and identical telemetry *scope attribution*:
-        // a sub-threshold pooled batch never leaves the calling thread.
-        let run = |mode: BatchMode| {
-            let recorder = dla_telemetry::Recorder::new();
-            let out = {
-                let _guard = recorder.install();
-                key.encrypt_batch(&ms, mode)
-            };
-            (out, recorder.take().total_cost())
-        };
-        let (serial_out, serial_cost) = run(BatchMode::Serial);
-        let (pooled_out, pooled_cost) = run(BatchMode::Pooled { threads: 3 });
-        assert_eq!(serial_out, pooled_out);
-        assert_eq!(serial_cost, pooled_cost);
+        assert_eq!(domain.pow(&Ubig::zero(), &order), Ubig::zero());
+        assert_eq!(domain.pow(&Ubig::zero(), &(&order << 1)), Ubig::zero());
+        assert_eq!(domain.pow(&Ubig::zero(), &Ubig::zero()), Ubig::one());
     }
 
     #[test]

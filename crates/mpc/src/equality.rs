@@ -218,17 +218,8 @@ fn run_via_ssi<R: Rng + ?Sized>(
     let _telemetry = crate::report::SessionTelemetry::begin(net, "secure-equality-ssi");
     let ring = dla_net::topology::Ring::new(vec![party_a, party_b]);
     let inputs = vec![vec![value_a.to_vec()], vec![value_b.to_vec()]];
-    let outcome = crate::set_intersection::run(
-        net,
-        &ring,
-        domain,
-        &inputs,
-        party_a,
-        false,
-        dla_crypto::pohlig_hellman::BatchMode::Serial,
-        rng,
-        None,
-    )?;
+    let outcome =
+        crate::set_intersection::run(net, &ring, domain, &inputs, party_a, false, rng, None)?;
     let equal = outcome.cardinality() == 1;
     let report = meter.finish_session(net, "secure-equality-ssi", 2, outcome.report.rounds);
     Ok(EqualityOutcome { equal, report })

@@ -36,7 +36,7 @@
 use crate::report::{Meter, ProtocolReport};
 use crate::MpcError;
 use dla_bigint::Ubig;
-use dla_crypto::pohlig_hellman::{BatchMode, CommutativeDomain, PhKey};
+use dla_crypto::pohlig_hellman::{CommutativeDomain, PhKey};
 use dla_net::topology::Ring;
 use dla_net::wire::{Reader, Writer};
 use dla_net::{NodeId, Session, SimLink, SimNet};
@@ -107,17 +107,7 @@ pub fn secure_set_intersection<R: Rng + ?Sized>(
 ) -> Result<SsiOutcome, MpcError> {
     let link = SimLink::new(net);
     let session = Session::root(&link);
-    run(
-        &session,
-        ring,
-        domain,
-        inputs,
-        collector,
-        reveal,
-        BatchMode::Serial,
-        rng,
-        None,
-    )
+    run(&session, ring, domain, inputs, collector, reveal, rng, None)
 }
 
 /// The session-parameterized form of `∩_s`: bind the protocol to any
@@ -150,7 +140,6 @@ pub struct SsiSession<'a> {
     domain: &'a CommutativeDomain,
     collector: NodeId,
     reveal: bool,
-    batch: BatchMode,
 }
 
 impl<'a> SsiSession<'a> {
@@ -169,7 +158,6 @@ impl<'a> SsiSession<'a> {
             domain,
             collector,
             reveal: false,
-            batch: BatchMode::Serial,
         }
     }
 
@@ -177,16 +165,6 @@ impl<'a> SsiSession<'a> {
     #[must_use]
     pub fn reveal(mut self, reveal: bool) -> Self {
         self.reveal = reveal;
-        self
-    }
-
-    /// Selects how each hop's element set is pushed through the cipher
-    /// (default [`BatchMode::Serial`]). Transcripts and outcomes are
-    /// bit-identical in every mode — `Pooled` only spreads the hop's
-    /// exponentiations over worker threads.
-    #[must_use]
-    pub fn batch(mut self, batch: BatchMode) -> Self {
-        self.batch = batch;
         self
     }
 
@@ -211,7 +189,6 @@ impl<'a> SsiSession<'a> {
             inputs,
             self.collector,
             self.reveal,
-            self.batch,
             rng,
             None,
         )
@@ -243,7 +220,6 @@ pub fn secure_set_intersection_traced<R: Rng + ?Sized>(
         inputs,
         collector,
         reveal,
-        BatchMode::Serial,
         rng,
         Some(&mut trace),
     )?;
@@ -258,7 +234,6 @@ pub(crate) fn run<R: Rng + ?Sized>(
     inputs: &[Vec<Vec<u8>>],
     collector: NodeId,
     reveal: bool,
-    batch: BatchMode,
     rng: &mut R,
     mut trace: Option<&mut Vec<TraceHop>>,
 ) -> Result<SsiOutcome, MpcError> {
@@ -296,7 +271,7 @@ pub(crate) fn run<R: Rng + ?Sized>(
     let keys: Vec<PhKey> = (0..n).map(|_| PhKey::generate(domain, rng)).collect();
     let mut sets: Vec<Vec<Ubig>> = Vec::with_capacity(n);
     for (i, plain) in encoded.iter().enumerate() {
-        let encrypted = keys[i].encrypt_batch(plain, batch);
+        let encrypted = keys[i].encrypt_batch(plain, Default::default());
         if let Some(t) = trace.as_deref_mut() {
             t.push(TraceHop {
                 origin: i,
@@ -335,7 +310,7 @@ pub(crate) fn run<R: Rng + ?Sized>(
                 )));
             }
             let holder_pos = (origin + hop) % n;
-            let re_encrypted = keys[holder_pos].encrypt_batch(&elements, batch);
+            let re_encrypted = keys[holder_pos].encrypt_batch(&elements, Default::default());
             layer_history[origin].push(holder_pos);
             if let Some(t) = trace.as_deref_mut() {
                 t.push(TraceHop {
@@ -403,7 +378,7 @@ pub(crate) fn run<R: Rng + ?Sized>(
             net.send(holder, node, encode_set(u64::MAX, &current));
             let envelope = net.recv_from(node, holder)?;
             let (_, elements) = decode_set(&envelope.payload)?;
-            current = keys[pos].decrypt_batch(&elements, batch);
+            current = keys[pos].decrypt_batch(&elements, Default::default());
             holder = node;
         }
         net.send(holder, collector, encode_set(u64::MAX, &current));

@@ -35,7 +35,7 @@ use crate::report::{Meter, ProtocolReport};
 use crate::set_intersection::{check_own_set, encode_canonical};
 use crate::MpcError;
 use dla_bigint::Ubig;
-use dla_crypto::pohlig_hellman::{BatchMode, CommutativeDomain, PhKey};
+use dla_crypto::pohlig_hellman::{CommutativeDomain, PhKey};
 use dla_net::topology::Ring;
 use dla_net::wire::{Reader, Writer};
 use dla_net::{NodeId, Session, SimLink, SimNet};
@@ -80,15 +80,7 @@ pub fn secure_set_union<R: Rng + ?Sized>(
 ) -> Result<UnionOutcome, MpcError> {
     let link = SimLink::new(net);
     let session = Session::root(&link);
-    run(
-        &session,
-        ring,
-        domain,
-        inputs,
-        collector,
-        BatchMode::Serial,
-        rng,
-    )
+    run(&session, ring, domain, inputs, collector, rng)
 }
 
 /// A `∪_s` protocol instance bound to one transport session, so several
@@ -100,7 +92,6 @@ pub struct UnionSession<'a> {
     ring: &'a Ring,
     domain: &'a CommutativeDomain,
     collector: NodeId,
-    batch: BatchMode,
 }
 
 impl<'a> UnionSession<'a> {
@@ -117,17 +108,7 @@ impl<'a> UnionSession<'a> {
             ring,
             domain,
             collector,
-            batch: BatchMode::Serial,
         }
-    }
-
-    /// Selects how each hop's element set is pushed through the cipher
-    /// (default [`BatchMode::Serial`]); transcripts and outcomes are
-    /// bit-identical in every mode.
-    #[must_use]
-    pub fn batch(mut self, batch: BatchMode) -> Self {
-        self.batch = batch;
-        self
     }
 
     /// Runs the union over this instance's session.
@@ -151,20 +132,17 @@ impl<'a> UnionSession<'a> {
             self.domain,
             inputs,
             self.collector,
-            self.batch,
             rng,
         )
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run<R: Rng + ?Sized>(
     net: &Session<'_>,
     ring: &Ring,
     domain: &CommutativeDomain,
     inputs: &[Vec<Vec<u8>>],
     collector: NodeId,
-    batch: BatchMode,
     rng: &mut R,
 ) -> Result<UnionOutcome, MpcError> {
     let n = ring.len();
@@ -179,7 +157,7 @@ fn run<R: Rng + ?Sized>(
     let mut sets: Vec<Vec<Ubig>> = keys
         .iter()
         .zip(&encoded)
-        .map(|(key, plain)| key.encrypt_batch(plain, batch))
+        .map(|(key, plain)| key.encrypt_batch(plain, Default::default()))
         .collect();
 
     // Relay rounds.
@@ -192,7 +170,7 @@ fn run<R: Rng + ?Sized>(
             let envelope = net.recv_from(to, from)?;
             let elements = decode_msg(&envelope.payload)?;
             let holder = (origin + hop) % n;
-            sets[origin] = keys[holder].encrypt_batch(&elements, batch);
+            sets[origin] = keys[holder].encrypt_batch(&elements, Default::default());
         }
     }
 
@@ -233,7 +211,7 @@ fn run<R: Rng + ?Sized>(
         let node = ring.at(pos);
         net.send(holder, node, encode_msg(&current));
         let envelope = net.recv_from(node, holder)?;
-        current = keys[pos].decrypt_batch(&decode_msg(&envelope.payload)?, batch);
+        current = keys[pos].decrypt_batch(&decode_msg(&envelope.payload)?, Default::default());
         holder = node;
     }
     if holder != collector {
@@ -243,7 +221,7 @@ fn run<R: Rng + ?Sized>(
         rounds += 1;
     }
     if let Some(c) = own {
-        current = keys[c].decrypt_batch(&current, batch);
+        current = keys[c].decrypt_batch(&current, Default::default());
     }
     let mut items: Vec<Vec<u8>> = current
         .iter()

@@ -129,7 +129,7 @@ struct ReliableState {
 }
 
 /// Recovery-activity counters for one [`Reliable`] wrapper — the ARQ
-/// analogue of [`crate::TrafficStats`]. Always maintained (the
+/// analogue of [`crate::stats::TrafficStats`]. Always maintained (the
 /// increments are branch-free field bumps under the state lock already
 /// held); also mirrored into the telemetry cost sink when one is
 /// installed.
