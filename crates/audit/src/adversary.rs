@@ -235,10 +235,10 @@ pub fn gossip_heads(
                 continue;
             }
             cluster
-                .net_mut()
+                .net()
                 .send(NodeId(sender), NodeId(receiver), frame.clone());
             let envelope = cluster
-                .net_mut()
+                .net()
                 .recv_from(NodeId(receiver), NodeId(sender))
                 .map_err(AuditError::Net)?;
             let mut r = Reader::new(&envelope.payload);

@@ -110,9 +110,9 @@ pub fn sum_matching(
     w.put_u8(0x70).put_list(&glsns, |w, g| {
         w.put_u64(g.0);
     });
-    cluster.net_mut().send(auditor, NodeId(owner), w.finish());
+    cluster.net().send(auditor, NodeId(owner), w.finish());
     let envelope = cluster
-        .net_mut()
+        .net()
         .recv_from(NodeId(owner), auditor)
         .map_err(AuditError::Net)?;
     let mut r = Reader::new(&envelope.payload);

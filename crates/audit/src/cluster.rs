@@ -15,7 +15,7 @@ use dla_logstore::schema::Schema;
 use dla_logstore::store::{FragmentStore, GlsnAllocator};
 use dla_net::latency::LatencyModel;
 use dla_net::wire::{Reader, Writer};
-use dla_net::{NetConfig, NodeId, ReliableConfig, SharedNet, SimNet};
+use dla_net::{NetConfig, NodeId, SharedNet, SimNet};
 use parking_lot::{MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -53,13 +53,6 @@ pub struct ClusterConfig {
     /// forward, earlier epochs are sealed and their accumulator digests
     /// checkpointed. Defaults to 1024.
     pub epoch_length: u64,
-    /// ARQ retransmission tuning (base timeout, retry budget, jitter
-    /// seed) used when queries run through the reliable transport
-    /// wrapper — see [`DlaCluster::resilient_policy`].
-    pub retransmit: ReliableConfig,
-    /// Failure-detector tuning: heartbeat suspicion threshold and
-    /// per-probe timeout.
-    pub health: crate::health::HealthConfig,
     /// First glsn this cluster allocates (and its epoch policy's base).
     /// Defaults to the paper's first glsn; a federated sub-ring sets
     /// its [`dla_logstore::epoch::RingNamespace`] span base here so
@@ -82,8 +75,6 @@ impl ClusterConfig {
             journal_dir: None,
             standby_replication: false,
             epoch_length: 1024,
-            retransmit: ReliableConfig::default(),
-            health: crate::health::HealthConfig::default(),
             glsn_base: None,
         }
     }
@@ -158,23 +149,6 @@ impl ClusterConfig {
     #[must_use]
     pub fn with_epoch_length(mut self, epoch_length: u64) -> Self {
         self.epoch_length = epoch_length;
-        self
-    }
-
-    /// Sets the ARQ retransmission tuning (base timeout, retry budget,
-    /// jitter seed) that [`DlaCluster::resilient_policy`] hands to the
-    /// reliable transport wrapper.
-    #[must_use]
-    pub fn with_retransmit(mut self, retransmit: ReliableConfig) -> Self {
-        self.retransmit = retransmit;
-        self
-    }
-
-    /// Sets the failure-detector tuning (heartbeat suspicion threshold
-    /// and per-probe timeout).
-    #[must_use]
-    pub fn with_health(mut self, health: crate::health::HealthConfig) -> Self {
-        self.health = health;
         self
     }
 }
@@ -453,11 +427,6 @@ pub struct DlaCluster {
     max_users: usize,
     rng: StdRng,
     standby_replication: bool,
-    /// ARQ tuning from the configuration (see
-    /// [`ClusterConfig::with_retransmit`]).
-    retransmit: ReliableConfig,
-    /// Failure-detector tuning from the configuration.
-    health: crate::health::HealthConfig,
     /// Retirement log: `(dead node, adopter)` in declaration order.
     /// The adopter serves the dead node's attributes from promoted
     /// standby fragments; [`DlaCluster::effective_partition`] replays
@@ -674,8 +643,6 @@ impl DlaCluster {
             max_users: config.max_users,
             rng,
             standby_replication: config.standby_replication,
-            retransmit: config.retransmit,
-            health: config.health,
             retired: Vec::new(),
             epoch_policy,
             epoch_stats,
@@ -741,18 +708,13 @@ impl DlaCluster {
         NodeId(self.nodes.len())
     }
 
-    /// The resilience policy derived from this cluster's configuration:
-    /// the configured ARQ retransmission tuning and failure-detector
-    /// thresholds, defaults for everything else. Pass it to
-    /// [`DlaCluster::query_resilient`] (or tweak the returned value
-    /// first) instead of re-stating the constants at every call site.
+    /// The resilience policy this cluster's queries run under: default
+    /// ARQ retransmission tuning and failure-detector thresholds. Pass
+    /// it to [`DlaCluster::query_resilient`], tweaking the returned
+    /// value first where a run wants other figures.
     #[must_use]
     pub fn resilient_policy(&self) -> crate::exec::ResilientPolicy {
-        crate::exec::ResilientPolicy {
-            reliable: Some(self.retransmit),
-            health: self.health.clone(),
-            ..crate::exec::ResilientPolicy::default()
-        }
+        crate::exec::ResilientPolicy::default()
     }
 
     /// The dedicated blind-TTP helper's network id.
@@ -792,12 +754,6 @@ impl DlaCluster {
     /// calling `net()` twice within a single expression (the second
     /// call would block on the lock the first still holds).
     pub fn net(&self) -> MutexGuard<'_, SimNet> {
-        self.net.lock()
-    }
-
-    /// Mutable network access (same lock as [`DlaCluster::net`]; the
-    /// name survives from the pre-session API).
-    pub fn net_mut(&self) -> MutexGuard<'_, SimNet> {
         self.net.lock()
     }
 
@@ -1355,7 +1311,7 @@ impl DlaCluster {
         ]);
         let query_seed = u64::from_be_bytes(seed_digest[..8].try_into().expect("sliced to 8"));
         let result = {
-            let reliable = dla_net::Reliable::with_config(self.shared_net(), self.retransmit);
+            let reliable = dla_net::Reliable::new(self.shared_net());
             crate::exec::execute_on_clamped(
                 self,
                 &reliable,
@@ -2001,7 +1957,7 @@ mod tests {
         let reference = c.query("tid = 'T1100267' and c2 > 100.00").unwrap().glsns;
         // Kill node 2 at the network level without telling the cluster:
         // the ladder has to notice via timeout + health probes.
-        c.net_mut().faults_mut().kill_node(2);
+        c.net().faults_mut().kill_node(2);
         let policy = crate::exec::ResilientPolicy::default();
         let outcome = c
             .query_resilient("tid = 'T1100267' and c2 > 100.00", &policy)

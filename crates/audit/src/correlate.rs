@@ -160,9 +160,9 @@ fn window_buckets(
     w.put_u8(0x75).put_list(glsns, |w, g| {
         w.put_u64(g.0);
     });
-    cluster.net_mut().send(auditor, NodeId(owner), w.finish());
+    cluster.net().send(auditor, NodeId(owner), w.finish());
     let envelope = cluster
-        .net_mut()
+        .net()
         .recv_from(NodeId(owner), auditor)
         .map_err(AuditError::Net)?;
     let mut r = Reader::new(&envelope.payload);
@@ -191,9 +191,9 @@ fn window_buckets(
         w.put_u64(bucket);
         w.put_u64(g.0);
     });
-    cluster.net_mut().send(NodeId(owner), auditor, w.finish());
+    cluster.net().send(NodeId(owner), auditor, w.finish());
     let envelope = cluster
-        .net_mut()
+        .net()
         .recv_from(auditor, NodeId(owner))
         .map_err(AuditError::Net)?;
     let mut r = Reader::new(&envelope.payload);

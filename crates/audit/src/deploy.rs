@@ -8,9 +8,9 @@
 //! argument: the same seeded workload must produce **byte-identical**
 //! answers whether protocol messages ride crossbeam channels between
 //! threads or length-prefixed TCP frames between processes. The
-//! `dla-cluster` launcher, the `exp_socket_e2e` benchmark and the
-//! `socket_equivalence` integration test all run exactly this harness
-//! and compare [`WorkloadOutcome::digest_hex`].
+//! `dla-cluster` launcher, the `socket_equivalence` integration test
+//! and the wall-clock benchmark (`benchmark/`) all run exactly this
+//! harness and compare [`WorkloadOutcome::digest_hex`].
 //!
 //! The exercise covers the five MPC protocol families end to end:
 //! secure set intersection and set union through the full query

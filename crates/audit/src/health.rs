@@ -79,7 +79,7 @@ impl HealthMonitor {
     /// Opens a dedicated heartbeat session on `cluster`'s network.
     #[must_use]
     pub fn new(cluster: &DlaCluster, config: HealthConfig) -> Self {
-        let session = cluster.shared_net().open_session();
+        let session = cluster.net().open_session();
         HealthMonitor {
             session,
             config,
@@ -285,7 +285,7 @@ mod tests {
     #[test]
     fn killed_node_is_suspected_then_declared_dead() {
         let cluster = cluster();
-        cluster.net_mut().faults_mut().kill_node(2);
+        cluster.net().faults_mut().kill_node(2);
         let mut monitor = HealthMonitor::new(&cluster, HealthConfig::default());
         monitor.probe_round(&cluster).unwrap();
         assert_eq!(monitor.status(2), NodeStatus::Suspected { misses: 1 });
@@ -300,11 +300,11 @@ mod tests {
     #[test]
     fn suspicion_clears_when_the_node_answers_again() {
         let cluster = cluster();
-        cluster.net_mut().faults_mut().kill_node(1);
+        cluster.net().faults_mut().kill_node(1);
         let mut monitor = HealthMonitor::new(&cluster, HealthConfig::default());
         monitor.probe_rounds(&cluster, 2).unwrap();
         assert_eq!(monitor.status(1), NodeStatus::Suspected { misses: 2 });
-        cluster.net_mut().faults_mut().revive_node(1);
+        cluster.net().faults_mut().revive_node(1);
         monitor.probe_round(&cluster).unwrap();
         assert_eq!(monitor.status(1), NodeStatus::Alive);
     }
@@ -312,11 +312,11 @@ mod tests {
     #[test]
     fn death_is_sticky_even_after_revival() {
         let cluster = cluster();
-        cluster.net_mut().faults_mut().kill_node(3);
+        cluster.net().faults_mut().kill_node(3);
         let mut monitor = HealthMonitor::new(&cluster, HealthConfig::default());
         monitor.settle(&cluster).unwrap();
         assert!(monitor.is_dead(3));
-        cluster.net_mut().faults_mut().revive_node(3);
+        cluster.net().faults_mut().revive_node(3);
         monitor.probe_round(&cluster).unwrap();
         assert!(monitor.is_dead(3), "declared death must not silently clear");
     }
@@ -337,7 +337,7 @@ mod tests {
     #[test]
     fn injected_clock_advances_on_missed_probes() {
         let cluster = cluster();
-        cluster.net_mut().faults_mut().kill_node(2);
+        cluster.net().faults_mut().kill_node(2);
         let clock = Arc::new(dla_net::VirtualClock::new());
         let mut monitor = HealthMonitor::new(&cluster, HealthConfig::default())
             .with_clock(Arc::clone(&clock) as Arc<dyn Clock>);

@@ -72,11 +72,9 @@ pub fn check_record(
         let next = (initiator + step) % n;
         let mut w = Writer::new();
         w.put_u8(0x40).put_u64(glsn.0).put_bytes(&acc.to_bytes_be());
-        cluster
-            .net_mut()
-            .send(NodeId(holder), NodeId(next), w.finish());
+        cluster.net().send(NodeId(holder), NodeId(next), w.finish());
         let envelope = cluster
-            .net_mut()
+            .net()
             .recv_from(NodeId(next), NodeId(holder))
             .map_err(AuditError::Net)?;
         let mut r = Reader::new(&envelope.payload);
@@ -103,10 +101,10 @@ pub fn check_record(
     let mut w = Writer::new();
     w.put_u8(0x41).put_u64(glsn.0).put_bytes(&acc.to_bytes_be());
     cluster
-        .net_mut()
+        .net()
         .send(NodeId(holder), NodeId(initiator), w.finish());
     let envelope = cluster
-        .net_mut()
+        .net()
         .recv_from(NodeId(initiator), NodeId(holder))
         .map_err(AuditError::Net)?;
     let mut r = Reader::new(&envelope.payload);
@@ -227,11 +225,9 @@ pub fn check_record_among(
     for &next in &route {
         let mut w = Writer::new();
         w.put_u8(0x40).put_u64(glsn.0).put_bytes(&acc.to_bytes_be());
-        cluster
-            .net_mut()
-            .send(NodeId(holder), NodeId(next), w.finish());
+        cluster.net().send(NodeId(holder), NodeId(next), w.finish());
         let envelope = cluster
-            .net_mut()
+            .net()
             .recv_from(NodeId(next), NodeId(holder))
             .map_err(AuditError::Net)?;
         let mut r = Reader::new(&envelope.payload);
@@ -266,10 +262,10 @@ pub fn check_record_among(
         let mut w = Writer::new();
         w.put_u8(0x41).put_u64(glsn.0).put_bytes(&acc.to_bytes_be());
         cluster
-            .net_mut()
+            .net()
             .send(NodeId(holder), NodeId(initiator), w.finish());
         let envelope = cluster
-            .net_mut()
+            .net()
             .recv_from(NodeId(initiator), NodeId(holder))
             .map_err(AuditError::Net)?;
         let mut r = Reader::new(&envelope.payload);

@@ -329,9 +329,9 @@ pub(crate) fn owner_scalar_over_glsns(
     w.put_u8(tag).put_list(result_glsns, |w, g| {
         w.put_u64(g.0);
     });
-    cluster.net_mut().send(auditor, NodeId(owner), w.finish());
+    cluster.net().send(auditor, NodeId(owner), w.finish());
     let envelope = cluster
-        .net_mut()
+        .net()
         .recv_from(NodeId(owner), auditor)
         .map_err(AuditError::Net)?;
     let mut r = Reader::new(&envelope.payload);
@@ -356,9 +356,9 @@ pub(crate) fn owner_scalar_over_glsns(
     // Owner -> auditor: the scalar only.
     let mut w = Writer::new();
     w.put_u8(tag).put_u64(scalar.map_or(u64::MAX, |s| s));
-    cluster.net_mut().send(NodeId(owner), auditor, w.finish());
+    cluster.net().send(NodeId(owner), auditor, w.finish());
     let envelope = cluster
-        .net_mut()
+        .net()
         .recv_from(auditor, NodeId(owner))
         .map_err(AuditError::Net)?;
     let mut r = Reader::new(&envelope.payload);

@@ -108,7 +108,7 @@ fn chaotic_cluster(seed: u64, epoch_length: u64) -> (DlaCluster, Vec<LogRecord>,
     );
     let glsns = cluster.log_records(&user, &records).expect("logs");
     {
-        let mut net = cluster.net_mut();
+        let mut net = cluster.net();
         let faults = net.faults_mut();
         faults.drop_probability = DROP;
         faults.duplicate_probability = DUPLICATE;
@@ -220,7 +220,7 @@ fn epoch_seals_survive_chaotic_restore() {
     let expect = centralized_reference(&criteria, &records, &glsns);
 
     let chaos = |c: &mut DlaCluster| {
-        let mut net = c.net_mut();
+        let mut net = c.net();
         let faults = net.faults_mut();
         faults.drop_probability = DROP;
         faults.duplicate_probability = DUPLICATE;

@@ -96,7 +96,7 @@ fn chaotic_cluster(seed: u64) -> (DlaCluster, Vec<LogRecord>, Vec<Glsn>) {
     );
     let glsns = cluster.log_records(&user, &records).expect("logs");
     {
-        let mut net = cluster.net_mut();
+        let mut net = cluster.net();
         let faults = net.faults_mut();
         faults.drop_probability = DROP;
         faults.duplicate_probability = DUPLICATE;

@@ -8,11 +8,12 @@
 //! formula values.
 //!
 //! Run with: `cargo run -p dla-bench --bin exp_adversary --release`
-//! (pass `--quick` for a reduced sweep, as used by CI).
+//! (writes `BENCH_adversary.json`; `--quick` is the reduced sweep CI
+//! runs, which asserts the same gate and writes nothing).
 
 use dla_audit::adversary::{run_attack, run_coalition, run_honest, AttackClass};
 use dla_audit::metrics::paper;
-use dla_bench::render_table;
+use dla_bench::{render_table, write_snapshot};
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -117,10 +118,9 @@ fn main() {
     let patterns: &[&[usize]] = &[&[], &[1], &[1, 2], &[1, 2, 3]];
     let mut rows = Vec::new();
     let mut collusion_json = Vec::new();
-    let mut leaks = 0usize;
+    let mut reports = Vec::new();
     for &coalition in patterns {
         let report = run_coalition(seeds[0], coalition).expect("coalition scenario runs");
-        leaks += report.foreign_plaintext_hits;
         rows.push(vec![
             format!("{coalition:?}"),
             format!("{}", report.observed_domains),
@@ -162,6 +162,7 @@ fn main() {
             needles = report.needles_scanned,
             hits = report.foreign_plaintext_hits,
         ));
+        reports.push(report);
     }
     println!(
         "{}",
@@ -205,13 +206,35 @@ fn main() {
         p_cd = paper::C_DLA,
         collusion = collusion_json.join(",\n"),
     );
-    std::fs::write("BENCH_adversary.json", &json).expect("write BENCH_adversary.json");
-    println!("wrote BENCH_adversary.json");
 
+    // The gate, before anything is written.
+    let mut classes: Vec<&str> = AttackClass::ALL.iter().map(|c| c.key()).collect();
+    classes.sort_unstable();
+    assert_eq!(
+        classes,
+        [
+            "checkpoint_equivocation",
+            "fragment_tamper",
+            "malformed_ciphertext",
+            "relay_round_lie"
+        ],
+        "the sweep must cover the threat model's four attack classes"
+    );
     assert_eq!(undetected, 0, "every integrity attack must be detected");
     assert_eq!(false_alarms, 0, "honest runs must raise no alarms");
-    assert_eq!(
-        leaks, 0,
-        "sub-threshold coalitions must learn nothing foreign"
+    for r in &reports {
+        assert_eq!(
+            r.foreign_plaintext_hits, 0,
+            "sub-threshold coalition {:?} must learn nothing foreign",
+            r.coalition
+        );
+    }
+    let honest = &reports[0];
+    assert!(
+        honest.coalition.is_empty()
+            && (honest.c_store - paper::C_STORE).abs() < 1e-6
+            && (honest.c_dla - paper::C_DLA).abs() < 1e-6,
+        "with nobody curious the measured C_store/C_DLA are the paper's"
     );
+    write_snapshot("adversary", quick, &json);
 }

@@ -10,10 +10,9 @@
 //! meters that the fixed-base route does strictly fewer Montgomery
 //! multiplication steps for the same items-folded work units.
 //!
-//! Writes `BENCH_cost_profile.json`.
-//!
 //! Run with: `cargo run -p dla-bench --bin exp_cost_profile --release`
-//! (pass `--quick` for the CI-sized configuration).
+//! (writes `BENCH_cost_profile.json`; `--quick` is the CI-sized
+//! configuration, which asserts the same gate and writes nothing).
 
 use dla_bigint::{Ubig, F61};
 use dla_crypto::accumulator::AccumulatorParams;
@@ -28,7 +27,7 @@ use dla_net::topology::Ring;
 use dla_net::{NetConfig, NodeId, SimNet};
 use dla_telemetry::{CostVector, Recorder};
 
-use dla_bench::render_table;
+use dla_bench::{render_table, write_snapshot};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -381,6 +380,5 @@ fn main() {
         entries.join(",\n"),
         fb_json
     );
-    std::fs::write("BENCH_cost_profile.json", &json).expect("write BENCH_cost_profile.json");
-    println!("\nwrote BENCH_cost_profile.json");
+    write_snapshot("cost_profile", quick, &json);
 }

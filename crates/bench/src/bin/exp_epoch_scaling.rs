@@ -9,23 +9,24 @@
 //!   effectively unsharded cluster (one epoch spanning the whole
 //!   trail) for the same windowed query.
 //!
-//! Writes `BENCH_epoch_scaling.json`.
+//! Counts and digests only — wall-clock figures for windowed checks
+//! and queries come from `benchmark/run.sh` (`mixed_audit`).
 //!
 //! Run with: `cargo run -p dla-bench --bin exp_epoch_scaling --release`
-//! (pass `--quick` for the CI-sized configuration).
+//! (writes `BENCH_epoch_scaling.json`; `--quick` is the CI-sized
+//! configuration, which asserts the same gate and writes nothing).
 
 use dla_audit::cluster::{ClusterConfig, DlaCluster};
 use dla_audit::exec::ResilientPolicy;
 use dla_audit::integrity::{check_trail, check_window, TrailVerdict};
 use dla_audit::plan::TimeWindow;
 use dla_audit::query::{CmpOp, Criteria, Predicate};
-use dla_bench::render_table;
+use dla_bench::{render_table, write_snapshot};
 use dla_logstore::fragment::Partition;
 use dla_logstore::gen::{generate, WorkloadConfig};
 use dla_logstore::model::{AttrValue, Glsn};
 use dla_logstore::schema::Schema;
 use rand::SeedableRng;
-use std::time::Instant;
 
 const SEED: u64 = 11;
 const EPOCH_LEN: u64 = 8;
@@ -41,10 +42,6 @@ struct Row {
     epochs: usize,
     windowed: TrailVerdict,
     full: TrailVerdict,
-    windowed_ms: f64,
-    full_ms: f64,
-    pruned_query_ms: f64,
-    unsharded_query_ms: f64,
     answer_glsns: usize,
     answers_identical: bool,
 }
@@ -94,22 +91,15 @@ fn answer_bytes(glsns: &[Glsn]) -> Vec<u8> {
     sorted.iter().flat_map(|g| g.0.to_be_bytes()).collect()
 }
 
-fn timed_query(cluster: &mut DlaCluster, criteria: &Criteria, iters: usize) -> (f64, Vec<Glsn>) {
+fn run_query(cluster: &mut DlaCluster, criteria: &Criteria) -> Vec<Glsn> {
     let normalized = dla_audit::normal::normalize(criteria);
-    let mut best_ms = f64::INFINITY;
-    let mut answer = Vec::new();
-    for _ in 0..iters {
-        let started = Instant::now();
-        let outcome =
-            dla_audit::exec::execute_resilient(cluster, &normalized, &ResilientPolicy::default())
-                .expect("query runs");
-        best_ms = best_ms.min(started.elapsed().as_secs_f64() * 1000.0);
-        answer = outcome.result.glsns;
-    }
-    (best_ms, answer)
+    dla_audit::exec::execute_resilient(cluster, &normalized, &ResilientPolicy::default())
+        .expect("query runs")
+        .result
+        .glsns
 }
 
-fn run_row(records: usize, iters: usize) -> Row {
+fn run_row(records: usize) -> Row {
     let mut sharded = loaded_cluster(records, EPOCH_LEN);
     let mut unsharded = loaded_cluster(records, UNSHARDED_EPOCH_LEN);
     let base = WorkloadConfig::default().start_time;
@@ -118,26 +108,14 @@ fn run_row(records: usize, iters: usize) -> Row {
         hi: Some(base + WINDOW_SECS),
     };
 
-    let mut windowed_ms = f64::INFINITY;
-    let mut full_ms = f64::INFINITY;
-    let mut windowed = None;
-    let mut full = None;
-    for _ in 0..iters {
-        let started = Instant::now();
-        windowed = Some(check_window(&sharded, &window));
-        windowed_ms = windowed_ms.min(started.elapsed().as_secs_f64() * 1000.0);
-        let started = Instant::now();
-        full = Some(check_trail(&sharded));
-        full_ms = full_ms.min(started.elapsed().as_secs_f64() * 1000.0);
-    }
-    let windowed = windowed.expect("at least one iteration");
-    let full = full.expect("at least one iteration");
+    let windowed = check_window(&sharded, &window);
+    let full = check_trail(&sharded);
     assert!(windowed.ok && windowed.chain_ok, "windowed check must pass");
     assert!(full.ok, "full-trail check must pass");
 
     let criteria = windowed_criteria(base);
-    let (pruned_query_ms, pruned_answer) = timed_query(&mut sharded, &criteria, iters);
-    let (unsharded_query_ms, unsharded_answer) = timed_query(&mut unsharded, &criteria, iters);
+    let pruned_answer = run_query(&mut sharded, &criteria);
+    let unsharded_answer = run_query(&mut unsharded, &criteria);
     let answers_identical = answer_bytes(&pruned_answer) == answer_bytes(&unsharded_answer);
 
     Row {
@@ -145,10 +123,6 @@ fn run_row(records: usize, iters: usize) -> Row {
         epochs: sharded.epoch_stats().count(),
         windowed,
         full,
-        windowed_ms,
-        full_ms,
-        pruned_query_ms,
-        unsharded_query_ms,
         answer_glsns: pruned_answer.len(),
         answers_identical,
     }
@@ -159,8 +133,6 @@ fn json_row(r: &Row) -> String {
         concat!(
             "    {{\"records\": {}, \"epochs\": {}, ",
             "\"windowed_folds\": {}, \"windowed_epochs\": {}, \"full_folds\": {}, ",
-            "\"windowed_ms\": {:.3}, \"full_ms\": {:.3}, ",
-            "\"pruned_query_ms\": {:.3}, \"unsharded_query_ms\": {:.3}, ",
             "\"answer_glsns\": {}, \"answers_identical\": {}}}"
         ),
         r.records,
@@ -168,10 +140,6 @@ fn json_row(r: &Row) -> String {
         r.windowed.items_folded,
         r.windowed.epochs_checked,
         r.full.items_folded,
-        r.windowed_ms,
-        r.full_ms,
-        r.pruned_query_ms,
-        r.unsharded_query_ms,
         r.answer_glsns,
         r.answers_identical,
     )
@@ -179,13 +147,9 @@ fn json_row(r: &Row) -> String {
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let (trail_lengths, iters): (&[usize], usize) = if quick {
-        (&[24, 96], 1)
-    } else {
-        (&[48, 96, 192], 3)
-    };
+    let trail_lengths: &[usize] = if quick { &[24, 96] } else { &[48, 96, 192] };
 
-    let rows: Vec<Row> = trail_lengths.iter().map(|&n| run_row(n, iters)).collect();
+    let rows: Vec<Row> = trail_lengths.iter().map(|&n| run_row(n)).collect();
 
     // Gates. (1) Answers are byte-identical sharded vs unsharded.
     for r in &rows {
@@ -233,9 +197,6 @@ fn main() {
                 r.epochs.to_string(),
                 format!("{}/{}", r.windowed.items_folded, r.windowed.epochs_checked),
                 r.full.items_folded.to_string(),
-                format!("{:.2}", r.windowed_ms),
-                format!("{:.2}", r.full_ms),
-                format!("{:.2}", r.pruned_query_ms),
                 r.answer_glsns.to_string(),
             ]
         })
@@ -247,16 +208,7 @@ fn main() {
                 "P11 - EPOCH-SHARDED TRAIL SCALING (epoch={EPOCH_LEN}, window={WINDOW_SECS}s{})",
                 if quick { ", quick" } else { "" }
             ),
-            &[
-                "records",
-                "epochs",
-                "win folds/ep",
-                "full folds",
-                "win ms",
-                "full ms",
-                "query ms",
-                "answers",
-            ],
+            &["records", "epochs", "win folds/ep", "full folds", "answers"],
             &table
         )
     );
@@ -281,6 +233,5 @@ fn main() {
         window_folds,
         entries.join(",\n")
     );
-    std::fs::write("BENCH_epoch_scaling.json", &json).expect("write BENCH_epoch_scaling.json");
-    println!("\nwrote BENCH_epoch_scaling.json");
+    write_snapshot("epoch_scaling", quick, &json);
 }

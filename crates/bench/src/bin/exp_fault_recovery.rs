@@ -4,11 +4,12 @@
 //! auditing after a node loss.
 //!
 //! Run with: `cargo run -p dla-bench --bin exp_fault_recovery --release`
-//! (pass `--quick` for a reduced sweep, as used by CI).
+//! (writes `BENCH_fault_recovery.json`; `--quick` is the reduced sweep
+//! CI runs, which asserts the same gate and writes nothing).
 
 use dla_audit::cluster::{ClusterConfig, DlaCluster};
 use dla_audit::exec::ResilientPolicy;
-use dla_bench::render_table;
+use dla_bench::{render_table, write_snapshot};
 use dla_logstore::fragment::Partition;
 use dla_logstore::gen::paper_table1;
 use dla_logstore::model::Glsn;
@@ -91,7 +92,7 @@ fn run_trial(seed: u64, query: &str, drop: f64, reliable: bool, stats: &mut ArmS
         .expect("clean-net reference query succeeds")
         .glsns;
     {
-        let mut net = cluster.net_mut();
+        let mut net = cluster.net();
         let faults = net.faults_mut();
         faults.drop_probability = drop;
         faults.duplicate_probability = DUPLICATE_PROBABILITY;
@@ -204,7 +205,7 @@ fn main() {
             .query(query)
             .expect("clean-net reference query succeeds")
             .glsns;
-        cluster.net_mut().faults_mut().kill_node(2);
+        cluster.net().faults_mut().kill_node(2);
         let outcome = cluster
             .query_resilient(query, &ResilientPolicy::default())
             .expect("resilient query survives a node loss");
@@ -241,11 +242,9 @@ fn main() {
         rec = recovered,
         rp = replans,
     );
-    std::fs::write("BENCH_fault_recovery.json", &json).expect("write BENCH_fault_recovery.json");
-    println!("wrote BENCH_fault_recovery.json");
-
     assert_eq!(
         recovered, loss_trials,
         "degraded-mode execution must reproduce the reference answers"
     );
+    write_snapshot("fault_recovery", quick, &json);
 }

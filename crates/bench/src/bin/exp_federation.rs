@@ -12,13 +12,12 @@
 //!   rewritten checkpoint digest fails the root accumulator
 //!   cross-check.
 //!
-//! Writes `BENCH_federation.json`.
-//!
 //! Run with: `cargo run -p dla-bench --bin exp_federation --release`
-//! (pass `--quick` for the CI-sized configuration).
+//! (writes `BENCH_federation.json`; `--quick` is the CI-sized
+//! configuration, which asserts the same gate and writes nothing).
 
 use dla_audit::federation::{FederatedCluster, FederationConfig};
-use dla_bench::render_table;
+use dla_bench::{render_table, write_snapshot};
 use dla_logstore::fragment::Partition;
 use dla_logstore::gen::{generate, WorkloadConfig};
 use dla_logstore::model::{AttrValue, LogRecord};
@@ -192,6 +191,7 @@ fn main() {
     // Gates. (1) Answers are byte-identical at every ring count.
     let broadcast_digest = rows[0].broadcast_digest.clone();
     let routed_digest = rows[0].routed_digest.clone();
+    assert_eq!(broadcast_digest.len(), 64, "answer digests are SHA-256");
     for r in &rows {
         assert_eq!(
             r.broadcast_digest, broadcast_digest,
@@ -286,6 +286,5 @@ fn main() {
         routed_digest,
         entries.join(",\n")
     );
-    std::fs::write("BENCH_federation.json", &json).expect("write BENCH_federation.json");
-    println!("\nwrote BENCH_federation.json");
+    write_snapshot("federation", quick, &json);
 }

@@ -4,11 +4,14 @@
 //! simulator's virtual clocks.
 //!
 //! Run with: `cargo run -p dla-bench --bin exp_query_e2e --release`
+//! (writes `BENCH_query_e2e.json`: virtual time, counts and sessions —
+//! a query's wall-clock trajectory is `benchmark/run.sh`'s
+//! `query_scan`).
 
 use dla_audit::centralized::CentralizedAuditor;
 use dla_audit::cluster::{ClusterConfig, DlaCluster};
 use dla_audit::exec::{execute_with_options, ExecMode};
-use dla_bench::{fmt_bytes, render_table, timed};
+use dla_bench::{fmt_bytes, render_table, timed, write_snapshot};
 use dla_logstore::fragment::Partition;
 use dla_logstore::gen::{generate, WorkloadConfig};
 use dla_logstore::schema::Schema;
@@ -28,7 +31,6 @@ struct SchedulerRun {
     virtual_ns: u64,
     messages: u64,
     bytes: u64,
-    wall_ms: f64,
     subqueries: usize,
     sessions: usize,
     max_concurrent_sessions: usize,
@@ -59,16 +61,14 @@ fn scheduler_run(mode: ExecMode) -> SchedulerRun {
     let parsed = dla_audit::parser::parse(SCHED_QUERY, cluster.schema()).expect("parses");
     let normalized = dla_audit::normal::normalize(&parsed);
     let plan = dla_audit::plan::plan(&normalized, cluster.partition()).expect("plans");
-    cluster.net_mut().reset_accounting();
+    cluster.net().reset_accounting();
 
-    let (result, wall_ms) =
-        timed(|| execute_with_options(&mut cluster, &plan, true, mode).expect("query runs"));
+    let result = execute_with_options(&mut cluster, &plan, true, mode).expect("query runs");
     let net = cluster.net();
     SchedulerRun {
         virtual_ns: result.elapsed.as_nanos(),
         messages: result.messages,
         bytes: result.bytes,
-        wall_ms,
         subqueries: plan.subqueries.len(),
         sessions: result.sessions.len(),
         max_concurrent_sessions: net.stats().max_concurrent_sessions(),
@@ -227,7 +227,6 @@ fn main() {
             "    \"virtual_latency_ns\": {s_ns},\n",
             "    \"messages\": {s_msgs},\n",
             "    \"bytes\": {s_bytes},\n",
-            "    \"wall_ms\": {s_wall:.3},\n",
             "    \"sessions\": {s_sessions},\n",
             "    \"max_concurrent_sessions\": {s_conc}\n",
             "  }},\n",
@@ -235,7 +234,6 @@ fn main() {
             "    \"virtual_latency_ns\": {c_ns},\n",
             "    \"messages\": {c_msgs},\n",
             "    \"bytes\": {c_bytes},\n",
-            "    \"wall_ms\": {c_wall:.3},\n",
             "    \"sessions\": {c_sessions},\n",
             "    \"max_concurrent_sessions\": {c_conc}\n",
             "  }},\n",
@@ -248,25 +246,22 @@ fn main() {
         s_ns = serial.virtual_ns,
         s_msgs = serial.messages,
         s_bytes = serial.bytes,
-        s_wall = serial.wall_ms,
         s_sessions = serial.sessions,
         s_conc = serial.max_concurrent_sessions,
         c_ns = concurrent.virtual_ns,
         c_msgs = concurrent.messages,
         c_bytes = concurrent.bytes,
-        c_wall = concurrent.wall_ms,
         c_sessions = concurrent.sessions,
         c_conc = concurrent.max_concurrent_sessions,
         speedup = speedup,
     );
-    std::fs::write("BENCH_query_e2e.json", &json).expect("write BENCH_query_e2e.json");
-    println!("\nwrote BENCH_query_e2e.json");
     assert!(
         concurrent.virtual_ns < serial.virtual_ns,
-        "concurrent scheduling must beat serial wall-clock on this plan"
+        "concurrent scheduling must beat serial virtual latency on this plan"
     );
     assert!(
         concurrent.max_concurrent_sessions >= 2,
         "at least two sessions must have been in flight simultaneously"
     );
+    write_snapshot("query_e2e", false, &json);
 }

@@ -14,23 +14,25 @@
 //! * the same holds on a federated topology, where deltas relay
 //!   through the root ring with no driver poll.
 //!
-//! Writes `BENCH_standing_query.json`.
+//! Counts and answer equalities only — what a cached window or a
+//! standing delta costs on the wall clock is measured by
+//! `benchmark/run.sh` (`mixed_audit`).
 //!
 //! Run with: `cargo run -p dla-bench --bin exp_standing_query --release`
-//! (pass `--quick` for the CI-sized configuration).
+//! (writes `BENCH_standing_query.json`; `--quick` is the CI-sized
+//! configuration, which asserts the same gate and writes nothing).
 
 use dla_audit::aggregate::{windowed_bucket_aggregate, AggregatePath};
 use dla_audit::cluster::{ClusterConfig, DlaCluster};
 use dla_audit::federation::{FederatedCluster, FederationConfig};
 use dla_audit::plan::TimeWindow;
-use dla_bench::render_table;
+use dla_bench::{render_table, write_snapshot};
 use dla_logstore::fragment::Partition;
 use dla_logstore::gen::{generate, WorkloadConfig};
 use dla_logstore::model::{AttrValue, Glsn};
 use dla_logstore::schema::Schema;
 use rand::SeedableRng;
 use std::collections::BTreeSet;
-use std::time::Instant;
 
 const SEED: u64 = 13;
 const EPOCH_LEN: u64 = 8;
@@ -46,15 +48,11 @@ struct Row {
     epochs_cached: usize,
     cached_fragments: u64,
     rescan_fragments: u64,
-    cached_ms: f64,
-    rescan_ms: f64,
     cached_count: u64,
     cached_sum: i64,
     identical: bool,
     standing_matches: usize,
     standing_identical: bool,
-    catchup_ms: f64,
-    fresh_ms: f64,
 }
 
 fn loaded_cluster(records: usize) -> DlaCluster {
@@ -92,7 +90,7 @@ fn sealed_glsns(cluster: &DlaCluster) -> BTreeSet<Glsn> {
         .collect()
 }
 
-fn run_row(records: usize, iters: usize) -> Row {
+fn run_row(records: usize) -> Row {
     let mut cluster = loaded_cluster(records);
     let base = WorkloadConfig::default().start_time;
     let window = TimeWindow {
@@ -102,62 +100,29 @@ fn run_row(records: usize, iters: usize) -> Row {
     let attr = "protocol".into();
     let sum_attr = "c1".into();
 
-    let mut cached_ms = f64::INFINITY;
-    let mut rescan_ms = f64::INFINITY;
-    let mut cached = None;
-    let mut rescan = None;
-    for _ in 0..iters {
-        let started = Instant::now();
-        cached = Some(
-            windowed_bucket_aggregate(
-                &cluster,
-                &attr,
-                "UDP",
-                Some(&sum_attr),
-                &window,
-                AggregatePath::Cached,
-            )
-            .expect("cached aggregate"),
-        );
-        cached_ms = cached_ms.min(started.elapsed().as_secs_f64() * 1000.0);
-        let started = Instant::now();
-        rescan = Some(
-            windowed_bucket_aggregate(
-                &cluster,
-                &attr,
-                "UDP",
-                Some(&sum_attr),
-                &window,
-                AggregatePath::Rescan,
-            )
-            .expect("rescan aggregate"),
-        );
-        rescan_ms = rescan_ms.min(started.elapsed().as_secs_f64() * 1000.0);
-    }
-    let cached = cached.expect("at least one iteration");
-    let rescan = rescan.expect("at least one iteration");
+    let aggregate = |path| {
+        windowed_bucket_aggregate(&cluster, &attr, "UDP", Some(&sum_attr), &window, path)
+            .expect("windowed aggregate")
+    };
+    let cached = aggregate(AggregatePath::Cached);
+    let rescan = aggregate(AggregatePath::Rescan);
     let identical = cached.count == rescan.count && cached.sum == rescan.sum;
 
     // The standing leg: register once (catch-up evaluates every sealed
     // epoch), then compare against a fresh whole-trail query restricted
     // to sealed epochs.
-    let started = Instant::now();
     let id = cluster
         .register_standing(STANDING_CRITERIA)
         .expect("registers");
-    let catchup_ms = started.elapsed().as_secs_f64() * 1000.0;
     let accumulated: Vec<Glsn> = cluster.standing_matches(id).expect("matches");
     let sealed = sealed_glsns(&cluster);
-    let started = Instant::now();
-    let fresh: Vec<Glsn> = cluster
+    let mut fresh_sorted: Vec<Glsn> = cluster
         .query_shared(STANDING_CRITERIA)
         .expect("fresh query")
         .glsns
         .into_iter()
         .filter(|g| sealed.contains(g))
         .collect();
-    let fresh_ms = started.elapsed().as_secs_f64() * 1000.0;
-    let mut fresh_sorted = fresh;
     fresh_sorted.sort_unstable();
     let standing_identical = accumulated == fresh_sorted;
 
@@ -168,15 +133,11 @@ fn run_row(records: usize, iters: usize) -> Row {
         epochs_cached: cached.epochs_cached,
         cached_fragments: cached.fragments_scanned,
         rescan_fragments: rescan.fragments_scanned,
-        cached_ms,
-        rescan_ms,
         cached_count: cached.count,
         cached_sum: cached.sum.unwrap_or(0),
         identical,
         standing_matches: accumulated.len(),
         standing_identical,
-        catchup_ms,
-        fresh_ms,
     }
 }
 
@@ -244,10 +205,8 @@ fn json_row(r: &Row) -> String {
         concat!(
             "    {{\"records\": {}, \"epochs\": {}, \"sealed_epochs\": {}, ",
             "\"epochs_cached\": {}, \"cached_fragments\": {}, \"rescan_fragments\": {}, ",
-            "\"cached_ms\": {:.3}, \"rescan_ms\": {:.3}, ",
             "\"cached_count\": {}, \"cached_sum\": {}, \"identical\": {}, ",
-            "\"standing_matches\": {}, \"standing_identical\": {}, ",
-            "\"catchup_ms\": {:.3}, \"fresh_ms\": {:.3}}}"
+            "\"standing_matches\": {}, \"standing_identical\": {}}}"
         ),
         r.records,
         r.epochs,
@@ -255,27 +214,23 @@ fn json_row(r: &Row) -> String {
         r.epochs_cached,
         r.cached_fragments,
         r.rescan_fragments,
-        r.cached_ms,
-        r.rescan_ms,
         r.cached_count,
         r.cached_sum,
         r.identical,
         r.standing_matches,
         r.standing_identical,
-        r.catchup_ms,
-        r.fresh_ms,
     )
 }
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let (trail_lengths, iters, fed_records): (&[usize], usize, usize) = if quick {
-        (&[32, 96], 1, 24)
+    let (trail_lengths, fed_records): (&[usize], usize) = if quick {
+        (&[32, 96], 24)
     } else {
-        (&[64, 128, 256], 3, 48)
+        (&[64, 128, 256], 48)
     };
 
-    let rows: Vec<Row> = trail_lengths.iter().map(|&n| run_row(n, iters)).collect();
+    let rows: Vec<Row> = trail_lengths.iter().map(|&n| run_row(n)).collect();
 
     // Gates. (1) Cached and rescan answers are identical in every row,
     // and so are the standing-delta and fresh-query answers.
@@ -335,11 +290,8 @@ fn main() {
                 format!("{}/{}", r.sealed_epochs, r.epochs),
                 r.epochs_cached.to_string(),
                 format!("{}/{}", r.cached_fragments, r.rescan_fragments),
-                format!("{:.2}", r.cached_ms),
-                format!("{:.2}", r.rescan_ms),
                 format!("{}", r.cached_count),
                 r.standing_matches.to_string(),
-                format!("{:.2}", r.catchup_ms),
             ]
         })
         .collect();
@@ -356,11 +308,8 @@ fn main() {
                 "sealed/ep",
                 "cached ep",
                 "frags c/r",
-                "cache ms",
-                "rescan ms",
                 "count",
                 "standing",
-                "catchup ms",
             ],
             &table
         )
@@ -391,6 +340,5 @@ fn main() {
         fed_published,
         entries.join(",\n")
     );
-    std::fs::write("BENCH_standing_query.json", &json).expect("write BENCH_standing_query.json");
-    println!("\nwrote BENCH_standing_query.json");
+    write_snapshot("standing_query", quick, &json);
 }

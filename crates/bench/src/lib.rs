@@ -109,6 +109,23 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (out, start.elapsed().as_secs_f64() * 1e3)
 }
 
+/// An experiment binary's last statement, after every assert: a full
+/// run records `json` as `BENCH_<experiment>.json` in the working
+/// directory; a `--quick` run (the CI gate) has checked and printed the
+/// same things by now and leaves the committed snapshot alone.
+///
+/// # Panics
+///
+/// Panics if the file cannot be written.
+pub fn write_snapshot(experiment: &str, quick: bool, json: &str) {
+    if quick {
+        return;
+    }
+    let path = format!("BENCH_{experiment}.json");
+    std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    println!("\nwrote {path}");
+}
+
 /// Formats a byte count human-readably.
 #[must_use]
 pub fn fmt_bytes(bytes: u64) -> String {

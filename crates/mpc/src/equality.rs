@@ -16,7 +16,7 @@ use crate::MpcError;
 use dla_bigint::F61;
 use dla_crypto::affine::AffineMasker;
 use dla_net::wire::{Reader, Writer};
-use dla_net::{NodeId, Session, SimLink, SimNet};
+use dla_net::{NodeId, Session, SharedNet, SimNet};
 use rand::Rng;
 
 /// Result of a secure equality run.
@@ -47,7 +47,7 @@ pub fn secure_equality<R: Rng + ?Sized>(
     value_b: F61,
     rng: &mut R,
 ) -> Result<EqualityOutcome, MpcError> {
-    let link = SimLink::new(net);
+    let link = SharedNet::new(net);
     let session = Session::root(&link);
     run(&session, party_a, party_b, ttp, value_a, value_b, rng)
 }
@@ -199,7 +199,7 @@ pub fn secure_equality_via_ssi<R: Rng + ?Sized>(
     value_b: &[u8],
     rng: &mut R,
 ) -> Result<EqualityOutcome, MpcError> {
-    let link = SimLink::new(net);
+    let link = SharedNet::new(net);
     let session = Session::root(&link);
     run_via_ssi(&session, domain, party_a, party_b, value_a, value_b, rng)
 }

@@ -19,7 +19,7 @@ use crate::report::{Meter, ProtocolReport};
 use crate::MpcError;
 use dla_crypto::affine::MonotoneMasker;
 use dla_net::wire::{Reader, Writer};
-use dla_net::{NodeId, Session, SimLink, SimNet};
+use dla_net::{NodeId, Session, SharedNet, SimNet};
 use rand::Rng;
 
 /// Result of a secure-ranking run.
@@ -57,7 +57,7 @@ pub fn secure_ranking<R: Rng + ?Sized>(
     values: &[u64],
     rng: &mut R,
 ) -> Result<RankOutcome, MpcError> {
-    let link = SimLink::new(net);
+    let link = SharedNet::new(net);
     let session = Session::root(&link);
     run(&session, parties, ttp, values, rng)
 }

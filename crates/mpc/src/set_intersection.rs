@@ -39,7 +39,7 @@ use dla_bigint::Ubig;
 use dla_crypto::pohlig_hellman::{CommutativeDomain, PhKey};
 use dla_net::topology::Ring;
 use dla_net::wire::{Reader, Writer};
-use dla_net::{NodeId, Session, SimLink, SimNet};
+use dla_net::{NodeId, Session, SharedNet, SimNet};
 use rand::Rng;
 use std::collections::BTreeSet;
 
@@ -105,7 +105,7 @@ pub fn secure_set_intersection<R: Rng + ?Sized>(
     reveal: bool,
     rng: &mut R,
 ) -> Result<SsiOutcome, MpcError> {
-    let link = SimLink::new(net);
+    let link = SharedNet::new(net);
     let session = Session::root(&link);
     run(&session, ring, domain, inputs, collector, reveal, rng, None)
 }
@@ -117,13 +117,13 @@ pub fn secure_set_intersection<R: Rng + ?Sized>(
 /// ```
 /// use dla_mpc::set_intersection::SsiSession;
 /// use dla_net::topology::Ring;
-/// use dla_net::{NetConfig, NodeId, Session, SimLink, SimNet};
+/// use dla_net::{NetConfig, NodeId, Session, SharedNet, SimNet};
 /// use dla_crypto::pohlig_hellman::CommutativeDomain;
 /// use rand::{rngs::StdRng, SeedableRng};
 ///
 /// let mut net = SimNet::new(3, NetConfig::ideal());
 /// let session_id = net.open_session();
-/// let link = SimLink::new(&mut net);
+/// let link = SharedNet::new(&mut net);
 /// let ring = Ring::canonical(3);
 /// let domain = CommutativeDomain::fixed_256();
 /// let mut rng = StdRng::seed_from_u64(7);
@@ -211,7 +211,7 @@ pub fn secure_set_intersection_traced<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<(SsiOutcome, Vec<TraceHop>), MpcError> {
     let mut trace = Vec::new();
-    let link = SimLink::new(net);
+    let link = SharedNet::new(net);
     let session = Session::root(&link);
     let outcome = run(
         &session,

@@ -38,7 +38,7 @@ use dla_bigint::Ubig;
 use dla_crypto::pohlig_hellman::{CommutativeDomain, PhKey};
 use dla_net::topology::Ring;
 use dla_net::wire::{Reader, Writer};
-use dla_net::{NodeId, Session, SimLink, SimNet};
+use dla_net::{NodeId, Session, SharedNet, SimNet};
 use rand::Rng;
 use std::collections::BTreeSet;
 
@@ -78,7 +78,7 @@ pub fn secure_set_union<R: Rng + ?Sized>(
     collector: NodeId,
     rng: &mut R,
 ) -> Result<UnionOutcome, MpcError> {
-    let link = SimLink::new(net);
+    let link = SharedNet::new(net);
     let session = Session::root(&link);
     run(&session, ring, domain, inputs, collector, rng)
 }

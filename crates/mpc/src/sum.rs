@@ -18,7 +18,7 @@ use crate::MpcError;
 use dla_bigint::F61;
 use dla_crypto::shamir::{self, SecretPolynomial, Share, SharePoints};
 use dla_net::wire::{Reader, Writer};
-use dla_net::{NodeId, Session, SimLink, SimNet};
+use dla_net::{NodeId, Session, SharedNet, SimNet};
 use rand::Rng;
 
 /// Result of a secure-sum run.
@@ -72,7 +72,7 @@ pub fn secure_weighted_sum<R: Rng + ?Sized>(
     collector: NodeId,
     rng: &mut R,
 ) -> Result<SumOutcome, MpcError> {
-    let link = SimLink::new(net);
+    let link = SharedNet::new(net);
     let session = Session::root(&link);
     run(&session, parties, inputs, weights, k, collector, rng)
 }

@@ -8,7 +8,7 @@ use dla_crypto::pohlig_hellman::CommutativeDomain;
 use dla_mpc::{SsiSession, UnionSession};
 use dla_net::topology::Ring;
 use dla_net::wire::Reader;
-use dla_net::{NetConfig, NodeId, Session, SimLink, SimNet};
+use dla_net::{NetConfig, NodeId, Session, SharedNet, SimNet};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -101,7 +101,7 @@ proptest! {
         let domain = CommutativeDomain::fixed_256();
         let mut net = SimNet::new(n + 1, NetConfig::ideal());
         let (ssi_id, union_id) = (net.open_session(), net.open_session());
-        let link = SimLink::new(&mut net);
+        let link = SharedNet::new(&mut net);
 
         let ssi = SsiSession::new(Session::new(&link, ssi_id), &ring, &domain, collector)
             .reveal(reveal)

@@ -1,22 +1,29 @@
 #![deny(rust_2018_idioms)]
 
-//! Simulated cluster networking for the DLA system.
+//! Cluster networking for the DLA system: three transports behind one
+//! trait.
 //!
 //! The paper assumes "message routing is handled by the lower network
-//! layer" (§3.1); this crate *is* that layer, as a simulator:
+//! layer" (§3.1); this crate *is* that layer. Protocol code talks to a
+//! [`session::Session`] on a [`session::Transport`], and there are
+//! exactly three ways a message can move:
 //!
-//! * [`sim::SimNet`] — deterministic virtual-time network with latency
-//!   models ([`latency::LatencyModel`]), fault injection
+//! * [`sim::SimNet`] behind [`session::SharedNet`] — a deterministic
+//!   virtual-time simulator with latency models
+//!   ([`latency::LatencyModel`]), fault injection
 //!   ([`fault::FaultPlan`]) and complete traffic accounting
 //!   ([`stats::TrafficStats`]). All protocol experiments run on it.
-//! * [`transport`] — a crossbeam-channel transport for running nodes as
-//!   real OS threads.
+//! * [`session::ChannelNet`] — a crossbeam-channel transport for
+//!   running nodes as real OS threads; every message crosses the wire
+//!   codec.
 //! * [`tcp::TcpNet`] — a socket transport for running nodes as separate
 //!   OS *processes* over loopback (or a real network), driven by the
 //!   pluggable [`time::Clock`] runtime.
-//! * [`topology::Ring`] — the relay route of the commutative-encryption
-//!   protocols.
-//! * [`wire`] — the length-prefixed binary message format.
+//!
+//! Two decorators wrap any of them: [`reliable::Reliable`] (ARQ) and
+//! [`adversary::AdversaryNet`] (Byzantine interposition). Beside them,
+//! [`topology::Ring`] is the relay route of the commutative-encryption
+//! protocols and [`wire`] the length-prefixed binary message format.
 //!
 //! # Examples
 //!
@@ -53,12 +60,11 @@ pub mod stats;
 pub mod tcp;
 pub mod time;
 pub mod topology;
-pub mod transport;
 pub mod wire;
 
 pub use adversary::{Adversary, AdversaryNet, ScriptedAdversary, Tamper, TamperRule};
 pub use reliable::{Reliable, ReliableConfig, ReliableStats};
-pub use session::{ChannelNet, Session, SharedNet, SimLink, Transport};
+pub use session::{ChannelNet, Session, SharedNet, Transport};
 pub use sim::{Envelope, NetConfig, SimNet};
 pub use tcp::{NodeConfig, NodeReport, TcpConfig, TcpNet};
 pub use time::{Clock, SimTime, VirtualClock, WallClock};

@@ -22,8 +22,8 @@
 //!   node dead).
 //!
 //! Because `Reliable` itself implements [`Transport`], it composes with
-//! all three backends (SimLink, SharedNet, ChannelNet) and with
-//! [`Session`] unchanged.
+//! all three transports (the simulator behind `SharedNet`,
+//! `ChannelNet`, `TcpNet`) and with [`Session`] unchanged.
 //!
 //! [`Session`]: crate::Session
 
@@ -430,7 +430,7 @@ mod tests {
     use super::*;
     use crate::fault::{FaultOutcome, FaultPlan};
     use crate::sim::{NetConfig, SimNet};
-    use crate::{ChannelNet, Session, SharedNet, SimLink};
+    use crate::{ChannelNet, Session, SharedNet};
     use std::time::Duration;
 
     fn lossy_net(drop: f64, dup: f64, corrupt: f64, seed: u64) -> SimNet {
@@ -463,7 +463,7 @@ mod tests {
     #[test]
     fn clean_link_round_trips() {
         let mut net = lossy_net(0.0, 0.0, 0.0, 1);
-        let link = SimLink::new(&mut net);
+        let link = SharedNet::new(&mut net);
         let reliable = Reliable::new(&link);
         ship(&Session::root(&reliable), 20);
     }
@@ -472,7 +472,7 @@ mod tests {
     fn survives_drops_duplicates_and_corruption() {
         for seed in 0..5 {
             let mut net = lossy_net(0.15, 0.1, 0.1, seed);
-            let link = SimLink::new(&mut net);
+            let link = SharedNet::new(&mut net);
             let reliable = Reliable::new(&link);
             ship(&Session::root(&reliable), 30);
         }
@@ -482,7 +482,7 @@ mod tests {
     fn suppresses_targeted_duplicate() {
         let mut net = lossy_net(0.0, 0.0, 0.0, 1);
         net.faults_mut().inject_once(0, 1, FaultOutcome::Duplicate);
-        let link = SimLink::new(&mut net);
+        let link = SharedNet::new(&mut net);
         let reliable = Reliable::new(&link);
         let session = Session::root(&reliable);
         session.send(NodeId(0), NodeId(1), Bytes::from_static(b"once"));
@@ -498,7 +498,7 @@ mod tests {
     fn recovers_targeted_corruption_by_retransmit() {
         let mut net = lossy_net(0.0, 0.0, 0.0, 1);
         net.faults_mut().inject_once(0, 1, FaultOutcome::Corrupt);
-        let link = SimLink::new(&mut net);
+        let link = SharedNet::new(&mut net);
         let reliable = Reliable::new(&link);
         let session = Session::root(&reliable);
         session.send(NodeId(0), NodeId(1), Bytes::from_static(b"precious"));
@@ -509,7 +509,7 @@ mod tests {
     #[test]
     fn recv_times_out_instead_of_hanging() {
         let mut net = lossy_net(0.0, 0.0, 0.0, 1);
-        let link = SimLink::new(&mut net);
+        let link = SharedNet::new(&mut net);
         let reliable = Reliable::with_config(&link, ReliableConfig::default().with_max_retries(3));
         let session = Session::root(&reliable);
         // Nothing was ever sent: bounded retries, then Timeout.
@@ -523,7 +523,7 @@ mod tests {
     fn timeout_when_peer_is_dead() {
         let mut net = lossy_net(0.0, 0.0, 0.0, 1);
         net.faults_mut().kill_node(0);
-        let link = SimLink::new(&mut net);
+        let link = SharedNet::new(&mut net);
         let reliable = Reliable::new(&link);
         let session = Session::root(&reliable);
         session.send(NodeId(0), NodeId(1), Bytes::from_static(b"lost cause"));
@@ -552,7 +552,7 @@ mod tests {
     fn retransmission_charges_virtual_time() {
         let mut net = lossy_net(0.0, 0.0, 0.0, 1);
         net.faults_mut().inject_once(0, 1, FaultOutcome::Drop);
-        let link = SimLink::new(&mut net);
+        let link = SharedNet::new(&mut net);
         let reliable = Reliable::new(&link);
         let session = Session::root(&reliable);
         session.send(NodeId(0), NodeId(1), Bytes::from_static(b"x"));
@@ -566,7 +566,7 @@ mod tests {
     #[test]
     fn selective_receive_keeps_other_senders_queued() {
         let mut net = lossy_net(0.0, 0.0, 0.0, 1);
-        let link = SimLink::new(&mut net);
+        let link = SharedNet::new(&mut net);
         let reliable = Reliable::new(&link);
         let session = Session::root(&reliable);
         session.send(NodeId(2), NodeId(1), Bytes::from_static(b"from-2"));
@@ -580,8 +580,10 @@ mod tests {
     #[test]
     fn works_over_shared_net_sessions() {
         let shared = SharedNet::new(lossy_net(0.1, 0.1, 0.05, 3));
-        let s1 = shared.open_session();
-        let s2 = shared.open_session();
+        let (s1, s2) = {
+            let mut net = shared.lock();
+            (net.open_session(), net.open_session())
+        };
         std::thread::scope(|scope| {
             for sid in [s1, s2] {
                 let shared = &shared;
@@ -618,7 +620,7 @@ mod tests {
         let clock = Arc::new(VirtualClock::new());
         let mut net = lossy_net(0.0, 0.0, 0.0, 1);
         net.faults_mut().inject_once(0, 1, FaultOutcome::Drop);
-        let link = SimLink::new(&mut net);
+        let link = SharedNet::new(&mut net);
         let reliable = Reliable::new(&link).with_clock(Arc::clone(&clock) as _);
         let session = Session::root(&reliable);
         session.send(NodeId(0), NodeId(1), Bytes::from_static(b"x"));
@@ -633,7 +635,7 @@ mod tests {
     fn reliable_is_object_safe() {
         fn take(_: &dyn Transport) {}
         let mut net = lossy_net(0.0, 0.0, 0.0, 1);
-        let link = SimLink::new(&mut net);
+        let link = SharedNet::new(&mut net);
         take(&Reliable::new(&link));
     }
 }

@@ -3,19 +3,22 @@
 //! Protocol engines (`dla-mpc`) are written against a [`Session`]: a
 //! [`SessionId`] bound to a [`Transport`]. The transport decides *how*
 //! messages move; the session decides *which protocol instance* they
-//! belong to. Three transports are provided:
+//! belong to. This module holds the two in-process transports (the
+//! third, [`crate::TcpNet`], crosses process boundaries):
 //!
-//! * [`SimLink`] — borrows a `&mut SimNet` for the classic
-//!   single-threaded case (the legacy free-function protocol API wraps
-//!   protocols in a `SimLink` on the root session).
-//! * [`SharedNet`] — a mutex-guarded [`SimNet`] that many threads can
-//!   drive at once, one session per thread. This is what the concurrent
-//!   subquery scheduler in `dla-audit` uses: virtual time stays
+//! * [`SharedNet`] — the one adapter from the virtual-time [`SimNet`]
+//!   to [`Transport`]: a mutex over a simulator it either owns (the
+//!   cluster's network, driven by one session per worker thread) or
+//!   exclusively borrows (the `dla-mpc` free functions, which run one
+//!   protocol on a caller's `&mut SimNet`). Virtual time stays
 //!   deterministic per session while real threads interleave freely.
-//! * [`ChannelNet`] — a crossbeam-channel transport where every message
-//!   crosses the wire as an [`Envelope::encode`] frame, session id
-//!   first. Receivers demultiplex by session, so independent protocol
-//!   instances can share one physical network of OS threads.
+//! * [`ChannelNet`] — a crossbeam-channel transport for real OS
+//!   threads, where every message crosses the [`Envelope::encode`]
+//!   wire codec, session id first. Receivers demultiplex by session,
+//!   so independent protocol instances can share one physical network.
+//!
+//! They stay two types on purpose: one is a discrete-event model, the
+//! other blocks threads, and they share no logic beyond the trait.
 
 use crate::sim::{Envelope, SimNet};
 use crate::stats::TrafficStats;
@@ -24,7 +27,7 @@ use crate::{NetError, NodeId, SessionId};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Mutex, MutexGuard};
-use std::cell::RefCell;
+use std::borrow::BorrowMut;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
@@ -169,126 +172,60 @@ impl<'a> Session<'a> {
     }
 }
 
-/// Adapts an exclusively borrowed [`SimNet`] to the [`Transport`]
-/// trait for single-threaded protocol runs.
-pub struct SimLink<'n> {
-    net: RefCell<&'n mut SimNet>,
-}
-
-impl<'n> SimLink<'n> {
-    /// Wraps `net`.
-    #[must_use]
-    pub fn new(net: &'n mut SimNet) -> Self {
-        SimLink {
-            net: RefCell::new(net),
-        }
-    }
-
-    /// Runs `f` with mutable access to the wrapped net — e.g. to
-    /// inject targeted faults between protocol operations in tests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called re-entrantly from inside a transport
-    /// operation on this link.
-    pub fn with_net<R>(&self, f: impl FnOnce(&mut SimNet) -> R) -> R {
-        let mut guard = self.net.borrow_mut();
-        f(&mut guard)
-    }
-}
-
-impl Transport for SimLink<'_> {
-    fn num_nodes(&self) -> usize {
-        self.net.borrow().num_nodes()
-    }
-
-    fn send(&self, session: SessionId, from: NodeId, to: NodeId, payload: Bytes) {
-        self.net.borrow_mut().send_on(session, from, to, payload);
-    }
-
-    fn recv(&self, session: SessionId, node: NodeId) -> Result<Envelope, NetError> {
-        self.net.borrow_mut().recv_on(session, node)
-    }
-
-    fn recv_from(
-        &self,
-        session: SessionId,
-        node: NodeId,
-        from: NodeId,
-    ) -> Result<Envelope, NetError> {
-        self.net.borrow_mut().recv_from_on(session, node, from)
-    }
-
-    fn charge(&self, session: SessionId, node: NodeId, cost: SimTime) {
-        self.net.borrow_mut().charge_on(session, node, cost);
-    }
-
-    fn counters(&self, session: SessionId) -> (u64, u64) {
-        let net = self.net.borrow();
-        let s = net.stats().session(session);
-        (s.messages, s.bytes)
-    }
-
-    fn elapsed(&self, session: SessionId) -> SimTime {
-        self.net.borrow().session_elapsed(session)
-    }
-}
-
-/// A [`SimNet`] shared by concurrent protocol sessions.
+/// A [`SimNet`] behind the [`Transport`] trait — the only adapter
+/// from the simulator to protocol code.
 ///
-/// Each operation takes the lock briefly, so real OS threads can each
-/// drive their own session over one simulated network. Virtual time and
-/// delivery order stay deterministic *per session* (see
+/// `N` is the simulator itself (what `DlaCluster` holds) or a
+/// `&mut SimNet` (what the `dla-mpc` free functions are handed); either
+/// way each operation takes the lock briefly, so real OS threads can
+/// each drive their own session over one simulated network. Virtual
+/// time and delivery order stay deterministic *per session* (see
 /// [`SimNet`]'s session partitioning) no matter how the threads
-/// interleave.
+/// interleave; with a single driver the lock is never contended.
 #[derive(Debug)]
-pub struct SharedNet {
-    net: Mutex<SimNet>,
+pub struct SharedNet<N = SimNet> {
+    net: Mutex<N>,
 }
 
-impl SharedNet {
-    /// Wraps `net` for shared use.
+impl<N: BorrowMut<SimNet>> SharedNet<N> {
+    /// Wraps `net` — a [`SimNet`] or a `&mut SimNet`.
     #[must_use]
-    pub fn new(net: SimNet) -> Self {
+    pub fn new(net: N) -> Self {
         SharedNet {
             net: Mutex::new(net),
         }
     }
 
-    /// Runs `f` with exclusive access to the underlying simulator.
-    pub fn with<R>(&self, f: impl FnOnce(&mut SimNet) -> R) -> R {
-        f(&mut self.net.lock())
-    }
-
-    /// Locks the underlying simulator for direct use (the guard derefs
-    /// to [`SimNet`], so legacy `&mut SimNet` call sites keep working).
-    pub fn lock(&self) -> MutexGuard<'_, SimNet> {
+    /// Locks the simulator for direct use — stats, clocks, fault
+    /// injection between protocol operations, fresh session ids. The
+    /// guard dereferences to [`SimNet`] (through the borrow, for a
+    /// borrowed net). The lock is not reentrant.
+    pub fn lock(&self) -> MutexGuard<'_, N> {
         self.net.lock()
     }
 
-    /// Allocates a fresh session id.
-    pub fn open_session(&self) -> SessionId {
-        self.net.lock().open_session()
+    /// Unwraps what was wrapped.
+    #[must_use]
+    pub fn into_inner(self) -> N {
+        self.net.into_inner()
     }
 
-    /// Unwraps the simulator.
-    #[must_use]
-    pub fn into_inner(self) -> SimNet {
-        self.net.into_inner()
+    fn sim<R>(&self, f: impl FnOnce(&mut SimNet) -> R) -> R {
+        f((*self.net.lock()).borrow_mut())
     }
 }
 
-impl Transport for SharedNet {
+impl<N: BorrowMut<SimNet>> Transport for SharedNet<N> {
     fn num_nodes(&self) -> usize {
-        self.net.lock().num_nodes()
+        self.sim(|net| net.num_nodes())
     }
 
     fn send(&self, session: SessionId, from: NodeId, to: NodeId, payload: Bytes) {
-        self.net.lock().send_on(session, from, to, payload);
+        self.sim(|net| net.send_on(session, from, to, payload));
     }
 
     fn recv(&self, session: SessionId, node: NodeId) -> Result<Envelope, NetError> {
-        self.net.lock().recv_on(session, node)
+        self.sim(|net| net.recv_on(session, node))
     }
 
     fn recv_from(
@@ -297,48 +234,135 @@ impl Transport for SharedNet {
         node: NodeId,
         from: NodeId,
     ) -> Result<Envelope, NetError> {
-        self.net.lock().recv_from_on(session, node, from)
+        self.sim(|net| net.recv_from_on(session, node, from))
     }
 
     fn charge(&self, session: SessionId, node: NodeId, cost: SimTime) {
-        self.net.lock().charge_on(session, node, cost);
+        self.sim(|net| net.charge_on(session, node, cost));
     }
 
     fn counters(&self, session: SessionId) -> (u64, u64) {
-        let net = self.net.lock();
-        let s = net.stats().session(session);
-        (s.messages, s.bytes)
+        self.sim(|net| {
+            let s = net.stats().session(session);
+            (s.messages, s.bytes)
+        })
     }
 
     fn elapsed(&self, session: SessionId) -> SimTime {
-        self.net.lock().session_elapsed(session)
+        self.sim(|net| net.session_elapsed(session))
     }
 }
 
-/// Per-node receive side of a [`ChannelNet`]: the channel receiver plus
-/// a stash of frames that arrived for other sessions (or other senders
-/// during a selective receive).
+/// One node's receive queue: the channel its senders fill, plus a
+/// stash of envelopes that arrived for other sessions (or other
+/// senders, during a selective receive).
 #[derive(Debug)]
-struct ChannelInbox {
-    rx: Receiver<Bytes>,
+struct Slot {
+    rx: Receiver<Envelope>,
     stash: VecDeque<Envelope>,
 }
 
-/// A threaded transport: messages travel between nodes as
-/// [`Envelope::encode`] wire frames over crossbeam channels, and the
-/// receive side demultiplexes them by the session id that leads every
-/// frame.
+/// The receive side of the blocking transports ([`ChannelNet`] and
+/// [`crate::TcpNet`]): per node a channel of decoded envelopes and a
+/// stash, and the one deadline loop that demultiplexes them by session
+/// on an injected [`Clock`].
+#[derive(Debug)]
+pub(crate) struct Inbox {
+    senders: Vec<Sender<Envelope>>,
+    slots: Vec<Mutex<Slot>>,
+    pub(crate) timeout: SimTime,
+    pub(crate) clock: Arc<dyn Clock>,
+}
+
+impl Inbox {
+    /// `n` empty queues whose receives give up after `timeout` on
+    /// `clock`.
+    pub(crate) fn new(n: usize, timeout: SimTime, clock: Arc<dyn Clock>) -> Self {
+        assert!(n > 0, "network needs at least one node");
+        let (senders, slots) = (0..n)
+            .map(|_| {
+                let (tx, rx) = unbounded();
+                let stash = VecDeque::new();
+                (tx, Mutex::new(Slot { rx, stash }))
+            })
+            .unzip();
+        Inbox {
+            senders,
+            slots,
+            timeout,
+            clock,
+        }
+    }
+
+    /// The per-node senders, for threads that fill the queues.
+    pub(crate) fn senders(&self) -> &[Sender<Envelope>] {
+        &self.senders
+    }
+
+    /// Queues `envelope` at its destination; `false` when the
+    /// destination is out of range.
+    pub(crate) fn push(&self, envelope: Envelope) -> bool {
+        self.senders
+            .get(envelope.to.0)
+            .is_some_and(|tx| tx.send(envelope).is_ok())
+    }
+
+    /// Blocking receive at `node` with session (and optional sender)
+    /// filtering; the delivery is recorded in `stats`. Under a wall
+    /// clock each fruitless wait counts against the real deadline;
+    /// a virtual clock does not move on its own, so the wait that
+    /// expired is charged to it and the deadline still fires.
+    pub(crate) fn recv(
+        &self,
+        stats: &Mutex<TrafficStats>,
+        session: SessionId,
+        node: NodeId,
+        from: Option<NodeId>,
+    ) -> Result<Envelope, NetError> {
+        assert!(node.0 < self.slots.len(), "node {node} out of range");
+        let mut slot = self.slots[node.0].lock();
+        let matches = |e: &Envelope| e.session == session && from.is_none_or(|f| e.from == f);
+        // Earlier arrivals first: check the stash before the channel.
+        let envelope = if let Some(pos) = slot.stash.iter().position(&matches) {
+            slot.stash.remove(pos).expect("position just found")
+        } else {
+            let deadline = self.clock.now() + self.timeout;
+            loop {
+                let now = self.clock.now();
+                if now >= deadline {
+                    return Err(NetError::Timeout(node));
+                }
+                let left = deadline - now;
+                match slot.rx.recv_timeout(left.to_duration()) {
+                    Ok(envelope) if matches(&envelope) => break envelope,
+                    // Another session's (or sender's): keep it for the
+                    // receive that wants it.
+                    Ok(envelope) => slot.stash.push_back(envelope),
+                    Err(_) if self.clock.is_virtual() => self.clock.advance(left),
+                    Err(_) => {}
+                }
+            }
+        };
+        stats
+            .lock()
+            .record_delivery(envelope.session, envelope.payload.len());
+        dla_telemetry::record(dla_telemetry::CostKind::MsgDelivered, 1);
+        Ok(envelope)
+    }
+}
+
+/// A threaded transport: every message is put through the
+/// [`Envelope::encode`] wire codec — the bytes a socket would carry,
+/// CRC included — and queued at its destination, where the receive
+/// side demultiplexes by the session id that leads every frame.
 ///
 /// Unlike the simulator there is no virtual time — `recv` genuinely
 /// blocks (up to the configured timeout) waiting for another OS thread
 /// to produce the message.
 #[derive(Debug)]
 pub struct ChannelNet {
-    senders: Vec<Sender<Bytes>>,
-    inboxes: Vec<Mutex<ChannelInbox>>,
+    inbox: Inbox,
     stats: Mutex<TrafficStats>,
-    timeout: SimTime,
-    clock: Arc<dyn Clock>,
 }
 
 impl ChannelNet {
@@ -376,32 +400,16 @@ impl ChannelNet {
     /// Panics if `n` is zero.
     #[must_use]
     pub fn with_clock(n: usize, timeout: SimTime, clock: Arc<dyn Clock>) -> Self {
-        assert!(n > 0, "network needs at least one node");
-        let (senders, inboxes): (Vec<_>, Vec<_>) = (0..n)
-            .map(|_| {
-                let (tx, rx) = unbounded();
-                (
-                    tx,
-                    Mutex::new(ChannelInbox {
-                        rx,
-                        stash: VecDeque::new(),
-                    }),
-                )
-            })
-            .unzip();
         ChannelNet {
-            senders,
-            inboxes,
+            inbox: Inbox::new(n, timeout, clock),
             stats: Mutex::new(TrafficStats::new()),
-            timeout,
-            clock,
         }
     }
 
     /// The clock driving this transport's receive deadlines.
     #[must_use]
     pub fn clock(&self) -> &Arc<dyn Clock> {
-        &self.clock
+        &self.inbox.clock
     }
 
     /// A snapshot of the traffic counters.
@@ -409,86 +417,39 @@ impl ChannelNet {
     pub fn stats(&self) -> TrafficStats {
         self.stats.lock().clone()
     }
-
-    /// Blocking receive with session (and optional sender) filtering.
-    fn recv_filtered(
-        &self,
-        session: SessionId,
-        node: NodeId,
-        from: Option<NodeId>,
-    ) -> Result<Envelope, NetError> {
-        assert!(node.0 < self.senders.len(), "node {node} out of range");
-        let mut inbox = self.inboxes[node.0].lock();
-        let matches = |e: &Envelope| e.session == session && from.is_none_or(|f| e.from == f);
-        // Earlier arrivals first: check the stash before the channel.
-        if let Some(pos) = inbox.stash.iter().position(&matches) {
-            let envelope = inbox.stash.remove(pos).expect("position just found");
-            self.stats
-                .lock()
-                .record_delivery(envelope.session, envelope.payload.len());
-            dla_telemetry::record(dla_telemetry::CostKind::MsgDelivered, 1);
-            return Ok(envelope);
-        }
-        let deadline = self.clock.now() + self.timeout;
-        loop {
-            let now = self.clock.now();
-            if now >= deadline {
-                return Err(NetError::Timeout(node));
-            }
-            let left = deadline - now;
-            let frame = match inbox.rx.recv_timeout(left.to_duration()) {
-                Ok(frame) => frame,
-                Err(_) => {
-                    // A virtual clock does not move on its own: the
-                    // transport advances it by the span it just waited
-                    // out so the deadline check above fires.
-                    if self.clock.is_virtual() {
-                        self.clock.advance(left);
-                    }
-                    continue;
-                }
-            };
-            // A frame that fails to decode (truncation or checksum
-            // mismatch) is discarded: a reliable layer above recovers
-            // it by retransmission, and an unreliable caller would
-            // rather time out than consume garbage.
-            let Ok(envelope) = Envelope::decode(&frame) else {
-                continue;
-            };
-            if matches(&envelope) {
-                self.stats
-                    .lock()
-                    .record_delivery(envelope.session, envelope.payload.len());
-                dla_telemetry::record(dla_telemetry::CostKind::MsgDelivered, 1);
-                return Ok(envelope);
-            }
-            // A frame for another session (or sender): keep it for the
-            // receive that wants it.
-            inbox.stash.push_back(envelope);
-        }
-    }
 }
 
 impl Transport for ChannelNet {
     fn num_nodes(&self) -> usize {
-        self.senders.len()
+        self.inbox.senders().len()
     }
 
     fn send(&self, session: SessionId, from: NodeId, to: NodeId, payload: Bytes) {
-        assert!(to.0 < self.senders.len(), "node {to} out of range");
+        assert!(to.0 < self.num_nodes(), "node {to} out of range");
         self.stats
             .lock()
             .record_send(session, from.0, to.0, payload.len(), SimTime::ZERO);
         dla_telemetry::record(dla_telemetry::CostKind::MsgSent, 1);
         dla_telemetry::record(dla_telemetry::CostKind::BytesSent, payload.len() as u64);
-        let envelope = Envelope::new(session, from, to, payload, SimTime::ZERO, SimTime::ZERO);
-        if self.senders[to.0].send(envelope.encode()).is_err() {
-            self.stats.lock().messages_dropped += 1;
+        let frame =
+            Envelope::new(session, from, to, payload, SimTime::ZERO, SimTime::ZERO).encode();
+        // This call is the socket and `TcpNet`'s reader thread in one:
+        // the inbox gets the frame decoded, CRC checked. A frame that
+        // fails to decode is discarded and counted — a reliable layer
+        // above recovers it by retransmission, and an unreliable
+        // caller would rather time out than consume garbage.
+        match Envelope::decode(&frame) {
+            Ok(envelope) => {
+                if !self.inbox.push(envelope) {
+                    self.stats.lock().messages_dropped += 1;
+                }
+            }
+            Err(_) => self.stats.lock().messages_corrupted += 1,
         }
     }
 
     fn recv(&self, session: SessionId, node: NodeId) -> Result<Envelope, NetError> {
-        self.recv_filtered(session, node, None)
+        self.inbox.recv(&self.stats, session, node, None)
     }
 
     fn recv_from(
@@ -497,7 +458,7 @@ impl Transport for ChannelNet {
         node: NodeId,
         from: NodeId,
     ) -> Result<Envelope, NetError> {
-        self.recv_filtered(session, node, Some(from))
+        self.inbox.recv(&self.stats, session, node, Some(from))
     }
 
     fn charge(&self, _session: SessionId, _node: NodeId, _cost: SimTime) {
@@ -521,45 +482,31 @@ mod tests {
     use crate::sim::NetConfig;
     use std::thread;
 
-    #[test]
-    fn session_over_simlink_round_trips() {
-        let mut net = SimNet::new(2, NetConfig::ideal());
-        {
-            let link = SimLink::new(&mut net);
-            let session = Session::root(&link);
-            session.send(NodeId(0), NodeId(1), Bytes::from_static(b"hi"));
-            let m = session.recv(NodeId(1)).unwrap();
-            assert_eq!(&m.payload[..], b"hi");
-            assert_eq!(session.counters(), (1, 2));
-        }
-        // Traffic went through the underlying SimNet's ledger.
-        assert_eq!(net.stats().messages_sent, 1);
-    }
+    /// Round trip, two multiplexed sessions, then two threads each
+    /// driving its own session — over whatever `shared` wraps.
+    fn drive_shared_net<N: BorrowMut<SimNet> + Send>(shared: &SharedNet<N>) {
+        let root = Session::root(shared);
+        root.send(NodeId(0), NodeId(1), Bytes::from_static(b"hi"));
+        assert_eq!(&root.recv(NodeId(1)).unwrap().payload[..], b"hi");
+        assert_eq!(root.counters(), (1, 2));
 
-    #[test]
-    fn two_sessions_multiplex_over_one_simlink() {
-        let mut net = SimNet::new(2, NetConfig::ideal());
-        let link = SimLink::new(&mut net);
-        let a = Session::new(&link, SessionId(1));
-        let b = Session::new(&link, SessionId(2));
+        // Generic over the wrapped net, so the guard is borrowed by hand.
+        let (s1, s2) = {
+            let mut guard = shared.lock();
+            let net: &mut SimNet = (*guard).borrow_mut();
+            (net.open_session(), net.open_session())
+        };
+        let (a, b) = (Session::new(shared, s1), Session::new(shared, s2));
         a.send(NodeId(0), NodeId(1), Bytes::from_static(b"aa"));
         b.send(NodeId(0), NodeId(1), Bytes::from_static(b"bb"));
         // Each session only sees its own traffic.
         assert_eq!(&b.recv(NodeId(1)).unwrap().payload[..], b"bb");
         assert_eq!(&a.recv(NodeId(1)).unwrap().payload[..], b"aa");
         assert!(a.recv(NodeId(1)).is_err());
-        assert_eq!(a.counters(), (1, 2));
-        assert_eq!(b.counters(), (1, 2));
-    }
+        assert_eq!((a.counters(), b.counters()), ((1, 2), (1, 2)));
 
-    #[test]
-    fn shared_net_supports_threaded_sessions() {
-        let shared = SharedNet::new(SimNet::new(2, NetConfig::ideal()));
-        let s1 = shared.open_session();
-        let s2 = shared.open_session();
         thread::scope(|scope| {
             for sid in [s1, s2] {
-                let shared = &shared;
                 scope.spawn(move || {
                     let session = Session::new(shared, sid);
                     for i in 0..20u8 {
@@ -571,10 +518,73 @@ mod tests {
                 });
             }
         });
-        let net = shared.into_inner();
-        assert_eq!(net.stats().messages_sent, 40);
-        assert_eq!(net.stats().session(s1).messages, 20);
-        assert_eq!(net.stats().session(s2).messages, 20);
+        let guard = shared.lock();
+        let stats = (*guard).borrow().stats();
+        assert_eq!(stats.messages_sent, 43);
+        assert_eq!(stats.session(s1).messages, 21);
+        assert_eq!(stats.session(s2).messages, 21);
+    }
+
+    #[test]
+    fn shared_net_carries_sessions_over_an_owned_and_a_borrowed_net() {
+        let owned = SharedNet::new(SimNet::new(2, NetConfig::ideal()));
+        drive_shared_net(&owned);
+        assert_eq!(owned.into_inner().stats().messages_sent, 43);
+
+        let mut net = SimNet::new(2, NetConfig::ideal());
+        drive_shared_net(&SharedNet::new(&mut net));
+        // Traffic went through the caller's SimNet's ledger.
+        assert_eq!(net.stats().messages_sent, 43);
+    }
+
+    #[test]
+    fn borrowed_shared_net_is_send_and_sync() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<SharedNet<&mut SimNet>>();
+        assert_send_sync::<SharedNet>();
+    }
+
+    #[test]
+    fn inbox_deadline_runs_on_either_clock_and_keeps_other_sessions_frames() {
+        use crate::time::VirtualClock;
+        let stats = Mutex::new(TrafficStats::new());
+        let envelope = |session, payload: &'static [u8]| {
+            let payload = Bytes::from_static(payload);
+            Envelope::new(
+                session,
+                NodeId(1),
+                NodeId(0),
+                payload,
+                SimTime::ZERO,
+                SimTime::ZERO,
+            )
+        };
+        let timed_out = Err(NetError::Timeout(NodeId(0)));
+
+        // A virtual clock is charged the wait instead of real time.
+        let clock = Arc::new(VirtualClock::new());
+        let inbox = Inbox::new(2, SimTime::from_millis(2), Arc::clone(&clock) as _);
+        assert_eq!(inbox.recv(&stats, SessionId(1), NodeId(0), None), timed_out);
+        assert!(clock.now() >= SimTime::from_millis(2));
+
+        // A wall clock waits the timeout out for real.
+        let wall = Inbox::new(2, SimTime::from_millis(10), Arc::new(WallClock::new()));
+        let started = std::time::Instant::now();
+        assert_eq!(wall.recv(&stats, SessionId(1), NodeId(0), None), timed_out);
+        assert!(started.elapsed() >= Duration::from_millis(10));
+
+        // A frame for session 2 arrives first: session 1's receive
+        // stashes it on the way to its own, and session 2 still gets it.
+        assert!(inbox.push(envelope(SessionId(2), b"for-2")));
+        assert!(inbox.push(envelope(SessionId(1), b"for-1")));
+        let got = |session| inbox.recv(&stats, session, NodeId(0), Some(NodeId(1)));
+        assert_eq!(&got(SessionId(1)).unwrap().payload[..], b"for-1");
+        assert_eq!(&got(SessionId(2)).unwrap().payload[..], b"for-2");
+        assert_eq!(stats.lock().session(SessionId(2)).messages_delivered, 1);
+        // Nowhere to queue an envelope for a node that does not exist.
+        let mut stray = envelope(SessionId(1), b"x");
+        stray.to = NodeId(2);
+        assert!(!inbox.push(stray));
     }
 
     #[test]
@@ -644,10 +654,10 @@ mod tests {
     #[test]
     fn transports_are_object_safe() {
         fn take(_: &dyn Transport) {}
-        let mut net = SimNet::new(1, NetConfig::ideal());
-        take(&SimLink::new(&mut net));
+        take(&SharedNet::new(SimNet::new(1, NetConfig::ideal())));
         take(&ChannelNet::new(1));
-        let shared = SharedNet::new(SimNet::new(1, NetConfig::ideal()));
-        take(&shared);
+        // Its one id is coordinator-hosted, so there is nobody to dial.
+        let tcp = crate::TcpNet::connect(&[None], [0].into(), crate::TcpConfig::default());
+        take(&tcp.expect("no peer to dial"));
     }
 }

@@ -1,10 +1,11 @@
 //! A socket transport that crosses process boundaries ([`TcpNet`]).
 //!
-//! Every other backend ([`crate::SimLink`], [`crate::SharedNet`],
-//! [`crate::ChannelNet`]) lives in one OS process. `TcpNet` is the
-//! fourth [`Transport`]: messages travel as length-prefixed
-//! [`Envelope::encode`] frames over `std::net` TCP connections between
-//! genuinely separate processes, one per DLA or application node.
+//! The other two transports (the simulator behind [`crate::SharedNet`]
+//! and the threaded [`crate::ChannelNet`]) live in one OS process.
+//! `TcpNet` is the third [`Transport`]: messages travel as
+//! length-prefixed [`Envelope::encode`] frames over `std::net` TCP
+//! connections between genuinely separate processes, one per DLA or
+//! application node.
 //!
 //! # Deployment model
 //!
@@ -18,9 +19,9 @@
 //!   to the process serving `to`, which hands it back to the
 //!   coordinator as a **deliver** frame — three TCP legs, with the
 //!   message genuinely transiting both owning processes.
-//! * `recv(node)` pops the coordinator-side inbox that the reader /
-//!   demux thread fills from incoming deliver frames, demultiplexed by
-//!   session exactly like [`crate::ChannelNet`].
+//! * `recv(node)` pops the coordinator-side inbox that the reader
+//!   threads fill from incoming deliver frames — the same inbox, and
+//!   the same demultiplexing by session, as [`crate::ChannelNet`]'s.
 //! * Node processes run [`serve`] (the `dla-node` binary is a thin
 //!   wrapper): an accept loop plus one reader thread per connection, a
 //!   connect/accept handshake that exchanges node ids, dial-on-demand
@@ -49,6 +50,7 @@
 //!
 //! [`Session`]: crate::Session
 
+use crate::session::Inbox;
 use crate::sim::Envelope;
 use crate::stats::TrafficStats;
 use crate::time::{Clock, SimTime, WallClock};
@@ -57,7 +59,7 @@ use crate::{NetError, NodeId, SessionId, Transport};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap};
 use std::io::{self, BufReader, Read, Write as IoWrite};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -605,12 +607,6 @@ impl Default for TcpConfig {
 /// *who* stored it — then the frame's `[glsn, count, digest]`.
 type StoredAck = (usize, [u64; 3]);
 
-#[derive(Debug)]
-struct TcpInbox {
-    rx: Receiver<Envelope>,
-    stash: VecDeque<Envelope>,
-}
-
 /// The coordinator's end of a process-per-node cluster: a [`Transport`]
 /// whose every hop crosses the TCP mesh of node processes (see the
 /// module docs for the route/forward/deliver flow).
@@ -619,15 +615,12 @@ pub struct TcpNet {
     n: usize,
     local: BTreeSet<usize>,
     links: Vec<Option<Link>>,
-    inbox_tx: Vec<Sender<Envelope>>,
-    inboxes: Vec<Mutex<TcpInbox>>,
+    inbox: Inbox,
     stored_rx: Mutex<Receiver<StoredAck>>,
     bye_rx: Mutex<Receiver<NodeReport>>,
     /// Shared with the reader threads, which count the malformed
     /// envelopes they drop.
     stats: Arc<Mutex<TrafficStats>>,
-    timeout: SimTime,
-    clock: Arc<dyn Clock>,
 }
 
 impl TcpNet {
@@ -653,18 +646,7 @@ impl TcpNet {
     ) -> io::Result<TcpNet> {
         assert!(!peers.is_empty(), "network needs at least one node");
         let n = peers.len();
-        let (inbox_tx, inboxes): (Vec<_>, Vec<_>) = (0..n)
-            .map(|_| {
-                let (tx, rx) = unbounded();
-                (
-                    tx,
-                    Mutex::new(TcpInbox {
-                        rx,
-                        stash: VecDeque::new(),
-                    }),
-                )
-            })
-            .unzip();
+        let inbox = Inbox::new(n, config.timeout, config.clock);
         let (stored_tx, stored_rx) = unbounded();
         let (bye_tx, bye_rx) = unbounded();
         let stats = Arc::new(Mutex::new(TrafficStats::new()));
@@ -684,7 +666,7 @@ impl TcpNet {
             }
             links[id] = Some(new_link(&stream)?);
             let (inbox_tx, stored_tx, bye_tx) =
-                (inbox_tx.clone(), stored_tx.clone(), bye_tx.clone());
+                (inbox.senders().to_vec(), stored_tx.clone(), bye_tx.clone());
             let stats = Arc::clone(&stats);
             thread::spawn(move || {
                 coordinator_reader(stream, id, &inbox_tx, &stored_tx, &bye_tx, &stats);
@@ -694,20 +676,17 @@ impl TcpNet {
             n,
             local,
             links,
-            inbox_tx,
-            inboxes,
+            inbox,
             stored_rx: Mutex::new(stored_rx),
             bye_rx: Mutex::new(bye_rx),
             stats,
-            timeout: config.timeout,
-            clock: config.clock,
         })
     }
 
     /// The clock driving deadlines and envelope timestamps.
     #[must_use]
     pub fn clock(&self) -> &Arc<dyn Clock> {
-        &self.clock
+        &self.inbox.clock
     }
 
     /// A snapshot of the traffic counters.
@@ -744,7 +723,7 @@ impl TcpNet {
         }
         // One deadline for the whole wait: acks of earlier, timed-out
         // deposits are skipped without extending it.
-        let deadline = Instant::now() + self.timeout.to_duration();
+        let deadline = Instant::now() + self.inbox.timeout.to_duration();
         loop {
             let left = deadline.saturating_duration_since(Instant::now());
             match rx.recv_timeout(left) {
@@ -767,50 +746,13 @@ impl TcpNet {
         let rx = self.bye_rx.lock();
         let mut reports = Vec::with_capacity(expected);
         for _ in 0..expected {
-            match rx.recv_timeout(self.timeout.to_duration()) {
+            match rx.recv_timeout(self.inbox.timeout.to_duration()) {
                 Ok(report) => reports.push(report),
                 Err(_) => break,
             }
         }
         reports.sort_by_key(|r| r.id);
         reports
-    }
-
-    /// Blocking receive with session (and optional sender) filtering —
-    /// the same stash-and-demux discipline as
-    /// [`crate::ChannelNet`], on this transport's clock.
-    fn recv_filtered(
-        &self,
-        session: SessionId,
-        node: NodeId,
-        from: Option<NodeId>,
-    ) -> Result<Envelope, NetError> {
-        assert!(node.0 < self.n, "node {node} out of range");
-        let mut inbox = self.inboxes[node.0].lock();
-        let matches = |e: &Envelope| e.session == session && from.is_none_or(|f| e.from == f);
-        let envelope = if let Some(pos) = inbox.stash.iter().position(&matches) {
-            inbox.stash.remove(pos).expect("position just found")
-        } else {
-            let deadline = self.clock.now() + self.timeout;
-            loop {
-                let now = self.clock.now();
-                if now >= deadline {
-                    return Err(NetError::Timeout(node));
-                }
-                let left = deadline - now;
-                match inbox.rx.recv_timeout(left.to_duration()) {
-                    Ok(envelope) if matches(&envelope) => break envelope,
-                    Ok(envelope) => inbox.stash.push_back(envelope),
-                    Err(_) if self.clock.is_virtual() => self.clock.advance(left),
-                    Err(_) => {}
-                }
-            }
-        };
-        self.stats
-            .lock()
-            .record_delivery(envelope.session, envelope.payload.len());
-        dla_telemetry::record(dla_telemetry::CostKind::MsgDelivered, 1);
-        Ok(envelope)
     }
 }
 
@@ -868,7 +810,7 @@ impl Transport for TcpNet {
             .record_send(session, from.0, to.0, payload.len(), SimTime::ZERO);
         dla_telemetry::record(dla_telemetry::CostKind::MsgSent, 1);
         dla_telemetry::record(dla_telemetry::CostKind::BytesSent, payload.len() as u64);
-        let now = self.clock.now();
+        let now = self.inbox.clock.now();
         let envelope = Envelope::new(session, from, to, payload, now, now);
         let hosted = |node: usize| self.local.contains(&node) || self.links[node].is_none();
         let delivered = if !hosted(from.0) {
@@ -879,7 +821,7 @@ impl Transport for TcpNet {
             self.write_to(to.0, envelope_frame(FRAME_FWD, &envelope))
         } else {
             // Both endpoints hosted here: a loopback delivery.
-            self.inbox_tx[to.0].send(envelope).is_ok()
+            self.inbox.push(envelope)
         };
         if !delivered {
             self.stats.lock().messages_dropped += 1;
@@ -887,7 +829,7 @@ impl Transport for TcpNet {
     }
 
     fn recv(&self, session: SessionId, node: NodeId) -> Result<Envelope, NetError> {
-        self.recv_filtered(session, node, None)
+        self.inbox.recv(&self.stats, session, node, None)
     }
 
     fn recv_from(
@@ -896,7 +838,7 @@ impl Transport for TcpNet {
         node: NodeId,
         from: NodeId,
     ) -> Result<Envelope, NetError> {
-        self.recv_filtered(session, node, Some(from))
+        self.inbox.recv(&self.stats, session, node, Some(from))
     }
 
     fn charge(&self, _session: SessionId, _node: NodeId, _cost: SimTime) {
@@ -915,6 +857,6 @@ impl Transport for TcpNet {
         // spans stamped from `Session::elapsed` therefore carry real
         // timestamps on this backend.
         let _ = session;
-        self.clock.now()
+        self.inbox.clock.now()
     }
 }

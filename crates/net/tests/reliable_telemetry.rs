@@ -6,7 +6,8 @@ use bytes::Bytes;
 use dla_net::fault::{FaultOutcome, FaultPlan};
 use dla_net::latency::LatencyModel;
 use dla_net::{
-    NetConfig, NetError, NodeId, Reliable, ReliableConfig, ReliableStats, Session, SimLink, SimNet,
+    NetConfig, NetError, NodeId, Reliable, ReliableConfig, ReliableStats, Session, SharedNet,
+    SimNet,
 };
 use dla_telemetry::Recorder;
 
@@ -27,13 +28,15 @@ fn clean_net(seed: u64) -> SimNet {
 fn retransmit_count_matches_targeted_drop_schedule() {
     for drops in [1usize, 3, 7] {
         let mut net = clean_net(11);
-        let link = SimLink::new(&mut net);
+        let link = SharedNet::new(&mut net);
         let reliable = Reliable::new(&link);
         let session = Session::root(&reliable);
         for i in 0..drops {
             // Schedule the drop *before* the send so the data frame
             // (not the returning ack) is the casualty.
-            link.with_net(|n| n.faults_mut().inject_once(0, 1, FaultOutcome::Drop));
+            link.lock()
+                .faults_mut()
+                .inject_once(0, 1, FaultOutcome::Drop);
             session.send(NodeId(0), NodeId(1), Bytes::copy_from_slice(&[i as u8]));
             let m = session.recv(NodeId(1)).expect("recovered by retransmit");
             assert_eq!(m.payload[0], i as u8);
@@ -71,7 +74,7 @@ fn timeout_counters_match_retry_budget_when_peer_is_dead() {
             .with_seed(5)
             .with_latency(LatencyModel::lan()),
     );
-    let link = SimLink::new(&mut net);
+    let link = SharedNet::new(&mut net);
     let reliable = Reliable::with_config(
         &link,
         ReliableConfig::default().with_max_retries(max_retries),
@@ -94,7 +97,7 @@ fn timeout_counters_match_retry_budget_when_peer_is_dead() {
 fn duplicate_suppression_is_counted() {
     let mut net = clean_net(7);
     net.faults_mut().inject_once(0, 1, FaultOutcome::Duplicate);
-    let link = SimLink::new(&mut net);
+    let link = SharedNet::new(&mut net);
     let reliable = Reliable::with_config(&link, ReliableConfig::default().with_max_retries(2));
     let session = Session::root(&reliable);
     session.send(NodeId(0), NodeId(1), Bytes::from_static(b"once"));
@@ -131,7 +134,7 @@ fn telemetry_sink_mirrors_reliable_stats() {
                 .with_seed(9)
                 .with_latency(LatencyModel::lan()),
         );
-        let link = SimLink::new(&mut net);
+        let link = SharedNet::new(&mut net);
         let reliable = Reliable::with_config(&link, ReliableConfig::default().with_max_retries(3));
         let session = Session::root(&reliable);
         session.send(NodeId(0), NodeId(1), Bytes::from_static(b"x"));

@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // P2 crashes: from now on every message to or from it is lost.
     println!("\nP2 crashes …");
-    cluster.net_mut().faults_mut().kill_node(2);
+    cluster.net().faults_mut().kill_node(2);
 
     // The heartbeat detector needs a few silent rounds before it moves
     // P2 from Suspected to Dead (no flapping on one lost ping).

@@ -163,7 +163,7 @@ fn dropped_messages_fail_loudly_not_wrongly() {
         let user = cluster.register_user("u").unwrap();
         cluster.log_records(&user, &paper_table1()).unwrap();
         // 2% loss on the query-phase traffic.
-        cluster.net_mut().faults_mut().drop_probability = 0.02;
+        cluster.net().faults_mut().drop_probability = 0.02;
         let _ = &mut rng;
         match cluster.query("protocol = 'UDP' AND c2 > 100.00") {
             Ok(result) => {
@@ -186,7 +186,7 @@ fn corrupted_share_cannot_skew_an_aggregate() {
 
     // Corrupt one round-2 publish of the secure sum (party 3 ->
     // auditor at net id 4).
-    cluster.net_mut().faults_mut().inject_once(
+    cluster.net().faults_mut().inject_once(
         3,
         4,
         confidential_audit::net::fault::FaultOutcome::Corrupt,
@@ -537,7 +537,7 @@ fn random_fault_storm_never_yields_wrong_integrity_verdicts() {
         let mut cluster = paper_cluster(rng.gen());
         let user = cluster.register_user("u").unwrap();
         let glsns = cluster.log_records(&user, &paper_table1()).unwrap();
-        cluster.net_mut().faults_mut().corrupt_probability = 0.05;
+        cluster.net().faults_mut().corrupt_probability = 0.05;
         for &glsn in &glsns {
             match integrity::check_record(&mut cluster, glsn, 0) {
                 // With clean stores, a completed check must pass unless
@@ -547,7 +547,7 @@ fn random_fault_storm_never_yields_wrong_integrity_verdicts() {
             }
         }
         // Turn faults off: everything must verify again.
-        cluster.net_mut().faults_mut().corrupt_probability = 0.0;
+        cluster.net().faults_mut().corrupt_probability = 0.0;
         for &glsn in &glsns {
             assert!(integrity::check_record(&mut cluster, glsn, 0).unwrap().ok);
         }

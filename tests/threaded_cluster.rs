@@ -1,18 +1,47 @@
 //! Concurrency integration: the accumulator circulation and a
-//! commutative-cipher ring pass executed by real OS threads over the
-//! crossbeam channel transport — demonstrating the protocols do not
-//! depend on the deterministic single-threaded scheduler.
+//! commutative-cipher ring pass executed by real OS threads sharing one
+//! [`ChannelNet`] — demonstrating the protocols do not depend on the
+//! deterministic single-threaded scheduler.
 
+use bytes::Bytes;
 use confidential_audit::crypto::accumulator::AccumulatorParams;
 use confidential_audit::crypto::pohlig_hellman::{CommutativeDomain, CommutativeKey, PhKey};
-use confidential_audit::net::transport::channel_network;
-use confidential_audit::net::NodeId;
+use confidential_audit::net::{ChannelNet, NodeId, Session};
 use dla_bigint::Ubig;
 use rand::SeedableRng;
 use std::thread;
 use std::time::Duration;
 
 const TIMEOUT: Duration = Duration::from_secs(20);
+
+/// Passes a token once around an `n`-node ring, one scoped thread per
+/// node on the root session of a shared [`ChannelNet`]: node `i` turns
+/// the token it receives (node 0: `start`) into `step(i, token)` and
+/// sends that to its successor. Returns what comes back to node 0 and
+/// the number of messages the network carried.
+fn ring_pass(n: usize, start: &Ubig, step: impl Fn(usize, &Ubig) -> Ubig + Sync) -> (Ubig, u64) {
+    let net = ChannelNet::with_timeout(n, TIMEOUT);
+    let node = |id: usize| {
+        let session = Session::root(&net);
+        let pred = NodeId((id + n - 1) % n);
+        let recv = || {
+            let msg = session.recv_from(NodeId(id), pred).expect("token arrives");
+            Ubig::from_bytes_be(&msg.payload)
+        };
+        let token = if id == 0 { start.clone() } else { recv() };
+        let out = Bytes::from(step(id, &token).to_bytes_be());
+        session.send(NodeId(id), NodeId((id + 1) % n), out);
+        (id == 0).then(recv)
+    };
+    let back = thread::scope(|scope| {
+        let handles: Vec<_> = (0..n).map(|id| scope.spawn(move || node(id))).collect();
+        handles
+            .into_iter()
+            .filter_map(|h| h.join().expect("thread completes"))
+            .last()
+    });
+    (back.expect("initiator returned"), net.stats().messages_sent)
+}
 
 #[test]
 fn threaded_accumulator_circulation_matches_deposit() {
@@ -24,38 +53,11 @@ fn threaded_accumulator_circulation_matches_deposit() {
     // The "user deposit" computed up front.
     let deposit = params.accumulate(fragments.iter().map(Vec::as_slice));
 
-    let (endpoints, _stats) = channel_network(n);
-    let handles: Vec<_> = endpoints
-        .into_iter()
-        .zip(fragments)
-        .map(|(ep, fragment)| {
-            let params = params.clone();
-            thread::spawn(move || -> Option<Ubig> {
-                let id = ep.id().0;
-                let n = ep.num_nodes();
-                if id == 0 {
-                    // Initiator: fold own fragment, send around the ring.
-                    let acc = params.fold(params.start(), &fragment);
-                    ep.send(NodeId(1), bytes::Bytes::from(acc.to_bytes_be()));
-                    let last = ep.recv_timeout(TIMEOUT).expect("circulation returns");
-                    Some(Ubig::from_bytes_be(&last.payload))
-                } else {
-                    let msg = ep.recv_timeout(TIMEOUT).expect("token arrives");
-                    let acc = params.fold(&Ubig::from_bytes_be(&msg.payload), &fragment);
-                    ep.send(NodeId((id + 1) % n), bytes::Bytes::from(acc.to_bytes_be()));
-                    None
-                }
-            })
-        })
-        .collect();
-
-    let mut final_acc = None;
-    for h in handles {
-        if let Some(acc) = h.join().expect("thread completes") {
-            final_acc = Some(acc);
-        }
-    }
-    assert_eq!(final_acc.expect("initiator returned"), deposit);
+    // Each node folds its own fragment into the circulating value.
+    let (final_acc, _) = ring_pass(n, params.start(), |id, acc| {
+        params.fold(acc, &fragments[id])
+    });
+    assert_eq!(final_acc, deposit);
 }
 
 #[test]
@@ -69,38 +71,9 @@ fn threaded_commutative_ring_pass_agrees_with_sequential() {
     // Sequential reference: apply all layers in ring order.
     let expect = keys.iter().fold(element.clone(), |c, k| k.encrypt(&c));
 
-    let (endpoints, stats) = channel_network(n);
-    let handles: Vec<_> = endpoints
-        .into_iter()
-        .zip(keys)
-        .map(|(ep, key)| {
-            let element = element.clone();
-            thread::spawn(move || -> Option<Ubig> {
-                let id = ep.id().0;
-                let n = ep.num_nodes();
-                if id == 0 {
-                    let c = key.encrypt(&element);
-                    ep.send(NodeId(1), bytes::Bytes::from(c.to_bytes_be()));
-                    let back = ep.recv_timeout(TIMEOUT).expect("full circle");
-                    Some(Ubig::from_bytes_be(&back.payload))
-                } else {
-                    let msg = ep.recv_timeout(TIMEOUT).expect("relay arrives");
-                    let c = key.encrypt(&Ubig::from_bytes_be(&msg.payload));
-                    ep.send(NodeId((id + 1) % n), bytes::Bytes::from(c.to_bytes_be()));
-                    None
-                }
-            })
-        })
-        .collect();
-
-    let mut got = None;
-    for h in handles {
-        if let Some(c) = h.join().expect("thread completes") {
-            got = Some(c);
-        }
-    }
-    assert_eq!(got.expect("initiator result"), expect);
-    assert_eq!(stats.lock().messages_sent, n as u64);
+    let (got, messages_sent) = ring_pass(n, &element, |id, c| keys[id].encrypt(c));
+    assert_eq!(got, expect);
+    assert_eq!(messages_sent, n as u64);
 }
 
 #[test]
