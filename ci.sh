@@ -9,11 +9,6 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test -q --workspace
 
-echo "==> telemetry tests"
-cargo test -q -p dla-telemetry
-cargo test -q -p dla-audit --test telemetry_equivalence
-cargo test -q -p dla-net --test reliable_telemetry
-
 echo "==> tcp_transport in release, then again pinned to one CPU"
 cargo test -q --release -p dla-net --test tcp_transport
 if command -v taskset >/dev/null 2>&1; then
@@ -41,7 +36,7 @@ benchmark/run.sh --test >/dev/null
 
 # Each experiment binary asserts its own gate before it exits — the exit
 # code is the check — and a --quick run writes no BENCH_*.json.
-for experiment in fault_recovery cost_profile epoch_scaling adversary federation standing_query; do
+for experiment in query_e2e fault_recovery cost_profile epoch_scaling adversary federation standing_query; do
     echo "==> exp_$experiment --quick"
     cargo run --release -p dla-bench --bin "exp_$experiment" -- --quick >/dev/null
 done

@@ -46,9 +46,7 @@ use crate::cluster::{ClusterConfig, DlaCluster};
 use crate::integrity;
 use crate::meta::MetaAuditTrail;
 use crate::metrics;
-use crate::normal::normalize;
-use crate::parser::parse;
-use crate::plan::plan;
+use crate::plan::{compile, plan};
 use crate::AuditError;
 use bytes::Bytes;
 use dla_crypto::accumulator::{CheckpointChain, EpochCheckpoint};
@@ -622,7 +620,7 @@ pub fn run_delay_attack(seed: u64) -> Result<DelayReport, AuditError> {
 
     // Honest baseline: same seed, same resilient path, no adversary.
     let (mut baseline, _user, _glsns) = scenario_cluster(seed)?;
-    let policy = baseline.resilient_policy();
+    let policy = crate::exec::ResilientPolicy::default();
     let honest = baseline.query_resilient(query, &policy)?;
 
     let (mut cluster, _user, _glsns) = scenario_cluster(seed)?;
@@ -650,7 +648,6 @@ pub fn run_delay_attack(seed: u64) -> Result<DelayReport, AuditError> {
             }),
     );
     cluster.set_adversary(Arc::clone(&adversary) as Arc<dyn Adversary>);
-    let policy = cluster.resilient_policy();
     let outcome = cluster.query_resilient(query, &policy)?;
     cluster.clear_adversary();
 
@@ -850,9 +847,7 @@ pub fn run_coalition(seed: u64, coalition: &[usize]) -> Result<CoalitionReport, 
     let c_store_formula = metrics::store_confidentiality(sample, &schema, &merged);
 
     let replan = |src: &str| -> Result<f64, AuditError> {
-        let parsed = parse(src, &schema).map_err(|e| AuditError::Parse(e.to_string()))?;
-        let planned =
-            plan(&normalize(&parsed), &merged).map_err(|e| AuditError::Planning(e.to_string()))?;
+        let planned = plan(&compile(src, &schema)?, &merged)?;
         Ok(metrics::auditing_confidentiality(&planned))
     };
     let c_auditing = replan(WORKLOAD[0])?;

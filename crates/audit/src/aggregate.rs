@@ -28,10 +28,9 @@ use crate::plan::TimeWindow;
 use crate::AuditError;
 use dla_bigint::F61;
 use dla_logstore::epoch::EpochId;
-use dla_logstore::model::{AttrName, AttrValue, Glsn};
+use dla_logstore::model::{AttrName, AttrValue};
 use dla_mpc::report::ProtocolReport;
 use dla_mpc::sum::secure_sum;
-use dla_net::wire::{Reader, Writer};
 use dla_net::NodeId;
 
 /// Result of a confidential count.
@@ -52,11 +51,8 @@ pub fn count_matching(
     cluster: &mut DlaCluster,
     criteria: &str,
 ) -> Result<CountOutcome, AuditError> {
-    let parsed = crate::parser::parse(criteria, cluster.schema())
-        .map_err(|e| AuditError::Parse(e.to_string()))?;
-    let normalized = crate::normal::normalize(&parsed);
-    let plan = crate::plan::plan(&normalized, cluster.partition())?;
-    let result = exec::execute_with_reveal(cluster, &plan, false)?;
+    let plan = cluster.compile(criteria)?;
+    let result = exec::execute(cluster, &plan, false)?;
     debug_assert!(result.glsns.is_empty(), "count must not reveal glsns");
     Ok(CountOutcome {
         count: result.cardinality,
@@ -90,76 +86,45 @@ pub fn sum_matching(
     criteria: &str,
     attr: &AttrName,
 ) -> Result<SumOutcome, AuditError> {
-    let owner = cluster.partition().node_of(attr).ok_or_else(|| {
-        AuditError::Planning(format!("attribute {attr} is not served by any node"))
-    })?;
-
     // Phase 1: the matching glsn set, revealed to the auditor engine.
-    let parsed = crate::parser::parse(criteria, cluster.schema())
-        .map_err(|e| AuditError::Parse(e.to_string()))?;
-    let normalized = crate::normal::normalize(&parsed);
-    let plan = crate::plan::plan(&normalized, cluster.partition())?;
-    let result = exec::execute_with_reveal(cluster, &plan, true)?;
+    let result = cluster.query(criteria)?;
     let mut reports = result.reports;
     let glsns = result.glsns;
 
     // Phase 2: the auditor ships the glsn list to the owner, which
     // computes its partial total locally.
-    let auditor = cluster.auditor_node();
-    let mut w = Writer::new();
-    w.put_u8(0x70).put_list(&glsns, |w, g| {
-        w.put_u64(g.0);
-    });
-    cluster.net().send(auditor, NodeId(owner), w.finish());
-    let envelope = cluster
-        .net()
-        .recv_from(NodeId(owner), auditor)
-        .map_err(AuditError::Net)?;
-    let mut r = Reader::new(&envelope.payload);
-    let _ = r.get_u8().map_err(|e| AuditError::Parse(e.to_string()))?;
-    let requested: Vec<Glsn> = r
-        .get_list(|r| r.get_u64().map(Glsn))
-        .map_err(|e| AuditError::Parse(e.to_string()))?;
-
+    let (owner, values) = cluster.values_at_owner(0x70, attr, &glsns)?;
     let mut partial: u64 = 0;
-    let owner_store = cluster.node(owner).store();
-    for glsn in &requested {
-        let Some(frag) = owner_store.get_local(*glsn) else {
-            continue;
-        };
-        match frag.values.get(attr) {
-            Some(AttrValue::Int(v)) | Some(AttrValue::Fixed2(v)) => {
-                if *v < 0 {
-                    return Err(AuditError::Planning(format!(
-                        "negative value in aggregate over {attr}"
-                    )));
-                }
-                partial += *v as u64;
+    for (_, value) in values {
+        match value {
+            AttrValue::Int(v) | AttrValue::Fixed2(v) if v >= 0 => partial += v as u64,
+            AttrValue::Int(_) | AttrValue::Fixed2(_) => {
+                return Err(AuditError::Planning(format!(
+                    "negative value in aggregate over {attr}"
+                )));
             }
-            Some(_) => {
+            _ => {
                 return Err(AuditError::Planning(format!(
                     "attribute {attr} is not numeric"
                 )));
             }
-            None => {}
         }
     }
-    drop(owner_store);
 
-    // Phase 3: the §3.5 secure sum over all nodes (owner contributes
-    // its partial, everyone else 0), reconstructed by the auditor.
-    let n = cluster.num_nodes();
-    let parties: Vec<NodeId> = (0..n).map(NodeId).collect();
-    let inputs: Vec<F61> = (0..n)
-        .map(|i| {
-            if i == owner {
-                F61::new(partial)
-            } else {
-                F61::ZERO
-            }
-        })
+    // Phase 3: the §3.5 secure sum over all serving nodes (owner
+    // contributes its partial, everyone else 0), reconstructed by the
+    // auditor.
+    let retired = cluster.retired_nodes();
+    let parties: Vec<NodeId> = (0..cluster.num_nodes())
+        .filter(|i| !retired.contains(i))
+        .map(NodeId)
         .collect();
-    let k = (n / 2 + 1).min(n);
+    let inputs: Vec<F61> = parties
+        .iter()
+        .map(|p| F61::new(if p.0 == owner { partial } else { 0 }))
+        .collect();
+    let k = parties.len() / 2 + 1;
+    let auditor = cluster.auditor_node();
     let (mut net, rng) = cluster.net_and_rng();
     let sum = secure_sum(&mut net, &parties, &inputs, k, auditor, rng).map_err(AuditError::Mpc)?;
     reports.push(sum.report.clone());

@@ -708,15 +708,6 @@ impl DlaCluster {
         NodeId(self.nodes.len())
     }
 
-    /// The resilience policy this cluster's queries run under: default
-    /// ARQ retransmission tuning and failure-detector thresholds. Pass
-    /// it to [`DlaCluster::query_resilient`], tweaking the returned
-    /// value first where a run wants other figures.
-    #[must_use]
-    pub fn resilient_policy(&self) -> crate::exec::ResilientPolicy {
-        crate::exec::ResilientPolicy::default()
-    }
-
     /// The dedicated blind-TTP helper's network id.
     #[must_use]
     pub fn ttp_node(&self) -> NodeId {
@@ -785,12 +776,6 @@ impl DlaCluster {
     /// The cluster RNG (seeding derived per-session generators).
     pub(crate) fn rng_mut(&mut self) -> &mut StdRng {
         &mut self.rng
-    }
-
-    /// Allocates a fresh query index (deterministic per-query seed
-    /// derivation for [`DlaCluster::query_shared`]).
-    pub(crate) fn next_query_index(&self) -> u64 {
-        self.query_counter.fetch_add(1, Ordering::Relaxed)
     }
 
     /// The configured base seed.
@@ -1202,8 +1187,8 @@ impl DlaCluster {
     }
 
     /// Registers a standing query (see [`crate::standing`]): the
-    /// criteria is parsed, normalized and validated against the
-    /// configured partition **once**; every subsequent epoch seal
+    /// criteria is compiled and validated against the partition in
+    /// force **once**; every subsequent epoch seal
     /// evaluates it over just the sealed epoch's glsn range and pushes
     /// a [`crate::standing::StandingDelta`]. Already-sealed epochs are
     /// caught up immediately, so a late subscriber converges to the
@@ -1217,12 +1202,10 @@ impl DlaCluster {
         &mut self,
         criteria: &str,
     ) -> Result<crate::standing::StandingQueryId, AuditError> {
-        let parsed = crate::parser::parse(criteria, &self.ctx.schema)
-            .map_err(|e| AuditError::Parse(e.to_string()))?;
-        let normalized = crate::normal::normalize(&parsed);
+        let normalized = crate::plan::compile(criteria, &self.ctx.schema)?;
         // Fail registration, not some later seal, on an unplannable
         // query.
-        crate::plan::plan(&normalized, &self.ctx.partition)?;
+        self.plan(&normalized)?;
         let id = self.standing.register(criteria, normalized);
         self.meta_log(
             "cluster",
@@ -1299,8 +1282,8 @@ impl DlaCluster {
             .standing
             .normalized(id)
             .expect("delta for a registered query");
-        let partition = self.effective_partition();
-        let plan = crate::plan::plan(&normalized, &partition)?;
+        let mut plan = self.plan(&normalized)?;
+        plan.glsn_clamp = Some(clamp);
         // Deterministic per (cluster, query, epoch): re-evaluations and
         // restarted clusters replay identical protocol transcripts.
         let seed_digest = dla_crypto::sha256::digest_parts(&[
@@ -1312,14 +1295,13 @@ impl DlaCluster {
         let query_seed = u64::from_be_bytes(seed_digest[..8].try_into().expect("sliced to 8"));
         let result = {
             let reliable = dla_net::Reliable::new(self.shared_net());
-            crate::exec::execute_on_clamped(
+            crate::exec::execute_on(
                 self,
                 &reliable,
                 &plan,
                 true,
-                crate::exec::ExecMode::default(),
+                crate::exec::ExecMode::Concurrent,
                 query_seed,
-                Some(clamp),
             )?
         };
         let matched = result.glsns.len();
@@ -1394,17 +1376,43 @@ impl DlaCluster {
         }
     }
 
-    /// Parses, normalizes, plans and executes an auditing query,
-    /// returning the satisfying glsns (computed distributively; see
-    /// [`crate::exec`]).
+    /// The partition half of the query front door: plans a compiled
+    /// query ([`crate::plan::compile`]) against the
+    /// [`DlaCluster::effective_partition`], so no subquery is ever
+    /// placed on a retired node. Every auditor operation — ad-hoc,
+    /// shared, resilient and standing queries, aggregates, correlation,
+    /// transaction rules — plans through here.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AuditError::Planning`] for an empty query or an
+    /// attribute no node serves.
+    pub fn plan(
+        &self,
+        normalized: &crate::normal::NormalizedQuery,
+    ) -> Result<crate::plan::QueryPlan, AuditError> {
+        crate::plan::plan(normalized, &self.effective_partition())
+    }
+
+    /// The whole front door for query text: parse, type-check,
+    /// normalize ([`crate::plan::compile`]), then [`DlaCluster::plan`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AuditError`] on parse/type/plan failures.
+    pub fn compile(&self, criteria: &str) -> Result<crate::plan::QueryPlan, AuditError> {
+        self.plan(&crate::plan::compile(criteria, &self.ctx.schema)?)
+    }
+
+    /// Compiles and executes an auditing query, returning the
+    /// satisfying glsns (computed distributively; see [`crate::exec`]).
     ///
     /// # Errors
     ///
     /// Returns [`AuditError`] on parse/plan/protocol failures.
     pub fn query(&mut self, criteria: &str) -> Result<crate::exec::QueryResult, AuditError> {
-        let parsed = crate::parser::parse(criteria, &self.ctx.schema)
-            .map_err(|e| AuditError::Parse(e.to_string()))?;
-        self.query_criteria(&parsed)
+        let plan = self.compile(criteria)?;
+        crate::exec::execute(self, &plan, true)
     }
 
     /// Plans and executes an already-built criteria tree.
@@ -1416,12 +1424,8 @@ impl DlaCluster {
         &mut self,
         criteria: &crate::query::Criteria,
     ) -> Result<crate::exec::QueryResult, AuditError> {
-        criteria
-            .check(&self.ctx.schema)
-            .map_err(|e| AuditError::Parse(e.to_string()))?;
-        let normalized = crate::normal::normalize(criteria);
-        let plan = crate::plan::plan(&normalized, &self.ctx.partition)?;
-        crate::exec::execute(self, &plan)
+        let plan = self.plan(&crate::plan::compile_criteria(criteria, &self.ctx.schema)?)?;
+        crate::exec::execute(self, &plan, true)
     }
 
     /// Like [`DlaCluster::query`], but on a **shared** reference, so
@@ -1434,17 +1438,13 @@ impl DlaCluster {
     ///
     /// As [`DlaCluster::query`].
     pub fn query_shared(&self, criteria: &str) -> Result<crate::exec::QueryResult, AuditError> {
-        let parsed = crate::parser::parse(criteria, &self.ctx.schema)
-            .map_err(|e| AuditError::Parse(e.to_string()))?;
-        parsed
-            .check(&self.ctx.schema)
-            .map_err(|e| AuditError::Parse(e.to_string()))?;
-        let normalized = crate::normal::normalize(&parsed);
-        let plan = crate::plan::plan(&normalized, &self.ctx.partition)?;
-        let mut index = self.next_query_index().wrapping_add(0xA5A5_5A5A);
+        let plan = self.compile(criteria)?;
+        let drawn = self.query_counter.fetch_add(1, Ordering::Relaxed);
+        let mut index = drawn.wrapping_add(0xA5A5_5A5A);
         let query_seed = self.seed ^ rand::splitmix64(&mut index);
-        crate::exec::execute_shared(
+        crate::exec::execute_on(
             self,
+            self.shared_net(),
             &plan,
             true,
             crate::exec::ExecMode::Concurrent,
@@ -1467,12 +1467,7 @@ impl DlaCluster {
         criteria: &str,
         policy: &crate::exec::ResilientPolicy,
     ) -> Result<crate::exec::ResilientOutcome, AuditError> {
-        let parsed = crate::parser::parse(criteria, &self.ctx.schema)
-            .map_err(|e| AuditError::Parse(e.to_string()))?;
-        parsed
-            .check(&self.ctx.schema)
-            .map_err(|e| AuditError::Parse(e.to_string()))?;
-        let normalized = crate::normal::normalize(&parsed);
+        let normalized = crate::plan::compile(criteria, &self.ctx.schema)?;
         crate::exec::execute_resilient(self, &normalized, policy)
     }
 
@@ -1501,6 +1496,56 @@ impl DlaCluster {
                 .expect("retirement log records valid distinct node indices");
         }
         partition
+    }
+
+    /// The owner leg of every "disclose one number, not the data"
+    /// operation: ships `glsns` under `tag` from the auditor to the node
+    /// serving `attr` under the [`DlaCluster::effective_partition`] —
+    /// the adopter, once the node it was deposited at is retired — and
+    /// returns that node with the `(glsn, value)` pairs it holds for the
+    /// list as it decoded it.
+    pub(crate) fn values_at_owner(
+        &self,
+        tag: u8,
+        attr: &AttrName,
+        glsns: &[Glsn],
+    ) -> Result<(usize, Vec<(Glsn, AttrValue)>), AuditError> {
+        let unserved =
+            || AuditError::Planning(format!("attribute {attr} is not served by any node"));
+        let home = self.ctx.partition.node_of(attr).ok_or_else(unserved)?;
+        let owner = self
+            .effective_partition()
+            .node_of(attr)
+            .ok_or_else(unserved)?;
+        let auditor = self.auditor_node();
+        let mut w = Writer::new();
+        w.put_u8(tag).put_list(glsns, |w, g| {
+            w.put_u64(g.0);
+        });
+        let envelope = {
+            let mut net = self.net.lock();
+            net.send(auditor, NodeId(owner), w.finish());
+            net.recv_from(NodeId(owner), auditor)
+                .map_err(AuditError::Net)?
+        };
+        let mut r = Reader::new(&envelope.payload);
+        let _ = r.get_u8().map_err(|e| AuditError::Parse(e.to_string()))?;
+        let requested = r
+            .get_list(|r| r.get_u64().map(Glsn))
+            .map_err(|e| AuditError::Parse(e.to_string()))?;
+        let store = self.nodes[owner].store();
+        let values = requested
+            .into_iter()
+            .filter_map(|g| {
+                let fragment = if owner == home {
+                    store.get_local(g)
+                } else {
+                    store.get_adopted(home, g)
+                };
+                Some((g, fragment?.values.get(attr)?.clone()))
+            })
+            .collect();
+        Ok((owner, values))
     }
 
     /// The first surviving node clockwise from `dead`, skipping nodes
@@ -1935,23 +1980,6 @@ mod tests {
     }
 
     #[test]
-    fn queries_keep_their_answers_after_a_node_loss() {
-        let (mut c, _) = standby_cluster();
-        let reference = c.query("tid = 'T1100267' and c2 > 100.00").unwrap().glsns;
-        assert!(!reference.is_empty());
-        c.rereplicate(&[2].into_iter().collect()).unwrap();
-        // Planned against the effective partition, the same query is
-        // served by the survivors from the promoted copies.
-        let policy = crate::exec::ResilientPolicy::default();
-        let outcome = c
-            .query_resilient("tid = 'T1100267' and c2 > 100.00", &policy)
-            .unwrap();
-        assert_eq!(outcome.result.glsns, reference);
-        assert_eq!(outcome.attempts, 1);
-        assert_eq!(outcome.excluded, [2].into_iter().collect());
-    }
-
-    #[test]
     fn query_resilient_detects_kills_and_replans() {
         let (mut c, _) = standby_cluster();
         let reference = c.query("tid = 'T1100267' and c2 > 100.00").unwrap().glsns;
@@ -1967,6 +1995,60 @@ mod tests {
         assert_eq!(outcome.replans, 1);
         assert_eq!(outcome.excluded, [2].into_iter().collect());
         assert!(outcome.repairs[0].is_fully_verified());
+    }
+
+    #[test]
+    fn a_retired_node_is_never_planned_on_again() {
+        use crate::plan::SubqueryKind;
+        let q = "tid = 'T1100267' and c2 > 100.00";
+        let (mut c, _) = standby_cluster();
+        let reference = c.query(q).unwrap().glsns;
+        assert!(!reference.is_empty());
+        c.rereplicate(&[2].into_iter().collect()).unwrap();
+
+        let avoids_node_2 = |result: &crate::exec::QueryResult| {
+            result.plan.subqueries.iter().all(|sq| match &sq.kind {
+                SubqueryKind::Local { node } => *node != 2,
+                SubqueryKind::Cross { nodes } => !nodes.contains(&2),
+            })
+        };
+        // Retired and then dead on the wire: every front door plans
+        // around node 2 and answers from the adopter's promoted copies.
+        for killed in [false, true] {
+            if killed {
+                c.net().faults_mut().kill_node(2);
+            }
+            let exclusive = c.query(q).unwrap();
+            assert!(avoids_node_2(&exclusive), "query, killed={killed}");
+            assert_eq!(exclusive.glsns, reference);
+            let shared = c.query_shared(q).unwrap();
+            assert!(avoids_node_2(&shared), "query_shared, killed={killed}");
+            assert_eq!(shared.glsns, reference);
+            let counted = crate::aggregate::count_matching(&mut c, q).unwrap();
+            assert_eq!(counted.count, reference.len(), "count, killed={killed}");
+            // The ladder has nothing left to detect: first attempt.
+            let policy = crate::exec::ResilientPolicy::default();
+            let outcome = c.query_resilient(q, &policy).unwrap();
+            assert_eq!(outcome.result.glsns, reference);
+            assert_eq!(outcome.attempts, 1);
+            assert_eq!(outcome.excluded, [2].into_iter().collect());
+        }
+    }
+
+    #[test]
+    fn a_retired_owner_is_never_asked_for_its_values_again() {
+        let (q, c2) = ("c1 > 0", AttrName::new("c2"));
+        let (mut c, _) = standby_cluster();
+        let reference = crate::aggregate::sum_matching(&mut c, q, &c2).unwrap();
+        assert!(reference.total > 0);
+        // c2 was deposited at node 1; node 2 adopts it.
+        c.rereplicate(&[1].into_iter().collect()).unwrap();
+        c.net().faults_mut().kill_node(1);
+        let repaired = crate::aggregate::sum_matching(&mut c, q, &c2).unwrap();
+        assert_eq!(
+            (repaired.total, repaired.count),
+            (reference.total, reference.count)
+        );
     }
 
     fn epoch_cluster(epoch_length: u64) -> DlaCluster {

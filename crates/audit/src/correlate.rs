@@ -102,10 +102,7 @@ pub fn detect(
 
     // Step 1: the matching glsns (distributed query, revealed to the
     // auditor engine — glsns only).
-    let parsed = crate::parser::parse(&rule.event_criteria, cluster.schema())
-        .map_err(|e| AuditError::Parse(e.to_string()))?;
-    let plan = crate::plan::plan(&crate::normal::normalize(&parsed), cluster.partition())?;
-    let result = crate::exec::execute(cluster, &plan)?;
+    let result = cluster.query(&rule.event_criteria)?;
     if result.glsns.is_empty() {
         return Ok(Vec::new());
     }
@@ -149,41 +146,16 @@ fn window_buckets(
     glsns: &[Glsn],
     window_seconds: u64,
 ) -> Result<BTreeMap<u64, Vec<Glsn>>, AuditError> {
-    let time_attr = AttrName::new("time");
-    let owner = cluster
-        .partition()
-        .node_of(&time_attr)
-        .ok_or_else(|| AuditError::Planning("time attribute is not served".into()))?;
+    // Auditor -> time owner: the glsn list, bucketed at the owner.
+    let (owner, times) = cluster.values_at_owner(0x75, &AttrName::new("time"), glsns)?;
+    let pairs: Vec<(u64, Glsn)> = times
+        .into_iter()
+        .filter_map(|(g, value)| match value {
+            AttrValue::Time(t) => Some((t / window_seconds, g)),
+            _ => None,
+        })
+        .collect();
     let auditor = cluster.auditor_node();
-
-    let mut w = Writer::new();
-    w.put_u8(0x75).put_list(glsns, |w, g| {
-        w.put_u64(g.0);
-    });
-    cluster.net().send(auditor, NodeId(owner), w.finish());
-    let envelope = cluster
-        .net()
-        .recv_from(NodeId(owner), auditor)
-        .map_err(AuditError::Net)?;
-    let mut r = Reader::new(&envelope.payload);
-    let _ = r.get_u8().map_err(|e| AuditError::Parse(e.to_string()))?;
-    let requested: Vec<Glsn> = r
-        .get_list(|r| r.get_u64().map(Glsn))
-        .map_err(|e| AuditError::Parse(e.to_string()))?;
-
-    // Owner-side bucketing.
-    let pairs: Vec<(u64, Glsn)> =
-        requested
-            .iter()
-            .filter_map(|g| {
-                cluster.node(owner).store().get_local(*g).and_then(|f| {
-                    match f.values.get(&time_attr) {
-                        Some(AttrValue::Time(t)) => Some((t / window_seconds, *g)),
-                        _ => None,
-                    }
-                })
-            })
-            .collect();
 
     // Owner -> auditor: the bucketed pairs.
     let mut w = Writer::new();

@@ -310,7 +310,7 @@ pub fn run_workload(
     })
 }
 
-/// Parses, plans and executes one query over `transport` with a fixed
+/// Compiles and executes one query over `transport` with a fixed
 /// `query_seed`, returning the sorted answer glsns (the deterministic,
 /// transport-independent rendering base).
 fn run_query(
@@ -319,13 +319,7 @@ fn run_query(
     criteria: &str,
     query_seed: u64,
 ) -> Result<Vec<u64>, AuditError> {
-    let parsed = crate::parser::parse(criteria, cluster.schema())
-        .map_err(|e| AuditError::Parse(e.to_string()))?;
-    parsed
-        .check(cluster.schema())
-        .map_err(|e| AuditError::Parse(e.to_string()))?;
-    let normalized = crate::normal::normalize(&parsed);
-    let plan = crate::plan::plan(&normalized, cluster.partition())?;
+    let plan = cluster.compile(criteria)?;
     let result = crate::exec::execute_on(
         cluster,
         transport,

@@ -17,15 +17,24 @@
 //!
 //! Subqueries are mutually independent (Fig. 3's SQ0..SQ3 touch
 //! disjoint protocol state), so the executor runs each one in its own
-//! **transport session** ([`dla_net::Session`]). Under
-//! [`ExecMode::Concurrent`] — the default — a scheduler drives the
-//! sessions from scoped worker threads over the cluster's
-//! [`dla_net::SharedNet`]; per-session virtual clocks make the query's
-//! network makespan the *maximum* of the subquery latencies instead of
-//! their sum. [`ExecMode::Serial`] preserves the legacy one-at-a-time
-//! execution on the root session for comparison and debugging; both
-//! modes return identical glsn sets (protocol results are independent
-//! of scheduling and randomness).
+//! **transport session** ([`dla_net::Session`]): a scheduler drives the
+//! sessions from scoped worker threads over the given transport, and
+//! per-session virtual clocks make the query's network makespan the
+//! *maximum* of the subquery latencies instead of their sum. Protocol
+//! results are independent of scheduling and randomness, so the
+//! reference every suite compares against is plain whole-record
+//! evaluation ([`crate::query::Criteria::eval`],
+//! [`crate::centralized::CentralizedAuditor`]).
+//!
+//! # Entry points
+//!
+//! There is one executor body, [`execute_on`]; [`execute`] draws the
+//! query seed from the cluster's exclusive RNG and calls it over the
+//! cluster's own network, and [`execute_resilient`] wraps it in the
+//! retry / degrade ladder. What a run may touch rides in its
+//! arguments — the transport, the plan (its `time_window` and
+//! `glsn_clamp`), the reveal flag, the seed — never in which function
+//! was called.
 
 use crate::cluster::DlaCluster;
 use crate::plan::{LiteralStep, QueryPlan, Subquery, SubqueryKind};
@@ -43,14 +52,14 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// How the executor schedules independent subqueries.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+/// How the executor schedules independent subqueries: each in its own
+/// session on its own worker thread, joined at the ∧-combiner. The
+/// one-at-a-time `Serial` mode was retired; the enum and the
+/// [`execute_on`] argument that carries it stay only because
+/// `benchmark/` (frozen) names `ExecMode::Concurrent`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecMode {
-    /// One subquery at a time on the root session (legacy behavior).
-    Serial,
-    /// Each subquery in its own session on its own worker thread,
-    /// joined at the ∧-combiner.
-    #[default]
+    /// The only scheduler.
     Concurrent,
 }
 
@@ -72,19 +81,17 @@ pub struct QueryResult {
     pub messages: u64,
     /// Total payload bytes attributable to this query.
     pub bytes: u64,
-    /// Simulated network makespan of the query: sum of subquery
-    /// latencies under [`ExecMode::Serial`], max under
-    /// [`ExecMode::Concurrent`] (plus the ∧-combiner in both).
+    /// Simulated network makespan of the query: the maximum of the
+    /// subquery latencies plus the ∧-combiner.
     pub elapsed: SimTime,
-    /// The transport sessions the subqueries ran on (empty in serial
-    /// mode, which stays on the root session).
+    /// The transport sessions the subqueries ran on, in plan order.
     pub sessions: Vec<SessionId>,
 }
 
 type GlsnSet = BTreeSet<Glsn>;
 
-/// Deterministic per-subquery RNG seed: independent of scheduling
-/// order, so serial and concurrent runs are byte-identical per session.
+/// Deterministic per-subquery RNG seed: independent of thread
+/// interleaving, so a query's transcript is a function of its seed.
 fn subquery_seed(query_seed: u64, index: u64) -> u64 {
     let mut x = index.wrapping_add(0x9E37_79B9_7F4A_7C15);
     query_seed ^ rand::splitmix64(&mut x)
@@ -110,81 +117,55 @@ fn glsn_from_item(bytes: &[u8], total_len: usize) -> Result<Glsn, AuditError> {
     )))
 }
 
-/// Executes a plan on the cluster (concurrent scheduler, with reveal).
+/// Executes a plan on the cluster's own network, drawing the query
+/// seed from the cluster's exclusive RNG. With `reveal = false` the
+/// auditor learns only the **cardinality** of the result (the
+/// confidential "number of transactions" aggregate) and
+/// `QueryResult::glsns` stays empty.
 ///
 /// # Errors
 ///
 /// Returns [`AuditError`] on protocol failures, type errors during
 /// scanning, or unsupported cross-node operations (text ordering).
-pub fn execute(cluster: &mut DlaCluster, plan: &QueryPlan) -> Result<QueryResult, AuditError> {
-    execute_with_reveal(cluster, plan, true)
-}
-
-/// Like [`execute`], but with the final reveal optional: with
-/// `reveal = false` the auditor learns only the **cardinality** of the
-/// result (the confidential "number of transactions" aggregate) and
-/// `QueryResult::glsns` stays empty.
-///
-/// # Errors
-///
-/// As [`execute`].
-pub fn execute_with_reveal(
+pub fn execute(
     cluster: &mut DlaCluster,
     plan: &QueryPlan,
     reveal: bool,
-) -> Result<QueryResult, AuditError> {
-    execute_with_options(cluster, plan, reveal, ExecMode::default())
-}
-
-/// [`execute_with_reveal`] with an explicit [`ExecMode`].
-///
-/// # Errors
-///
-/// As [`execute`].
-pub fn execute_with_options(
-    cluster: &mut DlaCluster,
-    plan: &QueryPlan,
-    reveal: bool,
-    mode: ExecMode,
 ) -> Result<QueryResult, AuditError> {
     use rand::Rng;
     let query_seed: u64 = cluster.rng_mut().gen();
-    execute_shared(cluster, plan, reveal, mode, query_seed)
-}
-
-/// The shared-reference executor: runs a plan against `&DlaCluster`,
-/// deriving all randomness from `query_seed`, so multiple auditors can
-/// execute queries from separate threads simultaneously.
-///
-/// # Errors
-///
-/// As [`execute`].
-///
-/// # Panics
-///
-/// Panics if a subquery worker thread panics.
-pub fn execute_shared(
-    cluster: &DlaCluster,
-    plan: &QueryPlan,
-    reveal: bool,
-    mode: ExecMode,
-    query_seed: u64,
-) -> Result<QueryResult, AuditError> {
     execute_on(
         cluster,
         cluster.shared_net(),
         plan,
         reveal,
-        mode,
+        ExecMode::Concurrent,
         query_seed,
     )
 }
 
-/// [`execute_shared`] over an explicit transport. Session management
-/// (allocation, clock sync, accounting) always runs on the cluster's
-/// own network; `transport` only carries the protocol traffic — pass a
-/// [`dla_net::Reliable`] wrapper around [`DlaCluster::shared_net`] to
-/// run the same query with ARQ protection on a lossy network.
+/// Intersection of two optional inclusive glsn windows (`None` = no
+/// restriction). May produce an inverted (empty) range — scans treat
+/// that as the empty sentinel.
+#[must_use]
+fn intersect_glsn_windows(
+    a: Option<(Glsn, Glsn)>,
+    b: Option<(Glsn, Glsn)>,
+) -> Option<(Glsn, Glsn)> {
+    match (a, b) {
+        (None, w) | (w, None) => w,
+        (Some((al, ah)), Some((bl, bh))) => Some((al.max(bl), ah.min(bh))),
+    }
+}
+
+/// The executor: runs a plan against `&DlaCluster` over an explicit
+/// transport, deriving all randomness from `query_seed`, so multiple
+/// auditors can execute queries from separate threads simultaneously.
+/// Session management (allocation, clock sync, accounting) always runs
+/// on the cluster's own network; `transport` only carries the protocol
+/// traffic — pass [`DlaCluster::shared_net`] itself, a
+/// [`dla_net::Reliable`] wrapper around it to run with ARQ protection
+/// on a lossy network, or a socket mesh.
 ///
 /// # Errors
 ///
@@ -199,48 +180,8 @@ pub fn execute_on(
     transport: &(dyn Transport + Sync),
     plan: &QueryPlan,
     reveal: bool,
-    mode: ExecMode,
+    _mode: ExecMode,
     query_seed: u64,
-) -> Result<QueryResult, AuditError> {
-    execute_on_clamped(cluster, transport, plan, reveal, mode, query_seed, None)
-}
-
-/// Intersection of two optional inclusive glsn windows (`None` = no
-/// restriction). May produce an inverted (empty) range — scans treat
-/// that as the empty sentinel.
-#[must_use]
-pub(crate) fn intersect_glsn_windows(
-    a: Option<(Glsn, Glsn)>,
-    b: Option<(Glsn, Glsn)>,
-) -> Option<(Glsn, Glsn)> {
-    match (a, b) {
-        (None, w) | (w, None) => w,
-        (Some((al, ah)), Some((bl, bh))) => Some((al.max(bl), ah.min(bh))),
-    }
-}
-
-/// [`execute_on`] with an additional glsn `clamp` intersected into the
-/// plan's own epoch-pruning window. The standing-query engine uses this
-/// to evaluate a registered query against *one just-sealed epoch's*
-/// glsn range — the incremental delta — without touching the rest of
-/// the trail.
-///
-/// # Errors
-///
-/// As [`execute_on`].
-///
-/// # Panics
-///
-/// Panics if a subquery worker thread panics.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_on_clamped(
-    cluster: &DlaCluster,
-    transport: &(dyn Transport + Sync),
-    plan: &QueryPlan,
-    reveal: bool,
-    mode: ExecMode,
-    query_seed: u64,
-    clamp: Option<(Glsn, Glsn)>,
 ) -> Result<QueryResult, AuditError> {
     let net = cluster.shared_net();
     let (start_messages, start_bytes, start_elapsed) = {
@@ -253,94 +194,75 @@ pub fn execute_on_clamped(
     // Epoch pruning: if the plan proves a time window, restrict every
     // node scan to the glsn range of the epochs that window overlaps.
     // Conjunct-derived bounds hold for every answer record, so pruning
-    // cannot change the result — only how much trail is touched. An
-    // explicit caller clamp narrows it further.
-    let window = intersect_glsn_windows(cluster.glsn_window_for(&plan.time_window), clamp);
+    // cannot change the result — only how much trail is touched. The
+    // plan's own clamp (a standing query's one sealed epoch) narrows it
+    // further.
+    let window =
+        intersect_glsn_windows(cluster.glsn_window_for(&plan.time_window), plan.glsn_clamp);
 
-    // Phase 1: independent subqueries — the scheduler.
-    let mut sessions: Vec<SessionId> = Vec::new();
-    let mut per_subquery: Vec<(usize, GlsnSet, Vec<ProtocolReport>)> =
-        Vec::with_capacity(plan.subqueries.len());
-    let combine_session;
-    match mode {
-        ExecMode::Serial => {
-            for (i, subquery) in plan.subqueries.iter().enumerate() {
-                let mut rng = StdRng::seed_from_u64(subquery_seed(query_seed, i as u64));
-                let session = Session::root(transport);
-                per_subquery.push(run_subquery(cluster, &session, subquery, &mut rng, window)?);
-            }
-            combine_session = SessionId::ROOT;
-        }
-        ExecMode::Concurrent => {
-            // Allocate sessions deterministically *before* spawning so
-            // ids (and so per-session RNG streams and accounting) do
-            // not depend on thread interleaving.
-            sessions = {
-                let mut n = net.lock();
-                plan.subqueries.iter().map(|_| n.open_session()).collect()
-            };
-            // Workers do not inherit the spawner's telemetry
-            // destination: hand the current recorder (if any) into each
-            // thread and install it there.
-            let recorder = dla_telemetry::current();
-            let outcomes = crossbeam::scope(|s| {
-                let handles: Vec<_> = plan
-                    .subqueries
-                    .iter()
-                    .enumerate()
-                    .map(|(i, subquery)| {
-                        let sid = sessions[i];
-                        let recorder = recorder.clone();
-                        s.spawn(move || {
-                            let _telemetry = recorder.map(|r| r.install());
-                            let mut rng =
-                                StdRng::seed_from_u64(subquery_seed(query_seed, i as u64));
-                            let session = Session::new(transport, sid);
-                            run_subquery(cluster, &session, subquery, &mut rng, window)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("subquery worker panicked"))
-                    .collect::<Vec<_>>()
+    // Phase 1: independent subqueries — the scheduler. Sessions are
+    // allocated deterministically *before* spawning so ids (and so
+    // per-session RNG streams and accounting) do not depend on thread
+    // interleaving.
+    let sessions: Vec<SessionId> = {
+        let mut n = net.lock();
+        plan.subqueries.iter().map(|_| n.open_session()).collect()
+    };
+    // Workers do not inherit the spawner's telemetry destination: hand
+    // the current recorder (if any) into each thread and install it
+    // there.
+    let recorder = dla_telemetry::current();
+    let outcomes = crossbeam::scope(|s| {
+        let handles: Vec<_> = plan
+            .subqueries
+            .iter()
+            .zip(&sessions)
+            .enumerate()
+            .map(|(i, (subquery, &sid))| {
+                let recorder = recorder.clone();
+                s.spawn(move || {
+                    let _telemetry = recorder.map(|r| r.install());
+                    let mut rng = StdRng::seed_from_u64(subquery_seed(query_seed, i as u64));
+                    let session = Session::new(transport, sid);
+                    run_subquery(cluster, &session, subquery, &mut rng, window)
+                })
             })
-            .expect("subquery scheduler scope");
-            for outcome in outcomes {
-                per_subquery.push(outcome?);
-            }
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("subquery worker panicked"))
+            .collect::<Vec<_>>()
+    })
+    .expect("subquery scheduler scope");
+    let per_subquery = outcomes.into_iter().collect::<Result<Vec<_>, _>>()?;
 
-            // ∧-join barrier: the conjunction can only start once every
-            // subquery session has delivered, so open the combiner
-            // session and advance it to the latest subquery finish.
-            // The transport may keep its own timeline (a wall-clock
-            // socket mesh reports real elapsed time; the cluster's
-            // SharedNet reports the same virtual clocks read below) —
-            // fold its view in as well, reading it *before* taking the
-            // SimNet lock because on SharedNet both sides are the same
-            // non-reentrant mutex.
-            let transport_join = sessions
-                .iter()
-                .map(|&sid| transport.elapsed(sid))
-                .max()
-                .unwrap_or_default();
-            let mut n = net.lock();
-            let join_at = sessions
-                .iter()
-                .map(|&sid| n.session_elapsed(sid))
-                .max()
-                .unwrap_or(start_elapsed)
-                .max(transport_join);
-            combine_session = n.open_session();
-            n.sync_session(combine_session, join_at);
-        }
-    }
-
-    let join_ns = if subq_span.is_recording() {
-        let n = net.lock();
-        n.session_elapsed(combine_session).as_nanos()
-    } else {
-        0
+    // ∧-join barrier: the conjunction can only start once every
+    // subquery session has delivered, so open the combiner session and
+    // advance it to the latest subquery finish. The transport may keep
+    // its own timeline (a wall-clock socket mesh reports real elapsed
+    // time; the cluster's SharedNet reports the same virtual clocks
+    // read below) — fold its view in as well, reading it *before*
+    // taking the SimNet lock because on SharedNet both sides are the
+    // same non-reentrant mutex.
+    let transport_join = sessions
+        .iter()
+        .map(|&sid| transport.elapsed(sid))
+        .max()
+        .unwrap_or_default();
+    let (combine_session, join_ns) = {
+        let mut n = net.lock();
+        let join_at = sessions
+            .iter()
+            .map(|&sid| n.session_elapsed(sid))
+            .max()
+            .unwrap_or(start_elapsed)
+            .max(transport_join);
+        let combine_session = n.open_session();
+        n.sync_session(combine_session, join_at);
+        (
+            combine_session,
+            n.session_elapsed(combine_session).as_nanos(),
+        )
     };
     subq_span.end(join_ns);
     let combine_span = dla_telemetry::span("phase", "combine", join_ns);
@@ -423,13 +345,6 @@ pub struct ResilientPolicy {
     pub reliable: Option<ReliableConfig>,
     /// Whole-query attempts before the last network error is terminal.
     pub max_attempts: u32,
-    /// Failure-detector tuning for the health probes run after a
-    /// timed-out attempt.
-    pub health: crate::health::HealthConfig,
-    /// Subquery scheduling mode.
-    pub mode: ExecMode,
-    /// Whether the final glsn set is revealed to the auditor.
-    pub reveal: bool,
 }
 
 impl Default for ResilientPolicy {
@@ -437,9 +352,6 @@ impl Default for ResilientPolicy {
         ResilientPolicy {
             reliable: Some(ReliableConfig::default()),
             max_attempts: 4,
-            health: crate::health::HealthConfig::default(),
-            mode: ExecMode::default(),
-            reveal: true,
         }
     }
 }
@@ -472,15 +384,15 @@ fn retryable(e: &AuditError) -> bool {
 }
 
 /// The fault-tolerant executor ladder. Each attempt plans the query
-/// against the cluster's **effective partition** (retired nodes'
-/// attributes reassigned to their adopters) and runs it — through a
+/// against the cluster's **effective partition**
+/// ([`DlaCluster::plan`]) and runs it with reveal — through a
 /// [`Reliable`] ARQ wrapper when the policy asks for one. On a
 /// retryable network failure the ladder probes cluster health; nodes
-/// the detector declares dead are re-replicated
-/// ([`DlaCluster::rereplicate`]) and the query re-planned over the
-/// survivor set, otherwise the failure is treated as transient and the
-/// attempt simply repeated (the reliable layer has already charged its
-/// backoff in virtual time).
+/// the detector declares dead are
+/// re-replicated ([`DlaCluster::rereplicate`]) and the query re-planned
+/// over the survivor set, otherwise the failure is treated as transient
+/// and the attempt simply repeated (the reliable layer has already
+/// charged its backoff in virtual time).
 ///
 /// # Errors
 ///
@@ -495,7 +407,7 @@ pub fn execute_resilient(
     policy: &ResilientPolicy,
 ) -> Result<ResilientOutcome, AuditError> {
     use rand::Rng;
-    let mut monitor = crate::health::HealthMonitor::new(cluster, policy.health.clone());
+    let mut monitor = crate::health::HealthMonitor::new(cluster);
     for node in cluster.retired_nodes() {
         monitor.mark_dead(node);
     }
@@ -504,25 +416,25 @@ pub fn execute_resilient(
     let mut attempt = 0;
     loop {
         attempt += 1;
-        let partition = cluster.effective_partition();
-        let plan = crate::plan::plan(normalized, &partition)?;
+        let plan = cluster.plan(normalized)?;
         let query_seed: u64 = cluster.rng_mut().gen();
         let run = {
             let net = cluster.shared_net();
-            match &policy.reliable {
-                Some(config) => {
-                    let reliable = Reliable::with_config(net, *config);
-                    execute_on(
-                        cluster,
-                        &reliable,
-                        &plan,
-                        policy.reveal,
-                        policy.mode,
-                        query_seed,
-                    )
-                }
-                None => execute_on(cluster, net, &plan, policy.reveal, policy.mode, query_seed),
-            }
+            let reliable = policy
+                .reliable
+                .map(|config| Reliable::with_config(net, config));
+            let transport: &(dyn Transport + Sync) = match &reliable {
+                Some(reliable) => reliable,
+                None => net,
+            };
+            execute_on(
+                cluster,
+                transport,
+                &plan,
+                true,
+                ExecMode::Concurrent,
+                query_seed,
+            )
         };
         match run {
             Ok(result) => {
@@ -1124,25 +1036,7 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_subqueries_run_in_separate_sessions() {
-        let (mut cluster, _user, _glsns) = loaded_cluster();
-        let parsed = crate::parser::parse("c1 > 30 AND id = 'U1'", cluster.schema()).unwrap();
-        let normalized = crate::normal::normalize(&parsed);
-        let plan = crate::plan::plan(&normalized, cluster.partition()).unwrap();
-        let result = execute_with_options(&mut cluster, &plan, true, ExecMode::Concurrent).unwrap();
-        assert_eq!(result.sessions.len(), plan.subqueries.len());
-        let net = cluster.net();
-        for &sid in &result.sessions {
-            let s = net.stats().session(sid);
-            // Local subqueries send nothing; cross sessions do. Either
-            // way the session is tracked distinctly from the root.
-            assert_ne!(sid, SessionId::ROOT);
-            let _ = s;
-        }
-    }
-
-    #[test]
-    fn serial_and_concurrent_agree_on_paper_queries() {
+    fn scheduler_agrees_with_reference_on_paper_queries() {
         for q in [
             "c1 > 30",
             "c1 > 30 AND id = 'U1'",
@@ -1150,54 +1044,52 @@ mod tests {
             "id != c3",
             "NOT (protocol = 'UDP' OR c1 >= 45)",
         ] {
-            let (mut cluster, _user, _) = loaded_cluster();
-            let parsed = crate::parser::parse(q, cluster.schema()).unwrap();
-            let normalized = crate::normal::normalize(&parsed);
-            let plan = crate::plan::plan(&normalized, cluster.partition()).unwrap();
-            let serial = execute_with_options(&mut cluster, &plan, true, ExecMode::Serial).unwrap();
-            let concurrent =
-                execute_with_options(&mut cluster, &plan, true, ExecMode::Concurrent).unwrap();
-            assert_eq!(serial.glsns, concurrent.glsns, "query {q}");
-            assert_eq!(serial.cardinality, concurrent.cardinality, "query {q}");
+            let (matched, result) = run(q);
+            assert_eq!(matched, reference(q), "query {q}");
+            assert_eq!(result.cardinality, matched.len(), "query {q}");
+            // One session per subquery (local ones send nothing on
+            // theirs), each tracked distinctly from the root.
+            assert_eq!(result.sessions.len(), result.plan.subqueries.len());
+            assert!(result.sessions.iter().all(|&sid| sid != SessionId::ROOT));
         }
     }
 
     #[test]
     fn concurrent_makespan_not_worse_under_latency() {
-        // With per-link latency, the concurrent scheduler's makespan is
-        // the max of the subquery latencies; serial pays the sum.
+        // With per-link latency, the query's makespan is the longest
+        // subquery plus the ∧-combiner — strictly less than the sum of
+        // the subquery sessions' own latencies once several cross
+        // subqueries overlap.
         let schema = Schema::paper_example();
         let partition = Partition::paper_example(&schema);
-        let build = || {
-            let mut c = DlaCluster::new(
-                ClusterConfig::new(4, schema.clone())
-                    .with_partition(partition.clone())
-                    .with_seed(11)
-                    .with_latency(dla_net::latency::LatencyModel::lan()),
+        let mut cluster = DlaCluster::new(
+            ClusterConfig::new(4, schema)
+                .with_partition(partition)
+                .with_seed(11)
+                .with_latency(dla_net::latency::LatencyModel::lan()),
+        )
+        .unwrap();
+        let user = cluster.register_user("u").unwrap();
+        cluster.log_records(&user, &paper_table1()).unwrap();
+        let plan = cluster
+            .compile(
+                "(id = 'U1' OR c1 > 30) AND (protocol = 'TCP' OR c2 < 400.00) \
+                 AND (tid = 'T1100265' OR c2 > 100.00)",
             )
             .unwrap();
-            let user = c.register_user("u").unwrap();
-            c.log_records(&user, &paper_table1()).unwrap();
-            c
-        };
-        let q = "c1 > 30 AND id = 'U1' AND protocol = 'TCP'";
-        let plan_for = |c: &DlaCluster| {
-            let parsed = crate::parser::parse(q, c.schema()).unwrap();
-            crate::plan::plan(&crate::normal::normalize(&parsed), c.partition()).unwrap()
-        };
-        let mut serial_cluster = build();
-        let plan = plan_for(&serial_cluster);
-        let serial =
-            execute_with_options(&mut serial_cluster, &plan, true, ExecMode::Serial).unwrap();
-        let mut conc_cluster = build();
-        let concurrent =
-            execute_with_options(&mut conc_cluster, &plan, true, ExecMode::Concurrent).unwrap();
-        assert_eq!(serial.glsns, concurrent.glsns);
+        assert!(plan.cross_count() >= 2);
+        let start = cluster.net().elapsed();
+        let result = execute(&mut cluster, &plan, true).unwrap();
+        let net = cluster.net();
+        let sum = result
+            .sessions
+            .iter()
+            .map(|&sid| net.session_elapsed(sid) - start)
+            .fold(SimTime::ZERO, |a, b| a + b);
         assert!(
-            concurrent.elapsed <= serial.elapsed,
-            "concurrent {} should not exceed serial {}",
-            concurrent.elapsed,
-            serial.elapsed
+            result.elapsed < sum,
+            "makespan {} must undercut the summed subquery latencies {sum}",
+            result.elapsed
         );
     }
 

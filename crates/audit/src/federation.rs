@@ -95,8 +95,6 @@ pub struct FederationConfig {
     pub latency: LatencyModel,
     /// User capacity per ring.
     pub max_users_per_ring: usize,
-    /// The glsn namespace carving out per-ring spans.
-    pub namespace: RingNamespace,
     /// The attribute whose hashed value assigns users to rings.
     pub partition_attr: AttrName,
 }
@@ -115,7 +113,6 @@ impl FederationConfig {
             epoch_length: 1024,
             latency: LatencyModel::Zero,
             max_users_per_ring: 8,
-            namespace: RingNamespace::paper_default(),
             partition_attr: "id".into(),
         }
     }
@@ -152,13 +149,6 @@ impl FederationConfig {
     #[must_use]
     pub fn with_max_users(mut self, max_users: usize) -> Self {
         self.max_users_per_ring = max_users;
-        self
-    }
-
-    /// Sets the glsn namespace.
-    #[must_use]
-    pub fn with_namespace(mut self, namespace: RingNamespace) -> Self {
-        self.namespace = namespace;
         self
     }
 }
@@ -296,7 +286,6 @@ pub struct FederatedCluster {
     /// Global record identity: glsn → deposit index, in deposit order.
     record_index: BTreeMap<Glsn, u64>,
     next_record: u64,
-    namespace: RingNamespace,
     partition_attr: AttrName,
     schema: Schema,
 }
@@ -332,7 +321,7 @@ impl FederatedCluster {
                         .with_epoch_length(config.epoch_length)
                         .with_latency(config.latency.clone())
                         .with_max_users(config.max_users_per_ring)
-                        .with_glsn_base(config.namespace.base_of(r as u64));
+                        .with_glsn_base(RingNamespace::paper_default().base_of(r as u64));
                 if let Some(partition) = &config.partition {
                     ring_config = ring_config.with_partition(partition.clone());
                 }
@@ -363,7 +352,6 @@ impl FederatedCluster {
             next_standing: 0,
             record_index: BTreeMap::new(),
             next_record: 0,
-            namespace: config.namespace,
             partition_attr: config.partition_attr,
             schema: config.schema,
         })
@@ -390,12 +378,6 @@ impl FederatedCluster {
     /// Mutable access to sub-ring `ring`.
     pub fn ring_mut(&mut self, ring: usize) -> &mut DlaCluster {
         &mut self.rings[ring]
-    }
-
-    /// The glsn namespace.
-    #[must_use]
-    pub fn namespace(&self) -> RingNamespace {
-        self.namespace
     }
 
     /// The root collector's node id on the root ring.
@@ -800,12 +782,7 @@ impl FederatedCluster {
     /// Returns [`AuditError::Parse`] if the criteria do not parse or
     /// type-check against the federation schema.
     pub fn route(&self, criteria: &str) -> Result<BTreeSet<usize>, AuditError> {
-        let parsed = crate::parser::parse(criteria, &self.schema)
-            .map_err(|e| AuditError::Parse(e.to_string()))?;
-        parsed
-            .check(&self.schema)
-            .map_err(|e| AuditError::Parse(e.to_string()))?;
-        let normalized = crate::normal::normalize(&parsed);
+        let normalized = crate::plan::compile(criteria, &self.schema)?;
         let mut candidate: BTreeSet<usize> = (0..self.rings.len()).collect();
         for clause in normalized.clauses() {
             let mut clause_rings = BTreeSet::new();
@@ -831,6 +808,30 @@ impl FederatedCluster {
         Ok(candidate)
     }
 
+    /// The routed-union body shared by [`FederatedCluster::query`] and
+    /// [`FederatedCluster::query_resilient`]: route, run `in_ring` on
+    /// each target ring, union the per-ring glsns into one sorted
+    /// result.
+    fn routed_union(
+        &mut self,
+        criteria: &str,
+        mut in_ring: impl FnMut(&mut DlaCluster) -> Result<Vec<Glsn>, AuditError>,
+    ) -> Result<FederatedQueryResult, AuditError> {
+        let targets = self.route(criteria)?;
+        let mut glsns: Vec<Glsn> = Vec::new();
+        for &ring in &targets {
+            glsns.extend(in_ring(&mut self.rings[ring])?);
+        }
+        glsns.sort_unstable();
+        let records = self.identify(&glsns)?;
+        Ok(FederatedQueryResult {
+            cardinality: glsns.len(),
+            glsns,
+            records,
+            rings_queried: targets.into_iter().collect(),
+        })
+    }
+
     /// Runs `criteria` across the federation: the planner routes the
     /// query to only the rings whose partition can match
     /// ([`FederatedCluster::route`]), each target ring runs its
@@ -842,20 +843,7 @@ impl FederatedCluster {
     /// Returns [`AuditError`] on parse/plan/protocol failure in any
     /// target ring.
     pub fn query(&mut self, criteria: &str) -> Result<FederatedQueryResult, AuditError> {
-        let targets = self.route(criteria)?;
-        let mut glsns: Vec<Glsn> = Vec::new();
-        for &ring in &targets {
-            let result = self.rings[ring].query(criteria)?;
-            glsns.extend(result.glsns);
-        }
-        glsns.sort_unstable();
-        let records = self.identify(&glsns)?;
-        Ok(FederatedQueryResult {
-            cardinality: glsns.len(),
-            glsns,
-            records,
-            rings_queried: targets.into_iter().collect(),
-        })
+        self.routed_union(criteria, |ring| Ok(ring.query(criteria)?.glsns))
     }
 
     /// As [`FederatedCluster::query`], but every routed ring executes
@@ -873,19 +861,8 @@ impl FederatedCluster {
         criteria: &str,
         policy: &crate::exec::ResilientPolicy,
     ) -> Result<FederatedQueryResult, AuditError> {
-        let targets = self.route(criteria)?;
-        let mut glsns: Vec<Glsn> = Vec::new();
-        for &ring in &targets {
-            let outcome = self.rings[ring].query_resilient(criteria, policy)?;
-            glsns.extend(outcome.result.glsns);
-        }
-        glsns.sort_unstable();
-        let records = self.identify(&glsns)?;
-        Ok(FederatedQueryResult {
-            cardinality: glsns.len(),
-            glsns,
-            records,
-            rings_queried: targets.into_iter().collect(),
+        self.routed_union(criteria, |ring| {
+            Ok(ring.query_resilient(criteria, policy)?.result.glsns)
         })
     }
 

@@ -23,23 +23,10 @@ pub const TAG_PING: u8 = 0x50;
 /// Heartbeat response tag (DLA node → auditor).
 pub const TAG_PONG: u8 = 0x51;
 
-/// Tuning for the failure detector.
-#[derive(Debug, Clone)]
-pub struct HealthConfig {
-    /// Consecutive missed probes before a node is declared dead.
-    pub suspicion_threshold: u32,
-    /// Virtual time the auditor waits out for each missed probe.
-    pub probe_timeout: SimTime,
-}
-
-impl Default for HealthConfig {
-    fn default() -> Self {
-        HealthConfig {
-            suspicion_threshold: 3,
-            probe_timeout: SimTime::from_micros(500),
-        }
-    }
-}
+/// Consecutive missed probes before a node is declared dead.
+pub const SUSPICION_THRESHOLD: u32 = 3;
+/// Virtual time the auditor waits out for each missed probe.
+pub const PROBE_TIMEOUT: SimTime = SimTime::from_micros(500);
 
 /// Detector verdict for one DLA node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,7 +38,7 @@ pub enum NodeStatus {
         /// Consecutive missed probes so far.
         misses: u32,
     },
-    /// Missed [`HealthConfig::suspicion_threshold`] consecutive probes
+    /// Missed [`SUSPICION_THRESHOLD`] consecutive probes
     /// (or was declared dead explicitly). Terminal.
     Dead,
 }
@@ -63,7 +50,6 @@ pub enum NodeStatus {
 #[derive(Debug)]
 pub struct HealthMonitor {
     session: SessionId,
-    config: HealthConfig,
     statuses: Vec<NodeStatus>,
     rounds: u64,
     /// Optional time driver. `None` keeps the legacy simulator
@@ -78,11 +64,10 @@ pub struct HealthMonitor {
 impl HealthMonitor {
     /// Opens a dedicated heartbeat session on `cluster`'s network.
     #[must_use]
-    pub fn new(cluster: &DlaCluster, config: HealthConfig) -> Self {
+    pub fn new(cluster: &DlaCluster) -> Self {
         let session = cluster.net().open_session();
         HealthMonitor {
             session,
-            config,
             statuses: vec![NodeStatus::Alive; cluster.num_nodes()],
             rounds: 0,
             clock: None,
@@ -167,14 +152,14 @@ impl HealthMonitor {
                 self.transition(node, NodeStatus::Alive, &session);
             } else {
                 // Model the auditor waiting out the probe deadline.
-                session.charge(auditor, self.config.probe_timeout);
+                session.charge(auditor, PROBE_TIMEOUT);
                 if let Some(clock) = &self.clock {
-                    clock.advance(self.config.probe_timeout);
+                    clock.advance(PROBE_TIMEOUT);
                 }
                 let next = match self.statuses[node] {
                     NodeStatus::Alive => NodeStatus::Suspected { misses: 1 },
                     NodeStatus::Suspected { misses } => {
-                        if misses + 1 >= self.config.suspicion_threshold {
+                        if misses + 1 >= SUSPICION_THRESHOLD {
                             NodeStatus::Dead
                         } else {
                             NodeStatus::Suspected { misses: misses + 1 }
@@ -236,7 +221,7 @@ impl HealthMonitor {
     ///
     /// Propagates the first [`probe_round`](Self::probe_round) failure.
     pub fn settle(&mut self, cluster: &DlaCluster) -> Result<(), AuditError> {
-        self.probe_rounds(cluster, self.config.suspicion_threshold)
+        self.probe_rounds(cluster, SUSPICION_THRESHOLD)
     }
 
     /// Drives the probed node's half of the heartbeat: if the ping got
@@ -275,7 +260,7 @@ mod tests {
     #[test]
     fn healthy_cluster_stays_alive() {
         let cluster = cluster();
-        let mut monitor = HealthMonitor::new(&cluster, HealthConfig::default());
+        let mut monitor = HealthMonitor::new(&cluster);
         monitor.probe_rounds(&cluster, 5).unwrap();
         assert_eq!(monitor.survivors(), (0..4).collect());
         assert!(monitor.dead().is_empty());
@@ -286,7 +271,7 @@ mod tests {
     fn killed_node_is_suspected_then_declared_dead() {
         let cluster = cluster();
         cluster.net().faults_mut().kill_node(2);
-        let mut monitor = HealthMonitor::new(&cluster, HealthConfig::default());
+        let mut monitor = HealthMonitor::new(&cluster);
         monitor.probe_round(&cluster).unwrap();
         assert_eq!(monitor.status(2), NodeStatus::Suspected { misses: 1 });
         monitor.probe_round(&cluster).unwrap();
@@ -301,7 +286,7 @@ mod tests {
     fn suspicion_clears_when_the_node_answers_again() {
         let cluster = cluster();
         cluster.net().faults_mut().kill_node(1);
-        let mut monitor = HealthMonitor::new(&cluster, HealthConfig::default());
+        let mut monitor = HealthMonitor::new(&cluster);
         monitor.probe_rounds(&cluster, 2).unwrap();
         assert_eq!(monitor.status(1), NodeStatus::Suspected { misses: 2 });
         cluster.net().faults_mut().revive_node(1);
@@ -313,7 +298,7 @@ mod tests {
     fn death_is_sticky_even_after_revival() {
         let cluster = cluster();
         cluster.net().faults_mut().kill_node(3);
-        let mut monitor = HealthMonitor::new(&cluster, HealthConfig::default());
+        let mut monitor = HealthMonitor::new(&cluster);
         monitor.settle(&cluster).unwrap();
         assert!(monitor.is_dead(3));
         cluster.net().faults_mut().revive_node(3);
@@ -324,7 +309,7 @@ mod tests {
     #[test]
     fn heartbeats_run_on_their_own_session() {
         let cluster = cluster();
-        let mut monitor = HealthMonitor::new(&cluster, HealthConfig::default());
+        let mut monitor = HealthMonitor::new(&cluster);
         assert_ne!(monitor.session(), SessionId::ROOT);
         let before = cluster.net().stats().messages_sent;
         monitor.probe_round(&cluster).unwrap();
@@ -339,22 +324,19 @@ mod tests {
         let cluster = cluster();
         cluster.net().faults_mut().kill_node(2);
         let clock = Arc::new(dla_net::VirtualClock::new());
-        let mut monitor = HealthMonitor::new(&cluster, HealthConfig::default())
-            .with_clock(Arc::clone(&clock) as Arc<dyn Clock>);
+        let mut monitor =
+            HealthMonitor::new(&cluster).with_clock(Arc::clone(&clock) as Arc<dyn Clock>);
         monitor.probe_round(&cluster).unwrap();
         // One missed probe: the driver waited out exactly one timeout.
-        assert_eq!(clock.now(), HealthConfig::default().probe_timeout);
+        assert_eq!(clock.now(), PROBE_TIMEOUT);
         monitor.probe_round(&cluster).unwrap();
-        assert_eq!(
-            clock.now().as_nanos(),
-            2 * HealthConfig::default().probe_timeout.as_nanos()
-        );
+        assert_eq!(clock.now().as_nanos(), 2 * PROBE_TIMEOUT.as_nanos());
     }
 
     #[test]
     fn mark_dead_takes_effect_immediately() {
         let cluster = cluster();
-        let mut monitor = HealthMonitor::new(&cluster, HealthConfig::default());
+        let mut monitor = HealthMonitor::new(&cluster);
         monitor.mark_dead(0);
         assert_eq!(monitor.survivors(), [1, 2, 3].into_iter().collect());
         monitor.probe_round(&cluster).unwrap();

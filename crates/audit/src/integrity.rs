@@ -12,6 +12,10 @@
 //! check the integrity of the records while keeping them private": only
 //! accumulator values travel, never fragment contents.
 //!
+//! There is one circulation, [`check_record_among`], over whichever
+//! nodes are alive (each survivor also folds the fragments it adopted
+//! from retired ones); [`check_record`] is its every-node-alive case.
+//!
 //! The per-ticket ACL consistency check (also §4.1) runs the secure
 //! set intersection primitive over each node's authorization set.
 
@@ -24,6 +28,7 @@ use dla_mpc::set_intersection::secure_set_intersection;
 use dla_net::topology::Ring;
 use dla_net::wire::{Reader, Writer};
 use dla_net::NodeId;
+use std::collections::BTreeSet;
 
 /// The verdict of one record's integrity check.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,7 +43,9 @@ pub struct IntegrityVerdict {
     pub messages: u64,
 }
 
-/// Circulates the accumulator for `glsn` starting at `initiator`.
+/// Circulates the accumulator for `glsn` around the full ring starting
+/// at `initiator`: the survivor walk of [`check_record_among`] with
+/// every node alive.
 ///
 /// # Errors
 ///
@@ -53,93 +60,8 @@ pub fn check_record(
     glsn: Glsn,
     initiator: usize,
 ) -> Result<IntegrityVerdict, AuditError> {
-    let n = cluster.num_nodes();
-    assert!(initiator < n, "initiator must be a DLA node");
-    let deposit = cluster
-        .deposit(glsn)
-        .ok_or_else(|| AuditError::Integrity(format!("no deposit for glsn {glsn}")))?
-        .clone();
-    let params = cluster.accumulator_params().clone();
-    let start_messages = cluster.net().stats().messages_sent;
-
-    // Fold the initiator's own fragment first.
-    let mut acc = params.start().clone();
-    acc = fold_local(cluster, initiator, glsn, &params, &acc);
-
-    // Circulate around the ring.
-    let mut holder = initiator;
-    for step in 1..n {
-        let next = (initiator + step) % n;
-        let mut w = Writer::new();
-        w.put_u8(0x40).put_u64(glsn.0).put_bytes(&acc.to_bytes_be());
-        cluster.net().send(NodeId(holder), NodeId(next), w.finish());
-        let envelope = cluster
-            .net()
-            .recv_from(NodeId(next), NodeId(holder))
-            .map_err(AuditError::Net)?;
-        let mut r = Reader::new(&envelope.payload);
-        let _ = r
-            .get_u8()
-            .map_err(|e| AuditError::Integrity(e.to_string()))?;
-        let tagged_glsn = r
-            .get_u64()
-            .map_err(|e| AuditError::Integrity(e.to_string()))?;
-        if tagged_glsn != glsn.0 {
-            return Err(AuditError::Integrity(format!(
-                "circulation for {glsn} arrived labelled {tagged_glsn:x}"
-            )));
-        }
-        let received = Ubig::from_bytes_be(
-            r.get_bytes()
-                .map_err(|e| AuditError::Integrity(e.to_string()))?,
-        );
-        acc = fold_local(cluster, next, glsn, &params, &received);
-        holder = next;
-    }
-
-    // Return to the initiator for the final comparison.
-    let mut w = Writer::new();
-    w.put_u8(0x41).put_u64(glsn.0).put_bytes(&acc.to_bytes_be());
-    cluster
-        .net()
-        .send(NodeId(holder), NodeId(initiator), w.finish());
-    let envelope = cluster
-        .net()
-        .recv_from(NodeId(initiator), NodeId(holder))
-        .map_err(AuditError::Net)?;
-    let mut r = Reader::new(&envelope.payload);
-    let _ = r
-        .get_u8()
-        .map_err(|e| AuditError::Integrity(e.to_string()))?;
-    let _ = r
-        .get_u64()
-        .map_err(|e| AuditError::Integrity(e.to_string()))?;
-    let final_acc = Ubig::from_bytes_be(
-        r.get_bytes()
-            .map_err(|e| AuditError::Integrity(e.to_string()))?,
-    );
-
-    Ok(IntegrityVerdict {
-        glsn,
-        ok: final_acc == deposit,
-        initiator,
-        messages: cluster.net().stats().messages_sent - start_messages,
-    })
-}
-
-fn fold_local(
-    cluster: &DlaCluster,
-    node: usize,
-    glsn: Glsn,
-    params: &dla_crypto::accumulator::AccumulatorParams,
-    acc: &Ubig,
-) -> Ubig {
-    match cluster.node(node).store().get_local(glsn) {
-        Some(frag) => params.fold(acc, &frag.to_canonical_bytes()),
-        // A missing fragment folds a distinguished marker so the check
-        // fails loudly rather than silently skipping the node.
-        None => params.fold(acc, format!("missing:{node}:{glsn}").as_bytes()),
-    }
+    let everyone = (0..cluster.num_nodes()).collect();
+    check_record_among(cluster, glsn, initiator, &everyone)
 }
 
 /// Folds one survivor's contribution: its own fragment plus any adopted
@@ -151,10 +73,15 @@ fn fold_survivor(
     glsn: Glsn,
     params: &dla_crypto::accumulator::AccumulatorParams,
     acc: &Ubig,
-    unrepresented: &mut std::collections::BTreeSet<usize>,
+    unrepresented: &mut BTreeSet<usize>,
 ) -> Ubig {
-    let mut acc = fold_local(cluster, node, glsn, params, acc);
     let store = cluster.node(node).store();
+    let mut acc = match store.get_local(glsn) {
+        Some(frag) => params.fold(acc, &frag.to_canonical_bytes()),
+        // A missing fragment folds a distinguished marker so the check
+        // fails loudly rather than silently skipping the node.
+        None => params.fold(acc, format!("missing:{node}:{glsn}").as_bytes()),
+    };
     let covered: Vec<usize> = unrepresented
         .iter()
         .copied()
@@ -168,14 +95,34 @@ fn fold_survivor(
     acc
 }
 
+/// Receives one circulation frame (`tag ‖ glsn ‖ acc`) at `at`: the
+/// glsn label it arrived under and the accumulator value it carries.
+fn recv_circulated(
+    cluster: &DlaCluster,
+    at: usize,
+    from: usize,
+) -> Result<(u64, Ubig), AuditError> {
+    let envelope = cluster
+        .net()
+        .recv_from(NodeId(at), NodeId(from))
+        .map_err(AuditError::Net)?;
+    let garbled = |e: dla_net::wire::WireError| AuditError::Integrity(e.to_string());
+    let mut r = Reader::new(&envelope.payload);
+    let _ = r.get_u8().map_err(garbled)?;
+    let label = r.get_u64().map_err(garbled)?;
+    let value = Ubig::from_bytes_be(r.get_bytes().map_err(garbled)?);
+    Ok((label, value))
+}
+
 /// Circulates the accumulator for `glsn` over the `alive` survivor set
-/// only. Each survivor folds its own fragment plus the adopted
-/// fragments it re-hosts for dead nodes; quasi-commutativity makes the
-/// final value equal the original deposit **iff every dead node's
-/// fragment is represented by a faithful adopted copy** — this is the
-/// proof that a re-replicated fragment matches what was originally
-/// logged. A dead node nobody re-hosts folds a `missing:` marker, so
-/// the check fails loudly instead of silently shrinking the record.
+/// only — the one circulation body. Each survivor folds its own
+/// fragment plus the adopted fragments it re-hosts for dead nodes;
+/// quasi-commutativity makes the final value equal the original deposit
+/// **iff every dead node's fragment is represented by a faithful
+/// adopted copy** — this is the proof that a re-replicated fragment
+/// matches what was originally logged. A dead node nobody re-hosts
+/// folds a `missing:` marker, so the check fails loudly instead of
+/// silently shrinking the record.
 ///
 /// # Errors
 ///
@@ -190,7 +137,7 @@ pub fn check_record_among(
     cluster: &mut DlaCluster,
     glsn: Glsn,
     initiator: usize,
-    alive: &std::collections::BTreeSet<usize>,
+    alive: &BTreeSet<usize>,
 ) -> Result<IntegrityVerdict, AuditError> {
     let n = cluster.num_nodes();
     assert!(
@@ -207,45 +154,33 @@ pub fn check_record_among(
         .clone();
     let params = cluster.accumulator_params().clone();
     let start_messages = cluster.net().stats().messages_sent;
-    let mut unrepresented: std::collections::BTreeSet<usize> =
-        (0..n).filter(|i| !alive.contains(i)).collect();
+    let mut unrepresented: BTreeSet<usize> = (0..n).filter(|i| !alive.contains(i)).collect();
 
     // Visit survivors in ring order starting at the initiator.
-    let route: Vec<usize> = alive
-        .iter()
-        .copied()
-        .filter(|&i| i > initiator)
-        .chain(alive.iter().copied().filter(|&i| i < initiator))
-        .collect();
+    let route = alive
+        .range(initiator + 1..)
+        .chain(alive.range(..initiator))
+        .copied();
 
-    let mut acc = params.start().clone();
-    acc = fold_survivor(cluster, initiator, glsn, &params, &acc, &mut unrepresented);
-
+    let mut acc = fold_survivor(
+        cluster,
+        initiator,
+        glsn,
+        &params,
+        params.start(),
+        &mut unrepresented,
+    );
     let mut holder = initiator;
-    for &next in &route {
+    for next in route {
         let mut w = Writer::new();
         w.put_u8(0x40).put_u64(glsn.0).put_bytes(&acc.to_bytes_be());
         cluster.net().send(NodeId(holder), NodeId(next), w.finish());
-        let envelope = cluster
-            .net()
-            .recv_from(NodeId(next), NodeId(holder))
-            .map_err(AuditError::Net)?;
-        let mut r = Reader::new(&envelope.payload);
-        let _ = r
-            .get_u8()
-            .map_err(|e| AuditError::Integrity(e.to_string()))?;
-        let tagged_glsn = r
-            .get_u64()
-            .map_err(|e| AuditError::Integrity(e.to_string()))?;
-        if tagged_glsn != glsn.0 {
+        let (label, received) = recv_circulated(cluster, next, holder)?;
+        if label != glsn.0 {
             return Err(AuditError::Integrity(format!(
-                "circulation for {glsn} arrived labelled {tagged_glsn:x}"
+                "circulation for {glsn} arrived labelled {label:x}"
             )));
         }
-        let received = Ubig::from_bytes_be(
-            r.get_bytes()
-                .map_err(|e| AuditError::Integrity(e.to_string()))?,
-        );
         acc = fold_survivor(cluster, next, glsn, &params, &received, &mut unrepresented);
         holder = next;
     }
@@ -264,21 +199,7 @@ pub fn check_record_among(
         cluster
             .net()
             .send(NodeId(holder), NodeId(initiator), w.finish());
-        let envelope = cluster
-            .net()
-            .recv_from(NodeId(initiator), NodeId(holder))
-            .map_err(AuditError::Net)?;
-        let mut r = Reader::new(&envelope.payload);
-        let _ = r
-            .get_u8()
-            .map_err(|e| AuditError::Integrity(e.to_string()))?;
-        let _ = r
-            .get_u64()
-            .map_err(|e| AuditError::Integrity(e.to_string()))?;
-        acc = Ubig::from_bytes_be(
-            r.get_bytes()
-                .map_err(|e| AuditError::Integrity(e.to_string()))?,
-        );
+        acc = recv_circulated(cluster, initiator, holder)?.1;
     }
 
     Ok(IntegrityVerdict {

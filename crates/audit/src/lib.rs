@@ -11,7 +11,9 @@
 //! * [`query`], [`parser`], [`normal`], [`plan`], [`exec`] — the
 //!   confidential query pipeline: criteria → conjunctive form → local
 //!   vs. cross subqueries → relaxed-secure-computation execution with
-//!   the final glsn-keyed secure set intersection (Fig. 3).
+//!   the final glsn-keyed secure set intersection (Fig. 3). One front
+//!   door ([`plan::compile`] then [`cluster::DlaCluster::plan`]) and
+//!   one executor ([`exec::execute_on`]) serve every auditor operation.
 //! * [`integrity`] — one-way-accumulator integrity circulation and
 //!   ACL consistency checking (§4.1).
 //! * [`membership`] — the anonymous-but-accountable evidence chain

@@ -4,11 +4,12 @@
 //! computation among them), and lay out the per-clause execution steps
 //! the distributed executor will run.
 
-use crate::normal::{Clause, NormalizedQuery};
-use crate::query::{CmpOp, Operand, Predicate};
+use crate::normal::{normalize, Clause, NormalizedQuery};
+use crate::query::{CmpOp, Criteria, Operand, Predicate};
 use crate::AuditError;
 use dla_logstore::fragment::Partition;
-use dla_logstore::model::{AttrName, AttrValue};
+use dla_logstore::model::{AttrName, AttrValue, Glsn};
+use dla_logstore::schema::Schema;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -230,6 +231,11 @@ pub struct QueryPlan {
     /// The provable `time` bounds of the answers — the epoch-pruning
     /// input ([`extract_time_window`]).
     pub time_window: TimeWindow,
+    /// An inclusive glsn range the executor intersects into the
+    /// epoch-pruning window derived from `time_window`. [`plan`] leaves
+    /// it `None` (the whole trail); the standing-query engine sets it
+    /// to one just-sealed epoch's range to evaluate only that delta.
+    pub glsn_clamp: Option<(Glsn, Glsn)>,
 }
 
 impl QueryPlan {
@@ -368,16 +374,45 @@ pub fn plan(normalized: &NormalizedQuery, partition: &Partition) -> Result<Query
         cross_atom_count,
         conjunct_count: normalized.len() - 1,
         time_window: extract_time_window(normalized),
+        glsn_clamp: None,
         subqueries,
     })
+}
+
+/// The schema half of the query front door: type-checks a criteria
+/// tree and normalizes it to CNF. Every auditor operation reaches
+/// [`plan`] through here (and [`crate::cluster::DlaCluster::plan`],
+/// which supplies the partition in force).
+///
+/// # Errors
+///
+/// Returns [`AuditError::Parse`] for unknown attributes or
+/// incomparable operand types.
+pub fn compile_criteria(
+    criteria: &Criteria,
+    schema: &Schema,
+) -> Result<NormalizedQuery, AuditError> {
+    criteria
+        .check(schema)
+        .map_err(|e| AuditError::Parse(e.to_string()))?;
+    Ok(normalize(criteria))
+}
+
+/// [`compile_criteria`] from query text.
+///
+/// # Errors
+///
+/// Returns [`AuditError::Parse`] on syntax or type errors.
+pub fn compile(criteria: &str, schema: &Schema) -> Result<NormalizedQuery, AuditError> {
+    let parsed =
+        crate::parser::parse(criteria, schema).map_err(|e| AuditError::Parse(e.to_string()))?;
+    compile_criteria(&parsed, schema)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::normal::normalize;
     use crate::parser::parse;
-    use dla_logstore::schema::Schema;
 
     fn planned(src: &str) -> QueryPlan {
         let schema = Schema::paper_example();

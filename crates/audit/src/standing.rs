@@ -8,8 +8,10 @@
 //! ([`crate::cluster::DlaCluster::register_standing`]): the CNF is
 //! parsed, normalized and validated up front, and from then on every
 //! epoch seal evaluates the query against *only the just-sealed
-//! epoch's glsn range* (via [`crate::exec::execute_on_clamped`], under
-//! the cluster's ARQ configuration) and pushes the incremental
+//! epoch's glsn range* (the plan's
+//! [`crate::plan::QueryPlan::glsn_clamp`], run by
+//! [`crate::exec::execute_on`] over an ARQ-protected transport) and
+//! pushes the incremental
 //! [`StandingDelta`] to the subscriber. The accumulated union of
 //! deltas equals a fresh [`crate::cluster::DlaCluster::query_shared`]
 //! restricted to sealed epochs — proven byte-identical under chaos in

@@ -229,11 +229,9 @@ pub fn verify_transaction(
                         AttrValue::text(id),
                     )));
                 }
-                let result = crate::exec::execute_with_reveal(
-                    cluster,
-                    &crate::plan::plan(&crate::normal::normalize(&criteria), cluster.partition())?,
-                    false,
-                )?;
+                let plan =
+                    cluster.plan(&crate::plan::compile_criteria(&criteria, cluster.schema())?)?;
+                let result = crate::exec::execute(cluster, &plan, false)?;
                 RuleVerdict {
                     rule: rule.clone(),
                     ok: result.cardinality == 0,
@@ -299,11 +297,7 @@ fn scalar_from_owner(
     tag: u8,
     compute: impl FnOnce(&[AttrValue]) -> Option<u64>,
 ) -> Result<Option<u64>, AuditError> {
-    let parsed = crate::parser::parse(criteria, cluster.schema())
-        .map_err(|e| AuditError::Parse(e.to_string()))?;
-    let normalized = crate::normal::normalize(&parsed);
-    let plan = crate::plan::plan(&normalized, cluster.partition())?;
-    let result = crate::exec::execute(cluster, &plan)?;
+    let result = cluster.query(criteria)?;
     owner_scalar_over_glsns(cluster, &result.glsns, attr, tag, compute)
 }
 
@@ -318,40 +312,12 @@ pub(crate) fn owner_scalar_over_glsns(
     tag: u8,
     compute: impl FnOnce(&[AttrValue]) -> Option<u64>,
 ) -> Result<Option<u64>, AuditError> {
-    let owner = cluster
-        .partition()
-        .node_of(attr)
-        .ok_or_else(|| AuditError::Planning(format!("attribute {attr} is not served")))?;
-
-    // Auditor -> owner: the glsn list.
-    let auditor = cluster.auditor_node();
-    let mut w = Writer::new();
-    w.put_u8(tag).put_list(result_glsns, |w, g| {
-        w.put_u64(g.0);
-    });
-    cluster.net().send(auditor, NodeId(owner), w.finish());
-    let envelope = cluster
-        .net()
-        .recv_from(NodeId(owner), auditor)
-        .map_err(AuditError::Net)?;
-    let mut r = Reader::new(&envelope.payload);
-    let _ = r.get_u8().map_err(|e| AuditError::Parse(e.to_string()))?;
-    let glsns: Vec<Glsn> = r
-        .get_list(|r| r.get_u64().map(Glsn))
-        .map_err(|e| AuditError::Parse(e.to_string()))?;
-
-    // Owner computes the scalar locally.
-    let values: Vec<AttrValue> = glsns
-        .iter()
-        .filter_map(|g| {
-            cluster
-                .node(owner)
-                .store()
-                .get_local(*g)
-                .and_then(|f| f.values.get(attr).cloned())
-        })
-        .collect();
+    // Auditor -> owner: the glsn list; the owner computes the scalar
+    // over its local values.
+    let (owner, values) = cluster.values_at_owner(tag, attr, result_glsns)?;
+    let values: Vec<AttrValue> = values.into_iter().map(|(_, v)| v).collect();
     let scalar = compute(&values);
+    let auditor = cluster.auditor_node();
 
     // Owner -> auditor: the scalar only.
     let mut w = Writer::new();

@@ -1,6 +1,6 @@
 //! Stress test for the concurrent subquery scheduler: many auditors
 //! issue many queries against a **shared** cluster simultaneously.
-//! Every result must match the serial single-auditor reference, and
+//! Every result must match the single-auditor reference, and
 //! the per-session traffic accounting must prove that protocol
 //! sessions really were in flight at the same time.
 
@@ -23,13 +23,11 @@ const QUERIES: &[&str] = &[
     "(c1 > 10 OR c2 > 100.00) AND (id = 'U2' OR protocol = 'UDP') AND id != c3",
 ];
 
-/// Plans and runs `q` with the legacy serial executor.
-fn serial_query(cluster: &mut DlaCluster, q: &str) -> BTreeSet<Glsn> {
-    let parsed = dla_audit::parser::parse(q, cluster.schema()).expect("parse");
-    let normalized = dla_audit::normal::normalize(&parsed);
-    let plan = dla_audit::plan::plan(&normalized, cluster.partition()).expect("plan");
-    dla_audit::exec::execute_with_options(cluster, &plan, true, dla_audit::exec::ExecMode::Serial)
-        .unwrap_or_else(|e| panic!("serial query {q:?} failed: {e}"))
+/// Runs `q` alone through the exclusive `&mut` front door.
+fn single_auditor_query(cluster: &mut DlaCluster, q: &str) -> BTreeSet<Glsn> {
+    cluster
+        .query(q)
+        .unwrap_or_else(|e| panic!("reference query {q:?} failed: {e}"))
         .glsns
         .into_iter()
         .collect()
@@ -55,12 +53,12 @@ fn many_auditors_many_queries_match_serial_reference() {
     const AUDITORS: usize = 4;
     const ROUNDS: usize = 6;
 
-    // Serial single-auditor reference, on an identically seeded and
-    // loaded cluster.
+    // Single-auditor reference, on an identically seeded and loaded
+    // cluster.
     let mut reference = loaded(33);
     let expected: Vec<BTreeSet<Glsn>> = QUERIES
         .iter()
-        .map(|q| serial_query(&mut reference, q))
+        .map(|q| single_auditor_query(&mut reference, q))
         .collect();
 
     // M auditor threads, each issuing N queries against the shared
@@ -135,7 +133,7 @@ fn shared_queries_from_one_thread_also_agree() {
     let mut reference = loaded(7);
     let cluster = loaded(7);
     for q in QUERIES {
-        let want = serial_query(&mut reference, q);
+        let want = single_auditor_query(&mut reference, q);
         let got: BTreeSet<Glsn> = cluster.query_shared(q).unwrap().glsns.into_iter().collect();
         assert_eq!(got, want, "query {q:?} diverged");
     }

@@ -87,6 +87,26 @@ fn loaded_cluster(seed: u64) -> (DlaCluster, Vec<LogRecord>, Vec<Glsn>) {
     (cluster, records, glsns)
 }
 
+/// Plain whole-record evaluation: the centralized Figure 1 semantics.
+fn centralized_reference(
+    criteria: &Criteria,
+    records: &[LogRecord],
+    glsns: &[Glsn],
+) -> BTreeSet<Glsn> {
+    records
+        .iter()
+        .zip(glsns)
+        .filter(|(r, _)| {
+            let mut keyed = LogRecord::new(Glsn(0));
+            for (n, v) in r.iter() {
+                keyed.insert(n.clone(), v.clone());
+            }
+            criteria.eval(&keyed).unwrap()
+        })
+        .map(|(_, g)| *g)
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
@@ -96,18 +116,7 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let (mut cluster, records, glsns) = loaded_cluster(seed);
-        let expect: BTreeSet<Glsn> = records
-            .iter()
-            .zip(&glsns)
-            .filter(|(r, _)| {
-                let mut keyed = LogRecord::new(Glsn(0));
-                for (n, v) in r.iter() {
-                    keyed.insert(n.clone(), v.clone());
-                }
-                criteria.eval(&keyed).unwrap()
-            })
-            .map(|(_, g)| *g)
-            .collect();
+        let expect = centralized_reference(&criteria, &records, &glsns);
         let got: BTreeSet<Glsn> = cluster
             .query_criteria(&criteria)
             .unwrap_or_else(|e| panic!("query {criteria} failed: {e}"))
@@ -118,43 +127,29 @@ proptest! {
     }
 
     /// The concurrent subquery scheduler is an optimisation, not a
-    /// semantics change: for any randomized plan it must return the
-    /// same glsn set as the legacy serial executor.
+    /// semantics change: for any randomized plan, executed through the
+    /// explicit plan → `execute` path, it must return the glsn set of
+    /// whole-record evaluation — the reference the retired serial
+    /// executor was itself held to.
     #[test]
     fn concurrent_scheduler_matches_serial_on_random_plans(
         criteria in arb_criteria(),
         seed in 0u64..1_000,
     ) {
-        let (mut serial_cluster, _, _) = loaded_cluster(seed);
-        let (mut conc_cluster, _, _) = loaded_cluster(seed);
+        let (mut cluster, records, glsns) = loaded_cluster(seed);
+        let expect = centralized_reference(&criteria, &records, &glsns);
 
         let normalized = dla_audit::normal::normalize(&criteria);
-        let plan = dla_audit::plan::plan(&normalized, serial_cluster.partition())
+        let plan = dla_audit::plan::plan(&normalized, cluster.partition())
             .unwrap_or_else(|e| panic!("plan {criteria} failed: {e}"));
+        let concurrent = dla_audit::exec::execute(&mut cluster, &plan, true)
+            .unwrap_or_else(|e| panic!("concurrent {criteria} failed: {e}"));
 
-        let serial = dla_audit::exec::execute_with_options(
-            &mut serial_cluster,
-            &plan,
-            true,
-            dla_audit::exec::ExecMode::Serial,
-        )
-        .unwrap_or_else(|e| panic!("serial {criteria} failed: {e}"));
-        let concurrent = dla_audit::exec::execute_with_options(
-            &mut conc_cluster,
-            &plan,
-            true,
-            dla_audit::exec::ExecMode::Concurrent,
-        )
-        .unwrap_or_else(|e| panic!("concurrent {criteria} failed: {e}"));
-
-        let serial_set: BTreeSet<Glsn> = serial.glsns.iter().copied().collect();
         let concurrent_set: BTreeSet<Glsn> = concurrent.glsns.iter().copied().collect();
-        prop_assert_eq!(serial_set, concurrent_set, "criteria {} diverged", criteria);
-        prop_assert_eq!(serial.cardinality, concurrent.cardinality);
-        // The concurrent run multiplexed each subquery over a fresh
-        // session; the serial run stayed on the root session.
+        prop_assert_eq!(&concurrent_set, &expect, "criteria {} diverged", criteria);
+        prop_assert_eq!(concurrent.cardinality, expect.len());
+        // The run multiplexed each subquery over a fresh session.
         prop_assert_eq!(concurrent.sessions.len(), plan.subqueries.len());
-        prop_assert!(serial.sessions.is_empty());
     }
 }
 

@@ -8,6 +8,7 @@
 //! transports may cost retransmissions, but they must never move a
 //! sealed checkpoint.
 
+use dla_audit::exec::ResilientPolicy;
 use dla_audit::federation::{FederatedCluster, FederationConfig};
 use dla_audit::query::{CmpOp, Criteria, Predicate};
 use dla_logstore::fragment::Partition;
@@ -154,7 +155,7 @@ proptest! {
         let mut one = chaotic_federation(1, seed, &records);
         let mut four = chaotic_federation(4, seed ^ 0x00f4_c4a0, &records);
         let src = criteria.to_string();
-        let policy = one.ring(0).resilient_policy();
+        let policy = ResilientPolicy::default();
 
         let a = one
             .query_resilient(&src, &policy)
@@ -181,7 +182,7 @@ fn root_cross_check_closes_after_chaotic_queries() {
     let records = workload(424_242);
     let mut one = chaotic_federation(1, 9, &records);
     let mut four = chaotic_federation(4, 10, &records);
-    let policy = one.ring(0).resilient_policy();
+    let policy = ResilientPolicy::default();
     for fed in [&mut one, &mut four] {
         fed.query_resilient("protocol = 'UDP' OR c1 > 10", &policy)
             .expect("chaotic query completes");

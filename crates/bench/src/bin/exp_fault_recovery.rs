@@ -103,7 +103,6 @@ fn run_trial(seed: u64, query: &str, drop: f64, reliable: bool, stats: &mut ArmS
         ResilientPolicy {
             reliable: None,
             max_attempts: 1,
-            ..ResilientPolicy::default()
         }
     };
     stats.trials += 1;

@@ -16,7 +16,7 @@
 
 use crate::sha256;
 use dla_bigint::montgomery::MontgomeryContext;
-use dla_bigint::{modular, multi_exp, prime, FixedBase, Ubig};
+use dla_bigint::{multi_exp, prime, FixedBase, Ubig};
 use rand::Rng;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -84,19 +84,6 @@ impl AccumulatorParams {
             ctx: Arc::new(ctx),
             fixed: Arc::new(OnceLock::new()),
         }
-    }
-
-    /// Generates fresh parameters **keeping** the factorization as an
-    /// [`AccumulatorTrapdoor`], for the setup party that is allowed to
-    /// fold with CRT-split exponent reduction. Everyone else sees the
-    /// same public parameters as [`AccumulatorParams::generate`].
-    pub fn generate_with_trapdoor<R: Rng + ?Sized>(
-        bits: usize,
-        rng: &mut R,
-    ) -> (Self, AccumulatorTrapdoor) {
-        let (n, p, q) = prime::gen_rsa_modulus(bits, rng);
-        let trapdoor = AccumulatorTrapdoor::new(p, q);
-        (Self::from_modulus(n), trapdoor)
     }
 
     /// The standard 512-bit test parameters.
@@ -305,136 +292,6 @@ impl AccumulatorParams {
             .collect();
         let rhs = multi_exp(&self.ctx, &terms);
         lhs == rhs
-    }
-
-    /// CRT-split [`AccumulatorParams::fold_batch`] for the party that
-    /// kept the modulus factorization: the combined exponent is reduced
-    /// mod `p−1` / `q−1` and each power evaluated in the two half-size
-    /// prime fields, then recombined. Values are bit-identical to the
-    /// public fold; only the arithmetic route (and its cost) differs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `trapdoor` does not factor these parameters' modulus.
-    #[must_use]
-    pub fn fold_batch_with_trapdoor(
-        &self,
-        trapdoor: &AccumulatorTrapdoor,
-        accs: &[Ubig],
-        items: &[&[u8]],
-    ) -> Vec<Ubig> {
-        assert_eq!(
-            *self.n,
-            trapdoor.modulus(),
-            "trapdoor does not match these accumulator parameters"
-        );
-        if items.is_empty() {
-            return accs.to_vec();
-        }
-        dla_telemetry::record(
-            dla_telemetry::CostKind::AccumulatorFold,
-            (items.len() * accs.len()) as u64,
-        );
-        let exponent = items
-            .iter()
-            .map(|item| self.item_exponent(item))
-            .reduce(|a, b| a * b)
-            .expect("items is non-empty");
-        trapdoor.pow_batch(accs, &exponent)
-    }
-}
-
-/// The factorization of an accumulator modulus — held only by the
-/// setup party (everyone else works with the "rigid" public modulus).
-/// Knowing `p`, `q` turns one `n`-size exponentiation by a huge batch
-/// exponent into two half-size exponentiations by exponents reduced
-/// mod `p−1` / `q−1` (Fermat), recombined with the CRT.
-pub struct AccumulatorTrapdoor {
-    p: Ubig,
-    q: Ubig,
-    ctx_p: MontgomeryContext,
-    ctx_q: MontgomeryContext,
-    /// `q⁻¹ mod p`, for the CRT recombination.
-    q_inv: Ubig,
-}
-
-impl fmt::Debug for AccumulatorTrapdoor {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // Never print the factors.
-        write!(
-            f,
-            "AccumulatorTrapdoor({} + {} bit factors)",
-            self.p.bit_len(),
-            self.q.bit_len()
-        )
-    }
-}
-
-impl AccumulatorTrapdoor {
-    fn new(p: Ubig, q: Ubig) -> Self {
-        let ctx_p = MontgomeryContext::new(&p).expect("RSA factors are odd primes");
-        let ctx_q = MontgomeryContext::new(&q).expect("RSA factors are odd primes");
-        let q_inv = modular::modinv(&q, &p).expect("distinct primes are coprime");
-        AccumulatorTrapdoor {
-            p,
-            q,
-            ctx_p,
-            ctx_q,
-            q_inv,
-        }
-    }
-
-    /// The modulus this trapdoor factors.
-    #[must_use]
-    pub fn modulus(&self) -> Ubig {
-        &self.p * &self.q
-    }
-
-    /// `exp mod (m−1)`, guarded so a non-zero exponent never reduces to
-    /// zero: `base^{m−1}` and `base^{e(m−1)}` agree mod the prime `m`
-    /// for every base (including multiples of `m`, where both are 0),
-    /// while `base^0 = 1` would not.
-    fn reduce(exp: &Ubig, order: &Ubig) -> Ubig {
-        if exp < order {
-            return exp.clone();
-        }
-        let r = exp % order;
-        if r.is_zero() && !exp.is_zero() {
-            order.clone()
-        } else {
-            r
-        }
-    }
-
-    /// `base^exp mod pq` via the CRT split.
-    #[must_use]
-    pub fn pow(&self, base: &Ubig, exp: &Ubig) -> Ubig {
-        self.pow_batch(std::slice::from_ref(base), exp)
-            .pop()
-            .expect("one base in, one power out")
-    }
-
-    /// `baseᵢ^exp mod pq` for every base: the exponent reduces once per
-    /// prime, both half-size batches share their window plans.
-    #[must_use]
-    pub fn pow_batch(&self, bases: &[Ubig], exp: &Ubig) -> Vec<Ubig> {
-        let e_p = Self::reduce(exp, &(&self.p - &Ubig::one()));
-        let e_q = Self::reduce(exp, &(&self.q - &Ubig::one()));
-        let bases_p: Vec<Ubig> = bases.iter().map(|b| b % &self.p).collect();
-        let bases_q: Vec<Ubig> = bases.iter().map(|b| b % &self.q).collect();
-        let pows_p = self.ctx_p.modexp_batch(&bases_p, &e_p);
-        let pows_q = self.ctx_q.modexp_batch(&bases_q, &e_q);
-        pows_p
-            .into_iter()
-            .zip(pows_q)
-            .map(|(a_p, a_q)| {
-                // x ≡ a_p (mod p), x ≡ a_q (mod q):
-                // x = a_q + q·((a_p − a_q)·q⁻¹ mod p).
-                let diff = modular::modsub(&a_p, &(&a_q % &self.p), &self.p);
-                let t = modular::modmul(&diff, &self.q_inv, &self.p);
-                a_q + t * self.q.clone()
-            })
-            .collect()
     }
 }
 
@@ -1139,92 +996,6 @@ mod tests {
         let mut crossed = claims;
         crossed[0].1 = swapped[0].1.clone();
         assert!(!p.batch_verify(&crossed));
-    }
-
-    #[test]
-    fn trapdoor_crt_folds_match_public_folds() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-        let (p, trapdoor) = AccumulatorParams::generate_with_trapdoor(256, &mut rng);
-        assert_eq!(*p.modulus(), trapdoor.modulus());
-
-        let items: Vec<&[u8]> = (0..20)
-            .map(|i| -> &[u8] {
-                match i % 4 {
-                    0 => b"w",
-                    1 => b"x",
-                    2 => b"y",
-                    _ => b"z",
-                }
-            })
-            .collect();
-        let accs = vec![
-            p.accumulate([b"s0".as_slice()]),
-            p.accumulate([b"s1".as_slice()]),
-        ];
-        let public = p.fold_batch(&accs, &items);
-        let split = p.fold_batch_with_trapdoor(&trapdoor, &accs, &items);
-        assert_eq!(public, split, "CRT route must be bit-identical");
-        assert_eq!(
-            p.fold_batch_with_trapdoor(&trapdoor, &accs, &[]),
-            accs,
-            "empty batch is the identity"
-        );
-
-        // Direct powers, including exponents the reduction rewrites:
-        // a multiple of (p−1)(q−1) must not collapse to base^0.
-        let base = p.accumulate([b"base".as_slice()]);
-        for exp in [
-            Ubig::zero(),
-            Ubig::one(),
-            Ubig::from_u64(65_537),
-            &(&trapdoor.modulus() - &Ubig::one()) * &Ubig::from_u64(3),
-        ] {
-            assert_eq!(
-                trapdoor.pow(&base, &exp),
-                dla_bigint::modular::modexp(&base, &exp, p.modulus()),
-                "exp = {} bits",
-                exp.bit_len()
-            );
-        }
-    }
-
-    #[test]
-    fn trapdoor_folds_cost_fewer_mul_steps_on_large_batches() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(10);
-        let (p, trapdoor) = AccumulatorParams::generate_with_trapdoor(256, &mut rng);
-        let items: Vec<&[u8]> = (0..24).map(|_| b"item".as_slice()).collect();
-        let accs = vec![p.accumulate([b"seed".as_slice()])];
-        let capture = |f: &dyn Fn() -> Vec<Ubig>| {
-            let recorder = dla_telemetry::Recorder::new();
-            let out = {
-                let _install = recorder.install();
-                f()
-            };
-            (out, recorder.take().total_cost())
-        };
-        let (public, public_cost) = capture(&|| p.fold_batch(&accs, &items));
-        let (split, split_cost) = capture(&|| p.fold_batch_with_trapdoor(&trapdoor, &accs, &items));
-        assert_eq!(public, split);
-        assert_eq!(
-            public_cost.acc_fold, split_cost.acc_fold,
-            "both routes absorb the same logical items"
-        );
-        assert!(
-            split_cost.mont_mul_steps < public_cost.mont_mul_steps,
-            "CRT split ({}) must beat the full-width fold ({})",
-            split_cost.mont_mul_steps,
-            public_cost.mont_mul_steps
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "does not match")]
-    fn trapdoor_for_a_different_modulus_is_rejected() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        let (_, trapdoor) = AccumulatorParams::generate_with_trapdoor(128, &mut rng);
-        let other = params();
-        let _ =
-            other.fold_batch_with_trapdoor(&trapdoor, &[other.start().clone()], &[b"x".as_slice()]);
     }
 
     #[test]

@@ -62,13 +62,6 @@ impl Default for ReliableConfig {
 }
 
 impl ReliableConfig {
-    /// Sets the base retransmission timeout.
-    #[must_use]
-    pub fn with_base_timeout(mut self, t: SimTime) -> Self {
-        self.base_timeout = t;
-        self
-    }
-
     /// Sets the retry budget.
     #[must_use]
     pub fn with_max_retries(mut self, n: u32) -> Self {

@@ -28,7 +28,7 @@ impl SimTime {
 
     /// Constructs from microseconds.
     #[must_use]
-    pub fn from_micros(us: u64) -> Self {
+    pub const fn from_micros(us: u64) -> Self {
         SimTime(us * 1_000)
     }
 

@@ -13,7 +13,7 @@
 
 use confidential_audit::audit::cluster::{ClusterConfig, DlaCluster};
 use confidential_audit::audit::exec::ResilientPolicy;
-use confidential_audit::audit::health::{HealthConfig, HealthMonitor};
+use confidential_audit::audit::health::HealthMonitor;
 use confidential_audit::logstore::fragment::Partition;
 use confidential_audit::logstore::gen::paper_table1;
 use confidential_audit::logstore::schema::Schema;
@@ -47,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The heartbeat detector needs a few silent rounds before it moves
     // P2 from Suspected to Dead (no flapping on one lost ping).
-    let mut monitor = HealthMonitor::new(&cluster, HealthConfig::default());
+    let mut monitor = HealthMonitor::new(&cluster);
     monitor.settle(&cluster)?;
     println!(
         "health monitor after settling: survivors = {:?}, dead = {:?}",

@@ -1,0 +1,103 @@
+//! One thin test per layer under the cluster — bigint, crypto, net,
+//! logstore — through the facade and with no `DlaCluster`, so tier-1
+//! touches every crate directly and a break names its layer.
+
+use confidential_audit::bigint::montgomery::MontgomeryContext;
+use confidential_audit::bigint::{modular, Ubig};
+use confidential_audit::crypto::accumulator::AccumulatorParams;
+use confidential_audit::crypto::pohlig_hellman::{CommutativeDomain, CommutativeKey, PhKey};
+use confidential_audit::logstore::journal::{Journal, JournalEntry};
+use confidential_audit::logstore::model::Glsn;
+use confidential_audit::net::{Envelope, NodeId, SessionId, SimTime};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+#[test]
+fn bigint_montgomery_modexp_matches_schoolbook() {
+    let hex = |s| Ubig::from_hex(s).expect("valid hex");
+    let n = hex("f3a1c5d7e9b2046813579bdf02468ace13579bdf02468acefdb97531eca86421");
+    let base = hex("1234567890abcdef1234567890abcdef1234567890abcdef1234567890abcdef");
+    let exp = hex("fedcba9876543210fedcba9876543210fedcba9876543210fedcba9876543210");
+    assert_eq!(n.bit_len(), 256);
+    let ctx = MontgomeryContext::new(&n).expect("odd modulus");
+    assert_eq!(
+        ctx.modexp(&base, &exp),
+        modular::modexp_schoolbook(&base, &exp, &n)
+    );
+}
+
+#[test]
+fn crypto_cipher_commutes_and_accumulator_is_order_free() {
+    let domain = CommutativeDomain::fixed_256();
+    let mut rng = StdRng::seed_from_u64(17);
+    let (ka, kb) = (
+        PhKey::generate(&domain, &mut rng),
+        PhKey::generate(&domain, &mut rng),
+    );
+    let m = domain.encode(b"glsn-139aef").expect("fits the domain");
+    assert_eq!(ka.encrypt(&kb.encrypt(&m)), kb.encrypt(&ka.encrypt(&m)));
+    assert_eq!(ka.decrypt(&ka.encrypt(&m)), m);
+
+    let acc = AccumulatorParams::fixed_512();
+    let (x, y): (&[u8], &[u8]) = (b"fragment-0", b"fragment-1");
+    let xy = acc.fold(&acc.fold(acc.start(), x), y);
+    assert_eq!(xy, acc.fold(&acc.fold(acc.start(), y), x), "Eq. 9");
+    assert_eq!(xy, acc.accumulate_batch(&[x, y]));
+    assert_ne!(xy, acc.accumulate_batch(&[x, b"fragment-X"]));
+}
+
+#[test]
+fn net_envelope_round_trips_and_rejects_a_flipped_byte() {
+    let envelope = Envelope::new(
+        SessionId(7),
+        NodeId(1),
+        NodeId(2),
+        bytes::Bytes::copy_from_slice(b"ring relay payload"),
+        SimTime::from_nanos(5),
+        SimTime::from_nanos(9),
+    );
+    let wire = envelope.encode();
+    let decoded = Envelope::decode(&wire).expect("round trip");
+    assert_eq!(
+        (decoded.session, decoded.from, decoded.to),
+        (SessionId(7), NodeId(1), NodeId(2))
+    );
+    assert_eq!(decoded.payload, envelope.payload);
+    assert!(decoded.is_intact());
+
+    let mut flipped = wire.to_vec();
+    *flipped.last_mut().expect("non-empty") ^= 0x01;
+    assert!(Envelope::decode(&flipped).is_err(), "CRC must reject it");
+}
+
+#[test]
+fn logstore_journal_replays_batches_and_truncates_a_torn_tail() {
+    let path = std::env::temp_dir().join(format!("dla-layer-smoke-{}.journal", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let entries = vec![
+        JournalEntry::Tombstone(Glsn(0x139aef)),
+        JournalEntry::Blob {
+            tag: 0x01,
+            bytes: b"deposit".to_vec(),
+        },
+    ];
+    let (mut journal, replayed) = Journal::open(&path).expect("creates");
+    assert!(replayed.is_empty());
+    journal.append_batch(&entries).expect("appends");
+    drop(journal);
+    let intact_len = std::fs::metadata(&path).expect("exists").len();
+
+    let (mut journal, replayed) = Journal::open(&path).expect("reopens");
+    assert_eq!(replayed, entries);
+    // A crash mid-append: the last entry's frame is cut short.
+    journal.append(&entries[1]).expect("appends");
+    drop(journal);
+    let torn_len = std::fs::metadata(&path).expect("exists").len() - 3;
+    let file = std::fs::OpenOptions::new().write(true).open(&path);
+    file.expect("opens").set_len(torn_len).expect("truncates");
+
+    let (_, replayed) = Journal::open(&path).expect("a torn tail is not an error");
+    assert_eq!(replayed, entries, "only the whole entries survive");
+    assert_eq!(std::fs::metadata(&path).expect("exists").len(), intact_len);
+    let _ = std::fs::remove_file(&path);
+}
