@@ -244,7 +244,9 @@ pub fn windowed_bucket_aggregate(
     let bounded = !window.is_unbounded();
 
     // One epoch's contribution by scanning the owner's fragments over
-    // the epoch's nominal glsn range (the partials' own scan surface).
+    // the epoch's nominal glsn range, the range its partials fold
+    // (adopted copies, which the scan also walks, carry another node's
+    // attributes and match nothing here).
     let scan_epoch = |epoch: EpochId, out: &mut WindowedAggregate| {
         let (lo, hi) = cluster.epoch_policy().glsn_range(epoch);
         let store = cluster.node(owner).store();

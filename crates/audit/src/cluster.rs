@@ -10,9 +10,11 @@ use dla_crypto::schnorr::{SchnorrGroup, SchnorrKeyPair};
 use dla_logstore::acl::{OperationSet, Ticket, TicketAuthority};
 use dla_logstore::epoch::{EpochId, EpochPolicy};
 use dla_logstore::fragment::{fragment, Fragment, Partition};
+use dla_logstore::journal::{Journal, JournalEntry};
 use dla_logstore::model::{AttrName, AttrValue, Glsn, LogRecord};
 use dla_logstore::schema::Schema;
 use dla_logstore::store::{FragmentStore, GlsnAllocator};
+use dla_logstore::LogError;
 use dla_net::latency::LatencyModel;
 use dla_net::wire::{Reader, Writer};
 use dla_net::{NetConfig, NodeId, SharedNet, SimNet};
@@ -422,7 +424,7 @@ pub struct DlaCluster {
             dla_crypto::schnorr::Signature,
         ),
     >,
-    cluster_journal: Option<dla_logstore::journal::Journal>,
+    cluster_journal: Option<Journal>,
     users: usize,
     max_users: usize,
     rng: StdRng,
@@ -527,102 +529,14 @@ impl DlaCluster {
         net_config.capture_payloads = config.capture_payloads;
         let net = SimNet::new(config.nodes + 2 + config.max_users, net_config);
 
-        // Replay cluster-level durable state: deposits + origin
-        // signatures + the ticket-id high-water mark.
-        let mut authority = TicketAuthority::new(&group, &mut rng);
-        let mut deposits = BTreeMap::new();
-        let mut origins = BTreeMap::new();
-        let mut times: BTreeMap<Glsn, u64> = BTreeMap::new();
-        let mut sealed_epochs: Vec<EpochId> = Vec::new();
-        let mut next_glsn: Option<Glsn> = None;
-        let cluster_journal = match &config.journal_dir {
-            Some(dir) => {
-                let (journal, entries) =
-                    dla_logstore::journal::Journal::open(&dir.join("cluster.journal"))
-                        .map_err(|e| AuditError::Config(e.to_string()))?;
-                for entry in entries {
-                    let dla_logstore::journal::JournalEntry::Blob { tag, bytes } = entry else {
-                        continue;
-                    };
-                    match tag {
-                        BLOB_DEPOSIT => {
-                            let (glsn, deposit, public, signature, time) =
-                                decode_deposit_blob(&bytes)?;
-                            next_glsn = Some(
-                                next_glsn.map_or(Glsn(glsn.0 + 1), |g| Glsn(g.0.max(glsn.0 + 1))),
-                            );
-                            deposits.insert(glsn, deposit);
-                            origins.insert(glsn, (public, signature));
-                            if let Some(t) = time {
-                                times.insert(glsn, t);
-                            }
-                        }
-                        BLOB_TICKET_COUNTER => {
-                            if let Ok(raw) = bytes.as_slice().try_into() {
-                                authority.resume_from(u64::from_be_bytes(raw));
-                            }
-                        }
-                        BLOB_EPOCH_SEAL => {
-                            if let Ok(raw) = bytes.as_slice().try_into() {
-                                sealed_epochs.push(EpochId(u64::from_be_bytes(raw)));
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                Some(journal)
-            }
-            None => None,
-        };
-        let allocator = match next_glsn {
-            Some(glsn) => GlsnAllocator::starting_at(glsn),
-            None => GlsnAllocator::starting_at(glsn_base),
-        };
-
+        let authority = TicketAuthority::new(&group, &mut rng);
         let acc_params = AccumulatorParams::fixed_512();
-
-        // Rebuild the epoch index from the replayed deposits: refold
-        // each epoch's accumulator (and the whole-trail one) in glsn
-        // order, then re-seal in the journaled order so the checkpoint
-        // chain's links are reproduced bit for bit.
-        let mut epoch_stats: BTreeMap<EpochId, EpochStats> = BTreeMap::new();
-        let mut trail_acc = acc_params.start().clone();
-        let mut trail_items = 0u64;
-        for (glsn, deposit) in &deposits {
-            let epoch = epoch_policy.epoch_of(*glsn);
-            let stats = epoch_stats
-                .entry(epoch)
-                .or_insert_with(|| EpochStats::open(epoch, acc_params.start().clone()));
-            stats.observe(*glsn, times.get(glsn).copied());
-            let item = trail_item(*glsn, deposit);
-            let folded = acc_params.fold_batch(&[stats.acc.clone(), trail_acc], &[&item]);
-            let [epoch_acc, new_trail]: [Ubig; 2] =
-                folded.try_into().expect("fold_batch preserves arity");
-            stats.acc = epoch_acc;
-            trail_acc = new_trail;
-            trail_items += 1;
-        }
-        let mut chain = CheckpointChain::new();
-        for epoch in sealed_epochs {
-            let stats = epoch_stats
-                .entry(epoch)
-                .or_insert_with(|| EpochStats::open(epoch, acc_params.start().clone()));
-            stats.sealed = true;
-            // Re-materialize each node's aggregate partials (idempotent
-            // — restore already rebuilt journaled ones from the
-            // surviving fragments) so the aggregate commitment, and
-            // with it every chain link, is reproduced bit for bit.
-            for node in &nodes {
-                node.store_mut()
-                    .materialize_partials(epoch)
-                    .map_err(|e| AuditError::Log(e.to_string()))?;
-            }
-            let aggregates = epoch_aggregates_digest(&nodes, epoch);
-            chain.seal_with_aggregates(epoch.0, stats.deposits, stats.acc.clone(), aggregates);
-        }
-
-        Ok(DlaCluster {
+        // The ledger starts empty; whatever history there is arrives by
+        // replaying the cluster journal through the same transitions
+        // that wrote it.
+        let mut cluster = DlaCluster {
             meta: crate::meta::MetaAuditTrail::new(acc_params.clone()),
+            trail_acc: acc_params.start().clone(),
             ctx: Arc::new(ClusterCtx {
                 schema: config.schema,
                 partition,
@@ -634,23 +548,181 @@ impl DlaCluster {
             net: SharedNet::new(net),
             seed: config.seed,
             query_counter: AtomicU64::new(0),
-            allocator,
+            allocator: GlsnAllocator::starting_at(glsn_base),
             authority,
-            deposits,
-            origins,
-            cluster_journal,
+            deposits: BTreeMap::new(),
+            origins: BTreeMap::new(),
+            cluster_journal: None,
             users: 0,
             max_users: config.max_users,
             rng,
             standby_replication: config.standby_replication,
             retired: Vec::new(),
             epoch_policy,
-            epoch_stats,
-            chain,
-            trail_acc,
-            trail_items,
+            epoch_stats: BTreeMap::new(),
+            chain: CheckpointChain::new(),
+            trail_items: 0,
             standing: crate::standing::StandingRegistry::default(),
-        })
+        };
+        if let Some(dir) = &config.journal_dir {
+            cluster.recover(&dir.join("cluster.journal"))?;
+        }
+        Ok(cluster)
+    }
+
+    /// Restart recovery: replays `cluster.journal` through
+    /// [`DlaCluster::absorb`] and [`DlaCluster::seal`] in journal order,
+    /// then reconciles the node journals — already replayed by their
+    /// stores — against the one commit rule: **a deposit exists iff its
+    /// `BLOB_DEPOSIT` is in the cluster journal**. Fragments, standby
+    /// copies and ACL grants of any other glsn are the debris of a
+    /// deposit that crashed before it committed and are rolled back
+    /// (journaled, so replaying twice lands in the same place). A seal
+    /// record the nodes had not caught up with is re-applied to them by
+    /// `seal` itself.
+    fn recover(&mut self, path: &std::path::Path) -> Result<(), AuditError> {
+        let (journal, entries) =
+            Journal::open(path).map_err(|e| AuditError::Config(e.to_string()))?;
+        let be_u64 = |tag: u8, bytes: &[u8]| match bytes.try_into() {
+            Ok(raw) => Ok(u64::from_be_bytes(raw)),
+            Err(_) => Err(AuditError::Config(format!(
+                "cluster journal blob {tag:#04x} carries {} bytes, expected 8",
+                bytes.len()
+            ))),
+        };
+        let mut batch = Vec::new();
+        for entry in entries {
+            let JournalEntry::Blob { tag, bytes } = entry else {
+                continue;
+            };
+            match tag {
+                BLOB_DEPOSIT => batch.push(DepositRecord::decode(&bytes)?),
+                BLOB_TICKET_COUNTER => self.authority.resume_from(be_u64(tag, &bytes)?),
+                BLOB_EPOCH_SEAL => {
+                    self.absorb(std::mem::take(&mut batch))?;
+                    self.seal(EpochId(be_u64(tag, &bytes)?))?;
+                }
+                _ => {}
+            }
+        }
+        self.absorb(batch)?;
+        self.cluster_journal = Some(journal);
+
+        self.roll_back_uncommitted()?;
+        // Allocation resumes past the last committed deposit — and past
+        // every epoch any node has sealed, which admits no deposit.
+        let sealed = |node: &DlaNode| {
+            let store = node.store();
+            let sealed = store.epoch_manifests().filter(|m| m.sealed);
+            sealed
+                .map(|m| self.epoch_policy.glsn_range(m.epoch).1)
+                .max()
+        };
+        let last = (self.deposits.keys().next_back().copied())
+            .max(self.nodes.iter().filter_map(sealed).max());
+        if let Some(last) = last {
+            self.allocator = GlsnAllocator::starting_at(Glsn(last.0.saturating_add(1)));
+        }
+        // A crash can commit deposits and tear the seal records behind
+        // them: finish the rollover the batch had begun.
+        self.flush_deposit_batch(Vec::new())
+    }
+
+    /// Enforces the commit rule on the node stores: whatever a node
+    /// holds of a glsn without a deposit record — fragment, standby
+    /// copy, ACL grant — is forgotten, through the store's own journaled
+    /// transition.
+    fn roll_back_uncommitted(&mut self) -> Result<(), AuditError> {
+        let mut rolled_back = BTreeSet::new();
+        for node in &self.nodes {
+            let orphans = node
+                .store_mut()
+                .forget_uncommitted(|glsn| self.deposits.contains_key(&glsn))
+                .map_err(|e| AuditError::Log(e.to_string()))?;
+            rolled_back.extend(orphans);
+        }
+        if !rolled_back.is_empty() {
+            self.meta_log("cluster", "rollback", format!("glsns={rolled_back:?}"));
+        }
+        Ok(())
+    }
+
+    /// Ledger transition — absorb committed deposits: index them, note
+    /// their origins and fold their trail items into the epoch and
+    /// whole-trail accumulators, one fold per touched epoch. Called with
+    /// a batch the cluster journal has just taken and with the deposits
+    /// replayed from it.
+    fn absorb(&mut self, batch: Vec<DepositRecord>) -> Result<(), AuditError> {
+        let acc_params = &self.ctx.acc_params;
+        let mut groups: BTreeMap<EpochId, Vec<Vec<u8>>> = BTreeMap::new();
+        for record in batch {
+            let epoch = self.epoch_policy.epoch_of(record.glsn);
+            let stats = self
+                .epoch_stats
+                .entry(epoch)
+                .or_insert_with(|| EpochStats::open(epoch, acc_params.start().clone()));
+            if stats.sealed || self.deposits.contains_key(&record.glsn) {
+                return Err(AuditError::Config(format!(
+                    "deposit {} repeats a glsn or lands in sealed epoch {epoch}",
+                    record.glsn
+                )));
+            }
+            stats.observe(record.glsn, record.time);
+            groups
+                .entry(epoch)
+                .or_default()
+                .push(trail_item(record.glsn, &record.deposit));
+            self.deposits.insert(record.glsn, record.deposit);
+            self.origins
+                .insert(record.glsn, (record.public, record.signature));
+        }
+        for (epoch, items) in groups {
+            let refs: Vec<&[u8]> = items.iter().map(Vec::as_slice).collect();
+            let stats = self.epoch_stats.get_mut(&epoch).expect("opened above");
+            let folded = acc_params.fold_batch(&[stats.acc.clone(), self.trail_acc.clone()], &refs);
+            let [epoch_acc, trail_acc]: [Ubig; 2] =
+                folded.try_into().expect("fold_batch preserves arity");
+            stats.acc = epoch_acc;
+            self.trail_acc = trail_acc;
+            self.trail_items += items.len() as u64;
+        }
+        Ok(())
+    }
+
+    /// Ledger transition — seal `epoch`: every node materializes its
+    /// aggregate partials, the accumulator digest *and* the aggregate
+    /// commitment are checkpointed on the hash chain, and every node's
+    /// manifest is marked sealed (each journaled per node, each
+    /// idempotent — a replayed seal only writes what a node is missing).
+    /// Returns the epoch's deposit count.
+    fn seal(&mut self, epoch: EpochId) -> Result<u64, AuditError> {
+        if self.chain.iter().last().is_some_and(|c| c.epoch >= epoch.0) {
+            return Err(AuditError::Config(format!(
+                "epoch {epoch} sealed out of order"
+            )));
+        }
+        let acc0 = self.ctx.acc_params.start();
+        let stats = self
+            .epoch_stats
+            .entry(epoch)
+            .or_insert_with(|| EpochStats::open(epoch, acc0.clone()));
+        stats.sealed = true;
+        let (items, digest) = (stats.deposits, stats.acc.clone());
+        // Cache the epoch's count/sum partials before sealing, so the
+        // commitment below endorses exactly what windowed aggregate
+        // queries will combine.
+        let at_nodes = |op: fn(&mut FragmentStore, EpochId) -> Result<(), LogError>| {
+            self.nodes
+                .iter()
+                .try_for_each(|node| op(&mut node.store_mut(), epoch))
+                .map_err(|e| AuditError::Log(e.to_string()))
+        };
+        at_nodes(FragmentStore::materialize_partials)?;
+        let aggregates = epoch_aggregates_digest(&self.nodes, epoch);
+        self.chain
+            .seal_with_aggregates(epoch.0, items, digest, aggregates);
+        at_nodes(FragmentStore::seal_epoch)?;
+        Ok(items)
     }
 
     /// The immutable shared context (schema, partition, crypto
@@ -914,7 +986,7 @@ impl DlaCluster {
             .issue(key.public(), OperationSet::read_write(), &mut self.rng);
         if let Some(journal) = &mut self.cluster_journal {
             journal
-                .append(&dla_logstore::journal::JournalEntry::Blob {
+                .append(&JournalEntry::Blob {
                     tag: BLOB_TICKET_COUNTER,
                     bytes: self.authority.issued().to_be_bytes().to_vec(),
                 })
@@ -950,16 +1022,14 @@ impl DlaCluster {
 
     /// The shipping leg of one deposit: everything with per-record
     /// network behavior (fragment shipping, standby copies, deposit
-    /// broadcast, origin signature). Durability and accumulator folds
-    /// are deferred to [`DlaCluster::flush_deposit_batch`]: journal
-    /// frames collect in `blobs`, trail items in per-epoch `groups`.
+    /// broadcast, origin signature). The deposit is not committed here:
+    /// [`DlaCluster::flush_deposit_batch`] journals and absorbs the
+    /// returned record.
     fn ship_one(
         &mut self,
         user: &AppUser,
         record: &LogRecord,
-        blobs: &mut Vec<dla_logstore::journal::JournalEntry>,
-        groups: &mut BTreeMap<EpochId, Vec<Vec<u8>>>,
-    ) -> Result<Glsn, AuditError> {
+    ) -> Result<DepositRecord, AuditError> {
         self.ctx
             .schema
             .validate(record)
@@ -1052,137 +1122,68 @@ impl DlaCluster {
             AttrValue::Time(t) => Some(*t),
             _ => None,
         });
-        if self.cluster_journal.is_some() {
-            blobs.push(dla_logstore::journal::JournalEntry::Blob {
-                tag: BLOB_DEPOSIT,
-                bytes: encode_deposit_blob(glsn, &deposit, user.key().public(), &origin_sig, time),
-            });
-        }
-        let epoch = self.epoch_policy.epoch_of(glsn);
-        groups
-            .entry(epoch)
-            .or_default()
-            .push(trail_item(glsn, &deposit));
-        let acc0 = self.ctx.acc_params.start().clone();
-        self.epoch_stats
-            .entry(epoch)
-            .or_insert_with(|| EpochStats::open(epoch, acc0))
-            .observe(glsn, time);
-        self.deposits.insert(glsn, deposit);
-        self.origins
-            .insert(glsn, (user.key().public().clone(), origin_sig));
         self.meta_log(
             "cluster",
             "deposit",
             format!("glsn={glsn} user={}", user.name),
         );
-        Ok(glsn)
+        Ok(DepositRecord {
+            glsn,
+            deposit,
+            public: user.key().public().clone(),
+            signature: origin_sig,
+            time,
+        })
     }
 
-    /// The amortized tail of a deposit batch: one accumulator fold per
-    /// touched epoch (plus the whole-trail accumulator riding in the
-    /// same [`AccumulatorParams::fold_batch`] call), epoch rollover
-    /// sealing, and a single journal `append_batch` (one fsync for the
-    /// whole batch instead of one per record).
-    fn flush_deposit_batch(
-        &mut self,
-        mut blobs: Vec<dla_logstore::journal::JournalEntry>,
-        groups: BTreeMap<EpochId, Vec<Vec<u8>>>,
-    ) -> Result<(), AuditError> {
-        if !groups.is_empty() {
+    /// The amortized tail of a deposit batch, in commit order: a single
+    /// cluster-journal `append_batch` (one fsync for the whole batch) of
+    /// the deposit records and of the seal records they trigger — the
+    /// **commit point** — then [`DlaCluster::absorb`] (one accumulator
+    /// fold per touched epoch) and the epoch rollover. Nothing a node
+    /// journals for a seal precedes the record that commits it.
+    fn flush_deposit_batch(&mut self, batch: Vec<DepositRecord>) -> Result<(), AuditError> {
+        if !batch.is_empty() {
             dla_telemetry::record(dla_telemetry::CostKind::DepositBatch, 1);
-        }
-        for (epoch, items) in &groups {
-            let refs: Vec<&[u8]> = items.iter().map(Vec::as_slice).collect();
-            let epoch_acc = self
-                .epoch_stats
-                .get(epoch)
-                .expect("ship_one opened the epoch")
-                .acc
-                .clone();
-            let folded = self
-                .ctx
-                .acc_params
-                .fold_batch(&[epoch_acc, self.trail_acc.clone()], &refs);
-            let [epoch_acc, trail_acc]: [Ubig; 2] =
-                folded.try_into().expect("fold_batch preserves arity");
-            self.epoch_stats
-                .get_mut(epoch)
-                .expect("ship_one opened the epoch")
-                .acc = epoch_acc;
-            self.trail_acc = trail_acc;
-            self.trail_items += items.len() as u64;
         }
         // Rollover: the open epoch is the largest observed; every
         // unsealed epoch strictly below it can no longer grow (glsns
         // are monotonic), so checkpoint each one now.
-        if let Some(&open) = self.epoch_stats.keys().next_back() {
-            let to_seal: Vec<EpochId> = self
-                .epoch_stats
-                .iter()
-                .filter(|(e, s)| **e < open && !s.sealed)
-                .map(|(e, _)| *e)
-                .collect();
-            for epoch in to_seal {
-                self.seal_epoch_cluster(epoch, &mut blobs)?;
-            }
-        }
+        let unsealed = self.epoch_stats.values().filter(|s| !s.sealed);
+        let mut to_seal: BTreeSet<EpochId> = unsealed
+            .map(|s| s.epoch)
+            .chain(batch.iter().map(|d| self.epoch_policy.epoch_of(d.glsn)))
+            .collect();
+        to_seal.pop_last();
         if let Some(journal) = &mut self.cluster_journal {
+            let blob = |tag, bytes| JournalEntry::Blob { tag, bytes };
+            let blobs: Vec<JournalEntry> = (batch.iter())
+                .map(|d| blob(BLOB_DEPOSIT, d.encode()))
+                .chain(
+                    to_seal
+                        .iter()
+                        .map(|e| blob(BLOB_EPOCH_SEAL, e.0.to_be_bytes().to_vec())),
+                )
+                .collect();
             journal
                 .append_batch(&blobs)
                 .map_err(|e| AuditError::Log(e.to_string()))?;
         }
-        Ok(())
-    }
-
-    /// Seals `epoch` cluster-wide: materializes every node's aggregate
-    /// partials, checkpoints the accumulator digest *and* the aggregate
-    /// commitment on the hash chain, marks every node's manifest sealed
-    /// (journaled per node), queues the cluster-journal seal record,
-    /// and pushes incremental deltas to every standing query.
-    fn seal_epoch_cluster(
-        &mut self,
-        epoch: EpochId,
-        blobs: &mut Vec<dla_logstore::journal::JournalEntry>,
-    ) -> Result<(), AuditError> {
-        let (items, digest) = {
-            let stats = self
-                .epoch_stats
-                .get_mut(&epoch)
-                .expect("sealing an observed epoch");
-            stats.sealed = true;
-            (stats.deposits, stats.acc.clone())
-        };
-        // Cache the epoch's count/sum partials before sealing, so the
-        // commitment below endorses exactly what windowed aggregate
-        // queries will combine.
-        for node in &self.nodes {
-            node.store_mut()
-                .materialize_partials(epoch)
-                .map_err(|e| AuditError::Log(e.to_string()))?;
-            dla_telemetry::record(dla_telemetry::CostKind::PartialMaterialize, 1);
+        self.absorb(batch)?;
+        for epoch in to_seal {
+            let items = self.seal(epoch)?;
+            let nodes = self.nodes.len() as u64;
+            dla_telemetry::record(dla_telemetry::CostKind::PartialMaterialize, nodes);
+            dla_telemetry::record(dla_telemetry::CostKind::EpochSeal, 1);
+            self.meta_log(
+                "cluster",
+                "epoch-seal",
+                format!("epoch={epoch} items={items}"),
+            );
+            for id in self.standing.ids() {
+                self.emit_standing_delta_for(id, epoch)?;
+            }
         }
-        let aggregates = epoch_aggregates_digest(&self.nodes, epoch);
-        self.chain
-            .seal_with_aggregates(epoch.0, items, digest, aggregates);
-        for node in &self.nodes {
-            node.store_mut()
-                .seal_epoch(epoch)
-                .map_err(|e| AuditError::Log(e.to_string()))?;
-        }
-        if self.cluster_journal.is_some() {
-            blobs.push(dla_logstore::journal::JournalEntry::Blob {
-                tag: BLOB_EPOCH_SEAL,
-                bytes: epoch.0.to_be_bytes().to_vec(),
-            });
-        }
-        dla_telemetry::record(dla_telemetry::CostKind::EpochSeal, 1);
-        self.meta_log(
-            "cluster",
-            "epoch-seal",
-            format!("epoch={epoch} items={items}"),
-        );
-        self.emit_standing_deltas(epoch)?;
         Ok(())
     }
 
@@ -1244,15 +1245,6 @@ impl DlaCluster {
     #[must_use]
     pub fn standing(&self) -> &crate::standing::StandingRegistry {
         &self.standing
-    }
-
-    /// Evaluates every registered standing query against the freshly
-    /// sealed `epoch`.
-    fn emit_standing_deltas(&mut self, epoch: EpochId) -> Result<(), AuditError> {
-        for id in self.standing.ids() {
-            self.emit_standing_delta_for(id, epoch)?;
-        }
-        Ok(())
     }
 
     /// Evaluates standing query `id` over exactly `epoch`'s glsn range
@@ -1349,29 +1341,30 @@ impl DlaCluster {
     ///
     /// # Errors
     ///
-    /// As [`DlaCluster::log_record`]; stops at the first failure (the
-    /// records already shipped are still committed and flushed).
+    /// As [`DlaCluster::log_record`]; stops at the first failure: the
+    /// records already shipped are still committed and flushed, and
+    /// whatever the failed one left at some nodes is rolled back.
     pub fn log_records(
         &mut self,
         user: &AppUser,
         records: &[LogRecord],
     ) -> Result<Vec<Glsn>, AuditError> {
-        let mut glsns = Vec::with_capacity(records.len());
-        let mut blobs = Vec::new();
-        let mut groups: BTreeMap<EpochId, Vec<Vec<u8>>> = BTreeMap::new();
+        let mut batch = Vec::with_capacity(records.len());
         let mut failure = None;
         for record in records {
-            match self.ship_one(user, record, &mut blobs, &mut groups) {
-                Ok(glsn) => glsns.push(glsn),
+            match self.ship_one(user, record) {
+                Ok(shipped) => batch.push(shipped),
                 Err(e) => {
                     failure = Some(e);
                     break;
                 }
             }
         }
-        self.flush_deposit_batch(blobs, groups)?;
+        let glsns = batch.iter().map(|d| d.glsn).collect();
+        self.flush_deposit_batch(batch)?;
         match failure {
-            Some(e) => Err(e),
+            // The record that failed may have reached some nodes.
+            Some(e) => self.roll_back_uncommitted().and(Err(e)),
             None => Ok(glsns),
         }
     }
@@ -1685,65 +1678,58 @@ const BLOB_DEPOSIT: u8 = 0x01;
 const BLOB_TICKET_COUNTER: u8 = 0x02;
 const BLOB_EPOCH_SEAL: u8 = 0x03;
 
-fn encode_deposit_blob(
+/// One deposit as the cluster journal records it (`BLOB_DEPOSIT`): the
+/// accumulator value, the origin attestation over it and the record's
+/// time, if it carried one (feeds the per-epoch time index).
+struct DepositRecord {
     glsn: Glsn,
-    deposit: &Ubig,
-    public: &dla_crypto::schnorr::SchnorrPublicKey,
-    signature: &dla_crypto::schnorr::Signature,
+    deposit: Ubig,
+    public: dla_crypto::schnorr::SchnorrPublicKey,
+    signature: dla_crypto::schnorr::Signature,
     time: Option<u64>,
-) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_u64(glsn.0)
-        .put_bytes(&deposit.to_bytes_be())
-        .put_bytes(&public.to_bytes())
-        .put_bytes(&signature.e.to_bytes_be())
-        .put_bytes(&signature.s.to_bytes_be());
-    // Optional record timestamp (feeds the per-epoch time index on
-    // restart). Appended after the original fields so pre-epoch blobs
-    // stay decodable.
-    match time {
-        Some(t) => {
-            w.put_u8(1).put_u64(t);
-        }
-        None => {
-            w.put_u8(0);
-        }
-    }
-    w.finish().to_vec()
 }
 
-type DepositBlob = (
-    Glsn,
-    Ubig,
-    dla_crypto::schnorr::SchnorrPublicKey,
-    dla_crypto::schnorr::Signature,
-    Option<u64>,
-);
+impl DepositRecord {
+    fn encode(&self) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.put_u64(self.glsn.0)
+            .put_bytes(&self.deposit.to_bytes_be())
+            .put_bytes(&self.public.to_bytes())
+            .put_bytes(&self.signature.e.to_bytes_be())
+            .put_bytes(&self.signature.s.to_bytes_be());
+        // Appended after the original fields so pre-epoch blobs stay
+        // decodable.
+        w.put_u8(u8::from(self.time.is_some()));
+        if let Some(t) = self.time {
+            w.put_u64(t);
+        }
+        w.finish().to_vec()
+    }
 
-fn decode_deposit_blob(bytes: &[u8]) -> Result<DepositBlob, AuditError> {
-    let mut r = Reader::new(bytes);
-    let parse = |e: dla_net::wire::WireError| AuditError::Config(format!("deposit blob: {e}"));
-    let glsn = Glsn(r.get_u64().map_err(parse)?);
-    let deposit = Ubig::from_bytes_be(r.get_bytes().map_err(parse)?);
-    let public = dla_crypto::schnorr::SchnorrPublicKey::from_element(Ubig::from_bytes_be(
-        r.get_bytes().map_err(parse)?,
-    ));
-    let e = Ubig::from_bytes_be(r.get_bytes().map_err(parse)?);
-    let s = Ubig::from_bytes_be(r.get_bytes().map_err(parse)?);
-    // Legacy blobs end here; current ones carry a time presence flag.
-    let time = match r.get_u8() {
-        Ok(1) => Some(r.get_u64().map_err(parse)?),
-        Ok(_) => None,
-        Err(_) => None,
-    };
-    r.finish().map_err(parse)?;
-    Ok((
-        glsn,
-        deposit,
-        public,
-        dla_crypto::schnorr::Signature { e, s },
-        time,
-    ))
+    fn decode(bytes: &[u8]) -> Result<Self, AuditError> {
+        let mut r = Reader::new(bytes);
+        let parse = |e: dla_net::wire::WireError| AuditError::Config(format!("deposit blob: {e}"));
+        let glsn = Glsn(r.get_u64().map_err(parse)?);
+        let deposit = Ubig::from_bytes_be(r.get_bytes().map_err(parse)?);
+        let public = dla_crypto::schnorr::SchnorrPublicKey::from_element(Ubig::from_bytes_be(
+            r.get_bytes().map_err(parse)?,
+        ));
+        let e = Ubig::from_bytes_be(r.get_bytes().map_err(parse)?);
+        let s = Ubig::from_bytes_be(r.get_bytes().map_err(parse)?);
+        // Legacy blobs end here; current ones carry a time presence flag.
+        let time = match r.get_u8() {
+            Ok(1) => Some(r.get_u64().map_err(parse)?),
+            _ => None,
+        };
+        r.finish().map_err(parse)?;
+        Ok(DepositRecord {
+            glsn,
+            deposit,
+            public,
+            signature: dla_crypto::schnorr::Signature { e, s },
+            time,
+        })
+    }
 }
 
 /// Canonical bytes the logging user signs for non-repudiation.
@@ -1844,6 +1830,22 @@ mod tests {
         let user = c.register_user("u0").unwrap();
         let bad = LogRecord::new(Glsn(0)).with("salary", dla_logstore::model::AttrValue::Int(1));
         assert!(c.log_record(&user, &bad).is_err());
+    }
+
+    #[test]
+    fn a_ship_that_fails_midway_leaves_nothing_behind() {
+        let (mut c, glsns) = standby_cluster();
+        let user = c.register_user("u1").unwrap();
+        // Node 2 stops answering: the record reaches nodes 0 and 1 (and
+        // their standby holders) before the ship fails.
+        c.net().faults_mut().kill_node(2);
+        assert!(c.log_record(&user, &paper_table1()[0]).is_err());
+        for node in c.nodes() {
+            assert_eq!(node.store().len(), glsns.len(), "node {}", node.id());
+            assert_eq!(node.store().standby_count(), glsns.len());
+            assert!(node.store().acl().glsns_of(&user.ticket.id).is_empty());
+        }
+        assert_eq!(c.logged_glsns(), glsns);
     }
 
     #[test]

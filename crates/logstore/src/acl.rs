@@ -283,6 +283,16 @@ impl AccessControlTable {
         entry.1.insert(glsn);
     }
 
+    /// Drops `glsn` from every ticket's authorization set (and a ticket
+    /// left with none), as if it had never been granted — the ACL half
+    /// of rolling back a deposit that never committed.
+    pub fn forget(&mut self, glsn: Glsn) {
+        self.entries.retain(|_, (_, glsns)| {
+            glsns.remove(&glsn);
+            !glsns.is_empty()
+        });
+    }
+
     /// Checks whether `ticket` may perform `op` on `glsn`.
     ///
     /// # Errors
@@ -448,6 +458,23 @@ mod tests {
         acl.authorize(&t, Glsn(1));
         let err = acl.check(&t, Operation::Read, Glsn(2)).unwrap_err();
         assert!(err.to_string().contains("not authorized for glsn"));
+    }
+
+    #[test]
+    fn forget_drops_the_glsn_and_an_emptied_ticket() {
+        let (_, mut authority, user, mut rng) = setup();
+        let t1 = authority.issue(user.public(), OperationSet::read_write(), &mut rng);
+        let t2 = authority.issue(user.public(), OperationSet::read_write(), &mut rng);
+        let mut acl = AccessControlTable::new();
+        acl.authorize(&t1, Glsn(1));
+        acl.authorize(&t1, Glsn(2));
+        acl.authorize(&t2, Glsn(2));
+        acl.forget(Glsn(2));
+        assert!(acl.check(&t1, Operation::Read, Glsn(1)).is_ok());
+        assert!(acl.check(&t1, Operation::Read, Glsn(2)).is_err());
+        // A ticket left with nothing is gone, as on a replica that never
+        // saw the grant.
+        assert_eq!(acl.len(), 1);
     }
 
     #[test]

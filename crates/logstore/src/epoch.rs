@@ -129,10 +129,11 @@ pub struct BucketPartial {
 /// (`attr = 'value'`) actually present in the data; numeric attributes
 /// additionally contribute whole-epoch totals.
 ///
-/// Partials are journaled (blob `0x14`) and rebuilt-or-invalidated on
-/// [`crate::store::FragmentStore::restore`]; the cluster folds a digest
-/// of every node's partials into the epoch's sealed checkpoint so a
-/// cached answer is integrity-checked, never trusted.
+/// The journal records only *that* an epoch materialized (blob `0x14`,
+/// the epoch id); [`crate::store::FragmentStore::restore`] recomputes
+/// the values as it replays. The cluster folds a digest of every node's
+/// partials into the epoch's sealed checkpoint so a cached answer is
+/// integrity-checked, never trusted.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct EpochPartials {
     /// The epoch the partials summarize.
@@ -166,7 +167,8 @@ impl EpochPartials {
     /// Canonical byte encoding (big-endian throughout):
     /// `epoch ‖ fragments ‖ totals ‖ buckets`, every map
     /// length-prefixed and iterated in key order so equal partials
-    /// encode identically.
+    /// encode identically. Hashed into the epoch's aggregate commitment;
+    /// nothing decodes it.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
         fn put_name(out: &mut Vec<u8>, name: &AttrName) {
@@ -200,73 +202,6 @@ impl EpochPartials {
         }
         out
     }
-
-    /// Decodes an [`EpochPartials::encode`] blob; `None` on any
-    /// structural mismatch (truncation, bad UTF-8, trailing bytes).
-    #[must_use]
-    pub fn decode(bytes: &[u8]) -> Option<Self> {
-        struct Cursor<'a>(&'a [u8]);
-        impl<'a> Cursor<'a> {
-            fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-                let (head, tail) = (self.0.get(..n)?, self.0.get(n..)?);
-                self.0 = tail;
-                Some(head)
-            }
-            fn u16(&mut self) -> Option<u16> {
-                Some(u16::from_be_bytes(self.take(2)?.try_into().ok()?))
-            }
-            fn u32(&mut self) -> Option<u32> {
-                Some(u32::from_be_bytes(self.take(4)?.try_into().ok()?))
-            }
-            fn u64(&mut self) -> Option<u64> {
-                Some(u64::from_be_bytes(self.take(8)?.try_into().ok()?))
-            }
-            fn i64(&mut self) -> Option<i64> {
-                Some(i64::from_be_bytes(self.take(8)?.try_into().ok()?))
-            }
-            fn name(&mut self) -> Option<AttrName> {
-                let len = self.u16()? as usize;
-                let raw = std::str::from_utf8(self.take(len)?).ok()?;
-                Some(AttrName::new(raw))
-            }
-            fn numeric(&mut self) -> Option<NumericPartial> {
-                Some(NumericPartial {
-                    count: self.u64()?,
-                    total: self.i64()?,
-                })
-            }
-        }
-        let mut c = Cursor(bytes);
-        let epoch = EpochId(c.u64()?);
-        let fragments = c.u64()?;
-        let mut totals = BTreeMap::new();
-        for _ in 0..c.u32()? {
-            let name = c.name()?;
-            totals.insert(name, c.numeric()?);
-        }
-        let mut buckets = BTreeMap::new();
-        for _ in 0..c.u32()? {
-            let name = c.name()?;
-            let value_len = c.u32()? as usize;
-            let value = std::str::from_utf8(c.take(value_len)?).ok()?.to_owned();
-            let count = c.u64()?;
-            let mut sums = BTreeMap::new();
-            for _ in 0..c.u32()? {
-                let sum_name = c.name()?;
-                sums.insert(sum_name, c.numeric()?);
-            }
-            buckets.insert((name, value), BucketPartial { count, sums });
-        }
-        if !c.0.is_empty() {
-            return None;
-        }
-        Some(EpochPartials {
-            epoch,
-            fragments,
-            totals,
-            buckets,
-        })
-    }
 }
 
 /// Per-epoch bookkeeping a [`crate::store::FragmentStore`] maintains:
@@ -281,17 +216,18 @@ pub struct EpochManifest {
     pub epoch: EpochId,
     /// Fragments stored in this epoch (own fragments only).
     pub fragments: u64,
-    /// Smallest glsn actually stored in the epoch.
+    /// Smallest glsn ever stored in the epoch (a delete does not shrink
+    /// the extent).
     pub glsn_lo: Glsn,
-    /// Largest glsn actually stored in the epoch.
+    /// Largest glsn ever stored in the epoch.
     pub glsn_hi: Glsn,
     /// Whether the epoch is sealed. Sealing is recorded in the node's
     /// journal, so it survives [`crate::store::FragmentStore::restore`].
     pub sealed: bool,
     /// Materialized aggregate partials, populated at seal time
-    /// ([`crate::store::FragmentStore::materialize_partials`]) and
-    /// rebuilt from the surviving fragments on restore. `None` until
-    /// materialized (or after invalidation).
+    /// ([`crate::store::FragmentStore::materialize_partials`]) and kept
+    /// equal to `compute_partials` by every later write or delete, live
+    /// and on replay. `None` until materialized.
     pub partials: Option<EpochPartials>,
 }
 
@@ -444,7 +380,7 @@ mod tests {
     }
 
     #[test]
-    fn partials_encode_round_trips_and_rejects_garbage() {
+    fn partials_encoding_is_canonical() {
         let mut partials = EpochPartials::empty(EpochId(7));
         partials.fragments = 3;
         partials
@@ -469,15 +405,13 @@ mod tests {
             .observe(34511);
 
         let bytes = partials.encode();
-        assert_eq!(EpochPartials::decode(&bytes), Some(partials.clone()));
-        // Trailing bytes, truncation, and non-UTF-8 names all reject.
-        let mut trailing = bytes.clone();
-        trailing.push(0);
-        assert_eq!(EpochPartials::decode(&trailing), None);
-        assert_eq!(EpochPartials::decode(&bytes[..bytes.len() - 1]), None);
-        assert_eq!(EpochPartials::decode(&[]), None);
-        // Equal partials encode identically (canonical map order).
+        // The epoch id leads — the eight bytes a journal marker keeps.
+        assert_eq!(bytes[..8], 7u64.to_be_bytes());
+        // Equal partials encode identically (canonical map order), and
+        // any difference shows.
         assert_eq!(bytes, partials.clone().encode());
+        partials.fragments += 1;
+        assert_ne!(bytes, partials.encode());
     }
 
     #[test]

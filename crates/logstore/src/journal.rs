@@ -6,11 +6,15 @@
 //! simplest crash-safe shape: length- and CRC-framed entries appended
 //! to a file, fsynced per append, replayed at startup. A torn final
 //! entry (crash mid-write) is detected by the CRC and truncated away;
-//! corruption anywhere earlier is reported loudly.
+//! corruption anywhere earlier is reported loudly. The journal only
+//! frames and returns entries; what they mean is decided by the one
+//! transition function of whoever replays them
+//! (`FragmentStore::apply` for a node journal).
 //!
 //! Entry layout: `[len: u32 BE][crc32: u32 BE][kind: u8][payload]` with
 //! `len = 1 + payload.len()` and the CRC computed over `kind ‖ payload`.
 
+use crate::epoch::{EpochId, EpochPolicy};
 use crate::fragment::Fragment;
 use crate::model::Glsn;
 use crate::LogError;
@@ -18,12 +22,15 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-/// One journal entry.
+/// One journal entry. A node journal's entries are typed — each is one
+/// state transition of the `FragmentStore` that wrote it; higher layers
+/// journal their own state as [`JournalEntry::Blob`]s.
 #[derive(Clone, Debug, PartialEq)]
 pub enum JournalEntry {
     /// A fragment was stored.
     Fragment(Fragment),
-    /// A fragment was deleted.
+    /// A glsn was deleted: its own fragment, any standby or adopted copy
+    /// of it and its ACL grants are gone.
     Tombstone(Glsn),
     /// A glsn was authorized under a ticket.
     AclGrant {
@@ -34,9 +41,26 @@ pub enum JournalEntry {
         /// The authorized glsn.
         glsn: Glsn,
     },
+    /// A standby copy of another node's fragment arrived (blob `0x10`).
+    Standby(Fragment),
+    /// A standby was promoted to a served copy after its owner died
+    /// (blob `0x11`).
+    Adopted(Fragment),
+    /// An epoch was sealed: it admits no further deposit (blob `0x12`).
+    EpochSeal(EpochId),
+    /// The policy the trail is sharded with, written once when a durable
+    /// store first opens its journal (blob `0x13`).
+    EpochPolicy(EpochPolicy),
+    /// An epoch's aggregate partials were materialized (blob `0x14`).
+    /// Only the fact is journaled: replay recomputes the values from the
+    /// fragments it has applied so far. Journals written before the
+    /// payload shrank to the epoch id carry a full
+    /// [`crate::epoch::EpochPartials::encode`], which begins with the
+    /// same eight bytes; the rest is ignored.
+    EpochMaterialized(EpochId),
     /// An opaque, caller-defined record (higher layers journal their own
     /// state — e.g. the DLA cluster's accumulator deposits — through the
-    /// same crash-safe framing).
+    /// same crash-safe framing). Tags `0x10..=0x14` are taken.
     Blob {
         /// Caller-defined discriminator.
         tag: u8,
@@ -49,6 +73,12 @@ const KIND_FRAGMENT: u8 = 0x01;
 const KIND_TOMBSTONE: u8 = 0x02;
 const KIND_ACL_GRANT: u8 = 0x03;
 const KIND_BLOB: u8 = 0x04;
+
+const TAG_STANDBY: u8 = 0x10;
+const TAG_ADOPTED: u8 = 0x11;
+const TAG_EPOCH_SEAL: u8 = 0x12;
+const TAG_EPOCH_POLICY: u8 = 0x13;
+const TAG_EPOCH_MATERIALIZED: u8 = 0x14;
 
 /// The append-only journal file.
 pub struct Journal {
@@ -143,58 +173,69 @@ impl Journal {
         for entry in entries {
             encode_framed(entry, &mut framed);
         }
+        if let Some(keep) = failpoint::tears(framed.len()) {
+            let _ = self.file.write_all(&framed[..keep]);
+            return Err(LogError::Store(format!(
+                "append to {}: failpoint tore the write at byte {keep} of {}",
+                self.path.display(),
+                framed.len()
+            )));
+        }
         self.file
             .write_all(&framed)
             .and_then(|()| self.file.sync_data())
             .map_err(|e| LogError::Store(format!("append to {}: {e}", self.path.display())))
     }
+}
 
-    /// The journal file's path.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.path
+/// Crash injection for the recovery tests, with the standing of
+/// `FragmentStore::tamper`: thread-local, disarmed unless a test arms
+/// it, reachable from no configuration. While armed it counts this
+/// thread's [`Journal::append_batch`] calls; the `nth` writes only a
+/// strict prefix of its frame bytes — a process dying mid-`write` — and
+/// it and every later one return [`LogError::Store`], the dead process
+/// writing nothing more.
+#[doc(hidden)]
+pub mod failpoint {
+    use std::cell::Cell;
+    use std::cmp::Ordering;
+
+    /// Appends seen since armed, the append to tear (0: disarmed), and
+    /// how many of its bytes reach the file.
+    type Armed = (u64, u64, fn(usize) -> usize);
+
+    thread_local! {
+        static ARMED: Cell<Armed> = const { Cell::new((0, 0, |len| len)) };
     }
 
-    /// Folds replayed entries into the live fragment map (tombstones
-    /// remove). A *different* fragment entry for a glsn that is already
-    /// live is a duplicated deposit — the write path rejects those, so
-    /// one in the journal means replayed or tampered history and is an
-    /// error rather than a silent keep-latest rewrite. A byte-identical
-    /// re-append (a crash between write and ack, retried) is idempotent,
-    /// and a delete-then-rewrite (fragment, tombstone, fragment) remains
-    /// legal.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LogError::DuplicateGlsn`] on a conflicting rewrite of a
-    /// live fragment.
-    pub fn materialize(entries: Vec<JournalEntry>) -> Result<Vec<Fragment>, LogError> {
-        let mut live = std::collections::BTreeMap::new();
-        for entry in entries {
-            match entry {
-                JournalEntry::Fragment(frag) => {
-                    if let Some(existing) = live.get(&frag.glsn) {
-                        if *existing != frag {
-                            return Err(LogError::DuplicateGlsn {
-                                glsn: frag.glsn,
-                                node: frag.node,
-                            });
-                        }
-                    }
-                    live.insert(frag.glsn, frag);
-                }
-                JournalEntry::Tombstone(glsn) => {
-                    live.remove(&glsn);
-                }
-                JournalEntry::AclGrant { .. } | JournalEntry::Blob { .. } => {}
-            }
+    /// Arms the failpoint: the `nth` append from now keeps `keep(len)`
+    /// of its `len` bytes (clamped below `len`).
+    pub fn arm(nth: u64, keep: fn(usize) -> usize) {
+        ARMED.set((0, nth, keep));
+    }
+
+    /// Disarms the failpoint and returns the appends seen while armed.
+    pub fn disarm() -> u64 {
+        ARMED.replace((0, 0, |len| len)).0
+    }
+
+    pub(super) fn tears(len: usize) -> Option<usize> {
+        let (seen, nth, keep) = ARMED.get();
+        if nth == 0 {
+            return None;
         }
-        Ok(live.into_values().collect())
+        ARMED.set((seen + 1, nth, keep));
+        match (seen + 1).cmp(&nth) {
+            Ordering::Less => None,
+            Ordering::Equal => Some(keep(len).min(len - 1)),
+            Ordering::Greater => Some(0),
+        }
     }
 }
 
 /// Frames one entry (`[len][crc][kind ‖ payload]`) onto `out`.
 fn encode_framed(entry: &JournalEntry, out: &mut Vec<u8>) {
+    let blob = |tag: u8, bytes: &[u8]| (KIND_BLOB, [&[tag], bytes].concat());
     let (kind, payload) = match entry {
         JournalEntry::Fragment(frag) => (KIND_FRAGMENT, frag.to_canonical_bytes()),
         JournalEntry::Tombstone(glsn) => (KIND_TOMBSTONE, glsn.0.to_be_bytes().to_vec()),
@@ -205,12 +246,17 @@ fn encode_framed(entry: &JournalEntry, out: &mut Vec<u8>) {
             payload.extend_from_slice(ticket.as_bytes());
             (KIND_ACL_GRANT, payload)
         }
-        JournalEntry::Blob { tag, bytes } => {
-            let mut payload = Vec::with_capacity(1 + bytes.len());
-            payload.push(*tag);
-            payload.extend_from_slice(bytes);
-            (KIND_BLOB, payload)
+        JournalEntry::Standby(frag) => blob(TAG_STANDBY, &frag.to_canonical_bytes()),
+        JournalEntry::Adopted(frag) => blob(TAG_ADOPTED, &frag.to_canonical_bytes()),
+        JournalEntry::EpochSeal(epoch) => blob(TAG_EPOCH_SEAL, &epoch.0.to_be_bytes()),
+        JournalEntry::EpochPolicy(policy) => {
+            let (base, length) = (policy.base().0.to_be_bytes(), policy.length().to_be_bytes());
+            blob(TAG_EPOCH_POLICY, &[base, length].concat())
         }
+        JournalEntry::EpochMaterialized(epoch) => {
+            blob(TAG_EPOCH_MATERIALIZED, &epoch.0.to_be_bytes())
+        }
+        JournalEntry::Blob { tag, bytes } => blob(*tag, bytes),
     };
     let mut body = Vec::with_capacity(1 + payload.len());
     body.push(kind);
@@ -278,9 +324,34 @@ fn decode_entry(raw: &[u8]) -> Result<(JournalEntry, usize), EntryError> {
             let (tag, bytes) = payload
                 .split_first()
                 .ok_or_else(|| EntryError::Corrupt("empty blob payload".into()))?;
-            JournalEntry::Blob {
-                tag: *tag,
-                bytes: bytes.to_vec(),
+            let corrupt = |what: &str| EntryError::Corrupt(format!("{what} payload"));
+            let fragment = || {
+                Fragment::from_canonical_bytes(bytes)
+                    .map_err(|e| EntryError::Corrupt(e.to_string()))
+            };
+            let be_u64 = |bytes: &[u8], what| match bytes.try_into() {
+                Ok(raw) => Ok(u64::from_be_bytes(raw)),
+                Err(_) => Err(corrupt(what)),
+            };
+            match *tag {
+                TAG_STANDBY => JournalEntry::Standby(fragment()?),
+                TAG_ADOPTED => JournalEntry::Adopted(fragment()?),
+                TAG_EPOCH_SEAL => JournalEntry::EpochSeal(EpochId(be_u64(bytes, "epoch seal")?)),
+                TAG_EPOCH_POLICY if bytes.len() == 16 => {
+                    JournalEntry::EpochPolicy(EpochPolicy::new(
+                        Glsn(be_u64(&bytes[..8], "epoch policy")?),
+                        be_u64(&bytes[8..], "epoch policy")?,
+                    ))
+                }
+                TAG_EPOCH_POLICY => return Err(corrupt("epoch policy")),
+                TAG_EPOCH_MATERIALIZED => {
+                    let head = bytes.get(..8).unwrap_or(bytes);
+                    JournalEntry::EpochMaterialized(EpochId(be_u64(head, "epoch partials")?))
+                }
+                _ => JournalEntry::Blob {
+                    tag: *tag,
+                    bytes: bytes.to_vec(),
+                },
             }
         }
         other => {
@@ -312,6 +383,7 @@ mod tests {
     use crate::fragment::{fragment, Partition};
     use crate::gen::paper_table1;
     use crate::schema::Schema;
+    use crate::store::FragmentStore;
 
     fn temp_path(tag: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -333,6 +405,12 @@ mod tests {
             .collect()
     }
 
+    /// What node 1's store holds after replaying the journal at `path`.
+    fn restored_fragments(path: &Path) -> Vec<Fragment> {
+        let store = FragmentStore::restore(1, path).unwrap();
+        store.scan().cloned().collect()
+    }
+
     #[test]
     fn append_then_replay_round_trips() {
         let path = temp_path("roundtrip");
@@ -346,8 +424,7 @@ mod tests {
         }
         let (_, replayed) = Journal::open(&path).unwrap();
         assert_eq!(replayed.len(), frags.len());
-        let live = Journal::materialize(replayed).unwrap();
-        assert_eq!(live, frags);
+        assert_eq!(restored_fragments(&path), frags);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -364,13 +441,12 @@ mod tests {
             journal.append_batch(&entries).unwrap();
             journal.append_batch(&[]).unwrap(); // empty batch is a no-op
         }
-        let (_, replayed) = Journal::open(&path).unwrap();
-        assert_eq!(Journal::materialize(replayed).unwrap(), frags);
+        assert_eq!(restored_fragments(&path), frags);
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
-    fn tombstones_remove_on_materialize() {
+    fn tombstones_remove_on_restore() {
         let path = temp_path("tombstone");
         let frags = sample_fragments();
         {
@@ -382,8 +458,7 @@ mod tests {
                 .append(&JournalEntry::Tombstone(frags[2].glsn))
                 .unwrap();
         }
-        let (_, replayed) = Journal::open(&path).unwrap();
-        let live = Journal::materialize(replayed).unwrap();
+        let live = restored_fragments(&path);
         assert_eq!(live.len(), frags.len() - 1);
         assert!(live.iter().all(|f| f.glsn != frags[2].glsn));
         std::fs::remove_file(&path).unwrap();
@@ -412,6 +487,102 @@ mod tests {
         drop(journal);
         let (_, replayed) = Journal::open(&path).unwrap();
         assert_eq!(replayed.len(), 3);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn typed_entries_are_the_blobs_older_journals_hold() {
+        let frag = sample_fragments().remove(0);
+        let policy = EpochPolicy::new(Glsn(7), 64);
+        let policy_bytes = [7u64.to_be_bytes(), 64u64.to_be_bytes()].concat();
+        let mut full_partials = crate::epoch::EpochPartials::empty(EpochId(3)).encode();
+        let pairs = [
+            (
+                JournalEntry::Standby(frag.clone()),
+                0x10,
+                frag.to_canonical_bytes(),
+            ),
+            (
+                JournalEntry::Adopted(frag.clone()),
+                0x11,
+                frag.to_canonical_bytes(),
+            ),
+            (
+                JournalEntry::EpochSeal(EpochId(3)),
+                0x12,
+                3u64.to_be_bytes().to_vec(),
+            ),
+            (JournalEntry::EpochPolicy(policy), 0x13, policy_bytes),
+            (
+                JournalEntry::EpochMaterialized(EpochId(3)),
+                0x14,
+                3u64.to_be_bytes().to_vec(),
+            ),
+        ];
+        let (typed_path, blob_path) = (temp_path("typed"), temp_path("typed-blobs"));
+        let (mut typed, _) = Journal::open(&typed_path).unwrap();
+        let (mut blobs, _) = Journal::open(&blob_path).unwrap();
+        for (entry, tag, bytes) in &pairs {
+            let (tag, bytes) = (*tag, bytes.clone());
+            typed.append(entry).unwrap();
+            blobs.append(&JournalEntry::Blob { tag, bytes }).unwrap();
+        }
+        // Same bytes on disk, and either spelling reads back typed.
+        assert_eq!(
+            std::fs::read(&typed_path).unwrap(),
+            std::fs::read(&blob_path).unwrap()
+        );
+        let (_, replayed) = Journal::open(&blob_path).unwrap();
+        assert!(replayed.iter().eq(pairs.iter().map(|(entry, _, _)| entry)));
+
+        // The full partials payload of older journals keeps its meaning;
+        // a payload of the wrong size is corruption, not a torn tail.
+        full_partials.extend_from_slice(&[0; 24]);
+        let old = JournalEntry::Blob {
+            tag: 0x14,
+            bytes: full_partials,
+        };
+        blobs.append(&old).unwrap();
+        let (_, replayed) = Journal::open(&blob_path).unwrap();
+        assert_eq!(
+            replayed.last(),
+            Some(&JournalEntry::EpochMaterialized(EpochId(3)))
+        );
+        for (tag, len) in [(0x12u8, 7), (0x13, 15), (0x14, 7), (0x10, 3)] {
+            let bytes = vec![0; len];
+            blobs.append(&JournalEntry::Blob { tag, bytes }).unwrap();
+            let err = Journal::open(&blob_path).unwrap_err();
+            assert!(err.to_string().contains("corrupt"), "{tag:#x}: {err}");
+            std::fs::copy(&typed_path, &blob_path).unwrap();
+            blobs = Journal::open(&blob_path).unwrap().0;
+        }
+        std::fs::remove_file(&typed_path).unwrap();
+        std::fs::remove_file(&blob_path).unwrap();
+    }
+
+    #[test]
+    fn failpoint_tears_exactly_the_armed_append() {
+        let path = temp_path("failpoint");
+        let entries: Vec<JournalEntry> = sample_fragments()
+            .into_iter()
+            .map(JournalEntry::Fragment)
+            .collect();
+        let (mut journal, _) = Journal::open(&path).unwrap();
+        failpoint::arm(2, |len| len * 3 / 4);
+        journal.append(&entries[0]).unwrap();
+        let whole = std::fs::metadata(&path).unwrap().len();
+        // The second append is a batch: its first frame fits in the
+        // surviving three quarters, its last does not.
+        let err = journal.append_batch(&entries[1..4]).unwrap_err();
+        assert!(err.to_string().contains("failpoint"), "{err}");
+        assert!(std::fs::metadata(&path).unwrap().len() > whole);
+        journal.append(&entries[4]).unwrap_err(); // a dead process stays dead
+        assert_eq!(failpoint::disarm(), 3);
+        drop(journal);
+
+        let (mut journal, replayed) = Journal::open(&path).unwrap();
+        assert_eq!(replayed, entries[..3], "a whole-frame prefix survives");
+        journal.append(&entries[4]).expect("disarmed");
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -466,7 +637,7 @@ mod tests {
     fn rewrites_of_same_glsn_are_rejected() {
         // A second fragment entry for a live glsn used to silently win
         // ("keep latest") — a duplicated deposit could rewrite history
-        // on replay. Materialize now refuses.
+        // on replay. Restore refuses, as the live write does.
         let path = temp_path("rewrite");
         let mut frag = sample_fragments()[0].clone();
         {
@@ -482,8 +653,7 @@ mod tests {
                 .append(&JournalEntry::Fragment(frag.clone()))
                 .unwrap();
         }
-        let (_, replayed) = Journal::open(&path).unwrap();
-        let err = Journal::materialize(replayed).unwrap_err();
+        let err = FragmentStore::restore(1, &path).unwrap_err();
         assert!(
             matches!(err, LogError::DuplicateGlsn { glsn, .. } if glsn == frag.glsn),
             "{err}"
@@ -505,9 +675,7 @@ mod tests {
                 .append(&JournalEntry::Fragment(frag.clone()))
                 .unwrap();
         }
-        let (_, replayed) = Journal::open(&path).unwrap();
-        let live = Journal::materialize(replayed).unwrap();
-        assert_eq!(live, vec![frag]);
+        assert_eq!(restored_fragments(&path), vec![frag]);
         std::fs::remove_file(&path).unwrap();
     }
 }

@@ -1,12 +1,21 @@
 //! Per-node fragment storage and the cluster-wide glsn allocator.
+//!
+//! The journal is the definition of a durable store's state: every
+//! durable transition is one [`JournalEntry`], checked against history
+//! by `admits` and carried out by `apply` — the only code that changes
+//! the store's maps. A public mutator is *validate the request →
+//! `commit` (check, journal, apply)*, and [`FragmentStore::restore`] is
+//! *open the journal → settle the epoch policy → commit every entry in
+//! order*, so a restored store is observably equal to the one that was
+//! dropped and refuses every history the live path would have refused.
 
-use crate::acl::{AccessControlTable, Operation, OperationSet, Ticket};
+use crate::acl::{AccessControlTable, Operation, OperationSet, Ticket, TicketId};
 use crate::epoch::{EpochId, EpochManifest, EpochPartials, EpochPolicy};
 use crate::fragment::Fragment;
 use crate::journal::{Journal, JournalEntry};
 use crate::model::{AttrName, AttrValue, Glsn};
 use crate::LogError;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -59,52 +68,10 @@ impl Default for GlsnAllocator {
     }
 }
 
-/// Journal blob tag for a standby copy of another node's fragment
-/// (payload: [`Fragment::to_canonical_bytes`]).
-pub const BLOB_STANDBY: u8 = 0x10;
-/// Journal blob tag for an adopted fragment — a standby promoted after
-/// its owner died (payload: [`Fragment::to_canonical_bytes`]).
-pub const BLOB_ADOPTED: u8 = 0x11;
-/// Journal blob tag for an epoch seal (payload: epoch id as u64 BE).
-/// Replayed by [`FragmentStore::restore`] so a sealed epoch stays
-/// closed to deposits across restarts.
-pub const BLOB_EPOCH_SEAL: u8 = 0x12;
-/// Journal blob tag for the store's epoch policy (payload: base glsn
-/// then epoch length, both u64 BE). Written once when a durable store
-/// first opens its journal, so [`FragmentStore::restore`] rebuilds
-/// manifests under the policy the trail was actually sharded with
-/// instead of silently assuming the default.
-pub const BLOB_EPOCH_POLICY: u8 = 0x13;
-/// Journal blob tag for materialized per-epoch aggregate partials
-/// (payload: [`EpochPartials::encode`]). Written by
-/// [`FragmentStore::materialize_partials`] at seal time; on restore the
-/// cached copy is never trusted — it is recomputed from the surviving
-/// fragments, so a crash-tail truncation can only invalidate, never
-/// serve, a stale aggregate.
-pub const BLOB_EPOCH_PARTIALS: u8 = 0x14;
-
-fn encode_epoch_policy(policy: EpochPolicy) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16);
-    out.extend_from_slice(&policy.base().0.to_be_bytes());
-    out.extend_from_slice(&policy.length().to_be_bytes());
-    out
-}
-
-fn decode_epoch_policy(bytes: &[u8]) -> Result<EpochPolicy, LogError> {
-    if bytes.len() != 16 {
-        return Err(LogError::Store(
-            "epoch policy payload must be 16 bytes".into(),
-        ));
-    }
-    let base = u64::from_be_bytes(bytes[..8].try_into().expect("sliced to 8"));
-    let length = u64::from_be_bytes(bytes[8..].try_into().expect("sliced to 8"));
-    Ok(EpochPolicy::new(Glsn(base), length))
-}
-
 /// One DLA node's fragment store plus its replica of the access-control
-/// table. Optionally backed by a durable [`Journal`]: writes and
-/// deletes are then logged (fsynced) before they apply, and
-/// [`FragmentStore::restore`] rebuilds the store after a restart.
+/// table. Optionally backed by a durable [`Journal`]: every transition
+/// is then logged (fsynced) before it applies, and
+/// [`FragmentStore::restore`] replays the log after a restart.
 ///
 /// Beyond its own fragments the store can hold two recovery-oriented
 /// collections, both keyed by `(origin node, glsn)`:
@@ -154,188 +121,213 @@ impl FragmentStore {
     pub fn with_policy(node: usize, policy: EpochPolicy) -> Self {
         FragmentStore {
             node,
-            fragments: BTreeMap::new(),
-            standby: BTreeMap::new(),
-            adopted: BTreeMap::new(),
-            acl: AccessControlTable::new(),
-            journal: None,
             epoch_policy: policy,
-            epochs: BTreeMap::new(),
+            ..FragmentStore::default()
         }
     }
 
     /// Creates a durable store journaling to `path` (which may already
     /// contain a previous run's entries — they are replayed). The epoch
-    /// policy is read back from the journal's [`BLOB_EPOCH_POLICY`]
-    /// record; only a genuinely fresh (or pre-policy legacy) journal
-    /// falls back to the default policy, which is then persisted.
+    /// policy is read back from the journal's
+    /// [`JournalEntry::EpochPolicy`] record; only a genuinely fresh (or
+    /// pre-policy legacy) journal falls back to the default policy,
+    /// which is then persisted.
     ///
     /// # Errors
     ///
-    /// Returns [`LogError::Store`] on I/O failure or journal corruption,
-    /// [`LogError::DuplicateGlsn`] if the journal contains a duplicated
-    /// deposit.
+    /// As [`FragmentStore::restore_with_policy`].
     pub fn restore(node: usize, path: &Path) -> Result<Self, LogError> {
-        FragmentStore::restore_inner(node, path, None)
+        FragmentStore::replay(node, path, None)
     }
 
-    /// [`FragmentStore::restore`] with an explicit epoch policy. Epoch
-    /// seal records are replayed so sealed epochs stay closed, and
-    /// per-epoch manifests are rebuilt from the surviving fragments.
+    /// [`FragmentStore::restore`] with an explicit epoch policy.
     ///
     /// # Errors
     ///
     /// Returns [`LogError::Store`] on I/O failure or journal corruption,
-    /// or if the journal already records a *different* epoch policy
-    /// (re-sharding an existing trail would silently re-bucket history);
-    /// [`LogError::DuplicateGlsn`] if the journal contains a duplicated
-    /// deposit or a conflicting standby/adopted copy.
+    /// if the journal already records a *different* epoch policy
+    /// (re-sharding an existing trail would silently re-bucket history),
+    /// or if it holds a history the live path refuses — a fragment
+    /// behind its epoch's seal, a fragment of another node;
+    /// [`LogError::DuplicateGlsn`] if it contains a conflicting rewrite
+    /// of a live fragment or of a standby/adopted copy.
     pub fn restore_with_policy(
         node: usize,
         path: &Path,
         policy: EpochPolicy,
     ) -> Result<Self, LogError> {
-        FragmentStore::restore_inner(node, path, Some(policy))
+        FragmentStore::replay(node, path, Some(policy))
     }
 
-    fn restore_inner(
-        node: usize,
-        path: &Path,
-        requested: Option<EpochPolicy>,
-    ) -> Result<Self, LogError> {
+    fn replay(node: usize, path: &Path, requested: Option<EpochPolicy>) -> Result<Self, LogError> {
         let (mut journal, entries) = Journal::open(path)?;
-        let mut persisted: Option<EpochPolicy> = None;
-        for entry in &entries {
-            if let JournalEntry::Blob { tag, bytes } = entry {
-                if *tag == BLOB_EPOCH_POLICY {
-                    persisted = Some(decode_epoch_policy(bytes)?);
-                }
-            }
-        }
+        // The policy decides which epoch every other entry lands in, so
+        // it is the one thing settled before the first entry applies.
+        let persisted = entries.iter().rev().find_map(|entry| match entry {
+            JournalEntry::EpochPolicy(policy) => Some(*policy),
+            _ => None,
+        });
         let policy = match (persisted, requested) {
             (Some(p), Some(r)) if p != r => {
                 return Err(LogError::Store(format!(
-                    "journal {} was sharded with epoch policy \
-                     (base={}, length={}) but restore requested \
-                     (base={}, length={})",
-                    path.display(),
-                    p.base(),
-                    p.length(),
-                    r.base(),
-                    r.length()
+                    "journal {} was sharded with epoch policy {p:?} but restore requested {r:?}",
+                    path.display()
                 )));
             }
             (Some(p), _) => p,
             (None, requested) => {
                 let policy = requested.unwrap_or_default();
-                journal.append(&JournalEntry::Blob {
-                    tag: BLOB_EPOCH_POLICY,
-                    bytes: encode_epoch_policy(policy),
-                })?;
+                journal.append(&JournalEntry::EpochPolicy(policy))?;
                 policy
             }
         };
-        let mut acl = AccessControlTable::new();
-        let mut standby: BTreeMap<(usize, Glsn), Fragment> = BTreeMap::new();
-        let mut adopted: BTreeMap<(usize, Glsn), Fragment> = BTreeMap::new();
-        let mut sealed = Vec::new();
-        let mut materialized: Vec<EpochId> = Vec::new();
+        // Replay runs on a store that has no journal yet: `commit`
+        // re-walks the recorded history without re-recording it.
+        let mut store = FragmentStore::with_policy(node, policy);
+        for entry in entries {
+            store.commit([entry])?;
+        }
+        store.journal = Some(journal);
+        Ok(store)
+    }
+
+    /// One durable step, live or replayed: every entry is checked
+    /// against history, then journaled (when durable, in one append),
+    /// and only then applied. `Ok(false)`: history already reflects the
+    /// step — nothing was journaled or changed.
+    fn commit<const N: usize>(&mut self, entries: [JournalEntry; N]) -> Result<bool, LogError> {
         for entry in &entries {
-            match entry {
-                JournalEntry::AclGrant { ticket, ops, glsn } => {
-                    acl.authorize_parts(
-                        crate::acl::TicketId::new(ticket),
-                        OperationSet::from_byte(*ops),
-                        *glsn,
-                    );
-                }
-                JournalEntry::Blob { tag, bytes } if *tag == BLOB_STANDBY => {
-                    let frag = Fragment::from_canonical_bytes(bytes)?;
-                    // Re-shipped identical copies are idempotent; a
-                    // conflicting copy for the same (origin, glsn) is a
-                    // duplicated deposit.
-                    if let Some(existing) = standby.get(&(frag.node, frag.glsn)) {
-                        if *existing != frag {
-                            return Err(LogError::DuplicateGlsn {
-                                glsn: frag.glsn,
-                                node: frag.node,
-                            });
-                        }
-                    }
-                    standby.insert((frag.node, frag.glsn), frag);
-                }
-                JournalEntry::Blob { tag, bytes } if *tag == BLOB_ADOPTED => {
-                    let frag = Fragment::from_canonical_bytes(bytes)?;
-                    if let Some(existing) = adopted.get(&(frag.node, frag.glsn)) {
-                        if *existing != frag {
-                            return Err(LogError::DuplicateGlsn {
-                                glsn: frag.glsn,
-                                node: frag.node,
-                            });
-                        }
-                    }
-                    // A promoted standby is no longer a standby.
-                    standby.remove(&(frag.node, frag.glsn));
-                    adopted.insert((frag.node, frag.glsn), frag);
-                }
-                JournalEntry::Blob { tag, bytes } if *tag == BLOB_EPOCH_SEAL => {
-                    let raw: [u8; 8] = bytes.as_slice().try_into().map_err(|_| {
-                        LogError::Store("epoch seal payload must be 8 bytes".into())
-                    })?;
-                    sealed.push(EpochId(u64::from_be_bytes(raw)));
-                }
-                JournalEntry::Blob { tag, bytes } if *tag == BLOB_EPOCH_PARTIALS => {
-                    let partials = EpochPartials::decode(bytes).ok_or_else(|| {
-                        LogError::Store("epoch partials payload is malformed".into())
-                    })?;
-                    materialized.push(partials.epoch);
-                }
-                _ => {}
+            if !self.admits(entry)? {
+                return Ok(false);
             }
         }
-        let fragments: BTreeMap<Glsn, Fragment> = Journal::materialize(entries)?
-            .into_iter()
-            .map(|f| (f.glsn, f))
-            .collect();
-        let mut epochs: BTreeMap<EpochId, EpochManifest> = BTreeMap::new();
-        for glsn in fragments.keys() {
-            let epoch = policy.epoch_of(*glsn);
-            epochs
-                .entry(epoch)
-                .and_modify(|m| m.observe(*glsn))
-                .or_insert_with(|| EpochManifest::opened_at(epoch, *glsn));
+        if let Some(journal) = &mut self.journal {
+            journal.append_batch(&entries)?;
         }
-        for epoch in sealed {
-            epochs
-                .entry(epoch)
-                .or_insert_with(|| empty_manifest(&policy, epoch))
-                .sealed = true;
-        }
-        let mut store = FragmentStore {
-            node,
-            fragments,
-            standby,
-            adopted,
-            acl,
-            journal: Some(journal),
-            epoch_policy: policy,
-            epochs,
+        entries.into_iter().for_each(|entry| self.apply(entry));
+        Ok(true)
+    }
+
+    /// The history invariants, each spelled once: whether `entry` may
+    /// follow what the store already holds. `Ok(false)` for an
+    /// idempotent repeat (a byte-identical re-append, a second seal).
+    fn admits(&self, entry: &JournalEntry) -> Result<bool, LogError> {
+        let unless_same = |held: Option<&Fragment>, new: &Fragment, node| match held {
+            None => Ok(true),
+            Some(held) if held == new => Ok(false),
+            // Letting the later copy win would let a replayed or
+            // duplicated deposit rewrite history without tripping the
+            // accumulator.
+            Some(_) => Err(LogError::DuplicateGlsn {
+                glsn: new.glsn,
+                node,
+            }),
         };
-        // The journal records *that* an epoch's partials were
-        // materialized, not the authoritative values: cached aggregates
-        // are recomputed from the surviving fragments, so a journal
-        // whose tail was truncated (or tampered with) after the 0x14
-        // record can never serve a stale aggregate.
-        for epoch in materialized {
-            let rebuilt = store.compute_partials(epoch);
-            let policy = store.epoch_policy;
-            store
-                .epochs
-                .entry(epoch)
-                .or_insert_with(|| empty_manifest(&policy, epoch))
-                .partials = Some(rebuilt);
+        match entry {
+            JournalEntry::Fragment(new) => {
+                if new.node != self.node {
+                    return Err(LogError::Store(format!(
+                        "fragment for node {} written to node {}",
+                        new.node, self.node
+                    )));
+                }
+                if !unless_same(self.fragments.get(&new.glsn), new, self.node)? {
+                    return Ok(false);
+                }
+                let epoch = self.epoch_policy.epoch_of(new.glsn);
+                if self.is_sealed(epoch) {
+                    return Err(LogError::Store(format!(
+                        "epoch {epoch} is sealed at node {}: glsn {} cannot be deposited",
+                        self.node, new.glsn
+                    )));
+                }
+                Ok(true)
+            }
+            JournalEntry::Standby(new) | JournalEntry::Adopted(new) => {
+                let (held, role) = match entry {
+                    JournalEntry::Standby(_) => (&self.standby, "hold a standby of"),
+                    _ => (&self.adopted, "adopt"),
+                };
+                if new.node == self.node {
+                    return Err(LogError::Store(format!(
+                        "node {} cannot {role} its own fragment",
+                        self.node
+                    )));
+                }
+                unless_same(held.get(&(new.node, new.glsn)), new, new.node)
+            }
+            JournalEntry::EpochSeal(epoch) => Ok(!self.is_sealed(*epoch)),
+            JournalEntry::EpochMaterialized(epoch) => Ok(self.epoch_partials(*epoch).is_none()),
+            _ => Ok(true),
         }
-        Ok(store)
+    }
+
+    /// The one state transition: the single place `fragments`,
+    /// `standby`, `adopted`, `acl` and `epochs` change, live and on
+    /// replay alike (entries the store keeps no state for — the policy
+    /// record, foreign blobs — change nothing). Afterwards
+    /// `epoch_partials(e)` is `None` or equals `compute_partials(e)`.
+    fn apply(&mut self, entry: JournalEntry) {
+        let policy = self.epoch_policy;
+        // The epoch whose cached partials the entry made stale (or asked
+        // for): recomputed once, below.
+        let mut refresh = None;
+        match entry {
+            JournalEntry::Fragment(fragment) => {
+                let (glsn, epoch) = (fragment.glsn, policy.epoch_of(fragment.glsn));
+                let manifest = self
+                    .epochs
+                    .entry(epoch)
+                    .and_modify(|m| m.observe(glsn))
+                    .or_insert_with(|| EpochManifest::opened_at(epoch, glsn));
+                refresh = manifest.partials.is_some().then_some(epoch);
+                self.fragments.insert(glsn, fragment);
+            }
+            JournalEntry::AclGrant { ticket, ops, glsn } => {
+                let ops = OperationSet::from_byte(ops);
+                self.acl.authorize_parts(TicketId::new(&ticket), ops, glsn);
+            }
+            JournalEntry::Tombstone(glsn) => {
+                self.acl.forget(glsn);
+                self.standby.retain(|&(_, held), _| held != glsn);
+                self.adopted.retain(|&(_, held), _| held != glsn);
+                if self.fragments.remove(&glsn).is_some() {
+                    let epoch = policy.epoch_of(glsn);
+                    if let Some(m) = self.epochs.get_mut(&epoch) {
+                        m.fragments = m.fragments.saturating_sub(1);
+                        refresh = m.partials.is_some().then_some(epoch);
+                    }
+                }
+            }
+            JournalEntry::Standby(fragment) => {
+                self.standby
+                    .insert((fragment.node, fragment.glsn), fragment);
+            }
+            JournalEntry::Adopted(fragment) => {
+                // A promoted standby is no longer a standby.
+                self.standby.remove(&(fragment.node, fragment.glsn));
+                self.adopted
+                    .insert((fragment.node, fragment.glsn), fragment);
+            }
+            JournalEntry::EpochSeal(epoch) | JournalEntry::EpochMaterialized(epoch) => {
+                let manifest = self
+                    .epochs
+                    .entry(epoch)
+                    .or_insert_with(|| empty_manifest(&policy, epoch));
+                match entry {
+                    JournalEntry::EpochSeal(_) => manifest.sealed = true,
+                    _ => refresh = Some(epoch),
+                }
+            }
+            JournalEntry::EpochPolicy(_) | JournalEntry::Blob { .. } => {}
+        }
+        if let Some(epoch) = refresh {
+            let partials = self.compute_partials(epoch);
+            self.epochs
+                .get_mut(&epoch)
+                .expect("a refreshed epoch has a manifest")
+                .partials = Some(partials);
+        }
     }
 
     /// Whether the store is journal-backed.
@@ -351,13 +343,15 @@ impl FragmentStore {
     }
 
     /// Writes a fragment under a ticket: the glsn is registered in the
-    /// ACL and the fragment stored.
+    /// ACL and the fragment stored. A durable store journals both
+    /// frames in one append — one fsync per write.
     ///
     /// # Errors
     ///
     /// Returns [`LogError::AccessDenied`] if the ticket does not permit
     /// writes, [`LogError::Store`] if the fragment belongs to another
-    /// node or the glsn is already present.
+    /// node or its epoch is sealed, [`LogError::DuplicateGlsn`] if the
+    /// glsn is already present.
     pub fn write(&mut self, ticket: &Ticket, fragment: Fragment) -> Result<(), LogError> {
         if !ticket.ops.allows(Operation::Write) {
             return Err(LogError::AccessDenied(format!(
@@ -365,43 +359,21 @@ impl FragmentStore {
                 ticket.id
             )));
         }
-        if fragment.node != self.node {
-            return Err(LogError::Store(format!(
-                "fragment for node {} written to node {}",
-                fragment.node, self.node
-            )));
+        let duplicate = LogError::DuplicateGlsn {
+            glsn: fragment.glsn,
+            node: self.node,
+        };
+        let grant = JournalEntry::AclGrant {
+            ticket: ticket.id.as_str().to_owned(),
+            ops: ticket.ops.to_byte(),
+            glsn: fragment.glsn,
+        };
+        // Replay forgives a byte-identical re-append; a live caller
+        // writing a glsn twice is told so.
+        match self.commit([JournalEntry::Fragment(fragment), grant])? {
+            true => Ok(()),
+            false => Err(duplicate),
         }
-        if self.fragments.contains_key(&fragment.glsn) {
-            // A silent BTreeMap::insert here would let a replayed or
-            // duplicated deposit rewrite history without tripping the
-            // accumulator.
-            return Err(LogError::DuplicateGlsn {
-                glsn: fragment.glsn,
-                node: self.node,
-            });
-        }
-        let epoch = self.epoch_policy.epoch_of(fragment.glsn);
-        if self.epochs.get(&epoch).is_some_and(|m| m.sealed) {
-            return Err(LogError::Store(format!(
-                "epoch {epoch} is sealed at node {}: glsn {} cannot be deposited",
-                self.node, fragment.glsn
-            )));
-        }
-        if let Some(journal) = &mut self.journal {
-            journal.append(&JournalEntry::Fragment(fragment.clone()))?;
-            journal.append(&JournalEntry::AclGrant {
-                ticket: ticket.id.as_str().to_owned(),
-                ops: ticket.ops.to_byte(),
-                glsn: fragment.glsn,
-            })?;
-        }
-        self.acl.authorize(ticket, fragment.glsn);
-        self.epochs
-            .entry(epoch)
-            .and_modify(|m| m.observe(fragment.glsn))
-            .or_insert_with(|| EpochManifest::opened_at(epoch, fragment.glsn));
-        self.fragments.insert(fragment.glsn, fragment);
-        Ok(())
     }
 
     /// Reads a fragment under a ticket.
@@ -412,12 +384,19 @@ impl FragmentStore {
     /// [`LogError::Store`] if the glsn is absent.
     pub fn read(&self, ticket: &Ticket, glsn: Glsn) -> Result<&Fragment, LogError> {
         self.acl.check(ticket, Operation::Read, glsn)?;
+        self.stored(glsn)
+    }
+
+    fn stored(&self, glsn: Glsn) -> Result<&Fragment, LogError> {
         self.fragments
             .get(&glsn)
             .ok_or_else(|| LogError::Store(format!("glsn {glsn} not stored at node {}", self.node)))
     }
 
-    /// Deletes a fragment under a ticket.
+    /// Deletes a glsn under a ticket: the fragment (returned), any
+    /// standby or adopted copy held of it and its ACL grants. The
+    /// epoch's manifest keeps the glsn extent it has observed; only its
+    /// fragment count drops.
     ///
     /// # Errors
     ///
@@ -425,19 +404,9 @@ impl FragmentStore {
     /// [`LogError::Store`] if the glsn is absent.
     pub fn delete(&mut self, ticket: &Ticket, glsn: Glsn) -> Result<Fragment, LogError> {
         self.acl.check(ticket, Operation::Delete, glsn)?;
-        if !self.fragments.contains_key(&glsn) {
-            return Err(LogError::Store(format!(
-                "glsn {glsn} not stored at node {}",
-                self.node
-            )));
-        }
-        if let Some(journal) = &mut self.journal {
-            journal.append(&JournalEntry::Tombstone(glsn))?;
-        }
-        if let Some(m) = self.epochs.get_mut(&self.epoch_policy.epoch_of(glsn)) {
-            m.fragments = m.fragments.saturating_sub(1);
-        }
-        Ok(self.fragments.remove(&glsn).expect("checked above"))
+        let fragment = self.stored(glsn)?.clone();
+        self.commit([JournalEntry::Tombstone(glsn)])?;
+        Ok(fragment)
     }
 
     /// Node-internal access for protocol machinery (integrity checking,
@@ -511,35 +480,22 @@ impl FragmentStore {
     ///
     /// Returns [`LogError::Store`] if journaling fails.
     pub fn seal_epoch(&mut self, epoch: EpochId) -> Result<(), LogError> {
-        if self.is_sealed(epoch) {
-            return Ok(());
-        }
-        if let Some(journal) = &mut self.journal {
-            journal.append(&JournalEntry::Blob {
-                tag: BLOB_EPOCH_SEAL,
-                bytes: epoch.0.to_be_bytes().to_vec(),
-            })?;
-        }
-        let policy = self.epoch_policy;
-        self.epochs
-            .entry(epoch)
-            .or_insert_with(|| empty_manifest(&policy, epoch))
-            .sealed = true;
-        Ok(())
+        self.commit([JournalEntry::EpochSeal(epoch)]).map(drop)
     }
 
-    /// Deterministically folds the epoch's scan surface (own plus
-    /// adopted fragments in the policy's nominal glsn range) into
-    /// count/sum partials per predicate bucket: every `Text` attribute
-    /// value forms a bucket counting matching fragments and summing
-    /// each co-resident numeric attribute, and epoch-wide numeric
-    /// totals ride along. A pure function of the stored fragments —
-    /// restore recomputes it rather than trusting a cached copy.
+    /// Deterministically folds the node's own fragments in the epoch's
+    /// nominal glsn range into count/sum partials per predicate bucket:
+    /// every `Text` attribute value forms a bucket counting matching
+    /// fragments and summing each co-resident numeric attribute, and
+    /// epoch-wide numeric totals ride along. A pure function of the
+    /// stored own fragments — adopted copies belong to their dead
+    /// owner's summary, which the checkpoint chain committed at seal
+    /// time, so an adoption never rewrites a sealed epoch's partials.
     #[must_use]
     pub fn compute_partials(&self, epoch: EpochId) -> EpochPartials {
         let (lo, hi) = self.epoch_policy.glsn_range(epoch);
         let mut partials = EpochPartials::empty(epoch);
-        for frag in self.scan_window(lo, hi) {
+        for frag in self.fragments.range(lo..=hi).map(|(_, f)| f) {
             partials.fragments += 1;
             let numerics: Vec<(&AttrName, i64)> = frag
                 .values
@@ -577,35 +533,17 @@ impl FragmentStore {
     }
 
     /// Materializes the epoch's aggregate partials into its manifest
-    /// (journaled when durable), so windowed aggregate queries combine
-    /// cached partials instead of rescanning fragments. Called at seal
-    /// time; idempotent — an epoch whose manifest already carries
-    /// partials is left untouched.
+    /// (a durable store journals the fact, not the values), so windowed
+    /// aggregate queries combine cached partials instead of rescanning
+    /// fragments. Called at seal time; idempotent. Once materialized,
+    /// the cache follows every later write or delete in the epoch.
     ///
     /// # Errors
     ///
     /// Returns [`LogError::Store`] if journaling fails.
     pub fn materialize_partials(&mut self, epoch: EpochId) -> Result<(), LogError> {
-        if self
-            .epochs
-            .get(&epoch)
-            .is_some_and(|m| m.partials.is_some())
-        {
-            return Ok(());
-        }
-        let partials = self.compute_partials(epoch);
-        if let Some(journal) = &mut self.journal {
-            journal.append(&JournalEntry::Blob {
-                tag: BLOB_EPOCH_PARTIALS,
-                bytes: partials.encode(),
-            })?;
-        }
-        let policy = self.epoch_policy;
-        self.epochs
-            .entry(epoch)
-            .or_insert_with(|| empty_manifest(&policy, epoch))
-            .partials = Some(partials);
-        Ok(())
+        self.commit([JournalEntry::EpochMaterialized(epoch)])
+            .map(drop)
     }
 
     /// The cached aggregate partials for `epoch`, if materialized.
@@ -625,31 +563,7 @@ impl FragmentStore {
     /// [`LogError::DuplicateGlsn`] if a *different* fragment is already
     /// held for the same (origin, glsn).
     pub fn store_standby(&mut self, fragment: Fragment) -> Result<(), LogError> {
-        if fragment.node == self.node {
-            return Err(LogError::Store(format!(
-                "node {} cannot hold a standby of its own fragment",
-                self.node
-            )));
-        }
-        match self.standby.get(&(fragment.node, fragment.glsn)) {
-            Some(existing) if *existing == fragment => return Ok(()),
-            Some(_) => {
-                return Err(LogError::DuplicateGlsn {
-                    glsn: fragment.glsn,
-                    node: fragment.node,
-                })
-            }
-            None => {}
-        }
-        if let Some(journal) = &mut self.journal {
-            journal.append(&JournalEntry::Blob {
-                tag: BLOB_STANDBY,
-                bytes: fragment.to_canonical_bytes(),
-            })?;
-        }
-        self.standby
-            .insert((fragment.node, fragment.glsn), fragment);
-        Ok(())
+        self.commit([JournalEntry::Standby(fragment)]).map(drop)
     }
 
     /// Adopts a fragment on behalf of a dead node: it keeps its
@@ -663,32 +577,7 @@ impl FragmentStore {
     /// *different* fragment was already adopted for the same
     /// (origin, glsn).
     pub fn adopt(&mut self, fragment: Fragment) -> Result<(), LogError> {
-        if fragment.node == self.node {
-            return Err(LogError::Store(format!(
-                "node {} cannot adopt its own fragment",
-                self.node
-            )));
-        }
-        match self.adopted.get(&(fragment.node, fragment.glsn)) {
-            Some(existing) if *existing == fragment => return Ok(()),
-            Some(_) => {
-                return Err(LogError::DuplicateGlsn {
-                    glsn: fragment.glsn,
-                    node: fragment.node,
-                })
-            }
-            None => {}
-        }
-        if let Some(journal) = &mut self.journal {
-            journal.append(&JournalEntry::Blob {
-                tag: BLOB_ADOPTED,
-                bytes: fragment.to_canonical_bytes(),
-            })?;
-        }
-        self.standby.remove(&(fragment.node, fragment.glsn));
-        self.adopted
-            .insert((fragment.node, fragment.glsn), fragment);
-        Ok(())
+        self.commit([JournalEntry::Adopted(fragment)]).map(drop)
     }
 
     /// Promotes every standby copy held for `dead_node` to adopted
@@ -696,20 +585,45 @@ impl FragmentStore {
     ///
     /// # Errors
     ///
-    /// Returns [`LogError::Store`] if journaling fails.
+    /// As [`FragmentStore::adopt`].
     pub fn promote_standby(&mut self, dead_node: usize) -> Result<Vec<Fragment>, LogError> {
-        let keys: Vec<(usize, Glsn)> = self
+        let promoted: Vec<Fragment> = self
             .standby
             .range((dead_node, Glsn(0))..=(dead_node, Glsn(u64::MAX)))
-            .map(|(&k, _)| k)
+            .map(|(_, fragment)| fragment.clone())
             .collect();
-        let mut promoted = Vec::with_capacity(keys.len());
-        for key in keys {
-            let frag = self.standby.remove(&key).expect("key just listed");
-            promoted.push(frag.clone());
-            self.adopt(frag)?;
+        for fragment in &promoted {
+            self.adopt(fragment.clone())?;
         }
         Ok(promoted)
+    }
+
+    /// Rolls back every glsn `committed` rejects — own fragment,
+    /// standby and adopted copies, ACL grants — with a journaled
+    /// tombstone each, so the next restart replays the same decision. A
+    /// restarting cluster passes "has a deposit record": the pieces of a
+    /// deposit that crashed before it committed are not history.
+    /// Returns the glsns forgotten.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LogError::Store`] if journaling fails.
+    pub fn forget_uncommitted(
+        &mut self,
+        committed: impl Fn(Glsn) -> bool,
+    ) -> Result<BTreeSet<Glsn>, LogError> {
+        let copies = self.standby.keys().chain(self.adopted.keys());
+        let granted = self.acl.iter().flat_map(|(_, _, glsns)| glsns);
+        let orphans: BTreeSet<Glsn> = (self.fragments.keys())
+            .chain(copies.map(|(_, glsn)| glsn))
+            .chain(granted)
+            .copied()
+            .filter(|glsn| !committed(*glsn))
+            .collect();
+        for glsn in &orphans {
+            self.commit([JournalEntry::Tombstone(*glsn)])?;
+        }
+        Ok(orphans)
     }
 
     /// An adopted fragment originally owned by `node`, if held here.
@@ -827,6 +741,16 @@ mod tests {
             .with("c2", AttrValue::Fixed2(2345))
             .with("c3", AttrValue::text("sig"));
         fragment(&record, &partition)
+    }
+
+    fn temp_journal(tag: &str) -> std::path::PathBuf {
+        let path = std::env::temp_dir().join(format!(
+            "dla-store-{tag}-{}-{:?}.log",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        path
     }
 
     #[test]
@@ -1143,6 +1067,10 @@ mod tests {
             // the fragment tail.
             store.materialize_partials(EpochId(0)).unwrap();
             store.write(&t, sample_fragments(2).remove(1)).unwrap();
+            // The live cache follows the write: it is never stale.
+            let live = store.epoch_partials(EpochId(0)).expect("materialized");
+            assert_eq!(live.fragments, 2);
+            assert_eq!(*live, store.compute_partials(EpochId(0)));
         }
         let store = FragmentStore::restore_with_policy(1, &path, policy).unwrap();
         let restored = store.epoch_partials(EpochId(0)).expect("partials restored");
@@ -1152,6 +1080,100 @@ mod tests {
              not replay the stale journaled snapshot"
         );
         assert_eq!(*restored, store.compute_partials(EpochId(0)));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn fragment_behind_a_seal_fails_restore() {
+        let path = temp_journal("behind-seal");
+        let t = ticket(OperationSet::read_write());
+        let policy = EpochPolicy::new(Glsn(0), 4);
+        {
+            let mut store = FragmentStore::restore_with_policy(1, &path, policy).unwrap();
+            store.write(&t, sample_fragments(1).remove(1)).unwrap();
+            store.materialize_partials(EpochId(0)).unwrap();
+            store.seal_epoch(EpochId(0)).unwrap();
+        }
+        // A sealed epoch grows on disk: the live path refuses this
+        // write, so a journal that holds it is not this store's history.
+        {
+            let (mut journal, _) = Journal::open(&path).unwrap();
+            let late = JournalEntry::Fragment(sample_fragments(2).remove(1));
+            journal.append(&late).unwrap();
+        }
+        let err = FragmentStore::restore_with_policy(1, &path, policy).unwrap_err();
+        assert!(err.to_string().contains("epoch e0 is sealed"), "{err}");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Everything a caller can observe of a store, for restore ≡ live.
+    fn observed(store: &FragmentStore) -> impl PartialEq + fmt::Debug {
+        let acl: Vec<_> = store
+            .acl()
+            .iter()
+            .map(|(id, ops, glsns)| (id.clone(), *ops, glsns.clone()))
+            .collect();
+        (
+            store.scan_all().cloned().collect::<Vec<_>>(),
+            store.epoch_manifests().cloned().collect::<Vec<_>>(),
+            acl,
+            store.standby_count(),
+        )
+    }
+
+    #[test]
+    fn manifests_agree_after_a_delete() {
+        let path = temp_journal("manifest-delete");
+        let t = ticket(OperationSet::all());
+        let policy = EpochPolicy::new(Glsn(0), 4);
+        let live = {
+            let mut store = FragmentStore::restore_with_policy(1, &path, policy).unwrap();
+            for glsn in 1..=3 {
+                store.write(&t, sample_fragments(glsn).remove(1)).unwrap();
+            }
+            store.materialize_partials(EpochId(0)).unwrap();
+            store.delete(&t, Glsn(3)).unwrap();
+            let e0 = store.epoch_manifest(EpochId(0)).unwrap();
+            // The extent is what the epoch has observed; the count and
+            // the cached partials are what it holds now.
+            assert_eq!(
+                (e0.fragments, e0.glsn_lo, e0.glsn_hi),
+                (2, Glsn(1), Glsn(3))
+            );
+            assert_eq!(e0.partials, Some(store.compute_partials(EpochId(0))));
+            observed(&store)
+        };
+        let restored = FragmentStore::restore_with_policy(1, &path, policy).unwrap();
+        assert_eq!(observed(&restored), live);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn forgetting_uncommitted_glsns_survives_restart() {
+        let path = temp_journal("forget");
+        let t = ticket(OperationSet::read_write());
+        let policy = EpochPolicy::new(Glsn(0), 4);
+        let committed = |glsn: Glsn| glsn <= Glsn(2);
+        let live = {
+            let mut store = FragmentStore::restore_with_policy(1, &path, policy).unwrap();
+            for glsn in 1..=3 {
+                store.write(&t, sample_fragments(glsn).remove(1)).unwrap();
+                store
+                    .store_standby(sample_fragments(glsn).remove(0))
+                    .unwrap();
+            }
+            store.store_standby(sample_fragments(4).remove(0)).unwrap();
+            let forgotten = store.forget_uncommitted(committed).unwrap();
+            assert!(forgotten.into_iter().eq([Glsn(3), Glsn(4)]));
+            assert_eq!((store.len(), store.standby_count()), (2, 2));
+            assert_eq!(store.acl().glsns_of(&t.id).len(), 2);
+            assert!(store.forget_uncommitted(committed).unwrap().is_empty());
+            // The glsn is free again: the retried deposit lands.
+            store.write(&t, sample_fragments(3).remove(1)).unwrap();
+            observed(&store)
+        };
+        let restored = FragmentStore::restore_with_policy(1, &path, policy).unwrap();
+        assert_eq!(observed(&restored), live);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -1181,7 +1203,7 @@ mod tests {
             let (mut journal, _) = Journal::open(&path).unwrap();
             journal
                 .append(&JournalEntry::Blob {
-                    tag: BLOB_EPOCH_PARTIALS,
+                    tag: 0x14,
                     bytes: forged.encode(),
                 })
                 .unwrap();

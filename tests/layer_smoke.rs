@@ -1,13 +1,21 @@
 //! One thin test per layer under the cluster — bigint, crypto, net,
-//! logstore — through the facade and with no `DlaCluster`, so tier-1
-//! touches every crate directly and a break names its layer.
+//! logstore (its journal, and the store that replays it) — through the
+//! facade and with no `DlaCluster`, so tier-1 touches every crate
+//! directly and a break names its layer.
 
 use confidential_audit::bigint::montgomery::MontgomeryContext;
 use confidential_audit::bigint::{modular, Ubig};
 use confidential_audit::crypto::accumulator::AccumulatorParams;
 use confidential_audit::crypto::pohlig_hellman::{CommutativeDomain, CommutativeKey, PhKey};
+use confidential_audit::crypto::schnorr::{SchnorrGroup, SchnorrKeyPair};
+use confidential_audit::logstore::acl::{OperationSet, TicketAuthority};
+use confidential_audit::logstore::epoch::{EpochId, EpochPolicy};
+use confidential_audit::logstore::fragment::{fragment, Partition};
+use confidential_audit::logstore::gen::paper_table1;
 use confidential_audit::logstore::journal::{Journal, JournalEntry};
 use confidential_audit::logstore::model::Glsn;
+use confidential_audit::logstore::schema::Schema;
+use confidential_audit::logstore::store::FragmentStore;
 use confidential_audit::net::{Envelope, NodeId, SessionId, SimTime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -99,5 +107,53 @@ fn logstore_journal_replays_batches_and_truncates_a_torn_tail() {
     let (_, replayed) = Journal::open(&path).expect("a torn tail is not an error");
     assert_eq!(replayed, entries, "only the whole entries survive");
     assert_eq!(std::fs::metadata(&path).expect("exists").len(), intact_len);
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn logstore_durable_store_restarts_equal_to_the_live_one() {
+    let path = std::env::temp_dir().join(format!("dla-layer-smoke-{}.store", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let mut rng = StdRng::seed_from_u64(18);
+    let group = SchnorrGroup::fixed_256();
+    let user = SchnorrKeyPair::generate(&group, &mut rng);
+    let ticket =
+        TicketAuthority::new(&group, &mut rng).issue(user.public(), OperationSet::all(), &mut rng);
+    let partition = Partition::paper_example(&Schema::paper_example());
+    let records = paper_table1();
+    let policy = EpochPolicy::new(records[0].glsn, 2);
+    let observe = |store: &FragmentStore| {
+        let fragments: Vec<_> = store.scan_all().cloned().collect();
+        let manifests: Vec<_> = store.epoch_manifests().cloned().collect();
+        (
+            fragments,
+            manifests,
+            store.acl().len(),
+            store.standby_count(),
+        )
+    };
+
+    // write → standby → seal → restart: the one fixed sequence of the
+    // property `crates/logstore/tests/restore_equivalence.rs` samples.
+    let mut store = FragmentStore::restore_with_policy(1, &path, policy).expect("creates");
+    for record in &records[..3] {
+        let mut fragments = fragment(record, &partition);
+        store.write(&ticket, fragments.remove(1)).expect("writes");
+        store.store_standby(fragments.remove(0)).expect("holds");
+    }
+    store
+        .materialize_partials(EpochId(0))
+        .expect("materializes");
+    store.seal_epoch(EpochId(0)).expect("seals");
+    assert!(store
+        .write(&ticket, fragment(&records[1], &partition).remove(1))
+        .is_err());
+    let live = observe(&store);
+    drop(store);
+
+    let restored = FragmentStore::restore(1, &path).expect("replays");
+    assert_eq!(observe(&restored), live);
+    assert_eq!(restored.len(), 3);
+    assert!(restored.is_sealed(EpochId(0)) && restored.epoch_partials(EpochId(0)).is_some());
     let _ = std::fs::remove_file(&path);
 }
