@@ -35,10 +35,17 @@ echo "==> benchmark/run.sh --test (harness tests incl. the 1/32-size smoke of ev
 benchmark/run.sh --test >/dev/null
 
 # Each experiment binary asserts its own gate before it exits — the exit
-# code is the check — and a --quick run writes no BENCH_*.json.
-for experiment in query_e2e fault_recovery cost_profile epoch_scaling adversary federation standing_query; do
-    echo "==> exp_$experiment --quick"
-    cargo run --release -p dla-bench --bin "exp_$experiment" -- --quick >/dev/null
+# code is the check — and a --quick run writes no BENCH_*.json. The
+# thirteen paper-artefact binaries behind the seven gates (tables,
+# figures, scaling sweeps) read no flag: they always run at full size
+# (0.6 s for all of them) and assert or `expect` their own results.
+for binary in exp_query_e2e exp_fault_recovery exp_cost_profile exp_epoch_scaling \
+    exp_adversary exp_federation exp_standing_query \
+    tables_1_to_6 fig1_centralized fig2_architecture fig3_query_plan fig4_ssi_trace \
+    fig6_evidence_chain fig7_rbinding exp_sum_scaling exp_ssi_scaling exp_rank_scaling \
+    exp_tradeoff exp_integrity exp_metrics; do
+    echo "==> $binary --quick"
+    cargo run --release -p dla-bench --bin "$binary" -- --quick >/dev/null
 done
 
 echo "==> dla-cluster smoke run (4 app + 3 infrastructure node processes; TCP mesh == ChannelNet digest)"

@@ -57,7 +57,7 @@ use dla_logstore::schema::Schema;
 use dla_mpc::set_intersection::SET_TAG;
 use dla_net::adversary::{scenario_rng, Adversary, ScriptedAdversary, Tamper, TamperRule};
 use dla_net::latency::LatencyModel;
-use dla_net::wire::{Reader, Writer};
+use dla_net::wire::Writer;
 use dla_net::{NodeId, SessionId};
 use rand::Rng;
 use std::collections::{BTreeMap, BTreeSet};
@@ -226,32 +226,17 @@ pub fn gossip_heads(
         .cloned()
         .ok_or_else(|| AuditError::Integrity(format!("epoch {epoch} is not sealed")))?;
     let frame = head_frame(&checkpoint);
+    let wire = cluster.root_session();
     let mut views = BTreeMap::new();
     for sender in 0..n {
         for receiver in 0..n {
             if receiver == sender {
                 continue;
             }
-            cluster
-                .net()
-                .send(NodeId(sender), NodeId(receiver), frame.clone());
-            let envelope = cluster
-                .net()
-                .recv_from(NodeId(receiver), NodeId(sender))
-                .map_err(AuditError::Net)?;
-            let mut r = Reader::new(&envelope.payload);
-            let tag = r
-                .get_u8()
-                .map_err(|e| AuditError::Integrity(e.to_string()))?;
-            if tag != HEAD_GOSSIP_TAG {
-                return Err(AuditError::Integrity(format!(
-                    "unexpected head-gossip tag {tag:#04x}"
-                )));
-            }
-            let blob = r
-                .get_bytes()
-                .map_err(|e| AuditError::Integrity(e.to_string()))?;
-            let presented = EpochCheckpoint::decode(blob)
+            wire.send(NodeId(sender), NodeId(receiver), frame.clone());
+            let envelope = wire.recv_from(NodeId(receiver), NodeId(sender))?;
+            let mut r = crate::open_frame(&envelope.payload, HEAD_GOSSIP_TAG)?;
+            let presented = EpochCheckpoint::decode(r.get_bytes()?)
                 .ok_or_else(|| AuditError::Integrity("malformed gossiped checkpoint".into()))?;
             views.insert((receiver, sender), presented);
         }

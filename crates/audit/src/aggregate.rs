@@ -30,7 +30,7 @@ use dla_bigint::F61;
 use dla_logstore::epoch::EpochId;
 use dla_logstore::model::{AttrName, AttrValue};
 use dla_mpc::report::ProtocolReport;
-use dla_mpc::sum::secure_sum;
+use dla_mpc::SumSession;
 use dla_net::NodeId;
 
 /// Result of a confidential count.
@@ -125,8 +125,8 @@ pub fn sum_matching(
         .collect();
     let k = parties.len() / 2 + 1;
     let auditor = cluster.auditor_node();
-    let (mut net, rng) = cluster.net_and_rng();
-    let sum = secure_sum(&mut net, &parties, &inputs, k, auditor, rng).map_err(AuditError::Mpc)?;
+    let (wire, rng) = cluster.root_session_and_rng();
+    let sum = SumSession::new(wire, &parties, k, auditor).run(&inputs, rng)?;
     reports.push(sum.report.clone());
 
     Ok(SumOutcome {

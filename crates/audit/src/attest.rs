@@ -16,7 +16,7 @@ use dla_crypto::schnorr::{self, SchnorrGroup, SchnorrPublicKey, Signature};
 use dla_crypto::threshold::{
     self, NonceCommitment, PartialSignature, SigningSession, ThresholdKey,
 };
-use dla_net::wire::{Reader, Writer};
+use dla_net::wire::Writer;
 use dla_net::NodeId;
 use rand::Rng;
 
@@ -95,11 +95,11 @@ impl Attestor {
 
         // Round 1: each signer commits to a nonce and sends the
         // commitment to the coordinator.
-        let (mut net, rng) = cluster.net_and_rng();
         let sessions: Vec<SigningSession> = signers
             .iter()
-            .map(|&i| SigningSession::start(&group, &self.key.shares()[i], rng))
+            .map(|&i| SigningSession::start(&group, &self.key.shares()[i], cluster.rng_mut()))
             .collect();
+        let net = cluster.root_session();
         let mut commitments: Vec<NonceCommitment> = Vec::with_capacity(k);
         for (session, &i) in sessions.iter().zip(&signers) {
             let c = session.commitment();
@@ -108,16 +108,10 @@ impl Attestor {
                 .put_u64(c.index)
                 .put_bytes(&c.r.to_bytes_be());
             net.send(NodeId(i), coordinator, w.finish());
-            let envelope = net
-                .recv_from(coordinator, NodeId(i))
-                .map_err(AuditError::Net)?;
-            let mut r = Reader::new(&envelope.payload);
-            let _ = r.get_u8().map_err(|e| AuditError::Config(e.to_string()))?;
-            let index = r.get_u64().map_err(|e| AuditError::Config(e.to_string()))?;
-            let point = dla_bigint::Ubig::from_bytes_be(
-                r.get_bytes()
-                    .map_err(|e| AuditError::Config(e.to_string()))?,
-            );
+            let envelope = net.recv_from(coordinator, NodeId(i))?;
+            let mut r = crate::open_frame(&envelope.payload, 0x60)?;
+            let index = r.get_u64()?;
+            let point = dla_bigint::Ubig::from_bytes_be(r.get_bytes()?);
             commitments.push(NonceCommitment { index, r: point });
         }
 
@@ -130,9 +124,7 @@ impl Attestor {
                 w.put_bytes(&c.r.to_bytes_be());
             });
             net.send(coordinator, NodeId(i), w.finish());
-            let _ = net
-                .recv_from(NodeId(i), coordinator)
-                .map_err(AuditError::Net)?;
+            net.recv_from(NodeId(i), coordinator)?;
             let partial = session
                 .respond(&group, self.key.public(), &commitments, message)
                 .map_err(|e| AuditError::Config(e.to_string()))?;
@@ -141,9 +133,7 @@ impl Attestor {
                 .put_u64(partial.index)
                 .put_bytes(&partial.s.to_bytes_be());
             net.send(NodeId(i), coordinator, w.finish());
-            let _ = net
-                .recv_from(coordinator, NodeId(i))
-                .map_err(AuditError::Net)?;
+            net.recv_from(coordinator, NodeId(i))?;
             partials.push(partial);
         }
 

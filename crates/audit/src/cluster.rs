@@ -17,7 +17,7 @@ use dla_logstore::store::{FragmentStore, GlsnAllocator};
 use dla_logstore::LogError;
 use dla_net::latency::LatencyModel;
 use dla_net::wire::{Reader, Writer};
-use dla_net::{NetConfig, NodeId, SharedNet, SimNet};
+use dla_net::{NetConfig, NodeId, Session, SharedNet, SimNet};
 use parking_lot::{MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -810,8 +810,10 @@ impl DlaCluster {
         &self.ctx.acc_params
     }
 
-    /// Locks the network (stats, clocks, fault inspection). The guard
-    /// dereferences to [`SimNet`].
+    /// Locks the network for inspection and scripting: stats, clocks,
+    /// fault plans, captured payloads, fresh session ids. The guard
+    /// dereferences to [`SimNet`]; the cluster's own messages move
+    /// through a [`Session`], never through this guard.
     ///
     /// The lock is not reentrant: bind the guard once rather than
     /// calling `net()` twice within a single expression (the second
@@ -839,10 +841,19 @@ impl DlaCluster {
         self.net.lock().clear_adversary();
     }
 
-    /// Borrows the network and RNG together (protocol modules need
-    /// both mutably alongside node state).
-    pub(crate) fn net_and_rng(&mut self) -> (MutexGuard<'_, SimNet>, &mut StdRng) {
-        (self.net.lock(), &mut self.rng)
+    /// The root session over the cluster's network: the one door every
+    /// cluster leg that is not a concurrent subquery — deposits, owner
+    /// exchanges, accumulator circulations, attestations — sends and
+    /// receives through, so a frame corrupted in flight is refused
+    /// ([`dla_net::NetError::Corrupt`]) instead of decoded.
+    pub(crate) fn root_session(&self) -> Session<'_> {
+        Session::root(&self.net)
+    }
+
+    /// [`DlaCluster::root_session`] with the cluster RNG beside it, for
+    /// the protocols that draw randomness while they send.
+    pub(crate) fn root_session_and_rng(&mut self) -> (Session<'_>, &mut StdRng) {
+        (Session::root(&self.net), &mut self.rng)
     }
 
     /// The cluster RNG (seeding derived per-session generators).
@@ -1053,6 +1064,7 @@ impl DlaCluster {
         );
 
         // Ship each fragment to its node.
+        let wire = self.root_session();
         let standby_to = |node: usize| (node + 1) % self.nodes.len();
         let ship_standby = self.standby_replication && self.nodes.len() >= 2;
         for frag in fragments {
@@ -1062,18 +1074,13 @@ impl DlaCluster {
             w.put_u8(0x20)
                 .put_u64(glsn.0)
                 .put_bytes(&frag.to_canonical_bytes());
-            let mut net = self.net.lock();
-            net.send(user.node, NodeId(node), w.finish());
-            let envelope = net
-                .recv_from(NodeId(node), user.node)
-                .map_err(AuditError::Net)?;
-            drop(net);
-            let mut r = Reader::new(&envelope.payload);
-            let _ = r.get_u8().map_err(|e| AuditError::Log(e.to_string()))?;
+            wire.send(user.node, NodeId(node), w.finish());
+            let envelope = wire.recv_from(NodeId(node), user.node)?;
+            crate::open_frame(&envelope.payload, 0x20)?;
             // The wire carries canonical bytes for accounting realism;
             // the store ingests the structured fragment directly (a
             // full codec for records adds nothing to the protocols
-            // under study).
+            // under study) — once the frame has arrived intact.
             self.nodes[node]
                 .store_mut()
                 .write(&user.ticket, frag)
@@ -1086,12 +1093,8 @@ impl DlaCluster {
                 w.put_u8(0x23)
                     .put_u64(glsn.0)
                     .put_bytes(&standby.to_canonical_bytes());
-                let mut net = self.net.lock();
-                net.send(NodeId(node), NodeId(successor), w.finish());
-                let _ = net
-                    .recv_from(NodeId(successor), NodeId(node))
-                    .map_err(AuditError::Net)?;
-                drop(net);
+                wire.send(NodeId(node), NodeId(successor), w.finish());
+                wire.recv_from(NodeId(successor), NodeId(node))?;
                 self.nodes[successor]
                     .store_mut()
                     .store_standby(standby)
@@ -1106,17 +1109,15 @@ impl DlaCluster {
             .sign(&origin_message(glsn, &deposit), &mut self.rng);
 
         // Deposit + origin signature broadcast to every node.
+        let wire = self.root_session();
         for node in 0..self.nodes.len() {
             let mut w = Writer::new();
             w.put_u8(0x21)
                 .put_u64(glsn.0)
                 .put_bytes(&deposit.to_bytes_be())
                 .put_bytes(&origin_sig.to_bytes());
-            let mut net = self.net.lock();
-            net.send(user.node, NodeId(node), w.finish());
-            let _ = net
-                .recv_from(NodeId(node), user.node)
-                .map_err(AuditError::Net)?;
+            wire.send(user.node, NodeId(node), w.finish());
+            wire.recv_from(NodeId(node), user.node)?;
         }
         let time = stamped.get(&AttrName::new("time")).and_then(|v| match v {
             AttrValue::Time(t) => Some(*t),
@@ -1515,17 +1516,11 @@ impl DlaCluster {
         w.put_u8(tag).put_list(glsns, |w, g| {
             w.put_u64(g.0);
         });
-        let envelope = {
-            let mut net = self.net.lock();
-            net.send(auditor, NodeId(owner), w.finish());
-            net.recv_from(NodeId(owner), auditor)
-                .map_err(AuditError::Net)?
-        };
-        let mut r = Reader::new(&envelope.payload);
-        let _ = r.get_u8().map_err(|e| AuditError::Parse(e.to_string()))?;
-        let requested = r
-            .get_list(|r| r.get_u64().map(Glsn))
-            .map_err(|e| AuditError::Parse(e.to_string()))?;
+        let wire = self.root_session();
+        wire.send(auditor, NodeId(owner), w.finish());
+        let envelope = wire.recv_from(NodeId(owner), auditor)?;
+        let mut r = crate::open_frame(&envelope.payload, tag)?;
+        let requested = r.get_list(|r| r.get_u64().map(Glsn))?;
         let store = self.nodes[owner].store();
         let values = requested
             .into_iter()
@@ -1655,12 +1650,9 @@ impl DlaCluster {
             // Request over the network (accounted)…
             let mut w = Writer::new();
             w.put_u8(0x22).put_u64(glsn.0);
-            let mut net = self.net.lock();
-            net.send(user.node, NodeId(node), w.finish());
-            let _ = net
-                .recv_from(NodeId(node), user.node)
-                .map_err(AuditError::Net)?;
-            drop(net);
+            let wire = self.root_session();
+            wire.send(user.node, NodeId(node), w.finish());
+            wire.recv_from(NodeId(node), user.node)?;
             // …and serve under the ACL.
             let frag = self.nodes[node]
                 .store()

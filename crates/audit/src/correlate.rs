@@ -23,7 +23,7 @@ use crate::cluster::DlaCluster;
 use crate::transaction::owner_scalar_over_glsns;
 use crate::AuditError;
 use dla_logstore::model::{AttrName, AttrValue, Glsn};
-use dla_net::wire::{Reader, Writer};
+use dla_net::wire::Writer;
 use dla_net::NodeId;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -163,20 +163,15 @@ fn window_buckets(
         w.put_u64(bucket);
         w.put_u64(g.0);
     });
-    cluster.net().send(NodeId(owner), auditor, w.finish());
-    let envelope = cluster
-        .net()
-        .recv_from(auditor, NodeId(owner))
-        .map_err(AuditError::Net)?;
-    let mut r = Reader::new(&envelope.payload);
-    let _ = r.get_u8().map_err(|e| AuditError::Parse(e.to_string()))?;
-    let received = r
-        .get_list(|r| {
-            let bucket = r.get_u64()?;
-            let g = r.get_u64().map(Glsn)?;
-            Ok((bucket, g))
-        })
-        .map_err(|e| AuditError::Parse(e.to_string()))?;
+    let wire = cluster.root_session();
+    wire.send(NodeId(owner), auditor, w.finish());
+    let envelope = wire.recv_from(auditor, NodeId(owner))?;
+    let mut r = crate::open_frame(&envelope.payload, 0x75)?;
+    let received = r.get_list(|r| {
+        let bucket = r.get_u64()?;
+        let g = r.get_u64().map(Glsn)?;
+        Ok((bucket, g))
+    })?;
 
     let mut out: BTreeMap<u64, Vec<Glsn>> = BTreeMap::new();
     for (bucket, glsn) in received {

@@ -46,7 +46,7 @@ use dla_logstore::model::{AttrValue, Glsn};
 use dla_mpc::report::ProtocolReport;
 use dla_mpc::{SsiSession, UnionSession};
 use dla_net::topology::Ring;
-use dla_net::wire::{Reader, Writer};
+use dla_net::wire::Writer;
 use dla_net::{NodeId, Reliable, ReliableConfig, Session, SessionId, SimTime, Transport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -295,8 +295,7 @@ pub fn execute_on(
     let session = Session::new(transport, combine_session);
     let outcome = SsiSession::new(session, &ring, cluster.domain(), cluster.auditor_node())
         .reveal(reveal)
-        .run(&inputs, &mut rng)
-        .map_err(AuditError::Mpc)?;
+        .run(&inputs, &mut rng)?;
     reports.push(outcome.report.clone());
 
     let cardinality = outcome.cardinality();
@@ -371,8 +370,9 @@ pub struct ResilientOutcome {
     pub repairs: Vec<crate::cluster::RereplicationReport>,
 }
 
-/// A network error worth retrying: a reliable-layer timeout or a
-/// dropped message surfacing as an empty inbox.
+/// A network error worth retrying: a reliable-layer timeout, a dropped
+/// message surfacing as an empty inbox, or a frame refused for its
+/// checksum — a flipped byte is as transient as a lost frame.
 fn retryable(e: &AuditError) -> bool {
     use dla_net::NetError;
     let net = match e {
@@ -380,7 +380,10 @@ fn retryable(e: &AuditError) -> bool {
         AuditError::Mpc(dla_mpc::MpcError::Net(n)) => n,
         _ => return false,
     };
-    matches!(net, NetError::Timeout(_) | NetError::EmptyInbox(_))
+    matches!(
+        net,
+        NetError::Timeout(_) | NetError::EmptyInbox(_) | NetError::Corrupt(_)
+    )
 }
 
 /// The fault-tolerant executor ladder. Each attempt plans the query
@@ -687,9 +690,8 @@ fn execute_cross(
         })
         .collect();
     let ring = Ring::new(contributing.iter().map(|&n| NodeId(n)).collect());
-    let outcome = UnionSession::new(*session, &ring, cluster.domain(), NodeId(holder))
-        .run(&inputs, rng)
-        .map_err(AuditError::Mpc)?;
+    let outcome =
+        UnionSession::new(*session, &ring, cluster.domain(), NodeId(holder)).run(&inputs, rng)?;
     reports.push(outcome.report.clone());
     let set: GlsnSet = outcome
         .items
@@ -739,8 +741,7 @@ fn equality_join(
     let ring = Ring::new(vec![NodeId(left_node), NodeId(right_node)]);
     let outcome = SsiSession::new(*session, &ring, cluster.domain(), NodeId(left_node))
         .reveal(true)
-        .run(&[left_items, right_items], rng)
-        .map_err(AuditError::Mpc)?;
+        .run(&[left_items, right_items], rng)?;
     reports.push(outcome.report.clone());
     let equal: GlsnSet = outcome
         .common_items
@@ -765,8 +766,7 @@ fn equality_join(
     let ring = Ring::new(vec![NodeId(left_node), NodeId(right_node)]);
     let presence = SsiSession::new(*session, &ring, cluster.domain(), NodeId(left_node))
         .reveal(true)
-        .run(&[left_presence, right_presence], rng)
-        .map_err(AuditError::Mpc)?;
+        .run(&[left_presence, right_presence], rng)?;
     reports.push(presence.report.clone());
     let joint: GlsnSet = presence
         .common_items
@@ -831,16 +831,10 @@ fn masked_compare(
     let mut w = Writer::new();
     w.put_u8(0x30).put_bytes(&mask.to_bytes());
     session.send(left_id, right_id, w.finish());
-    let envelope = session
-        .recv_from(right_id, left_id)
-        .map_err(AuditError::Net)?;
-    let mut r = Reader::new(&envelope.payload);
-    let _ = r.get_u8().map_err(|e| AuditError::Parse(e.to_string()))?;
-    let right_mask = MonotoneMasker::from_bytes(
-        r.get_bytes()
-            .map_err(|e| AuditError::Parse(e.to_string()))?,
-    )
-    .map_err(|e| AuditError::Parse(e.to_string()))?;
+    let envelope = session.recv_from(right_id, left_id)?;
+    let mut r = crate::open_frame(&envelope.payload, 0x30)?;
+    let right_mask =
+        MonotoneMasker::from_bytes(r.get_bytes()?).map_err(|e| AuditError::Wire(e.to_string()))?;
 
     // Both sides submit (glsn, masked ordinal) lists to the TTP.
     let submit = |net: &Session<'_>,
@@ -866,16 +860,13 @@ fn masked_compare(
 
     let mut tables: Vec<BTreeMap<u64, u128>> = Vec::with_capacity(2);
     for from in [left_id, right_id] {
-        let envelope = session.recv_from(ttp, from).map_err(AuditError::Net)?;
-        let mut r = Reader::new(&envelope.payload);
-        let _ = r.get_u8().map_err(|e| AuditError::Parse(e.to_string()))?;
-        let list = r
-            .get_list(|r| {
-                let g = r.get_u64()?;
-                let m = r.get_u128()?;
-                Ok((g, m))
-            })
-            .map_err(|e| AuditError::Parse(e.to_string()))?;
+        let envelope = session.recv_from(ttp, from)?;
+        let mut r = crate::open_frame(&envelope.payload, 0x31)?;
+        let list = r.get_list(|r| {
+            let g = r.get_u64()?;
+            let m = r.get_u128()?;
+            Ok((g, m))
+        })?;
         tables.push(list.into_iter().collect());
     }
 
@@ -897,12 +888,9 @@ fn masked_compare(
         w.put_u64(g);
     });
     session.send(ttp, left_id, w.finish());
-    let envelope = session.recv_from(left_id, ttp).map_err(AuditError::Net)?;
-    let mut r = Reader::new(&envelope.payload);
-    let _ = r.get_u8().map_err(|e| AuditError::Parse(e.to_string()))?;
-    let glsns = r
-        .get_list(|r| r.get_u64().map(Glsn))
-        .map_err(|e| AuditError::Parse(e.to_string()))?;
+    let envelope = session.recv_from(left_id, ttp)?;
+    let mut r = crate::open_frame(&envelope.payload, 0x32)?;
+    let glsns = r.get_list(|r| r.get_u64().map(Glsn))?;
     Ok(glsns.into_iter().collect())
 }
 
@@ -914,6 +902,7 @@ mod tests {
     use dla_logstore::gen::paper_table1;
     use dla_logstore::model::LogRecord;
     use dla_logstore::schema::Schema;
+    use dla_net::latency::LatencyModel;
 
     /// Builds the paper cluster preloaded with Table 1.
     fn loaded_cluster() -> (DlaCluster, AppUser, Vec<Glsn>) {
@@ -1066,7 +1055,7 @@ mod tests {
             ClusterConfig::new(4, schema)
                 .with_partition(partition)
                 .with_seed(11)
-                .with_latency(dla_net::latency::LatencyModel::lan()),
+                .with_latency(LatencyModel::lan()),
         )
         .unwrap();
         let user = cluster.register_user("u").unwrap();
@@ -1093,10 +1082,14 @@ mod tests {
         );
     }
 
-    #[test]
-    fn masked_compare_across_nodes() {
-        // Need two same-typed attributes on different nodes with an
-        // ordering op: build a custom schema.
+    /// A two-node cluster over two same-typed attributes — `a` on node
+    /// 0, `b` on node 1 — so an ordering predicate between them has to
+    /// cross nodes; one record per `(a, b)` row.
+    fn int_pair_cluster(
+        seed: u64,
+        latency: LatencyModel,
+        rows: &[(i64, i64)],
+    ) -> (DlaCluster, Vec<Glsn>) {
         use dla_logstore::model::AttrType;
         use dla_logstore::schema::AttrDef;
         let schema = Schema::new(vec![
@@ -1108,18 +1101,27 @@ mod tests {
         let mut cluster = DlaCluster::new(
             ClusterConfig::new(2, schema)
                 .with_partition(partition)
-                .with_seed(7),
+                .with_seed(seed)
+                .with_latency(latency),
         )
         .unwrap();
         let user = cluster.register_user("u").unwrap();
+        let glsns = rows
+            .iter()
+            .map(|&(a, b)| {
+                let record = LogRecord::new(Glsn(0))
+                    .with("a", AttrValue::Int(a))
+                    .with("b", AttrValue::Int(b));
+                cluster.log_record(&user, &record).unwrap()
+            })
+            .collect();
+        (cluster, glsns)
+    }
+
+    #[test]
+    fn masked_compare_across_nodes() {
         let data = [(10i64, 20i64), (30, 5), (7, 7), (-3, 2)];
-        let mut glsns = Vec::new();
-        for (a, b) in data {
-            let record = LogRecord::new(Glsn(0))
-                .with("a", AttrValue::Int(a))
-                .with("b", AttrValue::Int(b));
-            glsns.push(cluster.log_record(&user, &record).unwrap());
-        }
+        let (mut cluster, glsns) = int_pair_cluster(7, LatencyModel::Zero, &data);
         let result = cluster.query("a < b").unwrap();
         let matched: Vec<usize> = result
             .glsns
@@ -1142,31 +1144,35 @@ mod tests {
         // Attr-attr comparison sends from two owners to the TTP whose
         // arrivals interleave under latency; selective receive keeps
         // the answer deterministic.
-        use dla_logstore::model::AttrType;
-        use dla_logstore::schema::AttrDef;
         for seed in 0..3u64 {
-            let schema = Schema::new(vec![
-                AttrDef::known("a", AttrType::Int),
-                AttrDef::known("b", AttrType::Int),
-            ])
-            .unwrap();
-            let partition = Partition::round_robin(&schema, 2).unwrap();
-            let mut cluster = DlaCluster::new(
-                ClusterConfig::new(2, schema)
-                    .with_partition(partition)
-                    .with_seed(seed)
-                    .with_latency(dla_net::latency::LatencyModel::lan()),
-            )
-            .unwrap();
-            let user = cluster.register_user("u").unwrap();
-            for (a, b) in [(1i64, 2i64), (5, 3), (4, 4)] {
-                let record = LogRecord::new(Glsn(0))
-                    .with("a", AttrValue::Int(a))
-                    .with("b", AttrValue::Int(b));
-                cluster.log_record(&user, &record).unwrap();
-            }
+            let rows = [(1i64, 2i64), (5, 3), (4, 4)];
+            let (mut cluster, _) = int_pair_cluster(seed, LatencyModel::lan(), &rows);
             let result = cluster.query("a < b").unwrap();
             assert_eq!(result.glsns.len(), 1, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn masked_compare_refuses_a_foreign_tag_on_every_leg() {
+        use dla_net::adversary::{ScriptedAdversary, Tamper, TamperRule};
+        // Mask agreement from the left owner, the right owner's
+        // submission, the blind TTP's (net id 3) reply: each swapped
+        // for an intact frame of another kind.
+        let mut foreign = Writer::new();
+        foreign.put_u8(0x7f).put_u64(0);
+        let foreign = foreign.finish();
+        for (liar, tag) in [(0, 0x30), (1, 0x31), (3, 0x32)] {
+            let (mut cluster, _) = int_pair_cluster(7, LatencyModel::Zero, &[(1, 2), (5, 3)]);
+            let swap = TamperRule::once_from(liar, tag, Tamper::Replace(foreign.clone()));
+            let adversary =
+                std::sync::Arc::new(ScriptedAdversary::new().compromise(liar).rule(swap));
+            cluster.set_adversary(adversary.clone());
+            let outcome = cluster.query("a < b");
+            assert_eq!(adversary.report().forged, 1, "tag {tag:#x}: the swap fires");
+            assert!(
+                matches!(outcome, Err(AuditError::Wire(_))),
+                "tag {tag:#x} swapped gave {outcome:?}"
+            );
         }
     }
 

@@ -59,11 +59,10 @@ use dla_logstore::epoch::{EpochId, RingNamespace};
 use dla_logstore::fragment::Partition;
 use dla_logstore::model::{AttrName, AttrValue, Glsn, LogRecord};
 use dla_logstore::schema::Schema;
-use dla_mpc::sum::secure_sum;
+use dla_mpc::SumSession;
 use dla_net::latency::LatencyModel;
-use dla_net::sim::{NetConfig, SimNet};
-use dla_net::wire::{Reader, Writer};
-use dla_net::NodeId;
+use dla_net::wire::Writer;
+use dla_net::{Envelope, NetConfig, NodeId, Session, SharedNet, SimNet};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, BTreeSet};
@@ -268,7 +267,7 @@ pub struct FederatedCluster {
     rings: Vec<DlaCluster>,
     /// Root-ring transport: node `r` is ring `r`'s representative,
     /// node `rings.len()` the root collector.
-    root_net: SimNet,
+    root_net: SharedNet,
     root_rng: StdRng,
     acc_params: AccumulatorParams,
     /// The global accumulator over published sub-ring checkpoints.
@@ -330,12 +329,12 @@ impl FederatedCluster {
             .collect::<Result<Vec<_>, _>>()?;
         let mut root_seed_state = config.seed ^ 0xfed0_0001;
         let root_seed = rand::splitmix64(&mut root_seed_state);
-        let root_net = SimNet::new(
+        let root_net = SharedNet::new(SimNet::new(
             config.rings + 1,
             NetConfig::ideal()
                 .with_latency(config.latency.clone())
                 .with_seed(root_seed),
-        );
+        ));
         let acc_params = AccumulatorParams::fixed_512();
         let root_acc = acc_params.start().clone();
         Ok(FederatedCluster {
@@ -482,6 +481,16 @@ impl FederatedCluster {
         Ok(glsns)
     }
 
+    /// One leg to the root collector, over the root ring's root
+    /// session: `from` ships `frame` and the collector receives it —
+    /// or refuses it, if it was corrupted in flight.
+    fn root_exchange(&self, from: NodeId, frame: bytes::Bytes) -> Result<Envelope, AuditError> {
+        let wire = Session::root(&self.root_net);
+        let root = self.root_node();
+        wire.send(from, root, frame);
+        Ok(wire.recv_from(root, from)?)
+    }
+
     /// Publishes `ring`'s not-yet-published sealed checkpoints to the
     /// root ring: the ring's representative ships each sealed head to
     /// the collector, the collector folds it into the global
@@ -497,7 +506,6 @@ impl FederatedCluster {
     /// Byzantine representative).
     pub fn publish_ring(&mut self, ring: usize) -> Result<usize, AuditError> {
         let num_rings = self.rings.len();
-        let root = self.root_node();
         let mut newly_published = 0usize;
         {
             loop {
@@ -518,24 +526,9 @@ impl FederatedCluster {
                 // Representative → collector: the publication frame.
                 let mut w = Writer::new();
                 w.put_u8(FED_PUBLISH_TAG).put_bytes(&record.encode());
-                self.root_net.send(NodeId(ring), root, w.finish());
-                let envelope = self
-                    .root_net
-                    .recv_from(root, NodeId(ring))
-                    .map_err(AuditError::Net)?;
-                let mut r = Reader::new(&envelope.payload);
-                let tag = r
-                    .get_u8()
-                    .map_err(|e| AuditError::Integrity(e.to_string()))?;
-                if tag != FED_PUBLISH_TAG {
-                    return Err(AuditError::Integrity(format!(
-                        "unexpected root-ring tag {tag:#04x}"
-                    )));
-                }
-                let blob = r
-                    .get_bytes()
-                    .map_err(|e| AuditError::Integrity(e.to_string()))?;
-                let presented = RingCheckpoint::decode(blob).ok_or_else(|| {
+                let envelope = self.root_exchange(NodeId(ring), w.finish())?;
+                let mut r = crate::open_frame(&envelope.payload, FED_PUBLISH_TAG)?;
+                let presented = RingCheckpoint::decode(r.get_bytes()?).ok_or_else(|| {
                     AuditError::Integrity("malformed ring-checkpoint publication".into())
                 })?;
                 if presented != record {
@@ -552,24 +545,9 @@ impl FederatedCluster {
                     .endorse_foreign(endorser as u64, presented.clone());
                 let mut w = Writer::new();
                 w.put_u8(FED_ENDORSE_TAG).put_bytes(&endorsement.encode());
-                self.root_net.send(NodeId(endorser), root, w.finish());
-                let envelope = self
-                    .root_net
-                    .recv_from(root, NodeId(endorser))
-                    .map_err(AuditError::Net)?;
-                let mut r = Reader::new(&envelope.payload);
-                let tag = r
-                    .get_u8()
-                    .map_err(|e| AuditError::Integrity(e.to_string()))?;
-                if tag != FED_ENDORSE_TAG {
-                    return Err(AuditError::Integrity(format!(
-                        "unexpected root-ring tag {tag:#04x}"
-                    )));
-                }
-                let blob = r
-                    .get_bytes()
-                    .map_err(|e| AuditError::Integrity(e.to_string()))?;
-                let received = RingEndorsement::decode(blob)
+                let envelope = self.root_exchange(NodeId(endorser), w.finish())?;
+                let mut r = crate::open_frame(&envelope.payload, FED_ENDORSE_TAG)?;
+                let received = RingEndorsement::decode(r.get_bytes()?)
                     .ok_or_else(|| AuditError::Integrity("malformed ring endorsement".into()))?;
                 if !received.verify() {
                     return Err(AuditError::Integrity(
@@ -669,7 +647,6 @@ impl FederatedCluster {
             .iter()
             .map(|(id, entry)| (*id, entry.ring_ids[ring]))
             .collect();
-        let root = self.root_node();
         for (fed_id, ring_id) in subscriptions {
             for delta in self.rings[ring].standing_deltas(ring_id) {
                 let mut w = Writer::new();
@@ -680,23 +657,12 @@ impl FederatedCluster {
                     .put_list(&delta.glsns, |w, g| {
                         w.put_u64(g.0);
                     });
-                self.root_net.send(NodeId(ring), root, w.finish());
-                let envelope = self
-                    .root_net
-                    .recv_from(root, NodeId(ring))
-                    .map_err(AuditError::Net)?;
-                let mut r = Reader::new(&envelope.payload);
-                let wire_err = |e: dla_net::wire::WireError| AuditError::Integrity(e.to_string());
-                let tag = r.get_u8().map_err(wire_err)?;
-                if tag != FED_DELTA_TAG {
-                    return Err(AuditError::Integrity(format!(
-                        "unexpected root-ring tag {tag:#04x}"
-                    )));
-                }
-                let query = StandingQueryId(r.get_u64().map_err(wire_err)?);
-                let from_ring = r.get_u64().map_err(wire_err)?;
-                let epoch = EpochId(r.get_u64().map_err(wire_err)?);
-                let glsns = r.get_list(|r| r.get_u64().map(Glsn)).map_err(wire_err)?;
+                let envelope = self.root_exchange(NodeId(ring), w.finish())?;
+                let mut r = crate::open_frame(&envelope.payload, FED_DELTA_TAG)?;
+                let query = StandingQueryId(r.get_u64()?);
+                let from_ring = r.get_u64()?;
+                let epoch = EpochId(r.get_u64()?);
+                let glsns = r.get_list(|r| r.get_u64().map(Glsn))?;
                 let mut records = Vec::with_capacity(glsns.len());
                 for glsn in glsns {
                     let index = self.record_index.get(&glsn).ok_or_else(|| {
@@ -925,15 +891,8 @@ impl FederatedCluster {
         let inputs: Vec<F61> = partials.iter().map(|&p| F61::new(p)).collect();
         let k = (self.rings.len() / 2 + 1).min(self.rings.len());
         let collector = self.root_node();
-        let outcome = secure_sum(
-            &mut self.root_net,
-            &parties,
-            &inputs,
-            k,
-            collector,
-            &mut self.root_rng,
-        )
-        .map_err(AuditError::Mpc)?;
+        let outcome = SumSession::new(Session::root(&self.root_net), &parties, k, collector)
+            .run(&inputs, &mut self.root_rng)?;
         Ok(outcome.total.value())
     }
 
@@ -1227,6 +1186,43 @@ mod tests {
                 "ring {ring} has unpublished sealed epochs"
             );
         }
+    }
+
+    #[test]
+    fn the_root_collector_refuses_a_garbled_publication_and_catches_up_after() {
+        use dla_net::adversary::{ScriptedAdversary, Tamper, TamperRule};
+        use dla_net::fault::FaultOutcome;
+        // U1's next two deposits seal an epoch of its home ring, whose
+        // representative then publishes the head on the root ring.
+        let table = paper_table1();
+        let by_u1 = [table[0].clone(), table[2].clone()];
+        let seal_one_more = |fed: &mut FederatedCluster| fed.log_records("U1", &by_u1);
+        let mut fed = seeded_federation(2, 61);
+        let home = fed.home_ring("U1");
+
+        // An intact frame of another kind in the publication's place.
+        let mut foreign = Writer::new();
+        foreign
+            .put_u8(FED_ENDORSE_TAG)
+            .put_bytes(b"not a publication");
+        let swap = TamperRule::once_from(home, FED_PUBLISH_TAG, Tamper::Replace(foreign.finish()));
+        let liar = ScriptedAdversary::new().compromise(home).rule(swap);
+        fed.root_net.lock().set_adversary(std::sync::Arc::new(liar));
+        let err = seal_one_more(&mut fed).unwrap_err();
+        assert!(matches!(err, AuditError::Wire(_)), "foreign tag gave {err}");
+        fed.root_net.lock().clear_adversary();
+        assert_eq!(fed.publish_checkpoints().unwrap(), 1, "catch-up sweep");
+
+        // A byte flipped on the line is refused under its own name.
+        let root = fed.root_node().0;
+        (fed.root_net.lock().faults_mut()).inject_once(home, root, FaultOutcome::Corrupt);
+        let err = seal_one_more(&mut fed).unwrap_err();
+        assert!(
+            matches!(err, AuditError::Net(dla_net::NetError::Corrupt(_))),
+            "line fault gave {err}"
+        );
+        assert_eq!(fed.publish_checkpoints().unwrap(), 1, "catch-up sweep");
+        assert!(fed.check_root().ok());
     }
 
     #[test]

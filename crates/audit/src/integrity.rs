@@ -24,10 +24,10 @@ use crate::AuditError;
 use dla_bigint::Ubig;
 use dla_logstore::acl::TicketId;
 use dla_logstore::model::Glsn;
-use dla_mpc::set_intersection::secure_set_intersection;
+use dla_mpc::SsiSession;
 use dla_net::topology::Ring;
-use dla_net::wire::{Reader, Writer};
-use dla_net::NodeId;
+use dla_net::wire::Writer;
+use dla_net::{NodeId, Session};
 use std::collections::BTreeSet;
 
 /// The verdict of one record's integrity check.
@@ -95,23 +95,30 @@ fn fold_survivor(
     acc
 }
 
-/// Receives one circulation frame (`tag ‖ glsn ‖ acc`) at `at`: the
-/// glsn label it arrived under and the accumulator value it carries.
-fn recv_circulated(
-    cluster: &DlaCluster,
-    at: usize,
+/// Sends one circulation frame (`tag ‖ glsn ‖ acc`) from `from` to `to`
+/// and receives it there: the accumulator value as it arrived. A frame
+/// that arrives under another glsn's label is a protocol error, not a
+/// tamper verdict.
+fn circulate(
+    wire: &Session<'_>,
+    tag: u8,
+    glsn: Glsn,
+    acc: &Ubig,
     from: usize,
-) -> Result<(u64, Ubig), AuditError> {
-    let envelope = cluster
-        .net()
-        .recv_from(NodeId(at), NodeId(from))
-        .map_err(AuditError::Net)?;
-    let garbled = |e: dla_net::wire::WireError| AuditError::Integrity(e.to_string());
-    let mut r = Reader::new(&envelope.payload);
-    let _ = r.get_u8().map_err(garbled)?;
-    let label = r.get_u64().map_err(garbled)?;
-    let value = Ubig::from_bytes_be(r.get_bytes().map_err(garbled)?);
-    Ok((label, value))
+    to: usize,
+) -> Result<Ubig, AuditError> {
+    let mut w = Writer::new();
+    w.put_u8(tag).put_u64(glsn.0).put_bytes(&acc.to_bytes_be());
+    wire.send(NodeId(from), NodeId(to), w.finish());
+    let envelope = wire.recv_from(NodeId(to), NodeId(from))?;
+    let mut r = crate::open_frame(&envelope.payload, tag)?;
+    let label = r.get_u64()?;
+    if label != glsn.0 {
+        return Err(AuditError::Integrity(format!(
+            "circulation for {glsn} arrived labelled {label:x}"
+        )));
+    }
+    Ok(Ubig::from_bytes_be(r.get_bytes()?))
 }
 
 /// Circulates the accumulator for `glsn` over the `alive` survivor set
@@ -153,7 +160,8 @@ pub fn check_record_among(
         .ok_or_else(|| AuditError::Integrity(format!("no deposit for glsn {glsn}")))?
         .clone();
     let params = cluster.accumulator_params().clone();
-    let start_messages = cluster.net().stats().messages_sent;
+    let wire = cluster.root_session();
+    let (start_messages, _) = wire.counters();
     let mut unrepresented: BTreeSet<usize> = (0..n).filter(|i| !alive.contains(i)).collect();
 
     // Visit survivors in ring order starting at the initiator.
@@ -172,15 +180,7 @@ pub fn check_record_among(
     );
     let mut holder = initiator;
     for next in route {
-        let mut w = Writer::new();
-        w.put_u8(0x40).put_u64(glsn.0).put_bytes(&acc.to_bytes_be());
-        cluster.net().send(NodeId(holder), NodeId(next), w.finish());
-        let (label, received) = recv_circulated(cluster, next, holder)?;
-        if label != glsn.0 {
-            return Err(AuditError::Integrity(format!(
-                "circulation for {glsn} arrived labelled {label:x}"
-            )));
-        }
+        let received = circulate(&wire, 0x40, glsn, &acc, holder, next)?;
         acc = fold_survivor(cluster, next, glsn, &params, &received, &mut unrepresented);
         holder = next;
     }
@@ -194,19 +194,14 @@ pub fn check_record_among(
     // Return to the initiator for the final comparison (skipped when
     // the initiator is the only survivor).
     if holder != initiator {
-        let mut w = Writer::new();
-        w.put_u8(0x41).put_u64(glsn.0).put_bytes(&acc.to_bytes_be());
-        cluster
-            .net()
-            .send(NodeId(holder), NodeId(initiator), w.finish());
-        acc = recv_circulated(cluster, initiator, holder)?.1;
+        acc = circulate(&wire, 0x41, glsn, &acc, holder, initiator)?;
     }
 
     Ok(IntegrityVerdict {
         glsn,
         ok: acc == deposit,
         initiator,
-        messages: cluster.net().stats().messages_sent - start_messages,
+        messages: wire.counters().0 - start_messages,
     })
 }
 
@@ -457,9 +452,8 @@ pub fn check_acl_consistency(
     let ring = Ring::canonical(n);
     let auditor = cluster.auditor_node();
     let domain = cluster.domain().clone();
-    let (mut net, rng) = cluster.net_and_rng();
-    let outcome = secure_set_intersection(&mut net, &ring, &domain, &inputs, auditor, false, rng)
-        .map_err(AuditError::Mpc)?;
+    let (wire, rng) = cluster.root_session_and_rng();
+    let outcome = SsiSession::new(wire, &ring, &domain, auditor).run(&inputs, rng)?;
     let agreed = outcome.cardinality();
     Ok(AclConsistency {
         ticket: ticket.clone(),

@@ -91,6 +91,10 @@ pub enum AuditError {
     Mpc(dla_mpc::MpcError),
     /// A network operation failed.
     Net(dla_net::NetError),
+    /// A peer's frame arrived intact but does not decode as the message
+    /// the exchange expects: truncated, trailing bytes, or another
+    /// message's tag.
+    Wire(String),
 }
 
 impl fmt::Display for AuditError {
@@ -104,6 +108,7 @@ impl fmt::Display for AuditError {
             AuditError::Membership(msg) => write!(f, "membership error: {msg}"),
             AuditError::Mpc(e) => write!(f, "secure-computation error: {e}"),
             AuditError::Net(e) => write!(f, "network error: {e}"),
+            AuditError::Wire(msg) => write!(f, "wire error: {msg}"),
         }
     }
 }
@@ -130,6 +135,30 @@ impl From<dla_net::NetError> for AuditError {
     }
 }
 
+impl From<dla_net::wire::WireError> for AuditError {
+    fn from(e: dla_net::wire::WireError) -> Self {
+        AuditError::Wire(e.to_string())
+    }
+}
+
+/// Opens a frame received from a peer: a reader positioned behind the
+/// leading tag byte, which must be the one this leg of the exchange
+/// expects — a well-formed frame of another message kind is as garbled
+/// an answer as a truncated one.
+pub(crate) fn open_frame(
+    payload: &[u8],
+    expected: u8,
+) -> Result<dla_net::wire::Reader<'_>, AuditError> {
+    let mut r = dla_net::wire::Reader::new(payload);
+    let tag = r.get_u8()?;
+    if tag != expected {
+        return Err(AuditError::Wire(format!(
+            "expected frame tag {expected:#04x}, found {tag:#04x}"
+        )));
+    }
+    Ok(r)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,6 +173,16 @@ mod tests {
             .contains("membership"));
         let e: AuditError = dla_net::NetError::EmptyInbox(dla_net::NodeId(0)).into();
         assert!(e.to_string().contains("network error"));
+    }
+
+    #[test]
+    fn a_frame_opens_only_against_its_own_tag() {
+        let mut r = open_frame(&[0x70, 0x00], 0x70).unwrap();
+        assert_eq!(r.get_u8().unwrap(), 0);
+        for (frame, tag) in [(&[0x71u8, 0x00][..], 0x70), (&[][..], 0x70)] {
+            let err = open_frame(frame, tag).unwrap_err();
+            assert!(matches!(err, AuditError::Wire(_)), "{err}");
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::cluster::DlaCluster;
 use crate::query::{CmpOp, Criteria, Predicate};
 use crate::AuditError;
 use dla_logstore::model::{AttrName, AttrValue, Glsn, TransactionId};
-use dla_net::wire::{Reader, Writer};
+use dla_net::wire::Writer;
 use dla_net::NodeId;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -322,14 +322,10 @@ pub(crate) fn owner_scalar_over_glsns(
     // Owner -> auditor: the scalar only.
     let mut w = Writer::new();
     w.put_u8(tag).put_u64(scalar.map_or(u64::MAX, |s| s));
-    cluster.net().send(NodeId(owner), auditor, w.finish());
-    let envelope = cluster
-        .net()
-        .recv_from(auditor, NodeId(owner))
-        .map_err(AuditError::Net)?;
-    let mut r = Reader::new(&envelope.payload);
-    let _ = r.get_u8().map_err(|e| AuditError::Parse(e.to_string()))?;
-    let raw = r.get_u64().map_err(|e| AuditError::Parse(e.to_string()))?;
+    let wire = cluster.root_session();
+    wire.send(NodeId(owner), auditor, w.finish());
+    let envelope = wire.recv_from(auditor, NodeId(owner))?;
+    let raw = crate::open_frame(&envelope.payload, tag)?.get_u64()?;
     Ok(if raw == u64::MAX { None } else { Some(raw) })
 }
 

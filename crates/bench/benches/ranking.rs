@@ -2,10 +2,11 @@
 //! comparison tournament.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use dla_bench::ideal_net;
 use dla_crypto::pohlig_hellman::CommutativeDomain;
 use dla_mpc::baseline::baseline_ranking;
-use dla_mpc::ranking::secure_ranking;
-use dla_net::{NetConfig, NodeId, SimNet};
+use dla_mpc::RankingSession;
+use dla_net::{NodeId, Session};
 use rand::SeedableRng;
 use std::hint::black_box;
 
@@ -21,9 +22,11 @@ fn bench_ranking(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("relaxed_blind_ttp", n), &n, |b, &n| {
             b.iter(|| {
                 let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-                let mut net = SimNet::new(n + 1, NetConfig::ideal());
+                let net = ideal_net(n + 1);
                 black_box(
-                    secure_ranking(&mut net, &parties, NodeId(n), &values, &mut rng).expect("runs"),
+                    RankingSession::new(Session::root(&net), &parties, NodeId(n))
+                        .run(&values, &mut rng)
+                        .expect("runs"),
                 )
             });
         });
@@ -31,9 +34,10 @@ fn bench_ranking(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("classical_pairwise", n), &n, |b, &n| {
             b.iter(|| {
                 let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-                let mut net = SimNet::new(n, NetConfig::ideal());
+                let net = ideal_net(n);
+                let session = Session::root(&net);
                 black_box(
-                    baseline_ranking(&mut net, &domain, &parties, &values, &mut rng).expect("runs"),
+                    baseline_ranking(&session, &domain, &parties, &values, &mut rng).expect("runs"),
                 )
             });
         });

@@ -2,11 +2,12 @@
 //! VSS classical baseline vs. plaintext, at n = 4 and n = 8.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use dla_bench::ideal_net;
 use dla_bigint::{Ubig, F61};
 use dla_crypto::schnorr::SchnorrGroup;
 use dla_mpc::baseline::{plaintext_sum, vss_sum};
-use dla_mpc::sum::secure_sum;
-use dla_net::{NetConfig, NodeId, SimNet};
+use dla_mpc::SumSession;
+use dla_net::{NodeId, Session};
 use rand::SeedableRng;
 use std::hint::black_box;
 
@@ -22,8 +23,9 @@ fn bench_sums(c: &mut Criterion) {
 
         group.bench_with_input(BenchmarkId::new("plaintext", n), &n, |b, &n| {
             b.iter(|| {
-                let mut net = SimNet::new(n + 1, NetConfig::ideal());
-                black_box(plaintext_sum(&mut net, &parties, &values, NodeId(n)).expect("runs"))
+                let net = ideal_net(n + 1);
+                let session = Session::root(&net);
+                black_box(plaintext_sum(&session, &parties, &values, NodeId(n)).expect("runs"))
             });
         });
 
@@ -31,9 +33,11 @@ fn bench_sums(c: &mut Criterion) {
             let inputs: Vec<F61> = values.iter().map(|&v| F61::new(v)).collect();
             b.iter(|| {
                 let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-                let mut net = SimNet::new(n + 1, NetConfig::ideal());
+                let net = ideal_net(n + 1);
                 black_box(
-                    secure_sum(&mut net, &parties, &inputs, k, NodeId(n), &mut rng).expect("runs"),
+                    SumSession::new(Session::root(&net), &parties, k, NodeId(n))
+                        .run(&inputs, &mut rng)
+                        .expect("runs"),
                 )
             });
         });
@@ -42,9 +46,10 @@ fn bench_sums(c: &mut Criterion) {
             let inputs: Vec<Ubig> = values.iter().map(|&v| Ubig::from_u64(v)).collect();
             b.iter(|| {
                 let mut rng = rand::rngs::StdRng::seed_from_u64(4);
-                let mut net = SimNet::new(n, NetConfig::ideal());
+                let net = ideal_net(n);
+                let session = Session::root(&net);
                 black_box(
-                    vss_sum(&mut net, &group_params, &parties, &inputs, k, &mut rng).expect("runs"),
+                    vss_sum(&session, &group_params, &parties, &inputs, k, &mut rng).expect("runs"),
                 )
             });
         });

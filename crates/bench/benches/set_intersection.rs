@@ -2,10 +2,11 @@
 //! party count and set size.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use dla_bench::ideal_net;
 use dla_crypto::pohlig_hellman::CommutativeDomain;
-use dla_mpc::set_intersection::secure_set_intersection;
+use dla_mpc::SsiSession;
 use dla_net::topology::Ring;
-use dla_net::{NetConfig, NodeId, SimNet};
+use dla_net::{NodeId, Session};
 use rand::SeedableRng;
 use std::hint::black_box;
 
@@ -35,19 +36,12 @@ fn bench_ssi(c: &mut Criterion) {
             let sets = inputs(n, 16);
             b.iter(|| {
                 let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-                let mut net = SimNet::new(n, NetConfig::ideal());
+                let net = ideal_net(n);
                 let ring = Ring::canonical(n);
                 black_box(
-                    secure_set_intersection(
-                        &mut net,
-                        &ring,
-                        &domain,
-                        &sets,
-                        NodeId(0),
-                        false,
-                        &mut rng,
-                    )
-                    .expect("runs"),
+                    SsiSession::new(Session::root(&net), &ring, &domain, NodeId(0))
+                        .run(&sets, &mut rng)
+                        .expect("runs"),
                 )
             });
         });
@@ -61,19 +55,12 @@ fn bench_ssi(c: &mut Criterion) {
                 let sets = inputs(3, set_size);
                 b.iter(|| {
                     let mut rng = rand::rngs::StdRng::seed_from_u64(8);
-                    let mut net = SimNet::new(3, NetConfig::ideal());
+                    let net = ideal_net(3);
                     let ring = Ring::canonical(3);
                     black_box(
-                        secure_set_intersection(
-                            &mut net,
-                            &ring,
-                            &domain,
-                            &sets,
-                            NodeId(0),
-                            false,
-                            &mut rng,
-                        )
-                        .expect("runs"),
+                        SsiSession::new(Session::root(&net), &ring, &domain, NodeId(0))
+                            .run(&sets, &mut rng)
+                            .expect("runs"),
                     )
                 });
             },

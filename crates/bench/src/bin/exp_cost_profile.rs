@@ -17,17 +17,13 @@
 use dla_bigint::{Ubig, F61};
 use dla_crypto::accumulator::AccumulatorParams;
 use dla_crypto::pohlig_hellman::CommutativeDomain;
-use dla_mpc::equality::secure_equality;
-use dla_mpc::ranking::secure_ranking;
 use dla_mpc::report::ProtocolReport;
-use dla_mpc::set_intersection::secure_set_intersection;
-use dla_mpc::set_union::secure_set_union;
-use dla_mpc::sum::secure_sum;
+use dla_mpc::{EqualitySession, RankingSession, SsiSession, SumSession, UnionSession};
 use dla_net::topology::Ring;
-use dla_net::{NetConfig, NodeId, SimNet};
+use dla_net::{NodeId, Session};
 use dla_telemetry::{CostVector, Recorder};
 
-use dla_bench::{render_table, write_snapshot};
+use dla_bench::{ideal_net, render_table, write_snapshot};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -208,71 +204,54 @@ fn main() {
 
     profiles.push(profile("secure-set-intersection", || {
         let mut rng = StdRng::seed_from_u64(1);
-        let mut net = SimNet::new(n, NetConfig::ideal());
+        let net = ideal_net(n);
         let ring = Ring::canonical(n);
-        secure_set_intersection(
-            &mut net,
-            &ring,
-            &domain,
-            &sets(n, set_size),
-            NodeId(0),
-            true,
-            &mut rng,
-        )
-        .expect("ssi runs")
-        .report
+        SsiSession::new(Session::root(&net), &ring, &domain, NodeId(0))
+            .reveal(true)
+            .run(&sets(n, set_size), &mut rng)
+            .expect("ssi runs")
+            .report
     }));
 
     profiles.push(profile("secure-set-union", || {
         let mut rng = StdRng::seed_from_u64(2);
-        let mut net = SimNet::new(n, NetConfig::ideal());
+        let net = ideal_net(n);
         let ring = Ring::canonical(n);
-        secure_set_union(
-            &mut net,
-            &ring,
-            &domain,
-            &sets(n, set_size),
-            NodeId(0),
-            &mut rng,
-        )
-        .expect("union runs")
-        .report
+        UnionSession::new(Session::root(&net), &ring, &domain, NodeId(0))
+            .run(&sets(n, set_size), &mut rng)
+            .expect("union runs")
+            .report
     }));
 
     profiles.push(profile("secure-sum", || {
         let mut rng = StdRng::seed_from_u64(3);
         // One extra node acts as the off-party collector.
-        let mut net = SimNet::new(n + 1, NetConfig::ideal());
+        let net = ideal_net(n + 1);
         let parties: Vec<NodeId> = (0..n).map(NodeId).collect();
         let inputs: Vec<F61> = (0..n).map(|i| F61::new(10 + i as u64)).collect();
-        secure_sum(&mut net, &parties, &inputs, 2, NodeId(n), &mut rng)
+        SumSession::new(Session::root(&net), &parties, 2, NodeId(n))
+            .run(&inputs, &mut rng)
             .expect("sum runs")
             .report
     }));
 
     profiles.push(profile("secure-equality", || {
         let mut rng = StdRng::seed_from_u64(4);
-        let mut net = SimNet::new(3, NetConfig::ideal());
-        secure_equality(
-            &mut net,
-            NodeId(0),
-            NodeId(1),
-            NodeId(2),
-            F61::new(42),
-            F61::new(42),
-            &mut rng,
-        )
-        .expect("equality runs")
-        .report
+        let net = ideal_net(3);
+        EqualitySession::new(Session::root(&net), NodeId(0), NodeId(1), NodeId(2))
+            .run(F61::new(42), F61::new(42), &mut rng)
+            .expect("equality runs")
+            .report
     }));
 
     profiles.push(profile("secure-ranking", || {
         let mut rng = StdRng::seed_from_u64(5);
         // The blind TTP is the extra node.
-        let mut net = SimNet::new(n + 1, NetConfig::ideal());
+        let net = ideal_net(n + 1);
         let parties: Vec<NodeId> = (0..n).map(NodeId).collect();
         let values: Vec<u64> = (0..n).map(|i| 100 + 7 * i as u64).collect();
-        secure_ranking(&mut net, &parties, NodeId(n), &values, &mut rng)
+        RankingSession::new(Session::root(&net), &parties, NodeId(n))
+            .run(&values, &mut rng)
             .expect("ranking runs")
             .report
     }));

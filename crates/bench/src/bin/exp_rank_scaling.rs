@@ -7,11 +7,11 @@
 //!
 //! Run with: `cargo run -p dla-bench --bin exp_rank_scaling --release`
 
-use dla_bench::{fmt_bytes, render_table, timed};
+use dla_bench::{fmt_bytes, ideal_net, render_table, timed};
 use dla_crypto::pohlig_hellman::CommutativeDomain;
 use dla_mpc::baseline::baseline_ranking;
-use dla_mpc::ranking::secure_ranking;
-use dla_net::{NetConfig, NodeId, SimNet};
+use dla_mpc::RankingSession;
+use dla_net::{NodeId, Session};
 use rand::{Rng, SeedableRng};
 
 fn main() {
@@ -24,16 +24,19 @@ fn main() {
         let parties: Vec<NodeId> = (0..n).map(NodeId).collect();
 
         // Relaxed: order-preserving masking + blind TTP.
-        let mut net = SimNet::new(n + 1, NetConfig::ideal());
+        let net = ideal_net(n + 1);
         let (relaxed, relaxed_ms) = timed(|| {
-            secure_ranking(&mut net, &parties, NodeId(n), &values, &mut rng).expect("runs")
+            RankingSession::new(Session::root(&net), &parties, NodeId(n))
+                .run(&values, &mut rng)
+                .expect("runs")
         });
 
         // Classical: n(n-1)/2 pairwise Lin–Tzeng comparisons (each a
         // full 2-party commutative-cipher set intersection).
-        let mut net = SimNet::new(n, NetConfig::ideal());
+        let net = ideal_net(n);
+        let session = Session::root(&net);
         let (classical, classical_ms) = timed(|| {
-            baseline_ranking(&mut net, &domain, &parties, &values, &mut rng).expect("runs")
+            baseline_ranking(&session, &domain, &parties, &values, &mut rng).expect("runs")
         });
 
         assert_eq!(relaxed.ascending, classical.ascending, "same ranking");

@@ -4,11 +4,11 @@
 //!
 //! Run with: `cargo run -p dla-bench --bin exp_ssi_scaling --release`
 
-use dla_bench::{fmt_bytes, render_table, timed};
+use dla_bench::{fmt_bytes, ideal_net, render_table, timed};
 use dla_crypto::pohlig_hellman::CommutativeDomain;
-use dla_mpc::set_intersection::secure_set_intersection;
+use dla_mpc::SsiSession;
 use dla_net::topology::Ring;
-use dla_net::{NetConfig, NodeId, SimNet};
+use dla_net::{NodeId, Session};
 use rand::SeedableRng;
 
 fn run_once(
@@ -18,7 +18,7 @@ fn run_once(
     seed: u64,
 ) -> (dla_mpc::set_intersection::SsiOutcome, f64) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut net = SimNet::new(n, NetConfig::ideal());
+    let net = ideal_net(n);
     let ring = Ring::canonical(n);
     // Half the elements are shared by everyone; the rest are private.
     let inputs: Vec<Vec<Vec<u8>>> = (0..n)
@@ -35,7 +35,8 @@ fn run_once(
         })
         .collect();
     timed(move || {
-        secure_set_intersection(&mut net, &ring, domain, &inputs, NodeId(0), false, &mut rng)
+        SsiSession::new(Session::root(&net), &ring, domain, NodeId(0))
+            .run(&inputs, &mut rng)
             .expect("protocol runs")
     })
 }

@@ -9,12 +9,12 @@
 //!
 //! Run with: `cargo run -p dla-bench --bin exp_sum_scaling --release`
 
-use dla_bench::{fmt_bytes, render_table, timed};
+use dla_bench::{fmt_bytes, ideal_net, render_table, timed};
 use dla_bigint::{Ubig, F61};
 use dla_crypto::schnorr::SchnorrGroup;
 use dla_mpc::baseline::{plaintext_sum, vss_sum};
-use dla_mpc::sum::secure_sum;
-use dla_net::{NetConfig, NodeId, SimNet};
+use dla_mpc::SumSession;
+use dla_net::{NodeId, Session};
 use rand::SeedableRng;
 
 fn main() {
@@ -29,24 +29,28 @@ fn main() {
         let parties: Vec<NodeId> = (0..n).map(NodeId).collect();
 
         // Plaintext reference.
-        let mut net = SimNet::new(n + 1, NetConfig::ideal());
+        let net = ideal_net(n + 1);
+        let session = Session::root(&net);
         let (plain, plain_ms) =
-            timed(|| plaintext_sum(&mut net, &parties, &values, NodeId(n)).expect("runs"));
+            timed(|| plaintext_sum(&session, &parties, &values, NodeId(n)).expect("runs"));
         assert_eq!(plain.total, Ubig::from_u64(expect));
 
         // Relaxed §3.5 secure sum.
-        let mut net = SimNet::new(n + 1, NetConfig::ideal());
+        let net = ideal_net(n + 1);
         let inputs: Vec<F61> = values.iter().map(|&v| F61::new(v)).collect();
         let (relaxed, relaxed_ms) = timed(|| {
-            secure_sum(&mut net, &parties, &inputs, k, NodeId(n), &mut rng).expect("runs")
+            SumSession::new(Session::root(&net), &parties, k, NodeId(n))
+                .run(&inputs, &mut rng)
+                .expect("runs")
         });
         assert_eq!(relaxed.total, F61::new(expect));
 
         // Classical VSS baseline.
-        let mut net = SimNet::new(n, NetConfig::ideal());
+        let net = ideal_net(n);
+        let session = Session::root(&net);
         let inputs_big: Vec<Ubig> = values.iter().map(|&v| Ubig::from_u64(v)).collect();
         let (vss, vss_ms) =
-            timed(|| vss_sum(&mut net, &group, &parties, &inputs_big, k, &mut rng).expect("runs"));
+            timed(|| vss_sum(&session, &group, &parties, &inputs_big, k, &mut rng).expect("runs"));
         assert_eq!(vss.total, Ubig::from_u64(expect));
 
         rows.push(vec![

@@ -5,16 +5,16 @@
 //!
 //! Run with: `cargo run -p dla-bench --bin fig4_ssi_trace`
 
-use dla_bench::render_table;
+use dla_bench::{ideal_net, render_table};
 use dla_crypto::pohlig_hellman::CommutativeDomain;
-use dla_mpc::set_intersection::secure_set_intersection_traced;
+use dla_mpc::SsiSession;
 use dla_net::topology::Ring;
-use dla_net::{NetConfig, NodeId, SimNet};
+use dla_net::{NodeId, Session};
 use rand::SeedableRng;
 
 fn main() {
     let sets: [&[&str]; 3] = [&["c", "d", "e"], &["d", "e", "f"], &["e", "f", "g"]];
-    let mut net = SimNet::new(3, NetConfig::ideal());
+    let net = ideal_net(3);
     let ring = Ring::canonical(3);
     let domain = CommutativeDomain::fixed_256();
     let mut rng = rand::rngs::StdRng::seed_from_u64(44);
@@ -23,19 +23,15 @@ fn main() {
         .map(|s| s.iter().map(|e| e.as_bytes().to_vec()).collect())
         .collect();
 
-    let (outcome, trace) = secure_set_intersection_traced(
-        &mut net,
-        &ring,
-        &domain,
-        &inputs,
-        NodeId(0),
-        true,
-        &mut rng,
-    )
-    .expect("protocol succeeds");
+    let outcome = SsiSession::new(Session::root(&net), &ring, &domain, NodeId(0))
+        .reveal(true)
+        .traced()
+        .run(&inputs, &mut rng)
+        .expect("protocol succeeds");
+    let trace = &outcome.trace;
 
     let mut rows = Vec::new();
-    for hop in &trace {
+    for hop in trace {
         let layer_label: String = hop
             .layers
             .iter()

@@ -10,6 +10,7 @@ use dla_logstore::fragment::Partition;
 use dla_logstore::gen::{self, paper_table1, WorkloadConfig};
 use dla_logstore::model::Glsn;
 use dla_logstore::schema::Schema;
+use dla_net::{NetConfig, SharedNet, SimNet};
 use rand::SeedableRng;
 use std::time::Instant;
 
@@ -50,6 +51,14 @@ pub fn render_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> Stri
     }
     out.push_str(&format!("+{sep}+\n"));
     out
+}
+
+/// An ideal (zero-latency, fault-free) `n`-node simulated network
+/// behind its transport adapter — what a single-protocol experiment
+/// opens its root [`dla_net::Session`] on.
+#[must_use]
+pub fn ideal_net(n: usize) -> SharedNet {
+    SharedNet::new(SimNet::new(n, NetConfig::ideal()))
 }
 
 /// Builds the paper's running example: the 4-node cluster with the

@@ -13,14 +13,14 @@
 //!   *every* participant learns `w` (the classical requirement the
 //!   relaxed model drops). Communication O(n²·k) group elements and
 //!   O(n²·k) modexps of verification compute.
-//! * [`secure_compare_gt`] / [`baseline_ranking`] — two-party secure
+//! * [`compare_gt`] / [`baseline_ranking`] — two-party secure
 //!   comparison via the Lin–Tzeng 0/1-encoding reduction to set
 //!   intersection, and the n-party ranking built from `n(n−1)/2`
 //!   pairwise comparisons — the classical alternative to the blind-TTP
 //!   `Rank_s` of §3.3.
 
 use crate::report::{Meter, ProtocolReport};
-use crate::set_intersection::secure_set_intersection;
+use crate::set_intersection::SsiSession;
 use crate::MpcError;
 use dla_bigint::modular::{modexp, modmul};
 use dla_bigint::Ubig;
@@ -29,7 +29,7 @@ use dla_crypto::schnorr::SchnorrGroup;
 use dla_crypto::shamir_big::{self, BigPolynomial, BigShare};
 use dla_net::topology::Ring;
 use dla_net::wire::{Reader, Writer};
-use dla_net::{NodeId, SimNet};
+use dla_net::{NodeId, Session};
 use rand::Rng;
 
 /// Result of a baseline sum run.
@@ -52,7 +52,7 @@ pub struct BaselineSumOutcome {
 ///
 /// Panics if `parties` is empty or inputs mismatch.
 pub fn plaintext_sum(
-    net: &mut SimNet,
+    net: &Session<'_>,
     parties: &[NodeId],
     inputs: &[u64],
     collector: NodeId,
@@ -60,7 +60,7 @@ pub fn plaintext_sum(
     let n = parties.len();
     assert!(n >= 1, "need at least one party");
     assert_eq!(inputs.len(), n, "one input per party");
-    let meter = Meter::start(net);
+    let meter = Meter::begin(net, "plaintext-sum");
 
     for (i, &party) in parties.iter().enumerate() {
         let mut w = Writer::new();
@@ -84,10 +84,9 @@ pub fn plaintext_sum(
         let _ = net.recv_from(party, collector)?;
     }
 
-    let report = meter.finish(net, "plaintext-sum", n, 2);
     Ok(BaselineSumOutcome {
         total: Ubig::from_u64(total),
-        report,
+        report: meter.finish(n, 2),
     })
 }
 
@@ -107,7 +106,7 @@ pub fn plaintext_sum(
 ///
 /// Panics unless `1 ≤ k ≤ n` and inputs match parties.
 pub fn vss_sum<R: Rng + ?Sized>(
-    net: &mut SimNet,
+    net: &Session<'_>,
     group: &SchnorrGroup,
     parties: &[NodeId],
     inputs: &[Ubig],
@@ -118,7 +117,7 @@ pub fn vss_sum<R: Rng + ?Sized>(
     assert!(n >= 1, "need at least one party");
     assert_eq!(inputs.len(), n, "one input per party");
     assert!(k >= 1 && k <= n, "threshold must satisfy 1 <= k <= n");
-    let meter = Meter::start(net);
+    let meter = Meter::begin(net, "vss-sum");
     let (p, q) = (group.modulus(), group.order());
 
     // Deal: polynomials and Feldman coefficient commitments.
@@ -226,12 +225,12 @@ pub fn vss_sum<R: Rng + ?Sized>(
         ));
     }
 
-    let report = meter.finish(net, "vss-sum", n, 3);
+    let report = meter.finish(n, 3);
     Ok(BaselineSumOutcome { total, report })
 }
 
 /// Bit width of the comparison domain for
-/// [`secure_compare_gt`]/[`baseline_ranking`].
+/// [`compare_gt`]/[`baseline_ranking`].
 pub const COMPARE_BITS: u32 = 32;
 
 /// The Lin–Tzeng 1-encoding of `x`: for each 1-bit, the prefix ending
@@ -277,8 +276,8 @@ fn prefix_encoding(v: u64, ones: bool) -> Vec<Vec<u8>> {
 /// # Panics
 ///
 /// Panics if values exceed the [`COMPARE_BITS`]-bit domain.
-pub fn secure_compare_gt<R: Rng + ?Sized>(
-    net: &mut SimNet,
+pub fn compare_gt<R: Rng + ?Sized>(
+    net: &Session<'_>,
     domain: &CommutativeDomain,
     party_a: NodeId,
     party_b: NodeId,
@@ -290,7 +289,7 @@ pub fn secure_compare_gt<R: Rng + ?Sized>(
     assert!(x_b < 1 << COMPARE_BITS, "x_b exceeds the comparison domain");
     let ring = Ring::new(vec![party_a, party_b]);
     let inputs = vec![one_encoding(x_a), zero_encoding(x_b)];
-    let outcome = secure_set_intersection(net, &ring, domain, &inputs, party_a, false, rng)?;
+    let outcome = SsiSession::new(*net, &ring, domain, party_a).run(&inputs, rng)?;
     Ok((outcome.cardinality() > 0, outcome.report))
 }
 
@@ -309,7 +308,7 @@ pub struct BaselineRankOutcome {
 
 /// Classical ranking: `n(n−1)/2` pairwise secure comparisons (each one
 /// a full two-party set-intersection protocol). Contrast with the
-/// 3-round, `3n−1`-message blind-TTP [`crate::ranking::secure_ranking`].
+/// 3-round, `3n−1`-message blind-TTP [`crate::ranking::RankingSession`].
 ///
 /// # Errors
 ///
@@ -319,7 +318,7 @@ pub struct BaselineRankOutcome {
 ///
 /// Panics if `parties` is empty or inputs mismatch.
 pub fn baseline_ranking<R: Rng + ?Sized>(
-    net: &mut SimNet,
+    net: &Session<'_>,
     domain: &CommutativeDomain,
     parties: &[NodeId],
     values: &[u64],
@@ -328,7 +327,7 @@ pub fn baseline_ranking<R: Rng + ?Sized>(
     let n = parties.len();
     assert!(n >= 1, "need at least one party");
     assert_eq!(values.len(), n, "one value per party");
-    let meter = Meter::start(net);
+    let meter = Meter::begin(net, "baseline-pairwise-ranking");
 
     // wins[i] = number of parties j with values[j] < values[i]
     // (ties contribute to neither side; break by index afterwards).
@@ -336,10 +335,10 @@ pub fn baseline_ranking<R: Rng + ?Sized>(
     let mut comparisons = 0usize;
     for i in 0..n {
         for j in i + 1..n {
-            let (gt_ij, _) = secure_compare_gt(
+            let (gt_ij, _) = compare_gt(
                 net, domain, parties[i], parties[j], values[i], values[j], rng,
             )?;
-            let (gt_ji, _) = secure_compare_gt(
+            let (gt_ji, _) = compare_gt(
                 net, domain, parties[j], parties[i], values[j], values[i], rng,
             )?;
             greater[i][j] = gt_ij;
@@ -350,7 +349,7 @@ pub fn baseline_ranking<R: Rng + ?Sized>(
     let mut ascending: Vec<usize> = (0..n).collect();
     ascending.sort_by_key(|&i| (greater[i].iter().filter(|&&g| g).count(), i));
 
-    let report = meter.finish(net, "baseline-pairwise-ranking", n, comparisons);
+    let report = meter.finish(n, comparisons);
     Ok(BaselineRankOutcome {
         max_party: *ascending.last().expect("nonempty"),
         min_party: ascending[0],
@@ -362,18 +361,22 @@ pub fn baseline_ranking<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dla_net::NetConfig;
+    use dla_net::{NetConfig, SharedNet, SimNet};
     use rand::SeedableRng;
 
     fn rng() -> rand::rngs::StdRng {
         rand::rngs::StdRng::seed_from_u64(6000)
     }
 
+    fn net(n: usize) -> SharedNet {
+        SharedNet::new(SimNet::new(n, NetConfig::ideal()))
+    }
+
     #[test]
     fn plaintext_sum_works() {
-        let mut net = SimNet::new(4, NetConfig::ideal());
+        let net = net(4);
         let parties: Vec<NodeId> = (0..3).map(NodeId).collect();
-        let outcome = plaintext_sum(&mut net, &parties, &[1, 2, 3], NodeId(3)).unwrap();
+        let outcome = plaintext_sum(&Session::root(&net), &parties, &[1, 2, 3], NodeId(3)).unwrap();
         assert_eq!(outcome.total, Ubig::from_u64(6));
         assert_eq!(outcome.report.messages, 6);
     }
@@ -381,11 +384,12 @@ mod tests {
     #[test]
     fn vss_sum_matches_plain_total() {
         let group = SchnorrGroup::fixed_256();
-        let mut net = SimNet::new(4, NetConfig::ideal());
+        let net = net(4);
         let parties: Vec<NodeId> = (0..4).map(NodeId).collect();
         let inputs: Vec<Ubig> = [100u64, 200, 300, 400].map(Ubig::from_u64).to_vec();
         let mut rng = rng();
-        let outcome = vss_sum(&mut net, &group, &parties, &inputs, 2, &mut rng).unwrap();
+        let outcome =
+            vss_sum(&Session::root(&net), &group, &parties, &inputs, 2, &mut rng).unwrap();
         assert_eq!(outcome.total, Ubig::from_u64(1000));
     }
 
@@ -395,15 +399,24 @@ mod tests {
         let n = 4;
         let mut rng = rng();
 
-        let mut net = SimNet::new(n + 1, NetConfig::ideal());
+        let net1 = net(n + 1);
         let parties: Vec<NodeId> = (0..n).map(NodeId).collect();
         let inputs_big: Vec<Ubig> = (1..=n as u64).map(Ubig::from_u64).collect();
-        let vss = vss_sum(&mut net, &group, &parties, &inputs_big, 3, &mut rng).unwrap();
+        let vss = vss_sum(
+            &Session::root(&net1),
+            &group,
+            &parties,
+            &inputs_big,
+            3,
+            &mut rng,
+        )
+        .unwrap();
 
-        let mut net2 = SimNet::new(n + 1, NetConfig::ideal());
+        let net2 = net(n + 1);
         let inputs_f: Vec<dla_bigint::F61> = (1..=n as u64).map(dla_bigint::F61::new).collect();
-        let relaxed =
-            crate::sum::secure_sum(&mut net2, &parties, &inputs_f, 3, NodeId(n), &mut rng).unwrap();
+        let relaxed = crate::SumSession::new(Session::root(&net2), &parties, 3, NodeId(n))
+            .run(&inputs_f, &mut rng)
+            .unwrap();
 
         assert!(vss.report.bytes > relaxed.report.bytes * 5);
         assert!(vss.report.messages > relaxed.report.messages);
@@ -413,18 +426,29 @@ mod tests {
 
     #[test]
     fn vss_detects_corrupted_share() {
+        // A line fault never reaches the Feldman check — the envelope
+        // checksum stops it first — so the dealer itself lies: party 0
+        // flips the last byte of its first share frame (a coefficient
+        // commitment) and re-stamps the checksum.
+        use dla_net::{ScriptedAdversary, Tamper, TamperRule};
         let group = SchnorrGroup::fixed_256();
-        let mut net = SimNet::new(3, NetConfig::ideal());
-        net.faults_mut()
-            .inject_once(0, 1, dla_net::fault::FaultOutcome::Corrupt);
+        let net = net(3);
+        let flip = Tamper::Flip {
+            offset_from_end: 0,
+            mask: 0xA5,
+        };
+        let dealer = ScriptedAdversary::new()
+            .compromise(0)
+            .rule(TamperRule::once_from(0, 0x12, flip));
+        net.lock().set_adversary(std::sync::Arc::new(dealer));
         let parties: Vec<NodeId> = (0..3).map(NodeId).collect();
         let inputs: Vec<Ubig> = [5u64, 6, 7].map(Ubig::from_u64).to_vec();
         let mut rng = rng();
-        let err = vss_sum(&mut net, &group, &parties, &inputs, 2, &mut rng).unwrap_err();
+        let err =
+            vss_sum(&Session::root(&net), &group, &parties, &inputs, 2, &mut rng).unwrap_err();
         match err {
             MpcError::Protocol(msg) => assert!(msg.contains("Feldman")),
-            MpcError::Wire(_) => {} // corruption broke framing first
-            other => panic!("expected detection, got {other:?}"),
+            other => panic!("expected the Feldman check to fire, got {other:?}"),
         }
     }
 
@@ -441,7 +465,7 @@ mod tests {
     }
 
     #[test]
-    fn secure_compare_gt_agrees_with_plain_gt() {
+    fn compare_gt_agrees_with_plain_gt() {
         let domain = CommutativeDomain::fixed_256();
         let mut rng = rng();
         for (a, b) in [
@@ -451,9 +475,10 @@ mod tests {
             (0, 0),
             (1 << 31, (1 << 31) - 1),
         ] {
-            let mut net = SimNet::new(2, NetConfig::ideal());
+            let net = net(2);
+            let session = Session::root(&net);
             let (gt, _) =
-                secure_compare_gt(&mut net, &domain, NodeId(0), NodeId(1), a, b, &mut rng).unwrap();
+                compare_gt(&session, &domain, NodeId(0), NodeId(1), a, b, &mut rng).unwrap();
             assert_eq!(gt, a > b, "({a}, {b})");
         }
     }
@@ -461,11 +486,12 @@ mod tests {
     #[test]
     fn baseline_ranking_matches_plain_sort() {
         let domain = CommutativeDomain::fixed_256();
-        let mut net = SimNet::new(4, NetConfig::ideal());
+        let net = net(4);
         let parties: Vec<NodeId> = (0..4).map(NodeId).collect();
         let values = [300u64, 100, 400, 200];
         let mut rng = rng();
-        let outcome = baseline_ranking(&mut net, &domain, &parties, &values, &mut rng).unwrap();
+        let outcome =
+            baseline_ranking(&Session::root(&net), &domain, &parties, &values, &mut rng).unwrap();
         assert_eq!(outcome.ascending, vec![1, 3, 0, 2]);
         assert_eq!(outcome.max_party, 2);
         assert_eq!(outcome.min_party, 1);
@@ -474,10 +500,17 @@ mod tests {
     #[test]
     fn baseline_ranking_handles_ties_by_index() {
         let domain = CommutativeDomain::fixed_256();
-        let mut net = SimNet::new(3, NetConfig::ideal());
+        let net = net(3);
         let parties: Vec<NodeId> = (0..3).map(NodeId).collect();
         let mut rng = rng();
-        let outcome = baseline_ranking(&mut net, &domain, &parties, &[5, 5, 1], &mut rng).unwrap();
+        let outcome = baseline_ranking(
+            &Session::root(&net),
+            &domain,
+            &parties,
+            &[5, 5, 1],
+            &mut rng,
+        )
+        .unwrap();
         assert_eq!(outcome.ascending, vec![2, 0, 1]);
     }
 
@@ -488,14 +521,15 @@ mod tests {
         let values = [7u64, 3, 9, 1];
         let mut rng = rng();
 
-        let mut net = SimNet::new(n, NetConfig::ideal());
+        let net1 = net(n);
         let parties: Vec<NodeId> = (0..n).map(NodeId).collect();
-        let classical = baseline_ranking(&mut net, &domain, &parties, &values, &mut rng).unwrap();
+        let classical =
+            baseline_ranking(&Session::root(&net1), &domain, &parties, &values, &mut rng).unwrap();
 
-        let mut net2 = SimNet::new(n + 1, NetConfig::ideal());
-        let relaxed =
-            crate::ranking::secure_ranking(&mut net2, &parties, NodeId(n), &values, &mut rng)
-                .unwrap();
+        let net2 = net(n + 1);
+        let relaxed = crate::RankingSession::new(Session::root(&net2), &parties, NodeId(n))
+            .run(&values, &mut rng)
+            .unwrap();
 
         assert_eq!(classical.ascending, relaxed.ascending);
         assert!(classical.report.messages > relaxed.report.messages * 2);

@@ -12,11 +12,14 @@
 //! TTP never sees it).
 
 use crate::report::{Meter, ProtocolReport};
+use crate::set_intersection::SsiSession;
 use crate::MpcError;
 use dla_bigint::F61;
 use dla_crypto::affine::AffineMasker;
+use dla_crypto::pohlig_hellman::CommutativeDomain;
+use dla_net::topology::Ring;
 use dla_net::wire::{Reader, Writer};
-use dla_net::{NodeId, Session, SharedNet, SimNet};
+use dla_net::{NodeId, Session};
 use rand::Rng;
 
 /// Result of a secure equality run.
@@ -28,32 +31,10 @@ pub struct EqualityOutcome {
     pub report: ProtocolReport,
 }
 
-/// Runs `=_s` between `party_a` (holding `value_a`) and `party_b`
-/// (holding `value_b`) with `ttp` as the blind comparator.
-///
-/// # Errors
-///
-/// Returns [`MpcError`] on network failure or malformed messages.
-///
-/// # Panics
-///
-/// Panics if the three node ids are not pairwise distinct.
-pub fn secure_equality<R: Rng + ?Sized>(
-    net: &mut SimNet,
-    party_a: NodeId,
-    party_b: NodeId,
-    ttp: NodeId,
-    value_a: F61,
-    value_b: F61,
-    rng: &mut R,
-) -> Result<EqualityOutcome, MpcError> {
-    let link = SharedNet::new(net);
-    let session = Session::root(&link);
-    run(&session, party_a, party_b, ttp, value_a, value_b, rng)
-}
-
-/// An `=_s` protocol instance bound to one transport session, so several
-/// equality checks can be in flight over the same network at once.
+/// An `=_s` protocol instance between `party_a` and `party_b` with
+/// `ttp` as the blind comparator, bound to one transport session so
+/// several equality checks can be in flight over the same network at
+/// once.
 #[derive(Clone, Copy, Debug)]
 pub struct EqualitySession<'a> {
     session: Session<'a>,
@@ -74,7 +55,8 @@ impl<'a> EqualitySession<'a> {
         }
     }
 
-    /// Runs the comparison over this instance's session.
+    /// Runs the comparison over this instance's session: `party_a`
+    /// holds `value_a`, `party_b` holds `value_b`.
     ///
     /// # Errors
     ///
@@ -89,99 +71,79 @@ impl<'a> EqualitySession<'a> {
         value_b: F61,
         rng: &mut R,
     ) -> Result<EqualityOutcome, MpcError> {
-        run(
-            &self.session,
-            self.party_a,
-            self.party_b,
-            self.ttp,
-            value_a,
-            value_b,
-            rng,
-        )
-    }
-}
+        let (net, party_a, party_b, ttp) = (&self.session, self.party_a, self.party_b, self.ttp);
+        assert!(
+            party_a != party_b && party_a != ttp && party_b != ttp,
+            "parties and TTP must be distinct"
+        );
+        let meter = Meter::begin(net, "secure-equality");
 
-fn run<R: Rng + ?Sized>(
-    net: &Session<'_>,
-    party_a: NodeId,
-    party_b: NodeId,
-    ttp: NodeId,
-    value_a: F61,
-    value_b: F61,
-    rng: &mut R,
-) -> Result<EqualityOutcome, MpcError> {
-    assert!(
-        party_a != party_b && party_a != ttp && party_b != ttp,
-        "parties and TTP must be distinct"
-    );
-    let meter = Meter::start_session(net);
-    let _telemetry = crate::report::SessionTelemetry::begin(net, "secure-equality");
-
-    // Mask agreement (A samples, seals to B).
-    let mask = AffineMasker::random(rng);
-    let mut w = Writer::new();
-    w.put_u8(0x04)
-        .put_u64(mask.apply(F61::ONE).value()) // a + b
-        .put_u64(mask.apply(F61::ZERO).value()); // b
-    net.send(party_a, party_b, w.finish());
-    let envelope = net.recv_from(party_b, party_a)?;
-    let mut r = Reader::new(&envelope.payload);
-    let tag = r.get_u8()?;
-    if tag != 0x04 {
-        return Err(MpcError::Wire(format!("unexpected message tag {tag}")));
-    }
-    let a_plus_b = F61::new(r.get_u64()?);
-    let b_const = F61::new(r.get_u64()?);
-    r.finish()?;
-    let mask_b = AffineMasker::new(a_plus_b - b_const, b_const)?;
-
-    // Both send masked values to the TTP.
-    let send_masked = |net: &Session<'_>, from: NodeId, masked: F61| {
+        // Mask agreement (A samples, seals to B).
+        let mask = AffineMasker::random(rng);
         let mut w = Writer::new();
-        w.put_u8(0x05).put_u64(masked.value());
-        net.send(from, ttp, w.finish());
-    };
-    send_masked(net, party_a, mask.apply(value_a));
-    send_masked(net, party_b, mask_b.apply(value_b));
-
-    let mut masked = Vec::with_capacity(2);
-    for from in [party_a, party_b] {
-        let envelope = net.recv_from(ttp, from)?;
+        w.put_u8(0x04)
+            .put_u64(mask.apply(F61::ONE).value()) // a + b
+            .put_u64(mask.apply(F61::ZERO).value()); // b
+        net.send(party_a, party_b, w.finish());
+        let envelope = net.recv_from(party_b, party_a)?;
         let mut r = Reader::new(&envelope.payload);
         let tag = r.get_u8()?;
-        if tag != 0x05 {
+        if tag != 0x04 {
             return Err(MpcError::Wire(format!("unexpected message tag {tag}")));
         }
-        masked.push(F61::new(r.get_u64()?));
+        let a_plus_b = F61::new(r.get_u64()?);
+        let b_const = F61::new(r.get_u64()?);
         r.finish()?;
-    }
-    let equal = masked[0] == masked[1];
+        let mask_b = AffineMasker::new(a_plus_b - b_const, b_const)?;
 
-    // TTP reports the boolean to both parties.
-    for to in [party_a, party_b] {
-        let mut w = Writer::new();
-        w.put_u8(0x06).put_u8(u8::from(equal));
-        net.send(ttp, to, w.finish());
-        let envelope = net.recv_from(to, ttp)?;
-        let mut r = Reader::new(&envelope.payload);
-        if r.get_u8()? != 0x06 {
-            return Err(MpcError::Wire("unexpected result tag".into()));
-        }
-        let reported = r.get_u8()? == 1;
-        r.finish()?;
-        if reported != equal {
-            return Err(MpcError::Protocol("result relay mismatch".into()));
-        }
-    }
+        // Both send masked values to the TTP.
+        let send_masked = |from: NodeId, masked: F61| {
+            let mut w = Writer::new();
+            w.put_u8(0x05).put_u64(masked.value());
+            net.send(from, ttp, w.finish());
+        };
+        send_masked(party_a, mask.apply(value_a));
+        send_masked(party_b, mask_b.apply(value_b));
 
-    let report = meter.finish_session(net, "secure-equality", 2, 3);
-    Ok(EqualityOutcome { equal, report })
+        let mut masked = Vec::with_capacity(2);
+        for from in [party_a, party_b] {
+            let envelope = net.recv_from(ttp, from)?;
+            let mut r = Reader::new(&envelope.payload);
+            let tag = r.get_u8()?;
+            if tag != 0x05 {
+                return Err(MpcError::Wire(format!("unexpected message tag {tag}")));
+            }
+            masked.push(F61::new(r.get_u64()?));
+            r.finish()?;
+        }
+        let equal = masked[0] == masked[1];
+
+        // TTP reports the boolean to both parties.
+        for to in [party_a, party_b] {
+            let mut w = Writer::new();
+            w.put_u8(0x06).put_u8(u8::from(equal));
+            net.send(ttp, to, w.finish());
+            let envelope = net.recv_from(to, ttp)?;
+            let mut r = Reader::new(&envelope.payload);
+            if r.get_u8()? != 0x06 {
+                return Err(MpcError::Wire("unexpected result tag".into()));
+            }
+            let reported = r.get_u8()? == 1;
+            r.finish()?;
+            if reported != equal {
+                return Err(MpcError::Protocol("result relay mismatch".into()));
+            }
+        }
+
+        let report = meter.finish(2, 3);
+        Ok(EqualityOutcome { equal, report })
+    }
 }
 
 /// The paper's *first* equality method (§3.2): "when the set size of
 /// S_i = 1, the secure set intersection … could be used for secure
 /// equality comparison" — no TTP at all, just the two-party
-/// commutative-cipher protocol on singleton sets.
+/// commutative-cipher protocol on singleton sets, over `session`.
 ///
 /// # Errors
 ///
@@ -190,23 +152,9 @@ fn run<R: Rng + ?Sized>(
 /// # Panics
 ///
 /// Panics if the party ids coincide.
-pub fn secure_equality_via_ssi<R: Rng + ?Sized>(
-    net: &mut SimNet,
-    domain: &dla_crypto::pohlig_hellman::CommutativeDomain,
-    party_a: NodeId,
-    party_b: NodeId,
-    value_a: &[u8],
-    value_b: &[u8],
-    rng: &mut R,
-) -> Result<EqualityOutcome, MpcError> {
-    let link = SharedNet::new(net);
-    let session = Session::root(&link);
-    run_via_ssi(&session, domain, party_a, party_b, value_a, value_b, rng)
-}
-
-fn run_via_ssi<R: Rng + ?Sized>(
-    net: &Session<'_>,
-    domain: &dla_crypto::pohlig_hellman::CommutativeDomain,
+pub fn equality_via_ssi<R: Rng + ?Sized>(
+    session: &Session<'_>,
+    domain: &CommutativeDomain,
     party_a: NodeId,
     party_b: NodeId,
     value_a: &[u8],
@@ -214,77 +162,60 @@ fn run_via_ssi<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<EqualityOutcome, MpcError> {
     assert_ne!(party_a, party_b, "parties must be distinct");
-    let meter = crate::report::Meter::start_session(net);
-    let _telemetry = crate::report::SessionTelemetry::begin(net, "secure-equality-ssi");
-    let ring = dla_net::topology::Ring::new(vec![party_a, party_b]);
+    let meter = Meter::begin(session, "secure-equality-ssi");
+    let ring = Ring::new(vec![party_a, party_b]);
     let inputs = vec![vec![value_a.to_vec()], vec![value_b.to_vec()]];
-    let outcome =
-        crate::set_intersection::run(net, &ring, domain, &inputs, party_a, false, rng, None)?;
+    let outcome = SsiSession::new(*session, &ring, domain, party_a).run(&inputs, rng)?;
     let equal = outcome.cardinality() == 1;
-    let report = meter.finish_session(net, "secure-equality-ssi", 2, outcome.report.rounds);
+    let report = meter.finish(2, outcome.report.rounds);
     Ok(EqualityOutcome { equal, report })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dla_net::NetConfig;
+    use dla_net::{NetConfig, SharedNet, SimNet};
     use rand::SeedableRng;
 
-    fn setup() -> (SimNet, rand::rngs::StdRng) {
+    fn setup() -> (SharedNet, rand::rngs::StdRng) {
         (
-            SimNet::new(3, NetConfig::ideal()),
+            SharedNet::new(SimNet::new(3, NetConfig::ideal())),
             rand::rngs::StdRng::seed_from_u64(4000),
+        )
+    }
+
+    /// `=_s` between nodes 0 and 1 with node 2 as the TTP.
+    fn compare(
+        net: &SharedNet,
+        value_a: u64,
+        value_b: u64,
+        rng: &mut rand::rngs::StdRng,
+    ) -> Result<EqualityOutcome, MpcError> {
+        EqualitySession::new(Session::root(net), NodeId(0), NodeId(1), NodeId(2)).run(
+            F61::new(value_a),
+            F61::new(value_b),
+            rng,
         )
     }
 
     #[test]
     fn equal_values_compare_equal() {
-        let (mut net, mut rng) = setup();
-        let outcome = secure_equality(
-            &mut net,
-            NodeId(0),
-            NodeId(1),
-            NodeId(2),
-            F61::new(5000),
-            F61::new(5000),
-            &mut rng,
-        )
-        .unwrap();
-        assert!(outcome.equal);
+        let (net, mut rng) = setup();
+        assert!(compare(&net, 5000, 5000, &mut rng).unwrap().equal);
     }
 
     #[test]
     fn unequal_values_compare_unequal() {
-        let (mut net, mut rng) = setup();
-        let outcome = secure_equality(
-            &mut net,
-            NodeId(0),
-            NodeId(1),
-            NodeId(2),
-            F61::new(5000),
-            F61::new(5001),
-            &mut rng,
-        )
-        .unwrap();
-        assert!(!outcome.equal);
+        let (net, mut rng) = setup();
+        assert!(!compare(&net, 5000, 5001, &mut rng).unwrap().equal);
     }
 
     #[test]
     fn exhaustive_small_matrix() {
         for va in 0..4u64 {
             for vb in 0..4u64 {
-                let (mut net, mut rng) = setup();
-                let outcome = secure_equality(
-                    &mut net,
-                    NodeId(0),
-                    NodeId(1),
-                    NodeId(2),
-                    F61::new(va),
-                    F61::new(vb),
-                    &mut rng,
-                )
-                .unwrap();
+                let (net, mut rng) = setup();
+                let outcome = compare(&net, va, vb, &mut rng).unwrap();
                 assert_eq!(outcome.equal, va == vb, "({va}, {vb})");
             }
         }
@@ -294,18 +225,8 @@ mod tests {
     fn ttp_never_sees_plaintext() {
         // The masked value arriving at the TTP differs from the input
         // (w.h.p.): verify by inspecting the wire traffic.
-        let (mut net, mut rng) = setup();
-        let secret = F61::new(123_456);
-        let outcome = secure_equality(
-            &mut net,
-            NodeId(0),
-            NodeId(1),
-            NodeId(2),
-            secret,
-            secret,
-            &mut rng,
-        )
-        .unwrap();
+        let (net, mut rng) = setup();
+        let outcome = compare(&net, 123_456, 123_456, &mut rng).unwrap();
         assert!(outcome.equal);
         // 1 agreement + 2 masked + 2 results.
         assert_eq!(outcome.report.messages, 5);
@@ -316,39 +237,17 @@ mod tests {
         // Same inputs, two runs: the protocol is randomized, so the
         // traffic (bytes of masked values) differs between runs w.h.p.
         // We simply check both runs still agree on the answer.
-        let (mut net, mut rng) = setup();
-        let a = secure_equality(
-            &mut net,
-            NodeId(0),
-            NodeId(1),
-            NodeId(2),
-            F61::new(9),
-            F61::new(9),
-            &mut rng,
-        )
-        .unwrap();
-        let b = secure_equality(
-            &mut net,
-            NodeId(0),
-            NodeId(1),
-            NodeId(2),
-            F61::new(9),
-            F61::new(9),
-            &mut rng,
-        )
-        .unwrap();
+        let (net, mut rng) = setup();
+        let a = compare(&net, 9, 9, &mut rng).unwrap();
+        let b = compare(&net, 9, 9, &mut rng).unwrap();
         assert!(a.equal && b.equal);
     }
 
     #[test]
     #[should_panic(expected = "distinct")]
     fn overlapping_roles_panic() {
-        let (mut net, mut rng) = setup();
-        let _ = secure_equality(
-            &mut net,
-            NodeId(0),
-            NodeId(0),
-            NodeId(2),
+        let (net, mut rng) = setup();
+        let _ = EqualitySession::new(Session::root(&net), NodeId(0), NodeId(0), NodeId(2)).run(
             F61::ZERO,
             F61::ZERO,
             &mut rng,
@@ -357,12 +256,12 @@ mod tests {
 
     #[test]
     fn ssi_variant_agrees_with_ttp_variant() {
-        let domain = dla_crypto::pohlig_hellman::CommutativeDomain::fixed_256();
+        let domain = CommutativeDomain::fixed_256();
         for (a, b) in [("same", "same"), ("same", "other"), ("", "")] {
-            let mut net = SimNet::new(2, NetConfig::ideal());
+            let net = SharedNet::new(SimNet::new(2, NetConfig::ideal()));
             let mut rng = rand::rngs::StdRng::seed_from_u64(4242);
-            let outcome = secure_equality_via_ssi(
-                &mut net,
+            let outcome = equality_via_ssi(
+                &Session::root(&net),
                 &domain,
                 NodeId(0),
                 NodeId(1),
@@ -378,11 +277,11 @@ mod tests {
     #[test]
     fn ssi_variant_needs_no_ttp() {
         // Two nodes only — no third party in the network at all.
-        let domain = dla_crypto::pohlig_hellman::CommutativeDomain::fixed_256();
-        let mut net = SimNet::new(2, NetConfig::ideal());
+        let domain = CommutativeDomain::fixed_256();
+        let net = SharedNet::new(SimNet::new(2, NetConfig::ideal()));
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let outcome = secure_equality_via_ssi(
-            &mut net,
+        let outcome = equality_via_ssi(
+            &Session::root(&net),
             &domain,
             NodeId(0),
             NodeId(1),
@@ -402,36 +301,21 @@ mod tests {
             let cfg = NetConfig::ideal()
                 .with_latency(LatencyModel::wan())
                 .with_seed(seed);
-            let mut net = SimNet::new(3, cfg);
+            let net = SharedNet::new(SimNet::new(3, cfg));
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let outcome = secure_equality(
-                &mut net,
-                NodeId(0),
-                NodeId(1),
-                NodeId(2),
-                F61::new(77),
-                F61::new(77),
-                &mut rng,
-            )
-            .unwrap();
-            assert!(outcome.equal, "seed {seed}");
+            assert!(
+                compare(&net, 77, 77, &mut rng).unwrap().equal,
+                "seed {seed}"
+            );
         }
     }
 
     #[test]
     fn dropped_message_detected() {
-        let (mut net, mut rng) = setup();
-        net.faults_mut()
+        let (net, mut rng) = setup();
+        net.lock()
+            .faults_mut()
             .inject_once(0, 2, dla_net::fault::FaultOutcome::Drop);
-        assert!(secure_equality(
-            &mut net,
-            NodeId(0),
-            NodeId(1),
-            NodeId(2),
-            F61::ONE,
-            F61::ONE,
-            &mut rng,
-        )
-        .is_err());
+        assert!(compare(&net, 1, 1, &mut rng).is_err());
     }
 }

@@ -23,8 +23,13 @@
 //! reduction) plus an insecure plaintext reference, so the cost gap the
 //! paper claims is measurable — see `dla-bench`.
 //!
-//! All protocols run over a [`dla_net::SimNet`], so every message and
-//! byte is accounted and a simulated network latency is attributed; see
+//! Every protocol is a *session struct* — its fields are the protocol's
+//! parameters, its `run` is the protocol body — bound to a
+//! [`dla_net::Session`], the one door to the wire: the same code runs
+//! over the virtual-time simulator ([`dla_net::SharedNet`]), OS threads
+//! ([`dla_net::ChannelNet`]) and sockets ([`dla_net::TcpNet`]), a frame
+//! corrupted in flight is refused by the session before a protocol sees
+//! it, and every message and byte is accounted per session; see
 //! [`report::ProtocolReport`].
 
 use std::fmt;

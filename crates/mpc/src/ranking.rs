@@ -19,10 +19,12 @@ use crate::report::{Meter, ProtocolReport};
 use crate::MpcError;
 use dla_crypto::affine::MonotoneMasker;
 use dla_net::wire::{Reader, Writer};
-use dla_net::{NodeId, Session, SharedNet, SimNet};
+use dla_net::{NodeId, Session};
 use rand::Rng;
 
-/// Result of a secure-ranking run.
+/// Result of a secure-ranking run. `Max_s` and `Min_s` (§3.3) are
+/// [`RankOutcome::max_party`] and [`RankOutcome::min_party`]: which
+/// party holds the extremum — nobody learns any value, only the index.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RankOutcome {
     /// Party indices sorted by their value, ascending (ties by party
@@ -39,30 +41,8 @@ pub struct RankOutcome {
     pub report: ProtocolReport,
 }
 
-/// Runs `Rank_s` (and with it `Max_s`/`Min_s`) over `parties` with the
-/// blind `ttp`. `values[i]` is the private value of `parties[i]`.
-///
-/// # Errors
-///
-/// Returns [`MpcError`] on network failure or malformed messages.
-///
-/// # Panics
-///
-/// Panics if parties are empty, the TTP is among the parties, or any
-/// value exceeds [`dla_crypto::affine::MONOTONE_MAX_INPUT`].
-pub fn secure_ranking<R: Rng + ?Sized>(
-    net: &mut SimNet,
-    parties: &[NodeId],
-    ttp: NodeId,
-    values: &[u64],
-    rng: &mut R,
-) -> Result<RankOutcome, MpcError> {
-    let link = SharedNet::new(net);
-    let session = Session::root(&link);
-    run(&session, parties, ttp, values, rng)
-}
-
-/// A `Rank_s` protocol instance bound to one transport session, so
+/// A `Rank_s` protocol instance (and with it `Max_s`/`Min_s`) over
+/// `parties` with the blind `ttp`, bound to one transport session so
 /// several rankings (or a ranking and any other protocol) can be in
 /// flight over the same network at once.
 #[derive(Clone, Copy, Debug)]
@@ -83,7 +63,8 @@ impl<'a> RankingSession<'a> {
         }
     }
 
-    /// Runs `Rank_s` over this instance's session.
+    /// Runs `Rank_s` over this instance's session; `values[i]` is the
+    /// private value of `parties[i]`.
     ///
     /// # Errors
     ///
@@ -91,185 +72,125 @@ impl<'a> RankingSession<'a> {
     ///
     /// # Panics
     ///
-    /// As [`secure_ranking`].
+    /// Panics if parties are empty, the TTP is among the parties, or any
+    /// value exceeds [`dla_crypto::affine::MONOTONE_MAX_INPUT`].
     pub fn run<R: Rng + ?Sized>(
         &self,
         values: &[u64],
         rng: &mut R,
     ) -> Result<RankOutcome, MpcError> {
-        run(&self.session, self.parties, self.ttp, values, rng)
-    }
-}
+        let (net, parties, ttp) = (&self.session, self.parties, self.ttp);
+        let n = parties.len();
+        assert!(n >= 1, "need at least one party");
+        assert_eq!(values.len(), n, "one value per party");
+        assert!(!parties.contains(&ttp), "TTP must not be a party");
+        let meter = Meter::begin(net, "secure-ranking");
 
-fn run<R: Rng + ?Sized>(
-    net: &Session<'_>,
-    parties: &[NodeId],
-    ttp: NodeId,
-    values: &[u64],
-    rng: &mut R,
-) -> Result<RankOutcome, MpcError> {
-    let n = parties.len();
-    assert!(n >= 1, "need at least one party");
-    assert_eq!(values.len(), n, "one value per party");
-    assert!(!parties.contains(&ttp), "TTP must not be a party");
-    let meter = Meter::start_session(net);
-    let _telemetry = crate::report::SessionTelemetry::begin(net, "secure-ranking");
-
-    // Negotiation round: initiator seals the mask to each peer.
-    let mask = MonotoneMasker::random(rng);
-    for &peer in &parties[1..] {
-        let mut w = Writer::new();
-        w.put_u8(0x07).put_bytes(&mask.to_bytes());
-        net.send(parties[0], peer, w.finish());
-        let envelope = net.recv_from(peer, parties[0])?;
-        let mut r = Reader::new(&envelope.payload);
-        if r.get_u8()? != 0x07 {
-            return Err(MpcError::Wire("unexpected negotiation tag".into()));
+        // Negotiation round: initiator seals the mask to each peer.
+        let mask = MonotoneMasker::random(rng);
+        for &peer in &parties[1..] {
+            let mut w = Writer::new();
+            w.put_u8(0x07).put_bytes(&mask.to_bytes());
+            net.send(parties[0], peer, w.finish());
+            let envelope = net.recv_from(peer, parties[0])?;
+            let mut r = Reader::new(&envelope.payload);
+            if r.get_u8()? != 0x07 {
+                return Err(MpcError::Wire("unexpected negotiation tag".into()));
+            }
+            let _peer_mask = MonotoneMasker::from_bytes(r.get_bytes()?)?;
+            r.finish()?;
         }
-        let _peer_mask = MonotoneMasker::from_bytes(r.get_bytes()?)?;
-        r.finish()?;
-    }
 
-    // Submission round: masked values to the TTP.
-    for (i, &party) in parties.iter().enumerate() {
-        let mut w = Writer::new();
-        w.put_u8(0x08)
-            .put_u64(i as u64)
-            .put_u128(mask.apply(values[i]));
-        net.send(party, ttp, w.finish());
-    }
-    let mut masked: Vec<(u128, usize)> = Vec::with_capacity(n);
-    for &party in parties {
-        let envelope = net.recv_from(ttp, party)?;
-        let mut r = Reader::new(&envelope.payload);
-        if r.get_u8()? != 0x08 {
-            return Err(MpcError::Wire("unexpected submission tag".into()));
+        // Submission round: masked values to the TTP.
+        for (i, &party) in parties.iter().enumerate() {
+            let mut w = Writer::new();
+            w.put_u8(0x08)
+                .put_u64(i as u64)
+                .put_u128(mask.apply(values[i]));
+            net.send(party, ttp, w.finish());
         }
-        let idx = r.get_u64()? as usize;
-        let w = r.get_u128()?;
-        r.finish()?;
-        masked.push((w, idx));
-    }
-
-    // The blind TTP sorts masked values; order-preservation makes this
-    // the plaintext ranking.
-    masked.sort_unstable();
-    let ascending: Vec<usize> = masked.iter().map(|&(_, i)| i).collect();
-    let mut ranks = vec![0usize; n];
-    for (pos, &(w, party)) in masked.iter().enumerate() {
-        // Equal masked values (ties) share the smaller rank.
-        if pos > 0 && masked[pos - 1].0 == w {
-            ranks[party] = ranks[masked[pos - 1].1];
-        } else {
-            ranks[party] = pos;
+        let mut masked: Vec<(u128, usize)> = Vec::with_capacity(n);
+        for &party in parties {
+            let envelope = net.recv_from(ttp, party)?;
+            let mut r = Reader::new(&envelope.payload);
+            if r.get_u8()? != 0x08 {
+                return Err(MpcError::Wire("unexpected submission tag".into()));
+            }
+            let idx = r.get_u64()? as usize;
+            let w = r.get_u128()?;
+            r.finish()?;
+            masked.push((w, idx));
         }
-    }
 
-    // Result broadcast.
-    for &party in parties {
-        let mut w = Writer::new();
-        w.put_u8(0x09).put_list(&ascending, |w, &i| {
-            w.put_u64(i as u64);
-        });
-        net.send(ttp, party, w.finish());
-        let envelope = net.recv_from(party, ttp)?;
-        let mut r = Reader::new(&envelope.payload);
-        if r.get_u8()? != 0x09 {
-            return Err(MpcError::Wire("unexpected result tag".into()));
+        // The blind TTP sorts masked values; order-preservation makes this
+        // the plaintext ranking.
+        masked.sort_unstable();
+        let ascending: Vec<usize> = masked.iter().map(|&(_, i)| i).collect();
+        let mut ranks = vec![0usize; n];
+        for (pos, &(w, party)) in masked.iter().enumerate() {
+            // Equal masked values (ties) share the smaller rank.
+            if pos > 0 && masked[pos - 1].0 == w {
+                ranks[party] = ranks[masked[pos - 1].1];
+            } else {
+                ranks[party] = pos;
+            }
         }
-        let reported = r.get_list(|r| r.get_u64().map(|v| v as usize))?;
-        r.finish()?;
-        if reported != ascending {
-            return Err(MpcError::Protocol("ranking broadcast mismatch".into()));
+
+        // Result broadcast.
+        for &party in parties {
+            let mut w = Writer::new();
+            w.put_u8(0x09).put_list(&ascending, |w, &i| {
+                w.put_u64(i as u64);
+            });
+            net.send(ttp, party, w.finish());
+            let envelope = net.recv_from(party, ttp)?;
+            let mut r = Reader::new(&envelope.payload);
+            if r.get_u8()? != 0x09 {
+                return Err(MpcError::Wire("unexpected result tag".into()));
+            }
+            let reported = r.get_list(|r| r.get_u64().map(|v| v as usize))?;
+            r.finish()?;
+            if reported != ascending {
+                return Err(MpcError::Protocol("ranking broadcast mismatch".into()));
+            }
         }
+
+        let report = meter.finish(n, 3);
+        Ok(RankOutcome {
+            max_party: *ascending.last().expect("nonempty"),
+            min_party: ascending[0],
+            ascending,
+            ranks,
+            report,
+        })
     }
-
-    let report = meter.finish_session(net, "secure-ranking", n, 3);
-    Ok(RankOutcome {
-        max_party: *ascending.last().expect("nonempty"),
-        min_party: ascending[0],
-        ascending,
-        ranks,
-        report,
-    })
-}
-
-/// Result of a `Max_s`/`Min_s` run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExtremumOutcome {
-    /// The party holding the extremum.
-    pub party: usize,
-    /// Cost accounting.
-    pub report: ProtocolReport,
-}
-
-/// `Max_s` (§3.3): which party holds the maximum — nobody learns any
-/// value, only the winner's index.
-///
-/// # Errors
-///
-/// As [`secure_ranking`].
-///
-/// # Panics
-///
-/// As [`secure_ranking`].
-pub fn secure_max<R: Rng + ?Sized>(
-    net: &mut SimNet,
-    parties: &[NodeId],
-    ttp: NodeId,
-    values: &[u64],
-    rng: &mut R,
-) -> Result<ExtremumOutcome, MpcError> {
-    let outcome = secure_ranking(net, parties, ttp, values, rng)?;
-    Ok(ExtremumOutcome {
-        party: outcome.max_party,
-        report: outcome.report,
-    })
-}
-
-/// `Min_s` (§3.3): which party holds the minimum.
-///
-/// # Errors
-///
-/// As [`secure_ranking`].
-///
-/// # Panics
-///
-/// As [`secure_ranking`].
-pub fn secure_min<R: Rng + ?Sized>(
-    net: &mut SimNet,
-    parties: &[NodeId],
-    ttp: NodeId,
-    values: &[u64],
-    rng: &mut R,
-) -> Result<ExtremumOutcome, MpcError> {
-    let outcome = secure_ranking(net, parties, ttp, values, rng)?;
-    Ok(ExtremumOutcome {
-        party: outcome.min_party,
-        report: outcome.report,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dla_net::NetConfig;
+    use dla_net::{NetConfig, SharedNet, SimNet};
     use rand::SeedableRng;
 
-    fn setup(n: usize) -> (SimNet, Vec<NodeId>, NodeId, rand::rngs::StdRng) {
+    fn setup(n: usize) -> (SharedNet, Vec<NodeId>, NodeId, rand::rngs::StdRng) {
         (
-            SimNet::new(n + 1, NetConfig::ideal()),
+            SharedNet::new(SimNet::new(n + 1, NetConfig::ideal())),
             (0..n).map(NodeId).collect(),
             NodeId(n),
             rand::rngs::StdRng::seed_from_u64(5000),
         )
     }
 
+    /// Ranks `values` over parties `0..n` with TTP `n` on a fresh
+    /// network.
+    fn rank(values: &[u64]) -> Result<RankOutcome, MpcError> {
+        let (net, parties, ttp, mut rng) = setup(values.len());
+        RankingSession::new(Session::root(&net), &parties, ttp).run(values, &mut rng)
+    }
+
     #[test]
     fn ranks_distinct_values() {
-        let (mut net, parties, ttp, mut rng) = setup(4);
-        let values = [300u64, 100, 400, 200];
-        let outcome = secure_ranking(&mut net, &parties, ttp, &values, &mut rng).unwrap();
+        let outcome = rank(&[300, 100, 400, 200]).unwrap();
         assert_eq!(outcome.ascending, vec![1, 3, 0, 2]);
         assert_eq!(outcome.ranks, vec![2, 0, 3, 1]);
         assert_eq!(outcome.max_party, 2);
@@ -281,8 +202,7 @@ mod tests {
         let (_, _, _, mut rng) = setup(1);
         for n in [2usize, 5, 9] {
             let values: Vec<u64> = (0..n).map(|_| rng.gen_range(0..1u64 << 32)).collect();
-            let (mut net, parties, ttp, mut prng) = setup(n);
-            let outcome = secure_ranking(&mut net, &parties, ttp, &values, &mut prng).unwrap();
+            let outcome = rank(&values).unwrap();
             let mut expect: Vec<usize> = (0..n).collect();
             expect.sort_by_key(|&i| (values[i], i));
             assert_eq!(outcome.ascending, expect);
@@ -291,9 +211,7 @@ mod tests {
 
     #[test]
     fn ties_share_rank() {
-        let (mut net, parties, ttp, mut rng) = setup(3);
-        let values = [7u64, 7, 3];
-        let outcome = secure_ranking(&mut net, &parties, ttp, &values, &mut rng).unwrap();
+        let outcome = rank(&[7, 7, 3]).unwrap();
         assert_eq!(outcome.min_party, 2);
         assert_eq!(
             outcome.ranks[0], outcome.ranks[1],
@@ -305,9 +223,8 @@ mod tests {
     #[test]
     fn message_complexity_is_linear() {
         for n in [2usize, 4, 8] {
-            let (mut net, parties, ttp, mut rng) = setup(n);
             let values: Vec<u64> = (0..n as u64).collect();
-            let outcome = secure_ranking(&mut net, &parties, ttp, &values, &mut rng).unwrap();
+            let outcome = rank(&values).unwrap();
             // (n−1) negotiation + n submissions + n broadcasts.
             assert_eq!(outcome.report.messages as usize, 3 * n - 1, "n={n}");
         }
@@ -315,8 +232,7 @@ mod tests {
 
     #[test]
     fn single_party_trivial() {
-        let (mut net, parties, ttp, mut rng) = setup(1);
-        let outcome = secure_ranking(&mut net, &parties, ttp, &[42], &mut rng).unwrap();
+        let outcome = rank(&[42]).unwrap();
         assert_eq!(outcome.ascending, vec![0]);
         assert_eq!(outcome.max_party, 0);
     }
@@ -324,18 +240,16 @@ mod tests {
     #[test]
     #[should_panic(expected = "TTP must not be a party")]
     fn ttp_overlap_panics() {
-        let (mut net, parties, _, mut rng) = setup(2);
-        let _ = secure_ranking(&mut net, &parties, parties[0], &[1, 2], &mut rng);
+        let (net, parties, _, mut rng) = setup(2);
+        let _ =
+            RankingSession::new(Session::root(&net), &parties, parties[0]).run(&[1, 2], &mut rng);
     }
 
     #[test]
-    fn max_and_min_wrappers() {
-        let (mut net, parties, ttp, mut rng) = setup(4);
-        let values = [30u64, 10, 40, 20];
-        let max = secure_max(&mut net, &parties, ttp, &values, &mut rng).unwrap();
-        assert_eq!(max.party, 2);
-        let min = secure_min(&mut net, &parties, ttp, &values, &mut rng).unwrap();
-        assert_eq!(min.party, 1);
+    fn max_and_min_are_read_off_the_ranking() {
+        let outcome = rank(&[30, 10, 40, 20]).unwrap();
+        assert_eq!(outcome.max_party, 2);
+        assert_eq!(outcome.min_party, 1);
     }
 
     #[test]
@@ -349,11 +263,13 @@ mod tests {
             let cfg = NetConfig::ideal()
                 .with_latency(LatencyModel::lan())
                 .with_seed(seed);
-            let mut net = SimNet::new(n + 1, cfg);
+            let net = SharedNet::new(SimNet::new(n + 1, cfg));
             let parties: Vec<NodeId> = (0..n).map(NodeId).collect();
             let values = [42u64, 7, 99, 7, 13];
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let outcome = secure_ranking(&mut net, &parties, NodeId(n), &values, &mut rng).unwrap();
+            let outcome = RankingSession::new(Session::root(&net), &parties, NodeId(n))
+                .run(&values, &mut rng)
+                .unwrap();
             assert_eq!(outcome.max_party, 2, "seed {seed}");
             assert_eq!(outcome.min_party, 1, "seed {seed}");
         }
@@ -361,9 +277,11 @@ mod tests {
 
     #[test]
     fn dropped_submission_detected() {
-        let (mut net, parties, ttp, mut rng) = setup(3);
-        net.faults_mut()
+        let (net, parties, ttp, mut rng) = setup(3);
+        net.lock()
+            .faults_mut()
             .inject_once(1, 3, dla_net::fault::FaultOutcome::Drop);
-        assert!(secure_ranking(&mut net, &parties, ttp, &[5, 6, 7], &mut rng).is_err());
+        let ranking = RankingSession::new(Session::root(&net), &parties, ttp);
+        assert!(ranking.run(&[5, 6, 7], &mut rng).is_err());
     }
 }

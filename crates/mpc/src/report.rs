@@ -2,13 +2,15 @@
 //! latency and round count — the quantities behind the paper's
 //! relaxed-vs-classical efficiency argument.
 //!
-//! [`SessionTelemetry`] additionally bridges protocol runs into the
-//! `dla-telemetry` subsystem: one cost scope (so crypto/net operation
-//! counts are attributed to the protocol session) plus one span over
-//! the session's virtual-time interval. Both are single-branch no-ops
-//! when no recorder is installed.
+//! [`Meter`] is the one bracket a protocol run opens on its session: it
+//! snapshots the session's counters for the [`ProtocolReport`] and
+//! bridges the run into the `dla-telemetry` subsystem — one cost scope
+//! (so crypto/net operation counts are attributed to the protocol
+//! session) plus one span over the session's virtual-time interval.
+//! The telemetry half is a single-branch no-op when no recorder is
+//! installed.
 
-use dla_net::{Session, SimNet, SimTime};
+use dla_net::{Session, SimTime};
 use std::fmt;
 
 /// Cost summary of one protocol execution.
@@ -38,109 +40,62 @@ impl fmt::Display for ProtocolReport {
     }
 }
 
-/// Snapshot-based meter: construct before the protocol, call
-/// [`Meter::finish`] after.
-#[derive(Debug, Clone, Copy)]
-pub struct Meter {
+/// The bracket around one protocol run on `session`. [`Meter::begin`]
+/// snapshots the session's counters, opens a cost scope labelled with
+/// the protocol name (attributing every modexp, Shamir evaluation,
+/// send, ... to this session) and a `"protocol"` span from the
+/// session's current virtual makespan; [`Meter::finish`] turns the
+/// counter deltas into the run's [`ProtocolReport`]. Counters are read
+/// *per session*, so a report stays exact while other sessions are in
+/// flight on the same transport. Dropping the meter — at `finish`, or
+/// on an early error return — closes the span at the session's
+/// then-current makespan.
+#[must_use = "telemetry is attributed only while the meter is alive"]
+pub struct Meter<'a> {
+    session: Session<'a>,
+    protocol: &'static str,
     messages0: u64,
     bytes0: u64,
     elapsed0: SimTime,
-}
-
-impl Meter {
-    /// Snapshots the network counters.
-    #[must_use]
-    pub fn start(net: &SimNet) -> Self {
-        Meter {
-            messages0: net.stats().messages_sent,
-            bytes0: net.stats().bytes_sent,
-            elapsed0: net.elapsed(),
-        }
-    }
-
-    /// Produces the report for everything sent since [`Meter::start`].
-    #[must_use]
-    pub fn finish(
-        self,
-        net: &SimNet,
-        protocol: &'static str,
-        parties: usize,
-        rounds: usize,
-    ) -> ProtocolReport {
-        ProtocolReport {
-            protocol,
-            parties,
-            messages: net.stats().messages_sent - self.messages0,
-            bytes: net.stats().bytes_sent - self.bytes0,
-            elapsed: net.elapsed() - self.elapsed0,
-            rounds,
-        }
-    }
-
-    /// Snapshots one protocol session's counters. Unlike
-    /// [`Meter::start`], this attributes traffic *per session*, so a
-    /// protocol's report stays exact even while other sessions are in
-    /// flight on the same transport.
-    #[must_use]
-    pub fn start_session(session: &Session<'_>) -> Self {
-        let (messages0, bytes0) = session.counters();
-        Meter {
-            messages0,
-            bytes0,
-            elapsed0: session.elapsed(),
-        }
-    }
-
-    /// Produces the report for everything this session sent since
-    /// [`Meter::start_session`].
-    #[must_use]
-    pub fn finish_session(
-        self,
-        session: &Session<'_>,
-        protocol: &'static str,
-        parties: usize,
-        rounds: usize,
-    ) -> ProtocolReport {
-        let (messages, bytes) = session.counters();
-        dla_telemetry::record(dla_telemetry::CostKind::Round, rounds as u64);
-        ProtocolReport {
-            protocol,
-            parties,
-            messages: messages - self.messages0,
-            bytes: bytes - self.bytes0,
-            elapsed: session.elapsed() - self.elapsed0,
-            rounds,
-        }
-    }
-}
-
-/// Telemetry bracket for one protocol run on `session`: opens a cost
-/// scope labelled with the protocol name (attributing every modexp,
-/// Shamir evaluation, send, ... to this session) and a `"protocol"`
-/// span covering the run's virtual-time interval. Hold it for the
-/// duration of the run; dropping it closes the span at the session's
-/// then-current virtual makespan.
-#[must_use = "telemetry is attributed only while the bracket is alive"]
-pub struct SessionTelemetry<'a> {
-    session: Session<'a>,
     span: Option<dla_telemetry::SpanGuard>,
     _scope: dla_telemetry::ScopeGuard,
 }
 
-impl<'a> SessionTelemetry<'a> {
-    /// Opens the scope + span bracket for `protocol` on `session`.
+impl<'a> Meter<'a> {
+    /// Opens the bracket for `protocol` on `session`.
     pub fn begin(session: &Session<'a>, protocol: &'static str) -> Self {
+        let (messages0, bytes0) = session.counters();
+        let elapsed0 = session.elapsed();
         let scope = dla_telemetry::scope(protocol, session.id().0);
-        let span = dla_telemetry::span("protocol", protocol, session.elapsed().as_nanos());
-        SessionTelemetry {
+        let span = dla_telemetry::span("protocol", protocol, elapsed0.as_nanos());
+        Meter {
             session: *session,
+            protocol,
+            messages0,
+            bytes0,
+            elapsed0,
             span: span.is_recording().then_some(span),
             _scope: scope,
         }
     }
+
+    /// The report for everything this session sent since
+    /// [`Meter::begin`].
+    pub fn finish(self, parties: usize, rounds: usize) -> ProtocolReport {
+        let (messages, bytes) = self.session.counters();
+        dla_telemetry::record(dla_telemetry::CostKind::Round, rounds as u64);
+        ProtocolReport {
+            protocol: self.protocol,
+            parties,
+            messages: messages - self.messages0,
+            bytes: bytes - self.bytes0,
+            elapsed: self.session.elapsed() - self.elapsed0,
+            rounds,
+        }
+    }
 }
 
-impl Drop for SessionTelemetry<'_> {
+impl Drop for Meter<'_> {
     fn drop(&mut self) {
         if let Some(span) = self.span.take() {
             span.end(self.session.elapsed().as_nanos());
@@ -152,16 +107,18 @@ impl Drop for SessionTelemetry<'_> {
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use dla_net::{NetConfig, NodeId};
+    use dla_net::{NetConfig, NodeId, SharedNet, SimNet};
 
     #[test]
     fn meter_measures_deltas_only() {
-        let mut net = SimNet::new(2, NetConfig::ideal());
-        net.send(NodeId(0), NodeId(1), Bytes::from_static(b"before"));
-        let meter = Meter::start(&net);
-        net.send(NodeId(0), NodeId(1), Bytes::from_static(b"during!"));
-        net.send(NodeId(1), NodeId(0), Bytes::from_static(b"during!"));
-        let report = meter.finish(&net, "test", 2, 1);
+        let net = SharedNet::new(SimNet::new(2, NetConfig::ideal()));
+        let session = Session::root(&net);
+        session.send(NodeId(0), NodeId(1), Bytes::from_static(b"before"));
+        let meter = Meter::begin(&session, "test");
+        session.send(NodeId(0), NodeId(1), Bytes::from_static(b"during!"));
+        session.send(NodeId(1), NodeId(0), Bytes::from_static(b"during!"));
+        let report = meter.finish(2, 1);
+        assert_eq!(report.protocol, "test");
         assert_eq!(report.messages, 2);
         assert_eq!(report.bytes, 14);
         assert_eq!(report.rounds, 1);

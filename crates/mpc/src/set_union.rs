@@ -38,7 +38,7 @@ use dla_bigint::Ubig;
 use dla_crypto::pohlig_hellman::{CommutativeDomain, PhKey};
 use dla_net::topology::Ring;
 use dla_net::wire::{Reader, Writer};
-use dla_net::{NodeId, Session, SharedNet, SimNet};
+use dla_net::{NodeId, Session};
 use rand::Rng;
 use std::collections::BTreeSet;
 
@@ -57,30 +57,6 @@ impl UnionOutcome {
     pub fn cardinality(&self) -> usize {
         self.items.len()
     }
-}
-
-/// Runs `∪_s` over the ring. `inputs[i]` is the private set of ring
-/// position `i`.
-///
-/// # Errors
-///
-/// Returns [`MpcError`] on network failure, malformed payloads or
-/// unencodable items.
-///
-/// # Panics
-///
-/// Panics if `inputs.len() != ring.len()`.
-pub fn secure_set_union<R: Rng + ?Sized>(
-    net: &mut SimNet,
-    ring: &Ring,
-    domain: &CommutativeDomain,
-    inputs: &[Vec<Vec<u8>>],
-    collector: NodeId,
-    rng: &mut R,
-) -> Result<UnionOutcome, MpcError> {
-    let link = SharedNet::new(net);
-    let session = Session::root(&link);
-    run(&session, ring, domain, inputs, collector, rng)
 }
 
 /// A `∪_s` protocol instance bound to one transport session, so several
@@ -111,7 +87,8 @@ impl<'a> UnionSession<'a> {
         }
     }
 
-    /// Runs the union over this instance's session.
+    /// Runs the union over this instance's session. `inputs[i]` is the
+    /// private set of ring position `i`.
     ///
     /// # Errors
     ///
@@ -126,113 +103,96 @@ impl<'a> UnionSession<'a> {
         inputs: &[Vec<Vec<u8>>],
         rng: &mut R,
     ) -> Result<UnionOutcome, MpcError> {
-        run(
-            &self.session,
-            self.ring,
-            self.domain,
-            inputs,
-            self.collector,
-            rng,
-        )
-    }
-}
+        let (net, ring, domain, collector) =
+            (&self.session, self.ring, self.domain, self.collector);
+        let n = ring.len();
+        assert_eq!(inputs.len(), n, "one input set per ring position");
+        let meter = Meter::begin(net, "secure-set-union");
 
-fn run<R: Rng + ?Sized>(
-    net: &Session<'_>,
-    ring: &Ring,
-    domain: &CommutativeDomain,
-    inputs: &[Vec<Vec<u8>>],
-    collector: NodeId,
-    rng: &mut R,
-) -> Result<UnionOutcome, MpcError> {
-    let n = ring.len();
-    assert_eq!(inputs.len(), n, "one input set per ring position");
-    let meter = Meter::start_session(net);
-    let _telemetry = crate::report::SessionTelemetry::begin(net, "secure-set-union");
+        let keys: Vec<PhKey> = (0..n).map(|_| PhKey::generate(domain, rng)).collect();
 
-    let keys: Vec<PhKey> = (0..n).map(|_| PhKey::generate(domain, rng)).collect();
+        // Owner encryption, in canonical (sorted-plaintext) order.
+        let encoded = encode_canonical(domain, inputs)?;
+        let mut sets: Vec<Vec<Ubig>> = keys
+            .iter()
+            .zip(&encoded)
+            .map(|(key, plain)| key.encrypt_batch(plain, Default::default()))
+            .collect();
 
-    // Owner encryption, in canonical (sorted-plaintext) order.
-    let encoded = encode_canonical(domain, inputs)?;
-    let mut sets: Vec<Vec<Ubig>> = keys
-        .iter()
-        .zip(&encoded)
-        .map(|(key, plain)| key.encrypt_batch(plain, Default::default()))
-        .collect();
+        // Relay rounds.
+        #[allow(clippy::needless_range_loop)] // origin indexes sets/history in parallel
+        for hop in 1..n {
+            for origin in 0..n {
+                let from = ring.at((origin + hop - 1) % n);
+                let to = ring.at((origin + hop) % n);
+                net.send(from, to, encode_msg(&sets[origin]));
+                let envelope = net.recv_from(to, from)?;
+                let elements = decode_msg(&envelope.payload)?;
+                let holder = (origin + hop) % n;
+                sets[origin] = keys[holder].encrypt_batch(&elements, Default::default());
+            }
+        }
 
-    // Relay rounds.
-    #[allow(clippy::needless_range_loop)] // origin indexes sets/history in parallel
-    for hop in 1..n {
+        // Collect and deduplicate ("keeping only one copy of any redundant
+        // entries"). A collector in the ring sets its own returned
+        // ciphertexts aside: it knows what they decrypt to.
+        let own = ring.position(collector);
+        let mut own_returned: Vec<Vec<u8>> = Vec::new();
+        let mut merged: BTreeSet<Vec<u8>> = BTreeSet::new();
+        #[allow(clippy::needless_range_loop)] // origin indexes sets and ring positions together
         for origin in 0..n {
-            let from = ring.at((origin + hop - 1) % n);
-            let to = ring.at((origin + hop) % n);
-            net.send(from, to, encode_msg(&sets[origin]));
-            let envelope = net.recv_from(to, from)?;
+            let final_holder = ring.at((origin + n - 1) % n);
+            net.send(final_holder, collector, encode_msg(&sets[origin]));
+            let envelope = net.recv_from(collector, final_holder)?;
             let elements = decode_msg(&envelope.payload)?;
-            let holder = (origin + hop) % n;
-            sets[origin] = keys[holder].encrypt_batch(&elements, Default::default());
+            if own == Some(origin) {
+                check_own_set(&elements, encoded[origin].len())?;
+                own_returned = elements.iter().map(Ubig::to_bytes_be).collect();
+            } else {
+                merged.extend(elements.iter().map(Ubig::to_bytes_be));
+            }
         }
-    }
-
-    // Collect and deduplicate ("keeping only one copy of any redundant
-    // entries"). A collector in the ring sets its own returned
-    // ciphertexts aside: it knows what they decrypt to.
-    let own = ring.position(collector);
-    let mut own_returned: Vec<Vec<u8>> = Vec::new();
-    let mut merged: BTreeSet<Vec<u8>> = BTreeSet::new();
-    #[allow(clippy::needless_range_loop)] // origin indexes sets and ring positions together
-    for origin in 0..n {
-        let final_holder = ring.at((origin + n - 1) % n);
-        net.send(final_holder, collector, encode_msg(&sets[origin]));
-        let envelope = net.recv_from(collector, final_holder)?;
-        let elements = decode_msg(&envelope.payload)?;
-        if own == Some(origin) {
-            check_own_set(&elements, encoded[origin].len())?;
-            own_returned = elements.iter().map(Ubig::to_bytes_be).collect();
-        } else {
-            merged.extend(elements.iter().map(Ubig::to_bytes_be));
+        for ciphertext in &own_returned {
+            merged.remove(ciphertext);
         }
-    }
-    for ciphertext in &own_returned {
-        merged.remove(ciphertext);
-    }
-    let mut current: Vec<Ubig> = merged.iter().map(|b| Ubig::from_bytes_be(b)).collect();
+        let mut current: Vec<Ubig> = merged.iter().map(|b| Ubig::from_bytes_be(b)).collect();
 
-    // Decryption pass. A ring collector sends the rest backwards round
-    // the ring and removes its own layer last, locally; an outside
-    // collector has the ring decrypt in order and return plaintexts.
-    let pass: Vec<usize> = match own {
-        Some(c) => (1..n).map(|k| (c + n - k) % n).collect(),
-        None => (0..n).collect(),
-    };
-    let mut rounds = (n - 1) + 1 + pass.len();
-    let mut holder = collector;
-    for &pos in &pass {
-        let node = ring.at(pos);
-        net.send(holder, node, encode_msg(&current));
-        let envelope = net.recv_from(node, holder)?;
-        current = keys[pos].decrypt_batch(&decode_msg(&envelope.payload)?, Default::default());
-        holder = node;
-    }
-    if holder != collector {
-        net.send(holder, collector, encode_msg(&current));
-        let envelope = net.recv_from(collector, holder)?;
-        current = decode_msg(&envelope.payload)?;
-        rounds += 1;
-    }
-    if let Some(c) = own {
-        current = keys[c].decrypt_batch(&current, Default::default());
-    }
-    let mut items: Vec<Vec<u8>> = current
-        .iter()
-        .chain(own.map_or(&[][..], |pos| &encoded[pos]))
-        .map(|e| domain.decode(e))
-        .collect();
-    items.sort();
-    items.dedup();
+        // Decryption pass. A ring collector sends the rest backwards round
+        // the ring and removes its own layer last, locally; an outside
+        // collector has the ring decrypt in order and return plaintexts.
+        let pass: Vec<usize> = match own {
+            Some(c) => (1..n).map(|k| (c + n - k) % n).collect(),
+            None => (0..n).collect(),
+        };
+        let mut rounds = (n - 1) + 1 + pass.len();
+        let mut holder = collector;
+        for &pos in &pass {
+            let node = ring.at(pos);
+            net.send(holder, node, encode_msg(&current));
+            let envelope = net.recv_from(node, holder)?;
+            current = keys[pos].decrypt_batch(&decode_msg(&envelope.payload)?, Default::default());
+            holder = node;
+        }
+        if holder != collector {
+            net.send(holder, collector, encode_msg(&current));
+            let envelope = net.recv_from(collector, holder)?;
+            current = decode_msg(&envelope.payload)?;
+            rounds += 1;
+        }
+        if let Some(c) = own {
+            current = keys[c].decrypt_batch(&current, Default::default());
+        }
+        let mut items: Vec<Vec<u8>> = current
+            .iter()
+            .chain(own.map_or(&[][..], |pos| &encoded[pos]))
+            .map(|e| domain.decode(e))
+            .collect();
+        items.sort();
+        items.dedup();
 
-    let report = meter.finish_session(net, "secure-set-union", n, rounds);
-    Ok(UnionOutcome { items, report })
+        let report = meter.finish(n, rounds);
+        Ok(UnionOutcome { items, report })
+    }
 }
 
 fn encode_msg(elements: &[Ubig]) -> bytes::Bytes {
@@ -257,69 +217,58 @@ fn decode_msg(payload: &[u8]) -> Result<Vec<Ubig>, MpcError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dla_net::NetConfig;
+    use dla_net::{NetConfig, SharedNet, SimNet};
     use rand::SeedableRng;
 
     fn items(names: &[&str]) -> Vec<Vec<u8>> {
         names.iter().map(|s| s.as_bytes().to_vec()).collect()
     }
 
-    fn setup(n: usize) -> (SimNet, Ring, CommutativeDomain, rand::rngs::StdRng) {
-        (
-            SimNet::new(n, NetConfig::ideal()),
-            Ring::canonical(n),
-            CommutativeDomain::fixed_256(),
-            rand::rngs::StdRng::seed_from_u64(2000),
-        )
+    /// `∪_s` of `inputs` over the canonical ring on a fresh network
+    /// with room for one outside collector (node `inputs.len()`).
+    fn unite(inputs: &[Vec<Vec<u8>>], collector: NodeId) -> Result<UnionOutcome, MpcError> {
+        let n = inputs.len();
+        let net = SharedNet::new(SimNet::new(n + 1, NetConfig::ideal()));
+        let (ring, domain) = (Ring::canonical(n), CommutativeDomain::fixed_256());
+        let mut rng = rand::rngs::StdRng::seed_from_u64(2000);
+        UnionSession::new(Session::root(&net), &ring, &domain, collector).run(inputs, &mut rng)
     }
 
     #[test]
     fn union_of_overlapping_sets() {
-        let (mut net, ring, domain, mut rng) = setup(3);
         let inputs = vec![
             items(&["c", "d", "e"]),
             items(&["d", "e", "f"]),
             items(&["e", "f", "g"]),
         ];
-        let outcome =
-            secure_set_union(&mut net, &ring, &domain, &inputs, NodeId(0), &mut rng).unwrap();
+        let outcome = unite(&inputs, NodeId(0)).unwrap();
         assert_eq!(outcome.items, items(&["c", "d", "e", "f", "g"]));
         assert_eq!(outcome.cardinality(), 5);
     }
 
     #[test]
     fn union_of_disjoint_sets_is_concatenation() {
-        let (mut net, ring, domain, mut rng) = setup(2);
         let inputs = vec![items(&["a", "b"]), items(&["c"])];
-        let outcome =
-            secure_set_union(&mut net, &ring, &domain, &inputs, NodeId(1), &mut rng).unwrap();
+        let outcome = unite(&inputs, NodeId(1)).unwrap();
         assert_eq!(outcome.items, items(&["a", "b", "c"]));
     }
 
     #[test]
     fn duplicates_across_parties_collapse() {
-        let (mut net, ring, domain, mut rng) = setup(4);
         let inputs = vec![items(&["x"]), items(&["x"]), items(&["x"]), items(&["x"])];
-        let outcome =
-            secure_set_union(&mut net, &ring, &domain, &inputs, NodeId(0), &mut rng).unwrap();
+        let outcome = unite(&inputs, NodeId(0)).unwrap();
         assert_eq!(outcome.items, items(&["x"]));
     }
 
     #[test]
     fn empty_inputs_yield_empty_union() {
-        let (mut net, ring, domain, mut rng) = setup(3);
-        let inputs = vec![vec![], vec![], vec![]];
-        let outcome =
-            secure_set_union(&mut net, &ring, &domain, &inputs, NodeId(0), &mut rng).unwrap();
+        let outcome = unite(&[vec![], vec![], vec![]], NodeId(0)).unwrap();
         assert!(outcome.items.is_empty());
     }
 
     #[test]
     fn some_empty_some_not() {
-        let (mut net, ring, domain, mut rng) = setup(3);
-        let inputs = vec![vec![], items(&["q"]), vec![]];
-        let outcome =
-            secure_set_union(&mut net, &ring, &domain, &inputs, NodeId(2), &mut rng).unwrap();
+        let outcome = unite(&[vec![], items(&["q"]), vec![]], NodeId(2)).unwrap();
         assert_eq!(outcome.items, items(&["q"]));
     }
 
@@ -331,12 +280,8 @@ mod tests {
         // home — and none at all when it is the only position.
         for n in [1usize, 2, 4] {
             for collector in [NodeId(0), NodeId(n)] {
-                let mut net = SimNet::new(n + 1, NetConfig::ideal());
-                let (_, ring, domain, mut rng) = setup(n);
                 let inputs: Vec<_> = (0..n).map(|i| items(&["a", &format!("p{i}")])).collect();
-                let outcome =
-                    secure_set_union(&mut net, &ring, &domain, &inputs, collector, &mut rng)
-                        .unwrap();
+                let outcome = unite(&inputs, collector).unwrap();
                 assert_eq!(outcome.cardinality(), n + 1, "n={n} at {collector}");
                 let pass = match (collector == NodeId(n), n) {
                     (true, _) => n + 1,
@@ -358,11 +303,10 @@ mod tests {
         // The decrypt pass carries |∪| − |S_c| elements: with the
         // collector's set covering the union, nothing at all.
         let count_modexp = |inputs: &[Vec<Vec<u8>>]| {
-            let (mut net, ring, domain, mut rng) = setup(inputs.len());
             let recorder = dla_telemetry::Recorder::new();
             let outcome = {
                 let _guard = recorder.install();
-                secure_set_union(&mut net, &ring, &domain, inputs, NodeId(0), &mut rng).unwrap()
+                unite(inputs, NodeId(0)).unwrap()
             };
             (outcome.items, recorder.take().total_cost().modexp)
         };
@@ -381,10 +325,14 @@ mod tests {
 
     #[test]
     fn dropped_message_is_detected() {
-        let (mut net, ring, domain, mut rng) = setup(3);
-        net.faults_mut()
+        let net = SharedNet::new(SimNet::new(3, NetConfig::ideal()));
+        net.lock()
+            .faults_mut()
             .inject_once(1, 2, dla_net::fault::FaultOutcome::Drop);
+        let (ring, domain) = (Ring::canonical(3), CommutativeDomain::fixed_256());
+        let mut rng = rand::rngs::StdRng::seed_from_u64(2000);
         let inputs = vec![items(&["a"]), items(&["b"]), items(&["c"])];
-        assert!(secure_set_union(&mut net, &ring, &domain, &inputs, NodeId(0), &mut rng).is_err());
+        let union = UnionSession::new(Session::root(&net), &ring, &domain, NodeId(0));
+        assert!(union.run(&inputs, &mut rng).is_err());
     }
 }

@@ -18,7 +18,7 @@ use crate::MpcError;
 use dla_bigint::F61;
 use dla_crypto::shamir::{self, SecretPolynomial, Share, SharePoints};
 use dla_net::wire::{Reader, Writer};
-use dla_net::{NodeId, Session, SharedNet, SimNet};
+use dla_net::{NodeId, Session};
 use rand::Rng;
 
 /// Result of a secure-sum run.
@@ -30,56 +30,11 @@ pub struct SumOutcome {
     pub report: ProtocolReport,
 }
 
-/// Runs the unweighted secure sum over `parties`, with threshold `k`;
-/// the `collector` (one of the parties or an auditor node) receives the
+/// One `Σ_s` instance bound to a [`Session`], so a sum can run
+/// concurrently with other protocol instances over one transport: the
+/// `parties` deal shares with reconstruction threshold `k`, and the
+/// `collector` (one of the parties or an auditor node) receives the
 /// published shares and reconstructs.
-///
-/// # Errors
-///
-/// Returns [`MpcError`] on network failure, malformed messages, or
-/// inconsistent published shares (a corrupted or tampered message).
-///
-/// # Panics
-///
-/// Panics unless `1 ≤ k ≤ parties.len()` and inputs match parties.
-pub fn secure_sum<R: Rng + ?Sized>(
-    net: &mut SimNet,
-    parties: &[NodeId],
-    inputs: &[F61],
-    k: usize,
-    collector: NodeId,
-    rng: &mut R,
-) -> Result<SumOutcome, MpcError> {
-    let weights = vec![F61::ONE; parties.len()];
-    secure_weighted_sum(net, parties, inputs, &weights, k, collector, rng)
-}
-
-/// Runs the weighted secure sum `Σ α_i·a_i` with public `weights`.
-///
-/// # Errors
-///
-/// As [`secure_sum`].
-///
-/// # Panics
-///
-/// As [`secure_sum`], plus `weights.len()` must match.
-pub fn secure_weighted_sum<R: Rng + ?Sized>(
-    net: &mut SimNet,
-    parties: &[NodeId],
-    inputs: &[F61],
-    weights: &[F61],
-    k: usize,
-    collector: NodeId,
-    rng: &mut R,
-) -> Result<SumOutcome, MpcError> {
-    let link = SharedNet::new(net);
-    let session = Session::root(&link);
-    run(&session, parties, inputs, weights, k, collector, rng)
-}
-
-/// The session-parameterized form of `Σ_s`: bind the protocol to any
-/// [`Session`] so a sum can run concurrently with other protocol
-/// instances over one transport.
 #[derive(Debug)]
 pub struct SumSession<'a> {
     session: Session<'a>,
@@ -90,8 +45,8 @@ pub struct SumSession<'a> {
 }
 
 impl<'a> SumSession<'a> {
-    /// Binds `Σ_s` to `session` with reconstruction threshold `k`; the
-    /// `collector` receives the published shares.
+    /// Binds the unweighted `Σ_s` to `session` with reconstruction
+    /// threshold `k`; the `collector` receives the published shares.
     #[must_use]
     pub fn new(session: Session<'a>, parties: &'a [NodeId], k: usize, collector: NodeId) -> Self {
         SumSession {
@@ -110,119 +65,102 @@ impl<'a> SumSession<'a> {
         self
     }
 
-    /// Runs the protocol over this session.
+    /// Runs the protocol over this session; `inputs[i]` is the secret
+    /// of `parties[i]`.
     ///
     /// # Errors
     ///
-    /// As [`secure_sum`].
+    /// Returns [`MpcError`] on network failure, malformed messages, or
+    /// inconsistent published shares (a corrupted or tampered message).
     ///
     /// # Panics
     ///
-    /// As [`secure_weighted_sum`].
+    /// Panics unless `1 ≤ k ≤ parties.len()` and inputs (and weights,
+    /// when given) match parties.
     pub fn run<R: Rng + ?Sized>(
         &self,
         inputs: &[F61],
         rng: &mut R,
     ) -> Result<SumOutcome, MpcError> {
+        let (net, parties, k, collector) = (&self.session, self.parties, self.k, self.collector);
+        let n = parties.len();
+        assert!(n >= 1, "need at least one party");
+        assert_eq!(inputs.len(), n, "one input per party");
         let ones;
         let weights = match self.weights {
             Some(w) => w,
             None => {
-                ones = vec![F61::ONE; self.parties.len()];
+                ones = vec![F61::ONE; n];
                 &ones
             }
         };
-        run(
-            &self.session,
-            self.parties,
-            inputs,
-            weights,
-            self.k,
-            self.collector,
-            rng,
-        )
-    }
-}
+        assert_eq!(weights.len(), n, "one weight per party");
+        assert!(k >= 1 && k <= n, "threshold must satisfy 1 <= k <= n");
+        let meter = Meter::begin(net, "secure-sum");
 
-fn run<R: Rng + ?Sized>(
-    net: &Session<'_>,
-    parties: &[NodeId],
-    inputs: &[F61],
-    weights: &[F61],
-    k: usize,
-    collector: NodeId,
-    rng: &mut R,
-) -> Result<SumOutcome, MpcError> {
-    let n = parties.len();
-    assert!(n >= 1, "need at least one party");
-    assert_eq!(inputs.len(), n, "one input per party");
-    assert_eq!(weights.len(), n, "one weight per party");
-    assert!(k >= 1 && k <= n, "threshold must satisfy 1 <= k <= n");
-    let meter = Meter::start_session(net);
-    let _telemetry = crate::report::SessionTelemetry::begin(net, "secure-sum");
+        let points = SharePoints::canonical(n);
 
-    let points = SharePoints::canonical(n);
-
-    // Round 1: each party deals shares of its secret to every peer.
-    let polys: Vec<SecretPolynomial> = inputs
-        .iter()
-        .map(|&a| SecretPolynomial::random(a, k, rng))
-        .collect();
-    // received[j][i] = s_ij, the share party j holds of party i's secret.
-    let mut received: Vec<Vec<F61>> = vec![vec![F61::ZERO; n]; n];
-    for (i, poly) in polys.iter().enumerate() {
-        for j in 0..n {
-            let share = poly.share_at(points.point(j));
-            if i == j {
-                received[j][i] = share.y;
-                continue;
+        // Round 1: each party deals shares of its secret to every peer.
+        let polys: Vec<SecretPolynomial> = inputs
+            .iter()
+            .map(|&a| SecretPolynomial::random(a, k, rng))
+            .collect();
+        // received[j][i] = s_ij, the share party j holds of party i's secret.
+        let mut received: Vec<Vec<F61>> = vec![vec![F61::ZERO; n]; n];
+        for (i, poly) in polys.iter().enumerate() {
+            for j in 0..n {
+                let share = poly.share_at(points.point(j));
+                if i == j {
+                    received[j][i] = share.y;
+                    continue;
+                }
+                net.send(parties[i], parties[j], encode_share(i as u64, share.y));
+                let envelope = net.recv_from(parties[j], parties[i])?;
+                let (origin, y) = decode_share(&envelope.payload)?;
+                if origin as usize != i {
+                    return Err(MpcError::Protocol(format!(
+                        "share labeled from {origin} arrived on {i}'s channel"
+                    )));
+                }
+                received[j][i] = y;
             }
-            net.send(parties[i], parties[j], encode_share(i as u64, share.y));
-            let envelope = net.recv_from(parties[j], parties[i])?;
-            let (origin, y) = decode_share(&envelope.payload)?;
-            if origin as usize != i {
+        }
+
+        // Round 2: each party publishes F(x_j) = Σ_i α_i·s_ij to the
+        // collector.
+        let mut published: Vec<Share> = Vec::with_capacity(n);
+        for j in 0..n {
+            let f_xj: F61 = (0..n).map(|i| weights[i] * received[j][i]).sum();
+            net.send(parties[j], collector, encode_share(j as u64, f_xj));
+            let envelope = net.recv_from(collector, parties[j])?;
+            let (idx, y) = decode_share(&envelope.payload)?;
+            if idx as usize >= n {
                 return Err(MpcError::Protocol(format!(
-                    "share labeled from {origin} arrived on {i}'s channel"
+                    "published share carries out-of-range index {idx}"
                 )));
             }
-            received[j][i] = y;
+            published.push(Share {
+                x: points.point(idx as usize),
+                y,
+            });
         }
-    }
 
-    // Round 2: each party publishes F(x_j) = Σ_i α_i·s_ij to the
-    // collector.
-    let mut published: Vec<Share> = Vec::with_capacity(n);
-    for j in 0..n {
-        let f_xj: F61 = (0..n).map(|i| weights[i] * received[j][i]).sum();
-        net.send(parties[j], collector, encode_share(j as u64, f_xj));
-        let envelope = net.recv_from(collector, parties[j])?;
-        let (idx, y) = decode_share(&envelope.payload)?;
-        if idx as usize >= n {
-            return Err(MpcError::Protocol(format!(
-                "published share carries out-of-range index {idx}"
-            )));
+        // Reconstruct from the first k shares, then verify the remaining
+        // published shares lie on the same polynomial — a cheap integrity
+        // check that catches corrupted/tampered messages.
+        let total = shamir::reconstruct(&published[..k])?;
+        for extra in &published[k..] {
+            let predicted = shamir::reconstruct_at(&published[..k], extra.x)?;
+            if predicted != extra.y {
+                return Err(MpcError::Protocol(
+                    "published shares are inconsistent: corrupted share detected".into(),
+                ));
+            }
         }
-        published.push(Share {
-            x: points.point(idx as usize),
-            y,
-        });
-    }
 
-    // Reconstruct from the first k shares, then verify the remaining
-    // published shares lie on the same polynomial — a cheap integrity
-    // check that catches corrupted/tampered messages.
-    let total = shamir::reconstruct(&published[..k])?;
-    for extra in &published[k..] {
-        let predicted = shamir::reconstruct_at(&published[..k], extra.x)?;
-        if predicted != extra.y {
-            return Err(MpcError::Protocol(
-                "published shares are inconsistent: corrupted share detected".into(),
-            ));
-        }
+        let report = meter.finish(n, 2);
+        Ok(SumOutcome { total, report })
     }
-
-    let report = meter.finish_session(net, "secure-sum", n, 2);
-    Ok(SumOutcome { total, report })
 }
 
 fn encode_share(origin: u64, y: F61) -> bytes::Bytes {
@@ -246,68 +184,62 @@ fn decode_share(payload: &[u8]) -> Result<(u64, F61), MpcError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dla_net::NetConfig;
+    use dla_net::{NetConfig, SharedNet, SimNet};
     use rand::SeedableRng;
 
-    fn setup(n: usize) -> (SimNet, Vec<NodeId>, rand::rngs::StdRng) {
+    fn setup(n: usize) -> (SharedNet, Vec<NodeId>, rand::rngs::StdRng) {
         (
             // One extra node to act as an off-party collector.
-            SimNet::new(n + 1, NetConfig::ideal()),
+            SharedNet::new(SimNet::new(n + 1, NetConfig::ideal())),
             (0..n).map(NodeId).collect(),
             rand::rngs::StdRng::seed_from_u64(3000),
         )
     }
 
+    /// The unweighted sum of `inputs` over parties `0..n` on a fresh
+    /// network, threshold `k`, collected at `collector`.
+    fn sum(inputs: &[u64], k: usize, collector: NodeId) -> Result<SumOutcome, MpcError> {
+        let (net, parties, mut rng) = setup(inputs.len());
+        let inputs: Vec<F61> = inputs.iter().copied().map(F61::new).collect();
+        SumSession::new(Session::root(&net), &parties, k, collector).run(&inputs, &mut rng)
+    }
+
     #[test]
     fn sums_correctly() {
-        let (mut net, parties, mut rng) = setup(4);
-        let inputs = [10u64, 20, 30, 40].map(F61::new);
-        let outcome = secure_sum(&mut net, &parties, &inputs, 3, NodeId(4), &mut rng).unwrap();
+        let outcome = sum(&[10, 20, 30, 40], 3, NodeId(4)).unwrap();
         assert_eq!(outcome.total, F61::new(100));
     }
 
     #[test]
     fn weighted_sum_matches_paper_extension() {
-        let (mut net, parties, mut rng) = setup(3);
+        let (net, parties, mut rng) = setup(3);
         let inputs = [5u64, 7, 9].map(F61::new);
         let weights = [2u64, 3, 10].map(F61::new);
-        let outcome = secure_weighted_sum(
-            &mut net,
-            &parties,
-            &inputs,
-            &weights,
-            2,
-            NodeId(3),
-            &mut rng,
-        )
-        .unwrap();
+        let outcome = SumSession::new(Session::root(&net), &parties, 2, NodeId(3))
+            .weighted(&weights)
+            .run(&inputs, &mut rng)
+            .unwrap();
         assert_eq!(outcome.total, F61::new(2 * 5 + 3 * 7 + 10 * 9));
     }
 
     #[test]
     fn collector_can_be_a_party() {
-        let (mut net, parties, mut rng) = setup(3);
-        let inputs = [1u64, 2, 3].map(F61::new);
-        let outcome = secure_sum(&mut net, &parties, &inputs, 2, parties[0], &mut rng).unwrap();
+        let outcome = sum(&[1, 2, 3], 2, NodeId(0)).unwrap();
         assert_eq!(outcome.total, F61::new(6));
     }
 
     #[test]
     fn wraps_in_the_field() {
         use dla_bigint::field::P61;
-        let (mut net, parties, mut rng) = setup(2);
-        let inputs = [F61::new(P61 - 1), F61::new(5)];
-        let outcome = secure_sum(&mut net, &parties, &inputs, 2, NodeId(2), &mut rng).unwrap();
+        let outcome = sum(&[P61 - 1, 5], 2, NodeId(2)).unwrap();
         assert_eq!(outcome.total, F61::new(4));
     }
 
     #[test]
     fn message_complexity_is_quadratic_share_round_plus_publish() {
         for n in [2usize, 3, 6] {
-            let (mut net, parties, mut rng) = setup(n);
-            let inputs: Vec<F61> = (0..n as u64).map(F61::new).collect();
-            let outcome =
-                secure_sum(&mut net, &parties, &inputs, 2.min(n), NodeId(n), &mut rng).unwrap();
+            let inputs: Vec<u64> = (0..n as u64).collect();
+            let outcome = sum(&inputs, 2.min(n), NodeId(n)).unwrap();
             assert_eq!(outcome.report.messages as usize, n * (n - 1) + n, "n={n}");
             assert_eq!(outcome.report.rounds, 2);
         }
@@ -315,13 +247,15 @@ mod tests {
 
     #[test]
     fn corrupted_share_detected_by_consistency_check() {
-        let (mut net, parties, mut rng) = setup(4);
+        let (net, parties, mut rng) = setup(4);
         // Corrupt a round-2 publish (party 3 -> collector 4).
-        net.faults_mut()
+        net.lock()
+            .faults_mut()
             .inject_once(3, 4, dla_net::fault::FaultOutcome::Corrupt);
         let inputs = [1u64, 2, 3, 4].map(F61::new);
         // k=3 < n=4 so the 4th share is cross-checked.
-        let result = secure_sum(&mut net, &parties, &inputs, 3, NodeId(4), &mut rng);
+        let result =
+            SumSession::new(Session::root(&net), &parties, 3, NodeId(4)).run(&inputs, &mut rng);
         match result {
             Err(MpcError::Protocol(_)) => {} // inconsistent share or bad index
             Err(MpcError::Wire(_)) => {}     // corruption hit the wire framing
@@ -333,29 +267,19 @@ mod tests {
 
     #[test]
     fn single_party_degenerate_sum() {
-        let (mut net, parties, mut rng) = setup(1);
-        let inputs = [F61::new(42)];
-        let outcome = secure_sum(&mut net, &parties, &inputs, 1, NodeId(1), &mut rng).unwrap();
+        let outcome = sum(&[42], 1, NodeId(1)).unwrap();
         assert_eq!(outcome.total, F61::new(42));
     }
 
     #[test]
     #[should_panic(expected = "threshold")]
     fn bad_threshold_panics() {
-        let (mut net, parties, mut rng) = setup(3);
-        let inputs = [1u64, 2, 3].map(F61::new);
-        let _ = secure_sum(&mut net, &parties, &inputs, 4, NodeId(3), &mut rng);
+        let _ = sum(&[1, 2, 3], 4, NodeId(3));
     }
 
     #[test]
     fn deterministic_under_seed() {
-        let run = || {
-            let (mut net, parties, mut rng) = setup(3);
-            let inputs = [11u64, 22, 33].map(F61::new);
-            secure_sum(&mut net, &parties, &inputs, 2, NodeId(3), &mut rng)
-                .unwrap()
-                .total
-        };
+        let run = || sum(&[11, 22, 33], 2, NodeId(3)).unwrap().total;
         assert_eq!(run(), run());
     }
 }

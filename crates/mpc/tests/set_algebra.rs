@@ -99,9 +99,11 @@ proptest! {
         let ring = Ring::new(order);
         let collector = if inside { NodeId(rng.gen_range(0..n)) } else { NodeId(n) };
         let domain = CommutativeDomain::fixed_256();
-        let mut net = SimNet::new(n + 1, NetConfig::ideal());
-        let (ssi_id, union_id) = (net.open_session(), net.open_session());
-        let link = SharedNet::new(&mut net);
+        let link = SharedNet::new(SimNet::new(n + 1, NetConfig::ideal()));
+        let (ssi_id, union_id) = {
+            let mut net = link.lock();
+            (net.open_session(), net.open_session())
+        };
 
         let ssi = SsiSession::new(Session::new(&link, ssi_id), &ring, &domain, collector)
             .reveal(reveal)
@@ -138,6 +140,11 @@ fn contains(haystack: &[u8], needle: &[u8]) -> bool {
     haystack.windows(needle.len()).any(|w| w == needle)
 }
 
+/// An ideal `n`-node simulator that keeps every payload it carries.
+fn capturing_net(n: usize) -> SharedNet {
+    SharedNet::new(SimNet::new(n, NetConfig::ideal().with_payload_capture()))
+}
+
 #[test]
 fn ring_collector_reveal_sends_nothing_after_collection_and_no_plaintext() {
     let n = 4;
@@ -148,16 +155,17 @@ fn ring_collector_reveal_sends_nothing_after_collection_and_no_plaintext() {
         .collect();
     let needles = plaintext_needles(&domain, &ring, &inputs);
     for collector in (0..n).map(NodeId) {
-        let mut net = SimNet::new(n, NetConfig::ideal().with_payload_capture());
+        let net = capturing_net(n);
         let mut rng = StdRng::seed_from_u64(77);
-        let outcome = dla_mpc::set_intersection::secure_set_intersection(
-            &mut net, &ring, &domain, &inputs, collector, true, &mut rng,
-        )
-        .unwrap();
+        let outcome = SsiSession::new(Session::root(&net), &ring, &domain, collector)
+            .reveal(true)
+            .run(&inputs, &mut rng)
+            .unwrap();
         assert_eq!(outcome.common_items.unwrap(), vec![item(0), item(1)]);
 
         // n(n−1) relay hops, then the collection round — and nothing
         // after it: no node is asked to decrypt anything.
+        let net = net.into_inner();
         let wire = net.captured_payloads();
         assert_eq!(wire.len(), n * (n - 1) + n);
         for (_, to, _) in &wire[n * (n - 1)..] {
@@ -200,16 +208,16 @@ fn ring_collector_union_shows_no_relay_a_plaintext_or_a_linkable_ciphertext() {
         let inputs: Vec<Vec<Vec<u8>>> = (0..n).map(|i| vec![item(0), item(10 + i)]).collect();
         let needles = plaintext_needles(&domain, &ring, &inputs);
         for collector in (0..n).map(NodeId) {
-            let mut net = SimNet::new(n, NetConfig::ideal().with_payload_capture());
+            let net = capturing_net(n);
             let mut rng = StdRng::seed_from_u64(78);
-            let outcome = dla_mpc::set_union::secure_set_union(
-                &mut net, &ring, &domain, &inputs, collector, &mut rng,
-            )
-            .unwrap();
+            let outcome = UnionSession::new(Session::root(&net), &ring, &domain, collector)
+                .run(&inputs, &mut rng)
+                .unwrap();
             assert_eq!(outcome.cardinality(), n + 1);
 
             // n(n−1) relay hops, n collection messages, then the pass:
             // n−1 relays and the hand-back to the collector.
+            let net = net.into_inner();
             let wire = net.captured_payloads();
             let (before, pass) = wire.split_at(n * (n - 1) + n);
             assert_eq!(pass.len(), n);
@@ -261,28 +269,17 @@ fn items_differing_in_leading_zeros_are_one_element() {
         vec![vec![0x00, 0x01], vec![0x00, 0x02], vec![0x01]],
         vec![vec![0x01], vec![0x03]],
     ];
-    let mut net = SimNet::new(2, NetConfig::ideal());
+    let net = SharedNet::new(SimNet::new(2, NetConfig::ideal()));
+    let session = Session::root(&net);
     let mut rng = StdRng::seed_from_u64(80);
-    let ssi = dla_mpc::set_intersection::secure_set_intersection(
-        &mut net,
-        &ring,
-        &domain,
-        &inputs,
-        NodeId(0),
-        true,
-        &mut rng,
-    )
-    .unwrap();
+    let ssi = SsiSession::new(session, &ring, &domain, NodeId(0))
+        .reveal(true)
+        .run(&inputs, &mut rng)
+        .unwrap();
     assert_eq!(ssi.common_items.unwrap(), vec![vec![0x01]]);
-    let union = dla_mpc::set_union::secure_set_union(
-        &mut net,
-        &ring,
-        &domain,
-        &inputs,
-        NodeId(0),
-        &mut rng,
-    )
-    .unwrap();
+    let union = UnionSession::new(session, &ring, &domain, NodeId(0))
+        .run(&inputs, &mut rng)
+        .unwrap();
     assert_eq!(union.items, vec![vec![0x01], vec![0x02], vec![0x03]]);
 }
 
@@ -291,19 +288,14 @@ fn single_holder_reveal_is_one_message_between_holder_and_collector() {
     let ring = Ring::new(vec![NodeId(2)]);
     let domain = CommutativeDomain::fixed_256();
     let inputs = vec![vec![item(3), item(4)]];
-    let mut net = SimNet::new(4, NetConfig::ideal().with_payload_capture());
+    let net = capturing_net(4);
     let mut rng = StdRng::seed_from_u64(79);
-    let outcome = dla_mpc::set_intersection::secure_set_intersection(
-        &mut net,
-        &ring,
-        &domain,
-        &inputs,
-        NodeId(3),
-        true,
-        &mut rng,
-    )
-    .unwrap();
+    let outcome = SsiSession::new(Session::root(&net), &ring, &domain, NodeId(3))
+        .reveal(true)
+        .run(&inputs, &mut rng)
+        .unwrap();
     assert_eq!(outcome.common_items.unwrap(), vec![item(3), item(4)]);
+    let net = net.into_inner();
     let wire = net.captured_payloads();
     assert_eq!(wire.len(), 1);
     assert_eq!((wire[0].0, wire[0].1), (NodeId(2), NodeId(3)));

@@ -75,13 +75,15 @@ pub use time::{Clock, SimTime, VirtualClock, WallClock};
 /// see [`Envelope::encode`]) so several protocol instances can be in
 /// flight over one transport at the same time: inboxes, virtual clocks
 /// and traffic accounting are all partitioned by session. Session
-/// [`SessionId::ROOT`] is the default used by the legacy
-/// single-protocol API.
+/// [`SessionId::ROOT`] is where one-at-a-time traffic runs (see
+/// [`Session::root`]).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct SessionId(pub u64);
 
 impl SessionId {
-    /// The default session of the single-protocol compatibility API.
+    /// The session of a transport's one-at-a-time traffic: what
+    /// [`Session::root`] binds, and what [`SimNet`]'s session-less
+    /// `send`/`recv` conveniences address.
     pub const ROOT: SessionId = SessionId(0);
 
     /// Bits of the session word reserved for the federation ring id.

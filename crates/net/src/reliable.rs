@@ -455,8 +455,8 @@ mod tests {
 
     #[test]
     fn clean_link_round_trips() {
-        let mut net = lossy_net(0.0, 0.0, 0.0, 1);
-        let link = SharedNet::new(&mut net);
+        let net = lossy_net(0.0, 0.0, 0.0, 1);
+        let link = SharedNet::new(net);
         let reliable = Reliable::new(&link);
         ship(&Session::root(&reliable), 20);
     }
@@ -464,8 +464,8 @@ mod tests {
     #[test]
     fn survives_drops_duplicates_and_corruption() {
         for seed in 0..5 {
-            let mut net = lossy_net(0.15, 0.1, 0.1, seed);
-            let link = SharedNet::new(&mut net);
+            let net = lossy_net(0.15, 0.1, 0.1, seed);
+            let link = SharedNet::new(net);
             let reliable = Reliable::new(&link);
             ship(&Session::root(&reliable), 30);
         }
@@ -475,7 +475,7 @@ mod tests {
     fn suppresses_targeted_duplicate() {
         let mut net = lossy_net(0.0, 0.0, 0.0, 1);
         net.faults_mut().inject_once(0, 1, FaultOutcome::Duplicate);
-        let link = SharedNet::new(&mut net);
+        let link = SharedNet::new(net);
         let reliable = Reliable::new(&link);
         let session = Session::root(&reliable);
         session.send(NodeId(0), NodeId(1), Bytes::from_static(b"once"));
@@ -491,7 +491,7 @@ mod tests {
     fn recovers_targeted_corruption_by_retransmit() {
         let mut net = lossy_net(0.0, 0.0, 0.0, 1);
         net.faults_mut().inject_once(0, 1, FaultOutcome::Corrupt);
-        let link = SharedNet::new(&mut net);
+        let link = SharedNet::new(net);
         let reliable = Reliable::new(&link);
         let session = Session::root(&reliable);
         session.send(NodeId(0), NodeId(1), Bytes::from_static(b"precious"));
@@ -501,8 +501,8 @@ mod tests {
 
     #[test]
     fn recv_times_out_instead_of_hanging() {
-        let mut net = lossy_net(0.0, 0.0, 0.0, 1);
-        let link = SharedNet::new(&mut net);
+        let net = lossy_net(0.0, 0.0, 0.0, 1);
+        let link = SharedNet::new(net);
         let reliable = Reliable::with_config(&link, ReliableConfig::default().with_max_retries(3));
         let session = Session::root(&reliable);
         // Nothing was ever sent: bounded retries, then Timeout.
@@ -516,7 +516,7 @@ mod tests {
     fn timeout_when_peer_is_dead() {
         let mut net = lossy_net(0.0, 0.0, 0.0, 1);
         net.faults_mut().kill_node(0);
-        let link = SharedNet::new(&mut net);
+        let link = SharedNet::new(net);
         let reliable = Reliable::new(&link);
         let session = Session::root(&reliable);
         session.send(NodeId(0), NodeId(1), Bytes::from_static(b"lost cause"));
@@ -545,7 +545,7 @@ mod tests {
     fn retransmission_charges_virtual_time() {
         let mut net = lossy_net(0.0, 0.0, 0.0, 1);
         net.faults_mut().inject_once(0, 1, FaultOutcome::Drop);
-        let link = SharedNet::new(&mut net);
+        let link = SharedNet::new(net);
         let reliable = Reliable::new(&link);
         let session = Session::root(&reliable);
         session.send(NodeId(0), NodeId(1), Bytes::from_static(b"x"));
@@ -558,8 +558,8 @@ mod tests {
 
     #[test]
     fn selective_receive_keeps_other_senders_queued() {
-        let mut net = lossy_net(0.0, 0.0, 0.0, 1);
-        let link = SharedNet::new(&mut net);
+        let net = lossy_net(0.0, 0.0, 0.0, 1);
+        let link = SharedNet::new(net);
         let reliable = Reliable::new(&link);
         let session = Session::root(&reliable);
         session.send(NodeId(2), NodeId(1), Bytes::from_static(b"from-2"));
@@ -613,7 +613,7 @@ mod tests {
         let clock = Arc::new(VirtualClock::new());
         let mut net = lossy_net(0.0, 0.0, 0.0, 1);
         net.faults_mut().inject_once(0, 1, FaultOutcome::Drop);
-        let link = SharedNet::new(&mut net);
+        let link = SharedNet::new(net);
         let reliable = Reliable::new(&link).with_clock(Arc::clone(&clock) as _);
         let session = Session::root(&reliable);
         session.send(NodeId(0), NodeId(1), Bytes::from_static(b"x"));
@@ -627,8 +627,8 @@ mod tests {
     #[test]
     fn reliable_is_object_safe() {
         fn take(_: &dyn Transport) {}
-        let mut net = lossy_net(0.0, 0.0, 0.0, 1);
-        let link = SharedNet::new(&mut net);
+        let net = lossy_net(0.0, 0.0, 0.0, 1);
+        let link = SharedNet::new(net);
         take(&Reliable::new(&link));
     }
 }

@@ -7,11 +7,9 @@
 //! third, [`crate::TcpNet`], crosses process boundaries):
 //!
 //! * [`SharedNet`] — the one adapter from the virtual-time [`SimNet`]
-//!   to [`Transport`]: a mutex over a simulator it either owns (the
-//!   cluster's network, driven by one session per worker thread) or
-//!   exclusively borrows (the `dla-mpc` free functions, which run one
-//!   protocol on a caller's `&mut SimNet`). Virtual time stays
-//!   deterministic per session while real threads interleave freely.
+//!   to [`Transport`]: a mutex over the simulator it owns, driven by
+//!   one session per worker thread. Virtual time stays deterministic
+//!   per session while real threads interleave freely.
 //! * [`ChannelNet`] — a crossbeam-channel transport for real OS
 //!   threads, where every message crosses the [`Envelope::encode`]
 //!   wire codec, session id first. Receivers demultiplex by session,
@@ -27,7 +25,6 @@ use crate::{NetError, NodeId, SessionId};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Mutex, MutexGuard};
-use std::borrow::BorrowMut;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
@@ -100,7 +97,10 @@ impl<'a> Session<'a> {
         Session { transport, id }
     }
 
-    /// The root session — what the legacy single-protocol API runs on.
+    /// The root session ([`SessionId::ROOT`]) — where a transport's
+    /// one-at-a-time traffic runs: a single protocol on its own
+    /// network, and every `dla-audit` cluster leg that is not a
+    /// concurrent subquery.
     #[must_use]
     pub fn root(transport: &'a dyn Transport) -> Self {
         Session::new(transport, SessionId::ROOT)
@@ -175,47 +175,46 @@ impl<'a> Session<'a> {
 /// A [`SimNet`] behind the [`Transport`] trait — the only adapter
 /// from the simulator to protocol code.
 ///
-/// `N` is the simulator itself (what `DlaCluster` holds) or a
-/// `&mut SimNet` (what the `dla-mpc` free functions are handed); either
-/// way each operation takes the lock briefly, so real OS threads can
-/// each drive their own session over one simulated network. Virtual
-/// time and delivery order stay deterministic *per session* (see
-/// [`SimNet`]'s session partitioning) no matter how the threads
-/// interleave; with a single driver the lock is never contended.
+/// It owns its simulator, and each operation takes the lock briefly,
+/// so real OS threads can each drive their own session over one
+/// simulated network. Virtual time and delivery order stay
+/// deterministic *per session* (see [`SimNet`]'s session partitioning)
+/// no matter how the threads interleave; with a single driver the lock
+/// is never contended.
 #[derive(Debug)]
-pub struct SharedNet<N = SimNet> {
-    net: Mutex<N>,
+pub struct SharedNet {
+    net: Mutex<SimNet>,
 }
 
-impl<N: BorrowMut<SimNet>> SharedNet<N> {
-    /// Wraps `net` — a [`SimNet`] or a `&mut SimNet`.
+impl SharedNet {
+    /// Wraps `net`.
     #[must_use]
-    pub fn new(net: N) -> Self {
+    pub fn new(net: SimNet) -> Self {
         SharedNet {
             net: Mutex::new(net),
         }
     }
 
-    /// Locks the simulator for direct use — stats, clocks, fault
-    /// injection between protocol operations, fresh session ids. The
-    /// guard dereferences to [`SimNet`] (through the borrow, for a
-    /// borrowed net). The lock is not reentrant.
-    pub fn lock(&self) -> MutexGuard<'_, N> {
+    /// Locks the simulator for inspection and scripting — stats,
+    /// clocks, fault injection between protocol operations, fresh
+    /// session ids. Messages move through a [`Session`], not through
+    /// this guard. The lock is not reentrant.
+    pub fn lock(&self) -> MutexGuard<'_, SimNet> {
         self.net.lock()
     }
 
-    /// Unwraps what was wrapped.
+    /// Unwraps the simulator, e.g. to read its final ledger.
     #[must_use]
-    pub fn into_inner(self) -> N {
+    pub fn into_inner(self) -> SimNet {
         self.net.into_inner()
     }
 
     fn sim<R>(&self, f: impl FnOnce(&mut SimNet) -> R) -> R {
-        f((*self.net.lock()).borrow_mut())
+        f(&mut self.net.lock())
     }
 }
 
-impl<N: BorrowMut<SimNet>> Transport for SharedNet<N> {
+impl Transport for SharedNet {
     fn num_nodes(&self) -> usize {
         self.sim(|net| net.num_nodes())
     }
@@ -483,17 +482,17 @@ mod tests {
     use std::thread;
 
     /// Round trip, two multiplexed sessions, then two threads each
-    /// driving its own session — over whatever `shared` wraps.
-    fn drive_shared_net<N: BorrowMut<SimNet> + Send>(shared: &SharedNet<N>) {
+    /// driving its own session.
+    #[test]
+    fn shared_net_carries_sessions_across_threads() {
+        let shared = &SharedNet::new(SimNet::new(2, NetConfig::ideal()));
         let root = Session::root(shared);
         root.send(NodeId(0), NodeId(1), Bytes::from_static(b"hi"));
         assert_eq!(&root.recv(NodeId(1)).unwrap().payload[..], b"hi");
         assert_eq!(root.counters(), (1, 2));
 
-        // Generic over the wrapped net, so the guard is borrowed by hand.
         let (s1, s2) = {
-            let mut guard = shared.lock();
-            let net: &mut SimNet = (*guard).borrow_mut();
+            let mut net = shared.lock();
             (net.open_session(), net.open_session())
         };
         let (a, b) = (Session::new(shared, s1), Session::new(shared, s2));
@@ -518,30 +517,20 @@ mod tests {
                 });
             }
         });
-        let guard = shared.lock();
-        let stats = (*guard).borrow().stats();
+        let net = shared.lock();
+        let stats = net.stats();
         assert_eq!(stats.messages_sent, 43);
         assert_eq!(stats.session(s1).messages, 21);
         assert_eq!(stats.session(s2).messages, 21);
     }
 
     #[test]
-    fn shared_net_carries_sessions_over_an_owned_and_a_borrowed_net() {
-        let owned = SharedNet::new(SimNet::new(2, NetConfig::ideal()));
-        drive_shared_net(&owned);
-        assert_eq!(owned.into_inner().stats().messages_sent, 43);
-
-        let mut net = SimNet::new(2, NetConfig::ideal());
-        drive_shared_net(&SharedNet::new(&mut net));
-        // Traffic went through the caller's SimNet's ledger.
-        assert_eq!(net.stats().messages_sent, 43);
-    }
-
-    #[test]
-    fn borrowed_shared_net_is_send_and_sync() {
+    fn shared_net_is_send_and_sync_and_gives_its_simulator_back() {
         fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<SharedNet<&mut SimNet>>();
         assert_send_sync::<SharedNet>();
+        let shared = SharedNet::new(SimNet::new(2, NetConfig::ideal()));
+        Session::root(&shared).send(NodeId(0), NodeId(1), Bytes::from_static(b"hi"));
+        assert_eq!(shared.into_inner().stats().messages_sent, 1);
     }
 
     #[test]

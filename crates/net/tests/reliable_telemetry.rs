@@ -27,8 +27,8 @@ fn clean_net(seed: u64) -> SimNet {
 #[test]
 fn retransmit_count_matches_targeted_drop_schedule() {
     for drops in [1usize, 3, 7] {
-        let mut net = clean_net(11);
-        let link = SharedNet::new(&mut net);
+        let net = clean_net(11);
+        let link = SharedNet::new(net);
         let reliable = Reliable::new(&link);
         let session = Session::root(&reliable);
         for i in 0..drops {
@@ -67,14 +67,14 @@ fn timeout_counters_match_retry_budget_when_peer_is_dead() {
     let max_retries = 4u32;
     let mut faults = FaultPlan::none();
     faults.kill_node(0);
-    let mut net = SimNet::new(
+    let net = SimNet::new(
         3,
         NetConfig::ideal()
             .with_faults(faults)
             .with_seed(5)
             .with_latency(LatencyModel::lan()),
     );
-    let link = SharedNet::new(&mut net);
+    let link = SharedNet::new(net);
     let reliable = Reliable::with_config(
         &link,
         ReliableConfig::default().with_max_retries(max_retries),
@@ -97,7 +97,7 @@ fn timeout_counters_match_retry_budget_when_peer_is_dead() {
 fn duplicate_suppression_is_counted() {
     let mut net = clean_net(7);
     net.faults_mut().inject_once(0, 1, FaultOutcome::Duplicate);
-    let link = SharedNet::new(&mut net);
+    let link = SharedNet::new(net);
     let reliable = Reliable::with_config(&link, ReliableConfig::default().with_max_retries(2));
     let session = Session::root(&reliable);
     session.send(NodeId(0), NodeId(1), Bytes::from_static(b"once"));
@@ -127,14 +127,14 @@ fn telemetry_sink_mirrors_reliable_stats() {
         let _install = recorder.install();
         let mut faults = FaultPlan::none();
         faults.kill_node(0);
-        let mut net = SimNet::new(
+        let net = SimNet::new(
             2,
             NetConfig::ideal()
                 .with_faults(faults)
                 .with_seed(9)
                 .with_latency(LatencyModel::lan()),
         );
-        let link = SharedNet::new(&mut net);
+        let link = SharedNet::new(net);
         let reliable = Reliable::with_config(&link, ReliableConfig::default().with_max_retries(3));
         let session = Session::root(&reliable);
         session.send(NodeId(0), NodeId(1), Bytes::from_static(b"x"));

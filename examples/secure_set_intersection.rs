@@ -9,16 +9,18 @@
 //! Run with: `cargo run --example secure_set_intersection`
 
 use confidential_audit::crypto::pohlig_hellman::CommutativeDomain;
-use confidential_audit::mpc::set_intersection::secure_set_intersection_traced;
+use confidential_audit::mpc::SsiSession;
 use confidential_audit::net::topology::Ring;
-use confidential_audit::net::{NetConfig, NodeId, SimNet};
+use confidential_audit::net::{NetConfig, NodeId, Session, SharedNet, SimNet};
 use rand::SeedableRng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sets: [&[&str]; 3] = [&["c", "d", "e"], &["d", "e", "f"], &["e", "f", "g"]];
     println!("S1 = {{c, d, e}},  S2 = {{d, e, f}},  S3 = {{e, f, g}}\n");
 
-    let mut net = SimNet::new(3, NetConfig::ideal());
+    // The protocol runs on a session — here the root session of a
+    // simulated three-node network; a `ChannelNet` or `TcpNet` would do.
+    let net = SharedNet::new(SimNet::new(3, NetConfig::ideal()));
     let ring = Ring::canonical(3);
     let domain = CommutativeDomain::fixed_256();
     let mut rng = rand::rngs::StdRng::seed_from_u64(4);
@@ -28,18 +30,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|s| s.iter().map(|e| e.as_bytes().to_vec()).collect())
         .collect();
 
-    let (outcome, trace) = secure_set_intersection_traced(
-        &mut net,
-        &ring,
-        &domain,
-        &inputs,
-        NodeId(0),
-        true,
-        &mut rng,
-    )?;
+    let outcome = SsiSession::new(Session::root(&net), &ring, &domain, NodeId(0))
+        .reveal(true)
+        .traced()
+        .run(&inputs, &mut rng)?;
 
     // Print the hop trace in the paper's E-layer notation.
-    for hop in &trace {
+    for hop in &outcome.trace {
         let layers: String = hop
             .layers
             .iter()

@@ -1,7 +1,8 @@
 //! One thin test per layer under the cluster — bigint, crypto, net,
-//! logstore (its journal, and the store that replays it) — through the
-//! facade and with no `DlaCluster`, so tier-1 touches every crate
-//! directly and a break names its layer.
+//! mpc (two protocols, each over two transports), logstore (its
+//! journal, and the store that replays it) — through the facade and
+//! with no `DlaCluster`, so tier-1 touches every crate directly and a
+//! break names its layer.
 
 use confidential_audit::bigint::montgomery::MontgomeryContext;
 use confidential_audit::bigint::{modular, Ubig};
@@ -16,7 +17,12 @@ use confidential_audit::logstore::journal::{Journal, JournalEntry};
 use confidential_audit::logstore::model::Glsn;
 use confidential_audit::logstore::schema::Schema;
 use confidential_audit::logstore::store::FragmentStore;
-use confidential_audit::net::{Envelope, NodeId, SessionId, SimTime};
+use confidential_audit::mpc::{SsiSession, SumSession};
+use confidential_audit::net::topology::Ring;
+use confidential_audit::net::{
+    ChannelNet, Envelope, NetConfig, NodeId, Session, SessionId, SharedNet, SimNet, SimTime,
+    Transport,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -76,6 +82,50 @@ fn net_envelope_round_trips_and_rejects_a_flipped_byte() {
     let mut flipped = wire.to_vec();
     *flipped.last_mut().expect("non-empty") ^= 0x01;
     assert!(Envelope::decode(&flipped).is_err(), "CRC must reject it");
+}
+
+#[test]
+fn mpc_protocols_answer_alike_on_the_simulator_and_on_channels() {
+    // The Figure 4 sets through ∩ₛ and a four-party Σₛ, each bound to a
+    // session: the same code, seed and answers whichever transport the
+    // session opens on.
+    let sets: Vec<Vec<Vec<u8>>> = ["cde", "def", "efg"]
+        .iter()
+        .map(|set| set.bytes().map(|item| vec![item]).collect())
+        .collect();
+    let (ring, domain) = (Ring::canonical(3), CommutativeDomain::fixed_256());
+    let parties: Vec<NodeId> = (0..4).map(NodeId).collect();
+    let secrets = [10u64, 20, 30, 40].map(confidential_audit::bigint::F61::new);
+
+    let simulator = SharedNet::new(SimNet::new(5, NetConfig::ideal()));
+    let channels = ChannelNet::new(5);
+    let transports: [&dyn Transport; 2] = [&simulator, &channels];
+    let answers = transports.map(|transport| {
+        let mut rng = StdRng::seed_from_u64(23);
+        let ssi = SsiSession::new(
+            Session::new(transport, SessionId(1)),
+            &ring,
+            &domain,
+            NodeId(0),
+        )
+        .reveal(true)
+        .run(&sets, &mut rng)
+        .expect("∩ₛ runs");
+        assert_eq!(ssi.common_items, Some(vec![b"e".to_vec()]));
+        let sum = SumSession::new(
+            Session::new(transport, SessionId(2)),
+            &parties,
+            3,
+            NodeId(4),
+        )
+        .run(&secrets, &mut rng)
+        .expect("Σₛ runs");
+        assert_eq!(sum.total.value(), 100);
+        // 3·2 relays + 3 collections; 4·3 shares + 4 publishes.
+        assert_eq!((ssi.report.messages, sum.report.messages), (9, 16));
+        (ssi.common_encrypted, ssi.report.bytes, sum.report.bytes)
+    });
+    assert_eq!(answers[0], answers[1], "simulator vs channels");
 }
 
 #[test]

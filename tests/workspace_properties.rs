@@ -7,11 +7,9 @@ use confidential_audit::crypto::pohlig_hellman::CommutativeDomain;
 use confidential_audit::logstore::fragment::{fragment, reassemble, Partition};
 use confidential_audit::logstore::model::{AttrValue, Glsn, LogRecord};
 use confidential_audit::logstore::schema::Schema;
-use confidential_audit::mpc::set_intersection::secure_set_intersection;
-use confidential_audit::mpc::set_union::secure_set_union;
-use confidential_audit::mpc::sum::secure_sum;
+use confidential_audit::mpc::{SsiSession, SumSession, UnionSession};
 use confidential_audit::net::topology::Ring;
-use confidential_audit::net::{NetConfig, NodeId, SimNet};
+use confidential_audit::net::{NetConfig, NodeId, Session, SharedNet, SimNet};
 use dla_bigint::F61;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -74,13 +72,15 @@ proptest! {
     #[test]
     fn secure_sum_equals_plain_sum(values in prop::collection::vec(0u64..1_000_000, 2..8)) {
         let n = values.len();
-        let mut net = SimNet::new(n + 1, NetConfig::ideal());
+        let net = SharedNet::new(SimNet::new(n + 1, NetConfig::ideal()));
         let parties: Vec<NodeId> = (0..n).map(NodeId).collect();
         let inputs: Vec<F61> = values.iter().map(|&v| F61::new(v)).collect();
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         use rand::SeedableRng;
         let _ = &mut rng;
-        let outcome = secure_sum(&mut net, &parties, &inputs, n / 2 + 1, NodeId(n), &mut rng).unwrap();
+        let outcome = SumSession::new(Session::root(&net), &parties, n / 2 + 1, NodeId(n))
+            .run(&inputs, &mut rng)
+            .unwrap();
         prop_assert_eq!(outcome.total, F61::new(values.iter().sum()));
     }
 }
@@ -98,7 +98,7 @@ proptest! {
     ) {
         use rand::SeedableRng;
         let n = sets.len();
-        let mut net = SimNet::new(n, NetConfig::ideal());
+        let net = SharedNet::new(SimNet::new(n, NetConfig::ideal()));
         let ring = Ring::canonical(n);
         let domain = CommutativeDomain::fixed_256();
         let inputs: Vec<Vec<Vec<u8>>> = sets
@@ -106,10 +106,10 @@ proptest! {
             .map(|s| s.iter().map(|e| e.as_bytes().to_vec()).collect())
             .collect();
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let outcome = secure_set_intersection(
-            &mut net, &ring, &domain, &inputs, NodeId(0), true, &mut rng,
-        )
-        .unwrap();
+        let outcome = SsiSession::new(Session::root(&net), &ring, &domain, NodeId(0))
+            .reveal(true)
+            .run(&inputs, &mut rng)
+            .unwrap();
         let expect: BTreeSet<Vec<u8>> = sets
             .iter()
             .skip(1)
@@ -136,7 +136,7 @@ proptest! {
     ) {
         use rand::SeedableRng;
         let n = sets.len();
-        let mut net = SimNet::new(n, NetConfig::ideal());
+        let net = SharedNet::new(SimNet::new(n, NetConfig::ideal()));
         let ring = Ring::canonical(n);
         let domain = CommutativeDomain::fixed_256();
         let inputs: Vec<Vec<Vec<u8>>> = sets
@@ -144,8 +144,9 @@ proptest! {
             .map(|s| s.iter().map(|e| e.as_bytes().to_vec()).collect())
             .collect();
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let outcome =
-            secure_set_union(&mut net, &ring, &domain, &inputs, NodeId(0), &mut rng).unwrap();
+        let outcome = UnionSession::new(Session::root(&net), &ring, &domain, NodeId(0))
+            .run(&inputs, &mut rng)
+            .unwrap();
         let expect: BTreeSet<Vec<u8>> = sets
             .iter()
             .flat_map(|s| s.iter().map(|e| e.as_bytes().to_vec()))
