@@ -26,38 +26,60 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> example smoke runs"
-for example in quickstart integrity_audit fault_recovery; do
+echo "==> example runs (each asserts its own results)"
+for example in quickstart transaction_audit secure_set_intersection intrusion_detection \
+    evidence_chain integrity_audit confidentiality_metrics fault_recovery telemetry_trace; do
     cargo run --release --example "$example" >/dev/null
 done
 
 echo "==> benchmark/run.sh --test (harness tests incl. the 1/32-size smoke of every workload)"
 benchmark/run.sh --test >/dev/null
 
-# Each experiment binary asserts its own gate before it exits — the exit
-# code is the check — and a --quick run writes no BENCH_*.json. The
-# thirteen paper-artefact binaries behind the seven gates (tables,
-# figures, scaling sweeps) read no flag: they always run at full size
-# (0.6 s for all of them) and assert or `expect` their own results.
-for binary in exp_query_e2e exp_fault_recovery exp_cost_profile exp_epoch_scaling \
-    exp_adversary exp_federation exp_standing_query \
-    tables_1_to_6 fig1_centralized fig2_architecture fig3_query_plan fig4_ssi_trace \
-    fig6_evidence_chain fig7_rbinding exp_sum_scaling exp_ssi_scaling exp_rank_scaling \
-    exp_tradeoff exp_integrity exp_metrics; do
-    echo "==> $binary --quick"
-    cargo run --release -p dla-bench --bin "$binary" -- --quick >/dev/null
+# The twenty dla-bench binaries take no argument, run at one size (2 s
+# for all of them) and assert their own gates before they exit — the
+# exit code is the check. The seven exp_* at the head of the list then
+# rewrite their BENCH_<name>.json, which the last step of this script
+# diffs against the commit: a PR that moves a counted figure has to
+# commit the new snapshot.
+binaries=(exp_query_e2e exp_fault_recovery exp_cost_profile exp_epoch_scaling
+    exp_adversary exp_federation exp_standing_query
+    tables_1_to_6 fig1_centralized fig2_architecture fig3_query_plan fig4_ssi_trace
+    fig6_evidence_chain fig7_rbinding exp_sum_scaling exp_ssi_scaling exp_rank_scaling
+    exp_tradeoff exp_integrity exp_metrics)
+passes=$(mktemp -d)
+trap 'rm -rf "$passes"' EXIT
+mkdir "$passes/first" "$passes/second"
+for binary in "${binaries[@]}"; do
+    echo "==> $binary"
+    cargo run -q --release -p dla-bench --bin "$binary" >"$passes/first/$binary"
 done
+
+echo "==> second pass: stdout is byte-identical run to run, and any argument is refused"
+for binary in "${binaries[@]}"; do
+    cargo run -q --release -p dla-bench --bin "$binary" >"$passes/second/$binary"
+    if cargo run -q --release -p dla-bench --bin "$binary" -- --no-such-flag >/dev/null 2>&1; then
+        echo "$binary accepted an argument" >&2
+        exit 1
+    fi
+done
+diff -r "$passes/first" "$passes/second"
 
 echo "==> dla-cluster smoke run (4 app + 3 infrastructure node processes; TCP mesh == ChannelNet digest)"
 cargo run --release -p dla-deploy --bin dla-cluster -- --nodes 4 --records 8 --seed 7 \
     | grep -q "CLUSTER OK"
 
-echo "==> chrome-trace export validates as JSON"
-cargo run --release --example telemetry_trace >/dev/null
-if command -v jq >/dev/null 2>&1; then
-    jq -e . telemetry_trace.json >/dev/null
-else
-    python3 -m json.tool telemetry_trace.json >/dev/null
-fi
+echo "==> the seven snapshots and the chrome-trace export validate as JSON"
+for json in BENCH_*.json telemetry_trace.json; do
+    if command -v jq >/dev/null 2>&1; then
+        jq -e . "$json" >/dev/null
+    else
+        python3 -m json.tool "$json" >/dev/null
+    fi
+done
+
+echo "==> the runs above reproduced every committed snapshot"
+# (telemetry_trace.json is named for the day it is committed: today it
+# is git-ignored, because worker threads race for span ids.)
+git diff --exit-code -- 'BENCH_*.json' telemetry_trace.json
 
 echo "CI OK"

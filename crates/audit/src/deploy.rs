@@ -8,9 +8,12 @@
 //! argument: the same seeded workload must produce **byte-identical**
 //! answers whether protocol messages ride crossbeam channels between
 //! threads or length-prefixed TCP frames between processes. The
-//! `dla-cluster` launcher, the `socket_equivalence` integration test
-//! and the wall-clock benchmark (`benchmark/`) all run exactly this
-//! harness and compare [`WorkloadOutcome::digest_hex`].
+//! `dla-cluster` launcher and the `socket_equivalence` integration test
+//! run exactly this harness and compare
+//! [`WorkloadOutcome::digest_hex`]; `tests/cipher_path_pins.rs` pins
+//! the digest itself. The wall-clock benchmark (`benchmark/`) has its
+//! own workloads and takes only [`fragments`] from here, to check that
+//! its store path ships what the launcher ships.
 //!
 //! The exercise covers the five MPC protocol families end to end:
 //! secure set intersection and set union through the full query
@@ -31,7 +34,6 @@ use dla_mpc::{EqualitySession, RankingSession, SumSession};
 use dla_net::{NodeId, Session, SessionId, Transport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::Instant;
 
 /// Session id for the deposit-shipping phase. Direct-protocol sessions
 /// count up from here; all are far above the small ids the query
@@ -56,11 +58,6 @@ pub struct WorkloadSpec {
     /// Master seed (cluster keys, workload generation, protocol
     /// randomness all derive from it).
     pub seed: u64,
-    /// Federation ring this deployment belongs to: the cluster draws
-    /// its glsns from ring `ring`'s span of
-    /// [`dla_logstore::epoch::RingNamespace::paper_default`]. Ring 0
-    /// is the historical single-ring deployment.
-    pub ring: u64,
 }
 
 impl Default for WorkloadSpec {
@@ -69,7 +66,6 @@ impl Default for WorkloadSpec {
             nodes: 4,
             records: 12,
             seed: 7,
-            ring: 0,
         }
     }
 }
@@ -93,21 +89,17 @@ pub struct ProtocolRun {
     /// Canonical answer rendering — identical across transports by
     /// construction; what the equivalence digest folds.
     pub answer: String,
-    /// Wall-clock latency of this protocol phase in milliseconds.
-    pub millis: f64,
 }
 
 /// Everything a workload run produced.
 #[derive(Debug, Clone)]
 pub struct WorkloadOutcome {
-    /// Per-protocol answers and latencies, in execution order.
+    /// Per-protocol answers, in execution order.
     pub runs: Vec<ProtocolRun>,
     /// SHA-256 over the shipped deposit items and every answer line.
     pub digest: sha256::Digest,
     /// Deposit fragments shipped over the transport.
     pub deposits_shipped: usize,
-    /// Wall-clock milliseconds spent in the deposit-shipping phase.
-    pub deposit_millis: f64,
     /// Whole-trail integrity verdict after the run.
     pub trail: TrailVerdict,
     /// Windowed (checkpoint-chain) integrity verdict after the run.
@@ -156,11 +148,9 @@ pub fn fragments(cluster: &DlaCluster, nodes: usize) -> Vec<(u64, usize, Vec<u8>
 /// Propagates cluster construction and logging failures.
 pub fn build_cluster(spec: &WorkloadSpec) -> Result<DlaCluster, AuditError> {
     let schema = Schema::paper_example();
-    let namespace = dla_logstore::epoch::RingNamespace::paper_default();
     let mut config = ClusterConfig::new(spec.nodes, schema.clone())
         .with_seed(spec.seed)
-        .with_epoch_length(4)
-        .with_glsn_base(namespace.base_of(spec.ring));
+        .with_epoch_length(4);
     if spec.nodes == 4 {
         config = config.with_partition(Partition::paper_example(&schema));
     }
@@ -211,7 +201,6 @@ pub fn run_workload(
     // bytes arrived intact.
     let depositor = NodeId(spec.nodes + 2);
     let session = Session::new(transport, DEPOSIT_SESSION);
-    let started = Instant::now();
     let mut shipped = 0usize;
     for glsn in cluster.logged_glsns() {
         let deposit = cluster.deposit(glsn).expect("logged glsns have deposits");
@@ -229,64 +218,54 @@ pub fn run_workload(
         hasher_input.extend_from_slice(&item);
         shipped += 1;
     }
-    let deposit_millis = started.elapsed().as_secs_f64() * 1e3;
 
     // Phase 2: the five protocol families.
     let parties: Vec<NodeId> = (0..spec.nodes).map(NodeId).collect();
     let auditor = cluster.auditor_node();
     let ttp = cluster.ttp_node();
+    let mut answered = |protocol, answer| runs.push(ProtocolRun { protocol, answer });
 
     // Secure set intersection, through the conjunctive query plan.
-    runs.push(timed("ssi", || {
-        let result = run_query(cluster, transport, SSI_QUERY, spec.seed ^ 0x5551)?;
-        Ok(format!("{result:?}"))
-    })?);
+    let result = run_query(cluster, transport, SSI_QUERY, spec.seed ^ 0x5551)?;
+    answered("ssi", format!("{result:?}"));
 
     // Secure set union, through the disjunctive query plan.
-    runs.push(timed("union", || {
-        let result = run_query(cluster, transport, UNION_QUERY, spec.seed ^ 0x0101)?;
-        Ok(format!("{result:?}"))
-    })?);
+    let result = run_query(cluster, transport, UNION_QUERY, spec.seed ^ 0x0101)?;
+    answered("union", format!("{result:?}"));
 
     // Secure sum: each node contributes a value derived from the seed.
-    runs.push(timed("sum", || {
-        let inputs: Vec<F61> = (0..spec.nodes as u64)
-            .map(|i| F61::new(spec.seed.wrapping_mul(31).wrapping_add(7 * i) % 1_000))
-            .collect();
-        let mut rng = StdRng::seed_from_u64(spec.seed ^ 0x50D);
-        let session = Session::new(transport, SUM_SESSION);
-        let outcome = SumSession::new(session, &parties, spec.nodes, auditor)
-            .run(&inputs, &mut rng)
-            .map_err(AuditError::from)?;
-        Ok(format!("{}", outcome.total.value()))
-    })?);
+    let inputs: Vec<F61> = (0..spec.nodes as u64)
+        .map(|i| F61::new(spec.seed.wrapping_mul(31).wrapping_add(7 * i) % 1_000))
+        .collect();
+    let mut rng = StdRng::seed_from_u64(spec.seed ^ 0x50D);
+    let session = Session::new(transport, SUM_SESSION);
+    let outcome = SumSession::new(session, &parties, spec.nodes, auditor)
+        .run(&inputs, &mut rng)
+        .map_err(AuditError::from)?;
+    answered("sum", format!("{}", outcome.total.value()));
 
     // Blind equality between the first two nodes via the TTP helper.
-    runs.push(timed("equality", || {
-        let mut rng = StdRng::seed_from_u64(spec.seed ^ 0xE0);
-        let session = Session::new(transport, EQUALITY_SESSION);
-        let outcome = EqualitySession::new(session, parties[0], parties[1 % spec.nodes], ttp)
-            .run(
-                F61::new(spec.seed % 97),
-                F61::new((spec.seed + 1) % 97),
-                &mut rng,
-            )
-            .map_err(AuditError::from)?;
-        Ok(format!("{}", outcome.equal))
-    })?);
+    let mut rng = StdRng::seed_from_u64(spec.seed ^ 0xE0);
+    let session = Session::new(transport, EQUALITY_SESSION);
+    let outcome = EqualitySession::new(session, parties[0], parties[1 % spec.nodes], ttp)
+        .run(
+            F61::new(spec.seed % 97),
+            F61::new((spec.seed + 1) % 97),
+            &mut rng,
+        )
+        .map_err(AuditError::from)?;
+    answered("equality", format!("{}", outcome.equal));
 
     // Privacy-preserving ranking of per-node values via the TTP.
-    runs.push(timed("ranking", || {
-        let values: Vec<u64> = (0..spec.nodes as u64)
-            .map(|i| spec.seed.wrapping_mul(i + 3) % 10_000)
-            .collect();
-        let mut rng = StdRng::seed_from_u64(spec.seed ^ 0x4A4B);
-        let session = Session::new(transport, RANKING_SESSION);
-        let outcome = RankingSession::new(session, &parties, ttp)
-            .run(&values, &mut rng)
-            .map_err(AuditError::from)?;
-        Ok(format!("{:?}", outcome.ascending))
-    })?);
+    let values: Vec<u64> = (0..spec.nodes as u64)
+        .map(|i| spec.seed.wrapping_mul(i + 3) % 10_000)
+        .collect();
+    let mut rng = StdRng::seed_from_u64(spec.seed ^ 0x4A4B);
+    let session = Session::new(transport, RANKING_SESSION);
+    let outcome = RankingSession::new(session, &parties, ttp)
+        .run(&values, &mut rng)
+        .map_err(AuditError::from)?;
+    answered("ranking", format!("{:?}", outcome.ascending));
 
     // Phase 3: integrity circulation over everything deposited.
     let trail = check_trail(cluster);
@@ -304,7 +283,6 @@ pub fn run_workload(
         runs,
         digest,
         deposits_shipped: shipped,
-        deposit_millis,
         trail,
         window,
     })
@@ -329,20 +307,6 @@ fn run_query(
         query_seed,
     )?;
     Ok(result.glsns.iter().map(|g| g.0).collect())
-}
-
-/// Runs `f`, stamping the wall-clock latency onto the protocol run.
-fn timed(
-    protocol: &'static str,
-    f: impl FnOnce() -> Result<String, AuditError>,
-) -> Result<ProtocolRun, AuditError> {
-    let started = Instant::now();
-    let answer = f()?;
-    Ok(ProtocolRun {
-        protocol,
-        answer,
-        millis: started.elapsed().as_secs_f64() * 1e3,
-    })
 }
 
 #[cfg(test)]

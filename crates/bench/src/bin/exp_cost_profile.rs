@@ -11,8 +11,7 @@
 //! multiplication steps for the same items-folded work units.
 //!
 //! Run with: `cargo run -p dla-bench --bin exp_cost_profile --release`
-//! (writes `BENCH_cost_profile.json`; `--quick` is the CI-sized
-//! configuration, which asserts the same gate and writes nothing).
+//! (writes `BENCH_cost_profile.json`).
 
 use dla_bigint::{Ubig, F61};
 use dla_crypto::accumulator::AccumulatorParams;
@@ -23,7 +22,7 @@ use dla_net::topology::Ring;
 use dla_net::{NodeId, Session};
 use dla_telemetry::{CostVector, Recorder};
 
-use dla_bench::{ideal_net, render_table, write_snapshot};
+use dla_bench::{half_shared_sets as sets, ideal_net, metered, render_rows, write_snapshot, Json};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -54,17 +53,6 @@ fn profile(label: &'static str, f: impl FnOnce() -> ProtocolReport) -> Profile {
     }
 }
 
-/// Runs `f` under a fresh recorder and returns its result together
-/// with the total session cost it incurred.
-fn metered<T>(f: impl FnOnce() -> T) -> (T, CostVector) {
-    let recorder = Recorder::new();
-    let out = {
-        let _install = recorder.install();
-        f()
-    };
-    (out, recorder.take().total_cost())
-}
-
 /// The fixed-base-vs-ladder comparison on the accumulator leg.
 struct FixedBaseProfile {
     epochs: usize,
@@ -80,9 +68,9 @@ struct FixedBaseProfile {
 /// one RLC batch check over the cached `x₀` table. Digest agreement,
 /// equal items-folded units and the strict Montgomery-step win are all
 /// asserted against the session meters.
-fn profile_fixed_base_vs_ladder(quick: bool) -> FixedBaseProfile {
+fn profile_fixed_base_vs_ladder() -> FixedBaseProfile {
     let params = AccumulatorParams::fixed_512();
-    let epochs = if quick { 6 } else { 12 };
+    let epochs = 12usize;
     let items_per_epoch = 2usize;
     let epoch_items: Vec<Vec<Vec<u8>>> = (0..epochs)
         .map(|e| {
@@ -153,51 +141,30 @@ fn profile_fixed_base_vs_ladder(quick: bool) -> FixedBaseProfile {
     }
 }
 
-fn sets(n: usize, size: usize) -> Vec<Vec<Vec<u8>>> {
-    (0..n)
-        .map(|party| {
-            (0..size)
-                .map(|i| {
-                    if i < size / 2 {
-                        format!("shared-{i}").into_bytes()
-                    } else {
-                        format!("private-{party}-{i}").into_bytes()
-                    }
-                })
-                .collect()
-        })
-        .collect()
-}
-
-fn json_entry(p: &Profile) -> String {
-    format!(
-        concat!(
-            "    {{\"protocol\": \"{}\", \"parties\": {}, \"rounds\": {}, ",
-            "\"messages\": {}, \"bytes\": {}, \"modexp\": {}, \"mont_mul_steps\": {}, ",
-            "\"modinv\": {}, \"accumulator_folds\": {}, \"shamir_evals\": {}, ",
-            "\"fixed_base_builds\": {}, \"multi_exp_terms\": {}, ",
-            "\"telemetry_rounds\": {}, \"telemetry_msgs\": {}}}"
-        ),
-        p.label,
-        p.report.parties,
-        p.report.rounds,
-        p.report.messages,
-        p.report.bytes,
-        p.costs.modexp,
-        p.costs.mont_mul_steps,
-        p.costs.modinv,
-        p.costs.acc_fold,
-        p.costs.shamir_eval,
-        p.costs.fixed_base_builds,
-        p.costs.multi_exp_terms,
-        p.costs.rounds,
-        p.costs.msgs_sent,
-    )
+impl Profile {
+    fn json(&self) -> Json {
+        Json::Object(vec![
+            ("protocol", self.label.into()),
+            ("parties", self.report.parties.into()),
+            ("rounds", self.report.rounds.into()),
+            ("messages", self.report.messages.into()),
+            ("bytes", self.report.bytes.into()),
+            ("modexp", self.costs.modexp.into()),
+            ("mont_mul_steps", self.costs.mont_mul_steps.into()),
+            ("modinv", self.costs.modinv.into()),
+            ("accumulator_folds", self.costs.acc_fold.into()),
+            ("shamir_evals", self.costs.shamir_eval.into()),
+            ("fixed_base_builds", self.costs.fixed_base_builds.into()),
+            ("multi_exp_terms", self.costs.multi_exp_terms.into()),
+            ("telemetry_rounds", self.costs.rounds.into()),
+            ("telemetry_msgs", self.costs.msgs_sent.into()),
+        ])
+    }
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let (n, set_size) = if quick { (3, 4) } else { (4, 16) };
+    dla_bench::refuse_args();
+    let (n, set_size) = (4usize, 16usize);
     let domain = CommutativeDomain::fixed_256();
 
     let mut profiles = Vec::new();
@@ -280,41 +247,12 @@ fn main() {
         );
     }
 
-    let rows: Vec<Vec<String>> = profiles
-        .iter()
-        .map(|p| {
-            vec![
-                p.label.to_string(),
-                p.report.parties.to_string(),
-                p.report.rounds.to_string(),
-                p.report.messages.to_string(),
-                p.report.bytes.to_string(),
-                p.costs.modexp.to_string(),
-                p.costs.mont_mul_steps.to_string(),
-                p.costs.modinv.to_string(),
-                p.costs.shamir_eval.to_string(),
-            ]
-        })
-        .collect();
+    let protocols: Vec<Json> = profiles.iter().map(Profile::json).collect();
     println!(
         "{}",
-        render_table(
-            &format!(
-                "P9 - PER-PROTOCOL COST PROFILE ({n} parties, {set_size}-element sets{})",
-                if quick { ", quick" } else { "" }
-            ),
-            &[
-                "protocol",
-                "parties",
-                "rounds",
-                "messages",
-                "bytes",
-                "modexp",
-                "mont_steps",
-                "modinv",
-                "shamir",
-            ],
-            &rows
+        render_rows(
+            &format!("P9 - PER-PROTOCOL COST PROFILE ({n} parties, {set_size}-element sets)"),
+            &protocols
         )
     );
     println!(
@@ -322,42 +260,46 @@ fn main() {
          Shamir-based sum costs field ops only."
     );
 
-    let fb = profile_fixed_base_vs_ladder(quick);
+    let fb = profile_fixed_base_vs_ladder();
+    let step_ratio = fb.ladder_cost.mont_mul_steps as f64 / fb.accel_cost.mont_mul_steps as f64;
     println!(
         "\nfixed-base vs ladder ({} epochs x {} deposits): table build {} steps \
          (once), refold ladder {} steps, fixed-base + RLC batch {} steps \
-         ({:.1}x fewer per audit)",
+         ({step_ratio:.1}x fewer per audit)",
         fb.epochs,
         fb.items_per_epoch,
         fb.build_cost.mont_mul_steps,
         fb.ladder_cost.mont_mul_steps,
         fb.accel_cost.mont_mul_steps,
-        fb.ladder_cost.mont_mul_steps as f64 / fb.accel_cost.mont_mul_steps as f64
     );
 
-    let entries: Vec<String> = profiles.iter().map(json_entry).collect();
-    let fb_json = format!(
-        concat!(
-            "  \"fixed_base_vs_ladder\": {{\"epochs\": {}, \"items_per_epoch\": {}, ",
-            "\"table_build_mont_mul_steps\": {}, \"table_builds\": {}, ",
-            "\"ladder_mont_mul_steps\": {}, \"fixed_base_mont_mul_steps\": {}, ",
-            "\"items_folded\": {}, \"multi_exp_terms\": {}, \"step_ratio\": {:.2}}}"
-        ),
-        fb.epochs,
-        fb.items_per_epoch,
-        fb.build_cost.mont_mul_steps,
-        fb.build_cost.fixed_base_builds,
-        fb.ladder_cost.mont_mul_steps,
-        fb.accel_cost.mont_mul_steps,
-        fb.ladder_cost.acc_fold,
-        fb.accel_cost.multi_exp_terms,
-        fb.ladder_cost.mont_mul_steps as f64 / fb.accel_cost.mont_mul_steps as f64
+    write_snapshot(
+        "cost_profile",
+        vec![
+            ("protocols", Json::Array(protocols)),
+            (
+                "fixed_base_vs_ladder",
+                Json::Object(vec![
+                    ("epochs", fb.epochs.into()),
+                    ("items_per_epoch", fb.items_per_epoch.into()),
+                    (
+                        "table_build_mont_mul_steps",
+                        fb.build_cost.mont_mul_steps.into(),
+                    ),
+                    ("table_builds", fb.build_cost.fixed_base_builds.into()),
+                    (
+                        "ladder_mont_mul_steps",
+                        fb.ladder_cost.mont_mul_steps.into(),
+                    ),
+                    (
+                        "fixed_base_mont_mul_steps",
+                        fb.accel_cost.mont_mul_steps.into(),
+                    ),
+                    ("items_folded", fb.ladder_cost.acc_fold.into()),
+                    ("multi_exp_terms", fb.accel_cost.multi_exp_terms.into()),
+                    ("step_ratio", Json::Fixed(step_ratio, 2)),
+                ]),
+            ),
+        ],
     );
-    let json = format!(
-        "{{\n  \"experiment\": \"cost_profile\",\n  \"quick\": {},\n  \"protocols\": [\n{}\n  ],\n{}\n}}\n",
-        quick,
-        entries.join(",\n"),
-        fb_json
-    );
-    write_snapshot("cost_profile", quick, &json);
 }

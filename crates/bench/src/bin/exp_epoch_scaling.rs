@@ -13,20 +13,16 @@
 //! and queries come from `benchmark/run.sh` (`mixed_audit`).
 //!
 //! Run with: `cargo run -p dla-bench --bin exp_epoch_scaling --release`
-//! (writes `BENCH_epoch_scaling.json`; `--quick` is the CI-sized
-//! configuration, which asserts the same gate and writes nothing).
+//! (writes `BENCH_epoch_scaling.json`).
 
-use dla_audit::cluster::{ClusterConfig, DlaCluster};
+use dla_audit::cluster::DlaCluster;
 use dla_audit::exec::ResilientPolicy;
 use dla_audit::integrity::{check_trail, check_window, TrailVerdict};
 use dla_audit::plan::TimeWindow;
 use dla_audit::query::{CmpOp, Criteria, Predicate};
-use dla_bench::{render_table, write_snapshot};
-use dla_logstore::fragment::Partition;
-use dla_logstore::gen::{generate, WorkloadConfig};
+use dla_bench::{render_rows, write_snapshot, Json};
+use dla_logstore::gen::WorkloadConfig;
 use dla_logstore::model::{AttrValue, Glsn};
-use dla_logstore::schema::Schema;
-use rand::SeedableRng;
 
 const SEED: u64 = 11;
 const EPOCH_LEN: u64 = 8;
@@ -47,28 +43,10 @@ struct Row {
 }
 
 fn loaded_cluster(records: usize, epoch_length: u64) -> DlaCluster {
-    let schema = Schema::paper_example();
-    let partition = Partition::paper_example(&schema);
-    let mut cluster = DlaCluster::new(
-        ClusterConfig::new(4, schema)
-            .with_partition(partition)
-            .with_seed(SEED)
-            .with_epoch_length(epoch_length),
-    )
-    .expect("cluster builds");
-    let user = cluster.register_user("auditor").expect("capacity");
     // Same seed for every trail length: the generated prefix is
     // identical, so the fixed window always covers the same records.
-    let mut rng = rand::rngs::StdRng::seed_from_u64(SEED);
-    let workload = generate(
-        &WorkloadConfig {
-            records,
-            ..WorkloadConfig::default()
-        },
-        &mut rng,
-    );
-    cluster.log_records(&user, &workload).expect("logs");
-    cluster
+    let config = dla_bench::paper_config(SEED).with_epoch_length(epoch_length);
+    dla_bench::loaded_cluster(config, records, SEED).0
 }
 
 /// The windowed audit query: `time <= base+WINDOW_SECS AND protocol = UDP`.
@@ -128,28 +106,23 @@ fn run_row(records: usize) -> Row {
     }
 }
 
-fn json_row(r: &Row) -> String {
-    format!(
-        concat!(
-            "    {{\"records\": {}, \"epochs\": {}, ",
-            "\"windowed_folds\": {}, \"windowed_epochs\": {}, \"full_folds\": {}, ",
-            "\"answer_glsns\": {}, \"answers_identical\": {}}}"
-        ),
-        r.records,
-        r.epochs,
-        r.windowed.items_folded,
-        r.windowed.epochs_checked,
-        r.full.items_folded,
-        r.answer_glsns,
-        r.answers_identical,
-    )
+impl Row {
+    fn json(&self) -> Json {
+        Json::Object(vec![
+            ("records", self.records.into()),
+            ("epochs", self.epochs.into()),
+            ("windowed_folds", self.windowed.items_folded.into()),
+            ("windowed_epochs", self.windowed.epochs_checked.into()),
+            ("full_folds", self.full.items_folded.into()),
+            ("answer_glsns", self.answer_glsns.into()),
+            ("answers_identical", self.answers_identical.into()),
+        ])
+    }
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let trail_lengths: &[usize] = if quick { &[24, 96] } else { &[48, 96, 192] };
-
-    let rows: Vec<Row> = trail_lengths.iter().map(|&n| run_row(n)).collect();
+    dla_bench::refuse_args();
+    let rows: Vec<Row> = [48usize, 96, 192].map(run_row).into();
 
     // Gates. (1) Answers are byte-identical sharded vs unsharded.
     for r in &rows {
@@ -189,26 +162,13 @@ fn main() {
     }
     assert!(gated > 0, "at least one row must hit the 4x ratio gate");
 
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.records.to_string(),
-                r.epochs.to_string(),
-                format!("{}/{}", r.windowed.items_folded, r.windowed.epochs_checked),
-                r.full.items_folded.to_string(),
-                r.answer_glsns.to_string(),
-            ]
-        })
-        .collect();
+    let table: Vec<Json> = rows.iter().map(Row::json).collect();
     println!(
         "{}",
-        render_table(
+        render_rows(
             &format!(
-                "P11 - EPOCH-SHARDED TRAIL SCALING (epoch={EPOCH_LEN}, window={WINDOW_SECS}s{})",
-                if quick { ", quick" } else { "" }
+                "P11 - EPOCH-SHARDED TRAIL SCALING (epoch={EPOCH_LEN}, window={WINDOW_SECS}s)"
             ),
-            &["records", "epochs", "win folds/ep", "full folds", "answers"],
             &table
         )
     );
@@ -219,19 +179,13 @@ fn main() {
         window_folds, last.full.items_folded, last.records
     );
 
-    let entries: Vec<String> = rows.iter().map(json_row).collect();
-    let json = format!(
-        concat!(
-            "{{\n  \"experiment\": \"epoch_scaling\",\n  \"quick\": {},\n",
-            "  \"epoch_length\": {},\n  \"window_secs\": {},\n",
-            "  \"window_folds\": {},\n",
-            "  \"rows\": [\n{}\n  ]\n}}\n"
-        ),
-        quick,
-        EPOCH_LEN,
-        WINDOW_SECS,
-        window_folds,
-        entries.join(",\n")
+    write_snapshot(
+        "epoch_scaling",
+        vec![
+            ("epoch_length", EPOCH_LEN.into()),
+            ("window_secs", WINDOW_SECS.into()),
+            ("window_folds", window_folds.into()),
+            ("rows", Json::Array(table)),
+        ],
     );
-    write_snapshot("epoch_scaling", quick, &json);
 }

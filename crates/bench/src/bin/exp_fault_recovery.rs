@@ -4,19 +4,19 @@
 //! auditing after a node loss.
 //!
 //! Run with: `cargo run -p dla-bench --bin exp_fault_recovery --release`
-//! (writes `BENCH_fault_recovery.json`; `--quick` is the reduced sweep
-//! CI runs, which asserts the same gate and writes nothing).
+//! (writes `BENCH_fault_recovery.json`).
 
-use dla_audit::cluster::{ClusterConfig, DlaCluster};
+use dla_audit::cluster::DlaCluster;
 use dla_audit::exec::ResilientPolicy;
-use dla_bench::{render_table, write_snapshot};
-use dla_logstore::fragment::Partition;
+use dla_bench::{render_rows, write_snapshot, Json};
 use dla_logstore::gen::paper_table1;
 use dla_logstore::model::Glsn;
-use dla_logstore::schema::Schema;
 use dla_net::latency::LatencyModel;
 
 const DUPLICATE_PROBABILITY: f64 = 0.05;
+const DROPS: [f64; 4] = [0.0, 0.02, 0.05, 0.10];
+const TRIALS: usize = 20;
+const LOSS_TRIALS: usize = 8;
 
 const QUERIES: &[&str] = &[
     "c2 > 100.00",
@@ -32,49 +32,31 @@ const DEGRADED_QUERIES: &[&str] = &[
     "c3 = 'account' or c1 > 50",
 ];
 
+#[derive(Default)]
 struct ArmStats {
     successes: usize,
     trials: usize,
-    latency_sum_ns: u128,
+    latency_sum_ns: u64,
 }
 
 impl ArmStats {
-    fn new() -> Self {
-        ArmStats {
-            successes: 0,
-            trials: 0,
-            latency_sum_ns: 0,
-        }
-    }
-
-    fn rate(&self) -> f64 {
-        if self.trials == 0 {
-            0.0
-        } else {
-            self.successes as f64 / self.trials as f64
-        }
-    }
-
-    fn mean_latency_ns(&self) -> u128 {
-        if self.successes == 0 {
-            0
-        } else {
-            self.latency_sum_ns / self.successes as u128
-        }
+    fn json(&self) -> Json {
+        let rate = self.successes as f64 / self.trials.max(1) as f64;
+        let mean_latency_ns = self.latency_sum_ns / self.successes.max(1) as u64;
+        Json::Object(vec![
+            ("successes", self.successes.into()),
+            ("trials", self.trials.into()),
+            ("success_rate", Json::Fixed(rate, 4)),
+            ("mean_virtual_latency_ns", mean_latency_ns.into()),
+        ])
     }
 }
 
 fn fresh_cluster(seed: u64) -> DlaCluster {
-    let schema = Schema::paper_example();
-    let partition = Partition::paper_example(&schema);
-    let mut cluster = DlaCluster::new(
-        ClusterConfig::new(4, schema)
-            .with_partition(partition)
-            .with_seed(seed)
-            .with_latency(LatencyModel::lan())
-            .with_standby_replication(),
-    )
-    .expect("paper cluster is valid");
+    let config = dla_bench::paper_config(seed)
+        .with_latency(LatencyModel::lan())
+        .with_standby_replication();
+    let mut cluster = DlaCluster::new(config).expect("paper cluster is valid");
     let user = cluster.register_user("u0").expect("capacity available");
     cluster
         .log_records(&user, &paper_table1())
@@ -109,95 +91,48 @@ fn run_trial(seed: u64, query: &str, drop: f64, reliable: bool, stats: &mut ArmS
     if let Ok(outcome) = cluster.query_resilient(query, &policy) {
         if outcome.result.glsns == reference {
             stats.successes += 1;
-            stats.latency_sum_ns += u128::from(outcome.result.elapsed.as_nanos());
+            stats.latency_sum_ns += outcome.result.elapsed.as_nanos();
         }
     }
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let drops: &[f64] = if quick {
-        &[0.0, 0.05]
-    } else {
-        &[0.0, 0.02, 0.05, 0.10]
-    };
-    let trials = if quick { 4 } else { 20 };
+    dla_bench::refuse_args();
 
     // Part 1: drop-probability sweep, unprotected vs reliable.
-    let mut rows = Vec::new();
-    let mut sweep_json = Vec::new();
-    for (pi, &drop) in drops.iter().enumerate() {
-        let mut unprotected = ArmStats::new();
-        let mut protected = ArmStats::new();
-        for trial in 0..trials {
+    let mut sweep = Vec::new();
+    for (pi, &drop) in DROPS.iter().enumerate() {
+        let mut unprotected = ArmStats::default();
+        let mut protected = ArmStats::default();
+        for trial in 0..TRIALS {
             let seed = 0xFA01 + (pi as u64) * 1_000 + trial as u64;
             let query = QUERIES[trial % QUERIES.len()];
             run_trial(seed, query, drop, false, &mut unprotected);
             run_trial(seed, query, drop, true, &mut protected);
         }
-        rows.push(vec![
-            format!("{drop:.2}"),
-            format!(
-                "{}/{} ({:.0}%)",
-                unprotected.successes,
-                unprotected.trials,
-                unprotected.rate() * 100.0
-            ),
-            format!(
-                "{}/{} ({:.0}%)",
-                protected.successes,
-                protected.trials,
-                protected.rate() * 100.0
-            ),
-            format!("{}", unprotected.mean_latency_ns()),
-            format!("{}", protected.mean_latency_ns()),
-        ]);
-        sweep_json.push(format!(
-            concat!(
-                "    {{\n",
-                "      \"drop_probability\": {drop},\n",
-                "      \"unprotected\": {{\"successes\": {us}, \"trials\": {ut}, ",
-                "\"success_rate\": {ur:.4}, \"mean_virtual_latency_ns\": {ul}}},\n",
-                "      \"reliable\": {{\"successes\": {ps}, \"trials\": {pt}, ",
-                "\"success_rate\": {pr:.4}, \"mean_virtual_latency_ns\": {pl}}}\n",
-                "    }}",
-            ),
-            drop = drop,
-            us = unprotected.successes,
-            ut = unprotected.trials,
-            ur = unprotected.rate(),
-            ul = unprotected.mean_latency_ns(),
-            ps = protected.successes,
-            pt = protected.trials,
-            pr = protected.rate(),
-            pl = protected.mean_latency_ns(),
-        ));
+        sweep.push(Json::Object(vec![
+            ("drop_probability", Json::Fixed(drop, 2)),
+            ("unprotected", unprotected.json()),
+            ("reliable", protected.json()),
+        ]));
     }
     println!(
         "{}",
-        render_table(
+        render_rows(
             &format!(
                 "FAULT RECOVERY: query success under loss (dup = {DUPLICATE_PROBABILITY}, \
-                 {trials} trials/point)"
+                 {TRIALS} trials/point)"
             ),
-            &[
-                "drop",
-                "unprotected",
-                "reliable",
-                "lat(unprot) ns",
-                "lat(rel) ns",
-            ],
-            &rows
+            &sweep
         )
     );
 
     // Part 2: degraded-mode auditing — kill a node mid-service; the
     // resilient ladder must detect it, re-replicate from standbys and
     // answer from the survivor set.
-    let loss_trials = if quick { 2 } else { 8 };
     let mut recovered = 0;
     let mut replans = 0;
-    for trial in 0..loss_trials {
+    for trial in 0..LOSS_TRIALS {
         let query = DEGRADED_QUERIES[trial % DEGRADED_QUERIES.len()];
         let mut cluster = fresh_cluster(0xDEAD + trial as u64);
         let reference = cluster
@@ -218,32 +153,33 @@ fn main() {
         );
     }
     println!(
-        "node loss: {recovered}/{loss_trials} queries answered correctly from the \
+        "node loss: {recovered}/{LOSS_TRIALS} queries answered correctly from the \
          survivor set ({replans} re-plans, all repairs accumulator-verified)\n"
     );
 
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"experiment\": \"fault_recovery\",\n",
-            "  \"nodes\": 4,\n",
-            "  \"records\": 5,\n",
-            "  \"duplicate_probability\": {dup},\n",
-            "  \"trials_per_point\": {trials},\n",
-            "  \"sweep\": [\n{sweep}\n  ],\n",
-            "  \"node_loss\": {{\"trials\": {lt}, \"recovered\": {rec}, \"replans\": {rp}}}\n",
-            "}}\n",
-        ),
-        dup = DUPLICATE_PROBABILITY,
-        trials = trials,
-        sweep = sweep_json.join(",\n"),
-        lt = loss_trials,
-        rec = recovered,
-        rp = replans,
-    );
     assert_eq!(
-        recovered, loss_trials,
+        recovered, LOSS_TRIALS,
         "degraded-mode execution must reproduce the reference answers"
     );
-    write_snapshot("fault_recovery", quick, &json);
+    write_snapshot(
+        "fault_recovery",
+        vec![
+            ("nodes", 4u64.into()),
+            ("records", 5u64.into()),
+            (
+                "duplicate_probability",
+                Json::Fixed(DUPLICATE_PROBABILITY, 2),
+            ),
+            ("trials_per_point", TRIALS.into()),
+            ("sweep", Json::Array(sweep)),
+            (
+                "node_loss",
+                Json::Object(vec![
+                    ("trials", LOSS_TRIALS.into()),
+                    ("recovered", recovered.into()),
+                    ("replans", replans.into()),
+                ]),
+            ),
+        ],
+    );
 }

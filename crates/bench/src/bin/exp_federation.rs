@@ -12,22 +12,28 @@
 //!   rewritten checkpoint digest fails the root accumulator
 //!   cross-check.
 //!
+//! The two queries are priced in exact messages and exponentiations,
+//! summed over the rings each touches. They are different queries, not
+//! two routings of one (EXPERIMENTS.md P14): the broadcast query is one
+//! literal its owner scans locally, the routed query joins two holders
+//! with a secure set intersection over the home ring's records.
+//!
 //! Run with: `cargo run -p dla-bench --bin exp_federation --release`
-//! (writes `BENCH_federation.json`; `--quick` is the CI-sized
-//! configuration, which asserts the same gate and writes nothing).
+//! (writes `BENCH_federation.json`).
 
 use dla_audit::federation::{FederatedCluster, FederationConfig};
-use dla_bench::{render_table, write_snapshot};
+use dla_bench::{metered, render_rows, write_snapshot, Json};
+use dla_crypto::sha256::to_hex;
 use dla_logstore::fragment::Partition;
-use dla_logstore::gen::{generate, WorkloadConfig};
 use dla_logstore::model::{AttrValue, LogRecord};
 use dla_logstore::schema::Schema;
 use dla_net::latency::LatencyModel;
-use rand::SeedableRng;
-use std::time::Instant;
+use dla_telemetry::CostVector;
 
 const SEED: u64 = 14;
 const EPOCH_LEN: u64 = 8;
+const RECORDS: usize = 288;
+const USERS: usize = 64;
 /// The broadcast query: no partition pin, every ring answers.
 const BROADCAST: &str = "protocol = 'UDP'";
 /// The routed query: an `id` equality pins it to one home ring.
@@ -37,10 +43,9 @@ struct Row {
     rings: usize,
     makespan_ns: u64,
     deposits_per_sec: f64,
-    broadcast_ms: f64,
-    routed_ms: f64,
+    broadcast_cost: CostVector,
+    routed_cost: CostVector,
     rings_routed: usize,
-    count_ms: f64,
     count: u64,
     broadcast_digest: String,
     routed_digest: String,
@@ -49,26 +54,10 @@ struct Row {
     tamper_detected: bool,
 }
 
-fn hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
-}
-
-fn fixed_workload(records: usize, users: usize) -> Vec<LogRecord> {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(SEED);
-    generate(
-        &WorkloadConfig {
-            records,
-            users,
-            ..WorkloadConfig::default()
-        },
-        &mut rng,
-    )
-}
-
 /// Builds an `rings`-ring federation and deposits the shared workload
 /// record by record in global order (so deposit indices agree across
 /// ring counts).
-fn loaded_federation(rings: usize, users: usize, workload: &[LogRecord]) -> FederatedCluster {
+fn loaded_federation(rings: usize, workload: &[LogRecord]) -> FederatedCluster {
     let schema = Schema::paper_example();
     let partition = Partition::paper_example(&schema);
     let mut fed = FederatedCluster::new(
@@ -77,10 +66,10 @@ fn loaded_federation(rings: usize, users: usize, workload: &[LogRecord]) -> Fede
             .with_seed(SEED)
             .with_epoch_length(EPOCH_LEN)
             .with_latency(LatencyModel::lan())
-            .with_max_users(users),
+            .with_max_users(USERS),
     )
     .expect("federation builds");
-    for u in 1..=users {
+    for u in 1..=USERS {
         fed.register_user(&format!("U{u}")).expect("capacity");
     }
     for record in workload {
@@ -93,34 +82,15 @@ fn loaded_federation(rings: usize, users: usize, workload: &[LogRecord]) -> Fede
     fed
 }
 
-fn run_row(rings: usize, users: usize, workload: &[LogRecord], iters: usize) -> Row {
-    let mut fed = loaded_federation(rings, users, workload);
+fn run_row(rings: usize, workload: &[LogRecord]) -> Row {
+    let mut fed = loaded_federation(rings, workload);
     let makespan_ns = fed.ingest_makespan_ns();
     assert!(makespan_ns > 0, "deposits must advance the virtual clock");
     let deposits_per_sec = workload.len() as f64 / (makespan_ns as f64 / 1e9);
 
-    let mut broadcast_ms = f64::INFINITY;
-    let mut routed_ms = f64::INFINITY;
-    let mut count_ms = f64::INFINITY;
-    let mut broadcast_digest = String::new();
-    let mut routed_digest = String::new();
-    let mut rings_routed = 0;
-    let mut count = 0;
-    for _ in 0..iters {
-        let started = Instant::now();
-        let b = fed.query(BROADCAST).expect("broadcast query runs");
-        broadcast_ms = broadcast_ms.min(started.elapsed().as_secs_f64() * 1000.0);
-        let started = Instant::now();
-        let r = fed.query(ROUTED).expect("routed query runs");
-        routed_ms = routed_ms.min(started.elapsed().as_secs_f64() * 1000.0);
-        let started = Instant::now();
-        let c = fed.count(BROADCAST).expect("federated count runs");
-        count_ms = count_ms.min(started.elapsed().as_secs_f64() * 1000.0);
-        broadcast_digest = hex(&b.answer_digest());
-        routed_digest = hex(&r.answer_digest());
-        rings_routed = r.rings_queried.len();
-        count = c.count;
-    }
+    let (broadcast, broadcast_cost) = metered(|| fed.query(BROADCAST).expect("broadcast runs"));
+    let (routed, routed_cost) = metered(|| fed.query(ROUTED).expect("routed query runs"));
+    let count = fed.count(BROADCAST).expect("federated count runs").count;
 
     // The seal path pushes checkpoints as they happen; the sweep is a
     // no-op and `published()` holds the full archive.
@@ -136,57 +106,45 @@ fn run_row(rings: usize, users: usize, workload: &[LogRecord], iters: usize) -> 
         rings,
         makespan_ns,
         deposits_per_sec,
-        broadcast_ms,
-        routed_ms,
-        rings_routed,
-        count_ms,
+        broadcast_cost,
+        routed_cost,
+        rings_routed: routed.rings_queried.len(),
         count,
-        broadcast_digest,
-        routed_digest,
+        broadcast_digest: to_hex(&broadcast.answer_digest()),
+        routed_digest: to_hex(&routed.answer_digest()),
         published,
         root_ok,
         tamper_detected,
     }
 }
 
-fn json_row(r: &Row) -> String {
-    format!(
-        concat!(
-            "    {{\"rings\": {}, \"makespan_ns\": {}, \"deposits_per_sec\": {:.1}, ",
-            "\"broadcast_query_ms\": {:.3}, \"routed_query_ms\": {:.3}, ",
-            "\"rings_routed\": {}, \"count_ms\": {:.3}, \"count\": {}, ",
-            "\"broadcast_digest\": \"{}\", \"routed_digest\": \"{}\", ",
-            "\"published\": {}, \"root_ok\": {}, \"tamper_detected\": {}}}"
-        ),
-        r.rings,
-        r.makespan_ns,
-        r.deposits_per_sec,
-        r.broadcast_ms,
-        r.routed_ms,
-        r.rings_routed,
-        r.count_ms,
-        r.count,
-        r.broadcast_digest,
-        r.routed_digest,
-        r.published,
-        r.root_ok,
-        r.tamper_detected,
-    )
+impl Row {
+    fn json(&self) -> Json {
+        Json::Object(vec![
+            ("rings", self.rings.into()),
+            ("makespan_ns", self.makespan_ns.into()),
+            ("deposits_per_sec", Json::Fixed(self.deposits_per_sec, 1)),
+            ("broadcast_messages", self.broadcast_cost.msgs_sent.into()),
+            ("broadcast_modexp", self.broadcast_cost.modexp.into()),
+            ("routed_messages", self.routed_cost.msgs_sent.into()),
+            ("routed_modexp", self.routed_cost.modexp.into()),
+            ("rings_routed", self.rings_routed.into()),
+            ("count", self.count.into()),
+            ("broadcast_digest", self.broadcast_digest.as_str().into()),
+            ("routed_digest", self.routed_digest.as_str().into()),
+            ("published", self.published.into()),
+            ("root_ok", self.root_ok.into()),
+            ("tamper_detected", self.tamper_detected.into()),
+        ])
+    }
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let (ring_counts, records, users, iters): (&[usize], usize, usize, usize) = if quick {
-        (&[1, 2, 4], 144, 48, 1)
-    } else {
-        (&[1, 2, 4, 8], 288, 64, 3)
-    };
-
-    let workload = fixed_workload(records, users);
-    let rows: Vec<Row> = ring_counts
-        .iter()
-        .map(|&r| run_row(r, users, &workload, iters))
-        .collect();
+    dla_bench::refuse_args();
+    let workload = dla_bench::workload(RECORDS, USERS, SEED);
+    let rows: Vec<Row> = [1usize, 2, 4, 8]
+        .map(|rings| run_row(rings, &workload))
+        .into();
 
     // Gates. (1) Answers are byte-identical at every ring count.
     let broadcast_digest = rows[0].broadcast_digest.clone();
@@ -227,38 +185,11 @@ fn main() {
         assert!(r.tamper_detected, "tampered checkpoint must be caught");
     }
 
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.rings.to_string(),
-                format!("{:.2}", r.makespan_ns as f64 / 1e6),
-                format!("{:.0}", r.deposits_per_sec),
-                format!("{:.2}", r.broadcast_ms),
-                format!("{:.2}", r.routed_ms),
-                format!("{:.2}", r.count_ms),
-                r.published.to_string(),
-                if r.tamper_detected { "yes" } else { "NO" }.to_string(),
-            ]
-        })
-        .collect();
+    let table: Vec<Json> = rows.iter().map(Row::json).collect();
     println!(
         "{}",
-        render_table(
-            &format!(
-                "P14 - FEDERATION SCALING ({records} records, {users} users{})",
-                if quick { ", quick" } else { "" }
-            ),
-            &[
-                "rings",
-                "makespan ms",
-                "dep/s",
-                "bcast ms",
-                "routed ms",
-                "count ms",
-                "seals",
-                "tamper?",
-            ],
+        render_rows(
+            &format!("P14 - FEDERATION SCALING ({RECORDS} records, {USERS} users)"),
             &table
         )
     );
@@ -267,24 +198,18 @@ fn main() {
          ring count; every tampered checkpoint caught by the root accumulator cross-check."
     );
 
-    let entries: Vec<String> = rows.iter().map(json_row).collect();
-    let json = format!(
-        concat!(
-            "{{\n  \"experiment\": \"federation\",\n  \"quick\": {},\n",
-            "  \"records\": {},\n  \"users\": {},\n  \"epoch_length\": {},\n",
-            "  \"speedup_4x_vs_1\": {:.3},\n",
-            "  \"broadcast_digest\": \"{}\",\n  \"routed_digest\": \"{}\",\n",
-            "  \"digests_identical\": true,\n  \"tamper_detected\": true,\n",
-            "  \"rows\": [\n{}\n  ]\n}}\n"
-        ),
-        quick,
-        records,
-        users,
-        EPOCH_LEN,
-        speedup,
-        broadcast_digest,
-        routed_digest,
-        entries.join(",\n")
+    write_snapshot(
+        "federation",
+        vec![
+            ("records", RECORDS.into()),
+            ("users", USERS.into()),
+            ("epoch_length", EPOCH_LEN.into()),
+            ("speedup_4x_vs_1", Json::Fixed(speedup, 3)),
+            ("broadcast_digest", broadcast_digest.as_str().into()),
+            ("routed_digest", routed_digest.as_str().into()),
+            ("digests_identical", true.into()),
+            ("tamper_detected", true.into()),
+            ("rows", Json::Array(table)),
+        ],
     );
-    write_snapshot("federation", quick, &json);
 }

@@ -5,11 +5,12 @@
 //! Run with: `cargo run -p dla-bench --bin exp_integrity --release`
 
 use dla_audit::integrity;
-use dla_bench::{render_table, timed};
+use dla_bench::{metered, render_table};
 use dla_logstore::model::AttrValue;
 use rand::{Rng, SeedableRng};
 
 fn main() {
+    dla_bench::refuse_args();
     // Part 1: order independence — every initiator reaches the same
     // verdict on the paper cluster.
     let (mut cluster, _, glsns) = dla_bench::paper_cluster(5);
@@ -70,12 +71,12 @@ fn main() {
             // attribute each); for larger n we keep 7 attribute owners.
             ;
         let _ = n;
-        let (verdict, ms) =
-            timed(|| integrity::check_record(&mut cluster, glsns[0], 0).expect("check runs"));
+        let (verdict, cost) =
+            metered(|| integrity::check_record(&mut cluster, glsns[0], 0).expect("check runs"));
         rows.push(vec![
             cluster.num_nodes().to_string(),
             verdict.messages.to_string(),
-            format!("{ms:.2} ms"),
+            cost.acc_fold.to_string(),
             verdict.ok.to_string(),
         ]);
     }
@@ -83,7 +84,7 @@ fn main() {
         "{}",
         render_table(
             "CIRCULATION COST vs CLUSTER SIZE (one record)",
-            &["nodes", "messages", "wall time", "verdict"],
+            &["nodes", "messages", "acc folds", "verdict"],
             &rows
         )
     );

@@ -14,6 +14,7 @@ use dla_logstore::model::{AttrValue, Glsn, LogRecord};
 use dla_logstore::schema::{AttrDef, Schema};
 
 fn main() {
+    dla_bench::refuse_args();
     sweep_store_confidentiality();
     sweep_auditing_confidentiality();
     sweep_dla_confidentiality();

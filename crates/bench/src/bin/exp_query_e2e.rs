@@ -6,18 +6,18 @@
 //! Run with: `cargo run -p dla-bench --bin exp_query_e2e --release`
 //! (writes `BENCH_query_e2e.json`: virtual time, counts and sessions —
 //! a query's wall-clock trajectory is `benchmark/run.sh`'s
-//! `query_scan`; `--quick`, the CI form, runs and asserts the same and
-//! writes nothing).
+//! `query_scan`).
 
 use dla_audit::centralized::CentralizedAuditor;
-use dla_audit::cluster::{ClusterConfig, DlaCluster};
+use dla_audit::cluster::ClusterConfig;
 use dla_audit::exec::execute;
-use dla_bench::{fmt_bytes, render_table, timed, write_snapshot};
-use dla_logstore::fragment::Partition;
-use dla_logstore::gen::{generate, WorkloadConfig};
+use dla_bench::{
+    fmt_bytes, loaded_cluster, metered, paper_config, render_rows, render_table, workload,
+    write_snapshot, Json,
+};
+use dla_logstore::gen::WorkloadConfig;
 use dla_logstore::schema::Schema;
 use dla_net::latency::LatencyModel;
-use rand::SeedableRng;
 
 const QUERY: &str = "(id = 'U1' OR c1 > 80) AND c2 < 500.00 AND protocol = 'UDP'";
 
@@ -40,25 +40,8 @@ struct SchedulerRun {
 }
 
 fn scheduler_run() -> SchedulerRun {
-    let schema = Schema::paper_example();
-    let partition = Partition::paper_example(&schema);
-    let mut cluster = DlaCluster::new(
-        ClusterConfig::new(4, schema)
-            .with_partition(partition)
-            .with_seed(7)
-            .with_latency(LatencyModel::lan()),
-    )
-    .expect("cluster builds");
-    let user = cluster.register_user("u").expect("capacity");
-    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-    let data = generate(
-        &WorkloadConfig {
-            records: 100,
-            ..WorkloadConfig::default()
-        },
-        &mut rng,
-    );
-    cluster.log_records(&user, &data).expect("logs");
+    let config = paper_config(7).with_latency(LatencyModel::lan());
+    let (mut cluster, _, _) = loaded_cluster(config, 100, 7);
 
     let plan = cluster.compile(SCHED_QUERY).expect("compiles");
     cluster.net().reset_accounting();
@@ -77,9 +60,7 @@ fn scheduler_run() -> SchedulerRun {
 }
 
 fn main() {
-    // The whole run takes well under a second, so `--quick` changes
-    // only whether the snapshot is written.
-    let quick = std::env::args().any(|a| a == "--quick");
+    dla_bench::refuse_args();
 
     // Part 1: cost vs workload size, distributed vs centralized.
     let mut rows = Vec::new();
@@ -87,35 +68,29 @@ fn main() {
         let (mut cluster, _, _) = dla_bench::workload_cluster(4, records, 42);
         let before_msgs = cluster.net().stats().messages_sent;
         let before_bytes = cluster.net().stats().bytes_sent;
-        let (dla_result, dla_ms) = timed(|| cluster.query(QUERY).expect("query runs"));
+        let (dla_result, dla_cost) = metered(|| cluster.query(QUERY).expect("query runs"));
         let dla_msgs = cluster.net().stats().messages_sent - before_msgs;
         let dla_bytes = cluster.net().stats().bytes_sent - before_bytes;
 
-        let schema = Schema::paper_example();
-        let mut auditor = CentralizedAuditor::new(schema, 2);
+        let mut auditor = CentralizedAuditor::new(Schema::paper_example(), 2);
         let user = auditor.register_user().expect("capacity");
-        let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-        let data = generate(
-            &WorkloadConfig {
-                records,
-                ..WorkloadConfig::default()
-            },
-            &mut rng,
-        );
-        for r in &data {
+        // The records `workload_cluster(4, records, 42)` logged above.
+        for r in &workload(records, WorkloadConfig::default().users, 42) {
             auditor.log_record(user, r).expect("logs");
         }
-        let (central_result, central_ms) = timed(|| auditor.query_text(QUERY).expect("query runs"));
+        let (central_result, central_cost) =
+            metered(|| auditor.query_text(QUERY).expect("query runs"));
 
         assert_eq!(dla_result.glsns.len(), central_result.len(), "same answers");
         rows.push(vec![
             records.to_string(),
             dla_result.glsns.len().to_string(),
             format!(
-                "{dla_ms:.1} ms / {dla_msgs} msgs / {}",
+                "{} modexp / {dla_msgs} msgs / {}",
+                dla_cost.modexp,
                 fmt_bytes(dla_bytes)
             ),
-            format!("{central_ms:.2} ms / 0 msgs"),
+            format!("{} modexp / 0 msgs", central_cost.modexp),
         ]);
     }
     println!(
@@ -137,23 +112,10 @@ fn main() {
         ("LAN", LatencyModel::lan()),
         ("WAN", LatencyModel::wan()),
     ] {
-        let schema = Schema::paper_example();
-        let mut cluster = DlaCluster::new(
-            ClusterConfig::new(4, schema)
-                .with_seed(7)
-                .with_latency(latency),
-        )
-        .expect("cluster builds");
-        let user = cluster.register_user("u").expect("capacity");
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        let data = generate(
-            &WorkloadConfig {
-                records: 100,
-                ..WorkloadConfig::default()
-            },
-            &mut rng,
-        );
-        cluster.log_records(&user, &data).expect("logs");
+        let config = ClusterConfig::new(4, Schema::paper_example())
+            .with_seed(7)
+            .with_latency(latency);
+        let (mut cluster, _, _) = loaded_cluster(config, 100, 7);
         let before = cluster.net().elapsed();
         let result = cluster.query(QUERY).expect("query runs");
         let simulated = cluster.net().elapsed() - before;
@@ -180,16 +142,24 @@ fn main() {
     // is the run the last serial-vs-concurrent comparison recorded
     // (EXPERIMENTS.md P5c, closed).
     let run = scheduler_run();
-    println!("\nP5c - SUBQUERY SCHEDULING: concurrent sessions (LAN, 4 nodes)");
-    println!("query: {SCHED_QUERY}");
+    let concurrent = Json::Object(vec![
+        ("virtual_latency_ns", run.virtual_ns.into()),
+        ("messages", run.messages.into()),
+        ("bytes", run.bytes.into()),
+        ("sessions", run.sessions.into()),
+        (
+            "max_concurrent_sessions",
+            run.max_concurrent_sessions.into(),
+        ),
+    ]);
     println!(
-        "{:.3} ms virtual latency, {} messages, {}, {} sessions ({} in flight at once)",
-        run.virtual_ns as f64 / 1e6,
-        run.messages,
-        fmt_bytes(run.bytes),
-        run.sessions,
-        run.max_concurrent_sessions
+        "\n{}",
+        render_rows(
+            "P5c - SUBQUERY SCHEDULING: concurrent sessions (LAN, 4 nodes)",
+            std::slice::from_ref(&concurrent)
+        )
     );
+    println!("query: {SCHED_QUERY}");
     println!(
         "shape: {} independent subqueries overlap, so the plan's makespan is the\n\
          max, not the sum, of the subquery latencies.",
@@ -209,33 +179,16 @@ fn main() {
         "the scheduler run moved off its recorded figures"
     );
 
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"experiment\": \"query_e2e\",\n",
-            "  \"query\": \"{query}\",\n",
-            "  \"nodes\": 4,\n",
-            "  \"records\": 100,\n",
-            "  \"latency_model\": \"lan\",\n",
-            "  \"subqueries\": {subqueries},\n",
-            "  \"matches\": {matches},\n",
-            "  \"concurrent\": {{\n",
-            "    \"virtual_latency_ns\": {ns},\n",
-            "    \"messages\": {msgs},\n",
-            "    \"bytes\": {bytes},\n",
-            "    \"sessions\": {sessions},\n",
-            "    \"max_concurrent_sessions\": {conc}\n",
-            "  }}\n",
-            "}}\n",
-        ),
-        query = SCHED_QUERY,
-        subqueries = run.subqueries,
-        matches = run.matches,
-        ns = run.virtual_ns,
-        msgs = run.messages,
-        bytes = run.bytes,
-        sessions = run.sessions,
-        conc = run.max_concurrent_sessions,
+    write_snapshot(
+        "query_e2e",
+        vec![
+            ("query", SCHED_QUERY.into()),
+            ("nodes", 4u64.into()),
+            ("records", 100u64.into()),
+            ("latency_model", "lan".into()),
+            ("subqueries", run.subqueries.into()),
+            ("matches", run.matches.into()),
+            ("concurrent", concurrent),
+        ],
     );
-    write_snapshot("query_e2e", quick, &json);
 }

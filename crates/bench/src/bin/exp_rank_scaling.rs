@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run -p dla-bench --bin exp_rank_scaling --release`
 
-use dla_bench::{fmt_bytes, ideal_net, render_table, timed};
+use dla_bench::{fmt_bytes, ideal_net, metered, render_table};
 use dla_crypto::pohlig_hellman::CommutativeDomain;
 use dla_mpc::baseline::baseline_ranking;
 use dla_mpc::RankingSession;
@@ -15,6 +15,7 @@ use dla_net::{NodeId, Session};
 use rand::{Rng, SeedableRng};
 
 fn main() {
+    dla_bench::refuse_args();
     let domain = CommutativeDomain::fixed_256();
     let mut rng = rand::rngs::StdRng::seed_from_u64(333);
     let mut rows = Vec::new();
@@ -25,7 +26,7 @@ fn main() {
 
         // Relaxed: order-preserving masking + blind TTP.
         let net = ideal_net(n + 1);
-        let (relaxed, relaxed_ms) = timed(|| {
+        let (relaxed, relaxed_cost) = metered(|| {
             RankingSession::new(Session::root(&net), &parties, NodeId(n))
                 .run(&values, &mut rng)
                 .expect("runs")
@@ -35,7 +36,7 @@ fn main() {
         // full 2-party commutative-cipher set intersection).
         let net = ideal_net(n);
         let session = Session::root(&net);
-        let (classical, classical_ms) = timed(|| {
+        let (classical, classical_cost) = metered(|| {
             baseline_ranking(&session, &domain, &parties, &values, &mut rng).expect("runs")
         });
 
@@ -43,21 +44,21 @@ fn main() {
         rows.push(vec![
             n.to_string(),
             format!(
-                "{} / {} / {:.1}ms",
+                "{} / {} / {}",
                 relaxed.report.messages,
                 fmt_bytes(relaxed.report.bytes),
-                relaxed_ms
+                relaxed_cost.modexp
             ),
             format!(
-                "{} / {} / {:.1}ms",
+                "{} / {} / {}",
                 classical.report.messages,
                 fmt_bytes(classical.report.bytes),
-                classical_ms
+                classical_cost.modexp
             ),
             format!(
-                "{:.0}x msgs, {:.0}x time",
+                "{:.0}x msgs, {:.0}x bytes",
                 classical.report.messages as f64 / relaxed.report.messages as f64,
-                (classical_ms / relaxed_ms).max(1.0)
+                classical.report.bytes as f64 / relaxed.report.bytes as f64
             ),
         ]);
     }
@@ -68,8 +69,8 @@ fn main() {
             "P3 - Rank_s: blind-TTP (relaxed, §3.3) vs pairwise 2PC tournament",
             &[
                 "n",
-                "relaxed msgs/bytes/time",
-                "classical msgs/bytes/time",
+                "relaxed msgs/bytes/modexp",
+                "classical msgs/bytes/modexp",
                 "gap"
             ],
             &rows

@@ -4,11 +4,12 @@
 //!
 //! Run with: `cargo run -p dla-bench --bin exp_ssi_scaling --release`
 
-use dla_bench::{fmt_bytes, ideal_net, render_table, timed};
+use dla_bench::{fmt_bytes, ideal_net, metered, render_table};
 use dla_crypto::pohlig_hellman::CommutativeDomain;
 use dla_mpc::SsiSession;
 use dla_net::topology::Ring;
 use dla_net::{NodeId, Session};
+use dla_telemetry::CostVector;
 use rand::SeedableRng;
 
 fn run_once(
@@ -16,25 +17,12 @@ fn run_once(
     set_size: usize,
     domain: &CommutativeDomain,
     seed: u64,
-) -> (dla_mpc::set_intersection::SsiOutcome, f64) {
+) -> (dla_mpc::set_intersection::SsiOutcome, CostVector) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let net = ideal_net(n);
     let ring = Ring::canonical(n);
-    // Half the elements are shared by everyone; the rest are private.
-    let inputs: Vec<Vec<Vec<u8>>> = (0..n)
-        .map(|party| {
-            (0..set_size)
-                .map(|i| {
-                    if i < set_size / 2 {
-                        format!("shared-{i}").into_bytes()
-                    } else {
-                        format!("private-{party}-{i}").into_bytes()
-                    }
-                })
-                .collect()
-        })
-        .collect();
-    timed(move || {
+    let inputs = dla_bench::half_shared_sets(n, set_size);
+    metered(move || {
         SsiSession::new(Session::root(&net), &ring, domain, NodeId(0))
             .run(&inputs, &mut rng)
             .expect("protocol runs")
@@ -42,26 +30,27 @@ fn run_once(
 }
 
 fn main() {
+    dla_bench::refuse_args();
     let domain256 = CommutativeDomain::fixed_256();
     let domain512 = CommutativeDomain::fixed_512();
 
     // Sweep party count at fixed set size.
     let mut rows = Vec::new();
     for n in [2usize, 3, 4, 6, 8] {
-        let (outcome, ms) = run_once(n, 16, &domain256, n as u64);
+        let (outcome, cost) = run_once(n, 16, &domain256, n as u64);
         assert_eq!(outcome.cardinality(), 8);
         rows.push(vec![
             n.to_string(),
             outcome.report.messages.to_string(),
             fmt_bytes(outcome.report.bytes),
-            format!("{ms:.1} ms"),
+            cost.modexp.to_string(),
         ]);
     }
     println!(
         "{}",
         render_table(
             "P2a - SSI vs PARTY COUNT (16-element sets, 256-bit domain)",
-            &["parties", "messages", "bytes", "wall time"],
+            &["parties", "messages", "bytes", "modexp"],
             &rows
         )
     );
@@ -70,20 +59,20 @@ fn main() {
     // Sweep set size at fixed party count.
     let mut rows = Vec::new();
     for set_size in [4usize, 16, 64, 256] {
-        let (outcome, ms) = run_once(3, set_size, &domain256, 100 + set_size as u64);
+        let (outcome, cost) = run_once(3, set_size, &domain256, 100 + set_size as u64);
         assert_eq!(outcome.cardinality(), set_size / 2);
         rows.push(vec![
             set_size.to_string(),
             outcome.report.messages.to_string(),
             fmt_bytes(outcome.report.bytes),
-            format!("{ms:.1} ms"),
+            cost.modexp.to_string(),
         ]);
     }
     println!(
         "{}",
         render_table(
             "P2b - SSI vs SET SIZE (3 parties, 256-bit domain)",
-            &["set size", "messages", "bytes", "wall time"],
+            &["set size", "messages", "bytes", "modexp"],
             &rows
         )
     );
@@ -92,18 +81,18 @@ fn main() {
     // Domain width ablation.
     let mut rows = Vec::new();
     for (label, domain) in [("256-bit", &domain256), ("512-bit", &domain512)] {
-        let (outcome, ms) = run_once(3, 32, domain, 999);
+        let (outcome, cost) = run_once(3, 32, domain, 999);
         rows.push(vec![
             label.to_owned(),
             fmt_bytes(outcome.report.bytes),
-            format!("{ms:.1} ms"),
+            format!("{} / {}", cost.modexp, cost.mont_mul_steps),
         ]);
     }
     println!(
         "{}",
         render_table(
             "P2c - DOMAIN WIDTH ABLATION (3 parties, 32-element sets)",
-            &["safe prime", "bytes", "wall time"],
+            &["safe prime", "bytes", "modexp / mont-mul steps"],
             &rows
         )
     );

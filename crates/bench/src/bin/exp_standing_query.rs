@@ -19,19 +19,17 @@
 //! `benchmark/run.sh` (`mixed_audit`).
 //!
 //! Run with: `cargo run -p dla-bench --bin exp_standing_query --release`
-//! (writes `BENCH_standing_query.json`; `--quick` is the CI-sized
-//! configuration, which asserts the same gate and writes nothing).
+//! (writes `BENCH_standing_query.json`).
 
 use dla_audit::aggregate::{windowed_bucket_aggregate, AggregatePath};
-use dla_audit::cluster::{ClusterConfig, DlaCluster};
+use dla_audit::cluster::DlaCluster;
 use dla_audit::federation::{FederatedCluster, FederationConfig};
 use dla_audit::plan::TimeWindow;
-use dla_bench::{render_table, write_snapshot};
+use dla_bench::{render_rows, write_snapshot, Json};
 use dla_logstore::fragment::Partition;
-use dla_logstore::gen::{generate, WorkloadConfig};
+use dla_logstore::gen::WorkloadConfig;
 use dla_logstore::model::{AttrValue, Glsn};
 use dla_logstore::schema::Schema;
-use rand::SeedableRng;
 use std::collections::BTreeSet;
 
 const SEED: u64 = 13;
@@ -56,28 +54,10 @@ struct Row {
 }
 
 fn loaded_cluster(records: usize) -> DlaCluster {
-    let schema = Schema::paper_example();
-    let partition = Partition::paper_example(&schema);
-    let mut cluster = DlaCluster::new(
-        ClusterConfig::new(4, schema)
-            .with_partition(partition)
-            .with_seed(SEED)
-            .with_epoch_length(EPOCH_LEN),
-    )
-    .expect("cluster builds");
-    let user = cluster.register_user("auditor").expect("capacity");
     // Same seed for every trail length: the generated prefix is
     // identical, so the fixed window always covers the same records.
-    let mut rng = rand::rngs::StdRng::seed_from_u64(SEED);
-    let workload = generate(
-        &WorkloadConfig {
-            records,
-            ..WorkloadConfig::default()
-        },
-        &mut rng,
-    );
-    cluster.log_records(&user, &workload).expect("logs");
-    cluster
+    let config = dla_bench::paper_config(SEED).with_epoch_length(EPOCH_LEN);
+    dla_bench::loaded_cluster(config, records, SEED).0
 }
 
 /// The glsns of sealed epochs — the domain a standing subscription has
@@ -160,15 +140,7 @@ fn run_federated(records: usize) -> (usize, bool, usize) {
     let id = fed
         .register_standing(STANDING_CRITERIA)
         .expect("registers before any deposit");
-    let mut rng = rand::rngs::StdRng::seed_from_u64(SEED);
-    let workload = generate(
-        &WorkloadConfig {
-            records,
-            users,
-            ..WorkloadConfig::default()
-        },
-        &mut rng,
-    );
+    let workload = dla_bench::workload(records, users, SEED);
     for u in 1..=users {
         fed.register_user(&format!("U{u}")).expect("capacity");
     }
@@ -200,37 +172,27 @@ fn run_federated(records: usize) -> (usize, bool, usize) {
     (accumulated.len(), identical, fed.published().len())
 }
 
-fn json_row(r: &Row) -> String {
-    format!(
-        concat!(
-            "    {{\"records\": {}, \"epochs\": {}, \"sealed_epochs\": {}, ",
-            "\"epochs_cached\": {}, \"cached_fragments\": {}, \"rescan_fragments\": {}, ",
-            "\"cached_count\": {}, \"cached_sum\": {}, \"identical\": {}, ",
-            "\"standing_matches\": {}, \"standing_identical\": {}}}"
-        ),
-        r.records,
-        r.epochs,
-        r.sealed_epochs,
-        r.epochs_cached,
-        r.cached_fragments,
-        r.rescan_fragments,
-        r.cached_count,
-        r.cached_sum,
-        r.identical,
-        r.standing_matches,
-        r.standing_identical,
-    )
+impl Row {
+    fn json(&self) -> Json {
+        Json::Object(vec![
+            ("records", self.records.into()),
+            ("epochs", self.epochs.into()),
+            ("sealed_epochs", self.sealed_epochs.into()),
+            ("epochs_cached", self.epochs_cached.into()),
+            ("cached_fragments", self.cached_fragments.into()),
+            ("rescan_fragments", self.rescan_fragments.into()),
+            ("cached_count", self.cached_count.into()),
+            ("cached_sum", self.cached_sum.into()),
+            ("identical", self.identical.into()),
+            ("standing_matches", self.standing_matches.into()),
+            ("standing_identical", self.standing_identical.into()),
+        ])
+    }
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let (trail_lengths, fed_records): (&[usize], usize) = if quick {
-        (&[32, 96], 24)
-    } else {
-        (&[64, 128, 256], 48)
-    };
-
-    let rows: Vec<Row> = trail_lengths.iter().map(|&n| run_row(n)).collect();
+    dla_bench::refuse_args();
+    let rows: Vec<Row> = [64usize, 128, 256].map(run_row).into();
 
     // Gates. (1) Cached and rescan answers are identical in every row,
     // and so are the standing-delta and fresh-query answers.
@@ -272,7 +234,7 @@ fn main() {
 
     // (4) The federated topology reproduces the same equivalence, with
     // seal-time pushes only (no publish/poll call anywhere).
-    let (fed_matches, fed_identical, fed_published) = run_federated(fed_records);
+    let (fed_matches, fed_identical, fed_published) = run_federated(48);
     assert!(
         fed_identical,
         "federated standing deltas diverged from the fresh federated query"
@@ -282,35 +244,14 @@ fn main() {
         "sub-ring seals must push checkpoints to the root with no poll"
     );
 
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.records.to_string(),
-                format!("{}/{}", r.sealed_epochs, r.epochs),
-                r.epochs_cached.to_string(),
-                format!("{}/{}", r.cached_fragments, r.rescan_fragments),
-                format!("{}", r.cached_count),
-                r.standing_matches.to_string(),
-            ]
-        })
-        .collect();
+    let table: Vec<Json> = rows.iter().map(Row::json).collect();
     println!(
         "{}",
-        render_table(
+        render_rows(
             &format!(
                 "P16 - STANDING QUERIES + MATERIALIZED AGGREGATES (epoch={EPOCH_LEN}, \
-                 window={WINDOW_SECS}s{})",
-                if quick { ", quick" } else { "" }
+                 window={WINDOW_SECS}s)"
             ),
-            &[
-                "records",
-                "sealed/ep",
-                "cached ep",
-                "frags c/r",
-                "count",
-                "standing",
-            ],
             &table
         )
     );
@@ -321,24 +262,16 @@ fn main() {
         cached_fragments, last.rescan_fragments, last.records, fed_matches, fed_published
     );
 
-    let entries: Vec<String> = rows.iter().map(json_row).collect();
-    let json = format!(
-        concat!(
-            "{{\n  \"experiment\": \"standing_query\",\n  \"quick\": {},\n",
-            "  \"epoch_length\": {},\n  \"window_secs\": {},\n",
-            "  \"cached_fragments\": {},\n",
-            "  \"federated_matches\": {},\n  \"federated_identical\": {},\n",
-            "  \"federated_published\": {},\n",
-            "  \"rows\": [\n{}\n  ]\n}}\n"
-        ),
-        quick,
-        EPOCH_LEN,
-        WINDOW_SECS,
-        cached_fragments,
-        fed_matches,
-        fed_identical,
-        fed_published,
-        entries.join(",\n")
+    write_snapshot(
+        "standing_query",
+        vec![
+            ("epoch_length", EPOCH_LEN.into()),
+            ("window_secs", WINDOW_SECS.into()),
+            ("cached_fragments", cached_fragments.into()),
+            ("federated_matches", fed_matches.into()),
+            ("federated_identical", fed_identical.into()),
+            ("federated_published", fed_published.into()),
+            ("rows", Json::Array(table)),
+        ],
     );
-    write_snapshot("standing_query", quick, &json);
 }

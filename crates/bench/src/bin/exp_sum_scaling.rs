@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run -p dla-bench --bin exp_sum_scaling --release`
 
-use dla_bench::{fmt_bytes, ideal_net, render_table, timed};
+use dla_bench::{fmt_bytes, ideal_net, metered, render_table};
 use dla_bigint::{Ubig, F61};
 use dla_crypto::schnorr::SchnorrGroup;
 use dla_mpc::baseline::{plaintext_sum, vss_sum};
@@ -18,6 +18,7 @@ use dla_net::{NodeId, Session};
 use rand::SeedableRng;
 
 fn main() {
+    dla_bench::refuse_args();
     let group = SchnorrGroup::fixed_256();
     let mut rng = rand::rngs::StdRng::seed_from_u64(111);
     let mut rows = Vec::new();
@@ -31,14 +32,13 @@ fn main() {
         // Plaintext reference.
         let net = ideal_net(n + 1);
         let session = Session::root(&net);
-        let (plain, plain_ms) =
-            timed(|| plaintext_sum(&session, &parties, &values, NodeId(n)).expect("runs"));
+        let plain = plaintext_sum(&session, &parties, &values, NodeId(n)).expect("runs");
         assert_eq!(plain.total, Ubig::from_u64(expect));
 
         // Relaxed §3.5 secure sum.
         let net = ideal_net(n + 1);
         let inputs: Vec<F61> = values.iter().map(|&v| F61::new(v)).collect();
-        let (relaxed, relaxed_ms) = timed(|| {
+        let (relaxed, relaxed_cost) = metered(|| {
             SumSession::new(Session::root(&net), &parties, k, NodeId(n))
                 .run(&inputs, &mut rng)
                 .expect("runs")
@@ -49,29 +49,29 @@ fn main() {
         let net = ideal_net(n);
         let session = Session::root(&net);
         let inputs_big: Vec<Ubig> = values.iter().map(|&v| Ubig::from_u64(v)).collect();
-        let (vss, vss_ms) =
-            timed(|| vss_sum(&session, &group, &parties, &inputs_big, k, &mut rng).expect("runs"));
+        let (vss, vss_cost) = metered(|| {
+            vss_sum(&session, &group, &parties, &inputs_big, k, &mut rng).expect("runs")
+        });
         assert_eq!(vss.total, Ubig::from_u64(expect));
 
         rows.push(vec![
             n.to_string(),
             format!(
-                "{} / {} / {:.1}ms",
+                "{} / {}",
                 plain.report.messages,
-                fmt_bytes(plain.report.bytes),
-                plain_ms
+                fmt_bytes(plain.report.bytes)
             ),
             format!(
-                "{} / {} / {:.1}ms",
+                "{} / {} / {}",
                 relaxed.report.messages,
                 fmt_bytes(relaxed.report.bytes),
-                relaxed_ms
+                relaxed_cost.shamir_eval
             ),
             format!(
-                "{} / {} / {:.1}ms",
+                "{} / {} / {}",
                 vss.report.messages,
                 fmt_bytes(vss.report.bytes),
-                vss_ms
+                vss_cost.modexp
             ),
             format!(
                 "{:.1}x",
@@ -86,9 +86,9 @@ fn main() {
             "P1 - SECURE SUM: relaxed (Shamir, §3.5) vs classical (Feldman VSS + broadcast)",
             &[
                 "n",
-                "plaintext msgs/bytes/time",
-                "relaxed msgs/bytes/time",
-                "classical msgs/bytes/time",
+                "plaintext msgs/bytes",
+                "relaxed msgs/bytes/shamir evals",
+                "classical msgs/bytes/modexp",
                 "bytes ratio",
             ],
             &rows

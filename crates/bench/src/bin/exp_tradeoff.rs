@@ -6,12 +6,9 @@
 //!
 //! Run with: `cargo run -p dla-bench --bin exp_tradeoff --release`
 
-use dla_audit::cluster::{ClusterConfig, DlaCluster};
 use dla_audit::metrics;
-use dla_bench::{fmt_bytes, render_table, timed};
-use dla_logstore::gen::{generate, WorkloadConfig};
+use dla_bench::{fmt_bytes, metered, render_table};
 use dla_logstore::schema::Schema;
-use rand::SeedableRng;
 
 const QUERIES: [&str; 4] = [
     "c1 > 50",
@@ -21,34 +18,24 @@ const QUERIES: [&str; 4] = [
 ];
 
 fn main() {
+    dla_bench::refuse_args();
     let schema = Schema::paper_example();
     let mut rows = Vec::new();
 
     for n in [1usize, 2, 4, 7] {
-        let mut cluster = DlaCluster::new(ClusterConfig::new(n, schema.clone()).with_seed(20))
-            .expect("cluster builds");
-        let user = cluster.register_user("u").expect("capacity");
-        let mut rng = rand::rngs::StdRng::seed_from_u64(20);
-        let records = generate(
-            &WorkloadConfig {
-                records: 60,
-                ..WorkloadConfig::default()
-            },
-            &mut rng,
-        );
-        cluster.log_records(&user, &records).expect("logs");
+        let (mut cluster, _, _) = dla_bench::workload_cluster(n, 60, 20);
         let sample_record = {
             // A representative full record for C_store.
             dla_logstore::gen::paper_table1().remove(0)
         };
 
-        let mut total_ms = 0.0;
+        let mut total_modexp = 0u64;
         let mut total_msgs = 0u64;
         let mut total_bytes = 0u64;
         let mut workload = Vec::new();
         for q in QUERIES {
-            let (result, ms) = timed(|| cluster.query(q).expect("query runs"));
-            total_ms += ms;
+            let (result, cost) = metered(|| cluster.query(q).expect("query runs"));
+            total_modexp += cost.modexp;
             total_msgs += result.messages;
             total_bytes += result.bytes;
             workload.push((result.plan, sample_record.clone()));
@@ -62,7 +49,7 @@ fn main() {
             format!("{cdla:.2}"),
             (total_msgs / QUERIES.len() as u64).to_string(),
             fmt_bytes(total_bytes / QUERIES.len() as u64),
-            format!("{:.1} ms", total_ms / QUERIES.len() as f64),
+            (total_modexp / QUERIES.len() as u64).to_string(),
         ]);
     }
 
@@ -76,7 +63,7 @@ fn main() {
                 "C_DLA",
                 "avg msgs/query",
                 "avg bytes/query",
-                "avg latency/query",
+                "avg modexp/query",
             ],
             &rows
         )

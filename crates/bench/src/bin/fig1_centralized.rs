@@ -6,21 +6,15 @@
 //! Run with: `cargo run -p dla-bench --bin fig1_centralized --release`
 
 use dla_audit::centralized::CentralizedAuditor;
-use dla_bench::{fmt_bytes, render_table, timed};
-use dla_logstore::gen::{generate, WorkloadConfig};
+use dla_bench::{fmt_bytes, metered, render_table};
+use dla_logstore::gen::WorkloadConfig;
 use dla_logstore::schema::Schema;
-use rand::SeedableRng;
 
 fn main() {
+    dla_bench::refuse_args();
     let schema = Schema::paper_example();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(10);
-    let records = generate(
-        &WorkloadConfig {
-            records: 100,
-            ..WorkloadConfig::default()
-        },
-        &mut rng,
-    );
+    // The records `workload_cluster(4, 100, 10)` logs below.
+    let records = dla_bench::workload(100, WorkloadConfig::default().users, 10);
     let queries = [
         "c1 > 50",
         "protocol = 'TCP' AND c2 > 100.00",
@@ -30,20 +24,18 @@ fn main() {
     // Centralized (Fig. 1).
     let mut auditor = CentralizedAuditor::new(schema.clone(), 2);
     let user = auditor.register_user().expect("capacity");
-    let (_, log_ms) = timed(|| {
-        for r in &records {
-            auditor.log_record(user, r).expect("logging succeeds");
-        }
-    });
+    for r in &records {
+        auditor.log_record(user, r).expect("logging succeeds");
+    }
     let log_msgs = auditor.net().stats().messages_sent;
     let log_bytes = auditor.net().stats().bytes_sent;
     let mut central_rows = Vec::new();
     for q in queries {
-        let (result, ms) = timed(|| auditor.query_text(q).expect("query succeeds"));
+        let (result, cost) = metered(|| auditor.query_text(q).expect("query succeeds"));
         central_rows.push(vec![
             q.to_owned(),
             result.len().to_string(),
-            format!("{ms:.2} ms"),
+            cost.modexp.to_string(),
             "0".into(),
             "auditor sees ALL attributes of ALL records".into(),
         ]);
@@ -55,11 +47,11 @@ fn main() {
     let dla_log_bytes = cluster.net().stats().bytes_sent;
     let mut dla_rows = Vec::new();
     for q in queries {
-        let (result, ms) = timed(|| cluster.query(q).expect("query succeeds"));
+        let (result, cost) = metered(|| cluster.query(q).expect("query succeeds"));
         dla_rows.push(vec![
             q.to_owned(),
             result.glsns.len().to_string(),
-            format!("{ms:.2} ms"),
+            cost.modexp.to_string(),
             result.messages.to_string(),
             format!("C_auditing = {:.2}", result.auditing_confidentiality),
         ]);
@@ -69,19 +61,19 @@ fn main() {
         "{}",
         render_table(
             "FIGURE 1 BASELINE - CENTRALIZED AUDITING (100-record workload)",
-            &["query", "matches", "latency", "msgs", "exposure"],
+            &["query", "matches", "modexp", "msgs", "exposure"],
             &central_rows
         )
     );
     println!(
-        "logging: {log_msgs} messages, {} plaintext, {log_ms:.1} ms\n",
+        "logging: {log_msgs} messages, {} plaintext\n",
         fmt_bytes(log_bytes)
     );
     println!(
         "{}",
         render_table(
             "FIGURE 2 SYSTEM - DLA CLUSTER, SAME WORKLOAD",
-            &["query", "matches", "latency", "msgs", "exposure"],
+            &["query", "matches", "modexp", "msgs", "exposure"],
             &dla_rows
         )
     );

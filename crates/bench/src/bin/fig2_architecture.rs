@@ -7,6 +7,7 @@
 use dla_bench::{fmt_bytes, render_table};
 
 fn main() {
+    dla_bench::refuse_args();
     let (mut cluster, user, glsns) = dla_bench::paper_cluster(2);
 
     println!("application subsystem: u0 (ticket {})", user.ticket.id);

@@ -13,6 +13,7 @@ use dla_logstore::fragment::Partition;
 use dla_logstore::schema::Schema;
 
 fn main() {
+    dla_bench::refuse_args();
     let schema = Schema::paper_example();
     let partition = Partition::paper_example(&schema);
 

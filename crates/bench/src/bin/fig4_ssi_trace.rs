@@ -13,6 +13,7 @@ use dla_net::{NodeId, Session};
 use rand::SeedableRng;
 
 fn main() {
+    dla_bench::refuse_args();
     let sets: [&[&str]; 3] = [&["c", "d", "e"], &["d", "e", "f"], &["e", "f", "g"]];
     let net = ideal_net(3);
     let ring = Ring::canonical(3);

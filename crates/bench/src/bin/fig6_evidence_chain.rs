@@ -10,6 +10,7 @@ use dla_crypto::schnorr::SchnorrGroup;
 use rand::SeedableRng;
 
 fn main() {
+    dla_bench::refuse_args();
     let mut rng = rand::rngs::StdRng::seed_from_u64(606);
     let group = SchnorrGroup::fixed_256();
     let mut authority = MembershipAuthority::new(&group, &mut rng);

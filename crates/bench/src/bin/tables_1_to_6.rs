@@ -14,6 +14,7 @@ use dla_logstore::schema::Schema;
 use rand::SeedableRng;
 
 fn main() {
+    dla_bench::refuse_args();
     let schema = Schema::paper_example();
     let partition = Partition::paper_example(&schema);
     let records = paper_table1();

@@ -85,44 +85,6 @@ impl SessionId {
     /// [`Session::root`] binds, and what [`SimNet`]'s session-less
     /// `send`/`recv` conveniences address.
     pub const ROOT: SessionId = SessionId(0);
-
-    /// Bits of the session word reserved for the federation ring id.
-    /// Session ids are allocated densely from 0 within one cluster, so
-    /// the top 16 bits are free to carry *which ring* a session belongs
-    /// to when many rings share observability (telemetry, traces).
-    const RING_SHIFT: u32 = 48;
-
-    /// This session id re-homed into federation ring `ring`'s session
-    /// namespace: the ring id rides in the top 16 bits, the local
-    /// session id in the rest. Ring 0 is the identity, so single-ring
-    /// clusters keep their historical session numbering.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ring` exceeds 16 bits or the local id already carries
-    /// ring bits.
-    #[must_use]
-    pub fn for_ring(self, ring: u64) -> SessionId {
-        assert!(ring < (1 << 16), "ring id {ring} exceeds 16 bits");
-        assert!(
-            self.0 < (1 << Self::RING_SHIFT),
-            "session {self} already carries ring bits"
-        );
-        SessionId(ring << Self::RING_SHIFT | self.0)
-    }
-
-    /// The federation ring this session belongs to (0 for plain
-    /// single-ring sessions).
-    #[must_use]
-    pub fn ring(self) -> u64 {
-        self.0 >> Self::RING_SHIFT
-    }
-
-    /// The ring-local session id with the ring bits stripped.
-    #[must_use]
-    pub fn local(self) -> SessionId {
-        SessionId(self.0 & ((1 << Self::RING_SHIFT) - 1))
-    }
 }
 
 impl fmt::Display for SessionId {
@@ -229,23 +191,5 @@ mod tests {
     fn error_is_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<NetError>();
-    }
-
-    #[test]
-    fn session_ring_bits_round_trip() {
-        let local = SessionId(42);
-        let homed = local.for_ring(7);
-        assert_eq!(homed.ring(), 7);
-        assert_eq!(homed.local(), local);
-        assert_ne!(homed, local.for_ring(6));
-        // Ring 0 is the identity: single-ring numbering is unchanged.
-        assert_eq!(local.for_ring(0), local);
-        assert_eq!(SessionId::ROOT.ring(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds 16 bits")]
-    fn session_ring_id_is_bounded() {
-        let _ = SessionId(1).for_ring(1 << 16);
     }
 }

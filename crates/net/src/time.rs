@@ -102,12 +102,6 @@ pub trait Clock: Send + Sync + fmt::Debug {
     fn is_virtual(&self) -> bool;
 }
 
-impl dla_telemetry::ClockSource for &dyn Clock {
-    fn now_ns(&self) -> u64 {
-        self.now().as_nanos()
-    }
-}
-
 /// A [`Clock`] that moves only when advanced — the driver form of the
 /// simulator's virtual time.
 #[derive(Debug, Default)]
@@ -145,12 +139,6 @@ impl Clock for VirtualClock {
     }
 }
 
-impl dla_telemetry::ClockSource for VirtualClock {
-    fn now_ns(&self) -> u64 {
-        self.now().as_nanos()
-    }
-}
-
 /// A [`Clock`] reading the host's monotonic clock, anchored at
 /// construction time. [`Clock::advance`] sleeps for real.
 #[derive(Debug, Clone)]
@@ -185,12 +173,6 @@ impl Clock for WallClock {
 
     fn is_virtual(&self) -> bool {
         false
-    }
-}
-
-impl dla_telemetry::ClockSource for WallClock {
-    fn now_ns(&self) -> u64 {
-        self.now().as_nanos()
     }
 }
 
@@ -331,13 +313,5 @@ mod tests {
             s.spawn(move || wall.advance(SimTime::from_micros(50)));
         });
         assert!(wall.now() > SimTime::ZERO);
-    }
-
-    #[test]
-    fn clocks_serve_as_telemetry_sources() {
-        use dla_telemetry::ClockSource;
-        let clock = VirtualClock::new();
-        clock.advance(SimTime::from_nanos(42));
-        assert_eq!(ClockSource::now_ns(&clock), 42);
     }
 }

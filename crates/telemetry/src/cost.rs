@@ -1,11 +1,11 @@
 //! Cost accounting primitives: the operation taxonomy behind the
 //! paper's relaxed-vs-classical efficiency argument (§3, §6).
 //!
-//! Instrumented call sites report individual operations through a
-//! [`CostSink`]; the default sink aggregates them into a [`CostVector`]
-//! attributed to the innermost active cost scope (normally one protocol
-//! session), so every session ends up with an exact op/byte/round
-//! budget.
+//! Instrumented call sites report individual operations through
+//! [`record`](crate::record), which aggregates them into a
+//! [`CostVector`] attributed to the innermost active cost scope
+//! (normally one protocol session), so every session ends up with an
+//! exact op/byte/round budget.
 
 use std::fmt;
 
@@ -64,7 +64,7 @@ pub enum CostKind {
 }
 
 impl CostKind {
-    /// Stable lowercase identifier used by the JSON exporters.
+    /// Stable lowercase identifier (the key [`CostVector::entries`] uses).
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {
@@ -186,7 +186,7 @@ impl CostVector {
         *self == CostVector::default()
     }
 
-    /// `(label, value)` pairs in a stable order, for exporters.
+    /// `(label, value)` pairs in a stable order (what `Display` prints).
     #[must_use]
     pub fn entries(&self) -> [(&'static str, u64); 18] {
         [
@@ -228,37 +228,6 @@ impl fmt::Display for CostVector {
             write!(f, "(zero)")?;
         }
         Ok(())
-    }
-}
-
-/// Destination for individual cost records.
-///
-/// Instrumented crates are written against this trait so the
-/// accounting backend can be swapped; [`ThreadSink`] routes into the
-/// per-thread collector of the active [`Recorder`](crate::Recorder),
-/// [`NoopSink`] discards everything (the disabled default).
-pub trait CostSink {
-    /// Records `amount` operations of class `kind`.
-    fn record_cost(&self, kind: CostKind, amount: u64);
-}
-
-/// Sink that discards every record — the off-by-default path.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoopSink;
-
-impl CostSink for NoopSink {
-    fn record_cost(&self, _kind: CostKind, _amount: u64) {}
-}
-
-/// Sink that forwards to the recorder installed on the calling thread
-/// (a no-op when none is installed). This is what
-/// [`record`](crate::record) uses under the hood.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ThreadSink;
-
-impl CostSink for ThreadSink {
-    fn record_cost(&self, kind: CostKind, amount: u64) {
-        crate::record(kind, amount);
     }
 }
 
@@ -320,10 +289,5 @@ mod tests {
         v.add(CostKind::ModExp, 7);
         assert_eq!(v.to_string(), "modexp=7");
         assert_eq!(CostVector::default().to_string(), "(zero)");
-    }
-
-    #[test]
-    fn noop_sink_accepts_records() {
-        NoopSink.record_cost(CostKind::ModExp, 1_000_000);
     }
 }

@@ -1,11 +1,10 @@
-//! Trace exporters: a self-describing JSON dump, a Chrome-trace
-//! (`chrome://tracing` / Perfetto) event file, and cost-breakdown JSON
-//! fragments used by the bench binaries.
+//! The trace exporter: a Chrome-trace (`chrome://tracing` / Perfetto)
+//! event file.
 //!
-//! All output is hand-rendered JSON (the workspace is offline — no
-//! serde); [`json_escape`] handles the string encoding.
+//! The output is hand-rendered JSON (the workspace is offline — no
+//! serde); [`json_escape`] handles the string encoding, here and for
+//! the bench snapshots (`dla_bench::Json`).
 
-use crate::cost::CostVector;
 use crate::trace::Trace;
 use std::fmt::Write as _;
 
@@ -35,77 +34,6 @@ fn kvs_json(kvs: &[(String, String)]) -> String {
         .map(|(k, v)| format!("\"{}\": \"{}\"", json_escape(k), json_escape(v)))
         .collect();
     format!("{{{}}}", fields.join(", "))
-}
-
-/// Renders a [`CostVector`] as a JSON object with stable keys.
-#[must_use]
-pub fn cost_vector_json(costs: &CostVector) -> String {
-    let fields: Vec<String> = costs
-        .entries()
-        .iter()
-        .map(|(label, value)| format!("\"{label}\": {value}"))
-        .collect();
-    format!("{{{}}}", fields.join(", "))
-}
-
-/// Full trace dump: spans, events, per-scope costs and the
-/// unattributed remainder, all in one JSON document.
-#[must_use]
-pub fn trace_json(trace: &Trace) -> String {
-    let mut out = String::from("{\n  \"spans\": [\n");
-    let spans: Vec<String> = trace
-        .spans
-        .iter()
-        .map(|s| {
-            format!(
-                "    {{\"id\": {}, \"parent\": {}, \"category\": \"{}\", \"name\": \"{}\", \
-                 \"session\": {}, \"start_ns\": {}, \"end_ns\": {}}}",
-                s.id,
-                s.parent,
-                json_escape(s.category),
-                json_escape(&s.name),
-                s.session,
-                s.start_ns,
-                s.end_ns
-            )
-        })
-        .collect();
-    out.push_str(&spans.join(",\n"));
-    out.push_str("\n  ],\n  \"events\": [\n");
-    let events: Vec<String> = trace
-        .events
-        .iter()
-        .map(|e| {
-            format!(
-                "    {{\"span\": {}, \"name\": \"{}\", \"at_ns\": {}, \"args\": {}}}",
-                e.span,
-                json_escape(&e.name),
-                e.at_ns,
-                kvs_json(&e.kvs)
-            )
-        })
-        .collect();
-    out.push_str(&events.join(",\n"));
-    out.push_str("\n  ],\n  \"scopes\": [\n");
-    let scopes: Vec<String> = trace
-        .scopes
-        .iter()
-        .map(|sc| {
-            format!(
-                "    {{\"label\": \"{}\", \"session\": {}, \"costs\": {}}}",
-                json_escape(&sc.label),
-                sc.session,
-                cost_vector_json(&sc.costs)
-            )
-        })
-        .collect();
-    out.push_str(&scopes.join(",\n"));
-    let _ = write!(
-        out,
-        "\n  ],\n  \"unattributed\": {}\n}}\n",
-        cost_vector_json(&trace.unattributed)
-    );
-    out
 }
 
 /// Virtual nanoseconds rendered as the fractional microseconds Chrome
@@ -160,7 +88,7 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::CostKind;
+    use crate::cost::{CostKind, CostVector};
     use crate::trace::{EventRecord, ScopeRecord, SpanRecord};
 
     fn sample_trace() -> Trace {
@@ -242,15 +170,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_json_is_structurally_valid() {
-        let json = trace_json(&sample_trace());
-        check_balanced(&json);
-        assert!(json.contains("\"spans\""));
-        assert!(json.contains("q\\\"uoted"));
-        assert!(json.contains("\"modexp\": 12"));
-    }
-
-    #[test]
     fn chrome_trace_is_structurally_valid_and_in_microseconds() {
         let json = chrome_trace_json(&sample_trace());
         check_balanced(&json);
@@ -262,8 +181,7 @@ mod tests {
     }
 
     #[test]
-    fn empty_trace_exports_are_valid() {
-        check_balanced(&trace_json(&Trace::default()));
+    fn empty_trace_export_is_valid() {
         check_balanced(&chrome_trace_json(&Trace::default()));
         assert_eq!(chrome_trace_json(&Trace::default()), "[\n\n]\n");
     }

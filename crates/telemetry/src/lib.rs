@@ -36,8 +36,8 @@ pub mod export;
 pub mod journal;
 pub mod trace;
 
-pub use cost::{CostKind, CostSink, CostVector, NoopSink, ThreadSink};
-pub use export::{chrome_trace_json, trace_json};
+pub use cost::{CostKind, CostVector};
+pub use export::chrome_trace_json;
 pub use journal::{ChainHasher, MetaAuditError, MetaJournal, MetaRecord};
 pub use trace::{EventRecord, ScopeRecord, SpanRecord, Trace};
 
@@ -230,23 +230,6 @@ fn record_slow(kind: CostKind, amount: u64) {
     });
 }
 
-/// Where span timestamps come from. The tracer itself never reads a
-/// clock — callers stamp every span — so this is the seam through
-/// which a time driver (the network layer's virtual or wall clock)
-/// plugs into tracing without this crate depending on it.
-pub trait ClockSource {
-    /// Nanoseconds since the source's origin.
-    fn now_ns(&self) -> u64;
-}
-
-/// [`span`] stamped from a [`ClockSource`]: the span starts at the
-/// source's current reading. Pair with [`SpanGuard::end_at`] so the
-/// same driver supplies both endpoints.
-#[must_use = "the span closes when the guard drops"]
-pub fn span_at(category: &'static str, name: &str, clock: &dyn ClockSource) -> SpanGuard {
-    span(category, name, clock.now_ns())
-}
-
 /// Opens a hierarchical span starting at virtual time `start_ns`.
 /// Close it explicitly with [`SpanGuard::end`] to supply the end
 /// timestamp, or let the guard drop to close at the latest timestamp
@@ -299,11 +282,6 @@ impl SpanGuard {
             close_span(self.id, Some(end_ns));
         }
         std::mem::forget(self);
-    }
-
-    /// Closes the span at `clock`'s current reading.
-    pub fn end_at(self, clock: &dyn ClockSource) {
-        self.end(clock.now_ns());
     }
 }
 

@@ -108,7 +108,6 @@ fn deploy_workload_digests_are_pinned() {
         nodes: 3,
         records: 9,
         seed: 23,
-        ..WorkloadSpec::default()
     };
     assert_eq!(channel_digest(&spec), WORKLOAD_3_9_23_DIGEST);
 }

@@ -110,7 +110,6 @@ fn equivalence_holds_off_the_paper_partition() {
         nodes: 3,
         records: 9,
         seed: 23,
-        ..WorkloadSpec::default()
     };
     let socket = socket_outcome(&spec);
     let channel = channel_outcome(&spec);
