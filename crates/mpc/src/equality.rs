@@ -97,17 +97,17 @@ impl<'a> EqualitySession<'a> {
         let mask_b = AffineMasker::new(a_plus_b - b_const, b_const)?;
 
         // Both send masked values to the TTP.
-        let send_masked = |from: NodeId, masked: F61| {
+        let masked_frame = |from: NodeId, masked: F61| {
             let mut w = Writer::new();
             w.put_u8(0x05).put_u64(masked.value());
-            net.send(from, ttp, w.finish());
+            (from, ttp, w.finish())
         };
-        send_masked(party_a, mask.apply(value_a));
-        send_masked(party_b, mask_b.apply(value_b));
-
+        let submissions = [
+            masked_frame(party_a, mask.apply(value_a)),
+            masked_frame(party_b, mask_b.apply(value_b)),
+        ];
         let mut masked = Vec::with_capacity(2);
-        for from in [party_a, party_b] {
-            let envelope = net.recv_from(ttp, from)?;
+        for envelope in net.round(submissions)? {
             let mut r = Reader::new(&envelope.payload);
             let tag = r.get_u8()?;
             if tag != 0x05 {
@@ -119,11 +119,12 @@ impl<'a> EqualitySession<'a> {
         let equal = masked[0] == masked[1];
 
         // TTP reports the boolean to both parties.
-        for to in [party_a, party_b] {
+        let results = [party_a, party_b].map(|to| {
             let mut w = Writer::new();
             w.put_u8(0x06).put_u8(u8::from(equal));
-            net.send(ttp, to, w.finish());
-            let envelope = net.recv_from(to, ttp)?;
+            (ttp, to, w.finish())
+        });
+        for envelope in net.round(results)? {
             let mut r = Reader::new(&envelope.payload);
             if r.get_u8()? != 0x06 {
                 return Err(MpcError::Wire("unexpected result tag".into()));

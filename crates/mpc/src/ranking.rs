@@ -88,11 +88,12 @@ impl<'a> RankingSession<'a> {
 
         // Negotiation round: initiator seals the mask to each peer.
         let mask = MonotoneMasker::random(rng);
-        for &peer in &parties[1..] {
+        let negotiation = parties[1..].iter().map(|&peer| {
             let mut w = Writer::new();
             w.put_u8(0x07).put_bytes(&mask.to_bytes());
-            net.send(parties[0], peer, w.finish());
-            let envelope = net.recv_from(peer, parties[0])?;
+            (parties[0], peer, w.finish())
+        });
+        for envelope in net.round(negotiation)? {
             let mut r = Reader::new(&envelope.payload);
             if r.get_u8()? != 0x07 {
                 return Err(MpcError::Wire("unexpected negotiation tag".into()));
@@ -102,16 +103,15 @@ impl<'a> RankingSession<'a> {
         }
 
         // Submission round: masked values to the TTP.
-        for (i, &party) in parties.iter().enumerate() {
+        let submissions = parties.iter().enumerate().map(|(i, &party)| {
             let mut w = Writer::new();
             w.put_u8(0x08)
                 .put_u64(i as u64)
                 .put_u128(mask.apply(values[i]));
-            net.send(party, ttp, w.finish());
-        }
+            (party, ttp, w.finish())
+        });
         let mut masked: Vec<(u128, usize)> = Vec::with_capacity(n);
-        for &party in parties {
-            let envelope = net.recv_from(ttp, party)?;
+        for envelope in net.round(submissions)? {
             let mut r = Reader::new(&envelope.payload);
             if r.get_u8()? != 0x08 {
                 return Err(MpcError::Wire("unexpected submission tag".into()));
@@ -137,13 +137,14 @@ impl<'a> RankingSession<'a> {
         }
 
         // Result broadcast.
-        for &party in parties {
+        let broadcast = parties.iter().map(|&party| {
             let mut w = Writer::new();
             w.put_u8(0x09).put_list(&ascending, |w, &i| {
                 w.put_u64(i as u64);
             });
-            net.send(ttp, party, w.finish());
-            let envelope = net.recv_from(party, ttp)?;
+            (ttp, party, w.finish())
+        });
+        for envelope in net.round(broadcast)? {
             let mut r = Reader::new(&envelope.payload);
             if r.get_u8()? != 0x09 {
                 return Err(MpcError::Wire("unexpected result tag".into()));

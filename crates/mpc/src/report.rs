@@ -26,7 +26,10 @@ pub struct ProtocolReport {
     pub bytes: u64,
     /// Simulated network makespan attributable to the run.
     pub elapsed: SimTime,
-    /// Communication rounds (protocol-defined).
+    /// Communication rounds (protocol-defined). The simulator's clock
+    /// agrees: a round's frames are all sent before any is received,
+    /// so on links of one fixed latency `elapsed == rounds × latency`
+    /// (pinned for every protocol in `tests/rounds.rs`).
     pub rounds: usize,
 }
 

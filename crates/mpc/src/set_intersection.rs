@@ -218,23 +218,24 @@ impl<'a> SsiSession<'a> {
             sets.push(encrypted);
         }
 
-        // n−1 relay rounds: set of origin i moves i → i+1 → … → i+n−1.
+        // n−1 relay rounds: set of origin i moves i → i+1 → … → i+n−1,
+        // all n sets one hop at a time.
         let mut layer_history: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
-        #[allow(clippy::needless_range_loop)] // origin indexes sets/history in parallel
         for hop in 1..n {
-            for origin in 0..n {
+            let relays = sets.iter().enumerate().map(|(origin, set)| {
                 let from = ring.at((origin + hop - 1) % n);
                 let to = ring.at((origin + hop) % n);
-                net.send(from, to, encode_set(origin as u64, &sets[origin]));
-                let envelope = net.recv_from(to, from)?;
+                (from, to, encode_set(origin as u64, set))
+            });
+            for (origin, envelope) in net.round(relays)?.into_iter().enumerate() {
                 if dla_telemetry::is_active() {
                     dla_telemetry::event(
                         "relay-hop",
-                        net.elapsed().as_nanos(),
+                        envelope.deliver_at.as_nanos(),
                         &[
                             ("origin", &origin.to_string()),
-                            ("from", &from.to_string()),
-                            ("to", &to.to_string()),
+                            ("from", &envelope.from.to_string()),
+                            ("to", &envelope.to.to_string()),
                         ],
                     );
                 }
@@ -262,16 +263,12 @@ impl<'a> SsiSession<'a> {
         // Collection round: final holders ship the fully-encrypted sets to
         // the collector, which intersects ciphertext sets.
         let own = ring.position(collector);
-        let mut returned: Vec<Vec<Ubig>> = Vec::with_capacity(n);
-        #[allow(clippy::needless_range_loop)] // origin indexes sets and ring positions together
-        for origin in 0..n {
+        let collection = sets.iter().enumerate().map(|(origin, set)| {
             let final_holder = ring.at((origin + n - 1) % n);
-            net.send(
-                final_holder,
-                collector,
-                encode_set(origin as u64, &sets[origin]),
-            );
-            let envelope = net.recv_from(collector, final_holder)?;
+            (final_holder, collector, encode_set(origin as u64, set))
+        });
+        let mut returned: Vec<Vec<Ubig>> = Vec::with_capacity(n);
+        for (origin, envelope) in net.round(collection)?.into_iter().enumerate() {
             let (_, elements) = decode_set(&envelope.payload)?;
             if own == Some(origin) {
                 check_own_set(&elements, encoded[origin].len())?;

@@ -119,14 +119,14 @@ impl<'a> UnionSession<'a> {
             .map(|(key, plain)| key.encrypt_batch(plain, Default::default()))
             .collect();
 
-        // Relay rounds.
-        #[allow(clippy::needless_range_loop)] // origin indexes sets/history in parallel
+        // Relay rounds: all n sets move one hop at a time.
         for hop in 1..n {
-            for origin in 0..n {
+            let relays = sets.iter().enumerate().map(|(origin, set)| {
                 let from = ring.at((origin + hop - 1) % n);
                 let to = ring.at((origin + hop) % n);
-                net.send(from, to, encode_msg(&sets[origin]));
-                let envelope = net.recv_from(to, from)?;
+                (from, to, encode_msg(set))
+            });
+            for (origin, envelope) in net.round(relays)?.into_iter().enumerate() {
                 let elements = decode_msg(&envelope.payload)?;
                 let holder = (origin + hop) % n;
                 sets[origin] = keys[holder].encrypt_batch(&elements, Default::default());
@@ -137,13 +137,13 @@ impl<'a> UnionSession<'a> {
         // entries"). A collector in the ring sets its own returned
         // ciphertexts aside: it knows what they decrypt to.
         let own = ring.position(collector);
+        let collection = sets.iter().enumerate().map(|(origin, set)| {
+            let final_holder = ring.at((origin + n - 1) % n);
+            (final_holder, collector, encode_msg(set))
+        });
         let mut own_returned: Vec<Vec<u8>> = Vec::new();
         let mut merged: BTreeSet<Vec<u8>> = BTreeSet::new();
-        #[allow(clippy::needless_range_loop)] // origin indexes sets and ring positions together
-        for origin in 0..n {
-            let final_holder = ring.at((origin + n - 1) % n);
-            net.send(final_holder, collector, encode_msg(&sets[origin]));
-            let envelope = net.recv_from(collector, final_holder)?;
+        for (origin, envelope) in net.round(collection)?.into_iter().enumerate() {
             let elements = decode_msg(&envelope.payload)?;
             if own == Some(origin) {
                 check_own_set(&elements, encoded[origin].len())?;

@@ -100,7 +100,8 @@ impl<'a> SumSession<'a> {
 
         let points = SharePoints::canonical(n);
 
-        // Round 1: each party deals shares of its secret to every peer.
+        // Round 1: each party deals shares of its secret to every peer —
+        // all n(n−1) frames leave before any is opened.
         let polys: Vec<SecretPolynomial> = inputs
             .iter()
             .map(|&a| SecretPolynomial::random(a, k, rng))
@@ -108,31 +109,31 @@ impl<'a> SumSession<'a> {
         // received[j][i] = s_ij, the share party j holds of party i's secret.
         let mut received: Vec<Vec<F61>> = vec![vec![F61::ZERO; n]; n];
         for (i, poly) in polys.iter().enumerate() {
-            for j in 0..n {
-                let share = poly.share_at(points.point(j));
-                if i == j {
-                    received[j][i] = share.y;
-                    continue;
-                }
-                net.send(parties[i], parties[j], encode_share(i as u64, share.y));
-                let envelope = net.recv_from(parties[j], parties[i])?;
-                let (origin, y) = decode_share(&envelope.payload)?;
-                if origin as usize != i {
-                    return Err(MpcError::Protocol(format!(
-                        "share labeled from {origin} arrived on {i}'s channel"
-                    )));
-                }
-                received[j][i] = y;
+            received[i][i] = poly.share_at(points.point(i)).y;
+        }
+        let dealt = || (0..n).flat_map(|i| (0..n).filter(move |&j| j != i).map(move |j| (i, j)));
+        let shares = dealt().map(|(i, j)| {
+            let share = polys[i].share_at(points.point(j));
+            (parties[i], parties[j], encode_share(i as u64, share.y))
+        });
+        for ((i, j), envelope) in dealt().zip(net.round(shares)?) {
+            let (origin, y) = decode_share(&envelope.payload)?;
+            if origin as usize != i {
+                return Err(MpcError::Protocol(format!(
+                    "share labeled from {origin} arrived on {i}'s channel"
+                )));
             }
+            received[j][i] = y;
         }
 
         // Round 2: each party publishes F(x_j) = Σ_i α_i·s_ij to the
         // collector.
-        let mut published: Vec<Share> = Vec::with_capacity(n);
-        for j in 0..n {
+        let publications = (0..n).map(|j| {
             let f_xj: F61 = (0..n).map(|i| weights[i] * received[j][i]).sum();
-            net.send(parties[j], collector, encode_share(j as u64, f_xj));
-            let envelope = net.recv_from(collector, parties[j])?;
+            (parties[j], collector, encode_share(j as u64, f_xj))
+        });
+        let mut published: Vec<Share> = Vec::with_capacity(n);
+        for envelope in net.round(publications)? {
             let (idx, y) = decode_share(&envelope.payload)?;
             if idx as usize >= n {
                 return Err(MpcError::Protocol(format!(

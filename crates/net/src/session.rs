@@ -146,6 +146,44 @@ impl<'a> Session<'a> {
         Self::intact(self.transport.recv_from(self.id, node, from)?, node)
     }
 
+    /// One protocol round: every `(from, to, payload)` frame is sent,
+    /// in order, before any is received; then each is received at its
+    /// destination, selectively by sender, in the same order. The
+    /// envelopes come back in frame order.
+    ///
+    /// The receive phase is drain-then-fail: every receive of the round
+    /// is attempted even after one has failed, so an `Err` leaves none
+    /// of the round's frames behind for the session's next run to
+    /// mistake for its own. On the blocking transports that costs up to
+    /// one receive timeout per *missing* frame.
+    ///
+    /// # Errors
+    ///
+    /// The first failed receive, as [`Session::recv_from`].
+    pub fn round(
+        &self,
+        frames: impl IntoIterator<Item = (NodeId, NodeId, Bytes)>,
+    ) -> Result<Vec<Envelope>, NetError> {
+        let links: Vec<(NodeId, NodeId)> = frames
+            .into_iter()
+            .map(|(from, to, payload)| {
+                self.send(from, to, payload);
+                (from, to)
+            })
+            .collect();
+        let mut envelopes = Vec::with_capacity(links.len());
+        let mut first_error = None;
+        for (from, to) in links {
+            match self.recv_from(to, from) {
+                Ok(envelope) => envelopes.push(envelope),
+                Err(e) => {
+                    first_error.get_or_insert(e);
+                }
+            }
+        }
+        first_error.map_or(Ok(envelopes), Err)
+    }
+
     fn intact(envelope: Envelope, node: NodeId) -> Result<Envelope, NetError> {
         if envelope.is_intact() {
             Ok(envelope)

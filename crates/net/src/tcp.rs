@@ -22,6 +22,9 @@
 //! * `recv(node)` pops the coordinator-side inbox that the reader
 //!   threads fill from incoming deliver frames — the same inbox, and
 //!   the same demultiplexing by session, as [`crate::ChannelNet`]'s.
+//! * A protocol round ([`crate::Session::round`]) sends all its frames
+//!   before its first receive, so a round's three-leg trips overlap;
+//!   the reader threads park the deliver frames in the inbox meanwhile.
 //! * Node processes run [`serve`] (the `dla-node` binary is a thin
 //!   wrapper): an accept loop plus one reader thread per connection, a
 //!   connect/accept handshake that exchanges node ids, dial-on-demand

@@ -475,6 +475,96 @@ fn eight_threads_share_connections_without_tearing_a_frame() {
 }
 
 #[test]
+fn a_round_of_outstanding_frames_arrives_whole_and_in_link_order() {
+    // The Σₛ dealing round of four parties: 12 ROUTE frames over the 4
+    // coordinator links, every one written before the first is read —
+    // 3 frames deep on each coordinator → node connection and 1 on each
+    // of the 12 node → node legs. Then the same with two sessions'
+    // rounds outstanding at once, received in the other order.
+    const REPS: u64 = 300;
+    const PARTIES: usize = 4;
+    let (peers, handles) = spawn_mesh(PARTIES, 0);
+    let net = TcpNet::connect(&peers, BTreeSet::new(), quick_config()).expect("connect");
+    let dealing = |session: SessionId, rep: u64| {
+        (0..PARTIES).flat_map(move |i| {
+            (0..PARTIES).filter(move |&j| j != i).map(move |j| {
+                let mut w = Writer::new();
+                w.put_u64(session.0)
+                    .put_u64(rep)
+                    .put_u8((PARTIES * i + j) as u8);
+                (NodeId(i), NodeId(j), w.finish())
+            })
+        })
+    };
+    // Receiving selectively by sender, in send order, the k-th receive
+    // on a link must be the k-th frame sent on it.
+    let check = |session: SessionId, rep: u64, envelopes: Vec<Envelope>| {
+        assert_eq!(envelopes.len(), PARTIES * (PARTIES - 1));
+        for (envelope, (from, to, payload)) in envelopes.iter().zip(dealing(session, rep)) {
+            assert_eq!(
+                (envelope.session, envelope.from, envelope.to),
+                (session, from, to)
+            );
+            assert!(
+                envelope.payload == payload,
+                "{session} rep {rep}: {from}->{to} reordered"
+            );
+        }
+    };
+
+    let solo = Session::new(&net, SessionId(21));
+    for rep in 0..REPS {
+        let envelopes = solo
+            .round(dealing(solo.id(), rep))
+            .expect("the round arrives");
+        check(solo.id(), rep, envelopes);
+    }
+
+    let (a, b) = (
+        Session::new(&net, SessionId(22)),
+        Session::new(&net, SessionId(23)),
+    );
+    for rep in 0..REPS {
+        for session in [a, b] {
+            for (from, to, payload) in dealing(session.id(), rep) {
+                session.send(from, to, payload);
+            }
+        }
+        for session in [b, a] {
+            let envelopes = dealing(session.id(), rep)
+                .map(|(from, to, _)| session.recv_from(to, from).expect("every frame arrives"))
+                .collect();
+            check(session.id(), rep, envelopes);
+        }
+    }
+
+    // Once each: as many deliveries as sends, session by session, and
+    // as many frames handed up by the nodes as were routed through them.
+    let per_session = REPS * (PARTIES * (PARTIES - 1)) as u64;
+    let stats = net.stats();
+    assert_eq!((stats.messages_corrupted, stats.messages_dropped), (0, 0));
+    for session in [solo, a, b] {
+        let s = stats.session(session.id());
+        assert_eq!(
+            (s.messages, s.messages_delivered),
+            (per_session, per_session)
+        );
+    }
+    let reports = net.shutdown();
+    assert_eq!(
+        reports.iter().map(|r| r.routed).sum::<u64>(),
+        3 * per_session
+    );
+    assert_eq!(
+        reports.iter().map(|r| r.forwarded).sum::<u64>(),
+        3 * per_session
+    );
+    for handle in handles {
+        handle.join().expect("join").expect("serve");
+    }
+}
+
+#[test]
 fn a_mute_peer_costs_a_closed_link_and_the_node_keeps_serving() {
     // Node 0 is a real serve loop. Node 1 handshakes and then never
     // reads. The coordinator hosts id 1 itself, so only node 0 dials

@@ -1,5 +1,6 @@
 //! One thin test per layer under the cluster — bigint, crypto, net,
-//! mpc (two protocols, each over two transports), logstore (its
+//! mpc (two protocols, each over two transports, and Σₛ against the
+//! simulator's clock), logstore (its
 //! journal, and the store that replays it) — through the facade and
 //! with no `DlaCluster`, so tier-1 touches every crate directly and a
 //! break names its layer.
@@ -18,6 +19,7 @@ use confidential_audit::logstore::model::Glsn;
 use confidential_audit::logstore::schema::Schema;
 use confidential_audit::logstore::store::FragmentStore;
 use confidential_audit::mpc::{SsiSession, SumSession};
+use confidential_audit::net::latency::LatencyModel;
 use confidential_audit::net::topology::Ring;
 use confidential_audit::net::{
     ChannelNet, Envelope, NetConfig, NodeId, Session, SessionId, SharedNet, SimNet, SimTime,
@@ -126,6 +128,22 @@ fn mpc_protocols_answer_alike_on_the_simulator_and_on_channels() {
         (ssi.common_encrypted, ssi.report.bytes, sum.report.bytes)
     });
     assert_eq!(answers[0], answers[1], "simulator vs channels");
+}
+
+#[test]
+fn mpc_sum_takes_exactly_its_two_rounds_of_simulator_time() {
+    // A round's frames leave together: 12 shares, then 4 publications,
+    // over 1 ms links is 2 ms — `elapsed == rounds × latency`.
+    let link = LatencyModel::Fixed(SimTime::from_millis(1));
+    let net = SharedNet::new(SimNet::new(5, NetConfig::ideal().with_latency(link)));
+    let parties: Vec<NodeId> = (0..4).map(NodeId).collect();
+    let secrets = [10u64, 20, 30, 40].map(confidential_audit::bigint::F61::new);
+    let sum = SumSession::new(Session::root(&net), &parties, 3, NodeId(4))
+        .run(&secrets, &mut StdRng::seed_from_u64(23))
+        .expect("Σₛ runs");
+    assert_eq!(sum.total.value(), 100);
+    assert_eq!((sum.report.messages, sum.report.rounds), (16, 2));
+    assert_eq!(sum.report.elapsed, SimTime::from_millis(2));
 }
 
 #[test]
