@@ -22,7 +22,7 @@
 //!   integrity-checked against the aggregate commitment folded into
 //!   each epoch's checkpoint link before they are believed.
 
-use crate::cluster::{epoch_aggregates_digest, DlaCluster};
+use crate::cluster::{epoch_aggregates_digest, served, DlaCluster};
 use crate::exec;
 use crate::plan::TimeWindow;
 use crate::AuditError;
@@ -203,13 +203,11 @@ pub fn windowed_bucket_aggregate(
     window: &TimeWindow,
     path: AggregatePath,
 ) -> Result<WindowedAggregate, AuditError> {
-    let owner = cluster.partition().node_of(attr).ok_or_else(|| {
-        AuditError::Planning(format!("attribute {attr} is not served by any node"))
-    })?;
+    // Resolved against the partition in force: once the node `attr` was
+    // deposited at is retired, its adopter serves the adopted copies.
+    let (home, owner) = cluster.owner_of(attr)?;
     if let Some(sa) = sum_attr {
-        let sum_owner = cluster.partition().node_of(sa).ok_or_else(|| {
-            AuditError::Planning(format!("attribute {sa} is not served by any node"))
-        })?;
+        let (_, sum_owner) = cluster.owner_of(sa)?;
         if sum_owner != owner {
             return Err(AuditError::Planning(format!(
                 "sum attribute {sa} (node {sum_owner}) is not co-located with \
@@ -219,7 +217,7 @@ pub fn windowed_bucket_aggregate(
         }
     }
     let time_attr = AttrName::new("time");
-    let time_owner = cluster.partition().node_of(&time_attr);
+    let time_owner = cluster.owner_of(&time_attr).ok();
 
     let mut out = WindowedAggregate {
         count: 0,
@@ -235,8 +233,9 @@ pub fn windowed_bucket_aggregate(
     // The record's time lives at its own owner node, not necessarily
     // beside the bucket attribute.
     let record_time = |glsn| -> Option<u64> {
-        let store = cluster.node(time_owner?).store();
-        match store.get_local(glsn).and_then(|f| f.values.get(&time_attr)) {
+        let (time_home, time_owner) = time_owner?;
+        let store = cluster.node(time_owner).store();
+        match served(&store, time_home, glsn)?.values.get(&time_attr) {
             Some(AttrValue::Time(t)) => Some(*t),
             _ => None,
         }
@@ -244,9 +243,9 @@ pub fn windowed_bucket_aggregate(
     let bounded = !window.is_unbounded();
 
     // One epoch's contribution by scanning the owner's fragments over
-    // the epoch's nominal glsn range, the range its partials fold
-    // (adopted copies, which the scan also walks, carry another node's
-    // attributes and match nothing here).
+    // the epoch's nominal glsn range, the range its partials fold. The
+    // scan walks own and adopted fragments alike; whichever of them
+    // carry another node's attributes match nothing here.
     let scan_epoch = |epoch: EpochId, out: &mut WindowedAggregate| {
         let (lo, hi) = cluster.epoch_policy().glsn_range(epoch);
         let store = cluster.node(owner).store();
@@ -282,6 +281,9 @@ pub fn windowed_bucket_aggregate(
             }
         }
         AggregatePath::Cached => {
+            // An adopter folded no partials for the fragments it
+            // adopted: the retired home's summaries went with it.
+            let summarized = owner == home;
             for stats in cluster.epoch_stats() {
                 if bounded {
                     // A bounded window needs timed records; an epoch
@@ -295,11 +297,11 @@ pub fn windowed_bucket_aggregate(
                     }
                     let fully_covered =
                         window_covers(window, t_lo, t_hi) && stats.timed == stats.deposits;
-                    if !(stats.sealed && fully_covered) {
+                    if !(summarized && stats.sealed && fully_covered) {
                         scan_epoch(stats.epoch, &mut out);
                         continue;
                     }
-                } else if !stats.sealed {
+                } else if !(summarized && stats.sealed) {
                     scan_epoch(stats.epoch, &mut out);
                     continue;
                 }
@@ -421,20 +423,21 @@ mod tests {
         assert!(outcome.reports.iter().any(|r| r.protocol == "secure-sum"));
     }
 
-    fn epoch_loaded(
-        epoch_length: u64,
+    fn epoch_config(epoch_length: u64) -> ClusterConfig {
+        let schema = Schema::paper_example();
+        let partition = Partition::paper_example(&schema);
+        ClusterConfig::new(4, schema)
+            .with_partition(partition)
+            .with_seed(42)
+            .with_epoch_length(epoch_length)
+    }
+
+    fn load(
+        config: ClusterConfig,
         records: usize,
     ) -> (DlaCluster, Vec<dla_logstore::model::LogRecord>) {
         use rand::SeedableRng;
-        let schema = Schema::paper_example();
-        let partition = Partition::paper_example(&schema);
-        let mut cluster = DlaCluster::new(
-            ClusterConfig::new(4, schema)
-                .with_partition(partition)
-                .with_seed(42)
-                .with_epoch_length(epoch_length),
-        )
-        .unwrap();
+        let mut cluster = DlaCluster::new(config).unwrap();
         let user = cluster.register_user("u").unwrap();
         let workload = dla_logstore::gen::generate(
             &dla_logstore::gen::WorkloadConfig {
@@ -445,6 +448,13 @@ mod tests {
         );
         cluster.log_records(&user, &workload).unwrap();
         (cluster, workload)
+    }
+
+    fn epoch_loaded(
+        epoch_length: u64,
+        records: usize,
+    ) -> (DlaCluster, Vec<dla_logstore::model::LogRecord>) {
+        load(epoch_config(epoch_length), records)
     }
 
     fn record_time(record: &dla_logstore::model::LogRecord) -> u64 {
@@ -543,6 +553,66 @@ mod tests {
             })
             .sum();
         assert_eq!(cached.sum, Some(expected));
+    }
+
+    #[test]
+    fn windowed_bucket_aggregate_reads_the_adopter_once_the_owner_is_retired() {
+        let (attr, sum_attr): (AttrName, AttrName) = ("protocol".into(), "c1".into());
+        // Retire the bucket attribute's owner; on a second cluster, the
+        // time owner.
+        for retiring in [&attr, &AttrName::new("time")] {
+            let (mut cluster, workload) = load(epoch_config(4).with_standby_replication(), 24);
+            let times: Vec<u64> = workload.iter().map(record_time).collect();
+
+            let owner = cluster.partition().node_of(retiring).unwrap();
+            let report = cluster.rereplicate(&[owner].into()).unwrap();
+            assert!(report.is_fully_verified());
+            // What the retired store still holds is rewritten, so an
+            // answer read from it is a wrong one.
+            {
+                let mut store = cluster.node(owner).store_mut();
+                let glsns: Vec<_> = store.scan().map(|f| f.glsn).collect();
+                for glsn in glsns {
+                    store.tamper(glsn, &attr, AttrValue::text("gone"));
+                    store.tamper(glsn, &"time".into(), AttrValue::Time(0));
+                }
+            }
+
+            for window in [
+                TimeWindow::unbounded(),
+                TimeWindow {
+                    lo: Some(times[3]),
+                    hi: Some(times[19]),
+                },
+            ] {
+                let oracle = workload.iter().filter(|r| {
+                    r.get(&attr) == Some(&AttrValue::text("UDP"))
+                        && window.intersects(record_time(r), record_time(r))
+                });
+                let sum = |r: &dla_logstore::model::LogRecord| match r.get(&sum_attr) {
+                    Some(AttrValue::Int(v)) => *v,
+                    other => panic!("c1 is an integer, got {other:?}"),
+                };
+                let expected = (oracle.clone().count() as u64, Some(oracle.map(sum).sum()));
+                assert!(expected.0 > 0);
+                for path in [AggregatePath::Cached, AggregatePath::Rescan] {
+                    let got = windowed_bucket_aggregate(
+                        &cluster,
+                        &attr,
+                        "UDP",
+                        Some(&sum_attr),
+                        &window,
+                        path,
+                    )
+                    .unwrap();
+                    assert_eq!(
+                        (got.count, got.sum),
+                        expected,
+                        "{path:?} over {window}, {retiring} retired"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! fragments, an auditor engine, application users logging through
 //! tickets, and the simulated network tying them together.
 
+use crate::kept::KeptResults;
 use crate::AuditError;
 use dla_bigint::Ubig;
 use dla_crypto::accumulator::{AccumulatorParams, CheckpointChain};
@@ -18,7 +19,7 @@ use dla_logstore::LogError;
 use dla_net::latency::LatencyModel;
 use dla_net::wire::{Reader, Writer};
 use dla_net::{NetConfig, NodeId, Session, SharedNet, SimNet};
-use parking_lot::{MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, BTreeSet};
@@ -244,6 +245,16 @@ pub fn epoch_aggregates_digest(nodes: &[DlaNode], epoch: EpochId) -> [u8; 32] {
     dla_crypto::sha256::digest_parts(&parts)
 }
 
+/// The fragment `store` serves of `glsn` for the attributes deposited
+/// at `home`: its own, or the copy it adopted from a retired `home`.
+pub(crate) fn served(store: &FragmentStore, home: usize, glsn: Glsn) -> Option<&Fragment> {
+    if store.node() == home {
+        store.get_local(glsn)
+    } else {
+        store.get_adopted(home, glsn)
+    }
+}
+
 /// The trail item folded into epoch and whole-trail accumulators for
 /// one deposit: domain-tagged `glsn ‖ deposit` bytes.
 pub(crate) fn trail_item(glsn: Glsn, deposit: &Ubig) -> Vec<u8> {
@@ -332,15 +343,18 @@ impl ClusterCtx {
     }
 }
 
-/// One DLA node: its fragment store plus the attributes it serves.
+/// One DLA node: its fragment store, the attributes it serves, and
+/// what it keeps of the cross subqueries it held ([`crate::kept`]).
 ///
 /// The store sits behind a read/write lock so concurrent subquery
 /// sessions can scan different (or the same) nodes from worker threads
-/// while mutation (logging, tampering test hooks) takes the write lock.
+/// while mutation (logging, tampering test hooks) takes the write lock;
+/// the kept sets sit behind a lock of their own for the same reason.
 pub struct DlaNode {
     id: usize,
     attrs: Vec<AttrName>,
     store: RwLock<FragmentStore>,
+    kept: Mutex<KeptResults>,
 }
 
 impl fmt::Debug for DlaNode {
@@ -376,6 +390,12 @@ impl DlaNode {
     /// Write access to the store (protocol machinery and test hooks).
     pub fn store_mut(&self) -> RwLockWriteGuard<'_, FragmentStore> {
         self.store.write()
+    }
+
+    /// The clause sets this node keeps per sealed epoch from the cross
+    /// subqueries it held. Memory only: never journaled, never sent.
+    pub fn kept(&self) -> MutexGuard<'_, KeptResults> {
+        self.kept.lock()
     }
 }
 
@@ -520,6 +540,7 @@ impl DlaCluster {
                     id: i,
                     attrs: partition.attrs_of(i).to_vec(),
                     store: RwLock::new(store),
+                    kept: Mutex::default(),
                 })
             })
             .collect::<Result<_, AuditError>>()?;
@@ -1504,13 +1525,7 @@ impl DlaCluster {
         attr: &AttrName,
         glsns: &[Glsn],
     ) -> Result<(usize, Vec<(Glsn, AttrValue)>), AuditError> {
-        let unserved =
-            || AuditError::Planning(format!("attribute {attr} is not served by any node"));
-        let home = self.ctx.partition.node_of(attr).ok_or_else(unserved)?;
-        let owner = self
-            .effective_partition()
-            .node_of(attr)
-            .ok_or_else(unserved)?;
+        let (home, owner) = self.owner_of(attr)?;
         let auditor = self.auditor_node();
         let mut w = Writer::new();
         w.put_u8(tag).put_list(glsns, |w, g| {
@@ -1524,16 +1539,25 @@ impl DlaCluster {
         let store = self.nodes[owner].store();
         let values = requested
             .into_iter()
-            .filter_map(|g| {
-                let fragment = if owner == home {
-                    store.get_local(g)
-                } else {
-                    store.get_adopted(home, g)
-                };
-                Some((g, fragment?.values.get(attr)?.clone()))
-            })
+            .filter_map(|g| Some((g, served(&store, home, g)?.values.get(attr)?.clone())))
             .collect();
         Ok((owner, values))
+    }
+
+    /// Where `attr` was deposited — its home under the configured
+    /// partition — and the node serving it under the
+    /// [`DlaCluster::effective_partition`]: the home itself, or its
+    /// adopter once the home is retired.
+    pub(crate) fn owner_of(&self, attr: &AttrName) -> Result<(usize, usize), AuditError> {
+        let node_of = |partition: &Partition| {
+            partition.node_of(attr).ok_or_else(|| {
+                AuditError::Planning(format!("attribute {attr} is not served by any node"))
+            })
+        };
+        Ok((
+            node_of(&self.ctx.partition)?,
+            node_of(&self.effective_partition())?,
+        ))
     }
 
     /// The first surviving node clockwise from `dead`, skipping nodes
@@ -1590,6 +1614,11 @@ impl DlaCluster {
                 promoted: promoted.len(),
             });
             self.retired.push((d, adopter));
+        }
+        // The partition in force moved: what the holders kept was
+        // planned, and partly computed, on the nodes just retired.
+        if !adoptions.is_empty() {
+            self.nodes.iter().for_each(|node| node.kept().clear());
         }
 
         let retired = self.retired_nodes();

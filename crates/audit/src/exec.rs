@@ -26,6 +26,16 @@
 //! evaluation ([`crate::query::Criteria::eval`],
 //! [`crate::centralized::CentralizedAuditor`]).
 //!
+//! # A sealed epoch is asked once
+//!
+//! A sealed epoch is immutable and committed, so the part of a cross
+//! clause's set that lies in one is the same every time. The node the
+//! set is delivered to keeps it per `(clause, sealed epoch)`
+//! ([`crate::kept`]), and a cross subquery runs its scans, joins and
+//! union only over the glsn range no kept epoch covers — the open epoch
+//! at least, the whole window the first time. The auditor-side
+//! conjunction keeps nothing.
+//!
 //! # Entry points
 //!
 //! There is one executor body, [`execute_on`]; [`execute`] draws the
@@ -37,11 +47,13 @@
 //! was called.
 
 use crate::cluster::DlaCluster;
+use crate::kept::ClauseKey;
 use crate::plan::{LiteralStep, QueryPlan, Subquery, SubqueryKind};
 use crate::query::{EvalError, Predicate};
 use crate::AuditError;
 use dla_crypto::affine::{MonotoneMasker, MONOTONE_MAX_INPUT};
 use dla_crypto::sha256;
+use dla_logstore::epoch::EpochId;
 use dla_logstore::model::{AttrValue, Glsn};
 use dla_mpc::report::ProtocolReport;
 use dla_mpc::{SsiSession, UnionSession};
@@ -608,6 +620,29 @@ fn value_pairs(
         .collect()
 }
 
+/// The node a cross subquery's clause set is delivered to: the one
+/// node every step lands its literal set on
+/// ([`LiteralStep::lands_on`]) when there is only one (nothing is left
+/// to unite), else the first participant, where the secure set union
+/// collects.
+fn holder_of(subquery: &Subquery, nodes: &BTreeSet<usize>) -> usize {
+    let contributing: BTreeSet<usize> = subquery.steps.iter().map(LiteralStep::lands_on).collect();
+    match contributing.len() {
+        1 => contributing.into_iter().next().expect("one entry"),
+        _ => *nodes.iter().next().expect("cross subquery has nodes"),
+    }
+}
+
+/// A cross subquery: the clause's set, delivered to its holder.
+///
+/// A sealed epoch is asked once. Before anything is sent the holder
+/// looks up what it kept of this clause ([`crate::kept`]) for every
+/// sealed epoch whose deposits all lie inside `window`; the steps then
+/// run ([`run_cross_steps`], the one body) over the smallest glsn range
+/// covering everything else — the whole window when nothing was kept,
+/// nothing at all when everything was — and the delivered set is filed
+/// per sealed epoch on the way out. Only an `Ok` run files, and never
+/// the open epoch.
 fn execute_cross(
     cluster: &DlaCluster,
     session: &Session<'_>,
@@ -616,22 +651,95 @@ fn execute_cross(
     rng: &mut StdRng,
     window: Option<(Glsn, Glsn)>,
 ) -> Result<(usize, GlsnSet, Vec<ProtocolReport>), AuditError> {
-    let holder = *nodes.iter().next().expect("cross subquery has nodes");
+    let holder = holder_of(subquery, nodes);
+    let policy = cluster.epoch_policy();
+    let key = ClauseKey::new(&subquery.clause, nodes);
+    // Read before any scan: a store that moves while the rings run
+    // leaves an entry no later lookup can match.
+    let revisions: Vec<u64> = nodes
+        .iter()
+        .map(|&n| cluster.node(n).store().revision())
+        .collect();
+    let sealed: BTreeSet<EpochId> = cluster
+        .epoch_stats()
+        .filter(|s| s.sealed && s.deposits > 0)
+        .filter(|s| window.is_none_or(|(lo, hi)| lo <= s.glsn_lo && s.glsn_hi <= hi))
+        .map(|s| s.epoch)
+        .collect();
+
+    // Peel kept epochs off both ends of the window; whatever is left,
+    // kept epochs in its middle included, is asked in one run.
+    let (mut lo, mut hi) = window.unwrap_or((policy.base(), Glsn(u64::MAX)));
+    let mut set = GlsnSet::new();
+    let mut served = BTreeSet::new();
+    if let Some(kept) = cluster.node(holder).kept().lookup(&key, &revisions) {
+        // `None` once per epoch at the latest, so both loops end.
+        let mut peel = |glsn: Glsn| {
+            let epoch = policy.epoch_of(glsn);
+            let glsns = kept.get(&epoch).filter(|_| sealed.contains(&epoch))?;
+            served.insert(epoch).then(|| {
+                set.extend(glsns);
+                policy.glsn_range(epoch)
+            })
+        };
+        while lo <= hi {
+            let Some((_, end)) = peel(lo) else { break };
+            lo = Glsn(end.0.saturating_add(1));
+        }
+        while lo <= hi {
+            let Some((start, _)) = peel(hi) else { break };
+            hi = Glsn(start.0.saturating_sub(1));
+        }
+    }
+    let asked = if served.is_empty() {
+        // Nothing kept: the window exactly as it was handed in.
+        window
+    } else {
+        dla_telemetry::record(dla_telemetry::CostKind::SealedEpochHit, served.len() as u64);
+        if lo > hi {
+            return Ok((holder, set, Vec::new()));
+        }
+        Some((lo, hi))
+    };
+    let (delivered, reports) = run_cross_steps(cluster, session, subquery, holder, rng, asked)?;
+    let mut by_epoch: BTreeMap<EpochId, Vec<Glsn>> = sealed
+        .difference(&served)
+        .map(|&e| (e, Vec::new()))
+        .collect();
+    for &glsn in &delivered {
+        if let Some(glsns) = by_epoch.get_mut(&policy.epoch_of(glsn)) {
+            glsns.push(glsn);
+        }
+    }
+    cluster.node(holder).kept().file(key, &revisions, by_epoch);
+    set.extend(delivered);
+    Ok((holder, set, reports))
+}
+
+/// The steps of a cross subquery over `window`: local scans for
+/// constant literals, an equality join or a masked comparison for
+/// `A θ B` across nodes, then a secure set union to `holder` when more
+/// than one node holds a literal set.
+fn run_cross_steps(
+    cluster: &DlaCluster,
+    session: &Session<'_>,
+    subquery: &Subquery,
+    holder: usize,
+    rng: &mut StdRng,
+    window: Option<(Glsn, Glsn)>,
+) -> Result<(GlsnSet, Vec<ProtocolReport>), AuditError> {
     let mut reports = Vec::new();
     // literal-set accumulation per participating node.
     let mut per_node: BTreeMap<usize, GlsnSet> = BTreeMap::new();
 
     for step in &subquery.steps {
-        match step {
-            LiteralStep::LocalScan { node, literal } => {
-                let set = scan_literal(
-                    cluster,
-                    *node,
-                    &subquery.clause.literals()[*literal],
-                    window,
-                )?;
-                per_node.entry(*node).or_default().extend(set);
-            }
+        let set = match step {
+            LiteralStep::LocalScan { node, literal } => scan_literal(
+                cluster,
+                *node,
+                &subquery.clause.literals()[*literal],
+                window,
+            )?,
             LiteralStep::CrossEqualityJoin {
                 left_node,
                 right_node,
@@ -649,31 +757,29 @@ fn execute_cross(
                     window,
                 )?;
                 reports.append(&mut r);
-                per_node.entry(*left_node).or_default().extend(set);
+                set
             }
             LiteralStep::CrossMaskedCompare {
                 left_node,
                 right_node,
                 literal,
-            } => {
-                let set = masked_compare(
-                    cluster,
-                    session,
-                    *left_node,
-                    *right_node,
-                    &subquery.clause.literals()[*literal],
-                    rng,
-                    window,
-                )?;
-                per_node.entry(*left_node).or_default().extend(set);
-            }
-        }
+            } => masked_compare(
+                cluster,
+                session,
+                *left_node,
+                *right_node,
+                &subquery.clause.literals()[*literal],
+                rng,
+                window,
+            )?,
+        };
+        per_node.entry(step.lands_on()).or_default().extend(set);
     }
 
-    // Single contributing node: it already holds the clause set.
+    // Single contributing node: the holder already has the clause set.
     if per_node.len() == 1 {
-        let (node, set) = per_node.into_iter().next().expect("one entry");
-        return Ok((node, set, reports));
+        let set = per_node.into_values().next().expect("one entry");
+        return Ok((set, reports));
     }
 
     // Disjunction across nodes: secure set union over the contributing
@@ -698,7 +804,7 @@ fn execute_cross(
         .iter()
         .map(|bytes| glsn_from_item(bytes, 8))
         .collect::<Result<_, _>>()?;
-    Ok((holder, set, reports))
+    Ok((set, reports))
 }
 
 /// Cross-node equality join: glsns where `left.attr == right.attr`,
@@ -836,31 +942,27 @@ fn masked_compare(
     let right_mask =
         MonotoneMasker::from_bytes(r.get_bytes()?).map_err(|e| AuditError::Wire(e.to_string()))?;
 
-    // Both sides submit (glsn, masked ordinal) lists to the TTP.
-    let submit = |net: &Session<'_>,
-                  from: NodeId,
-                  mask: &MonotoneMasker,
-                  pairs: &[(Glsn, AttrValue)]|
-     -> Result<(), AuditError> {
-        let mut w = Writer::new();
-        w.put_u8(0x31);
+    // Both sides submit (glsn, masked ordinal) lists to the TTP: one
+    // round, so a refused first frame does not strand the second in
+    // the TTP's inbox for the session's next run to read.
+    let submission = |mask: &MonotoneMasker, pairs: &[(Glsn, AttrValue)]| {
         let ordinals: Vec<(u64, u128)> = pairs
             .iter()
             .map(|(g, v)| Ok((g.0, mask.apply(to_ordinal(v)?))))
             .collect::<Result<_, AuditError>>()?;
-        w.put_list(&ordinals, |w, &(g, m)| {
+        let mut w = Writer::new();
+        w.put_u8(0x31).put_list(&ordinals, |w, &(g, m)| {
             w.put_u64(g);
             w.put_u128(m);
         });
-        net.send(from, ttp, w.finish());
-        Ok(())
+        Ok::<_, AuditError>(w.finish())
     };
-    submit(session, left_id, &mask, &left_pairs)?;
-    submit(session, right_id, &right_mask, &right_pairs)?;
-
+    let submissions = session.round([
+        (left_id, ttp, submission(&mask, &left_pairs)?),
+        (right_id, ttp, submission(&right_mask, &right_pairs)?),
+    ])?;
     let mut tables: Vec<BTreeMap<u64, u128>> = Vec::with_capacity(2);
-    for from in [left_id, right_id] {
-        let envelope = session.recv_from(ttp, from)?;
+    for envelope in &submissions {
         let mut r = crate::open_frame(&envelope.payload, 0x31)?;
         let list = r.get_list(|r| {
             let g = r.get_u64()?;
@@ -1155,13 +1257,13 @@ mod tests {
     #[test]
     fn masked_compare_refuses_a_foreign_tag_on_every_leg() {
         use dla_net::adversary::{ScriptedAdversary, Tamper, TamperRule};
-        // Mask agreement from the left owner, the right owner's
+        // Mask agreement from the left owner, either owner's
         // submission, the blind TTP's (net id 3) reply: each swapped
         // for an intact frame of another kind.
         let mut foreign = Writer::new();
         foreign.put_u8(0x7f).put_u64(0);
         let foreign = foreign.finish();
-        for (liar, tag) in [(0, 0x30), (1, 0x31), (3, 0x32)] {
+        for (liar, tag) in [(0, 0x30), (0, 0x31), (1, 0x31), (3, 0x32)] {
             let (mut cluster, _) = int_pair_cluster(7, LatencyModel::Zero, &[(1, 2), (5, 3)]);
             let swap = TamperRule::once_from(liar, tag, Tamper::Replace(foreign.clone()));
             let adversary =
@@ -1173,6 +1275,16 @@ mod tests {
                 matches!(outcome, Err(AuditError::Wire(_))),
                 "tag {tag:#x} swapped gave {outcome:?}"
             );
+            // The refused run drained what it sent: nothing waits in
+            // any session for a later run to mistake for its own.
+            let mut net = cluster.net();
+            let sessions = net.open_session().0;
+            for session in (0..sessions).map(SessionId) {
+                for node in (0..net.num_nodes()).map(NodeId) {
+                    let pending = net.pending_on(session, node);
+                    assert_eq!(pending, 0, "tag {tag:#x}: {session:?} at {node}");
+                }
+            }
         }
     }
 

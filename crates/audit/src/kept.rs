@@ -1,0 +1,280 @@
+//! What a holder keeps of the cross subqueries it has been handed.
+//!
+//! A cross subquery ends with its clause's result set delivered to one
+//! node, the holder. A sealed epoch is immutable and committed, so the
+//! part of that set inside a sealed epoch is the same every time it is
+//! asked for; the holder files it here, per `(clause, sealed epoch)`,
+//! and the executor asks the ring only about epochs no entry covers
+//! (see `exec::execute_cross`).
+//!
+//! The entries are the holder's own view and nothing more: memory only,
+//! never journaled, never sent. An entry is stamped with the store
+//! revision of every participant it was computed from
+//! ([`dla_logstore::store::FragmentStore::revision`]) and is dropped by
+//! the first lookup that finds one of them moved.
+
+use crate::normal::Clause;
+use dla_logstore::epoch::EpochId;
+use dla_logstore::model::Glsn;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+
+/// `(clause, sealed epoch)` sets one node keeps; past it the clause
+/// touched longest ago loses its oldest epochs.
+const MAX_ENTRIES: usize = 1024;
+
+/// Sealed epochs one clause keeps, the newest: a trail longer than the
+/// cap must not let one clause flush every other each time it is asked.
+const MAX_PER_CLAUSE: usize = MAX_ENTRIES / 4;
+
+/// What a kept set answers: one normalized clause as planned over one
+/// participating node set. The clause is compared as the structure it
+/// is — every attribute, operator and constant, in the literal order
+/// the steps were laid out in — never as text, which two clauses can
+/// share (`id = "U2' OR id = 'U3"` prints like a disjunction of two);
+/// the node set is the partition in force as far as this clause can
+/// see it.
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+pub(crate) struct ClauseKey {
+    clause: Clause,
+    nodes: Vec<usize>,
+}
+
+impl ClauseKey {
+    pub(crate) fn new(clause: &Clause, nodes: &BTreeSet<usize>) -> Self {
+        ClauseKey {
+            clause: clause.clone(),
+            nodes: nodes.iter().copied().collect(),
+        }
+    }
+}
+
+/// One clause's kept sets.
+#[derive(Debug)]
+struct Kept {
+    /// Store revisions of the key's nodes, in key order, read before
+    /// the run that produced the sets.
+    revisions: Vec<u64>,
+    touched: u64,
+    epochs: BTreeMap<EpochId, Vec<Glsn>>,
+}
+
+/// The kept sets of one holder.
+#[derive(Debug, Default)]
+pub struct KeptResults {
+    /// No clause is here without an epoch to its name.
+    clauses: HashMap<ClauseKey, Kept>,
+    clock: u64,
+}
+
+impl KeptResults {
+    /// `(clause, sealed epoch)` sets currently kept.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.clauses.values().map(|k| k.epochs.len()).sum()
+    }
+
+    /// Whether nothing is kept.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.clauses.is_empty()
+    }
+
+    /// Forgets everything: the next run of every clause is a cold one.
+    pub fn clear(&mut self) {
+        self.clauses.clear();
+    }
+
+    /// The per-epoch sets kept for `key`, if they were computed from
+    /// the participants' stores as they stand (`revisions`); sets from
+    /// any other revision are dropped on the spot.
+    pub(crate) fn lookup(
+        &mut self,
+        key: &ClauseKey,
+        revisions: &[u64],
+    ) -> Option<&BTreeMap<EpochId, Vec<Glsn>>> {
+        if self.clauses.get(key)?.revisions != revisions {
+            self.clauses.remove(key);
+            return None;
+        }
+        self.clock += 1;
+        let kept = self.clauses.get_mut(key)?;
+        kept.touched = self.clock;
+        Some(&kept.epochs)
+    }
+
+    /// Files `sets` — one per sealed epoch of a delivered clause set —
+    /// under `key` at `revisions`, replacing whatever another revision
+    /// left there; no sets, no entry. The clause keeps its newest
+    /// [`MAX_PER_CLAUSE`] epochs; past [`MAX_ENTRIES`] the clause
+    /// touched longest ago loses its oldest epochs, and goes once it
+    /// has none.
+    pub(crate) fn file(
+        &mut self,
+        key: ClauseKey,
+        revisions: &[u64],
+        sets: impl IntoIterator<Item = (EpochId, Vec<Glsn>)>,
+    ) {
+        let mut sets = sets.into_iter().peekable();
+        if sets.peek().is_none() {
+            return;
+        }
+        self.clock += 1;
+        let kept = self.clauses.entry(key).or_insert_with(|| Kept {
+            revisions: revisions.to_vec(),
+            touched: 0,
+            epochs: BTreeMap::new(),
+        });
+        if kept.revisions != revisions {
+            kept.revisions = revisions.to_vec();
+            kept.epochs.clear();
+        }
+        kept.touched = self.clock;
+        kept.epochs.extend(sets);
+        while kept.epochs.len() > MAX_PER_CLAUSE {
+            kept.epochs.pop_first();
+        }
+        let mut over = self.len().saturating_sub(MAX_ENTRIES);
+        while over > 0 {
+            let (key, oldest) = (self.clauses.iter_mut())
+                .min_by_key(|(_, kept)| kept.touched)
+                .expect("over the cap means at least one clause");
+            while over > 0 && oldest.epochs.pop_first().is_some() {
+                over -= 1;
+            }
+            if oldest.epochs.is_empty() {
+                let key = key.clone();
+                self.clauses.remove(&key);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dla_logstore::schema::Schema;
+
+    fn key(text: &str, nodes: &[usize]) -> ClauseKey {
+        let schema = Schema::paper_example();
+        let normalized = crate::plan::compile(text, &schema).unwrap();
+        ClauseKey::new(&normalized.clauses()[0], &nodes.iter().copied().collect())
+    }
+
+    fn sets(epochs: std::ops::Range<u64>) -> impl Iterator<Item = (EpochId, Vec<Glsn>)> {
+        epochs.map(|e| (EpochId(e), vec![Glsn(e)]))
+    }
+
+    #[test]
+    fn a_lookup_needs_the_same_clause_nodes_and_revisions() {
+        let mut kept = KeptResults::default();
+        let filed = key("c1 > 40 OR id = 'U2'", &[0, 1]);
+        kept.file(filed.clone(), &[3, 5], sets(0..2));
+        assert_eq!(kept.len(), 2);
+        assert_eq!(kept.lookup(&filed, &[3, 5]).map(BTreeMap::len), Some(2));
+        // Another constant, another literal order, another node set.
+        for other in [
+            key("c1 > 41 OR id = 'U2'", &[0, 1]),
+            key("id = 'U2' OR c1 > 40", &[0, 1]),
+            key("c1 > 40 OR id = 'U2'", &[0, 2]),
+        ] {
+            assert!(kept.lookup(&other, &[3, 5]).is_none(), "{other:?}");
+        }
+        // A participant's store moved: the entry is gone, not skipped.
+        assert!(kept.lookup(&filed, &[3, 6]).is_none());
+        assert!(kept.is_empty());
+    }
+
+    #[test]
+    fn clauses_that_print_alike_are_kept_apart() {
+        // One constant holding a quote and an ` OR `, against the two
+        // literals it spells.
+        let three = "c1 > 40 OR id = 'U2' OR id = 'U3'";
+        let two = r#"c1 > 40 OR id = "U2' OR id = 'U3""#;
+        let schema = Schema::paper_example();
+        let text = |q| crate::plan::compile(q, &schema).unwrap().to_string();
+        assert_eq!(text(three), text(two));
+
+        let mut kept = KeptResults::default();
+        kept.file(key(three, &[0, 1]), &[0, 0], sets(0..2));
+        assert!(kept.lookup(&key(two, &[0, 1]), &[0, 0]).is_none());
+        assert!(kept.lookup(&key(three, &[0, 1]), &[0, 0]).is_some());
+    }
+
+    #[test]
+    fn filing_at_a_new_revision_replaces_the_clause() {
+        let mut kept = KeptResults::default();
+        let filed = key("c1 > 40 OR id = 'U2'", &[0, 1]);
+        kept.file(filed.clone(), &[0, 0], sets(0..4));
+        kept.file(filed.clone(), &[0, 1], sets(4..5));
+        let epochs = kept.lookup(&filed, &[0, 1]).unwrap();
+        assert_eq!(epochs.keys().copied().collect::<Vec<_>>(), [EpochId(4)]);
+    }
+
+    #[test]
+    fn filing_nothing_keeps_nothing() {
+        // A window with no whole sealed epoch in it, asked under ever
+        // new constants: no entry, so nothing the cap does not count.
+        let mut kept = KeptResults::default();
+        for c in 0..8 {
+            let asked = key(&format!("c1 > {c} OR id = 'U1'"), &[0, 1]);
+            kept.file(asked.clone(), &[0, 0], sets(0..0));
+            assert!(kept.lookup(&asked, &[0, 0]).is_none());
+        }
+        assert!(kept.is_empty());
+        assert_eq!(kept.len(), 0);
+    }
+
+    #[test]
+    fn the_cap_takes_the_oldest_epochs_of_the_clause_touched_longest_ago() {
+        let mut kept = KeptResults::default();
+        let share = MAX_PER_CLAUSE as u64;
+        let clauses: Vec<ClauseKey> = (0..=MAX_ENTRIES / MAX_PER_CLAUSE)
+            .map(|c| key(&format!("c1 > {c} OR id = 'U1'"), &[0, 1]))
+            .collect();
+        let (newcomer, filling) = clauses.split_last().unwrap();
+        for clause in filling {
+            kept.file(clause.clone(), &[0, 0], sets(0..share));
+        }
+        assert_eq!(kept.len(), MAX_ENTRIES);
+        // The first is used again, so the second is the one that pays,
+        // and no more than the newcomer needs: its two oldest epochs.
+        assert!(kept.lookup(&filling[0], &[0, 0]).is_some());
+        kept.file(newcomer.clone(), &[0, 0], sets(0..2));
+        let left = kept.lookup(&filling[1], &[0, 0]).unwrap();
+        assert_eq!(left.keys().next(), Some(&EpochId(2)));
+        assert_eq!(left.len() as u64, share - 2);
+        // The third is now the one touched longest ago: it pays for the
+        // rest of the newcomer, and goes with its last epoch.
+        kept.file(newcomer.clone(), &[0, 0], sets(2..share));
+        kept.file(filling[1].clone(), &[0, 0], sets(0..2));
+        assert!(kept.lookup(&filling[2], &[0, 0]).is_none());
+        for whole in [&filling[0], &filling[1], &filling[3], newcomer] {
+            let left = kept.lookup(whole, &[0, 0]).map(BTreeMap::len);
+            assert_eq!(left, Some(MAX_PER_CLAUSE));
+        }
+        assert_eq!(kept.len(), MAX_ENTRIES);
+    }
+
+    #[test]
+    fn a_trail_longer_than_a_clause_may_keep_costs_that_clause_alone() {
+        let mut kept = KeptResults::default();
+        let (short, long) = (
+            key("c1 > 1 OR id = 'U1'", &[0, 1]),
+            key("c1 > 2 OR id = 'U1'", &[0, 1]),
+        );
+        let trail = 2 * MAX_ENTRIES as u64;
+        kept.file(short.clone(), &[0, 0], sets(0..4));
+        kept.file(long.clone(), &[0, 0], sets(0..trail));
+        let newest = EpochId(trail - MAX_PER_CLAUSE as u64);
+        // Asked again, the long clause files what it lost and loses it
+        // again; the other clause is not what pays.
+        for _ in 0..2 {
+            let left = kept.lookup(&long, &[0, 0]).unwrap();
+            assert_eq!(left.len(), MAX_PER_CLAUSE);
+            assert_eq!(left.keys().next(), Some(&newest));
+            assert_eq!(kept.lookup(&short, &[0, 0]).map(BTreeMap::len), Some(4));
+            kept.file(long.clone(), &[0, 0], sets(0..newest.0));
+        }
+        assert_eq!(kept.len(), MAX_PER_CLAUSE + 4);
+    }
+}

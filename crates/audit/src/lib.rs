@@ -13,7 +13,9 @@
 //!   vs. cross subqueries → relaxed-secure-computation execution with
 //!   the final glsn-keyed secure set intersection (Fig. 3). One front
 //!   door ([`plan::compile`] then [`cluster::DlaCluster::plan`]) and
-//!   one executor ([`exec::execute_on`]) serve every auditor operation.
+//!   one executor ([`exec::execute_on`]) serve every auditor operation;
+//!   [`kept`] is what a holder remembers of the cross subqueries it was
+//!   handed, so a sealed epoch is asked once.
 //! * [`integrity`] — one-way-accumulator integrity circulation and
 //!   ACL consistency checking (§4.1).
 //! * [`membership`] — the anonymous-but-accountable evidence chain
@@ -61,6 +63,7 @@ pub mod exec;
 pub mod federation;
 pub mod health;
 pub mod integrity;
+pub mod kept;
 pub mod membership;
 pub mod meta;
 pub mod metrics;

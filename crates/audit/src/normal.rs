@@ -14,7 +14,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 /// One subquery `SQ_i`: a disjunction of atomic predicates.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Clause {
     literals: Vec<Predicate>,
 }

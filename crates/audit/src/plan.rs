@@ -65,6 +65,19 @@ pub enum LiteralStep {
     },
 }
 
+impl LiteralStep {
+    /// The node the step leaves its literal's set on: the scanning
+    /// node, or the owner of `A` in `A θ B`.
+    #[must_use]
+    pub fn lands_on(&self) -> usize {
+        match self {
+            LiteralStep::LocalScan { node, .. } => *node,
+            LiteralStep::CrossEqualityJoin { left_node, .. }
+            | LiteralStep::CrossMaskedCompare { left_node, .. } => *left_node,
+        }
+    }
+}
+
 /// One planned subquery.
 #[derive(Clone, PartialEq, Debug)]
 pub struct Subquery {

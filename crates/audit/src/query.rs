@@ -12,7 +12,7 @@ use std::cmp::Ordering;
 use std::fmt;
 
 /// A comparison operator `θ`.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum CmpOp {
     /// `<`
     Lt,
@@ -73,7 +73,7 @@ impl fmt::Display for CmpOp {
 
 /// The right-hand side of a predicate: another attribute (`B`) or a
 /// constant (`c`).
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum Operand {
     /// Another audit-trail attribute.
     Attr(AttrName),
@@ -94,7 +94,7 @@ impl fmt::Display for Operand {
 }
 
 /// An atomic auditing predicate `A θ (B|c)`.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Predicate {
     /// Left attribute `A`.
     pub lhs: AttrName,

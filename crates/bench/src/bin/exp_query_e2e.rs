@@ -1,7 +1,9 @@
 //! Experiment P5: end-to-end distributed query processing vs. the
 //! centralized baseline (Fig. 1 vs Fig. 2) across workload sizes, plus
 //! a latency-model ablation (ideal vs LAN vs WAN links) using the
-//! simulator's virtual clocks.
+//! simulator's virtual clocks, the concurrent scheduler's exact
+//! figures, and — on a 16-epoch trail — what each query shape costs
+//! cold and what it costs once its holders keep the sealed epochs.
 //!
 //! Run with: `cargo run -p dla-bench --bin exp_query_e2e --release`
 //! (writes `BENCH_query_e2e.json`: virtual time, counts and sessions —
@@ -10,10 +12,10 @@
 
 use dla_audit::centralized::CentralizedAuditor;
 use dla_audit::cluster::ClusterConfig;
-use dla_audit::exec::execute;
+use dla_audit::exec::{execute, execute_on, ExecMode};
 use dla_bench::{
-    fmt_bytes, loaded_cluster, metered, paper_config, render_rows, render_table, workload,
-    write_snapshot, Json,
+    asked_once_cost, assert_warm_within_cold, fmt_bytes, loaded_cluster, metered, paper_config,
+    render_rows, render_table, workload, write_snapshot, Json,
 };
 use dla_logstore::gen::WorkloadConfig;
 use dla_logstore::schema::Schema;
@@ -26,6 +28,55 @@ const QUERY: &str = "(id = 'U1' OR c1 > 80) AND c2 < 500.00 AND protocol = 'UDP'
 /// sessions to overlap.
 const SCHED_QUERY: &str = "(id = 'U1' OR c1 > 30) AND (protocol = 'TCP' OR c2 < 400.00) \
      AND (tid = 'T2' OR c2 > 100.00) AND id != c3";
+
+/// The three shapes `benchmark/run.sh` times, on its trail: 1 024
+/// records in epochs of 64, fifteen of the sixteen sealed.
+const SHAPES: [(&str, &str); 3] = [
+    ("and2", "c1 > 30 AND id = 'U1'"),
+    ("or2", "c1 > 40 OR id = 'U2'"),
+    ("cnf4", SCHED_QUERY),
+];
+const TRAIL_RECORDS: usize = 1024;
+const TRAIL_EPOCH: u64 = 64;
+
+/// Each shape asked twice of one cluster: cold, then with the sealed
+/// epochs of its cross clauses kept by their holders.
+fn asked_once_rows() -> Vec<Json> {
+    let config = paper_config(12).with_epoch_length(TRAIL_EPOCH);
+    let (cluster, _, _) = loaded_cluster(config, TRAIL_RECORDS, 12);
+    let sealed = cluster.epoch_stats().filter(|s| s.sealed).count() as u64;
+    assert_eq!(sealed, TRAIL_RECORDS as u64 / TRAIL_EPOCH - 1);
+    SHAPES
+        .iter()
+        .map(|(shape, query)| {
+            // One seed for both askings: the same keys, so what differs
+            // is only what was not sent.
+            let plan = cluster.compile(query).expect("compiles");
+            let run = || {
+                let net = cluster.shared_net();
+                let (result, cost) =
+                    metered(|| execute_on(&cluster, net, &plan, true, ExecMode::Concurrent, 12));
+                (result.expect("query runs"), cost)
+            };
+            let (cold, cold_cost) = run();
+            let (warm, warm_cost) = run();
+            assert_eq!(
+                warm.glsns, cold.glsns,
+                "{shape}: warm answer is the cold answer"
+            );
+            assert_warm_within_cold(shape, &cold_cost, &warm_cost);
+            let lookups = cold.plan.cross_count() as u64 * sealed;
+            assert_eq!(warm_cost.sealed_epoch_hits, lookups, "{shape}: all kept");
+            Json::Object(vec![
+                ("shape", (*shape).into()),
+                ("cross_subqueries", cold.plan.cross_count().into()),
+                ("matches", cold.glsns.len().into()),
+                ("cold", Json::Object(asked_once_cost(&cold_cost, lookups))),
+                ("warm", Json::Object(asked_once_cost(&warm_cost, lookups))),
+            ])
+        })
+        .collect()
+}
 
 /// One scheduler measurement of [`SCHED_QUERY`].
 #[derive(Debug, PartialEq, Eq)]
@@ -180,6 +231,27 @@ fn main() {
          the ring hops of a round were sent one after another; a round now leaves together)"
     );
 
+    // Part 4: a sealed epoch is asked once. The gates (warm answer =
+    // cold answer, warm cost within cold cost, every sealed epoch of
+    // every cross clause served on the second asking) are in
+    // `asked_once_rows`.
+    let asked_once = asked_once_rows();
+    println!(
+        "\n{}",
+        render_rows(
+            &format!(
+                "P5d - A SEALED EPOCH IS ASKED ONCE ({TRAIL_RECORDS} records, epochs of \
+                 {TRAIL_EPOCH}, 4 nodes)"
+            ),
+            &asked_once
+        )
+    );
+    println!(
+        "shape: a cross clause's holder keeps the set it was handed per sealed epoch, so the\n\
+         second asking runs its rings over the open epoch alone; and2 has no cross clause\n\
+         (its conjunction is collected by the auditor, which keeps nothing)."
+    );
+
     write_snapshot(
         "query_e2e",
         vec![
@@ -190,6 +262,14 @@ fn main() {
             ("subqueries", run.subqueries.into()),
             ("matches", run.matches.into()),
             ("concurrent", concurrent),
+            (
+                "asked_once",
+                Json::Object(vec![
+                    ("records", TRAIL_RECORDS.into()),
+                    ("epoch_length", TRAIL_EPOCH.into()),
+                    ("shapes", Json::Array(asked_once)),
+                ]),
+            ),
         ],
     );
 }

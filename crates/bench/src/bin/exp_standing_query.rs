@@ -12,7 +12,11 @@
 //!   fresh whole-trail query restricted to sealed epochs — the
 //!   subscriber never re-scans history it has already been pushed,
 //! * the same holds on a federated topology, where deltas relay
-//!   through the root ring with no driver poll.
+//!   through the root ring with no driver poll,
+//! * a rule is asked of a sealed epoch once: the second auditor to
+//!   subscribe to a cross-node rule, and an ad-hoc query of it, are
+//!   served the sealed epochs from what the clause's holder kept of the
+//!   first subscriber's deltas, in exact modexp / message / byte counts.
 //!
 //! Counts and answer equalities only — what a cached window or a
 //! standing delta costs on the wall clock is measured by
@@ -25,7 +29,9 @@ use dla_audit::aggregate::{windowed_bucket_aggregate, AggregatePath};
 use dla_audit::cluster::DlaCluster;
 use dla_audit::federation::{FederatedCluster, FederationConfig};
 use dla_audit::plan::TimeWindow;
-use dla_bench::{render_rows, write_snapshot, Json};
+use dla_bench::{
+    asked_once_cost, assert_warm_within_cold, metered, render_rows, write_snapshot, Json,
+};
 use dla_logstore::fragment::Partition;
 use dla_logstore::gen::WorkloadConfig;
 use dla_logstore::model::{AttrValue, Glsn};
@@ -38,6 +44,10 @@ const EPOCH_LEN: u64 = 8;
 /// held fixed while the trail grows underneath it.
 const WINDOW_SECS: u64 = 720;
 const STANDING_CRITERIA: &str = "protocol = 'UDP'";
+/// A rule whose one clause spans two nodes: its deltas are delivered to
+/// a holder, which keeps them.
+const SHARED_RULE: &str = "c1 > 40 OR id = 'U2'";
+const SHARED_RECORDS: usize = 256;
 
 struct Row {
     records: usize,
@@ -118,6 +128,65 @@ fn run_row(records: usize) -> Row {
         identical,
         standing_matches: accumulated.len(),
         standing_identical,
+    }
+}
+
+/// What [`run_shared_rule`] found.
+struct SharedRule {
+    sealed_epochs: u64,
+    matches: usize,
+    /// One row per asker, in asking order.
+    askers: Vec<Json>,
+}
+
+/// One rule, asked by a first subscriber, a second one and an ad-hoc
+/// query, against the same ad-hoc query on a cluster nobody has asked.
+fn run_shared_rule(records: usize) -> SharedRule {
+    let mut cluster = loaded_cluster(records);
+    let sealed = sealed_glsns(&cluster);
+    let epochs = cluster.epoch_stats().filter(|s| s.sealed).count() as u64;
+    let sealed_only = |glsns: Vec<Glsn>| -> Vec<Glsn> {
+        glsns.into_iter().filter(|g| sealed.contains(g)).collect()
+    };
+
+    let mut subscribe = || {
+        let (id, cost) = metered(|| cluster.register_standing(SHARED_RULE).expect("registers"));
+        (cluster.standing_matches(id).expect("matches"), cost)
+    };
+    let (first, first_cost) = subscribe();
+    let (second, second_cost) = subscribe();
+    let ask = |cluster: &DlaCluster| {
+        let (result, cost) = metered(|| cluster.query_shared(SHARED_RULE));
+        (result.expect("query runs").glsns, cost)
+    };
+    let (adhoc, adhoc_cost) = ask(&cluster);
+    let (fresh, fresh_cost) = ask(&loaded_cluster(records));
+
+    assert_eq!(second, first, "both subscribers hold one answer");
+    assert_eq!(adhoc, fresh, "the warm ad-hoc answer is the cold one");
+    assert_eq!(first, sealed_only(fresh), "deltas cover the sealed epochs");
+    assert_warm_within_cold("second subscriber", &first_cost, &second_cost);
+    assert_warm_within_cold("ad-hoc after standing", &fresh_cost, &adhoc_cost);
+    for (what, cost) in [("second subscriber", &second_cost), ("ad-hoc", &adhoc_cost)] {
+        assert_eq!(
+            cost.sealed_epoch_hits, epochs,
+            "{what}: every sealed epoch kept"
+        );
+    }
+    let asker = |who: &str, cost| {
+        let mut fields = vec![("asker", who.into())];
+        fields.extend(asked_once_cost(cost, epochs));
+        Json::Object(fields)
+    };
+    SharedRule {
+        sealed_epochs: epochs,
+        matches: adhoc.len(),
+        askers: vec![
+            asker("first subscriber", &first_cost),
+            asker("second subscriber", &second_cost),
+            asker("ad-hoc query, nobody asked before", &fresh_cost),
+            asker("ad-hoc query, after the subscribers", &adhoc_cost),
+        ],
     }
 }
 
@@ -244,6 +313,10 @@ fn main() {
         "sub-ring seals must push checkpoints to the root with no poll"
     );
 
+    // (5) A sealed epoch is asked once, whoever asks: the gates are in
+    // `run_shared_rule`.
+    let shared_rule = run_shared_rule(SHARED_RECORDS);
+
     let table: Vec<Json> = rows.iter().map(Row::json).collect();
     println!(
         "{}",
@@ -262,6 +335,21 @@ fn main() {
         cached_fragments, last.rescan_fragments, last.records, fed_matches, fed_published
     );
 
+    println!(
+        "\n{}",
+        render_rows(
+            &format!(
+                "P16b - ONE RULE, ASKED ONCE PER SEALED EPOCH ({SHARED_RULE}; {SHARED_RECORDS} \
+                 records, epoch={EPOCH_LEN})"
+            ),
+            &shared_rule.askers
+        )
+    );
+    println!(
+        "the first subscriber's catch-up runs one union per sealed epoch; the second \
+         subscriber's and the ad-hoc query's sealed epochs come from what the holder kept."
+    );
+
     write_snapshot(
         "standing_query",
         vec![
@@ -272,6 +360,16 @@ fn main() {
             ("federated_identical", fed_identical.into()),
             ("federated_published", fed_published.into()),
             ("rows", Json::Array(table)),
+            (
+                "shared_rule",
+                Json::Object(vec![
+                    ("rule", SHARED_RULE.into()),
+                    ("records", SHARED_RECORDS.into()),
+                    ("sealed_epochs", shared_rule.sealed_epochs.into()),
+                    ("matches", shared_rule.matches.into()),
+                    ("askers", Json::Array(shared_rule.askers)),
+                ]),
+            ),
         ],
     );
 }

@@ -184,6 +184,52 @@ pub fn metered<T>(f: impl FnOnce() -> T) -> (T, CostVector) {
     (out, recorder.take().total_cost())
 }
 
+/// One run of a query, in the counts a kept sealed epoch moves (the
+/// fields of a row or of a nested object): exponentiations, messages,
+/// bytes, and — of the `lookups` sealed epochs its cross subqueries
+/// covered — how many the holders served from what they kept and how
+/// many the rings were asked about.
+///
+/// # Panics
+///
+/// Panics if the run hit more epochs than `lookups`: the caller counted
+/// the wrong trail or window.
+#[must_use]
+pub fn asked_once_cost(cost: &CostVector, lookups: u64) -> Vec<(&'static str, Json)> {
+    let hits = cost.sealed_epoch_hits;
+    let misses = lookups
+        .checked_sub(hits)
+        .unwrap_or_else(|| panic!("{hits} sealed-epoch hits out of {lookups} lookups"));
+    vec![
+        ("modexp", cost.modexp.into()),
+        ("messages", cost.msgs_sent.into()),
+        ("bytes", cost.bytes_sent.into()),
+        ("epoch_hits", hits.into()),
+        ("epoch_misses", misses.into()),
+    ]
+}
+
+/// Gate of every cold/warm pair an experiment reports: the warm run
+/// costs no more than the cold one in any of the [`asked_once_cost`]
+/// counts.
+///
+/// # Panics
+///
+/// Panics, naming `what`, if the warm run cost more.
+pub fn assert_warm_within_cold(what: &str, cold: &CostVector, warm: &CostVector) {
+    for (count, cold, warm) in [
+        ("modexp", cold.modexp, warm.modexp),
+        ("messages", cold.msgs_sent, warm.msgs_sent),
+        ("bytes", cold.bytes_sent, warm.bytes_sent),
+    ] {
+        assert!(
+            warm <= cold,
+            "{what}: warm {count} {warm} above cold {cold}"
+        );
+    }
+    assert_eq!(cold.sealed_epoch_hits, 0, "{what}: a cold run hit");
+}
+
 /// A JSON value. Every `BENCH_*.json` is one of these rendered by
 /// [`Json::render`], and an experiment's table rows are the same
 /// objects rendered by [`render_rows`], so a row spells its fields

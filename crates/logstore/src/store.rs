@@ -94,6 +94,7 @@ pub struct FragmentStore {
     journal: Option<Journal>,
     epoch_policy: EpochPolicy,
     epochs: BTreeMap<EpochId, EpochManifest>,
+    revision: u64,
 }
 
 impl fmt::Debug for FragmentStore {
@@ -288,6 +289,7 @@ impl FragmentStore {
                 self.acl.authorize_parts(TicketId::new(&ticket), ops, glsn);
             }
             JournalEntry::Tombstone(glsn) => {
+                self.revision += 1;
                 self.acl.forget(glsn);
                 self.standby.retain(|&(_, held), _| held != glsn);
                 self.adopted.retain(|&(_, held), _| held != glsn);
@@ -304,6 +306,7 @@ impl FragmentStore {
                     .insert((fragment.node, fragment.glsn), fragment);
             }
             JournalEntry::Adopted(fragment) => {
+                self.revision += 1;
                 // A promoted standby is no longer a standby.
                 self.standby.remove(&(fragment.node, fragment.glsn));
                 self.adopted
@@ -328,6 +331,18 @@ impl FragmentStore {
                 .expect("a refreshed epoch has a manifest")
                 .partials = Some(partials);
         }
+    }
+
+    /// Counts the transitions that can change what a scan of a
+    /// **sealed** epoch returns: a tombstone, an adoption, the
+    /// [`FragmentStore::tamper`] hook. Deposits never do — a sealed
+    /// epoch admits none — so a set derived from sealed epochs at one
+    /// revision still describes them while the revision stands. Not
+    /// journaled: a restored store counts what its replay applies, and
+    /// nothing derived from the old count outlives the process.
+    #[must_use]
+    pub fn revision(&self) -> u64 {
+        self.revision
     }
 
     /// Whether the store is journal-backed.
@@ -676,6 +691,7 @@ impl FragmentStore {
         match self.fragments.get_mut(&glsn) {
             Some(frag) if frag.values.get(attr).is_some() => {
                 frag.values.insert(attr.clone(), value);
+                self.revision += 1;
                 true
             }
             _ => false,
@@ -1279,6 +1295,29 @@ mod tests {
         // Tampering a missing attribute or glsn reports false.
         assert!(!store.tamper(Glsn(7), &"time".into(), AttrValue::Time(0)));
         assert!(!store.tamper(Glsn(99), &"c2".into(), AttrValue::Fixed2(0)));
+    }
+
+    #[test]
+    fn revision_counts_what_can_change_a_scan_of_a_sealed_epoch() {
+        let t = ticket(OperationSet::all());
+        let mut store = FragmentStore::new(1);
+        // Deposits, standby copies and seals leave a sealed scan alone.
+        store.write(&t, sample_fragments(7).remove(1)).unwrap();
+        store.write(&t, sample_fragments(8).remove(1)).unwrap();
+        store.store_standby(sample_fragments(7).remove(0)).unwrap();
+        store
+            .seal_epoch(store.epoch_policy().epoch_of(Glsn(7)))
+            .unwrap();
+        assert_eq!(store.revision(), 0);
+        // A tamper that lands, an adoption and a tombstone do not.
+        assert!(!store.tamper(Glsn(99), &"c2".into(), AttrValue::Fixed2(0)));
+        assert_eq!(store.revision(), 0);
+        assert!(store.tamper(Glsn(7), &"c2".into(), AttrValue::Fixed2(1)));
+        assert_eq!(store.revision(), 1);
+        assert_eq!(store.promote_standby(0).unwrap().len(), 1);
+        assert_eq!(store.revision(), 2);
+        store.delete(&t, Glsn(8)).unwrap();
+        assert_eq!(store.revision(), 3);
     }
 
     #[test]

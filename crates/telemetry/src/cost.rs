@@ -61,6 +61,11 @@ pub enum CostKind {
     PartialCombine,
     /// One standing-query delta emitted at epoch seal.
     StandingDelta,
+    /// One sealed epoch of a cross subquery answered from the set its
+    /// holder kept from an earlier run instead of being asked again
+    /// (counted at the holder's lookup; a miss is a sealed epoch the
+    /// window covers that this counter did not see).
+    SealedEpochHit,
 }
 
 impl CostKind {
@@ -86,6 +91,7 @@ impl CostKind {
             CostKind::PartialMaterialize => "partials_materialized",
             CostKind::PartialCombine => "partials_combined",
             CostKind::StandingDelta => "standing_deltas",
+            CostKind::SealedEpochHit => "sealed_epoch_hits",
         }
     }
 }
@@ -130,6 +136,9 @@ pub struct CostVector {
     pub partials_combined: u64,
     /// Standing-query deltas emitted at epoch seals.
     pub standing_deltas: u64,
+    /// Sealed epochs of cross subqueries served from the holder's kept
+    /// sets.
+    pub sealed_epoch_hits: u64,
 }
 
 impl CostVector {
@@ -154,6 +163,7 @@ impl CostVector {
             CostKind::PartialMaterialize => &mut self.partials_materialized,
             CostKind::PartialCombine => &mut self.partials_combined,
             CostKind::StandingDelta => &mut self.standing_deltas,
+            CostKind::SealedEpochHit => &mut self.sealed_epoch_hits,
         };
         *slot += amount;
     }
@@ -178,6 +188,7 @@ impl CostVector {
         self.partials_materialized += other.partials_materialized;
         self.partials_combined += other.partials_combined;
         self.standing_deltas += other.standing_deltas;
+        self.sealed_epoch_hits += other.sealed_epoch_hits;
     }
 
     /// True when every counter is zero.
@@ -188,7 +199,7 @@ impl CostVector {
 
     /// `(label, value)` pairs in a stable order (what `Display` prints).
     #[must_use]
-    pub fn entries(&self) -> [(&'static str, u64); 18] {
+    pub fn entries(&self) -> [(&'static str, u64); 19] {
         [
             ("modexp", self.modexp),
             ("mont_mul_steps", self.mont_mul_steps),
@@ -208,6 +219,7 @@ impl CostVector {
             ("partials_materialized", self.partials_materialized),
             ("partials_combined", self.partials_combined),
             ("standing_deltas", self.standing_deltas),
+            ("sealed_epoch_hits", self.sealed_epoch_hits),
         ]
     }
 }
@@ -256,16 +268,14 @@ mod tests {
             CostKind::PartialMaterialize,
             CostKind::PartialCombine,
             CostKind::StandingDelta,
+            CostKind::SealedEpochHit,
         ];
         let mut v = CostVector::default();
         for (i, kind) in kinds.iter().enumerate() {
             v.add(*kind, (i + 1) as u64);
         }
         let values: Vec<u64> = v.entries().iter().map(|(_, n)| *n).collect();
-        assert_eq!(
-            values,
-            vec![1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18]
-        );
+        assert_eq!(values, (1..=19).collect::<Vec<u64>>());
         assert!(!v.is_zero());
     }
 

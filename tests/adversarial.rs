@@ -640,6 +640,124 @@ fn a_relay_reordering_the_collectors_own_set_is_an_undetected_lie() {
     }
 }
 
+#[test]
+fn an_undetected_lie_told_once_about_a_sealed_epoch_is_served_until_evicted() {
+    // The lie above, told inside a query. The holder of a cross
+    // subquery keeps the set it was handed per sealed epoch and does not
+    // ask again, so the reordering relay's wrong items outlive the
+    // relay's one lie: honest reruns serve them. Whoever makes the
+    // reorder detectable has this to cover too. A lie that *is*
+    // detected ends the run in `Err`, and an `Err` run files nothing.
+    use confidential_audit::logstore::model::{AttrType, LogRecord};
+    use confidential_audit::logstore::schema::AttrDef;
+    use confidential_audit::mpc::set_intersection::SET_TAG;
+    use confidential_audit::net::adversary::{ScriptedAdversary, Tamper, TamperRule};
+    use confidential_audit::net::wire::{Reader, Writer};
+    use confidential_audit::net::NodeId;
+    use std::sync::Arc;
+
+    // `a` at P0, `b` at P1, epochs of four: `a = b` is an equality join
+    // collected at P0, and the first two epochs are sealed.
+    let cluster = || {
+        let schema = Schema::new(vec![
+            AttrDef::known("a", AttrType::Int),
+            AttrDef::known("b", AttrType::Int),
+        ])
+        .unwrap();
+        let partition = Partition::round_robin(&schema, 2).unwrap();
+        let config = ClusterConfig::new(2, schema)
+            .with_partition(partition)
+            .with_seed(5)
+            .with_epoch_length(4)
+            .with_payload_capture();
+        let mut cluster = DlaCluster::new(config).unwrap();
+        let user = cluster.register_user("u").unwrap();
+        let rows = [
+            (1, 1),
+            (2, 3),
+            (4, 4),
+            (5, 6),
+            (7, 7),
+            (8, 9),
+            (10, 10),
+            (11, 12),
+            (13, 13),
+            (14, 15),
+        ];
+        for (a, b) in rows {
+            let record = LogRecord::new(Glsn(0))
+                .with("a", AttrValue::Int(a))
+                .with("b", AttrValue::Int(b));
+            cluster.log_record(&user, &record).unwrap();
+        }
+        cluster
+    };
+    // P1's second set message to P0 relays the collector's own set.
+    let relay_hop = |action: Tamper| {
+        let rule = TamperRule {
+            from: Some(1),
+            to: Some(0),
+            tag: Some(SET_TAG),
+            skip: 1,
+            fires: 1,
+            action,
+        };
+        Arc::new(ScriptedAdversary::new().compromise(1).rule(rule))
+    };
+    let kept = |cluster: &DlaCluster| cluster.node(0).kept().len();
+
+    let mut honest = cluster();
+    let truth = honest.query("a = b").unwrap().glsns;
+    assert_eq!(truth.len(), 5);
+    assert_eq!(kept(&honest), 2);
+    let hop = {
+        let net = honest.net();
+        let relayed = |(from, to, _): &&(NodeId, NodeId, _)| (*from, *to) == (NodeId(1), NodeId(0));
+        let hops: Vec<_> = net.captured_payloads().iter().filter(relayed).collect();
+        hops[1].2.clone()
+    };
+    let mut r = Reader::new(&hop);
+    let (tag, origin) = (r.get_u8().unwrap(), r.get_u64().unwrap());
+    let elements = r.get_list(|r| r.get_bytes().map(<[u8]>::to_vec)).unwrap();
+    assert_eq!((tag, origin, elements.len()), (SET_TAG, 0, 10));
+    let forged = |elements: &[Vec<u8>]| {
+        let mut w = Writer::new();
+        w.put_u8(tag).put_u64(origin).put_list(elements, |w, e| {
+            w.put_bytes(e);
+        });
+        Tamper::Replace(w.finish())
+    };
+
+    // The first two records change places: (2, 3) now wears (1, 1)'s
+    // ciphertext, and the collector reports it equal.
+    let mut swapped = elements.clone();
+    swapped.swap(0, 1);
+    let mut lied_to = cluster();
+    let adversary = relay_hop(forged(&swapped));
+    lied_to.set_adversary(adversary.clone());
+    let lie = lied_to.query("a = b").unwrap().glsns;
+    assert_eq!(adversary.report().forged, 1);
+    assert_eq!(lie.len(), truth.len());
+    assert_ne!(lie, truth);
+    lied_to.clear_adversary();
+    assert_eq!(
+        lied_to.query("a = b").unwrap().glsns,
+        lie,
+        "the lie is sticky"
+    );
+
+    // An element dropped: the shape check fail-stops the run, nothing
+    // is filed, and the honest rerun is a cold one.
+    let mut refused = cluster();
+    let adversary = relay_hop(forged(&elements[1..]));
+    refused.set_adversary(adversary.clone());
+    assert!(refused.query("a = b").is_err());
+    assert_eq!(adversary.report().forged, 1);
+    assert_eq!(kept(&refused), 0);
+    refused.clear_adversary();
+    assert_eq!(refused.query("a = b").unwrap().glsns, truth);
+}
+
 /// The expected detector matrix per attack class: which of the §4.1
 /// mechanisms is responsible for catching each lie.
 fn expected_detectors(class: AttackClass) -> DetectorMatrix {
