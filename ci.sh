@@ -9,12 +9,15 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test -q --workspace
 
-echo "==> tcp_transport in release, then again pinned to one CPU"
+echo "==> tcp_transport in release, then again pinned to one CPU; warm_cold pinned too"
 cargo test -q --release -p dla-net --test tcp_transport
 if command -v taskset >/dev/null 2>&1; then
     # One CPU is the schedule the benchmark measures, and the one where
-    # hand-off ordering bugs in the socket transport surface.
+    # hand-off ordering bugs in the socket transport surface — and where
+    # the executor's scoped workers interleave with a lookup of what the
+    # holders and the engine keep.
     taskset -c 0 cargo test -q --release -p dla-net --test tcp_transport
+    taskset -c 0 cargo test -q --release --test warm_cold
 fi
 
 echo "==> cargo clippy -- -D warnings"

@@ -169,11 +169,6 @@ fn in_window(window: &TimeWindow, t: u64) -> bool {
     window.lo.is_none_or(|lo| t >= lo) && window.hi.is_none_or(|hi| t <= hi)
 }
 
-/// Whether the window contains the *entire* inclusive range `[lo, hi]`.
-fn window_covers(window: &TimeWindow, lo: u64, hi: u64) -> bool {
-    window.lo.is_none_or(|w| lo >= w) && window.hi.is_none_or(|w| hi <= w)
-}
-
 /// Counts (and optionally sums over) the records whose `attr` equals
 /// the text `value`, restricted to `window` over the `time` attribute.
 /// Records without a `time` are excluded whenever the window is
@@ -295,9 +290,7 @@ pub fn windowed_bucket_aggregate(
                     if !window.intersects(t_lo, t_hi) {
                         continue;
                     }
-                    let fully_covered =
-                        window_covers(window, t_lo, t_hi) && stats.timed == stats.deposits;
-                    if !(summarized && stats.sealed && fully_covered) {
+                    if !(summarized && stats.sealed && stats.timed_within(window)) {
                         scan_epoch(stats.epoch, &mut out);
                         continue;
                     }

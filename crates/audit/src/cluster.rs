@@ -2,7 +2,7 @@
 //! fragments, an auditor engine, application users logging through
 //! tickets, and the simulated network tying them together.
 
-use crate::kept::KeptResults;
+use crate::kept::{ClauseKey, KeptResults, QueryKey};
 use crate::AuditError;
 use dla_bigint::Ubig;
 use dla_crypto::accumulator::{AccumulatorParams, CheckpointChain};
@@ -188,6 +188,17 @@ pub struct EpochStats {
 }
 
 impl EpochStats {
+    /// Whether every deposit of the epoch carries a `time` inside
+    /// `window`, by the extents noted at deposit — what has to hold
+    /// before anything remembered of the whole epoch (a cached aggregate
+    /// partial, a kept answer) may stand in for a query bounded by
+    /// `window`.
+    #[must_use]
+    pub fn timed_within(&self, window: &crate::plan::TimeWindow) -> bool {
+        let extent = self.time_lo.zip(self.time_hi);
+        self.timed == self.deposits && extent.is_some_and(|(lo, hi)| window.covers(lo, hi))
+    }
+
     fn open(epoch: EpochId, acc0: Ubig) -> Self {
         EpochStats {
             epoch,
@@ -354,7 +365,7 @@ pub struct DlaNode {
     id: usize,
     attrs: Vec<AttrName>,
     store: RwLock<FragmentStore>,
-    kept: Mutex<KeptResults>,
+    kept: Mutex<KeptResults<ClauseKey>>,
 }
 
 impl fmt::Debug for DlaNode {
@@ -394,7 +405,7 @@ impl DlaNode {
 
     /// The clause sets this node keeps per sealed epoch from the cross
     /// subqueries it held. Memory only: never journaled, never sent.
-    pub fn kept(&self) -> MutexGuard<'_, KeptResults> {
+    pub fn kept(&self) -> MutexGuard<'_, KeptResults<ClauseKey>> {
         self.kept.lock()
     }
 }
@@ -472,6 +483,11 @@ pub struct DlaCluster {
     /// Registered standing queries, evaluated incrementally at every
     /// epoch seal (see [`crate::standing`]).
     standing: crate::standing::StandingRegistry,
+    /// What the auditor engine keeps of the answers revealed to it, per
+    /// sealed epoch ([`crate::kept`]). Behind a lock of its own: shared
+    /// queries ([`DlaCluster::query_shared`]) look up and file from many
+    /// threads.
+    kept: Mutex<KeptResults<QueryKey>>,
 }
 
 impl fmt::Debug for DlaCluster {
@@ -584,6 +600,7 @@ impl DlaCluster {
             chain: CheckpointChain::new(),
             trail_items: 0,
             standing: crate::standing::StandingRegistry::default(),
+            kept: Mutex::default(),
         };
         if let Some(dir) = &config.journal_dir {
             cluster.recover(&dir.join("cluster.journal"))?;
@@ -917,6 +934,13 @@ impl DlaCluster {
         self.deposits.get(&glsn)
     }
 
+    /// The deposits of the glsns `lo..=hi`, ascending (none for an
+    /// inverted range).
+    pub fn deposits_in(&self, lo: Glsn, hi: Glsn) -> impl Iterator<Item = (Glsn, &Ubig)> {
+        let range = (lo <= hi).then(|| self.deposits.range(lo..=hi));
+        range.into_iter().flatten().map(|(glsn, d)| (*glsn, d))
+    }
+
     /// All glsns with deposits (i.e. every record logged).
     #[must_use]
     pub fn logged_glsns(&self) -> Vec<Glsn> {
@@ -933,6 +957,14 @@ impl DlaCluster {
     #[must_use]
     pub fn checkpoint_chain(&self) -> &CheckpointChain {
         &self.chain
+    }
+
+    /// The answers the auditor engine keeps per sealed epoch from the
+    /// queries revealed to it ([`crate::exec::execute_on`] with
+    /// `reveal = true`). Memory only: never journaled, never sent;
+    /// `clear()` makes the next asking of every query a cold one.
+    pub fn kept(&self) -> MutexGuard<'_, KeptResults<QueryKey>> {
+        self.kept.lock()
     }
 
     /// Iterates the per-epoch stats in epoch order.
@@ -1615,10 +1647,12 @@ impl DlaCluster {
             });
             self.retired.push((d, adopter));
         }
-        // The partition in force moved: what the holders kept was
-        // planned, and partly computed, on the nodes just retired.
+        // The partition in force moved: what the holders and the
+        // engine kept was planned, and partly computed, on the nodes
+        // just retired.
         if !adoptions.is_empty() {
             self.nodes.iter().for_each(|node| node.kept().clear());
+            self.kept().clear();
         }
 
         let retired = self.retired_nodes();

@@ -33,8 +33,15 @@
 //! set is delivered to keeps it per `(clause, sealed epoch)`
 //! ([`crate::kept`]), and a cross subquery runs its scans, joins and
 //! union only over the glsn range no kept epoch covers — the open epoch
-//! at least, the whole window the first time. The auditor-side
-//! conjunction keeps nothing.
+//! at least, the whole window the first time.
+//!
+//! The auditor engine — the party the final `∩ₛ` reveals to — does the
+//! same one level up: it keeps every revealed answer per
+//! `(query, sealed epoch)` and [`execute_on`] runs the plan, subqueries
+//! and conjunction alike, only over the glsn runs of epochs it cannot
+//! serve. Nothing at all is sent when it can serve them all. A
+//! `reveal = false` run neither reads nor files: it is owed one count,
+//! and a per-epoch split of it would tell the engine more.
 //!
 //! # Entry points
 //!
@@ -47,7 +54,8 @@
 //! was called.
 
 use crate::cluster::DlaCluster;
-use crate::kept::ClauseKey;
+use crate::cluster::EpochStats;
+use crate::kept::{ClauseKey, QueryKey};
 use crate::plan::{LiteralStep, QueryPlan, Subquery, SubqueryKind};
 use crate::query::{EvalError, Predicate};
 use crate::AuditError;
@@ -170,6 +178,32 @@ fn intersect_glsn_windows(
     }
 }
 
+/// Sealed, non-empty epochs whose every deposit lies inside `window`:
+/// the only ones anybody keeps an answer for, or files one under.
+fn sealed_inside(
+    cluster: &DlaCluster,
+    window: Option<(Glsn, Glsn)>,
+) -> impl Iterator<Item = &EpochStats> {
+    cluster
+        .epoch_stats()
+        .filter(|s| s.sealed && s.deposits > 0)
+        .filter(move |s| window.is_none_or(|(lo, hi)| lo <= s.glsn_lo && s.glsn_hi <= hi))
+}
+
+/// Seed of the `run`-th cold run [`execute_on`] makes for one query:
+/// the first is the query's own, so a query that is served nothing has
+/// the transcript it always had. Public so that a warm transcript can be
+/// replayed as the cold runs it is made of.
+#[must_use]
+pub fn run_seed(query_seed: u64, run: usize) -> u64 {
+    match run {
+        0 => query_seed,
+        // Counted down from the combiner's index, away from the
+        // subqueries' (which count up from zero).
+        _ => subquery_seed(query_seed, u64::MAX - run as u64),
+    }
+}
+
 /// The executor: runs a plan against `&DlaCluster` over an explicit
 /// transport, deriving all randomness from `query_seed`, so multiple
 /// auditors can execute queries from separate threads simultaneously.
@@ -178,6 +212,18 @@ fn intersect_glsn_windows(
 /// traffic — pass [`DlaCluster::shared_net`] itself, a
 /// [`dla_net::Reliable`] wrapper around it to run with ARQ protection
 /// on a lossy network, or a socket mesh.
+///
+/// With `reveal = true` the auditor engine remembers what it is told
+/// ([`DlaCluster::kept`]): the revealed answer is filed per sealed
+/// epoch under the query ([`QueryKey`]) and, asked again, the plan runs
+/// (`run_window`, the one body) only over the maximal glsn runs of
+/// epochs no entry serves — the whole window the first time, the open
+/// epoch at least, nothing at all when the window is all sealed and
+/// kept. An entry is read or filed only for a sealed epoch whose
+/// deposits all lie inside the run's glsn window and — when the query
+/// carries `time θ const` conjuncts, which the key leaves out — are all
+/// timed inside every one of them; any other epoch is asked in full.
+/// Only an `Ok` run files.
 ///
 /// # Errors
 ///
@@ -195,13 +241,8 @@ pub fn execute_on(
     _mode: ExecMode,
     query_seed: u64,
 ) -> Result<QueryResult, AuditError> {
-    let net = cluster.shared_net();
-    let (start_messages, start_bytes, start_elapsed) = {
-        let n = net.lock();
-        (n.stats().messages_sent, n.stats().bytes_sent, n.elapsed())
-    };
-    let query_span = dla_telemetry::span("query", "execute", start_elapsed.as_nanos());
-    let subq_span = dla_telemetry::span("phase", "subqueries", start_elapsed.as_nanos());
+    let start_ns = cluster.shared_net().lock().elapsed().as_nanos();
+    let query_span = dla_telemetry::span("query", "execute", start_ns);
 
     // Epoch pruning: if the plan proves a time window, restrict every
     // node scan to the glsn range of the epochs that window overlaps.
@@ -211,6 +252,112 @@ pub fn execute_on(
     // further.
     let window =
         intersect_glsn_windows(cluster.glsn_window_for(&plan.time_window), plan.glsn_clamp);
+    let policy = cluster.epoch_policy();
+    let mut result = QueryResult {
+        glsns: Vec::new(),
+        cardinality: 0,
+        plan: plan.clone(),
+        reports: Vec::new(),
+        auditing_confidentiality: crate::metrics::auditing_confidentiality(plan),
+        messages: 0,
+        bytes: 0,
+        elapsed: SimTime::ZERO,
+        sessions: Vec::new(),
+    };
+
+    // What the engine already holds of this query, the glsn runs it
+    // does not, and the sealed epochs among them it will file. A count
+    // is owed whole (a per-epoch split of it is more than the one
+    // number), and a query of nothing but time bounds has no store to
+    // stamp an answer with: both run as they always did.
+    let mut runs = vec![window];
+    let mut served: Vec<Glsn> = Vec::new();
+    let mut filing = None;
+    if let Some((key, bounds)) = reveal.then(|| QueryKey::split(plan)).flatten() {
+        // Read before any scan: a store that moves while the rings run
+        // leaves an entry no later lookup can match.
+        let revisions: Vec<u64> = (key.nodes().iter())
+            .map(|&n| cluster.node(n).store().revision())
+            .collect();
+        let mut missing: BTreeMap<EpochId, Vec<Glsn>> = sealed_inside(cluster, window)
+            .filter(|stats| bounds.iter().all(|bound| stats.timed_within(bound)))
+            .map(|stats| (stats.epoch, Vec::new()))
+            .collect();
+        if let Some(kept) = cluster.kept().lookup(&key, &revisions) {
+            // The window minus the glsn range of every epoch served;
+            // with none served, the window exactly as it was handed in.
+            let (mut from, hi) = window.unwrap_or((policy.base(), Glsn(u64::MAX)));
+            let mut gaps = Vec::new();
+            let eligible = missing.len();
+            missing.retain(|epoch, _| {
+                let Some(glsns) = kept.get(epoch) else {
+                    return true;
+                };
+                served.extend(glsns);
+                let (start, end) = policy.glsn_range(*epoch);
+                if from < start {
+                    gaps.push(Some((from, Glsn(start.0 - 1))));
+                }
+                from = Glsn(end.0.saturating_add(1));
+                false
+            });
+            let hits = eligible - missing.len();
+            if hits > 0 {
+                dla_telemetry::record(dla_telemetry::CostKind::AnswerHit, hits as u64);
+                if from <= hi {
+                    gaps.push(Some((from, hi)));
+                }
+                runs = gaps;
+            }
+        }
+        filing = Some((key, revisions, missing));
+    }
+
+    for (run, &sub_window) in runs.iter().enumerate() {
+        let seed = run_seed(query_seed, run);
+        run_window(
+            cluster,
+            transport,
+            plan,
+            reveal,
+            seed,
+            sub_window,
+            &mut result,
+        )?;
+    }
+    if let Some((key, revisions, mut missing)) = filing {
+        for &glsn in &result.glsns {
+            if let Some(glsns) = missing.get_mut(&policy.epoch_of(glsn)) {
+                glsns.push(glsn);
+            }
+        }
+        cluster.kept().file(key, &revisions, missing);
+    }
+    result.cardinality += served.len();
+    result.glsns.extend(served);
+    result.glsns.sort_unstable();
+    query_span.end(start_ns + result.elapsed.as_nanos());
+    Ok(result)
+}
+
+/// One cold run of `plan` over `window`, appended to `into`: every
+/// subquery in a session of its own, then the conjunction as a secure
+/// set intersection revealed to the auditor engine.
+fn run_window(
+    cluster: &DlaCluster,
+    transport: &(dyn Transport + Sync),
+    plan: &QueryPlan,
+    reveal: bool,
+    query_seed: u64,
+    window: Option<(Glsn, Glsn)>,
+    into: &mut QueryResult,
+) -> Result<(), AuditError> {
+    let net = cluster.shared_net();
+    let (start_messages, start_bytes, start_elapsed) = {
+        let n = net.lock();
+        (n.stats().messages_sent, n.stats().bytes_sent, n.elapsed())
+    };
+    let subq_span = dla_telemetry::span("phase", "subqueries", start_elapsed.as_nanos());
 
     // Phase 1: independent subqueries — the scheduler. Sessions are
     // allocated deterministically *before* spawning so ids (and so
@@ -279,11 +426,10 @@ pub fn execute_on(
     subq_span.end(join_ns);
     let combine_span = dla_telemetry::span("phase", "combine", join_ns);
 
-    let mut reports = Vec::new();
     let mut holder_sets: BTreeMap<usize, Vec<GlsnSet>> = BTreeMap::new();
     for (holder, set, mut subreports) in per_subquery {
         holder_sets.entry(holder).or_default().push(set);
-        reports.append(&mut subreports);
+        into.reports.append(&mut subreports);
     }
 
     // Phase 2: each holder intersects its own subquery results locally;
@@ -308,44 +454,27 @@ pub fn execute_on(
     let outcome = SsiSession::new(session, &ring, cluster.domain(), cluster.auditor_node())
         .reveal(reveal)
         .run(&inputs, &mut rng)?;
-    reports.push(outcome.report.clone());
+    into.reports.push(outcome.report.clone());
 
-    let cardinality = outcome.cardinality();
-    let mut glsns: Vec<Glsn> = outcome
-        .common_items
-        .unwrap_or_default()
-        .iter()
-        .map(|bytes| glsn_from_item(bytes, 8))
-        .collect::<Result<_, _>>()?;
-    glsns.sort_unstable();
+    into.cardinality += outcome.cardinality();
+    for bytes in outcome.common_items.iter().flatten() {
+        into.glsns.push(glsn_from_item(bytes, 8)?);
+    }
 
-    let (messages, bytes, elapsed, end_ns) = {
+    let end = {
         let mut n = net.lock();
         // Fold the query's finish time back into the root timeline so
         // cluster-level elapsed time reflects completed queries.
         let end = n.session_elapsed(combine_session);
         n.sync_session(SessionId::ROOT, end);
-        (
-            n.stats().messages_sent - start_messages,
-            n.stats().bytes_sent - start_bytes,
-            end - start_elapsed,
-            end.as_nanos(),
-        )
+        into.messages += n.stats().messages_sent - start_messages;
+        into.bytes += n.stats().bytes_sent - start_bytes;
+        end
     };
-    combine_span.end(end_ns);
-    query_span.end(end_ns);
-
-    Ok(QueryResult {
-        glsns,
-        cardinality,
-        plan: plan.clone(),
-        auditing_confidentiality: crate::metrics::auditing_confidentiality(plan),
-        messages,
-        bytes,
-        elapsed,
-        sessions,
-        reports,
-    })
+    into.elapsed += end - start_elapsed;
+    into.sessions.extend(sessions);
+    combine_span.end(end.as_nanos());
+    Ok(())
 }
 
 /// Tuning for [`execute_resilient`]'s retry / degrade ladder.
@@ -660,12 +789,7 @@ fn execute_cross(
         .iter()
         .map(|&n| cluster.node(n).store().revision())
         .collect();
-    let sealed: BTreeSet<EpochId> = cluster
-        .epoch_stats()
-        .filter(|s| s.sealed && s.deposits > 0)
-        .filter(|s| window.is_none_or(|(lo, hi)| lo <= s.glsn_lo && s.glsn_hi <= hi))
-        .map(|s| s.epoch)
-        .collect();
+    let sealed: BTreeSet<EpochId> = sealed_inside(cluster, window).map(|s| s.epoch).collect();
 
     // Peel kept epochs off both ends of the window; whatever is left,
     // kept epochs in its middle included, is asked in one run.

@@ -274,79 +274,64 @@ pub fn check_trail(cluster: &DlaCluster) -> TrailVerdict {
 /// accumulator. An unbounded window verifies every epoch.
 ///
 /// Cost is proportional to the deposits inside the queried window, not
-/// the trail length — the point of epoch sharding. The sealed epochs'
-/// digests are checked in **one** random-linear-combination batch
-/// (`x₀^{Σ rⱼEⱼ} = ∏ digestⱼ^{rⱼ}` via the fixed-base table and
-/// multi-exponentiation) rather than one refold per epoch. Soundness:
-/// epochs outside the window are still bound by the hash chain, so a
-/// rewritten sealed epoch is caught by `chain_ok` even when its items
-/// are never refolded.
+/// the trail length — the point of epoch sharding: each selected epoch
+/// reads its own glsn extent out of the deposit map. Every claim —
+/// a sealed epoch's `digestⱼ = x₀^{Eⱼ}` and the open epoch's
+/// `acc = x₀^{E}` alike — is checked in **one**
+/// random-linear-combination batch (`x₀^{Σ rⱼEⱼ} = ∏ digestⱼ^{rⱼ}` via
+/// the fixed-base table and multi-exponentiation): one big fixed-base
+/// power a check, not one per epoch and not a second for the open
+/// epoch. Soundness: epochs outside the window are still bound by the
+/// hash chain, so a rewritten sealed epoch is caught by `chain_ok` even
+/// when its items are never refolded.
 #[must_use]
 pub fn check_window(cluster: &DlaCluster, window: &crate::plan::TimeWindow) -> TrailVerdict {
-    use std::collections::BTreeMap;
     let params = cluster.accumulator_params();
     let chain = cluster.checkpoint_chain();
     let chain_ok = chain.verify_links();
-    let policy = cluster.epoch_policy();
 
-    let selected: Vec<dla_logstore::epoch::EpochId> = cluster
-        .epoch_stats()
-        .filter(|s| {
-            if window.is_unbounded() {
-                return true;
-            }
-            match (s.time_lo, s.time_hi) {
-                (Some(lo), Some(hi)) => window.intersects(lo, hi),
-                // No time info ⇒ no record can satisfy a time
-                // predicate (lenient eval) ⇒ outside every window.
-                _ => false,
-            }
-        })
-        .map(|s| s.epoch)
-        .collect();
-
-    // One pass over the deposits, grouped by selected epoch.
-    let mut groups: BTreeMap<dla_logstore::epoch::EpochId, Vec<Vec<u8>>> = BTreeMap::new();
-    for glsn in cluster.logged_glsns() {
-        let epoch = policy.epoch_of(glsn);
-        if selected.contains(&epoch) {
-            let deposit = cluster.deposit(glsn).expect("logged glsns have deposits");
-            groups
-                .entry(epoch)
-                .or_default()
-                .push(crate::cluster::trail_item(glsn, deposit));
+    let selected = cluster.epoch_stats().filter(|s| {
+        if window.is_unbounded() {
+            return true;
         }
-    }
+        match (s.time_lo, s.time_hi) {
+            (Some(lo), Some(hi)) => window.intersects(lo, hi),
+            // No time info ⇒ no record can satisfy a time
+            // predicate (lenient eval) ⇒ outside every window.
+            _ => false,
+        }
+    });
 
     let mut ok = chain_ok;
+    let mut epochs_checked = 0;
     let mut items_folded = 0u64;
-    // Sealed epochs become claims `digest = x₀^{Eⱼ}` verified in one
-    // random-linear-combination pass (one fixed-base power plus one
-    // multi-exponentiation, instead of one refold per epoch); the open
-    // epoch has no sealed digest and is compared directly.
     let mut claims: Vec<(Ubig, Ubig)> = Vec::new();
-    for &epoch in &selected {
-        let items = groups.remove(&epoch).unwrap_or_default();
+    for stats in selected {
+        let items: Vec<Vec<u8>> = cluster
+            .deposits_in(stats.glsn_lo, stats.glsn_hi)
+            .map(|(glsn, deposit)| crate::cluster::trail_item(glsn, deposit))
+            .collect();
         let refs: Vec<&[u8]> = items.iter().map(Vec::as_slice).collect();
         let exponent = params.batch_exponent(&refs);
+        epochs_checked += 1;
         items_folded += refs.len() as u64;
-        match chain.get(epoch.0) {
+        let digest = match chain.get(stats.epoch.0) {
             Some(cp) => {
                 ok &= cp.items == refs.len() as u64;
-                claims.push((cp.digest.clone(), exponent));
+                &cp.digest
             }
-            None => {
-                let stats = cluster.epoch_stat(epoch).expect("selected from stats");
-                ok &= params.power_of_start(&exponent) == stats.acc;
-            }
-        }
+            // The open epoch has no sealed digest: its claim is the
+            // running accumulator.
+            None => &stats.acc,
+        };
+        claims.push((digest.clone(), exponent));
     }
     ok &= params.batch_verify(&claims);
 
     TrailVerdict {
         ok,
         chain_ok,
-        epochs_checked: selected.len(),
+        epochs_checked,
         items_folded,
     }
 }
@@ -713,5 +698,29 @@ mod tests {
         let verdict = check_window(&cluster, &window);
         assert!(!verdict.ok, "tampered deposit must break the checkpoint");
         assert!(verdict.chain_ok, "the chain itself is untouched");
+    }
+
+    #[test]
+    fn windowed_check_detects_deposit_tampering_in_the_open_epoch() {
+        let (mut cluster, glsns) = epoch_loaded();
+        // Five records in epochs of two: the last one sits alone in the
+        // open epoch, whose only commitment is the running accumulator.
+        let last = *glsns.last().unwrap();
+        let open = cluster.epoch_policy().epoch_of(last);
+        assert!(cluster.checkpoint_chain().get(open.0).is_none());
+        let stats = cluster.epoch_stat(open).unwrap();
+        let window = crate::plan::TimeWindow {
+            lo: stats.time_lo,
+            hi: None,
+        };
+        let clean = check_window(&cluster, &window);
+        assert!(clean.ok);
+        assert_eq!((clean.epochs_checked, clean.items_folded), (1, 1));
+        cluster.tamper_deposit_for_tests(last, Ubig::from_u64(12345));
+        for window in [window, crate::plan::TimeWindow::unbounded()] {
+            let verdict = check_window(&cluster, &window);
+            assert!(!verdict.ok, "{window}: the open epoch's claim must fail");
+            assert!(verdict.chain_ok, "no sealed epoch was touched");
+        }
     }
 }

@@ -1,29 +1,40 @@
-//! What a holder keeps of the cross subqueries it has been handed.
+//! What a party keeps of the answers it has been handed.
 //!
-//! A cross subquery ends with its clause's result set delivered to one
-//! node, the holder. A sealed epoch is immutable and committed, so the
-//! part of that set inside a sealed epoch is the same every time it is
-//! asked for; the holder files it here, per `(clause, sealed epoch)`,
-//! and the executor asks the ring only about epochs no entry covers
-//! (see `exec::execute_cross`).
+//! A sealed epoch is immutable and committed, so the part of an answer
+//! that lies inside one is the same every time it is asked for. Two
+//! parties are handed answers, and each keeps its own in a
+//! [`KeptResults`], per `(what was asked, sealed epoch)`:
 //!
-//! The entries are the holder's own view and nothing more: memory only,
+//! * the **holder** of a cross subquery — the node its clause's result
+//!   set is delivered to — under a [`ClauseKey`], beside its store
+//!   (`DlaNode::kept`, read by `exec::execute_cross`);
+//! * the **auditor engine** — the party the final `∩ₛ` reveals the
+//!   conjunction to — under a [`QueryKey`], on the cluster
+//!   (`DlaCluster::kept`, read by `exec::execute_on`).
+//!
+//! The executor then asks only about epochs no entry covers. Neither
+//! memory subsumes the other: no holder is ever told the conjunction,
+//! and the engine cannot serve a clause two different queries share.
+//!
+//! The entries are the keeper's own view and nothing more: memory only,
 //! never journaled, never sent. An entry is stamped with the store
-//! revision of every participant it was computed from
+//! revision of every node it was computed from
 //! ([`dla_logstore::store::FragmentStore::revision`]) and is dropped by
 //! the first lookup that finds one of them moved.
 
 use crate::normal::Clause;
+use crate::plan::{QueryPlan, TimeWindow};
 use dla_logstore::epoch::EpochId;
 use dla_logstore::model::Glsn;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::Hash;
 
-/// `(clause, sealed epoch)` sets one node keeps; past it the clause
-/// touched longest ago loses its oldest epochs.
+/// `(key, sealed epoch)` sets one party keeps; past it the key touched
+/// longest ago loses its oldest epochs.
 const MAX_ENTRIES: usize = 1024;
 
-/// Sealed epochs one clause keeps, the newest: a trail longer than the
-/// cap must not let one clause flush every other each time it is asked.
+/// Sealed epochs one key keeps, the newest: a trail longer than the
+/// cap must not let one key flush every other each time it is asked.
 const MAX_PER_CLAUSE: usize = MAX_ENTRIES / 4;
 
 /// What a kept set answers: one normalized clause as planned over one
@@ -34,7 +45,7 @@ const MAX_PER_CLAUSE: usize = MAX_ENTRIES / 4;
 /// the node set is the partition in force as far as this clause can
 /// see it.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub(crate) struct ClauseKey {
+pub struct ClauseKey {
     clause: Clause,
     nodes: Vec<usize>,
 }
@@ -48,69 +59,114 @@ impl ClauseKey {
     }
 }
 
-/// One clause's kept sets.
+/// What a kept answer answers: a whole query as planned — every
+/// clause in plan order, each with the node set it was planned on,
+/// compared as [`ClauseKey`] compares them — minus its single-literal
+/// `time θ const` conjuncts ([`crate::plan::Subquery::time_bound`]).
+/// Those bounds are not part of *what* was asked of an epoch but of
+/// *whether the epoch may be served*: a sealed epoch whose every
+/// deposit is timed inside all of them answers the bounded query and
+/// the bound-less one alike, and any other epoch is asked in full, time
+/// clause and all. So a window sliding over one rule hits on every
+/// interior epoch.
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+pub struct QueryKey(Vec<ClauseKey>);
+
+impl QueryKey {
+    /// The key of `plan` and the time bounds left out of it, or `None`
+    /// for a query that is nothing but time bounds: with no clause left
+    /// an answer would be stamped with no store's revision.
+    pub(crate) fn split(plan: &QueryPlan) -> Option<(Self, Vec<TimeWindow>)> {
+        let mut clauses = Vec::new();
+        let mut bounds = Vec::new();
+        for subquery in &plan.subqueries {
+            match subquery.time_bound() {
+                Some(bound) => bounds.push(bound),
+                None => clauses.push(ClauseKey::new(&subquery.clause, &subquery.nodes())),
+            }
+        }
+        (!clauses.is_empty()).then_some((QueryKey(clauses), bounds))
+    }
+
+    /// Every node a clause of the key was planned on, ascending: the
+    /// stores an answer under this key was computed from.
+    pub(crate) fn nodes(&self) -> BTreeSet<usize> {
+        let nodes = self.0.iter().flat_map(|clause| &clause.nodes);
+        nodes.copied().collect()
+    }
+}
+
+/// One key's kept sets.
 #[derive(Debug)]
 struct Kept {
-    /// Store revisions of the key's nodes, in key order, read before
-    /// the run that produced the sets.
+    /// Store revisions of the key's nodes, ascending, read before the
+    /// run that produced the sets.
     revisions: Vec<u64>,
     touched: u64,
     epochs: BTreeMap<EpochId, Vec<Glsn>>,
 }
 
-/// The kept sets of one holder.
-#[derive(Debug, Default)]
-pub struct KeptResults {
-    /// No clause is here without an epoch to its name.
-    clauses: HashMap<ClauseKey, Kept>,
+/// The kept sets of one party, under keys of type `K`.
+#[derive(Debug)]
+pub struct KeptResults<K> {
+    /// No key is here without an epoch to its name.
+    asked: HashMap<K, Kept>,
     clock: u64,
 }
 
-impl KeptResults {
-    /// `(clause, sealed epoch)` sets currently kept.
+impl<K> Default for KeptResults<K> {
+    fn default() -> Self {
+        KeptResults {
+            asked: HashMap::new(),
+            clock: 0,
+        }
+    }
+}
+
+impl<K: Clone + Eq + Hash> KeptResults<K> {
+    /// `(key, sealed epoch)` sets currently kept.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.clauses.values().map(|k| k.epochs.len()).sum()
+        self.asked.values().map(|k| k.epochs.len()).sum()
     }
 
     /// Whether nothing is kept.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.clauses.is_empty()
+        self.asked.is_empty()
     }
 
-    /// Forgets everything: the next run of every clause is a cold one.
+    /// Forgets everything: the next run of every key is a cold one.
     pub fn clear(&mut self) {
-        self.clauses.clear();
+        self.asked.clear();
     }
 
     /// The per-epoch sets kept for `key`, if they were computed from
-    /// the participants' stores as they stand (`revisions`); sets from
-    /// any other revision are dropped on the spot.
+    /// the key's stores as they stand (`revisions`); sets from any
+    /// other revision are dropped on the spot.
     pub(crate) fn lookup(
         &mut self,
-        key: &ClauseKey,
+        key: &K,
         revisions: &[u64],
     ) -> Option<&BTreeMap<EpochId, Vec<Glsn>>> {
-        if self.clauses.get(key)?.revisions != revisions {
-            self.clauses.remove(key);
+        if self.asked.get(key)?.revisions != revisions {
+            self.asked.remove(key);
             return None;
         }
         self.clock += 1;
-        let kept = self.clauses.get_mut(key)?;
+        let kept = self.asked.get_mut(key)?;
         kept.touched = self.clock;
         Some(&kept.epochs)
     }
 
-    /// Files `sets` — one per sealed epoch of a delivered clause set —
+    /// Files `sets` — one per sealed epoch of a delivered answer —
     /// under `key` at `revisions`, replacing whatever another revision
-    /// left there; no sets, no entry. The clause keeps its newest
-    /// [`MAX_PER_CLAUSE`] epochs; past [`MAX_ENTRIES`] the clause
-    /// touched longest ago loses its oldest epochs, and goes once it
-    /// has none.
+    /// left there; no sets, no entry. The key keeps its newest
+    /// [`MAX_PER_CLAUSE`] epochs; past [`MAX_ENTRIES`] the key touched
+    /// longest ago loses its oldest epochs, and goes once it has none.
     pub(crate) fn file(
         &mut self,
-        key: ClauseKey,
+        key: K,
         revisions: &[u64],
         sets: impl IntoIterator<Item = (EpochId, Vec<Glsn>)>,
     ) {
@@ -119,7 +175,7 @@ impl KeptResults {
             return;
         }
         self.clock += 1;
-        let kept = self.clauses.entry(key).or_insert_with(|| Kept {
+        let kept = self.asked.entry(key).or_insert_with(|| Kept {
             revisions: revisions.to_vec(),
             touched: 0,
             epochs: BTreeMap::new(),
@@ -135,15 +191,15 @@ impl KeptResults {
         }
         let mut over = self.len().saturating_sub(MAX_ENTRIES);
         while over > 0 {
-            let (key, oldest) = (self.clauses.iter_mut())
+            let (key, oldest) = (self.asked.iter_mut())
                 .min_by_key(|(_, kept)| kept.touched)
-                .expect("over the cap means at least one clause");
+                .expect("over the cap means at least one key");
             while over > 0 && oldest.epochs.pop_first().is_some() {
                 over -= 1;
             }
             if oldest.epochs.is_empty() {
                 let key = key.clone();
-                self.clauses.remove(&key);
+                self.asked.remove(&key);
             }
         }
     }
@@ -166,7 +222,7 @@ mod tests {
 
     #[test]
     fn a_lookup_needs_the_same_clause_nodes_and_revisions() {
-        let mut kept = KeptResults::default();
+        let mut kept = KeptResults::<ClauseKey>::default();
         let filed = key("c1 > 40 OR id = 'U2'", &[0, 1]);
         kept.file(filed.clone(), &[3, 5], sets(0..2));
         assert_eq!(kept.len(), 2);
@@ -194,7 +250,7 @@ mod tests {
         let text = |q| crate::plan::compile(q, &schema).unwrap().to_string();
         assert_eq!(text(three), text(two));
 
-        let mut kept = KeptResults::default();
+        let mut kept = KeptResults::<ClauseKey>::default();
         kept.file(key(three, &[0, 1]), &[0, 0], sets(0..2));
         assert!(kept.lookup(&key(two, &[0, 1]), &[0, 0]).is_none());
         assert!(kept.lookup(&key(three, &[0, 1]), &[0, 0]).is_some());
@@ -202,7 +258,7 @@ mod tests {
 
     #[test]
     fn filing_at_a_new_revision_replaces_the_clause() {
-        let mut kept = KeptResults::default();
+        let mut kept = KeptResults::<ClauseKey>::default();
         let filed = key("c1 > 40 OR id = 'U2'", &[0, 1]);
         kept.file(filed.clone(), &[0, 0], sets(0..4));
         kept.file(filed.clone(), &[0, 1], sets(4..5));
@@ -214,7 +270,7 @@ mod tests {
     fn filing_nothing_keeps_nothing() {
         // A window with no whole sealed epoch in it, asked under ever
         // new constants: no entry, so nothing the cap does not count.
-        let mut kept = KeptResults::default();
+        let mut kept = KeptResults::<ClauseKey>::default();
         for c in 0..8 {
             let asked = key(&format!("c1 > {c} OR id = 'U1'"), &[0, 1]);
             kept.file(asked.clone(), &[0, 0], sets(0..0));
@@ -226,7 +282,7 @@ mod tests {
 
     #[test]
     fn the_cap_takes_the_oldest_epochs_of_the_clause_touched_longest_ago() {
-        let mut kept = KeptResults::default();
+        let mut kept = KeptResults::<ClauseKey>::default();
         let share = MAX_PER_CLAUSE as u64;
         let clauses: Vec<ClauseKey> = (0..=MAX_ENTRIES / MAX_PER_CLAUSE)
             .map(|c| key(&format!("c1 > {c} OR id = 'U1'"), &[0, 1]))
@@ -257,7 +313,7 @@ mod tests {
 
     #[test]
     fn a_trail_longer_than_a_clause_may_keep_costs_that_clause_alone() {
-        let mut kept = KeptResults::default();
+        let mut kept = KeptResults::<ClauseKey>::default();
         let (short, long) = (
             key("c1 > 1 OR id = 'U1'", &[0, 1]),
             key("c1 > 2 OR id = 'U1'", &[0, 1]),

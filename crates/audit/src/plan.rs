@@ -89,6 +89,32 @@ pub struct Subquery {
     pub steps: Vec<LiteralStep>,
 }
 
+impl Subquery {
+    /// The nodes the subquery runs on: its one node, or every
+    /// collaborating node of a cross subquery.
+    #[must_use]
+    pub fn nodes(&self) -> BTreeSet<usize> {
+        match &self.kind {
+            SubqueryKind::Local { node } => BTreeSet::from([*node]),
+            SubqueryKind::Cross { nodes } => nodes.clone(),
+        }
+    }
+
+    /// The bound the subquery puts on every answer's `time` when it is
+    /// nothing else: a single `time θ const` literal. Such a conjunct
+    /// holds for a whole epoch or fails for part of it by the epoch's
+    /// time extent alone, so it need not be part of what an answer is
+    /// kept under ([`crate::kept::QueryKey`]). `time ≠ c` bounds
+    /// nothing and is not one.
+    #[must_use]
+    pub fn time_bound(&self) -> Option<TimeWindow> {
+        match self.clause.literals() {
+            [only] if only.op != CmpOp::Ne => literal_time_window(only),
+            _ => None,
+        }
+    }
+}
+
 impl fmt::Display for Subquery {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match &self.kind {
@@ -142,6 +168,13 @@ impl TimeWindow {
     #[must_use]
     pub fn intersects(&self, lo: u64, hi: u64) -> bool {
         self.lo.is_none_or(|w| hi >= w) && self.hi.is_none_or(|w| lo <= w)
+    }
+
+    /// Whether the window contains the *entire* inclusive range
+    /// `[lo, hi]`.
+    #[must_use]
+    pub fn covers(&self, lo: u64, hi: u64) -> bool {
+        self.lo.is_none_or(|w| lo >= w) && self.hi.is_none_or(|w| hi <= w)
     }
 }
 

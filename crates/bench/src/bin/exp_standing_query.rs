@@ -15,8 +15,10 @@
 //!   through the root ring with no driver poll,
 //! * a rule is asked of a sealed epoch once: the second auditor to
 //!   subscribe to a cross-node rule, and an ad-hoc query of it, are
-//!   served the sealed epochs from what the clause's holder kept of the
-//!   first subscriber's deltas, in exact modexp / message / byte counts.
+//!   served the sealed epochs from what the auditor engine kept of the
+//!   first subscriber's deltas — over sealed history without a message
+//!   — and another query that shares the rule's clause from what the
+//!   clause's holder kept, in exact modexp / message / byte counts.
 //!
 //! Counts and answer equalities only — what a cached window or a
 //! standing delta costs on the wall clock is measured by
@@ -30,11 +32,12 @@ use dla_audit::cluster::DlaCluster;
 use dla_audit::federation::{FederatedCluster, FederationConfig};
 use dla_audit::plan::TimeWindow;
 use dla_bench::{
-    asked_once_cost, assert_warm_within_cold, metered, render_rows, write_snapshot, Json,
+    answered_once_cost, asked_once_cost, assert_warm_within_cold, metered, render_rows,
+    write_snapshot, Json,
 };
 use dla_logstore::fragment::Partition;
 use dla_logstore::gen::WorkloadConfig;
-use dla_logstore::model::{AttrValue, Glsn};
+use dla_logstore::model::{format_paper_time, AttrValue, Glsn};
 use dla_logstore::schema::Schema;
 use std::collections::BTreeSet;
 
@@ -139,8 +142,10 @@ struct SharedRule {
     askers: Vec<Json>,
 }
 
-/// One rule, asked by a first subscriber, a second one and an ad-hoc
-/// query, against the same ad-hoc query on a cluster nobody has asked.
+/// One rule, asked by a first subscriber, a second one and three ad-hoc
+/// queries — of the rule, of the rule over sealed history, of another
+/// query that shares its clause — against the same ad-hoc query on a
+/// cluster nobody has asked.
 fn run_shared_rule(records: usize) -> SharedRule {
     let mut cluster = loaded_cluster(records);
     let sealed = sealed_glsns(&cluster);
@@ -155,27 +160,50 @@ fn run_shared_rule(records: usize) -> SharedRule {
     };
     let (first, first_cost) = subscribe();
     let (second, second_cost) = subscribe();
-    let ask = |cluster: &DlaCluster| {
-        let (result, cost) = metered(|| cluster.query_shared(SHARED_RULE));
+    let ask = |cluster: &DlaCluster, query: &str| {
+        let (result, cost) = metered(|| cluster.query_shared(query));
         (result.expect("query runs").glsns, cost)
     };
-    let (adhoc, adhoc_cost) = ask(&cluster);
-    let (fresh, fresh_cost) = ask(&loaded_cluster(records));
+    let (adhoc, adhoc_cost) = ask(&cluster, SHARED_RULE);
+    let (fresh, fresh_cost) = ask(&loaded_cluster(records), SHARED_RULE);
+    let sealed_until = (cluster.epoch_stats().filter(|s| s.sealed))
+        .filter_map(|s| s.time_hi)
+        .max()
+        .expect("sealed epochs are timed");
+    let history = format!(
+        "time <= '{}' AND ({SHARED_RULE})",
+        format_paper_time(sealed_until)
+    );
+    let (past, past_cost) = ask(&cluster, &history);
+    let (sharing, sharing_cost) = ask(&cluster, &format!("({SHARED_RULE}) AND protocol = 'UDP'"));
 
     assert_eq!(second, first, "both subscribers hold one answer");
     assert_eq!(adhoc, fresh, "the warm ad-hoc answer is the cold one");
     assert_eq!(first, sealed_only(fresh), "deltas cover the sealed epochs");
+    assert_eq!(past, first, "sealed history is what the deltas said");
+    assert!(sharing.iter().all(|g| adhoc.contains(g)));
     assert_warm_within_cold("second subscriber", &first_cost, &second_cost);
     assert_warm_within_cold("ad-hoc after standing", &fresh_cost, &adhoc_cost);
-    for (what, cost) in [("second subscriber", &second_cost), ("ad-hoc", &adhoc_cost)] {
-        assert_eq!(
-            cost.sealed_epoch_hits, epochs,
-            "{what}: every sealed epoch kept"
-        );
+    // The engine was told the rule's answer per sealed epoch by the
+    // first subscriber's deltas; the holder was told its clause's.
+    for (what, cost) in [
+        ("second subscriber", &second_cost),
+        ("ad-hoc", &adhoc_cost),
+        ("ad-hoc over sealed history", &past_cost),
+    ] {
+        assert_eq!(cost.answer_hits, epochs, "{what}: every sealed epoch kept");
     }
+    for (what, cost) in [("second subscriber", &second_cost), ("history", &past_cost)] {
+        assert_eq!(cost.msgs_sent, 0, "{what}: nothing left to ask");
+    }
+    assert_eq!(
+        (sharing_cost.answer_hits, sharing_cost.sealed_epoch_hits),
+        (0, epochs)
+    );
     let asker = |who: &str, cost| {
         let mut fields = vec![("asker", who.into())];
-        fields.extend(asked_once_cost(cost, epochs));
+        fields.extend(asked_once_cost(cost, epochs, 1));
+        fields.extend(answered_once_cost(cost, epochs));
         Json::Object(fields)
     };
     SharedRule {
@@ -186,6 +214,14 @@ fn run_shared_rule(records: usize) -> SharedRule {
             asker("second subscriber", &second_cost),
             asker("ad-hoc query, nobody asked before", &fresh_cost),
             asker("ad-hoc query, after the subscribers", &adhoc_cost),
+            asker(
+                "ad-hoc query over sealed history, after the subscribers",
+                &past_cost,
+            ),
+            asker(
+                "ad-hoc query sharing the rule's clause, after the subscribers",
+                &sharing_cost,
+            ),
         ],
     }
 }
@@ -347,7 +383,9 @@ fn main() {
     );
     println!(
         "the first subscriber's catch-up runs one union per sealed epoch; the second \
-         subscriber's and the ad-hoc query's sealed epochs come from what the holder kept."
+         subscriber's and the ad-hoc query's sealed epochs come from what the auditor engine \
+         kept of it (over sealed history nothing is sent), and another query sharing the \
+         clause is served its sealed epochs by the clause's holder."
     );
 
     write_snapshot(

@@ -184,22 +184,23 @@ pub fn metered<T>(f: impl FnOnce() -> T) -> (T, CostVector) {
     (out, recorder.take().total_cost())
 }
 
-/// One run of a query, in the counts a kept sealed epoch moves (the
-/// fields of a row or of a nested object): exponentiations, messages,
-/// bytes, and — of the `lookups` sealed epochs its cross subqueries
-/// covered — how many the holders served from what they kept and how
+/// One run of a query over `sealed` sealed epochs, in the counts a kept
+/// sealed epoch moves (the fields of a row or of a nested object):
+/// exponentiations, messages, bytes, and — of the sealed epochs the
+/// engine did not serve, once for each of the plan's `crosses` cross
+/// subqueries — how many the holders served from what they kept and how
 /// many the rings were asked about.
 ///
 /// # Panics
 ///
-/// Panics if the run hit more epochs than `lookups`: the caller counted
-/// the wrong trail or window.
+/// Panics if the run hit more epochs than it covered: the caller
+/// counted the wrong trail or window.
 #[must_use]
-pub fn asked_once_cost(cost: &CostVector, lookups: u64) -> Vec<(&'static str, Json)> {
+pub fn asked_once_cost(cost: &CostVector, sealed: u64, crosses: u64) -> Vec<(&'static str, Json)> {
     let hits = cost.sealed_epoch_hits;
-    let misses = lookups
-        .checked_sub(hits)
-        .unwrap_or_else(|| panic!("{hits} sealed-epoch hits out of {lookups} lookups"));
+    let misses = (sealed.checked_sub(cost.answer_hits))
+        .and_then(|asked| (asked * crosses).checked_sub(hits))
+        .unwrap_or_else(|| panic!("{cost} over {sealed} sealed epochs x {crosses}"));
     vec![
         ("modexp", cost.modexp.into()),
         ("messages", cost.msgs_sent.into()),
@@ -209,9 +210,20 @@ pub fn asked_once_cost(cost: &CostVector, lookups: u64) -> Vec<(&'static str, Js
     ]
 }
 
+/// What the auditor engine did for the same run: of the `sealed` sealed
+/// epochs, how many it served from the answers it kept and how many it
+/// had the plan run over. (Fields to put beside [`asked_once_cost`]'s.)
+#[must_use]
+pub fn answered_once_cost(cost: &CostVector, sealed: u64) -> Vec<(&'static str, Json)> {
+    vec![
+        ("answer_hits", cost.answer_hits.into()),
+        ("answer_misses", (sealed - cost.answer_hits).into()),
+    ]
+}
+
 /// Gate of every cold/warm pair an experiment reports: the warm run
 /// costs no more than the cold one in any of the [`asked_once_cost`]
-/// counts.
+/// counts, and the cold run was served nothing by anybody.
 ///
 /// # Panics
 ///
@@ -227,7 +239,8 @@ pub fn assert_warm_within_cold(what: &str, cold: &CostVector, warm: &CostVector)
             "{what}: warm {count} {warm} above cold {cold}"
         );
     }
-    assert_eq!(cold.sealed_epoch_hits, 0, "{what}: a cold run hit");
+    let served = (cold.sealed_epoch_hits, cold.answer_hits);
+    assert_eq!(served, (0, 0), "{what}: a cold run hit");
 }
 
 /// A JSON value. Every `BENCH_*.json` is one of these rendered by

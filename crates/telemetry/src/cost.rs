@@ -66,6 +66,12 @@ pub enum CostKind {
     /// (counted at the holder's lookup; a miss is a sealed epoch the
     /// window covers that this counter did not see).
     SealedEpochHit,
+    /// One sealed epoch of a whole query answered from what the auditor
+    /// engine kept of an earlier revealed answer, so that no subquery
+    /// and no conjunction ran over it (counted where the engine serves;
+    /// a miss is a sealed epoch the window covers that this counter did
+    /// not see).
+    AnswerHit,
 }
 
 impl CostKind {
@@ -92,6 +98,7 @@ impl CostKind {
             CostKind::PartialCombine => "partials_combined",
             CostKind::StandingDelta => "standing_deltas",
             CostKind::SealedEpochHit => "sealed_epoch_hits",
+            CostKind::AnswerHit => "answer_hits",
         }
     }
 }
@@ -139,6 +146,9 @@ pub struct CostVector {
     /// Sealed epochs of cross subqueries served from the holder's kept
     /// sets.
     pub sealed_epoch_hits: u64,
+    /// Sealed epochs of whole queries served from the auditor engine's
+    /// kept answers.
+    pub answer_hits: u64,
 }
 
 impl CostVector {
@@ -164,6 +174,7 @@ impl CostVector {
             CostKind::PartialCombine => &mut self.partials_combined,
             CostKind::StandingDelta => &mut self.standing_deltas,
             CostKind::SealedEpochHit => &mut self.sealed_epoch_hits,
+            CostKind::AnswerHit => &mut self.answer_hits,
         };
         *slot += amount;
     }
@@ -189,6 +200,7 @@ impl CostVector {
         self.partials_combined += other.partials_combined;
         self.standing_deltas += other.standing_deltas;
         self.sealed_epoch_hits += other.sealed_epoch_hits;
+        self.answer_hits += other.answer_hits;
     }
 
     /// True when every counter is zero.
@@ -199,7 +211,7 @@ impl CostVector {
 
     /// `(label, value)` pairs in a stable order (what `Display` prints).
     #[must_use]
-    pub fn entries(&self) -> [(&'static str, u64); 19] {
+    pub fn entries(&self) -> [(&'static str, u64); 20] {
         [
             ("modexp", self.modexp),
             ("mont_mul_steps", self.mont_mul_steps),
@@ -220,6 +232,7 @@ impl CostVector {
             ("partials_combined", self.partials_combined),
             ("standing_deltas", self.standing_deltas),
             ("sealed_epoch_hits", self.sealed_epoch_hits),
+            ("answer_hits", self.answer_hits),
         ]
     }
 }
@@ -269,13 +282,14 @@ mod tests {
             CostKind::PartialCombine,
             CostKind::StandingDelta,
             CostKind::SealedEpochHit,
+            CostKind::AnswerHit,
         ];
         let mut v = CostVector::default();
         for (i, kind) in kinds.iter().enumerate() {
             v.add(*kind, (i + 1) as u64);
         }
         let values: Vec<u64> = v.entries().iter().map(|(_, n)| *n).collect();
-        assert_eq!(values, (1..=19).collect::<Vec<u64>>());
+        assert_eq!(values, (1..=20).collect::<Vec<u64>>());
         assert!(!v.is_zero());
     }
 

@@ -758,6 +758,105 @@ fn an_undetected_lie_told_once_about_a_sealed_epoch_is_served_until_evicted() {
     assert_eq!(refused.query("a = b").unwrap().glsns, truth);
 }
 
+#[test]
+fn a_lying_decryptor_s_answer_about_a_sealed_epoch_is_served_by_the_engine_until_dropped() {
+    // The conjunction's reveal pass ends with its last decryptor
+    // handing the auditor engine the plaintexts, and the engine cannot
+    // check them (`set_intersection.rs`, module doc): it may be handed
+    // anything. That lie used to last one query. The engine now files
+    // what it is handed per sealed epoch, so honest reruns serve the
+    // lie over the sealed part of the trail — until a store revision
+    // moves, a node retires, the entry is evicted or the cluster
+    // restarts. The open epoch is asked every time and comes back true.
+    use confidential_audit::logstore::model::{AttrType, LogRecord};
+    use confidential_audit::logstore::schema::AttrDef;
+    use confidential_audit::mpc::set_intersection::SET_TAG;
+    use confidential_audit::net::adversary::{ScriptedAdversary, Tamper, TamperRule};
+    use confidential_audit::net::NodeId;
+    use std::sync::Arc;
+
+    // `a` at P0, `b` at P1, epochs of four: two sealed, one open.
+    let cluster = || {
+        let schema = Schema::new(vec![
+            AttrDef::known("a", AttrType::Int),
+            AttrDef::known("b", AttrType::Int),
+        ])
+        .unwrap();
+        let partition = Partition::round_robin(&schema, 2).unwrap();
+        let config = ClusterConfig::new(2, schema)
+            .with_partition(partition)
+            .with_seed(5)
+            .with_epoch_length(4)
+            .with_payload_capture();
+        let mut cluster = DlaCluster::new(config).unwrap();
+        let user = cluster.register_user("u").unwrap();
+        for i in 0..10 {
+            let record = LogRecord::new(Glsn(0))
+                .with("a", AttrValue::Int(i))
+                .with("b", AttrValue::Int(9 - i));
+            cluster.log_record(&user, &record).unwrap();
+        }
+        cluster
+    };
+    // Two local clauses, so the conjunction's ring is P0 → P1 and P1
+    // ends the reveal pass: its second set message to the engine (the
+    // first is its leg of the collection round) carries the plaintexts.
+    let narrow = "a > 2 AND b > 2";
+    let wide = "a >= 0 AND b >= 0";
+    let last_word = |cluster: &DlaCluster| {
+        let auditor = cluster.auditor_node();
+        let net = cluster.net();
+        let said = net.captured_payloads().iter();
+        let mut to_engine = said.filter(|(from, to, _)| (*from, *to) == (NodeId(1), auditor));
+        to_engine.nth(1).expect("a reveal pass ran").2.to_vec()
+    };
+
+    let honest = cluster();
+    let truth = honest.query_shared(narrow).unwrap().glsns;
+    assert_eq!(truth.len(), 4);
+    let everything = cluster();
+    let all = everything.query_shared(wide).unwrap().glsns;
+    assert_eq!(all.len(), 10);
+    let plaintexts_of_everything = last_word(&everything);
+
+    let lied_to = cluster();
+    let rule = TamperRule {
+        from: Some(1),
+        to: Some(lied_to.auditor_node().0),
+        tag: Some(SET_TAG),
+        skip: 1,
+        fires: 1,
+        action: Tamper::Replace(plaintexts_of_everything.into()),
+    };
+    let adversary = Arc::new(ScriptedAdversary::new().compromise(1).rule(rule));
+    lied_to.set_adversary(adversary.clone());
+    let lie = lied_to.query_shared(narrow).unwrap().glsns;
+    assert_eq!(adversary.report().forged, 1);
+    assert_eq!(lie, all, "the engine believes what it is handed");
+    lied_to.clear_adversary();
+
+    // Honest from here on: the two sealed epochs are served as the liar
+    // left them, the open one is asked and answered truly.
+    let open_from = lied_to.epoch_stats().find(|s| !s.sealed).unwrap().glsn_lo;
+    let sticky: Vec<Glsn> = (all.iter().filter(|g| **g < open_from))
+        .chain(truth.iter().filter(|g| **g >= open_from))
+        .copied()
+        .collect();
+    assert_ne!(sticky, truth);
+    for _ in 0..2 {
+        assert_eq!(lied_to.query_shared(narrow).unwrap().glsns, sticky);
+    }
+    // A store of the query's moves — here a rewrite that changes no
+    // value — and the lie goes with the entry.
+    let rewritten = lied_to
+        .node(0)
+        .store_mut()
+        .tamper(all[0], &"a".into(), AttrValue::Int(0));
+    assert!(rewritten);
+    assert_eq!(lied_to.query_shared(narrow).unwrap().glsns, truth);
+    assert_eq!(lied_to.query_shared(narrow).unwrap().glsns, truth);
+}
+
 /// The expected detector matrix per attack class: which of the §4.1
 /// mechanisms is responsible for catching each lie.
 fn expected_detectors(class: AttackClass) -> DetectorMatrix {
