@@ -9,6 +9,13 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test -q --workspace
 
+echo "==> bigint and crypto differential properties in release"
+# The comb's 70 000-bit cases and the epoch-long fold_batch rows: the
+# debug pass above runs them against dev-profile test code, this one
+# with the arithmetic the benchmark runs (overflow wraps, no debug
+# assertions), and it stays seconds however the debug pass is trimmed.
+cargo test -q --release -p dla-bigint -p dla-crypto --test properties
+
 echo "==> tcp_transport in release, then again pinned to one CPU; warm_cold pinned too"
 cargo test -q --release -p dla-net --test tcp_transport
 if command -v taskset >/dev/null 2>&1; then

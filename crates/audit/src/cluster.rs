@@ -998,6 +998,17 @@ impl DlaCluster {
         self.deposits.insert(glsn, deposit);
     }
 
+    /// Test hook: rewrites an unsealed epoch's running accumulator —
+    /// the digest its claim is checked against — leaving the deposits
+    /// it was folded from alone.
+    #[cfg(test)]
+    pub(crate) fn forge_epoch_digest_for_tests(&mut self, epoch: EpochId, digest: Ubig) {
+        self.epoch_stats
+            .get_mut(&epoch)
+            .expect("epoch observed")
+            .acc = digest;
+    }
+
     /// The glsn range scans need to cover for a query confined to
     /// `window`: the union of glsn extents over epochs whose observed
     /// time range intersects it.

@@ -239,11 +239,18 @@ pub struct TrailVerdict {
 /// Full-trail baseline verification: re-derives the whole-trail
 /// accumulator `x₀^{∏ yᵢ}` over **every** deposit item (the unsharded
 /// §4.1 cost, one logical fold per deposit) and compares against the
-/// cluster's trail accumulator. Since the fold ladder collapses to one
-/// fixed-base power of `x₀` (Eq. 9), the evaluation rides the cached
-/// [`dla_crypto::accumulator::AccumulatorParams::power_of_start`]
-/// table; the value is bit-identical to folding item by item.
-/// O(total trail) regardless of how narrow the audit is.
+/// cluster's trail accumulator. The fold ladder collapses to one power
+/// of `x₀` (Eq. 9), bit-identical to folding item by item, and goes
+/// through [`dla_crypto::accumulator::AccumulatorParams::power_of_start`]
+/// — but its exponent is the whole trail long (262 144 bits at 1 024
+/// records), four times the longest comb the fixed-base evaluator
+/// keeps, so it is cut into comb-length chunks: the multiplications of
+/// each chunk ride the comb's table, the squarings that lift one chunk
+/// above the next — one a bit, three quarters of the trail's length —
+/// are paid every call, as a ladder pays them. O(total trail)
+/// regardless of how narrow the audit is, and about three quarters of
+/// a ladder's steps; the windowed check below is the one whose power
+/// is a table walk.
 #[must_use]
 pub fn check_trail(cluster: &DlaCluster) -> TrailVerdict {
     let params = cluster.accumulator_params();
@@ -279,11 +286,13 @@ pub fn check_trail(cluster: &DlaCluster) -> TrailVerdict {
 /// a sealed epoch's `digestⱼ = x₀^{Eⱼ}` and the open epoch's
 /// `acc = x₀^{E}` alike — is checked in **one**
 /// random-linear-combination batch (`x₀^{Σ rⱼEⱼ} = ∏ digestⱼ^{rⱼ}` via
-/// the fixed-base table and multi-exponentiation): one big fixed-base
-/// power a check, not one per epoch and not a second for the open
-/// epoch. Soundness: epochs outside the window are still bound by the
-/// hash chain, so a rewritten sealed epoch is caught by `chain_ok` even
-/// when its items are never refolded.
+/// the fixed-base evaluator and multi-exponentiation): one big
+/// fixed-base power a check, not one per epoch and not a second for the
+/// open epoch — and that power, one epoch plus one randomizer long
+/// however many epochs the window holds, is one comb walk: a quarter of
+/// its bits in Montgomery steps. Soundness: epochs outside the window
+/// are still bound by the hash chain, so a rewritten sealed epoch is
+/// caught by `chain_ok` even when its items are never refolded.
 #[must_use]
 pub fn check_window(cluster: &DlaCluster, window: &crate::plan::TimeWindow) -> TrailVerdict {
     let params = cluster.accumulator_params();
@@ -721,6 +730,109 @@ mod tests {
             let verdict = check_window(&cluster, &window);
             assert!(!verdict.ok, "{window}: the open epoch's claim must fail");
             assert!(verdict.chain_ok, "no sealed epoch was touched");
+        }
+    }
+
+    /// `records` generated deposits on a cluster whose epochs hold
+    /// sixty-four — the benchmark's length, where an epoch's exponent is
+    /// sixteen thousand bits and every claim below walks a comb, not
+    /// the `x₀` table the two-record epochs above stay inside.
+    fn epoch64_loaded(records: usize) -> (DlaCluster, Vec<Glsn>) {
+        use rand::SeedableRng;
+        let schema = Schema::paper_example();
+        let partition = Partition::paper_example(&schema);
+        let mut cluster = DlaCluster::new(
+            ClusterConfig::new(4, schema)
+                .with_partition(partition)
+                .with_seed(31)
+                .with_epoch_length(64),
+        )
+        .unwrap();
+        let user = cluster.register_user("u0").unwrap();
+        let workload = dla_logstore::gen::WorkloadConfig {
+            records,
+            ..Default::default()
+        };
+        let mut rng = rand::rngs::StdRng::seed_from_u64(64);
+        let log = dla_logstore::gen::generate(&workload, &mut rng);
+        let glsns = cluster.log_records(&user, &log).unwrap();
+        (cluster, glsns)
+    }
+
+    fn window_of(cluster: &DlaCluster, epoch: u64) -> crate::plan::TimeWindow {
+        let stats = cluster
+            .epoch_stat(dla_logstore::epoch::EpochId(epoch))
+            .unwrap();
+        crate::plan::TimeWindow {
+            lo: stats.time_lo,
+            hi: stats.time_hi,
+        }
+    }
+
+    #[test]
+    fn a_tampered_deposit_fails_the_window_at_sixty_four_record_epochs() {
+        // Two sealed epochs and an open one of sixty-three.
+        let (mut cluster, glsns) = epoch64_loaded(2 * 64 + 63);
+        let unbounded = crate::plan::TimeWindow::unbounded();
+        let clean = check_window(&cluster, &unbounded);
+        assert!(clean.ok && clean.chain_ok);
+        assert_eq!((clean.epochs_checked, clean.items_folded), (3, 191));
+        assert!(check_trail(&cluster).ok);
+
+        cluster.tamper_deposit_for_tests(glsns[64 + 17], Ubig::from_u64(12345));
+        for window in [window_of(&cluster, 1), unbounded] {
+            let verdict = check_window(&cluster, &window);
+            assert!(!verdict.ok, "{window}: epoch 1's checkpoint must not match");
+            assert!(verdict.chain_ok, "the chain itself is untouched");
+        }
+        // Time ranges of neighbouring epochs may touch; a window strictly
+        // inside epoch 0 selects it alone, and it is clean.
+        let inside = crate::plan::TimeWindow {
+            lo: window_of(&cluster, 0).lo,
+            hi: window_of(&cluster, 0).lo,
+        };
+        assert!(check_window(&cluster, &inside).ok);
+        assert!(!check_trail(&cluster).ok);
+    }
+
+    #[test]
+    fn a_forged_digest_fails_the_window_at_sixty_four_record_epochs() {
+        let (mut cluster, _) = epoch64_loaded(64 + 63);
+        let params = cluster.accumulator_params().clone();
+        // Every deposit stays as logged; the open epoch's commitment is
+        // swapped for another well-formed accumulator value.
+        let open = dla_logstore::epoch::EpochId(1);
+        let genuine = cluster.epoch_stat(open).unwrap().acc.clone();
+        cluster.forge_epoch_digest_for_tests(open, params.fold(&genuine, b"one more"));
+        for window in [window_of(&cluster, 1), crate::plan::TimeWindow::unbounded()] {
+            let verdict = check_window(&cluster, &window);
+            assert!(
+                !verdict.ok,
+                "{window}: the forged claim must fail the batch"
+            );
+            assert!(verdict.chain_ok, "no sealed epoch was touched");
+        }
+        cluster.forge_epoch_digest_for_tests(open, genuine);
+        assert!(check_window(&cluster, &crate::plan::TimeWindow::unbounded()).ok);
+    }
+
+    #[test]
+    fn an_open_epoch_of_one_sixty_three_and_sixty_four_deposits_checks_and_catches() {
+        for deposits in [1usize, 63, 64] {
+            let (mut cluster, glsns) = epoch64_loaded(deposits);
+            assert!(cluster.checkpoint_chain().is_empty(), "nothing sealed yet");
+            let unbounded = crate::plan::TimeWindow::unbounded();
+            let clean = check_window(&cluster, &unbounded);
+            assert!(clean.ok, "{deposits} deposits");
+            assert_eq!(
+                (clean.epochs_checked, clean.items_folded),
+                (1, deposits as u64)
+            );
+            cluster.tamper_deposit_for_tests(*glsns.last().unwrap(), Ubig::from_u64(12345));
+            assert!(
+                !check_window(&cluster, &unbounded).ok,
+                "{deposits} deposits: the running accumulator must not match"
+            );
         }
     }
 }

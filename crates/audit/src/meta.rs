@@ -116,7 +116,9 @@ impl MetaAuditTrail {
 
     /// Verifies a presented journal against an expected `(chain head,
     /// accumulated value)` commitment pair: the accumulator is refolded
-    /// from the presented order and the hash chain recomputed.
+    /// from the presented order — in one fixed-base power of `x₀`, the
+    /// value [`MetaAuditTrail::record`] reaches one fold a record — and
+    /// the hash chain recomputed.
     ///
     /// # Errors
     ///
@@ -129,12 +131,9 @@ impl MetaAuditTrail {
         expected_acc: &Ubig,
         params: &AccumulatorParams,
     ) -> Result<(), AuditError> {
-        let refolded = records
-            .iter()
-            .enumerate()
-            .fold(params.accumulate(std::iter::empty()), |acc, (i, r)| {
-                params.fold(&acc, &item_at(r, i as u64))
-            });
+        // Eq. 9: the record-by-record fold from `x₀` is one power of it.
+        let items: Vec<Vec<u8>> = (0u64..).zip(records).map(|(i, r)| item_at(r, i)).collect();
+        let refolded = params.accumulate(items.iter().map(Vec::as_slice));
         if refolded != *expected_acc {
             return Err(AuditError::Integrity(
                 "meta-audit accumulator mismatch: journal truncated, reordered or rewritten".into(),
@@ -164,6 +163,25 @@ mod tests {
         trail.verify().expect("clean trail verifies");
         assert_eq!(trail.len(), 4);
         assert_eq!(trail.records()[2].action, "degraded-replan");
+    }
+
+    #[test]
+    fn the_one_power_refold_is_the_record_by_record_value() {
+        // Four records sit inside the `x₀` table, seventy walk a comb.
+        for len in [0u64, 1, 4, 70] {
+            let params = AccumulatorParams::fixed_512();
+            let mut trail = MetaAuditTrail::new(params.clone());
+            for i in 0..len {
+                trail.record(10 * i, "cluster", "deposit", format!("glsn=G{i}"));
+            }
+            let by_record = (0u64..)
+                .zip(trail.records())
+                .fold(params.start().clone(), |acc, (i, r)| {
+                    params.fold(&acc, &item_at(r, i))
+                });
+            assert_eq!(trail.accumulator(), &by_record, "{len} records");
+            trail.verify().expect("the one-power refold agrees");
+        }
     }
 
     #[test]

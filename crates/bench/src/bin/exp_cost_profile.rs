@@ -6,13 +6,19 @@
 //!
 //! Also profiles the accumulator verification leg twice — once with
 //! the per-epoch refold ladder, once through the cached fixed-base
-//! table plus one RLC batch check — and asserts against the session
+//! evaluator plus one RLC batch check — and asserts against the session
 //! meters that the fixed-base route does strictly fewer Montgomery
-//! multiplication steps for the same items-folded work units.
+//! multiplication steps for the same items-folded work units. It does
+//! so at two sizes: 12 epochs × 2 deposits, whose exponents stay inside
+//! the `x₀` radix table, and the benchmark's 8 epochs × 64, whose
+//! exponents are an epoch long and walk a comb — there one
+//! `batch_verify` and one from-`x₀` `fold_batch` must each take at
+//! least 4× fewer steps than their ladders, comb build included.
 //!
 //! Run with: `cargo run -p dla-bench --bin exp_cost_profile --release`
 //! (writes `BENCH_cost_profile.json`).
 
+use dla_bigint::montgomery::MontgomeryContext;
 use dla_bigint::{Ubig, F61};
 use dla_crypto::accumulator::AccumulatorParams;
 use dla_crypto::pohlig_hellman::CommutativeDomain;
@@ -60,18 +66,27 @@ struct FixedBaseProfile {
     build_cost: CostVector,
     ladder_cost: CostVector,
     accel_cost: CostVector,
+    fold_ladder_cost: CostVector,
+    fold_cost: CostVector,
 }
 
 /// Audits the same sealed trail twice: the ladder auditor refolds each
 /// epoch from `x₀` (one modexp ladder per item), the accelerated
 /// auditor derives the per-epoch exponents and settles every claim in
-/// one RLC batch check over the cached `x₀` table. Digest agreement,
-/// equal items-folded units and the strict Montgomery-step win are all
-/// asserted against the session meters.
-fn profile_fixed_base_vs_ladder() -> FixedBaseProfile {
+/// one RLC batch check over the cached `x₀` evaluator. Then absorbs one
+/// epoch's items into a fresh accumulator twice: a ladder on the
+/// batch's exponent, and `fold_batch`, which sees the accumulator is
+/// still `x₀`. Digest agreement, equal items-folded units and the
+/// strict Montgomery-step win are all asserted against the session
+/// meters; `comb_builds` is how many combs the accelerated audit had to
+/// build on the way (none while its exponents fit the radix table, one
+/// when they are an epoch long — its steps are in the audit's bill).
+fn profile_fixed_base_vs_ladder(
+    epochs: usize,
+    items_per_epoch: usize,
+    comb_builds: u64,
+) -> FixedBaseProfile {
     let params = AccumulatorParams::fixed_512();
-    let epochs = 12usize;
-    let items_per_epoch = 2usize;
     let epoch_items: Vec<Vec<Vec<u8>>> = (0..epochs)
         .map(|e| {
             (0..items_per_epoch)
@@ -85,19 +100,20 @@ fn profile_fixed_base_vs_ladder() -> FixedBaseProfile {
     let (_, build_cost) = metered(|| params.power_of_start(&Ubig::one()));
     assert_eq!(build_cost.fixed_base_builds, 1, "exactly one table build");
 
-    // Seal the epoch digests outside either auditor's bill.
-    let digests: Vec<Ubig> = epoch_items
-        .iter()
-        .map(|items| params.accumulate(items.iter().map(Vec::as_slice)))
-        .collect();
+    // Seal the epoch digests outside either auditor's bill: item by
+    // item, so no table or comb is touched before the audit is.
+    let refold = |items: &[Vec<u8>]| {
+        items
+            .iter()
+            .fold(params.start().clone(), |acc, item| params.fold(&acc, item))
+    };
+    let digests: Vec<Ubig> = epoch_items.iter().map(|items| refold(items)).collect();
 
     let (ladder_ok, ladder_cost) = metered(|| {
-        epoch_items.iter().zip(&digests).all(|(items, digest)| {
-            let refolded = items
-                .iter()
-                .fold(params.start().clone(), |acc, item| params.fold(&acc, item));
-            refolded == *digest
-        })
+        epoch_items
+            .iter()
+            .zip(&digests)
+            .all(|(items, digest)| refold(items) == *digest)
     });
     let (accel_ok, accel_cost) = metered(|| {
         let claims: Vec<(Ubig, Ubig)> = epoch_items
@@ -122,8 +138,8 @@ fn profile_fixed_base_vs_ladder() -> FixedBaseProfile {
         "one multi-exp term per epoch claim"
     );
     assert_eq!(
-        accel_cost.fixed_base_builds, 0,
-        "the cached table is reused, never rebuilt"
+        accel_cost.fixed_base_builds, comb_builds,
+        "the cached table is reused, never rebuilt; a comb is built once per exponent length"
     );
     assert!(
         accel_cost.mont_mul_steps < ladder_cost.mont_mul_steps,
@@ -132,12 +148,92 @@ fn profile_fixed_base_vs_ladder() -> FixedBaseProfile {
         ladder_cost.mont_mul_steps
     );
 
+    // A fresh epoch absorbs its first batch: what a restart's replay
+    // and a batch load hand `fold_batch` for every epoch.
+    let refs: Vec<&[u8]> = epoch_items[0].iter().map(Vec::as_slice).collect();
+    let fresh = [params.start().clone()];
+    let exponent = params.batch_exponent(&refs);
+    let ctx = MontgomeryContext::new(params.modulus()).expect("RSA moduli are odd");
+    let (fold_ladder, fold_ladder_cost) = metered(|| ctx.modexp_batch(&fresh, &exponent));
+    let (fold, fold_cost) = metered(|| params.fold_batch(&fresh, &refs));
+    assert_eq!(fold, fold_ladder, "one value either way");
+    assert_eq!(fold[0], digests[0], "and it is the epoch's digest");
+    assert_eq!(
+        fold_cost.fixed_base_builds, 0,
+        "the audit's comb serves the epoch's own exponent"
+    );
+    assert!(fold_cost.mont_mul_steps < fold_ladder_cost.mont_mul_steps);
+
     FixedBaseProfile {
         epochs,
         items_per_epoch,
         build_cost,
         ladder_cost,
         accel_cost,
+        fold_ladder_cost,
+        fold_cost,
+    }
+}
+
+impl FixedBaseProfile {
+    fn audit_ratio(&self) -> f64 {
+        self.ladder_cost.mont_mul_steps as f64 / self.accel_cost.mont_mul_steps as f64
+    }
+
+    fn fold_ratio(&self) -> f64 {
+        self.fold_ladder_cost.mont_mul_steps as f64 / self.fold_cost.mont_mul_steps as f64
+    }
+
+    fn line(&self) -> String {
+        format!(
+            "fixed-base vs ladder ({} epochs x {} deposits): table build {} steps \
+             (once), refold ladder {} steps, fixed-base + RLC batch {} steps \
+             ({:.1}x fewer per audit, {} comb built); fresh epoch's fold_batch \
+             {} steps on the ladder, {} from x0 ({:.1}x fewer)",
+            self.epochs,
+            self.items_per_epoch,
+            self.build_cost.mont_mul_steps,
+            self.ladder_cost.mont_mul_steps,
+            self.accel_cost.mont_mul_steps,
+            self.audit_ratio(),
+            self.accel_cost.fixed_base_builds,
+            self.fold_ladder_cost.mont_mul_steps,
+            self.fold_cost.mont_mul_steps,
+            self.fold_ratio(),
+        )
+    }
+
+    fn json(&self) -> Json {
+        Json::Object(vec![
+            ("epochs", self.epochs.into()),
+            ("items_per_epoch", self.items_per_epoch.into()),
+            (
+                "table_build_mont_mul_steps",
+                self.build_cost.mont_mul_steps.into(),
+            ),
+            ("table_builds", self.build_cost.fixed_base_builds.into()),
+            (
+                "ladder_mont_mul_steps",
+                self.ladder_cost.mont_mul_steps.into(),
+            ),
+            (
+                "fixed_base_mont_mul_steps",
+                self.accel_cost.mont_mul_steps.into(),
+            ),
+            ("comb_builds", self.accel_cost.fixed_base_builds.into()),
+            ("items_folded", self.ladder_cost.acc_fold.into()),
+            ("multi_exp_terms", self.accel_cost.multi_exp_terms.into()),
+            ("step_ratio", Json::Fixed(self.audit_ratio(), 2)),
+            (
+                "fold_batch_ladder_mont_mul_steps",
+                self.fold_ladder_cost.mont_mul_steps.into(),
+            ),
+            (
+                "fold_batch_from_start_mont_mul_steps",
+                self.fold_cost.mont_mul_steps.into(),
+            ),
+            ("fold_batch_step_ratio", Json::Fixed(self.fold_ratio(), 2)),
+        ])
     }
 }
 
@@ -260,46 +356,22 @@ fn main() {
          Shamir-based sum costs field ops only."
     );
 
-    let fb = profile_fixed_base_vs_ladder();
-    let step_ratio = fb.ladder_cost.mont_mul_steps as f64 / fb.accel_cost.mont_mul_steps as f64;
-    println!(
-        "\nfixed-base vs ladder ({} epochs x {} deposits): table build {} steps \
-         (once), refold ladder {} steps, fixed-base + RLC batch {} steps \
-         ({step_ratio:.1}x fewer per audit)",
-        fb.epochs,
-        fb.items_per_epoch,
-        fb.build_cost.mont_mul_steps,
-        fb.ladder_cost.mont_mul_steps,
-        fb.accel_cost.mont_mul_steps,
+    let fb = profile_fixed_base_vs_ladder(12, 2, 0);
+    // The benchmark's shape: eight sealed epochs of sixty-four in the
+    // window, every exponent an epoch long.
+    let epoch_sized = profile_fixed_base_vs_ladder(8, 64, 1);
+    println!("\n{}\n{}", fb.line(), epoch_sized.line());
+    assert!(
+        epoch_sized.audit_ratio() >= 4.0 && epoch_sized.fold_ratio() >= 4.0,
+        "an epoch-long power of x0 must take at least 4x fewer steps than its ladder"
     );
 
     write_snapshot(
         "cost_profile",
         vec![
             ("protocols", Json::Array(protocols)),
-            (
-                "fixed_base_vs_ladder",
-                Json::Object(vec![
-                    ("epochs", fb.epochs.into()),
-                    ("items_per_epoch", fb.items_per_epoch.into()),
-                    (
-                        "table_build_mont_mul_steps",
-                        fb.build_cost.mont_mul_steps.into(),
-                    ),
-                    ("table_builds", fb.build_cost.fixed_base_builds.into()),
-                    (
-                        "ladder_mont_mul_steps",
-                        fb.ladder_cost.mont_mul_steps.into(),
-                    ),
-                    (
-                        "fixed_base_mont_mul_steps",
-                        fb.accel_cost.mont_mul_steps.into(),
-                    ),
-                    ("items_folded", fb.ladder_cost.acc_fold.into()),
-                    ("multi_exp_terms", fb.accel_cost.multi_exp_terms.into()),
-                    ("step_ratio", Json::Fixed(step_ratio, 2)),
-                ]),
-            ),
+            ("fixed_base_vs_ladder", fb.json()),
+            ("fixed_base_vs_ladder_epoch_sized", epoch_sized.json()),
         ],
     );
 }

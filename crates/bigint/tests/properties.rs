@@ -14,6 +14,20 @@ fn ubig(limbs: usize) -> impl Strategy<Value = Ubig> {
     prop::collection::vec(any::<u64>(), 0..=limbs).prop_map(Ubig::from_limbs)
 }
 
+/// The evaluation `FixedBase` had above its radix table's capacity
+/// before the comb: split the exponent at the capacity, look the low
+/// part up, raise the high part's power by `capacity` squarings. Kept
+/// as the comb's differential oracle.
+fn chunk_recursion(ctx: &MontgomeryContext, fb: &dla_bigint::FixedBase, exp: &Ubig) -> Ubig {
+    let capacity = fb.capacity_bits();
+    if exp.bit_len() <= capacity {
+        return fb.pow(exp);
+    }
+    let low = fb.pow(&(exp % &(Ubig::one() << capacity)));
+    let high = chunk_recursion(ctx, fb, &(exp >> capacity));
+    ctx.modmul(&low, &ctx.modexp(&high, &(Ubig::one() << capacity)))
+}
+
 fn ubig_nonzero(limbs: usize) -> impl Strategy<Value = Ubig> {
     ubig(limbs).prop_map(|v| if v.is_zero() { Ubig::one() } else { v })
 }
@@ -284,8 +298,8 @@ proptest! {
     }
 
     /// `FixedBase::pow` ≡ `modexp` across 65–512-bit odd moduli, both
-    /// inside the table's capacity and through the chunked fallback
-    /// (the capacity divisor deliberately undersizes some tables).
+    /// inside the radix table's capacity and through a comb (the
+    /// capacity divisor deliberately undersizes some tables).
     #[test]
     fn fixed_base_matches_modexp(
         base in ubig(8),
@@ -304,6 +318,48 @@ proptest! {
         let ctx = MontgomeryContext::new(&m).expect("modulus is odd");
         let fb = dla_bigint::FixedBase::new(&ctx, &base, bits / cap_divisor);
         prop_assert_eq!(fb.pow(&exp), ctx.modexp(&base, &exp));
+    }
+
+    /// Comb ≡ `modexp` ≡ the squaring-shifted chunk recursion the comb
+    /// replaced, at every exponent length where the evaluator changes
+    /// route — empty, one bit, around the radix table's capacity, an
+    /// epoch's product with `batch_verify`'s randomizer, and past the
+    /// longest comb — for a random base, zero and one; each evaluator
+    /// meets a shorter exponent first, so the longer one arrives at a
+    /// comb already built for another length.
+    #[test]
+    fn fixed_base_comb_matches_modexp_and_the_chunk_recursion(
+        bits in 65usize..=512,
+        capacity in prop::sample::select(vec![64usize, 89, 256, 1152]),
+        special_base in prop::sample::select(vec![None, Some(0u64), Some(1)]),
+        seed in any::<u64>(),
+    ) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let m = {
+            let mut m = Ubig::random_bits(&mut rng, bits);
+            m = &m + &(Ubig::one() << (bits - 1));
+            if m.is_even() { m = &m + &Ubig::one(); }
+            m
+        };
+        let ctx = MontgomeryContext::new(&m).expect("modulus is odd");
+        let base = special_base.map_or_else(|| Ubig::random_below(&mut rng, &m), Ubig::from_u64);
+        let fb = dla_bigint::FixedBase::new(&ctx, &base, capacity);
+        let capacity = fb.capacity_bits();
+        let lengths = [
+            0, 1, capacity - 1, capacity, capacity + 1, 2 * capacity + 3, 16_384 + 128, 70_000,
+        ];
+        // Shorter before longer, twice: the second pass finds combs
+        // built by the first (and, past four lengths, dropped by it).
+        for &len in lengths.iter().chain(&lengths) {
+            let exp = match len {
+                0 => Ubig::zero(),
+                1 => Ubig::one(),
+                len => Ubig::random_bits(&mut rng, len - 1) + (Ubig::one() << (len - 1)),
+            };
+            let value = fb.pow(&exp);
+            prop_assert_eq!(&value, &ctx.modexp(&base, &exp), "len={}", len);
+            prop_assert_eq!(&value, &chunk_recursion(&ctx, &fb, &exp), "len={}", len);
+        }
     }
 
     /// `multi_exp` ≡ the product of independent ladders, across term

@@ -29,9 +29,9 @@ pub struct AccumulatorParams {
     n: Arc<Ubig>,
     x0: Ubig,
     ctx: Arc<MontgomeryContext>,
-    /// Fixed-base table over `x₀`, built on first use and shared by
+    /// Fixed-base evaluator over `x₀`, built on first use and shared by
     /// every clone of these parameters. Every verification path raises
-    /// `x₀` to some combined exponent, so the table amortises across
+    /// `x₀` to some combined exponent, so its tables amortise across
     /// the whole cluster lifetime.
     fixed: Arc<OnceLock<FixedBase>>,
 }
@@ -174,6 +174,11 @@ impl AccumulatorParams {
     /// of the batched deposit pipeline — one fold per batch instead of
     /// one per deposit.
     ///
+    /// An accumulator that has absorbed nothing yet still *is* `x₀` —
+    /// a fresh epoch's, when a restart replays it or a batch load fills
+    /// it — and takes [`AccumulatorParams::power_of_start`]'s table
+    /// walk instead of a ladder; the value is the same.
+    ///
     /// Telemetry counts `items.len() × accs.len()` logical accumulator
     /// folds, keeping windowed-vs-full verification comparisons in
     /// units of *items folded* regardless of batching.
@@ -191,13 +196,23 @@ impl AccumulatorParams {
             .map(|item| self.item_exponent(item))
             .reduce(|a, b| a * b)
             .expect("items is non-empty");
-        self.ctx.modexp_batch(accs, &exponent)
+        let running: Vec<Ubig> = accs.iter().filter(|a| **a != self.x0).cloned().collect();
+        let mut running = self.ctx.modexp_batch(&running, &exponent).into_iter();
+        accs.iter()
+            .map(|acc| {
+                if *acc == self.x0 {
+                    self.power_of_start(&exponent)
+                } else {
+                    running.next().expect("one power a running accumulator")
+                }
+            })
+            .collect()
     }
 
-    /// The fixed-base table over `x₀`, built once per parameter set.
-    /// Capacity covers the common case (a handful of items' combined
-    /// exponent plus batch-verification randomizers); anything larger
-    /// takes the table's chunked fallback and stays correct.
+    /// The fixed-base evaluator over `x₀`, built once per parameter
+    /// set. Its radix table covers a deposit's handful of items (zero
+    /// squarings a power); an epoch-long exponent walks a comb the
+    /// evaluator builds for that length on first use.
     fn fixed_base(&self) -> &FixedBase {
         self.fixed
             .get_or_init(|| FixedBase::new(&self.ctx, &self.x0, 2 * self.n.bit_len() + 128))
@@ -218,9 +233,10 @@ impl AccumulatorParams {
             .fold(Ubig::one(), |a, b| a * b)
     }
 
-    /// `x₀^exp mod n` through the cached fixed-base table —
+    /// `x₀^exp mod n` through the cached fixed-base evaluator —
     /// bit-identical to folding from [`AccumulatorParams::start`] with
-    /// a ladder, minus the per-call squaring chain.
+    /// a ladder: no squaring for a deposit-sized exponent, an eighth of
+    /// the ladder's for an epoch-sized one.
     #[must_use]
     pub fn power_of_start(&self, exp: &Ubig) -> Ubig {
         self.fixed_base().pow(exp)

@@ -46,6 +46,12 @@ pub mod shamir;
 pub mod shamir_big;
 pub mod threshold;
 
+/// CRC-32, forwarded from its home in `dla-telemetry` — the one crate
+/// under both `dla-net` and `dla-logstore` — for `dla-logstore`, whose
+/// only workspace dependency is this crate: its journal entries carry
+/// the checksum the wire's envelopes do, from the one routine.
+pub use dla_telemetry::crc32;
+
 /// Errors produced by the cryptographic layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]

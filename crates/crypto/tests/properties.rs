@@ -85,8 +85,8 @@ proptest! {
 
     /// `accumulate` (one fixed-base power over `∏ yᵢ`) ≡ the per-item
     /// fold ladder, from the empty collection through the table's
-    /// capacity (4 items on the 512-bit modulus) into the chunked
-    /// fallback — and it still bills one `AccumulatorFold` per item.
+    /// capacity (4 items on the 512-bit modulus) into a comb — and it
+    /// still bills one `AccumulatorFold` per item.
     #[test]
     fn accumulate_matches_the_fold_ladder(
         items in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..40), 0..=9),
@@ -102,6 +102,44 @@ proptest! {
         };
         prop_assert_eq!(batched, ladder);
         prop_assert_eq!(recorder.take().total_cost().acc_fold, items.len() as u64);
+    }
+
+    /// `fold_batch` ≡ `modexp_batch` on the batch's exponent whether
+    /// none, one or all of the accumulators still equal `x₀` (those
+    /// take the fixed-base power), from one item (inside the table)
+    /// through an epoch's sixty-four (a comb) — and it bills the same
+    /// folds and the same exponentiations either way.
+    #[test]
+    fn fold_batch_from_the_start_value_matches_modexp_batch(
+        items in prop::sample::select(vec![1usize, 4, 5, 64]),
+        at_start in prop::sample::select(vec![[false, false], [true, false], [false, true], [true, true]]),
+        seed in 0u64..10_000,
+    ) {
+        let params = AccumulatorParams::fixed_512();
+        let ctx = MontgomeryContext::new(params.modulus()).expect("RSA moduli are odd");
+        let mut rng = rng_from(seed);
+        let items: Vec<Vec<u8>> = (0..items)
+            .map(|_| (0..20).map(|_| rand::Rng::gen(&mut rng)).collect())
+            .collect();
+        let refs: Vec<&[u8]> = items.iter().map(Vec::as_slice).collect();
+        let accs: Vec<Ubig> = at_start
+            .iter()
+            .map(|&at_start| match at_start {
+                true => params.start().clone(),
+                false => Ubig::random_below(&mut rng, params.modulus()),
+            })
+            .collect();
+        let exponent = params.batch_exponent(&refs);
+
+        let recorder = dla_telemetry::Recorder::new();
+        let folded = {
+            let _guard = recorder.install();
+            params.fold_batch(&accs, &refs)
+        };
+        let cost = recorder.take().total_cost();
+        prop_assert_eq!(folded, ctx.modexp_batch(&accs, &exponent));
+        prop_assert_eq!(cost.acc_fold, (refs.len() * accs.len()) as u64);
+        prop_assert_eq!(cost.modexp, accs.len() as u64);
     }
 
     #[test]

@@ -18,6 +18,7 @@ use crate::epoch::{EpochId, EpochPolicy};
 use crate::fragment::Fragment;
 use crate::model::Glsn;
 use crate::LogError;
+use dla_crypto::crc32;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -363,20 +364,6 @@ fn decode_entry(raw: &[u8]) -> Result<(JournalEntry, usize), EntryError> {
     Ok((entry, 8 + len))
 }
 
-/// CRC-32 (IEEE 802.3), bitwise implementation — journal entries are
-/// small, table-free keeps it obviously correct.
-fn crc32(data: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &byte in data {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -631,6 +618,45 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+    }
+
+    /// Four entries framed at the commit before the journal's own
+    /// bit-at-a-time CRC gave way to the shared table-driven routine:
+    /// they open under it, and what is written today is those bytes.
+    #[test]
+    fn a_journal_written_with_the_bitwise_crc_opens_and_is_rewritten_bit_for_bit() {
+        const WRITTEN_BEFORE: &str = "000000090587d7e202123456789abcdef0\
+            000000129788a126030f000000000000004d542d706172656e74\
+            0000000af15ef34104120000000000000003\
+            0000002b998057b3047e000102030405060708090a0b0c0d0e0f1011121314\
+            15161718191a1b1c1d1e1f202122232425262728";
+        let bytes: Vec<u8> = (0..WRITTEN_BEFORE.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&WRITTEN_BEFORE[i..i + 2], 16).unwrap())
+            .collect();
+        let expected = [
+            JournalEntry::Tombstone(Glsn(0x1234_5678_9ABC_DEF0)),
+            JournalEntry::AclGrant {
+                ticket: "T-parent".into(),
+                ops: 0x0F,
+                glsn: Glsn(77),
+            },
+            JournalEntry::EpochSeal(EpochId(3)),
+            JournalEntry::Blob {
+                tag: 0x7E,
+                bytes: (0u8..=40).collect(),
+            },
+        ];
+        let path = temp_path("bitwise-crc");
+        std::fs::write(&path, &bytes).unwrap();
+        let (_, entries) = Journal::open(&path).unwrap();
+        assert_eq!(entries, expected);
+        let mut rewritten = Vec::new();
+        for entry in &expected {
+            encode_framed(entry, &mut rewritten);
+        }
+        assert_eq!(rewritten, bytes);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

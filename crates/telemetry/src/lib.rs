@@ -32,11 +32,13 @@
 #![warn(missing_docs)]
 
 pub mod cost;
+pub mod crc;
 pub mod export;
 pub mod journal;
 pub mod trace;
 
 pub use cost::{CostKind, CostVector};
+pub use crc::crc32;
 pub use export::chrome_trace_json;
 pub use journal::{ChainHasher, MetaAuditError, MetaJournal, MetaRecord};
 pub use trace::{EventRecord, ScopeRecord, SpanRecord, Trace};

@@ -60,6 +60,25 @@ fn crypto_cipher_commutes_and_accumulator_is_order_free() {
     assert_eq!(xy, acc.fold(&acc.fold(acc.start(), y), x), "Eq. 9");
     assert_eq!(xy, acc.accumulate_batch(&[x, y]));
     assert_ne!(xy, acc.accumulate_batch(&[x, b"fragment-X"]));
+
+    // An epoch's worth: sixty-four items are one power of `x₀` sixteen
+    // thousand bits long — a comb walk, not the table the pair rode.
+    let epoch: Vec<Vec<u8>> = (0..64)
+        .map(|i| format!("deposit-{i}").into_bytes())
+        .collect();
+    let items: Vec<&[u8]> = epoch.iter().map(Vec::as_slice).collect();
+    let ladder = (items.iter()).fold(acc.start().clone(), |a, item| acc.fold(&a, item));
+    assert_eq!(acc.accumulate_batch(&items), ladder);
+    assert_eq!(
+        acc.fold_batch(&[acc.start().clone(), xy.clone()], &items),
+        [
+            ladder.clone(),
+            items.iter().fold(xy, |a, item| acc.fold(&a, item))
+        ]
+    );
+    let exponent = acc.batch_exponent(&items);
+    assert!(acc.batch_verify(&[(ladder.clone(), exponent.clone())]));
+    assert!(!acc.batch_verify(&[(acc.fold(&ladder, x), exponent)]));
 }
 
 #[test]
