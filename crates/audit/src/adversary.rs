@@ -121,8 +121,7 @@ pub struct DetectorMatrix {
     /// Accumulator machinery: circulation mismatch or digest
     /// re-derivation.
     pub accumulator: bool,
-    /// Meta-journal hash chain / accumulator fold
-    /// ([`MetaAuditTrail::verify_presented`]).
+    /// Meta-journal hash chain ([`MetaAuditTrail::verify_presented`]).
     pub meta_journal: bool,
     /// Checkpoint-chain cross-check: peer head divergence or failed
     /// local endorsement.
@@ -201,7 +200,7 @@ fn residual_detectors(cluster: &mut DlaCluster) -> DetectorMatrix {
     DetectorMatrix {
         accumulator: !trail.ok,
         meta_journal: cluster.meta_audit().verify().is_err(),
-        checkpoint_chain: !trail.chain_ok || !cluster.checkpoint_chain().verify_links(),
+        checkpoint_chain: !trail.chain_ok,
         protocol: false,
     }
 }
@@ -417,17 +416,12 @@ pub fn run_attack(class: AttackClass, seed: u64) -> Result<ScenarioReport, Audit
             });
 
             // The equivocator also backs its lie with a doctored copy
-            // of the meta journal; the commitment pair refuses it.
+            // of the meta journal; the chain head refuses it.
             let mut doctored = cluster.meta_audit().records().to_vec();
             let slot = rng.gen_range(0..doctored.len());
             doctored[slot].detail = format!("rewritten-by-{equivocator}");
-            let meta_journal = MetaAuditTrail::verify_presented(
-                &doctored,
-                cluster.meta_audit().head(),
-                cluster.meta_audit().accumulator(),
-                cluster.accumulator_params(),
-            )
-            .is_err();
+            let meta_journal =
+                MetaAuditTrail::verify_presented(&doctored, cluster.meta_audit().head()).is_err();
 
             let mut detected = residual_detectors(&mut cluster);
             detected.checkpoint_chain |= divergence || endorsement_failed;
@@ -530,7 +524,7 @@ pub fn run_honest(seed: u64) -> Result<ScenarioReport, AuditError> {
     let meta_journal = cluster.meta_audit().verify().is_err();
     verifications += 1;
 
-    let mut checkpoint_chain = !trail.chain_ok || !cluster.checkpoint_chain().verify_links();
+    let mut checkpoint_chain = !trail.chain_ok;
     let sealed: Vec<u64> = cluster.checkpoint_chain().iter().map(|c| c.epoch).collect();
     for epoch in sealed {
         verifications += 1;

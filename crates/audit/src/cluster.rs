@@ -25,7 +25,7 @@ use rand::SeedableRng;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Configuration for [`DlaCluster::new`].
 #[derive(Clone, Debug)]
@@ -266,8 +266,8 @@ pub(crate) fn served(store: &FragmentStore, home: usize, glsn: Glsn) -> Option<&
     }
 }
 
-/// The trail item folded into epoch and whole-trail accumulators for
-/// one deposit: domain-tagged `glsn ‖ deposit` bytes.
+/// The trail item folded into its epoch's accumulator for one
+/// deposit: domain-tagged `glsn ‖ deposit` bytes.
 pub(crate) fn trail_item(glsn: Glsn, deposit: &Ubig) -> Vec<u8> {
     let mut out = Vec::with_capacity(80);
     out.extend_from_slice(b"dla-trail-item");
@@ -475,11 +475,9 @@ pub struct DlaCluster {
     epoch_stats: BTreeMap<EpochId, EpochStats>,
     /// Hash-linked checkpoints of sealed epochs' accumulator digests.
     chain: CheckpointChain,
-    /// The whole-trail accumulator (every deposit item, from `x₀`) —
-    /// the unsharded baseline a full audit verifies against.
-    trail_acc: Ubig,
-    /// Items folded into `trail_acc`.
-    trail_items: u64,
+    /// [`DlaCluster::trail_accumulator`], derived from `deposits` on
+    /// first read and forgotten by every change to them.
+    trail_acc: OnceLock<Ubig>,
     /// Registered standing queries, evaluated incrementally at every
     /// epoch seal (see [`crate::standing`]).
     standing: crate::standing::StandingRegistry,
@@ -572,8 +570,8 @@ impl DlaCluster {
         // replaying the cluster journal through the same transitions
         // that wrote it.
         let mut cluster = DlaCluster {
-            meta: crate::meta::MetaAuditTrail::new(acc_params.clone()),
-            trail_acc: acc_params.start().clone(),
+            meta: crate::meta::MetaAuditTrail::new(),
+            trail_acc: OnceLock::new(),
             ctx: Arc::new(ClusterCtx {
                 schema: config.schema,
                 partition,
@@ -598,7 +596,6 @@ impl DlaCluster {
             epoch_policy,
             epoch_stats: BTreeMap::new(),
             chain: CheckpointChain::new(),
-            trail_items: 0,
             standing: crate::standing::StandingRegistry::default(),
             kept: Mutex::default(),
         };
@@ -686,12 +683,13 @@ impl DlaCluster {
     }
 
     /// Ledger transition — absorb committed deposits: index them, note
-    /// their origins and fold their trail items into the epoch and
-    /// whole-trail accumulators, one fold per touched epoch. Called with
-    /// a batch the cluster journal has just taken and with the deposits
-    /// replayed from it.
+    /// their origins and fold their trail items into their epoch's
+    /// accumulator, one fold per touched epoch. Called with a batch the
+    /// cluster journal has just taken and with the deposits replayed
+    /// from it.
     fn absorb(&mut self, batch: Vec<DepositRecord>) -> Result<(), AuditError> {
         let acc_params = &self.ctx.acc_params;
+        self.trail_acc.take();
         let mut groups: BTreeMap<EpochId, Vec<Vec<u8>>> = BTreeMap::new();
         for record in batch {
             let epoch = self.epoch_policy.epoch_of(record.glsn);
@@ -717,12 +715,10 @@ impl DlaCluster {
         for (epoch, items) in groups {
             let refs: Vec<&[u8]> = items.iter().map(Vec::as_slice).collect();
             let stats = self.epoch_stats.get_mut(&epoch).expect("opened above");
-            let folded = acc_params.fold_batch(&[stats.acc.clone(), self.trail_acc.clone()], &refs);
-            let [epoch_acc, trail_acc]: [Ubig; 2] =
-                folded.try_into().expect("fold_batch preserves arity");
-            stats.acc = epoch_acc;
-            self.trail_acc = trail_acc;
-            self.trail_items += items.len() as u64;
+            stats.acc = acc_params
+                .fold_batch(std::slice::from_ref(&stats.acc), &refs)
+                .pop()
+                .expect("one accumulator in, one out");
         }
         Ok(())
     }
@@ -978,16 +974,27 @@ impl DlaCluster {
         self.epoch_stats.get(&epoch)
     }
 
-    /// The whole-trail accumulator (fold of every deposit item).
+    /// The whole-trail accumulator `x₀^{∏ yᵢ}` over every deposit item:
+    /// a view of the deposit map, one power on the first read after a
+    /// change (Eq. 9: the value a running fold would hold). Nothing
+    /// verifies against it; [`crate::integrity::check_trail`] checks
+    /// the epochs.
     #[must_use]
     pub fn trail_accumulator(&self) -> &Ubig {
-        &self.trail_acc
+        self.trail_acc.get_or_init(|| {
+            let items: Vec<Vec<u8>> = (self.deposits.iter())
+                .map(|(glsn, deposit)| trail_item(*glsn, deposit))
+                .collect();
+            self.ctx
+                .acc_params
+                .accumulate(items.iter().map(Vec::as_slice))
+        })
     }
 
-    /// Items folded into the whole-trail accumulator.
+    /// The number of deposits in the trail.
     #[must_use]
     pub fn trail_items(&self) -> u64 {
-        self.trail_items
+        self.deposits.len() as u64
     }
 
     /// Test hook: rewrites the stored deposit for `glsn` without
@@ -995,6 +1002,7 @@ impl DlaCluster {
     /// map for the windowed-verification tests.
     #[cfg(test)]
     pub(crate) fn tamper_deposit_for_tests(&mut self, glsn: Glsn, deposit: Ubig) {
+        self.trail_acc.take();
         self.deposits.insert(glsn, deposit);
     }
 
@@ -2169,16 +2177,51 @@ mod tests {
             single.log_record(&user, r).unwrap();
         }
         assert_eq!(batched.trail_accumulator(), single.trail_accumulator());
+        // The derived view is the running fold it replaced (Eq. 9).
+        let params = single.accumulator_params();
+        let folded = (single.logged_glsns().into_iter()).fold(params.start().clone(), |acc, g| {
+            params.fold(&acc, &trail_item(g, single.deposit(g).unwrap()))
+        });
+        assert_eq!(single.trail_accumulator(), &folded);
         assert_eq!(
             batched.checkpoint_chain().head_link(),
             single.checkpoint_chain().head_link()
         );
         assert_eq!(batched.logged_glsns(), single.logged_glsns());
-        for (a, b) in batched.epoch_stats().zip(single.epoch_stats()) {
-            assert_eq!(a.acc, b.acc);
-            assert_eq!(a.deposits, b.deposits);
-            assert_eq!(a.sealed, b.sealed);
-        }
+        // Every epoch's running fold, the open one's included: the
+        // trail's one running commitment.
+        let ledger = |c: &DlaCluster| -> Vec<(EpochId, Ubig, u64, bool)> {
+            c.epoch_stats()
+                .map(|s| (s.epoch, s.acc.clone(), s.deposits, s.sealed))
+                .collect()
+        };
+        assert_eq!(ledger(&batched), ledger(&single));
+        assert!(ledger(&single)
+            .last()
+            .is_some_and(|(_, _, n, sealed)| *n == 1 && !sealed));
+    }
+
+    #[test]
+    fn a_deposit_folds_its_record_and_its_epoch_and_a_seal_folds_nothing() {
+        let mut c = epoch_cluster(2);
+        let user = c.register_user("u0").unwrap();
+        let records = paper_table1();
+        c.log_record(&user, &records[0]).unwrap();
+        let mut metered = |record| {
+            let recorder = dla_telemetry::Recorder::new();
+            {
+                let _install = recorder.install();
+                c.log_record(&user, record).unwrap();
+            }
+            recorder.take().total_cost()
+        };
+        // Into the running epoch 0: four fragments into the deposit, one
+        // item into the epoch's accumulator.
+        let running = metered(&records[1]);
+        assert_eq!((running.acc_fold, running.epoch_seals), (5, 0));
+        // Opening epoch 1 seals epoch 0; the seal adds no fold.
+        let sealing = metered(&records[2]);
+        assert_eq!((sealing.acc_fold, sealing.epoch_seals), (5, 1));
     }
 
     #[test]

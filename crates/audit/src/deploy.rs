@@ -22,8 +22,7 @@
 
 use crate::cluster::{trail_item, ClusterConfig, DlaCluster};
 use crate::exec::ExecMode;
-use crate::integrity::{check_trail, check_window, TrailVerdict};
-use crate::plan::TimeWindow;
+use crate::integrity::{check_trail, TrailVerdict};
 use crate::AuditError;
 use dla_bigint::F61;
 use dla_crypto::sha256;
@@ -100,10 +99,9 @@ pub struct WorkloadOutcome {
     pub digest: sha256::Digest,
     /// Deposit fragments shipped over the transport.
     pub deposits_shipped: usize,
-    /// Whole-trail integrity verdict after the run.
+    /// Whole-trail integrity verdict after the run
+    /// ([`crate::integrity::check_trail`]).
     pub trail: TrailVerdict,
-    /// Windowed (checkpoint-chain) integrity verdict after the run.
-    pub window: TrailVerdict,
 }
 
 impl WorkloadOutcome {
@@ -113,10 +111,10 @@ impl WorkloadOutcome {
         self.digest.iter().map(|b| format!("{b:02x}")).collect()
     }
 
-    /// Whether both integrity verdicts passed.
+    /// Whether the integrity verdict passed.
     #[must_use]
     pub fn integrity_ok(&self) -> bool {
-        self.trail.ok && self.window.ok
+        self.trail.ok
     }
 }
 
@@ -267,9 +265,8 @@ pub fn run_workload(
         .map_err(AuditError::from)?;
     answered("ranking", format!("{:?}", outcome.ascending));
 
-    // Phase 3: integrity circulation over everything deposited.
+    // Phase 3: integrity check over everything deposited.
     let trail = check_trail(cluster);
-    let window = check_window(cluster, &TimeWindow::unbounded());
 
     for run in &runs {
         hasher_input.extend_from_slice(run.protocol.as_bytes());
@@ -284,7 +281,6 @@ pub fn run_workload(
         digest,
         deposits_shipped: shipped,
         trail,
-        window,
     })
 }
 
@@ -331,7 +327,7 @@ mod tests {
         let outcome = run_workload(&cluster, &net, &spec).expect("workload");
         assert_eq!(outcome.deposits_shipped, spec.records);
         assert_eq!(outcome.runs.len(), 5);
-        assert!(outcome.integrity_ok(), "trail and window must verify");
+        assert!(outcome.integrity_ok(), "the trail must verify");
         assert!(outcome.runs.iter().all(|r| !r.answer.is_empty()));
         assert_eq!(outcome.digest_hex().len(), 64);
     }

@@ -236,41 +236,16 @@ pub struct TrailVerdict {
     pub items_folded: u64,
 }
 
-/// Full-trail baseline verification: re-derives the whole-trail
-/// accumulator `x₀^{∏ yᵢ}` over **every** deposit item (the unsharded
-/// §4.1 cost, one logical fold per deposit) and compares against the
-/// cluster's trail accumulator. The fold ladder collapses to one power
-/// of `x₀` (Eq. 9), bit-identical to folding item by item, and goes
-/// through [`dla_crypto::accumulator::AccumulatorParams::power_of_start`]
-/// — but its exponent is the whole trail long (262 144 bits at 1 024
-/// records), four times the longest comb the fixed-base evaluator
-/// keeps, so it is cut into comb-length chunks: the multiplications of
-/// each chunk ride the comb's table, the squarings that lift one chunk
-/// above the next — one a bit, three quarters of the trail's length —
-/// are paid every call, as a ladder pays them. O(total trail)
-/// regardless of how narrow the audit is, and about three quarters of
-/// a ladder's steps; the windowed check below is the one whose power
-/// is a table walk.
+/// Full-trail verification: [`check_window`] over the unbounded window
+/// — every epoch against its commitment, plus coverage. Every deposit
+/// lands in exactly one epoch, whose digest and item count the verified
+/// chain holds (the open epoch's, its running accumulator), so a
+/// rewritten, added or removed deposit breaks its epoch's claim or the
+/// count; coverage catches a deposit beyond every epoch's extent, which
+/// no epoch would refold.
 #[must_use]
 pub fn check_trail(cluster: &DlaCluster) -> TrailVerdict {
-    let params = cluster.accumulator_params();
-    let items: Vec<Vec<u8>> = cluster
-        .logged_glsns()
-        .into_iter()
-        .map(|glsn| {
-            let deposit = cluster.deposit(glsn).expect("logged glsns have deposits");
-            crate::cluster::trail_item(glsn, deposit)
-        })
-        .collect();
-    let refs: Vec<&[u8]> = items.iter().map(Vec::as_slice).collect();
-    let acc = params.accumulate_batch(&refs);
-    let items_folded = refs.len() as u64;
-    TrailVerdict {
-        ok: acc == *cluster.trail_accumulator() && items_folded == cluster.trail_items(),
-        chain_ok: true,
-        epochs_checked: 1,
-        items_folded,
-    }
+    check_window(cluster, &crate::plan::TimeWindow::unbounded())
 }
 
 /// Windowed verification over the epoch-sharded trail: verifies the
@@ -278,7 +253,8 @@ pub fn check_trail(cluster: &DlaCluster) -> TrailVerdict {
 /// folds), then re-derives the accumulator of **only** the epochs whose
 /// observed time range intersects `window` — sealed epochs against
 /// their checkpointed digests, the open epoch against the running
-/// accumulator. An unbounded window verifies every epoch.
+/// accumulator. An unbounded window verifies every epoch and also
+/// requires that they refolded every deposit in the map (coverage).
 ///
 /// Cost is proportional to the deposits inside the queried window, not
 /// the trail length — the point of epoch sharding: each selected epoch
@@ -336,6 +312,9 @@ pub fn check_window(cluster: &DlaCluster, window: &crate::plan::TimeWindow) -> T
         claims.push((digest.clone(), exponent));
     }
     ok &= params.batch_verify(&claims);
+    if window.is_unbounded() {
+        ok &= items_folded == cluster.trail_items();
+    }
 
     TrailVerdict {
         ok,
@@ -367,11 +346,11 @@ impl FederatedTrailVerdict {
     }
 }
 
-/// Federated [`check_trail`]: full-trail verification of sub-ring
+/// Federated [`check_trail`]: every-epoch verification of sub-ring
 /// `ring` **plus** the root accumulator cross-check. A sub-ring that
 /// rewrites a deposit fails the local leg; one that rewrites a *sealed,
 /// published* epoch (consistently, journal and all) passes its own
-/// refold but fails the root leg — the published checkpoint no longer
+/// check but fails the root leg — the published checkpoint no longer
 /// matches its chain and the global fold cannot be reproduced from the
 /// rings' current heads.
 #[must_use]
@@ -668,8 +647,26 @@ mod tests {
     fn full_trail_check_passes_and_folds_everything() {
         let (cluster, glsns) = epoch_loaded();
         let verdict = check_trail(&cluster);
-        assert!(verdict.ok);
+        assert!(verdict.ok && verdict.chain_ok);
         assert_eq!(verdict.items_folded, glsns.len() as u64);
+        assert_eq!(verdict.epochs_checked, 3);
+    }
+
+    #[test]
+    fn a_deposit_beyond_every_epoch_s_extent_fails_the_trail_check() {
+        // One glsn past the open epoch's observed extent, and one in an
+        // epoch no deposit opened: no epoch's refold reads either.
+        for offset in [1, 10] {
+            let (mut cluster, glsns) = epoch_loaded();
+            let last = *glsns.last().unwrap();
+            cluster.tamper_deposit_for_tests(Glsn(last.0 + offset), Ubig::from_u64(12345));
+            let verdict = check_trail(&cluster);
+            assert!(!verdict.ok, "+{offset}: an unfolded deposit must fail");
+            assert!(verdict.chain_ok, "no sealed epoch was touched");
+            assert_eq!(verdict.items_folded, glsns.len() as u64, "no epoch read it");
+            // A window that selects epochs vouches for those alone.
+            assert!(check_window(&cluster, &window_of(&cluster, 0)).ok);
+        }
     }
 
     #[test]

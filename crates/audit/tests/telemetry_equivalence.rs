@@ -6,8 +6,8 @@
 //!
 //! Also exercises the cluster-level meta-audit trail: ordinary
 //! operation journals deposits/registrations, the trail verifies
-//! untampered, and a truncated or reordered presentation fails the
-//! accumulator check.
+//! untampered, and a truncated, reordered, rewritten or empty
+//! presentation fails the hash chain.
 
 use dla_audit::cluster::{ClusterConfig, DlaCluster};
 use dla_audit::meta::MetaAuditTrail;
@@ -101,7 +101,7 @@ fn uninstrumented_run_is_identical_to_instrumented_run() {
 }
 
 /// Ordinary cluster operation populates the meta-audit trail, and the
-/// trail's commitments catch truncation and reordering.
+/// trail's chain head catches truncation, reordering and rewriting.
 #[test]
 fn cluster_meta_audit_trail_verifies_and_detects_tampering() {
     let mut cluster = loaded(78);
@@ -115,14 +115,9 @@ fn cluster_meta_audit_trail_verifies_and_detects_tampering() {
     trail.verify().expect("untampered trail verifies");
 
     // Truncated presentation: drop the newest record.
-    let err = MetaAuditTrail::verify_presented(
-        &trail.records()[..trail.len() - 1],
-        trail.head(),
-        trail.accumulator(),
-        cluster.accumulator_params(),
-    )
-    .unwrap_err();
-    assert!(err.to_string().contains("accumulator mismatch"), "{err}");
+    let err = MetaAuditTrail::verify_presented(&trail.records()[..trail.len() - 1], trail.head())
+        .unwrap_err();
+    assert!(err.to_string().contains("chain head mismatch"), "{err}");
 
     // Reordered presentation, seq fields patched to look consistent.
     let mut swapped = trail.records().to_vec();
@@ -130,12 +125,14 @@ fn cluster_meta_audit_trail_verifies_and_detects_tampering() {
     let (a, b) = (swapped[1].seq, swapped[2].seq);
     swapped[1].seq = a.min(b);
     swapped[2].seq = a.max(b);
-    let err = MetaAuditTrail::verify_presented(
-        &swapped,
-        trail.head(),
-        trail.accumulator(),
-        cluster.accumulator_params(),
-    )
-    .unwrap_err();
-    assert!(err.to_string().contains("accumulator mismatch"), "{err}");
+    let err = MetaAuditTrail::verify_presented(&swapped, trail.head()).unwrap_err();
+    assert!(err.to_string().contains("chain head mismatch"), "{err}");
+
+    // Rewritten presentation, and an empty one.
+    let mut edited = trail.records().to_vec();
+    edited[1].detail.push_str(" (rewritten)");
+    let err = MetaAuditTrail::verify_presented(&edited, trail.head()).unwrap_err();
+    assert!(err.to_string().contains("chain head mismatch"), "{err}");
+    let err = MetaAuditTrail::verify_presented(&[], trail.head()).unwrap_err();
+    assert!(err.to_string().contains("chain head mismatch"), "{err}");
 }

@@ -3,7 +3,7 @@
 //!
 //! * windowed integrity verification (`integrity::check_window`) folds
 //!   only the deposits of the epochs overlapping the window — a
-//!   constant as the trail grows — while the unsharded baseline
+//!   constant as the trail grows — while the every-epoch check
 //!   (`integrity::check_trail`) re-folds every deposit ever logged,
 //! * the epoch-pruned executor returns byte-identical answers to an
 //!   effectively unsharded cluster (one epoch spanning the whole

@@ -304,8 +304,7 @@ impl FixedBase {
         for (i, row) in self.rows.iter().enumerate() {
             let mut v = 0usize;
             for b in 0..w {
-                let bit = i * w + b;
-                if bit < exp.bit_len() && exp.bit(bit) {
+                if exp.bit(i * w + b) {
                     v |= 1 << b;
                 }
             }

@@ -8,12 +8,6 @@
 
 use crate::Ubig;
 
-/// `(a + b) mod m`. Operands need not be reduced.
-#[must_use]
-pub fn modadd(a: &Ubig, b: &Ubig, m: &Ubig) -> Ubig {
-    (a + b) % m
-}
-
 /// `(a - b) mod m` for already-reduced operands (`a, b < m`).
 ///
 /// # Panics

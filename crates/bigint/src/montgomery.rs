@@ -823,18 +823,6 @@ impl MontgomeryContext {
     /// cost-indistinguishable.
     #[must_use]
     pub fn modexp_batch(&self, bases: &[Ubig], exp: &Ubig) -> Vec<Ubig> {
-        self.modexp_batch_inner(bases, exp, true)
-    }
-
-    /// Batch exponentiation pinned to the generic slice kernel — the
-    /// PR 4 behaviour, kept as the differential oracle for the
-    /// fixed-width kernel.
-    #[must_use]
-    pub fn modexp_batch_generic(&self, bases: &[Ubig], exp: &Ubig) -> Vec<Ubig> {
-        self.modexp_batch_inner(bases, exp, false)
-    }
-
-    fn modexp_batch_inner(&self, bases: &[Ubig], exp: &Ubig, accel: bool) -> Vec<Ubig> {
         if bases.is_empty() {
             return Vec::new();
         }
@@ -846,12 +834,12 @@ impl MontgomeryContext {
         let window = window_width(exp.bit_len());
         let plan = window_plan(exp, window);
         let mut total_steps = 0u64;
-        let out: Vec<Ubig> = if accel && self.k() == 4 {
+        let out: Vec<Ubig> = if self.k() == 4 {
             let f = FixedCtx::<4>::from_ctx(self).expect("k() == 4");
             let (out, steps) = f.run_plan_batch(bases, &plan, window, self);
             total_steps += steps;
             out
-        } else if accel && self.k() == 8 {
+        } else if self.k() == 8 {
             let f = FixedCtx::<8>::from_ctx(self).expect("k() == 8");
             let (out, steps) = f.run_plan_batch(bases, &plan, window, self);
             total_steps += steps;

@@ -54,8 +54,7 @@ pub fn multi_exp(ctx: &MontgomeryContext, terms: &[(Ubig, Ubig)]) -> Ubig {
 fn digit(exp: &Ubig, d: usize, w: usize) -> usize {
     let mut v = 0usize;
     for b in 0..w {
-        let bit = d * w + b;
-        if bit < exp.bit_len() && exp.bit(bit) {
+        if exp.bit(d * w + b) {
             v |= 1 << b;
         }
     }

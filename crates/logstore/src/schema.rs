@@ -3,7 +3,7 @@
 //! *undefined* attributes that drives the paper's store-confidentiality
 //! metric (§5).
 
-use crate::model::{AttrName, AttrType, AttrValue, LogRecord};
+use crate::model::{AttrName, AttrType, LogRecord};
 use crate::LogError;
 use std::fmt;
 
@@ -164,26 +164,6 @@ impl Schema {
         }
         Ok(())
     }
-
-    /// Validates a value for one attribute.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LogError::Schema`] if the attribute is unknown or the
-    /// type mismatches.
-    pub fn validate_value(&self, name: &AttrName, value: &AttrValue) -> Result<(), LogError> {
-        let def = self
-            .get(name)
-            .ok_or_else(|| LogError::Schema(format!("attribute {name} not in schema")))?;
-        if def.attr_type != value.attr_type() {
-            return Err(LogError::Schema(format!(
-                "attribute {name}: expected {}, got {}",
-                def.attr_type,
-                value.attr_type()
-            )));
-        }
-        Ok(())
-    }
 }
 
 impl fmt::Display for Schema {
@@ -208,7 +188,7 @@ impl fmt::Display for Schema {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::Glsn;
+    use crate::model::{AttrValue, Glsn};
 
     #[test]
     fn paper_schema_shape() {

@@ -74,35 +74,6 @@ pub enum CostKind {
     AnswerHit,
 }
 
-impl CostKind {
-    /// Stable lowercase identifier (the key [`CostVector::entries`] uses).
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            CostKind::ModExp => "modexp",
-            CostKind::MontMulStep => "mont_mul_steps",
-            CostKind::FixedBaseTableBuild => "fixed_base_builds",
-            CostKind::MultiExpTerm => "multi_exp_terms",
-            CostKind::ModInverse => "modinv",
-            CostKind::AccumulatorFold => "acc_fold",
-            CostKind::ShamirEval => "shamir_eval",
-            CostKind::MsgSent => "messages_sent",
-            CostKind::BytesSent => "bytes_sent",
-            CostKind::MsgDelivered => "messages_delivered",
-            CostKind::Retransmit => "retransmits",
-            CostKind::Timeout => "timeouts",
-            CostKind::Round => "rounds",
-            CostKind::EpochSeal => "epoch_seals",
-            CostKind::DepositBatch => "deposit_batches",
-            CostKind::PartialMaterialize => "partials_materialized",
-            CostKind::PartialCombine => "partials_combined",
-            CostKind::StandingDelta => "standing_deltas",
-            CostKind::SealedEpochHit => "sealed_epoch_hits",
-            CostKind::AnswerHit => "answer_hits",
-        }
-    }
-}
-
 /// Aggregated operation counts for one attribution bucket.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CostVector {

@@ -8,12 +8,11 @@
 //! therefore detect a truncated, reordered or rewritten activity log.
 //!
 //! The hash function is injected (`fn(&[u8]) -> Vec<u8>`) so this crate
-//! stays dependency-free; the audit layer wires in its SHA-256 and
-//! additionally folds each link into the paper's one-way accumulator
-//! (§4.1). Position binding matters for that second check: the
-//! accumulator is quasi-commutative, so only because verification
-//! recomputes item `i` from the record *at index `i`* does a reordered
-//! journal produce a different accumulated value.
+//! stays dependency-free; the audit layer wires in its SHA-256, and the
+//! chain is the trail's one commitment: a presented sequence that
+//! reproduces the head is the journaled one unless the hash collides.
+//! Verification recomputes link `i` from the record *at index `i`*, so
+//! a reordered journal fails even with its `seq` fields patched.
 
 use std::fmt;
 

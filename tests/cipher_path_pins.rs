@@ -91,7 +91,7 @@ fn channel_digest(spec: &WorkloadSpec) -> String {
         Arc::new(VirtualClock::new()),
     );
     let outcome = run_workload(&cluster, &net, spec).expect("channel workload");
-    assert!(outcome.integrity_ok(), "trail and window must verify");
+    assert!(outcome.integrity_ok(), "the trail must verify");
     outcome.digest_hex()
 }
 
