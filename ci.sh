@@ -22,7 +22,7 @@ if command -v taskset >/dev/null 2>&1; then
     # One CPU is the schedule the benchmark measures, and the one where
     # hand-off ordering bugs in the socket transport surface — and where
     # the executor's scoped workers interleave with a lookup of what the
-    # holders and the engine keep.
+    # engine keeps.
     taskset -c 0 cargo test -q --release -p dla-net --test tcp_transport
     taskset -c 0 cargo test -q --release --test warm_cold
 fi
@@ -87,9 +87,11 @@ for json in BENCH_*.json telemetry_trace.json; do
     fi
 done
 
-echo "==> the runs above reproduced every committed snapshot"
+echo "==> the runs above reproduced every committed snapshot and left the benchmark alone"
 # (telemetry_trace.json is named for the day it is committed: today it
-# is git-ignored, because worker threads race for span ids.)
-git diff --exit-code -- 'BENCH_*.json' telemetry_trace.json
+# is git-ignored, because worker threads race for span ids.) The
+# benchmark is frozen: a build that rewrites benchmark/Cargo.lock — a
+# crate's dependency list moved — fails here instead of slipping through.
+git diff --exit-code -- 'BENCH_*.json' telemetry_trace.json benchmark BENCHMARK.json
 
 echo "CI OK"

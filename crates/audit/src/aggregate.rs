@@ -164,11 +164,6 @@ pub struct WindowedAggregate {
     pub fragments_scanned: u64,
 }
 
-/// Whether `t` satisfies the window's inclusive bounds.
-fn in_window(window: &TimeWindow, t: u64) -> bool {
-    window.lo.is_none_or(|lo| t >= lo) && window.hi.is_none_or(|hi| t <= hi)
-}
-
 /// Counts (and optionally sums over) the records whose `attr` equals
 /// the text `value`, restricted to `window` over the `time` attribute.
 /// Records without a `time` are excluded whenever the window is
@@ -253,7 +248,7 @@ pub fn windowed_bucket_aggregate(
                 let Some(t) = record_time(frag.glsn) else {
                     continue;
                 };
-                if !in_window(window, t) {
+                if !window.covers(t, t) {
                     continue;
                 }
             }
@@ -279,22 +274,10 @@ pub fn windowed_bucket_aggregate(
             // An adopter folded no partials for the fragments it
             // adopted: the retired home's summaries went with it.
             let summarized = owner == home;
-            for stats in cluster.epoch_stats() {
-                if bounded {
-                    // A bounded window needs timed records; an epoch
-                    // with none, or whose extent misses the window,
-                    // contributes nothing.
-                    let (Some(t_lo), Some(t_hi)) = (stats.time_lo, stats.time_hi) else {
-                        continue;
-                    };
-                    if !window.intersects(t_lo, t_hi) {
-                        continue;
-                    }
-                    if !(summarized && stats.sealed && stats.timed_within(window)) {
-                        scan_epoch(stats.epoch, &mut out);
-                        continue;
-                    }
-                } else if !(summarized && stats.sealed) {
+            // An epoch the window does not touch contributes nothing.
+            for stats in cluster.epoch_stats().filter(|s| s.touches(window)) {
+                let covered = !bounded || stats.timed_within(window);
+                if !(summarized && stats.sealed && covered) {
                     scan_epoch(stats.epoch, &mut out);
                     continue;
                 }
@@ -580,7 +563,7 @@ mod tests {
             ] {
                 let oracle = workload.iter().filter(|r| {
                     r.get(&attr) == Some(&AttrValue::text("UDP"))
-                        && window.intersects(record_time(r), record_time(r))
+                        && window.covers(record_time(r), record_time(r))
                 });
                 let sum = |r: &dla_logstore::model::LogRecord| match r.get(&sum_attr) {
                     Some(AttrValue::Int(v)) => *v,

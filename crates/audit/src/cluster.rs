@@ -2,7 +2,7 @@
 //! fragments, an auditor engine, application users logging through
 //! tickets, and the simulated network tying them together.
 
-use crate::kept::{ClauseKey, KeptResults, QueryKey};
+use crate::kept::KeptResults;
 use crate::AuditError;
 use dla_bigint::Ubig;
 use dla_crypto::accumulator::{AccumulatorParams, CheckpointChain};
@@ -25,7 +25,7 @@ use rand::SeedableRng;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// Configuration for [`DlaCluster::new`].
 #[derive(Clone, Debug)]
@@ -199,6 +199,17 @@ impl EpochStats {
         self.timed == self.deposits && extent.is_some_and(|(lo, hi)| window.covers(lo, hi))
     }
 
+    /// Whether a query confined to `window` has to look at the epoch:
+    /// always for an unbounded window, else when the time extent noted
+    /// at deposit meets it. An epoch that saw no `time` is outside every
+    /// bounded window — a record without a time cannot satisfy a time
+    /// predicate under the lenient §5 evaluation.
+    #[must_use]
+    pub fn touches(&self, window: &crate::plan::TimeWindow) -> bool {
+        let extent = self.time_lo.zip(self.time_hi);
+        window.is_unbounded() || extent.is_some_and(|(lo, hi)| window.intersects(lo, hi))
+    }
+
     fn open(epoch: EpochId, acc0: Ubig) -> Self {
         EpochStats {
             epoch,
@@ -309,63 +320,15 @@ impl RereplicationReport {
     }
 }
 
-/// The immutable, shareable cluster context: schema, partition and
-/// crypto domains. Every concurrent subquery session reads these
-/// without coordination — only per-node stores and the network carry
-/// mutable state.
-#[derive(Debug)]
-pub struct ClusterCtx {
-    schema: Schema,
-    partition: Partition,
-    group: SchnorrGroup,
-    domain: CommutativeDomain,
-    acc_params: AccumulatorParams,
-}
-
-impl ClusterCtx {
-    /// The schema.
-    #[must_use]
-    pub fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    /// The attribute partition.
-    #[must_use]
-    pub fn partition(&self) -> &Partition {
-        &self.partition
-    }
-
-    /// The Schnorr group (tickets, signatures).
-    #[must_use]
-    pub fn group(&self) -> &SchnorrGroup {
-        &self.group
-    }
-
-    /// The commutative-encryption domain shared by the cluster.
-    #[must_use]
-    pub fn domain(&self) -> &CommutativeDomain {
-        &self.domain
-    }
-
-    /// The accumulator parameters (§4.1).
-    #[must_use]
-    pub fn accumulator_params(&self) -> &AccumulatorParams {
-        &self.acc_params
-    }
-}
-
-/// One DLA node: its fragment store, the attributes it serves, and
-/// what it keeps of the cross subqueries it held ([`crate::kept`]).
+/// One DLA node: its fragment store and the attributes it serves.
 ///
 /// The store sits behind a read/write lock so concurrent subquery
 /// sessions can scan different (or the same) nodes from worker threads
-/// while mutation (logging, tampering test hooks) takes the write lock;
-/// the kept sets sit behind a lock of their own for the same reason.
+/// while mutation (logging, tampering test hooks) takes the write lock.
 pub struct DlaNode {
     id: usize,
     attrs: Vec<AttrName>,
     store: RwLock<FragmentStore>,
-    kept: Mutex<KeptResults<ClauseKey>>,
 }
 
 impl fmt::Debug for DlaNode {
@@ -402,12 +365,6 @@ impl DlaNode {
     pub fn store_mut(&self) -> RwLockWriteGuard<'_, FragmentStore> {
         self.store.write()
     }
-
-    /// The clause sets this node keeps per sealed epoch from the cross
-    /// subqueries it held. Memory only: never journaled, never sent.
-    pub fn kept(&self) -> MutexGuard<'_, KeptResults<ClauseKey>> {
-        self.kept.lock()
-    }
 }
 
 /// A registered application user (`u_j ∈ U`).
@@ -432,7 +389,13 @@ impl AppUser {
 
 /// The assembled DLA cluster.
 pub struct DlaCluster {
-    ctx: Arc<ClusterCtx>,
+    schema: Schema,
+    /// The configured attribute partition; the one in force is
+    /// [`DlaCluster::effective_partition`].
+    partition: Partition,
+    group: SchnorrGroup,
+    domain: CommutativeDomain,
+    acc_params: AccumulatorParams,
     nodes: Vec<DlaNode>,
     net: SharedNet,
     seed: u64,
@@ -482,10 +445,10 @@ pub struct DlaCluster {
     /// epoch seal (see [`crate::standing`]).
     standing: crate::standing::StandingRegistry,
     /// What the auditor engine keeps of the answers revealed to it, per
-    /// sealed epoch ([`crate::kept`]). Behind a lock of its own: shared
-    /// queries ([`DlaCluster::query_shared`]) look up and file from many
-    /// threads.
-    kept: Mutex<KeptResults<QueryKey>>,
+    /// sealed epoch ([`crate::kept`]) — the cluster's one memory of
+    /// answers. Behind a lock of its own: shared queries
+    /// ([`DlaCluster::query_shared`]) look up and file from many threads.
+    kept: Mutex<KeptResults>,
 }
 
 impl fmt::Debug for DlaCluster {
@@ -554,7 +517,6 @@ impl DlaCluster {
                     id: i,
                     attrs: partition.attrs_of(i).to_vec(),
                     store: RwLock::new(store),
-                    kept: Mutex::default(),
                 })
             })
             .collect::<Result<_, AuditError>>()?;
@@ -572,13 +534,11 @@ impl DlaCluster {
         let mut cluster = DlaCluster {
             meta: crate::meta::MetaAuditTrail::new(),
             trail_acc: OnceLock::new(),
-            ctx: Arc::new(ClusterCtx {
-                schema: config.schema,
-                partition,
-                group,
-                domain: CommutativeDomain::fixed_256(),
-                acc_params,
-            }),
+            schema: config.schema,
+            partition,
+            group,
+            domain: CommutativeDomain::fixed_256(),
+            acc_params,
             nodes,
             net: SharedNet::new(net),
             seed: config.seed,
@@ -688,7 +648,7 @@ impl DlaCluster {
     /// cluster journal has just taken and with the deposits replayed
     /// from it.
     fn absorb(&mut self, batch: Vec<DepositRecord>) -> Result<(), AuditError> {
-        let acc_params = &self.ctx.acc_params;
+        let acc_params = &self.acc_params;
         self.trail_acc.take();
         let mut groups: BTreeMap<EpochId, Vec<Vec<u8>>> = BTreeMap::new();
         for record in batch {
@@ -735,7 +695,7 @@ impl DlaCluster {
                 "epoch {epoch} sealed out of order"
             )));
         }
-        let acc0 = self.ctx.acc_params.start();
+        let acc0 = self.acc_params.start();
         let stats = self
             .epoch_stats
             .entry(epoch)
@@ -759,23 +719,16 @@ impl DlaCluster {
         Ok(items)
     }
 
-    /// The immutable shared context (schema, partition, crypto
-    /// domains). Cheap to clone out for worker threads.
-    #[must_use]
-    pub fn ctx(&self) -> &Arc<ClusterCtx> {
-        &self.ctx
-    }
-
     /// The schema.
     #[must_use]
     pub fn schema(&self) -> &Schema {
-        &self.ctx.schema
+        &self.schema
     }
 
     /// The attribute partition.
     #[must_use]
     pub fn partition(&self) -> &Partition {
-        &self.ctx.partition
+        &self.partition
     }
 
     /// The DLA nodes.
@@ -829,19 +782,19 @@ impl DlaCluster {
     /// The commutative-encryption domain shared by the cluster.
     #[must_use]
     pub fn domain(&self) -> &CommutativeDomain {
-        &self.ctx.domain
+        &self.domain
     }
 
     /// The Schnorr group (tickets, signatures).
     #[must_use]
     pub fn group(&self) -> &SchnorrGroup {
-        &self.ctx.group
+        &self.group
     }
 
     /// The accumulator parameters (§4.1).
     #[must_use]
     pub fn accumulator_params(&self) -> &AccumulatorParams {
-        &self.ctx.acc_params
+        &self.acc_params
     }
 
     /// Locks the network for inspection and scripting: stats, clocks,
@@ -959,7 +912,7 @@ impl DlaCluster {
     /// queries revealed to it ([`crate::exec::execute_on`] with
     /// `reveal = true`). Memory only: never journaled, never sent;
     /// `clear()` makes the next asking of every query a cold one.
-    pub fn kept(&self) -> MutexGuard<'_, KeptResults<QueryKey>> {
+    pub fn kept(&self) -> MutexGuard<'_, KeptResults> {
         self.kept.lock()
     }
 
@@ -985,9 +938,7 @@ impl DlaCluster {
             let items: Vec<Vec<u8>> = (self.deposits.iter())
                 .map(|(glsn, deposit)| trail_item(*glsn, deposit))
                 .collect();
-            self.ctx
-                .acc_params
-                .accumulate(items.iter().map(Vec::as_slice))
+            self.acc_params.accumulate(items.iter().map(Vec::as_slice))
         })
     }
 
@@ -1018,28 +969,20 @@ impl DlaCluster {
     }
 
     /// The glsn range scans need to cover for a query confined to
-    /// `window`: the union of glsn extents over epochs whose observed
-    /// time range intersects it.
+    /// `window`: the union of glsn extents over the epochs it touches
+    /// ([`EpochStats::touches`]), so skipping the others never drops an
+    /// answer.
     ///
-    /// `None` means "no pruning" (window unbounded). Epochs that never
-    /// saw a `time` attribute are excluded — records without a time
-    /// cannot satisfy a time predicate under the lenient §5 evaluation,
-    /// so skipping them never drops an answer. When no epoch intersects,
-    /// the inverted sentinel `(Glsn(1), Glsn(0))` is returned: scans see
-    /// an empty range.
+    /// `None` means "no pruning" (window unbounded). When no epoch is
+    /// touched, the inverted sentinel `(Glsn(1), Glsn(0))` is returned:
+    /// scans see an empty range.
     #[must_use]
     pub fn glsn_window_for(&self, window: &crate::plan::TimeWindow) -> Option<(Glsn, Glsn)> {
         if window.is_unbounded() {
             return None;
         }
         let mut out: Option<(Glsn, Glsn)> = None;
-        for stats in self.epoch_stats.values() {
-            let (Some(t_lo), Some(t_hi)) = (stats.time_lo, stats.time_hi) else {
-                continue;
-            };
-            if !window.intersects(t_lo, t_hi) {
-                continue;
-            }
+        for stats in self.epoch_stats.values().filter(|s| s.touches(window)) {
             out = Some(match out {
                 None => (stats.glsn_lo, stats.glsn_hi),
                 Some((lo, hi)) => (lo.min(stats.glsn_lo), hi.max(stats.glsn_hi)),
@@ -1063,7 +1006,7 @@ impl DlaCluster {
         }
         let node = NodeId(self.nodes.len() + 2 + self.users);
         self.users += 1;
-        let key = SchnorrKeyPair::generate(&self.ctx.group, &mut self.rng);
+        let key = SchnorrKeyPair::generate(&self.group, &mut self.rng);
         let ticket = self
             .authority
             .issue(key.public(), OperationSet::read_write(), &mut self.rng);
@@ -1113,8 +1056,7 @@ impl DlaCluster {
         user: &AppUser,
         record: &LogRecord,
     ) -> Result<DepositRecord, AuditError> {
-        self.ctx
-            .schema
+        self.schema
             .validate(record)
             .map_err(|e| AuditError::Log(e.to_string()))?;
         let glsn = self.allocator.allocate();
@@ -1122,11 +1064,11 @@ impl DlaCluster {
         for (name, value) in record.iter() {
             stamped.insert(name.clone(), value.clone());
         }
-        let fragments = fragment(&stamped, &self.ctx.partition);
+        let fragments = fragment(&stamped, &self.partition);
 
         // The user computes the deposit over all fragments (§4.1:
         // "it also computes the one-way accumulator of all fragments").
-        let deposit = self.ctx.acc_params.accumulate(
+        let deposit = self.acc_params.accumulate(
             fragments
                 .iter()
                 .map(Fragment::to_canonical_bytes)
@@ -1276,7 +1218,7 @@ impl DlaCluster {
         &mut self,
         criteria: &str,
     ) -> Result<crate::standing::StandingQueryId, AuditError> {
-        let normalized = crate::plan::compile(criteria, &self.ctx.schema)?;
+        let normalized = crate::plan::compile(criteria, &self.schema)?;
         // Fail registration, not some later seal, on an unplannable
         // query.
         self.plan(&normalized)?;
@@ -1312,12 +1254,6 @@ impl DlaCluster {
     #[must_use]
     pub fn standing_matches(&self, id: crate::standing::StandingQueryId) -> Option<Vec<Glsn>> {
         self.standing.matches(id)
-    }
-
-    /// The standing-query registry (read access for reporting).
-    #[must_use]
-    pub fn standing(&self) -> &crate::standing::StandingRegistry {
-        &self.standing
     }
 
     /// Evaluates standing query `id` over exactly `epoch`'s glsn range
@@ -1399,7 +1335,7 @@ impl DlaCluster {
             .get(&glsn)
             .ok_or_else(|| AuditError::Integrity(format!("no deposit for glsn {glsn}")))?;
         Ok(dla_crypto::schnorr::verify(
-            &self.ctx.group,
+            &self.group,
             public,
             &origin_message(glsn, deposit),
             signature,
@@ -1467,7 +1403,7 @@ impl DlaCluster {
     ///
     /// Returns [`AuditError`] on parse/type/plan failures.
     pub fn compile(&self, criteria: &str) -> Result<crate::plan::QueryPlan, AuditError> {
-        self.plan(&crate::plan::compile(criteria, &self.ctx.schema)?)
+        self.plan(&crate::plan::compile(criteria, &self.schema)?)
     }
 
     /// Compiles and executes an auditing query, returning the
@@ -1490,7 +1426,7 @@ impl DlaCluster {
         &mut self,
         criteria: &crate::query::Criteria,
     ) -> Result<crate::exec::QueryResult, AuditError> {
-        let plan = self.plan(&crate::plan::compile_criteria(criteria, &self.ctx.schema)?)?;
+        let plan = self.plan(&crate::plan::compile_criteria(criteria, &self.schema)?)?;
         crate::exec::execute(self, &plan, true)
     }
 
@@ -1533,7 +1469,7 @@ impl DlaCluster {
         criteria: &str,
         policy: &crate::exec::ResilientPolicy,
     ) -> Result<crate::exec::ResilientOutcome, AuditError> {
-        let normalized = crate::plan::compile(criteria, &self.ctx.schema)?;
+        let normalized = crate::plan::compile(criteria, &self.schema)?;
         crate::exec::execute_resilient(self, &normalized, policy)
     }
 
@@ -1555,7 +1491,7 @@ impl DlaCluster {
     /// reassigned to its adopter, in retirement order.
     #[must_use]
     pub fn effective_partition(&self) -> Partition {
-        let mut partition = self.ctx.partition.clone();
+        let mut partition = self.partition.clone();
         for &(dead, adopter) in &self.retired {
             partition = partition
                 .reassign(dead, adopter)
@@ -1606,7 +1542,7 @@ impl DlaCluster {
             })
         };
         Ok((
-            node_of(&self.ctx.partition)?,
+            node_of(&self.partition)?,
             node_of(&self.effective_partition())?,
         ))
     }
@@ -1666,11 +1602,9 @@ impl DlaCluster {
             });
             self.retired.push((d, adopter));
         }
-        // The partition in force moved: what the holders and the
-        // engine kept was planned, and partly computed, on the nodes
-        // just retired.
+        // The partition in force moved: what the engine kept was
+        // planned, and partly computed, on the nodes just retired.
         if !adoptions.is_empty() {
-            self.nodes.iter().for_each(|node| node.kept().clear());
             self.kept().clear();
         }
 

@@ -28,20 +28,14 @@
 //!
 //! # A sealed epoch is asked once
 //!
-//! A sealed epoch is immutable and committed, so the part of a cross
-//! clause's set that lies in one is the same every time. The node the
-//! set is delivered to keeps it per `(clause, sealed epoch)`
-//! ([`crate::kept`]), and a cross subquery runs its scans, joins and
-//! union only over the glsn range no kept epoch covers — the open epoch
-//! at least, the whole window the first time.
-//!
-//! The auditor engine — the party the final `∩ₛ` reveals to — does the
-//! same one level up: it keeps every revealed answer per
-//! `(query, sealed epoch)` and [`execute_on`] runs the plan, subqueries
-//! and conjunction alike, only over the glsn runs of epochs it cannot
-//! serve. Nothing at all is sent when it can serve them all. A
-//! `reveal = false` run neither reads nor files: it is owed one count,
-//! and a per-epoch split of it would tell the engine more.
+//! A sealed epoch is immutable and committed, so the part of an answer
+//! that lies in one is the same every time. The auditor engine — the
+//! party the final `∩ₛ` reveals to — keeps every revealed answer per
+//! `(query, sealed epoch)` ([`crate::kept`]), and [`execute_on`] runs
+//! the plan, subqueries and conjunction alike, only over the glsn runs
+//! of epochs it cannot serve. Nothing at all is sent when it can serve
+//! them all. A `reveal = false` run neither reads nor files: it is owed
+//! one count, and a per-epoch split of it would tell the engine more.
 //!
 //! # Entry points
 //!
@@ -54,8 +48,7 @@
 //! was called.
 
 use crate::cluster::DlaCluster;
-use crate::cluster::EpochStats;
-use crate::kept::{ClauseKey, QueryKey};
+use crate::kept::QueryKey;
 use crate::plan::{LiteralStep, QueryPlan, Subquery, SubqueryKind};
 use crate::query::{EvalError, Predicate};
 use crate::AuditError;
@@ -178,18 +171,6 @@ fn intersect_glsn_windows(
     }
 }
 
-/// Sealed, non-empty epochs whose every deposit lies inside `window`:
-/// the only ones anybody keeps an answer for, or files one under.
-fn sealed_inside(
-    cluster: &DlaCluster,
-    window: Option<(Glsn, Glsn)>,
-) -> impl Iterator<Item = &EpochStats> {
-    cluster
-        .epoch_stats()
-        .filter(|s| s.sealed && s.deposits > 0)
-        .filter(move |s| window.is_none_or(|(lo, hi)| lo <= s.glsn_lo && s.glsn_hi <= hi))
-}
-
 /// Seed of the `run`-th cold run [`execute_on`] makes for one query:
 /// the first is the query's own, so a query that is served nothing has
 /// the transcript it always had. Public so that a warm transcript can be
@@ -279,9 +260,14 @@ pub fn execute_on(
         let revisions: Vec<u64> = (key.nodes().iter())
             .map(|&n| cluster.node(n).store().revision())
             .collect();
-        let mut missing: BTreeMap<EpochId, Vec<Glsn>> = sealed_inside(cluster, window)
-            .filter(|stats| bounds.iter().all(|bound| stats.timed_within(bound)))
-            .map(|stats| (stats.epoch, Vec::new()))
+        // Sealed, non-empty epochs whose every deposit lies inside the
+        // window and is timed inside every bound: the only ones an answer
+        // is kept for, or filed under.
+        let inside = |lo, hi| window.is_none_or(|(from, to)| from <= lo && hi <= to);
+        let mut missing: BTreeMap<EpochId, Vec<Glsn>> = (cluster.epoch_stats())
+            .filter(|s| s.sealed && s.deposits > 0 && inside(s.glsn_lo, s.glsn_hi))
+            .filter(|s| bounds.iter().all(|bound| s.timed_within(bound)))
+            .map(|s| (s.epoch, Vec::new()))
             .collect();
         if let Some(kept) = cluster.kept().lookup(&key, &revisions) {
             // The window minus the glsn range of every epoch served;
@@ -648,7 +634,9 @@ fn run_subquery(
             Ok((*node, set, Vec::new()))
         }
         SubqueryKind::Cross { nodes } => {
-            execute_cross(cluster, session, subquery, nodes, rng, window)
+            let holder = holder_of(subquery, nodes);
+            run_cross_steps(cluster, session, subquery, holder, rng, window)
+                .map(|(set, reports)| (holder, set, reports))
         }
     };
     span.end(session.elapsed().as_nanos());
@@ -760,84 +748,6 @@ fn holder_of(subquery: &Subquery, nodes: &BTreeSet<usize>) -> usize {
         1 => contributing.into_iter().next().expect("one entry"),
         _ => *nodes.iter().next().expect("cross subquery has nodes"),
     }
-}
-
-/// A cross subquery: the clause's set, delivered to its holder.
-///
-/// A sealed epoch is asked once. Before anything is sent the holder
-/// looks up what it kept of this clause ([`crate::kept`]) for every
-/// sealed epoch whose deposits all lie inside `window`; the steps then
-/// run ([`run_cross_steps`], the one body) over the smallest glsn range
-/// covering everything else — the whole window when nothing was kept,
-/// nothing at all when everything was — and the delivered set is filed
-/// per sealed epoch on the way out. Only an `Ok` run files, and never
-/// the open epoch.
-fn execute_cross(
-    cluster: &DlaCluster,
-    session: &Session<'_>,
-    subquery: &Subquery,
-    nodes: &BTreeSet<usize>,
-    rng: &mut StdRng,
-    window: Option<(Glsn, Glsn)>,
-) -> Result<(usize, GlsnSet, Vec<ProtocolReport>), AuditError> {
-    let holder = holder_of(subquery, nodes);
-    let policy = cluster.epoch_policy();
-    let key = ClauseKey::new(&subquery.clause, nodes);
-    // Read before any scan: a store that moves while the rings run
-    // leaves an entry no later lookup can match.
-    let revisions: Vec<u64> = nodes
-        .iter()
-        .map(|&n| cluster.node(n).store().revision())
-        .collect();
-    let sealed: BTreeSet<EpochId> = sealed_inside(cluster, window).map(|s| s.epoch).collect();
-
-    // Peel kept epochs off both ends of the window; whatever is left,
-    // kept epochs in its middle included, is asked in one run.
-    let (mut lo, mut hi) = window.unwrap_or((policy.base(), Glsn(u64::MAX)));
-    let mut set = GlsnSet::new();
-    let mut served = BTreeSet::new();
-    if let Some(kept) = cluster.node(holder).kept().lookup(&key, &revisions) {
-        // `None` once per epoch at the latest, so both loops end.
-        let mut peel = |glsn: Glsn| {
-            let epoch = policy.epoch_of(glsn);
-            let glsns = kept.get(&epoch).filter(|_| sealed.contains(&epoch))?;
-            served.insert(epoch).then(|| {
-                set.extend(glsns);
-                policy.glsn_range(epoch)
-            })
-        };
-        while lo <= hi {
-            let Some((_, end)) = peel(lo) else { break };
-            lo = Glsn(end.0.saturating_add(1));
-        }
-        while lo <= hi {
-            let Some((start, _)) = peel(hi) else { break };
-            hi = Glsn(start.0.saturating_sub(1));
-        }
-    }
-    let asked = if served.is_empty() {
-        // Nothing kept: the window exactly as it was handed in.
-        window
-    } else {
-        dla_telemetry::record(dla_telemetry::CostKind::SealedEpochHit, served.len() as u64);
-        if lo > hi {
-            return Ok((holder, set, Vec::new()));
-        }
-        Some((lo, hi))
-    };
-    let (delivered, reports) = run_cross_steps(cluster, session, subquery, holder, rng, asked)?;
-    let mut by_epoch: BTreeMap<EpochId, Vec<Glsn>> = sealed
-        .difference(&served)
-        .map(|&e| (e, Vec::new()))
-        .collect();
-    for &glsn in &delivered {
-        if let Some(glsns) = by_epoch.get_mut(&policy.epoch_of(glsn)) {
-            glsns.push(glsn);
-        }
-    }
-    cluster.node(holder).kept().file(key, &revisions, by_epoch);
-    set.extend(delivered);
-    Ok((holder, set, reports))
 }
 
 /// The steps of a cross subquery over `window`: local scans for

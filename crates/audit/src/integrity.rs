@@ -275,17 +275,7 @@ pub fn check_window(cluster: &DlaCluster, window: &crate::plan::TimeWindow) -> T
     let chain = cluster.checkpoint_chain();
     let chain_ok = chain.verify_links();
 
-    let selected = cluster.epoch_stats().filter(|s| {
-        if window.is_unbounded() {
-            return true;
-        }
-        match (s.time_lo, s.time_hi) {
-            (Some(lo), Some(hi)) => window.intersects(lo, hi),
-            // No time info ⇒ no record can satisfy a time
-            // predicate (lenient eval) ⇒ outside every window.
-            _ => false,
-        }
-    });
+    let selected = cluster.epoch_stats().filter(|s| s.touches(window));
 
     let mut ok = chain_ok;
     let mut epochs_checked = 0;

@@ -1,22 +1,15 @@
-//! What a party keeps of the answers it has been handed.
+//! What the auditor engine keeps of the answers revealed to it.
 //!
 //! A sealed epoch is immutable and committed, so the part of an answer
-//! that lies inside one is the same every time it is asked for. Two
-//! parties are handed answers, and each keeps its own in a
-//! [`KeptResults`], per `(what was asked, sealed epoch)`:
+//! that lies inside one is the same every time it is asked for. The
+//! auditor engine — the party the final `∩ₛ` reveals the conjunction to,
+//! and the only party an answer reaches (paper §2, Fig. 3) — keeps each
+//! revealed answer in a [`KeptResults`], per `(query, sealed epoch)`
+//! under a [`QueryKey`] (`DlaCluster::kept`, read by `exec::execute_on`),
+//! and the executor then runs the plan only over the epochs no entry
+//! covers.
 //!
-//! * the **holder** of a cross subquery — the node its clause's result
-//!   set is delivered to — under a [`ClauseKey`], beside its store
-//!   (`DlaNode::kept`, read by `exec::execute_cross`);
-//! * the **auditor engine** — the party the final `∩ₛ` reveals the
-//!   conjunction to — under a [`QueryKey`], on the cluster
-//!   (`DlaCluster::kept`, read by `exec::execute_on`).
-//!
-//! The executor then asks only about epochs no entry covers. Neither
-//! memory subsumes the other: no holder is ever told the conjunction,
-//! and the engine cannot serve a clause two different queries share.
-//!
-//! The entries are the keeper's own view and nothing more: memory only,
+//! The entries are the engine's own view and nothing more: memory only,
 //! never journaled, never sent. An entry is stamped with the store
 //! revision of every node it was computed from
 //! ([`dla_logstore::store::FragmentStore::revision`]) and is dropped by
@@ -27,42 +20,32 @@ use crate::plan::{QueryPlan, TimeWindow};
 use dla_logstore::epoch::EpochId;
 use dla_logstore::model::Glsn;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::hash::Hash;
 
-/// `(key, sealed epoch)` sets one party keeps; past it the key touched
-/// longest ago loses its oldest epochs.
+/// `(query, sealed epoch)` answers the engine keeps; past it the query
+/// touched longest ago loses its oldest epochs.
 const MAX_ENTRIES: usize = 1024;
 
-/// Sealed epochs one key keeps, the newest: a trail longer than the
-/// cap must not let one key flush every other each time it is asked.
-const MAX_PER_CLAUSE: usize = MAX_ENTRIES / 4;
+/// Sealed epochs one query keeps, the newest: a trail longer than the
+/// cap must not let one query flush every other each time it is asked.
+const MAX_PER_QUERY: usize = MAX_ENTRIES / 4;
 
-/// What a kept set answers: one normalized clause as planned over one
-/// participating node set. The clause is compared as the structure it
-/// is — every attribute, operator and constant, in the literal order
+/// One clause of a [`QueryKey`]: the normalized clause as planned over
+/// one participating node set. The clause is compared as the structure
+/// it is — every attribute, operator and constant, in the literal order
 /// the steps were laid out in — never as text, which two clauses can
 /// share (`id = "U2' OR id = 'U3"` prints like a disjunction of two);
 /// the node set is the partition in force as far as this clause can
 /// see it.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub struct ClauseKey {
+struct ClauseKey {
     clause: Clause,
     nodes: Vec<usize>,
 }
 
-impl ClauseKey {
-    pub(crate) fn new(clause: &Clause, nodes: &BTreeSet<usize>) -> Self {
-        ClauseKey {
-            clause: clause.clone(),
-            nodes: nodes.iter().copied().collect(),
-        }
-    }
-}
-
 /// What a kept answer answers: a whole query as planned — every
 /// clause in plan order, each with the node set it was planned on,
-/// compared as [`ClauseKey`] compares them — minus its single-literal
-/// `time θ const` conjuncts ([`crate::plan::Subquery::time_bound`]).
+/// compared structurally — minus its single-literal `time θ const`
+/// conjuncts ([`crate::plan::Subquery::time_bound`]).
 /// Those bounds are not part of *what* was asked of an epoch but of
 /// *whether the epoch may be served*: a sealed epoch whose every
 /// deposit is timed inside all of them answers the bounded query and
@@ -82,7 +65,10 @@ impl QueryKey {
         for subquery in &plan.subqueries {
             match subquery.time_bound() {
                 Some(bound) => bounds.push(bound),
-                None => clauses.push(ClauseKey::new(&subquery.clause, &subquery.nodes())),
+                None => clauses.push(ClauseKey {
+                    clause: subquery.clause.clone(),
+                    nodes: subquery.nodes().into_iter().collect(),
+                }),
             }
         }
         (!clauses.is_empty()).then_some((QueryKey(clauses), bounds))
@@ -96,35 +82,26 @@ impl QueryKey {
     }
 }
 
-/// One key's kept sets.
+/// One query's kept answers.
 #[derive(Debug)]
 struct Kept {
-    /// Store revisions of the key's nodes, ascending, read before the
-    /// run that produced the sets.
+    /// Store revisions of the query's nodes, ascending, read before the
+    /// run that produced the answers.
     revisions: Vec<u64>,
     touched: u64,
     epochs: BTreeMap<EpochId, Vec<Glsn>>,
 }
 
-/// The kept sets of one party, under keys of type `K`.
-#[derive(Debug)]
-pub struct KeptResults<K> {
-    /// No key is here without an epoch to its name.
-    asked: HashMap<K, Kept>,
+/// The answers the auditor engine keeps, per query and sealed epoch.
+#[derive(Debug, Default)]
+pub struct KeptResults {
+    /// No query is here without an epoch to its name.
+    asked: HashMap<QueryKey, Kept>,
     clock: u64,
 }
 
-impl<K> Default for KeptResults<K> {
-    fn default() -> Self {
-        KeptResults {
-            asked: HashMap::new(),
-            clock: 0,
-        }
-    }
-}
-
-impl<K: Clone + Eq + Hash> KeptResults<K> {
-    /// `(key, sealed epoch)` sets currently kept.
+impl KeptResults {
+    /// `(query, sealed epoch)` answers currently kept.
     #[must_use]
     pub fn len(&self) -> usize {
         self.asked.values().map(|k| k.epochs.len()).sum()
@@ -136,17 +113,17 @@ impl<K: Clone + Eq + Hash> KeptResults<K> {
         self.asked.is_empty()
     }
 
-    /// Forgets everything: the next run of every key is a cold one.
+    /// Forgets everything: the next run of every query is a cold one.
     pub fn clear(&mut self) {
         self.asked.clear();
     }
 
-    /// The per-epoch sets kept for `key`, if they were computed from
-    /// the key's stores as they stand (`revisions`); sets from any
+    /// The per-epoch answers kept for `key`, if they were computed from
+    /// the query's stores as they stand (`revisions`); answers from any
     /// other revision are dropped on the spot.
     pub(crate) fn lookup(
         &mut self,
-        key: &K,
+        key: &QueryKey,
         revisions: &[u64],
     ) -> Option<&BTreeMap<EpochId, Vec<Glsn>>> {
         if self.asked.get(key)?.revisions != revisions {
@@ -159,19 +136,19 @@ impl<K: Clone + Eq + Hash> KeptResults<K> {
         Some(&kept.epochs)
     }
 
-    /// Files `sets` — one per sealed epoch of a delivered answer —
+    /// Files `answers` — one per sealed epoch of a revealed answer —
     /// under `key` at `revisions`, replacing whatever another revision
-    /// left there; no sets, no entry. The key keeps its newest
-    /// [`MAX_PER_CLAUSE`] epochs; past [`MAX_ENTRIES`] the key touched
+    /// left there; no answers, no entry. The query keeps its newest
+    /// [`MAX_PER_QUERY`] epochs; past [`MAX_ENTRIES`] the query touched
     /// longest ago loses its oldest epochs, and goes once it has none.
     pub(crate) fn file(
         &mut self,
-        key: K,
+        key: QueryKey,
         revisions: &[u64],
-        sets: impl IntoIterator<Item = (EpochId, Vec<Glsn>)>,
+        answers: impl IntoIterator<Item = (EpochId, Vec<Glsn>)>,
     ) {
-        let mut sets = sets.into_iter().peekable();
-        if sets.peek().is_none() {
+        let mut answers = answers.into_iter().peekable();
+        if answers.peek().is_none() {
             return;
         }
         self.clock += 1;
@@ -185,15 +162,15 @@ impl<K: Clone + Eq + Hash> KeptResults<K> {
             kept.epochs.clear();
         }
         kept.touched = self.clock;
-        kept.epochs.extend(sets);
-        while kept.epochs.len() > MAX_PER_CLAUSE {
+        kept.epochs.extend(answers);
+        while kept.epochs.len() > MAX_PER_QUERY {
             kept.epochs.pop_first();
         }
         let mut over = self.len().saturating_sub(MAX_ENTRIES);
         while over > 0 {
             let (key, oldest) = (self.asked.iter_mut())
                 .min_by_key(|(_, kept)| kept.touched)
-                .expect("over the cap means at least one key");
+                .expect("over the cap means at least one query");
             while over > 0 && oldest.epochs.pop_first().is_some() {
                 over -= 1;
             }
@@ -210,10 +187,13 @@ mod tests {
     use super::*;
     use dla_logstore::schema::Schema;
 
-    fn key(text: &str, nodes: &[usize]) -> ClauseKey {
+    /// The key of a one-clause query planned over `nodes`.
+    fn key(text: &str, nodes: &[usize]) -> QueryKey {
         let schema = Schema::paper_example();
         let normalized = crate::plan::compile(text, &schema).unwrap();
-        ClauseKey::new(&normalized.clauses()[0], &nodes.iter().copied().collect())
+        let clause = normalized.clauses()[0].clone();
+        let nodes = nodes.to_vec();
+        QueryKey(vec![ClauseKey { clause, nodes }])
     }
 
     fn sets(epochs: std::ops::Range<u64>) -> impl Iterator<Item = (EpochId, Vec<Glsn>)> {
@@ -222,7 +202,7 @@ mod tests {
 
     #[test]
     fn a_lookup_needs_the_same_clause_nodes_and_revisions() {
-        let mut kept = KeptResults::<ClauseKey>::default();
+        let mut kept = KeptResults::default();
         let filed = key("c1 > 40 OR id = 'U2'", &[0, 1]);
         kept.file(filed.clone(), &[3, 5], sets(0..2));
         assert_eq!(kept.len(), 2);
@@ -250,15 +230,15 @@ mod tests {
         let text = |q| crate::plan::compile(q, &schema).unwrap().to_string();
         assert_eq!(text(three), text(two));
 
-        let mut kept = KeptResults::<ClauseKey>::default();
+        let mut kept = KeptResults::default();
         kept.file(key(three, &[0, 1]), &[0, 0], sets(0..2));
         assert!(kept.lookup(&key(two, &[0, 1]), &[0, 0]).is_none());
         assert!(kept.lookup(&key(three, &[0, 1]), &[0, 0]).is_some());
     }
 
     #[test]
-    fn filing_at_a_new_revision_replaces_the_clause() {
-        let mut kept = KeptResults::<ClauseKey>::default();
+    fn filing_at_a_new_revision_replaces_the_query() {
+        let mut kept = KeptResults::default();
         let filed = key("c1 > 40 OR id = 'U2'", &[0, 1]);
         kept.file(filed.clone(), &[0, 0], sets(0..4));
         kept.file(filed.clone(), &[0, 1], sets(4..5));
@@ -270,7 +250,7 @@ mod tests {
     fn filing_nothing_keeps_nothing() {
         // A window with no whole sealed epoch in it, asked under ever
         // new constants: no entry, so nothing the cap does not count.
-        let mut kept = KeptResults::<ClauseKey>::default();
+        let mut kept = KeptResults::default();
         for c in 0..8 {
             let asked = key(&format!("c1 > {c} OR id = 'U1'"), &[0, 1]);
             kept.file(asked.clone(), &[0, 0], sets(0..0));
@@ -281,15 +261,15 @@ mod tests {
     }
 
     #[test]
-    fn the_cap_takes_the_oldest_epochs_of_the_clause_touched_longest_ago() {
-        let mut kept = KeptResults::<ClauseKey>::default();
-        let share = MAX_PER_CLAUSE as u64;
-        let clauses: Vec<ClauseKey> = (0..=MAX_ENTRIES / MAX_PER_CLAUSE)
+    fn the_cap_takes_the_oldest_epochs_of_the_query_touched_longest_ago() {
+        let mut kept = KeptResults::default();
+        let share = MAX_PER_QUERY as u64;
+        let queries: Vec<QueryKey> = (0..=MAX_ENTRIES / MAX_PER_QUERY)
             .map(|c| key(&format!("c1 > {c} OR id = 'U1'"), &[0, 1]))
             .collect();
-        let (newcomer, filling) = clauses.split_last().unwrap();
-        for clause in filling {
-            kept.file(clause.clone(), &[0, 0], sets(0..share));
+        let (newcomer, filling) = queries.split_last().unwrap();
+        for query in filling {
+            kept.file(query.clone(), &[0, 0], sets(0..share));
         }
         assert_eq!(kept.len(), MAX_ENTRIES);
         // The first is used again, so the second is the one that pays,
@@ -306,14 +286,14 @@ mod tests {
         assert!(kept.lookup(&filling[2], &[0, 0]).is_none());
         for whole in [&filling[0], &filling[1], &filling[3], newcomer] {
             let left = kept.lookup(whole, &[0, 0]).map(BTreeMap::len);
-            assert_eq!(left, Some(MAX_PER_CLAUSE));
+            assert_eq!(left, Some(MAX_PER_QUERY));
         }
         assert_eq!(kept.len(), MAX_ENTRIES);
     }
 
     #[test]
-    fn a_trail_longer_than_a_clause_may_keep_costs_that_clause_alone() {
-        let mut kept = KeptResults::<ClauseKey>::default();
+    fn a_trail_longer_than_a_query_may_keep_costs_that_query_alone() {
+        let mut kept = KeptResults::default();
         let (short, long) = (
             key("c1 > 1 OR id = 'U1'", &[0, 1]),
             key("c1 > 2 OR id = 'U1'", &[0, 1]),
@@ -321,16 +301,16 @@ mod tests {
         let trail = 2 * MAX_ENTRIES as u64;
         kept.file(short.clone(), &[0, 0], sets(0..4));
         kept.file(long.clone(), &[0, 0], sets(0..trail));
-        let newest = EpochId(trail - MAX_PER_CLAUSE as u64);
-        // Asked again, the long clause files what it lost and loses it
-        // again; the other clause is not what pays.
+        let newest = EpochId(trail - MAX_PER_QUERY as u64);
+        // Asked again, the long query files what it lost and loses it
+        // again; the other query is not what pays.
         for _ in 0..2 {
             let left = kept.lookup(&long, &[0, 0]).unwrap();
-            assert_eq!(left.len(), MAX_PER_CLAUSE);
+            assert_eq!(left.len(), MAX_PER_QUERY);
             assert_eq!(left.keys().next(), Some(&newest));
             assert_eq!(kept.lookup(&short, &[0, 0]).map(BTreeMap::len), Some(4));
             kept.file(long.clone(), &[0, 0], sets(0..newest.0));
         }
-        assert_eq!(kept.len(), MAX_PER_CLAUSE + 4);
+        assert_eq!(kept.len(), MAX_PER_QUERY + 4);
     }
 }

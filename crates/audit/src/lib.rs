@@ -14,8 +14,8 @@
 //!   the final glsn-keyed secure set intersection (Fig. 3). One front
 //!   door ([`plan::compile`] then [`cluster::DlaCluster::plan`]) and
 //!   one executor ([`exec::execute_on`]) serve every auditor operation;
-//!   [`kept`] is what a holder remembers of the cross subqueries it was
-//!   handed, so a sealed epoch is asked once.
+//!   [`kept`] is what the auditor engine remembers of the answers
+//!   revealed to it, so a sealed epoch is asked once.
 //! * [`integrity`] — one-way-accumulator integrity circulation and
 //!   ACL consistency checking (§4.1).
 //! * [`membership`] — the anonymous-but-accountable evidence chain
@@ -23,7 +23,7 @@
 //! * [`metrics`] — the confidentiality metrics `C_store`,
 //!   `C_auditing`, `C_query`, `C_DLA` (§5, Eqs. 10–13).
 //! * [`meta`] — the tamper-evident meta-audit trail of the cluster's
-//!   own actions (hash chain + one-way-accumulator commitment).
+//!   own actions (a position-bound SHA-256 hash chain).
 //! * [`centralized`] — the Figure 1 single-auditor baseline.
 //!
 //! # Examples

@@ -78,17 +78,13 @@ fn asked_once_rows() -> Vec<Json> {
             if *shape == "and2" {
                 assert!(warm_cost.modexp <= AND2_WARM_MODEXP, "{warm_cost}");
             }
-            let crosses = cold.plan.cross_count() as u64;
-            let mut warm_fields = asked_once_cost(&warm_cost, sealed, crosses);
+            let mut warm_fields = asked_once_cost(&warm_cost);
             warm_fields.extend(answered_once_cost(&warm_cost, sealed));
             Json::Object(vec![
                 ("shape", (*shape).into()),
                 ("cross_subqueries", cold.plan.cross_count().into()),
                 ("matches", cold.glsns.len().into()),
-                (
-                    "cold",
-                    Json::Object(asked_once_cost(&cold_cost, sealed, crosses)),
-                ),
+                ("cold", Json::Object(asked_once_cost(&cold_cost))),
                 ("warm", Json::Object(warm_fields)),
             ])
         })

@@ -184,29 +184,15 @@ pub fn metered<T>(f: impl FnOnce() -> T) -> (T, CostVector) {
     (out, recorder.take().total_cost())
 }
 
-/// One run of a query over `sealed` sealed epochs, in the counts a kept
-/// sealed epoch moves (the fields of a row or of a nested object):
-/// exponentiations, messages, bytes, and — of the sealed epochs the
-/// engine did not serve, once for each of the plan's `crosses` cross
-/// subqueries — how many the holders served from what they kept and how
-/// many the rings were asked about.
-///
-/// # Panics
-///
-/// Panics if the run hit more epochs than it covered: the caller
-/// counted the wrong trail or window.
+/// One run of a query in the counts a kept sealed epoch moves (the
+/// fields of a row or of a nested object): exponentiations, messages,
+/// bytes.
 #[must_use]
-pub fn asked_once_cost(cost: &CostVector, sealed: u64, crosses: u64) -> Vec<(&'static str, Json)> {
-    let hits = cost.sealed_epoch_hits;
-    let misses = (sealed.checked_sub(cost.answer_hits))
-        .and_then(|asked| (asked * crosses).checked_sub(hits))
-        .unwrap_or_else(|| panic!("{cost} over {sealed} sealed epochs x {crosses}"));
+pub fn asked_once_cost(cost: &CostVector) -> Vec<(&'static str, Json)> {
     vec![
         ("modexp", cost.modexp.into()),
         ("messages", cost.msgs_sent.into()),
         ("bytes", cost.bytes_sent.into()),
-        ("epoch_hits", hits.into()),
-        ("epoch_misses", misses.into()),
     ]
 }
 
@@ -223,7 +209,7 @@ pub fn answered_once_cost(cost: &CostVector, sealed: u64) -> Vec<(&'static str, 
 
 /// Gate of every cold/warm pair an experiment reports: the warm run
 /// costs no more than the cold one in any of the [`asked_once_cost`]
-/// counts, and the cold run was served nothing by anybody.
+/// counts, and the cold run was served nothing by the engine.
 ///
 /// # Panics
 ///
@@ -239,8 +225,7 @@ pub fn assert_warm_within_cold(what: &str, cold: &CostVector, warm: &CostVector)
             "{what}: warm {count} {warm} above cold {cold}"
         );
     }
-    let served = (cold.sealed_epoch_hits, cold.answer_hits);
-    assert_eq!(served, (0, 0), "{what}: a cold run hit");
+    assert_eq!(cold.answer_hits, 0, "{what}: a cold run hit");
 }
 
 /// A JSON value. Every `BENCH_*.json` is one of these rendered by

@@ -61,11 +61,6 @@ pub enum CostKind {
     PartialCombine,
     /// One standing-query delta emitted at epoch seal.
     StandingDelta,
-    /// One sealed epoch of a cross subquery answered from the set its
-    /// holder kept from an earlier run instead of being asked again
-    /// (counted at the holder's lookup; a miss is a sealed epoch the
-    /// window covers that this counter did not see).
-    SealedEpochHit,
     /// One sealed epoch of a whole query answered from what the auditor
     /// engine kept of an earlier revealed answer, so that no subquery
     /// and no conjunction ran over it (counted where the engine serves;
@@ -114,9 +109,6 @@ pub struct CostVector {
     pub partials_combined: u64,
     /// Standing-query deltas emitted at epoch seals.
     pub standing_deltas: u64,
-    /// Sealed epochs of cross subqueries served from the holder's kept
-    /// sets.
-    pub sealed_epoch_hits: u64,
     /// Sealed epochs of whole queries served from the auditor engine's
     /// kept answers.
     pub answer_hits: u64,
@@ -144,7 +136,6 @@ impl CostVector {
             CostKind::PartialMaterialize => &mut self.partials_materialized,
             CostKind::PartialCombine => &mut self.partials_combined,
             CostKind::StandingDelta => &mut self.standing_deltas,
-            CostKind::SealedEpochHit => &mut self.sealed_epoch_hits,
             CostKind::AnswerHit => &mut self.answer_hits,
         };
         *slot += amount;
@@ -170,7 +161,6 @@ impl CostVector {
         self.partials_materialized += other.partials_materialized;
         self.partials_combined += other.partials_combined;
         self.standing_deltas += other.standing_deltas;
-        self.sealed_epoch_hits += other.sealed_epoch_hits;
         self.answer_hits += other.answer_hits;
     }
 
@@ -182,7 +172,7 @@ impl CostVector {
 
     /// `(label, value)` pairs in a stable order (what `Display` prints).
     #[must_use]
-    pub fn entries(&self) -> [(&'static str, u64); 20] {
+    pub fn entries(&self) -> [(&'static str, u64); 19] {
         [
             ("modexp", self.modexp),
             ("mont_mul_steps", self.mont_mul_steps),
@@ -202,7 +192,6 @@ impl CostVector {
             ("partials_materialized", self.partials_materialized),
             ("partials_combined", self.partials_combined),
             ("standing_deltas", self.standing_deltas),
-            ("sealed_epoch_hits", self.sealed_epoch_hits),
             ("answer_hits", self.answer_hits),
         ]
     }
@@ -252,7 +241,6 @@ mod tests {
             CostKind::PartialMaterialize,
             CostKind::PartialCombine,
             CostKind::StandingDelta,
-            CostKind::SealedEpochHit,
             CostKind::AnswerHit,
         ];
         let mut v = CostVector::default();
@@ -260,7 +248,7 @@ mod tests {
             v.add(*kind, (i + 1) as u64);
         }
         let values: Vec<u64> = v.entries().iter().map(|(_, n)| *n).collect();
-        assert_eq!(values, (1..=20).collect::<Vec<u64>>());
+        assert_eq!(values, (1..=19).collect::<Vec<u64>>());
         assert!(!v.is_zero());
     }
 

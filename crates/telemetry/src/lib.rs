@@ -1,6 +1,6 @@
 //! Telemetry for the DLA confidential-auditing stack: hierarchical
 //! span tracing over virtual time, crypto/network cost accounting, and
-//! a tamper-evident meta-audit journal.
+//! the stack's one CRC-32.
 //!
 //! # Model
 //!
@@ -34,13 +34,11 @@
 pub mod cost;
 pub mod crc;
 pub mod export;
-pub mod journal;
 pub mod trace;
 
 pub use cost::{CostKind, CostVector};
 pub use crc::crc32;
 pub use export::chrome_trace_json;
-pub use journal::{ChainHasher, MetaAuditError, MetaJournal, MetaRecord};
 pub use trace::{EventRecord, ScopeRecord, SpanRecord, Trace};
 
 use std::cell::RefCell;

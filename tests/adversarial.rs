@@ -642,12 +642,13 @@ fn a_relay_reordering_the_collectors_own_set_is_an_undetected_lie() {
 
 #[test]
 fn an_undetected_lie_told_once_about_a_sealed_epoch_is_served_until_evicted() {
-    // The lie above, told inside a query. The holder of a cross
-    // subquery keeps the set it was handed per sealed epoch and does not
-    // ask again, so the reordering relay's wrong items outlive the
-    // relay's one lie: honest reruns serve them. Whoever makes the
-    // reorder detectable has this to cover too. A lie that *is*
-    // detected ends the run in `Err`, and an `Err` run files nothing.
+    // The lie above, told inside a query. The auditor engine keeps the
+    // answer it was revealed per sealed epoch and does not ask again, so
+    // the reordering relay's wrong items — carried from the clause's set
+    // through the conjunction into the answer — outlive the relay's one
+    // lie: honest reruns serve them. Whoever makes the reorder
+    // detectable has this to cover too. A lie that *is* detected ends
+    // the run in `Err`, and an `Err` run files nothing.
     use confidential_audit::logstore::model::{AttrType, LogRecord};
     use confidential_audit::logstore::schema::AttrDef;
     use confidential_audit::mpc::set_intersection::SET_TAG;
@@ -704,7 +705,7 @@ fn an_undetected_lie_told_once_about_a_sealed_epoch_is_served_until_evicted() {
         };
         Arc::new(ScriptedAdversary::new().compromise(1).rule(rule))
     };
-    let kept = |cluster: &DlaCluster| cluster.node(0).kept().len();
+    let kept = |cluster: &DlaCluster| cluster.kept().len();
 
     let mut honest = cluster();
     let truth = honest.query("a = b").unwrap().glsns;
