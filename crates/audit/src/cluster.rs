@@ -1725,9 +1725,18 @@ impl DepositRecord {
         let e = Ubig::from_bytes_be(r.get_bytes().map_err(parse)?);
         let s = Ubig::from_bytes_be(r.get_bytes().map_err(parse)?);
         // Legacy blobs end here; current ones carry a time presence flag.
-        let time = match r.get_u8() {
-            Ok(1) => Some(r.get_u64().map_err(parse)?),
-            _ => None,
+        let time = if r.remaining() == 0 {
+            None
+        } else {
+            match r.get_u8().map_err(parse)? {
+                0 => None,
+                1 => Some(r.get_u64().map_err(parse)?),
+                flag => {
+                    return Err(AuditError::Config(format!(
+                        "deposit blob: time flag {flag} is neither 0 nor 1"
+                    )))
+                }
+            }
         };
         r.finish().map_err(parse)?;
         Ok(DepositRecord {
@@ -2232,5 +2241,85 @@ mod tests {
             assert!(node.store().is_sealed(EpochId(0)));
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A deposit blob as the journal holds it, with `tail` in place of
+    /// the time flag and time.
+    fn deposit_blob(tail: &[u8]) -> Vec<u8> {
+        let record = DepositRecord {
+            glsn: Glsn(0x139aef),
+            deposit: Ubig::from_u64(0xdead_beef),
+            public: dla_crypto::schnorr::SchnorrPublicKey::from_element(Ubig::from_u64(5)),
+            signature: dla_crypto::schnorr::Signature {
+                e: Ubig::from_u64(7),
+                s: Ubig::from_u64(11),
+            },
+            time: None,
+        };
+        let mut blob = record.encode();
+        assert_eq!(blob.pop(), Some(0), "the encoding ends in its time flag");
+        blob.extend_from_slice(tail);
+        blob
+    }
+
+    #[test]
+    fn a_deposit_blob_with_time_flag_0_carries_no_time() {
+        let record = DepositRecord::decode(&deposit_blob(&[0])).unwrap();
+        assert_eq!((record.glsn, record.time), (Glsn(0x139aef), None));
+    }
+
+    #[test]
+    fn a_deposit_blob_with_time_flag_1_carries_its_time() {
+        let mut tail = vec![1];
+        tail.extend_from_slice(&42u64.to_be_bytes());
+        let record = DepositRecord::decode(&deposit_blob(&tail)).unwrap();
+        assert_eq!(record.time, Some(42));
+        assert_eq!(
+            DepositRecord::decode(&record.encode()).unwrap().time,
+            Some(42)
+        );
+    }
+
+    #[test]
+    fn a_deposit_blob_with_any_other_time_flag_is_refused() {
+        for flag in [2u8, 0x80, 0xff] {
+            let err = DepositRecord::decode(&deposit_blob(&[flag])).err();
+            assert!(matches!(err, Some(AuditError::Config(_))), "flag {flag}");
+        }
+    }
+
+    #[test]
+    fn a_legacy_deposit_blob_without_a_time_flag_still_decodes() {
+        let record = DepositRecord::decode(&deposit_blob(&[])).unwrap();
+        assert_eq!((record.glsn, record.time), (Glsn(0x139aef), None));
+    }
+
+    #[test]
+    fn a_deposit_blob_with_time_flag_1_and_a_truncated_time_is_refused() {
+        for cut in 0..8 {
+            let mut tail = vec![1];
+            tail.extend_from_slice(&42u64.to_be_bytes()[..cut]);
+            let err = DepositRecord::decode(&deposit_blob(&tail)).err();
+            assert!(
+                matches!(err, Some(AuditError::Config(_))),
+                "{cut} time bytes"
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn deposit_blob_decoding_never_panics(
+            bytes in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..160),
+            cut in 0usize..=160,
+        ) {
+            let _ = DepositRecord::decode(&bytes);
+            // And near-valid input: a real blob cut short or run on.
+            let mut blob = deposit_blob(&[1, 0, 0, 0, 0, 0, 0, 0, 9]);
+            blob.truncate(cut);
+            let _ = DepositRecord::decode(&blob);
+            blob.extend_from_slice(&bytes);
+            let _ = DepositRecord::decode(&blob);
+        }
     }
 }

@@ -1,4 +1,9 @@
 #![deny(rust_2018_idioms)]
+// The crate's one `unsafe` is the SHA-256 hardware compressor: every
+// operation in it sits in its own block, under a comment saying why it
+// holds.
+#![deny(unsafe_op_in_unsafe_fn)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 //! Cryptographic primitives for confidential distributed auditing.
 //!

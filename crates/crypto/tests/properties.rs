@@ -1,20 +1,88 @@
 //! Property tests for the cryptographic primitives: the paper's Eq. 6
 //! (commutativity under arbitrary permutations), Eq. 7 (distinctness),
 //! Eq. 9 (accumulator order independence), Shamir reconstruction and
-//! signature soundness on randomized inputs.
+//! signature soundness on randomized inputs — plus SHA-256 against its
+//! portable oracle and the totality of the accumulator's wire decoders.
 
 use dla_bigint::modular::modexp_schoolbook;
 use dla_bigint::montgomery::MontgomeryContext;
 use dla_bigint::{Ubig, F61};
-use dla_crypto::accumulator::AccumulatorParams;
+use dla_crypto::accumulator::{
+    AccumulatorParams, EpochCheckpoint, RingCheckpoint, RingEndorsement,
+};
 use dla_crypto::pohlig_hellman::{CommutativeDomain, CommutativeKey, PhKey, XorKey};
 use dla_crypto::schnorr::{self, SchnorrGroup, SchnorrKeyPair};
-use dla_crypto::{shamir, shamir_big};
+use dla_crypto::{sha256, shamir, shamir_big};
 use proptest::prelude::*;
 use rand::SeedableRng;
 
 fn rng_from(seed: u64) -> rand::rngs::StdRng {
     rand::rngs::StdRng::seed_from_u64(seed)
+}
+
+/// An [`EpochCheckpoint::encode`] blob spelled out by hand, its digest
+/// given as raw bytes: leading zeros are legal there, though
+/// `encode` never writes them.
+fn checkpoint_bytes(epoch: u64, items: u64, digest: &[u8], fill: u8) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend_from_slice(&epoch.to_be_bytes());
+    out.extend_from_slice(&items.to_be_bytes());
+    out.extend_from_slice(&(digest.len() as u32).to_be_bytes());
+    out.extend_from_slice(digest);
+    out.extend_from_slice(&[fill; 32]); // aggregates
+    out.extend_from_slice(&[fill.wrapping_add(1); 32]); // link
+    out
+}
+
+/// The three wire types' encodings of one checkpoint: the checkpoint,
+/// the ring's publication of it, and another ring's endorsement of
+/// that.
+fn wire_encodings(checkpoint: EpochCheckpoint, ring: u64) -> [Vec<u8>; 3] {
+    let published = RingCheckpoint { ring, checkpoint };
+    let endorsement = RingEndorsement {
+        endorser: ring ^ 1,
+        seal: RingEndorsement::seal_over(ring ^ 1, &published, &[7; 32]),
+        subject: published.clone(),
+        endorser_head: [7; 32],
+    };
+    [
+        published.checkpoint.encode(),
+        published.encode(),
+        endorsement.encode(),
+    ]
+}
+
+/// Decodes `bytes` as each wire type: `None`, or a value that
+/// re-decodes to itself from its own encoding.
+fn decodes_totally(bytes: &[u8]) -> Result<[bool; 3], TestCaseError> {
+    fn check<T: PartialEq + std::fmt::Debug>(
+        decoded: Option<T>,
+        encode: impl Fn(&T) -> Vec<u8>,
+        decode: impl Fn(&[u8]) -> Option<T>,
+    ) -> Result<bool, TestCaseError> {
+        let Some(value) = decoded else {
+            return Ok(false);
+        };
+        prop_assert_eq!(decode(&encode(&value)), Some(value));
+        Ok(true)
+    }
+    Ok([
+        check(
+            EpochCheckpoint::decode(bytes),
+            EpochCheckpoint::encode,
+            EpochCheckpoint::decode,
+        )?,
+        check(
+            RingCheckpoint::decode(bytes),
+            RingCheckpoint::encode,
+            RingCheckpoint::decode,
+        )?,
+        check(
+            RingEndorsement::decode(bytes),
+            RingEndorsement::encode,
+            RingEndorsement::decode,
+        )?,
+    ])
 }
 
 proptest! {
@@ -244,5 +312,83 @@ proptest! {
         let got = domain.pow(&b, &e);
         prop_assert_eq!(&got, &ctx.modexp_generic(&b, &e));
         prop_assert_eq!(&got, &modexp_schoolbook(&b, &e, domain.modulus()));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `digest_parts` — on whichever compressor this CPU dispatches to
+    /// — equals the portable compressor's digest of the length-prefixed
+    /// concatenation it defines.
+    #[test]
+    fn digest_parts_matches_the_portable_reference(
+        parts in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..150), 0..6),
+    ) {
+        let mut framed = Vec::new();
+        for part in &parts {
+            framed.extend_from_slice(&(part.len() as u64).to_be_bytes());
+            framed.extend_from_slice(part);
+        }
+        let refs: Vec<&[u8]> = parts.iter().map(Vec::as_slice).collect();
+        prop_assert_eq!(sha256::digest_parts(&refs), sha256::digest_portable(&framed));
+        prop_assert_eq!(sha256::digest(&framed), sha256::digest_portable(&framed));
+    }
+
+    #[test]
+    fn wire_decoders_are_total_on_arbitrary_bytes(
+        bytes in prop::collection::vec(any::<u8>(), 0..200),
+    ) {
+        decodes_totally(&bytes)?;
+    }
+
+    /// A digest with leading zero bytes decodes (re-encoding drops
+    /// them), and any one byte of a valid encoding overwritten still
+    /// gives `None` or a value that round-trips.
+    #[test]
+    fn wire_decoders_are_total_near_valid_encodings(
+        epoch in any::<u64>(),
+        items in any::<u64>(),
+        fill in any::<u8>(),
+        ring in any::<u64>(),
+        zeros in 0usize..4,
+        digest in prop::collection::vec(any::<u8>(), 0..80),
+        at in any::<usize>(),
+        byte in any::<u8>(),
+    ) {
+        let digest: Vec<u8> = std::iter::repeat_n(0, zeros).chain(digest).collect();
+        let raw = checkpoint_bytes(epoch, items, &digest, fill);
+        prop_assert_eq!(decodes_totally(&raw)?, [true, false, false]);
+        let checkpoint = EpochCheckpoint::decode(&raw).expect("decoded above");
+        prop_assert_eq!(&checkpoint.digest, &Ubig::from_bytes_be(&digest));
+        for (kind, encoding) in wire_encodings(checkpoint, ring).into_iter().enumerate() {
+            prop_assert!(decodes_totally(&encoding)?[kind]);
+            let mut mutated = encoding;
+            let at = at % mutated.len();
+            mutated[at] = byte;
+            decodes_totally(&mutated)?;
+        }
+    }
+
+    #[test]
+    fn every_strict_prefix_and_one_byte_extension_is_refused(
+        epoch in any::<u64>(),
+        items in any::<u64>(),
+        fill in any::<u8>(),
+        ring in any::<u64>(),
+        digest in prop::collection::vec(any::<u8>(), 0..80),
+        extra in any::<u8>(),
+    ) {
+        let checkpoint = EpochCheckpoint::decode(&checkpoint_bytes(epoch, items, &digest, fill))
+            .expect("a well-formed checkpoint");
+        for (kind, encoding) in wire_encodings(checkpoint, ring).into_iter().enumerate() {
+            prop_assert!(decodes_totally(&encoding)?[kind]);
+            for cut in 0..encoding.len() {
+                prop_assert!(!decodes_totally(&encoding[..cut])?[kind], "prefix of {cut}");
+            }
+            let mut extended = encoding;
+            extended.push(extra);
+            prop_assert!(!decodes_totally(&extended)?[kind], "one byte longer");
+        }
     }
 }

@@ -10,6 +10,7 @@ use confidential_audit::bigint::{modular, Ubig};
 use confidential_audit::crypto::accumulator::AccumulatorParams;
 use confidential_audit::crypto::pohlig_hellman::{CommutativeDomain, CommutativeKey, PhKey};
 use confidential_audit::crypto::schnorr::{SchnorrGroup, SchnorrKeyPair};
+use confidential_audit::crypto::sha256;
 use confidential_audit::logstore::acl::{OperationSet, TicketAuthority};
 use confidential_audit::logstore::epoch::{EpochId, EpochPolicy};
 use confidential_audit::logstore::fragment::{fragment, Partition};
@@ -79,6 +80,42 @@ fn crypto_cipher_commutes_and_accumulator_is_order_free() {
     let exponent = acc.batch_exponent(&items);
     assert!(acc.batch_verify(&[(ladder.clone(), exponent.clone())]));
     assert!(!acc.batch_verify(&[(acc.fold(&ladder, x), exponent)]));
+}
+
+#[test]
+fn crypto_sha256_hardware_path_matches_the_portable_reference() {
+    // `digest` takes the CPU's SHA extensions where it has them;
+    // `digest_portable` never does. Both must give the FIPS 180-4
+    // vectors, and agree around the padding's 55/56/64-byte edges.
+    let vectors: [(&[u8], &str); 3] = [
+        (
+            b"",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        ),
+        (
+            b"abc",
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+        ),
+        (
+            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+        ),
+    ];
+    for (message, expected) in vectors {
+        assert_eq!(sha256::to_hex(&sha256::digest(message)), expected);
+        assert_eq!(sha256::to_hex(&sha256::digest_portable(message)), expected);
+    }
+    let data: Vec<u8> = (0..=255u8).cycle().take(300).collect();
+    for len in [
+        54, 55, 56, 57, 63, 64, 65, 119, 120, 127, 128, 129, 183, 184, 192, 300,
+    ] {
+        let message = &data[..len];
+        assert_eq!(
+            sha256::digest(message),
+            sha256::digest_portable(message),
+            "{len} bytes"
+        );
+    }
 }
 
 #[test]
