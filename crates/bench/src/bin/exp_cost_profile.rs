@@ -9,11 +9,18 @@
 //! evaluator plus one RLC batch check — and asserts against the session
 //! meters that the fixed-base route does strictly fewer Montgomery
 //! multiplication steps for the same items-folded work units. It does
-//! so at two sizes: 12 epochs × 2 deposits, whose exponents stay inside
-//! the `x₀` radix table, and the benchmark's 8 epochs × 64, whose
-//! exponents are an epoch long and walk a comb — there one
+//! so at two sizes: 12 epochs × 2 deposits, whose exponents are a few
+//! hundred bits and build combs of their own, and the benchmark's 8
+//! epochs × 64, whose exponents are an epoch long — there one
 //! `batch_verify` and one from-`x₀` `fold_batch` must each take at
 //! least 4× fewer steps than their ladders, comb build included.
+//!
+//! Beside them, the two fixed-base powers every deposit pays: the
+//! record's accumulation, one walk of the comb `x₀`'s evaluator builds
+//! up front, and the origin signature's `g^k`, one walk of the
+//! generator's — each at most `e + a + 1` steps for a comb of `a`
+//! columns in blocks of `e`, and the signature's at most a quarter of
+//! the ladder it replaced.
 //!
 //! Run with: `cargo run -p dla-bench --bin exp_cost_profile --release`
 //! (writes `BENCH_cost_profile.json`).
@@ -22,6 +29,7 @@ use dla_bigint::montgomery::MontgomeryContext;
 use dla_bigint::{Ubig, F61};
 use dla_crypto::accumulator::AccumulatorParams;
 use dla_crypto::pohlig_hellman::CommutativeDomain;
+use dla_crypto::schnorr::{SchnorrGroup, SchnorrKeyPair};
 use dla_mpc::report::ProtocolReport;
 use dla_mpc::{EqualitySession, RankingSession, SsiSession, SumSession, UnionSession};
 use dla_net::topology::Ring;
@@ -67,6 +75,7 @@ struct FixedBaseProfile {
     ladder_cost: CostVector,
     accel_cost: CostVector,
     fold_ladder_cost: CostVector,
+    first_fold_cost: CostVector,
     fold_cost: CostVector,
 }
 
@@ -74,17 +83,18 @@ struct FixedBaseProfile {
 /// epoch from `x₀` (one modexp ladder per item), the accelerated
 /// auditor derives the per-epoch exponents and settles every claim in
 /// one RLC batch check over the cached `x₀` evaluator. Then absorbs one
-/// epoch's items into a fresh accumulator twice: a ladder on the
-/// batch's exponent, and `fold_batch`, which sees the accumulator is
+/// epoch's items into a fresh accumulator: a ladder on the batch's
+/// exponent, and `fold_batch` twice, which sees the accumulator is
 /// still `x₀`. Digest agreement, equal items-folded units and the
 /// strict Montgomery-step win are all asserted against the session
 /// meters; `comb_builds` is how many combs the accelerated audit had to
-/// build on the way (none while its exponents fit the radix table, one
-/// when they are an epoch long — its steps are in the audit's bill).
+/// build on the way, and `fold_comb_builds` how many the first fold did
+/// (their steps are in those bills; the second fold walks).
 fn profile_fixed_base_vs_ladder(
     epochs: usize,
     items_per_epoch: usize,
     comb_builds: u64,
+    fold_comb_builds: u64,
 ) -> FixedBaseProfile {
     let params = AccumulatorParams::fixed_512();
     let epoch_items: Vec<Vec<Vec<u8>>> = (0..epochs)
@@ -95,9 +105,10 @@ fn profile_fixed_base_vs_ladder(
         })
         .collect();
 
-    // One-time table construction, metered separately so its
-    // amortisation is explicit in the report.
-    let (_, build_cost) = metered(|| params.power_of_start(&Ubig::one()));
+    // One-time construction of the comb built up front, metered
+    // separately so its amortisation is explicit in the report (`x₀⁰`
+    // walks nothing).
+    let (_, build_cost) = metered(|| params.power_of_start(&Ubig::zero()));
     assert_eq!(build_cost.fixed_base_builds, 1, "exactly one table build");
 
     // Seal the epoch digests outside either auditor's bill: item by
@@ -139,7 +150,7 @@ fn profile_fixed_base_vs_ladder(
     );
     assert_eq!(
         accel_cost.fixed_base_builds, comb_builds,
-        "the cached table is reused, never rebuilt; a comb is built once per exponent length"
+        "a comb is built once per exponent length band"
     );
     assert!(
         accel_cost.mont_mul_steps < ladder_cost.mont_mul_steps,
@@ -155,13 +166,16 @@ fn profile_fixed_base_vs_ladder(
     let exponent = params.batch_exponent(&refs);
     let ctx = MontgomeryContext::new(params.modulus()).expect("RSA moduli are odd");
     let (fold_ladder, fold_ladder_cost) = metered(|| ctx.modexp_batch(&fresh, &exponent));
+    let (first_fold, first_fold_cost) = metered(|| params.fold_batch(&fresh, &refs));
     let (fold, fold_cost) = metered(|| params.fold_batch(&fresh, &refs));
     assert_eq!(fold, fold_ladder, "one value either way");
+    assert_eq!(first_fold, fold, "on a comb built for it or not");
     assert_eq!(fold[0], digests[0], "and it is the epoch's digest");
     assert_eq!(
-        fold_cost.fixed_base_builds, 0,
-        "the audit's comb serves the epoch's own exponent"
+        first_fold_cost.fixed_base_builds, fold_comb_builds,
+        "an epoch-long fold rides the audit's comb; a shorter one builds its own"
     );
+    assert_eq!(fold_cost.fixed_base_builds, 0, "and then walks it");
     assert!(fold_cost.mont_mul_steps < fold_ladder_cost.mont_mul_steps);
 
     FixedBaseProfile {
@@ -171,17 +185,164 @@ fn profile_fixed_base_vs_ladder(
         ladder_cost,
         accel_cost,
         fold_ladder_cost,
+        first_fold_cost,
         fold_cost,
+    }
+}
+
+/// The two fixed-base powers of one deposit, each beside the ladder it
+/// replaced: the record's accumulation `x₀^{∏ y}` over four fragment
+/// items, and the origin signature's generator power `g^k`.
+struct DepositPowers {
+    record_bits: usize,
+    record_cost: CostVector,
+    record_ladder_cost: CostVector,
+    generator_build_cost: CostVector,
+    signature_cost: CostVector,
+    nonce_ladder_cost: CostVector,
+}
+
+/// Comb shapes `(a, v, e)` — columns, blocks, columns a block — the two
+/// evaluators build up front: `x₀`'s for `2·512 + 128` bits, `g`'s for
+/// the 255 bits of `q`.
+const X0_COMB: (u64, u64, u64) = (144, 8, 18);
+const G_COMB: (u64, u64, u64) = (32, 4, 8);
+
+fn profile_deposit_powers() -> DepositPowers {
+    let params = AccumulatorParams::fixed_512();
+    let fragments: Vec<Vec<u8>> = (0..4)
+        .map(|i| format!("record-0-fragment-{i}").into_bytes())
+        .collect();
+    let refs: Vec<&[u8]> = fragments.iter().map(Vec::as_slice).collect();
+    let exponent = params.batch_exponent(&refs);
+    let ctx = MontgomeryContext::new(params.modulus()).expect("RSA moduli are odd");
+    let _ = params.power_of_start(&Ubig::zero()); // the comb built up front
+    let (record, record_cost) = metered(|| params.accumulate_batch(&refs));
+    let (ladder, record_ladder_cost) = metered(|| ctx.modexp(params.start(), &exponent));
+    assert_eq!(record, ladder, "one value either way");
+    let (a, _, e) = X0_COMB;
+    assert_eq!(
+        record_cost.fixed_base_builds, 0,
+        "a record rides the comb built up front"
+    );
+    assert!(
+        record_cost.mont_mul_steps <= e + a + 1,
+        "a record's power walks {} steps, over e + a + 1 = {}",
+        record_cost.mont_mul_steps,
+        e + a + 1
+    );
+
+    let group = SchnorrGroup::fixed_256();
+    let (_, generator_build_cost) = metered(|| group.pow_g(&Ubig::zero()));
+    let key = SchnorrKeyPair::from_secret(&group, Ubig::from_u64(0x139a_ef78));
+    let message = b"glsn 139aef78 || deposit";
+    let nonce = group.challenge(&[b"cost-profile-nonce"]);
+    let (signature, signature_cost) = metered(|| key.sign_with_nonce(message, &nonce));
+    assert!(dla_crypto::schnorr::verify(
+        &group,
+        key.public(),
+        message,
+        &signature
+    ));
+    let (_, nonce_ladder_cost) = metered(|| group.pow(group.generator(), &nonce));
+    let (a, _, e) = G_COMB;
+    assert_eq!(
+        generator_build_cost.fixed_base_builds, 1,
+        "g's comb, built once"
+    );
+    assert_eq!(
+        signature_cost.fixed_base_builds, 0,
+        "and walked by every signature"
+    );
+    assert!(signature_cost.mont_mul_steps <= e + a + 1);
+    assert!(
+        4 * signature_cost.mont_mul_steps <= nonce_ladder_cost.mont_mul_steps,
+        "a signature's g^k ({} steps) must cost at most a quarter of the ladder's {}",
+        signature_cost.mont_mul_steps,
+        nonce_ladder_cost.mont_mul_steps
+    );
+    DepositPowers {
+        record_bits: exponent.bit_len(),
+        record_cost,
+        record_ladder_cost,
+        generator_build_cost,
+        signature_cost,
+        nonce_ladder_cost,
+    }
+}
+
+fn ratio(ladder: &CostVector, fixed: &CostVector) -> f64 {
+    ladder.mont_mul_steps as f64 / fixed.mont_mul_steps as f64
+}
+
+impl DepositPowers {
+    fn line(&self) -> String {
+        format!(
+            "one deposit's fixed-base powers: the record's {}-bit x0 power {} steps \
+             (ladder {}, {:.1}x fewer), the signature's g^k {} steps (ladder {}, {:.1}x \
+             fewer; g's comb built once for {} steps)",
+            self.record_bits,
+            self.record_cost.mont_mul_steps,
+            self.record_ladder_cost.mont_mul_steps,
+            ratio(&self.record_ladder_cost, &self.record_cost),
+            self.signature_cost.mont_mul_steps,
+            self.nonce_ladder_cost.mont_mul_steps,
+            ratio(&self.nonce_ladder_cost, &self.signature_cost),
+            self.generator_build_cost.mont_mul_steps,
+        )
+    }
+
+    fn json(&self) -> Json {
+        let comb = |(a, v, e): (u64, u64, u64)| {
+            Json::Object(vec![
+                ("columns", a.into()),
+                ("blocks", v.into()),
+                ("block_columns", e.into()),
+            ])
+        };
+        Json::Object(vec![
+            ("record_exponent_bits", self.record_bits.into()),
+            ("x0_comb", comb(X0_COMB)),
+            (
+                "record_mont_mul_steps",
+                self.record_cost.mont_mul_steps.into(),
+            ),
+            (
+                "record_ladder_mont_mul_steps",
+                self.record_ladder_cost.mont_mul_steps.into(),
+            ),
+            (
+                "record_step_ratio",
+                Json::Fixed(ratio(&self.record_ladder_cost, &self.record_cost), 2),
+            ),
+            ("g_comb", comb(G_COMB)),
+            (
+                "g_comb_build_mont_mul_steps",
+                self.generator_build_cost.mont_mul_steps.into(),
+            ),
+            (
+                "signature_mont_mul_steps",
+                self.signature_cost.mont_mul_steps.into(),
+            ),
+            (
+                "nonce_ladder_mont_mul_steps",
+                self.nonce_ladder_cost.mont_mul_steps.into(),
+            ),
+            (
+                "signature_step_ratio",
+                Json::Fixed(ratio(&self.nonce_ladder_cost, &self.signature_cost), 2),
+            ),
+        ])
     }
 }
 
 impl FixedBaseProfile {
     fn audit_ratio(&self) -> f64 {
-        self.ladder_cost.mont_mul_steps as f64 / self.accel_cost.mont_mul_steps as f64
+        ratio(&self.ladder_cost, &self.accel_cost)
     }
 
     fn fold_ratio(&self) -> f64 {
-        self.fold_ladder_cost.mont_mul_steps as f64 / self.fold_cost.mont_mul_steps as f64
+        ratio(&self.fold_ladder_cost, &self.fold_cost)
     }
 
     fn line(&self) -> String {
@@ -189,7 +350,8 @@ impl FixedBaseProfile {
             "fixed-base vs ladder ({} epochs x {} deposits): table build {} steps \
              (once), refold ladder {} steps, fixed-base + RLC batch {} steps \
              ({:.1}x fewer per audit, {} comb built); fresh epoch's fold_batch \
-             {} steps on the ladder, {} from x0 ({:.1}x fewer)",
+             {} steps on the ladder, {} from x0 ({:.1}x fewer; the first {}, \
+             {} comb built)",
             self.epochs,
             self.items_per_epoch,
             self.build_cost.mont_mul_steps,
@@ -200,6 +362,8 @@ impl FixedBaseProfile {
             self.fold_ladder_cost.mont_mul_steps,
             self.fold_cost.mont_mul_steps,
             self.fold_ratio(),
+            self.first_fold_cost.mont_mul_steps,
+            self.first_fold_cost.fixed_base_builds,
         )
     }
 
@@ -233,6 +397,14 @@ impl FixedBaseProfile {
                 self.fold_cost.mont_mul_steps.into(),
             ),
             ("fold_batch_step_ratio", Json::Fixed(self.fold_ratio(), 2)),
+            (
+                "first_fold_batch_mont_mul_steps",
+                self.first_fold_cost.mont_mul_steps.into(),
+            ),
+            (
+                "first_fold_batch_comb_builds",
+                self.first_fold_cost.fixed_base_builds.into(),
+            ),
         ])
     }
 }
@@ -356,11 +528,19 @@ fn main() {
          Shamir-based sum costs field ops only."
     );
 
-    let fb = profile_fixed_base_vs_ladder(12, 2, 0);
+    // Two-deposit epochs: the audit's ~650-bit combined exponent and
+    // the fold's 512-bit one each build a comb of their own length.
+    let fb = profile_fixed_base_vs_ladder(12, 2, 1, 1);
     // The benchmark's shape: eight sealed epochs of sixty-four in the
     // window, every exponent an epoch long.
-    let epoch_sized = profile_fixed_base_vs_ladder(8, 64, 1);
-    println!("\n{}\n{}", fb.line(), epoch_sized.line());
+    let epoch_sized = profile_fixed_base_vs_ladder(8, 64, 1, 0);
+    let deposit = profile_deposit_powers();
+    println!(
+        "\n{}\n{}\n{}",
+        fb.line(),
+        epoch_sized.line(),
+        deposit.line()
+    );
     assert!(
         epoch_sized.audit_ratio() >= 4.0 && epoch_sized.fold_ratio() >= 4.0,
         "an epoch-long power of x0 must take at least 4x fewer steps than its ladder"
@@ -372,6 +552,7 @@ fn main() {
             ("protocols", Json::Array(protocols)),
             ("fixed_base_vs_ladder", fb.json()),
             ("fixed_base_vs_ladder_epoch_sized", epoch_sized.json()),
+            ("deposit_fixed_base_powers", deposit.json()),
         ],
     );
 }

@@ -15,17 +15,23 @@ fn ubig(limbs: usize) -> impl Strategy<Value = Ubig> {
 }
 
 /// The evaluation `FixedBase` had above its radix table's capacity
-/// before the comb: split the exponent at the capacity, look the low
-/// part up, raise the high part's power by `capacity` squarings. Kept
-/// as the comb's differential oracle.
-fn chunk_recursion(ctx: &MontgomeryContext, fb: &dla_bigint::FixedBase, exp: &Ubig) -> Ubig {
-    let capacity = fb.capacity_bits();
-    if exp.bit_len() <= capacity {
+/// before the comb: split the exponent every `split` bits, raise the
+/// base to the low part through `fb`, and lift the high part's power by
+/// `split` ladder squarings. Kept as the comb's differential oracle: it
+/// asks `fb` only for powers of at most `split` bits, and does the rest
+/// on `modexp`.
+fn chunk_recursion(
+    ctx: &MontgomeryContext,
+    fb: &dla_bigint::FixedBase,
+    exp: &Ubig,
+    split: usize,
+) -> Ubig {
+    if exp.bit_len() <= split {
         return fb.pow(exp);
     }
-    let low = fb.pow(&(exp % &(Ubig::one() << capacity)));
-    let high = chunk_recursion(ctx, fb, &(exp >> capacity));
-    ctx.modmul(&low, &ctx.modexp(&high, &(Ubig::one() << capacity)))
+    let low = fb.pow(&(exp % &(Ubig::one() << split)));
+    let high = chunk_recursion(ctx, fb, &(exp >> split), split);
+    ctx.modmul(&low, &ctx.modexp(&high, &(Ubig::one() << split)))
 }
 
 fn ubig_nonzero(limbs: usize) -> impl Strategy<Value = Ubig> {
@@ -297,15 +303,15 @@ proptest! {
         prop_assert_eq!(ctx.modexp(&base, &exp), ctx.modexp_generic(&base, &exp));
     }
 
-    /// `FixedBase::pow` ≡ `modexp` across 65–512-bit odd moduli, both
-    /// inside the radix table's capacity and through a comb (the
-    /// capacity divisor deliberately undersizes some tables).
+    /// `FixedBase::pow` ≡ `modexp` across 65–512-bit odd moduli, on the
+    /// comb built up front and on one built on first use (the divisor
+    /// deliberately undersizes some up-front combs).
     #[test]
     fn fixed_base_matches_modexp(
         base in ubig(8),
         exp in ubig(8),
         bits in 65usize..=512,
-        cap_divisor in 1usize..=4,
+        up_front_divisor in 1usize..=4,
         seed in any::<u64>(),
     ) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -316,21 +322,26 @@ proptest! {
             m
         };
         let ctx = MontgomeryContext::new(&m).expect("modulus is odd");
-        let fb = dla_bigint::FixedBase::new(&ctx, &base, bits / cap_divisor);
+        let fb = dla_bigint::FixedBase::new(&ctx, &base, bits / up_front_divisor);
         prop_assert_eq!(fb.pow(&exp), ctx.modexp(&base, &exp));
     }
 
     /// Comb ≡ `modexp` ≡ the squaring-shifted chunk recursion the comb
-    /// replaced, at every exponent length where the evaluator changes
-    /// route — empty, one bit, around the radix table's capacity, an
-    /// epoch's product with `batch_verify`'s randomizer, and past the
-    /// longest comb — for a random base, zero and one; each evaluator
-    /// meets a shorter exponent first, so the longer one arrives at a
-    /// comb already built for another length.
+    /// replaced, at every exponent length where the comb changes shape
+    /// or route — empty, one bit, one column, around the length built
+    /// up front (a comb of exactly that many columns: 1, 8, 12, 32, 71,
+    /// 144, 2 056 — one to eight blocks, the last one narrower at 71),
+    /// combs built with headroom for 64 to 133 columns (eight
+    /// blocks, the last one narrower), the production makes (a
+    /// 255-bit Schnorr exponent, a 1 020–1 152-bit deposit, a
+    /// 16 441-bit epoch product with `batch_verify`'s randomizer), and
+    /// past the longest comb — for a random base, zero and one; each
+    /// evaluator meets a shorter exponent first, so the longer one
+    /// arrives at a comb already built for another length.
     #[test]
     fn fixed_base_comb_matches_modexp_and_the_chunk_recursion(
         bits in 65usize..=512,
-        capacity in prop::sample::select(vec![64usize, 89, 256, 1152]),
+        up_front in prop::sample::select(vec![1usize, 64, 89, 255, 568, 1152, 16_441]),
         special_base in prop::sample::select(vec![None, Some(0u64), Some(1)]),
         seed in any::<u64>(),
     ) {
@@ -343,11 +354,15 @@ proptest! {
         };
         let ctx = MontgomeryContext::new(&m).expect("modulus is odd");
         let base = special_base.map_or_else(|| Ubig::random_below(&mut rng, &m), Ubig::from_u64);
-        let fb = dla_bigint::FixedBase::new(&ctx, &base, capacity);
-        let capacity = fb.capacity_bits();
-        let lengths = [
-            0, 1, capacity - 1, capacity, capacity + 1, 2 * capacity + 3, 16_384 + 128, 70_000,
+        let fb = dla_bigint::FixedBase::new(&ctx, &base, up_front);
+        let mut lengths = vec![
+            0, 1, 8, 9, up_front.max(2) - 1, up_front, up_front + 1, 2 * up_front + 3,
+            255, 512, 568, 1_064, 1_020, 1_152, 16_384 + 128, 16_441, 70_000,
         ];
+        lengths.sort_unstable();
+        // The oracle's chunks stay short of the up-front comb, and never
+        // so short that 70 000 bits recurse too deep.
+        let split = up_front.clamp(64, 1_152) - 1;
         // Shorter before longer, twice: the second pass finds combs
         // built by the first (and, past four lengths, dropped by it).
         for &len in lengths.iter().chain(&lengths) {
@@ -358,7 +373,7 @@ proptest! {
             };
             let value = fb.pow(&exp);
             prop_assert_eq!(&value, &ctx.modexp(&base, &exp), "len={}", len);
-            prop_assert_eq!(&value, &chunk_recursion(&ctx, &fb, &exp), "len={}", len);
+            prop_assert_eq!(&value, &chunk_recursion(&ctx, &fb, &exp, split), "len={}", len);
         }
     }
 

@@ -210,9 +210,9 @@ impl AccumulatorParams {
     }
 
     /// The fixed-base evaluator over `x₀`, built once per parameter
-    /// set. Its radix table covers a deposit's handful of items (zero
-    /// squarings a power); an epoch-long exponent walks a comb the
-    /// evaluator builds for that length on first use.
+    /// set. Its first comb, built up front, serves a record's handful
+    /// of items; an epoch-long exponent walks a comb the evaluator
+    /// builds for that length on first use.
     fn fixed_base(&self) -> &FixedBase {
         self.fixed
             .get_or_init(|| FixedBase::new(&self.ctx, &self.x0, 2 * self.n.bit_len() + 128))
@@ -235,8 +235,8 @@ impl AccumulatorParams {
 
     /// `x₀^exp mod n` through the cached fixed-base evaluator —
     /// bit-identical to folding from [`AccumulatorParams::start`] with
-    /// a ladder: no squaring for a deposit-sized exponent, an eighth of
-    /// the ladder's for an epoch-sized one.
+    /// a ladder, at about a seventh of its steps for a record's
+    /// exponent and an eighth for an epoch's.
     #[must_use]
     pub fn power_of_start(&self, exp: &Ubig) -> Ubig {
         self.fixed_base().pow(exp)

@@ -9,12 +9,13 @@
 //! system needs exactly one algebraic substrate.
 
 use crate::sha256;
+use dla_bigint::jacobi::jacobi;
 use dla_bigint::modular::modmul;
 use dla_bigint::montgomery::MontgomeryContext;
-use dla_bigint::{prime, Ubig};
+use dla_bigint::{prime, FixedBase, Ubig};
 use rand::Rng;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The group `(p, q, g)`: safe prime `p = 2q + 1` and a generator `g`
 /// of the order-`q` quadratic-residue subgroup.
@@ -24,6 +25,10 @@ pub struct SchnorrGroup {
     q: Arc<Ubig>,
     g: Ubig,
     ctx: Arc<MontgomeryContext>,
+    /// Fixed-base evaluator over `g`, built on first use and shared by
+    /// every clone of the group: every key, nonce commitment and
+    /// signature check raises `g`.
+    fixed_g: Arc<OnceLock<FixedBase>>,
 }
 
 impl PartialEq for SchnorrGroup {
@@ -55,6 +60,7 @@ impl SchnorrGroup {
             q: Arc::new(q),
             g,
             ctx: Arc::new(ctx),
+            fixed_g: Arc::new(OnceLock::new()),
         }
     }
 
@@ -86,10 +92,22 @@ impl SchnorrGroup {
         &self.g
     }
 
-    /// `g^e mod p` (cached Montgomery context).
+    /// `g^e mod p` through the cached fixed-base evaluator, whose first
+    /// comb is built for exponents below `q`: a comb walk where
+    /// `self.pow(self.generator(), e)` runs a ladder, bit for bit the
+    /// same value.
     #[must_use]
     pub fn pow_g(&self, e: &Ubig) -> Ubig {
-        self.ctx.modexp(&self.g, e)
+        self.fixed_g
+            .get_or_init(|| FixedBase::new(&self.ctx, &self.g, self.q.bit_len()))
+            .pow(e)
+    }
+
+    /// Whether `y` is a group element other than one: `1 < y < p` with
+    /// Jacobi symbol `(y/p) = 1`. For a safe prime that symbol is `+1`
+    /// exactly on the order-`q` subgroup, so no power is needed.
+    fn is_nontrivial_element(&self, y: &Ubig) -> bool {
+        !y.is_zero() && !y.is_one() && y < self.p.as_ref() && jacobi(y, &self.p) == 1
     }
 
     /// `base^e mod p` (cached Montgomery context).
@@ -252,6 +270,11 @@ impl SchnorrKeyPair {
 
 /// Verifies a signature: recompute `r' = g^s · y^{−e}` and check the
 /// challenge matches.
+///
+/// A public key outside the order-`q` subgroup, or the identity, is
+/// refused before any power: keys arrive from journals and peers, and
+/// under `y = 1` (secret 0) anyone signs anything (`s = k`,
+/// `r = g^k`).
 #[must_use]
 pub fn verify(
     group: &SchnorrGroup,
@@ -260,7 +283,7 @@ pub fn verify(
     sig: &Signature,
 ) -> bool {
     let (p, q) = (group.modulus(), group.order());
-    if sig.e >= *q || sig.s >= *q {
+    if sig.e >= *q || sig.s >= *q || !group.is_nontrivial_element(public.element()) {
         return false;
     }
     // y^{-e} = y^{q - e} in the order-q subgroup.
@@ -357,6 +380,59 @@ mod tests {
             s: sig.s,
         };
         assert!(!verify(&group, key.public(), b"m", &oversized));
+    }
+
+    #[test]
+    fn verify_refuses_degenerate_public_keys() {
+        let group = SchnorrGroup::fixed_256();
+        let (p, q) = (group.modulus(), group.order());
+        let message = b"deposit 139aef";
+        // A signature nobody's secret made: `s = k`, `r = g^k`, found
+        // for the first nonce where `y^{q−e} = 1` makes it check out.
+        let challenge = |r: &Ubig, y: &Ubig| {
+            group.challenge(&[b"dla-schnorr", &r.to_bytes_be(), message, &y.to_bytes_be()])
+        };
+        let forge = |y: &Ubig| {
+            (1u64..200)
+                .map(|k| Signature {
+                    e: challenge(&group.pow_g(&Ubig::from_u64(k)), y),
+                    s: Ubig::from_u64(k),
+                })
+                .find(|sig| group.pow(y, &(q - &sig.e)).is_one())
+                .expect("half of all nonces do for y = p - 1")
+        };
+        for y in [Ubig::one(), p + &Ubig::one(), p - &Ubig::one()] {
+            let sig = forge(&y);
+            // What the group law says: `g^s · y^{−e} = g^k`, so the
+            // challenge recomputes — the forgery is a real one.
+            let r = modmul(&group.pow_g(&sig.s), &group.pow(&y, &(q - &sig.e)), p);
+            assert_eq!(challenge(&r, &y), sig.e);
+            let key = SchnorrPublicKey::from_element(y.clone());
+            assert!(!verify(&group, &key, message, &sig), "y = {y}");
+        }
+        // Zero, the modulus and a non-residue (`−4`, `g = 4`) are no
+        // group elements; a genuine key beside them still verifies.
+        let genuine = SchnorrKeyPair::generate(&group, &mut rng());
+        let sig = genuine.sign(message, &mut rng());
+        assert!(verify(&group, genuine.public(), message, &sig));
+        for y in [Ubig::zero(), p.clone(), p - &Ubig::from_u64(4)] {
+            let key = SchnorrPublicKey::from_element(y.clone());
+            assert!(!verify(&group, &key, message, &sig), "y = {y}");
+        }
+    }
+
+    #[test]
+    fn clones_of_a_group_share_one_comb() {
+        let group = SchnorrGroup::fixed_256();
+        let clone = group.clone();
+        let mut rng = rng();
+        assert!(group.pow_g(group.order()).is_one(), "g has order q");
+        let recorder = dla_telemetry::Recorder::new();
+        {
+            let _install = recorder.install();
+            let _ = clone.pow_g(&group.random_exponent(&mut rng));
+        }
+        assert_eq!(recorder.take().total_cost().fixed_base_builds, 0);
     }
 
     #[test]

@@ -152,9 +152,10 @@ proptest! {
     }
 
     /// `accumulate` (one fixed-base power over `∏ yᵢ`) ≡ the per-item
-    /// fold ladder, from the empty collection through the table's
-    /// capacity (4 items on the 512-bit modulus) into a comb — and it
-    /// still bills one `AccumulatorFold` per item.
+    /// fold ladder, from the empty collection through a record's 4
+    /// items (the comb built up front, on the 512-bit modulus) to 9
+    /// (combs built on first use) — and it still bills one
+    /// `AccumulatorFold` per item.
     #[test]
     fn accumulate_matches_the_fold_ladder(
         items in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..40), 0..=9),
@@ -174,8 +175,9 @@ proptest! {
 
     /// `fold_batch` ≡ `modexp_batch` on the batch's exponent whether
     /// none, one or all of the accumulators still equal `x₀` (those
-    /// take the fixed-base power), from one item (inside the table)
-    /// through an epoch's sixty-four (a comb) — and it bills the same
+    /// take the fixed-base power), from one item through a record's
+    /// four (the comb built up front) to an epoch's sixty-four — and it
+    /// bills the same
     /// folds and the same exponentiations either way.
     #[test]
     fn fold_batch_from_the_start_value_matches_modexp_batch(
@@ -270,6 +272,26 @@ proptest! {
         let sig = key.sign(&m1, &mut rng);
         prop_assert!(schnorr::verify(&group, key.public(), &m1, &sig));
         prop_assert!(!schnorr::verify(&group, key.public(), &m2, &sig));
+    }
+
+    /// `pow_g` walks the group's comb where `pow(g, ·)` runs the
+    /// ladder: one value, on the fixed 256-bit group and on a generated
+    /// one, for exponents below `q`, at it and up to 640 bits.
+    #[test]
+    fn pow_g_matches_the_ladder(
+        seed in 0u64..10_000,
+        bits in prop::sample::select(vec![48usize, 64, 80]),
+        limbs in prop::collection::vec(prop::collection::vec(any::<u64>(), 0..10), 1..6),
+    ) {
+        let mut rng = rng_from(seed);
+        for group in [SchnorrGroup::fixed_256(), SchnorrGroup::generate(bits, &mut rng)] {
+            let mut exponents: Vec<Ubig> = limbs.iter().cloned().map(Ubig::from_limbs).collect();
+            exponents.push(group.random_exponent(&mut rng));
+            exponents.push(group.order().clone());
+            for e in &exponents {
+                prop_assert_eq!(group.pow_g(e), group.pow(group.generator(), e), "e={}", e);
+            }
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub enum CostKind {
     /// hides (a 3-bit and a 512-bit exponent differ by two orders of
     /// magnitude in steps).
     MontMulStep,
-    /// One radix-2^w fixed-base table constructed (the precompute a
+    /// One fixed-base comb constructed (the precompute a
     /// [`CostKind::MontMulStep`]-counted build pays once and every
     /// subsequent fixed-base power amortises).
     FixedBaseTableBuild,

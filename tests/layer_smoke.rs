@@ -63,7 +63,7 @@ fn crypto_cipher_commutes_and_accumulator_is_order_free() {
     assert_ne!(xy, acc.accumulate_batch(&[x, b"fragment-X"]));
 
     // An epoch's worth: sixty-four items are one power of `x₀` sixteen
-    // thousand bits long — a comb walk, not the table the pair rode.
+    // thousand bits long — a comb of its own, not the one the pair rode.
     let epoch: Vec<Vec<u8>> = (0..64)
         .map(|i| format!("deposit-{i}").into_bytes())
         .collect();
@@ -81,6 +81,41 @@ fn crypto_cipher_commutes_and_accumulator_is_order_free() {
     assert!(acc.batch_verify(&[(ladder.clone(), exponent.clone())]));
     assert!(!acc.batch_verify(&[(acc.fold(&ladder, x), exponent)]));
 }
+
+#[test]
+fn crypto_fixed_base_powers_are_the_ladder_and_a_signature_keeps_its_bytes() {
+    // The three exponent makes the combs serve: a Schnorr nonce below
+    // q, a record's fold of four fragments, an epoch's of sixty-four
+    // with `batch_verify`'s randomizer.
+    let group = SchnorrGroup::fixed_256();
+    let acc = AccumulatorParams::fixed_512();
+    let x0_ladder = MontgomeryContext::new(acc.modulus()).expect("odd modulus");
+    let mut rng = StdRng::seed_from_u64(28);
+    let k = group.random_exponent(&mut rng);
+    assert_eq!(group.pow_g(&k), group.pow(group.generator(), &k));
+    for bits in [1_020, 1_152, 16_441] {
+        let e = Ubig::random_bits(&mut rng, bits - 1) + (Ubig::one() << (bits - 1));
+        assert_eq!(
+            acc.power_of_start(&e),
+            x0_ladder.modexp(acc.start(), &e),
+            "{bits} bits"
+        );
+    }
+
+    // A signature with a fixed secret and nonce is the one the ladder
+    // made before the generator had a comb.
+    let key = SchnorrKeyPair::from_secret(&group, Ubig::from_u64(0x139a_ef78));
+    let signature = key.sign_with_nonce(b"glsn 139aef78 || deposit", &Ubig::from_u64(0x5eed));
+    assert_eq!(
+        (signature.e.to_hex(), signature.s.to_hex()),
+        (E_BEFORE_THE_COMB.into(), S_BEFORE_THE_COMB.into())
+    );
+}
+
+/// The challenge and response of the `sign_with_nonce` above, captured
+/// on the commit before `pow_g` walked a comb.
+const E_BEFORE_THE_COMB: &str = "2e95f80c2a33618ab0fab027bdce806726d2b83364e19ec0f7a1d89b12b3a504";
+const S_BEFORE_THE_COMB: &str = "5462ba724e3e261732c840ed730d720fc98411d0e49a43b967c8b422c45728ed";
 
 #[test]
 fn crypto_sha256_hardware_path_matches_the_portable_reference() {
