@@ -33,10 +33,12 @@
 //! masks) from [`scenario_rng`]`(cluster_seed, scenario_id)`, so a
 //! report is reproducible from its two seeds alone.
 //!
-//! The curious half of the threat model is [`run_coalition`]: an
-//! honest-but-curious coalition of up to `k − 1 = n − 1` DLA nodes
-//! records every message its members see and the transcript is scanned
-//! for *foreign* plaintext (attribute values owned by non-members).
+//! The curious half of the threat model is [`run_coalition`]: the
+//! cluster's wire tap records every message once, the view of an
+//! honest-but-curious coalition of up to `k − 1 = n − 1` DLA nodes is
+//! the part of that record its members sent or received, and the view
+//! is scanned for *foreign* plaintext (attribute values owned by
+//! non-members).
 //! The same run re-derives the paper's §5 confidentiality metrics
 //! empirically — `u` measured from observed fragment-ship domains with
 //! the coalition merged into one, `C_auditing` from re-planning the
@@ -58,7 +60,7 @@ use dla_mpc::set_intersection::SET_TAG;
 use dla_net::adversary::{scenario_rng, Adversary, ScriptedAdversary, Tamper, TamperRule};
 use dla_net::latency::LatencyModel;
 use dla_net::wire::Writer;
-use dla_net::{NodeId, SessionId};
+use dla_net::{NodeId, SessionId, Transport};
 use rand::Rng;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -722,9 +724,9 @@ pub const WORKLOAD: [&str; 2] = [
     "c1 > 40 OR id = 'U2'",
 ];
 
-/// Runs a deposit + audit workload with `coalition` members curious
-/// (transcript-capturing) and measures both what they saw and the §5
-/// metrics under their collusion.
+/// Runs a deposit + audit workload under a tap that records the wire,
+/// takes `coalition`'s view of that record and measures both what the
+/// coalition saw and the §5 metrics under its collusion.
 ///
 /// # Errors
 ///
@@ -747,15 +749,13 @@ pub fn run_coalition(seed: u64, coalition: &[usize]) -> Result<CoalitionReport, 
         ClusterConfig::new(4, schema.clone())
             .with_partition(partition.clone())
             .with_seed(seed)
-            .with_epoch_length(2)
-            .with_payload_capture(),
+            .with_epoch_length(2),
     )?;
-    let mut adversary = ScriptedAdversary::new();
-    for &member in &members {
-        adversary = adversary.curious(member);
-    }
-    let adversary = Arc::new(adversary);
-    cluster.set_adversary(Arc::clone(&adversary) as Arc<dyn Adversary>);
+    // One record of the whole wire; the coalition's view is the part of
+    // it its members sent or received.
+    let everyone = 0..cluster.shared_net().num_nodes();
+    let wire = Arc::new(everyone.fold(ScriptedAdversary::new(), ScriptedAdversary::curious));
+    cluster.set_adversary(Arc::clone(&wire) as Arc<dyn Adversary>);
 
     let user = cluster.register_user("auditee")?;
     let records = paper_table1();
@@ -785,7 +785,10 @@ pub fn run_coalition(seed: u64, coalition: &[usize]) -> Result<CoalitionReport, 
         .map(|(_, value)| value.to_canonical_bytes())
         .filter(|needle| needle.len() >= 4)
         .collect();
-    let captured = adversary.captured();
+    let wire = wire.captured();
+    let captured: Vec<_> = (wire.iter())
+        .filter(|m| members.contains(&m.from.0) || members.contains(&m.to.0))
+        .collect();
     let foreign_plaintext_hits = captured
         .iter()
         .filter(|message| {
@@ -799,17 +802,15 @@ pub fn run_coalition(seed: u64, coalition: &[usize]) -> Result<CoalitionReport, 
     // fragment-ship traffic (tag 0x20), coalition merged into one.
     let n = cluster.num_nodes();
     let mut domains: BTreeSet<usize> = BTreeSet::new();
-    {
-        let net = cluster.net();
-        for (_, to, payload) in net.captured_payloads() {
-            if payload.first() == Some(&0x20) && to.0 < n {
-                let domain = if members.contains(&to.0) {
-                    *members.iter().min().expect("nonempty coalition")
-                } else {
-                    to.0
-                };
-                domains.insert(domain);
-            }
+    for message in &wire {
+        let to = message.to.0;
+        if message.payload.first() == Some(&0x20) && to < n {
+            let domain = if members.contains(&to) {
+                *members.iter().min().expect("nonempty coalition")
+            } else {
+                to
+            };
+            domains.insert(domain);
         }
     }
     let observed_domains = domains.len().max(usize::from(!glsns.is_empty()));

@@ -18,7 +18,7 @@ use dla_logstore::store::{FragmentStore, GlsnAllocator};
 use dla_logstore::LogError;
 use dla_net::latency::LatencyModel;
 use dla_net::wire::{Reader, Writer};
-use dla_net::{NetConfig, NodeId, Session, SharedNet, SimNet};
+use dla_net::{AdversaryNet, NetConfig, NodeId, Session, SharedNet, SimNet};
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -42,8 +42,6 @@ pub struct ClusterConfig {
     pub latency: LatencyModel,
     /// Maximum number of application users that can register.
     pub max_users: usize,
-    /// Capture every network payload for leak-inspection tests.
-    pub capture_payloads: bool,
     /// Directory for per-node + cluster journals; enables crash-safe
     /// durability and [`DlaCluster`] restart recovery.
     pub journal_dir: Option<std::path::PathBuf>,
@@ -74,7 +72,6 @@ impl ClusterConfig {
             seed: 0,
             latency: LatencyModel::Zero,
             max_users: 8,
-            capture_payloads: false,
             journal_dir: None,
             standby_replication: false,
             epoch_length: 1024,
@@ -116,13 +113,6 @@ impl ClusterConfig {
     #[must_use]
     pub fn with_max_users(mut self, max_users: usize) -> Self {
         self.max_users = max_users;
-        self
-    }
-
-    /// Enables network payload capture (leak-inspection tests).
-    #[must_use]
-    pub fn with_payload_capture(mut self) -> Self {
-        self.capture_payloads = true;
         self
     }
 
@@ -397,7 +387,9 @@ pub struct DlaCluster {
     domain: CommutativeDomain,
     acc_params: AccumulatorParams,
     nodes: Vec<DlaNode>,
-    net: SharedNet,
+    /// The simulator behind the wire tap every cluster leg sends
+    /// through ([`DlaCluster::set_adversary`]).
+    net: AdversaryNet<SharedNet>,
     seed: u64,
     query_counter: AtomicU64,
     allocator: GlsnAllocator,
@@ -520,10 +512,9 @@ impl DlaCluster {
                 })
             })
             .collect::<Result<_, AuditError>>()?;
-        let mut net_config = NetConfig::ideal()
+        let net_config = NetConfig::ideal()
             .with_latency(config.latency)
             .with_seed(config.seed);
-        net_config.capture_payloads = config.capture_payloads;
         let net = SimNet::new(config.nodes + 2 + config.max_users, net_config);
 
         let authority = TicketAuthority::new(&group, &mut rng);
@@ -540,7 +531,7 @@ impl DlaCluster {
             domain: CommutativeDomain::fixed_256(),
             acc_params,
             nodes,
-            net: SharedNet::new(net),
+            net: AdversaryNet::new(SharedNet::new(net)),
             seed: config.seed,
             query_counter: AtomicU64::new(0),
             allocator: GlsnAllocator::starting_at(glsn_base),
@@ -797,35 +788,40 @@ impl DlaCluster {
         &self.acc_params
     }
 
-    /// Locks the network for inspection and scripting: stats, clocks,
-    /// fault plans, captured payloads, fresh session ids. The guard
-    /// dereferences to [`SimNet`]; the cluster's own messages move
-    /// through a [`Session`], never through this guard.
+    /// Locks the simulator for inspection and scripting: stats, clocks,
+    /// fault plans, fresh session ids. The guard dereferences to
+    /// [`SimNet`]; the cluster's own messages move through a
+    /// [`Session`] on [`DlaCluster::shared_net`], never through this
+    /// guard.
     ///
     /// The lock is not reentrant: bind the guard once rather than
     /// calling `net()` twice within a single expression (the second
     /// call would block on the lock the first still holds).
     pub fn net(&self) -> MutexGuard<'_, SimNet> {
-        self.net.lock()
+        self.net.inner().lock()
     }
 
-    /// The session-multiplexed shared transport the cluster runs over.
+    /// The session-multiplexed transport the cluster runs over: the
+    /// simulator behind the wire tap, so whatever sends through it — a
+    /// cluster leg, a query's sessions, a [`dla_net::Reliable`] wrapper
+    /// around it — is seen by the installed adversary.
     #[must_use]
-    pub fn shared_net(&self) -> &SharedNet {
+    pub fn shared_net(&self) -> &AdversaryNet<SharedNet> {
         &self.net
     }
 
-    /// Installs a Byzantine [`dla_net::adversary::Adversary`] on the
-    /// cluster's network: selected nodes start lying on the wire (their
-    /// forgeries re-stamped with valid checksums). See
-    /// [`crate::adversary`] for the scenario runner built on this.
+    /// Installs a [`dla_net::adversary::Adversary`] on the cluster's
+    /// wire tap: selected nodes start lying on the wire (their
+    /// forgeries re-stamped with valid checksums), and curious ones
+    /// record what they see. See [`crate::adversary`] for the scenario
+    /// runner built on this.
     pub fn set_adversary(&self, adversary: std::sync::Arc<dyn dla_net::adversary::Adversary>) {
-        self.net.lock().set_adversary(adversary);
+        self.net.set_adversary(adversary);
     }
 
     /// Removes any installed adversary; the cluster is honest again.
     pub fn clear_adversary(&self) {
-        self.net.lock().clear_adversary();
+        self.net.clear_adversary();
     }
 
     /// The root session over the cluster's network: the one door every
@@ -866,7 +862,7 @@ impl DlaCluster {
     /// time, mirroring it as a telemetry event when a recorder is
     /// active.
     pub(crate) fn meta_log(&mut self, actor: &str, action: &str, detail: String) {
-        let at_ns = self.net.lock().elapsed().as_nanos();
+        let at_ns = self.net().elapsed().as_nanos();
         if dla_telemetry::is_active() {
             dla_telemetry::event(
                 "meta-audit",

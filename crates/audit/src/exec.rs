@@ -90,9 +90,12 @@ pub struct QueryResult {
     pub reports: Vec<ProtocolReport>,
     /// `C_auditing` of the executed plan (Eq. 11).
     pub auditing_confidentiality: f64,
-    /// Total messages attributable to this query.
+    /// Messages this query sent: the sum of its own sessions' counters
+    /// on the transport it ran over, so a concurrent query's traffic is
+    /// never counted and a socket or channel run counts too.
     pub messages: u64,
-    /// Total payload bytes attributable to this query.
+    /// Payload bytes this query sent, counted as
+    /// [`QueryResult::messages`] is.
     pub bytes: u64,
     /// Simulated network makespan of the query: the maximum of the
     /// subquery latencies plus the ∧-combiner.
@@ -222,7 +225,7 @@ pub fn execute_on(
     _mode: ExecMode,
     query_seed: u64,
 ) -> Result<QueryResult, AuditError> {
-    let start_ns = cluster.shared_net().lock().elapsed().as_nanos();
+    let start_ns = cluster.net().elapsed().as_nanos();
     let query_span = dla_telemetry::span("query", "execute", start_ns);
 
     // Epoch pruning: if the plan proves a time window, restrict every
@@ -338,11 +341,7 @@ fn run_window(
     window: Option<(Glsn, Glsn)>,
     into: &mut QueryResult,
 ) -> Result<(), AuditError> {
-    let net = cluster.shared_net();
-    let (start_messages, start_bytes, start_elapsed) = {
-        let n = net.lock();
-        (n.stats().messages_sent, n.stats().bytes_sent, n.elapsed())
-    };
+    let start_elapsed = cluster.net().elapsed();
     let subq_span = dla_telemetry::span("phase", "subqueries", start_elapsed.as_nanos());
 
     // Phase 1: independent subqueries — the scheduler. Sessions are
@@ -350,7 +349,7 @@ fn run_window(
     // per-session RNG streams and accounting) do not depend on thread
     // interleaving.
     let sessions: Vec<SessionId> = {
-        let mut n = net.lock();
+        let mut n = cluster.net();
         plan.subqueries.iter().map(|_| n.open_session()).collect()
     };
     // Workers do not inherit the spawner's telemetry destination: hand
@@ -395,7 +394,7 @@ fn run_window(
         .max()
         .unwrap_or_default();
     let (combine_session, join_ns) = {
-        let mut n = net.lock();
+        let mut n = cluster.net();
         let join_at = sessions
             .iter()
             .map(|&sid| n.session_elapsed(sid))
@@ -448,15 +447,20 @@ fn run_window(
     }
 
     let end = {
-        let mut n = net.lock();
+        let mut n = cluster.net();
         // Fold the query's finish time back into the root timeline so
         // cluster-level elapsed time reflects completed queries.
         let end = n.session_elapsed(combine_session);
         n.sync_session(SessionId::ROOT, end);
-        into.messages += n.stats().messages_sent - start_messages;
-        into.bytes += n.stats().bytes_sent - start_bytes;
         end
     };
+    // Read after the guard is gone: on the cluster's own network the
+    // transport's counters take the same lock.
+    for &sid in sessions.iter().chain([&combine_session]) {
+        let (messages, bytes) = transport.counters(sid);
+        into.messages += messages;
+        into.bytes += bytes;
+    }
     into.elapsed += end - start_elapsed;
     into.sessions.extend(sessions);
     combine_span.end(end.as_nanos());

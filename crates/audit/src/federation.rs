@@ -62,7 +62,7 @@ use dla_logstore::schema::Schema;
 use dla_mpc::SumSession;
 use dla_net::latency::LatencyModel;
 use dla_net::wire::Writer;
-use dla_net::{Envelope, NetConfig, NodeId, Session, SharedNet, SimNet};
+use dla_net::{AdversaryNet, Envelope, NetConfig, NodeId, Session, SharedNet, SimNet};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, BTreeSet};
@@ -265,9 +265,9 @@ struct FederatedStanding {
 /// A federation of DLA sub-rings under a root accumulator ring.
 pub struct FederatedCluster {
     rings: Vec<DlaCluster>,
-    /// Root-ring transport: node `r` is ring `r`'s representative,
-    /// node `rings.len()` the root collector.
-    root_net: SharedNet,
+    /// Root-ring transport, behind its own wire tap: node `r` is ring
+    /// `r`'s representative, node `rings.len()` the root collector.
+    root_net: AdversaryNet<SharedNet>,
     root_rng: StdRng,
     acc_params: AccumulatorParams,
     /// The global accumulator over published sub-ring checkpoints.
@@ -329,12 +329,12 @@ impl FederatedCluster {
             .collect::<Result<Vec<_>, _>>()?;
         let mut root_seed_state = config.seed ^ 0xfed0_0001;
         let root_seed = rand::splitmix64(&mut root_seed_state);
-        let root_net = SharedNet::new(SimNet::new(
+        let root_net = AdversaryNet::new(SharedNet::new(SimNet::new(
             config.rings + 1,
             NetConfig::ideal()
                 .with_latency(config.latency.clone())
                 .with_seed(root_seed),
-        ));
+        )));
         let acc_params = AccumulatorParams::fixed_512();
         let root_acc = acc_params.start().clone();
         Ok(FederatedCluster {
@@ -1207,15 +1207,15 @@ mod tests {
             .put_bytes(b"not a publication");
         let swap = TamperRule::once_from(home, FED_PUBLISH_TAG, Tamper::Replace(foreign.finish()));
         let liar = ScriptedAdversary::new().compromise(home).rule(swap);
-        fed.root_net.lock().set_adversary(std::sync::Arc::new(liar));
+        fed.root_net.set_adversary(std::sync::Arc::new(liar));
         let err = seal_one_more(&mut fed).unwrap_err();
         assert!(matches!(err, AuditError::Wire(_)), "foreign tag gave {err}");
-        fed.root_net.lock().clear_adversary();
+        fed.root_net.clear_adversary();
         assert_eq!(fed.publish_checkpoints().unwrap(), 1, "catch-up sweep");
 
         // A byte flipped on the line is refused under its own name.
         let root = fed.root_node().0;
-        (fed.root_net.lock().faults_mut()).inject_once(home, root, FaultOutcome::Corrupt);
+        (fed.root_net.inner().lock().faults_mut()).inject_once(home, root, FaultOutcome::Corrupt);
         let err = seal_one_more(&mut fed).unwrap_err();
         assert!(
             matches!(err, AuditError::Net(dla_net::NetError::Corrupt(_))),

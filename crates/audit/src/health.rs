@@ -10,10 +10,9 @@
 //! rejoin.
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 use dla_net::wire::{Reader, Writer};
-use dla_net::{Clock, NodeId, Session, SessionId, SimTime, Transport};
+use dla_net::{NodeId, Session, SessionId, SimTime, Transport};
 
 use crate::cluster::DlaCluster;
 use crate::AuditError;
@@ -52,13 +51,6 @@ pub struct HealthMonitor {
     session: SessionId,
     statuses: Vec<NodeStatus>,
     rounds: u64,
-    /// Optional time driver. `None` keeps the legacy simulator
-    /// semantics (missed probes only *charge* virtual time to the
-    /// auditor's session clock). With a clock injected, each missed
-    /// probe also advances the driver — a virtual clock ticks forward,
-    /// a wall clock genuinely waits out the probe deadline — and
-    /// telemetry events are stamped from it.
-    clock: Option<Arc<dyn Clock>>,
 }
 
 impl HealthMonitor {
@@ -70,17 +62,7 @@ impl HealthMonitor {
             session,
             statuses: vec![NodeStatus::Alive; cluster.num_nodes()],
             rounds: 0,
-            clock: None,
         }
-    }
-
-    /// Injects a time driver: missed probes advance `clock` by the
-    /// probe timeout (sleeping for real on a wall clock) and status
-    /// transitions are stamped from it.
-    #[must_use]
-    pub fn with_clock(mut self, clock: Arc<dyn Clock>) -> Self {
-        self.clock = Some(clock);
-        self
     }
 
     /// The dedicated heartbeat session id.
@@ -153,9 +135,6 @@ impl HealthMonitor {
             } else {
                 // Model the auditor waiting out the probe deadline.
                 session.charge(auditor, PROBE_TIMEOUT);
-                if let Some(clock) = &self.clock {
-                    clock.advance(PROBE_TIMEOUT);
-                }
                 let next = match self.statuses[node] {
                     NodeStatus::Alive => NodeStatus::Suspected { misses: 1 },
                     NodeStatus::Suspected { misses } => {
@@ -183,16 +162,9 @@ impl HealthMonitor {
                 NodeStatus::Suspected { .. } => "health-suspect",
                 NodeStatus::Dead => "health-dead",
             };
-            // Stamp from the injected driver when present (real
-            // timestamps on wall deployments), else from the session's
-            // virtual makespan as before.
-            let at = self
-                .clock
-                .as_ref()
-                .map_or_else(|| session.elapsed(), |c| c.now());
             dla_telemetry::event(
                 name,
-                at.as_nanos(),
+                session.elapsed().as_nanos(),
                 &[
                     ("node", &node.to_string()),
                     ("round", &self.rounds.to_string()),
@@ -317,20 +289,6 @@ mod tests {
         // Root-session accounting is untouched by heartbeat traffic.
         let (root_msgs, _) = Session::root(cluster.shared_net()).counters();
         assert_eq!(root_msgs, 0);
-    }
-
-    #[test]
-    fn injected_clock_advances_on_missed_probes() {
-        let cluster = cluster();
-        cluster.net().faults_mut().kill_node(2);
-        let clock = Arc::new(dla_net::VirtualClock::new());
-        let mut monitor =
-            HealthMonitor::new(&cluster).with_clock(Arc::clone(&clock) as Arc<dyn Clock>);
-        monitor.probe_round(&cluster).unwrap();
-        // One missed probe: the driver waited out exactly one timeout.
-        assert_eq!(clock.now(), PROBE_TIMEOUT);
-        monitor.probe_round(&cluster).unwrap();
-        assert_eq!(clock.now().as_nanos(), 2 * PROBE_TIMEOUT.as_nanos());
     }
 
     #[test]

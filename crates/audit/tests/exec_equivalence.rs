@@ -9,9 +9,11 @@ use dla_logstore::fragment::Partition;
 use dla_logstore::gen::{generate, WorkloadConfig};
 use dla_logstore::model::{AttrValue, Glsn, LogRecord};
 use dla_logstore::schema::Schema;
+use dla_net::{ScriptedAdversary, Transport};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 fn arb_op() -> impl Strategy<Value = CmpOp> {
     prop::sample::select(vec![
@@ -165,10 +167,12 @@ fn concurrent_execution_never_leaks_plaintext_values() {
     let mut cluster = DlaCluster::new(
         ClusterConfig::new(4, schema)
             .with_partition(partition)
-            .with_seed(11)
-            .with_payload_capture(),
+            .with_seed(11),
     )
     .expect("cluster builds");
+    let everyone = 0..cluster.shared_net().num_nodes();
+    let tap = Arc::new(everyone.fold(ScriptedAdversary::new(), ScriptedAdversary::curious));
+    cluster.set_adversary(tap.clone());
     let user = cluster.register_user("u").expect("capacity");
     let secret_note = "ULTRA-SECRET-MERGER-MEMO";
     let record = LogRecord::new(Glsn(0))
@@ -183,7 +187,7 @@ fn concurrent_execution_never_leaks_plaintext_values() {
 
     // log_record legitimately ships the fragment to its storing node;
     // the query-phase traffic begins after this mark.
-    let logged_until = cluster.net().captured_payloads().len();
+    let logged_until = tap.captured().len();
 
     // Multi-subquery queries through the concurrent scheduler (the
     // query_shared path), touching c3's owner node in several ways.
@@ -193,12 +197,13 @@ fn concurrent_execution_never_leaks_plaintext_values() {
         .expect("cross query");
 
     let needle = secret_note.as_bytes();
-    let net = cluster.net();
-    let captured = net.captured_payloads();
-    for (i, (from, to, payload)) in captured.iter().enumerate().skip(logged_until) {
+    let captured = tap.captured();
+    for (i, message) in captured.iter().enumerate().skip(logged_until) {
         assert!(
-            !payload.windows(needle.len()).any(|w| w == needle),
-            "payload #{i} ({from} -> {to}) leaks the plaintext note"
+            !message.payload.windows(needle.len()).any(|w| w == needle),
+            "payload #{i} ({} -> {}) leaks the plaintext note",
+            message.from,
+            message.to
         );
     }
     assert!(

@@ -5,8 +5,7 @@
 //! exponentiation cost is the system's CPU budget. Montgomery REDC
 //! replaces the per-step division of schoolbook reduction with two
 //! multiplications and a shift, and this module layers three further
-//! optimisations on top (see `DESIGN.md` §11; `cargo bench -p dla-bench
-//! --bench bigint` times the rungs side by side):
+//! optimisations on top (see `DESIGN.md` §11):
 //!
 //! * **Scratch-buffer CIOS** — every multiplication step of an
 //!   exponentiation runs through one reusable `Scratch` workspace,
@@ -26,6 +25,11 @@
 //! [`crate::modular::modexp`] uses a [`MontgomeryContext`]
 //! automatically whenever the modulus is odd and large enough to
 //! benefit; the schoolbook path remains for even moduli.
+//!
+//! The production rung is timed by the `benchmark/` package's traced
+//! pass (`bigint.modexp_256_us`, `bigint.modexp_512_us`,
+//! `bigint.modmul_256_ns`); the slower rungs are oracles, checked for
+//! equality and never timed.
 //!
 //! Real work is also *accounted*: besides the per-call
 //! `CostKind::ModExp` record, every exponentiation reports its
@@ -708,7 +712,7 @@ impl MontgomeryContext {
     }
 
     /// `base^exp mod n` with an explicit window width in `1..=6` —
-    /// exposed for differential tests and the ablation bench; prefer
+    /// exposed for differential tests; prefer
     /// [`Self::modexp`].
     ///
     /// # Panics

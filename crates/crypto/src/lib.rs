@@ -25,7 +25,7 @@
 //! # Examples
 //!
 //! ```
-//! use dla_crypto::pohlig_hellman::{CommutativeDomain, CommutativeKey, PhKey};
+//! use dla_crypto::pohlig_hellman::{CommutativeDomain, PhKey};
 //!
 //! // Three parties triple-encrypt an element; any encryption order
 //! // yields the same ciphertext (the heart of secure set intersection).

@@ -8,18 +8,12 @@
 //! after a full ring pass, equal plaintexts — and only equal plaintexts —
 //! have equal n-fold ciphertexts regardless of encryption order.
 //!
-//! Two commutative ciphers are provided behind the [`CommutativeKey`]
-//! trait:
-//!
-//! * [`PhKey`] — the Pohlig–Hellman exponentiation cipher the paper
-//!   recommends (`C = M^e mod p`, `M = C^d mod p`, `e·d ≡ 1 mod p−1`)
-//!   over a safe prime `p = 2q + 1`. Messages are first mapped into the
-//!   order-`q` subgroup of quadratic residues (see
-//!   [`CommutativeDomain::fingerprint`]) so ciphertexts do not even leak
-//!   residuosity.
-//! * [`XorKey`] — the XOR one-time-pad style cipher the paper mentions
-//!   as the simplest commutative example. It is **not** secure for
-//!   repeated use and exists as a baseline and for protocol tests.
+//! The cipher is [`PhKey`], the Pohlig–Hellman exponentiation cipher
+//! the paper recommends (`C = M^e mod p`, `M = C^d mod p`,
+//! `e·d ≡ 1 mod p−1`) over a safe prime `p = 2q + 1`. Messages are first
+//! mapped into the order-`q` subgroup of quadratic residues (see
+//! [`CommutativeDomain::fingerprint`]) so ciphertexts do not even leak
+//! residuosity.
 
 use crate::sha256;
 use crate::CryptoError;
@@ -273,22 +267,14 @@ impl CommutativeDomain {
     }
 }
 
-/// A commutative encryption key: layered encryptions under different
-/// keys of the same scheme commute, and each layer is removable by its
-/// own matching decryption.
-pub trait CommutativeKey {
-    /// Encrypts one group element.
-    fn encrypt(&self, m: &Ubig) -> Ubig;
-    /// Removes this key's encryption layer.
-    fn decrypt(&self, c: &Ubig) -> Ubig;
-}
-
-/// A Pohlig–Hellman key pair `(e, d)` with `e·d ≡ 1 (mod p−1)`.
+/// A Pohlig–Hellman key pair `(e, d)` with `e·d ≡ 1 (mod p−1)`:
+/// layered encryptions under different keys of one domain commute, and
+/// each layer is removable by its own key's decryption.
 ///
 /// # Examples
 ///
 /// ```
-/// use dla_crypto::pohlig_hellman::{CommutativeDomain, CommutativeKey, PhKey};
+/// use dla_crypto::pohlig_hellman::{CommutativeDomain, PhKey};
 ///
 /// let domain = CommutativeDomain::fixed_256();
 /// let mut rng = rand::thread_rng();
@@ -353,6 +339,18 @@ impl PhKey {
         &self.domain
     }
 
+    /// Encrypts one group element.
+    #[must_use]
+    pub fn encrypt(&self, m: &Ubig) -> Ubig {
+        self.domain.pow(m, &self.e)
+    }
+
+    /// Removes this key's encryption layer.
+    #[must_use]
+    pub fn decrypt(&self, c: &Ubig) -> Ubig {
+        self.domain.pow(c, &self.d)
+    }
+
     /// Encrypts a whole travelling set in order, sharing one exponent
     /// plan and Montgomery scratch across the slice. Element `i` of the
     /// result equals `self.encrypt(&ms[i])` bit for bit. (The second
@@ -363,75 +361,10 @@ impl PhKey {
     }
 
     /// Removes this key's layer from a whole travelling set in order;
-    /// the batched counterpart of [`CommutativeKey::decrypt`].
+    /// the batched counterpart of [`PhKey::decrypt`].
     #[must_use]
     pub fn decrypt_batch(&self, cs: &[Ubig], _mode: BatchMode) -> Vec<Ubig> {
         self.domain.pow_batch(cs, &self.d)
-    }
-}
-
-impl CommutativeKey for PhKey {
-    fn encrypt(&self, m: &Ubig) -> Ubig {
-        self.domain.pow(m, &self.e)
-    }
-
-    fn decrypt(&self, c: &Ubig) -> Ubig {
-        self.domain.pow(c, &self.d)
-    }
-}
-
-/// Width of the [`XorKey`] message block in bytes.
-pub const XOR_BLOCK_LEN: usize = 32;
-
-/// The XOR commutative cipher the paper cites as the simplest example.
-///
-/// Operates on 256-bit blocks. Deterministic and linear — **insecure**
-/// for any real workload; retained as the paper's pedagogical baseline
-/// and for fast protocol plumbing tests.
-#[derive(Clone)]
-pub struct XorKey {
-    mask: [u8; XOR_BLOCK_LEN],
-}
-
-impl fmt::Debug for XorKey {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "XorKey(256-bit mask)")
-    }
-}
-
-impl XorKey {
-    /// Generates a random 256-bit mask.
-    pub fn generate<R: Rng + ?Sized>(rng: &mut R) -> Self {
-        let mut mask = [0u8; XOR_BLOCK_LEN];
-        rng.fill(&mut mask);
-        XorKey { mask }
-    }
-
-    fn apply(&self, v: &Ubig) -> Ubig {
-        let bytes = v.to_bytes_be();
-        assert!(
-            bytes.len() <= XOR_BLOCK_LEN,
-            "XorKey message wider than {XOR_BLOCK_LEN} bytes"
-        );
-        let mut block = [0u8; XOR_BLOCK_LEN];
-        block[XOR_BLOCK_LEN - bytes.len()..].copy_from_slice(&bytes);
-        for (b, m) in block.iter_mut().zip(self.mask.iter()) {
-            *b ^= m;
-        }
-        Ubig::from_bytes_be(&block)
-    }
-}
-
-impl CommutativeKey for XorKey {
-    /// # Panics
-    ///
-    /// Panics if the message exceeds 256 bits.
-    fn encrypt(&self, m: &Ubig) -> Ubig {
-        self.apply(m)
-    }
-
-    fn decrypt(&self, c: &Ubig) -> Ubig {
-        self.apply(c)
     }
 }
 
@@ -579,24 +512,6 @@ mod tests {
         assert!(CommutativeDomain::from_safe_prime(Ubig::from_u64(13), &mut rng).is_err());
         // 15 is not prime.
         assert!(CommutativeDomain::from_safe_prime(Ubig::from_u64(15), &mut rng).is_err());
-    }
-
-    #[test]
-    fn xor_round_trip_and_commutativity() {
-        let mut rng = rng();
-        let ka = XorKey::generate(&mut rng);
-        let kb = XorKey::generate(&mut rng);
-        let m = Ubig::from_bytes_be(&sha256::digest(b"block"));
-        assert_eq!(ka.decrypt(&ka.encrypt(&m)), m);
-        assert_eq!(ka.encrypt(&kb.encrypt(&m)), kb.encrypt(&ka.encrypt(&m)));
-    }
-
-    #[test]
-    #[should_panic(expected = "wider")]
-    fn xor_rejects_oversized_messages() {
-        let mut rng = rng();
-        let k = XorKey::generate(&mut rng);
-        let _ = k.encrypt(&(Ubig::one() << 300));
     }
 
     #[test]

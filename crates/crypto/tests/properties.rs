@@ -10,7 +10,7 @@ use dla_bigint::{Ubig, F61};
 use dla_crypto::accumulator::{
     AccumulatorParams, EpochCheckpoint, RingCheckpoint, RingEndorsement,
 };
-use dla_crypto::pohlig_hellman::{CommutativeDomain, CommutativeKey, PhKey, XorKey};
+use dla_crypto::pohlig_hellman::{CommutativeDomain, PhKey};
 use dla_crypto::schnorr::{self, SchnorrGroup, SchnorrKeyPair};
 use dla_crypto::{sha256, shamir, shamir_big};
 use proptest::prelude::*;
@@ -292,19 +292,6 @@ proptest! {
                 prop_assert_eq!(group.pow_g(e), group.pow(group.generator(), e), "e={}", e);
             }
         }
-    }
-
-    #[test]
-    fn xor_cipher_commutes_and_round_trips(
-        seed in 0u64..10_000,
-        message in prop::collection::vec(any::<u8>(), 0..32),
-    ) {
-        let mut rng = rng_from(seed);
-        let ka = XorKey::generate(&mut rng);
-        let kb = XorKey::generate(&mut rng);
-        let m = Ubig::from_bytes_be(&message);
-        prop_assert_eq!(ka.encrypt(&kb.encrypt(&m)), kb.encrypt(&ka.encrypt(&m)));
-        prop_assert_eq!(ka.decrypt(&ka.encrypt(&m)), m);
     }
 
     #[test]

@@ -430,9 +430,9 @@ mod tests {
         // checksum stops it first — so the dealer itself lies: party 0
         // flips the last byte of its first share frame (a coefficient
         // commitment) and re-stamps the checksum.
-        use dla_net::{ScriptedAdversary, Tamper, TamperRule};
+        use dla_net::{AdversaryNet, ScriptedAdversary, Tamper, TamperRule};
         let group = SchnorrGroup::fixed_256();
-        let net = net(3);
+        let net = AdversaryNet::new(net(3));
         let flip = Tamper::Flip {
             offset_from_end: 0,
             mask: 0xA5,
@@ -440,7 +440,7 @@ mod tests {
         let dealer = ScriptedAdversary::new()
             .compromise(0)
             .rule(TamperRule::once_from(0, 0x12, flip));
-        net.lock().set_adversary(std::sync::Arc::new(dealer));
+        net.set_adversary(std::sync::Arc::new(dealer));
         let parties: Vec<NodeId> = (0..3).map(NodeId).collect();
         let inputs: Vec<Ubig> = [5u64, 6, 7].map(Ubig::from_u64).to_vec();
         let mut rng = rng();

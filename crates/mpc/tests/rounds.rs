@@ -12,7 +12,8 @@ use dla_mpc::{
 use dla_net::latency::LatencyModel;
 use dla_net::topology::Ring;
 use dla_net::{
-    NetConfig, NodeId, ScriptedAdversary, Session, SharedNet, SimNet, SimTime, Tamper, TamperRule,
+    AdversaryNet, NetConfig, NodeId, ScriptedAdversary, Session, SharedNet, SimNet, SimTime,
+    Tamper, TamperRule, Transport,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -54,9 +55,9 @@ fn other_sets() -> Vec<Vec<Vec<u8>>> {
 /// One protocol run on the root session of `net`, reduced to its
 /// answer as a string: `variant` 0 is the run a fault is injected into,
 /// 1 the rerun on other inputs.
-type Run = fn(&SharedNet, usize) -> Result<(String, ProtocolReport), MpcError>;
+type Run = fn(&dyn Transport, usize) -> Result<(String, ProtocolReport), MpcError>;
 
-fn sum(net: &SharedNet, variant: usize) -> Result<(String, ProtocolReport), MpcError> {
+fn sum(net: &dyn Transport, variant: usize) -> Result<(String, ProtocolReport), MpcError> {
     let inputs = [[10u64, 20, 30, 40], [1, 2, 3, 4]][variant].map(F61::new);
     let mut rng = StdRng::seed_from_u64(31);
     // k = 3 < n: the fourth published share is cross-checked.
@@ -65,7 +66,7 @@ fn sum(net: &SharedNet, variant: usize) -> Result<(String, ProtocolReport), MpcE
         .map(|o| (o.total.value().to_string(), o.report))
 }
 
-fn equality(net: &SharedNet, variant: usize) -> Result<(String, ProtocolReport), MpcError> {
+fn equality(net: &dyn Transport, variant: usize) -> Result<(String, ProtocolReport), MpcError> {
     let (a, b) = [(7u64, 7u64), (7, 8)][variant];
     let mut rng = StdRng::seed_from_u64(32);
     EqualitySession::new(Session::root(net), NodeId(0), NodeId(1), NodeId(N))
@@ -73,7 +74,7 @@ fn equality(net: &SharedNet, variant: usize) -> Result<(String, ProtocolReport),
         .map(|o| (o.equal.to_string(), o.report))
 }
 
-fn ranking(net: &SharedNet, variant: usize) -> Result<(String, ProtocolReport), MpcError> {
+fn ranking(net: &dyn Transport, variant: usize) -> Result<(String, ProtocolReport), MpcError> {
     let values = [[300u64, 100, 400, 200], [1, 2, 3, 4]][variant];
     let mut rng = StdRng::seed_from_u64(33);
     RankingSession::new(Session::root(net), &parties(), NodeId(N))
@@ -82,7 +83,7 @@ fn ranking(net: &SharedNet, variant: usize) -> Result<(String, ProtocolReport), 
 }
 
 fn ssi(
-    net: &SharedNet,
+    net: &dyn Transport,
     variant: usize,
     collector: usize,
 ) -> Result<(String, ProtocolReport), MpcError> {
@@ -96,7 +97,7 @@ fn ssi(
 }
 
 fn union(
-    net: &SharedNet,
+    net: &dyn Transport,
     variant: usize,
     collector: usize,
 ) -> Result<(String, ProtocolReport), MpcError> {
@@ -246,8 +247,8 @@ fn a_failed_round_leaves_nothing_in_flight_and_the_rerun_is_right() {
                     action: tamper,
                 };
                 let adversary = Arc::new(ScriptedAdversary::new().compromise(from).rule(rule));
-                let net = SharedNet::new(SimNet::new(N + 1, NetConfig::ideal()));
-                net.lock().set_adversary(adversary.clone());
+                let net = AdversaryNet::new(SharedNet::new(SimNet::new(N + 1, NetConfig::ideal())));
+                net.set_adversary(adversary.clone());
 
                 let outcome = run(&net, 0);
                 let report = adversary.report();
@@ -255,7 +256,7 @@ fn a_failed_round_leaves_nothing_in_flight_and_the_rerun_is_right() {
                 assert!(outcome.is_err(), "{what}: gave {outcome:?}");
                 for node in 0..=N {
                     assert_eq!(
-                        net.lock().pending(NodeId(node)),
+                        net.inner().lock().pending(NodeId(node)),
                         0,
                         "{what}: inbox of {node}"
                     );

@@ -6,13 +6,15 @@
 use dla_bigint::Ubig;
 use dla_crypto::pohlig_hellman::CommutativeDomain;
 use dla_mpc::{SsiSession, UnionSession};
+use dla_net::adversary::CapturedMessage;
 use dla_net::topology::Ring;
 use dla_net::wire::Reader;
-use dla_net::{NetConfig, NodeId, Session, SharedNet, SimNet};
+use dla_net::{AdversaryNet, NetConfig, NodeId, ScriptedAdversary, Session, SharedNet, SimNet};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 fn item(i: usize) -> Vec<u8> {
     format!("item-{i:02}").into_bytes()
@@ -140,9 +142,13 @@ fn contains(haystack: &[u8], needle: &[u8]) -> bool {
     haystack.windows(needle.len()).any(|w| w == needle)
 }
 
-/// An ideal `n`-node simulator that keeps every payload it carries.
-fn capturing_net(n: usize) -> SharedNet {
-    SharedNet::new(SimNet::new(n, NetConfig::ideal().with_payload_capture()))
+/// An ideal `n`-node simulator under a tap that records every message
+/// it carries.
+fn capturing_net(n: usize) -> (AdversaryNet<SharedNet>, Arc<ScriptedAdversary>) {
+    let net = AdversaryNet::new(SharedNet::new(SimNet::new(n, NetConfig::ideal())));
+    let tap = Arc::new((0..n).fold(ScriptedAdversary::new(), ScriptedAdversary::curious));
+    net.set_adversary(tap.clone());
+    (net, tap)
 }
 
 #[test]
@@ -155,7 +161,7 @@ fn ring_collector_reveal_sends_nothing_after_collection_and_no_plaintext() {
         .collect();
     let needles = plaintext_needles(&domain, &ring, &inputs);
     for collector in (0..n).map(NodeId) {
-        let net = capturing_net(n);
+        let (net, tap) = capturing_net(n);
         let mut rng = StdRng::seed_from_u64(77);
         let outcome = SsiSession::new(Session::root(&net), &ring, &domain, collector)
             .reveal(true)
@@ -165,17 +171,19 @@ fn ring_collector_reveal_sends_nothing_after_collection_and_no_plaintext() {
 
         // n(n−1) relay hops, then the collection round — and nothing
         // after it: no node is asked to decrypt anything.
-        let net = net.into_inner();
-        let wire = net.captured_payloads();
+        let wire = tap.captured();
         assert_eq!(wire.len(), n * (n - 1) + n);
-        for (_, to, _) in &wire[n * (n - 1)..] {
+        for message in &wire[n * (n - 1)..] {
             assert_eq!(
-                *to, collector,
+                message.to, collector,
                 "only the collector hears the collection round"
             );
         }
         // No plaintext encoding — anyone's — ever crosses the wire.
-        for (from, to, payload) in wire {
+        for CapturedMessage {
+            from, to, payload, ..
+        } in &wire
+        {
             for (owner, needle) in &needles {
                 assert!(
                     !contains(payload, needle),
@@ -208,7 +216,7 @@ fn ring_collector_union_shows_no_relay_a_plaintext_or_a_linkable_ciphertext() {
         let inputs: Vec<Vec<Vec<u8>>> = (0..n).map(|i| vec![item(0), item(10 + i)]).collect();
         let needles = plaintext_needles(&domain, &ring, &inputs);
         for collector in (0..n).map(NodeId) {
-            let net = capturing_net(n);
+            let (net, tap) = capturing_net(n);
             let mut rng = StdRng::seed_from_u64(78);
             let outcome = UnionSession::new(Session::root(&net), &ring, &domain, collector)
                 .run(&inputs, &mut rng)
@@ -217,15 +225,17 @@ fn ring_collector_union_shows_no_relay_a_plaintext_or_a_linkable_ciphertext() {
 
             // n(n−1) relay hops, n collection messages, then the pass:
             // n−1 relays and the hand-back to the collector.
-            let net = net.into_inner();
-            let wire = net.captured_payloads();
+            let wire = tap.captured();
             let (before, pass) = wire.split_at(n * (n - 1) + n);
             assert_eq!(pass.len(), n);
-            assert_eq!(pass.last().unwrap().1, collector);
+            assert_eq!(pass.last().unwrap().to, collector);
 
             // No plaintext encoding — anyone's — crosses the wire, the
             // pass included: its last layer comes off at the collector.
-            for (from, to, payload) in wire {
+            for CapturedMessage {
+                from, to, payload, ..
+            } in &wire
+            {
                 for (owner, needle) in &needles {
                     assert!(
                         !contains(payload, needle),
@@ -234,17 +244,17 @@ fn ring_collector_union_shows_no_relay_a_plaintext_or_a_linkable_ciphertext() {
                 }
             }
             // The pass carries the n−1 elements the collector lacks.
-            for (_, _, payload) in pass {
-                assert_eq!(union_elements(payload).len(), n - 1);
+            for message in pass {
+                assert_eq!(union_elements(&message.payload).len(), n - 1);
             }
             // Per relay: nothing it sent or received in the pass equals
             // anything it sent or received before it.
             for relay in (0..n).map(NodeId).filter(|&node| node != collector) {
-                let view = |messages: &[(NodeId, NodeId, bytes::Bytes)]| -> BTreeSet<Vec<u8>> {
+                let view = |messages: &[CapturedMessage]| -> BTreeSet<Vec<u8>> {
                     messages
                         .iter()
-                        .filter(|(from, to, _)| *from == relay || *to == relay)
-                        .flat_map(|(_, _, payload)| union_elements(payload))
+                        .filter(|m| m.from == relay || m.to == relay)
+                        .flat_map(|m| union_elements(&m.payload))
                         .collect()
                 };
                 let (earlier, in_pass) = (view(before), view(pass));
@@ -288,17 +298,16 @@ fn single_holder_reveal_is_one_message_between_holder_and_collector() {
     let ring = Ring::new(vec![NodeId(2)]);
     let domain = CommutativeDomain::fixed_256();
     let inputs = vec![vec![item(3), item(4)]];
-    let net = capturing_net(4);
+    let (net, tap) = capturing_net(4);
     let mut rng = StdRng::seed_from_u64(79);
     let outcome = SsiSession::new(Session::root(&net), &ring, &domain, NodeId(3))
         .reveal(true)
         .run(&inputs, &mut rng)
         .unwrap();
     assert_eq!(outcome.common_items.unwrap(), vec![item(3), item(4)]);
-    let net = net.into_inner();
-    let wire = net.captured_payloads();
+    let wire = tap.captured();
     assert_eq!(wire.len(), 1);
-    assert_eq!((wire[0].0, wire[0].1), (NodeId(2), NodeId(3)));
+    assert_eq!((wire[0].from, wire[0].to), (NodeId(2), NodeId(3)));
     // What the collector ends up holding is what it was sent.
     let shipped: Vec<Ubig> = inputs[0]
         .iter()

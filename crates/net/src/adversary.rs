@@ -10,13 +10,14 @@
 //! only the cryptographic machinery above (accumulator circulation,
 //! checkpoint chains, origin tags) can catch it.
 //!
-//! Two interposition points share one policy trait:
-//!
-//! * [`AdversaryNet`] wraps any [`Transport`] — [`crate::ChannelNet`],
-//!   [`crate::tcp::TcpNet`] — for threaded and cross-process runs.
-//! * [`crate::sim::SimNet::set_adversary`] hooks the same trait into
-//!   the simulator's send path, which is what the in-process DLA
-//!   cluster drives.
+//! There is one interposition point, [`AdversaryNet`], and it wraps
+//! every transport: the simulator behind [`crate::SharedNet`] (what the
+//! in-process DLA cluster sends through), [`crate::ChannelNet`] and
+//! [`crate::tcp::TcpNet`]. Every lie and every look goes through it — a
+//! policy's [`Adversary::tamper`] and [`Adversary::observe`] are called
+//! nowhere else — so one schedule replays identically on all three, and
+//! "what a participant saw" has one definition: the messages the tap
+//! handed to the transport beneath it.
 //!
 //! [`ScriptedAdversary`] is the standard implementation: a compromised
 //! set plus an ordered list of [`TamperRule`]s, with every
@@ -25,7 +26,8 @@
 //! deterministically from `(cluster seed, scenario id)` on any
 //! transport. Honest-but-curious coalitions use the same object: nodes
 //! in the *curious* set never tamper, but every wire message they send
-//! or receive is captured for post-hoc leak analysis.
+//! or receive is captured for post-hoc leak analysis. A policy curious
+//! about every node is a recorder of the whole wire.
 
 use crate::sim::Envelope;
 use crate::time::SimTime;
@@ -36,6 +38,7 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Derives the RNG stream for one adversary scenario from the cluster
@@ -79,9 +82,8 @@ pub enum Tamper {
     /// Adversarial scheduling: hold the message back, byte-for-byte
     /// intact, and release it onto the wire only after this many
     /// subsequent sends have gone out — reordering without forging
-    /// anything. A transport that does not implement scheduling treats
-    /// it as [`Tamper::Pass`] ([`Tamper::apply`] leaves the payload
-    /// unchanged).
+    /// anything ([`Tamper::apply`] leaves the payload unchanged; the
+    /// holding back is [`AdversaryNet`]'s).
     Delay(u64),
 }
 
@@ -111,8 +113,8 @@ impl Tamper {
             Tamper::Truncate(len) => Some(Bytes::copy_from_slice(
                 &payload[..(*len).min(payload.len())],
             )),
-            // The payload itself is untouched; the *transport* holds it
-            // back (see `AdversaryNet::send` / `SimNet::send_on`).
+            // The payload itself is untouched; the tap holds it back
+            // (see `AdversaryNet::send`).
             Tamper::Delay(_) => Some(payload.clone()),
         }
     }
@@ -354,65 +356,73 @@ impl Adversary for ScriptedAdversary {
     }
 }
 
-/// A [`Transport`] wrapper that routes every send through an
-/// [`Adversary`] — the interposition point for the threaded and socket
-/// backends (the simulator hooks the policy natively, see
-/// [`crate::sim::SimNet::set_adversary`]).
+/// The wire tap: a [`Transport`] wrapper that routes every send
+/// through the installed [`Adversary`] — the one interposition point,
+/// on every transport. A policy is installed and cleared through
+/// `&self`, so a cluster can hand out `&` to its network and still be
+/// attacked between operations; with none installed a send costs one
+/// branch.
 ///
 /// Tampered payloads reach the inner transport *before* it stamps the
-/// envelope checksum, so forgeries arrive intact-looking; only
-/// [`Tamper::Drop`] is visible at this layer (as a silent loss).
+/// envelope checksum, so forgeries arrive intact-looking. A
+/// [`Tamper::Drop`] never reaches the inner transport: it is neither
+/// accounted nor observed, a silent loss. The tap holds its lock from
+/// the policy's verdict to the inner send, so what an observer records
+/// is in wire order even when several threads send at once.
 #[derive(Debug)]
 pub struct AdversaryNet<T> {
     inner: T,
-    adversary: Arc<dyn Adversary>,
-    delayed: Mutex<Vec<DelayedSend>>,
+    /// Whether a policy is installed: the honest path's one branch.
+    /// Stored under the `tap` lock (`Release`), loaded without it
+    /// (`Acquire`); the policy itself is only read under the lock, so a
+    /// stale `true` costs one lock and an honest send.
+    armed: AtomicBool,
+    tap: Mutex<Tap>,
 }
 
-/// A message held back by [`Tamper::Delay`], waiting out its rounds in
-/// the transport's stash (shared with the simulator's native hook).
+/// The installed policy and the messages it is holding back.
+#[derive(Debug, Default)]
+struct Tap {
+    adversary: Option<Arc<dyn Adversary>>,
+    /// Messages held back by [`Tamper::Delay`]; each later send ages
+    /// them by one round.
+    delayed: Vec<DelayedSend>,
+}
+
+/// A message held back by [`Tamper::Delay`], waiting out its rounds.
 #[derive(Debug)]
-pub(crate) struct DelayedSend {
-    pub(crate) rounds_left: u64,
-    pub(crate) session: SessionId,
-    pub(crate) from: NodeId,
-    pub(crate) to: NodeId,
-    pub(crate) payload: Bytes,
+struct DelayedSend {
+    rounds_left: u64,
+    session: SessionId,
+    from: NodeId,
+    to: NodeId,
+    payload: Bytes,
 }
 
-/// Ages a delay stash by one send event: every held message's counter
-/// drops by one and the expired ones are drained, in stash order.
-pub(crate) fn age_delayed(stash: &mut Vec<DelayedSend>) -> Vec<DelayedSend> {
-    if stash.is_empty() {
-        return Vec::new();
-    }
-    let mut due = Vec::new();
-    stash.retain_mut(|m| {
-        if m.rounds_left <= 1 {
-            due.push(DelayedSend {
-                rounds_left: 0,
-                session: m.session,
-                from: m.from,
-                to: m.to,
-                payload: m.payload.clone(),
-            });
-            false
-        } else {
-            m.rounds_left -= 1;
-            true
-        }
-    });
-    due
-}
-
-impl<T: Transport> AdversaryNet<T> {
-    /// Interposes `adversary` in front of `inner`.
-    pub fn new(inner: T, adversary: Arc<dyn Adversary>) -> Self {
+impl<T> AdversaryNet<T> {
+    /// Wraps `inner` with no policy installed: every send is honest.
+    pub fn new(inner: T) -> Self {
         AdversaryNet {
             inner,
-            adversary,
-            delayed: Mutex::new(Vec::new()),
+            armed: AtomicBool::new(false),
+            tap: Mutex::default(),
         }
+    }
+
+    /// Installs `adversary` on the send path, in place of any other.
+    pub fn set_adversary(&self, adversary: Arc<dyn Adversary>) {
+        let mut tap = self.tap.lock();
+        tap.adversary = Some(adversary);
+        self.armed.store(true, Ordering::Release);
+    }
+
+    /// Removes the installed policy; later sends are honest. Messages
+    /// it was still holding back vanish with it (an endless delay is
+    /// indistinguishable from a drop).
+    pub fn clear_adversary(&self) {
+        let mut tap = self.tap.lock();
+        self.armed.store(false, Ordering::Release);
+        *tap = Tap::default();
     }
 
     /// The wrapped transport.
@@ -432,34 +442,41 @@ impl<T: Transport> Transport for AdversaryNet<T> {
     }
 
     fn send(&self, session: SessionId, from: NodeId, to: NodeId, payload: Bytes) {
+        if !self.armed.load(Ordering::Acquire) {
+            return self.inner.send(session, from, to, payload);
+        }
+        let mut tap = self.tap.lock();
+        let Some(adversary) = tap.adversary.clone() else {
+            // Cleared between the flag and the lock.
+            drop(tap);
+            return self.inner.send(session, from, to, payload);
+        };
         // Every send ages the delay stash by one round; expired
         // messages re-enter the wire *after* the current one, which is
         // exactly the reordering the delay was scripted to cause.
-        let due = age_delayed(&mut self.delayed.lock());
-        let action = self.adversary.tamper(session, from, to, &payload);
-        match action {
-            Tamper::Delay(rounds) => {
-                self.delayed.lock().push(DelayedSend {
-                    rounds_left: rounds,
-                    session,
-                    from,
-                    to,
-                    payload,
-                });
-            }
-            action => match action.apply(&payload) {
-                Some(outgoing) => {
-                    self.adversary.observe(session, from, to, &outgoing);
+        for held in &mut tap.delayed {
+            held.rounds_left = held.rounds_left.saturating_sub(1);
+        }
+        let due: Vec<DelayedSend> = tap.delayed.extract_if(.., |m| m.rounds_left == 0).collect();
+        match adversary.tamper(session, from, to, &payload) {
+            Tamper::Delay(rounds) => tap.delayed.push(DelayedSend {
+                rounds_left: rounds,
+                session,
+                from,
+                to,
+                payload,
+            }),
+            action => {
+                // `None` is Byzantine omission: the wire never sees the
+                // message, so neither do its counters or observers.
+                if let Some(outgoing) = action.apply(&payload) {
+                    adversary.observe(session, from, to, &outgoing);
                     self.inner.send(session, from, to, outgoing);
                 }
-                None => {
-                    // Byzantine omission: the wire never sees the
-                    // message, so neither do curious observers.
-                }
-            },
+            }
         }
         for m in due {
-            self.adversary.observe(m.session, m.from, m.to, &m.payload);
+            adversary.observe(m.session, m.from, m.to, &m.payload);
             self.inner.send(m.session, m.from, m.to, m.payload);
         }
     }
@@ -495,6 +512,13 @@ mod tests {
     use super::*;
     use crate::{ChannelNet, Session};
     use rand::Rng;
+
+    /// `inner` behind a tap with `adversary` installed.
+    fn tapped<T: Transport>(inner: T, adversary: &Arc<ScriptedAdversary>) -> AdversaryNet<T> {
+        let net = AdversaryNet::new(inner);
+        net.set_adversary(Arc::clone(adversary) as _);
+        net
+    }
 
     #[test]
     fn scenario_rng_is_deterministic_and_scenario_independent() {
@@ -542,25 +566,32 @@ mod tests {
 
     #[test]
     fn scripted_rules_fire_in_order_with_skip_and_budget() {
-        let adversary = ScriptedAdversary::new().compromise(1).rule(TamperRule {
+        let adversary = Arc::new(ScriptedAdversary::new().compromise(1).rule(TamperRule {
             from: Some(1),
             to: None,
             tag: Some(0x40),
             skip: 1,
             fires: 1,
             action: Tamper::Drop,
-        });
-        let send =
-            |payload: &[u8]| adversary.tamper(SessionId::ROOT, NodeId(1), NodeId(2), payload);
-        // Wrong tag, wrong sender, skipped first match, then fire once.
-        assert_eq!(send(b"\x41x"), Tamper::Pass);
-        assert_eq!(
-            adversary.tamper(SessionId::ROOT, NodeId(0), NodeId(2), b"\x40x"),
-            Tamper::Pass
-        );
-        assert_eq!(send(b"\x40x"), Tamper::Pass); // skip: 1
-        assert_eq!(send(b"\x40x"), Tamper::Drop); // fires
-        assert_eq!(send(b"\x40x"), Tamper::Pass); // budget spent
+        }));
+        let net = tapped(simulator(3), &adversary);
+        let session = Session::root(&net);
+        // Wrong tag, wrong sender, skipped first match, fired once,
+        // budget spent.
+        for (from, payload) in [
+            (1, &b"\x41a"[..]),
+            (0, b"\x40b"),
+            (1, b"\x40c"),
+            (1, b"\x40d"),
+            (1, b"\x40e"),
+        ] {
+            session.send(NodeId(from), NodeId(2), Bytes::copy_from_slice(payload));
+        }
+        let mut arrived = Vec::new();
+        while let Ok(envelope) = session.recv(NodeId(2)) {
+            arrived.push(envelope.payload[1]);
+        }
+        assert_eq!(arrived, b"abce");
         let report = adversary.report();
         assert_eq!((report.forged, report.dropped), (0, 1));
         assert_eq!(report.events.len(), 1);
@@ -579,7 +610,7 @@ mod tests {
                 },
             ),
         ));
-        let net = AdversaryNet::new(ChannelNet::new(2), Arc::clone(&adversary) as _);
+        let net = tapped(ChannelNet::new(2), &adversary);
         let session = Session::root(&net);
         session.send(NodeId(0), NodeId(1), Bytes::from_static(b"\x40\x00"));
         // The lie is re-stamped: Session::recv's checksum gate passes
@@ -597,9 +628,9 @@ mod tests {
                 .compromise(0)
                 .rule(TamperRule::once_from(0, 0x40, Tamper::Drop)),
         );
-        let net = AdversaryNet::new(
+        let net = tapped(
             ChannelNet::with_timeout(2, std::time::Duration::from_millis(20)),
-            Arc::clone(&adversary) as _,
+            &adversary,
         );
         let session = Session::root(&net);
         session.send(NodeId(0), NodeId(1), Bytes::from_static(b"\x40gone"));
@@ -613,7 +644,7 @@ mod tests {
     #[test]
     fn curious_coalition_captures_only_its_own_traffic() {
         let adversary = Arc::new(ScriptedAdversary::new().curious(1));
-        let net = AdversaryNet::new(ChannelNet::new(3), Arc::clone(&adversary) as _);
+        let net = tapped(ChannelNet::new(3), &adversary);
         let session = Session::root(&net);
         session.send(NodeId(0), NodeId(1), Bytes::from_static(b"to-coalition"));
         session.send(NodeId(0), NodeId(2), Bytes::from_static(b"foreign"));
@@ -631,7 +662,7 @@ mod tests {
                 .compromise(0)
                 .rule(TamperRule::once_from(0, 0x40, Tamper::Delay(1))),
         );
-        let net = AdversaryNet::new(ChannelNet::new(2), Arc::clone(&adversary) as _);
+        let net = tapped(ChannelNet::new(2), &adversary);
         let session = Session::root(&net);
         session.send(NodeId(0), NodeId(1), Bytes::from_static(b"\x40first"));
         session.send(NodeId(0), NodeId(1), Bytes::from_static(b"\x41second"));
@@ -651,21 +682,25 @@ mod tests {
         );
     }
 
+    fn simulator(n: usize) -> crate::SharedNet {
+        use crate::sim::{NetConfig, SimNet};
+        crate::SharedNet::new(SimNet::new(n, NetConfig::ideal()))
+    }
+
     #[test]
     fn delay_on_the_simulator_releases_after_the_scripted_rounds() {
-        use crate::sim::{NetConfig, SimNet};
         let adversary = Arc::new(
             ScriptedAdversary::new()
                 .compromise(0)
                 .rule(TamperRule::once_from(0, 0x40, Tamper::Delay(2))),
         );
-        let mut net = SimNet::new(2, NetConfig::ideal());
-        net.set_adversary(Arc::clone(&adversary) as _);
-        net.send(NodeId(0), NodeId(1), Bytes::from_static(b"\x40held"));
-        net.send(NodeId(0), NodeId(1), Bytes::from_static(b"\x41one"));
-        net.send(NodeId(0), NodeId(1), Bytes::from_static(b"\x42two"));
+        let net = tapped(simulator(2), &adversary);
+        let session = Session::root(&net);
+        for payload in [&b"\x40held"[..], b"\x41one", b"\x42two"] {
+            session.send(NodeId(0), NodeId(1), Bytes::copy_from_slice(payload));
+        }
         let order: Vec<Bytes> = (0..3)
-            .map(|_| net.recv(NodeId(1)).unwrap().payload)
+            .map(|_| session.recv(NodeId(1)).unwrap().payload)
             .collect();
         assert_eq!(
             order,
@@ -676,7 +711,36 @@ mod tests {
             ]
         );
         // All three eventually crossed the wire.
-        assert_eq!(net.stats().messages_sent, 3);
+        assert_eq!(net.inner().lock().stats().messages_sent, 3);
+    }
+
+    #[test]
+    fn a_drop_never_reaches_the_wire_and_a_cleared_tap_is_honest() {
+        let adversary = Arc::new(
+            ScriptedAdversary::new()
+                .compromise(0)
+                .curious(1)
+                .rule(TamperRule::once_from(0, 0x40, Tamper::Drop)),
+        );
+        let net = tapped(simulator(2), &adversary);
+        let session = Session::root(&net);
+        session.send(NodeId(0), NodeId(1), Bytes::from_static(b"\x40gone"));
+        // Not accounted, not queued, not seen.
+        let (sent, pending) = {
+            let sim = net.inner().lock();
+            (sim.stats().messages_sent, sim.pending(NodeId(1)))
+        };
+        assert_eq!((sent, pending), (0, 0));
+        assert!(adversary.captured().is_empty());
+        assert_eq!(adversary.report().dropped, 1);
+
+        net.clear_adversary();
+        session.send(NodeId(0), NodeId(1), Bytes::from_static(b"\x40kept"));
+        assert_eq!(&session.recv(NodeId(1)).unwrap().payload[..], b"\x40kept");
+        assert!(
+            adversary.captured().is_empty(),
+            "a cleared tap sees nothing"
+        );
     }
 
     #[test]
@@ -694,7 +758,7 @@ mod tests {
                     },
                 ),
             ));
-            let net = AdversaryNet::new(ChannelNet::new(2), Arc::clone(&adversary) as _);
+            let net = tapped(ChannelNet::new(2), &adversary);
             let session = Session::root(&net);
             for _ in 0..3 {
                 session.send(NodeId(0), NodeId(1), Bytes::from_static(b"\x40abc"));

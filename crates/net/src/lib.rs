@@ -21,7 +21,9 @@
 //!   pluggable [`time::Clock`] runtime.
 //!
 //! Two decorators wrap any of them: [`reliable::Reliable`] (ARQ) and
-//! [`adversary::AdversaryNet`] (Byzantine interposition). Beside them,
+//! [`adversary::AdversaryNet`], the one wire tap — every lie a node
+//! tells on the wire and every look an observer takes at it goes
+//! through that wrapper, whichever transport is beneath. Beside them,
 //! [`topology::Ring`] is the relay route of the commutative-encryption
 //! protocols and [`wire`] the length-prefixed binary message format.
 //!

@@ -28,13 +28,12 @@
 //! [`Session`]: crate::Session
 
 use crate::sim::Envelope;
-use crate::time::{Clock, SimTime};
+use crate::time::SimTime;
 use crate::wire::{crc32, Reader, Writer};
 use crate::{NetError, NodeId, SessionId, Transport};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Arc;
 
 const FRAME_DATA: u8 = 0x01;
 const FRAME_ACK: u8 = 0x02;
@@ -148,13 +147,6 @@ pub struct ReliableStats {
 pub struct Reliable<'a, T: Transport + ?Sized = dyn Transport + 'a> {
     inner: &'a T,
     config: ReliableConfig,
-    /// Optional time driver for the retransmission timer. Without one
-    /// (the default, and the simulator's semantics) the backoff is
-    /// only charged to the sender's virtual clock; with a
-    /// [`crate::time::WallClock`] the layer genuinely waits out each
-    /// backoff before retransmitting — real ARQ pacing for socket
-    /// transports.
-    clock: Option<Arc<dyn Clock>>,
     state: Mutex<ReliableState>,
 }
 
@@ -177,18 +169,8 @@ impl<'a, T: Transport + ?Sized> Reliable<'a, T> {
         Reliable {
             inner,
             config,
-            clock: None,
             state: Mutex::new(ReliableState::default()),
         }
-    }
-
-    /// Drives the retransmission timer from `clock`: every backoff is
-    /// waited out on it (a wall clock sleeps, a virtual clock jumps)
-    /// in addition to being charged to the sender's session clock.
-    #[must_use]
-    pub fn with_clock(mut self, clock: Arc<dyn Clock>) -> Self {
-        self.clock = Some(clock);
-        self
     }
 
     /// The wrapper's tuning.
@@ -315,9 +297,6 @@ impl<'a, T: Transport + ?Sized> Reliable<'a, T> {
         }
         for (from, frames) in resend {
             let backoff = self.config.backoff(session, node, attempt);
-            if let Some(clock) = &self.clock {
-                clock.advance(backoff);
-            }
             self.inner.charge(session, NodeId(from), backoff);
             for frame in frames {
                 self.inner.send(session, NodeId(from), node, frame);
@@ -605,23 +584,6 @@ mod tests {
             let reply = session.recv_from(NodeId(0), NodeId(1)).unwrap();
             assert_eq!(&reply.payload[..], b"pong");
         });
-    }
-
-    #[test]
-    fn retransmission_backoff_drives_the_injected_clock() {
-        use crate::time::{Clock, VirtualClock};
-        let clock = Arc::new(VirtualClock::new());
-        let mut net = lossy_net(0.0, 0.0, 0.0, 1);
-        net.faults_mut().inject_once(0, 1, FaultOutcome::Drop);
-        let link = SharedNet::new(net);
-        let reliable = Reliable::new(&link).with_clock(Arc::clone(&clock) as _);
-        let session = Session::root(&reliable);
-        session.send(NodeId(0), NodeId(1), Bytes::from_static(b"x"));
-        let _ = session.recv(NodeId(1)).unwrap();
-        assert!(
-            clock.now() >= ReliableConfig::default().base_timeout,
-            "the retransmission timer must pass on the time driver too"
-        );
     }
 
     #[test]

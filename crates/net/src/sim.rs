@@ -14,6 +14,13 @@
 //! concurrent subquery scheduler in `dla-audit` relies on. The legacy
 //! `send`/`recv` API operates on [`SessionId::ROOT`] and behaves
 //! exactly like the original single-session simulator.
+//!
+//! The simulator is honest: it models a *benign* network (latency,
+//! drops, duplicates, bit rot with a stale checksum) and nothing else.
+//! A node that lies on the wire, and an observer that records what
+//! crosses it, belong to the crate's one wire tap, which wraps the
+//! simulator (behind [`crate::SharedNet`]) exactly as it wraps the
+//! socket and channel transports (see the [crate docs](crate)).
 
 use crate::fault::{FaultOutcome, FaultPlan};
 use crate::latency::LatencyModel;
@@ -170,9 +177,6 @@ pub struct NetConfig {
     pub faults: FaultPlan,
     /// RNG seed (latency sampling and fault rolls).
     pub seed: u64,
-    /// Keep a copy of every sent payload for post-hoc inspection
-    /// (leak-detection tests). Off by default: it retains memory.
-    pub capture_payloads: bool,
 }
 
 impl NetConfig {
@@ -200,13 +204,6 @@ impl NetConfig {
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Enables payload capture.
-    #[must_use]
-    pub fn with_payload_capture(mut self) -> Self {
-        self.capture_payloads = true;
         self
     }
 }
@@ -273,11 +270,6 @@ pub struct SimNet {
     sessions: BTreeMap<SessionId, SessionState>,
     next_session: u64,
     seq: u64,
-    capture: Option<Vec<(NodeId, NodeId, Bytes)>>,
-    adversary: Option<std::sync::Arc<dyn crate::adversary::Adversary>>,
-    /// Messages held back by [`crate::adversary::Tamper::Delay`]; each
-    /// subsequent send ages the stash and releases expired entries.
-    delayed: Vec<crate::adversary::DelayedSend>,
 }
 
 impl SimNet {
@@ -303,25 +295,7 @@ impl SimNet {
             sessions,
             next_session: 1,
             seq: 0,
-            capture: config.capture_payloads.then(Vec::new),
-            adversary: None,
-            delayed: Vec::new(),
         }
-    }
-
-    /// Installs a Byzantine [`crate::adversary::Adversary`] policy on
-    /// the send path. Forgeries are applied before checksum stamping —
-    /// see the module docs of [`crate::adversary`].
-    pub fn set_adversary(&mut self, adversary: std::sync::Arc<dyn crate::adversary::Adversary>) {
-        self.adversary = Some(adversary);
-    }
-
-    /// Removes any installed adversary; subsequent sends are honest.
-    /// Messages the adversary was still holding back vanish with it
-    /// (an endless delay is indistinguishable from a drop).
-    pub fn clear_adversary(&mut self) {
-        self.adversary = None;
-        self.delayed.clear();
     }
 
     /// Number of nodes.
@@ -364,7 +338,9 @@ impl SimNet {
         self.send_on(SessionId::ROOT, from, to, payload);
     }
 
-    /// Session-scoped [`SimNet::send`].
+    /// Session-scoped [`SimNet::send`]: accounting, checksum stamping,
+    /// fault roll and delivery. The checksum is stamped over the payload
+    /// as handed over, so in-flight corruption leaves it stale.
     ///
     /// # Panics
     ///
@@ -372,76 +348,6 @@ impl SimNet {
     pub fn send_on(&mut self, session: SessionId, from: NodeId, to: NodeId, payload: Bytes) {
         self.check(from);
         self.check(to);
-        if let Some(capture) = &mut self.capture {
-            capture.push((from, to, payload.clone()));
-        }
-        // Every send ages the adversary's delay stash by one round;
-        // expired messages re-enter the wire *after* the current one
-        // (stamped and clocked at release time), which is exactly the
-        // reordering a scripted delay is meant to cause.
-        let due = crate::adversary::age_delayed(&mut self.delayed);
-        // Byzantine interposition runs before the checksum is stamped:
-        // a forged payload goes out wire-consistent, so only
-        // protocol-level verification can catch it — unlike the benign
-        // Corrupt fault in `transmit`, whose stale checksum any
-        // receiver sees.
-        let mut held = false;
-        let payload = match self.adversary.clone() {
-            Some(adversary) => {
-                let action = adversary.tamper(session, from, to, &payload);
-                if let crate::adversary::Tamper::Delay(rounds) = action {
-                    self.delayed.push(crate::adversary::DelayedSend {
-                        rounds_left: rounds,
-                        session,
-                        from,
-                        to,
-                        payload: payload.clone(),
-                    });
-                    held = true;
-                    payload
-                } else {
-                    match action.apply(&payload) {
-                        Some(outgoing) => {
-                            adversary.observe(session, from, to, &outgoing);
-                            outgoing
-                        }
-                        None => {
-                            // Byzantine omission: account the send,
-                            // deliver nothing.
-                            self.ensure_session(session);
-                            let state = self.sessions.get_mut(&session).expect("session exists");
-                            let sent_at = state.clocks[from.0];
-                            self.stats
-                                .record_send(session, from.0, to.0, payload.len(), sent_at);
-                            self.stats.messages_dropped += 1;
-                            dla_telemetry::record(dla_telemetry::CostKind::MsgSent, 1);
-                            dla_telemetry::record(
-                                dla_telemetry::CostKind::BytesSent,
-                                payload.len() as u64,
-                            );
-                            held = true;
-                            payload
-                        }
-                    }
-                }
-            }
-            None => payload,
-        };
-        if !held {
-            self.transmit(session, from, to, payload);
-        }
-        for m in due {
-            if let Some(adversary) = self.adversary.clone() {
-                adversary.observe(m.session, m.from, m.to, &m.payload);
-            }
-            self.transmit(m.session, m.from, m.to, m.payload);
-        }
-    }
-
-    /// The honest tail of a send: accounting, checksum stamping, fault
-    /// roll and delivery. Delayed messages re-enter here on release, so
-    /// their envelopes are stamped and clocked at release time.
-    fn transmit(&mut self, session: SessionId, from: NodeId, to: NodeId, payload: Bytes) {
         self.ensure_session(session);
         let state = self.sessions.get_mut(&session).expect("session exists");
         let sent_at = state.clocks[from.0];
@@ -449,8 +355,6 @@ impl SimNet {
             .record_send(session, from.0, to.0, payload.len(), sent_at);
         dla_telemetry::record(dla_telemetry::CostKind::MsgSent, 1);
         dla_telemetry::record(dla_telemetry::CostKind::BytesSent, payload.len() as u64);
-        // Checksum is stamped over the payload *as sent*: corruption
-        // below leaves it stale, which is how receivers detect it.
         let checksum = crc32(&payload);
         let outcome = self.faults.decide(from.0, to.0, &mut state.fault_rng);
         match outcome {
@@ -728,15 +632,6 @@ impl SimNet {
     /// mid-test).
     pub fn faults_mut(&mut self) -> &mut FaultPlan {
         &mut self.faults
-    }
-
-    /// Every payload sent so far, in send order — only populated when
-    /// the network was built with
-    /// [`NetConfig::with_payload_capture`]. The tool of choice for
-    /// "does any protocol message contain this plaintext?" tests.
-    #[must_use]
-    pub fn captured_payloads(&self) -> &[(NodeId, NodeId, Bytes)] {
-        self.capture.as_deref().unwrap_or(&[])
     }
 
     fn check(&self, node: NodeId) {

@@ -47,9 +47,8 @@
 //! that does not read trips [`WRITE_STALL`]: a closed link and a lost
 //! frame, where a writer thread's queue would have grown without bound.
 //!
-//! Timers run on the pluggable [`Clock`] driver ([`crate::WallClock`]
-//! by default): receive deadlines, and — through
-//! [`crate::Reliable::with_clock`] — real retransmission backoff.
+//! Receive deadlines run on the pluggable [`Clock`] driver
+//! ([`crate::WallClock`] by default).
 //!
 //! [`Session`]: crate::Session
 

@@ -6,13 +6,18 @@
 //! processes.
 
 use bytes::Bytes;
-use dla_net::adversary::{scenario_rng, AdversaryNet, ScriptedAdversary, Tamper, TamperRule};
+use dla_net::adversary::{
+    scenario_rng, AdversaryNet, ScriptedAdversary, Tamper, TamperEvent, TamperRule,
+};
 use dla_net::tcp::{
     decode_envelope, read_frame, serve, write_frame, NodeConfig, TcpConfig, TcpNet, WRITE_STALL,
 };
 use dla_net::time::SimTime;
 use dla_net::wire::Writer;
-use dla_net::{ChannelNet, Envelope, NetError, NodeId, Session, SessionId, Transport};
+use dla_net::{
+    ChannelNet, Envelope, NetConfig, NetError, NodeId, Session, SessionId, SharedNet, SimNet,
+    Transport,
+};
 use rand::Rng;
 use std::collections::{BTreeSet, HashMap};
 use std::io::{self, Write};
@@ -321,12 +326,13 @@ fn hello_spoofing_cannot_hijack_a_live_session() {
     }
 }
 
-/// Same seeded schedule, two transports: the adversary's forgeries and
-/// the bytes the victim receives must be identical under [`ChannelNet`]
-/// and [`TcpNet`] — the determinism contract scenario replays rely on.
+/// Same seeded schedule, three transports under the one tap: the
+/// adversary's forgeries and the bytes the victim receives must be
+/// identical on the simulator, [`ChannelNet`] and [`TcpNet`] — the
+/// determinism contract scenario replays rely on.
 #[test]
-fn scripted_attacks_replay_identically_on_channel_and_tcp() {
-    let schedule = || {
+fn scripted_attacks_replay_identically_on_simulator_channel_and_tcp() {
+    fn schedule() -> Arc<ScriptedAdversary> {
         let mut rng = scenario_rng(5, 11);
         let mask = rng.gen_range(1..=255u8);
         Arc::new(ScriptedAdversary::new().compromise(0).rule(TamperRule {
@@ -340,10 +346,14 @@ fn scripted_attacks_replay_identically_on_channel_and_tcp() {
                 mask,
             },
         }))
-    };
-    fn drive<T: Transport>(net: &AdversaryNet<T>) -> Vec<Vec<u8>> {
-        let session = Session::new(net, SessionId(4));
-        (0..3u8)
+    }
+    // The schedule's events and the payloads node 1 was handed.
+    fn drive<T: Transport>(net: T) -> (T, Vec<TamperEvent>, Vec<Vec<u8>>) {
+        let adversary = schedule();
+        let net = AdversaryNet::new(net);
+        net.set_adversary(Arc::clone(&adversary) as _);
+        let session = Session::new(&net, SessionId(4));
+        let seen = (0..3u8)
             .map(|i| {
                 session.send(NodeId(0), NodeId(1), Bytes::from(vec![0x40, b'm', i]));
                 let envelope = session.recv_from(NodeId(1), NodeId(0)).expect("delivery");
@@ -353,28 +363,25 @@ fn scripted_attacks_replay_identically_on_channel_and_tcp() {
                 );
                 envelope.payload.to_vec()
             })
-            .collect()
+            .collect();
+        (net.into_inner(), adversary.report().events, seen)
     }
 
-    let channel_adversary = schedule();
-    let channel_net = AdversaryNet::new(ChannelNet::new(2), Arc::clone(&channel_adversary) as _);
-    let channel_seen = drive(&channel_net);
-
+    let simulator = SharedNet::new(SimNet::new(2, NetConfig::ideal()));
+    let (_, sim_events, sim_seen) = drive(simulator);
+    let (_, channel_events, channel_seen) = drive(ChannelNet::new(2));
     let (peers, handles) = spawn_mesh(2, 0);
-    let tcp_adversary = schedule();
-    let tcp_net = AdversaryNet::new(
-        TcpNet::connect(&peers, BTreeSet::new(), quick_config()).expect("connect"),
-        Arc::clone(&tcp_adversary) as _,
-    );
-    let tcp_seen = drive(&tcp_net);
-    let _ = tcp_net.into_inner().shutdown();
+    let tcp = TcpNet::connect(&peers, BTreeSet::new(), quick_config()).expect("connect");
+    let (tcp, tcp_events, tcp_seen) = drive(tcp);
+    let _ = tcp.shutdown();
     for handle in handles {
         handle.join().expect("join").expect("serve");
     }
 
-    assert_eq!(channel_seen, tcp_seen);
-    assert_ne!(channel_seen[0], channel_seen[1], "second message is forged");
-    assert_eq!(channel_adversary.report(), tcp_adversary.report());
+    assert_ne!(sim_seen[0], sim_seen[1], "second message is forged");
+    assert_eq!(sim_events.len(), 1);
+    assert_eq!((&channel_events, &channel_seen), (&sim_events, &sim_seen));
+    assert_eq!((&tcp_events, &tcp_seen), (&sim_events, &sim_seen));
 }
 
 /// A writer that counts how often it is called.

@@ -13,8 +13,9 @@ use confidential_audit::logstore::gen::paper_table1;
 use confidential_audit::logstore::model::{AttrValue, Glsn};
 use confidential_audit::logstore::schema::Schema;
 use confidential_audit::net::fault::FaultOutcome;
-use confidential_audit::net::NetError;
+use confidential_audit::net::{NetError, ScriptedAdversary, Transport};
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 fn paper_cluster(seed: u64) -> DlaCluster {
     let schema = Schema::paper_example();
@@ -46,6 +47,14 @@ fn is_line_fault(e: &AuditError) -> bool {
         innermost.downcast_ref::<NetError>(),
         Some(NetError::Corrupt(_))
     )
+}
+
+/// Installs a tap on `cluster`'s wire that records every message.
+fn tap(cluster: &DlaCluster) -> Arc<ScriptedAdversary> {
+    let everyone = 0..cluster.shared_net().num_nodes();
+    let tap = Arc::new(everyone.fold(ScriptedAdversary::new(), ScriptedAdversary::curious));
+    cluster.set_adversary(tap.clone());
+    tap
 }
 
 /// Queues one flipped byte for the next `from -> to` message.
@@ -459,8 +468,7 @@ fn a_relay_reshaping_the_collectors_own_set_fail_stops_the_run() {
     use confidential_audit::net::adversary::{Adversary, ScriptedAdversary, Tamper, TamperRule};
     use confidential_audit::net::topology::Ring;
     use confidential_audit::net::wire::Writer;
-    use confidential_audit::net::{NetConfig, NodeId, Session, SharedNet, SimNet};
-    use std::sync::Arc;
+    use confidential_audit::net::{AdversaryNet, NetConfig, NodeId, Session, SharedNet, SimNet};
     const UNION_TAG: u8 = 0x02;
 
     let domain = CommutativeDomain::fixed_256();
@@ -500,9 +508,8 @@ fn a_relay_reshaping_the_collectors_own_set_fail_stops_the_run() {
             });
         }
         let adversary = Arc::new(adversary);
-        let net = SharedNet::new(SimNet::new(3, NetConfig::ideal()));
-        net.lock()
-            .set_adversary(Arc::clone(&adversary) as Arc<dyn Adversary>);
+        let net = AdversaryNet::new(SharedNet::new(SimNet::new(3, NetConfig::ideal())));
+        net.set_adversary(Arc::clone(&adversary) as Arc<dyn Adversary>);
         let session = Session::root(&net);
         let mut rng = rand::rngs::StdRng::seed_from_u64(51);
         let answer = if tag == SET_TAG {
@@ -557,8 +564,7 @@ fn a_relay_reordering_the_collectors_own_set_is_an_undetected_lie() {
     use confidential_audit::net::adversary::{Adversary, ScriptedAdversary, Tamper, TamperRule};
     use confidential_audit::net::topology::Ring;
     use confidential_audit::net::wire::{Reader, Writer};
-    use confidential_audit::net::{NetConfig, NodeId, Session, SharedNet, SimNet};
-    use std::sync::Arc;
+    use confidential_audit::net::{AdversaryNet, NetConfig, NodeId, Session, SharedNet, SimNet};
     const UNION_TAG: u8 = 0x02;
 
     let domain = CommutativeDomain::fixed_256();
@@ -570,13 +576,15 @@ fn a_relay_reordering_the_collectors_own_set_is_an_undetected_lie() {
         set(&["d", "e", "f"]),
         set(&["e", "f", "g"]),
     ];
-    // One seeded run at collector node 0; `action`, if any, hits node
-    // 1's second message to node 2 — the relay hop of the collector's
-    // set. Returns the answer and that hop's honest payload.
+    // One seeded run at collector node 0 under a tap that records the
+    // wire; `action`, if any, hits node 1's second message to node 2 —
+    // the relay hop of the collector's set. Returns the answer and that
+    // hop as it crossed the wire.
     let run = |tag: u8, action: Option<Tamper>| {
-        let net = SharedNet::new(SimNet::new(3, NetConfig::ideal().with_payload_capture()));
+        let net = AdversaryNet::new(SharedNet::new(SimNet::new(3, NetConfig::ideal())));
+        let mut adversary = (0..3).fold(ScriptedAdversary::new(), ScriptedAdversary::curious);
         if let Some(action) = action {
-            let adversary = ScriptedAdversary::new().compromise(1).rule(TamperRule {
+            adversary = adversary.compromise(1).rule(TamperRule {
                 from: Some(1),
                 to: Some(2),
                 tag: Some(tag),
@@ -584,9 +592,9 @@ fn a_relay_reordering_the_collectors_own_set_is_an_undetected_lie() {
                 fires: 1,
                 action,
             });
-            net.lock()
-                .set_adversary(Arc::new(adversary) as Arc<dyn Adversary>);
         }
+        let adversary = Arc::new(adversary);
+        net.set_adversary(Arc::clone(&adversary) as Arc<dyn Adversary>);
         let session = Session::root(&net);
         let mut rng = rand::rngs::StdRng::seed_from_u64(51);
         let answer = if tag == SET_TAG {
@@ -599,15 +607,11 @@ fn a_relay_reordering_the_collectors_own_set_is_an_undetected_lie() {
                 .run(&inputs, &mut rng)
                 .map(|o| o.items)
         };
-        let hop = net
-            .lock()
-            .captured_payloads()
-            .iter()
-            .filter(|(from, to, _)| (*from, *to) == (NodeId(1), NodeId(2)))
+        let hop = (adversary.captured().into_iter())
+            .filter(|m| (m.from, m.to) == (NodeId(1), NodeId(2)))
             .nth(1)
             .expect("the collector-origin relay hop")
-            .2
-            .clone();
+            .payload;
         (answer.unwrap(), hop)
     };
 
@@ -652,10 +656,9 @@ fn an_undetected_lie_told_once_about_a_sealed_epoch_is_served_until_evicted() {
     use confidential_audit::logstore::model::{AttrType, LogRecord};
     use confidential_audit::logstore::schema::AttrDef;
     use confidential_audit::mpc::set_intersection::SET_TAG;
-    use confidential_audit::net::adversary::{ScriptedAdversary, Tamper, TamperRule};
+    use confidential_audit::net::adversary::{Tamper, TamperRule};
     use confidential_audit::net::wire::{Reader, Writer};
     use confidential_audit::net::NodeId;
-    use std::sync::Arc;
 
     // `a` at P0, `b` at P1, epochs of four: `a = b` is an equality join
     // collected at P0, and the first two epochs are sealed.
@@ -669,8 +672,7 @@ fn an_undetected_lie_told_once_about_a_sealed_epoch_is_served_until_evicted() {
         let config = ClusterConfig::new(2, schema)
             .with_partition(partition)
             .with_seed(5)
-            .with_epoch_length(4)
-            .with_payload_capture();
+            .with_epoch_length(4);
         let mut cluster = DlaCluster::new(config).unwrap();
         let user = cluster.register_user("u").unwrap();
         let rows = [
@@ -708,15 +710,15 @@ fn an_undetected_lie_told_once_about_a_sealed_epoch_is_served_until_evicted() {
     let kept = |cluster: &DlaCluster| cluster.kept().len();
 
     let mut honest = cluster();
+    let wire = tap(&honest);
     let truth = honest.query("a = b").unwrap().glsns;
     assert_eq!(truth.len(), 5);
     assert_eq!(kept(&honest), 2);
-    let hop = {
-        let net = honest.net();
-        let relayed = |(from, to, _): &&(NodeId, NodeId, _)| (*from, *to) == (NodeId(1), NodeId(0));
-        let hops: Vec<_> = net.captured_payloads().iter().filter(relayed).collect();
-        hops[1].2.clone()
-    };
+    let hop = (wire.captured().into_iter())
+        .filter(|m| (m.from, m.to) == (NodeId(1), NodeId(0)))
+        .nth(1)
+        .expect("the relay hop of the collector's set")
+        .payload;
     let mut r = Reader::new(&hop);
     let (tag, origin) = (r.get_u8().unwrap(), r.get_u64().unwrap());
     let elements = r.get_list(|r| r.get_bytes().map(<[u8]>::to_vec)).unwrap();
@@ -772,9 +774,8 @@ fn a_lying_decryptor_s_answer_about_a_sealed_epoch_is_served_by_the_engine_until
     use confidential_audit::logstore::model::{AttrType, LogRecord};
     use confidential_audit::logstore::schema::AttrDef;
     use confidential_audit::mpc::set_intersection::SET_TAG;
-    use confidential_audit::net::adversary::{ScriptedAdversary, Tamper, TamperRule};
+    use confidential_audit::net::adversary::{Tamper, TamperRule};
     use confidential_audit::net::NodeId;
-    use std::sync::Arc;
 
     // `a` at P0, `b` at P1, epochs of four: two sealed, one open.
     let cluster = || {
@@ -787,8 +788,7 @@ fn a_lying_decryptor_s_answer_about_a_sealed_epoch_is_served_by_the_engine_until
         let config = ClusterConfig::new(2, schema)
             .with_partition(partition)
             .with_seed(5)
-            .with_epoch_length(4)
-            .with_payload_capture();
+            .with_epoch_length(4);
         let mut cluster = DlaCluster::new(config).unwrap();
         let user = cluster.register_user("u").unwrap();
         for i in 0..10 {
@@ -804,21 +804,25 @@ fn a_lying_decryptor_s_answer_about_a_sealed_epoch_is_served_by_the_engine_until
     // first is its leg of the collection round) carries the plaintexts.
     let narrow = "a > 2 AND b > 2";
     let wide = "a >= 0 AND b >= 0";
-    let last_word = |cluster: &DlaCluster| {
+    let last_word = |cluster: &DlaCluster, wire: &ScriptedAdversary| {
         let auditor = cluster.auditor_node();
-        let net = cluster.net();
-        let said = net.captured_payloads().iter();
-        let mut to_engine = said.filter(|(from, to, _)| (*from, *to) == (NodeId(1), auditor));
-        to_engine.nth(1).expect("a reveal pass ran").2.to_vec()
+        let said = wire.captured().into_iter();
+        let mut to_engine = said.filter(|m| (m.from, m.to) == (NodeId(1), auditor));
+        to_engine
+            .nth(1)
+            .expect("a reveal pass ran")
+            .payload
+            .to_vec()
     };
 
     let honest = cluster();
     let truth = honest.query_shared(narrow).unwrap().glsns;
     assert_eq!(truth.len(), 4);
     let everything = cluster();
+    let wire = tap(&everything);
     let all = everything.query_shared(wide).unwrap().glsns;
     assert_eq!(all.len(), 10);
-    let plaintexts_of_everything = last_word(&everything);
+    let plaintexts_of_everything = last_word(&everything, &wire);
 
     let lied_to = cluster();
     let rule = TamperRule {
@@ -1034,4 +1038,48 @@ fn random_fault_storm_never_yields_wrong_integrity_verdicts() {
         completed > 0 && refused > 0,
         "the storm must both spare and hit circulations ({completed} completed, {refused} refused)"
     );
+}
+
+#[test]
+fn every_cluster_leg_crosses_the_one_tap() {
+    // A watch-everything observer sees exactly what the simulator
+    // counted: no cluster leg — deposit, standby copy, query, accumulator
+    // circulation, re-replication, the standing query a seal runs — goes
+    // around the tap.
+    let schema = Schema::paper_example();
+    let partition = Partition::paper_example(&schema);
+    let mut cluster = DlaCluster::new(
+        ClusterConfig::new(4, schema)
+            .with_partition(partition)
+            .with_seed(17)
+            .with_epoch_length(2)
+            .with_standby_replication(),
+    )
+    .unwrap();
+    let wire = tap(&cluster);
+    let user = cluster.register_user("u").unwrap();
+    let standing = cluster.register_standing("c1 > 30 AND id = 'U1'").unwrap();
+    let records = paper_table1();
+    let glsns = cluster.log_records(&user, &records[..3]).unwrap();
+    cluster
+        .query("c1 > 30 AND id = 'U1' AND protocol = 'TCP'")
+        .unwrap();
+    assert!(
+        integrity::check_record(&mut cluster, glsns[0], 0)
+            .unwrap()
+            .ok
+    );
+    let repair = cluster.rereplicate(&[2].into()).unwrap();
+    assert!(repair.is_fully_verified());
+    cluster.log_records(&user, &records[3..]).unwrap();
+    assert_eq!(
+        cluster.standing_deltas(standing).len(),
+        2,
+        "two seals ran it"
+    );
+
+    let sent = cluster.net().stats().messages_sent;
+    assert!(sent > 0);
+    assert_eq!(wire.captured().len() as u64, sent);
+    assert_eq!(wire.report().observed as u64, sent);
 }

@@ -14,13 +14,13 @@ use confidential_audit::crypto::sha256::{self, Sha256};
 use confidential_audit::logstore::fragment::Partition;
 use confidential_audit::logstore::gen::{generate, WorkloadConfig};
 use confidential_audit::logstore::schema::Schema;
-use confidential_audit::net::{ChannelNet, SimTime, VirtualClock};
+use confidential_audit::net::{ChannelNet, ScriptedAdversary, SimTime, Transport, VirtualClock};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
-/// SHA-256 over every captured payload `(from, to, len, bytes)` and
-/// every answer glsn of the three-query scenario below.
+/// SHA-256 over every payload `(from, to, len, bytes)` the wire carried
+/// and every answer glsn of the three-query scenario below.
 const QUERY_TRANSCRIPT_SHA256: &str =
     "592f8ce6dac6be545c92fdd80ed22327d2b79663a4d0348c4bed5c69093f606b";
 
@@ -34,7 +34,7 @@ const WORKLOAD_3_9_23_DIGEST: &str =
 
 /// 4 nodes on the paper partition, seed 53, two-record epochs, ten
 /// generated records, three queries (conjunctive, equality join,
-/// disjunctive) with every payload captured.
+/// disjunctive) under a tap that records every message on the wire.
 #[test]
 fn query_wire_transcript_and_answers_are_pinned() {
     let schema = Schema::paper_example();
@@ -42,9 +42,11 @@ fn query_wire_transcript_and_answers_are_pinned() {
     let config = ClusterConfig::new(4, schema)
         .with_partition(partition)
         .with_seed(53)
-        .with_epoch_length(2)
-        .with_payload_capture();
+        .with_epoch_length(2);
     let mut cluster = DlaCluster::new(config).expect("cluster builds");
+    let everyone = 0..cluster.shared_net().num_nodes();
+    let tap = Arc::new(everyone.fold(ScriptedAdversary::new(), ScriptedAdversary::curious));
+    cluster.set_adversary(tap.clone());
     let user = cluster.register_user("u").expect("capacity");
     let records = generate(
         &WorkloadConfig {
@@ -67,14 +69,13 @@ fn query_wire_transcript_and_answers_are_pinned() {
             hasher.update(&glsn.0.to_be_bytes());
         }
     }
-    let net = cluster.net();
-    let payloads = net.captured_payloads();
-    assert!(!payloads.is_empty(), "payload capture must be on");
-    for (from, to, payload) in payloads.iter() {
-        hasher.update(&(from.index() as u64).to_be_bytes());
-        hasher.update(&(to.index() as u64).to_be_bytes());
-        hasher.update(&(payload.len() as u64).to_be_bytes());
-        hasher.update(payload);
+    let wire = tap.captured();
+    assert!(!wire.is_empty(), "the tap must see the wire");
+    for message in &wire {
+        hasher.update(&(message.from.index() as u64).to_be_bytes());
+        hasher.update(&(message.to.index() as u64).to_be_bytes());
+        hasher.update(&(message.payload.len() as u64).to_be_bytes());
+        hasher.update(&message.payload);
     }
     assert_eq!(
         sha256::to_hex(&hasher.finalize()),

@@ -10,8 +10,10 @@ use confidential_audit::logstore::fragment::Partition;
 use confidential_audit::logstore::gen::{self, paper_table1, WorkloadConfig};
 use confidential_audit::logstore::model::{AttrValue, Glsn, LogRecord};
 use confidential_audit::logstore::schema::Schema;
+use confidential_audit::net::{ScriptedAdversary, Transport};
 use rand::SeedableRng;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 fn paper_cluster(seed: u64) -> DlaCluster {
     let schema = Schema::paper_example();
@@ -214,15 +216,10 @@ fn record_values_never_appear_in_protocol_traffic() {
     // Log a record with a distinctive value, then scan EVERY payload
     // the network carried during the query phase: the plaintext value
     // must never appear — only fingerprints and ciphertexts travel.
-    let schema = Schema::paper_example();
-    let partition = Partition::paper_example(&schema);
-    let mut cluster = DlaCluster::new(
-        ClusterConfig::new(4, schema)
-            .with_partition(partition)
-            .with_seed(11)
-            .with_payload_capture(),
-    )
-    .unwrap();
+    let mut cluster = paper_cluster(11);
+    let everyone = 0..cluster.shared_net().num_nodes();
+    let tap = Arc::new(everyone.fold(ScriptedAdversary::new(), ScriptedAdversary::curious));
+    cluster.set_adversary(tap.clone());
     let user = cluster.register_user("u").unwrap();
     let secret_note = "ULTRA-SECRET-MERGER-MEMO";
     let record = LogRecord::new(Glsn(0))
@@ -238,7 +235,7 @@ fn record_values_never_appear_in_protocol_traffic() {
     // The fragment shipping during log_record DID carry the value (the
     // user -> storing-node channel is inside the trust boundary), so
     // mark where the query-phase traffic begins.
-    let logged_until = cluster.net().captured_payloads().len();
+    let logged_until = tap.captured().len();
 
     // Queries that *touch* c3's owner node in several ways.
     let _ = cluster.query("id = c3").unwrap();
@@ -247,20 +244,17 @@ fn record_values_never_appear_in_protocol_traffic() {
         confidential_audit::audit::aggregate::count_matching(&mut cluster, "c3 != 'x'").unwrap();
 
     let needle = secret_note.as_bytes();
-    for (i, (from, to, payload)) in cluster
-        .net()
-        .captured_payloads()
-        .iter()
-        .enumerate()
-        .skip(logged_until)
-    {
+    let wire = tap.captured();
+    for (i, message) in wire.iter().enumerate().skip(logged_until) {
         assert!(
-            !payload.windows(needle.len()).any(|w| w == needle),
-            "payload #{i} ({from} -> {to}) leaks the plaintext note"
+            !message.payload.windows(needle.len()).any(|w| w == needle),
+            "payload #{i} ({} -> {}) leaks the plaintext note",
+            message.from,
+            message.to
         );
     }
     assert!(
-        cluster.net().captured_payloads().len() > logged_until,
+        wire.len() > logged_until,
         "the queries must actually have generated traffic"
     );
 }

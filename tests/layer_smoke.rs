@@ -8,7 +8,7 @@
 use confidential_audit::bigint::montgomery::MontgomeryContext;
 use confidential_audit::bigint::{modular, Ubig};
 use confidential_audit::crypto::accumulator::AccumulatorParams;
-use confidential_audit::crypto::pohlig_hellman::{CommutativeDomain, CommutativeKey, PhKey};
+use confidential_audit::crypto::pohlig_hellman::{CommutativeDomain, PhKey};
 use confidential_audit::crypto::schnorr::{SchnorrGroup, SchnorrKeyPair};
 use confidential_audit::crypto::sha256;
 use confidential_audit::logstore::acl::{OperationSet, TicketAuthority};

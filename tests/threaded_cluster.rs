@@ -5,7 +5,7 @@
 
 use bytes::Bytes;
 use confidential_audit::crypto::accumulator::AccumulatorParams;
-use confidential_audit::crypto::pohlig_hellman::{CommutativeDomain, CommutativeKey, PhKey};
+use confidential_audit::crypto::pohlig_hellman::{CommutativeDomain, PhKey};
 use confidential_audit::net::{ChannelNet, NodeId, Session};
 use dla_bigint::Ubig;
 use rand::SeedableRng;

@@ -15,13 +15,16 @@ use confidential_audit::logstore::fragment::Partition;
 use confidential_audit::logstore::gen::{generate, WorkloadConfig};
 use confidential_audit::logstore::model::{format_paper_time, AttrValue, Glsn, LogRecord};
 use confidential_audit::logstore::schema::Schema;
-use confidential_audit::net::{Envelope, NetError, NodeId, SessionId, SimTime, Transport};
+use confidential_audit::net::{
+    Envelope, NetError, NodeId, ScriptedAdversary, SessionId, SimTime, Transport,
+};
 use confidential_audit::telemetry::Recorder;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 const EPOCH: u64 = 64;
 /// One cross clause over `{P1, P3}`, united at P1 by a secure set
@@ -48,7 +51,7 @@ struct World {
     overlay: BTreeMap<Glsn, Option<LogRecord>>,
 }
 
-fn config(standby: bool, capture: bool, journals: Option<PathBuf>) -> ClusterConfig {
+fn config(standby: bool, journals: Option<PathBuf>) -> ClusterConfig {
     let schema = Schema::paper_example();
     let partition = Partition::paper_example(&schema);
     let mut config = ClusterConfig::new(4, schema)
@@ -57,9 +60,6 @@ fn config(standby: bool, capture: bool, journals: Option<PathBuf>) -> ClusterCon
         .with_epoch_length(EPOCH);
     if standby {
         config = config.with_standby_replication();
-    }
-    if capture {
-        config = config.with_payload_capture();
     }
     if let Some(dir) = journals {
         config = config.with_journal_dir(dir);
@@ -88,11 +88,8 @@ fn hits(recorder: &Recorder) -> u64 {
 }
 
 impl World {
-    fn new(standby: bool, capture: bool) -> World {
-        World::with_configs(
-            config(standby, capture, None),
-            config(standby, capture, None),
-        )
+    fn new(standby: bool) -> World {
+        World::with_configs(config(standby, None), config(standby, None))
     }
 
     /// A world whose clusters journal under `dir`, so that it can be
@@ -100,8 +97,8 @@ impl World {
     fn durable(dir: &std::path::Path) -> World {
         let _ = std::fs::remove_dir_all(dir);
         World::with_configs(
-            config(true, false, Some(dir.join("warm"))),
-            config(true, false, Some(dir.join("cold"))),
+            config(true, Some(dir.join("warm"))),
+            config(true, Some(dir.join("cold"))),
         )
     }
 
@@ -426,7 +423,7 @@ fn a_set_is_kept_where_it_was_received_per_constant_order_and_partition_in_force
     // nodes it was planned on. No standby copies: retiring a node loses
     // what it held, so a query planned on it and the same query planned
     // on its adopter have different answers.
-    let mut world = World::new(false, false);
+    let mut world = World::new(false);
     world.deposit(&workload(200));
     let sealed = world.sealed_epochs() as usize;
     assert_eq!(sealed, 3);
@@ -498,7 +495,7 @@ fn run(cluster: &DlaCluster, plan: &QueryPlan, reveal: bool, seed: u64) -> (Quer
 
 #[test]
 fn the_engine_keeps_an_answer_per_query_and_a_count_only_run_goes_around_it() {
-    let mut world = World::new(false, false);
+    let mut world = World::new(false);
     world.deposit(&workload(200));
     let sealed = world.sealed_epochs();
     assert_eq!(sealed, 3);
@@ -613,7 +610,7 @@ fn a_sliding_window_is_served_the_epochs_it_covers_and_asks_a_boundary_epoch_in_
 
         // The bound-less query first: every bounded window after it is
         // served the epochs it covers and nothing of the ones it cuts.
-        let mut world = World::new(false, false);
+        let mut world = World::new(false);
         world.deposit(&log);
         assert_eq!(world.sealed_epochs(), 5);
         assert_eq!(world.ask_both(criteria), (world.lenient(criteria), 0));
@@ -641,7 +638,7 @@ fn a_sliding_window_is_served_the_epochs_it_covers_and_asks_a_boundary_epoch_in_
 
 #[test]
 fn a_standing_rules_deltas_answer_an_ad_hoc_ask_of_that_rule_over_sealed_history() {
-    let mut world = World::new(false, false);
+    let mut world = World::new(false);
     let log = workload(300);
     world.deposit(&log[..200]);
     for rule in [AND2, OR2] {
@@ -717,7 +714,7 @@ impl Transport for RewritesAtTheFirstSend<'_> {
 
 #[test]
 fn a_store_that_moves_while_a_query_runs_leaves_an_answer_nobody_is_served() {
-    let mut world = World::new(false, false);
+    let mut world = World::new(false);
     world.deposit(&workload(200));
     // A sealed record of U1's the query misses until `c1` is rewritten.
     let sealed = world.sealed();
@@ -759,17 +756,24 @@ fn a_store_that_moves_while_a_query_runs_leaves_an_answer_nobody_is_served() {
     assert_eq!(world.ask(AND2), world.sealed_epochs());
 }
 
-/// The payloads `run` put on the wire.
+/// Installs a tap on `cluster`'s wire that records every message.
+fn tap(cluster: &DlaCluster) -> Arc<ScriptedAdversary> {
+    let everyone = 0..cluster.shared_net().num_nodes();
+    let tap = Arc::new(everyone.fold(ScriptedAdversary::new(), ScriptedAdversary::curious));
+    cluster.set_adversary(tap.clone());
+    tap
+}
+
+/// The payloads `run` put on the wire `tap` records.
 fn captured(
-    cluster: &DlaCluster,
+    tap: &ScriptedAdversary,
     run: impl FnOnce() -> QueryResult,
 ) -> (QueryResult, Vec<Vec<u8>>) {
-    let before = cluster.net().captured_payloads().len();
+    let before = tap.captured().len();
     let result = run();
-    let net = cluster.net();
-    let payloads = net.captured_payloads()[before..]
+    let payloads = tap.captured()[before..]
         .iter()
-        .map(|(_, _, bytes)| bytes.to_vec())
+        .map(|m| m.payload.to_vec())
         .collect();
     (result, payloads)
 }
@@ -781,7 +785,8 @@ fn a_warm_run_puts_only_the_missing_range_on_the_wire() {
         execute_on(cluster, on, plan, true, ExecMode::Concurrent, seed).expect("runs")
     };
     for (seed, criteria) in [(11, OR2), (12, JOIN), (13, AND2)] {
-        let mut world = World::new(false, true);
+        let mut world = World::new(false);
+        let (warm_tap, cold_tap) = (tap(&world.warm), tap(&world.cold));
         let log = workload(330);
         world.deposit(&log[..150]);
         assert_eq!(world.ask(criteria), 0);
@@ -793,7 +798,7 @@ fn a_warm_run_puts_only_the_missing_range_on_the_wire() {
         // open. Asked again, the whole transcript, conjunction and all,
         // is a cold cluster's over the epochs the engine was not told.
         let recorder = Recorder::new();
-        let (warm, warm_wire) = captured(&world.warm, || {
+        let (warm, warm_wire) = captured(&warm_tap, || {
             let _on = recorder.install();
             run(&world.warm, &unbounded, seed)
         });
@@ -802,13 +807,13 @@ fn a_warm_run_puts_only_the_missing_range_on_the_wire() {
         let mut missing = unbounded.clone();
         missing.glsn_clamp = Some((Glsn(base + 2 * EPOCH), Glsn(u64::MAX)));
         World::forget(&world.cold);
-        let (cold, cold_wire) = captured(&world.cold, || run(&world.cold, &missing, seed));
+        let (cold, cold_wire) = captured(&cold_tap, || run(&world.cold, &missing, seed));
         assert_eq!(warm_wire, cold_wire, "{criteria}");
         assert_eq!(warm.reports, cold.reports);
 
         // The whole trail costs a cold cluster more than that.
         World::forget(&world.cold);
-        let (whole, _) = captured(&world.cold, || run(&world.cold, &unbounded, seed));
+        let (whole, _) = captured(&cold_tap, || run(&world.cold, &unbounded, seed));
         assert!(warm.bytes < whole.bytes, "{criteria}");
         assert_eq!(whole.glsns, warm.glsns);
 
@@ -816,7 +821,7 @@ fn a_warm_run_puts_only_the_missing_range_on_the_wire() {
         let upto = format_paper_time(time_of(&log[2 * EPOCH as usize - 1]));
         let bounded = format!("time <= '{upto}' AND ({criteria})");
         let plan = world.warm.compile(&bounded).expect("compiles");
-        let (all_kept, wire) = captured(&world.warm, || run(&world.warm, &plan, seed));
+        let (all_kept, wire) = captured(&warm_tap, || run(&world.warm, &plan, seed));
         assert!(all_kept.reports.is_empty() && wire.is_empty(), "{bounded}");
         assert_eq!(all_kept.glsns, world.expected(&bounded));
 
@@ -834,7 +839,7 @@ fn a_warm_run_puts_only_the_missing_range_on_the_wire() {
             assert_eq!(world.ask(&one), 0, "{one}");
         }
         let recorder = Recorder::new();
-        let (warm, warm_wire) = captured(&world.warm, || {
+        let (warm, warm_wire) = captured(&warm_tap, || {
             let _on = recorder.install();
             run(&world.warm, &unbounded, seed)
         });
@@ -854,7 +859,7 @@ fn a_warm_run_puts_only_the_missing_range_on_the_wire() {
             missing.glsn_clamp = Some((Glsn(lo), Glsn(hi)));
             World::forget(&world.cold);
             let seed = run_seed(seed, i);
-            let (cold, wire) = captured(&world.cold, || run(&world.cold, &missing, seed));
+            let (cold, wire) = captured(&cold_tap, || run(&world.cold, &missing, seed));
             cold_wire.extend(wire);
             cold_reports.extend(cold.reports);
         }
@@ -878,9 +883,9 @@ fn a_masked_comparison_shows_its_ttp_a_sealed_epoch_once() {
     let config = ClusterConfig::new(2, schema)
         .with_partition(partition)
         .with_seed(9)
-        .with_epoch_length(4)
-        .with_payload_capture();
+        .with_epoch_length(4);
     let mut cluster = DlaCluster::new(config).expect("cluster builds");
+    let wire = tap(&cluster);
     let user = cluster.register_user("u").expect("capacity");
     for (a, b) in [
         (1, 2),
@@ -901,13 +906,12 @@ fn a_masked_comparison_shows_its_ttp_a_sealed_epoch_once() {
     }
     let ttp = cluster.ttp_node();
     let shown_to_ttp = |cluster: &DlaCluster| {
-        let before = cluster.net().captured_payloads().len();
+        let before = wire.captured().len();
         let answer = cluster.query_shared("a < b").expect("query runs").glsns;
-        let net = cluster.net();
-        let seen = net.captured_payloads()[before..].iter();
-        let bytes: usize = seen
-            .filter(|(_, to, _)| *to == ttp)
-            .map(|(_, _, b)| b.len())
+        let seen = wire.captured().split_off(before);
+        let bytes: usize = (seen.iter())
+            .filter(|m| m.to == ttp)
+            .map(|m| m.payload.len())
             .sum();
         (answer, bytes)
     };
@@ -929,7 +933,7 @@ fn two_counts_of_a_cross_clause_in_a_row_are_two_cold_runs() {
     // count of a cross clause over sealed history sends what the first
     // sent — exactly so under the first's keys: the cold twin draws its
     // seeds in the same order, and its first count is of another query.
-    let mut world = World::new(false, false);
+    let mut world = World::new(false);
     world.deposit(&workload(200));
     assert_eq!(world.sealed_epochs(), 3);
     let expected = world.expected(OR2).len();
