@@ -16,14 +16,16 @@ echo "==> bigint and crypto differential properties in release"
 # assertions), and it stays seconds however the debug pass is trimmed.
 cargo test -q --release -p dla-bigint -p dla-crypto --test properties
 
-echo "==> tcp_transport in release, then again pinned to one CPU; warm_cold and concurrent_queries pinned too"
+echo "==> tcp_transport in release, then again pinned to one CPU; the channel's wake tests, warm_cold and concurrent_queries pinned too"
 cargo test -q --release -p dla-net --test tcp_transport
 if command -v taskset >/dev/null 2>&1; then
     # One CPU is the schedule the benchmark measures, and the one where
     # hand-off ordering bugs in the socket transport surface — and where
-    # the executor's scoped workers interleave with a lookup of what the
+    # a channel's sender and its parked receiver share the CPU, the
+    # executor's scoped workers interleave with a lookup of what the
     # engine keeps, and concurrent auditors with each other's per-query
     # traffic counts.
+    taskset -c 0 cargo test -q --release -p crossbeam
     taskset -c 0 cargo test -q --release -p dla-net --test tcp_transport
     taskset -c 0 cargo test -q --release --test warm_cold
     taskset -c 0 cargo test -q --release -p dla-audit --test concurrent_queries

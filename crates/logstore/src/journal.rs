@@ -339,10 +339,15 @@ fn decode_entry(raw: &[u8]) -> Result<(JournalEntry, usize), EntryError> {
                 TAG_ADOPTED => JournalEntry::Adopted(fragment()?),
                 TAG_EPOCH_SEAL => JournalEntry::EpochSeal(EpochId(be_u64(bytes, "epoch seal")?)),
                 TAG_EPOCH_POLICY if bytes.len() == 16 => {
-                    JournalEntry::EpochPolicy(EpochPolicy::new(
-                        Glsn(be_u64(&bytes[..8], "epoch policy")?),
-                        be_u64(&bytes[8..], "epoch policy")?,
-                    ))
+                    // No writer journals a zero length (`EpochPolicy::new`
+                    // clamps it to 1), so zero is not a policy's bytes.
+                    match be_u64(&bytes[8..], "epoch policy")? {
+                        0 => return Err(corrupt("zero-length epoch policy")),
+                        length => JournalEntry::EpochPolicy(EpochPolicy::new(
+                            Glsn(be_u64(&bytes[..8], "epoch policy")?),
+                            length,
+                        )),
+                    }
                 }
                 TAG_EPOCH_POLICY => return Err(corrupt("epoch policy")),
                 TAG_EPOCH_MATERIALIZED => {

@@ -187,6 +187,25 @@ proptest! {
     }
 }
 
+/// `EpochPolicy::new` clamps a zero length to 1, so no writer journals
+/// a zero, and reading one as length 1 would hand back bytes other than
+/// the ones on disk. It is refused; length 1 is a policy, byte for byte.
+#[test]
+fn a_zero_length_epoch_policy_is_corrupt() {
+    let entry = |length| JournalEntry::EpochPolicy(EpochPolicy::new(Glsn(7), length));
+    let mut body = body_of(&entry(64));
+    let length_at = body.len() - 8;
+    body[length_at..].copy_from_slice(&0u64.to_be_bytes());
+    let (opened, _) = replay(&frame(&body));
+    let error = opened.expect_err("a zero length is corrupt");
+    assert!(error.contains("zero-length epoch policy"), "{error}");
+    check_body(&body, &[1, 9]).expect("holds");
+
+    body[length_at..].copy_from_slice(&1u64.to_be_bytes());
+    assert_eq!(replay(&frame(&body)).0, Ok(vec![entry(1)]));
+    assert_eq!(body_of(&entry(1)), body);
+}
+
 #[test]
 fn every_valid_body_decodes_to_its_entry_and_every_prefix_is_torn() {
     for (body, entry) in valid_bodies().iter().zip(valid_entries()) {

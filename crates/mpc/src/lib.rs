@@ -104,6 +104,36 @@ impl From<dla_net::wire::WireError> for MpcError {
     }
 }
 
+/// The totality property every payload decoder here meets (ROADMAP
+/// 4(b)): `payload` either fails to decode or decodes to a message that
+/// `reencode` (decode, then encode) turns back into exactly `payload`,
+/// and then no strict prefix and no one-byte extension of it decodes.
+/// Returns whether `payload` decoded.
+#[cfg(test)]
+pub(crate) fn one_encoding(
+    payload: &[u8],
+    reencode: impl Fn(&[u8]) -> Result<bytes::Bytes, MpcError>,
+) -> Result<bool, proptest::test_runner::TestCaseError> {
+    use proptest::prelude::*;
+    let Ok(again) = reencode(payload) else {
+        return Ok(false);
+    };
+    prop_assert_eq!(&again[..], payload, "decoded bytes re-encode to themselves");
+    for cut in 0..payload.len() {
+        prop_assert!(
+            reencode(&payload[..cut]).is_err(),
+            "prefix of {} bytes",
+            cut
+        );
+    }
+    let mut longer = [payload, &[0]].concat();
+    for byte in 0..=u8::MAX {
+        *longer.last_mut().expect("one byte longer") = byte;
+        prop_assert!(reencode(&longer).is_err(), "extended by {:#04x}", byte);
+    }
+    Ok(true)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -397,7 +397,7 @@ fn decode_set(payload: &[u8]) -> Result<(u64, Vec<Ubig>), MpcError> {
         return Err(MpcError::Wire(format!("unexpected message tag {tag}")));
     }
     let origin = r.get_u64()?;
-    let elements = r.get_list(|r| r.get_bytes().map(Ubig::from_bytes_be))?;
+    let elements = r.get_list(|r| r.get_minimal_uint().map(Ubig::from_bytes_be))?;
     r.finish()?;
     Ok((origin, elements))
 }
@@ -405,7 +405,9 @@ fn decode_set(payload: &[u8]) -> Result<(u64, Vec<Ubig>), MpcError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::one_encoding;
     use dla_net::{NetConfig, SharedNet, SimNet};
+    use proptest::prelude::*;
     use rand::SeedableRng;
 
     fn items(names: &[&str]) -> Vec<Vec<u8>> {
@@ -588,5 +590,31 @@ mod tests {
     fn oversized_item_is_rejected() {
         let inputs = vec![vec![vec![7u8; 40]], vec![vec![7u8; 40]]];
         assert!(intersect(&inputs, NodeId(0), false).is_err());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A set decodes only from its one encoding: an element with a
+        /// leading zero byte is refused (it would decode to the same
+        /// number as its minimal form), and arbitrary bytes never panic.
+        #[test]
+        fn a_set_payload_has_one_encoding(
+            origin in any::<u64>(),
+            elements in prop::collection::vec(
+                prop::collection::vec(prop_oneof![Just(0u8), any::<u8>()], 0..6),
+                0..4,
+            ),
+            noise in prop::collection::vec(any::<u8>(), 0..40),
+        ) {
+            let mut w = Writer::new();
+            w.put_u8(SET_TAG).put_u64(origin).put_list(&elements, |w, e| {
+                w.put_bytes(e);
+            });
+            let minimal = elements.iter().all(|e| e.first() != Some(&0));
+            let reencode = |b: &[u8]| decode_set(b).map(|(o, set)| encode_set(o, &set));
+            prop_assert_eq!(one_encoding(&w.finish(), reencode)?, minimal);
+            one_encoding(&noise, reencode)?;
+        }
     }
 }

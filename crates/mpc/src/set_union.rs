@@ -209,7 +209,7 @@ fn decode_msg(payload: &[u8]) -> Result<Vec<Ubig>, MpcError> {
     if tag != 0x02 {
         return Err(MpcError::Wire(format!("unexpected message tag {tag}")));
     }
-    let elements = r.get_list(|r| r.get_bytes().map(Ubig::from_bytes_be))?;
+    let elements = r.get_list(|r| r.get_minimal_uint().map(Ubig::from_bytes_be))?;
     r.finish()?;
     Ok(elements)
 }
@@ -217,7 +217,9 @@ fn decode_msg(payload: &[u8]) -> Result<Vec<Ubig>, MpcError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::one_encoding;
     use dla_net::{NetConfig, SharedNet, SimNet};
+    use proptest::prelude::*;
     use rand::SeedableRng;
 
     fn items(names: &[&str]) -> Vec<Vec<u8>> {
@@ -334,5 +336,30 @@ mod tests {
         let inputs = vec![items(&["a"]), items(&["b"]), items(&["c"])];
         let union = UnionSession::new(Session::root(&net), &ring, &domain, NodeId(0));
         assert!(union.run(&inputs, &mut rng).is_err());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A relay message decodes only from its one encoding: an
+        /// element with a leading zero byte is refused, and arbitrary
+        /// bytes never panic.
+        #[test]
+        fn a_relay_payload_has_one_encoding(
+            elements in prop::collection::vec(
+                prop::collection::vec(prop_oneof![Just(0u8), any::<u8>()], 0..6),
+                0..4,
+            ),
+            noise in prop::collection::vec(any::<u8>(), 0..40),
+        ) {
+            let mut w = Writer::new();
+            w.put_u8(0x02).put_list(&elements, |w, e| {
+                w.put_bytes(e);
+            });
+            let minimal = elements.iter().all(|e| e.first() != Some(&0));
+            let reencode = |b: &[u8]| decode_msg(b).map(|set| encode_msg(&set));
+            prop_assert_eq!(one_encoding(&w.finish(), reencode)?, minimal);
+            one_encoding(&noise, reencode)?;
+        }
     }
 }

@@ -15,6 +15,7 @@
 
 use crate::report::{Meter, ProtocolReport};
 use crate::MpcError;
+use dla_bigint::field::P61;
 use dla_bigint::F61;
 use dla_crypto::shamir::{self, SecretPolynomial, Share, SharePoints};
 use dla_net::wire::{Reader, Writer};
@@ -177,15 +178,22 @@ fn decode_share(payload: &[u8]) -> Result<(u64, F61), MpcError> {
         return Err(MpcError::Wire(format!("unexpected message tag {tag}")));
     }
     let origin = r.get_u64()?;
-    let y = F61::new(r.get_u64()?);
+    // A field element has one encoding: a value at or above the modulus
+    // would reduce onto another share's bytes.
+    let y = r.get_u64()?;
+    if y >= P61 {
+        return Err(MpcError::Wire(format!("share {y} is not reduced")));
+    }
     r.finish()?;
-    Ok((origin, y))
+    Ok((origin, F61::new(y)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::one_encoding;
     use dla_net::{NetConfig, SharedNet, SimNet};
+    use proptest::prelude::*;
     use rand::SeedableRng;
 
     fn setup(n: usize) -> (SharedNet, Vec<NodeId>, rand::rngs::StdRng) {
@@ -282,5 +290,25 @@ mod tests {
     fn deterministic_under_seed() {
         let run = || sum(&[11, 22, 33], 2, NodeId(3)).unwrap().total;
         assert_eq!(run(), run());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A share decodes only from its one encoding: an unreduced
+        /// value is refused (it would reduce onto another share's
+        /// bytes), and arbitrary bytes never panic.
+        #[test]
+        fn a_share_payload_has_one_encoding(
+            origin in any::<u64>(),
+            y in prop_oneof![0..P61, Just(P61), P61..=u64::MAX],
+            noise in prop::collection::vec(any::<u8>(), 0..24),
+        ) {
+            let mut w = Writer::new();
+            w.put_u8(0x03).put_u64(origin).put_u64(y);
+            let reencode = |b: &[u8]| decode_share(b).map(|(o, y)| encode_share(o, y));
+            prop_assert_eq!(one_encoding(&w.finish(), reencode)?, y < P61);
+            one_encoding(&noise, reencode)?;
+        }
     }
 }

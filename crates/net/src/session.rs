@@ -345,10 +345,16 @@ impl Inbox {
     }
 
     /// Blocking receive at `node` with session (and optional sender)
-    /// filtering; the delivery is recorded in `stats`. Under a wall
-    /// clock each fruitless wait counts against the real deadline;
-    /// a virtual clock does not move on its own, so the wait that
-    /// expired is charged to it and the deadline still fires.
+    /// filtering; the delivery is recorded in `stats`.
+    ///
+    /// Earlier arrivals first: the stash, then whatever is queued on
+    /// the channel, drained in arrival order onto the stash's tail
+    /// until one matches. An envelope that is already here is served
+    /// without reading the clock; only when nothing queued matches
+    /// does the receive take a deadline and block. Under a wall clock
+    /// each fruitless wait counts against the real deadline; a virtual
+    /// clock does not move on its own, so the wait that expired is
+    /// charged to it and the deadline still fires.
     pub(crate) fn recv(
         &self,
         stats: &Mutex<TrafficStats>,
@@ -359,9 +365,19 @@ impl Inbox {
         assert!(node.0 < self.slots.len(), "node {node} out of range");
         let mut slot = self.slots[node.0].lock();
         let matches = |e: &Envelope| e.session == session && from.is_none_or(|f| e.from == f);
-        // Earlier arrivals first: check the stash before the channel.
-        let envelope = if let Some(pos) = slot.stash.iter().position(&matches) {
-            slot.stash.remove(pos).expect("position just found")
+        let queued = match slot.stash.iter().position(&matches) {
+            Some(pos) => slot.stash.remove(pos),
+            None => loop {
+                match slot.rx.try_recv() {
+                    Ok(envelope) if matches(&envelope) => break Some(envelope),
+                    // Behind everything that arrived before it.
+                    Ok(envelope) => slot.stash.push_back(envelope),
+                    Err(_) => break None,
+                }
+            },
+        };
+        let envelope = if let Some(envelope) = queued {
+            envelope
         } else {
             let deadline = self.clock.now() + self.timeout;
             loop {
@@ -612,6 +628,96 @@ mod tests {
         let mut stray = envelope(SessionId(1), b"x");
         stray.to = NodeId(2);
         assert!(!inbox.push(stray));
+    }
+
+    /// A clock that counts its readings.
+    #[derive(Debug)]
+    struct Counted<C> {
+        clock: C,
+        reads: std::sync::atomic::AtomicUsize,
+    }
+
+    impl<C: Clock> Clock for Counted<C> {
+        fn now(&self) -> SimTime {
+            self.reads
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.clock.now()
+        }
+        fn advance(&self, d: SimTime) {
+            self.clock.advance(d);
+        }
+        fn is_virtual(&self) -> bool {
+            self.clock.is_virtual()
+        }
+    }
+
+    #[test]
+    fn channel_net_serves_the_earliest_queued_match_without_reading_the_clock() {
+        use crate::time::VirtualClock;
+        use std::sync::atomic::Ordering;
+        let timeout = SimTime::from_millis(10);
+        let wall = Arc::new(Counted {
+            clock: WallClock::new(),
+            reads: 0.into(),
+        });
+        let virtual_clock = Arc::new(Counted {
+            clock: VirtualClock::new(),
+            reads: 0.into(),
+        });
+        let clocks: [Arc<dyn Clock>; 2] = [wall.clone(), virtual_clock.clone()];
+        let reads = [&wall.reads, &virtual_clock.reads];
+        for (clock, reads) in clocks.into_iter().zip(reads) {
+            let net = ChannelNet::with_clock(3, timeout, Arc::clone(&clock));
+            // Everything arrives at node 0 before any receive:
+            // (session, sender, payload) in arrival order.
+            let arrivals = [
+                (1, 1, "a"),
+                (2, 1, "b"),
+                (1, 2, "c"),
+                (1, 1, "d"),
+                (2, 2, "e"),
+                (1, 2, "f"),
+            ];
+            for (session, from, payload) in arrivals {
+                let payload = Bytes::from_static(payload.as_bytes());
+                Session::new(&net, SessionId(session)).send(NodeId(from), NodeId(0), payload);
+            }
+            let got = |session, from: Option<usize>| {
+                let session = Session::new(&net, SessionId(session));
+                let envelope = match from {
+                    Some(from) => session.recv_from(NodeId(0), NodeId(from)),
+                    None => session.recv(NodeId(0)),
+                };
+                envelope.map(|e| String::from_utf8(e.payload.to_vec()).unwrap())
+            };
+            let stash = || -> Vec<String> {
+                let slot = net.inbox.slots[0].lock();
+                let payloads = slot.stash.iter().map(|e| e.payload.to_vec());
+                payloads.map(|p| String::from_utf8(p).unwrap()).collect()
+            };
+            // Each receive takes the earliest match; what it passes on
+            // the way waits in the stash, in arrival order.
+            assert_eq!(got(1, Some(2)).unwrap(), "c");
+            assert_eq!(stash(), ["a", "b"]);
+            assert_eq!(got(2, Some(2)).unwrap(), "e");
+            assert_eq!(stash(), ["a", "b", "d"]);
+            assert_eq!(got(1, None).unwrap(), "a");
+            assert_eq!(got(1, None).unwrap(), "d");
+            assert_eq!(got(1, None).unwrap(), "f");
+            assert_eq!(stash(), ["b"]);
+            assert_eq!(reads.load(Ordering::Relaxed), 0, "served from the queue");
+
+            // Nothing matches: the receive takes a deadline and fails
+            // at it, on either clock, and leaves the stash alone.
+            let (started, real) = (clock.now(), std::time::Instant::now());
+            assert_eq!(got(3, None), Err(NetError::Timeout(NodeId(0))));
+            assert!(clock.now() >= started + timeout);
+            if !clock.is_virtual() {
+                assert!(real.elapsed() >= timeout.to_duration());
+            }
+            assert_eq!(got(2, Some(1)).unwrap(), "b");
+            assert!(stash().is_empty());
+        }
     }
 
     #[test]

@@ -88,9 +88,16 @@ impl Envelope {
     /// transport.
     #[must_use]
     pub fn encode(&self) -> Bytes {
-        let mut w = Writer::new();
+        let mut w = Writer::with_capacity(self.encoded_len());
         self.encode_into(&mut w);
         w.finish()
+    }
+
+    /// Length of the [`Envelope::encode`] bytes: six `u64` header
+    /// fields, then the payload behind its `u64` length.
+    #[must_use]
+    pub(crate) fn encoded_len(&self) -> usize {
+        7 * 8 + self.payload.len()
     }
 
     /// Appends the [`Envelope::encode`] bytes to a message under
@@ -884,8 +891,9 @@ mod tests {
             SimTime::from_micros(7),
             SimTime::from_micros(19),
         );
-        let decoded = Envelope::decode(&env.encode()).unwrap();
-        assert_eq!(decoded, env);
+        let encoded = env.encode();
+        assert_eq!(encoded.len(), env.encoded_len());
+        assert_eq!(Envelope::decode(&encoded).unwrap(), env);
         // Truncated frames are rejected.
         assert!(Envelope::decode(&env.encode()[..10]).is_err());
     }

@@ -119,9 +119,10 @@ pub fn write_frame(w: &mut impl IoWrite, body: &[u8]) -> io::Result<()> {
 }
 
 /// Starts an outgoing frame behind four reserved length-prefix bytes
-/// ([`seal`] patches them): one buffer, built once, whatever its size.
-fn frame(tag: u8) -> Writer {
-    let mut w = Writer::new();
+/// ([`seal`] patches them), sized for the `len` bytes that follow the
+/// tag: one buffer, allocated once, whatever its size.
+fn frame(tag: u8, len: usize) -> Writer {
+    let mut w = Writer::with_capacity(5 + len);
     w.put_u32(0).put_u8(tag);
     w
 }
@@ -170,14 +171,14 @@ pub fn decode_envelope(frame: &[u8], node: NodeId) -> Result<Envelope, NetError>
 }
 
 fn envelope_frame(tag: u8, envelope: &Envelope) -> io::Result<Vec<u8>> {
-    let mut w = frame(tag);
+    let mut w = frame(tag, envelope.encoded_len());
     envelope.encode_into(&mut w);
     seal(w)
 }
 
 /// A control frame: `tag`, then `fields` as big-endian `u64`s.
 fn fields_frame(tag: u8, fields: &[u64]) -> io::Result<Vec<u8>> {
-    let mut w = frame(tag);
+    let mut w = frame(tag, 8 * fields.len());
     for &field in fields {
         w.put_u64(field);
     }
@@ -718,7 +719,7 @@ impl TcpNet {
     /// process or the acknowledgement does not arrive in time.
     pub fn deposit(&self, node: NodeId, glsn: u64, payload: &[u8]) -> Result<(u64, u64), NetError> {
         let rx = self.stored_rx.lock();
-        let mut w = frame(FRAME_STORE);
+        let mut w = frame(FRAME_STORE, 8 + 8 + payload.len());
         w.put_u64(glsn).put_bytes(payload);
         if !self.write_to(node.0, seal(w)) {
             return Err(NetError::Timeout(node));
@@ -743,7 +744,7 @@ impl TcpNet {
     #[must_use]
     pub fn shutdown(&self) -> Vec<NodeReport> {
         let expected = (0..self.n)
-            .filter(|&node| self.write_to(node, seal(frame(FRAME_SHUTDOWN))))
+            .filter(|&node| self.write_to(node, seal(frame(FRAME_SHUTDOWN, 0))))
             .count();
         let rx = self.bye_rx.lock();
         let mut reports = Vec::with_capacity(expected);
@@ -860,5 +861,39 @@ impl Transport for TcpNet {
         // timestamps on this backend.
         let _ = session;
         self.inbox.clock.now()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every frame builder sizes its buffer from what it writes: the
+    /// sealed frame fills exactly the capacity it was given, so it was
+    /// never reallocated on the way.
+    #[test]
+    fn frames_are_built_in_the_buffer_they_start_with() {
+        let payload = Bytes::from_static(b"a few dozen bytes of relay payload");
+        let envelope = Envelope::new(
+            SessionId(3),
+            NodeId(1),
+            NodeId(2),
+            payload,
+            SimTime::ZERO,
+            SimTime::ZERO,
+        );
+        let mut store = frame(FRAME_STORE, 8 + 8 + 5);
+        store.put_u64(9).put_bytes(b"bytes");
+        let frames = [
+            envelope_frame(FRAME_DELIVER, &envelope).unwrap(),
+            fields_frame(FRAME_STORED, &[1, 2, 3]).unwrap(),
+            seal(store).unwrap(),
+            seal(frame(FRAME_SHUTDOWN, 0)).unwrap(),
+        ];
+        for frame in frames {
+            assert_eq!(frame.len(), frame.capacity(), "tag {:#x}", frame[4]);
+            let body = read_frame(&mut &frame[..]).unwrap();
+            assert_eq!(body.len() + 4, frame.len());
+        }
     }
 }

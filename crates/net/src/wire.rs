@@ -54,6 +54,15 @@ impl Writer {
         Writer::default()
     }
 
+    /// Creates an empty writer with room for `capacity` bytes: a
+    /// message whose size is known up front is built in one buffer.
+    #[must_use]
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
+        Writer {
+            buf: Vec::with_capacity(capacity),
+        }
+    }
+
     /// Appends a `u8`.
     pub fn put_u8(&mut self, v: u8) -> &mut Self {
         self.buf.push(v);
@@ -184,6 +193,23 @@ impl<'a> Reader<'a> {
         Ok(head)
     }
 
+    /// Consumes a length-prefixed big-endian unsigned integer in its
+    /// one minimal form — no leading zero byte, zero as the empty
+    /// string — so that two distinct byte strings never decode to one
+    /// number.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WireError`] on truncation or a leading zero byte.
+    #[inline]
+    pub fn get_minimal_uint(&mut self) -> Result<&'a [u8], WireError> {
+        let bytes = self.get_bytes()?;
+        if bytes.first() == Some(&0) {
+            return Err(WireError::new("integer with a leading zero byte"));
+        }
+        Ok(bytes)
+    }
+
     /// Consumes a length-prefixed UTF-8 string.
     ///
     /// # Errors
@@ -208,7 +234,12 @@ impl<'a> Reader<'a> {
         if count > self.rest.len() {
             return Err(WireError::new("list count exceeds payload"));
         }
-        let mut out = Vec::with_capacity(count);
+        // Reserve no more element bytes than the payload has left: an
+        // element wider in memory than on the wire (a `Ubig`'s 24 bytes
+        // against its few encoded ones) grows the vector as it decodes
+        // instead of letting the count claim ~24× the payload up front.
+        let fits = self.rest.len() / std::mem::size_of::<T>().max(1);
+        let mut out = Vec::with_capacity(count.min(fits));
         for _ in 0..count {
             out.push(f(self)?);
         }

@@ -2,9 +2,14 @@
 //!
 //! Provides the two pieces the DLA stack uses:
 //!
-//! * [`channel`] — MPMC channels on a `Mutex<VecDeque>` + `Condvar`
-//!   (the upstream lock-free queues matter for raw throughput, not for
-//!   correctness; simulator traffic is far below where that shows).
+//! * [`channel`] — MPMC channels on a `Mutex<VecDeque>` + `Condvar`.
+//!   The transports' messages are a few dozen bytes, so a channel's
+//!   per-message overhead is most of what an in-process message costs,
+//!   and it shows end to end. A message costs one uncontended lock and
+//!   a queue push: `send` wakes a receiver only when one is parked,
+//!   because every `Condvar::notify_*` on std's futex condvar enters
+//!   the kernel, a syscall that costs over a third of a `ChannelNet`
+//!   message (EXPERIMENTS.md P27).
 //! * [`scope`] — scoped threads, layered over [`std::thread::scope`]
 //!   with crossbeam's `thread::Result` return convention (a child
 //!   panic surfaces as `Err`, not a propagated panic).
@@ -15,19 +20,52 @@ pub mod channel {
     use std::collections::VecDeque;
     use std::fmt;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{Arc, Condvar, Mutex, PoisonError};
+    use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
     use std::time::{Duration, Instant};
 
+    /// What the lock guards: the queue, and how many receivers are
+    /// parked on `ready` waiting for it to fill.
+    struct State<T> {
+        queue: VecDeque<T>,
+        parked: usize,
+    }
+
     struct Shared<T> {
-        queue: Mutex<VecDeque<T>>,
+        state: Mutex<State<T>>,
         ready: Condvar,
         senders: AtomicUsize,
         receivers: AtomicUsize,
     }
 
     impl<T> Shared<T> {
-        fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<T>> {
-            self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+        fn lock(&self) -> MutexGuard<'_, State<T>> {
+            self.state.lock().unwrap_or_else(PoisonError::into_inner)
+        }
+
+        /// Parks on `ready` (at most `timeout`), counted in `parked`
+        /// for the whole wait: a `send` holds the same lock when it
+        /// reads the count, so it either sees this receiver parked and
+        /// wakes it, or pushed before this receiver last looked.
+        fn park<'a>(
+            &self,
+            mut state: MutexGuard<'a, State<T>>,
+            timeout: Option<Duration>,
+        ) -> MutexGuard<'a, State<T>> {
+            state.parked += 1;
+            let mut state = match timeout {
+                None => self
+                    .ready
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner),
+                Some(timeout) => {
+                    self.ready
+                        .wait_timeout(state, timeout)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0
+                }
+            };
+            state.parked -= 1;
+            state
         }
     }
 
@@ -92,7 +130,10 @@ pub mod channel {
     #[must_use]
     pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
         let shared = Arc::new(Shared {
-            queue: Mutex::new(VecDeque::new()),
+            state: Mutex::new(State {
+                queue: VecDeque::new(),
+                parked: 0,
+            }),
             ready: Condvar::new(),
             senders: AtomicUsize::new(1),
             receivers: AtomicUsize::new(1),
@@ -106,7 +147,9 @@ pub mod channel {
     }
 
     impl<T> Sender<T> {
-        /// Enqueues `value`, failing if every receiver hung up.
+        /// Enqueues `value`, failing if every receiver hung up. Wakes a
+        /// receiver only if one is parked: a receiver that is running
+        /// finds the value on its next look without a syscall here.
         ///
         /// # Errors
         ///
@@ -115,8 +158,16 @@ pub mod channel {
             if self.shared.receivers.load(Ordering::Acquire) == 0 {
                 return Err(SendError(value));
             }
-            self.shared.lock().push_back(value);
-            self.shared.ready.notify_one();
+            let parked = {
+                let mut state = self.shared.lock();
+                state.queue.push_back(value);
+                state.parked
+            };
+            // Read under the lock, so a receiver counted here is in its
+            // wait, or will see the value when it next holds the lock.
+            if parked > 0 {
+                self.shared.ready.notify_one();
+            }
             Ok(())
         }
     }
@@ -134,7 +185,9 @@ pub mod channel {
         fn drop(&mut self) {
             if self.shared.senders.fetch_sub(1, Ordering::AcqRel) == 1 {
                 // Last sender gone: wake blocked receivers so they can
-                // observe the disconnect.
+                // observe the disconnect. Taking the lock first means a
+                // receiver that read the old count is parked by now.
+                drop(self.shared.lock());
                 self.shared.ready.notify_all();
             }
         }
@@ -154,23 +207,20 @@ pub mod channel {
         /// Returns [`RecvError`] once the channel is drained and every
         /// sender hung up.
         pub fn recv(&self) -> Result<T, RecvError> {
-            let mut queue = self.shared.lock();
+            let mut state = self.shared.lock();
             loop {
-                if let Some(value) = queue.pop_front() {
+                if let Some(value) = state.queue.pop_front() {
                     return Ok(value);
                 }
                 if self.shared.senders.load(Ordering::Acquire) == 0 {
                     return Err(RecvError);
                 }
-                queue = self
-                    .shared
-                    .ready
-                    .wait(queue)
-                    .unwrap_or_else(PoisonError::into_inner);
+                state = self.shared.park(state, None);
             }
         }
 
-        /// Dequeues a message, blocking at most `timeout`.
+        /// Dequeues a message, blocking at most `timeout`. A queued
+        /// message is returned before the clock is read.
         ///
         /// # Errors
         ///
@@ -178,12 +228,12 @@ pub mod channel {
         /// [`RecvTimeoutError::Disconnected`] when drained with no
         /// senders left.
         pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
+            let mut state = self.shared.lock();
+            if let Some(value) = state.queue.pop_front() {
+                return Ok(value);
+            }
             let deadline = Instant::now() + timeout;
-            let mut queue = self.shared.lock();
             loop {
-                if let Some(value) = queue.pop_front() {
-                    return Ok(value);
-                }
                 if self.shared.senders.load(Ordering::Acquire) == 0 {
                     return Err(RecvTimeoutError::Disconnected);
                 }
@@ -191,12 +241,10 @@ pub mod channel {
                 if now >= deadline {
                     return Err(RecvTimeoutError::Timeout);
                 }
-                let (guard, _timed_out) = self
-                    .shared
-                    .ready
-                    .wait_timeout(queue, deadline - now)
-                    .unwrap_or_else(PoisonError::into_inner);
-                queue = guard;
+                state = self.shared.park(state, Some(deadline - now));
+                if let Some(value) = state.queue.pop_front() {
+                    return Ok(value);
+                }
             }
         }
 
@@ -208,8 +256,8 @@ pub mod channel {
         /// [`TryRecvError::Disconnected`] when additionally no sender
         /// remains.
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            let mut queue = self.shared.lock();
-            if let Some(value) = queue.pop_front() {
+            let mut state = self.shared.lock();
+            if let Some(value) = state.queue.pop_front() {
                 return Ok(value);
             }
             if self.shared.senders.load(Ordering::Acquire) == 0 {
@@ -237,6 +285,132 @@ pub mod channel {
     impl<T> fmt::Debug for Receiver<T> {
         fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
             f.debug_struct("Receiver").finish_non_exhaustive()
+        }
+    }
+
+    /// A wake lost between a `send` and a parked receiver would show
+    /// up only as a receiver sitting out its timeout. These tests park
+    /// receivers for real (they wait until the count says so) and give
+    /// each wake a second; `ci.sh` also runs them pinned to one CPU,
+    /// where sender and receiver interleave as in the benchmark.
+    #[cfg(test)]
+    mod wake_tests {
+        use super::*;
+        use std::collections::BTreeSet;
+        use std::sync::mpsc;
+        use std::thread;
+
+        /// Far longer than any wake should take, far shorter than the
+        /// receivers' own timeouts.
+        const WAKE: Duration = Duration::from_secs(1);
+
+        /// Returns once `n` receivers are parked on `rx`'s channel.
+        fn until_parked<T>(rx: &Receiver<T>, n: usize) {
+            while rx.shared.lock().parked < n {
+                thread::sleep(Duration::from_millis(1));
+            }
+        }
+
+        /// Runs `receive` on a clone of `rx` in a thread of its own and
+        /// returns once that thread is parked; its result arrives on the
+        /// returned channel.
+        fn park_one<R: Send + 'static>(
+            rx: &Receiver<u32>,
+            receive: impl FnOnce(&Receiver<u32>) -> R + Send + 'static,
+        ) -> (thread::JoinHandle<()>, mpsc::Receiver<R>) {
+            let (done_tx, done) = mpsc::channel();
+            let receiver = rx.clone();
+            let handle = thread::spawn(move || {
+                let _ = done_tx.send(receive(&receiver));
+            });
+            until_parked(rx, 1);
+            (handle, done)
+        }
+
+        #[test]
+        fn a_send_wakes_a_receiver_parked_in_recv_or_recv_timeout() {
+            for timed in [true, false] {
+                let (tx, rx) = unbounded::<u32>();
+                let (handle, done) = park_one(&rx, move |rx| {
+                    if timed {
+                        rx.recv_timeout(Duration::from_secs(10)).ok()
+                    } else {
+                        rx.recv().ok()
+                    }
+                });
+                tx.send(7).unwrap();
+                assert_eq!(done.recv_timeout(WAKE), Ok(Some(7)), "timed: {timed}");
+                handle.join().unwrap();
+            }
+        }
+
+        #[test]
+        fn parked_producers_and_consumers_deliver_every_message_once() {
+            const N: usize = 4;
+            const PER_PRODUCER: u32 = 500;
+            let (tx, rx) = unbounded::<u32>();
+            let (done_tx, done) = mpsc::channel();
+            let mut handles: Vec<_> = (0..N)
+                .map(|_| {
+                    let (rx, done_tx) = (rx.clone(), done_tx.clone());
+                    thread::spawn(move || {
+                        let mut got = Vec::new();
+                        while let Ok(value) = rx.recv() {
+                            got.push(value);
+                        }
+                        let _ = done_tx.send(got);
+                    })
+                })
+                .collect();
+            until_parked(&rx, N);
+            handles.extend((0..N as u32).map(|p| {
+                let tx = tx.clone();
+                thread::spawn(move || {
+                    for i in 0..PER_PRODUCER {
+                        tx.send(p * PER_PRODUCER + i).unwrap();
+                        if i % 50 == 0 {
+                            // Let the consumers drain and park again.
+                            thread::sleep(Duration::from_millis(1));
+                        }
+                    }
+                })
+            }));
+            drop(tx);
+            let mut seen = BTreeSet::new();
+            for _ in 0..N {
+                let got = done
+                    .recv_timeout(Duration::from_secs(10))
+                    .expect("every consumer ends");
+                for value in got {
+                    assert!(seen.insert(value), "{value} delivered twice");
+                }
+            }
+            assert_eq!(seen.len(), N * PER_PRODUCER as usize, "none lost");
+            for handle in handles {
+                handle.join().unwrap();
+            }
+        }
+
+        #[test]
+        fn dropping_the_last_sender_wakes_a_parked_receiver() {
+            for timed in [true, false] {
+                let (tx, rx) = unbounded::<u32>();
+                let (handle, done) = park_one(&rx, move |rx| {
+                    if timed {
+                        rx.recv_timeout(Duration::from_secs(10))
+                            == Err(RecvTimeoutError::Disconnected)
+                    } else {
+                        rx.recv() == Err(RecvError)
+                    }
+                });
+                let other = tx.clone();
+                drop(tx);
+                thread::sleep(Duration::from_millis(20));
+                assert!(done.try_recv().is_err(), "a sender is left");
+                drop(other);
+                assert_eq!(done.recv_timeout(WAKE), Ok(true), "timed: {timed}");
+                handle.join().unwrap();
+            }
         }
     }
 }
