@@ -109,10 +109,7 @@ impl Attestor {
                 .put_bytes(&c.r.to_bytes_be());
             net.send(NodeId(i), coordinator, w.finish());
             let envelope = net.recv_from(coordinator, NodeId(i))?;
-            let mut r = crate::open_frame(&envelope.payload, 0x60)?;
-            let index = r.get_u64()?;
-            let point = dla_bigint::Ubig::from_bytes_be(r.get_bytes()?);
-            commitments.push(NonceCommitment { index, r: point });
+            commitments.push(open_commitment(&envelope.payload)?);
         }
 
         // Coordinator broadcasts the commitment set; signers respond.
@@ -159,6 +156,15 @@ impl Attestor {
     }
 }
 
+/// Reads a signer's round-1 frame: its index and nonce commitment, the
+/// commitment in its one encoding.
+fn open_commitment(payload: &[u8]) -> Result<NonceCommitment, AuditError> {
+    let mut r = crate::open_frame(payload, 0x60)?;
+    let index = r.get_u64()?;
+    let point = dla_bigint::Ubig::from_bytes_be(r.get_minimal_uint()?);
+    Ok(NonceCommitment { index, r: point })
+}
+
 /// Canonical result bytes for a glsn list (what gets attested after a
 /// query).
 #[must_use]
@@ -180,6 +186,19 @@ mod tests {
     use dla_logstore::model::Glsn;
     use dla_logstore::schema::Schema;
     use rand::SeedableRng;
+
+    #[test]
+    fn a_nonce_commitment_has_one_encoding() {
+        let frame = |point: &[u8]| {
+            let mut w = Writer::new();
+            w.put_u8(0x60).put_u64(3).put_bytes(point);
+            w.finish()
+        };
+        let c = open_commitment(&frame(&[0x05, 0x09])).unwrap();
+        assert_eq!((c.index, c.r), (3, dla_bigint::Ubig::from_u64(0x0509)));
+        let padded = open_commitment(&frame(&[0x00, 0x05, 0x09]));
+        assert!(matches!(padded, Err(AuditError::Wire(_))), "{padded:?}");
+    }
 
     fn setup() -> (DlaCluster, Attestor) {
         let cluster =

@@ -380,9 +380,13 @@ impl AppUser {
 /// The assembled DLA cluster.
 pub struct DlaCluster {
     schema: Schema,
-    /// The configured attribute partition; the one in force is
-    /// [`DlaCluster::effective_partition`].
+    /// The configured attribute partition: where each attribute is
+    /// deposited (its home).
     partition: Partition,
+    /// The partition in force ([`DlaCluster::effective_partition`]):
+    /// `partition` with the retirement log replayed over it, recomputed
+    /// where the log grows.
+    in_force: Partition,
     group: SchnorrGroup,
     domain: CommutativeDomain,
     acc_params: AccumulatorParams,
@@ -526,7 +530,6 @@ impl DlaCluster {
             meta: crate::meta::MetaAuditTrail::new(),
             trail_acc: OnceLock::new(),
             schema: config.schema,
-            partition,
             group,
             domain: CommutativeDomain::fixed_256(),
             acc_params,
@@ -544,11 +547,13 @@ impl DlaCluster {
             rng,
             standby_replication: config.standby_replication,
             retired: Vec::new(),
+            in_force: partition.clone(),
             epoch_policy,
             epoch_stats: BTreeMap::new(),
             chain: CheckpointChain::new(),
             standing: crate::standing::StandingRegistry::default(),
             kept: Mutex::default(),
+            partition,
         };
         if let Some(dir) = &config.journal_dir {
             cluster.recover(&dir.join("cluster.journal"))?;
@@ -1073,13 +1078,20 @@ impl DlaCluster {
                 .map(Vec::as_slice),
         );
 
-        // Ship each fragment to its node.
+        // Ship each fragment to the node serving its home: the home
+        // itself, or the adopter of a retired one, which holds it as an
+        // adopted copy beside those it promoted — so the deposit, the
+        // integrity circulation and every reader of a home stay as they
+        // are, and no fragment goes to a node no query plans on.
         let wire = self.root_session();
-        let standby_to = |node: usize| (node + 1) % self.nodes.len();
         let ship_standby = self.standby_replication && self.nodes.len() >= 2;
         for frag in fragments {
-            let node = frag.node;
-            let standby = ship_standby.then(|| frag.clone());
+            let home = frag.node;
+            let node = self.server_of(home);
+            // A live owner's ring successor is the node that would adopt
+            // it, so a retired successor's adopter holds the standby.
+            let successor = self.server_of((home + 1) % self.nodes.len());
+            let standby = (ship_standby && node == home && successor != home).then(|| frag.clone());
             let mut w = Writer::new();
             w.put_u8(0x20)
                 .put_u64(glsn.0)
@@ -1091,14 +1103,18 @@ impl DlaCluster {
             // the store ingests the structured fragment directly (a
             // full codec for records adds nothing to the protocols
             // under study) — once the frame has arrived intact.
-            self.nodes[node]
-                .store_mut()
-                .write(&user.ticket, frag)
-                .map_err(|e| AuditError::Log(e.to_string()))?;
+            {
+                let mut store = self.nodes[node].store_mut();
+                if node == home {
+                    store.write(&user.ticket, frag)
+                } else {
+                    store.adopt(frag)
+                }
+            }
+            .map_err(|e| AuditError::Log(e.to_string()))?;
             // The owner forwards a standby copy to its ring successor,
             // which journals it inactive until promotion.
             if let Some(standby) = standby {
-                let successor = standby_to(node);
                 let mut w = Writer::new();
                 w.put_u8(0x23)
                     .put_u64(glsn.0)
@@ -1118,9 +1134,9 @@ impl DlaCluster {
             .key()
             .sign(&origin_message(glsn, &deposit), &mut self.rng);
 
-        // Deposit + origin signature broadcast to every node.
+        // Deposit + origin signature broadcast to every node in service.
         let wire = self.root_session();
-        for node in 0..self.nodes.len() {
+        for node in (0..self.nodes.len()).filter(|&i| self.server_of(i) == i) {
             let mut w = Writer::new();
             w.put_u8(0x21)
                 .put_u64(glsn.0)
@@ -1389,7 +1405,7 @@ impl DlaCluster {
         &self,
         normalized: &crate::normal::NormalizedQuery,
     ) -> Result<crate::plan::QueryPlan, AuditError> {
-        crate::plan::plan(normalized, &self.effective_partition())
+        crate::plan::plan(normalized, &self.in_force)
     }
 
     /// The whole front door for query text: parse, type-check,
@@ -1486,14 +1502,18 @@ impl DlaCluster {
     /// configured partition with every retired node's attributes
     /// reassigned to its adopter, in retirement order.
     #[must_use]
-    pub fn effective_partition(&self) -> Partition {
-        let mut partition = self.partition.clone();
-        for &(dead, adopter) in &self.retired {
-            partition = partition
-                .reassign(dead, adopter)
-                .expect("retirement log records valid distinct node indices");
-        }
-        partition
+    pub fn effective_partition(&self) -> &Partition {
+        &self.in_force
+    }
+
+    /// The node serving what was deposited at `home`: `home` itself, or
+    /// its adopter once it is retired, followed down the retirement log
+    /// (an adopter that retires later hands on what it adopted).
+    fn server_of(&self, home: usize) -> usize {
+        self.retired.iter().fold(
+            home,
+            |node, &(dead, adopter)| if dead == node { adopter } else { node },
+        )
     }
 
     /// The owner leg of every "disclose one number, not the data"
@@ -1532,15 +1552,10 @@ impl DlaCluster {
     /// [`DlaCluster::effective_partition`]: the home itself, or its
     /// adopter once the home is retired.
     pub(crate) fn owner_of(&self, attr: &AttrName) -> Result<(usize, usize), AuditError> {
-        let node_of = |partition: &Partition| {
-            partition.node_of(attr).ok_or_else(|| {
-                AuditError::Planning(format!("attribute {attr} is not served by any node"))
-            })
-        };
-        Ok((
-            node_of(&self.partition)?,
-            node_of(&self.effective_partition())?,
-        ))
+        let home = self.partition.node_of(attr).ok_or_else(|| {
+            AuditError::Planning(format!("attribute {attr} is not served by any node"))
+        })?;
+        Ok((home, self.server_of(home)))
     }
 
     /// The first surviving node clockwise from `dead`, skipping nodes
@@ -1597,6 +1612,10 @@ impl DlaCluster {
                 promoted: promoted.len(),
             });
             self.retired.push((d, adopter));
+            self.in_force = self
+                .in_force
+                .reassign(d, adopter)
+                .expect("an adopter is a live node other than the one it adopts");
         }
         // The partition in force moved: what the engine kept was
         // planned, and partly computed, on the nodes just retired.
@@ -1714,12 +1733,13 @@ impl DepositRecord {
         let mut r = Reader::new(bytes);
         let parse = |e: dla_net::wire::WireError| AuditError::Config(format!("deposit blob: {e}"));
         let glsn = Glsn(r.get_u64().map_err(parse)?);
-        let deposit = Ubig::from_bytes_be(r.get_bytes().map_err(parse)?);
-        let public = dla_crypto::schnorr::SchnorrPublicKey::from_element(Ubig::from_bytes_be(
-            r.get_bytes().map_err(parse)?,
-        ));
-        let e = Ubig::from_bytes_be(r.get_bytes().map_err(parse)?);
-        let s = Ubig::from_bytes_be(r.get_bytes().map_err(parse)?);
+        // Each integer in its one encoding: distinct blobs never decode
+        // to one record.
+        let mut uint = || r.get_minimal_uint().map(Ubig::from_bytes_be).map_err(parse);
+        let deposit = uint()?;
+        let public = dla_crypto::schnorr::SchnorrPublicKey::from_element(uint()?);
+        let e = uint()?;
+        let s = uint()?;
         // Legacy blobs end here; current ones carry a time presence flag.
         let time = if r.remaining() == 0 {
             None
@@ -2051,6 +2071,35 @@ mod tests {
     }
 
     #[test]
+    fn a_deposit_after_a_retirement_lands_where_queries_read() {
+        let q = "protocol = 'UDP'";
+        let (mut c, _) = standby_cluster();
+        let user = c.register_user("u1").unwrap();
+        let mut udp = paper_table1()[0].clone();
+        udp.insert("protocol".into(), AttrValue::text("UDP"));
+        let owner = c.partition().node_of(&"protocol".into()).unwrap();
+        let mut expected = crate::aggregate::count_matching(&mut c, q).unwrap().count;
+        c.rereplicate(&[owner].into_iter().collect()).unwrap();
+        // Retired and still up, then retired and dead on the wire: the
+        // records reach the adopter, and the count sees every one.
+        for killed in [false, true] {
+            if killed {
+                c.net().faults_mut().kill_node(owner);
+            }
+            for _ in 0..3 {
+                c.log_record(&user, &udp).unwrap();
+            }
+            expected += 3;
+            let counted = crate::aggregate::count_matching(&mut c, q).unwrap();
+            assert_eq!(counted.count, expected, "killed={killed}");
+        }
+        // The adopted copies are the deposited fragments: every record,
+        // before the retirement and after it, verifies among survivors.
+        let report = c.rereplicate(&[owner].into_iter().collect()).unwrap();
+        assert!(report.is_fully_verified());
+    }
+
+    #[test]
     fn a_retired_owner_is_never_asked_for_its_values_again() {
         let (q, c2) = ("c1 > 0", AttrName::new("c2"));
         let (mut c, _) = standby_cluster();
@@ -2281,6 +2330,30 @@ mod tests {
         for flag in [2u8, 0x80, 0xff] {
             let err = DepositRecord::decode(&deposit_blob(&[flag])).err();
             assert!(matches!(err, Some(AuditError::Config(_))), "flag {flag}");
+        }
+    }
+
+    #[test]
+    fn a_deposit_blob_with_a_leading_zero_in_any_integer_is_refused() {
+        // deposit_blob's four integers, the `padded` one behind a zero.
+        let blob = |padded: Option<usize>| {
+            let mut w = Writer::new();
+            w.put_u64(0x139aef);
+            for (i, int) in [0xdead_beef, 5, 7, 11].into_iter().enumerate() {
+                let mut bytes = Ubig::from_u64(int).to_bytes_be();
+                if padded == Some(i) {
+                    bytes.insert(0, 0);
+                }
+                w.put_bytes(&bytes);
+            }
+            w.put_u8(0);
+            w.finish().to_vec()
+        };
+        assert_eq!(blob(None), deposit_blob(&[0]));
+        assert!(DepositRecord::decode(&blob(None)).is_ok());
+        for i in 0..4 {
+            let err = DepositRecord::decode(&blob(Some(i))).err();
+            assert!(matches!(err, Some(AuditError::Config(_))), "integer {i}");
         }
     }
 

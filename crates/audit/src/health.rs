@@ -202,21 +202,27 @@ impl HealthMonitor {
         let Ok(ping) = session.recv_from(node, auditor) else {
             return false;
         };
-        let mut r = Reader::new(&ping.payload);
-        let (Ok(TAG_PING), Ok(round)) = (r.get_u8(), r.get_u64()) else {
+        let Some(round) = read_beat(&ping.payload, TAG_PING) else {
             return false;
         };
         let mut w = Writer::new();
         w.put_u8(TAG_PONG).put_u64(round);
         session.send(node, auditor, w.finish());
         match session.recv_from(auditor, node) {
-            Ok(pong) => {
-                let mut r = Reader::new(&pong.payload);
-                matches!((r.get_u8(), r.get_u64()), (Ok(TAG_PONG), Ok(echo)) if echo == round)
-            }
+            Ok(pong) => read_beat(&pong.payload, TAG_PONG) == Some(round),
             Err(_) => false,
         }
     }
+}
+
+/// The round a ping or pong frame (`tag ‖ round`, nothing after it)
+/// carries, if `payload` is exactly one.
+fn read_beat(payload: &[u8], tag: u8) -> Option<u64> {
+    let mut r = Reader::new(payload);
+    let (Ok(found), Ok(round), Ok(())) = (r.get_u8(), r.get_u64(), r.finish()) else {
+        return None;
+    };
+    (found == tag).then_some(round)
 }
 
 #[cfg(test)]
@@ -224,6 +230,22 @@ mod tests {
     use super::*;
     use crate::cluster::ClusterConfig;
     use dla_logstore::schema::Schema;
+
+    #[test]
+    fn a_heartbeat_is_its_tag_and_round_and_nothing_more() {
+        for tag in [TAG_PING, TAG_PONG] {
+            let mut w = Writer::new();
+            w.put_u8(tag).put_u64(9);
+            let honest = w.finish().to_vec();
+            assert_eq!(read_beat(&honest, tag), Some(9));
+            let other = if tag == TAG_PING { TAG_PONG } else { TAG_PING };
+            assert_eq!(read_beat(&honest, other), None, "wrong tag");
+            let mut trailing = honest.clone();
+            trailing.push(0);
+            assert_eq!(read_beat(&trailing, tag), None, "trailing byte");
+            assert_eq!(read_beat(&honest[..8], tag), None, "truncated");
+        }
+    }
 
     fn cluster() -> DlaCluster {
         DlaCluster::new(ClusterConfig::new(4, Schema::paper_example()).with_seed(7)).unwrap()

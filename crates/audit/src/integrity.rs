@@ -111,14 +111,20 @@ fn circulate(
     w.put_u8(tag).put_u64(glsn.0).put_bytes(&acc.to_bytes_be());
     wire.send(NodeId(from), NodeId(to), w.finish());
     let envelope = wire.recv_from(NodeId(to), NodeId(from))?;
-    let mut r = crate::open_frame(&envelope.payload, tag)?;
+    open_circulation(&envelope.payload, tag, glsn)
+}
+
+/// Reads one circulation frame: the accumulator value, in its one
+/// encoding, under `glsn`'s label.
+fn open_circulation(payload: &[u8], tag: u8, glsn: Glsn) -> Result<Ubig, AuditError> {
+    let mut r = crate::open_frame(payload, tag)?;
     let label = r.get_u64()?;
     if label != glsn.0 {
         return Err(AuditError::Integrity(format!(
             "circulation for {glsn} arrived labelled {label:x}"
         )));
     }
-    Ok(Ubig::from_bytes_be(r.get_bytes()?))
+    Ok(Ubig::from_bytes_be(r.get_minimal_uint()?))
 }
 
 /// Circulates the accumulator for `glsn` over the `alive` survivor set
@@ -434,6 +440,19 @@ mod tests {
     use dla_logstore::gen::paper_table1;
     use dla_logstore::model::AttrValue;
     use dla_logstore::schema::Schema;
+
+    #[test]
+    fn a_circulated_accumulator_has_one_encoding() {
+        let frame = |acc: &[u8]| {
+            let mut w = Writer::new();
+            w.put_u8(0x40).put_u64(7).put_bytes(acc);
+            w.finish()
+        };
+        let acc = open_circulation(&frame(&[0x01, 0x02]), 0x40, Glsn(7)).unwrap();
+        assert_eq!(acc, Ubig::from_u64(0x0102));
+        let padded = open_circulation(&frame(&[0x00, 0x01, 0x02]), 0x40, Glsn(7));
+        assert!(matches!(padded, Err(AuditError::Wire(_))), "{padded:?}");
+    }
 
     fn loaded() -> (DlaCluster, AppUser, Vec<Glsn>) {
         let schema = Schema::paper_example();

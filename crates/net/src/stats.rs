@@ -7,6 +7,11 @@
 //! benchmark harness can print exactly that comparison — and so a
 //! concurrency experiment can *prove* that two sessions were in flight
 //! at the same time (see [`TrafficStats::max_concurrent_sessions`]).
+//!
+//! A message's accounting costs a few field updates however many
+//! sessions the ledger has seen: the session messages are being counted
+//! in is kept at hand, out of the ordered map, and only a switch to
+//! another session walks the map.
 
 use crate::time::SimTime;
 use crate::SessionId;
@@ -14,7 +19,10 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 /// Cumulative traffic counters for one network.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+///
+/// Two ledgers are equal when every reader sees the same counters,
+/// whichever session each happens to hold at hand.
+#[derive(Clone, Debug, Default)]
 pub struct TrafficStats {
     /// Messages handed to the network (including later-dropped ones).
     pub messages_sent: u64,
@@ -31,6 +39,10 @@ pub struct TrafficStats {
     /// Payload bytes actually delivered (duplicates count individually).
     pub bytes_delivered: u64,
     per_link: BTreeMap<(usize, usize), LinkStats>,
+    /// The session last counted in, kept out of `per_session`: a run of
+    /// messages in one session never walks the map.
+    hot: Option<(SessionId, SessionStats)>,
+    /// Every other session that sent or received a message.
     per_session: BTreeMap<SessionId, SessionStats>,
     /// Global send-event counter (orders sends across sessions).
     events: u64,
@@ -93,7 +105,7 @@ impl TrafficStats {
         link.bytes += bytes as u64;
         let event = self.events;
         self.events += 1;
-        let s = self.per_session.entry(session).or_insert(SessionStats {
+        let s = self.hot_session(session, || SessionStats {
             first_event: event,
             first_send_at: sent_at,
             ..SessionStats::default()
@@ -114,9 +126,27 @@ impl TrafficStats {
     pub fn record_delivery(&mut self, session: SessionId, bytes: usize) {
         self.messages_delivered += 1;
         self.bytes_delivered += bytes as u64;
-        let s = self.per_session.entry(session).or_default();
+        let s = self.hot_session(session, SessionStats::default);
         s.messages_delivered += 1;
         s.bytes_delivered += bytes as u64;
+    }
+
+    /// The counters of `session`, made the one at hand: the previous
+    /// one goes back into the map, and `session`'s entry comes out of
+    /// it (or `fresh()` if it has none). A switch costs two walks of
+    /// the map, a message in the session at hand none.
+    fn hot_session(
+        &mut self,
+        session: SessionId,
+        fresh: impl FnOnce() -> SessionStats,
+    ) -> &mut SessionStats {
+        if !matches!(self.hot, Some((id, _)) if id == session) {
+            let entry = self.per_session.remove(&session).unwrap_or_else(fresh);
+            if let Some((id, cold)) = self.hot.replace((session, entry)) {
+                self.per_session.insert(id, cold);
+            }
+        }
+        &mut self.hot.as_mut().expect("a session was just put at hand").1
     }
 
     /// Per-link counters for `from → to`.
@@ -133,12 +163,32 @@ impl TrafficStats {
     /// Per-session counters (zeroed if the session never sent).
     #[must_use]
     pub fn session(&self, session: SessionId) -> SessionStats {
-        self.per_session.get(&session).copied().unwrap_or_default()
+        match self.hot {
+            Some((id, s)) if id == session => s,
+            _ => self.per_session.get(&session).copied().unwrap_or_default(),
+        }
     }
 
-    /// Iterates over all sessions that sent at least one message.
+    /// Iterates over all sessions that sent or received a message, in
+    /// id order.
     pub fn sessions(&self) -> impl Iterator<Item = (SessionId, SessionStats)> + '_ {
-        self.per_session.iter().map(|(&k, &v)| (k, v))
+        // The session at hand is not in the map: it goes between the
+        // entries below its id and those above.
+        let (below, above) = match self.hot {
+            Some((id, _)) => (self.per_session.range(..id), self.per_session.range(id..)),
+            None => (self.per_session.range(..), Default::default()),
+        };
+        below
+            .chain(self.hot.iter().map(|(k, v)| (k, v)))
+            .chain(above)
+            .map(|(&k, &v)| (k, v))
+    }
+
+    /// Every session's counters, in no particular order.
+    fn all_sessions(&self) -> impl Iterator<Item = &SessionStats> {
+        self.per_session
+            .values()
+            .chain(self.hot.iter().map(|(_, s)| s))
     }
 
     /// Maximum number of sessions whose *virtual-time* activity
@@ -148,8 +198,7 @@ impl TrafficStats {
     #[must_use]
     pub fn max_concurrent_sessions(&self) -> usize {
         max_overlap(
-            self.per_session
-                .values()
+            self.all_sessions()
                 .map(|s| (s.first_send_at, s.last_send_at)),
         )
     }
@@ -160,11 +209,7 @@ impl TrafficStats {
     /// virtual time (real threads over channels).
     #[must_use]
     pub fn max_interleaved_sessions(&self) -> usize {
-        max_overlap(
-            self.per_session
-                .values()
-                .map(|s| (s.first_event, s.last_event)),
-        )
+        max_overlap(self.all_sessions().map(|s| (s.first_event, s.last_event)))
     }
 
     /// Resets every counter (e.g. between benchmark phases).
@@ -172,6 +217,23 @@ impl TrafficStats {
         *self = TrafficStats::default();
     }
 }
+
+impl PartialEq for TrafficStats {
+    fn eq(&self, other: &Self) -> bool {
+        self.messages_sent == other.messages_sent
+            && self.messages_delivered == other.messages_delivered
+            && self.messages_dropped == other.messages_dropped
+            && self.messages_duplicated == other.messages_duplicated
+            && self.messages_corrupted == other.messages_corrupted
+            && self.bytes_sent == other.bytes_sent
+            && self.bytes_delivered == other.bytes_delivered
+            && self.events == other.events
+            && self.per_link == other.per_link
+            && self.sessions().eq(other.sessions())
+    }
+}
+
+impl Eq for TrafficStats {}
 
 /// Maximum number of closed intervals covering a single point.
 fn max_overlap<T: Ord + Copy>(intervals: impl Iterator<Item = (T, T)>) -> usize {
@@ -209,7 +271,7 @@ impl fmt::Display for TrafficStats {
             self.messages_duplicated,
             self.messages_corrupted,
             self.bytes_sent,
-            self.per_session.len()
+            self.per_session.len() + usize::from(self.hot.is_some())
         )
     }
 }
