@@ -98,11 +98,12 @@ echo "==> the runs above reproduced every committed snapshot and left the benchm
 # crate's dependency list moved — fails here instead of slipping through.
 git diff --exit-code -- 'BENCH_*.json' telemetry_trace.json benchmark BENCHMARK.json
 
-echo "==> the five binaries that assert nothing printed their committed stdout"
+echo "==> the six binaries that assert nothing printed their committed stdout"
 # Paper tables, figures and metric sweeps: a moved value fails here, not
 # only a run that disagrees with itself. A PR that moves one on purpose
 # commits the new crates/bench/golden/<binary>.txt and says why.
-for binary in tables_1_to_6 fig1_centralized fig3_query_plan exp_tradeoff exp_metrics; do
+for binary in tables_1_to_6 fig1_centralized fig2_architecture fig3_query_plan exp_tradeoff \
+    exp_metrics; do
     diff -u "crates/bench/golden/$binary.txt" "$passes/first/$binary"
 done
 

@@ -461,10 +461,7 @@ pub fn run_attack(class: AttackClass, seed: u64) -> Result<ScenarioReport, Audit
                 AttrType::Text => AttrValue::text("rewritten"),
             };
             assert!(
-                cluster
-                    .node_mut(victim)
-                    .store_mut()
-                    .tamper(glsn, &attr, forged),
+                cluster.node(victim).store_mut().tamper(glsn, &attr, forged),
                 "victim stores the targeted fragment"
             );
 

@@ -114,11 +114,7 @@ pub fn sum_matching(
     // Phase 3: the §3.5 secure sum over all serving nodes (owner
     // contributes its partial, everyone else 0), reconstructed by the
     // auditor.
-    let retired = cluster.retired_nodes();
-    let parties: Vec<NodeId> = (0..cluster.num_nodes())
-        .filter(|i| !retired.contains(i))
-        .map(NodeId)
-        .collect();
+    let parties: Vec<NodeId> = cluster.placement().in_service().map(NodeId).collect();
     let inputs: Vec<F61> = parties
         .iter()
         .map(|p| F61::new(if p.0 == owner { partial } else { 0 }))
@@ -195,9 +191,10 @@ pub fn windowed_bucket_aggregate(
 ) -> Result<WindowedAggregate, AuditError> {
     // Resolved against the partition in force: once the node `attr` was
     // deposited at is retired, its adopter serves the adopted copies.
-    let (home, owner) = cluster.owner_of(attr)?;
+    let placement = cluster.placement();
+    let (home, owner) = placement.owner_of(attr)?;
     if let Some(sa) = sum_attr {
-        let (_, sum_owner) = cluster.owner_of(sa)?;
+        let (_, sum_owner) = placement.owner_of(sa)?;
         if sum_owner != owner {
             return Err(AuditError::Planning(format!(
                 "sum attribute {sa} (node {sum_owner}) is not co-located with \
@@ -207,7 +204,7 @@ pub fn windowed_bucket_aggregate(
         }
     }
     let time_attr = AttrName::new("time");
-    let time_owner = cluster.owner_of(&time_attr).ok();
+    let time_owner = placement.owner_of(&time_attr).ok();
 
     let mut out = WindowedAggregate {
         count: 0,

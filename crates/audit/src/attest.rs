@@ -157,11 +157,12 @@ impl Attestor {
 }
 
 /// Reads a signer's round-1 frame: its index and nonce commitment, the
-/// commitment in its one encoding.
+/// commitment in its one encoding, and nothing after it.
 fn open_commitment(payload: &[u8]) -> Result<NonceCommitment, AuditError> {
     let mut r = crate::open_frame(payload, 0x60)?;
     let index = r.get_u64()?;
     let point = dla_bigint::Ubig::from_bytes_be(r.get_minimal_uint()?);
+    r.finish()?;
     Ok(NonceCommitment { index, r: point })
 }
 
@@ -198,6 +199,17 @@ mod tests {
         assert_eq!((c.index, c.r), (3, dla_bigint::Ubig::from_u64(0x0509)));
         let padded = open_commitment(&frame(&[0x00, 0x05, 0x09]));
         assert!(matches!(padded, Err(AuditError::Wire(_))), "{padded:?}");
+    }
+
+    #[test]
+    fn a_commitment_frame_with_a_trailing_byte_is_refused() {
+        let mut w = Writer::new();
+        w.put_u8(0x60).put_u64(3).put_bytes(&[0x05, 0x09]);
+        let mut frame = w.finish().to_vec();
+        assert!(open_commitment(&frame).is_ok());
+        frame.push(0);
+        let trailing = open_commitment(&frame);
+        assert!(matches!(trailing, Err(AuditError::Wire(_))), "{trailing:?}");
     }
 
     fn setup() -> (DlaCluster, Attestor) {

@@ -15,7 +15,7 @@ use dla_logstore::model::{Glsn, LogRecord};
 use dla_logstore::schema::Schema;
 use dla_logstore::store::GlsnAllocator;
 use dla_net::wire::Writer;
-use dla_net::{NetConfig, NodeId, SimNet};
+use dla_net::{NetConfig, NodeId, SessionId, SimNet};
 use std::collections::BTreeMap;
 
 /// The Figure 1 auditor: one repository, plaintext storage, local
@@ -82,11 +82,9 @@ impl CentralizedAuditor {
         }
         let mut w = Writer::new();
         w.put_u8(0x50).put_bytes(&stamped.to_canonical_bytes());
-        self.net.send(user, NodeId(0), w.finish());
-        let _ = self
-            .net
-            .recv_from(NodeId(0), user)
-            .map_err(AuditError::Net)?;
+        let root = SessionId::ROOT;
+        self.net.send_on(root, user, NodeId(0), w.finish());
+        (self.net.recv_from_on(root, NodeId(0), user)).map_err(AuditError::Net)?;
         self.records.insert(glsn, stamped);
         Ok(glsn)
     }

@@ -355,6 +355,69 @@ impl DlaNode {
     pub fn store_mut(&self) -> RwLockWriteGuard<'_, FragmentStore> {
         self.store.write()
     }
+
+    /// Stores the fragment of `glsn` that reached this node (frame
+    /// `0x20`): under `ticket` when it names this node, as an adopted
+    /// copy of a retired home's otherwise.
+    pub(crate) fn take_fragment(
+        &self,
+        payload: &[u8],
+        glsn: Glsn,
+        ticket: &Ticket,
+    ) -> Result<(), AuditError> {
+        let fragment = open_fragment(payload, 0x20, glsn)?;
+        let mut store = self.store_mut();
+        let stored = if fragment.node == self.id {
+            store.write(ticket, fragment)
+        } else {
+            store.adopt(fragment)
+        };
+        stored.map_err(|e| AuditError::Log(e.to_string()))
+    }
+
+    /// Journals the standby copy of a fragment of `glsn` that reached
+    /// this node (frame `0x23`), inactive until promotion.
+    pub(crate) fn take_standby(&self, payload: &[u8], glsn: Glsn) -> Result<(), AuditError> {
+        let fragment = open_fragment(payload, 0x23, glsn)?;
+        (self.store_mut().store_standby(fragment)).map_err(|e| AuditError::Log(e.to_string()))
+    }
+
+    /// Opens the deposit broadcast of `glsn` (frame `0x21`) and refuses
+    /// another record's glsn or deposit. It keeps nothing: the cluster
+    /// holds the one copy of every deposit record.
+    pub(crate) fn take_deposit(
+        &self,
+        payload: &[u8],
+        glsn: Glsn,
+        deposit: &Ubig,
+    ) -> Result<(), AuditError> {
+        let mut r = crate::open_frame(payload, 0x21)?;
+        let label = Glsn(r.get_u64()?);
+        let carried = Ubig::from_bytes_be(r.get_minimal_uint()?);
+        r.get_bytes()?;
+        r.finish()?;
+        if label != glsn || &carried != deposit {
+            return Err(AuditError::Integrity(format!(
+                "P{} was handed a deposit labelled {label} that is not the one of {glsn}",
+                self.id
+            )));
+        }
+        Ok(())
+    }
+
+    /// Answers a retrieve request (frame `0x22`: glsn) with the fragment
+    /// of the glsn it names, read under `ticket`.
+    pub(crate) fn serve_fragment(
+        &self,
+        payload: &[u8],
+        ticket: &Ticket,
+    ) -> Result<Fragment, AuditError> {
+        let mut r = crate::open_frame(payload, 0x22)?;
+        let glsn = Glsn(r.get_u64()?);
+        r.finish()?;
+        let fragment = self.store().read(ticket, glsn).cloned();
+        fragment.map_err(|e| AuditError::Log(e.to_string()))
+    }
 }
 
 /// A registered application user (`u_j ∈ U`).
@@ -380,13 +443,8 @@ impl AppUser {
 /// The assembled DLA cluster.
 pub struct DlaCluster {
     schema: Schema,
-    /// The configured attribute partition: where each attribute is
-    /// deposited (its home).
-    partition: Partition,
-    /// The partition in force ([`DlaCluster::effective_partition`]):
-    /// `partition` with the retirement log replayed over it, recomputed
-    /// where the log grows.
-    in_force: Partition,
+    /// Where each attribute is deposited and where it is served now.
+    placement: Placement,
     group: SchnorrGroup,
     domain: CommutativeDomain,
     acc_params: AccumulatorParams,
@@ -398,32 +456,20 @@ pub struct DlaCluster {
     query_counter: AtomicU64,
     allocator: GlsnAllocator,
     authority: TicketAuthority,
-    /// User-deposited accumulator values, replicated at every node
-    /// (stored once here since replicas are identical by construction;
-    /// integrity checking re-derives per-node views from fragments).
-    deposits: BTreeMap<Glsn, Ubig>,
-    /// Per-record origin attestations: the logging user's public key
-    /// and its signature over (glsn ‖ deposit). Combined with the §4.1
-    /// integrity circulation this gives **non-repudiation**: the user
-    /// signed the accumulator value, and the accumulator binds every
-    /// fragment.
-    origins: BTreeMap<
-        Glsn,
-        (
-            dla_crypto::schnorr::SchnorrPublicKey,
-            dla_crypto::schnorr::Signature,
-        ),
-    >,
+    /// One record per deposit, as the cluster journal writes it: the
+    /// user-deposited accumulator value, broadcast to every node in
+    /// service and kept once here (integrity checking re-derives the
+    /// per-node views from fragments), with the origin attestation over
+    /// it — the logging user's public key and signature over
+    /// (glsn ‖ deposit). Combined with the §4.1 integrity circulation
+    /// this gives **non-repudiation**: the user signed the accumulator
+    /// value, and the accumulator binds every fragment.
+    deposits: BTreeMap<Glsn, DepositRecord>,
     cluster_journal: Option<Journal>,
     users: usize,
     max_users: usize,
     rng: StdRng,
     standby_replication: bool,
-    /// Retirement log: `(dead node, adopter)` in declaration order.
-    /// The adopter serves the dead node's attributes from promoted
-    /// standby fragments; [`DlaCluster::effective_partition`] replays
-    /// this log over the configured partition.
-    retired: Vec<(usize, usize)>,
     /// Tamper-evident journal of the cluster's own privileged actions
     /// (deposits, user registrations, re-replications, degraded-mode
     /// decisions).
@@ -540,20 +586,21 @@ impl DlaCluster {
             allocator: GlsnAllocator::starting_at(glsn_base),
             authority,
             deposits: BTreeMap::new(),
-            origins: BTreeMap::new(),
             cluster_journal: None,
             users: 0,
             max_users: config.max_users,
             rng,
             standby_replication: config.standby_replication,
-            retired: Vec::new(),
-            in_force: partition.clone(),
             epoch_policy,
             epoch_stats: BTreeMap::new(),
             chain: CheckpointChain::new(),
             standing: crate::standing::StandingRegistry::default(),
             kept: Mutex::default(),
-            partition,
+            placement: Placement {
+                in_force: partition.clone(),
+                configured: partition,
+                retired: Vec::new(),
+            },
         };
         if let Some(dir) = &config.journal_dir {
             cluster.recover(&dir.join("cluster.journal"))?;
@@ -638,8 +685,8 @@ impl DlaCluster {
         Ok(())
     }
 
-    /// Ledger transition — absorb committed deposits: index them, note
-    /// their origins and fold their trail items into their epoch's
+    /// Ledger transition — absorb committed deposits: keep their
+    /// records and fold their trail items into their epoch's
     /// accumulator, one fold per touched epoch. Called with a batch the
     /// cluster journal has just taken and with the deposits replayed
     /// from it.
@@ -664,9 +711,7 @@ impl DlaCluster {
                 .entry(epoch)
                 .or_default()
                 .push(trail_item(record.glsn, &record.deposit));
-            self.deposits.insert(record.glsn, record.deposit);
-            self.origins
-                .insert(record.glsn, (record.public, record.signature));
+            self.deposits.insert(record.glsn, record);
         }
         for (epoch, items) in groups {
             let refs: Vec<&[u8]> = items.iter().map(Vec::as_slice).collect();
@@ -724,7 +769,12 @@ impl DlaCluster {
     /// The attribute partition.
     #[must_use]
     pub fn partition(&self) -> &Partition {
-        &self.partition
+        &self.placement.configured
+    }
+
+    /// Where each attribute is deposited and where it is served now.
+    pub(crate) fn placement(&self) -> &Placement {
+        &self.placement
     }
 
     /// The DLA nodes.
@@ -741,14 +791,6 @@ impl DlaCluster {
     #[must_use]
     pub fn node(&self, i: usize) -> &DlaNode {
         &self.nodes[i]
-    }
-
-    /// Mutable node access (test hooks, protocol internals). Node
-    /// stores use interior mutability, so most callers only need
-    /// [`DlaNode::store_mut`] on a shared reference; this remains for
-    /// exclusive access.
-    pub fn node_mut(&mut self, i: usize) -> &mut DlaNode {
-        &mut self.nodes[i]
     }
 
     /// Number of DLA nodes.
@@ -881,14 +923,17 @@ impl DlaCluster {
     /// The deposited accumulator value for a glsn.
     #[must_use]
     pub fn deposit(&self, glsn: Glsn) -> Option<&Ubig> {
-        self.deposits.get(&glsn)
+        self.deposits.get(&glsn).map(|record| &record.deposit)
     }
 
     /// The deposits of the glsns `lo..=hi`, ascending (none for an
     /// inverted range).
     pub fn deposits_in(&self, lo: Glsn, hi: Glsn) -> impl Iterator<Item = (Glsn, &Ubig)> {
         let range = (lo <= hi).then(|| self.deposits.range(lo..=hi));
-        range.into_iter().flatten().map(|(glsn, d)| (*glsn, d))
+        range
+            .into_iter()
+            .flatten()
+            .map(|(glsn, r)| (*glsn, &r.deposit))
     }
 
     /// All glsns with deposits (i.e. every record logged).
@@ -936,8 +981,8 @@ impl DlaCluster {
     #[must_use]
     pub fn trail_accumulator(&self) -> &Ubig {
         self.trail_acc.get_or_init(|| {
-            let items: Vec<Vec<u8>> = (self.deposits.iter())
-                .map(|(glsn, deposit)| trail_item(*glsn, deposit))
+            let items: Vec<Vec<u8>> = (self.deposits.values())
+                .map(|record| trail_item(record.glsn, &record.deposit))
                 .collect();
             self.acc_params.accumulate(items.iter().map(Vec::as_slice))
         })
@@ -955,7 +1000,11 @@ impl DlaCluster {
     #[cfg(test)]
     pub(crate) fn tamper_deposit_for_tests(&mut self, glsn: Glsn, deposit: Ubig) {
         self.trail_acc.take();
-        self.deposits.insert(glsn, deposit);
+        let template = self.deposits.values().next().expect("a deposit").clone();
+        self.deposits
+            .entry(glsn)
+            .or_insert(DepositRecord { glsn, ..template })
+            .deposit = deposit;
     }
 
     /// Test hook: rewrites an unsealed epoch's running accumulator —
@@ -1065,66 +1114,41 @@ impl DlaCluster {
         for (name, value) in record.iter() {
             stamped.insert(name.clone(), value.clone());
         }
-        let fragments = fragment(&stamped, &self.partition);
-
-        // The user computes the deposit over all fragments (§4.1:
-        // "it also computes the one-way accumulator of all fragments").
-        let deposit = self.acc_params.accumulate(
-            fragments
-                .iter()
-                .map(Fragment::to_canonical_bytes)
-                .collect::<Vec<_>>()
-                .iter()
-                .map(Vec::as_slice),
-        );
+        // Each fragment is encoded once: the user computes the deposit
+        // over these bytes (§4.1: "it also computes the one-way
+        // accumulator of all fragments"), and these bytes travel.
+        let encoded: Vec<(usize, Vec<u8>)> = fragment(&stamped, &self.placement.configured)
+            .iter()
+            .map(|frag| (frag.node, frag.to_canonical_bytes()))
+            .collect();
+        let deposit = (self.acc_params).accumulate(encoded.iter().map(|(_, bytes)| &bytes[..]));
 
         // Ship each fragment to the node serving its home: the home
         // itself, or the adopter of a retired one, which holds it as an
         // adopted copy beside those it promoted — so the deposit, the
         // integrity circulation and every reader of a home stay as they
-        // are, and no fragment goes to a node no query plans on.
+        // are, and no fragment goes to a node no query plans on. Each
+        // receiver stores what reached it.
         let wire = self.root_session();
         let ship_standby = self.standby_replication && self.nodes.len() >= 2;
-        for frag in fragments {
-            let home = frag.node;
-            let node = self.server_of(home);
+        for (home, bytes) in &encoded {
+            let node = self.placement.server_of(*home);
             // A live owner's ring successor is the node that would adopt
             // it, so a retired successor's adopter holds the standby.
-            let successor = self.server_of((home + 1) % self.nodes.len());
-            let standby = (ship_standby && node == home && successor != home).then(|| frag.clone());
+            let successor = self.placement.server_of((home + 1) % self.nodes.len());
             let mut w = Writer::new();
-            w.put_u8(0x20)
-                .put_u64(glsn.0)
-                .put_bytes(&frag.to_canonical_bytes());
+            w.put_u8(0x20).put_u64(glsn.0).put_bytes(bytes);
             wire.send(user.node, NodeId(node), w.finish());
             let envelope = wire.recv_from(NodeId(node), user.node)?;
-            crate::open_frame(&envelope.payload, 0x20)?;
-            // The wire carries canonical bytes for accounting realism;
-            // the store ingests the structured fragment directly (a
-            // full codec for records adds nothing to the protocols
-            // under study) — once the frame has arrived intact.
-            {
-                let mut store = self.nodes[node].store_mut();
-                if node == home {
-                    store.write(&user.ticket, frag)
-                } else {
-                    store.adopt(frag)
-                }
-            }
-            .map_err(|e| AuditError::Log(e.to_string()))?;
+            self.nodes[node].take_fragment(&envelope.payload, glsn, &user.ticket)?;
             // The owner forwards a standby copy to its ring successor,
             // which journals it inactive until promotion.
-            if let Some(standby) = standby {
+            if ship_standby && node == *home && successor != *home {
                 let mut w = Writer::new();
-                w.put_u8(0x23)
-                    .put_u64(glsn.0)
-                    .put_bytes(&standby.to_canonical_bytes());
+                w.put_u8(0x23).put_u64(glsn.0).put_bytes(bytes);
                 wire.send(NodeId(node), NodeId(successor), w.finish());
-                wire.recv_from(NodeId(successor), NodeId(node))?;
-                self.nodes[successor]
-                    .store_mut()
-                    .store_standby(standby)
-                    .map_err(|e| AuditError::Log(e.to_string()))?;
+                let envelope = wire.recv_from(NodeId(successor), NodeId(node))?;
+                self.nodes[successor].take_standby(&envelope.payload, glsn)?;
             }
         }
 
@@ -1135,15 +1159,17 @@ impl DlaCluster {
             .sign(&origin_message(glsn, &deposit), &mut self.rng);
 
         // Deposit + origin signature broadcast to every node in service.
+        let mut w = Writer::new();
+        w.put_u8(0x21)
+            .put_u64(glsn.0)
+            .put_bytes(&deposit.to_bytes_be())
+            .put_bytes(&origin_sig.to_bytes());
+        let broadcast = w.finish();
         let wire = self.root_session();
-        for node in (0..self.nodes.len()).filter(|&i| self.server_of(i) == i) {
-            let mut w = Writer::new();
-            w.put_u8(0x21)
-                .put_u64(glsn.0)
-                .put_bytes(&deposit.to_bytes_be())
-                .put_bytes(&origin_sig.to_bytes());
-            wire.send(user.node, NodeId(node), w.finish());
-            wire.recv_from(NodeId(node), user.node)?;
+        for node in self.placement.in_service() {
+            wire.send(user.node, NodeId(node), broadcast.clone());
+            let envelope = wire.recv_from(NodeId(node), user.node)?;
+            self.nodes[node].take_deposit(&envelope.payload, glsn, &deposit)?;
         }
         let time = stamped.get(&AttrName::new("time")).and_then(|v| match v {
             AttrValue::Time(t) => Some(*t),
@@ -1336,21 +1362,18 @@ impl DlaCluster {
     ///
     /// # Errors
     ///
-    /// Returns [`AuditError::Integrity`] if no origin record exists for
+    /// Returns [`AuditError::Integrity`] if no deposit exists for
     /// `glsn`.
     pub fn verify_origin(&self, glsn: Glsn) -> Result<bool, AuditError> {
-        let (public, signature) = self.origins.get(&glsn).ok_or_else(|| {
-            AuditError::Integrity(format!("no origin attestation for glsn {glsn}"))
-        })?;
-        let deposit = self
+        let record = self
             .deposits
             .get(&glsn)
             .ok_or_else(|| AuditError::Integrity(format!("no deposit for glsn {glsn}")))?;
         Ok(dla_crypto::schnorr::verify(
             &self.group,
-            public,
-            &origin_message(glsn, deposit),
-            signature,
+            &record.public,
+            &origin_message(glsn, &record.deposit),
+            &record.signature,
         ))
     }
 
@@ -1405,7 +1428,7 @@ impl DlaCluster {
         &self,
         normalized: &crate::normal::NormalizedQuery,
     ) -> Result<crate::plan::QueryPlan, AuditError> {
-        crate::plan::plan(normalized, &self.in_force)
+        crate::plan::plan(normalized, &self.placement.in_force)
     }
 
     /// The whole front door for query text: parse, type-check,
@@ -1495,7 +1518,11 @@ impl DlaCluster {
     /// re-replicated away from).
     #[must_use]
     pub fn retired_nodes(&self) -> BTreeSet<usize> {
-        self.retired.iter().map(|&(dead, _)| dead).collect()
+        self.placement
+            .retired
+            .iter()
+            .map(|&(dead, _)| dead)
+            .collect()
     }
 
     /// The partition queries should currently be planned against: the
@@ -1503,17 +1530,7 @@ impl DlaCluster {
     /// reassigned to its adopter, in retirement order.
     #[must_use]
     pub fn effective_partition(&self) -> &Partition {
-        &self.in_force
-    }
-
-    /// The node serving what was deposited at `home`: `home` itself, or
-    /// its adopter once it is retired, followed down the retirement log
-    /// (an adopter that retires later hands on what it adopted).
-    fn server_of(&self, home: usize) -> usize {
-        self.retired.iter().fold(
-            home,
-            |node, &(dead, adopter)| if dead == node { adopter } else { node },
-        )
+        &self.placement.in_force
     }
 
     /// The owner leg of every "disclose one number, not the data"
@@ -1528,7 +1545,7 @@ impl DlaCluster {
         attr: &AttrName,
         glsns: &[Glsn],
     ) -> Result<(usize, Vec<(Glsn, AttrValue)>), AuditError> {
-        let (home, owner) = self.owner_of(attr)?;
+        let (home, owner) = self.placement.owner_of(attr)?;
         let auditor = self.auditor_node();
         let mut w = Writer::new();
         w.put_u8(tag).put_list(glsns, |w, g| {
@@ -1545,27 +1562,6 @@ impl DlaCluster {
             .filter_map(|g| Some((g, served(&store, home, g)?.values.get(attr)?.clone())))
             .collect();
         Ok((owner, values))
-    }
-
-    /// Where `attr` was deposited — its home under the configured
-    /// partition — and the node serving it under the
-    /// [`DlaCluster::effective_partition`]: the home itself, or its
-    /// adopter once the home is retired.
-    pub(crate) fn owner_of(&self, attr: &AttrName) -> Result<(usize, usize), AuditError> {
-        let home = self.partition.node_of(attr).ok_or_else(|| {
-            AuditError::Planning(format!("attribute {attr} is not served by any node"))
-        })?;
-        Ok((home, self.server_of(home)))
-    }
-
-    /// The first surviving node clockwise from `dead`, skipping nodes
-    /// in `also_dead` and already-retired nodes.
-    fn adopter_of(&self, dead: usize, also_dead: &BTreeSet<usize>) -> Option<usize> {
-        let n = self.nodes.len();
-        let retired = self.retired_nodes();
-        (1..n)
-            .map(|k| (dead + k) % n)
-            .find(|i| !also_dead.contains(i) && !retired.contains(i))
     }
 
     /// Re-replicates lost fragments after the nodes in `dead` are
@@ -1596,10 +1592,10 @@ impl DlaCluster {
         }
         let mut adoptions = Vec::new();
         for &d in dead {
-            if self.retired_nodes().contains(&d) {
+            if self.placement.is_retired(d) {
                 continue;
             }
-            let adopter = self
+            let adopter = (self.placement)
                 .adopter_of(d, dead)
                 .ok_or_else(|| AuditError::Config("no surviving node left to adopt".into()))?;
             let promoted = self.nodes[adopter]
@@ -1611,11 +1607,7 @@ impl DlaCluster {
                 adopter,
                 promoted: promoted.len(),
             });
-            self.retired.push((d, adopter));
-            self.in_force = self
-                .in_force
-                .reassign(d, adopter)
-                .expect("an adopter is a live node other than the one it adopts");
+            self.placement.retire(d, adopter);
         }
         // The partition in force moved: what the engine kept was
         // planned, and partly computed, on the nodes just retired.
@@ -1623,8 +1615,7 @@ impl DlaCluster {
             self.kept().clear();
         }
 
-        let retired = self.retired_nodes();
-        let survivors: BTreeSet<usize> = (0..n).filter(|i| !retired.contains(i)).collect();
+        let survivors: BTreeSet<usize> = self.placement.in_service().collect();
         let initiator = *survivors
             .iter()
             .next()
@@ -1676,24 +1667,95 @@ impl DlaCluster {
     /// Returns [`AuditError::Log`] if any node denies access or the
     /// glsn is unknown.
     pub fn retrieve_record(&mut self, user: &AppUser, glsn: Glsn) -> Result<LogRecord, AuditError> {
-        let mut frags = Vec::with_capacity(self.nodes.len());
-        for node in 0..self.nodes.len() {
-            // Request over the network (accounted)…
-            let mut w = Writer::new();
-            w.put_u8(0x22).put_u64(glsn.0);
-            let wire = self.root_session();
-            wire.send(user.node, NodeId(node), w.finish());
-            wire.recv_from(NodeId(node), user.node)?;
-            // …and serve under the ACL.
-            let frag = self.nodes[node]
-                .store()
-                .read(&user.ticket, glsn)
-                .map_err(|e| AuditError::Log(e.to_string()))?
-                .clone();
-            frags.push(frag);
-        }
+        let mut w = Writer::new();
+        w.put_u8(0x22).put_u64(glsn.0);
+        let request = w.finish();
+        let wire = self.root_session();
+        let frags = (self.nodes.iter())
+            .map(|node| {
+                wire.send(user.node, NodeId(node.id), request.clone());
+                let envelope = wire.recv_from(NodeId(node.id), user.node)?;
+                node.serve_fragment(&envelope.payload, &user.ticket)
+            })
+            .collect::<Result<Vec<_>, AuditError>>()?;
         dla_logstore::fragment::reassemble(&frags).map_err(|e| AuditError::Log(e.to_string()))
     }
+}
+
+/// Where every attribute is served: the configured partition (each
+/// attribute's *home*), the retirement log `(dead node, adopter)` in
+/// declaration order, and the partition in force — the configured one
+/// with the log replayed over it. [`Placement::retire`] moves both.
+pub(crate) struct Placement {
+    configured: Partition,
+    in_force: Partition,
+    retired: Vec<(usize, usize)>,
+}
+
+impl Placement {
+    /// Retires `dead`: `adopter` serves its attributes from now on.
+    fn retire(&mut self, dead: usize, adopter: usize) {
+        self.in_force = (self.in_force.reassign(dead, adopter))
+            .expect("an adopter is a live node other than the one it adopts");
+        self.retired.push((dead, adopter));
+    }
+
+    fn is_retired(&self, node: usize) -> bool {
+        self.retired.iter().any(|&(dead, _)| dead == node)
+    }
+
+    /// The nodes in service — every node not retired, ascending: the
+    /// receivers of a deposit broadcast, the parties of a secure sum,
+    /// the survivors a repair verifies among.
+    pub(crate) fn in_service(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.configured.num_nodes()).filter(|&node| !self.is_retired(node))
+    }
+
+    /// The node serving what was deposited at `home`: `home` itself, or
+    /// its adopter once it is retired, followed down the retirement log
+    /// (an adopter that retires later hands on what it adopted).
+    fn server_of(&self, home: usize) -> usize {
+        self.retired.iter().fold(
+            home,
+            |node, &(dead, adopter)| if dead == node { adopter } else { node },
+        )
+    }
+
+    /// Where `attr` was deposited — its home under the configured
+    /// partition — and the node serving it under the partition in
+    /// force: the home itself, or its adopter once the home is retired.
+    pub(crate) fn owner_of(&self, attr: &AttrName) -> Result<(usize, usize), AuditError> {
+        let home = self.configured.node_of(attr).ok_or_else(|| {
+            AuditError::Planning(format!("attribute {attr} is not served by any node"))
+        })?;
+        Ok((home, self.server_of(home)))
+    }
+
+    /// The first node clockwise from `dead` that is in service and not
+    /// in `also_dead`.
+    fn adopter_of(&self, dead: usize, also_dead: &BTreeSet<usize>) -> Option<usize> {
+        let n = self.configured.num_nodes();
+        (1..n)
+            .map(|k| (dead + k) % n)
+            .find(|&i| !also_dead.contains(&i) && !self.is_retired(i))
+    }
+}
+
+/// Decodes the fragment of `glsn` a ship or standby frame carries; one
+/// labelled with another glsn is as garbled as a truncated one.
+fn open_fragment(payload: &[u8], tag: u8, glsn: Glsn) -> Result<Fragment, AuditError> {
+    let mut r = crate::open_frame(payload, tag)?;
+    let label = Glsn(r.get_u64()?);
+    let fragment = Fragment::from_canonical_bytes(r.get_bytes()?)
+        .map_err(|e| AuditError::Wire(e.to_string()))?;
+    r.finish()?;
+    if label != glsn || fragment.glsn != glsn {
+        return Err(AuditError::Wire(format!(
+            "a fragment of {glsn} arrived labelled {label}, decoding to {}",
+            fragment.glsn
+        )));
+    }
+    Ok(fragment)
 }
 
 /// Cluster-journal blob tags.
@@ -1701,9 +1763,11 @@ const BLOB_DEPOSIT: u8 = 0x01;
 const BLOB_TICKET_COUNTER: u8 = 0x02;
 const BLOB_EPOCH_SEAL: u8 = 0x03;
 
-/// One deposit as the cluster journal records it (`BLOB_DEPOSIT`): the
-/// accumulator value, the origin attestation over it and the record's
-/// time, if it carried one (feeds the per-epoch time index).
+/// One deposit as the cluster journal records it (`BLOB_DEPOSIT`) and
+/// as the cluster keeps it: the accumulator value, the origin
+/// attestation over it and the record's time, if it carried one (feeds
+/// the per-epoch time index).
+#[derive(Clone)]
 struct DepositRecord {
     glsn: Glsn,
     deposit: Ubig,
@@ -1929,8 +1993,7 @@ mod tests {
         let glsn = c.log_record(&user, &paper_table1()[0]).unwrap();
         assert!(c.verify_origin(glsn).unwrap());
         // Tamper with the stored deposit: the signature no longer matches.
-        let forged = Ubig::from_u64(12345);
-        c.deposits.insert(glsn, forged);
+        c.tamper_deposit_for_tests(glsn, Ubig::from_u64(12345));
         assert!(!c.verify_origin(glsn).unwrap());
     }
 

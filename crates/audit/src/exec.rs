@@ -948,6 +948,16 @@ fn to_ordinal(value: &AttrValue) -> Result<u64, AuditError> {
     }
 }
 
+/// Reads the mask agreement frame (`0x30`): the mask, and nothing
+/// after it.
+fn open_mask(payload: &[u8]) -> Result<MonotoneMasker, AuditError> {
+    let mut r = crate::open_frame(payload, 0x30)?;
+    let mask =
+        MonotoneMasker::from_bytes(r.get_bytes()?).map_err(|e| AuditError::Wire(e.to_string()))?;
+    r.finish()?;
+    Ok(mask)
+}
+
 /// Cross-node ordering comparison via order-preserving masking and the
 /// cluster's blind TTP (§3.3 machinery applied per glsn).
 fn masked_compare(
@@ -976,9 +986,7 @@ fn masked_compare(
     w.put_u8(0x30).put_bytes(&mask.to_bytes());
     session.send(left_id, right_id, w.finish());
     let envelope = session.recv_from(right_id, left_id)?;
-    let mut r = crate::open_frame(&envelope.payload, 0x30)?;
-    let right_mask =
-        MonotoneMasker::from_bytes(r.get_bytes()?).map_err(|e| AuditError::Wire(e.to_string()))?;
+    let right_mask = open_mask(&envelope.payload)?;
 
     // Both sides submit (glsn, masked ordinal) lists to the TTP: one
     // round, so a refused first frame does not strand the second in
@@ -1043,6 +1051,18 @@ mod tests {
     use dla_logstore::model::LogRecord;
     use dla_logstore::schema::Schema;
     use dla_net::latency::LatencyModel;
+
+    #[test]
+    fn a_mask_frame_with_a_trailing_byte_is_refused() {
+        let mask = MonotoneMasker::random(&mut StdRng::seed_from_u64(3));
+        let mut w = Writer::new();
+        w.put_u8(0x30).put_bytes(&mask.to_bytes());
+        let mut frame = w.finish().to_vec();
+        assert_eq!(open_mask(&frame).unwrap().to_bytes(), mask.to_bytes());
+        frame.push(0);
+        let trailing = open_mask(&frame).map(|_| ());
+        assert!(matches!(trailing, Err(AuditError::Wire(_))), "{trailing:?}");
+    }
 
     /// Builds the paper cluster preloaded with Table 1.
     fn loaded_cluster() -> (DlaCluster, AppUser, Vec<Glsn>) {

@@ -115,7 +115,7 @@ fn circulate(
 }
 
 /// Reads one circulation frame: the accumulator value, in its one
-/// encoding, under `glsn`'s label.
+/// encoding, under `glsn`'s label, and nothing after it.
 fn open_circulation(payload: &[u8], tag: u8, glsn: Glsn) -> Result<Ubig, AuditError> {
     let mut r = crate::open_frame(payload, tag)?;
     let label = r.get_u64()?;
@@ -124,7 +124,9 @@ fn open_circulation(payload: &[u8], tag: u8, glsn: Glsn) -> Result<Ubig, AuditEr
             "circulation for {glsn} arrived labelled {label:x}"
         )));
     }
-    Ok(Ubig::from_bytes_be(r.get_minimal_uint()?))
+    let acc = Ubig::from_bytes_be(r.get_minimal_uint()?);
+    r.finish()?;
+    Ok(acc)
 }
 
 /// Circulates the accumulator for `glsn` over the `alive` survivor set
@@ -454,6 +456,17 @@ mod tests {
         assert!(matches!(padded, Err(AuditError::Wire(_))), "{padded:?}");
     }
 
+    #[test]
+    fn a_circulation_frame_with_a_trailing_byte_is_refused() {
+        let mut w = Writer::new();
+        w.put_u8(0x40).put_u64(7).put_bytes(&[0x01, 0x02]);
+        let mut frame = w.finish().to_vec();
+        assert!(open_circulation(&frame, 0x40, Glsn(7)).is_ok());
+        frame.push(0);
+        let trailing = open_circulation(&frame, 0x40, Glsn(7));
+        assert!(matches!(trailing, Err(AuditError::Wire(_))), "{trailing:?}");
+    }
+
     fn loaded() -> (DlaCluster, AppUser, Vec<Glsn>) {
         let schema = Schema::paper_example();
         let partition = Partition::paper_example(&schema);
@@ -490,11 +503,10 @@ mod tests {
     fn tampered_value_detected() {
         let (mut cluster, _, glsns) = loaded();
         // A compromised P1 alters a stored c2 amount.
-        assert!(cluster.node_mut(1).store_mut().tamper(
-            glsns[2],
-            &"c2".into(),
-            AttrValue::Fixed2(1)
-        ));
+        assert!(cluster
+            .node(1)
+            .store_mut()
+            .tamper(glsns[2], &"c2".into(), AttrValue::Fixed2(1)));
         let verdict = check_record(&mut cluster, glsns[2], 0).unwrap();
         assert!(!verdict.ok, "tampering must be detected");
         // Other records unaffected.
@@ -505,7 +517,7 @@ mod tests {
     fn tampering_detected_even_by_the_tamperer_node_as_initiator() {
         let (mut cluster, _, glsns) = loaded();
         cluster
-            .node_mut(3)
+            .node(3)
             .store_mut()
             .tamper(glsns[1], &"c1".into(), AttrValue::Int(999));
         let verdict = check_record(&mut cluster, glsns[1], 3).unwrap();
@@ -532,7 +544,7 @@ mod tests {
         // No public delete without ticket; emulate a crashed node by
         // tampering all values (equivalent detection path).
         cluster
-            .node_mut(2)
+            .node(2)
             .store_mut()
             .tamper(glsns[4], &"tid".into(), AttrValue::text("gone"));
         assert!(!check_record(&mut cluster, glsns[4], 1).unwrap().ok);
@@ -561,7 +573,7 @@ mod tests {
         let ticket = user.ticket.clone();
         let rogue = Glsn(0xEEEE);
         cluster
-            .node_mut(2)
+            .node(2)
             .store_mut()
             .acl_mut_for_tests()
             .authorize(&ticket, rogue);
@@ -598,7 +610,7 @@ mod tests {
         let (mut cluster, _, glsns) = loaded();
         for &glsn in &glsns {
             let frag = cluster.node(2).store().get_local(glsn).cloned().unwrap();
-            cluster.node_mut(3).store_mut().adopt(frag).unwrap();
+            cluster.node(3).store_mut().adopt(frag).unwrap();
         }
         for &glsn in &glsns {
             let verdict =
@@ -622,7 +634,7 @@ mod tests {
             .cloned()
             .unwrap();
         frag.values.insert("tid".into(), AttrValue::text("forged"));
-        cluster.node_mut(3).store_mut().adopt(frag).unwrap();
+        cluster.node(3).store_mut().adopt(frag).unwrap();
         let verdict =
             check_record_among(&mut cluster, glsns[1], 0, &survivors(&[0, 1, 3])).unwrap();
         assert!(!verdict.ok, "a forged adopted fragment must not verify");

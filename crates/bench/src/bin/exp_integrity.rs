@@ -53,7 +53,7 @@ fn main() {
             _ => AttrValue::text(&format!("tampered-{}", rng.gen::<u32>())),
         };
         assert!(cluster
-            .node_mut(node)
+            .node(node)
             .store_mut()
             .tamper(victim_glsn, &attr.into(), value));
         let verdict = integrity::check_record(&mut cluster, victim_glsn, 0).expect("check runs");

@@ -83,40 +83,26 @@ pub fn render_report(report: &NodeReport) -> String {
     )
 }
 
-/// Parses a `REPORT` line back into a [`NodeReport`].
+/// Parses a `REPORT` line back into a [`NodeReport`]: the word and
+/// exactly six fields.
 ///
 /// # Errors
 ///
 /// Returns a message describing the malformed field.
 pub fn parse_report(line: &str) -> Result<NodeReport, String> {
-    let mut fields = line.split_whitespace();
-    if fields.next() != Some("REPORT") {
-        return Err(format!("not a REPORT line: {line:?}"));
-    }
-    let mut next_u64 = |name: &str| {
-        fields
-            .next()
-            .ok_or_else(|| format!("REPORT missing {name}"))?
-            .parse::<u64>()
-            .map_err(|e| format!("bad {name}: {e}"))
+    let fields: Vec<&str> = line.split_whitespace().collect();
+    let ["REPORT", id, routed, forwarded, stored, stored_bytes, digest] = fields[..] else {
+        return Err(format!("not a seven-field REPORT line: {line:?}"));
     };
-    let id = usize::try_from(next_u64("id")?).map_err(|e| format!("bad id: {e}"))?;
-    let routed = next_u64("routed")?;
-    let forwarded = next_u64("forwarded")?;
-    let stored = next_u64("stored")?;
-    let stored_bytes = next_u64("stored_bytes")?;
-    let digest_text = line
-        .split_whitespace()
-        .nth(6)
-        .ok_or_else(|| "REPORT missing digest".to_string())?;
-    let digest = u64::from_str_radix(digest_text, 16).map_err(|e| format!("bad digest: {e}"))?;
+    let number =
+        |name: &str, text: &str| (text.parse::<u64>()).map_err(|e| format!("bad {name}: {e}"));
     Ok(NodeReport {
-        id,
-        routed,
-        forwarded,
-        stored,
-        stored_bytes,
-        digest,
+        id: id.parse().map_err(|e| format!("bad id: {e}"))?,
+        routed: number("routed", routed)?,
+        forwarded: number("forwarded", forwarded)?,
+        stored: number("stored", stored)?,
+        stored_bytes: number("stored_bytes", stored_bytes)?,
+        digest: u64::from_str_radix(digest, 16).map_err(|e| format!("bad digest: {e}"))?,
     })
 }
 
@@ -293,5 +279,12 @@ mod tests {
         assert_eq!(parse_report(&line).unwrap(), report);
         assert!(parse_report("LISTEN 0 1.2.3.4:5").is_err());
         assert!(parse_report("REPORT 1 2 3").is_err());
+    }
+
+    #[test]
+    fn a_report_line_with_an_eighth_field_is_refused() {
+        let line = render_report(&NodeReport::default());
+        assert!(parse_report(&format!("{line}\n")).is_ok());
+        assert!(parse_report(&format!("{line} 0\n")).is_err());
     }
 }

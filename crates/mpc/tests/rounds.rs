@@ -12,8 +12,8 @@ use dla_mpc::{
 use dla_net::latency::LatencyModel;
 use dla_net::topology::Ring;
 use dla_net::{
-    AdversaryNet, NetConfig, NodeId, ScriptedAdversary, Session, SharedNet, SimNet, SimTime,
-    Tamper, TamperRule, Transport,
+    AdversaryNet, NetConfig, NodeId, ScriptedAdversary, Session, SessionId, SharedNet, SimNet,
+    SimTime, Tamper, TamperRule, Transport,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -256,7 +256,7 @@ fn a_failed_round_leaves_nothing_in_flight_and_the_rerun_is_right() {
                 assert!(outcome.is_err(), "{what}: gave {outcome:?}");
                 for node in 0..=N {
                     assert_eq!(
-                        net.inner().lock().pending(NodeId(node)),
+                        net.inner().lock().pending_on(SessionId::ROOT, NodeId(node)),
                         0,
                         "{what}: inbox of {node}"
                     );

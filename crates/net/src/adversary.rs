@@ -728,7 +728,10 @@ mod tests {
         // Not accounted, not queued, not seen.
         let (sent, pending) = {
             let sim = net.inner().lock();
-            (sim.stats().messages_sent, sim.pending(NodeId(1)))
+            (
+                sim.stats().messages_sent,
+                sim.pending_on(SessionId::ROOT, NodeId(1)),
+            )
         };
         assert_eq!((sent, pending), (0, 0));
         assert!(adversary.captured().is_empty());

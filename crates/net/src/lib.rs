@@ -32,21 +32,22 @@
 //! ```
 //! use dla_net::sim::{NetConfig, SimNet};
 //! use dla_net::topology::Ring;
-//! use dla_net::NodeId;
+//! use dla_net::{NodeId, Session, SharedNet};
 //! use bytes::Bytes;
 //!
 //! // Pass a token once around a 4-node ring and measure traffic.
-//! let mut net = SimNet::new(4, NetConfig::ideal());
+//! let net = SharedNet::new(SimNet::new(4, NetConfig::ideal()));
+//! let wire = Session::root(&net);
 //! let ring = Ring::canonical(4);
 //! let mut holder = NodeId(0);
-//! net.send(holder, ring.next(holder), Bytes::from_static(b"token"));
+//! wire.send(holder, ring.next(holder), Bytes::from_static(b"token"));
 //! for _ in 0..4 {
 //!     let next = ring.next(holder);
-//!     let msg = net.recv(next)?;
+//!     let msg = wire.recv(next)?;
 //!     holder = next;
-//!     net.send(holder, ring.next(holder), msg.payload);
+//!     wire.send(holder, ring.next(holder), msg.payload);
 //! }
-//! assert_eq!(net.stats().messages_sent, 5);
+//! assert_eq!(net.lock().stats().messages_sent, 5);
 //! # Ok::<(), dla_net::NetError>(())
 //! ```
 
@@ -84,8 +85,8 @@ pub struct SessionId(pub u64);
 
 impl SessionId {
     /// The session of a transport's one-at-a-time traffic: what
-    /// [`Session::root`] binds, and what [`SimNet`]'s session-less
-    /// `send`/`recv` conveniences address.
+    /// [`Session::root`] binds, and whose timeline is
+    /// [`SimNet::elapsed`].
     pub const ROOT: SessionId = SessionId(0);
 }
 

@@ -11,9 +11,9 @@
 //! streams and delivery ordering are all partitioned per session. That
 //! means several protocol instances can interleave over one `SimNet`
 //! without perturbing each other's delivery schedule — the property the
-//! concurrent subquery scheduler in `dla-audit` relies on. The legacy
-//! `send`/`recv` API operates on [`SessionId::ROOT`] and behaves
-//! exactly like the original single-session simulator.
+//! concurrent subquery scheduler in `dla-audit` relies on. Every call
+//! names its session; one-at-a-time traffic runs on [`SessionId::ROOT`],
+//! whose timeline is [`SimNet::elapsed`].
 //!
 //! The simulator is honest: it models a *benign* network (latency,
 //! drops, duplicates, bit rot with a stale checksum) and nothing else.
@@ -257,12 +257,13 @@ impl SessionState {
 ///
 /// ```
 /// use dla_net::sim::{NetConfig, SimNet};
-/// use dla_net::NodeId;
+/// use dla_net::{NodeId, SessionId};
 /// use bytes::Bytes;
 ///
 /// let mut net = SimNet::new(3, NetConfig::ideal());
-/// net.send(NodeId(0), NodeId(2), Bytes::from_static(b"ping"));
-/// let msg = net.recv(NodeId(2))?;
+/// let root = SessionId::ROOT;
+/// net.send_on(root, NodeId(0), NodeId(2), Bytes::from_static(b"ping"));
+/// let msg = net.recv_on(root, NodeId(2))?;
 /// assert_eq!(&msg.payload[..], b"ping");
 /// assert_eq!(msg.from, NodeId(0));
 /// # Ok::<(), dla_net::NetError>(())
@@ -334,20 +335,11 @@ impl SimNet {
         }
     }
 
-    /// Sends `payload` from `from` to `to` on the root session.
-    /// Delivery is subject to the fault plan; the send is always
-    /// accounted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either node id is out of range.
-    pub fn send(&mut self, from: NodeId, to: NodeId, payload: Bytes) {
-        self.send_on(SessionId::ROOT, from, to, payload);
-    }
-
-    /// Session-scoped [`SimNet::send`]: accounting, checksum stamping,
-    /// fault roll and delivery. The checksum is stamped over the payload
-    /// as handed over, so in-flight corruption leaves it stale.
+    /// Sends `payload` from `from` to `to` on `session`: accounting,
+    /// checksum stamping, fault roll and delivery. The send is always
+    /// accounted, whatever the fault plan decides. The checksum is
+    /// stamped over the payload as handed over, so in-flight corruption
+    /// leaves it stale.
     ///
     /// # Panics
     ///
@@ -428,29 +420,15 @@ impl SimNet {
         });
     }
 
-    /// Receives the earliest pending root-session message at `node`,
-    /// advancing the node's virtual clock to the delivery time.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::EmptyInbox`] if nothing is pending — in a
-    /// deterministic protocol this means a message was dropped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn recv(&mut self, node: NodeId) -> Result<Envelope, NetError> {
-        self.recv_on(SessionId::ROOT, node)
-    }
-
-    /// Session-scoped [`SimNet::recv`]: only messages belonging to
-    /// `session` are visible, so interleaved sessions never steal each
-    /// other's messages.
+    /// Receives the earliest pending message of `session` at `node`,
+    /// advancing the node's clock in that session to the delivery time.
+    /// Only messages belonging to `session` are visible, so interleaved
+    /// sessions never steal each other's messages.
     ///
     /// # Errors
     ///
     /// Returns [`NetError::EmptyInbox`] if nothing is pending in this
-    /// session.
+    /// session — in a deterministic protocol, a message was dropped.
     ///
     /// # Panics
     ///
@@ -467,18 +445,6 @@ impl SimNet {
             .record_delivery(session, pending.envelope.payload.len());
         dla_telemetry::record(dla_telemetry::CostKind::MsgDelivered, 1);
         Ok(pending.envelope)
-    }
-
-    /// Selective receive on the root session; see
-    /// [`SimNet::recv_from_on`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::EmptyInbox`] when nothing at all is pending
-    /// and [`NetError::UnexpectedSender`] when messages are pending but
-    /// none from `from` (nothing is consumed in either case).
-    pub fn recv_from(&mut self, node: NodeId, from: NodeId) -> Result<Envelope, NetError> {
-        self.recv_from_on(SessionId::ROOT, node, from)
     }
 
     /// Selective receive: delivers the earliest pending message **from
@@ -535,12 +501,6 @@ impl SimNet {
         }
     }
 
-    /// Number of root-session messages waiting at `node`.
-    #[must_use]
-    pub fn pending(&self, node: NodeId) -> usize {
-        self.pending_on(SessionId::ROOT, node)
-    }
-
     /// Number of messages waiting at `node` within `session`.
     #[must_use]
     pub fn pending_on(&self, session: SessionId, node: NodeId) -> usize {
@@ -549,24 +509,13 @@ impl SimNet {
             .map_or(0, |s| s.inboxes[node.0].len())
     }
 
-    /// Charges local computation time to a node's root-session clock
+    /// Charges local computation time to a node's clock in `session`
     /// (e.g. to model an encryption pass).
-    pub fn charge(&mut self, node: NodeId, cost: SimTime) {
-        self.charge_on(SessionId::ROOT, node, cost);
-    }
-
-    /// Session-scoped [`SimNet::charge`].
     pub fn charge_on(&mut self, session: SessionId, node: NodeId, cost: SimTime) {
         self.check(node);
         self.ensure_session(session);
         let state = self.sessions.get_mut(&session).expect("session exists");
         state.clocks[node.0] += cost;
-    }
-
-    /// A node's current root-session virtual clock.
-    #[must_use]
-    pub fn clock(&self, node: NodeId) -> SimTime {
-        self.clock_on(SessionId::ROOT, node)
     }
 
     /// A node's current virtual clock within `session` (zero if the
@@ -654,6 +603,8 @@ impl SimNet {
 mod tests {
     use super::*;
 
+    const R: SessionId = SessionId::ROOT;
+
     fn net(n: usize) -> SimNet {
         SimNet::new(n, NetConfig::ideal())
     }
@@ -661,8 +612,8 @@ mod tests {
     #[test]
     fn send_recv_round_trip() {
         let mut net = net(2);
-        net.send(NodeId(0), NodeId(1), Bytes::from_static(b"hello"));
-        let msg = net.recv(NodeId(1)).unwrap();
+        net.send_on(R, NodeId(0), NodeId(1), Bytes::from_static(b"hello"));
+        let msg = net.recv_on(R, NodeId(1)).unwrap();
         assert_eq!(&msg.payload[..], b"hello");
         assert_eq!(msg.from, NodeId(0));
         assert_eq!(msg.to, NodeId(1));
@@ -672,7 +623,10 @@ mod tests {
     #[test]
     fn empty_inbox_is_an_error() {
         let mut net = net(2);
-        assert_eq!(net.recv(NodeId(0)), Err(NetError::EmptyInbox(NodeId(0))));
+        assert_eq!(
+            net.recv_on(R, NodeId(0)),
+            Err(NetError::EmptyInbox(NodeId(0)))
+        );
     }
 
     #[test]
@@ -684,11 +638,11 @@ mod tests {
         });
         let mut net = SimNet::new(3, cfg);
         for i in 0..20u8 {
-            net.send(NodeId(0), NodeId(2), Bytes::copy_from_slice(&[i]));
+            net.send_on(R, NodeId(0), NodeId(2), Bytes::copy_from_slice(&[i]));
         }
         let mut last = SimTime::ZERO;
         for _ in 0..20 {
-            let m = net.recv(NodeId(2)).unwrap();
+            let m = net.recv_on(R, NodeId(2)).unwrap();
             assert!(m.deliver_at >= last);
             last = m.deliver_at;
         }
@@ -698,10 +652,10 @@ mod tests {
     fn clocks_advance_on_recv() {
         let cfg = NetConfig::ideal().with_latency(LatencyModel::Fixed(SimTime::from_millis(5)));
         let mut net = SimNet::new(2, cfg);
-        net.send(NodeId(0), NodeId(1), Bytes::from_static(b"x"));
-        assert_eq!(net.clock(NodeId(1)), SimTime::ZERO);
-        let _ = net.recv(NodeId(1)).unwrap();
-        assert_eq!(net.clock(NodeId(1)), SimTime::from_millis(5));
+        net.send_on(R, NodeId(0), NodeId(1), Bytes::from_static(b"x"));
+        assert_eq!(net.clock_on(R, NodeId(1)), SimTime::ZERO);
+        let _ = net.recv_on(R, NodeId(1)).unwrap();
+        assert_eq!(net.clock_on(R, NodeId(1)), SimTime::from_millis(5));
         assert_eq!(net.elapsed(), SimTime::from_millis(5));
     }
 
@@ -710,18 +664,18 @@ mod tests {
         // 0 -> 1 -> 2 with 5ms fixed latency: node 2's clock ends at 10ms.
         let cfg = NetConfig::ideal().with_latency(LatencyModel::Fixed(SimTime::from_millis(5)));
         let mut net = SimNet::new(3, cfg);
-        net.send(NodeId(0), NodeId(1), Bytes::from_static(b"x"));
-        let m = net.recv(NodeId(1)).unwrap();
-        net.send(NodeId(1), NodeId(2), m.payload);
-        let _ = net.recv(NodeId(2)).unwrap();
-        assert_eq!(net.clock(NodeId(2)), SimTime::from_millis(10));
+        net.send_on(R, NodeId(0), NodeId(1), Bytes::from_static(b"x"));
+        let m = net.recv_on(R, NodeId(1)).unwrap();
+        net.send_on(R, NodeId(1), NodeId(2), m.payload);
+        let _ = net.recv_on(R, NodeId(2)).unwrap();
+        assert_eq!(net.clock_on(R, NodeId(2)), SimTime::from_millis(10));
     }
 
     #[test]
     fn charge_adds_compute_cost() {
         let mut net = net(1);
-        net.charge(NodeId(0), SimTime::from_micros(250));
-        assert_eq!(net.clock(NodeId(0)), SimTime::from_micros(250));
+        net.charge_on(R, NodeId(0), SimTime::from_micros(250));
+        assert_eq!(net.clock_on(R, NodeId(0)), SimTime::from_micros(250));
     }
 
     #[test]
@@ -729,14 +683,14 @@ mod tests {
         let mut net = net(2);
         net.faults_mut()
             .inject_once(0, 1, crate::fault::FaultOutcome::Drop);
-        net.send(NodeId(0), NodeId(1), Bytes::from_static(b"lost"));
-        net.send(NodeId(0), NodeId(1), Bytes::from_static(b"kept"));
+        net.send_on(R, NodeId(0), NodeId(1), Bytes::from_static(b"lost"));
+        net.send_on(R, NodeId(0), NodeId(1), Bytes::from_static(b"kept"));
         assert_eq!(net.stats().messages_sent, 2);
         assert_eq!(net.stats().messages_dropped, 1);
         assert_eq!(net.stats().bytes_sent, 8);
-        let m = net.recv(NodeId(1)).unwrap();
+        let m = net.recv_on(R, NodeId(1)).unwrap();
         assert_eq!(&m.payload[..], b"kept");
-        assert!(net.recv(NodeId(1)).is_err());
+        assert!(net.recv_on(R, NodeId(1)).is_err());
     }
 
     #[test]
@@ -744,10 +698,10 @@ mod tests {
         let mut net = net(2);
         net.faults_mut()
             .inject_once(0, 1, crate::fault::FaultOutcome::Duplicate);
-        net.send(NodeId(0), NodeId(1), Bytes::from_static(b"dup"));
-        assert_eq!(net.pending(NodeId(1)), 2);
-        assert_eq!(&net.recv(NodeId(1)).unwrap().payload[..], b"dup");
-        assert_eq!(&net.recv(NodeId(1)).unwrap().payload[..], b"dup");
+        net.send_on(R, NodeId(0), NodeId(1), Bytes::from_static(b"dup"));
+        assert_eq!(net.pending_on(R, NodeId(1)), 2);
+        assert_eq!(&net.recv_on(R, NodeId(1)).unwrap().payload[..], b"dup");
+        assert_eq!(&net.recv_on(R, NodeId(1)).unwrap().payload[..], b"dup");
     }
 
     #[test]
@@ -755,8 +709,8 @@ mod tests {
         let mut net = net(2);
         net.faults_mut()
             .inject_once(0, 1, crate::fault::FaultOutcome::Corrupt);
-        net.send(NodeId(0), NodeId(1), Bytes::from_static(b"payload"));
-        let m = net.recv(NodeId(1)).unwrap();
+        net.send_on(R, NodeId(0), NodeId(1), Bytes::from_static(b"payload"));
+        let m = net.recv_on(R, NodeId(1)).unwrap();
         assert_ne!(&m.payload[..], b"payload");
         assert_eq!(m.payload.len(), 7);
         assert_eq!(net.stats().messages_corrupted, 1);
@@ -767,8 +721,8 @@ mod tests {
     #[test]
     fn intact_deliveries_pass_the_checksum() {
         let mut net = net(2);
-        net.send(NodeId(0), NodeId(1), Bytes::from_static(b"clean"));
-        assert!(net.recv(NodeId(1)).unwrap().is_intact());
+        net.send_on(R, NodeId(0), NodeId(1), Bytes::from_static(b"clean"));
+        assert!(net.recv_on(R, NodeId(1)).unwrap().is_intact());
     }
 
     #[test]
@@ -784,10 +738,10 @@ mod tests {
         };
         let run = |mut net: SimNet| {
             for i in 0..20u8 {
-                net.send(NodeId(0), NodeId(1), Bytes::copy_from_slice(&[i]));
+                net.send_on(R, NodeId(0), NodeId(1), Bytes::copy_from_slice(&[i]));
             }
             let mut times = Vec::new();
-            while let Ok(m) = net.recv(NodeId(1)) {
+            while let Ok(m) = net.recv_on(R, NodeId(1)) {
                 times.push((m.payload[0], m.deliver_at));
             }
             times
@@ -805,12 +759,12 @@ mod tests {
     #[test]
     fn recv_from_enforces_sender() {
         let mut net = net(3);
-        net.send(NodeId(0), NodeId(2), Bytes::from_static(b"a"));
-        let err = net.recv_from(NodeId(2), NodeId(1)).unwrap_err();
+        net.send_on(R, NodeId(0), NodeId(2), Bytes::from_static(b"a"));
+        let err = net.recv_from_on(R, NodeId(2), NodeId(1)).unwrap_err();
         assert!(matches!(err, NetError::UnexpectedSender { .. }));
         // Message was not consumed.
-        assert_eq!(net.pending(NodeId(2)), 1);
-        assert!(net.recv_from(NodeId(2), NodeId(0)).is_ok());
+        assert_eq!(net.pending_on(R, NodeId(2)), 1);
+        assert!(net.recv_from_on(R, NodeId(2), NodeId(0)).is_ok());
     }
 
     #[test]
@@ -825,30 +779,38 @@ mod tests {
         });
         let mut net = SimNet::new(3, cfg);
         for round in 0..10u8 {
-            net.send(NodeId(0), NodeId(2), Bytes::copy_from_slice(&[round]));
-            net.send(NodeId(1), NodeId(2), Bytes::copy_from_slice(&[100 + round]));
+            net.send_on(R, NodeId(0), NodeId(2), Bytes::copy_from_slice(&[round]));
+            net.send_on(
+                R,
+                NodeId(1),
+                NodeId(2),
+                Bytes::copy_from_slice(&[100 + round]),
+            );
         }
         // Drain node 0's messages first, then node 1's: both arrive in
         // their own per-sender delivery order.
         let mut last = SimTime::ZERO;
         for _ in 0..10 {
-            let m = net.recv_from(NodeId(2), NodeId(0)).unwrap();
+            let m = net.recv_from_on(R, NodeId(2), NodeId(0)).unwrap();
             assert_eq!(m.from, NodeId(0));
             assert!(m.deliver_at >= last || last == SimTime::ZERO);
             last = m.deliver_at;
         }
         for _ in 0..10 {
-            assert_eq!(net.recv_from(NodeId(2), NodeId(1)).unwrap().from, NodeId(1));
+            assert_eq!(
+                net.recv_from_on(R, NodeId(2), NodeId(1)).unwrap().from,
+                NodeId(1)
+            );
         }
-        assert_eq!(net.pending(NodeId(2)), 0);
+        assert_eq!(net.pending_on(R, NodeId(2)), 0);
     }
 
     #[test]
     fn reset_accounting_clears_stats_and_clocks() {
         let cfg = NetConfig::ideal().with_latency(LatencyModel::Fixed(SimTime::from_millis(1)));
         let mut net = SimNet::new(2, cfg);
-        net.send(NodeId(0), NodeId(1), Bytes::from_static(b"x"));
-        let _ = net.recv(NodeId(1));
+        net.send_on(R, NodeId(0), NodeId(1), Bytes::from_static(b"x"));
+        let _ = net.recv_on(R, NodeId(1));
         net.reset_accounting();
         assert_eq!(net.stats().messages_sent, 0);
         assert_eq!(net.elapsed(), SimTime::ZERO);
@@ -863,10 +825,10 @@ mod tests {
         };
         let run = |mut net: SimNet| {
             for i in 0..10u8 {
-                net.send(NodeId(0), NodeId(1), Bytes::copy_from_slice(&[i]));
+                net.send_on(R, NodeId(0), NodeId(1), Bytes::copy_from_slice(&[i]));
             }
             let mut times = Vec::new();
-            while let Ok(m) = net.recv(NodeId(1)) {
+            while let Ok(m) = net.recv_on(R, NodeId(1)) {
                 times.push(m.deliver_at);
             }
             times
@@ -878,7 +840,7 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn invalid_node_panics() {
         let mut net = net(2);
-        net.send(NodeId(0), NodeId(5), Bytes::new());
+        net.send_on(R, NodeId(0), NodeId(5), Bytes::new());
     }
 
     #[test]
@@ -932,7 +894,7 @@ mod tests {
         assert_eq!(net.pending_on(s1, NodeId(1)), 1);
         assert_eq!(&net.recv_on(s1, NodeId(1)).unwrap().payload[..], b"one");
         // The root session saw nothing.
-        assert!(net.recv(NodeId(1)).is_err());
+        assert!(net.recv_on(R, NodeId(1)).is_err());
     }
 
     #[test]
@@ -958,8 +920,8 @@ mod tests {
     fn new_sessions_inherit_root_clocks() {
         let cfg = NetConfig::ideal().with_latency(LatencyModel::Fixed(SimTime::from_millis(2)));
         let mut net = SimNet::new(2, cfg);
-        net.send(NodeId(0), NodeId(1), Bytes::from_static(b"warmup"));
-        net.recv(NodeId(1)).unwrap();
+        net.send_on(R, NodeId(0), NodeId(1), Bytes::from_static(b"warmup"));
+        net.recv_on(R, NodeId(1)).unwrap();
         let s = net.open_session();
         assert_eq!(net.clock_on(s, NodeId(1)), SimTime::from_millis(2));
     }

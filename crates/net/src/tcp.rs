@@ -185,14 +185,15 @@ fn fields_frame(tag: u8, fields: &[u64]) -> io::Result<Vec<u8>> {
     seal(w)
 }
 
-/// The `N` leading `u64` fields of a control frame's body (after the
-/// tag byte); `None` when it is too short.
+/// The `N` `u64` fields of a control frame's body (after the tag
+/// byte); `None` unless the body holds exactly that many.
 fn parse_fields<const N: usize>(body: &[u8]) -> Option<[u64; N]> {
     let mut r = Reader::new(body.get(1..)?);
     let mut fields = [0u64; N];
     for field in &mut fields {
         *field = r.get_u64().ok()?;
     }
+    r.finish().ok()?;
     Some(fields)
 }
 
@@ -336,12 +337,6 @@ impl NodeReport {
 }
 
 #[derive(Debug)]
-struct NodeStats {
-    report: NodeReport,
-    fragments: Vec<(u64, Vec<u8>)>,
-}
-
-#[derive(Debug)]
 struct NodeState {
     id: u64,
     n: u64,
@@ -352,7 +347,7 @@ struct NodeState {
     /// dialed at once), not a spoof, and must be accepted — rejecting
     /// it would close the stream the peer is already writing on.
     dialed: Mutex<BTreeSet<u64>>,
-    stats: Mutex<NodeStats>,
+    stats: Mutex<NodeReport>,
     done: AtomicBool,
     done_tx: Sender<()>,
 }
@@ -445,7 +440,7 @@ impl NodeState {
                 if envelope.from.0 as u64 != self.id {
                     return; // misrouted: we only originate our own traffic
                 }
-                self.stats.lock().report.routed += 1;
+                self.stats.lock().routed += 1;
                 if envelope.to.0 as u64 == self.id {
                     // Self-hop: forward locally. Dialing our own
                     // listener would trip the spoof guard (the accept
@@ -466,9 +461,7 @@ impl NodeState {
                     return;
                 };
                 let (count, digest) = {
-                    let mut stats = self.stats.lock();
-                    stats.fragments.push((glsn, payload.to_vec()));
-                    let report = &mut stats.report;
+                    let mut report = self.stats.lock();
                     let mut seed = report.digest.to_be_bytes().to_vec();
                     seed.extend_from_slice(payload);
                     report.digest = u64::from(crc32(&seed));
@@ -497,12 +490,12 @@ impl NodeState {
         if envelope.to.0 as u64 != self.id {
             return;
         }
-        self.stats.lock().report.forwarded += 1;
+        self.stats.lock().forwarded += 1;
         self.send(COORD, envelope_frame(FRAME_DELIVER, envelope));
     }
 
     fn report(&self) -> NodeReport {
-        self.stats.lock().report.clone()
+        self.stats.lock().clone()
     }
 }
 
@@ -525,13 +518,10 @@ pub fn serve(listener: TcpListener, config: NodeConfig) -> io::Result<NodeReport
         peers: config.peers,
         links: Mutex::new(HashMap::new()),
         dialed: Mutex::new(BTreeSet::new()),
-        stats: Mutex::new(NodeStats {
-            report: NodeReport {
-                id: config.id,
-                digest: config.key,
-                ..NodeReport::default()
-            },
-            fragments: Vec::new(),
+        stats: Mutex::new(NodeReport {
+            id: config.id,
+            digest: config.key,
+            ..NodeReport::default()
         }),
         done: AtomicBool::new(false),
         done_tx,
@@ -895,5 +885,17 @@ mod tests {
             let body = read_frame(&mut &frame[..]).unwrap();
             assert_eq!(body.len() + 4, frame.len());
         }
+    }
+
+    /// HELLO, STORED and BYE bodies hold exactly their fields: one byte
+    /// more is refused like one byte less.
+    #[test]
+    fn a_control_frame_with_a_trailing_byte_is_refused() {
+        let frame = fields_frame(FRAME_STORED, &[7, 1, 9]).unwrap();
+        let mut body = read_frame(&mut &frame[..]).unwrap();
+        assert_eq!(parse_fields::<3>(&body), Some([7, 1, 9]));
+        assert_eq!(parse_fields::<3>(&body[..body.len() - 1]), None);
+        body.push(0);
+        assert_eq!(parse_fields::<3>(&body), None);
     }
 }

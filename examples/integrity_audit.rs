@@ -48,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         glsns[2]
     );
     cluster
-        .node_mut(1)
+        .node(1)
         .store_mut()
         .tamper(glsns[2], &"c2".into(), AttrValue::Fixed2(100));
 
@@ -80,7 +80,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let ticket = user.ticket.clone();
     cluster
-        .node_mut(3)
+        .node(3)
         .store_mut()
         .acl_mut_for_tests()
         .authorize(&ticket, confidential_audit::logstore::model::Glsn(0xBEEF));

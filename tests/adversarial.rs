@@ -116,7 +116,7 @@ fn every_single_node_compromise_is_detected() {
                 confidential_audit::logstore::model::AttrType::Text => AttrValue::text("forged"),
             };
             assert!(cluster
-                .node_mut(victim_node)
+                .node(victim_node)
                 .store_mut()
                 .tamper(target, attr, forged));
             for initiator in 0..4 {
@@ -136,7 +136,7 @@ fn tampering_cannot_hide_from_untampered_records() {
     let user = cluster.register_user("u").unwrap();
     let glsns = cluster.log_records(&user, &paper_table1()).unwrap();
     cluster
-        .node_mut(2)
+        .node(2)
         .store_mut()
         .tamper(glsns[1], &"c3".into(), AttrValue::text("innocent"));
     let verdicts = integrity::check_all(&mut cluster, 0).unwrap();
@@ -155,12 +155,12 @@ fn acl_divergence_detected_without_revealing_sets() {
     // Emulate by authorizing an extra glsn at a *different* node so the
     // sets diverge in the other direction too.
     cluster
-        .node_mut(0)
+        .node(0)
         .store_mut()
         .acl_mut_for_tests()
         .authorize(&ticket, Glsn(0xAAAA));
     cluster
-        .node_mut(3)
+        .node(3)
         .store_mut()
         .acl_mut_for_tests()
         .authorize(&ticket, Glsn(0xBBBB));
@@ -398,9 +398,18 @@ fn a_well_formed_frame_with_a_foreign_tag_is_an_error_on_every_cluster_leg() {
     // first frame of the named tag for an intact frame of no message
     // kind the receiver is waiting for.
     type Leg = fn(&mut DlaCluster, &AppUser, Glsn) -> Result<(), AuditError>;
-    let legs: [(&str, usize, u8, Leg); 7] = [
+    let legs: [(&str, usize, u8, Leg); 10] = [
         ("fragment shipping", 6, 0x20, |c, user, _| {
             c.log_record(user, &paper_table1()[0]).map(drop)
+        }),
+        ("standby copy", 0, 0x23, |c, user, _| {
+            c.log_record(user, &paper_table1()[0]).map(drop)
+        }),
+        ("deposit broadcast", 6, 0x21, |c, user, _| {
+            c.log_record(user, &paper_table1()[0]).map(drop)
+        }),
+        ("retrieve request", 6, 0x22, |c, user, glsn| {
+            c.retrieve_record(user, glsn).map(drop)
         }),
         ("owner request", 4, 0x70, |c, _, _| total_c1(c).map(drop)),
         ("scalar reply", 1, 0x73, |c, _, _| {
@@ -432,6 +441,11 @@ fn a_well_formed_frame_with_a_foreign_tag_is_an_error_on_every_cluster_leg() {
             .with_partition(partition)
             .with_seed(5)
             .with_epoch_length(2);
+        // Node 0 ships its standby copies to node 1 on this one.
+        let config = match tag {
+            0x23 => config.with_standby_replication(),
+            _ => config,
+        };
         let mut cluster = DlaCluster::new(config).unwrap();
         let user = cluster.register_user("u").unwrap();
         assert_eq!(user.node.0, 6);
@@ -451,6 +465,93 @@ fn a_well_formed_frame_with_a_foreign_tag_is_an_error_on_every_cluster_leg() {
             "{leg}: a foreign tag gave {outcome:?}"
         );
     }
+}
+
+/// The glsn a cluster allocates next, given the ones it has logged.
+fn next_glsn(glsns: &[Glsn]) -> Glsn {
+    Glsn(glsns.last().expect("a logged record").0 + 1)
+}
+
+#[test]
+fn a_fragment_rewritten_in_flight_is_what_the_node_stores_and_the_circulation_catches_it() {
+    use confidential_audit::logstore::fragment::fragment;
+    use confidential_audit::logstore::model::LogRecord;
+    use confidential_audit::net::adversary::{Tamper, TamperRule};
+    use confidential_audit::net::wire::Writer;
+
+    let (mut cluster, user, glsns) = loaded_cluster(41);
+    let glsn = next_glsn(&glsns);
+    let record = paper_table1().remove(0);
+    let mut stamped = LogRecord::new(glsn);
+    for (name, value) in record.iter() {
+        stamped.insert(name.clone(), value.clone());
+    }
+    // The fragment P3 should receive, with c1 rewritten: an intact frame
+    // for the glsn being deposited.
+    let mut forged = fragment(&stamped, cluster.partition()).remove(3);
+    forged.values.insert("c1".into(), AttrValue::Int(999));
+    let mut w = Writer::new();
+    w.put_u8(0x20)
+        .put_u64(glsn.0)
+        .put_bytes(&forged.to_canonical_bytes());
+    let rule = TamperRule {
+        to: Some(3),
+        ..TamperRule::once_from(user.node.0, 0x20, Tamper::Replace(w.finish()))
+    };
+    let adversary = Arc::new(ScriptedAdversary::new().compromise(user.node.0).rule(rule));
+    cluster.set_adversary(adversary.clone());
+
+    assert_eq!(cluster.log_record(&user, &record).unwrap(), glsn);
+    assert_eq!(adversary.report().forged, 1);
+    cluster.clear_adversary();
+    assert_eq!(cluster.node(3).store().get_local(glsn), Some(&forged));
+    assert!(!integrity::check_record(&mut cluster, glsn, 0).unwrap().ok);
+    assert!(
+        integrity::check_record(&mut cluster, glsns[0], 0)
+            .unwrap()
+            .ok
+    );
+}
+
+#[test]
+fn a_deposit_frame_carrying_another_deposit_fails_the_deposit_and_leaves_nothing_behind() {
+    use confidential_audit::net::adversary::{Tamper, TamperRule};
+    use confidential_audit::net::wire::Writer;
+
+    let schema = Schema::paper_example();
+    let partition = Partition::paper_example(&schema);
+    let config = ClusterConfig::new(4, schema)
+        .with_partition(partition)
+        .with_seed(43)
+        .with_standby_replication();
+    let mut cluster = DlaCluster::new(config).unwrap();
+    let owner = cluster.register_user("u0").unwrap();
+    let glsns = cluster.log_records(&owner, &paper_table1()).unwrap();
+    let user = cluster.register_user("u1").unwrap();
+
+    // The deposit frame of the glsn being deposited, carrying the first
+    // record's deposit instead.
+    let mut w = Writer::new();
+    w.put_u8(0x21)
+        .put_u64(next_glsn(&glsns).0)
+        .put_bytes(&cluster.deposit(glsns[0]).unwrap().to_bytes_be())
+        .put_bytes(b"a signature");
+    let rule = TamperRule::once_from(user.node.0, 0x21, Tamper::Replace(w.finish()));
+    let adversary = Arc::new(ScriptedAdversary::new().compromise(user.node.0).rule(rule));
+    cluster.set_adversary(adversary.clone());
+
+    let outcome = cluster.log_record(&user, &paper_table1()[0]);
+    assert!(
+        matches!(outcome, Err(AuditError::Integrity(_))),
+        "{outcome:?}"
+    );
+    assert_eq!(adversary.report().forged, 1);
+    for node in cluster.nodes() {
+        assert_eq!(node.store().len(), glsns.len(), "node {}", node.id());
+        assert_eq!(node.store().standby_count(), glsns.len());
+        assert!(node.store().acl().glsns_of(&user.ticket.id).is_empty());
+    }
+    assert_eq!(cluster.logged_glsns(), glsns);
 }
 
 #[test]

@@ -83,9 +83,9 @@ fn tampering_before_restart_is_still_detected_after() {
     // Corrupt node 1's journal *on disk* between runs: rewrite a stored
     // amount by appending a forged fragment entry for the same glsn.
     {
-        let mut cluster = DlaCluster::new(config(&dir)).unwrap();
+        let cluster = DlaCluster::new(config(&dir)).unwrap();
         cluster
-            .node_mut(1)
+            .node(1)
             .store_mut()
             .tamper(target, &"c2".into(), AttrValue::Fixed2(1));
         // The in-memory tamper is not journaled (a real compromise would
