@@ -107,4 +107,11 @@ for binary in tables_1_to_6 fig1_centralized fig2_architecture fig3_query_plan e
     diff -u "crates/bench/golden/$binary.txt" "$passes/first/$binary"
 done
 
+echo "==> EXPERIMENTS.md P8 quotes the sweep table exp_fault_recovery printed"
+# The markdown block between the two comments is the binary's own
+# rendering of the rows BENCH_fault_recovery.json records: a figure
+# edited by hand, or a sweep that moved without its quote, fails here.
+diff -u <(sed -n '/<!-- exp_fault_recovery sweep: begin -->/,/<!-- exp_fault_recovery sweep: end -->/p' \
+    EXPERIMENTS.md | grep '^|') <(grep '^|' "$passes/first/exp_fault_recovery")
+
 echo "CI OK"

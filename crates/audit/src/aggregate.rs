@@ -234,7 +234,7 @@ pub fn windowed_bucket_aggregate(
     // scan walks own and adopted fragments alike; whichever of them
     // carry another node's attributes match nothing here.
     let scan_epoch = |epoch: EpochId, out: &mut WindowedAggregate| {
-        let (lo, hi) = cluster.epoch_policy().glsn_range(epoch);
+        let (lo, hi) = cluster.trail().epoch_policy().glsn_range(epoch);
         let store = cluster.node(owner).store();
         for frag in store.scan_window(lo, hi) {
             out.fragments_scanned += 1;
@@ -262,9 +262,8 @@ pub fn windowed_bucket_aggregate(
     match path {
         AggregatePath::Rescan => {
             // The linear baseline: every observed epoch is scanned.
-            let epochs: Vec<EpochId> = cluster.epoch_stats().map(|s| s.epoch).collect();
-            for epoch in epochs {
-                scan_epoch(epoch, &mut out);
+            for stats in cluster.epoch_stats() {
+                scan_epoch(stats.epoch, &mut out);
             }
         }
         AggregatePath::Cached => {
@@ -274,23 +273,17 @@ pub fn windowed_bucket_aggregate(
             // An epoch the window does not touch contributes nothing.
             for stats in cluster.epoch_stats().filter(|s| s.touches(window)) {
                 let covered = !bounded || stats.timed_within(window);
-                if !(summarized && stats.sealed && covered) {
-                    scan_epoch(stats.epoch, &mut out);
-                    continue;
-                }
-                // Cached leg. The commitment folded into the checkpoint
-                // link endorses exactly these partials; verify before
-                // believing them.
+                // Cached leg, for a sealed epoch: the commitment folded
+                // into its checkpoint link endorses exactly these
+                // partials; verify before believing them.
                 let store = cluster.node(owner).store();
-                let Some(partials) = store.epoch_partials(stats.epoch) else {
+                let cached = store.epoch_partials(stats.epoch);
+                let Some(partials) = cached.filter(|_| summarized && stats.sealed && covered)
+                else {
                     drop(store);
                     scan_epoch(stats.epoch, &mut out);
                     continue;
                 };
-                let committed = cluster
-                    .checkpoint_chain()
-                    .get(stats.epoch.0)
-                    .map(|c| c.aggregates);
                 let (count, sum) = match partials.bucket(attr, value) {
                     Some(bucket) => (
                         bucket.count,
@@ -300,7 +293,8 @@ pub fn windowed_bucket_aggregate(
                 };
                 drop(store);
                 let derived = epoch_aggregates_digest(cluster.nodes(), stats.epoch);
-                if committed != Some(derived) {
+                let committed = cluster.checkpoint_chain().get(stats.epoch.0);
+                if committed.map(|c| c.aggregates) != Some(derived) {
                     return Err(AuditError::Integrity(format!(
                         "epoch {} cached partials do not match the checkpointed \
                          aggregate commitment",

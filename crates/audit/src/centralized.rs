@@ -75,7 +75,7 @@ impl CentralizedAuditor {
         self.schema
             .validate(record)
             .map_err(|e| AuditError::Log(e.to_string()))?;
-        let glsn = self.allocator.allocate();
+        let glsn = (self.allocator.allocate()).map_err(|e| AuditError::Log(e.to_string()))?;
         let mut stamped = LogRecord::new(glsn);
         for (name, value) in record.iter() {
             stamped.insert(name.clone(), value.clone());

@@ -3,6 +3,7 @@
 //! tickets, and the simulated network tying them together.
 
 use crate::kept::KeptResults;
+use crate::trail::{DepositRecord, EpochStats, Trail};
 use crate::AuditError;
 use dla_bigint::Ubig;
 use dla_crypto::accumulator::{AccumulatorParams, CheckpointChain};
@@ -17,15 +18,14 @@ use dla_logstore::schema::Schema;
 use dla_logstore::store::{FragmentStore, GlsnAllocator};
 use dla_logstore::LogError;
 use dla_net::latency::LatencyModel;
-use dla_net::wire::{Reader, Writer};
+use dla_net::wire::Writer;
 use dla_net::{AdversaryNet, NetConfig, NodeId, Session, SharedNet, SimNet};
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 
 /// Configuration for [`DlaCluster::new`].
 #[derive(Clone, Debug)]
@@ -146,86 +146,6 @@ impl ClusterConfig {
     }
 }
 
-/// Running per-epoch statistics kept by the cluster: deposit count,
-/// glsn/time extents (the epoch-pruning index), and the epoch's own
-/// accumulator over its deposit items.
-#[derive(Clone, Debug)]
-pub struct EpochStats {
-    /// The epoch.
-    pub epoch: EpochId,
-    /// Deposits assigned to this epoch.
-    pub deposits: u64,
-    /// Smallest glsn deposited (`Glsn(u64::MAX)` while empty).
-    pub glsn_lo: Glsn,
-    /// Largest glsn deposited (`Glsn(0)` while empty).
-    pub glsn_hi: Glsn,
-    /// Smallest `time` attribute among the epoch's records, if any
-    /// carried one.
-    pub time_lo: Option<u64>,
-    /// Largest `time` attribute among the epoch's records.
-    pub time_hi: Option<u64>,
-    /// Deposits that carried a `time` attribute. When equal to
-    /// `deposits`, `[time_lo, time_hi]` bounds *every* record in the
-    /// epoch — the precondition for answering a time-windowed aggregate
-    /// from cached partials without consulting the fragments.
-    pub timed: u64,
-    /// The epoch accumulator: fold of `trail_item(glsn, deposit)` for
-    /// every deposit in the epoch, from `x₀`. Checkpointed on seal.
-    pub acc: Ubig,
-    /// Whether the epoch has been sealed (digest checkpointed; no
-    /// further deposits accepted).
-    pub sealed: bool,
-}
-
-impl EpochStats {
-    /// Whether every deposit of the epoch carries a `time` inside
-    /// `window`, by the extents noted at deposit — what has to hold
-    /// before anything remembered of the whole epoch (a cached aggregate
-    /// partial, a kept answer) may stand in for a query bounded by
-    /// `window`.
-    #[must_use]
-    pub fn timed_within(&self, window: &crate::plan::TimeWindow) -> bool {
-        let extent = self.time_lo.zip(self.time_hi);
-        self.timed == self.deposits && extent.is_some_and(|(lo, hi)| window.covers(lo, hi))
-    }
-
-    /// Whether a query confined to `window` has to look at the epoch:
-    /// always for an unbounded window, else when the time extent noted
-    /// at deposit meets it. An epoch that saw no `time` is outside every
-    /// bounded window — a record without a time cannot satisfy a time
-    /// predicate under the lenient §5 evaluation.
-    #[must_use]
-    pub fn touches(&self, window: &crate::plan::TimeWindow) -> bool {
-        let extent = self.time_lo.zip(self.time_hi);
-        window.is_unbounded() || extent.is_some_and(|(lo, hi)| window.intersects(lo, hi))
-    }
-
-    fn open(epoch: EpochId, acc0: Ubig) -> Self {
-        EpochStats {
-            epoch,
-            deposits: 0,
-            glsn_lo: Glsn(u64::MAX),
-            glsn_hi: Glsn(0),
-            time_lo: None,
-            time_hi: None,
-            timed: 0,
-            acc: acc0,
-            sealed: false,
-        }
-    }
-
-    fn observe(&mut self, glsn: Glsn, time: Option<u64>) {
-        self.deposits += 1;
-        self.glsn_lo = self.glsn_lo.min(glsn);
-        self.glsn_hi = self.glsn_hi.max(glsn);
-        if let Some(t) = time {
-            self.timed += 1;
-            self.time_lo = Some(self.time_lo.map_or(t, |lo| lo.min(t)));
-            self.time_hi = Some(self.time_hi.map_or(t, |hi| hi.max(t)));
-        }
-    }
-}
-
 /// Commitment to the cluster-wide materialized aggregates of `epoch`:
 /// a domain-tagged hash over every node's canonical
 /// [`dla_logstore::epoch::EpochPartials`] encoding, in node order.
@@ -265,16 +185,6 @@ pub(crate) fn served(store: &FragmentStore, home: usize, glsn: Glsn) -> Option<&
     } else {
         store.get_adopted(home, glsn)
     }
-}
-
-/// The trail item folded into its epoch's accumulator for one
-/// deposit: domain-tagged `glsn ‖ deposit` bytes.
-pub(crate) fn trail_item(glsn: Glsn, deposit: &Ubig) -> Vec<u8> {
-    let mut out = Vec::with_capacity(80);
-    out.extend_from_slice(b"dla-trail-item");
-    out.extend_from_slice(&glsn.0.to_be_bytes());
-    out.extend_from_slice(&deposit.to_bytes_be());
-    out
 }
 
 /// One dead node's fragments finding a new home during
@@ -447,7 +357,6 @@ pub struct DlaCluster {
     placement: Placement,
     group: SchnorrGroup,
     domain: CommutativeDomain,
-    acc_params: AccumulatorParams,
     nodes: Vec<DlaNode>,
     /// The simulator behind the wire tap every cluster leg sends
     /// through ([`DlaCluster::set_adversary`]).
@@ -456,15 +365,8 @@ pub struct DlaCluster {
     query_counter: AtomicU64,
     allocator: GlsnAllocator,
     authority: TicketAuthority,
-    /// One record per deposit, as the cluster journal writes it: the
-    /// user-deposited accumulator value, broadcast to every node in
-    /// service and kept once here (integrity checking re-derives the
-    /// per-node views from fragments), with the origin attestation over
-    /// it — the logging user's public key and signature over
-    /// (glsn ‖ deposit). Combined with the §4.1 integrity circulation
-    /// this gives **non-repudiation**: the user signed the accumulator
-    /// value, and the accumulator binds every fragment.
-    deposits: BTreeMap<Glsn, DepositRecord>,
+    /// Every deposit, its epoch and the sealed epochs' checkpoints.
+    trail: Trail,
     cluster_journal: Option<Journal>,
     users: usize,
     max_users: usize,
@@ -474,15 +376,6 @@ pub struct DlaCluster {
     /// (deposits, user registrations, re-replications, degraded-mode
     /// decisions).
     meta: crate::meta::MetaAuditTrail,
-    /// The epoch sharding policy shared with every node store.
-    epoch_policy: EpochPolicy,
-    /// Per-epoch stats: pruning index + running epoch accumulators.
-    epoch_stats: BTreeMap<EpochId, EpochStats>,
-    /// Hash-linked checkpoints of sealed epochs' accumulator digests.
-    chain: CheckpointChain,
-    /// [`DlaCluster::trail_accumulator`], derived from `deposits` on
-    /// first read and forgotten by every change to them.
-    trail_acc: OnceLock<Ubig>,
     /// Registered standing queries, evaluated incrementally at every
     /// epoch seal (see [`crate::standing`]).
     standing: crate::standing::StandingRegistry,
@@ -500,7 +393,7 @@ impl fmt::Debug for DlaCluster {
             "DlaCluster({} nodes, {} users, {} records)",
             self.nodes.len(),
             self.users,
-            self.deposits.len()
+            self.trail.items()
         )
     }
 }
@@ -568,32 +461,26 @@ impl DlaCluster {
         let net = SimNet::new(config.nodes + 2 + config.max_users, net_config);
 
         let authority = TicketAuthority::new(&group, &mut rng);
-        let acc_params = AccumulatorParams::fixed_512();
         // The ledger starts empty; whatever history there is arrives by
         // replaying the cluster journal through the same transitions
         // that wrote it.
         let mut cluster = DlaCluster {
             meta: crate::meta::MetaAuditTrail::new(),
-            trail_acc: OnceLock::new(),
             schema: config.schema,
             group,
             domain: CommutativeDomain::fixed_256(),
-            acc_params,
             nodes,
             net: AdversaryNet::new(SharedNet::new(net)),
             seed: config.seed,
             query_counter: AtomicU64::new(0),
             allocator: GlsnAllocator::starting_at(glsn_base),
             authority,
-            deposits: BTreeMap::new(),
+            trail: Trail::new(AccumulatorParams::fixed_512(), epoch_policy),
             cluster_journal: None,
             users: 0,
             max_users: config.max_users,
             rng,
             standby_replication: config.standby_replication,
-            epoch_policy,
-            epoch_stats: BTreeMap::new(),
-            chain: CheckpointChain::new(),
             standing: crate::standing::StandingRegistry::default(),
             kept: Mutex::default(),
             placement: Placement {
@@ -608,16 +495,11 @@ impl DlaCluster {
         Ok(cluster)
     }
 
-    /// Restart recovery: replays `cluster.journal` through
-    /// [`DlaCluster::absorb`] and [`DlaCluster::seal`] in journal order,
-    /// then reconciles the node journals — already replayed by their
-    /// stores — against the one commit rule: **a deposit exists iff its
-    /// `BLOB_DEPOSIT` is in the cluster journal**. Fragments, standby
-    /// copies and ACL grants of any other glsn are the debris of a
-    /// deposit that crashed before it committed and are rolled back
-    /// (journaled, so replaying twice lands in the same place). A seal
-    /// record the nodes had not caught up with is re-applied to them by
-    /// `seal` itself.
+    /// Restart recovery: replays `cluster.journal` through the live
+    /// transitions — each run of deposits between two seal records as
+    /// one batch — then enforces the one commit rule: **a deposit exists
+    /// iff its `BLOB_DEPOSIT` is in the cluster journal**; whatever a
+    /// node holds of any other glsn is rolled back (journaled).
     fn recover(&mut self, path: &std::path::Path) -> Result<(), AuditError> {
         let (journal, entries) =
             Journal::open(path).map_err(|e| AuditError::Config(e.to_string()))?;
@@ -637,27 +519,30 @@ impl DlaCluster {
                 BLOB_DEPOSIT => batch.push(DepositRecord::decode(&bytes)?),
                 BLOB_TICKET_COUNTER => self.authority.resume_from(be_u64(tag, &bytes)?),
                 BLOB_EPOCH_SEAL => {
-                    self.absorb(std::mem::take(&mut batch))?;
-                    self.seal(EpochId(be_u64(tag, &bytes)?))?;
+                    let (replayed, epoch) =
+                        (std::mem::take(&mut batch), EpochId(be_u64(tag, &bytes)?));
+                    self.trail.admit(&replayed)?;
+                    self.trail.absorb(replayed, BTreeSet::from([epoch]));
+                    self.seal(epoch)?;
                 }
                 _ => {}
             }
         }
-        self.absorb(batch)?;
+        self.trail.admit(&batch)?;
+        self.trail.absorb(batch, BTreeSet::new());
         self.cluster_journal = Some(journal);
 
         self.roll_back_uncommitted()?;
         // Allocation resumes past the last committed deposit — and past
         // every epoch any node has sealed, which admits no deposit.
+        let policy = self.trail.epoch_policy();
         let sealed = |node: &DlaNode| {
             let store = node.store();
             let sealed = store.epoch_manifests().filter(|m| m.sealed);
-            sealed
-                .map(|m| self.epoch_policy.glsn_range(m.epoch).1)
-                .max()
+            sealed.map(|m| policy.glsn_range(m.epoch).1).max()
         };
-        let last = (self.deposits.keys().next_back().copied())
-            .max(self.nodes.iter().filter_map(sealed).max());
+        let last =
+            (self.trail.logged_glsns().pop()).max(self.nodes.iter().filter_map(sealed).max());
         if let Some(last) = last {
             self.allocator = GlsnAllocator::starting_at(Glsn(last.0.saturating_add(1)));
         }
@@ -675,7 +560,7 @@ impl DlaCluster {
         for node in &self.nodes {
             let orphans = node
                 .store_mut()
-                .forget_uncommitted(|glsn| self.deposits.contains_key(&glsn))
+                .forget_uncommitted(|glsn| self.trail.record(glsn).is_some())
                 .map_err(|e| AuditError::Log(e.to_string()))?;
             rolled_back.extend(orphans);
         }
@@ -685,64 +570,11 @@ impl DlaCluster {
         Ok(())
     }
 
-    /// Ledger transition — absorb committed deposits: keep their
-    /// records and fold their trail items into their epoch's
-    /// accumulator, one fold per touched epoch. Called with a batch the
-    /// cluster journal has just taken and with the deposits replayed
-    /// from it.
-    fn absorb(&mut self, batch: Vec<DepositRecord>) -> Result<(), AuditError> {
-        let acc_params = &self.acc_params;
-        self.trail_acc.take();
-        let mut groups: BTreeMap<EpochId, Vec<Vec<u8>>> = BTreeMap::new();
-        for record in batch {
-            let epoch = self.epoch_policy.epoch_of(record.glsn);
-            let stats = self
-                .epoch_stats
-                .entry(epoch)
-                .or_insert_with(|| EpochStats::open(epoch, acc_params.start().clone()));
-            if stats.sealed || self.deposits.contains_key(&record.glsn) {
-                return Err(AuditError::Config(format!(
-                    "deposit {} repeats a glsn or lands in sealed epoch {epoch}",
-                    record.glsn
-                )));
-            }
-            stats.observe(record.glsn, record.time);
-            groups
-                .entry(epoch)
-                .or_default()
-                .push(trail_item(record.glsn, &record.deposit));
-            self.deposits.insert(record.glsn, record);
-        }
-        for (epoch, items) in groups {
-            let refs: Vec<&[u8]> = items.iter().map(Vec::as_slice).collect();
-            let stats = self.epoch_stats.get_mut(&epoch).expect("opened above");
-            stats.acc = acc_params
-                .fold_batch(std::slice::from_ref(&stats.acc), &refs)
-                .pop()
-                .expect("one accumulator in, one out");
-        }
-        Ok(())
-    }
-
-    /// Ledger transition — seal `epoch`: every node materializes its
-    /// aggregate partials, the accumulator digest *and* the aggregate
-    /// commitment are checkpointed on the hash chain, and every node's
-    /// manifest is marked sealed (each journaled per node, each
-    /// idempotent — a replayed seal only writes what a node is missing).
-    /// Returns the epoch's deposit count.
+    /// Seals `epoch` around [`Trail::seal`]: every node materializes its
+    /// partials before, and marks its manifest sealed after (each
+    /// journaled and idempotent per node). Returns the deposit count.
     fn seal(&mut self, epoch: EpochId) -> Result<u64, AuditError> {
-        if self.chain.iter().last().is_some_and(|c| c.epoch >= epoch.0) {
-            return Err(AuditError::Config(format!(
-                "epoch {epoch} sealed out of order"
-            )));
-        }
-        let acc0 = self.acc_params.start();
-        let stats = self
-            .epoch_stats
-            .entry(epoch)
-            .or_insert_with(|| EpochStats::open(epoch, acc0.clone()));
-        stats.sealed = true;
-        let (items, digest) = (stats.deposits, stats.acc.clone());
+        self.trail.check_seal(epoch)?;
         // Cache the epoch's count/sum partials before sealing, so the
         // commitment below endorses exactly what windowed aggregate
         // queries will combine.
@@ -754,8 +586,7 @@ impl DlaCluster {
         };
         at_nodes(FragmentStore::materialize_partials)?;
         let aggregates = epoch_aggregates_digest(&self.nodes, epoch);
-        self.chain
-            .seal_with_aggregates(epoch.0, items, digest, aggregates);
+        let items = self.trail.seal(epoch, aggregates);
         at_nodes(FragmentStore::seal_epoch)?;
         Ok(items)
     }
@@ -832,7 +663,7 @@ impl DlaCluster {
     /// The accumulator parameters (§4.1).
     #[must_use]
     pub fn accumulator_params(&self) -> &AccumulatorParams {
-        &self.acc_params
+        self.trail.params()
     }
 
     /// Locks the simulator for inspection and scripting: stats, clocks,
@@ -920,38 +751,45 @@ impl DlaCluster {
         self.meta.record(at_ns, actor, action, detail);
     }
 
+    /// The audit trail ([`Trail`]).
+    #[must_use]
+    pub fn trail(&self) -> &Trail {
+        &self.trail
+    }
+
     /// The deposited accumulator value for a glsn.
     #[must_use]
     pub fn deposit(&self, glsn: Glsn) -> Option<&Ubig> {
-        self.deposits.get(&glsn).map(|record| &record.deposit)
+        self.trail.record(glsn).map(|record| &record.deposit)
     }
 
-    /// The deposits of the glsns `lo..=hi`, ascending (none for an
-    /// inverted range).
-    pub fn deposits_in(&self, lo: Glsn, hi: Glsn) -> impl Iterator<Item = (Glsn, &Ubig)> {
-        let range = (lo <= hi).then(|| self.deposits.range(lo..=hi));
-        range
-            .into_iter()
-            .flatten()
-            .map(|(glsn, r)| (*glsn, &r.deposit))
-    }
-
-    /// All glsns with deposits (i.e. every record logged).
+    /// All glsns with deposits ([`Trail::logged_glsns`]).
     #[must_use]
     pub fn logged_glsns(&self) -> Vec<Glsn> {
-        self.deposits.keys().copied().collect()
+        self.trail.logged_glsns()
     }
 
-    /// The epoch sharding policy in force.
-    #[must_use]
-    pub fn epoch_policy(&self) -> EpochPolicy {
-        self.epoch_policy
-    }
-
-    /// The hash-linked chain of sealed-epoch checkpoints.
+    /// The checkpoints of the sealed epochs ([`Trail::checkpoint_chain`]).
     #[must_use]
     pub fn checkpoint_chain(&self) -> &CheckpointChain {
-        &self.chain
+        self.trail.checkpoint_chain()
+    }
+
+    /// The per-epoch stats in epoch order ([`Trail::epoch_stats`]).
+    pub fn epoch_stats(&self) -> impl Iterator<Item = &EpochStats> {
+        self.trail.epoch_stats()
+    }
+
+    /// The whole-trail accumulator ([`Trail::accumulator`]).
+    #[must_use]
+    pub fn trail_accumulator(&self) -> &Ubig {
+        self.trail.accumulator()
+    }
+
+    /// The number of deposits in the trail ([`Trail::items`]).
+    #[must_use]
+    pub fn trail_items(&self) -> u64 {
+        self.trail.items()
     }
 
     /// The answers the auditor engine keeps per sealed epoch from the
@@ -960,85 +798,6 @@ impl DlaCluster {
     /// `clear()` makes the next asking of every query a cold one.
     pub fn kept(&self) -> MutexGuard<'_, KeptResults> {
         self.kept.lock()
-    }
-
-    /// Iterates the per-epoch stats in epoch order.
-    pub fn epoch_stats(&self) -> impl Iterator<Item = &EpochStats> {
-        self.epoch_stats.values()
-    }
-
-    /// The stats for one epoch, if any deposit landed in it.
-    #[must_use]
-    pub fn epoch_stat(&self, epoch: EpochId) -> Option<&EpochStats> {
-        self.epoch_stats.get(&epoch)
-    }
-
-    /// The whole-trail accumulator `x₀^{∏ yᵢ}` over every deposit item:
-    /// a view of the deposit map, one power on the first read after a
-    /// change (Eq. 9: the value a running fold would hold). Nothing
-    /// verifies against it; [`crate::integrity::check_trail`] checks
-    /// the epochs.
-    #[must_use]
-    pub fn trail_accumulator(&self) -> &Ubig {
-        self.trail_acc.get_or_init(|| {
-            let items: Vec<Vec<u8>> = (self.deposits.values())
-                .map(|record| trail_item(record.glsn, &record.deposit))
-                .collect();
-            self.acc_params.accumulate(items.iter().map(Vec::as_slice))
-        })
-    }
-
-    /// The number of deposits in the trail.
-    #[must_use]
-    pub fn trail_items(&self) -> u64 {
-        self.deposits.len() as u64
-    }
-
-    /// Test hook: rewrites the stored deposit for `glsn` without
-    /// touching accumulators or checkpoints — a compromised deposit
-    /// map for the windowed-verification tests.
-    #[cfg(test)]
-    pub(crate) fn tamper_deposit_for_tests(&mut self, glsn: Glsn, deposit: Ubig) {
-        self.trail_acc.take();
-        let template = self.deposits.values().next().expect("a deposit").clone();
-        self.deposits
-            .entry(glsn)
-            .or_insert(DepositRecord { glsn, ..template })
-            .deposit = deposit;
-    }
-
-    /// Test hook: rewrites an unsealed epoch's running accumulator —
-    /// the digest its claim is checked against — leaving the deposits
-    /// it was folded from alone.
-    #[cfg(test)]
-    pub(crate) fn forge_epoch_digest_for_tests(&mut self, epoch: EpochId, digest: Ubig) {
-        self.epoch_stats
-            .get_mut(&epoch)
-            .expect("epoch observed")
-            .acc = digest;
-    }
-
-    /// The glsn range scans need to cover for a query confined to
-    /// `window`: the union of glsn extents over the epochs it touches
-    /// ([`EpochStats::touches`]), so skipping the others never drops an
-    /// answer.
-    ///
-    /// `None` means "no pruning" (window unbounded). When no epoch is
-    /// touched, the inverted sentinel `(Glsn(1), Glsn(0))` is returned:
-    /// scans see an empty range.
-    #[must_use]
-    pub fn glsn_window_for(&self, window: &crate::plan::TimeWindow) -> Option<(Glsn, Glsn)> {
-        if window.is_unbounded() {
-            return None;
-        }
-        let mut out: Option<(Glsn, Glsn)> = None;
-        for stats in self.epoch_stats.values().filter(|s| s.touches(window)) {
-            out = Some(match out {
-                None => (stats.glsn_lo, stats.glsn_hi),
-                Some((lo, hi)) => (lo.min(stats.glsn_lo), hi.max(stats.glsn_hi)),
-            });
-        }
-        Some(out.unwrap_or((Glsn(1), Glsn(0))))
     }
 
     /// Registers an application user: generates a key pair and issues a
@@ -1109,7 +868,7 @@ impl DlaCluster {
         self.schema
             .validate(record)
             .map_err(|e| AuditError::Log(e.to_string()))?;
-        let glsn = self.allocator.allocate();
+        let glsn = (self.allocator.allocate()).map_err(|e| AuditError::Log(e.to_string()))?;
         let mut stamped = LogRecord::new(glsn);
         for (name, value) in record.iter() {
             stamped.insert(name.clone(), value.clone());
@@ -1121,7 +880,7 @@ impl DlaCluster {
             .iter()
             .map(|frag| (frag.node, frag.to_canonical_bytes()))
             .collect();
-        let deposit = (self.acc_params).accumulate(encoded.iter().map(|(_, bytes)| &bytes[..]));
+        let deposit = (self.trail.params()).accumulate(encoded.iter().map(|(_, bytes)| &bytes[..]));
 
         // Ship each fragment to the node serving its home: the home
         // itself, or the adopter of a retired one, which holds it as an
@@ -1189,41 +948,30 @@ impl DlaCluster {
         })
     }
 
-    /// The amortized tail of a deposit batch, in commit order: a single
-    /// cluster-journal `append_batch` (one fsync for the whole batch) of
-    /// the deposit records and of the seal records they trigger — the
-    /// **commit point** — then [`DlaCluster::absorb`] (one accumulator
-    /// fold per touched epoch) and the epoch rollover. Nothing a node
-    /// journals for a seal precedes the record that commits it.
+    /// The amortized tail of a deposit batch: the trail admits it, one
+    /// cluster-journal `append_batch` (one fsync) of its deposit records
+    /// and the seal records of the epochs it closes — the **commit
+    /// point** — then the trail absorbs it and every closed epoch seals.
     fn flush_deposit_batch(&mut self, batch: Vec<DepositRecord>) -> Result<(), AuditError> {
         if !batch.is_empty() {
             dla_telemetry::record(dla_telemetry::CostKind::DepositBatch, 1);
         }
-        // Rollover: the open epoch is the largest observed; every
-        // unsealed epoch strictly below it can no longer grow (glsns
-        // are monotonic), so checkpoint each one now.
-        let unsealed = self.epoch_stats.values().filter(|s| !s.sealed);
-        let mut to_seal: BTreeSet<EpochId> = unsealed
-            .map(|s| s.epoch)
-            .chain(batch.iter().map(|d| self.epoch_policy.epoch_of(d.glsn)))
-            .collect();
-        to_seal.pop_last();
+        self.trail.admit(&batch)?;
+        let closing = self.trail.closes(&batch);
         if let Some(journal) = &mut self.cluster_journal {
-            let blob = |tag, bytes| JournalEntry::Blob { tag, bytes };
-            let blobs: Vec<JournalEntry> = (batch.iter())
-                .map(|d| blob(BLOB_DEPOSIT, d.encode()))
-                .chain(
-                    to_seal
-                        .iter()
-                        .map(|e| blob(BLOB_EPOCH_SEAL, e.0.to_be_bytes().to_vec())),
-                )
+            let deposits = batch.iter().map(|d| (BLOB_DEPOSIT, d.encode()));
+            let seals = (closing.iter()).map(|e| (BLOB_EPOCH_SEAL, e.0.to_be_bytes().to_vec()));
+            let blobs: Vec<JournalEntry> = (deposits.chain(seals))
+                .map(|(tag, bytes)| JournalEntry::Blob { tag, bytes })
                 .collect();
             journal
                 .append_batch(&blobs)
                 .map_err(|e| AuditError::Log(e.to_string()))?;
         }
-        self.absorb(batch)?;
-        for epoch in to_seal {
+        self.trail.absorb(batch, closing);
+        // Every closed epoch seals, one whose seal failed after its
+        // record was journaled included: that record is never repeated.
+        while let Some(epoch) = self.trail.next_to_seal() {
             let items = self.seal(epoch)?;
             let nodes = self.nodes.len() as u64;
             dla_telemetry::record(dla_telemetry::CostKind::PartialMaterialize, nodes);
@@ -1266,12 +1014,7 @@ impl DlaCluster {
             "standing-register",
             format!("query={id} criteria={criteria}"),
         );
-        let sealed: Vec<EpochId> = self
-            .epoch_stats
-            .iter()
-            .filter(|(_, s)| s.sealed)
-            .map(|(e, _)| *e)
-            .collect();
+        let sealed: Vec<EpochId> = self.trail.sealed_epochs().map(|s| s.epoch).collect();
         for epoch in sealed {
             self.emit_standing_delta_for(id, epoch)?;
         }
@@ -1306,17 +1049,7 @@ impl DlaCluster {
         if self.standing.evaluated(id, epoch) {
             return Ok(());
         }
-        let clamp = {
-            let stats = self
-                .epoch_stats
-                .get(&epoch)
-                .expect("delta for an observed epoch");
-            if stats.deposits == 0 {
-                (Glsn(1), Glsn(0))
-            } else {
-                (stats.glsn_lo, stats.glsn_hi)
-            }
-        };
+        let clamp = self.trail.extent(epoch);
         let normalized = self
             .standing
             .normalized(id)
@@ -1365,9 +1098,8 @@ impl DlaCluster {
     /// Returns [`AuditError::Integrity`] if no deposit exists for
     /// `glsn`.
     pub fn verify_origin(&self, glsn: Glsn) -> Result<bool, AuditError> {
-        let record = self
-            .deposits
-            .get(&glsn)
+        let record = (self.trail)
+            .record(glsn)
             .ok_or_else(|| AuditError::Integrity(format!("no deposit for glsn {glsn}")))?;
         Ok(dla_crypto::schnorr::verify(
             &self.group,
@@ -1763,72 +1495,6 @@ const BLOB_DEPOSIT: u8 = 0x01;
 const BLOB_TICKET_COUNTER: u8 = 0x02;
 const BLOB_EPOCH_SEAL: u8 = 0x03;
 
-/// One deposit as the cluster journal records it (`BLOB_DEPOSIT`) and
-/// as the cluster keeps it: the accumulator value, the origin
-/// attestation over it and the record's time, if it carried one (feeds
-/// the per-epoch time index).
-#[derive(Clone)]
-struct DepositRecord {
-    glsn: Glsn,
-    deposit: Ubig,
-    public: dla_crypto::schnorr::SchnorrPublicKey,
-    signature: dla_crypto::schnorr::Signature,
-    time: Option<u64>,
-}
-
-impl DepositRecord {
-    fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_u64(self.glsn.0)
-            .put_bytes(&self.deposit.to_bytes_be())
-            .put_bytes(&self.public.to_bytes())
-            .put_bytes(&self.signature.e.to_bytes_be())
-            .put_bytes(&self.signature.s.to_bytes_be());
-        // Appended after the original fields so pre-epoch blobs stay
-        // decodable.
-        w.put_u8(u8::from(self.time.is_some()));
-        if let Some(t) = self.time {
-            w.put_u64(t);
-        }
-        w.finish().to_vec()
-    }
-
-    fn decode(bytes: &[u8]) -> Result<Self, AuditError> {
-        let mut r = Reader::new(bytes);
-        let parse = |e: dla_net::wire::WireError| AuditError::Config(format!("deposit blob: {e}"));
-        let glsn = Glsn(r.get_u64().map_err(parse)?);
-        // Each integer in its one encoding: distinct blobs never decode
-        // to one record.
-        let mut uint = || r.get_minimal_uint().map(Ubig::from_bytes_be).map_err(parse);
-        let deposit = uint()?;
-        let public = dla_crypto::schnorr::SchnorrPublicKey::from_element(uint()?);
-        let e = uint()?;
-        let s = uint()?;
-        // Legacy blobs end here; current ones carry a time presence flag.
-        let time = if r.remaining() == 0 {
-            None
-        } else {
-            match r.get_u8().map_err(parse)? {
-                0 => None,
-                1 => Some(r.get_u64().map_err(parse)?),
-                flag => {
-                    return Err(AuditError::Config(format!(
-                        "deposit blob: time flag {flag} is neither 0 nor 1"
-                    )))
-                }
-            }
-        };
-        r.finish().map_err(parse)?;
-        Ok(DepositRecord {
-            glsn,
-            deposit,
-            public,
-            signature: dla_crypto::schnorr::Signature { e, s },
-            time,
-        })
-    }
-}
-
 /// Canonical bytes the logging user signs for non-repudiation.
 fn origin_message(glsn: Glsn, deposit: &Ubig) -> Vec<u8> {
     let mut out = Vec::with_capacity(80);
@@ -1842,6 +1508,13 @@ fn origin_message(glsn: Glsn, deposit: &Ubig) -> Vec<u8> {
 mod tests {
     use super::*;
     use dla_logstore::gen::paper_table1;
+
+    impl DlaCluster {
+        /// The trail, writable, for its tamper hooks.
+        pub(crate) fn trail_mut(&mut self) -> &mut Trail {
+            &mut self.trail
+        }
+    }
 
     fn cluster() -> DlaCluster {
         let schema = Schema::paper_example();
@@ -1946,6 +1619,40 @@ mod tests {
     }
 
     #[test]
+    fn running_out_of_glsns_refuses_the_deposit_and_the_cluster_carries_on() {
+        let schema = Schema::paper_example();
+        let partition = Partition::paper_example(&schema);
+        let config = ClusterConfig::new(4, schema.clone())
+            .with_partition(partition)
+            .with_seed(42)
+            .with_glsn_base(Glsn(u64::MAX - 1));
+        let mut c = DlaCluster::new(config).unwrap();
+        let user = c.register_user("u0").unwrap();
+        let records = paper_table1();
+        let top = c.log_record(&user, &records[0]).unwrap();
+        assert_eq!(top, Glsn(u64::MAX - 1));
+        for record in &records[1..3] {
+            let refused = c.log_record(&user, record);
+            assert!(matches!(refused, Err(AuditError::Log(_))), "{refused:?}");
+        }
+        assert_eq!(c.logged_glsns(), vec![top]);
+        for node in c.nodes() {
+            assert_eq!(node.store().len(), 1, "node {}", node.id());
+        }
+        // The one record logged still answers, and the trail checks.
+        let q = "c2 > 100.00";
+        let matches = crate::parser::parse(q, &schema)
+            .unwrap()
+            .eval(&records[0])
+            .unwrap();
+        assert_eq!(
+            c.query(q).unwrap().glsns,
+            if matches { vec![top] } else { vec![] }
+        );
+        assert!(crate::integrity::check_trail(&c).ok);
+    }
+
+    #[test]
     fn owner_retrieves_full_record() {
         let mut c = cluster();
         let user = c.register_user("u0").unwrap();
@@ -1993,7 +1700,8 @@ mod tests {
         let glsn = c.log_record(&user, &paper_table1()[0]).unwrap();
         assert!(c.verify_origin(glsn).unwrap());
         // Tamper with the stored deposit: the signature no longer matches.
-        c.tamper_deposit_for_tests(glsn, Ubig::from_u64(12345));
+        c.trail_mut()
+            .tamper_deposit_for_tests(glsn, Ubig::from_u64(12345));
         assert!(!c.verify_origin(glsn).unwrap());
     }
 
@@ -2212,7 +1920,7 @@ mod tests {
         }
         // The sealed checkpoint digest is the epoch accumulator.
         let cp = c.checkpoint_chain().get(0).unwrap();
-        assert_eq!(cp.digest, c.epoch_stat(EpochId(0)).unwrap().acc);
+        assert_eq!(cp.digest, c.trail().epoch_stat(EpochId(0)).unwrap().acc);
         assert_eq!(cp.items, 2);
     }
 
@@ -2231,7 +1939,10 @@ mod tests {
         // The derived view is the running fold it replaced (Eq. 9).
         let params = single.accumulator_params();
         let folded = (single.logged_glsns().into_iter()).fold(params.start().clone(), |acc, g| {
-            params.fold(&acc, &trail_item(g, single.deposit(g).unwrap()))
+            params.fold(
+                &acc,
+                &crate::trail::trail_item(g, single.deposit(g).unwrap()),
+            )
         });
         assert_eq!(single.trail_accumulator(), &folded);
         assert_eq!(
@@ -2281,22 +1992,23 @@ mod tests {
         let user = c.register_user("u0").unwrap();
         let glsns = c.log_records(&user, &paper_table1()).unwrap();
         // Epoch 0 holds Table 1's first two records (20:18:35, 20:20:35).
-        let e0 = c.epoch_stat(EpochId(0)).unwrap();
+        let e0 = c.trail().epoch_stat(EpochId(0)).unwrap();
         let window = crate::plan::TimeWindow {
             lo: Some(e0.time_lo.unwrap()),
             hi: Some(e0.time_hi.unwrap()),
         };
-        let (lo, hi) = c.glsn_window_for(&window).unwrap();
+        let (lo, hi) = c.trail().glsn_window_for(&window).unwrap();
         assert_eq!((lo, hi), (glsns[0], glsns[1]));
         // Unbounded → no pruning; disjoint → empty sentinel.
         assert!(c
+            .trail()
             .glsn_window_for(&crate::plan::TimeWindow::unbounded())
             .is_none());
         let disjoint = crate::plan::TimeWindow {
             lo: Some(1),
             hi: Some(2),
         };
-        let (lo, hi) = c.glsn_window_for(&disjoint).unwrap();
+        let (lo, hi) = c.trail().glsn_window_for(&disjoint).unwrap();
         assert!(lo > hi, "disjoint window yields the empty sentinel");
     }
 
@@ -2343,115 +2055,11 @@ mod tests {
             .collect();
         assert_eq!(stats_after, stats_before);
         // The rebuilt time index still prunes.
-        let e0 = c.epoch_stat(EpochId(0)).unwrap();
+        let e0 = c.trail().epoch_stat(EpochId(0)).unwrap();
         assert!(e0.time_lo.is_some());
         for node in c.nodes() {
             assert!(node.store().is_sealed(EpochId(0)));
         }
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// A deposit blob as the journal holds it, with `tail` in place of
-    /// the time flag and time.
-    fn deposit_blob(tail: &[u8]) -> Vec<u8> {
-        let record = DepositRecord {
-            glsn: Glsn(0x139aef),
-            deposit: Ubig::from_u64(0xdead_beef),
-            public: dla_crypto::schnorr::SchnorrPublicKey::from_element(Ubig::from_u64(5)),
-            signature: dla_crypto::schnorr::Signature {
-                e: Ubig::from_u64(7),
-                s: Ubig::from_u64(11),
-            },
-            time: None,
-        };
-        let mut blob = record.encode();
-        assert_eq!(blob.pop(), Some(0), "the encoding ends in its time flag");
-        blob.extend_from_slice(tail);
-        blob
-    }
-
-    #[test]
-    fn a_deposit_blob_with_time_flag_0_carries_no_time() {
-        let record = DepositRecord::decode(&deposit_blob(&[0])).unwrap();
-        assert_eq!((record.glsn, record.time), (Glsn(0x139aef), None));
-    }
-
-    #[test]
-    fn a_deposit_blob_with_time_flag_1_carries_its_time() {
-        let mut tail = vec![1];
-        tail.extend_from_slice(&42u64.to_be_bytes());
-        let record = DepositRecord::decode(&deposit_blob(&tail)).unwrap();
-        assert_eq!(record.time, Some(42));
-        assert_eq!(
-            DepositRecord::decode(&record.encode()).unwrap().time,
-            Some(42)
-        );
-    }
-
-    #[test]
-    fn a_deposit_blob_with_any_other_time_flag_is_refused() {
-        for flag in [2u8, 0x80, 0xff] {
-            let err = DepositRecord::decode(&deposit_blob(&[flag])).err();
-            assert!(matches!(err, Some(AuditError::Config(_))), "flag {flag}");
-        }
-    }
-
-    #[test]
-    fn a_deposit_blob_with_a_leading_zero_in_any_integer_is_refused() {
-        // deposit_blob's four integers, the `padded` one behind a zero.
-        let blob = |padded: Option<usize>| {
-            let mut w = Writer::new();
-            w.put_u64(0x139aef);
-            for (i, int) in [0xdead_beef, 5, 7, 11].into_iter().enumerate() {
-                let mut bytes = Ubig::from_u64(int).to_bytes_be();
-                if padded == Some(i) {
-                    bytes.insert(0, 0);
-                }
-                w.put_bytes(&bytes);
-            }
-            w.put_u8(0);
-            w.finish().to_vec()
-        };
-        assert_eq!(blob(None), deposit_blob(&[0]));
-        assert!(DepositRecord::decode(&blob(None)).is_ok());
-        for i in 0..4 {
-            let err = DepositRecord::decode(&blob(Some(i))).err();
-            assert!(matches!(err, Some(AuditError::Config(_))), "integer {i}");
-        }
-    }
-
-    #[test]
-    fn a_legacy_deposit_blob_without_a_time_flag_still_decodes() {
-        let record = DepositRecord::decode(&deposit_blob(&[])).unwrap();
-        assert_eq!((record.glsn, record.time), (Glsn(0x139aef), None));
-    }
-
-    #[test]
-    fn a_deposit_blob_with_time_flag_1_and_a_truncated_time_is_refused() {
-        for cut in 0..8 {
-            let mut tail = vec![1];
-            tail.extend_from_slice(&42u64.to_be_bytes()[..cut]);
-            let err = DepositRecord::decode(&deposit_blob(&tail)).err();
-            assert!(
-                matches!(err, Some(AuditError::Config(_))),
-                "{cut} time bytes"
-            );
-        }
-    }
-
-    proptest::proptest! {
-        #[test]
-        fn deposit_blob_decoding_never_panics(
-            bytes in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..160),
-            cut in 0usize..=160,
-        ) {
-            let _ = DepositRecord::decode(&bytes);
-            // And near-valid input: a real blob cut short or run on.
-            let mut blob = deposit_blob(&[1, 0, 0, 0, 0, 0, 0, 0, 9]);
-            blob.truncate(cut);
-            let _ = DepositRecord::decode(&blob);
-            blob.extend_from_slice(&bytes);
-            let _ = DepositRecord::decode(&blob);
-        }
     }
 }

@@ -20,9 +20,10 @@
 //! executor (conjunctive and disjunctive plans), plus direct secure
 //! sum, blind equality and privacy-preserving ranking sessions.
 
-use crate::cluster::{trail_item, ClusterConfig, DlaCluster};
+use crate::cluster::{ClusterConfig, DlaCluster};
 use crate::exec::ExecMode;
 use crate::integrity::{check_trail, TrailVerdict};
+use crate::trail::trail_item;
 use crate::AuditError;
 use dla_bigint::F61;
 use dla_crypto::sha256;

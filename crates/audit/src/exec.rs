@@ -234,9 +234,9 @@ pub fn execute_on(
     // cannot change the result — only how much trail is touched. The
     // plan's own clamp (a standing query's one sealed epoch) narrows it
     // further.
-    let window =
-        intersect_glsn_windows(cluster.glsn_window_for(&plan.time_window), plan.glsn_clamp);
-    let policy = cluster.epoch_policy();
+    let trail = cluster.trail();
+    let window = intersect_glsn_windows(trail.glsn_window_for(&plan.time_window), plan.glsn_clamp);
+    let policy = trail.epoch_policy();
     let mut result = QueryResult {
         glsns: Vec::new(),
         cardinality: 0,
@@ -267,8 +267,8 @@ pub fn execute_on(
         // window and is timed inside every bound: the only ones an answer
         // is kept for, or filed under.
         let inside = |lo, hi| window.is_none_or(|(from, to)| from <= lo && hi <= to);
-        let mut missing: BTreeMap<EpochId, Vec<Glsn>> = (cluster.epoch_stats())
-            .filter(|s| s.sealed && s.deposits > 0 && inside(s.glsn_lo, s.glsn_hi))
+        let mut missing: BTreeMap<EpochId, Vec<Glsn>> = (trail.sealed_epochs())
+            .filter(|s| s.deposits > 0 && inside(s.glsn_lo, s.glsn_hi))
             .filter(|s| bounds.iter().all(|bound| s.timed_within(bound)))
             .map(|s| (s.epoch, Vec::new()))
             .collect();

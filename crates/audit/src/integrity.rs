@@ -244,82 +244,20 @@ pub struct TrailVerdict {
     pub items_folded: u64,
 }
 
-/// Full-trail verification: [`check_window`] over the unbounded window
-/// — every epoch against its commitment, plus coverage. Every deposit
-/// lands in exactly one epoch, whose digest and item count the verified
-/// chain holds (the open epoch's, its running accumulator), so a
-/// rewritten, added or removed deposit breaks its epoch's claim or the
-/// count; coverage catches a deposit beyond every epoch's extent, which
-/// no epoch would refold.
+/// Full-trail verification: [`check_window`] over the unbounded window.
+/// A rewritten, added or removed deposit breaks its epoch's claim or
+/// the coverage count.
 #[must_use]
 pub fn check_trail(cluster: &DlaCluster) -> TrailVerdict {
     check_window(cluster, &crate::plan::TimeWindow::unbounded())
 }
 
-/// Windowed verification over the epoch-sharded trail: verifies the
-/// sealed-checkpoint hash chain end to end (O(#epochs) hashing, no
-/// folds), then re-derives the accumulator of **only** the epochs whose
-/// observed time range intersects `window` — sealed epochs against
-/// their checkpointed digests, the open epoch against the running
-/// accumulator. An unbounded window verifies every epoch and also
-/// requires that they refolded every deposit in the map (coverage).
-///
-/// Cost is proportional to the deposits inside the queried window, not
-/// the trail length — the point of epoch sharding: each selected epoch
-/// reads its own glsn extent out of the deposit map. Every claim —
-/// a sealed epoch's `digestⱼ = x₀^{Eⱼ}` and the open epoch's
-/// `acc = x₀^{E}` alike — is checked in **one**
-/// random-linear-combination batch (`x₀^{Σ rⱼEⱼ} = ∏ digestⱼ^{rⱼ}` via
-/// the fixed-base evaluator and multi-exponentiation): one big
-/// fixed-base power a check, not one per epoch and not a second for the
-/// open epoch — and that power, one epoch plus one randomizer long
-/// however many epochs the window holds, is one comb walk: a quarter of
-/// its bits in Montgomery steps. Soundness: epochs outside the window
-/// are still bound by the hash chain, so a rewritten sealed epoch is
-/// caught by `chain_ok` even when its items are never refolded.
+/// Windowed verification over the epoch-sharded trail: the checkpoint
+/// chain end to end, and the claims of only the epochs `window` touches
+/// ([`crate::trail::Trail::check_window`]).
 #[must_use]
 pub fn check_window(cluster: &DlaCluster, window: &crate::plan::TimeWindow) -> TrailVerdict {
-    let params = cluster.accumulator_params();
-    let chain = cluster.checkpoint_chain();
-    let chain_ok = chain.verify_links();
-
-    let selected = cluster.epoch_stats().filter(|s| s.touches(window));
-
-    let mut ok = chain_ok;
-    let mut epochs_checked = 0;
-    let mut items_folded = 0u64;
-    let mut claims: Vec<(Ubig, Ubig)> = Vec::new();
-    for stats in selected {
-        let items: Vec<Vec<u8>> = cluster
-            .deposits_in(stats.glsn_lo, stats.glsn_hi)
-            .map(|(glsn, deposit)| crate::cluster::trail_item(glsn, deposit))
-            .collect();
-        let refs: Vec<&[u8]> = items.iter().map(Vec::as_slice).collect();
-        let exponent = params.batch_exponent(&refs);
-        epochs_checked += 1;
-        items_folded += refs.len() as u64;
-        let digest = match chain.get(stats.epoch.0) {
-            Some(cp) => {
-                ok &= cp.items == refs.len() as u64;
-                &cp.digest
-            }
-            // The open epoch has no sealed digest: its claim is the
-            // running accumulator.
-            None => &stats.acc,
-        };
-        claims.push((digest.clone(), exponent));
-    }
-    ok &= params.batch_verify(&claims);
-    if window.is_unbounded() {
-        ok &= items_folded == cluster.trail_items();
-    }
-
-    TrailVerdict {
-        ok,
-        chain_ok,
-        epochs_checked,
-        items_folded,
-    }
+    cluster.trail().check_window(window)
 }
 
 /// The federated extension of [`TrailVerdict`]: a sub-ring's local
@@ -680,7 +618,9 @@ mod tests {
         for offset in [1, 10] {
             let (mut cluster, glsns) = epoch_loaded();
             let last = *glsns.last().unwrap();
-            cluster.tamper_deposit_for_tests(Glsn(last.0 + offset), Ubig::from_u64(12345));
+            cluster
+                .trail_mut()
+                .tamper_deposit_for_tests(Glsn(last.0 + offset), Ubig::from_u64(12345));
             let verdict = check_trail(&cluster);
             assert!(!verdict.ok, "+{offset}: an unfolded deposit must fail");
             assert!(verdict.chain_ok, "no sealed epoch was touched");
@@ -694,7 +634,10 @@ mod tests {
     fn windowed_check_folds_only_overlapping_epochs() {
         let (cluster, _) = epoch_loaded();
         // Window covering only epoch 0's two records.
-        let e0 = cluster.epoch_stat(dla_logstore::epoch::EpochId(0)).unwrap();
+        let e0 = cluster
+            .trail()
+            .epoch_stat(dla_logstore::epoch::EpochId(0))
+            .unwrap();
         let window = crate::plan::TimeWindow {
             lo: Some(e0.time_lo.unwrap()),
             hi: Some(e0.time_hi.unwrap()),
@@ -716,8 +659,13 @@ mod tests {
         let (mut cluster, glsns) = epoch_loaded();
         // Rewrite the deposit map entry for a record in epoch 0 — the
         // refold no longer matches the sealed checkpoint digest.
-        cluster.tamper_deposit_for_tests(glsns[0], Ubig::from_u64(12345));
-        let e0 = cluster.epoch_stat(dla_logstore::epoch::EpochId(0)).unwrap();
+        cluster
+            .trail_mut()
+            .tamper_deposit_for_tests(glsns[0], Ubig::from_u64(12345));
+        let e0 = cluster
+            .trail()
+            .epoch_stat(dla_logstore::epoch::EpochId(0))
+            .unwrap();
         let window = crate::plan::TimeWindow {
             lo: Some(e0.time_lo.unwrap()),
             hi: Some(e0.time_hi.unwrap()),
@@ -733,9 +681,9 @@ mod tests {
         // Five records in epochs of two: the last one sits alone in the
         // open epoch, whose only commitment is the running accumulator.
         let last = *glsns.last().unwrap();
-        let open = cluster.epoch_policy().epoch_of(last);
+        let open = cluster.trail().epoch_policy().epoch_of(last);
         assert!(cluster.checkpoint_chain().get(open.0).is_none());
-        let stats = cluster.epoch_stat(open).unwrap();
+        let stats = cluster.trail().epoch_stat(open).unwrap();
         let window = crate::plan::TimeWindow {
             lo: stats.time_lo,
             hi: None,
@@ -743,7 +691,9 @@ mod tests {
         let clean = check_window(&cluster, &window);
         assert!(clean.ok);
         assert_eq!((clean.epochs_checked, clean.items_folded), (1, 1));
-        cluster.tamper_deposit_for_tests(last, Ubig::from_u64(12345));
+        cluster
+            .trail_mut()
+            .tamper_deposit_for_tests(last, Ubig::from_u64(12345));
         for window in [window, crate::plan::TimeWindow::unbounded()] {
             let verdict = check_window(&cluster, &window);
             assert!(!verdict.ok, "{window}: the open epoch's claim must fail");
@@ -779,6 +729,7 @@ mod tests {
 
     fn window_of(cluster: &DlaCluster, epoch: u64) -> crate::plan::TimeWindow {
         let stats = cluster
+            .trail()
             .epoch_stat(dla_logstore::epoch::EpochId(epoch))
             .unwrap();
         crate::plan::TimeWindow {
@@ -797,7 +748,9 @@ mod tests {
         assert_eq!((clean.epochs_checked, clean.items_folded), (3, 191));
         assert!(check_trail(&cluster).ok);
 
-        cluster.tamper_deposit_for_tests(glsns[64 + 17], Ubig::from_u64(12345));
+        cluster
+            .trail_mut()
+            .tamper_deposit_for_tests(glsns[64 + 17], Ubig::from_u64(12345));
         for window in [window_of(&cluster, 1), unbounded] {
             let verdict = check_window(&cluster, &window);
             assert!(!verdict.ok, "{window}: epoch 1's checkpoint must not match");
@@ -820,8 +773,10 @@ mod tests {
         // Every deposit stays as logged; the open epoch's commitment is
         // swapped for another well-formed accumulator value.
         let open = dla_logstore::epoch::EpochId(1);
-        let genuine = cluster.epoch_stat(open).unwrap().acc.clone();
-        cluster.forge_epoch_digest_for_tests(open, params.fold(&genuine, b"one more"));
+        let genuine = cluster.trail().epoch_stat(open).unwrap().acc.clone();
+        cluster
+            .trail_mut()
+            .forge_epoch_digest_for_tests(open, params.fold(&genuine, b"one more"));
         for window in [window_of(&cluster, 1), crate::plan::TimeWindow::unbounded()] {
             let verdict = check_window(&cluster, &window);
             assert!(
@@ -830,7 +785,9 @@ mod tests {
             );
             assert!(verdict.chain_ok, "no sealed epoch was touched");
         }
-        cluster.forge_epoch_digest_for_tests(open, genuine);
+        cluster
+            .trail_mut()
+            .forge_epoch_digest_for_tests(open, genuine);
         assert!(check_window(&cluster, &crate::plan::TimeWindow::unbounded()).ok);
     }
 
@@ -846,7 +803,9 @@ mod tests {
                 (clean.epochs_checked, clean.items_folded),
                 (1, deposits as u64)
             );
-            cluster.tamper_deposit_for_tests(*glsns.last().unwrap(), Ubig::from_u64(12345));
+            cluster
+                .trail_mut()
+                .tamper_deposit_for_tests(*glsns.last().unwrap(), Ubig::from_u64(12345));
             assert!(
                 !check_window(&cluster, &unbounded).ok,
                 "{deposits} deposits: the running accumulator must not match"

@@ -7,7 +7,8 @@
 //! `dla-logstore`, `dla-mpc`) into the system the paper proposes:
 //!
 //! * [`cluster`] — the TTP cluster itself: fragment-storing nodes,
-//!   ticketed users, the auditor engine (Fig. 2).
+//!   ticketed users, the auditor engine (Fig. 2); [`trail`] is its
+//!   audit-trail ledger of deposits, epochs and checkpoints.
 //! * [`query`], [`parser`], [`normal`], [`plan`], [`exec`] — the
 //!   confidential query pipeline: criteria → conjunctive form → local
 //!   vs. cross subqueries → relaxed-secure-computation execution with
@@ -72,6 +73,7 @@ pub mod parser;
 pub mod plan;
 pub mod query;
 pub mod standing;
+pub mod trail;
 pub mod transaction;
 
 /// Errors surfaced by the auditing core.

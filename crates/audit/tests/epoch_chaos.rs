@@ -242,7 +242,10 @@ fn epoch_seals_survive_chaotic_restore() {
     assert!(restored.checkpoint_chain().verify_links());
     for epoch in &sealed_before {
         assert!(
-            restored.epoch_stat(*epoch).is_some_and(|s| s.sealed),
+            restored
+                .trail()
+                .epoch_stat(*epoch)
+                .is_some_and(|s| s.sealed),
             "epoch {epoch:?} lost its seal across restore"
         );
     }

@@ -167,7 +167,7 @@ proptest! {
         // evaluated epochs are exactly the sealed ones.
         let deltas = cluster.standing_deltas(id);
         for delta in &deltas {
-            let stat = cluster.epoch_stat(delta.epoch).expect("evaluated epoch has stats");
+            let stat = cluster.trail().epoch_stat(delta.epoch).expect("evaluated epoch has stats");
             prop_assert!(stat.sealed);
             for glsn in &delta.glsns {
                 prop_assert!(

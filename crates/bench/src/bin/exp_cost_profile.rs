@@ -22,6 +22,15 @@
 //! columns in blocks of `e`, and the signature's at most a quarter of
 //! the ladder it replaced.
 //!
+//! Last, one epoch of sixty-four trail items absorbed two ways: as
+//! sixty-four running folds, one `fold_batch` a deposit with the first
+//! from `x₀` — what the trail pays at ingest — and as one comb walk of
+//! their exponent product, what a seal would pay if the open epoch kept
+//! its exponent instead of its accumulator. Both reach the same value,
+//! and the walk on a built comb takes at most an eighth of the folds'
+//! Montgomery steps; its first walk, comb build included, is reported
+//! beside it.
+//!
 //! Run with: `cargo run -p dla-bench --bin exp_cost_profile --release`
 //! (writes `BENCH_cost_profile.json`).
 
@@ -268,6 +277,117 @@ fn profile_deposit_powers() -> DepositPowers {
         generator_build_cost,
         signature_cost,
         nonce_ladder_cost,
+    }
+}
+
+/// One epoch of trail items absorbed as running folds and as one walk
+/// of their exponent product (§4.1, Eq. 9: `x₀^{∏ yᵢ}` however it is
+/// reached).
+struct EpochWalk {
+    items: usize,
+    folds_cost: CostVector,
+    first_walk_cost: CostVector,
+    walk_cost: CostVector,
+}
+
+/// Absorbs `items` trail items — `dla-trail-item ‖ glsn ‖ deposit`, the
+/// deposit a four-fragment record's accumulation, as the trail folds
+/// them — into a fresh epoch twice, on parameters whose `x₀` comb the
+/// deposits have built, as a cluster's has: one `fold_batch` per
+/// deposit, the first from `x₀`, and one `power_of_start` of the items'
+/// exponent product, walked twice (the first walk builds its comb).
+fn profile_running_folds_vs_one_walk(items: usize) -> EpochWalk {
+    let params = AccumulatorParams::fixed_512();
+    let trail_items: Vec<Vec<u8>> = (0..items as u64)
+        .map(|i| {
+            let fragments: Vec<Vec<u8>> = (0..4)
+                .map(|f| format!("record-{i}-fragment-{f}").into_bytes())
+                .collect();
+            let deposit = params.accumulate(fragments.iter().map(Vec::as_slice));
+            let mut item = b"dla-trail-item".to_vec();
+            item.extend_from_slice(&(0x139a_ef78 + i).to_be_bytes());
+            item.extend_from_slice(&deposit.to_bytes_be());
+            item
+        })
+        .collect();
+    let refs: Vec<&[u8]> = trail_items.iter().map(Vec::as_slice).collect();
+
+    let (folded, folds_cost) = metered(|| {
+        refs.iter().fold(params.start().clone(), |acc, item| {
+            let mut out = params.fold_batch(&[acc], std::slice::from_ref(item));
+            out.pop().expect("one accumulator in, one out")
+        })
+    });
+    let exponent = params.batch_exponent(&refs);
+    let (first_walk, first_walk_cost) = metered(|| params.power_of_start(&exponent));
+    let (walk, walk_cost) = metered(|| params.power_of_start(&exponent));
+    assert_eq!(walk, folded, "one accumulator either way (Eq. 9)");
+    assert_eq!(first_walk, walk);
+    assert_eq!(folds_cost.acc_fold, items as u64, "one fold a deposit");
+    assert_eq!(
+        walk_cost.fixed_base_builds, 0,
+        "the second walk builds nothing"
+    );
+    assert!(
+        8 * walk_cost.mont_mul_steps <= folds_cost.mont_mul_steps,
+        "an epoch's walk ({} steps) must take at most 1/8 of its running folds' ({} steps)",
+        walk_cost.mont_mul_steps,
+        folds_cost.mont_mul_steps
+    );
+    EpochWalk {
+        items,
+        folds_cost,
+        first_walk_cost,
+        walk_cost,
+    }
+}
+
+impl EpochWalk {
+    fn line(&self) -> String {
+        format!(
+            "one epoch of {} trail items: {} running folds {} steps, one walk of their \
+             exponent product {} steps ({:.2}x fewer; the first walk {} steps with {} comb \
+             built, {:.2}x)",
+            self.items,
+            self.folds_cost.acc_fold,
+            self.folds_cost.mont_mul_steps,
+            self.walk_cost.mont_mul_steps,
+            ratio(&self.folds_cost, &self.walk_cost),
+            self.first_walk_cost.mont_mul_steps,
+            self.first_walk_cost.fixed_base_builds,
+            ratio(&self.folds_cost, &self.first_walk_cost),
+        )
+    }
+
+    fn json(&self) -> Json {
+        Json::Object(vec![
+            ("items", self.items.into()),
+            (
+                "running_folds_mont_mul_steps",
+                self.folds_cost.mont_mul_steps.into(),
+            ),
+            (
+                "running_folds_comb_builds",
+                self.folds_cost.fixed_base_builds.into(),
+            ),
+            ("walk_mont_mul_steps", self.walk_cost.mont_mul_steps.into()),
+            (
+                "walk_step_ratio",
+                Json::Fixed(ratio(&self.folds_cost, &self.walk_cost), 2),
+            ),
+            (
+                "first_walk_mont_mul_steps",
+                self.first_walk_cost.mont_mul_steps.into(),
+            ),
+            (
+                "first_walk_comb_builds",
+                self.first_walk_cost.fixed_base_builds.into(),
+            ),
+            (
+                "first_walk_step_ratio",
+                Json::Fixed(ratio(&self.folds_cost, &self.first_walk_cost), 2),
+            ),
+        ])
     }
 }
 
@@ -535,11 +655,13 @@ fn main() {
     // window, every exponent an epoch long.
     let epoch_sized = profile_fixed_base_vs_ladder(8, 64, 1, 0);
     let deposit = profile_deposit_powers();
+    let epoch_walk = profile_running_folds_vs_one_walk(64);
     println!(
-        "\n{}\n{}\n{}",
+        "\n{}\n{}\n{}\n{}",
         fb.line(),
         epoch_sized.line(),
-        deposit.line()
+        deposit.line(),
+        epoch_walk.line()
     );
     assert!(
         epoch_sized.audit_ratio() >= 4.0 && epoch_sized.fold_ratio() >= 4.0,
@@ -553,6 +675,7 @@ fn main() {
             ("fixed_base_vs_ladder", fb.json()),
             ("fixed_base_vs_ladder_epoch_sized", epoch_sized.json()),
             ("deposit_fixed_base_powers", deposit.json()),
+            ("open_epoch_exponent_walk", epoch_walk.json()),
         ],
     );
 }

@@ -8,7 +8,7 @@
 
 use dla_audit::cluster::DlaCluster;
 use dla_audit::exec::ResilientPolicy;
-use dla_bench::{render_rows, write_snapshot, Json};
+use dla_bench::{render_markdown_rows, write_snapshot, Json};
 use dla_logstore::gen::paper_table1;
 use dla_logstore::model::Glsn;
 use dla_net::latency::LatencyModel;
@@ -116,15 +116,11 @@ fn main() {
             ("reliable", protected.json()),
         ]));
     }
+    // EXPERIMENTS.md P8 quotes this table verbatim; ci.sh diffs the two.
     println!(
-        "{}",
-        render_rows(
-            &format!(
-                "FAULT RECOVERY: query success under loss (dup = {DUPLICATE_PROBABILITY}, \
-                 {TRIALS} trials/point)"
-            ),
-            &sweep
-        )
+        "FAULT RECOVERY: query success under loss (dup = {DUPLICATE_PROBABILITY}, \
+         {TRIALS} trials/point)\n\n{}",
+        render_markdown_rows(&sweep)
     );
 
     // Part 2: degraded-mode auditing — kill a node mid-service; the

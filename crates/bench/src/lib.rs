@@ -365,11 +365,9 @@ fn write_members<'a>(
     out.push(close);
 }
 
-/// Renders `rows` (objects with the same fields) as an ASCII table
-/// whose columns are the fields — the stdout twin of the `rows` array
-/// an experiment records in its snapshot.
-#[must_use]
-pub fn render_rows(title: &str, rows: &[Json]) -> String {
+/// The column names and the cells of `rows` (objects with the same
+/// fields).
+fn row_cells(rows: &[Json]) -> (Vec<String>, Vec<Vec<String>>) {
     let mut headers = Vec::new();
     let mut table = Vec::new();
     for row in rows {
@@ -379,8 +377,32 @@ pub fn render_rows(title: &str, rows: &[Json]) -> String {
         headers = columns;
         table.push(values);
     }
+    (headers, table)
+}
+
+/// Renders `rows` (objects with the same fields) as an ASCII table
+/// whose columns are the fields — the stdout twin of the `rows` array
+/// an experiment records in its snapshot.
+#[must_use]
+pub fn render_rows(title: &str, rows: &[Json]) -> String {
+    let (headers, table) = row_cells(rows);
     let headers: Vec<&str> = headers.iter().map(String::as_str).collect();
     render_table(title, &headers, &table)
+}
+
+/// Renders `rows` as a markdown table with the cells and headers of
+/// [`render_rows`]: what a document quotes of an experiment, verbatim,
+/// so a check can diff the quote against the experiment's stdout.
+#[must_use]
+pub fn render_markdown_rows(rows: &[Json]) -> String {
+    let (headers, table) = row_cells(rows);
+    let line = |cells: &[String]| format!("| {} |\n", cells.join(" | "));
+    let mut out = line(&headers);
+    out.push_str(&line(&vec!["---".to_owned(); headers.len()]));
+    for row in &table {
+        out.push_str(&line(row));
+    }
+    out
 }
 
 /// An experiment binary's last statement, after every assert: records
@@ -489,6 +511,11 @@ mod tests {
         assert!(out.contains("| name | by.hits |"), "{out}");
         assert!(out.contains("| a\"b  | 7       |"), "{out}");
         assert!(out.contains("| c    | 12      |"), "{out}");
+        let markdown = render_markdown_rows(&[row("a\"b", 7), row("c", 12)]);
+        assert_eq!(
+            markdown,
+            "| name | by.hits |\n| --- | --- |\n| a\"b | 7 |\n| c | 12 |\n"
+        );
     }
 
     #[test]

@@ -40,24 +40,23 @@ impl GlsnAllocator {
 
     /// Allocates the next glsn.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when the glsn space is exhausted (the counter would pass
-    /// `u64::MAX`): a wrapping counter would silently reissue glsn 0 and
-    /// break the §4 "uniquely assigned" invariant, which every
-    /// accumulator deposit depends on. Exhaustion is unreachable in
-    /// practice (2⁶⁴ deposits) and unrecoverable if it happens, so a
-    /// loud panic beats a quietly corrupted trail.
-    pub fn allocate(&self) -> Glsn {
-        match self
-            .next
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| v.checked_add(1))
-        {
-            Ok(prev) => Glsn(prev),
-            Err(_) => panic!(
+    /// Returns [`LogError::Store`] once the glsn space is exhausted (the
+    /// counter would pass `u64::MAX`), and on every call after: a
+    /// wrapping counter would silently reissue glsn 0 and break the §4
+    /// "uniquely assigned" invariant, which every accumulator deposit
+    /// depends on. The counter stays at `u64::MAX`, so the refusal is
+    /// before anything of a deposit has been written.
+    pub fn allocate(&self) -> Result<Glsn, LogError> {
+        let next = |v: u64| v.checked_add(1);
+        match (self.next).fetch_update(Ordering::Relaxed, Ordering::Relaxed, next) {
+            Ok(prev) => Ok(Glsn(prev)),
+            Err(_) => Err(LogError::Store(
                 "glsn space exhausted: allocator reached u64::MAX and cannot \
                  issue another unique glsn"
-            ),
+                    .into(),
+            )),
         }
     }
 }
@@ -772,8 +771,8 @@ mod tests {
     #[test]
     fn glsn_allocator_is_monotonic_and_unique() {
         let alloc = GlsnAllocator::default();
-        let a = alloc.allocate();
-        let b = alloc.allocate();
+        let a = alloc.allocate().unwrap();
+        let b = alloc.allocate().unwrap();
         assert_eq!(a, Glsn(0x139a_ef78));
         assert_eq!(b, Glsn(0x139a_ef79));
         assert!(b > a);
@@ -785,7 +784,11 @@ mod tests {
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let alloc = std::sync::Arc::clone(&alloc);
-                std::thread::spawn(move || (0..250).map(|_| alloc.allocate().0).collect::<Vec<_>>())
+                std::thread::spawn(move || {
+                    (0..250)
+                        .map(|_| alloc.allocate().unwrap().0)
+                        .collect::<Vec<_>>()
+                })
             })
             .collect();
         let mut all: Vec<u64> = handles
@@ -833,20 +836,19 @@ mod tests {
     }
 
     #[test]
-    fn allocator_panics_at_glsn_exhaustion() {
+    fn allocator_refuses_at_glsn_exhaustion() {
         let alloc = GlsnAllocator::starting_at(Glsn(u64::MAX - 1));
-        assert_eq!(alloc.allocate(), Glsn(u64::MAX - 1));
-        let result = std::panic::catch_unwind(|| alloc.allocate());
-        let err = result.expect_err("allocating past u64::MAX must panic");
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| err.downcast_ref::<&str>().map(|s| (*s).to_string()))
-            .unwrap_or_default();
-        assert!(msg.contains("glsn space exhausted"), "panic said: {msg}");
-        // The allocator is poisoned at MAX, not wrapped: it keeps
-        // refusing rather than silently reissuing glsn 0.
-        assert!(std::panic::catch_unwind(|| alloc.allocate()).is_err());
+        assert_eq!(alloc.allocate(), Ok(Glsn(u64::MAX - 1)));
+        // The allocator stops at MAX, not wrapped: it keeps refusing
+        // rather than silently reissuing glsn 0.
+        for _ in 0..2 {
+            match alloc.allocate() {
+                Err(LogError::Store(msg)) => {
+                    assert!(msg.contains("glsn space exhausted"), "refusal said: {msg}");
+                }
+                other => panic!("allocating past u64::MAX must be refused, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -212,6 +212,28 @@ fn glsn_allocation_resumes_past_recovered_records() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A journal whose last deposit holds the top glsn: the first deposit
+/// after a restart is refused as an error, and the trail stays whole.
+#[test]
+fn a_restart_at_the_top_glsn_refuses_the_next_deposit() {
+    let dir = temp_dir("top-glsn");
+    let config = || config(&dir).with_glsn_base(Glsn(u64::MAX - 1));
+    let top = {
+        let mut cluster = DlaCluster::new(config()).unwrap();
+        let user = cluster.register_user("u0").unwrap();
+        cluster.log_record(&user, &paper_table1()[0]).unwrap()
+    };
+    assert_eq!(top, Glsn(u64::MAX - 1));
+    let mut cluster = DlaCluster::new(config()).unwrap();
+    let user = cluster.register_user("u1").unwrap();
+    let refused = cluster.log_record(&user, &paper_table1()[1]);
+    assert!(matches!(refused, Err(AuditError::Log(_))), "{refused:?}");
+    assert_eq!(cluster.logged_glsns(), vec![top]);
+    assert!(integrity::check_trail(&cluster).ok);
+    drop(cluster);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 // --- Crash recovery: the commit point, the reconciliation, the sweep ---
 
 /// The crash workloads' cluster: paper partition, 2-glsn epochs so seals
@@ -339,6 +361,27 @@ fn ledger_of(cluster: &DlaCluster) -> impl PartialEq + std::fmt::Debug {
     )
 }
 
+/// An epoch is sealed exactly when the chain holds its checkpoint, and
+/// every node's store reports each checkpointed epoch sealed.
+fn assert_sealed_is_checkpointed(cluster: &DlaCluster) {
+    let sealed: Vec<u64> = (cluster.epoch_stats())
+        .filter(|s| s.sealed)
+        .map(|s| s.epoch.0)
+        .collect();
+    let chained: Vec<u64> = cluster.checkpoint_chain().iter().map(|c| c.epoch).collect();
+    assert_eq!(sealed, chained, "sealed epochs against the chain's");
+    for node in cluster.nodes() {
+        for &epoch in &chained {
+            let store = node.store();
+            assert!(
+                store.is_sealed(EpochId(epoch)),
+                "node {} epoch {epoch}",
+                node.id()
+            );
+        }
+    }
+}
+
 /// How many journal appends [`crash_workload`] makes over `records`.
 fn appends_of(records: &[LogRecord]) -> u64 {
     let dir = temp_dir("count");
@@ -405,8 +448,9 @@ fn a_crash_around_the_seal_neither_wedges_nor_loses_it() {
         for node in cluster.nodes() {
             assert_eq!(node.store().is_sealed(EpochId(0)), committed == 4);
         }
+        assert_sealed_is_checkpointed(&cluster);
         drop(cluster);
-        assert_recovers(&dir, &records, &acked);
+        assert_sealed_is_checkpointed(&assert_recovers(&dir, &records, &acked));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
@@ -428,13 +472,53 @@ fn a_node_seal_the_cluster_never_recorded_does_not_wedge_allocation() {
     let mut cluster = DlaCluster::new(crash_config(&dir)).unwrap();
     let user = cluster.register_user("u1").unwrap();
     let next = cluster.log_record(&user, &records[1]).unwrap();
-    assert_eq!(cluster.epoch_policy().epoch_of(next), EpochId(1));
+    assert_eq!(cluster.trail().epoch_policy().epoch_of(next), EpochId(1));
     assert!(integrity::check_trail(&cluster).ok);
     assert!(integrity::check_all(&mut cluster, 0)
         .unwrap()
         .iter()
         .all(|v| v.ok));
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A journal write that fails once, in a cluster that lives on: fail
+/// the `k`-th write of logging for every `k`, keep logging, restart. A
+/// seal whose record the journal holds is finished by the next batch,
+/// never journaled again, so the restart replays every seal once.
+#[test]
+fn a_write_that_fails_once_leaves_a_journal_that_restarts() {
+    let records = crash_records();
+    for k in 1.. {
+        let dir = temp_dir("fails-once");
+        let mut cluster = DlaCluster::new(crash_config(&dir)).unwrap();
+        let user = cluster.register_user("u0").unwrap();
+        cluster.register_standing(SSI_QUERY).unwrap();
+        let (mut acked, mut failed) = (Vec::new(), false);
+        failpoint::arm(k, |_| 0);
+        for record in &records {
+            match cluster.log_record(&user, record) {
+                Ok(glsn) => acked.push(glsn),
+                Err(e) => {
+                    assert!(!failed, "k={k}: logging carries on, yet {e}");
+                    failpoint::disarm();
+                    failed = true;
+                }
+            }
+        }
+        failpoint::disarm();
+        drop(cluster);
+        if !failed {
+            std::fs::remove_dir_all(&dir).unwrap();
+            break;
+        }
+        let cluster = DlaCluster::new(crash_config(&dir)).expect("restart succeeds");
+        let logged = cluster.logged_glsns();
+        assert!(acked.iter().all(|g| logged.contains(g)), "k={k}");
+        assert_sealed_is_checkpointed(&cluster);
+        assert!(integrity::check_trail(&cluster).ok, "k={k}");
+        drop(cluster);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
 
 /// ROADMAP item 4: die at the k-th journal write for **every** k of the
@@ -462,9 +546,11 @@ fn crash_point_sweep_recovers_at_every_journal_write() {
             assert!(
                 chain.len() <= full.len() && chain.iter().zip(full.iter()).all(|(a, b)| a == b)
             );
+            assert_sealed_is_checkpointed(&recovered);
             drop(recovered);
             // Resumed to the end, the trail is the uncrashed one.
             let resumed = assert_recovers(&dir, &records, &acked);
+            assert_sealed_is_checkpointed(&resumed);
             assert_eq!(resumed.logged_glsns(), glsns, "k={k}");
             assert_eq!(ledger_of(&resumed), ledger_of(&reference), "k={k}");
             assert_eq!(resumed.checkpoint_chain(), reference.checkpoint_chain());

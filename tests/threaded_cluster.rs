@@ -86,7 +86,11 @@ fn concurrent_glsn_allocation_is_collision_free_across_threads() {
     let handles: Vec<_> = (0..8)
         .map(|_| {
             let alloc = Arc::clone(&alloc);
-            thread::spawn(move || (0..500).map(|_| alloc.allocate().0).collect::<Vec<u64>>())
+            thread::spawn(move || {
+                (0..500)
+                    .map(|_| alloc.allocate().unwrap().0)
+                    .collect::<Vec<u64>>()
+            })
         })
         .collect();
     let mut all: Vec<u64> = handles

@@ -791,7 +791,7 @@ fn a_warm_run_puts_only_the_missing_range_on_the_wire() {
         world.deposit(&log[..150]);
         assert_eq!(world.ask(criteria), 0);
         world.deposit(&log[150..250]);
-        let base = world.warm.epoch_policy().base().0;
+        let base = world.warm.trail().epoch_policy().base().0;
         let unbounded = world.warm.compile(criteria).expect("compiles");
 
         // Epochs 0 and 1 were sealed and asked; 2 has sealed since, 3 is
