@@ -114,4 +114,10 @@ echo "==> EXPERIMENTS.md P8 quotes the sweep table exp_fault_recovery printed"
 diff -u <(sed -n '/<!-- exp_fault_recovery sweep: begin -->/,/<!-- exp_fault_recovery sweep: end -->/p' \
     EXPERIMENTS.md | grep '^|') <(grep '^|' "$passes/first/exp_fault_recovery")
 
+echo "==> EXPERIMENTS.md P16b quotes the shared-rule table exp_standing_query printed"
+# The same check for the askers BENCH_standing_query.json records under
+# shared_rule: the binary prints them last, as a markdown table.
+diff -u <(sed -n '/<!-- exp_standing_query shared_rule: begin -->/,/<!-- exp_standing_query shared_rule: end -->/p' \
+    EXPERIMENTS.md | grep '^|') <(sed -n '/^P16b/,$p' "$passes/first/exp_standing_query" | grep '^|')
+
 echo "CI OK"

@@ -3,6 +3,7 @@
 //! tickets, and the simulated network tying them together.
 
 use crate::kept::KeptResults;
+use crate::standing::{StandingDelta, StandingQueryId, StandingRegistry};
 use crate::trail::{DepositRecord, EpochStats, Trail};
 use crate::AuditError;
 use dla_bigint::Ubig;
@@ -378,7 +379,7 @@ pub struct DlaCluster {
     meta: crate::meta::MetaAuditTrail,
     /// Registered standing queries, evaluated incrementally at every
     /// epoch seal (see [`crate::standing`]).
-    standing: crate::standing::StandingRegistry,
+    standing: StandingRegistry,
     /// What the auditor engine keeps of the answers revealed to it, per
     /// sealed epoch ([`crate::kept`]) — the cluster's one memory of
     /// answers. Behind a lock of its own: shared queries
@@ -481,7 +482,7 @@ impl DlaCluster {
             max_users: config.max_users,
             rng,
             standby_replication: config.standby_replication,
-            standing: crate::standing::StandingRegistry::default(),
+            standing: StandingRegistry::default(),
             kept: Mutex::default(),
             placement: Placement {
                 in_force: partition.clone(),
@@ -981,9 +982,7 @@ impl DlaCluster {
                 "epoch-seal",
                 format!("epoch={epoch} items={items}"),
             );
-            for id in self.standing.ids() {
-                self.emit_standing_delta_for(id, epoch)?;
-            }
+            self.catch_up_standing()?;
         }
         Ok(())
     }
@@ -992,98 +991,94 @@ impl DlaCluster {
     /// criteria is compiled and validated against the partition in
     /// force **once**; every subsequent epoch seal
     /// evaluates it over just the sealed epoch's glsn range and pushes
-    /// a [`crate::standing::StandingDelta`]. Already-sealed epochs are
+    /// a [`StandingDelta`]. Already-sealed epochs are
     /// caught up immediately, so a late subscriber converges to the
     /// same accumulated answer as one registered at genesis.
     ///
     /// # Errors
     ///
-    /// Returns [`AuditError`] on parse/plan failures, or if a catch-up
-    /// evaluation fails.
-    pub fn register_standing(
-        &mut self,
-        criteria: &str,
-    ) -> Result<crate::standing::StandingQueryId, AuditError> {
+    /// Returns [`AuditError`] on parse/plan failures, or if the
+    /// catch-up fails; the registration is then forgotten again.
+    pub fn register_standing(&mut self, criteria: &str) -> Result<StandingQueryId, AuditError> {
         let normalized = crate::plan::compile(criteria, &self.schema)?;
         // Fail registration, not some later seal, on an unplannable
         // query.
         self.plan(&normalized)?;
-        let id = self.standing.register(criteria, normalized);
+        let id = self.standing.register(normalized);
         self.meta_log(
             "cluster",
             "standing-register",
             format!("query={id} criteria={criteria}"),
         );
-        let sealed: Vec<EpochId> = self.trail.sealed_epochs().map(|s| s.epoch).collect();
-        for epoch in sealed {
-            self.emit_standing_delta_for(id, epoch)?;
+        let caught_up = self.catch_up_standing();
+        if caught_up.is_err() {
+            self.forget_standing(id);
         }
-        Ok(id)
+        caught_up.map(|()| id)
+    }
+
+    /// Forgets standing query `id` and everything it was told; the
+    /// meta-audit trail records the forget.
+    pub(crate) fn forget_standing(&mut self, id: StandingQueryId) {
+        self.standing.forget(id);
+        self.meta_log("cluster", "standing-forget", format!("query={id}"));
     }
 
     /// Drains the deltas pushed to `id` since the last drain (seal
     /// order). Empty deltas are delivered too.
-    pub fn standing_deltas(
-        &mut self,
-        id: crate::standing::StandingQueryId,
-    ) -> Vec<crate::standing::StandingDelta> {
-        self.standing.drain_deltas(id)
+    pub fn standing_deltas(&mut self, id: StandingQueryId) -> Vec<StandingDelta> {
+        self.standing.drain(id)
+    }
+
+    /// Every delta of `id`, in epoch order, drained or not.
+    pub(crate) fn standing_log(&self, id: StandingQueryId) -> &[StandingDelta] {
+        self.standing.deltas(id)
     }
 
     /// The accumulated matches of standing query `id` over every
     /// sealed epoch, sorted ascending. `None` for an unknown id.
     #[must_use]
-    pub fn standing_matches(&self, id: crate::standing::StandingQueryId) -> Option<Vec<Glsn>> {
+    pub fn standing_matches(&self, id: StandingQueryId) -> Option<Vec<Glsn>> {
         self.standing.matches(id)
     }
 
-    /// Evaluates standing query `id` over exactly `epoch`'s glsn range
-    /// and pushes the resulting delta. Idempotent per (query, epoch).
-    /// Runs under the cluster's ARQ configuration so seals during lossy
-    /// operation still deliver deltas.
-    fn emit_standing_delta_for(
-        &mut self,
-        id: crate::standing::StandingQueryId,
-        epoch: EpochId,
-    ) -> Result<(), AuditError> {
-        if self.standing.evaluated(id, epoch) {
-            return Ok(());
-        }
-        let clamp = self.trail.extent(epoch);
-        let normalized = self
-            .standing
-            .normalized(id)
-            .expect("delta for a registered query");
-        let mut plan = self.plan(&normalized)?;
-        plan.glsn_clamp = Some(clamp);
-        // Deterministic per (cluster, query, epoch): re-evaluations and
-        // restarted clusters replay identical protocol transcripts.
-        let seed_digest = dla_crypto::sha256::digest_parts(&[
-            b"dla-standing-seed",
-            &self.seed.to_be_bytes(),
-            &id.0.to_be_bytes(),
-            &epoch.0.to_be_bytes(),
-        ]);
-        let query_seed = u64::from_be_bytes(seed_digest[..8].try_into().expect("sliced to 8"));
-        let result = {
+    /// The one place a standing query is evaluated: pays every owed
+    /// (query, sealed epoch) pair, epoch-major and then by ascending
+    /// id, each over exactly that epoch's glsn range. Runs under the
+    /// cluster's ARQ configuration so seals during lossy operation
+    /// still deliver deltas. A pair that fails stays owed, and so do
+    /// the ones after it: the next call pays them.
+    fn catch_up_standing(&mut self) -> Result<(), AuditError> {
+        let from = self.standing.owed_from().into_iter();
+        let sealed = from.flat_map(|from| self.trail.sealed_from(from).map(|s| s.epoch));
+        let owed = (self.standing.owed(sealed).into_iter())
+            .map(|(id, epoch, query)| Ok((id, epoch, self.plan(query)?)))
+            .collect::<Result<Vec<_>, AuditError>>()?;
+        for (id, epoch, mut plan) in owed {
+            plan.glsn_clamp = Some(self.trail.extent(epoch));
+            // Deterministic per (cluster, query, epoch): re-evaluations
+            // and restarted clusters replay identical protocol
+            // transcripts.
+            let seed_digest = dla_crypto::sha256::digest_parts(&[
+                b"dla-standing-seed",
+                &self.seed.to_be_bytes(),
+                &id.0.to_be_bytes(),
+                &epoch.0.to_be_bytes(),
+            ]);
+            let query_seed = u64::from_be_bytes(seed_digest[..8].try_into().expect("sliced to 8"));
             let reliable = dla_net::Reliable::new(self.shared_net());
-            crate::exec::execute_on(
-                self,
-                &reliable,
-                &plan,
-                true,
-                crate::exec::ExecMode::Concurrent,
-                query_seed,
-            )?
-        };
-        let matched = result.glsns.len();
-        self.standing.push_delta(id, epoch, result.glsns);
-        dla_telemetry::record(dla_telemetry::CostKind::StandingDelta, 1);
-        self.meta_log(
-            "cluster",
-            "standing-delta",
-            format!("query={id} epoch={epoch} matches={matched}"),
-        );
+            let concurrent = crate::exec::ExecMode::Concurrent;
+            let result =
+                crate::exec::execute_on(self, &reliable, &plan, true, concurrent, query_seed)?;
+            let matched = result.glsns.len();
+            self.standing.fold(id, epoch, result.glsns);
+            dla_telemetry::record(dla_telemetry::CostKind::StandingDelta, 1);
+            self.meta_log(
+                "cluster",
+                "standing-delta",
+                format!("query={id} epoch={epoch} matches={matched}"),
+            );
+        }
         Ok(())
     }
 
@@ -1505,7 +1500,7 @@ fn origin_message(glsn: Glsn, deposit: &Ubig) -> Vec<u8> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use dla_logstore::gen::paper_table1;
 
@@ -2061,5 +2056,87 @@ mod tests {
             assert!(node.store().is_sealed(EpochId(0)));
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Fails every standing evaluation and nothing else: the tap drops
+    /// `Reliable`'s DATA frames (`0x01`), and only standing evaluations
+    /// travel wrapped — deposits go bare as `0x20`/`0x21`/`0x23`.
+    pub(crate) fn fail_standing_evaluations(cluster: &DlaCluster) {
+        use dla_net::adversary::{ScriptedAdversary, Tamper, TamperRule};
+        use dla_net::Transport;
+        let data = TamperRule {
+            from: None,
+            to: None,
+            tag: Some(0x01),
+            skip: 0,
+            fires: u64::MAX,
+            action: Tamper::Drop,
+        };
+        let everyone = 0..cluster.shared_net().num_nodes();
+        let tap = everyone.fold(ScriptedAdversary::new(), ScriptedAdversary::compromise);
+        cluster.set_adversary(std::sync::Arc::new(tap.rule(data)));
+    }
+
+    /// The glsns of the sealed epochs.
+    fn sealed_glsns(c: &DlaCluster) -> Vec<Glsn> {
+        let sealed = c.trail().sealed_epochs();
+        sealed
+            .flat_map(|s| (s.glsn_lo.0..=s.glsn_hi.0).map(Glsn))
+            .collect()
+    }
+
+    #[test]
+    fn a_standing_delta_that_fails_at_a_seal_is_paid_at_the_next_one() {
+        let mut c = epoch_cluster(2);
+        let user = c.register_user("u0").unwrap();
+        let id = c.register_standing("protocol = 'UDP'").unwrap();
+        let table = paper_table1();
+        c.log_records(&user, &table[..1]).unwrap();
+
+        // Glsn 3 opens epoch 1 and seals epoch 0, whose delta fails.
+        fail_standing_evaluations(&c);
+        assert!(c.log_records(&user, &table[1..3]).is_err());
+        assert_eq!(c.trail_items(), 3, "the records are committed");
+        assert_eq!(sealed_glsns(&c).len(), 2, "and epoch 0 is sealed");
+
+        c.clear_adversary();
+        c.log_records(&user, &table[3..5]).unwrap();
+        let told: Vec<EpochId> = c.standing_deltas(id).iter().map(|d| d.epoch).collect();
+        assert_eq!(told, [EpochId(0), EpochId(1)]);
+        let sealed = sealed_glsns(&c);
+        let fresh = c.query_shared("protocol = 'UDP'").unwrap().glsns;
+        let expected: Vec<Glsn> = fresh.into_iter().filter(|g| sealed.contains(g)).collect();
+        assert_eq!(c.standing_matches(id), Some(expected));
+    }
+
+    #[test]
+    fn a_refused_registration_leaves_nothing_behind() {
+        let mut c = epoch_cluster(2);
+        let user = c.register_user("u0").unwrap();
+        let table = paper_table1();
+        c.log_records(&user, &table[..3]).unwrap();
+
+        fail_standing_evaluations(&c);
+        assert!(c.register_standing("protocol = 'UDP'").is_err());
+        let refused = format!("query={}", StandingQueryId(0));
+        let forget = c.meta_audit().records().last().unwrap();
+        assert_eq!(
+            (forget.action.as_str(), &forget.detail),
+            ("standing-forget", &refused)
+        );
+        let after = c.meta_audit().records().len();
+        c.clear_adversary();
+        c.log_records(&user, &table[3..5]).unwrap();
+        assert_eq!(
+            c.trail().sealed_epochs().count(),
+            2,
+            "a later seal happened"
+        );
+        let later = &c.meta_audit().records()[after..];
+        assert!(
+            !(later.iter()).any(|r| r.action == "standing-delta" && r.detail.contains(&refused)),
+            "a refused registration is never evaluated again"
+        );
+        assert_eq!(c.standing_matches(StandingQueryId(0)), None);
     }
 }

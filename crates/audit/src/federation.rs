@@ -65,7 +65,7 @@ use dla_net::wire::Writer;
 use dla_net::{AdversaryNet, Envelope, NetConfig, NodeId, Session, SharedNet, SimNet};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{btree_map::Entry, BTreeMap, BTreeSet};
 
 /// Wire tag of a sub-ring checkpoint publication on the root ring.
 pub const FED_PUBLISH_TAG: u8 = 0x60;
@@ -258,6 +258,8 @@ pub struct FederatedStandingDelta {
 struct FederatedStanding {
     /// Per-ring registration ids, indexed by ring.
     ring_ids: Vec<StandingQueryId>,
+    /// Deltas archived, per ring: the cursor into each ring's deltas.
+    relayed: Vec<usize>,
     /// Deltas in relay order.
     archive: Vec<FederatedStandingDelta>,
 }
@@ -467,11 +469,21 @@ impl FederatedCluster {
             }
         }
         let ring = federated.ring;
-        let glsns = self.rings[ring].log_records(&federated.user, records)?;
-        for &glsn in &glsns {
-            self.record_index.insert(glsn, self.next_record);
-            self.next_record += 1;
+        let logged = self.rings[ring].log_records(&federated.user, records);
+        // A failure after the commit (a seal's standing delta) leaves
+        // the records in the trail: they are indexed all the same, or
+        // the owed delta that names them could never relay.
+        let committed = match &logged {
+            Ok(glsns) => glsns.clone(),
+            Err(_) => self.rings[ring].logged_glsns(),
+        };
+        for glsn in committed {
+            if let Entry::Vacant(slot) = self.record_index.entry(glsn) {
+                slot.insert(self.next_record);
+                self.next_record += 1;
+            }
         }
+        let glsns = logged?;
         // Push-at-seal: any epoch this deposit just sealed reaches the
         // root fold immediately — the root accumulator never waits for
         // a driver to poll `publish_checkpoints`. Standing deltas the
@@ -597,22 +609,31 @@ impl FederatedCluster {
     /// # Errors
     ///
     /// Returns [`AuditError::Parse`]/[`AuditError::Planning`] if any
-    /// ring rejects the criteria, or any relay failure.
+    /// ring rejects the criteria, or any catch-up or relay failure; the
+    /// registration is then forgotten in every ring and at the
+    /// collector.
     pub fn register_standing(&mut self, criteria: &str) -> Result<StandingQueryId, AuditError> {
-        let ring_ids = (0..self.rings.len())
-            .map(|ring| self.rings[ring].register_standing(criteria))
-            .collect::<Result<Vec<_>, _>>()?;
+        let mut ring_ids = Vec::with_capacity(self.rings.len());
+        let registered = (self.rings.iter_mut())
+            .try_for_each(|ring| ring.register_standing(criteria).map(|id| ring_ids.push(id)));
+        // The id is taken only once every ring has registered.
         let id = StandingQueryId(self.next_standing);
-        self.next_standing += 1;
-        self.standing.insert(
-            id,
-            FederatedStanding {
-                ring_ids,
+        let relayed = registered.and_then(|()| {
+            self.next_standing += 1;
+            let subscription = FederatedStanding {
+                ring_ids: ring_ids.clone(),
+                relayed: vec![0; ring_ids.len()],
                 archive: Vec::new(),
-            },
-        );
-        for ring in 0..self.rings.len() {
-            self.relay_standing_ring(ring)?;
+            };
+            self.standing.insert(id, subscription);
+            (0..self.rings.len()).try_for_each(|ring| self.relay_standing_ring(ring))
+        });
+        if let Err(e) = relayed {
+            self.standing.remove(&id);
+            for (ring, &ring_id) in self.rings.iter_mut().zip(&ring_ids) {
+                ring.forget_standing(ring_id);
+            }
+            return Err(e);
         }
         Ok(id)
     }
@@ -637,18 +658,19 @@ impl FederatedCluster {
         Some(records.into_iter().collect())
     }
 
-    /// Relays `ring`'s pending standing deltas to the root collector:
-    /// the representative frames each delta ([`FED_DELTA_TAG`]), the
-    /// collector decodes it, resolves the ring-local glsns to global
-    /// deposit indices, and archives the result.
+    /// Relays `ring`'s standing deltas the collector has not archived
+    /// yet: the representative frames each delta ([`FED_DELTA_TAG`]),
+    /// the collector decodes it, resolves the ring-local glsns to
+    /// global deposit indices, and archives the result. A subscription's
+    /// cursor into the ring's deltas moves only past an archived delta,
+    /// so a relay that fails resumes where it stopped.
     fn relay_standing_ring(&mut self, ring: usize) -> Result<(), AuditError> {
-        let subscriptions: Vec<(StandingQueryId, StandingQueryId)> = self
-            .standing
-            .iter()
-            .map(|(id, entry)| (*id, entry.ring_ids[ring]))
-            .collect();
-        for (fed_id, ring_id) in subscriptions {
-            for delta in self.rings[ring].standing_deltas(ring_id) {
+        let ids: Vec<StandingQueryId> = self.standing.keys().copied().collect();
+        for fed_id in ids {
+            while let Some(delta) = (self.standing.get(&fed_id)).and_then(|s| {
+                let log = self.rings[ring].standing_log(s.ring_ids[ring]);
+                log.get(s.relayed[ring])
+            }) {
                 let mut w = Writer::new();
                 w.put_u8(FED_DELTA_TAG)
                     .put_u64(fed_id.0)
@@ -662,26 +684,19 @@ impl FederatedCluster {
                 let query = StandingQueryId(r.get_u64()?);
                 let from_ring = r.get_u64()?;
                 let epoch = EpochId(r.get_u64()?);
-                let glsns = r.get_list(|r| r.get_u64().map(Glsn))?;
-                let mut records = Vec::with_capacity(glsns.len());
-                for glsn in glsns {
-                    let index = self.record_index.get(&glsn).ok_or_else(|| {
-                        AuditError::Integrity(format!(
-                            "standing delta names glsn {glsn:?} with no federated deposit index"
-                        ))
+                let records = self.identify(&r.get_list(|r| r.get_u64().map(Glsn))?)?;
+                let entry = (self.standing.get_mut(&query))
+                    .filter(|_| query == fed_id)
+                    .ok_or_else(|| {
+                        AuditError::Integrity(format!("{fed_id}'s delta names {query}"))
                     })?;
-                    records.push(*index);
-                }
-                records.sort_unstable();
-                let entry = self.standing.get_mut(&query).ok_or_else(|| {
-                    AuditError::Integrity(format!("standing delta for unknown query {query}"))
-                })?;
                 entry.archive.push(FederatedStandingDelta {
                     query,
                     ring: from_ring,
                     epoch,
                     records,
                 });
+                entry.relayed[ring] += 1;
             }
         }
         Ok(())
@@ -1299,5 +1314,124 @@ mod tests {
             four.ingest_makespan_ns(),
             one.ingest_makespan_ns()
         );
+    }
+
+    /// Logs `count` copies of a Table 1 record of a user homed in
+    /// `ring`; with epochs of 2, every other one seals an epoch.
+    fn log_in_ring(
+        fed: &mut FederatedCluster,
+        ring: usize,
+        count: usize,
+    ) -> Result<(), AuditError> {
+        for record in paper_table1() {
+            let Some(AttrValue::Text(id)) = record.get(&"id".into()).cloned() else {
+                unreachable!("table 1 records carry an id");
+            };
+            if fed.home_ring(&id) == ring {
+                return fed.log_records(&id, &vec![record; count]).map(drop);
+            }
+        }
+        unreachable!("table 1 has a user homed in every ring of two")
+    }
+
+    /// The global indices of the records in sealed epochs.
+    fn sealed_records(fed: &FederatedCluster) -> Vec<u64> {
+        let sealed = fed
+            .rings()
+            .iter()
+            .flat_map(|ring| ring.trail().sealed_epochs());
+        let glsns = sealed.flat_map(|s| (s.glsn_lo.0..=s.glsn_hi.0).map(Glsn));
+        let records: BTreeSet<u64> = glsns.filter_map(|g| fed.deposit_index(g)).collect();
+        records.into_iter().collect()
+    }
+
+    #[test]
+    fn a_refused_federated_registration_is_forgotten_in_every_ring() {
+        let mut fed = seeded_federation(2, 71);
+        log_in_ring(&mut fed, 1, 2).unwrap();
+        assert!(fed.ring(1).trail().sealed_epochs().count() > 0);
+
+        // Ring 0 registers; ring 1's catch-up fails.
+        crate::cluster::tests::fail_standing_evaluations(fed.ring(1));
+        assert!(fed.register_standing("protocol = 'UDP'").is_err());
+        fed.ring(1).clear_adversary();
+        let after: Vec<usize> = (fed.rings().iter()).map(|r| r.meta_audit().len()).collect();
+        for ring in 0..2 {
+            log_in_ring(&mut fed, ring, 4).unwrap();
+        }
+        for (ring, from) in fed.rings().iter().zip(after) {
+            let later = &ring.meta_audit().records()[from..];
+            assert!(later.iter().any(|r| r.action == "epoch-seal"));
+            assert!(
+                !later.iter().any(|r| r.action == "standing-delta"),
+                "a seal evaluated the refused query"
+            );
+        }
+        assert_eq!(fed.standing_matches(StandingQueryId(0)), None);
+        // Neither a refusal in a ring nor a parse error takes an id.
+        assert!(fed.register_standing("protocol =").is_err());
+        assert_eq!(
+            fed.register_standing("protocol = 'UDP'").unwrap(),
+            StandingQueryId(0)
+        );
+    }
+
+    #[test]
+    fn a_delta_that_fails_at_a_ring_seal_is_relayed_after_the_next_one() {
+        let mut fed = seeded_federation(2, 79);
+        let id = fed.register_standing("protocol = 'UDP'").unwrap();
+        let ring = 1;
+        let sealed_before = fed.ring(ring).trail().sealed_epochs().count();
+
+        // The batch seals an epoch of matching records; its delta fails.
+        crate::cluster::tests::fail_standing_evaluations(fed.ring(ring));
+        assert!(log_in_ring(&mut fed, ring, 4).is_err());
+        assert!(fed.ring(ring).trail().sealed_epochs().count() > sealed_before);
+        fed.ring(ring).clear_adversary();
+        log_in_ring(&mut fed, ring, 2).unwrap();
+        fed.publish_checkpoints().unwrap();
+
+        let fresh = fed.query("protocol = 'UDP'").unwrap().records;
+        let sealed = sealed_records(&fed);
+        let expected: Vec<u64> = fresh.into_iter().filter(|r| sealed.contains(r)).collect();
+        assert!(!expected.is_empty());
+        assert_eq!(fed.standing_matches(id), Some(expected));
+    }
+
+    #[test]
+    fn a_relay_that_fails_part_way_loses_no_delta() {
+        use dla_net::adversary::{ScriptedAdversary, Tamper, TamperRule};
+        let mut fed = seeded_federation(2, 73);
+        let id = fed.register_standing("protocol = 'UDP'").unwrap();
+        let ring = 1;
+        let told = fed.standing_deltas(id).len();
+
+        // One batch seals two epochs; the second delta's frame arrives
+        // truncated.
+        let truncate = TamperRule {
+            skip: 1,
+            ..TamperRule::once_from(ring, FED_DELTA_TAG, Tamper::Truncate(9))
+        };
+        let liar = ScriptedAdversary::new().compromise(ring).rule(truncate);
+        fed.root_net.set_adversary(std::sync::Arc::new(liar));
+        let sealed_before = fed.ring(ring).trail().sealed_epochs().count();
+        assert!(log_in_ring(&mut fed, ring, 4).is_err());
+        assert_eq!(
+            fed.ring(ring).trail().sealed_epochs().count(),
+            sealed_before + 2
+        );
+        fed.root_net.clear_adversary();
+        fed.publish_checkpoints().unwrap();
+
+        let archive = fed.standing_deltas(id);
+        assert_eq!(archive.len(), told + 2);
+        let mut epochs: Vec<(u64, EpochId)> = archive.iter().map(|d| (d.ring, d.epoch)).collect();
+        epochs.sort_unstable();
+        epochs.dedup();
+        assert_eq!(epochs.len(), archive.len(), "each epoch archived once");
+        let fresh = fed.query("protocol = 'UDP'").unwrap().records;
+        let sealed = sealed_records(&fed);
+        let expected: Vec<u64> = fresh.into_iter().filter(|r| sealed.contains(r)).collect();
+        assert_eq!(fed.standing_matches(id), Some(expected));
     }
 }

@@ -17,15 +17,17 @@
 //! restricted to sealed epochs — proven byte-identical under chaos in
 //! `standing_chaos.rs`.
 //!
-//! Registration after the fact is not a gap: the registry catches a
-//! late subscriber up by evaluating every already-sealed epoch, so
-//! subscribers converge on the same accumulated answer regardless of
-//! when they joined.
+//! A subscription is owed every sealed epoch after its last delta, and
+//! one catch-up pays what is owed, epoch by epoch: at registration (a
+//! late subscriber converges on the answer of one registered at
+//! genesis), after each seal, and after any evaluation that failed. Its
+//! deltas thus cover the sealed epochs up to some point with no hole.
+//! A registration whose catch-up fails is forgotten again.
 
 use crate::normal::NormalizedQuery;
 use dla_logstore::epoch::EpochId;
 use dla_logstore::model::Glsn;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Identifier of a registered standing query, unique per cluster.
@@ -44,7 +46,7 @@ impl fmt::Display for StandingQueryId {
 pub struct StandingDelta {
     /// The subscribed query.
     pub query: StandingQueryId,
-    /// The epoch whose seal triggered this delta.
+    /// The sealed epoch the delta covers.
     pub epoch: EpochId,
     /// Satisfying glsns inside the epoch, sorted ascending. Empty
     /// deltas are delivered too — "nothing new matched" is itself an
@@ -52,126 +54,108 @@ pub struct StandingDelta {
     pub glsns: Vec<Glsn>,
 }
 
-/// One registered subscription.
-struct StandingEntry {
-    criteria: String,
-    normalized: NormalizedQuery,
-    /// Accumulated union of all delta glsns.
-    matches: BTreeSet<Glsn>,
-    /// Deltas emitted but not yet drained by the subscriber.
-    pending: Vec<StandingDelta>,
-    /// Epochs already folded in — the seal path and the registration
-    /// catch-up are both idempotent against this set.
-    evaluated: BTreeSet<EpochId>,
+/// What one subscription has been told.
+struct Subscription {
+    query: NormalizedQuery,
+    /// Every delta, in epoch order: one for each sealed epoch up to
+    /// some point, never a hole.
+    deltas: Vec<StandingDelta>,
+    /// How many of `deltas` the subscriber has drained.
+    drained: usize,
 }
 
-/// The cluster's registry of standing queries. Held by
-/// [`crate::cluster::DlaCluster`]; all evaluation is driven from the
-/// seal path there — this type only owns subscription state.
+impl Subscription {
+    /// The first epoch it is owed: the one after its last delta.
+    fn owed_from(&self) -> EpochId {
+        (self.deltas.last()).map_or(EpochId(0), |d| EpochId(d.epoch.0 + 1))
+    }
+}
+
+/// The cluster's ledger of standing queries and what each has been
+/// told. Held by [`crate::cluster::DlaCluster`], which evaluates what
+/// [`StandingRegistry::owed`] names and folds the answers back in.
 #[derive(Default)]
-pub struct StandingRegistry {
+pub(crate) struct StandingRegistry {
     next: u64,
-    entries: BTreeMap<StandingQueryId, StandingEntry>,
+    entries: BTreeMap<StandingQueryId, Subscription>,
 }
 
 impl StandingRegistry {
-    /// Registers a parsed-and-normalized query, returning its id.
-    pub fn register(&mut self, criteria: &str, normalized: NormalizedQuery) -> StandingQueryId {
+    /// Registers a normalized query, owed every sealed epoch.
+    pub(crate) fn register(&mut self, query: NormalizedQuery) -> StandingQueryId {
         let id = StandingQueryId(self.next);
         self.next += 1;
         self.entries.insert(
             id,
-            StandingEntry {
-                criteria: criteria.to_owned(),
-                normalized,
-                matches: BTreeSet::new(),
-                pending: Vec::new(),
-                evaluated: BTreeSet::new(),
+            Subscription {
+                query,
+                deltas: Vec::new(),
+                drained: 0,
             },
         );
         id
     }
 
-    /// Ids of every registered query, ascending.
-    #[must_use]
-    pub fn ids(&self) -> Vec<StandingQueryId> {
-        self.entries.keys().copied().collect()
+    /// Forgets `id` and everything it was told. Ids are never reused.
+    pub(crate) fn forget(&mut self, id: StandingQueryId) {
+        self.entries.remove(&id);
     }
 
-    /// Number of registered queries.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
+    /// The first epoch some query is owed; `None` with nothing
+    /// registered.
+    pub(crate) fn owed_from(&self) -> Option<EpochId> {
+        self.entries.values().map(Subscription::owed_from).min()
     }
 
-    /// Whether no query is registered.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The original criteria text of `id`.
-    #[must_use]
-    pub fn criteria(&self, id: StandingQueryId) -> Option<&str> {
-        self.entries.get(&id).map(|e| e.criteria.as_str())
-    }
-
-    /// The normalized form of `id` (cloned so the seal path can plan
-    /// against it while holding `&mut` cluster state).
-    #[must_use]
-    pub fn normalized(&self, id: StandingQueryId) -> Option<NormalizedQuery> {
-        self.entries.get(&id).map(|e| e.normalized.clone())
-    }
-
-    /// Whether `id` has already folded `epoch` in.
-    #[must_use]
-    pub fn evaluated(&self, id: StandingQueryId, epoch: EpochId) -> bool {
-        self.entries
-            .get(&id)
-            .is_some_and(|e| e.evaluated.contains(&epoch))
-    }
-
-    /// Records `epoch`'s evaluation outcome for `id`: appends the
-    /// pending delta and folds the glsns into the accumulated matches.
-    pub fn push_delta(&mut self, id: StandingQueryId, epoch: EpochId, glsns: Vec<Glsn>) {
-        let Some(entry) = self.entries.get_mut(&id) else {
-            return;
-        };
-        if !entry.evaluated.insert(epoch) {
-            return;
-        }
-        entry.matches.extend(glsns.iter().copied());
-        entry.pending.push(StandingDelta {
-            query: id,
-            epoch,
-            glsns,
+    /// What is owed, given the `sealed` epochs in order (those from
+    /// [`StandingRegistry::owed_from`] on suffice): each query is owed
+    /// every one after its last delta. Epoch-major, then by ascending
+    /// id.
+    pub(crate) fn owed(
+        &self,
+        sealed: impl Iterator<Item = EpochId>,
+    ) -> Vec<(StandingQueryId, EpochId, &NormalizedQuery)> {
+        let owed = sealed.flat_map(|epoch| {
+            (self.entries.iter())
+                .filter(move |(_, s)| s.owed_from() <= epoch)
+                .map(move |(id, s)| (*id, epoch, &s.query))
         });
+        owed.collect()
     }
 
-    /// Drains the deltas pushed since the last drain, in seal order.
-    pub fn drain_deltas(&mut self, id: StandingQueryId) -> Vec<StandingDelta> {
-        self.entries
-            .get_mut(&id)
-            .map(|e| std::mem::take(&mut e.pending))
-            .unwrap_or_default()
+    /// Folds in the answer `glsns` (sorted) of `id` over `epoch`, the
+    /// first epoch [`StandingRegistry::owed`] named for it.
+    pub(crate) fn fold(&mut self, id: StandingQueryId, epoch: EpochId, glsns: Vec<Glsn>) {
+        if let Some(entry) = self.entries.get_mut(&id) {
+            entry.deltas.push(StandingDelta {
+                query: id,
+                epoch,
+                glsns,
+            });
+        }
     }
 
-    /// The accumulated matches of `id` over every evaluated epoch,
-    /// sorted ascending.
-    #[must_use]
-    pub fn matches(&self, id: StandingQueryId) -> Option<Vec<Glsn>> {
-        self.entries
-            .get(&id)
-            .map(|e| e.matches.iter().copied().collect())
+    /// Every delta of `id`, in epoch order.
+    pub(crate) fn deltas(&self, id: StandingQueryId) -> &[StandingDelta] {
+        self.entries.get(&id).map_or(&[], |e| &e.deltas)
     }
 
-    /// Epochs `id` has folded in, ascending.
-    #[must_use]
-    pub fn evaluated_epochs(&self, id: StandingQueryId) -> Vec<EpochId> {
-        self.entries
-            .get(&id)
-            .map(|e| e.evaluated.iter().copied().collect())
-            .unwrap_or_default()
+    /// The deltas of `id` not drained before, in epoch order.
+    pub(crate) fn drain(&mut self, id: StandingQueryId) -> Vec<StandingDelta> {
+        let Some(entry) = self.entries.get_mut(&id) else {
+            return Vec::new();
+        };
+        let fresh = entry.deltas[entry.drained..].to_vec();
+        entry.drained = entry.deltas.len();
+        fresh
+    }
+
+    /// The accumulated matches of `id`, sorted ascending: its deltas'
+    /// glsns in turn, since the epochs are disjoint glsn ranges.
+    pub(crate) fn matches(&self, id: StandingQueryId) -> Option<Vec<Glsn>> {
+        let entry = self.entries.get(&id)?;
+        let glsns = entry.deltas.iter().flat_map(|d| &d.glsns);
+        Some(glsns.copied().collect())
     }
 }
 
@@ -185,39 +169,58 @@ mod tests {
         crate::normal::normalize(&parsed)
     }
 
-    #[test]
-    fn registry_accumulates_and_drains_deltas() {
-        let mut reg = StandingRegistry::default();
-        let id = reg.register("protocol = 'UDP'", normalized("protocol = 'UDP'"));
-        assert_eq!(reg.criteria(id), Some("protocol = 'UDP'"));
-        assert!(!reg.evaluated(id, EpochId(0)));
-
-        reg.push_delta(id, EpochId(0), vec![Glsn(3), Glsn(1)]);
-        reg.push_delta(id, EpochId(1), vec![Glsn(7)]);
-        // Re-pushing an evaluated epoch is ignored (idempotent seals).
-        reg.push_delta(id, EpochId(0), vec![Glsn(99)]);
-
-        assert!(reg.evaluated(id, EpochId(0)));
-        assert_eq!(reg.matches(id), Some(vec![Glsn(1), Glsn(3), Glsn(7)]));
-        assert_eq!(reg.evaluated_epochs(id), vec![EpochId(0), EpochId(1)]);
-
-        let deltas = reg.drain_deltas(id);
-        assert_eq!(deltas.len(), 2);
-        assert_eq!(deltas[0].epoch, EpochId(0));
-        assert_eq!(deltas[0].glsns, vec![Glsn(3), Glsn(1)]);
-        assert!(reg.drain_deltas(id).is_empty(), "drained once");
-        // Accumulated matches survive the drain.
-        assert_eq!(reg.matches(id), Some(vec![Glsn(1), Glsn(3), Glsn(7)]));
+    fn epochs(range: std::ops::Range<u64>) -> impl Iterator<Item = EpochId> {
+        range.map(EpochId)
     }
 
     #[test]
-    fn ids_are_unique_and_ordered() {
+    fn a_query_is_owed_every_sealed_epoch_after_its_last_delta() {
         let mut reg = StandingRegistry::default();
-        let a = reg.register("c1 > 5", normalized("c1 > 5"));
-        let b = reg.register("c1 > 9", normalized("c1 > 9"));
+        let a = reg.register(normalized("protocol = 'UDP'"));
+        reg.fold(a, EpochId(0), vec![Glsn(1), Glsn(3)]);
+        let b = reg.register(normalized("c1 > 5"));
+        let owed: Vec<_> = (reg.owed(epochs(0..2)).into_iter())
+            .map(|(id, epoch, _)| (id, epoch))
+            .collect();
+        // Epoch-major, then by ascending id; `a` was told epoch 0.
+        assert_eq!(owed, [(b, EpochId(0)), (a, EpochId(1)), (b, EpochId(1))]);
+        assert_eq!(reg.owed_from(), Some(EpochId(0)));
+        reg.fold(b, EpochId(0), vec![]);
+        reg.fold(a, EpochId(1), vec![Glsn(7)]);
+        reg.fold(b, EpochId(1), vec![Glsn(6)]);
+        assert!(reg.owed(epochs(0..2)).is_empty());
+        assert_eq!(reg.owed_from(), Some(EpochId(2)));
+        assert_eq!(reg.matches(a), Some(vec![Glsn(1), Glsn(3), Glsn(7)]));
+    }
+
+    #[test]
+    fn a_drain_moves_a_cursor_and_keeps_the_deltas() {
+        let mut reg = StandingRegistry::default();
+        let id = reg.register(normalized("protocol = 'UDP'"));
+        reg.fold(id, EpochId(0), vec![Glsn(1)]);
+        reg.fold(id, EpochId(1), vec![]);
+        let drained = reg.drain(id);
+        assert_eq!(
+            drained.iter().map(|d| d.epoch).collect::<Vec<_>>(),
+            [EpochId(0), EpochId(1)]
+        );
+        assert!(reg.drain(id).is_empty(), "drained once");
+        reg.fold(id, EpochId(2), vec![Glsn(9)]);
+        assert_eq!(reg.drain(id)[0].epoch, EpochId(2));
+        assert_eq!(reg.deltas(id).len(), 3, "a drain deletes nothing");
+        assert_eq!(reg.matches(id), Some(vec![Glsn(1), Glsn(9)]));
+    }
+
+    #[test]
+    fn a_forgotten_query_is_owed_nothing_and_its_id_is_not_reused() {
+        let mut reg = StandingRegistry::default();
+        let a = reg.register(normalized("c1 > 5"));
+        reg.forget(a);
+        assert!(reg.owed(epochs(0..3)).is_empty());
+        assert_eq!(reg.owed_from(), None);
+        assert_eq!(reg.matches(a), None);
+        let b = reg.register(normalized("c1 > 9"));
         assert_ne!(a, b);
-        assert_eq!(reg.ids(), vec![a, b]);
-        assert_eq!(reg.len(), 2);
-        assert_eq!(a.to_string(), "SQ#0");
+        assert_eq!(b.to_string(), "SQ#1");
     }
 }

@@ -271,7 +271,15 @@ impl Trail {
 
     /// The sealed epochs — those the chain checkpoints — in order.
     pub fn sealed_epochs(&self) -> impl Iterator<Item = &EpochStats> {
-        self.epoch_stats().filter(|s| s.sealed)
+        self.sealed_from(EpochId(0))
+    }
+
+    /// The sealed epochs from `from` on, in order.
+    pub(crate) fn sealed_from(&self, from: EpochId) -> impl Iterator<Item = &EpochStats> {
+        self.epochs
+            .range(from..)
+            .map(|(_, s)| s)
+            .filter(|s| s.sealed)
     }
 
     /// The glsn extent of `epoch`'s deposits; inverted if it has none.

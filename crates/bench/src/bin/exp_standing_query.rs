@@ -32,8 +32,8 @@ use dla_audit::cluster::DlaCluster;
 use dla_audit::federation::{FederatedCluster, FederationConfig};
 use dla_audit::plan::TimeWindow;
 use dla_bench::{
-    answered_once_cost, asked_once_cost, assert_warm_within_cold, metered, render_rows,
-    write_snapshot, Json,
+    answered_once_cost, asked_once_cost, assert_warm_within_cold, metered, render_markdown_rows,
+    render_rows, write_snapshot, Json,
 };
 use dla_logstore::fragment::Partition;
 use dla_logstore::gen::WorkloadConfig;
@@ -376,15 +376,11 @@ fn main() {
         cached_fragments, last.rescan_fragments, last.records, fed_matches, fed_published
     );
 
+    // EXPERIMENTS.md P16b quotes this table verbatim; ci.sh diffs the two.
     println!(
-        "\n{}",
-        render_rows(
-            &format!(
-                "P16b - ONE RULE, ASKED ONCE PER SEALED EPOCH ({SHARED_RULE}; {SHARED_RECORDS} \
-                 records, epoch={EPOCH_LEN})"
-            ),
-            &shared_rule.askers
-        )
+        "\nP16b - ONE RULE, ASKED ONCE PER SEALED EPOCH ({SHARED_RULE}; {SHARED_RECORDS} records, \
+         epoch={EPOCH_LEN})\n\n{}",
+        render_markdown_rows(&shared_rule.askers)
     );
     println!(
         "the first subscriber's catch-up runs one union per sealed epoch; the second \
