@@ -120,4 +120,11 @@ echo "==> EXPERIMENTS.md P16b quotes the shared-rule table exp_standing_query pr
 diff -u <(sed -n '/<!-- exp_standing_query shared_rule: begin -->/,/<!-- exp_standing_query shared_rule: end -->/p' \
     EXPERIMENTS.md | grep '^|') <(sed -n '/^P16b/,$p' "$passes/first/exp_standing_query" | grep '^|')
 
+echo "==> EXPERIMENTS.md P13 quotes the detection table exp_adversary printed"
+# The attack rows BENCH_adversary.json records, printed first as a
+# markdown table (the collusion table after it stays ASCII).
+diff -u <(sed -n '/<!-- exp_adversary detection: begin -->/,/<!-- exp_adversary detection: end -->/p' \
+    EXPERIMENTS.md | grep '^|') <(sed -n '/^ADVERSARY DETECTION/,/^honest baseline/p' \
+    "$passes/first/exp_adversary" | grep '^|')
+
 echo "CI OK"

@@ -3,14 +3,17 @@
 //! tickets, and the simulated network tying them together.
 
 use crate::kept::KeptResults;
+use crate::randomness::Randomness;
 use crate::standing::{StandingDelta, StandingQueryId, StandingRegistry};
 use crate::trail::{DepositRecord, EpochStats, Trail};
+pub use crate::users::AppUser;
+use crate::users::UserRegistry;
 use crate::AuditError;
 use dla_bigint::Ubig;
 use dla_crypto::accumulator::{AccumulatorParams, CheckpointChain};
 use dla_crypto::pohlig_hellman::CommutativeDomain;
-use dla_crypto::schnorr::{SchnorrGroup, SchnorrKeyPair};
-use dla_logstore::acl::{OperationSet, Ticket, TicketAuthority};
+use dla_crypto::schnorr::SchnorrGroup;
+use dla_logstore::acl::Ticket;
 use dla_logstore::epoch::{EpochId, EpochPolicy};
 use dla_logstore::fragment::{fragment, Fragment, Partition};
 use dla_logstore::journal::{Journal, JournalEntry};
@@ -23,10 +26,8 @@ use dla_net::wire::Writer;
 use dla_net::{AdversaryNet, NetConfig, NodeId, Session, SharedNet, SimNet};
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Configuration for [`DlaCluster::new`].
 #[derive(Clone, Debug)]
@@ -41,7 +42,8 @@ pub struct ClusterConfig {
     pub seed: u64,
     /// Link latency model.
     pub latency: LatencyModel,
-    /// Maximum number of application users that can register.
+    /// Maximum number of application users that can register over the
+    /// cluster's whole life, restarts included.
     pub max_users: usize,
     /// Directory for per-node + cluster journals; enables crash-safe
     /// durability and [`DlaCluster`] restart recovery.
@@ -331,26 +333,6 @@ impl DlaNode {
     }
 }
 
-/// A registered application user (`u_j ∈ U`).
-#[derive(Debug)]
-pub struct AppUser {
-    /// Display name.
-    pub name: String,
-    /// The user's network endpoint.
-    pub node: NodeId,
-    /// The user's ticket for logging/querying.
-    pub ticket: Ticket,
-    key: SchnorrKeyPair,
-}
-
-impl AppUser {
-    /// The user's signing key (ticket holder key).
-    #[must_use]
-    pub fn key(&self) -> &SchnorrKeyPair {
-        &self.key
-    }
-}
-
 /// The assembled DLA cluster.
 pub struct DlaCluster {
     schema: Schema,
@@ -362,16 +344,13 @@ pub struct DlaCluster {
     /// The simulator behind the wire tap every cluster leg sends
     /// through ([`DlaCluster::set_adversary`]).
     net: AdversaryNet<SharedNet>,
-    seed: u64,
-    query_counter: AtomicU64,
+    randomness: Randomness,
     allocator: GlsnAllocator,
-    authority: TicketAuthority,
+    /// Every user issued a ticket, and the endpoint each one got.
+    users: UserRegistry,
     /// Every deposit, its epoch and the sealed epochs' checkpoints.
     trail: Trail,
     cluster_journal: Option<Journal>,
-    users: usize,
-    max_users: usize,
-    rng: StdRng,
     standby_replication: bool,
     /// Tamper-evident journal of the cluster's own privileged actions
     /// (deposits, user registrations, re-replications, degraded-mode
@@ -393,7 +372,7 @@ impl fmt::Debug for DlaCluster {
             f,
             "DlaCluster({} nodes, {} users, {} records)",
             self.nodes.len(),
-            self.users,
+            self.users.count(),
             self.trail.items()
         )
     }
@@ -428,7 +407,7 @@ impl DlaCluster {
             None => Partition::round_robin(&config.schema, config.nodes)
                 .map_err(|e| AuditError::Config(e.to_string()))?,
         };
-        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut randomness = Randomness::new(config.seed, 0);
         let group = SchnorrGroup::fixed_256();
         let glsn_base = config
             .glsn_base
@@ -459,9 +438,10 @@ impl DlaCluster {
         let net_config = NetConfig::ideal()
             .with_latency(config.latency)
             .with_seed(config.seed);
-        let net = SimNet::new(config.nodes + 2 + config.max_users, net_config);
-
-        let authority = TicketAuthority::new(&group, &mut rng);
+        // The authority key is the configured seed's first draw, so the
+        // tickets of every incarnation verify under it.
+        let users = UserRegistry::new(&group, randomness.rng(), config.max_users, config.nodes);
+        let net = SimNet::new(users.endpoint(config.max_users as u64).0, net_config);
         // The ledger starts empty; whatever history there is arrives by
         // replaying the cluster journal through the same transitions
         // that wrote it.
@@ -472,15 +452,11 @@ impl DlaCluster {
             domain: CommutativeDomain::fixed_256(),
             nodes,
             net: AdversaryNet::new(SharedNet::new(net)),
-            seed: config.seed,
-            query_counter: AtomicU64::new(0),
+            randomness,
             allocator: GlsnAllocator::starting_at(glsn_base),
-            authority,
+            users,
             trail: Trail::new(AccumulatorParams::fixed_512(), epoch_policy),
             cluster_journal: None,
-            users: 0,
-            max_users: config.max_users,
-            rng,
             standby_replication: config.standby_replication,
             standing: StandingRegistry::default(),
             kept: Mutex::default(),
@@ -498,12 +474,14 @@ impl DlaCluster {
 
     /// Restart recovery: replays `cluster.journal` through the live
     /// transitions — each run of deposits between two seal records as
-    /// one batch — then enforces the one commit rule: **a deposit exists
-    /// iff its `BLOB_DEPOSIT` is in the cluster journal**; whatever a
-    /// node holds of any other glsn is rolled back (journaled).
+    /// one batch — and journals the restart itself, then enforces the
+    /// one commit rule: **a deposit exists iff its `BLOB_DEPOSIT` is in
+    /// the cluster journal**; whatever a node holds of any other glsn is
+    /// rolled back (journaled).
     fn recover(&mut self, path: &std::path::Path) -> Result<(), AuditError> {
         let (journal, entries) =
             Journal::open(path).map_err(|e| AuditError::Config(e.to_string()))?;
+        let (lived, mut incarnation) = (!entries.is_empty(), 0);
         let be_u64 = |tag: u8, bytes: &[u8]| match bytes.try_into() {
             Ok(raw) => Ok(u64::from_be_bytes(raw)),
             Err(_) => Err(AuditError::Config(format!(
@@ -518,7 +496,9 @@ impl DlaCluster {
             };
             match tag {
                 BLOB_DEPOSIT => batch.push(DepositRecord::decode(&bytes)?),
-                BLOB_TICKET_COUNTER => self.authority.resume_from(be_u64(tag, &bytes)?),
+                BLOB_TICKET_COUNTER => self.users.resume(be_u64(tag, &bytes)?),
+                BLOB_RESTART if be_u64(tag, &bytes)? == incarnation + 1 => incarnation += 1,
+                BLOB_RESTART => return Err(AuditError::Config("restart out of order".into())),
                 BLOB_EPOCH_SEAL => {
                     let (replayed, epoch) =
                         (std::mem::take(&mut batch), EpochId(be_u64(tag, &bytes)?));
@@ -532,6 +512,12 @@ impl DlaCluster {
         self.trail.admit(&batch)?;
         self.trail.absorb(batch, BTreeSet::new());
         self.cluster_journal = Some(journal);
+        // A restart is a transition, journaled before anything draws:
+        // each incarnation draws from a stream of its own.
+        if lived {
+            self.journal([u64_record(BLOB_RESTART, incarnation + 1)])?;
+            self.randomness = Randomness::new(self.randomness.seed(), incarnation + 1);
+        }
 
         self.roll_back_uncommitted()?;
         // Allocation resumes past the last committed deposit — and past
@@ -542,8 +528,8 @@ impl DlaCluster {
             let sealed = store.epoch_manifests().filter(|m| m.sealed);
             sealed.map(|m| policy.glsn_range(m.epoch).1).max()
         };
-        let last =
-            (self.trail.logged_glsns().pop()).max(self.nodes.iter().filter_map(sealed).max());
+        let last = (self.trail.logged_above(None).next_back())
+            .max(self.nodes.iter().filter_map(sealed).max());
         if let Some(last) = last {
             self.allocator = GlsnAllocator::starting_at(Glsn(last.0.saturating_add(1)));
         }
@@ -715,18 +701,18 @@ impl DlaCluster {
     /// [`DlaCluster::root_session`] with the cluster RNG beside it, for
     /// the protocols that draw randomness while they send.
     pub(crate) fn root_session_and_rng(&mut self) -> (Session<'_>, &mut StdRng) {
-        (Session::root(&self.net), &mut self.rng)
+        (Session::root(&self.net), self.randomness.rng())
     }
 
     /// The cluster RNG (seeding derived per-session generators).
     pub(crate) fn rng_mut(&mut self) -> &mut StdRng {
-        &mut self.rng
+        self.randomness.rng()
     }
 
     /// The configured base seed.
     #[must_use]
     pub fn seed(&self) -> u64 {
-        self.seed
+        self.randomness.seed()
     }
 
     /// The tamper-evident journal of the cluster's own actions
@@ -801,44 +787,38 @@ impl DlaCluster {
         self.kept.lock()
     }
 
-    /// Registers an application user: generates a key pair and issues a
-    /// read/write ticket.
+    /// Registers an application user: journals the ticket counter, then
+    /// generates a key pair and issues a read/write ticket.
     ///
     /// # Errors
     ///
-    /// Returns [`AuditError::Config`] when user capacity is exhausted.
+    /// Returns [`AuditError::Config`] when the user capacity — a bound
+    /// on the cluster's whole life, restarts included — is exhausted,
+    /// and [`AuditError::Log`] when the counter cannot be journaled;
+    /// either way nothing is issued.
     pub fn register_user(&mut self, name: &str) -> Result<AppUser, AuditError> {
-        if self.users >= self.max_users {
-            return Err(AuditError::Config(format!(
-                "user capacity {} exhausted",
-                self.max_users
-            )));
-        }
-        let node = NodeId(self.nodes.len() + 2 + self.users);
-        self.users += 1;
-        let key = SchnorrKeyPair::generate(&self.group, &mut self.rng);
-        let ticket = self
-            .authority
-            .issue(key.public(), OperationSet::read_write(), &mut self.rng);
-        if let Some(journal) = &mut self.cluster_journal {
-            journal
-                .append(&JournalEntry::Blob {
-                    tag: BLOB_TICKET_COUNTER,
-                    bytes: self.authority.issued().to_be_bytes().to_vec(),
-                })
-                .map_err(|e| AuditError::Config(e.to_string()))?;
-        }
-        self.meta_log(
-            "cluster",
-            "register-user",
-            format!("name={name} node={node}"),
-        );
-        Ok(AppUser {
-            name: name.to_owned(),
-            node,
-            ticket,
-            key,
-        })
+        let issued = self.users.admit()?;
+        self.journal([u64_record(BLOB_TICKET_COUNTER, issued)])?;
+        let user = self.users.issue(name, &self.group, self.randomness.rng());
+        let detail = format!("name={name} node={}", user.node);
+        self.meta_log("cluster", "register-user", detail);
+        Ok(user)
+    }
+
+    /// Appends `(tag, bytes)` cluster records in one write, if journaled.
+    fn journal(
+        &mut self,
+        blobs: impl IntoIterator<Item = (u8, Vec<u8>)>,
+    ) -> Result<(), AuditError> {
+        let Some(journal) = &mut self.cluster_journal else {
+            return Ok(());
+        };
+        let blobs: Vec<_> = (blobs.into_iter())
+            .map(|(tag, bytes)| JournalEntry::Blob { tag, bytes })
+            .collect();
+        journal
+            .append_batch(&blobs)
+            .map_err(|e| AuditError::Log(e.to_string()))
     }
 
     /// Logs one record on behalf of `user` (Fig. 2's distributed
@@ -916,7 +896,7 @@ impl DlaCluster {
         // record, since the deposit binds every fragment (§4.1).
         let origin_sig = user
             .key()
-            .sign(&origin_message(glsn, &deposit), &mut self.rng);
+            .sign(&origin_message(glsn, &deposit), self.randomness.rng());
 
         // Deposit + origin signature broadcast to every node in service.
         let mut w = Writer::new();
@@ -959,16 +939,8 @@ impl DlaCluster {
         }
         self.trail.admit(&batch)?;
         let closing = self.trail.closes(&batch);
-        if let Some(journal) = &mut self.cluster_journal {
-            let deposits = batch.iter().map(|d| (BLOB_DEPOSIT, d.encode()));
-            let seals = (closing.iter()).map(|e| (BLOB_EPOCH_SEAL, e.0.to_be_bytes().to_vec()));
-            let blobs: Vec<JournalEntry> = (deposits.chain(seals))
-                .map(|(tag, bytes)| JournalEntry::Blob { tag, bytes })
-                .collect();
-            journal
-                .append_batch(&blobs)
-                .map_err(|e| AuditError::Log(e.to_string()))?;
-        }
+        let deposits = batch.iter().map(|d| (BLOB_DEPOSIT, d.encode()));
+        self.journal(deposits.chain(closing.iter().map(|e| u64_record(BLOB_EPOCH_SEAL, e.0))))?;
         self.trail.absorb(batch, closing);
         // Every closed epoch seals, one whose seal failed after its
         // record was journaled included: that record is never repeated.
@@ -1056,16 +1028,7 @@ impl DlaCluster {
             .collect::<Result<Vec<_>, AuditError>>()?;
         for (id, epoch, mut plan) in owed {
             plan.glsn_clamp = Some(self.trail.extent(epoch));
-            // Deterministic per (cluster, query, epoch): re-evaluations
-            // and restarted clusters replay identical protocol
-            // transcripts.
-            let seed_digest = dla_crypto::sha256::digest_parts(&[
-                b"dla-standing-seed",
-                &self.seed.to_be_bytes(),
-                &id.0.to_be_bytes(),
-                &epoch.0.to_be_bytes(),
-            ]);
-            let query_seed = u64::from_be_bytes(seed_digest[..8].try_into().expect("sliced to 8"));
+            let query_seed = self.randomness.standing_seed(id, epoch);
             let reliable = dla_net::Reliable::new(self.shared_net());
             let concurrent = crate::exec::ExecMode::Concurrent;
             let result =
@@ -1195,17 +1158,16 @@ impl DlaCluster {
     /// Like [`DlaCluster::query`], but on a **shared** reference, so
     /// many auditors can issue queries from separate threads at once.
     /// Every subquery (and the final conjunction) runs in its own
-    /// transport session; per-query randomness derives from the cluster
-    /// seed and an atomic query counter instead of the exclusive RNG.
+    /// transport session; per-query randomness derives from the
+    /// incarnation's stream and an atomic query counter instead of the
+    /// exclusive RNG.
     ///
     /// # Errors
     ///
     /// As [`DlaCluster::query`].
     pub fn query_shared(&self, criteria: &str) -> Result<crate::exec::QueryResult, AuditError> {
         let plan = self.compile(criteria)?;
-        let drawn = self.query_counter.fetch_add(1, Ordering::Relaxed);
-        let mut index = drawn.wrapping_add(0xA5A5_5A5A);
-        let query_seed = self.seed ^ rand::splitmix64(&mut index);
+        let query_seed = self.randomness.shared_query_seed();
         crate::exec::execute_on(
             self,
             self.shared_net(),
@@ -1489,6 +1451,12 @@ fn open_fragment(payload: &[u8], tag: u8, glsn: Glsn) -> Result<Fragment, AuditE
 const BLOB_DEPOSIT: u8 = 0x01;
 const BLOB_TICKET_COUNTER: u8 = 0x02;
 const BLOB_EPOCH_SEAL: u8 = 0x03;
+const BLOB_RESTART: u8 = 0x04;
+
+/// A cluster record carrying one 8-byte big-endian number.
+fn u64_record(tag: u8, value: u64) -> (u8, Vec<u8>) {
+    (tag, value.to_be_bytes().to_vec())
+}
 
 /// Canonical bytes the logging user signs for non-repudiation.
 fn origin_message(glsn: Glsn, deposit: &Ubig) -> Vec<u8> {
@@ -2055,6 +2023,47 @@ pub(crate) mod tests {
         for node in c.nodes() {
             assert!(node.store().is_sealed(EpochId(0)));
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Two origin signatures under one key and one nonce give the key
+    /// away: `s = k + x·e`, so `x = (s₀ − s₁)/(e₀ − e₁) mod q`. A restart
+    /// that replayed the first life's draws handed its first user the
+    /// first life's key, and its first deposit that life's nonce.
+    #[test]
+    fn a_restart_never_signs_with_a_nonce_twice() {
+        use dla_bigint::modular::{modinv, modmul, modsub};
+        use dla_crypto::schnorr::SchnorrKeyPair;
+        let mut dir = std::env::temp_dir();
+        dir.push(format!("dla-cluster-nonce-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = || {
+            let schema = Schema::paper_example();
+            let partition = Partition::paper_example(&schema);
+            ClusterConfig::new(4, schema)
+                .with_partition(partition)
+                .with_journal_dir(&dir)
+        };
+        let records = paper_table1();
+        let signed = |record: &LogRecord| {
+            let mut c = DlaCluster::new(config()).unwrap();
+            let user = c.register_user("u").unwrap();
+            let glsn = c.log_record(&user, record).unwrap();
+            assert!(c.verify_origin(glsn).unwrap());
+            c.trail().record(glsn).unwrap().clone()
+        };
+        let (first, second) = (signed(&records[0]), signed(&records[1]));
+        let group = SchnorrGroup::fixed_256();
+        let q = group.order();
+        let (s, e) = (&first.signature, &second.signature);
+        let slope = modinv(&modsub(&s.e, &e.e, q), q).unwrap();
+        let x = modmul(&modsub(&s.s, &e.s, q), &slope, q);
+        let solved = SchnorrKeyPair::from_secret(&group, x);
+        assert_ne!(
+            solved.public(),
+            &first.public,
+            "the first user's key leaked"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -411,8 +411,7 @@ impl FederatedCluster {
     /// coordination.
     #[must_use]
     pub fn home_ring(&self, name: &str) -> usize {
-        let h = sha256::digest_parts(&[b"dla-federation-user", name.as_bytes()]);
-        let word = u64::from_be_bytes(h[..8].try_into().expect("sha256 is 32 bytes"));
+        let word = crate::randomness::digest_u64(&[b"dla-federation-user", name.as_bytes()]);
         (word % self.rings.len() as u64) as usize
     }
 
@@ -469,13 +468,14 @@ impl FederatedCluster {
             }
         }
         let ring = federated.ring;
+        let last = self.rings[ring].trail().logged_above(None).next_back();
         let logged = self.rings[ring].log_records(&federated.user, records);
         // A failure after the commit (a seal's standing delta) leaves
         // the records in the trail: they are indexed all the same, or
         // the owed delta that names them could never relay.
-        let committed = match &logged {
+        let committed: Vec<Glsn> = match &logged {
             Ok(glsns) => glsns.clone(),
-            Err(_) => self.rings[ring].logged_glsns(),
+            Err(_) => self.rings[ring].trail().logged_above(last).collect(),
         };
         for glsn in committed {
             if let Entry::Vacant(slot) = self.record_index.entry(glsn) {

@@ -72,9 +72,11 @@ pub mod normal;
 pub mod parser;
 pub mod plan;
 pub mod query;
+mod randomness;
 pub mod standing;
 pub mod trail;
 pub mod transaction;
+mod users;
 
 /// Errors surfaced by the auditing core.
 #[derive(Debug)]

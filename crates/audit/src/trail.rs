@@ -13,6 +13,7 @@ use dla_logstore::epoch::{EpochId, EpochPolicy};
 use dla_logstore::model::Glsn;
 use dla_net::wire::{Reader, Writer};
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Bound;
 use std::sync::OnceLock;
 
 /// The glsn extent of no deposit: inverted, so a scan sees nothing.
@@ -250,6 +251,17 @@ impl Trail {
     #[must_use]
     pub fn logged_glsns(&self) -> Vec<Glsn> {
         self.deposits.keys().copied().collect()
+    }
+
+    /// The glsns with a deposit above `floor` (all for `None`), ascending.
+    pub(crate) fn logged_above(
+        &self,
+        floor: Option<Glsn>,
+    ) -> impl DoubleEndedIterator<Item = Glsn> + '_ {
+        let from = floor.map_or(Bound::Unbounded, Bound::Excluded);
+        self.deposits
+            .range((from, Bound::Unbounded))
+            .map(|(&glsn, _)| glsn)
     }
 
     /// The number of deposits in the trail.

@@ -12,7 +12,7 @@
 
 use dla_audit::adversary::{run_attack, run_coalition, run_honest, AttackClass};
 use dla_audit::metrics::paper;
-use dla_bench::{render_rows, write_snapshot, Json};
+use dla_bench::{render_markdown_rows, render_rows, write_snapshot, Json};
 
 const SEEDS: [u64; 3] = [0xAD01, 0xAD02, 0xAD03];
 
@@ -69,12 +69,11 @@ fn main() {
             ),
         ]));
     }
+    // EXPERIMENTS.md P13 quotes this table verbatim; ci.sh diffs the two.
     println!(
-        "{}",
-        render_rows(
-            &format!("ADVERSARY DETECTION ({} seeds/class)", SEEDS.len()),
-            &attacks
-        )
+        "ADVERSARY DETECTION ({} seeds/class)\n\n{}",
+        SEEDS.len(),
+        render_markdown_rows(&attacks)
     );
 
     // Part 2: honest negative control — any detector firing on a clean

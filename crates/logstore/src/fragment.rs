@@ -207,11 +207,10 @@ impl Fragment {
     ///
     /// Returns [`LogError::Store`] on malformed input.
     pub fn from_canonical_bytes(bytes: &[u8]) -> Result<Self, LogError> {
-        if bytes.len() < 8 {
+        let Some((node_bytes, record_bytes)) = bytes.split_first_chunk::<8>() else {
             return Err(LogError::Store("truncated fragment encoding".into()));
-        }
-        let (node_bytes, record_bytes) = bytes.split_at(8);
-        let node = u64::from_be_bytes(node_bytes.try_into().expect("8 bytes")) as usize;
+        };
+        let node = u64::from_be_bytes(*node_bytes) as usize;
         let values = LogRecord::from_canonical_bytes(record_bytes).map_err(LogError::Store)?;
         Ok(Fragment {
             node,

@@ -276,11 +276,11 @@ enum EntryError {
 }
 
 fn decode_entry(raw: &[u8]) -> Result<(JournalEntry, usize), EntryError> {
-    if raw.len() < 8 {
+    let Some((&[l0, l1, l2, l3, c0, c1, c2, c3], _)) = raw.split_first_chunk::<8>() else {
         return Err(EntryError::Torn);
-    }
-    let len = u32::from_be_bytes(raw[0..4].try_into().expect("4 bytes")) as usize;
-    let crc = u32::from_be_bytes(raw[4..8].try_into().expect("4 bytes"));
+    };
+    let len = u32::from_be_bytes([l0, l1, l2, l3]) as usize;
+    let crc = u32::from_be_bytes([c0, c1, c2, c3]);
     if len == 0 {
         return Err(EntryError::Corrupt("zero-length entry".into()));
     }
@@ -297,7 +297,9 @@ fn decode_entry(raw: &[u8]) -> Result<(JournalEntry, usize), EntryError> {
             Err(EntryError::Corrupt("crc mismatch".into()))
         };
     }
-    let (kind, payload) = body.split_first().expect("len >= 1");
+    let Some((kind, payload)) = body.split_first() else {
+        return Err(EntryError::Corrupt("zero-length entry".into()));
+    };
     let entry = match *kind {
         KIND_FRAGMENT => JournalEntry::Fragment(
             Fragment::from_canonical_bytes(payload)
@@ -310,14 +312,14 @@ fn decode_entry(raw: &[u8]) -> Result<(JournalEntry, usize), EntryError> {
             JournalEntry::Tombstone(Glsn(u64::from_be_bytes(bytes)))
         }
         KIND_ACL_GRANT => {
-            if payload.len() < 9 {
+            let Some((&ops, rest)) = payload.split_first() else {
                 return Err(EntryError::Corrupt("acl grant payload".into()));
-            }
-            let ops = payload[0];
-            let glsn = Glsn(u64::from_be_bytes(
-                payload[1..9].try_into().expect("8 bytes"),
-            ));
-            let ticket = String::from_utf8(payload[9..].to_vec())
+            };
+            let Some((glsn, ticket)) = rest.split_first_chunk::<8>() else {
+                return Err(EntryError::Corrupt("acl grant payload".into()));
+            };
+            let glsn = Glsn(u64::from_be_bytes(*glsn));
+            let ticket = String::from_utf8(ticket.to_vec())
                 .map_err(|_| EntryError::Corrupt("acl grant ticket utf-8".into()))?;
             JournalEntry::AclGrant { ticket, ops, glsn }
         }

@@ -350,8 +350,11 @@ impl LogRecord {
             Ok(head.to_vec())
         };
         let take_u64 = |bytes: &mut &[u8], what: &str| -> Result<u64, String> {
-            let head = take(bytes, 8, what)?;
-            Ok(u64::from_be_bytes(head.try_into().expect("8 bytes")))
+            let Some((head, rest)) = bytes.split_first_chunk::<8>() else {
+                return Err(format!("truncated record encoding at {what}"));
+            };
+            *bytes = rest;
+            Ok(u64::from_be_bytes(*head))
         };
 
         let mut rest = bytes;

@@ -325,9 +325,9 @@ impl FragmentStore {
         }
         if let Some(epoch) = refresh {
             let partials = self.compute_partials(epoch);
-            self.epochs
-                .get_mut(&epoch)
-                .expect("a refreshed epoch has a manifest")
+            let manifest = self.epochs.entry(epoch);
+            manifest
+                .or_insert_with(|| empty_manifest(&policy, epoch))
                 .partials = Some(partials);
         }
     }

@@ -133,6 +133,110 @@ fn ticket_ids_never_collide_across_restarts() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The user capacity bounds a cluster's whole life: the count is the
+/// journaled ticket counter, and a user registered after a restart gets
+/// an endpoint and a ticket id of its own.
+#[test]
+fn a_restart_remembers_its_users() {
+    let dir = temp_dir("users");
+    let before: Vec<AppUser> = {
+        let mut cluster = DlaCluster::new(config(&dir).with_max_users(2)).unwrap();
+        let users = ["u0", "u1"].map(|name| cluster.register_user(name).unwrap());
+        cluster
+            .log_records(&users[0], &paper_table1()[..1])
+            .unwrap();
+        users.into()
+    };
+    let mut recovered = DlaCluster::new(config(&dir).with_max_users(2)).unwrap();
+    let refused = recovered.register_user("u2").unwrap_err().to_string();
+    assert!(refused.contains("capacity 2 exhausted"), "{refused}");
+    drop(recovered);
+
+    let mut raised = DlaCluster::new(config(&dir).with_max_users(3)).unwrap();
+    let after = raised.register_user("u2").unwrap();
+    for user in &before {
+        assert_ne!(
+            after.node, user.node,
+            "{} and u2 share an endpoint",
+            user.name
+        );
+        assert_ne!(after.ticket.id, user.ticket.id);
+    }
+    assert!(raised.register_user("u3").is_err());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The first user of every incarnation used to be the first user of the
+/// first one again: the restart reseeded the cluster's randomness.
+#[test]
+fn a_restart_never_issues_a_key_twice() {
+    let dir = temp_dir("keys");
+    let mut keys = Vec::new();
+    for _ in 0..3 {
+        let mut cluster = DlaCluster::new(config(&dir)).unwrap();
+        keys.push(cluster.register_user("u").unwrap().key().public().clone());
+    }
+    assert!(keys[0] != keys[1] && keys[1] != keys[2] && keys[0] != keys[2]);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Registration is admit, journal the counter, issue: a counter that
+/// never reached the journal issued nothing, so the next registration
+/// gets the slot, the ticket and the endpoint the failed one would have.
+#[test]
+fn a_registration_whose_write_fails_leaves_nothing_behind() {
+    let dir = temp_dir("registration");
+    let mut cluster = DlaCluster::new(config(&dir).with_max_users(2)).unwrap();
+    let first = cluster.register_user("u0").unwrap();
+    failpoint::arm(1, |_| 0);
+    let failed = cluster.register_user("u1");
+    failpoint::disarm();
+    assert!(failed.is_err());
+    let second = cluster.register_user("u1").unwrap();
+    assert_eq!(second.ticket.id.as_str(), "T2");
+    assert_eq!(second.node.0, first.node.0 + 1);
+    assert!(cluster.register_user("u2").is_err(), "capacity 2 is spent");
+    drop(cluster);
+    // The restart counts the two users the journal holds.
+    let mut recovered = DlaCluster::new(config(&dir).with_max_users(3)).unwrap();
+    assert_eq!(
+        recovered.register_user("u2").unwrap().ticket.id.as_str(),
+        "T3"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A shared query's keys are drawn from the incarnation's stream: the
+/// same query after a restart puts other bytes on the wire, and answers
+/// the same.
+#[test]
+fn a_shared_query_after_a_restart_draws_fresh_keys() {
+    use confidential_audit::net::{ScriptedAdversary, Transport};
+    let dir = temp_dir("shared-query");
+    let overheard = |cluster: &DlaCluster| {
+        let everyone = 0..cluster.shared_net().num_nodes();
+        let tap = everyone.fold(ScriptedAdversary::new(), ScriptedAdversary::curious);
+        let tap = std::sync::Arc::new(tap);
+        cluster.set_adversary(tap.clone());
+        let answer = cluster.query_shared(SSI_QUERY).unwrap().glsns;
+        cluster.clear_adversary();
+        let payloads: Vec<_> = tap.captured().into_iter().map(|m| m.payload).collect();
+        assert!(!payloads.is_empty());
+        (answer, payloads)
+    };
+    let (answer, payloads) = {
+        let mut cluster = DlaCluster::new(config(&dir)).unwrap();
+        let user = cluster.register_user("u0").unwrap();
+        cluster.log_records(&user, &paper_table1()).unwrap();
+        overheard(&cluster)
+    };
+    let (again, replayed) = overheard(&DlaCluster::new(config(&dir)).unwrap());
+    assert_eq!(again, answer);
+    assert!(!answer.is_empty());
+    assert_ne!(replayed, payloads, "the restart replayed the query's keys");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn crash_tail_and_duplicated_writes_recover_cleanly() {
     let dir = temp_dir("dup-tail");
@@ -592,6 +696,13 @@ fn a_malformed_ticket_counter_fails_the_restart() {
 #[test]
 fn a_malformed_epoch_seal_fails_the_restart() {
     assert_malformed_blob_is_loud(0x03);
+}
+
+/// A dropped restart record would hand the next incarnation an earlier
+/// one's stream.
+#[test]
+fn a_malformed_restart_record_fails_the_restart() {
+    assert_malformed_blob_is_loud(0x04);
 }
 
 /// A cluster record replayed twice is as loud: the old replay folded a
