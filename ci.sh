@@ -127,4 +127,10 @@ diff -u <(sed -n '/<!-- exp_adversary detection: begin -->/,/<!-- exp_adversary 
     EXPERIMENTS.md | grep '^|') <(sed -n '/^ADVERSARY DETECTION/,/^honest baseline/p' \
     "$passes/first/exp_adversary" | grep '^|')
 
+echo "==> EXPERIMENTS.md P14 quotes the scaling table exp_federation printed"
+# The ring-count rows BENCH_federation.json records, printed as the
+# binary's one markdown table.
+diff -u <(sed -n '/<!-- exp_federation scaling: begin -->/,/<!-- exp_federation scaling: end -->/p' \
+    EXPERIMENTS.md | grep '^|') <(grep '^|' "$passes/first/exp_federation")
+
 echo "CI OK"

@@ -21,6 +21,11 @@
 //! [`RingEndorsement`] pinned to its own chain head, so no single ring
 //! can rewrite its history: a rewrite would have to recall
 //! endorsements held by every other ring **and** invert the root fold.
+//! The root's history is one I/O-free ledger (`ledger::RootLedger`,
+//! DESIGN §15): the collector archives a publication, an endorsement
+//! or a standing delta only when the sending ring's own chain and log
+//! stand behind it, by the same rule [`FederatedCluster::check_root`]
+//! re-checks.
 //!
 //! Federated queries reuse the existing machinery recursively:
 //!
@@ -48,12 +53,15 @@
 //! hashes the sorted indices — byte-identical between a federated run,
 //! a single-ring run, and the centralized reference.
 
+mod ledger;
+
 use crate::aggregate;
 use crate::cluster::{AppUser, ClusterConfig, DlaCluster};
+use crate::randomness;
 use crate::standing::StandingQueryId;
 use crate::AuditError;
-use dla_bigint::{Ubig, F61};
-use dla_crypto::accumulator::{AccumulatorParams, RingCheckpoint, RingEndorsement};
+use dla_bigint::F61;
+use dla_crypto::accumulator::{RingCheckpoint, RingEndorsement};
 use dla_crypto::sha256;
 use dla_logstore::epoch::{EpochId, RingNamespace};
 use dla_logstore::fragment::Partition;
@@ -62,10 +70,11 @@ use dla_logstore::schema::Schema;
 use dla_mpc::SumSession;
 use dla_net::latency::LatencyModel;
 use dla_net::wire::Writer;
-use dla_net::{AdversaryNet, Envelope, NetConfig, NodeId, Session, SharedNet, SimNet};
+use dla_net::{AdversaryNet, NetConfig, NodeId, Session, SharedNet, SimNet};
+use ledger::{RingDelta, RootLedger};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{btree_map::Entry, BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Wire tag of a sub-ring checkpoint publication on the root ring.
 pub const FED_PUBLISH_TAG: u8 = 0x60;
@@ -150,14 +159,6 @@ impl FederationConfig {
         self.max_users_per_ring = max_users;
         self
     }
-}
-
-/// A registered federated user: which ring is home, and the in-ring
-/// registration.
-#[derive(Debug)]
-struct FederatedUser {
-    ring: usize,
-    user: AppUser,
 }
 
 /// The root-ring cross-check verdict — see
@@ -252,18 +253,6 @@ pub struct FederatedStandingDelta {
     pub records: Vec<u64>,
 }
 
-/// One federation-level standing subscription: the same criteria
-/// registered in every sub-ring, plus the collector's archive of
-/// relayed deltas.
-struct FederatedStanding {
-    /// Per-ring registration ids, indexed by ring.
-    ring_ids: Vec<StandingQueryId>,
-    /// Deltas archived, per ring: the cursor into each ring's deltas.
-    relayed: Vec<usize>,
-    /// Deltas in relay order.
-    archive: Vec<FederatedStandingDelta>,
-}
-
 /// A federation of DLA sub-rings under a root accumulator ring.
 pub struct FederatedCluster {
     rings: Vec<DlaCluster>,
@@ -271,22 +260,10 @@ pub struct FederatedCluster {
     /// `r`'s representative, node `rings.len()` the root collector.
     root_net: AdversaryNet<SharedNet>,
     root_rng: StdRng,
-    acc_params: AccumulatorParams,
-    /// The global accumulator over published sub-ring checkpoints.
-    root_acc: Ubig,
-    /// Publications in fold order.
-    published: Vec<RingCheckpoint>,
-    /// Cross-ring endorsements, parallel to `published`.
-    endorsements: Vec<RingEndorsement>,
-    /// Sealed checkpoints already published, per ring.
-    published_per_ring: Vec<usize>,
-    users: BTreeMap<String, FederatedUser>,
-    /// Federation-level standing subscriptions.
-    standing: BTreeMap<StandingQueryId, FederatedStanding>,
-    next_standing: u64,
-    /// Global record identity: glsn → deposit index, in deposit order.
-    record_index: BTreeMap<Glsn, u64>,
-    next_record: u64,
+    /// The root's history: publications, deposit order, relayed deltas.
+    ledger: RootLedger,
+    /// Registered users; each one's ring is its [`FederatedCluster::home_ring`].
+    users: BTreeMap<String, AppUser>,
     partition_attr: AttrName,
     schema: Schema,
 }
@@ -314,11 +291,9 @@ impl FederatedCluster {
         }
         let rings = (0..config.rings)
             .map(|r| {
-                let mut seed_state = config.seed ^ (r as u64 + 1);
-                let ring_seed = rand::splitmix64(&mut seed_state);
                 let mut ring_config =
                     ClusterConfig::new(config.nodes_per_ring, config.schema.clone())
-                        .with_seed(ring_seed)
+                        .with_seed(randomness::ring_seed(config.seed, r))
                         .with_epoch_length(config.epoch_length)
                         .with_latency(config.latency.clone())
                         .with_max_users(config.max_users_per_ring)
@@ -329,30 +304,18 @@ impl FederatedCluster {
                 DlaCluster::new(ring_config)
             })
             .collect::<Result<Vec<_>, _>>()?;
-        let mut root_seed_state = config.seed ^ 0xfed0_0001;
-        let root_seed = rand::splitmix64(&mut root_seed_state);
         let root_net = AdversaryNet::new(SharedNet::new(SimNet::new(
             config.rings + 1,
             NetConfig::ideal()
                 .with_latency(config.latency.clone())
-                .with_seed(root_seed),
+                .with_seed(randomness::root_net_seed(config.seed)),
         )));
-        let acc_params = AccumulatorParams::fixed_512();
-        let root_acc = acc_params.start().clone();
         Ok(FederatedCluster {
-            published_per_ring: vec![0; rings.len()],
+            ledger: RootLedger::new(),
             rings,
             root_net,
-            root_rng: StdRng::seed_from_u64(root_seed ^ 0x5eed),
-            acc_params,
-            root_acc,
-            published: Vec::new(),
-            endorsements: Vec::new(),
+            root_rng: StdRng::seed_from_u64(randomness::root_rng_seed(config.seed)),
             users: BTreeMap::new(),
-            standing: BTreeMap::new(),
-            next_standing: 0,
-            record_index: BTreeMap::new(),
-            next_record: 0,
             partition_attr: config.partition_attr,
             schema: config.schema,
         })
@@ -376,33 +339,10 @@ impl FederatedCluster {
         &self.rings[ring]
     }
 
-    /// Mutable access to sub-ring `ring`.
-    pub fn ring_mut(&mut self, ring: usize) -> &mut DlaCluster {
-        &mut self.rings[ring]
-    }
-
     /// The root collector's node id on the root ring.
     #[must_use]
     pub fn root_node(&self) -> NodeId {
         NodeId(self.rings.len())
-    }
-
-    /// The global accumulator over published sub-ring checkpoints.
-    #[must_use]
-    pub fn root_accumulator(&self) -> &Ubig {
-        &self.root_acc
-    }
-
-    /// Publications in fold order.
-    #[must_use]
-    pub fn published(&self) -> &[RingCheckpoint] {
-        &self.published
-    }
-
-    /// Cross-ring endorsements, parallel to [`FederatedCluster::published`].
-    #[must_use]
-    pub fn endorsements(&self) -> &[RingEndorsement] {
-        &self.endorsements
     }
 
     /// The stable home ring of user `name`: the first 8 bytes of a
@@ -411,7 +351,7 @@ impl FederatedCluster {
     /// coordination.
     #[must_use]
     pub fn home_ring(&self, name: &str) -> usize {
-        let word = crate::randomness::digest_u64(&[b"dla-federation-user", name.as_bytes()]);
+        let word = randomness::digest_u64(&[b"dla-federation-user", name.as_bytes()]);
         (word % self.rings.len() as u64) as usize
     }
 
@@ -429,8 +369,7 @@ impl FederatedCluster {
         }
         let ring = self.home_ring(name);
         let user = self.rings[ring].register_user(name)?;
-        self.users
-            .insert(name.to_string(), FederatedUser { ring, user });
+        self.users.insert(name.to_string(), user);
         Ok(ring)
     }
 
@@ -452,7 +391,7 @@ impl FederatedCluster {
         name: &str,
         records: &[LogRecord],
     ) -> Result<Vec<Glsn>, AuditError> {
-        let federated = self
+        let user = self
             .users
             .get(name)
             .ok_or_else(|| AuditError::Config(format!("user {name} is not registered")))?;
@@ -467,22 +406,14 @@ impl FederatedCluster {
                 }
             }
         }
-        let ring = federated.ring;
+        let ring = self.home_ring(name);
         let last = self.rings[ring].trail().logged_above(None).next_back();
-        let logged = self.rings[ring].log_records(&federated.user, records);
-        // A failure after the commit (a seal's standing delta) leaves
-        // the records in the trail: they are indexed all the same, or
-        // the owed delta that names them could never relay.
-        let committed: Vec<Glsn> = match &logged {
-            Ok(glsns) => glsns.clone(),
-            Err(_) => self.rings[ring].trail().logged_above(last).collect(),
-        };
-        for glsn in committed {
-            if let Entry::Vacant(slot) = self.record_index.entry(glsn) {
-                slot.insert(self.next_record);
-                self.next_record += 1;
-            }
-        }
+        let logged = self.rings[ring].log_records(user, records);
+        // What the batch committed is indexed even when the call fails
+        // after the commit (a seal's standing delta), or the owed delta
+        // that names those records could never relay.
+        self.ledger
+            .index(self.rings[ring].trail().logged_above(last));
         let glsns = logged?;
         // Push-at-seal: any epoch this deposit just sealed reaches the
         // root fold immediately — the root accumulator never waits for
@@ -493,99 +424,71 @@ impl FederatedCluster {
         Ok(glsns)
     }
 
-    /// One leg to the root collector, over the root ring's root
-    /// session: `from` ships `frame` and the collector receives it —
-    /// or refuses it, if it was corrupted in flight.
-    fn root_exchange(&self, from: NodeId, frame: bytes::Bytes) -> Result<Envelope, AuditError> {
-        let wire = Session::root(&self.root_net);
-        let root = self.root_node();
-        wire.send(from, root, frame);
-        Ok(wire.recv_from(root, from)?)
+    /// The one leg to the root collector: ring `from`'s representative
+    /// ships `body` under `tag`, and the collector decodes what arrives,
+    /// refusing a frame corrupted in flight, of another kind, or that
+    /// does not decode.
+    fn to_collector<T>(
+        &self,
+        from: usize,
+        tag: u8,
+        body: &[u8],
+        decode: impl FnOnce(&[u8]) -> Option<T>,
+    ) -> Result<T, AuditError> {
+        let (wire, root) = (Session::root(&self.root_net), self.root_node());
+        let mut w = Writer::new();
+        w.put_u8(tag).put_bytes(body);
+        wire.send(NodeId(from), root, w.finish());
+        let envelope = wire.recv_from(root, NodeId(from))?;
+        let mut r = crate::open_frame(&envelope.payload, tag)?;
+        let decoded = decode(r.get_bytes()?);
+        r.finish()?;
+        decoded.ok_or_else(|| {
+            AuditError::Integrity(format!("malformed frame {tag:#04x} from ring {from}"))
+        })
     }
 
-    /// Publishes `ring`'s not-yet-published sealed checkpoints to the
-    /// root ring: the ring's representative ships each sealed head to
-    /// the collector, the collector folds it into the global
-    /// accumulator, and the *next* ring cross-publishes an endorsement
-    /// pinned to its own chain head. Returns how many checkpoints were
-    /// published. Called from the seal path ([`FederatedCluster::log_records`]);
-    /// idempotent until new seals land.
+    /// Publishes `ring`'s not-yet-published sealed checkpoints: its
+    /// representative ships each to the collector, the *next* ring
+    /// ships an endorsement pinned to its own chain head, and the
+    /// collector folds and archives the pair once the root ledger
+    /// admits it. Returns how many were published. Called from the seal
+    /// path ([`FederatedCluster::log_records`]).
     ///
     /// # Errors
     ///
     /// Returns [`AuditError`] on root-ring transport failure or a
-    /// malformed/unverifiable publication (which would indicate a
-    /// Byzantine representative).
+    /// publication or endorsement the rings' chains do not stand behind;
+    /// nothing of it is archived, and the next call ships it again.
     pub fn publish_ring(&mut self, ring: usize) -> Result<usize, AuditError> {
-        let num_rings = self.rings.len();
         let mut newly_published = 0usize;
-        {
-            loop {
-                let next = self.published_per_ring[ring];
-                let Some(checkpoint) = self.rings[ring]
-                    .checkpoint_chain()
-                    .iter()
-                    .nth(next)
-                    .cloned()
-                else {
-                    break;
-                };
-                let record = RingCheckpoint {
-                    ring: ring as u64,
-                    checkpoint,
-                };
-
-                // Representative → collector: the publication frame.
-                let mut w = Writer::new();
-                w.put_u8(FED_PUBLISH_TAG).put_bytes(&record.encode());
-                let envelope = self.root_exchange(NodeId(ring), w.finish())?;
-                let mut r = crate::open_frame(&envelope.payload, FED_PUBLISH_TAG)?;
-                let presented = RingCheckpoint::decode(r.get_bytes()?).ok_or_else(|| {
-                    AuditError::Integrity("malformed ring-checkpoint publication".into())
-                })?;
-                if presented != record {
-                    return Err(AuditError::Integrity(
-                        "ring-checkpoint publication altered in flight".into(),
-                    ));
-                }
-
-                // Cross-publication: the next ring endorses against its
-                // own chain head and ships the record to the collector.
-                let endorser = (ring + 1) % num_rings;
-                let endorsement = self.rings[endorser]
-                    .checkpoint_chain()
-                    .endorse_foreign(endorser as u64, presented.clone());
-                let mut w = Writer::new();
-                w.put_u8(FED_ENDORSE_TAG).put_bytes(&endorsement.encode());
-                let envelope = self.root_exchange(NodeId(endorser), w.finish())?;
-                let mut r = crate::open_frame(&envelope.payload, FED_ENDORSE_TAG)?;
-                let received = RingEndorsement::decode(r.get_bytes()?)
-                    .ok_or_else(|| AuditError::Integrity("malformed ring endorsement".into()))?;
-                if !received.verify() {
-                    return Err(AuditError::Integrity(
-                        "ring endorsement failed its seal check".into(),
-                    ));
-                }
-
-                // The collector folds the publication into the global
-                // accumulator and archives both records.
-                self.root_acc = self.acc_params.fold(&self.root_acc, &presented.root_item());
-                self.published.push(presented);
-                self.endorsements.push(received);
-                self.published_per_ring[ring] = next + 1;
-                newly_published += 1;
-            }
+        while let Some(record) = self.ledger.next_publication(&self.rings, ring) {
+            // Representative → collector: the publication.
+            let body = record.encode();
+            let presented =
+                self.to_collector(ring, FED_PUBLISH_TAG, &body, RingCheckpoint::decode)?;
+            // Cross-publication: the next ring endorses the checkpoint
+            // against its own chain head and ships the record.
+            let endorser = (ring + 1) % self.rings.len();
+            let chain = self.rings[endorser].checkpoint_chain();
+            let body = chain.endorse_foreign(endorser as u64, record).encode();
+            let endorsement =
+                self.to_collector(endorser, FED_ENDORSE_TAG, &body, RingEndorsement::decode)?;
+            // The collector archives the pair only if the chains stand
+            // behind it, then folds it into the global accumulator.
+            self.ledger
+                .admit_publish(&self.rings, ring, (&presented, &endorsement))?;
+            self.ledger.publish(presented, endorsement);
+            newly_published += 1;
         }
         Ok(newly_published)
     }
 
     /// Catch-up sweep: publishes every not-yet-published sealed
-    /// checkpoint across all rings. With the seal path pushing
-    /// ([`FederatedCluster::publish_ring`] fires on every deposit that
-    /// seals), this normally finds nothing — it exists for rings sealed
-    /// out-of-band (e.g. direct [`FederatedCluster::ring_mut`] access)
-    /// and as the recovery path after a representative outage. Returns
-    /// how many checkpoints the sweep published.
+    /// checkpoint and relays every owed standing delta across all
+    /// rings. With the seal path pushing, this normally finds nothing —
+    /// it is the recovery path after a root-ring leg failed or was
+    /// refused. Returns how many checkpoints the sweep published.
     ///
     /// # Errors
     ///
@@ -617,136 +520,32 @@ impl FederatedCluster {
         let registered = (self.rings.iter_mut())
             .try_for_each(|ring| ring.register_standing(criteria).map(|id| ring_ids.push(id)));
         // The id is taken only once every ring has registered.
-        let id = StandingQueryId(self.next_standing);
         let relayed = registered.and_then(|()| {
-            self.next_standing += 1;
-            let subscription = FederatedStanding {
-                ring_ids: ring_ids.clone(),
-                relayed: vec![0; ring_ids.len()],
-                archive: Vec::new(),
-            };
-            self.standing.insert(id, subscription);
-            (0..self.rings.len()).try_for_each(|ring| self.relay_standing_ring(ring))
+            let id = self.ledger.subscribe(ring_ids.clone());
+            let relay = (0..self.rings.len()).try_for_each(|ring| self.relay_standing_ring(ring));
+            relay.map(|()| id).inspect_err(|_| self.ledger.forget(id))
         });
-        if let Err(e) = relayed {
-            self.standing.remove(&id);
+        if relayed.is_err() {
             for (ring, &ring_id) in self.rings.iter_mut().zip(&ring_ids) {
                 ring.forget_standing(ring_id);
             }
-            return Err(e);
         }
-        Ok(id)
+        relayed
     }
 
-    /// The root collector's archive of relayed deltas for `id`, in
-    /// relay order.
-    #[must_use]
-    pub fn standing_deltas(&self, id: StandingQueryId) -> &[FederatedStandingDelta] {
-        self.standing.get(&id).map_or(&[], |s| s.archive.as_slice())
-    }
-
-    /// The accumulated federation-wide matches of `id`: the union of
-    /// every relayed delta's records, sorted by global deposit index —
-    /// directly comparable to [`FederatedQueryResult::records`].
-    #[must_use]
-    pub fn standing_matches(&self, id: StandingQueryId) -> Option<Vec<u64>> {
-        let entry = self.standing.get(&id)?;
-        let mut records: BTreeSet<u64> = BTreeSet::new();
-        for delta in &entry.archive {
-            records.extend(delta.records.iter().copied());
-        }
-        Some(records.into_iter().collect())
-    }
-
-    /// Relays `ring`'s standing deltas the collector has not archived
-    /// yet: the representative frames each delta ([`FED_DELTA_TAG`]),
-    /// the collector decodes it, resolves the ring-local glsns to
-    /// global deposit indices, and archives the result. A subscription's
-    /// cursor into the ring's deltas moves only past an archived delta,
-    /// so a relay that fails resumes where it stopped.
+    /// Relays the standing deltas `ring` owes the collector
+    /// ([`FED_DELTA_TAG`]); the collector archives each once the root
+    /// ledger admits it as the next entry of the ring's own log. What is
+    /// owed is counted from the archive, so a relay that fails or is
+    /// refused resumes where it stopped.
     fn relay_standing_ring(&mut self, ring: usize) -> Result<(), AuditError> {
-        let ids: Vec<StandingQueryId> = self.standing.keys().copied().collect();
-        for fed_id in ids {
-            while let Some(delta) = (self.standing.get(&fed_id)).and_then(|s| {
-                let log = self.rings[ring].standing_log(s.ring_ids[ring]);
-                log.get(s.relayed[ring])
-            }) {
-                let mut w = Writer::new();
-                w.put_u8(FED_DELTA_TAG)
-                    .put_u64(fed_id.0)
-                    .put_u64(ring as u64)
-                    .put_u64(delta.epoch.0)
-                    .put_list(&delta.glsns, |w, g| {
-                        w.put_u64(g.0);
-                    });
-                let envelope = self.root_exchange(NodeId(ring), w.finish())?;
-                let mut r = crate::open_frame(&envelope.payload, FED_DELTA_TAG)?;
-                let query = StandingQueryId(r.get_u64()?);
-                let from_ring = r.get_u64()?;
-                let epoch = EpochId(r.get_u64()?);
-                let records = self.identify(&r.get_list(|r| r.get_u64().map(Glsn))?)?;
-                let entry = (self.standing.get_mut(&query))
-                    .filter(|_| query == fed_id)
-                    .ok_or_else(|| {
-                        AuditError::Integrity(format!("{fed_id}'s delta names {query}"))
-                    })?;
-                entry.archive.push(FederatedStandingDelta {
-                    query,
-                    ring: from_ring,
-                    epoch,
-                    records,
-                });
-                entry.relayed[ring] += 1;
-            }
+        while let Some(owed) = self.ledger.owed(&self.rings, ring) {
+            let presented =
+                self.to_collector(ring, FED_DELTA_TAG, &owed.encode(), RingDelta::decode)?;
+            let delta = self.ledger.admit_relay(&self.rings, ring, &presented)?;
+            self.ledger.relay(delta);
         }
         Ok(())
-    }
-
-    /// The root accumulator cross-check against a *presented* set of
-    /// checkpoints: re-folds `presented` in order from `x₀` and
-    /// compares with the collector's global accumulator. A tampered,
-    /// dropped, reordered or extra checkpoint changes the fold — this
-    /// is how an auditor holding only the root accumulator value
-    /// detects a sub-ring rewriting its published history.
-    #[must_use]
-    pub fn verify_presented(&self, presented: &[RingCheckpoint]) -> bool {
-        let items: Vec<Vec<u8>> = presented.iter().map(RingCheckpoint::root_item).collect();
-        let refs: Vec<&[u8]> = items.iter().map(Vec::as_slice).collect();
-        // Eq. 9 collapses the refold ladder into one fixed-base power
-        // of x₀ — same value, one table walk per cross-check.
-        self.acc_params.accumulate_batch(&refs) == self.root_acc
-    }
-
-    /// The full root-ring cross-check: the archived publications refold
-    /// to the global accumulator, every publication still matches its
-    /// ring's own chain, and every endorsement is upheld by its
-    /// endorser's chain.
-    #[must_use]
-    pub fn check_root(&self) -> RootVerdict {
-        let fold_ok = self.verify_presented(&self.published);
-        let chains_ok = self.published.iter().all(|record| {
-            (record.ring as usize) < self.rings.len()
-                && self.rings[record.ring as usize]
-                    .checkpoint_chain()
-                    .endorses(&record.checkpoint)
-        });
-        let endorsements_ok = self.published.len() == self.endorsements.len()
-            && self
-                .endorsements
-                .iter()
-                .zip(&self.published)
-                .all(|(endorsement, record)| {
-                    endorsement.subject == *record
-                        && (endorsement.endorser as usize) < self.rings.len()
-                        && self.rings[endorsement.endorser as usize]
-                            .checkpoint_chain()
-                            .upholds(endorsement)
-                });
-        RootVerdict {
-            fold_ok,
-            chains_ok,
-            endorsements_ok,
-        }
     }
 
     /// Which rings `criteria` can match: every ring, unless a CNF
@@ -804,7 +603,7 @@ impl FederatedCluster {
             glsns.extend(in_ring(&mut self.rings[ring])?);
         }
         glsns.sort_unstable();
-        let records = self.identify(&glsns)?;
+        let records = self.ledger.identify(&glsns)?;
         Ok(FederatedQueryResult {
             cardinality: glsns.len(),
             glsns,
@@ -911,19 +710,6 @@ impl FederatedCluster {
         Ok(outcome.total.value())
     }
 
-    /// Maps glsns to their global deposit indices (sorted by glsn).
-    fn identify(&self, glsns: &[Glsn]) -> Result<Vec<u64>, AuditError> {
-        let mut records = Vec::with_capacity(glsns.len());
-        for glsn in glsns {
-            let index = self.record_index.get(glsn).ok_or_else(|| {
-                AuditError::Integrity(format!("glsn {glsn:?} has no federated deposit index"))
-            })?;
-            records.push(*index);
-        }
-        records.sort_unstable();
-        Ok(records)
-    }
-
     /// The federation's bandwidth-bound ingest makespan in virtual
     /// nanoseconds. A sub-ring's transport is one shared pipe: draining
     /// its deposit traffic costs its serialization time (the LAN
@@ -946,19 +732,6 @@ impl FederatedCluster {
             })
             .max()
             .unwrap_or(0)
-    }
-
-    /// Total records deposited across the federation.
-    #[must_use]
-    pub fn records_deposited(&self) -> u64 {
-        self.next_record
-    }
-
-    /// The deposit index of `glsn`, if it was logged through this
-    /// federation.
-    #[must_use]
-    pub fn deposit_index(&self, glsn: Glsn) -> Option<u64> {
-        self.record_index.get(&glsn).copied()
     }
 }
 
@@ -1433,5 +1206,97 @@ mod tests {
         let sealed = sealed_records(&fed);
         let expected: Vec<u64> = fresh.into_iter().filter(|r| sealed.contains(r)).collect();
         assert_eq!(fed.standing_matches(id), Some(expected));
+    }
+
+    /// Installs `rule` on the root ring, with its sender compromised.
+    fn root_liar(fed: &FederatedCluster, from: usize, rule: dla_net::adversary::TamperRule) {
+        let liar = dla_net::adversary::ScriptedAdversary::new()
+            .compromise(from)
+            .rule(rule);
+        fed.root_net.set_adversary(std::sync::Arc::new(liar));
+    }
+
+    /// Every sealed epoch of every ring, as (ring, epoch), sorted.
+    fn sealed_epochs(fed: &FederatedCluster) -> Vec<(u64, EpochId)> {
+        let rings = fed.rings().iter().enumerate();
+        let sealed = rings.flat_map(|(r, ring)| ring.trail().sealed_epochs().map(move |s| (r, s)));
+        sealed.map(|(r, s)| (r as u64, s.epoch)).collect()
+    }
+
+    #[test]
+    fn a_replayed_endorsement_is_refused_and_the_sweep_publishes_the_true_one() {
+        use dla_net::adversary::{Tamper, TamperRule};
+        let table = paper_table1();
+        let mut fed = seeded_federation(2, 61);
+        let published = fed.published().len();
+        assert!(published > 0);
+        // U1's next two deposits seal an epoch of its home ring; the
+        // next ring's endorsement of it is swapped for the first one
+        // the collector ever archived, seal intact.
+        let endorser = (fed.home_ring("U1") + 1) % 2;
+        let mut replay = Writer::new();
+        replay
+            .put_u8(FED_ENDORSE_TAG)
+            .put_bytes(&fed.endorsements()[0].encode());
+        let swap =
+            TamperRule::once_from(endorser, FED_ENDORSE_TAG, Tamper::Replace(replay.finish()));
+        root_liar(&fed, endorser, swap);
+        let err = fed.log_records("U1", &[table[0].clone(), table[2].clone()]);
+        assert!(matches!(err, Err(AuditError::Integrity(_))), "{err:?}");
+        assert_eq!(fed.published().len(), published, "nothing archived");
+        fed.root_net.clear_adversary();
+        assert!(fed.check_root().ok());
+        assert_eq!(fed.publish_checkpoints().unwrap(), 1, "catch-up sweep");
+        assert!(fed.check_root().ok());
+        assert_eq!(fed.published().len(), fed.endorsements().len());
+    }
+
+    #[test]
+    fn a_flipped_delta_glsn_is_refused_and_the_relay_resumes() {
+        use dla_net::adversary::{Tamper, TamperRule};
+        let mut fed = seeded_federation(2, 73);
+        let id = fed.register_standing("protocol = 'UDP'").unwrap();
+        // The batch seals two epochs of ring 1; the last byte of the
+        // first delta's frame — the low byte of its last glsn — flips.
+        let flip = Tamper::Flip {
+            offset_from_end: 0,
+            mask: 1,
+        };
+        root_liar(&fed, 1, TamperRule::once_from(1, FED_DELTA_TAG, flip));
+        let err = log_in_ring(&mut fed, 1, 4);
+        assert!(matches!(err, Err(AuditError::Integrity(_))), "{err:?}");
+        fed.root_net.clear_adversary();
+        fed.publish_checkpoints().unwrap();
+
+        let fresh = fed.query("protocol = 'UDP'").unwrap().records;
+        let sealed = sealed_records(&fed);
+        let expected: Vec<u64> = fresh.into_iter().filter(|r| sealed.contains(r)).collect();
+        assert_eq!(fed.standing_matches(id), Some(expected));
+    }
+
+    #[test]
+    fn a_delta_frame_naming_another_ring_and_epoch_is_refused() {
+        use dla_net::adversary::{ScriptedAdversary, Tamper, TamperRule};
+        let mut fed = seeded_federation(2, 73);
+        // Record ring 0's delta frames as the registration relays them.
+        let watcher = std::sync::Arc::new(ScriptedAdversary::new().curious(0));
+        fed.root_net.set_adversary(watcher.clone());
+        let id = fed.register_standing("protocol = 'UDP'").unwrap();
+        let ring0 = (watcher.captured().into_iter())
+            .find(|m| m.from == NodeId(0) && m.payload.first() == Some(&FED_DELTA_TAG))
+            .expect("ring 0 relays a delta on registration");
+        // Ring 1 sends that well-formed frame in place of its own.
+        let swap = TamperRule::once_from(1, FED_DELTA_TAG, Tamper::Replace(ring0.payload));
+        root_liar(&fed, 1, swap);
+        let err = log_in_ring(&mut fed, 1, 4);
+        assert!(matches!(err, Err(AuditError::Integrity(_))), "{err:?}");
+        fed.root_net.clear_adversary();
+        fed.publish_checkpoints().unwrap();
+
+        // Every sealed epoch is archived, and once.
+        let deltas = fed.standing_deltas(id);
+        let mut archived: Vec<(u64, EpochId)> = deltas.iter().map(|d| (d.ring, d.epoch)).collect();
+        archived.sort_unstable();
+        assert_eq!(archived, sealed_epochs(&fed));
     }
 }

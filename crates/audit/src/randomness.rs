@@ -1,5 +1,7 @@
-//! The cluster's randomness and its three rules: the exclusive stream,
-//! a shared query's seed and a standing evaluation's seed.
+//! Every seed rule of the crate. The cluster's randomness has three:
+//! the exclusive stream, a shared query's seed and a standing
+//! evaluation's seed. A federation has three more: each sub-ring's
+//! configured seed and the two seeds of the root ring.
 //!
 //! Incarnation `n` of a cluster — its life after the `n`-th restart
 //! that `cluster.journal` records — draws from a stream of its own,
@@ -62,6 +64,22 @@ impl Randomness {
         let (id, epoch) = (id.0.to_be_bytes(), epoch.0.to_be_bytes());
         digest_u64(&[b"dla-standing-seed", &self.seed.to_be_bytes(), &id, &epoch])
     }
+}
+
+/// The configured seed of sub-ring `ring` of a federation seeded `seed`.
+pub(crate) fn ring_seed(seed: u64, ring: usize) -> u64 {
+    rand::splitmix64(&mut (seed ^ (ring as u64 + 1)))
+}
+
+/// The seed of the root ring's network in a federation seeded `seed`.
+pub(crate) fn root_net_seed(seed: u64) -> u64 {
+    rand::splitmix64(&mut (seed ^ 0xfed0_0001))
+}
+
+/// The seed of the root ring's secure-sum stream in a federation
+/// seeded `seed`.
+pub(crate) fn root_rng_seed(seed: u64) -> u64 {
+    root_net_seed(seed) ^ 0x5eed
 }
 
 /// The first 8 bytes of the SHA-256 digest of `parts`, big-endian.

@@ -113,7 +113,7 @@ fn chaotic_federation(rings: usize, seed: u64, records: &[LogRecord]) -> Federat
             .expect("logs");
     }
     for ring in 0..fed.num_rings() {
-        let cluster = fed.ring_mut(ring);
+        let cluster = fed.ring(ring);
         let mut net = cluster.net();
         let faults = net.faults_mut();
         faults.drop_probability = DROP;

@@ -19,10 +19,11 @@
 //! with a secure set intersection over the home ring's records.
 //!
 //! Run with: `cargo run -p dla-bench --bin exp_federation --release`
-//! (writes `BENCH_federation.json`).
+//! (writes `BENCH_federation.json`; prints the sweep as the markdown
+//! table EXPERIMENTS.md P14 quotes).
 
 use dla_audit::federation::{FederatedCluster, FederationConfig};
-use dla_bench::{metered, render_rows, write_snapshot, Json};
+use dla_bench::{metered, render_markdown_rows, write_snapshot, Json};
 use dla_crypto::sha256::to_hex;
 use dla_logstore::fragment::Partition;
 use dla_logstore::model::{AttrValue, LogRecord};
@@ -186,12 +187,11 @@ fn main() {
     }
 
     let table: Vec<Json> = rows.iter().map(Row::json).collect();
+    // A markdown table: EXPERIMENTS.md P14 quotes it verbatim, and
+    // ci.sh diffs the quote against this stdout.
     println!(
-        "{}",
-        render_rows(
-            &format!("P14 - FEDERATION SCALING ({RECORDS} records, {USERS} users)"),
-            &table
-        )
+        "P14 - FEDERATION SCALING ({RECORDS} records, {USERS} users)\n\n{}",
+        render_markdown_rows(&table)
     );
     println!(
         "4-ring ingest speedup {speedup:.2}x over 1 ring; answer digests byte-identical at every \

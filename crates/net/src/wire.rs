@@ -156,12 +156,11 @@ impl<'a> Reader<'a> {
     ///
     /// Returns [`WireError`] on truncation.
     pub fn get_u64(&mut self) -> Result<u64, WireError> {
-        if self.rest.len() < 8 {
+        let Some((head, rest)) = self.rest.split_first_chunk::<8>() else {
             return Err(WireError::new("truncated u64"));
-        }
-        let (head, rest) = self.rest.split_at(8);
+        };
         self.rest = rest;
-        Ok(u64::from_be_bytes(head.try_into().expect("8 bytes")))
+        Ok(u64::from_be_bytes(*head))
     }
 
     /// Consumes a big-endian `u128`.
@@ -170,12 +169,11 @@ impl<'a> Reader<'a> {
     ///
     /// Returns [`WireError`] on truncation.
     pub fn get_u128(&mut self) -> Result<u128, WireError> {
-        if self.rest.len() < 16 {
+        let Some((head, rest)) = self.rest.split_first_chunk::<16>() else {
             return Err(WireError::new("truncated u128"));
-        }
-        let (head, rest) = self.rest.split_at(16);
+        };
         self.rest = rest;
-        Ok(u128::from_be_bytes(head.try_into().expect("16 bytes")))
+        Ok(u128::from_be_bytes(*head))
     }
 
     /// Consumes a length-prefixed byte string.
@@ -303,6 +301,38 @@ mod tests {
 
         let mut r2 = Reader::new(&msg);
         assert!(r2.get_bytes().is_err(), "length prefix 5 but no payload");
+    }
+
+    #[test]
+    fn every_strict_prefix_of_a_fixed_width_integer_is_refused_and_consumes_nothing() {
+        let mut w = Writer::new();
+        w.put_u64(0x0102_0304_0506_0708)
+            .put_u128(0x1112_1314_1516_1718_191a_1b1c_1d1e_1f20);
+        let msg = w.finish();
+        let (u64_bytes, u128_bytes) = msg.split_at(8);
+        for cut in 0..8 {
+            let mut r = Reader::new(&u64_bytes[..cut]);
+            assert_eq!(
+                r.get_u64().unwrap_err().to_string(),
+                "malformed wire message: truncated u64"
+            );
+            assert_eq!(r.remaining(), cut);
+        }
+        for cut in 0..16 {
+            let mut r = Reader::new(&u128_bytes[..cut]);
+            assert_eq!(
+                r.get_u128().unwrap_err().to_string(),
+                "malformed wire message: truncated u128"
+            );
+            assert_eq!(r.remaining(), cut);
+        }
+        let mut r = Reader::new(&msg);
+        assert_eq!(r.get_u64().unwrap(), 0x0102_0304_0506_0708);
+        assert_eq!(
+            r.get_u128().unwrap(),
+            0x1112_1314_1516_1718_191a_1b1c_1d1e_1f20
+        );
+        r.finish().unwrap();
     }
 
     #[test]
