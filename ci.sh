@@ -133,4 +133,10 @@ echo "==> EXPERIMENTS.md P14 quotes the scaling table exp_federation printed"
 diff -u <(sed -n '/<!-- exp_federation scaling: begin -->/,/<!-- exp_federation scaling: end -->/p' \
     EXPERIMENTS.md | grep '^|') <(grep '^|' "$passes/first/exp_federation")
 
+echo "==> EXPERIMENTS.md P11 quotes the scaling table exp_epoch_scaling printed"
+# The trail-length rows BENCH_epoch_scaling.json records, printed as the
+# binary's one markdown table.
+diff -u <(sed -n '/<!-- exp_epoch_scaling scaling: begin -->/,/<!-- exp_epoch_scaling scaling: end -->/p' \
+    EXPERIMENTS.md | grep '^|') <(grep '^|' "$passes/first/exp_epoch_scaling")
+
 echo "CI OK"

@@ -464,6 +464,7 @@ impl DlaCluster {
                 in_force: partition.clone(),
                 configured: partition,
                 retired: Vec::new(),
+                uncopied: BTreeSet::new(),
             },
         };
         if let Some(dir) = &config.journal_dir {
@@ -472,12 +473,12 @@ impl DlaCluster {
         Ok(cluster)
     }
 
-    /// Restart recovery: replays `cluster.journal` through the live
-    /// transitions — each run of deposits between two seal records as
-    /// one batch — and journals the restart itself, then enforces the
-    /// one commit rule: **a deposit exists iff its `BLOB_DEPOSIT` is in
-    /// the cluster journal**; whatever a node holds of any other glsn is
-    /// rolled back (journaled).
+    /// Restart recovery: enforces the one commit rule — **a deposit
+    /// exists iff its `BLOB_DEPOSIT` is in the cluster journal**;
+    /// whatever a node holds of any other glsn is rolled back
+    /// (journaled) — then replays `cluster.journal` through the live
+    /// transitions, each run of deposits between two seal records as one
+    /// batch, and journals the restart itself.
     fn recover(&mut self, path: &std::path::Path) -> Result<(), AuditError> {
         let (journal, entries) =
             Journal::open(path).map_err(|e| AuditError::Config(e.to_string()))?;
@@ -489,6 +490,16 @@ impl DlaCluster {
                 bytes.len()
             ))),
         };
+        // The commit rule first, so that no replayed seal counts what a
+        // node holds of a deposit that never committed in its partials.
+        let committed = (entries.iter())
+            .filter_map(|entry| match entry {
+                JournalEntry::Blob { tag, bytes } if *tag == BLOB_DEPOSIT => Some(bytes),
+                _ => None,
+            })
+            .map(|bytes| DepositRecord::decode(bytes).map(|d| d.glsn))
+            .collect::<Result<BTreeSet<Glsn>, _>>()?;
+        self.roll_back_uncommitted(|_, glsn| committed.contains(&glsn))?;
         let mut batch = Vec::new();
         for entry in entries {
             let JournalEntry::Blob { tag, bytes } = entry else {
@@ -519,7 +530,6 @@ impl DlaCluster {
             self.randomness = Randomness::new(self.randomness.seed(), incarnation + 1);
         }
 
-        self.roll_back_uncommitted()?;
         // Allocation resumes past the last committed deposit — and past
         // every epoch any node has sealed, which admits no deposit.
         let policy = self.trail.epoch_policy();
@@ -539,22 +549,29 @@ impl DlaCluster {
     }
 
     /// Enforces the commit rule on the node stores: whatever a node
-    /// holds of a glsn without a deposit record — fragment, standby
-    /// copy, ACL grant — is forgotten, through the store's own journaled
-    /// transition.
-    fn roll_back_uncommitted(&mut self) -> Result<(), AuditError> {
-        let mut rolled_back = BTreeSet::new();
+    /// holds of a glsn `committed` rejects (it has no deposit record) —
+    /// fragment, standby copy, ACL grant — is forgotten, through the
+    /// store's own journaled transition. Every node forgets, whichever
+    /// journal refuses its tombstone.
+    fn roll_back_uncommitted(
+        &mut self,
+        committed: impl Fn(&Trail, Glsn) -> bool,
+    ) -> Result<(), AuditError> {
+        let (mut rolled_back, mut refused) = (BTreeSet::new(), None);
+        let trail = &self.trail;
         for node in &self.nodes {
-            let orphans = node
+            match node
                 .store_mut()
-                .forget_uncommitted(|glsn| self.trail.record(glsn).is_some())
-                .map_err(|e| AuditError::Log(e.to_string()))?;
-            rolled_back.extend(orphans);
+                .forget_uncommitted(|glsn| committed(trail, glsn))
+            {
+                Ok(orphans) => rolled_back.extend(orphans),
+                Err(e) => _ = refused.get_or_insert(AuditError::Log(e.to_string())),
+            }
         }
         if !rolled_back.is_empty() {
             self.meta_log("cluster", "rollback", format!("glsns={rolled_back:?}"));
         }
-        Ok(())
+        refused.map_or(Ok(()), Err)
     }
 
     /// Seals `epoch` around [`Trail::seal`]: every node materializes its
@@ -933,6 +950,11 @@ impl DlaCluster {
     /// cluster-journal `append_batch` (one fsync) of its deposit records
     /// and the seal records of the epochs it closes — the **commit
     /// point** — then the trail absorbs it and every closed epoch seals.
+    ///
+    /// An append that fails leaves the commit point ambiguous: a prefix
+    /// of its records, or all of them, may be durable all the same. The
+    /// nodes forget the batch in memory only, and the next restart
+    /// decides by the deposit records the journal holds.
     fn flush_deposit_batch(&mut self, batch: Vec<DepositRecord>) -> Result<(), AuditError> {
         if !batch.is_empty() {
             dla_telemetry::record(dla_telemetry::CostKind::DepositBatch, 1);
@@ -940,7 +962,14 @@ impl DlaCluster {
         self.trail.admit(&batch)?;
         let closing = self.trail.closes(&batch);
         let deposits = batch.iter().map(|d| (BLOB_DEPOSIT, d.encode()));
-        self.journal(deposits.chain(closing.iter().map(|e| u64_record(BLOB_EPOCH_SEAL, e.0))))?;
+        let seals = closing.iter().map(|e| u64_record(BLOB_EPOCH_SEAL, e.0));
+        if let Err(e) = self.journal(deposits.chain(seals)) {
+            for node in &self.nodes {
+                node.store_mut()
+                    .forget_in_memory(batch.iter().map(|d| d.glsn));
+            }
+            return Err(e);
+        }
         self.trail.absorb(batch, closing);
         // Every closed epoch seals, one whose seal failed after its
         // record was journaled included: that record is never repeated.
@@ -1095,10 +1124,17 @@ impl DlaCluster {
             }
         }
         let glsns = batch.iter().map(|d| d.glsn).collect();
-        self.flush_deposit_batch(batch)?;
-        match failure {
-            // The record that failed may have reached some nodes.
-            Some(e) => self.roll_back_uncommitted().and(Err(e)),
+        let flushed = self.flush_deposit_batch(batch);
+        match flushed.err().or(failure) {
+            // The record that failed may have reached some nodes, and so
+            // may a batch the trail refused or one whose seal failed
+            // after it committed: none of those glsns has, or will have,
+            // a deposit record. A batch whose append failed is forgotten
+            // already, in memory only.
+            Some(e) => {
+                let committed = |trail: &Trail, glsn| trail.record(glsn).is_some();
+                self.roll_back_uncommitted(committed).and(Err(e))
+            }
             None => Ok(glsns),
         }
     }
@@ -1253,6 +1289,20 @@ impl DlaCluster {
         Ok((owner, values))
     }
 
+    /// The nodes of `dead`, not yet retired, whose retirement would
+    /// leave some deposit without a surviving copy of their share
+    /// ([`Placement::has_copy`]); none while nothing is deposited. A
+    /// [`DlaCluster::rereplicate`] of them reports those records failed.
+    pub(crate) fn uncopied(&self, dead: &BTreeSet<usize>) -> Vec<usize> {
+        if self.trail.logged_above(None).next().is_none() {
+            return Vec::new();
+        }
+        (dead.iter().copied())
+            .filter(|&d| !self.placement.is_retired(d))
+            .filter(|&d| !(self.standby_replication && self.placement.has_copy(d, dead)))
+            .collect()
+    }
+
     /// Re-replicates lost fragments after the nodes in `dead` are
     /// declared dead: each dead node's ring successor (first surviving
     /// one) promotes its standby copies to served **adopted** fragments,
@@ -1279,6 +1329,7 @@ impl DlaCluster {
                 "cannot retire node {bad}: cluster has {n} nodes"
             )));
         }
+        let deposited = self.trail.logged_above(None).next().is_some();
         let mut adoptions = Vec::new();
         for &d in dead {
             if self.placement.is_retired(d) {
@@ -1296,7 +1347,7 @@ impl DlaCluster {
                 adopter,
                 promoted: promoted.len(),
             });
-            self.placement.retire(d, adopter);
+            self.placement.retire(d, adopter, deposited);
         }
         // The partition in force moved: what the engine kept was
         // planned, and partly computed, on the nodes just retired.
@@ -1379,14 +1430,43 @@ pub(crate) struct Placement {
     configured: Partition,
     in_force: Partition,
     retired: Vec<(usize, usize)>,
+    /// The nodes some of whose standby copies retired with the node
+    /// holding them.
+    uncopied: BTreeSet<usize>,
 }
 
 impl Placement {
-    /// Retires `dead`: `adopter` serves its attributes from now on.
-    fn retire(&mut self, dead: usize, adopter: usize) {
+    /// Retires `dead`: `adopter` serves its attributes from now on. When
+    /// the trail holds a deposit, the standbys `dead` held for the nodes
+    /// shipping theirs to it retire with it.
+    fn retire(&mut self, dead: usize, adopter: usize, deposited: bool) {
+        if deposited {
+            let n = self.configured.num_nodes();
+            let shippers = self
+                .in_service()
+                .filter(|&p| self.server_of((p + 1) % n) == dead);
+            let shippers: Vec<usize> = shippers.collect();
+            self.uncopied.extend(shippers);
+        }
         self.in_force = (self.in_force.reassign(dead, adopter))
             .expect("an adopter is a live node other than the one it adopts");
         self.retired.push((dead, adopter));
+    }
+
+    /// Whether a survivor of `dead` holds a copy of every deposit's
+    /// share that node `d` serves, by the rule a deposit ships its
+    /// standbys by: a home's standby goes to the server of its ring
+    /// successor, which is the node [`Placement::adopter_of`] picks
+    /// unless it dies too; what a node serves as an adopter has no
+    /// standby; and no copy of `d`'s went with a retired node.
+    fn has_copy(&self, d: usize, dead: &BTreeSet<usize>) -> bool {
+        let n = self.configured.num_nodes();
+        let adopts = self
+            .retired
+            .iter()
+            .any(|&(home, _)| self.server_of(home) == d);
+        let holder = self.server_of((d + 1) % n);
+        !adopts && !self.uncopied.contains(&d) && self.adopter_of(d, dead) == Some(holder)
     }
 
     fn is_retired(&self, node: usize) -> bool {
@@ -1676,16 +1756,20 @@ pub(crate) mod tests {
         assert_ne!(c.auditor_node(), c.dla_node_id(3));
     }
 
-    fn standby_cluster() -> (DlaCluster, Vec<Glsn>) {
+    fn empty_standby_cluster() -> DlaCluster {
         let schema = Schema::paper_example();
         let partition = Partition::paper_example(&schema);
-        let mut c = DlaCluster::new(
+        DlaCluster::new(
             ClusterConfig::new(4, schema)
                 .with_partition(partition)
                 .with_seed(42)
                 .with_standby_replication(),
         )
-        .unwrap();
+        .unwrap()
+    }
+
+    fn standby_cluster() -> (DlaCluster, Vec<Glsn>) {
+        let mut c = empty_standby_cluster();
         let user = c.register_user("u0").unwrap();
         let glsns = c.log_records(&user, &paper_table1()).unwrap();
         (c, glsns)
@@ -1746,6 +1830,45 @@ pub(crate) mod tests {
         // Node 2's standbys lived on dead node 3, so its fragments are
         // unrecoverable and the accumulator check says so.
         assert!(!report.is_fully_verified());
+    }
+
+    /// `uncopied` names a node exactly when retiring it leaves a record
+    /// the repair cannot verify.
+    #[test]
+    fn uncopied_names_a_node_exactly_when_its_repair_cannot_verify() {
+        let dead = |d: &[usize]| d.iter().copied().collect::<BTreeSet<usize>>();
+        let user = |c: &mut DlaCluster| c.register_user("u0").unwrap();
+        // No standbys: nothing is copied, once a deposit exists.
+        let mut c = cluster();
+        assert!(c.uncopied(&dead(&[2])).is_empty());
+        let u = user(&mut c);
+        c.log_records(&u, &paper_table1()).unwrap();
+        assert_eq!(c.uncopied(&dead(&[2])), [2]);
+        // Node 2's standbys live on node 3: losing both loses them, and
+        // node 3's live on node 0.
+        let (c, _) = standby_cluster();
+        assert!(c.uncopied(&dead(&[2])).is_empty());
+        assert_eq!(c.uncopied(&dead(&[2, 3])), [2]);
+        // Node 3 retires before any deposit: node 2's standbys all go to
+        // node 0, which adopts node 2 in turn.
+        let mut c = empty_standby_cluster();
+        c.rereplicate(&dead(&[3])).unwrap();
+        let u = user(&mut c);
+        c.log_records(&u, &paper_table1()).unwrap();
+        assert!(c.uncopied(&dead(&[2])).is_empty());
+        let report = c.rereplicate(&dead(&[2])).unwrap();
+        assert_eq!(report.adoptions[0].adopter, 0);
+        assert!(report.is_fully_verified());
+        // Node 3 retires after deposits: node 2's copies went with it.
+        let (mut c, _) = standby_cluster();
+        c.rereplicate(&dead(&[3])).unwrap();
+        assert_eq!(c.uncopied(&dead(&[2])), [2]);
+        assert!(!c.rereplicate(&dead(&[2])).unwrap().is_fully_verified());
+        // Node 3 adopts node 2: what it adopted has no standby.
+        let (mut c, _) = standby_cluster();
+        c.rereplicate(&dead(&[2])).unwrap();
+        assert_eq!(c.uncopied(&dead(&[3])), [3]);
+        assert!(!c.rereplicate(&dead(&[3])).unwrap().is_fully_verified());
     }
 
     #[test]
@@ -2023,6 +2146,40 @@ pub(crate) mod tests {
         for node in c.nodes() {
             assert!(node.store().is_sealed(EpochId(0)));
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A cluster append that fails leaves its commit point ambiguous:
+    /// the live cluster forgets the batch in memory and journals no
+    /// rollback, and the restart commits whatever deposit records the
+    /// journal kept, fragments and all.
+    #[test]
+    fn a_refused_append_is_forgotten_live_and_decided_by_the_restart() {
+        use dla_logstore::journal::failpoint;
+        let mut dir = std::env::temp_dir();
+        dir.push(format!("dla-cluster-ambiguous-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let build = || {
+            let schema = Schema::paper_example();
+            let partition = Partition::paper_example(&schema);
+            let config = ClusterConfig::new(4, schema).with_partition(partition);
+            DlaCluster::new(config.with_journal_dir(&dir)).unwrap()
+        };
+        let mut c = build();
+        let user = c.register_user("u0").unwrap();
+        // Two records make 4 node writes each, then the cluster append,
+        // which keeps all but the last byte: the first record's frame.
+        failpoint::arm(9, |len| len - 1);
+        assert!(c.log_records(&user, &paper_table1()[..2]).is_err());
+        assert_eq!(failpoint::disarm(), 9, "no rollback was journaled");
+        assert!(c.logged_glsns().is_empty());
+        assert!(c.nodes().iter().all(|node| node.store().is_empty()));
+        drop(c);
+        let c = build();
+        assert_eq!(c.logged_glsns().len(), 1);
+        assert!(c.nodes().iter().all(|node| node.store().len() == 1));
+        let whole = crate::plan::TimeWindow::unbounded();
+        assert!(crate::integrity::check_window(&c, &whole).ok);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

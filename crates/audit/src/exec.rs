@@ -55,7 +55,7 @@ use crate::AuditError;
 use dla_crypto::affine::{MonotoneMasker, MONOTONE_MAX_INPUT};
 use dla_crypto::sha256;
 use dla_logstore::epoch::EpochId;
-use dla_logstore::model::{AttrValue, Glsn};
+use dla_logstore::model::{AttrValue, Glsn, LogRecord};
 use dla_mpc::report::ProtocolReport;
 use dla_mpc::{SsiSession, UnionSession};
 use dla_net::topology::Ring;
@@ -63,6 +63,7 @@ use dla_net::wire::Writer;
 use dla_net::{NodeId, Reliable, ReliableConfig, Session, SessionId, SimTime, Transport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// How the executor schedules independent subqueries: each in its own
@@ -597,6 +598,16 @@ pub fn execute_resilient(
                         "degraded-replan",
                         format!("attempt={attempt} dead={newly_dead:?}"),
                     );
+                    // Retiring a node no survivor holds a copy of would
+                    // leave a partition in force that plans on nodes
+                    // holding nothing of it: refuse before anything
+                    // retires.
+                    let uncopied = cluster.uncopied(&newly_dead);
+                    if !uncopied.is_empty() {
+                        return Err(AuditError::Integrity(format!(
+                            "losing {newly_dead:?} leaves no copy of {uncopied:?} to repair from"
+                        )));
+                    }
                     let report = cluster.rereplicate(&newly_dead)?;
                     // A repair the accumulator cannot verify means the
                     // survivors do NOT hold the deposited fragments —
@@ -659,7 +670,30 @@ fn scan_pruned<'a>(
     }
 }
 
-/// A node evaluates a whole clause against its own fragments.
+/// What a node can read of each glsn over `window`: its own fragment
+/// and the adopted copies it serves, read as one record — so a literal
+/// `A θ B` whose sides were homed apart before a retirement sees both.
+fn scan_records<'a>(
+    store: &'a dla_logstore::store::FragmentStore,
+    window: Option<(Glsn, Glsn)>,
+) -> Box<dyn Iterator<Item = (Glsn, Cow<'a, LogRecord>)> + 'a> {
+    let fragments = scan_pruned(store, window);
+    if store.adopted_count() == 0 {
+        return Box::new(fragments.map(|f| (f.glsn, Cow::Borrowed(&f.values))));
+    }
+    let mut merged: BTreeMap<Glsn, LogRecord> = BTreeMap::new();
+    for f in fragments {
+        let record = merged
+            .entry(f.glsn)
+            .or_insert_with(|| LogRecord::new(f.glsn));
+        for (name, value) in f.values.iter() {
+            record.insert(name.clone(), value.clone());
+        }
+    }
+    Box::new(merged.into_iter().map(|(glsn, r)| (glsn, Cow::Owned(r))))
+}
+
+/// A node evaluates a whole clause against what it holds.
 fn scan_clause_local(
     cluster: &DlaCluster,
     node: usize,
@@ -668,16 +702,16 @@ fn scan_clause_local(
 ) -> Result<GlsnSet, AuditError> {
     let store = cluster.node(node).store();
     let mut out = GlsnSet::new();
-    for frag in scan_pruned(&store, window) {
+    for (glsn, record) in scan_records(&store, window) {
         let mut matched = false;
         for literal in subquery.clause.literals() {
-            if eval_literal_lenient(literal, &frag.values)? {
+            if eval_literal_lenient(literal, &record)? {
                 matched = true;
                 break;
             }
         }
         if matched {
-            out.insert(frag.glsn);
+            out.insert(glsn);
         }
     }
     Ok(out)
@@ -706,9 +740,9 @@ fn scan_literal(
 ) -> Result<GlsnSet, AuditError> {
     let store = cluster.node(node).store();
     let mut out = GlsnSet::new();
-    for frag in scan_pruned(&store, window) {
-        if eval_literal_lenient(literal, &frag.values)? {
-            out.insert(frag.glsn);
+    for (glsn, record) in scan_records(&store, window) {
+        if eval_literal_lenient(literal, &record)? {
+            out.insert(glsn);
         }
     }
     Ok(out)

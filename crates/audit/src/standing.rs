@@ -14,8 +14,8 @@
 //! pushes the incremental
 //! [`StandingDelta`] to the subscriber. The accumulated union of
 //! deltas equals a fresh [`crate::cluster::DlaCluster::query_shared`]
-//! restricted to sealed epochs — proven byte-identical under chaos in
-//! `standing_chaos.rs`.
+//! restricted to sealed epochs — checked after every op of the
+//! generated histories in `tests/history.rs`.
 //!
 //! A subscription is owed every sealed epoch after its last delta, and
 //! one catch-up pays what is owed, epoch by epoch: at registration (a

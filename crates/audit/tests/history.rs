@@ -1,0 +1,1156 @@
+//! One generated-history checker for every feature's seams. A history
+//! is a seeded list of ops over the public API: deposit a batch (which
+//! seals by the epoch policy), ask through every front door, aggregate a
+//! time window on both paths, register a standing query, retire a node,
+//! turn loss on or off, install or clear a lie, fail one journal write
+//! and live on, crash at a journal write and restart. It runs on a
+//! journaled `DlaCluster`, or on a 1-ring and an R-ring
+//! `FederatedCluster` side by side (no crash or retire there). After
+//! every op the named invariants are checked against one reference, a
+//! `CentralizedAuditor` over the committed deposits, by deposit index.
+//! A failing history is shrunk by dropping ops one at a time while the
+//! same invariant fails, and printed as the `History` literal that the
+//! seam rows at the bottom replay.
+
+use dla_audit::aggregate::AggregatePath::{Cached, Rescan};
+use dla_audit::aggregate::{count_matching, sum_matching, windowed_bucket_aggregate};
+use dla_audit::centralized::CentralizedAuditor;
+use dla_audit::cluster::{AppUser, ClusterConfig, DlaCluster, DlaNode};
+use dla_audit::exec::{execute_on, ExecMode, ResilientPolicy};
+use dla_audit::federation::{FederatedCluster, FederatedStandingDelta, FederationConfig};
+use dla_audit::integrity::check_window;
+use dla_audit::plan::TimeWindow;
+use dla_audit::standing::StandingQueryId;
+use dla_crypto::sha256;
+use dla_logstore::epoch::EpochId;
+use dla_logstore::fragment::Partition;
+use dla_logstore::gen::{generate, WorkloadConfig};
+use dla_logstore::journal::failpoint;
+use dla_logstore::model::{AttrValue, Glsn, LogRecord};
+use dla_logstore::schema::Schema;
+use dla_net::adversary::{ScriptedAdversary, Tamper, TamperRule};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
+
+const NODES: usize = 4;
+const USERS: usize = 4;
+const POOL: usize = 40;
+const CASES: u64 = 48;
+const OPS: usize = 14;
+
+const ANSWERS: &str = "answers_match_reference";
+const AGGREGATES: &str = "aggregates_match_reference";
+const STANDING: &str = "standing_is_a_fresh_query_over_sealed_epochs";
+const SEALED: &str = "sealed_is_checkpointed";
+const RESTART: &str = "restart_is_a_committed_prefix";
+const FEDERATED: &str = "federated_is_single_ring";
+
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Door {
+    Criteria,
+    Shared,
+    Resilient,
+    Reliable,
+    Count,
+    Sum,
+}
+use Door::*;
+const DOORS: [Door; 6] = [Criteria, Shared, Resilient, Reliable, Count, Sum];
+
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Tap {
+    /// Drop every `Reliable` DATA frame (`0x01`): standing evaluations
+    /// and ARQ'd asks fail, bare deposits pass.
+    DropData,
+    /// Drop one deposit broadcast (`0x21`) after skipping this many.
+    DropDeposit(u64),
+    /// Clear every ring's lie.
+    Clear,
+}
+use Tap::*;
+
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Op {
+    /// Deposit the next n records of the pool.
+    Deposit(usize),
+    Ask(Door, &'static str),
+    /// Aggregate [lo, hi] on both paths; ask the adjoining windows
+    /// `time <= hi` / `time > hi` and `time < lo` / `time >= lo`.
+    Window(u64, u64),
+    Register(&'static str),
+    Retire(usize),
+    Loss(bool),
+    /// A lie on ring `.1` (a cluster is ring 0).
+    Lie(Tap, usize),
+    /// Fail the k-th journal write of a deposit of n records; live on.
+    Fail(u64, usize),
+    /// Die at the k-th journal write of a deposit of n records (torn:
+    /// keeping all but its last byte), then restart.
+    Crash(u64, bool, usize),
+}
+use Op::*;
+
+/// `rings`: 0 for a journaled cluster, R for a 1-ring and an R-ring
+/// federation.
+#[derive(Clone, Debug)]
+struct History {
+    seed: u64,
+    epoch: u64,
+    rings: usize,
+    ops: Vec<Op>,
+}
+
+/// How often each op kind ran and each invariant was evaluated.
+type Coverage = BTreeMap<String, u64>;
+
+thread_local! {
+    static COVERED: std::cell::RefCell<Coverage> = Default::default();
+}
+
+fn cover(kind: &str) {
+    COVERED.with_borrow_mut(|c| *c.entry(kind.to_string()).or_default() += 1);
+}
+
+/// Checks invariant `$name`, counting the evaluation.
+macro_rules! ensure {
+    ($name:expr, $ok:expr, $($why:tt)+) => {{
+        cover($name);
+        if !$ok {
+            return Err(format!("{}: {}", $name, format!($($why)+)));
+        }
+    }};
+}
+
+/// A door's answer, or its own error as `Ok(Err(..))`: a broken
+/// invariant is the outer `Err`.
+macro_rules! door {
+    ($e:expr) => {
+        match $e {
+            Ok(v) => v,
+            Err(e) => return Ok(Err(e.to_string())),
+        }
+    };
+}
+
+enum Target {
+    /// The cluster, its user and the config that restarts it.
+    Cluster(Box<(DlaCluster, AppUser, ClusterConfig)>),
+    Fed(Box<FederatedCluster>),
+}
+
+impl Target {
+    fn rings(&self) -> Vec<&DlaCluster> {
+        match self {
+            Target::Cluster(j) => vec![&j.0],
+            Target::Fed(fed) => fed.rings().iter().collect(),
+        }
+    }
+}
+
+/// What a standing query was told: (ring, epoch, deposit indices).
+type Told = Vec<(u64, EpochId, Vec<usize>)>;
+
+/// One system under test, and what it may still owe.
+struct System {
+    target: Target,
+    subs: Vec<(StandingQueryId, &'static str, Told)>,
+    /// The id the next registration takes.
+    next_sub: u64,
+    /// A failure since the last full catch-up may still be owed.
+    owed: bool,
+}
+
+/// A door's answer in deposit indices.
+struct Answer {
+    /// The set, if the door reveals one.
+    set: Option<BTreeSet<usize>>,
+    count: usize,
+    /// The sum of `c1`, if asked.
+    sum: Option<u64>,
+    /// A federation's answer digest.
+    digest: Option<[u8; 32]>,
+}
+
+/// Where each deposit index lives in a system: (ring, epoch, glsn).
+type Placement = Vec<(u64, EpochId, Glsn)>;
+
+fn index_of(placed: &Placement) -> BTreeMap<Glsn, usize> {
+    placed.iter().enumerate().map(|(i, p)| (p.2, i)).collect()
+}
+
+/// The run's state beside the systems.
+#[derive(Default)]
+struct Flags {
+    lie: bool,
+    loss: bool,
+    retired: bool,
+    /// A journal write failed since the last restart: a node whose seal
+    /// write failed lags the chain until a restart.
+    torn: bool,
+    /// Ops applied so far.
+    step: usize,
+    /// The next pool record to deposit.
+    next: usize,
+}
+
+struct Run {
+    pool: Vec<LogRecord>,
+    /// Pool index of each committed deposit, in deposit order.
+    deposited: Vec<usize>,
+    central: CentralizedAuditor,
+    systems: Vec<System>,
+    dir: std::path::PathBuf,
+    flags: Flags,
+}
+
+impl Drop for Run {
+    fn drop(&mut self) {
+        failpoint::disarm();
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
+fn attr<'a>(record: &'a LogRecord, name: &str) -> Option<&'a AttrValue> {
+    record.get(&name.into())
+}
+
+fn time_of(record: &LogRecord) -> u64 {
+    let Some(AttrValue::Time(t)) = attr(record, "time") else {
+        unreachable!("generated records carry a time")
+    };
+    *t
+}
+
+fn tap(rule: Tap) -> Arc<ScriptedAdversary> {
+    let (tag, skip, fires) = match rule {
+        DropDeposit(skip) => (0x21, skip, 1),
+        _ => (0x01, 0, u64::MAX),
+    };
+    let rule = TamperRule {
+        from: None,
+        to: None,
+        tag: Some(tag),
+        skip,
+        fires,
+        action: Tamper::Drop,
+    };
+    let tap = (0..NODES).fold(ScriptedAdversary::new(), ScriptedAdversary::compromise);
+    Arc::new(tap.rule(rule))
+}
+
+/// Loss on `c`: drops, and duplicates too when `duplicate` — which only
+/// `Reliable` absorbs: a bare round reads a duplicated frame as the next
+/// round's.
+fn set_loss(c: &DlaCluster, on: bool, duplicate: bool) {
+    let mut net = c.net();
+    let faults = net.faults_mut();
+    faults.drop_probability = if on { 0.05 } else { 0.0 };
+    faults.duplicate_probability = if on && duplicate { 0.05 } else { 0.0 };
+}
+
+/// What a restart must leave unchanged: accumulator, epoch folds, chain
+/// head, per-node counts.
+fn ledger_of(c: &DlaCluster) -> String {
+    let epochs: Vec<_> = c.epoch_stats().map(|s| (&s.acc, s.sealed)).collect();
+    let counts: Vec<_> = c.nodes().iter().map(|n| n.store().len()).collect();
+    let head = c.checkpoint_chain().head_link();
+    format!("{:?}", (c.trail_accumulator(), epochs, head, counts))
+}
+
+/// The digest a centralized evaluation gives `answer`, as
+/// `FederatedQueryResult::answer_digest` defines it.
+fn central_digest(answer: &BTreeSet<usize>) -> [u8; 32] {
+    let indices: Vec<u8> = answer
+        .iter()
+        .flat_map(|&i| (i as u64).to_be_bytes())
+        .collect();
+    sha256::digest_parts(&[b"dla-federated-answer", &indices])
+}
+
+fn pick<T: Copy>(rng: &mut StdRng, from: &[T]) -> T {
+    from[rng.gen_range(0..from.len())]
+}
+
+fn literal(rng: &mut StdRng, times: &[u64]) -> String {
+    let op = pick(rng, &["<", "<=", ">", ">=", "=", "!="]);
+    let eq = pick(rng, &["=", "!="]);
+    let c1 = rng.gen_range(1..100);
+    let c2 = rng.gen_range(100..100_000);
+    let u = rng.gen_range(1..=USERS);
+    match rng.gen_range(0..6) {
+        0 => format!("c1 {op} {c1}"),
+        1 => format!("c2 {op} {}.{:02}", c2 / 100, c2 % 100),
+        2 => format!("id {op} 'U{u}'"),
+        3 => format!("protocol {eq} 'UDP'"),
+        4 => format!("id {eq} c3"),
+        _ if times.is_empty() => format!("c1 {op} 50"),
+        _ => format!("time {op} {}", pick(rng, times)),
+    }
+}
+
+fn query(rng: &mut StdRng, times: &[u64]) -> &'static str {
+    let mut q = literal(rng, times);
+    for _ in 0..rng.gen_range(0..3) {
+        let joint = pick(rng, &["AND", "OR"]);
+        let not = pick(rng, &["", "", "", "NOT "]);
+        q = format!("({q}) {joint} {not}{}", literal(rng, times));
+    }
+    Box::leak(q.into_boxed_str())
+}
+
+impl Run {
+    fn new(h: &History) -> Result<Run, String> {
+        failpoint::disarm();
+        let workload = WorkloadConfig {
+            records: POOL,
+            users: USERS,
+            ..WorkloadConfig::default()
+        };
+        let pool = generate(&workload, &mut StdRng::seed_from_u64(h.seed));
+        let schema = Schema::paper_example();
+        let partition = Partition::paper_example(&schema);
+        let err = |e: dla_audit::AuditError| e.to_string();
+        let thread = std::thread::current().id();
+        let name = format!("dla-history-{}-{thread:?}-{}", std::process::id(), h.seed);
+        let dir = std::env::temp_dir().join(name);
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut systems = Vec::new();
+        if h.rings == 0 {
+            let config = ClusterConfig::new(NODES, schema.clone())
+                .with_partition(partition.clone())
+                .with_seed(h.seed)
+                .with_epoch_length(h.epoch)
+                .with_standby_replication()
+                .with_journal_dir(&dir);
+            let mut c = DlaCluster::new(config.clone()).map_err(err)?;
+            let user = c.register_user("u").map_err(err)?;
+            systems.push(System {
+                target: Target::Cluster(Box::new((c, user, config))),
+                subs: Vec::new(),
+                next_sub: 0,
+                owed: false,
+            });
+        } else {
+            for rings in [1, h.rings] {
+                let config = FederationConfig::new(rings, NODES, schema.clone())
+                    .with_partition(partition.clone())
+                    .with_seed(h.seed)
+                    .with_epoch_length(h.epoch)
+                    .with_max_users(USERS);
+                let mut fed = FederatedCluster::new(config).map_err(err)?;
+                for u in 1..=USERS {
+                    fed.register_user(&format!("U{u}")).map_err(err)?;
+                }
+                systems.push(System {
+                    target: Target::Fed(Box::new(fed)),
+                    subs: Vec::new(),
+                    next_sub: 0,
+                    owed: false,
+                });
+            }
+        }
+        let mut central = CentralizedAuditor::new(schema, 1);
+        central.register_user().map_err(err)?;
+        Ok(Run {
+            pool,
+            deposited: Vec::new(),
+            central,
+            systems,
+            dir,
+            flags: Flags::default(),
+        })
+    }
+
+    /// The reference answer to `q`, in deposit indices.
+    fn reference(&mut self, q: &str) -> Result<BTreeSet<usize>, String> {
+        let matched = self.central.query_text(q).map_err(|e| e.to_string())?;
+        let order: Vec<Glsn> = self.central.read_everything().map(|(g, _)| *g).collect();
+        let index = |g| order.binary_search(g).ok();
+        Ok(matched.iter().filter_map(index).collect())
+    }
+
+    fn placement(&self, s: usize) -> Result<Placement, String> {
+        let mut placed = vec![None; self.deposited.len()];
+        let target = &self.systems[s].target;
+        for (r, ring) in target.rings().into_iter().enumerate() {
+            let policy = ring.trail().epoch_policy();
+            for (k, g) in ring.logged_glsns().into_iter().enumerate() {
+                let index = match target {
+                    Target::Cluster(..) => Some(k),
+                    Target::Fed(fed) => fed.deposit_index(g).map(|i| i as usize),
+                };
+                let slot = index.and_then(|i| placed.get_mut(i));
+                let slot = slot.ok_or(format!("{ANSWERS}: {g} has no deposit index"))?;
+                *slot = Some((r as u64, policy.epoch_of(g), g));
+            }
+        }
+        let placed = placed.into_iter().collect::<Option<_>>();
+        placed.ok_or(format!("{ANSWERS}: a committed deposit is in no ring"))
+    }
+
+    /// Whether an op's `Err` has an excuse: a lie, or loss on a door
+    /// that is not `loss_proof`.
+    fn excused(&self, loss_proof: bool) -> bool {
+        self.flags.lie || (self.flags.loss && !loss_proof)
+    }
+
+    fn c1_total(&self, records: &BTreeSet<usize>) -> u64 {
+        let c1 = |i: &usize| match attr(&self.pool[self.deposited[*i]], "c1") {
+            Some(AttrValue::Int(v)) => *v as u64,
+            _ => 0,
+        };
+        records.iter().map(c1).sum()
+    }
+
+    /// The next op, drawn against the state so far: time constants are
+    /// deposited times ±1 and sealed epochs' last times.
+    fn next_op(&self, rng: &mut StdRng, rings: usize) -> Op {
+        let deposited = self.deposited.iter().map(|&i| time_of(&self.pool[i]));
+        let mut times: Vec<u64> = deposited.flat_map(|t| [t - 1, t, t + 1]).collect();
+        for ring in self.systems[0].target.rings() {
+            times.extend(ring.trail().sealed_epochs().filter_map(|s| s.time_hi));
+        }
+        let n = rng.gen_range(1..=3);
+        let cluster = rings == 0;
+        // A batch of n makes 8n + 1 journal writes (the nodes', then the
+        // cluster's), 8 more if it seals: half the failures hit a seal.
+        let legs = 8 * n as u64 + 1;
+        let leg = rng.gen_range(1..=legs);
+        let seal = legs + rng.gen_range(1..=8u64);
+        let k = pick(rng, &[leg, seal]);
+        let q = query(rng, &times);
+        let f = &self.flags;
+        loop {
+            return match rng.gen_range(0..21) {
+                0..=4 => Deposit(n),
+                5..=9 => Ask(pick(rng, &DOORS), q),
+                10 if !times.is_empty() => {
+                    let a = pick(rng, &times);
+                    let b = pick(rng, &times);
+                    Window(a.min(b), a.max(b))
+                }
+                11 | 12 => Register(q),
+                13 => Loss(!f.loss),
+                14 | 15 => {
+                    let tap = match rng.gen_range(0..3) {
+                        _ if f.lie => Clear,
+                        0 if cluster => DropDeposit(rng.gen_range(0..4)),
+                        _ => DropData,
+                    };
+                    Lie(tap, rng.gen_range(0..rings.max(1)))
+                }
+                // A restart forgets retirements (DESIGN §9): no crash after one.
+                16 | 17 if cluster && !f.retired => Fail(k, n),
+                18 | 19 if cluster && !f.retired => Crash(k, rng.gen_bool(0.5), n),
+                20 if cluster && !f.retired => Retire(rng.gen_range(0..NODES)),
+                _ => continue,
+            };
+        }
+    }
+
+    fn apply(&mut self, op: &Op) -> Result<(), String> {
+        let kind = format!("{op:?}");
+        let cut = if let Ask(..) = op { ',' } else { '(' };
+        cover(kind.split(cut).next().unwrap_or_default());
+        self.flags.step += 1;
+        let lied = self.flags.lie;
+        if let Loss(on) = op {
+            self.flags.loss = *on;
+        }
+        let duplicate = matches!(op, Ask(Resilient | Reliable, _) | Register(_));
+        for system in &self.systems {
+            for ring in system.target.rings() {
+                set_loss(ring, self.flags.loss, duplicate);
+            }
+        }
+        let batch: Vec<usize> = match op {
+            Deposit(n) | Fail(_, n) | Crash(_, _, n) => (self.flags.next..POOL).take(*n).collect(),
+            _ => Vec::new(),
+        };
+        if let Some(last) = batch.last() {
+            self.flags.next = last + 1;
+        }
+        for s in 0..self.systems.len() {
+            self.apply_to(s, op, &batch)?;
+        }
+        match op {
+            Lie(tap, _) => self.flags.lie = *tap != Clear,
+            Retire(_) => self.flags.retired = true,
+            Fail(..) => self.flags.torn = true,
+            Crash(..) => {
+                self.flags.lie = false;
+                self.flags.loss = false;
+                self.flags.torn = false;
+            }
+            _ => {}
+        }
+        for s in 0..self.systems.len() {
+            self.systems[s].owed |= lied;
+            self.check_state(s)?;
+        }
+        if let [one, many] = &self.systems[..] {
+            let (Target::Fed(one), Target::Fed(many)) = (&one.target, &many.target) else {
+                unreachable!("two systems are two federations")
+            };
+            let same = one.records_deposited() == many.records_deposited();
+            ensure!(
+                FEDERATED,
+                same,
+                "the topologies committed different deposits"
+            );
+        }
+        Ok(())
+    }
+
+    /// Applies `op` to system `s`; the op's own answers are checked here.
+    fn apply_to(&mut self, s: usize, op: &Op, batch: &[usize]) -> Result<(), String> {
+        match (op, &mut self.systems[s].target) {
+            (Deposit(_) | Fail(..) | Crash(..), Target::Cluster(..)) => self.deposit(s, op, batch),
+            (Deposit(_), Target::Fed(fed)) => {
+                // On a loss-free net, so that both topologies commit the
+                // same records; only a lie excuses an error.
+                for ring in fed.rings() {
+                    set_loss(ring, false, false);
+                }
+                let mut failed = false;
+                for &i in batch {
+                    let record = &self.pool[i];
+                    let Some(AttrValue::Text(user)) = attr(record, "id") else {
+                        unreachable!("generated records carry an id")
+                    };
+                    if let Err(e) = fed.log_records(user, std::slice::from_ref(record)) {
+                        ensure!(ANSWERS, self.flags.lie, "deposit: {e}");
+                        failed = true;
+                    }
+                }
+                self.systems[s].owed |= failed;
+                self.commit(s, batch)
+            }
+            (Ask(door, q), _) => self.ask(s, *door, q).map(drop),
+            (Window(lo, hi), _) => self.window(s, *lo, *hi),
+            (Register(q), _) => self.register(s, q),
+            (Retire(node), Target::Cluster(j)) => {
+                let retired = j.0.rereplicate(&BTreeSet::from([*node]));
+                let excused = self.excused(false);
+                ensure!(ANSWERS, retired.is_ok() || excused, "{retired:?}");
+                Ok(())
+            }
+            (Lie(Clear, _), target) => {
+                for ring in target.rings() {
+                    ring.clear_adversary();
+                }
+                Ok(())
+            }
+            (Lie(rule, r), target) => {
+                let rings = target.rings();
+                rings[r % rings.len()].set_adversary(tap(*rule));
+                Ok(())
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Logs `records` into the reference, once every system has them.
+    fn commit(&mut self, s: usize, records: &[usize]) -> Result<(), String> {
+        if s + 1 < self.systems.len() {
+            return Ok(());
+        }
+        for &i in records {
+            let logged = self.central.log_record(dla_net::NodeId(1), &self.pool[i]);
+            logged.map_err(|e| e.to_string())?;
+            self.deposited.push(i);
+        }
+        Ok(())
+    }
+
+    /// A cluster deposit: commits a prefix of the batch, all of it on `Ok`.
+    fn deposit(&mut self, s: usize, op: &Op, batch: &[usize]) -> Result<(), String> {
+        let Target::Cluster(j) = &mut self.systems[s].target else {
+            unreachable!("a cluster deposits here")
+        };
+        let (c, user, _) = &mut **j;
+        let records: Vec<LogRecord> = batch.iter().map(|&i| self.pool[i].clone()).collect();
+        let before = c.logged_glsns();
+        let links = c.checkpoint_chain().len();
+        match op {
+            Crash(k, true, _) => failpoint::arm(*k, |len| len - 1),
+            Fail(k, _) | Crash(k, false, _) => failpoint::arm(*k, |_| 0),
+            _ => {}
+        }
+        let logged = c.log_records(user, &records);
+        failpoint::disarm();
+        if let Crash(..) = op {
+            return self.restart(s, &before, links, logged, batch);
+        }
+        let now = c.logged_glsns();
+        let m = now.len().saturating_sub(before.len());
+        let prefix = m <= batch.len() && now.starts_with(&before);
+        ensure!(ANSWERS, prefix, "{before:?} then {now:?}");
+        let sealed = c.checkpoint_chain().len() > links;
+        let owed = &mut self.systems[s].owed;
+        match &logged {
+            Ok(acked) => {
+                ensure!(ANSWERS, acked[..] == now[before.len()..], "{acked:?}");
+                *owed &= !sealed || self.flags.lie;
+            }
+            Err(e) => {
+                let excused = self.flags.lie || self.flags.loss || matches!(op, Fail(..));
+                ensure!(ANSWERS, excused, "deposit: {e}");
+                *owed = true;
+            }
+        }
+        self.commit(s, &batch[..m])
+    }
+
+    /// Registers `q`; only a lie excuses a refusal, which must leave
+    /// nothing behind.
+    fn register(&mut self, s: usize, q: &'static str) -> Result<(), String> {
+        let lie = self.flags.lie;
+        let system = &mut self.systems[s];
+        let id = StandingQueryId(system.next_sub);
+        let (registered, known) = match &mut system.target {
+            Target::Cluster(j) => (j.0.register_standing(q), j.0.standing_matches(id).is_some()),
+            Target::Fed(fed) => (fed.register_standing(q), fed.standing_matches(id).is_some()),
+        };
+        // A cluster's ids are never reused; a federation's refusal takes none.
+        if matches!(system.target, Target::Cluster(..)) || registered.is_ok() {
+            system.next_sub += 1;
+        }
+        match registered {
+            Ok(got) => {
+                ensure!(STANDING, got == id, "{got} for {id}");
+                system.subs.push((id, q, Vec::new()));
+                system.owed &= lie;
+            }
+            Err(e) => {
+                ensure!(STANDING, lie, "register {q}: {e}");
+                ensure!(STANDING, !known, "refused {id} still answers");
+                system.owed = true;
+            }
+        }
+        Ok(())
+    }
+
+    /// Dies at the op's failed write, then restarts twice.
+    fn restart(
+        &mut self,
+        s: usize,
+        before: &[Glsn],
+        links: usize,
+        logged: Result<Vec<Glsn>, dla_audit::AuditError>,
+        batch: &[usize],
+    ) -> Result<(), String> {
+        let old = self.systems.remove(s);
+        let Target::Cluster(j) = old.target else {
+            unreachable!("only a cluster crashes")
+        };
+        let (c, user, config) = *j;
+        let chain_of = |c: &DlaCluster| c.checkpoint_chain().iter().cloned().collect::<Vec<_>>();
+        let at_drop = chain_of(&c);
+        drop(c);
+        let restart = || DlaCluster::new(config.clone()).map_err(|e| format!("{RESTART}: {e}"));
+        let ledger = ledger_of(&restart()?);
+        let c = restart()?;
+        ensure!(
+            RESTART,
+            ledger_of(&c) == ledger,
+            "a second restart moved the ledger"
+        );
+        let now = c.logged_glsns();
+        let kept = now.starts_with(before) && now.len() <= before.len() + batch.len();
+        ensure!(RESTART, kept, "{before:?} acked, {now:?} kept");
+        if let Ok(acked) = &logged {
+            ensure!(RESTART, now[before.len()..] == acked[..], "{acked:?} acked");
+        }
+        let chain = chain_of(&c);
+        // A crash after the op's last write is a clean restart.
+        let prefix = chain.len() >= links && chain.iter().zip(&at_drop).all(|(a, b)| a == b);
+        let agree = prefix && (logged.is_err() || chain == at_drop);
+        ensure!(RESTART, agree, "{links} links, then {}", chain.len());
+        // The standing registry is not durable: each subscription
+        // registers again, and its catch-up pays every sealed epoch.
+        let restarted = System {
+            target: Target::Cluster(Box::new((c, user, config))),
+            subs: Vec::new(),
+            next_sub: 0,
+            owed: false,
+        };
+        self.systems.insert(s, restarted);
+        for (_, q, _) in old.subs {
+            self.register(s, q)?;
+        }
+        self.commit(s, &batch[..now.len() - before.len()])
+    }
+
+    /// Asks `q` through `door` of system `s`.
+    fn answer(&mut self, s: usize, door: Door, q: &str) -> Result<Result<Answer, String>, String> {
+        let placed = self.placement(s)?;
+        let index = index_of(&placed);
+        let indices = |glsns: &[Glsn]| -> Result<BTreeSet<usize>, String> {
+            let at = |g: &Glsn| {
+                let unknown = || format!("{ANSWERS}: {g} is no committed deposit");
+                index.get(g).copied().ok_or_else(unknown)
+            };
+            glsns.iter().map(at).collect()
+        };
+        let c1 = &"c1".into();
+        let policy = &ResilientPolicy::default();
+        let reply = |set, count, sum| Answer {
+            set,
+            count,
+            sum,
+            digest: None,
+        };
+        let fed = match &mut self.systems[s].target {
+            Target::Fed(fed) => fed,
+            Target::Cluster(j) => {
+                let c = &mut j.0;
+                let r = match door {
+                    Criteria => c.query_criteria(&door!(dla_audit::parser::parse(q, c.schema()))),
+                    Shared => c.query_shared(q),
+                    Resilient => c.query_resilient(q, policy).map(|o| o.result),
+                    Reliable => c.compile(q).and_then(|plan| {
+                        // A cold run: nothing the engine kept is served.
+                        c.kept().clear();
+                        let reliable = dla_net::Reliable::new(c.shared_net());
+                        let seed = self.flags.step as u64;
+                        execute_on(c, &reliable, &plan, true, ExecMode::Concurrent, seed)
+                    }),
+                    Count => {
+                        let count = door!(count_matching(c, q)).count;
+                        return Ok(Ok(reply(None, count, None)));
+                    }
+                    Sum => {
+                        let sum = door!(sum_matching(c, q, c1));
+                        return Ok(Ok(reply(None, sum.count, Some(sum.total))));
+                    }
+                };
+                let r = door!(r);
+                // One session per subquery, on the cold run.
+                let sessions = (r.sessions.len(), r.plan.subqueries.len());
+                let one_each = door != Reliable || sessions.0 == sessions.1;
+                ensure!(ANSWERS, one_each, "{sessions:?} sessions");
+                return Ok(Ok(reply(Some(indices(&r.glsns)?), r.cardinality, None)));
+            }
+        };
+        let r = match door {
+            Criteria | Shared => fed.query(q),
+            Resilient | Reliable => fed.query_resilient(q, policy),
+            Count => {
+                let count = door!(fed.count(q)).count as usize;
+                return Ok(Ok(reply(None, count, None)));
+            }
+            Sum => {
+                let sum = door!(fed.sum(q, c1));
+                return Ok(Ok(reply(None, sum.count, Some(sum.total))));
+            }
+        };
+        let r = door!(r);
+        let records = r.records.iter().map(|&i| i as usize).collect();
+        Ok(Ok(Answer {
+            set: Some(records),
+            count: r.cardinality,
+            sum: None,
+            digest: Some(r.answer_digest()),
+        }))
+    }
+
+    /// Asks `q` and checks the answer; returns the set a door revealed.
+    fn ask(&mut self, s: usize, door: Door, q: &str) -> Result<Option<BTreeSet<usize>>, String> {
+        let expect = self.reference(q)?;
+        let excused = self.excused(matches!(door, Resilient | Reliable));
+        let answer = match self.answer(s, door, q)? {
+            Ok(answer) => answer,
+            Err(e) => {
+                ensure!(ANSWERS, excused, "{door:?} {q}: {e}");
+                return Ok(None);
+            }
+        };
+        let Answer {
+            set,
+            count,
+            sum,
+            digest,
+        } = answer;
+        let name = if set.is_some() { ANSWERS } else { AGGREGATES };
+        let right_set = set.as_ref().is_none_or(|set| *set == expect);
+        let right_sum = sum.is_none_or(|sum| sum == self.c1_total(&expect));
+        let right = right_set && count == expect.len() && right_sum;
+        ensure!(name, right, "{door:?} {q}: {set:?} {count} {sum:?}");
+        // Each topology's digest is the centralized answer's.
+        if let Some(digest) = digest {
+            let central = digest == central_digest(&expect);
+            ensure!(
+                FEDERATED,
+                central,
+                "{door:?} {q}: not the centralized digest"
+            );
+        }
+        Ok(set)
+    }
+
+    /// Both aggregate paths over [lo, hi] against the records, and two
+    /// pairs of adjoining windows, each of which partitions the trail.
+    fn window(&mut self, s: usize, lo: u64, hi: u64) -> Result<(), String> {
+        let excused = self.excused(false);
+        let mut window = TimeWindow::unbounded();
+        window.lo = Some(lo);
+        window.hi = Some(hi);
+        let bucket = &"protocol".into();
+        let c1 = Some(&"c1".into());
+        for value in ["UDP", "TCP"] {
+            let inside: BTreeSet<usize> = (0..self.deposited.len())
+                .filter(|&i| {
+                    let r = &self.pool[self.deposited[i]];
+                    let t = time_of(r);
+                    attr(r, "protocol") == Some(&AttrValue::text(value)) && window.covers(t, t)
+                })
+                .collect();
+            let mut paths = vec![(inside.len() as u64, self.c1_total(&inside) as i64)];
+            for path in [Cached, Rescan] {
+                let mut total = (0, 0);
+                for ring in self.systems[s].target.rings() {
+                    match windowed_bucket_aggregate(ring, bucket, value, c1, &window, path) {
+                        Ok(a) => total = (total.0 + a.count, total.1 + a.sum.unwrap_or(0)),
+                        Err(e) => {
+                            ensure!(AGGREGATES, excused, "{path:?} {value}: {e}");
+                            return Ok(());
+                        }
+                    }
+                }
+                paths.push(total);
+            }
+            let same = paths.windows(2).all(|w| w[0] == w[1]);
+            ensure!(AGGREGATES, same, "{value} [{lo}, {hi}]: {paths:?}");
+        }
+        for (below, above, t) in [("<=", ">", hi), ("<", ">=", lo)] {
+            let below = self.ask(s, Criteria, &format!("time {below} {t}"))?;
+            let above = self.ask(s, Criteria, &format!("time {above} {t}"))?;
+            if let (Some(b), Some(a)) = (below, above) {
+                let parts = b.is_disjoint(&a) && b.len() + a.len() == self.deposited.len();
+                ensure!(ANSWERS, parts, "at {t}: {b:?} and {a:?}");
+            }
+        }
+        Ok(())
+    }
+
+    /// The invariants on state, after every op.
+    fn check_state(&mut self, s: usize) -> Result<(), String> {
+        let lie = self.flags.lie;
+        let owed = self.systems[s].owed || lie;
+        let placed = self.placement(s)?;
+        let mut sealed: Vec<Vec<EpochId>> = Vec::new();
+        for ring in self.systems[s].target.rings() {
+            let epochs: Vec<EpochId> = ring.trail().sealed_epochs().map(|e| e.epoch).collect();
+            let chain = ring.checkpoint_chain().iter();
+            let chained: Vec<EpochId> = chain.map(|c| EpochId(c.epoch)).collect();
+            let at = |n: &DlaNode| chained.iter().all(|&e| n.store().is_sealed(e));
+            let ok = epochs == chained && (self.flags.torn || ring.nodes().iter().all(at));
+            ensure!(SEALED, ok, "{epochs:?}, {chained:?}");
+            let verdict = check_window(ring, &TimeWindow::unbounded());
+            ensure!(SEALED, lie || verdict.ok && verdict.chain_ok, "{verdict:?}");
+            sealed.push(epochs);
+        }
+        if let Target::Fed(fed) = &mut self.systems[s].target {
+            let root = fed.check_root().ok() && fed.verify_presented(fed.published());
+            ensure!(FEDERATED, root, "the root does not check");
+            if !lie {
+                let swept = fed.publish_checkpoints().map_err(|e| e.to_string())?;
+                ensure!(FEDERATED, swept == 0 || owed, "{swept} left to sweep");
+            }
+            let published: u64 = fed.published().iter().map(|p| p.checkpoint.items).sum();
+            let chains = fed.rings().iter().flat_map(|r| r.checkpoint_chain().iter());
+            let items: u64 = chains.map(|c| c.items).sum();
+            ensure!(
+                FEDERATED,
+                lie || published == items,
+                "{published} of {items}"
+            );
+        }
+        let index = index_of(&placed);
+        let indexed = |g: &Glsn| index.get(g).copied().unwrap_or(usize::MAX);
+        let mut subs = std::mem::take(&mut self.systems[s].subs);
+        let mut told_of: BTreeMap<&str, Vec<Vec<usize>>> = BTreeMap::new();
+        for (id, q, told) in &mut subs {
+            let matches: Option<Vec<usize>> = match &mut self.systems[s].target {
+                Target::Cluster(j) => {
+                    let c = &mut j.0;
+                    let records = |d: &[Glsn]| d.iter().map(indexed).collect();
+                    for delta in c.standing_deltas(*id) {
+                        told.push((0, delta.epoch, records(&delta.glsns)));
+                    }
+                    c.standing_matches(*id).map(|m| records(&m))
+                }
+                Target::Fed(fed) => {
+                    let records = |d: &[u64]| d.iter().map(|&i| i as usize).collect();
+                    let told_at =
+                        |d: &FederatedStandingDelta| (d.ring, d.epoch, records(&d.records));
+                    *told = fed.standing_deltas(*id).iter().map(told_at).collect();
+                    fed.standing_matches(*id).map(|m| records(&m))
+                }
+            };
+            let expect = self.reference(q)?;
+            for (r, sealed) in sealed.iter().enumerate() {
+                let of_ring = told.iter().filter(|t| t.0 == r as u64);
+                let epochs: Vec<EpochId> = of_ring.map(|t| t.1).collect();
+                let paid = sealed.starts_with(&epochs) && (owed || epochs.len() == sealed.len());
+                ensure!(STANDING, paid, "{id} told {r}: {epochs:?} of {sealed:?}");
+            }
+            for (r, epoch, records) in told.iter() {
+                let at = |i: &&usize| (placed[**i].0, placed[**i].1) == (*r, *epoch);
+                let fresh: Vec<usize> = expect.iter().filter(at).copied().collect();
+                ensure!(STANDING, *records == fresh, "{id} {q} {epoch}: {records:?}");
+            }
+            let union: BTreeSet<usize> = told.iter().flat_map(|t| t.2.iter().copied()).collect();
+            let union = Some(union.into_iter().collect());
+            ensure!(STANDING, matches == union, "{id} matches {matches:?}");
+            let all = told.iter().flat_map(|t| t.2.clone()).collect();
+            told_of.entry(q).or_default().push(all);
+        }
+        self.systems[s].subs = subs;
+        for told in told_of.values() {
+            let late_is_early = owed || told.windows(2).all(|w| w[0] == w[1]);
+            ensure!(STANDING, late_is_early, "one query told {told:?}");
+        }
+        Ok(())
+    }
+}
+
+/// Runs `f`, a panic inside it an `Err` like any broken invariant.
+fn catch(f: impl FnOnce() -> Result<(), String>) -> Result<(), String> {
+    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+    caught.unwrap_or_else(|p| Err(format!("panic: {:?}", p.downcast_ref::<String>())))
+}
+
+fn replay(h: &History) -> Result<(), String> {
+    catch(|| {
+        let mut run = Run::new(h)?;
+        for op in &h.ops {
+            run.apply(op).map_err(|e| format!("{e}\n  at {op:?}"))?;
+        }
+        Ok(())
+    })
+}
+
+/// Generates and runs history `seed`, op by op.
+fn explore(seed: u64) -> Result<(), (History, String)> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let rings = [0, 0, 2, 0, 0, 3][seed as usize % 6];
+    let mut h = History {
+        seed,
+        epoch: pick(&mut rng, &[2, 3, 1 << 40]),
+        rings,
+        ops: Vec::new(),
+    };
+    let outcome = catch(|| {
+        let mut run = Run::new(&h)?;
+        for _ in 0..OPS {
+            let op = run.next_op(&mut rng, rings);
+            h.ops.push(op);
+            run.apply(&op)?;
+        }
+        Ok(())
+    });
+    outcome.map_err(|e| (h, e))
+}
+
+/// Drops ops one at a time while the same invariant still fails, then
+/// panics with the shrunk history as a replayable literal.
+fn refute(mut h: History, mut why: String) -> ! {
+    let name = why.split(':').next().unwrap_or_default().to_string();
+    let mut shrinking = true;
+    while shrinking {
+        shrinking = false;
+        for i in (0..h.ops.len()).rev() {
+            let mut smaller = h.clone();
+            smaller.ops.remove(i);
+            if let Err(e) = replay(&smaller) {
+                if e.starts_with(&name) {
+                    h = smaller;
+                    why = e;
+                    shrinking = true;
+                }
+            }
+        }
+    }
+    let ops = format!("{:?}", h.ops);
+    let (seed, epoch, rings) = (h.seed, h.epoch, h.rings);
+    panic!(
+        "{why}\nshrunk: History {{ seed: {seed}, epoch: {epoch}, rings: {rings}, ops: vec!{ops} }}"
+    )
+}
+
+#[test]
+fn generated_histories_hold_every_invariant() {
+    let worker = |w: u64| {
+        move || {
+            for seed in (w..CASES).step_by(2) {
+                if let Err((h, why)) = explore(seed) {
+                    refute(h, why);
+                }
+            }
+            COVERED.take()
+        }
+    };
+    let mut covered = Coverage::new();
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..2).map(|w| scope.spawn(worker(w))).collect();
+        for w in workers {
+            let some = w.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+            for (kind, n) in some {
+                *covered.entry(kind).or_default() += n;
+            }
+        }
+    });
+    let doors = DOORS.map(|d| format!("Ask({d:?}"));
+    let ops = [
+        "Deposit", "Window", "Register", "Retire", "Loss", "Lie", "Fail", "Crash",
+    ];
+    let invariants = [ANSWERS, AGGREGATES, STANDING, SEALED, RESTART, FEDERATED];
+    let kinds = doors
+        .iter()
+        .map(String::as_str)
+        .chain(ops)
+        .chain(invariants);
+    for kind in kinds {
+        let ran = covered.get(kind).is_some_and(|&n| n > 0);
+        assert!(ran, "{kind} never ran: {covered:?}");
+    }
+}
+
+/// The seam rows: each is the shrunk history the checker printed for a
+/// defect put back on purpose, named after the regression test that pins
+/// it, or for a defect it found, which is fixed.
+#[test]
+fn seam_rows_hold() {
+    let rows = [
+        (
+            "a_deposit_after_a_retirement_lands_where_queries_read",
+            History {
+                seed: 1,
+                epoch: 1 << 40,
+                rings: 0,
+                ops: vec![
+                    Retire(0),
+                    Deposit(2),
+                    Ask(Reliable, "(time <= 1021233806) AND c1 <= 49"),
+                ],
+            },
+        ),
+        (
+            "a_write_that_fails_once_leaves_a_journal_that_restarts",
+            History {
+                seed: 25,
+                epoch: 2,
+                rings: 0,
+                ops: vec![Deposit(3), Fail(19, 2), Crash(12, true, 1)],
+            },
+        ),
+        (
+            "a_standing_delta_that_fails_at_a_seal_is_paid_at_the_next_one",
+            History {
+                seed: 15,
+                epoch: 2,
+                rings: 0,
+                ops: vec![Deposit(2), Deposit(3), Register("c2 = 314.40")],
+            },
+        ),
+        (
+            "a_refused_registration_leaves_nothing_behind",
+            History {
+                seed: 13,
+                epoch: 2,
+                rings: 0,
+                ops: vec![
+                    Lie(DropData, 0),
+                    Deposit(3),
+                    Register("(c2 < 729.89) OR c2 != 579.94"),
+                ],
+            },
+        ),
+        (
+            "a_delta_that_fails_at_a_ring_seal_is_relayed_after_the_next_one",
+            History {
+                seed: 26,
+                epoch: 2,
+                rings: 2,
+                ops: vec![
+                    Register("(protocol = 'UDP') OR c1 != 66"),
+                    Lie(DropData, 0),
+                    Deposit(3),
+                ],
+            },
+        ),
+        (
+            "a_deposit_whose_rollback_write_fails_is_never_answered",
+            History {
+                seed: 13,
+                epoch: 2,
+                rings: 0,
+                ops: vec![Fail(8, 1), Ask(Resilient, "id != c3")],
+            },
+        ),
+        (
+            "a_replayed_seal_never_counts_an_uncommitted_fragment",
+            History {
+                seed: 31,
+                epoch: 2,
+                rings: 0,
+                ops: vec![Fail(3, 3), Crash(28, false, 2)],
+            },
+        ),
+        (
+            "an_adopter_compares_its_own_and_adopted_attributes",
+            History {
+                seed: 24,
+                epoch: 1 << 40,
+                rings: 0,
+                ops: vec![
+                    Deposit(1),
+                    Retire(1),
+                    Ask(Criteria, "((id != c3) AND time < 1021233762) OR id = c3"),
+                ],
+            },
+        ),
+        (
+            "a_repair_without_a_copy_retires_nothing",
+            History {
+                seed: 858,
+                epoch: 3,
+                rings: 0,
+                ops: vec![
+                    Deposit(3),
+                    Loss(true),
+                    Lie(DropData, 0),
+                    Ask(Resilient, "(c2 != 646.67) OR id != c3"),
+                    Lie(Clear, 0),
+                    Ask(Count, "(protocol = 'UDP') AND NOT id < 'U3'"),
+                ],
+            },
+        ),
+        (
+            "a_federated_repair_without_a_copy_retires_nothing",
+            History {
+                seed: 725,
+                epoch: 3,
+                rings: 3,
+                ops: vec![
+                    Loss(true),
+                    Lie(DropData, 1),
+                    Deposit(3),
+                    Ask(Reliable, "c2 < 187.79"),
+                    Window(1021233688, 1021233952),
+                ],
+            },
+        ),
+    ];
+    let mut broken = Vec::new();
+    for (name, h) in rows {
+        if let Err(why) = replay(&h) {
+            broken.push(format!("{name}: {why}\n{h:?}"));
+        }
+    }
+    assert!(broken.is_empty(), "{}", broken.join("\n"));
+}

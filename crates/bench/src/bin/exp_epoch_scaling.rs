@@ -20,7 +20,7 @@ use dla_audit::exec::ResilientPolicy;
 use dla_audit::integrity::{check_trail, check_window, TrailVerdict};
 use dla_audit::plan::TimeWindow;
 use dla_audit::query::{CmpOp, Criteria, Predicate};
-use dla_bench::{render_rows, write_snapshot, Json};
+use dla_bench::{render_markdown_rows, write_snapshot, Json};
 use dla_logstore::gen::WorkloadConfig;
 use dla_logstore::model::{AttrValue, Glsn};
 
@@ -163,14 +163,11 @@ fn main() {
     assert!(gated > 0, "at least one row must hit the 4x ratio gate");
 
     let table: Vec<Json> = rows.iter().map(Row::json).collect();
+    // A markdown table: EXPERIMENTS.md P11 quotes it verbatim, and
+    // ci.sh diffs the quote against this stdout.
     println!(
-        "{}",
-        render_rows(
-            &format!(
-                "P11 - EPOCH-SHARDED TRAIL SCALING (epoch={EPOCH_LEN}, window={WINDOW_SECS}s)"
-            ),
-            &table
-        )
+        "P11 - EPOCH-SHARDED TRAIL SCALING (epoch={EPOCH_LEN}, window={WINDOW_SECS}s)\n\n{}",
+        render_markdown_rows(&table)
     );
     let last = rows.last().expect("at least one row");
     println!(

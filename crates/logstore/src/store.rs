@@ -634,10 +634,28 @@ impl FragmentStore {
             .copied()
             .filter(|glsn| !committed(*glsn))
             .collect();
+        let mut refused = None;
         for glsn in &orphans {
-            self.commit([JournalEntry::Tombstone(*glsn)])?;
+            // A tombstone the journal refuses is applied all the same:
+            // the next restart decides the same, the glsn having no
+            // deposit record, and a store that lives on must not serve
+            // a record that never committed.
+            if let Err(e) = self.commit([JournalEntry::Tombstone(*glsn)]) {
+                self.apply(JournalEntry::Tombstone(*glsn));
+                refused.get_or_insert(e);
+            }
         }
-        Ok(orphans)
+        refused.map_or(Ok(orphans), Err)
+    }
+
+    /// Forgets `glsns` in memory only — own fragment, standby and
+    /// adopted copies, ACL grants — journaling nothing, so the next
+    /// restart decides as the journal says: for a deposit whose commit
+    /// point is ambiguous, its record written or not.
+    pub fn forget_in_memory(&mut self, glsns: impl IntoIterator<Item = Glsn>) {
+        for glsn in glsns {
+            self.apply(JournalEntry::Tombstone(glsn));
+        }
     }
 
     /// An adopted fragment originally owned by `node`, if held here.

@@ -111,14 +111,25 @@ impl<'a> RankingSession<'a> {
             (party, ttp, w.finish())
         });
         let mut masked: Vec<(u128, usize)> = Vec::with_capacity(n);
+        let mut submitted = vec![false; n];
         for envelope in net.round(submissions)? {
             let mut r = Reader::new(&envelope.payload);
             if r.get_u8()? != 0x08 {
                 return Err(MpcError::Wire("unexpected submission tag".into()));
             }
-            let idx = r.get_u64()? as usize;
+            let idx = r.get_u64()?;
             let w = r.get_u128()?;
             r.finish()?;
+            // The index comes off the wire: it must name a party, once.
+            let fresh = usize::try_from(idx)
+                .ok()
+                .filter(|&i| i < n && !submitted[i]);
+            let Some(idx) = fresh else {
+                return Err(MpcError::Wire(format!(
+                    "submission names party {idx} of {n} twice or not at all"
+                )));
+            };
+            submitted[idx] = true;
             masked.push((w, idx));
         }
 
@@ -187,6 +198,28 @@ mod tests {
     fn rank(values: &[u64]) -> Result<RankOutcome, MpcError> {
         let (net, parties, ttp, mut rng) = setup(values.len());
         RankingSession::new(Session::root(&net), &parties, ttp).run(values, &mut rng)
+    }
+
+    /// A submission's party index is peer bytes: one naming no party
+    /// used to index the rank table out of bounds.
+    #[test]
+    fn a_submission_naming_no_party_is_a_wire_error() {
+        use dla_net::adversary::{AdversaryNet, ScriptedAdversary, Tamper, TamperRule};
+        for forged in [99, 0] {
+            let (net, parties, ttp, mut rng) = setup(3);
+            let net = AdversaryNet::new(net);
+            let mut w = Writer::new();
+            w.put_u8(0x08).put_u64(forged).put_u128(7);
+            let rule = TamperRule::once_from(1, 0x08, Tamper::Replace(w.finish()));
+            let liar = ScriptedAdversary::new().compromise(1).rule(rule);
+            net.set_adversary(std::sync::Arc::new(liar));
+            let ranked =
+                RankingSession::new(Session::root(&net), &parties, ttp).run(&[3, 1, 2], &mut rng);
+            assert!(
+                matches!(ranked, Err(MpcError::Wire(_))),
+                "{forged}: {ranked:?}"
+            );
+        }
     }
 
     #[test]
