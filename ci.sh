@@ -10,6 +10,13 @@ echo "==> cargo test -q"
 cargo test -q --workspace
 
 echo "==> bigint and crypto differential properties in release"
+# The lane kernel runs only where the CPU has AVX-512 IFMA; elsewhere the
+# lanes = scalar properties skip their lane leg, so say which this was.
+if grep -qw avx512ifma /proc/cpuinfo 2>/dev/null; then
+    echo "    lane kernel live: avx512ifma present, lanes = scalar is checked"
+else
+    echo "    lane kernel not live: no avx512ifma, only the scalar kernel is checked"
+fi
 # The comb's 70 000-bit cases and the epoch-long fold_batch rows: the
 # debug pass above runs them against dev-profile test code, this one
 # with the arithmetic the benchmark runs (overflow wraps, no debug

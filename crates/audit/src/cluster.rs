@@ -350,6 +350,9 @@ pub struct DlaCluster {
     users: UserRegistry,
     /// Every deposit, its epoch and the sealed epochs' checkpoints.
     trail: Trail,
+    /// Epochs the chain holds that some node has not marked sealed (its
+    /// seal write failed): every seal retries them first.
+    lagging: BTreeSet<EpochId>,
     cluster_journal: Option<Journal>,
     standby_replication: bool,
     /// Tamper-evident journal of the cluster's own privileged actions
@@ -456,6 +459,7 @@ impl DlaCluster {
             allocator: GlsnAllocator::starting_at(glsn_base),
             users,
             trail: Trail::new(AccumulatorParams::fixed_512(), epoch_policy),
+            lagging: BTreeSet::new(),
             cluster_journal: None,
             standby_replication: config.standby_replication,
             standing: StandingRegistry::default(),
@@ -576,22 +580,28 @@ impl DlaCluster {
 
     /// Seals `epoch` around [`Trail::seal`]: every node materializes its
     /// partials before, and marks its manifest sealed after (each
-    /// journaled and idempotent per node). Returns the deposit count.
+    /// journaled and idempotent per node). A node whose mark failed
+    /// lags the chain; the mark is retried, on every node, at each
+    /// later seal until it lands. Returns the deposit count.
     fn seal(&mut self, epoch: EpochId) -> Result<u64, AuditError> {
         self.trail.check_seal(epoch)?;
         // Cache the epoch's count/sum partials before sealing, so the
         // commitment below endorses exactly what windowed aggregate
         // queries will combine.
-        let at_nodes = |op: fn(&mut FragmentStore, EpochId) -> Result<(), LogError>| {
+        let at_nodes = |op: fn(&mut FragmentStore, EpochId) -> Result<(), LogError>, epoch| {
             self.nodes
                 .iter()
                 .try_for_each(|node| op(&mut node.store_mut(), epoch))
                 .map_err(|e| AuditError::Log(e.to_string()))
         };
-        at_nodes(FragmentStore::materialize_partials)?;
+        at_nodes(FragmentStore::materialize_partials, epoch)?;
         let aggregates = epoch_aggregates_digest(&self.nodes, epoch);
         let items = self.trail.seal(epoch, aggregates);
-        at_nodes(FragmentStore::seal_epoch)?;
+        self.lagging.insert(epoch);
+        while let Some(&lagging) = self.lagging.first() {
+            at_nodes(FragmentStore::seal_epoch, lagging)?;
+            self.lagging.remove(&lagging);
+        }
         Ok(items)
     }
 

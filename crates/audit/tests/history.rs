@@ -186,9 +186,10 @@ struct Flags {
     lie: bool,
     loss: bool,
     retired: bool,
-    /// A journal write failed since the last restart: a node whose seal
-    /// write failed lags the chain until a restart.
-    torn: bool,
+    /// A journal write failed, and the chain was this long after it: a
+    /// node whose seal write failed lags the chain until the next seal
+    /// that succeeds, which makes the chain longer.
+    torn: Option<usize>,
     /// Ops applied so far.
     step: usize,
     /// The next pool record to deposit.
@@ -478,11 +479,14 @@ impl Run {
         match op {
             Lie(tap, _) => self.flags.lie = *tap != Clear,
             Retire(_) => self.flags.retired = true,
-            Fail(..) => self.flags.torn = true,
+            Fail(..) => {
+                let rings = self.systems[0].target.rings();
+                self.flags.torn = rings.first().map(|r| r.checkpoint_chain().iter().count());
+            }
             Crash(..) => {
                 self.flags.lie = false;
                 self.flags.loss = false;
-                self.flags.torn = false;
+                self.flags.torn = None;
             }
             _ => {}
         }
@@ -847,7 +851,8 @@ impl Run {
             let chain = ring.checkpoint_chain().iter();
             let chained: Vec<EpochId> = chain.map(|c| EpochId(c.epoch)).collect();
             let at = |n: &DlaNode| chained.iter().all(|&e| n.store().is_sealed(e));
-            let ok = epochs == chained && (self.flags.torn || ring.nodes().iter().all(at));
+            let lags = self.flags.torn == Some(chained.len());
+            let ok = epochs == chained && (lags || ring.nodes().iter().all(at));
             ensure!(SEALED, ok, "{epochs:?}, {chained:?}");
             let verdict = check_window(ring, &TimeWindow::unbounded());
             ensure!(SEALED, lie || verdict.ok && verdict.chain_ok, "{verdict:?}");
@@ -1081,6 +1086,15 @@ fn seam_rows_hold() {
                     Lie(DropData, 0),
                     Deposit(3),
                 ],
+            },
+        ),
+        (
+            "a_node_whose_seal_write_failed_is_sealed_by_the_next_seal",
+            History {
+                seed: 1,
+                epoch: 2,
+                rings: 0,
+                ops: vec![Deposit(1), Fail(22, 2), Deposit(2)],
             },
         ),
         (

@@ -36,6 +36,8 @@
 //! multiplication/squaring step count as `CostKind::MontMulStep`, so
 //! telemetry can distinguish a 3-bit from a 512-bit exponentiation.
 
+#[cfg(target_arch = "x86_64")]
+use crate::lanes::Lanes;
 use crate::Ubig;
 
 /// Precomputed per-modulus state for Montgomery reduction.
@@ -49,7 +51,16 @@ pub struct MontgomeryContext {
     r2: Vec<u64>,
     /// `1` in Montgomery form (`R mod n`).
     one_mont: Vec<u64>,
+    /// The 8-lane kernel's constants: present for a 4-limb modulus on
+    /// a CPU with AVX-512 IFMA, absent everywhere else.
+    #[cfg(target_arch = "x86_64")]
+    lanes: Option<Lanes>,
 }
+
+/// The smallest batch the lane kernel takes: eight lanes cost the same
+/// however many are filled, and one base runs below the scalar
+/// kernel's speed, five well above it (EXPERIMENTS P35).
+const LANE_MIN_BATCH: usize = 4;
 
 /// Reusable workspace for a run of Montgomery operations: one CIOS
 /// accumulator and one double-width squaring buffer. Thread one
@@ -488,6 +499,8 @@ impl MontgomeryContext {
         let r2 = pad(&(&(&r * &r) % modulus), k);
 
         Some(MontgomeryContext {
+            #[cfg(target_arch = "x86_64")]
+            lanes: Lanes::new(&n, n0_inv, &r2),
             n,
             n0_inv,
             r2,
@@ -819,14 +832,39 @@ impl MontgomeryContext {
     /// `base^exp mod n` for every base in `bases`, sharing one window
     /// plan and one scratch workspace across the whole batch — the
     /// per-element cost of a travelling-set encryption drops to table
-    /// build + plan replay, with zero per-step allocation.
+    /// build + plan replay, with zero per-step allocation. On a 4-limb
+    /// modulus, a batch of at least four bases walks eight at a time on
+    /// the AVX-512 IFMA lane kernel where the CPU has one (`DESIGN.md`
+    /// §11); everything else walks the scalar kernel.
     ///
     /// Telemetry parity: records exactly the same `ModExp` and
     /// `MontMulStep` counts as element-at-a-time [`Self::modexp`]
-    /// calls would, so batched and serial protocol runs stay
-    /// cost-indistinguishable.
+    /// calls would, on either kernel, so batched and serial protocol
+    /// runs stay cost-indistinguishable.
     #[must_use]
     pub fn modexp_batch(&self, bases: &[Ubig], exp: &Ubig) -> Vec<Ubig> {
+        self.batch(bases, exp, bases.len() >= LANE_MIN_BATCH)
+    }
+
+    /// [`Self::modexp_batch`] on the scalar kernel whatever the CPU and
+    /// the batch length — the lane kernel's differential oracle.
+    #[must_use]
+    pub fn modexp_batch_scalar(&self, bases: &[Ubig], exp: &Ubig) -> Vec<Ubig> {
+        self.batch(bases, exp, false)
+    }
+
+    /// [`Self::modexp_batch`] on the lane kernel whatever the batch
+    /// length, or `None` where there is none (a modulus other than 4
+    /// limbs, a CPU without AVX-512 IFMA) — exposed for differential
+    /// tests; prefer [`Self::modexp_batch`].
+    #[must_use]
+    pub fn modexp_batch_lanes(&self, bases: &[Ubig], exp: &Ubig) -> Option<Vec<Ubig>> {
+        self.has_lanes().then(|| self.batch(bases, exp, true))
+    }
+
+    /// The batch walk, on the lane kernel when `lanes` asks for it and
+    /// this context has one.
+    fn batch(&self, bases: &[Ubig], exp: &Ubig, lanes: bool) -> Vec<Ubig> {
         if bases.is_empty() {
             return Vec::new();
         }
@@ -837,30 +875,67 @@ impl MontgomeryContext {
         }
         let window = window_width(exp.bit_len());
         let plan = window_plan(exp, window);
-        let mut total_steps = 0u64;
-        let out: Vec<Ubig> = if self.k() == 4 {
-            let f = FixedCtx::<4>::from_ctx(self).expect("k() == 4");
-            let (out, steps) = f.run_plan_batch(bases, &plan, window, self);
-            total_steps += steps;
-            out
-        } else if self.k() == 8 {
-            let f = FixedCtx::<8>::from_ctx(self).expect("k() == 8");
-            let (out, steps) = f.run_plan_batch(bases, &plan, window, self);
-            total_steps += steps;
-            out
+        let (out, steps) = if let Some(f) = FixedCtx::<4>::from_ctx(self) {
+            match self.lane_walk(lanes, &f, bases, &plan, window) {
+                Some(walked) => walked,
+                None => f.run_plan_batch(bases, &plan, window, self),
+            }
+        } else if let Some(f) = FixedCtx::<8>::from_ctx(self) {
+            f.run_plan_batch(bases, &plan, window, self)
         } else {
             let mut s = self.scratch();
-            bases
+            let mut steps = 0u64;
+            let out = bases
                 .iter()
                 .map(|base| {
-                    let (r, steps) = self.run_plan(base, &plan, window, &mut s);
-                    total_steps += steps;
+                    let (r, step) = self.run_plan(base, &plan, window, &mut s);
+                    steps += step;
                     r
                 })
-                .collect()
+                .collect();
+            (out, steps)
         };
-        dla_telemetry::record(dla_telemetry::CostKind::MontMulStep, total_steps);
+        dla_telemetry::record(dla_telemetry::CostKind::MontMulStep, steps);
         out
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    fn has_lanes(&self) -> bool {
+        self.lanes.is_some()
+    }
+
+    #[cfg(not(target_arch = "x86_64"))]
+    fn has_lanes(&self) -> bool {
+        false
+    }
+
+    /// The batch walk on the lane kernel, or `None` when `lanes` is
+    /// false or this context has no lane kernel.
+    #[cfg(target_arch = "x86_64")]
+    fn lane_walk(
+        &self,
+        lanes: bool,
+        f: &FixedCtx<4>,
+        bases: &[Ubig],
+        plan: &[ExpOp],
+        window: usize,
+    ) -> Option<(Vec<Ubig>, u64)> {
+        let kernel = self.lanes.as_ref().filter(|_| lanes)?;
+        let loaded: Vec<[u64; 4]> = bases.iter().map(|b| f.load(b, self)).collect();
+        let (out, steps) = kernel.run_plan_batch(&loaded, plan, window);
+        Some((out.iter().map(FixedCtx::<4>::store).collect(), steps))
+    }
+
+    #[cfg(not(target_arch = "x86_64"))]
+    fn lane_walk(
+        &self,
+        _lanes: bool,
+        _f: &FixedCtx<4>,
+        _bases: &[Ubig],
+        _plan: &[ExpOp],
+        _window: usize,
+    ) -> Option<(Vec<Ubig>, u64)> {
+        None
     }
 
     /// `a · b mod n` through Montgomery form. Two REDC passes on a

@@ -449,6 +449,154 @@ proptest! {
     }
 }
 
+fn odd(v: Ubig) -> Ubig {
+    if v.is_even() {
+        &v + &Ubig::one()
+    } else {
+        v
+    }
+}
+
+/// An odd modulus of exactly four limbs (`bits` in 193..=256).
+fn modulus_4_limbs(bits: usize, rng: &mut rand::rngs::StdRng) -> Ubig {
+    odd(&Ubig::random_bits(rng, bits - 1) + &(Ubig::one() << (bits - 1)))
+}
+
+/// The lane kernel's batch walk, or `None` with a printed note on a CPU
+/// that has none — the lane leg is then skipped, never faked.
+fn lane_walk(ctx: &MontgomeryContext, bases: &[Ubig], exp: &Ubig) -> Option<Vec<Ubig>> {
+    static NOTE: std::sync::Once = std::sync::Once::new();
+    let out = ctx.modexp_batch_lanes(bases, exp);
+    if out.is_none() {
+        NOTE.call_once(|| eprintln!("note: no AVX-512 IFMA on this CPU; the lane leg is skipped"));
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Lanes ≡ scalar on random 4-limb moduli, random bases (some of
+    /// them ≥ n) and random exponents, over batch lengths that cross the
+    /// 8-lane boundary and the dispatcher's cutoff; the dispatcher
+    /// agrees with both.
+    #[test]
+    fn lane_walk_matches_the_scalar_walk(
+        bases in prop::collection::vec(ubig(5), 1..=17),
+        exp in ubig(4),
+        bits in 193usize..=256,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let n = modulus_4_limbs(bits, &mut rng);
+        let ctx = MontgomeryContext::new(&n).expect("modulus is odd");
+        let scalar = ctx.modexp_batch_scalar(&bases, &exp);
+        prop_assert_eq!(&ctx.modexp_batch(&bases, &exp), &scalar);
+        prop_assert_eq!(
+            &scalar[0],
+            &modular::modexp_schoolbook(&bases[0], &exp, &n)
+        );
+        if let Some(lanes) = lane_walk(&ctx, &bases, &exp) {
+            prop_assert_eq!(lanes, scalar);
+        }
+    }
+}
+
+/// Lanes ≡ scalar on the edge shapes: bases 0, 1, n−1, n and ≥ n;
+/// exponents 0, 1, 2, below 2²⁴ (window 1) and full width; moduli at the
+/// top and the bottom of the 4-limb range (2²⁵⁶ − 1 is the largest, the
+/// lazy bound's tightest case) and a composite `a²·c` whose zero divisor
+/// `a·c` squares to a lazy `n` that only the final subtraction turns
+/// into 0; every batch length 1–17.
+#[test]
+fn lane_walk_matches_the_scalar_walk_on_edge_shapes() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(40);
+    let a = odd(Ubig::random_bits(&mut rng, 100));
+    let c = odd(Ubig::random_bits(&mut rng, 50));
+    let moduli = [
+        (Ubig::one() << 256) - Ubig::one(),
+        modulus_4_limbs(256, &mut rng),
+        modulus_4_limbs(193, &mut rng),
+        &(&a * &a) * &c,
+    ];
+    for n in &moduli {
+        let ctx = MontgomeryContext::new(n).expect("modulus is odd");
+        let one = Ubig::one();
+        let mut bases = vec![
+            Ubig::zero(),
+            one.clone(),
+            n - &one,
+            n.clone(),
+            n + &one,
+            n + n,
+            Ubig::random_bits(&mut rng, 320),
+            &a * &c,
+        ];
+        while bases.len() < 17 {
+            bases.push(Ubig::random_below(&mut rng, n));
+        }
+        let exps = [
+            Ubig::zero(),
+            Ubig::one(),
+            Ubig::two(),
+            Ubig::from_u64(0xAB_CDEF),
+            Ubig::random_below(&mut rng, n),
+            n - &one,
+        ];
+        for exp in &exps {
+            for len in 1..=bases.len() {
+                let batch = &bases[..len];
+                let scalar = ctx.modexp_batch_scalar(batch, exp);
+                for (base, got) in batch.iter().zip(&scalar) {
+                    assert_eq!(
+                        got,
+                        &modular::modexp(base, exp, n),
+                        "scalar len={len} exp={exp}"
+                    );
+                }
+                if let Some(lanes) = lane_walk(&ctx, batch, exp) {
+                    assert_eq!(lanes, scalar, "lanes len={len} exp={exp} n={n}");
+                }
+            }
+        }
+    }
+}
+
+/// `ModExp` and `MontMulStep` read the same on both kernels and through
+/// the dispatcher, at every batch length 1–17 and every window width —
+/// so no counted figure can tell which kernel ran.
+#[test]
+fn lane_walk_records_the_scalar_walk_s_counts() {
+    let capture = |f: &dyn Fn() -> Option<Vec<Ubig>>| {
+        let recorder = dla_telemetry::Recorder::new();
+        let out = {
+            let _install = recorder.install();
+            f()
+        };
+        let cost = recorder.take().total_cost();
+        out.map(|out| (out, cost.modexp, cost.mont_mul_steps))
+    };
+    let mut rng = rand::rngs::StdRng::seed_from_u64(41);
+    let n = modulus_4_limbs(256, &mut rng);
+    let ctx = MontgomeryContext::new(&n).expect("modulus is odd");
+    let bases: Vec<Ubig> = (0..17).map(|_| Ubig::random_below(&mut rng, &n)).collect();
+    for exp_bits in [1usize, 20, 60, 200, 256] {
+        let exp = Ubig::random_bits(&mut rng, exp_bits);
+        for len in 1..=bases.len() {
+            let batch = &bases[..len];
+            let scalar = capture(&|| Some(ctx.modexp_batch_scalar(batch, &exp)));
+            let serial = capture(&|| Some(batch.iter().map(|b| ctx.modexp(b, &exp)).collect()));
+            let dispatched = capture(&|| Some(ctx.modexp_batch(batch, &exp)));
+            assert_eq!(scalar, serial, "len={len} bits={exp_bits}");
+            assert_eq!(dispatched, scalar, "len={len} bits={exp_bits}");
+            match capture(&|| lane_walk(&ctx, batch, &exp)) {
+                Some(lanes) => assert_eq!(lanes, scalar.clone().unwrap(), "len={len}"),
+                None => assert!(ctx.modexp_batch_lanes(batch, &exp).is_none()),
+            }
+        }
+    }
+}
+
 /// The zero-divisor error path, pinned outside the property blocks: no
 /// strategy ever generates a zero divisor, so assert the guard
 /// directly.

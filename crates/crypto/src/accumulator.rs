@@ -72,7 +72,8 @@ impl AccumulatorParams {
     ///
     /// # Panics
     ///
-    /// Panics if `n < 4` (no room for nontrivial residues).
+    /// Panics if `n < 4` (no room for nontrivial residues) or `n` is
+    /// even (no Montgomery form).
     #[must_use]
     pub fn from_modulus(n: Ubig) -> Self {
         assert!(n > Ubig::from_u64(3), "accumulator modulus too small");

@@ -87,6 +87,12 @@ impl AffineMasker {
 /// are audit statistics (counts, volumes), well below this.
 pub const MONOTONE_MAX_INPUT: u64 = 1 << 40;
 
+/// The slopes [`MonotoneMasker::random`] draws from; with an offset
+/// below 2⁶⁴ they keep `a·y + b + jitter` below 2¹⁰¹ for every input up
+/// to [`MONOTONE_MAX_INPUT`], so [`MonotoneMasker::apply`] never
+/// overflows.
+const MONOTONE_SLOPES: std::ops::Range<u64> = 1 << 20..1 << 60;
+
 /// Order-preserving random mask `Y ↦ a·Y + b + jitter(Y)` over `u128`
 /// (§3.3): the blind TTP ranks masked values; the ranking equals the
 /// plaintext ranking.
@@ -114,7 +120,7 @@ impl std::fmt::Debug for MonotoneMasker {
 impl MonotoneMasker {
     /// Samples a random order-preserving mask.
     pub fn random<R: Rng + ?Sized>(rng: &mut R) -> Self {
-        let a = u128::from(rng.gen_range(1u64 << 20..1u64 << 60));
+        let a = u128::from(rng.gen_range(MONOTONE_SLOPES));
         let b = u128::from(rng.gen::<u64>());
         let mut jitter_key = [0u8; 16];
         rng.fill(&mut jitter_key);
@@ -153,21 +159,23 @@ impl MonotoneMasker {
     ///
     /// # Errors
     ///
-    /// Returns [`CryptoError::InvalidParameter`] on a malformed buffer
-    /// or a zero slope.
+    /// Returns [`CryptoError::InvalidParameter`] on a malformed buffer,
+    /// or a slope or offset [`random`](Self::random) cannot draw.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CryptoError> {
-        if bytes.len() != 48 {
+        let malformed = || CryptoError::InvalidParameter("monotone mask encoding must be 48 bytes");
+        let (a, rest) = bytes.split_first_chunk::<16>().ok_or_else(malformed)?;
+        let (b, jitter_key) = rest.split_first_chunk::<16>().ok_or_else(malformed)?;
+        let jitter_key: [u8; 16] = jitter_key.try_into().map_err(|_| malformed())?;
+        let (a, b) = (u128::from_be_bytes(*a), u128::from_be_bytes(*b));
+        // A peer's mask is applied to this party's values: one that
+        // `random` cannot draw (a zero slope among them) could collapse
+        // the order or overflow `apply`.
+        let slopes = u128::from(MONOTONE_SLOPES.start)..u128::from(MONOTONE_SLOPES.end);
+        if !slopes.contains(&a) || b > u128::from(u64::MAX) {
             return Err(CryptoError::InvalidParameter(
-                "monotone mask encoding must be 48 bytes",
+                "monotone mask outside the ranges it is drawn from",
             ));
         }
-        let a = u128::from_be_bytes(bytes[0..16].try_into().expect("16 bytes"));
-        let b = u128::from_be_bytes(bytes[16..32].try_into().expect("16 bytes"));
-        if a == 0 {
-            return Err(CryptoError::InvalidParameter("monotone slope is zero"));
-        }
-        let mut jitter_key = [0u8; 16];
-        jitter_key.copy_from_slice(&bytes[32..48]);
         Ok(MonotoneMasker { a, b, jitter_key })
     }
 
@@ -289,6 +297,26 @@ mod tests {
             MonotoneMasker::from_bytes(&[0u8; 48]).is_err(),
             "zero slope rejected"
         );
+    }
+
+    /// A mask off the wire is applied to this party's own values, so one
+    /// that `random` could not have drawn is refused where it is
+    /// decoded, not met as an overflow in `apply`.
+    #[test]
+    fn a_mask_off_the_wire_outside_the_drawn_ranges_is_refused() {
+        let honest = MonotoneMasker::random(&mut rng()).to_bytes();
+        let with = |at: usize, field: u128| {
+            let mut bytes = honest.clone();
+            bytes[at..at + 16].copy_from_slice(&field.to_be_bytes());
+            MonotoneMasker::from_bytes(&bytes)
+        };
+        assert!(with(0, 1 << 127).is_err(), "a slope above the drawn range");
+        assert!(with(0, 1).is_err(), "a slope below it");
+        assert!(with(16, u128::MAX).is_err(), "an offset above 2⁶⁴");
+        assert!(with(0, 1 << 59).is_ok() && with(16, u128::from(u64::MAX)).is_ok());
+        let mut long = honest.clone();
+        long.push(0);
+        assert!(MonotoneMasker::from_bytes(&long).is_err());
     }
 
     #[test]
