@@ -114,36 +114,26 @@ for binary in tables_1_to_6 fig1_centralized fig2_architecture fig3_query_plan e
     diff -u "crates/bench/golden/$binary.txt" "$passes/first/$binary"
 done
 
-echo "==> EXPERIMENTS.md P8 quotes the sweep table exp_fault_recovery printed"
-# The markdown block between the two comments is the binary's own
-# rendering of the rows BENCH_fault_recovery.json records: a figure
-# edited by hand, or a sweep that moved without its quote, fails here.
-diff -u <(sed -n '/<!-- exp_fault_recovery sweep: begin -->/,/<!-- exp_fault_recovery sweep: end -->/p' \
-    EXPERIMENTS.md | grep '^|') <(grep '^|' "$passes/first/exp_fault_recovery")
-
-echo "==> EXPERIMENTS.md P16b quotes the shared-rule table exp_standing_query printed"
-# The same check for the askers BENCH_standing_query.json records under
-# shared_rule: the binary prints them last, as a markdown table.
-diff -u <(sed -n '/<!-- exp_standing_query shared_rule: begin -->/,/<!-- exp_standing_query shared_rule: end -->/p' \
-    EXPERIMENTS.md | grep '^|') <(sed -n '/^P16b/,$p' "$passes/first/exp_standing_query" | grep '^|')
-
-echo "==> EXPERIMENTS.md P13 quotes the detection table exp_adversary printed"
-# The attack rows BENCH_adversary.json records, printed first as a
-# markdown table (the collusion table after it stays ASCII).
-diff -u <(sed -n '/<!-- exp_adversary detection: begin -->/,/<!-- exp_adversary detection: end -->/p' \
-    EXPERIMENTS.md | grep '^|') <(sed -n '/^ADVERSARY DETECTION/,/^honest baseline/p' \
-    "$passes/first/exp_adversary" | grep '^|')
-
-echo "==> EXPERIMENTS.md P14 quotes the scaling table exp_federation printed"
-# The ring-count rows BENCH_federation.json records, printed as the
-# binary's one markdown table.
-diff -u <(sed -n '/<!-- exp_federation scaling: begin -->/,/<!-- exp_federation scaling: end -->/p' \
-    EXPERIMENTS.md | grep '^|') <(grep '^|' "$passes/first/exp_federation")
-
-echo "==> EXPERIMENTS.md P11 quotes the scaling table exp_epoch_scaling printed"
-# The trail-length rows BENCH_epoch_scaling.json records, printed as the
-# binary's one markdown table.
-diff -u <(sed -n '/<!-- exp_epoch_scaling scaling: begin -->/,/<!-- exp_epoch_scaling scaling: end -->/p' \
-    EXPERIMENTS.md | grep '^|') <(grep '^|' "$passes/first/exp_epoch_scaling")
+# Five EXPERIMENTS.md sections quote a table a binary printed: the
+# markdown block between `<!-- <binary> <marker>: begin -->` and its
+# `end` comment must be the `|` rows of that binary's stdout, all of it
+# or the section the sed range picks (exp_standing_query prints its
+# shared-rule askers last, after a P16b title; exp_adversary prints the
+# detection rows first, and the collusion table after them stays ASCII).
+# A figure edited by hand, or a table that moved without its quote,
+# fails here.
+quotes=(
+    "P8 exp_fault_recovery sweep 1,\$"
+    "P16b exp_standing_query shared_rule /^P16b/,\$"
+    "P13 exp_adversary detection /^ADVERSARY DETECTION/,/^honest baseline/"
+    "P14 exp_federation scaling 1,\$"
+    "P11 exp_epoch_scaling scaling 1,\$"
+)
+for quote in "${quotes[@]}"; do
+    read -r section binary marker range <<<"$quote"
+    echo "==> EXPERIMENTS.md $section quotes the $marker table $binary printed"
+    diff -u <(sed -n "/<!-- $binary $marker: begin -->/,/<!-- $binary $marker: end -->/p" \
+        EXPERIMENTS.md | grep '^|') <(sed -n "${range}p" "$passes/first/$binary" | grep '^|')
+done
 
 echo "CI OK"

@@ -354,6 +354,8 @@ pub struct DlaCluster {
     /// seal write failed): every seal retries them first.
     lagging: BTreeSet<EpochId>,
     cluster_journal: Option<Journal>,
+    /// Why the cluster stopped taking writes ([`DlaCluster::stopped`]).
+    stopped: Option<String>,
     standby_replication: bool,
     /// Tamper-evident journal of the cluster's own privileged actions
     /// (deposits, user registrations, re-replications, degraded-mode
@@ -461,6 +463,7 @@ impl DlaCluster {
             trail: Trail::new(AccumulatorParams::fixed_512(), epoch_policy),
             lagging: BTreeSet::new(),
             cluster_journal: None,
+            stopped: None,
             standby_replication: config.standby_replication,
             standing: StandingRegistry::default(),
             kept: Mutex::default(),
@@ -821,8 +824,8 @@ impl DlaCluster {
     ///
     /// Returns [`AuditError::Config`] when the user capacity — a bound
     /// on the cluster's whole life, restarts included — is exhausted,
-    /// and [`AuditError::Log`] when the counter cannot be journaled;
-    /// either way nothing is issued.
+    /// and [`AuditError::Log`] when the counter cannot be journaled or
+    /// the cluster has stopped ([`DlaCluster::stopped`]); nothing is issued.
     pub fn register_user(&mut self, name: &str) -> Result<AppUser, AuditError> {
         let issued = self.users.admit()?;
         self.journal([u64_record(BLOB_TICKET_COUNTER, issued)])?;
@@ -833,19 +836,40 @@ impl DlaCluster {
     }
 
     /// Appends `(tag, bytes)` cluster records in one write, if journaled.
+    /// A refused append that left the file as it was committed nothing;
+    /// one that left bytes behind stops the cluster ([`Self::writable`]).
     fn journal(
         &mut self,
         blobs: impl IntoIterator<Item = (u8, Vec<u8>)>,
     ) -> Result<(), AuditError> {
+        self.writable()?;
         let Some(journal) = &mut self.cluster_journal else {
             return Ok(());
         };
         let blobs: Vec<_> = (blobs.into_iter())
             .map(|(tag, bytes)| JournalEntry::Blob { tag, bytes })
             .collect();
-        journal
-            .append_batch(&blobs)
-            .map_err(|e| AuditError::Log(e.to_string()))
+        let refused = journal.append_batch(&blobs).map_err(|e| e.to_string());
+        if let (Err(why), false) = (&refused, journal.intact()) {
+            self.stopped = Some(why.clone());
+            self.meta_log("cluster", "fail-stop", why.clone());
+        }
+        refused.map_err(AuditError::Log)
+    }
+
+    /// Why the cluster stopped taking writes, if a refused cluster
+    /// append left bytes behind: until a restart it only reads.
+    #[must_use]
+    pub fn stopped(&self) -> Option<&str> {
+        self.stopped.as_deref()
+    }
+
+    /// Fail-stop: a refused append that left bytes behind may be durable
+    /// in part, which only a restart decides, so until then every write is
+    /// refused: the live cluster never builds on what a restart may drop.
+    fn writable(&self) -> Result<(), AuditError> {
+        let refused = |why| AuditError::Log(format!("refused until a restart: stopped at {why}"));
+        (self.stopped.as_ref()).map_or(Ok(()), |why| Err(refused(why)))
     }
 
     /// Logs one record on behalf of `user` (Fig. 2's distributed
@@ -857,7 +881,8 @@ impl DlaCluster {
     ///
     /// # Errors
     ///
-    /// Returns [`AuditError`] on schema violations or storage failures.
+    /// Returns [`AuditError`] on schema violations or storage failures,
+    /// and on every write once the cluster has stopped ([`DlaCluster::stopped`]).
     pub fn log_record(&mut self, user: &AppUser, record: &LogRecord) -> Result<Glsn, AuditError> {
         let glsns = self.log_records(user, std::slice::from_ref(record))?;
         Ok(glsns[0])
@@ -963,8 +988,9 @@ impl DlaCluster {
     ///
     /// An append that fails leaves the commit point ambiguous: a prefix
     /// of its records, or all of them, may be durable all the same. The
-    /// nodes forget the batch in memory only, and the next restart
-    /// decides by the deposit records the journal holds.
+    /// nodes forget the batch in memory only, the cluster stops
+    /// ([`DlaCluster::writable`]), and the next restart decides by the
+    /// deposit records the journal holds.
     fn flush_deposit_batch(&mut self, batch: Vec<DepositRecord>) -> Result<(), AuditError> {
         if !batch.is_empty() {
             dla_telemetry::record(dla_telemetry::CostKind::DepositBatch, 1);
@@ -1009,8 +1035,10 @@ impl DlaCluster {
     /// # Errors
     ///
     /// Returns [`AuditError`] on parse/plan failures, or if the
-    /// catch-up fails; the registration is then forgotten again.
+    /// catch-up fails; the registration is then forgotten again. A
+    /// stopped cluster ([`DlaCluster::stopped`]) registers nothing.
     pub fn register_standing(&mut self, criteria: &str) -> Result<StandingQueryId, AuditError> {
+        self.writable()?;
         let normalized = crate::plan::compile(criteria, &self.schema)?;
         // Fail registration, not some later seal, on an unplannable
         // query.
@@ -1122,6 +1150,7 @@ impl DlaCluster {
         user: &AppUser,
         records: &[LogRecord],
     ) -> Result<Vec<Glsn>, AuditError> {
+        self.writable()?;
         let mut batch = Vec::with_capacity(records.len());
         let mut failure = None;
         for record in records {

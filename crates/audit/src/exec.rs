@@ -353,33 +353,45 @@ fn run_window(
         let mut n = cluster.net();
         plan.subqueries.iter().map(|_| n.open_session()).collect()
     };
-    // Workers do not inherit the spawner's telemetry destination: hand
-    // the current recorder (if any) into each thread and install it
-    // there.
+    let run = |i: usize, subquery: &Subquery, sid: SessionId| {
+        let mut rng = StdRng::seed_from_u64(subquery_seed(query_seed, i as u64));
+        let session = Session::new(transport, sid);
+        run_subquery(cluster, &session, subquery, &mut rng, window)
+    };
+    // A local subquery is a scan, and the last cross subquery would
+    // only wait for the others: both run on this thread. Each other
+    // cross subquery gets a worker, which does not inherit the
+    // spawner's telemetry destination: hand the current recorder (if
+    // any) into each one and install it there.
+    let last_cross =
+        (plan.subqueries.iter()).rposition(|s| matches!(s.kind, SubqueryKind::Cross { .. }));
+    let inline = |i: usize| {
+        Some(i) == last_cross || matches!(plan.subqueries[i].kind, SubqueryKind::Local { .. })
+    };
+    let jobs = (plan.subqueries.iter()).zip(sessions.iter().copied());
     let recorder = dla_telemetry::current();
     let outcomes = crossbeam::scope(|s| {
-        let handles: Vec<_> = plan
-            .subqueries
-            .iter()
-            .zip(&sessions)
-            .enumerate()
-            .map(|(i, (subquery, &sid))| {
+        let workers: Vec<_> = (jobs.clone().enumerate())
+            .filter(|&(i, _)| !inline(i))
+            .map(|(i, (subquery, sid))| {
                 let recorder = recorder.clone();
-                s.spawn(move || {
+                let worker = s.spawn(move || {
                     let _telemetry = recorder.map(|r| r.install());
-                    let mut rng = StdRng::seed_from_u64(subquery_seed(query_seed, i as u64));
-                    let session = Session::new(transport, sid);
-                    run_subquery(cluster, &session, subquery, &mut rng, window)
-                })
+                    run(i, subquery, sid)
+                });
+                (i, worker)
             })
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("subquery worker panicked"))
-            .collect::<Vec<_>>()
+        let mut outcomes: Vec<_> = (jobs.enumerate())
+            .map(|(i, (subquery, sid))| inline(i).then(|| run(i, subquery, sid)))
+            .collect();
+        for (i, worker) in workers {
+            outcomes[i] = Some(worker.join().expect("subquery worker panicked"));
+        }
+        outcomes
     })
     .expect("subquery scheduler scope");
-    let per_subquery = outcomes.into_iter().collect::<Result<Vec<_>, _>>()?;
+    let per_subquery = (outcomes.into_iter().flatten()).collect::<Result<Vec<_>, _>>()?;
 
     // ∧-join barrier: the conjunction can only start once every
     // subquery session has delivered, so open the combiner session and

@@ -85,6 +85,8 @@ enum Op {
     /// A lie on ring `.1` (a cluster is ring 0).
     Lie(Tap, usize),
     /// Fail the k-th journal write of a deposit of n records; live on.
+    /// At the cluster's append the write keeps all but its last byte,
+    /// and the cluster stops taking writes until a restart.
     Fail(u64, usize),
     /// Die at the k-th journal write of a deposit of n records (torn:
     /// keeping all but its last byte), then restart.
@@ -190,6 +192,9 @@ struct Flags {
     /// node whose seal write failed lags the chain until the next seal
     /// that succeeds, which makes the chain longer.
     torn: Option<usize>,
+    /// The pool indices of a batch whose cluster append was refused and
+    /// stopped the cluster: a restart commits a prefix of them.
+    doubt: Vec<usize>,
     /// Ops applied so far.
     step: usize,
     /// The next pool record to deposit.
@@ -578,8 +583,14 @@ impl Run {
         let records: Vec<LogRecord> = batch.iter().map(|&i| self.pool[i].clone()).collect();
         let before = c.logged_glsns();
         let links = c.checkpoint_chain().len();
+        let stopped = c.stopped().is_some();
+        // A batch of n makes 8n node writes, then the cluster's append.
+        let f = &self.flags;
+        let append = 8 * batch.len() as u64 + 1;
+        let at_append = matches!(op, Fail(k, _) if *k == append && !f.loss && !f.lie);
         match op {
             Crash(k, true, _) => failpoint::arm(*k, |len| len - 1),
+            Fail(k, _) if at_append => failpoint::arm(*k, |len| len - 1),
             Fail(k, _) | Crash(k, false, _) => failpoint::arm(*k, |_| 0),
             _ => {}
         }
@@ -592,6 +603,12 @@ impl Run {
         let m = now.len().saturating_sub(before.len());
         let prefix = m <= batch.len() && now.starts_with(&before);
         ensure!(ANSWERS, prefix, "{before:?} then {now:?}");
+        ensure!(ANSWERS, !stopped || m == 0, "a stopped cluster took {m}");
+        match c.stopped() {
+            Some(_) if !stopped => self.flags.doubt = batch[m..].to_vec(),
+            None if at_append => ensure!(ANSWERS, false, "a refused append did not stop"),
+            _ => {}
+        }
         let sealed = c.checkpoint_chain().len() > links;
         let owed = &mut self.systems[s].owed;
         match &logged {
@@ -600,7 +617,8 @@ impl Run {
                 *owed &= !sealed || self.flags.lie;
             }
             Err(e) => {
-                let excused = self.flags.lie || self.flags.loss || matches!(op, Fail(..));
+                let excused =
+                    self.flags.lie || self.flags.loss || stopped || matches!(op, Fail(..));
                 ensure!(ANSWERS, excused, "deposit: {e}");
                 *owed = true;
             }
@@ -608,18 +626,24 @@ impl Run {
         self.commit(s, &batch[..m])
     }
 
-    /// Registers `q`; only a lie excuses a refusal, which must leave
-    /// nothing behind.
+    /// Registers `q`; only a lie or a stopped cluster excuses a refusal,
+    /// which must leave nothing behind.
     fn register(&mut self, s: usize, q: &'static str) -> Result<(), String> {
         let lie = self.flags.lie;
         let system = &mut self.systems[s];
         let id = StandingQueryId(system.next_sub);
+        let mut stopped = false;
         let (registered, known) = match &mut system.target {
-            Target::Cluster(j) => (j.0.register_standing(q), j.0.standing_matches(id).is_some()),
+            Target::Cluster(j) => {
+                stopped = j.0.stopped().is_some();
+                (j.0.register_standing(q), j.0.standing_matches(id).is_some())
+            }
             Target::Fed(fed) => (fed.register_standing(q), fed.standing_matches(id).is_some()),
         };
-        // A cluster's ids are never reused; a federation's refusal takes none.
-        if matches!(system.target, Target::Cluster(..)) || registered.is_ok() {
+        // A cluster's ids are never reused, but a stopped cluster takes
+        // none; a federation's refusal takes none.
+        let cluster = matches!(system.target, Target::Cluster(..));
+        if cluster && !stopped || registered.is_ok() {
             system.next_sub += 1;
         }
         match registered {
@@ -629,7 +653,7 @@ impl Run {
                 system.owed &= lie;
             }
             Err(e) => {
-                ensure!(STANDING, lie, "register {q}: {e}");
+                ensure!(STANDING, lie || stopped, "register {q}: {e}");
                 ensure!(STANDING, !known, "refused {id} still answers");
                 system.owed = true;
             }
@@ -663,7 +687,9 @@ impl Run {
             "a second restart moved the ledger"
         );
         let now = c.logged_glsns();
-        let kept = now.starts_with(before) && now.len() <= before.len() + batch.len();
+        // What a refused append left in doubt comes before the batch.
+        let pending = [std::mem::take(&mut self.flags.doubt), batch.to_vec()].concat();
+        let kept = now.starts_with(before) && now.len() <= before.len() + pending.len();
         ensure!(RESTART, kept, "{before:?} acked, {now:?} kept");
         if let Ok(acked) = &logged {
             ensure!(RESTART, now[before.len()..] == acked[..], "{acked:?} acked");
@@ -685,7 +711,7 @@ impl Run {
         for (_, q, _) in old.subs {
             self.register(s, q)?;
         }
-        self.commit(s, &batch[..now.len() - before.len()])
+        self.commit(s, &pending[..now.len() - before.len()])
     }
 
     /// Asks `q` through `door` of system `s`.
@@ -1113,6 +1139,23 @@ fn seam_rows_hold() {
                 epoch: 2,
                 rings: 0,
                 ops: vec![Fail(3, 3), Crash(28, false, 2)],
+            },
+        ),
+        (
+            "a_refused_cluster_append_stops_every_write_until_a_restart",
+            History {
+                seed: 1,
+                epoch: 2,
+                rings: 0,
+                ops: vec![
+                    Deposit(1),
+                    Fail(17, 2),
+                    Register("c1 > 30"),
+                    Deposit(1),
+                    Ask(Criteria, "c1 > 30"),
+                    Crash(9, false, 1),
+                    Deposit(1),
+                ],
             },
         ),
         (

@@ -12,18 +12,15 @@
 //!
 //! The implementation is the classic reduction by quadratic
 //! reciprocity — strip factors of two (flipping the sign when
-//! `n ≡ ±3 mod 8`), swap (flipping when both are `≡ 3 mod 4`), reduce,
-//! repeat — with the reduction done by subtraction and shifts on two
-//! fixed-width limb buffers instead of a `%` per step: a probe of a
-//! modulus up to `STACK_LIMBS` limbs touches no heap. Once the
-//! smaller operand fits one limb the larger is reduced by a single
-//! limb-remainder pass and the rest runs on plain `u64`s.
+//! `n ≡ ±3 mod 8`), then replace odd `a, n` by `(|a − n|, min(a, n))`
+//! (flipping when a swap meets two values `≡ 3 mod 4`) — on two
+//! fixed-width `[u64; L]` stack words for moduli of up to 8 limbs: one
+//! subtraction a step, negated on a borrow, never a comparison or a
+//! length. Once the modulus fits one limb the numerator is reduced by a
+//! single limb-remainder pass and the rest runs on plain `u64`s. Wider
+//! moduli take [`jacobi_euclid`].
 
-use crate::Ubig;
-
-/// Moduli up to this many limbs (512 bits) are probed entirely on the
-/// stack; wider ones run the same loop over heap buffers.
-const STACK_LIMBS: usize = 8;
+use crate::{words, Ubig};
 
 /// Computes the Jacobi symbol `(a/n)` for odd `n ≥ 1`: `1`, `-1`, or
 /// `0` when `gcd(a, n) ≠ 1`.
@@ -63,59 +60,41 @@ pub fn jacobi(a: &Ubig, n: &Ubig) -> i8 {
         reduced = a % n;
         &reduced
     };
-    let width = n.limbs().len();
-    let mut stack = [0u64; 2 * STACK_LIMBS];
-    let mut heap;
-    let buffers = if width <= STACK_LIMBS {
-        &mut stack[..2 * width]
-    } else {
-        heap = vec![0u64; 2 * width];
-        &mut heap[..]
-    };
-    let (x, y) = buffers.split_at_mut(width);
-    x[..a.limbs().len()].copy_from_slice(a.limbs());
-    y.copy_from_slice(n.limbs());
-    symbol(x, y)
+    match n.limbs().len() {
+        0..=4 => symbol::<4>(a, n),
+        5..=8 => symbol::<8>(a, n),
+        _ => jacobi_euclid(a, n),
+    }
 }
 
-/// `(a/n)` for `a < n`, `n` odd, both in equal-width little-endian
-/// buffers that the loop consumes as scratch.
-fn symbol<'b>(mut a: &'b mut [u64], mut n: &'b mut [u64]) -> i8 {
-    let (mut alen, mut nlen) = (significant(a), significant(n));
-    let mut t = 1i8;
-    while alen > 1 || nlen > 1 {
-        if alen == 0 {
+/// `(a/n)` for `a < n`, `n` odd, both in `L` words. The sign is kept
+/// as a bit and every data-dependent choice is a mask, so a step costs
+/// its word operations and no mispredicted branch.
+fn symbol<const L: usize>(a: &Ubig, n: &Ubig) -> i8 {
+    let (mut a, mut n) = (words::load::<L>(a), words::load::<L>(n));
+    // Bit 0 is set while the symbol so far is -1.
+    let mut sign = 0u64;
+    while n[1..].iter().any(|&w| w != 0) {
+        if a == [0; L] {
             // gcd(a, n) is the multi-limb n, hence not 1.
             return 0;
         }
-        // Strip factors of two; each one contributes (2/n), which is
-        // -1 exactly when n ≡ 3 or 5 (mod 8).
-        let tz = shr_to_odd(&mut a[..alen]);
-        alen = significant(&a[..alen]);
-        if tz % 2 == 1 && matches!(n[0] & 7, 3 | 5) {
-            t = -t;
-        }
-        // Quadratic reciprocity: swapping odd a and n flips the sign
-        // iff both are ≡ 3 (mod 4).
-        if less(&a[..alen], &n[..nlen]) {
-            if a[0] & n[0] & 3 == 3 {
-                t = -t;
-            }
-            std::mem::swap(&mut a, &mut n);
-            std::mem::swap(&mut alen, &mut nlen);
-        }
-        // Reduce a mod n: one remainder pass against a single-limb n,
-        // otherwise a subtraction (a − n is even, so the next round
-        // shifts at least one bit out).
-        if nlen == 1 {
-            a[0] = rem_limb(&a[..alen], n[0]);
-            alen = usize::from(a[0] != 0);
-        } else {
-            sub_in_place(&mut a[..alen], &n[..nlen]);
-            alen = significant(&a[..alen]);
-        }
+        // Each factor of two contributes (2/n), which is -1 exactly
+        // when n ≡ 3 or 5 (mod 8).
+        let twos = u64::from(words::shr_to_odd(&mut a));
+        sign ^= twos & ((n[0] >> 1) ^ (n[0] >> 2));
+        // a − n is even, so the next step shifts at least one bit out.
+        // On a borrow, a < n: quadratic reciprocity swaps them, which
+        // flips the sign iff both are ≡ 3 (mod 4).
+        let mut d = a;
+        let swap = u64::from(words::sub(&mut d, &n)).wrapping_neg();
+        sign ^= swap & ((a[0] & n[0]) >> 1);
+        n = words::select(swap, &a, &n);
+        words::neg_if(&mut d, swap);
+        a = d;
     }
-    t * symbol_u64(a[0], n[0])
+    let t = if sign & 1 == 1 { -1 } else { 1 };
+    t * symbol_u64(rem_limb(&a, n[0]), n[0])
 }
 
 /// `(a/n)` for odd `n` in machine words.
@@ -141,78 +120,48 @@ fn symbol_u64(mut a: u64, mut n: u64) -> i8 {
     }
 }
 
-/// Number of limbs up to and including the highest non-zero one.
-fn significant(v: &[u64]) -> usize {
-    let mut len = v.len();
-    while len > 0 && v[len - 1] == 0 {
-        len -= 1;
-    }
-    len
-}
-
-/// Shifts the non-zero `v` right until it is odd; returns the number
-/// of bits shifted out.
-fn shr_to_odd(v: &mut [u64]) -> usize {
-    let mut shifted = 0;
-    // Whole zero limbs first (rare: only a numerator with ≥ 64
-    // trailing zero bits gets here).
-    if v[0] == 0 {
-        let skip = v
-            .iter()
-            .position(|&limb| limb != 0)
-            .expect("shr_to_odd of zero");
-        v.copy_within(skip.., 0);
-        let len = v.len();
-        v[len - skip..].fill(0);
-        shifted = skip * 64;
-    }
-    let bits = v[0].trailing_zeros();
-    if bits > 0 {
-        for i in 0..v.len() - 1 {
-            v[i] = (v[i] >> bits) | (v[i + 1] << (64 - bits));
-        }
-        let top = v.len() - 1;
-        v[top] >>= bits;
-    }
-    shifted + bits as usize
-}
-
-/// `a < b` for values given without leading zero limbs.
-fn less(a: &[u64], b: &[u64]) -> bool {
-    if a.len() != b.len() {
-        return a.len() < b.len();
-    }
-    for i in (0..a.len()).rev() {
-        if a[i] != b[i] {
-            return a[i] < b[i];
-        }
-    }
-    false
-}
-
-/// `a -= b` for `a ≥ b`.
-fn sub_in_place(a: &mut [u64], b: &[u64]) {
-    let mut borrow = false;
-    for i in 0..b.len() {
-        let (d, b1) = a[i].overflowing_sub(b[i]);
-        let (d, b2) = d.overflowing_sub(u64::from(borrow));
-        a[i] = d;
-        borrow = b1 || b2;
-    }
-    for limb in &mut a[b.len()..] {
-        if !borrow {
-            break;
-        }
-        (*limb, borrow) = limb.overflowing_sub(1);
-    }
-    debug_assert!(!borrow, "sub_in_place underflow");
-}
-
 /// `v mod d` for a single non-zero limb `d`.
 fn rem_limb(v: &[u64], d: u64) -> u64 {
     v.iter().rev().fold(0u64, |rem, &limb| {
         (((u128::from(rem) << 64) | u128::from(limb)) % u128::from(d)) as u64
     })
+}
+
+/// `(a/n)` by Euclid's reduction with one allocating `%` per step: the
+/// path for moduli wider than 8 limbs, and the reference the
+/// fixed-width loop is checked against.
+///
+/// # Panics
+///
+/// Panics if `n` is even or zero.
+#[must_use]
+pub fn jacobi_euclid(a: &Ubig, n: &Ubig) -> i8 {
+    assert!(
+        !n.is_zero() && !n.is_even(),
+        "jacobi: modulus must be odd and positive"
+    );
+    let mut a = a % n;
+    let mut n = n.clone();
+    let mut t = 1i8;
+    while !a.is_zero() {
+        let tz = (0..).find(|&i| a.bit(i)).expect("a is non-zero");
+        if tz > 0 {
+            a = a >> tz;
+            if tz % 2 == 1 && matches!(n.limbs()[0] & 7, 3 | 5) {
+                t = -t;
+            }
+        }
+        if a.limbs()[0] & n.limbs()[0] & 3 == 3 {
+            t = -t;
+        }
+        std::mem::swap(&mut a, &mut n);
+        a = &a % &n;
+    }
+    if n.is_one() {
+        t
+    } else {
+        0
+    }
 }
 
 #[cfg(test)]
@@ -221,37 +170,6 @@ mod tests {
     use crate::modular;
     use proptest::prelude::*;
     use rand::SeedableRng;
-
-    /// The previous implementation — Euclid's reduction with one
-    /// allocating `%` per step — kept as the differential oracle.
-    fn jacobi_euclid(a: &Ubig, n: &Ubig) -> i8 {
-        assert!(!n.is_zero() && !n.is_even());
-        let mut a = a % n;
-        let mut n = n.clone();
-        let mut t = 1i8;
-        while !a.is_zero() {
-            let tz = (0..).find(|&i| a.bit(i)).expect("a is non-zero");
-            if tz > 0 {
-                a = a >> tz;
-                if tz % 2 == 1 {
-                    let n_mod_8 = n.limbs()[0] & 7;
-                    if n_mod_8 == 3 || n_mod_8 == 5 {
-                        t = -t;
-                    }
-                }
-            }
-            if (a.limbs()[0] & 3 == 3) && (n.limbs()[0] & 3 == 3) {
-                t = -t;
-            }
-            std::mem::swap(&mut a, &mut n);
-            a = &a % &n;
-        }
-        if n.is_one() {
-            t
-        } else {
-            0
-        }
-    }
 
     /// Euler-criterion reference: for odd prime p,
     /// a^((p-1)/2) mod p ∈ {0, 1, p-1} ↦ {0, 1, -1}.

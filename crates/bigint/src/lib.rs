@@ -43,6 +43,7 @@ pub mod montgomery;
 pub mod multi_exp;
 pub mod prime;
 mod ubig;
+mod words;
 
 pub use field::F61;
 pub use fixed_base::FixedBase;

@@ -6,7 +6,7 @@
 //! `e·d ≡ 1 (mod p−1)`, and both encryption and decryption are
 //! [`modexp`] calls.
 
-use crate::Ubig;
+use crate::{words, Ubig};
 
 /// `(a - b) mod m` for already-reduced operands (`a, b < m`).
 ///
@@ -202,6 +202,10 @@ pub fn egcd_mod(a: &Ubig, m: &Ubig) -> (Ubig, Ubig) {
 
 /// Multiplicative inverse of `a` modulo `m`, if `gcd(a, m) = 1`.
 ///
+/// Odd moduli and `2h` with `h` odd (a key pair's `p − 1 = 2q`) of up to
+/// 8 limbs take a binary extended GCD on stack words; any other takes
+/// [`egcd_mod`], the oracle both paths agree with.
+///
 /// # Examples
 ///
 /// ```
@@ -214,12 +218,61 @@ pub fn egcd_mod(a: &Ubig, m: &Ubig) -> (Ubig, Ubig) {
 #[must_use]
 pub fn modinv(a: &Ubig, m: &Ubig) -> Option<Ubig> {
     dla_telemetry::record(dla_telemetry::CostKind::ModInverse, 1);
-    let (g, x) = egcd_mod(a, m);
-    if g.is_one() {
-        Some(x)
-    } else {
-        None
+    match m.limbs().first().map(|low| low & 3) {
+        Some(1 | 3) => inverse_odd(a, m),
+        // An inverse mod 2h is odd and an inverse mod h: of y and y + h,
+        // the odd one.
+        Some(2) if !a.is_even() => {
+            let h = m >> 1;
+            let y = inverse_odd(a, &h)?;
+            Some(if y.is_even() { y + h } else { y })
+        }
+        Some(2) => None,
+        _ => inverse_euclid(a, m),
     }
+}
+
+/// `a⁻¹ mod m` for odd `m`.
+fn inverse_odd(a: &Ubig, m: &Ubig) -> Option<Ubig> {
+    let a = &(a % m);
+    match m.limbs().len() {
+        0..=4 => binary_inverse::<4>(a, m),
+        5..=8 => binary_inverse::<8>(a, m),
+        _ => inverse_euclid(a, m),
+    }
+}
+
+fn inverse_euclid(a: &Ubig, m: &Ubig) -> Option<Ubig> {
+    let (g, x) = egcd_mod(a, m);
+    g.is_one().then_some(x)
+}
+
+/// `a⁻¹ mod m` for odd `m` and `a < m`, both in `L` words: with
+/// `x·a ≡ u` and `y·a ≡ v (mod m)`, odd `u` and `v` become
+/// `(|u − v|, min(u, v))` — one subtraction, negated on a borrow, the
+/// choice a mask — and `u` sheds its factors of two, `x` halved mod
+/// `m` with each. At `u = 0`, `v` is the gcd and `y` the inverse.
+fn binary_inverse<const L: usize>(a: &Ubig, m: &Ubig) -> Option<Ubig> {
+    let m = words::load::<L>(m);
+    let (zero, one) = ([0; L], std::array::from_fn(|i| u64::from(i == 0)));
+    let (mut u, mut x, mut v, mut y) = (words::load::<L>(a), one, m, zero);
+    while u != zero {
+        for _ in 0..words::shr_to_odd(&mut u) {
+            // x + m is even when x is odd; its carry is the top bit.
+            let odd = (x[0] & 1).wrapping_neg();
+            let carry = words::add(&mut x, &words::select(odd, &m, &zero));
+            words::halve(&mut x, carry);
+        }
+        let mut d = u;
+        let swap = u64::from(words::sub(&mut d, &v)).wrapping_neg();
+        v = words::select(swap, &u, &v);
+        (x, y) = (words::select(swap, &y, &x), words::select(swap, &x, &y));
+        words::neg_if(&mut d, swap);
+        u = d;
+        let wrapped = u64::from(words::sub(&mut x, &y)).wrapping_neg();
+        words::add(&mut x, &words::select(wrapped, &m, &zero));
+    }
+    (v == one).then(|| Ubig::from_limbs(y.to_vec()))
 }
 
 #[cfg(test)]

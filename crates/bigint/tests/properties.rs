@@ -3,7 +3,7 @@
 //! differential oracles for the exponentiation/residue hot paths
 //! (windowed vs binary vs schoolbook modexp; Jacobi vs Euler).
 
-use dla_bigint::jacobi::jacobi;
+use dla_bigint::jacobi::{jacobi, jacobi_euclid};
 use dla_bigint::montgomery::MontgomeryContext;
 use dla_bigint::{modular, prime, Ubig};
 use proptest::prelude::*;
@@ -593,6 +593,107 @@ fn lane_walk_records_the_scalar_walk_s_counts() {
                 Some(lanes) => assert_eq!(lanes, scalar.clone().unwrap(), "len={len}"),
                 None => assert!(ctx.modexp_batch_lanes(batch, &exp).is_none()),
             }
+        }
+    }
+}
+
+/// An odd value of exactly `limbs` limbs.
+fn odd_of_limbs(rng: &mut rand::rngs::StdRng, limbs: usize) -> Ubig {
+    let bits = 64 * limbs;
+    let v = Ubig::random_bits(rng, bits - 1) + (Ubig::one() << (bits - 1));
+    if v.is_even() {
+        v + Ubig::one()
+    } else {
+        v
+    }
+}
+
+/// The numerators both differential oracles below are fed against `m`:
+/// the edges, random values below `m`, one-limb values, values that
+/// share the factor 3 with it, and values at or above `m`.
+fn numerators(rng: &mut rand::rngs::StdRng, m: &Ubig) -> Vec<Ubig> {
+    let below = Ubig::random_below(rng, m);
+    let word = Ubig::from_u64(rand::Rng::gen(rng));
+    let odd = if below.is_even() {
+        &below + &Ubig::one()
+    } else {
+        below.clone()
+    };
+    vec![
+        Ubig::zero(),
+        Ubig::one(),
+        m - &Ubig::one(),
+        m.clone(),
+        m + &Ubig::one(),
+        m * &Ubig::from_u64(3) + Ubig::from_u64(5),
+        below.clone(),
+        &below << 1,
+        odd,
+        word.clone(),
+        &word << 1,
+        Ubig::from_u64(3) * (Ubig::random_below(rng, m) >> 2),
+        Ubig::from_u64(9),
+    ]
+}
+
+/// `egcd_mod`'s inverse: the reference for `modinv`.
+fn inverse_by_euclid(a: &Ubig, m: &Ubig) -> Option<Ubig> {
+    let (g, x) = modular::egcd_mod(a, m);
+    g.is_one().then_some(x)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The fixed-width inverse ≡ `egcd_mod` on odd moduli, on `2·odd`
+    /// moduli with even and odd numerators, on `3·odd` and `6·odd`
+    /// moduli (numerators sharing the 3), and on `4·odd` moduli, which
+    /// take Euclid's path — at 1–9 limbs, the widest beyond the
+    /// fixed-width loop.
+    #[test]
+    fn fixed_width_inverse_matches_egcd(limbs in 1usize..=9, seed in any::<u64>()) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let h = odd_of_limbs(&mut rng, limbs);
+        let moduli = [h.clone(), &h << 1, &h << 2, &h * &Ubig::from_u64(3), &h * &Ubig::from_u64(6)];
+        for m in &moduli {
+            for a in numerators(&mut rng, m) {
+                let x = modular::modinv(&a, m);
+                prop_assert_eq!(&x, &inverse_by_euclid(&a, m), "a={} m={}", a, m);
+                if let Some(x) = x {
+                    prop_assert_eq!(modular::modmul(&a, &x, m), Ubig::one());
+                }
+            }
+        }
+    }
+
+    /// The fixed-width Jacobi loop ≡ `jacobi_euclid` on odd moduli of
+    /// 1–9 limbs (the widest is Euclid's own path), and on `3·odd`
+    /// moduli against numerators that share the 3.
+    #[test]
+    fn fixed_width_jacobi_matches_euclid(limbs in 1usize..=9, seed in any::<u64>()) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let n = odd_of_limbs(&mut rng, limbs);
+        for n in [n.clone(), &n * &Ubig::from_u64(3)] {
+            for a in numerators(&mut rng, &n) {
+                prop_assert_eq!(jacobi(&a, &n), jacobi_euclid(&a, &n), "a={} n={}", a, n);
+            }
+        }
+    }
+}
+
+/// The smallest moduli on every `modinv` path: 1, 2 (`2·1`), odd
+/// primes and composites, `2·odd`, and `4·odd` and `8` (Euclid's).
+#[test]
+fn small_moduli_invert_as_euclid_does() {
+    for m in [1u64, 2, 3, 4, 6, 8, 9, 10, 12, 15, 18, 97, 194] {
+        let m = Ubig::from_u64(m);
+        for a in 0..40u64 {
+            let a = Ubig::from_u64(a);
+            assert_eq!(
+                modular::modinv(&a, &m),
+                inverse_by_euclid(&a, &m),
+                "a={a} m={m}"
+            );
         }
     }
 }

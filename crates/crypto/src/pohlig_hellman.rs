@@ -307,6 +307,10 @@ impl PhKey {
         let order = domain.order.as_ref();
         loop {
             let e = Ubig::random_range(rng, &Ubig::from_u64(3), order);
+            // p − 1 is even: an even draw has no inverse to pay for.
+            if e.is_even() {
+                continue;
+            }
             if let Some(d) = modinv(&e, order) {
                 return PhKey {
                     domain: domain.clone(),
@@ -394,6 +398,38 @@ mod tests {
         }
         assert_eq!(CommutativeDomain::fixed_256().modulus().bit_len(), 256);
         assert_eq!(CommutativeDomain::fixed_512().modulus().bit_len(), 512);
+    }
+
+    /// The first three key pairs a seeded `StdRng` draws, as the
+    /// Euclid-only `modinv` drew them before even draws were skipped and
+    /// the binary inverse came in: the same draws accept the same keys.
+    #[test]
+    fn seeded_key_pairs_are_pinned() {
+        let pins = [
+            (
+                CommutativeDomain::fixed_256(),
+                [
+                    ("12d8a9c8a3000b2a2123d6cf52074727b0523fbaff364aa8d3ec2f00c9314391", "8b48de072c2e7256439ef8f85511aa714297f44b73ab7b82313e5d447aba0c1d"),
+                    ("3d806e446af5b9127508b05dd89d7adc3d22e327eb00c6b83d8f6f9c825ad88d", "63b14649d80ee06c6bad20119b5c253efbc2a3786e484ec669f922c575f78df1"),
+                    ("5cd78a800d74d83a9d4e919cac4b5649164cfd43f9a962763ccf02bd0feafdad", "131322a73ddd6e1027f3a95714bd2722f9d40721f14c08cab725f365bf96fb25"),
+                ],
+            ),
+            (
+                CommutativeDomain::fixed_512(),
+                [
+                    ("2c398bced280bbbf21e43de597fd63c22c16d5a7c88f80676d11bfc3b520ae2b3d806e446af5b9127508b05dd89d7adc3d22e327eb00c6b83d8f6f9c825ad88d", "4f0f385c633c1f100f75e79ec6b62f88a0b6ab6a3946fb4a5ee607e7368cc64ef63e3887553e670d311756a6809a3e8034c5e5d603cbda4b925cc5502bd7ed0f"),
+                    ("5355bae88012208b0e047bc7e86c20cb0d560b27d5df4424f30ab429f892f7a5e04a570155ddeb77806ac03d4391d1a1339f5cd12c7b4b8fee12a7af2e011ec5", "5bda9a8f8a622939f2730aabc7fa645b98b74a05e8b7254292eac8df6e669474325e2e38e807ffb65086b79a4057bb9da1ed324a15807fb962595b517fea6fd1"),
+                    ("1bf40404b41315b65ebc4457e6fce867ba89db0906fc6744547e776b5310f6e2c2d47de6e406c1882620afc087bbe182102c533c703c807306ebac4e41f0c24d", "3140bf0b348252b8d6c3bf23680e45b6582265106c33a298b28dfd0098749a1ad0284a3566efe88f5bc7893adc90ee9204c35c2093c4cce50a79aecc19c7da35"),
+                ],
+            ),
+        ];
+        for (domain, keys) in pins {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(2004);
+            for (e, d) in keys {
+                let key = PhKey::generate(&domain, &mut rng);
+                assert_eq!((key.e.to_hex(), key.d.to_hex()), (e.into(), d.into()));
+            }
+        }
     }
 
     #[test]

@@ -85,6 +85,8 @@ const TAG_EPOCH_MATERIALIZED: u8 = 0x14;
 pub struct Journal {
     file: File,
     path: PathBuf,
+    /// Where the last whole frame ends.
+    len: u64,
 }
 
 impl std::fmt::Debug for Journal {
@@ -142,6 +144,7 @@ impl Journal {
             Journal {
                 file,
                 path: path.to_owned(),
+                len: valid_until as u64,
             },
             entries,
         ))
@@ -185,7 +188,16 @@ impl Journal {
         self.file
             .write_all(&framed)
             .and_then(|()| self.file.sync_data())
-            .map_err(|e| LogError::Store(format!("append to {}: {e}", self.path.display())))
+            .map_err(|e| LogError::Store(format!("append to {}: {e}", self.path.display())))?;
+        self.len += framed.len() as u64;
+        Ok(())
+    }
+
+    /// Whether the file still ends where its last whole frame does —
+    /// after a refused append, whether that append left no byte behind.
+    #[must_use]
+    pub fn intact(&self) -> bool {
+        self.file.metadata().is_ok_and(|m| m.len() == self.len)
     }
 }
 

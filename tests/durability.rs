@@ -625,6 +625,44 @@ fn a_write_that_fails_once_leaves_a_journal_that_restarts() {
     }
 }
 
+/// Fail-stop: a refused cluster append that left bytes behind may have
+/// committed a prefix that only a restart can tell, so the live cluster
+/// refuses every write, loudly, until one, and reads on. The restart
+/// keeps the torn append's whole frames and takes writes again.
+#[test]
+fn a_torn_cluster_append_stops_every_write_until_a_restart() {
+    let dir = temp_dir("fail-stop");
+    let records = crash_records();
+    let mut cluster = DlaCluster::new(config(&dir)).unwrap();
+    let user = cluster.register_user("u0").unwrap();
+    failpoint::arm(u64::MAX, |len| len);
+    let first = cluster.log_record(&user, &records[0]).unwrap();
+    // A deposit's node writes come first and the cluster's append last:
+    // a batch of two makes twice the node writes, then the append.
+    let append = 2 * failpoint::disarm() - 1;
+    failpoint::arm(append, |len| len - 1);
+    let torn = cluster.log_records(&user, &records[1..3]);
+    assert_eq!(failpoint::disarm(), append);
+    assert!(torn.is_err() && cluster.stopped().is_some());
+    let refused = |r: Result<(), AuditError>| matches!(r, Err(AuditError::Log(why)) if why.contains("stopped"));
+    assert!(refused(cluster.log_record(&user, &records[3]).map(drop)));
+    assert!(refused(cluster.register_user("u1").map(drop)));
+    assert!(refused(cluster.register_standing(SSI_QUERY).map(drop)));
+    assert_eq!(cluster.logged_glsns(), vec![first]);
+    assert!(cluster.query(SSI_QUERY).is_ok() && integrity::check_trail(&cluster).ok);
+    drop(cluster);
+    let mut cluster = DlaCluster::new(config(&dir)).unwrap();
+    assert!(cluster.stopped().is_none());
+    assert_eq!(
+        cluster.logged_glsns().len(),
+        2,
+        "the torn batch's first frame"
+    );
+    let user = cluster.register_user("u1").unwrap();
+    cluster.log_record(&user, &records[3]).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// ROADMAP item 4: die at the k-th journal write for **every** k of the
 /// workload — once losing the whole append, once keeping all but its
 /// last byte (a batch then commits a prefix) — and recover.
