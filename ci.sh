@@ -23,7 +23,7 @@ fi
 # assertions), and it stays seconds however the debug pass is trimmed.
 cargo test -q --release -p dla-bigint -p dla-crypto --test properties
 
-echo "==> tcp_transport in release, then again pinned to one CPU; the channel's wake tests, warm_cold and concurrent_queries pinned too"
+echo "==> tcp_transport in release, then again pinned to one CPU; the channel's wake tests, warm_cold, concurrent_queries and the history checker pinned too"
 cargo test -q --release -p dla-net --test tcp_transport
 if command -v taskset >/dev/null 2>&1; then
     # One CPU is the schedule the benchmark measures, and the one where
@@ -31,11 +31,13 @@ if command -v taskset >/dev/null 2>&1; then
     # a channel's sender and its parked receiver share the CPU, the
     # executor's scoped workers interleave with a lookup of what the
     # engine keeps, and concurrent auditors with each other's per-query
-    # traffic counts.
+    # traffic counts. The history checker is where every front door
+    # meets duplicates and torn node writes at once.
     taskset -c 0 cargo test -q --release -p crossbeam
     taskset -c 0 cargo test -q --release -p dla-net --test tcp_transport
     taskset -c 0 cargo test -q --release --test warm_cold
     taskset -c 0 cargo test -q --release -p dla-audit --test concurrent_queries
+    taskset -c 0 cargo test -q --release -p dla-audit --test history
 fi
 
 echo "==> cargo clippy -- -D warnings"

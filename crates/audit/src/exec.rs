@@ -118,8 +118,8 @@ fn subquery_seed(query_seed: u64, index: u64) -> u64 {
 /// leading zero bytes, so the element is right-aligned into its
 /// original `total_len` before the 8-byte glsn prefix is read. An
 /// over-long element means the protocol ran over garbled traffic (e.g.
-/// a mis-sequenced duplicate on an unprotected lossy link) and is
-/// surfaced as a protocol error instead of a panic.
+/// a frame a lying relay rewrote) and is surfaced as a protocol error
+/// instead of a panic.
 fn glsn_from_item(bytes: &[u8], total_len: usize) -> Result<Glsn, AuditError> {
     if bytes.len() > total_len {
         return Err(AuditError::Mpc(dla_mpc::MpcError::Protocol(format!(

@@ -84,9 +84,10 @@ enum Op {
     Loss(bool),
     /// A lie on ring `.1` (a cluster is ring 0).
     Lie(Tap, usize),
-    /// Fail the k-th journal write of a deposit of n records; live on.
-    /// At the cluster's append the write keeps all but its last byte,
-    /// and the cluster stops taking writes until a restart.
+    /// Fail the k-th journal write of a deposit of n records, keeping
+    /// all but its last byte; live on. A node's journal cuts the tear
+    /// back at its next write; at the cluster's append the cluster stops
+    /// taking writes until a restart.
     Fail(u64, usize),
     /// Die at the k-th journal write of a deposit of n records (torn:
     /// keeping all but its last byte), then restart.
@@ -246,14 +247,12 @@ fn tap(rule: Tap) -> Arc<ScriptedAdversary> {
     Arc::new(tap.rule(rule))
 }
 
-/// Loss on `c`: drops, and duplicates too when `duplicate` — which only
-/// `Reliable` absorbs: a bare round reads a duplicated frame as the next
-/// round's.
-fn set_loss(c: &DlaCluster, on: bool, duplicate: bool) {
+/// Loss on `c`: drops and duplicates, on every door alike.
+fn set_loss(c: &DlaCluster, on: bool) {
     let mut net = c.net();
     let faults = net.faults_mut();
     faults.drop_probability = if on { 0.05 } else { 0.0 };
-    faults.duplicate_probability = if on && duplicate { 0.05 } else { 0.0 };
+    faults.duplicate_probability = if on { 0.05 } else { 0.0 };
 }
 
 /// What a restart must leave unchanged: accumulator, epoch folds, chain
@@ -465,10 +464,9 @@ impl Run {
         if let Loss(on) = op {
             self.flags.loss = *on;
         }
-        let duplicate = matches!(op, Ask(Resilient | Reliable, _) | Register(_));
         for system in &self.systems {
             for ring in system.target.rings() {
-                set_loss(ring, self.flags.loss, duplicate);
+                set_loss(ring, self.flags.loss);
             }
         }
         let batch: Vec<usize> = match op {
@@ -521,7 +519,7 @@ impl Run {
                 // On a loss-free net, so that both topologies commit the
                 // same records; only a lie excuses an error.
                 for ring in fed.rings() {
-                    set_loss(ring, false, false);
+                    set_loss(ring, false);
                 }
                 let mut failed = false;
                 for &i in batch {
@@ -589,9 +587,8 @@ impl Run {
         let append = 8 * batch.len() as u64 + 1;
         let at_append = matches!(op, Fail(k, _) if *k == append && !f.loss && !f.lie);
         match op {
-            Crash(k, true, _) => failpoint::arm(*k, |len| len - 1),
-            Fail(k, _) if at_append => failpoint::arm(*k, |len| len - 1),
-            Fail(k, _) | Crash(k, false, _) => failpoint::arm(*k, |_| 0),
+            Fail(k, _) | Crash(k, true, _) => failpoint::arm(*k, |len| len - 1),
+            Crash(k, false, _) => failpoint::arm(*k, |_| 0),
             _ => {}
         }
         let logged = c.log_records(user, &records);
@@ -1155,6 +1152,33 @@ fn seam_rows_hold() {
                     Ask(Criteria, "c1 > 30"),
                     Crash(9, false, 1),
                     Deposit(1),
+                ],
+            },
+        ),
+        (
+            "a_torn_node_append_is_cut_back_before_the_next_write",
+            History {
+                seed: 1,
+                epoch: 1 << 40,
+                rings: 0,
+                ops: vec![Fail(2, 2), Crash(9, true, 1)],
+            },
+        ),
+        (
+            "a_duplicate_left_by_one_ask_poisons_the_next_on_a_clean_net",
+            History {
+                seed: 26,
+                epoch: 2,
+                rings: 2,
+                ops: vec![
+                    Loss(true),
+                    Ask(
+                        Resilient,
+                        "((protocol != 'UDP') OR c2 < 338.40) AND NOT c1 >= 73",
+                    ),
+                    Ask(Sum, "(id != c3) AND protocol = 'UDP'"),
+                    Loss(false),
+                    Ask(Sum, "protocol = 'UDP'"),
                 ],
             },
         ),

@@ -110,6 +110,9 @@ fn main() {
             run_trial(seed, query, drop, false, &mut unprotected);
             run_trial(seed, query, drop, true, &mut protected);
         }
+        // Duplicates alone cost nothing: the receiving end discards them.
+        let all = unprotected.successes == TRIALS;
+        assert!(drop > 0.0 || all, "duplicates alone failed a trial");
         sweep.push(Json::Object(vec![
             ("drop_probability", Json::Fixed(drop, 2)),
             ("unprotected", unprotected.json()),

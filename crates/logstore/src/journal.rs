@@ -164,7 +164,8 @@ impl Journal {
     /// leaves a torn tail that [`Journal::open`] truncates away, so the
     /// batch is atomic per entry (a prefix survives) but costs one disk
     /// sync instead of one per entry — the amortization behind the
-    /// cluster's batched deposit pipeline.
+    /// cluster's batched deposit pipeline. A refused append's torn
+    /// bytes are cut away before the next write lands behind them.
     ///
     /// # Errors
     ///
@@ -177,7 +178,14 @@ impl Journal {
         for entry in entries {
             encode_framed(entry, &mut framed);
         }
-        if let Some(keep) = failpoint::tears(framed.len()) {
+        let tear = failpoint::tears(framed.len());
+        // A write the failpoint refuses whole (a dead process) cuts nothing.
+        if tear != Some(0) && !self.intact() {
+            self.file
+                .set_len(self.len)
+                .map_err(|e| LogError::Store(format!("cut {}: {e}", self.path.display())))?;
+        }
+        if let Some(keep) = tear {
             let _ = self.file.write_all(&framed[..keep]);
             return Err(LogError::Store(format!(
                 "append to {}: failpoint tore the write at byte {keep} of {}",
@@ -589,6 +597,28 @@ mod tests {
         let (mut journal, replayed) = Journal::open(&path).unwrap();
         assert_eq!(replayed, entries[..3], "a whole-frame prefix survives");
         journal.append(&entries[4]).expect("disarmed");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn an_append_after_a_refused_one_cuts_its_tear_first() {
+        let path = temp_path("cut");
+        let entries: Vec<JournalEntry> = sample_fragments()
+            .into_iter()
+            .map(JournalEntry::Fragment)
+            .collect();
+        let (mut journal, _) = Journal::open(&path).unwrap();
+        journal.append(&entries[0]).unwrap();
+        failpoint::arm(1, |len| len - 1);
+        journal.append_batch(&entries[1..3]).unwrap_err();
+        failpoint::disarm();
+        assert!(!journal.intact());
+        // The live journal goes on: the refused batch is cut away whole.
+        journal.append(&entries[3]).unwrap();
+        assert!(journal.intact());
+        drop(journal);
+        let (_, replayed) = Journal::open(&path).unwrap();
+        assert_eq!(replayed, [entries[0].clone(), entries[3].clone()]);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -1,8 +1,8 @@
 //! Byzantine interposition at the transport layer.
 //!
 //! The fault layer ([`crate::fault::FaultPlan`]) models a *benign*
-//! network: drops, duplicates and bit rot, all of which leave a stale
-//! checksum behind and are therefore visible to any receiver. A
+//! network: drops, duplicates and bit rot, all of which a receiver can
+//! tell (a gap, a link number already delivered, a stale checksum). A
 //! Byzantine node is different — it **re-stamps its own lie**. An
 //! [`Adversary`] sits between protocol code and a [`Transport`] and can
 //! rewrite outgoing payloads *before* the envelope checksum is

@@ -1,17 +1,19 @@
 //! Reliable delivery over any [`Transport`] ([`Reliable`]).
 //!
-//! The simulator's fault plan can drop, duplicate or corrupt messages;
-//! unprotected protocol code then either consumes garbage or starves on
-//! an empty inbox forever. `Reliable` wraps a transport with the
-//! classic ARQ toolkit so every protocol written against [`Session`]
-//! gets fault tolerance without changing a line:
+//! The simulator's fault plan can drop or corrupt messages (a duplicate
+//! it also makes is discarded by its own receiving end); unprotected
+//! protocol code then either consumes garbage or starves on an empty
+//! inbox forever. `Reliable` wraps a transport with the classic ARQ
+//! toolkit so every protocol written against [`Session`] gets fault
+//! tolerance without changing a line:
 //!
 //! * **Checksums** — corrupted envelopes (stale [`Envelope::checksum`])
 //!   and corrupted data frames (inner CRC) are discarded at receive and
 //!   recovered by retransmission.
-//! * **Sequence numbers** — per `(session, from, to)` link; duplicates
-//!   are suppressed, gaps are reassembled in order from an early-frame
-//!   stash (per-link FIFO delivery makes gaps short-lived).
+//! * **Sequence numbers** — per `(session, from, to)` link; a
+//!   retransmission of a frame already delivered is suppressed and
+//!   re-acked, gaps are reassembled in order from an early-frame stash
+//!   (per-link FIFO delivery makes gaps short-lived).
 //! * **Ack/retransmit** — cumulative acks; when a receiver starves, the
 //!   senders' unacked frames for it are retransmitted after an
 //!   exponential backoff with deterministic jitter, charged to the
@@ -134,8 +136,8 @@ pub struct ReliableStats {
     /// Receives that gave up with [`NetError::Timeout`] after
     /// exhausting the retry budget.
     pub timeouts: u64,
-    /// Duplicate data frames suppressed (already-delivered sequence
-    /// numbers re-acked instead of re-surfaced).
+    /// Retransmitted data frames suppressed (already-delivered
+    /// sequence numbers re-acked instead of re-surfaced).
     pub duplicates_suppressed: u64,
 }
 
@@ -203,7 +205,7 @@ impl<'a, T: Transport + ?Sized> Reliable<'a, T> {
     /// Digests one raw envelope from the inner transport: acks shrink
     /// the unacked window, in-order data is moved (with everything it
     /// unblocks from the early stash) to the ready queue and acked,
-    /// duplicates are re-acked, corrupt frames are dropped. Returns
+    /// frames it already has are re-acked, corrupt ones dropped. Returns
     /// `true` if the envelope carried anything new.
     fn process(&self, env: &Envelope, node: NodeId) -> bool {
         if !env.is_intact() {
@@ -233,8 +235,8 @@ impl<'a, T: Transport + ?Sized> Reliable<'a, T> {
                 let mut state = self.state.lock();
                 let link = state.recv_links.entry(key).or_default();
                 if seq < link.expected {
-                    // Duplicate (or a retransmission of something we
-                    // already have): refresh the ack in case ours died.
+                    // A retransmission of something we already have:
+                    // refresh the ack in case ours died.
                     let ack = link.expected - 1;
                     state.stats.duplicates_suppressed += 1;
                     drop(state);
@@ -451,7 +453,7 @@ mod tests {
     }
 
     #[test]
-    fn suppresses_targeted_duplicate() {
+    fn a_targeted_duplicate_surfaces_once() {
         let mut net = lossy_net(0.0, 0.0, 0.0, 1);
         net.faults_mut().inject_once(0, 1, FaultOutcome::Duplicate);
         let link = SharedNet::new(net);

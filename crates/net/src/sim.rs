@@ -17,6 +17,9 @@
 //!
 //! The simulator is honest: it models a *benign* network (latency,
 //! drops, duplicates, bit rot with a stale checksum) and nothing else.
+//! Its receiving end, like TCP's, discards a duplicate's second copy by
+//! its number on the (session, from, to) link, so a session sees each
+//! frame at most once, in link order.
 //! A node that lies on the wire, and an observer that records what
 //! crosses it, belong to the crate's one wire tap, which wraps the
 //! simulator (behind [`crate::SharedNet`]) exactly as it wraps the
@@ -151,6 +154,8 @@ impl Envelope {
 struct Pending {
     deliver_at: SimTime,
     seq: u64,
+    /// The send's number on its link; a duplicate copy shares it.
+    number: u64,
     envelope: Envelope,
 }
 
@@ -215,9 +220,20 @@ impl NetConfig {
     }
 }
 
+/// One directed link of one session.
+#[derive(Debug, Default)]
+struct Link {
+    /// Latest delivery time scheduled: later sends never overtake it.
+    floor: SimTime,
+    /// Sends numbered so far.
+    sent: u64,
+    /// The number of the last frame delivered.
+    delivered: u64,
+}
+
 /// Per-session simulator state: inboxes, clocks, an independent RNG
-/// stream, and the per-link delivery floor that makes each session's
-/// link order FIFO.
+/// stream, and the per-link state that keeps each session's links FIFO
+/// and free of duplicates.
 #[derive(Debug)]
 struct SessionState {
     clocks: Vec<SimTime>,
@@ -229,9 +245,8 @@ struct SessionState {
     /// probabilities never perturbs the delivery schedule of the
     /// messages that do get through.
     fault_rng: StdRng,
-    /// Latest delivery time scheduled per (from, to): later sends on
-    /// the same link never overtake earlier ones.
-    last_delivery: BTreeMap<(usize, usize), SimTime>,
+    /// Per (from, to).
+    links: BTreeMap<(usize, usize), Link>,
 }
 
 impl SessionState {
@@ -246,7 +261,7 @@ impl SessionState {
             inboxes: (0..n).map(|_| BinaryHeap::new()).collect(),
             rng: StdRng::seed_from_u64(seed ^ stream),
             fault_rng: crate::fault::fault_rng(seed, session),
-            last_delivery: BTreeMap::new(),
+            links: BTreeMap::new(),
         }
     }
 }
@@ -336,10 +351,11 @@ impl SimNet {
     }
 
     /// Sends `payload` from `from` to `to` on `session`: accounting,
-    /// checksum stamping, fault roll and delivery. The send is always
-    /// accounted, whatever the fault plan decides. The checksum is
-    /// stamped over the payload as handed over, so in-flight corruption
-    /// leaves it stale.
+    /// numbering, checksum stamping, fault roll and delivery. The send
+    /// is always accounted, whatever the fault plan decides, and
+    /// numbered before the roll, so a duplicate shares its number. The
+    /// checksum is stamped over the payload as handed over, so
+    /// in-flight corruption leaves it stale.
     ///
     /// # Panics
     ///
@@ -355,18 +371,21 @@ impl SimNet {
         dla_telemetry::record(dla_telemetry::CostKind::MsgSent, 1);
         dla_telemetry::record(dla_telemetry::CostKind::BytesSent, payload.len() as u64);
         let checksum = crc32(&payload);
+        let link = state.links.entry((from.0, to.0)).or_default();
+        link.sent += 1;
+        let number = link.sent;
         let outcome = self.faults.decide(from.0, to.0, &mut state.fault_rng);
         match outcome {
             FaultOutcome::Drop => {
                 self.stats.messages_dropped += 1;
             }
             FaultOutcome::Deliver => {
-                self.enqueue(session, from, to, payload, checksum);
+                self.enqueue(session, from, to, number, payload, checksum);
             }
             FaultOutcome::Duplicate => {
                 self.stats.messages_duplicated += 1;
-                self.enqueue(session, from, to, payload.clone(), checksum);
-                self.enqueue(session, from, to, payload, checksum);
+                self.enqueue(session, from, to, number, payload.clone(), checksum);
+                self.enqueue(session, from, to, number, payload, checksum);
             }
             FaultOutcome::Corrupt => {
                 self.stats.messages_corrupted += 1;
@@ -376,7 +395,7 @@ impl SimNet {
                     let idx = state.fault_rng.gen_range(0..bytes.len());
                     bytes[idx] ^= 0xA5;
                 }
-                self.enqueue(session, from, to, Bytes::from(bytes), checksum);
+                self.enqueue(session, from, to, number, Bytes::from(bytes), checksum);
             }
         }
     }
@@ -386,6 +405,7 @@ impl SimNet {
         session: SessionId,
         from: NodeId,
         to: NodeId,
+        number: u64,
         payload: Bytes,
         checksum: u32,
     ) {
@@ -398,16 +418,13 @@ impl SimNet {
         // Per-session, per-link FIFO: a later send on the same link is
         // never delivered before an earlier one, even when the latency
         // model samples a shorter delay for it.
-        let floor = state
-            .last_delivery
-            .get(&(from.0, to.0))
-            .copied()
-            .unwrap_or(SimTime::ZERO);
-        let deliver_at = sampled.max(floor);
-        state.last_delivery.insert((from.0, to.0), deliver_at);
+        let link = state.links.entry((from.0, to.0)).or_default();
+        let deliver_at = sampled.max(link.floor);
+        link.floor = deliver_at;
         state.inboxes[to.0].push(Pending {
             deliver_at,
             seq,
+            number,
             envelope: Envelope {
                 session,
                 from,
@@ -434,17 +451,7 @@ impl SimNet {
     ///
     /// Panics if `node` is out of range.
     pub fn recv_on(&mut self, session: SessionId, node: NodeId) -> Result<Envelope, NetError> {
-        self.check(node);
-        self.ensure_session(session);
-        let state = self.sessions.get_mut(&session).expect("session exists");
-        let pending = state.inboxes[node.0]
-            .pop()
-            .ok_or(NetError::EmptyInbox(node))?;
-        state.clocks[node.0] = state.clocks[node.0].max(pending.deliver_at);
-        self.stats
-            .record_delivery(session, pending.envelope.payload.len());
-        dla_telemetry::record(dla_telemetry::CostKind::MsgDelivered, 1);
-        Ok(pending.envelope)
+        self.take(session, node, None)
     }
 
     /// Selective receive: delivers the earliest pending message **from
@@ -463,41 +470,53 @@ impl SimNet {
         node: NodeId,
         from: NodeId,
     ) -> Result<Envelope, NetError> {
+        self.take(session, node, Some(from))
+    }
+
+    /// Pops (in delivery order) until a frame from `from` (any if
+    /// `None`) is found, discarding every frame whose link already
+    /// delivered its number and stashing other senders' for re-insertion.
+    fn take(
+        &mut self,
+        session: SessionId,
+        node: NodeId,
+        from: Option<NodeId>,
+    ) -> Result<Envelope, NetError> {
         self.check(node);
         self.ensure_session(session);
         let state = self.sessions.get_mut(&session).expect("session exists");
-        if state.inboxes[node.0].is_empty() {
-            return Err(NetError::EmptyInbox(node));
-        }
-        // Pop (in delivery order) until a matching sender is found,
-        // stashing earlier messages from other senders for re-insertion.
         let mut stash = Vec::new();
         let mut found = None;
         while let Some(pending) = state.inboxes[node.0].pop() {
-            if pending.envelope.from == from {
+            let sender = pending.envelope.from;
+            let link = state.links.entry((sender.0, node.0)).or_default();
+            if pending.number <= link.delivered {
+                self.stats.messages_discarded += 1;
+            } else if from.is_none_or(|from| from == sender) {
+                link.delivered = pending.number;
                 found = Some(pending);
                 break;
+            } else {
+                stash.push(pending);
             }
-            stash.push(pending);
         }
         // The first stashed entry (if any) was the earliest overall.
         let actual_head = stash.first().map(|p| p.envelope.from);
-        for pending in stash {
-            state.inboxes[node.0].push(pending);
-        }
-        match found {
-            Some(pending) => {
+        state.inboxes[node.0].extend(stash);
+        match (found, from, actual_head) {
+            (Some(pending), ..) => {
                 state.clocks[node.0] = state.clocks[node.0].max(pending.deliver_at);
                 self.stats
                     .record_delivery(session, pending.envelope.payload.len());
                 dla_telemetry::record(dla_telemetry::CostKind::MsgDelivered, 1);
                 Ok(pending.envelope)
             }
-            None => Err(NetError::UnexpectedSender {
+            (None, Some(expected), Some(actual)) => Err(NetError::UnexpectedSender {
                 node,
-                expected: from,
-                actual: actual_head.expect("inbox was nonempty"),
+                expected,
+                actual,
             }),
+            _ => Err(NetError::EmptyInbox(node)),
         }
     }
 
@@ -573,14 +592,16 @@ impl SimNet {
     }
 
     /// Resets counters, clocks and per-link delivery floors in every
-    /// session, keeping topology/config (for benchmark phases).
+    /// session, keeping topology/config and send numbers (for phases).
     pub fn reset_accounting(&mut self) {
         self.stats.reset();
         for state in self.sessions.values_mut() {
             for c in &mut state.clocks {
                 *c = SimTime::ZERO;
             }
-            state.last_delivery.clear();
+            for link in state.links.values_mut() {
+                link.floor = SimTime::ZERO;
+            }
         }
     }
 
@@ -694,14 +715,30 @@ mod tests {
     }
 
     #[test]
-    fn duplicates_deliver_twice() {
-        let mut net = net(2);
+    fn a_duplicate_is_discarded_by_its_link_number() {
+        let mut net = net(3);
         net.faults_mut()
             .inject_once(0, 1, crate::fault::FaultOutcome::Duplicate);
         net.send_on(R, NodeId(0), NodeId(1), Bytes::from_static(b"dup"));
-        assert_eq!(net.pending_on(R, NodeId(1)), 2);
+        assert_eq!(net.pending_on(R, NodeId(1)), 2, "two copies in flight");
         assert_eq!(&net.recv_on(R, NodeId(1)).unwrap().payload[..], b"dup");
-        assert_eq!(&net.recv_on(R, NodeId(1)).unwrap().payload[..], b"dup");
+        assert_eq!(
+            net.recv_on(R, NodeId(1)),
+            Err(NetError::EmptyInbox(NodeId(1)))
+        );
+        assert_eq!(net.stats().messages_delivered, 1);
+        assert_eq!(net.stats().messages_discarded, 1);
+        // A selective receive discards the same way, and an inbox that
+        // held only a duplicate is empty, not a foreign sender's.
+        net.faults_mut()
+            .inject_once(2, 1, crate::fault::FaultOutcome::Duplicate);
+        net.send_on(R, NodeId(2), NodeId(1), Bytes::from_static(b"two"));
+        assert!(net.recv_from_on(R, NodeId(1), NodeId(2)).is_ok());
+        assert_eq!(
+            net.recv_from_on(R, NodeId(1), NodeId(0)),
+            Err(NetError::EmptyInbox(NodeId(1)))
+        );
+        assert_eq!(net.stats().messages_discarded, 2);
     }
 
     #[test]

@@ -26,17 +26,19 @@ use std::fmt;
 pub struct TrafficStats {
     /// Messages handed to the network (including later-dropped ones).
     pub messages_sent: u64,
-    /// Messages actually delivered (duplicates count individually).
+    /// Messages actually delivered.
     pub messages_delivered: u64,
     /// Messages dropped by fault injection.
     pub messages_dropped: u64,
-    /// Duplicate deliveries created by fault injection.
+    /// Messages sent twice by fault injection.
     pub messages_duplicated: u64,
+    /// Second copies the receiving end discarded by their link number.
+    pub messages_discarded: u64,
     /// Payloads corrupted by fault injection.
     pub messages_corrupted: u64,
     /// Payload bytes handed to the network.
     pub bytes_sent: u64,
-    /// Payload bytes actually delivered (duplicates count individually).
+    /// Payload bytes actually delivered.
     pub bytes_delivered: u64,
     per_link: BTreeMap<(usize, usize), LinkStats>,
     /// The session last counted in, kept out of `per_session`: a run of
@@ -65,10 +67,9 @@ pub struct SessionStats {
     pub messages: u64,
     /// Payload bytes sent in this session.
     pub bytes: u64,
-    /// Messages delivered in this session (duplicates count
-    /// individually, mirroring the global `messages_delivered`).
+    /// Messages delivered in this session.
     pub messages_delivered: u64,
-    /// Payload bytes delivered in this session (duplicates included).
+    /// Payload bytes delivered in this session.
     pub bytes_delivered: u64,
     /// Global event index of the session's first send.
     pub first_event: u64,
@@ -118,9 +119,8 @@ impl TrafficStats {
 
     /// Records a delivery of `bytes` payload bytes within `session`.
     ///
-    /// Every transport delivery path (including the second leg of a
-    /// fault-injected duplicate) must come through here, so the global
-    /// `messages_delivered`/`bytes_delivered` counters and the
+    /// Every transport delivery path must come through here, so the
+    /// global `messages_delivered`/`bytes_delivered` counters and the
     /// per-session ones move in lockstep: for any trace,
     /// `Σ_session messages_delivered == messages_delivered`.
     pub fn record_delivery(&mut self, session: SessionId, bytes: usize) {
@@ -224,6 +224,7 @@ impl PartialEq for TrafficStats {
             && self.messages_delivered == other.messages_delivered
             && self.messages_dropped == other.messages_dropped
             && self.messages_duplicated == other.messages_duplicated
+            && self.messages_discarded == other.messages_discarded
             && self.messages_corrupted == other.messages_corrupted
             && self.bytes_sent == other.bytes_sent
             && self.bytes_delivered == other.bytes_delivered
@@ -359,7 +360,7 @@ mod tests {
         s.record_send(SessionId(1), 0, 1, 100, at(1));
         s.record_send(SessionId(2), 0, 1, 40, at(2));
         s.record_delivery(SessionId(1), 100);
-        // Fault-injected duplicate: the same payload delivered twice.
+        // A second message in session 1.
         s.record_delivery(SessionId(1), 100);
         s.record_delivery(SessionId(2), 40);
         assert_eq!(s.messages_delivered, 3);

@@ -586,42 +586,52 @@ fn a_node_seal_the_cluster_never_recorded_does_not_wedge_allocation() {
 }
 
 /// A journal write that fails once, in a cluster that lives on: fail
-/// the `k`-th write of logging for every `k`, keep logging, restart. A
-/// seal whose record the journal holds is finished by the next batch,
-/// never journaled again, so the restart replays every seal once.
+/// the `k`-th write of logging for every `k`, once writing nothing and
+/// once keeping all but its last byte, keep logging until the cluster
+/// stops, restart. A node append torn that way is cut back before the
+/// node's next write; a torn cluster append stops the cluster. A seal
+/// whose record the journal holds is finished by the next batch, never
+/// journaled again, so the restart replays every seal once.
 #[test]
 fn a_write_that_fails_once_leaves_a_journal_that_restarts() {
     let records = crash_records();
-    for k in 1.. {
-        let dir = temp_dir("fails-once");
-        let mut cluster = DlaCluster::new(crash_config(&dir)).unwrap();
-        let user = cluster.register_user("u0").unwrap();
-        cluster.register_standing(SSI_QUERY).unwrap();
-        let (mut acked, mut failed) = (Vec::new(), false);
-        failpoint::arm(k, |_| 0);
-        for record in &records {
-            match cluster.log_record(&user, record) {
-                Ok(glsn) => acked.push(glsn),
-                Err(e) => {
-                    assert!(!failed, "k={k}: logging carries on, yet {e}");
-                    failpoint::disarm();
-                    failed = true;
+    let keeps: [fn(usize) -> usize; 2] = [|_| 0, |len| len - 1];
+    for keep in keeps {
+        for k in 1.. {
+            let dir = temp_dir("fails-once");
+            let mut cluster = DlaCluster::new(crash_config(&dir)).unwrap();
+            let user = cluster.register_user("u0").unwrap();
+            cluster.register_standing(SSI_QUERY).unwrap();
+            let (mut acked, mut failed) = (Vec::new(), false);
+            failpoint::arm(k, keep);
+            for record in &records {
+                if cluster.stopped().is_some() {
+                    break;
+                }
+                match cluster.log_record(&user, record) {
+                    Ok(glsn) => acked.push(glsn),
+                    Err(e) => {
+                        assert!(!failed, "k={k}: logging carries on, yet {e}");
+                        failpoint::disarm();
+                        failed = true;
+                    }
                 }
             }
-        }
-        failpoint::disarm();
-        drop(cluster);
-        if !failed {
+            failpoint::disarm();
+            drop(cluster);
+            if !failed {
+                std::fs::remove_dir_all(&dir).unwrap();
+                break;
+            }
+            let cluster = DlaCluster::new(crash_config(&dir))
+                .unwrap_or_else(|e| panic!("k={k}: restart fails: {e}"));
+            let logged = cluster.logged_glsns();
+            assert!(acked.iter().all(|g| logged.contains(g)), "k={k}");
+            assert_sealed_is_checkpointed(&cluster);
+            assert!(integrity::check_trail(&cluster).ok, "k={k}");
+            drop(cluster);
             std::fs::remove_dir_all(&dir).unwrap();
-            break;
         }
-        let cluster = DlaCluster::new(crash_config(&dir)).expect("restart succeeds");
-        let logged = cluster.logged_glsns();
-        assert!(acked.iter().all(|g| logged.contains(g)), "k={k}");
-        assert_sealed_is_checkpointed(&cluster);
-        assert!(integrity::check_trail(&cluster).ok, "k={k}");
-        drop(cluster);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 
