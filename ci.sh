@@ -28,11 +28,11 @@ cargo test -q --release -p dla-net --test tcp_transport
 if command -v taskset >/dev/null 2>&1; then
     # One CPU is the schedule the benchmark measures, and the one where
     # hand-off ordering bugs in the socket transport surface — and where
-    # a channel's sender and its parked receiver share the CPU, the
-    # executor's scoped workers interleave with a lookup of what the
-    # engine keeps, and concurrent auditors with each other's per-query
-    # traffic counts. The history checker is where every front door
-    # meets duplicates and torn node writes at once.
+    # a channel's sender and its parked receiver share the CPU, and
+    # concurrent auditors interleave with each other's lookups of what
+    # the engine keeps and with each other's per-query traffic counts.
+    # The history checker is where every front door meets duplicates
+    # and torn node writes at once.
     taskset -c 0 cargo test -q --release -p crossbeam
     taskset -c 0 cargo test -q --release -p dla-net --test tcp_transport
     taskset -c 0 cargo test -q --release --test warm_cold
@@ -101,10 +101,12 @@ for json in BENCH_*.json telemetry_trace.json; do
 done
 
 echo "==> the runs above reproduced every committed snapshot and left the benchmark alone"
-# (telemetry_trace.json is named for the day it is committed: today it
-# is git-ignored, because worker threads race for span ids.) The
-# benchmark is frozen: a build that rewrites benchmark/Cargo.lock — a
-# crate's dependency list moved — fails here instead of slipping through.
+# telemetry_trace.json is the example's trace of Table 1's deposits and
+# three paper queries: a query runs on the thread that asks it, so span
+# ids and the merge order are the same every run, and a moved span fails
+# here. The benchmark is frozen: a build that rewrites
+# benchmark/Cargo.lock — a crate's dependency list moved — fails here
+# instead of slipping through.
 git diff --exit-code -- 'BENCH_*.json' telemetry_trace.json benchmark BENCHMARK.json
 
 echo "==> the six binaries that assert nothing printed their committed stdout"

@@ -225,9 +225,10 @@ impl RereplicationReport {
 
 /// One DLA node: its fragment store and the attributes it serves.
 ///
-/// The store sits behind a read/write lock so concurrent subquery
-/// sessions can scan different (or the same) nodes from worker threads
-/// while mutation (logging, tampering test hooks) takes the write lock.
+/// The store sits behind a read/write lock so auditors querying one
+/// shared cluster from their own threads ([`DlaCluster::query_shared`])
+/// can scan the same nodes at once, while mutation (logging, tampering
+/// test hooks) takes the write lock.
 pub struct DlaNode {
     id: usize,
     attrs: Vec<AttrName>,
@@ -552,7 +553,7 @@ impl DlaCluster {
         }
         // A crash can commit deposits and tear the seal records behind
         // them: finish the rollover the batch had begun.
-        self.flush_deposit_batch(Vec::new())
+        self.flush_deposit_batch("", Vec::new())
     }
 
     /// Enforces the commit rule on the node stores: whatever a node
@@ -967,11 +968,6 @@ impl DlaCluster {
             AttrValue::Time(t) => Some(*t),
             _ => None,
         });
-        self.meta_log(
-            "cluster",
-            "deposit",
-            format!("glsn={glsn} user={}", user.name),
-        );
         Ok(DepositRecord {
             glsn,
             deposit,
@@ -981,17 +977,23 @@ impl DlaCluster {
         })
     }
 
-    /// The amortized tail of a deposit batch: the trail admits it, one
-    /// cluster-journal `append_batch` (one fsync) of its deposit records
-    /// and the seal records of the epochs it closes — the **commit
-    /// point** — then the trail absorbs it and every closed epoch seals.
+    /// The amortized tail of a deposit batch `user` shipped: the trail
+    /// admits it, one cluster-journal `append_batch` (one fsync) of its
+    /// deposit records and the seal records of the epochs it closes — the
+    /// **commit point** — then the trail absorbs it, the meta trail
+    /// records each deposit, and every closed epoch seals. A deposit is
+    /// on the meta trail only once it is committed.
     ///
     /// An append that fails leaves the commit point ambiguous: a prefix
     /// of its records, or all of them, may be durable all the same. The
     /// nodes forget the batch in memory only, the cluster stops
     /// ([`DlaCluster::writable`]), and the next restart decides by the
     /// deposit records the journal holds.
-    fn flush_deposit_batch(&mut self, batch: Vec<DepositRecord>) -> Result<(), AuditError> {
+    fn flush_deposit_batch(
+        &mut self,
+        user: &str,
+        batch: Vec<DepositRecord>,
+    ) -> Result<(), AuditError> {
         if !batch.is_empty() {
             dla_telemetry::record(dla_telemetry::CostKind::DepositBatch, 1);
         }
@@ -1006,7 +1008,11 @@ impl DlaCluster {
             }
             return Err(e);
         }
+        let glsns: Vec<Glsn> = batch.iter().map(|d| d.glsn).collect();
         self.trail.absorb(batch, closing);
+        for glsn in glsns {
+            self.meta_log("cluster", "deposit", format!("glsn={glsn} user={user}"));
+        }
         // Every closed epoch seals, one whose seal failed after its
         // record was journaled included: that record is never repeated.
         while let Some(epoch) = self.trail.next_to_seal() {
@@ -1163,7 +1169,7 @@ impl DlaCluster {
             }
         }
         let glsns = batch.iter().map(|d| d.glsn).collect();
-        let flushed = self.flush_deposit_batch(batch);
+        let flushed = self.flush_deposit_batch(&user.name, batch);
         match flushed.err().or(failure) {
             // The record that failed may have reached some nodes, and so
             // may a batch the trail refused or one whose seal failed
@@ -2213,12 +2219,53 @@ pub(crate) mod tests {
         assert_eq!(failpoint::disarm(), 9, "no rollback was journaled");
         assert!(c.logged_glsns().is_empty());
         assert!(c.nodes().iter().all(|node| node.store().is_empty()));
+        assert_meta_deposits_are_logged(&c);
         drop(c);
         let c = build();
         assert_eq!(c.logged_glsns().len(), 1);
         assert!(c.nodes().iter().all(|node| node.store().len() == 1));
         let whole = crate::plan::TimeWindow::unbounded();
         assert!(crate::integrity::check_window(&c, &whole).ok);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The meta trail names a deposit exactly when the trail holds it:
+    /// one `deposit` record per logged glsn, in glsn order.
+    fn assert_meta_deposits_are_logged(c: &DlaCluster) {
+        let named: Vec<&str> = (c.meta_audit().records().iter())
+            .filter(|r| r.action == "deposit")
+            .map(|r| r.detail.split(' ').next().unwrap_or_default())
+            .collect();
+        let logged: Vec<String> = (c.logged_glsns().iter())
+            .map(|g| format!("glsn={g}"))
+            .collect();
+        assert_eq!(named, logged, "the meta trail's deposits");
+    }
+
+    /// An append refused whole commits nothing and stops nothing: the
+    /// cluster lives on, and the meta trail records no deposit for the
+    /// glsns the refused batch had shipped.
+    #[test]
+    fn a_deposit_is_on_the_meta_trail_only_once_it_commits() {
+        use dla_logstore::journal::failpoint;
+        let mut dir = std::env::temp_dir();
+        dir.push(format!("dla-cluster-meta-deposit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let schema = Schema::paper_example();
+        let partition = Partition::paper_example(&schema);
+        let config = ClusterConfig::new(4, schema).with_partition(partition);
+        let mut c = DlaCluster::new(config.with_journal_dir(&dir)).unwrap();
+        let user = c.register_user("u0").unwrap();
+        let table = paper_table1();
+        failpoint::arm(9, |_| 0);
+        assert!(c.log_records(&user, &table[..2]).is_err());
+        failpoint::disarm();
+        assert!(c.stopped().is_none());
+        assert!(c.logged_glsns().is_empty());
+        assert_meta_deposits_are_logged(&c);
+        c.log_records(&user, &table[2..4]).unwrap();
+        assert_eq!(c.logged_glsns().len(), 2);
+        assert_meta_deposits_are_logged(&c);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

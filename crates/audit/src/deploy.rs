@@ -180,11 +180,6 @@ pub fn build_cluster(spec: &WorkloadSpec) -> Result<DlaCluster, AuditError> {
 /// # Errors
 ///
 /// Propagates protocol failures and transport timeouts.
-///
-/// # Panics
-///
-/// Panics if a subquery worker thread panics (see
-/// [`crate::exec::execute_on`]).
 pub fn run_workload(
     cluster: &DlaCluster,
     transport: &(dyn Transport + Sync),

@@ -17,13 +17,14 @@
 //!
 //! Subqueries are mutually independent (Fig. 3's SQ0..SQ3 touch
 //! disjoint protocol state), so the executor runs each one in its own
-//! **transport session** ([`dla_net::Session`]): a scheduler drives the
-//! sessions from scoped worker threads over the given transport, and
-//! per-session virtual clocks make the query's network makespan the
-//! *maximum* of the subquery latencies instead of their sum. Protocol
-//! results are independent of scheduling and randomness, so the
-//! reference every suite compares against is plain whole-record
-//! evaluation ([`crate::query::Criteria::eval`],
+//! **transport session** ([`dla_net::Session`]). It drives them one
+//! after another on the calling thread, and per-session virtual clocks
+//! make the query's network makespan the *maximum* of the subquery
+//! latencies instead of their sum: the overlap is priced in virtual
+//! time, not bought with threads. Protocol results are independent of
+//! scheduling and randomness, so the reference every suite compares
+//! against is plain whole-record evaluation
+//! ([`crate::query::Criteria::eval`],
 //! [`crate::centralized::CentralizedAuditor`]).
 //!
 //! # A sealed epoch is asked once
@@ -67,8 +68,8 @@ use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// How the executor schedules independent subqueries: each in its own
-/// session on its own worker thread, joined at the ∧-combiner. The
-/// one-at-a-time `Serial` mode was retired; the enum and the
+/// session, the sessions overlapping in virtual time, joined at the
+/// ∧-combiner. All of them run on the calling thread. The enum and the
 /// [`execute_on`] argument that carries it stay only because
 /// `benchmark/` (frozen) names `ExecMode::Concurrent`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -107,8 +108,9 @@ pub struct QueryResult {
 
 type GlsnSet = BTreeSet<Glsn>;
 
-/// Deterministic per-subquery RNG seed: independent of thread
-/// interleaving, so a query's transcript is a function of its seed.
+/// Deterministic per-subquery RNG seed, drawn from nothing but the
+/// query seed and the index, so a query's transcript is a function of
+/// its seed.
 fn subquery_seed(query_seed: u64, index: u64) -> u64 {
     let mut x = index.wrapping_add(0x9E37_79B9_7F4A_7C15);
     query_seed ^ rand::splitmix64(&mut x)
@@ -214,10 +216,6 @@ pub fn run_seed(query_seed: u64, run: usize) -> u64 {
 ///
 /// As [`execute`], plus [`dla_net::NetError::Timeout`] (wrapped in
 /// [`AuditError`]) when the reliable layer exhausts its retries.
-///
-/// # Panics
-///
-/// Panics if a subquery worker thread panics.
 pub fn execute_on(
     cluster: &DlaCluster,
     transport: &(dyn Transport + Sync),
@@ -335,7 +333,7 @@ pub fn execute_on(
 /// set intersection revealed to the auditor engine.
 fn run_window(
     cluster: &DlaCluster,
-    transport: &(dyn Transport + Sync),
+    transport: &dyn Transport,
     plan: &QueryPlan,
     reveal: bool,
     query_seed: u64,
@@ -345,53 +343,23 @@ fn run_window(
     let start_elapsed = cluster.net().elapsed();
     let subq_span = dla_telemetry::span("phase", "subqueries", start_elapsed.as_nanos());
 
-    // Phase 1: independent subqueries — the scheduler. Sessions are
-    // allocated deterministically *before* spawning so ids (and so
-    // per-session RNG streams and accounting) do not depend on thread
-    // interleaving.
+    // Phase 1: independent subqueries, in plan order on this thread.
+    // Sessions are allocated before anything runs, so ids, per-session
+    // RNG streams and accounting depend on the plan alone. Every
+    // subquery runs even after one fails; the first error reported is
+    // the lowest-numbered subquery's.
     let sessions: Vec<SessionId> = {
         let mut n = cluster.net();
         plan.subqueries.iter().map(|_| n.open_session()).collect()
     };
-    let run = |i: usize, subquery: &Subquery, sid: SessionId| {
-        let mut rng = StdRng::seed_from_u64(subquery_seed(query_seed, i as u64));
-        let session = Session::new(transport, sid);
-        run_subquery(cluster, &session, subquery, &mut rng, window)
-    };
-    // A local subquery is a scan, and the last cross subquery would
-    // only wait for the others: both run on this thread. Each other
-    // cross subquery gets a worker, which does not inherit the
-    // spawner's telemetry destination: hand the current recorder (if
-    // any) into each one and install it there.
-    let last_cross =
-        (plan.subqueries.iter()).rposition(|s| matches!(s.kind, SubqueryKind::Cross { .. }));
-    let inline = |i: usize| {
-        Some(i) == last_cross || matches!(plan.subqueries[i].kind, SubqueryKind::Local { .. })
-    };
-    let jobs = (plan.subqueries.iter()).zip(sessions.iter().copied());
-    let recorder = dla_telemetry::current();
-    let outcomes = crossbeam::scope(|s| {
-        let workers: Vec<_> = (jobs.clone().enumerate())
-            .filter(|&(i, _)| !inline(i))
-            .map(|(i, (subquery, sid))| {
-                let recorder = recorder.clone();
-                let worker = s.spawn(move || {
-                    let _telemetry = recorder.map(|r| r.install());
-                    run(i, subquery, sid)
-                });
-                (i, worker)
-            })
-            .collect();
-        let mut outcomes: Vec<_> = (jobs.enumerate())
-            .map(|(i, (subquery, sid))| inline(i).then(|| run(i, subquery, sid)))
-            .collect();
-        for (i, worker) in workers {
-            outcomes[i] = Some(worker.join().expect("subquery worker panicked"));
-        }
-        outcomes
-    })
-    .expect("subquery scheduler scope");
-    let per_subquery = (outcomes.into_iter().flatten()).collect::<Result<Vec<_>, _>>()?;
+    let outcomes: Vec<_> = (plan.subqueries.iter().zip(&sessions).enumerate())
+        .map(|(i, (subquery, &sid))| {
+            let mut rng = StdRng::seed_from_u64(subquery_seed(query_seed, i as u64));
+            let session = Session::new(transport, sid);
+            run_subquery(cluster, &session, subquery, &mut rng, window)
+        })
+        .collect();
+    let per_subquery = outcomes.into_iter().collect::<Result<Vec<_>, _>>()?;
 
     // ∧-join barrier: the conjunction can only start once every
     // subquery session has delivered, so open the combiner session and

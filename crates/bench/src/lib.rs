@@ -172,9 +172,9 @@ pub fn refuse_args() {
 }
 
 /// Runs `f` under a fresh telemetry recorder and returns its result
-/// with the exact operation counts it incurred on this thread and on
-/// every worker that re-installs the recorder (the query executor's
-/// do) — the deterministic answer to "what was the time spent on".
+/// with the exact operation counts it incurred on this thread (a query
+/// runs all of its subqueries there) — the deterministic answer to
+/// "what was the time spent on".
 pub fn metered<T>(f: impl FnOnce() -> T) -> (T, CostVector) {
     let recorder = Recorder::new();
     let out = {

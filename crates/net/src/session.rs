@@ -7,9 +7,9 @@
 //! third, [`crate::TcpNet`], crosses process boundaries):
 //!
 //! * [`SharedNet`] — the one adapter from the virtual-time [`SimNet`]
-//!   to [`Transport`]: a mutex over the simulator it owns, driven by
-//!   one session per worker thread. Virtual time stays deterministic
-//!   per session while real threads interleave freely.
+//!   to [`Transport`]: a mutex over the simulator it owns, shared by
+//!   the threads of concurrent auditors. Virtual time stays
+//!   deterministic per session while real threads interleave freely.
 //! * [`ChannelNet`] — a crossbeam-channel transport for real OS
 //!   threads, where every message crosses the [`Envelope::encode`]
 //!   wire codec, session id first. Receivers demultiplex by session,

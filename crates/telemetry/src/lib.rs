@@ -20,9 +20,10 @@
 //! runs are behaviourally identical (see the equivalence test in
 //! `dla-audit`).
 //!
-//! Worker threads do not inherit the recorder automatically: spawners
-//! capture [`current`] before `spawn` and install the handle inside
-//! the worker (the executor in `dla-audit` does exactly this).
+//! A recorder is installed per thread, and a spawned thread does not
+//! inherit it: whoever spawns one hands it a clone of the [`Recorder`]
+//! to install there. The executor in `dla-audit` spawns none: it runs
+//! every subquery on the thread that asks the query.
 //!
 //! Timestamps are virtual nanoseconds supplied by the caller — the
 //! tracer never reads a wall clock, keeping traces deterministic under
@@ -135,16 +136,6 @@ impl Drop for InstallGuard {
         });
         ACTIVE_INSTALLS.fetch_sub(1, Ordering::Relaxed);
     }
-}
-
-/// The recorder installed on this thread, if any — capture before
-/// spawning a worker, install inside it.
-#[must_use]
-pub fn current() -> Option<Recorder> {
-    if !is_active() {
-        return None;
-    }
-    TLS.with(|tls| tls.borrow().recorder.clone())
 }
 
 /// True when at least one recorder is installed on *some* thread.
@@ -489,10 +480,9 @@ mod tests {
     fn worker_threads_merge_via_handle_propagation() {
         let recorder = Recorder::new();
         let _install = recorder.install();
-        let handle = current().expect("recorder installed");
         std::thread::scope(|scope_| {
             for worker in 0..4u64 {
-                let handle = handle.clone();
+                let handle = recorder.clone();
                 scope_.spawn(move || {
                     let _install = handle.install();
                     let _sc = scope("worker", worker);

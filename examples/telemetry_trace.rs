@@ -7,7 +7,10 @@
 //! * `telemetry_trace.json` — Chrome trace-event format; open it in
 //!   `chrome://tracing` or <https://ui.perfetto.dev> to see query,
 //!   phase, subquery and protocol spans on the *virtual* timeline
-//!   (microseconds of simulated network time, not wall time).
+//!   (microseconds of simulated network time, not wall time). A query
+//!   runs on the thread that asks it, so span ids and the merge order
+//!   are the same every run: the file is committed, and a run that
+//!   writes other bytes shows in `git diff`.
 //! * a per-protocol cost breakdown printed to stdout.
 //!
 //! Run with: `cargo run --example telemetry_trace`
@@ -36,7 +39,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let trace = {
         let _install = recorder.install();
         cluster.log_records(&user, &paper_table1())?;
-        for query in ["protocol = 'UDP' AND c2 > 100.00", "c1 > 40 OR id = 'U2'"] {
+        let queries = [
+            "protocol = 'UDP' AND c2 > 100.00",
+            "c1 > 40 OR id = 'U2'",
+            "(id = 'U1' OR c1 > 30) AND (protocol = 'TCP' OR c2 < 400.00) \
+             AND (tid = 'T2' OR c2 > 100.00) AND id != c3",
+        ];
+        for query in queries {
             let result = cluster.query(query)?;
             println!("Q: {query} -> {} match(es)", result.glsns.len());
         }

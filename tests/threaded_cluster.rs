@@ -1,15 +1,25 @@
 //! Concurrency integration: the accumulator circulation and a
 //! commutative-cipher ring pass executed by real OS threads sharing one
 //! [`ChannelNet`] — demonstrating the protocols do not depend on the
-//! deterministic single-threaded scheduler.
+//! deterministic single-threaded scheduler — and the executor, which
+//! runs a whole query on the thread that asks it.
 
 use bytes::Bytes;
+use confidential_audit::audit::cluster::{ClusterConfig, DlaCluster};
+use confidential_audit::audit::exec::{execute_on, ExecMode};
+use confidential_audit::audit::plan::SubqueryKind;
 use confidential_audit::crypto::accumulator::AccumulatorParams;
 use confidential_audit::crypto::pohlig_hellman::{CommutativeDomain, PhKey};
-use confidential_audit::net::{ChannelNet, NodeId, Session};
+use confidential_audit::logstore::fragment::Partition;
+use confidential_audit::logstore::gen::paper_table1;
+use confidential_audit::logstore::schema::Schema;
+use confidential_audit::net::{
+    ChannelNet, Envelope, NetError, NodeId, Session, SessionId, SimTime, Transport,
+};
 use dla_bigint::Ubig;
 use rand::SeedableRng;
-use std::thread;
+use std::sync::Mutex;
+use std::thread::{self, ThreadId};
 use std::time::Duration;
 
 const TIMEOUT: Duration = Duration::from_secs(20);
@@ -101,4 +111,72 @@ fn concurrent_glsn_allocation_is_collision_free_across_threads() {
     all.sort_unstable();
     all.dedup();
     assert_eq!(all.len(), count, "glsns must be cluster-unique");
+}
+
+/// The cluster's own network, noting the thread of every send.
+struct SendersNoted<'a> {
+    cluster: &'a DlaCluster,
+    senders: Mutex<Vec<ThreadId>>,
+}
+
+impl Transport for SendersNoted<'_> {
+    fn num_nodes(&self) -> usize {
+        self.cluster.shared_net().num_nodes()
+    }
+    fn send(&self, session: SessionId, from: NodeId, to: NodeId, payload: Bytes) {
+        let sender = thread::current().id();
+        self.senders.lock().expect("senders lock").push(sender);
+        self.cluster.shared_net().send(session, from, to, payload);
+    }
+    fn recv(&self, session: SessionId, node: NodeId) -> Result<Envelope, NetError> {
+        self.cluster.shared_net().recv(session, node)
+    }
+    fn recv_from(
+        &self,
+        session: SessionId,
+        node: NodeId,
+        from: NodeId,
+    ) -> Result<Envelope, NetError> {
+        self.cluster.shared_net().recv_from(session, node, from)
+    }
+    fn charge(&self, session: SessionId, node: NodeId, cost: SimTime) {
+        self.cluster.shared_net().charge(session, node, cost);
+    }
+    fn counters(&self, session: SessionId) -> (u64, u64) {
+        self.cluster.shared_net().counters(session)
+    }
+    fn elapsed(&self, session: SessionId) -> SimTime {
+        Transport::elapsed(self.cluster.shared_net(), session)
+    }
+}
+
+/// The benchmark's four-clause shape: four cross subqueries, each a
+/// ring protocol of its own, then the conjunction. Every frame of it
+/// leaves from the thread that asked.
+#[test]
+fn a_query_sends_every_frame_from_the_thread_that_asks_it() {
+    const CNF4: &str = "(id = 'U1' OR c1 > 30) AND (protocol = 'TCP' OR c2 < 400.00) \
+        AND (tid = 'T2' OR c2 > 100.00) AND id != c3";
+    let schema = Schema::paper_example();
+    let partition = Partition::paper_example(&schema);
+    let config = ClusterConfig::new(4, schema).with_partition(partition);
+    let mut cluster = DlaCluster::new(config.with_seed(7)).expect("builds");
+    let user = cluster.register_user("u0").expect("registers");
+    cluster.log_records(&user, &paper_table1()).expect("logs");
+    let plan = cluster.compile(CNF4).expect("compiles");
+    let cross = (plan.subqueries.iter())
+        .filter(|s| matches!(s.kind, SubqueryKind::Cross { .. }))
+        .count();
+    assert_eq!(cross, 4);
+
+    let wire = SendersNoted {
+        cluster: &cluster,
+        senders: Mutex::new(Vec::new()),
+    };
+    let asked = execute_on(&cluster, &wire, &plan, true, ExecMode::Concurrent, 5);
+    assert_eq!(asked.expect("runs").sessions.len(), 4);
+    let senders = wire.senders.into_inner().expect("senders lock");
+    assert!(!senders.is_empty());
+    let me = thread::current().id();
+    assert!(senders.iter().all(|&sender| sender == me));
 }
