@@ -3,6 +3,13 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# One line count for every change that removes code: the lines of each
+# .rs file under crates/*/src up to its first #[cfg(test)]. Printed, not
+# gated.
+echo "non-test lines under crates/: $(find crates/*/src -name '*.rs' -exec awk '
+    FNR == 1 { stop = 0 } /#\[cfg\(test\)\]/ { stop = 1 } !stop { n++ } END { print n }' {} + |
+    awk '{ s += $1 } END { print s }')"
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 

@@ -59,7 +59,7 @@ use dla_logstore::schema::Schema;
 use dla_mpc::set_intersection::SET_TAG;
 use dla_net::adversary::{scenario_rng, Adversary, ScriptedAdversary, Tamper, TamperRule};
 use dla_net::latency::LatencyModel;
-use dla_net::wire::Writer;
+use dla_net::wire::{Reader, Writer};
 use dla_net::{NodeId, SessionId, Transport};
 use rand::Rng;
 use std::collections::{BTreeMap, BTreeSet};
@@ -236,7 +236,7 @@ pub fn gossip_heads(
             }
             wire.send(NodeId(sender), NodeId(receiver), frame.clone());
             let envelope = wire.recv_from(NodeId(receiver), NodeId(sender))?;
-            let mut r = crate::open_frame(&envelope.payload, HEAD_GOSSIP_TAG)?;
+            let mut r = Reader::open(&envelope.payload, HEAD_GOSSIP_TAG)?;
             let presented = EpochCheckpoint::decode(r.get_bytes()?)
                 .ok_or_else(|| AuditError::Integrity("malformed gossiped checkpoint".into()))?;
             views.insert((receiver, sender), presented);

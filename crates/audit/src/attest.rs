@@ -16,7 +16,7 @@ use dla_crypto::schnorr::{self, SchnorrGroup, SchnorrPublicKey, Signature};
 use dla_crypto::threshold::{
     self, NonceCommitment, PartialSignature, SigningSession, ThresholdKey,
 };
-use dla_net::wire::Writer;
+use dla_net::wire::{Reader, Writer};
 use dla_net::NodeId;
 use rand::Rng;
 
@@ -159,7 +159,7 @@ impl Attestor {
 /// Reads a signer's round-1 frame: its index and nonce commitment, the
 /// commitment in its one encoding, and nothing after it.
 fn open_commitment(payload: &[u8]) -> Result<NonceCommitment, AuditError> {
-    let mut r = crate::open_frame(payload, 0x60)?;
+    let mut r = Reader::open(payload, 0x60)?;
     let index = r.get_u64()?;
     let point = dla_bigint::Ubig::from_bytes_be(r.get_minimal_uint()?);
     r.finish()?;

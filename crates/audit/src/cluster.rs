@@ -22,7 +22,7 @@ use dla_logstore::schema::Schema;
 use dla_logstore::store::{FragmentStore, GlsnAllocator};
 use dla_logstore::LogError;
 use dla_net::latency::LatencyModel;
-use dla_net::wire::Writer;
+use dla_net::wire::{Reader, Writer};
 use dla_net::{AdversaryNet, NetConfig, NodeId, Session, SharedNet, SimNet};
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use rand::rngs::StdRng;
@@ -305,7 +305,7 @@ impl DlaNode {
         glsn: Glsn,
         deposit: &Ubig,
     ) -> Result<(), AuditError> {
-        let mut r = crate::open_frame(payload, 0x21)?;
+        let mut r = Reader::open(payload, 0x21)?;
         let label = Glsn(r.get_u64()?);
         let carried = Ubig::from_bytes_be(r.get_minimal_uint()?);
         r.get_bytes()?;
@@ -326,7 +326,7 @@ impl DlaNode {
         payload: &[u8],
         ticket: &Ticket,
     ) -> Result<Fragment, AuditError> {
-        let mut r = crate::open_frame(payload, 0x22)?;
+        let mut r = Reader::open(payload, 0x22)?;
         let glsn = Glsn(r.get_u64()?);
         r.finish()?;
         let fragment = self.store().read(ticket, glsn).cloned();
@@ -1324,7 +1324,7 @@ impl DlaCluster {
         let wire = self.root_session();
         wire.send(auditor, NodeId(owner), w.finish());
         let envelope = wire.recv_from(NodeId(owner), auditor)?;
-        let mut r = crate::open_frame(&envelope.payload, tag)?;
+        let mut r = Reader::open(&envelope.payload, tag)?;
         let requested = r.get_list(|r| r.get_u64().map(Glsn))?;
         let store = self.nodes[owner].store();
         let values = requested
@@ -1558,7 +1558,7 @@ impl Placement {
 /// Decodes the fragment of `glsn` a ship or standby frame carries; one
 /// labelled with another glsn is as garbled as a truncated one.
 fn open_fragment(payload: &[u8], tag: u8, glsn: Glsn) -> Result<Fragment, AuditError> {
-    let mut r = crate::open_frame(payload, tag)?;
+    let mut r = Reader::open(payload, tag)?;
     let label = Glsn(r.get_u64()?);
     let fragment = Fragment::from_canonical_bytes(r.get_bytes()?)
         .map_err(|e| AuditError::Wire(e.to_string()))?;

@@ -23,7 +23,7 @@ use crate::cluster::DlaCluster;
 use crate::transaction::owner_scalar_over_glsns;
 use crate::AuditError;
 use dla_logstore::model::{AttrName, AttrValue, Glsn};
-use dla_net::wire::Writer;
+use dla_net::wire::{Reader, Writer};
 use dla_net::NodeId;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -166,7 +166,7 @@ fn window_buckets(
     let wire = cluster.root_session();
     wire.send(NodeId(owner), auditor, w.finish());
     let envelope = wire.recv_from(auditor, NodeId(owner))?;
-    let mut r = crate::open_frame(&envelope.payload, 0x75)?;
+    let mut r = Reader::open(&envelope.payload, 0x75)?;
     let received = r.get_list(|r| {
         let bucket = r.get_u64()?;
         let g = r.get_u64().map(Glsn)?;

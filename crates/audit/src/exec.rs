@@ -60,7 +60,7 @@ use dla_logstore::model::{AttrValue, Glsn, LogRecord};
 use dla_mpc::report::ProtocolReport;
 use dla_mpc::{SsiSession, UnionSession};
 use dla_net::topology::Ring;
-use dla_net::wire::Writer;
+use dla_net::wire::{Reader, Writer};
 use dla_net::{NodeId, Reliable, ReliableConfig, Session, SessionId, SimTime, Transport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -965,7 +965,7 @@ fn to_ordinal(value: &AttrValue) -> Result<u64, AuditError> {
 /// Reads the mask agreement frame (`0x30`): the mask, and nothing
 /// after it.
 fn open_mask(payload: &[u8]) -> Result<MonotoneMasker, AuditError> {
-    let mut r = crate::open_frame(payload, 0x30)?;
+    let mut r = Reader::open(payload, 0x30)?;
     let mask =
         MonotoneMasker::from_bytes(r.get_bytes()?).map_err(|e| AuditError::Wire(e.to_string()))?;
     r.finish()?;
@@ -1023,7 +1023,7 @@ fn masked_compare(
     ])?;
     let mut tables: Vec<BTreeMap<u64, u128>> = Vec::with_capacity(2);
     for envelope in &submissions {
-        let mut r = crate::open_frame(&envelope.payload, 0x31)?;
+        let mut r = Reader::open(&envelope.payload, 0x31)?;
         let list = r.get_list(|r| {
             let g = r.get_u64()?;
             let m = r.get_u128()?;
@@ -1051,7 +1051,7 @@ fn masked_compare(
     });
     session.send(ttp, left_id, w.finish());
     let envelope = session.recv_from(left_id, ttp)?;
-    let mut r = crate::open_frame(&envelope.payload, 0x32)?;
+    let mut r = Reader::open(&envelope.payload, 0x32)?;
     let glsns = r.get_list(|r| r.get_u64().map(Glsn))?;
     Ok(glsns.into_iter().collect())
 }

@@ -69,7 +69,7 @@ use dla_logstore::model::{AttrName, AttrValue, Glsn, LogRecord};
 use dla_logstore::schema::Schema;
 use dla_mpc::SumSession;
 use dla_net::latency::LatencyModel;
-use dla_net::wire::Writer;
+use dla_net::wire::{Reader, Writer};
 use dla_net::{AdversaryNet, NetConfig, NodeId, Session, SharedNet, SimNet};
 use ledger::{RingDelta, RootLedger};
 use rand::rngs::StdRng;
@@ -440,7 +440,7 @@ impl FederatedCluster {
         w.put_u8(tag).put_bytes(body);
         wire.send(NodeId(from), root, w.finish());
         let envelope = wire.recv_from(root, NodeId(from))?;
-        let mut r = crate::open_frame(&envelope.payload, tag)?;
+        let mut r = Reader::open(&envelope.payload, tag)?;
         let decoded = decode(r.get_bytes()?);
         r.finish()?;
         decoded.ok_or_else(|| {

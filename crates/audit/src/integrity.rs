@@ -26,7 +26,7 @@ use dla_logstore::acl::TicketId;
 use dla_logstore::model::Glsn;
 use dla_mpc::SsiSession;
 use dla_net::topology::Ring;
-use dla_net::wire::Writer;
+use dla_net::wire::{Reader, Writer};
 use dla_net::{NodeId, Session};
 use std::collections::BTreeSet;
 
@@ -117,7 +117,7 @@ fn circulate(
 /// Reads one circulation frame: the accumulator value, in its one
 /// encoding, under `glsn`'s label, and nothing after it.
 fn open_circulation(payload: &[u8], tag: u8, glsn: Glsn) -> Result<Ubig, AuditError> {
-    let mut r = crate::open_frame(payload, tag)?;
+    let mut r = Reader::open(payload, tag)?;
     let label = r.get_u64()?;
     if label != glsn.0 {
         return Err(AuditError::Integrity(format!(

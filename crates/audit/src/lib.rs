@@ -148,24 +148,6 @@ impl From<dla_net::wire::WireError> for AuditError {
     }
 }
 
-/// Opens a frame received from a peer: a reader positioned behind the
-/// leading tag byte, which must be the one this leg of the exchange
-/// expects — a well-formed frame of another message kind is as garbled
-/// an answer as a truncated one.
-pub(crate) fn open_frame(
-    payload: &[u8],
-    expected: u8,
-) -> Result<dla_net::wire::Reader<'_>, AuditError> {
-    let mut r = dla_net::wire::Reader::new(payload);
-    let tag = r.get_u8()?;
-    if tag != expected {
-        return Err(AuditError::Wire(format!(
-            "expected frame tag {expected:#04x}, found {tag:#04x}"
-        )));
-    }
-    Ok(r)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,16 +162,6 @@ mod tests {
             .contains("membership"));
         let e: AuditError = dla_net::NetError::EmptyInbox(dla_net::NodeId(0)).into();
         assert!(e.to_string().contains("network error"));
-    }
-
-    #[test]
-    fn a_frame_opens_only_against_its_own_tag() {
-        let mut r = open_frame(&[0x70, 0x00], 0x70).unwrap();
-        assert_eq!(r.get_u8().unwrap(), 0);
-        for (frame, tag) in [(&[0x71u8, 0x00][..], 0x70), (&[][..], 0x70)] {
-            let err = open_frame(frame, tag).unwrap_err();
-            assert!(matches!(err, AuditError::Wire(_)), "{err}");
-        }
     }
 
     #[test]

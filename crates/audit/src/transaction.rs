@@ -16,7 +16,7 @@ use crate::cluster::DlaCluster;
 use crate::query::{CmpOp, Criteria, Predicate};
 use crate::AuditError;
 use dla_logstore::model::{AttrName, AttrValue, Glsn, TransactionId};
-use dla_net::wire::Writer;
+use dla_net::wire::{Reader, Writer};
 use dla_net::NodeId;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -325,7 +325,7 @@ pub(crate) fn owner_scalar_over_glsns(
     let wire = cluster.root_session();
     wire.send(NodeId(owner), auditor, w.finish());
     let envelope = wire.recv_from(auditor, NodeId(owner))?;
-    let raw = crate::open_frame(&envelope.payload, tag)?.get_u64()?;
+    let raw = Reader::open(&envelope.payload, tag)?.get_u64()?;
     Ok(if raw == u64::MAX { None } else { Some(raw) })
 }
 

@@ -17,7 +17,11 @@
 //!   by one REDC pass); ~80 % of exponentiation steps are squarings.
 //! * **Sliding-window exponentiation** — a 4–5-bit window with an
 //!   odd-powers table cuts the number of general multiplies from
-//!   ~`bits/2` to ~`bits/(w+1)`; the bit-at-a-time path remains as
+//!   ~`bits/2` to ~`bits/(w+1)`. One walk evaluates it: the batch walk
+//!   (`FixedCtx::run_plan_batch` on a 4- or 8-limb modulus, the generic
+//!   slice kernel elsewhere), and a single [`MontgomeryContext::modexp`]
+//!   is a batch of one base. The generic windowed path
+//!   ([`MontgomeryContext::modexp_generic`]), the bit-at-a-time
 //!   [`MontgomeryContext::modexp_binary`] and the division-based
 //!   [`crate::modular::modexp_schoolbook`] stay as differential-test
 //!   oracles.
@@ -38,7 +42,7 @@
 
 #[cfg(target_arch = "x86_64")]
 use crate::lanes::Lanes;
-use crate::Ubig;
+use crate::{words, Ubig};
 
 /// Precomputed per-modulus state for Montgomery reduction.
 #[derive(Clone, Debug)]
@@ -126,17 +130,16 @@ pub(crate) fn window_plan(exp: &Ubig, w: usize) -> Vec<ExpOp> {
     ops
 }
 
-/// Largest odd-powers table any window width in `1..=6` needs.
-const MAX_TABLE: usize = 32;
-
 /// The fixed-width Montgomery kernel: the same CIOS/REDC arithmetic as
 /// the generic slice path, monomorphised for a compile-time limb count
 /// `K`. Every temporary lives in a stack array whose length the
 /// compiler knows, so the inner loops unroll completely and carry no
 /// bounds checks — on the 4-limb (256-bit) protocol moduli this is
-/// worth ~2–3× over the `Vec`-indexed generic path. The generic path
-/// is retained verbatim as the differential oracle and as the fallback
-/// for limb counts the kernel is not built for.
+/// worth ~2–3× over the `Vec`-indexed generic path. Its one window walk
+/// is [`FixedCtx::run_plan_batch`], for one base or many. The generic
+/// path is retained verbatim as the differential oracle
+/// ([`MontgomeryContext::modexp_generic`]) and as the fallback for limb
+/// counts the kernel is not built for.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct FixedCtx<const K: usize> {
     n: [u64; K],
@@ -240,20 +243,13 @@ impl<const K: usize> FixedCtx<K> {
     /// The common case (`v < n`, as every protocol value is) costs a
     /// comparison and a copy; only out-of-range inputs divide.
     pub(crate) fn load(&self, v: &Ubig, ctx: &MontgomeryContext) -> [u64; K] {
-        let mut out = [0u64; K];
-        let limbs = v.limbs();
-        if limbs.len() <= K {
-            out[..limbs.len()].copy_from_slice(limbs);
-            if Self::geq(&out, &self.n) {
-                out = [0u64; K];
-                let reduced = v % &ctx.modulus_ubig();
-                out[..reduced.limbs().len()].copy_from_slice(reduced.limbs());
+        if v.limbs().len() <= K {
+            let out = words::load::<K>(v);
+            if !Self::geq(&out, &self.n) {
+                return out;
             }
-        } else {
-            let reduced = v % &ctx.modulus_ubig();
-            out[..reduced.limbs().len()].copy_from_slice(reduced.limbs());
         }
-        out
+        words::load::<K>(&(v % &ctx.modulus()))
     }
 
     /// Unpacks a fixed-width operand into a [`Ubig`].
@@ -278,70 +274,16 @@ impl<const K: usize> FixedCtx<K> {
         })
     }
 
-    /// Evaluates one precomputed window plan for one base — the
-    /// fixed-width twin of [`MontgomeryContext::run_plan`], with the
-    /// odd-powers table in a stack array. Returns the result and the
-    /// same step count the generic path would report, so telemetry
-    /// cannot tell the kernels apart.
-    pub(crate) fn run_plan(
-        &self,
-        base: &Ubig,
-        plan: &[ExpOp],
-        window: usize,
-        ctx: &MontgomeryContext,
-    ) -> (Ubig, u64) {
-        debug_assert!((1..=6).contains(&window));
-        let mut steps = 1u64; // to_mont
-        let base_m = self.to_mont(&self.load(base, ctx));
-
-        // Odd-powers table: table[i] = base^(2i+1) in Montgomery form.
-        let table_len = 1usize << (window - 1);
-        let mut table = [[0u64; K]; MAX_TABLE];
-        table[0] = base_m;
-        if table_len > 1 {
-            let sq = self.mont_sqr(&base_m);
-            steps += 1;
-            for i in 1..table_len {
-                table[i] = self.mont_mul(&table[i - 1], &sq);
-                steps += 1;
-            }
-        }
-
-        let mut acc = [0u64; K];
-        let mut started = false;
-        for op in plan {
-            match *op {
-                ExpOp::Square => {
-                    if started {
-                        acc = self.mont_sqr(&acc);
-                        steps += 1;
-                    }
-                }
-                ExpOp::Multiply(idx) => {
-                    if started {
-                        acc = self.mont_mul(&acc, &table[idx]);
-                        steps += 1;
-                    } else {
-                        acc = table[idx];
-                        started = true;
-                    }
-                }
-            }
-        }
-        debug_assert!(started, "non-zero exponent always multiplies");
-        let out = self.redc(&acc);
-        steps += 1;
-        (Self::store(&out), steps)
-    }
-
     /// Evaluates one window plan for a whole batch of bases
     /// *vertically*: every step of the plan is applied to all
     /// accumulators before advancing. Single-stream Montgomery
     /// multiplication is latency-bound on its carry chain; marching
     /// independent accumulators in lockstep gives the out-of-order core
     /// independent chains to overlap, which is worth another ~1.5× on
-    /// top of the fixed-width win. Identical arithmetic and step
-    /// accounting to per-base evaluation — only the schedule differs.
+    /// top of the fixed-width win. This is the one window walk on a 4-
+    /// or 8-limb modulus: [`MontgomeryContext::modexp`] is a batch of
+    /// one, and the step count is per base, so `n` bases count exactly
+    /// what `n` single powers would.
     pub(crate) fn run_plan_batch(
         &self,
         bases: &[Ubig],
@@ -467,7 +409,7 @@ impl Kernel {
     /// Converts `v` into a `k`-limb Montgomery-form operand.
     #[allow(clippy::wrong_self_convention)]
     pub(crate) fn to_mont(&mut self, ctx: &MontgomeryContext, v: &Ubig) -> Vec<u64> {
-        let mut out = pad(&(v % &ctx.modulus_ubig()), ctx.k());
+        let mut out = pad(&(v % &ctx.modulus()), ctx.k());
         let r2 = ctx.r2.clone();
         self.mul_assign(ctx, &mut out, &r2);
         out
@@ -515,7 +457,7 @@ impl MontgomeryContext {
 
     /// The modulus this context reduces by.
     pub(crate) fn modulus(&self) -> Ubig {
-        self.modulus_ubig()
+        Ubig::from_limbs(self.n.clone())
     }
 
     /// A dispatch handle for streaming Montgomery operations (see
@@ -677,30 +619,21 @@ impl MontgomeryContext {
 
     /// Converts into Montgomery form: `a·R mod n`.
     fn to_mont(&self, a: &Ubig) -> Vec<u64> {
-        let reduced = a % &self.modulus_ubig();
+        let reduced = a % &self.modulus();
         self.mont_mul(&pad(&reduced, self.k()), &self.r2)
     }
 
-    fn modulus_ubig(&self) -> Ubig {
-        Ubig::from_limbs(self.n.clone())
-    }
-
     /// `base^exp mod n` by sliding-window exponentiation in Montgomery
-    /// form — the default, fastest path. Window width adapts to the
-    /// exponent size (up to 5 bits; see `window_width`), and 4- and
-    /// 8-limb moduli (the 256/512-bit protocol primes) route through
-    /// the fully unrolled `FixedCtx` kernel.
+    /// form — the default, fastest path: the batch walk with one base,
+    /// always on the scalar kernel (one base runs the lane kernel below
+    /// scalar speed). Window width adapts to the exponent size (up to 5
+    /// bits; see `window_width`), and 4- and 8-limb moduli (the
+    /// 256/512-bit protocol primes) walk the fully unrolled `FixedCtx`
+    /// kernel.
     #[must_use]
     pub fn modexp(&self, base: &Ubig, exp: &Ubig) -> Ubig {
-        dla_telemetry::record(dla_telemetry::CostKind::ModExp, 1);
-        if exp.is_zero() {
-            return Ubig::one() % &self.modulus_ubig();
-        }
-        let window = window_width(exp.bit_len());
-        let plan = window_plan(exp, window);
-        let (out, steps) = self.run_plan_accel(base, &plan, window);
-        dla_telemetry::record(dla_telemetry::CostKind::MontMulStep, steps);
-        out
+        let mut out = self.batch(std::slice::from_ref(base), exp, false);
+        out.pop().expect("one base gives one power")
     }
 
     /// `base^exp mod n` on the generic slice kernel regardless of limb
@@ -709,19 +642,6 @@ impl MontgomeryContext {
     #[must_use]
     pub fn modexp_generic(&self, base: &Ubig, exp: &Ubig) -> Ubig {
         self.modexp_windowed(base, exp, window_width(exp.bit_len()))
-    }
-
-    /// Evaluates a window plan on the fastest kernel available for
-    /// this modulus width.
-    fn run_plan_accel(&self, base: &Ubig, plan: &[ExpOp], window: usize) -> (Ubig, u64) {
-        if let Some(f) = FixedCtx::<4>::from_ctx(self) {
-            return f.run_plan(base, plan, window, self);
-        }
-        if let Some(f) = FixedCtx::<8>::from_ctx(self) {
-            return f.run_plan(base, plan, window, self);
-        }
-        let mut s = self.scratch();
-        self.run_plan(base, plan, window, &mut s)
     }
 
     /// `base^exp mod n` with an explicit window width in `1..=6` —
@@ -736,7 +656,7 @@ impl MontgomeryContext {
         assert!((1..=6).contains(&window), "window width must be in 1..=6");
         dla_telemetry::record(dla_telemetry::CostKind::ModExp, 1);
         if exp.is_zero() {
-            return Ubig::one() % &self.modulus_ubig();
+            return Ubig::one() % &self.modulus();
         }
         let plan = window_plan(exp, window);
         let mut s = self.scratch();
@@ -752,7 +672,7 @@ impl MontgomeryContext {
         let k = self.k();
         let mut steps = 0u64;
         // Convert into Montgomery form through the shared scratch.
-        let mut base_m = pad(&(base % &self.modulus_ubig()), k);
+        let mut base_m = pad(&(base % &self.modulus()), k);
         self.mont_mul_assign(&mut base_m, &self.r2, s);
         steps += 1;
 
@@ -808,7 +728,7 @@ impl MontgomeryContext {
     pub fn modexp_binary(&self, base: &Ubig, exp: &Ubig) -> Ubig {
         dla_telemetry::record(dla_telemetry::CostKind::ModExp, 1);
         if exp.is_zero() {
-            return Ubig::one() % &self.modulus_ubig();
+            return Ubig::one() % &self.modulus();
         }
         let mut steps = 1u64; // to_mont
         let base_m = self.to_mont(base);
@@ -870,7 +790,7 @@ impl MontgomeryContext {
         }
         dla_telemetry::record(dla_telemetry::CostKind::ModExp, bases.len() as u64);
         if exp.is_zero() {
-            let one = Ubig::one() % &self.modulus_ubig();
+            let one = Ubig::one() % &self.modulus();
             return bases.iter().map(|_| one.clone()).collect();
         }
         let window = window_width(exp.bit_len());
@@ -944,7 +864,7 @@ impl MontgomeryContext {
     /// `to_mont` allocations of the old path.
     #[must_use]
     pub fn modmul(&self, a: &Ubig, b: &Ubig) -> Ubig {
-        let modulus = self.modulus_ubig();
+        let modulus = self.modulus();
         let k = self.k();
         let mut s = self.scratch();
         let mut acc = pad(&(a % &modulus), k);

@@ -668,13 +668,31 @@ proptest! {
 
     /// The fixed-width Jacobi loop ≡ `jacobi_euclid` on odd moduli of
     /// 1–9 limbs (the widest is Euclid's own path), and on `3·odd`
-    /// moduli against numerators that share the 3.
+    /// moduli against numerators that share the 3; and 1–2-limb
+    /// numerators against 4- and 8-limb moduli, which swap on the first
+    /// step and leave a two-limb modulus under a wide numerator.
     #[test]
-    fn fixed_width_jacobi_matches_euclid(limbs in 1usize..=9, seed in any::<u64>()) {
+    fn fixed_width_jacobi_matches_euclid(
+        limbs in 1usize..=9,
+        short_bits in 1usize..=128,
+        seed in any::<u64>(),
+    ) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let n = odd_of_limbs(&mut rng, limbs);
         for n in [n.clone(), &n * &Ubig::from_u64(3)] {
             for a in numerators(&mut rng, &n) {
+                prop_assert_eq!(jacobi(&a, &n), jacobi_euclid(&a, &n), "a={} n={}", a, n);
+            }
+        }
+        for wide in [4, 8] {
+            let n = odd_of_limbs(&mut rng, wide);
+            let short = Ubig::random_bits(&mut rng, short_bits);
+            let word = Ubig::from_u64(rand::Rng::gen(&mut rng));
+            for (a, n) in [
+                (short.clone(), n.clone()),
+                (&word << 64, n.clone()),
+                (&short * &Ubig::from_u64(3), &n * &Ubig::from_u64(3)),
+            ] {
                 prop_assert_eq!(jacobi(&a, &n), jacobi_euclid(&a, &n), "a={} n={}", a, n);
             }
         }

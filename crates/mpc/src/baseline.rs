@@ -70,10 +70,7 @@ pub fn plaintext_sum(
     let mut total = 0u64;
     for &party in parties {
         let envelope = net.recv_from(collector, party)?;
-        let mut r = Reader::new(&envelope.payload);
-        if r.get_u8()? != 0x10 {
-            return Err(MpcError::Wire("unexpected tag".into()));
-        }
+        let mut r = Reader::open(&envelope.payload, 0x10)?;
         total += r.get_u64()?;
         r.finish()?;
     }
@@ -147,10 +144,7 @@ pub fn vss_sum<R: Rng + ?Sized>(
                     });
                 net.send(parties[i], parties[j], w.finish());
                 let envelope = net.recv_from(parties[j], parties[i])?;
-                let mut r = Reader::new(&envelope.payload);
-                if r.get_u8()? != 0x12 {
-                    return Err(MpcError::Wire("unexpected tag".into()));
-                }
+                let mut r = Reader::open(&envelope.payload, 0x12)?;
                 let dealer = r.get_u64()? as usize;
                 let y = Ubig::from_bytes_be(r.get_bytes()?);
                 let comms = r.get_list(|r| r.get_bytes().map(Ubig::from_bytes_be))?;
@@ -199,10 +193,7 @@ pub fn vss_sum<R: Rng + ?Sized>(
                 .put_bytes(&summed[j].to_bytes_be());
             net.send(parties[j], parties[l], w.finish());
             let envelope = net.recv_from(parties[l], parties[j])?;
-            let mut r = Reader::new(&envelope.payload);
-            if r.get_u8()? != 0x13 {
-                return Err(MpcError::Wire("unexpected tag".into()));
-            }
+            let mut r = Reader::open(&envelope.payload, 0x13)?;
             let idx = r.get_u64()?;
             let y = Ubig::from_bytes_be(r.get_bytes()?);
             r.finish()?;

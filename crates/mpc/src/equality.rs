@@ -86,11 +86,7 @@ impl<'a> EqualitySession<'a> {
             .put_u64(mask.apply(F61::ZERO).value()); // b
         net.send(party_a, party_b, w.finish());
         let envelope = net.recv_from(party_b, party_a)?;
-        let mut r = Reader::new(&envelope.payload);
-        let tag = r.get_u8()?;
-        if tag != 0x04 {
-            return Err(MpcError::Wire(format!("unexpected message tag {tag}")));
-        }
+        let mut r = Reader::open(&envelope.payload, 0x04)?;
         let a_plus_b = F61::new(r.get_u64()?);
         let b_const = F61::new(r.get_u64()?);
         r.finish()?;
@@ -108,11 +104,7 @@ impl<'a> EqualitySession<'a> {
         ];
         let mut masked = Vec::with_capacity(2);
         for envelope in net.round(submissions)? {
-            let mut r = Reader::new(&envelope.payload);
-            let tag = r.get_u8()?;
-            if tag != 0x05 {
-                return Err(MpcError::Wire(format!("unexpected message tag {tag}")));
-            }
+            let mut r = Reader::open(&envelope.payload, 0x05)?;
             masked.push(F61::new(r.get_u64()?));
             r.finish()?;
         }
@@ -125,10 +117,7 @@ impl<'a> EqualitySession<'a> {
             (ttp, to, w.finish())
         });
         for envelope in net.round(results)? {
-            let mut r = Reader::new(&envelope.payload);
-            if r.get_u8()? != 0x06 {
-                return Err(MpcError::Wire("unexpected result tag".into()));
-            }
+            let mut r = Reader::open(&envelope.payload, 0x06)?;
             let reported = r.get_u8()? == 1;
             r.finish()?;
             if reported != equal {

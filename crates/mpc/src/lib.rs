@@ -37,6 +37,7 @@ use std::fmt;
 pub mod baseline;
 pub mod equality;
 pub mod ranking;
+mod relay;
 pub mod report;
 pub mod set_intersection;
 pub mod set_union;

@@ -94,10 +94,7 @@ impl<'a> RankingSession<'a> {
             (parties[0], peer, w.finish())
         });
         for envelope in net.round(negotiation)? {
-            let mut r = Reader::new(&envelope.payload);
-            if r.get_u8()? != 0x07 {
-                return Err(MpcError::Wire("unexpected negotiation tag".into()));
-            }
+            let mut r = Reader::open(&envelope.payload, 0x07)?;
             let _peer_mask = MonotoneMasker::from_bytes(r.get_bytes()?)?;
             r.finish()?;
         }
@@ -113,10 +110,7 @@ impl<'a> RankingSession<'a> {
         let mut masked: Vec<(u128, usize)> = Vec::with_capacity(n);
         let mut submitted = vec![false; n];
         for envelope in net.round(submissions)? {
-            let mut r = Reader::new(&envelope.payload);
-            if r.get_u8()? != 0x08 {
-                return Err(MpcError::Wire("unexpected submission tag".into()));
-            }
+            let mut r = Reader::open(&envelope.payload, 0x08)?;
             let idx = r.get_u64()?;
             let w = r.get_u128()?;
             r.finish()?;
@@ -156,10 +150,7 @@ impl<'a> RankingSession<'a> {
             (ttp, party, w.finish())
         });
         for envelope in net.round(broadcast)? {
-            let mut r = Reader::new(&envelope.payload);
-            if r.get_u8()? != 0x09 {
-                return Err(MpcError::Wire("unexpected result tag".into()));
-            }
+            let mut r = Reader::open(&envelope.payload, 0x09)?;
             let reported = r.get_list(|r| r.get_u64().map(|v| v as usize))?;
             r.finish()?;
             if reported != ascending {

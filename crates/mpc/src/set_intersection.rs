@@ -27,18 +27,23 @@
 //!   the holder ships its encoded set in one message and no layer is
 //!   ever applied.
 //!
+//! The ring relay and its set frames are shared with
+//! [`crate::set_union`]; this module keeps the collector's steps (the
+//! intersection, the reveal) and the per-hop hook behind the
+//! `relay-hop` events and the Figure 4 trace.
+//!
 //! What leaks (allowed "secondary information", Definition 1): set
 //! sizes, and to the collector the intersection cardinality; plaintext
 //! values of *common* elements leak only to the collector and the
 //! parties a reveal pass visits, which is the paper's "matter of choice
 //! to decide which node(s) would receive" the result.
 
+use crate::relay::{encode_canonical, Relay, SetFrame};
 use crate::report::{Meter, ProtocolReport};
 use crate::MpcError;
 use dla_bigint::Ubig;
 use dla_crypto::pohlig_hellman::{CommutativeDomain, PhKey};
 use dla_net::topology::Ring;
-use dla_net::wire::{Reader, Writer};
 use dla_net::{NodeId, Session};
 use rand::Rng;
 use std::collections::BTreeSet;
@@ -173,12 +178,15 @@ impl<'a> SsiSession<'a> {
         let (net, ring, domain) = (&self.session, self.ring, self.domain);
         let (collector, reveal) = (self.collector, self.reveal);
         let n = ring.len();
-        assert_eq!(
-            inputs.len(),
-            n,
-            "one input set per ring position is required"
-        );
+        assert_eq!(inputs.len(), n, "one input set per ring position");
         let meter = Meter::begin(net, "secure-set-intersection");
+        let relay = Relay {
+            net,
+            ring,
+            modulus: domain.modulus(),
+            collector,
+            frame: SetFrame::Intersection,
+        };
 
         let encoded = encode_canonical(domain, inputs)?;
 
@@ -186,49 +194,22 @@ impl<'a> SsiSession<'a> {
         // plaintexts whatever happens in between, so they are all it is
         // sent.
         if n == 1 && reveal {
-            let holder = ring.at(0);
-            net.send(holder, collector, encode_set(0, &encoded[0]));
-            let envelope = net.recv_from(collector, holder)?;
-            let (_, elements) = decode_set(&envelope.payload)?;
-            let mut items: Vec<Vec<u8>> = elements.iter().map(|e| domain.decode(e)).collect();
-            items.sort();
+            let elements = relay.hand(ring.at(0), collector, 0, &encoded[0])?;
             return Ok(SsiOutcome {
+                common_items: Some(sorted_items(domain, &elements)),
                 common_encrypted: elements,
-                common_items: Some(items),
                 trace: Vec::new(),
                 report: meter.finish(n, 1),
             });
         }
 
-        // Per-party key generation (local, no traffic), then each owner
-        // applies its own layer.
+        // Per-party key generation (local, no traffic), then the relay;
+        // every hop is a `relay-hop` event and, traced, a Figure 4 step.
         let keys: Vec<PhKey> = (0..n).map(|_| PhKey::generate(domain, rng)).collect();
         let mut trace = Vec::new();
-        let mut sets: Vec<Vec<Ubig>> = Vec::with_capacity(n);
-        for (i, plain) in encoded.iter().enumerate() {
-            let encrypted = keys[i].encrypt_batch(plain, Default::default());
-            if self.trace {
-                trace.push(TraceHop {
-                    origin: i,
-                    holder: i,
-                    layers: vec![i],
-                    elements: encrypted.clone(),
-                });
-            }
-            sets.push(encrypted);
-        }
-
-        // n−1 relay rounds: set of origin i moves i → i+1 → … → i+n−1,
-        // all n sets one hop at a time.
-        let mut layer_history: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
-        for hop in 1..n {
-            let relays = sets.iter().enumerate().map(|(origin, set)| {
-                let from = ring.at((origin + hop - 1) % n);
-                let to = ring.at((origin + hop) % n);
-                (from, to, encode_set(origin as u64, set))
-            });
-            for (origin, envelope) in net.round(relays)?.into_iter().enumerate() {
-                if dla_telemetry::is_active() {
+        let returned =
+            relay.encrypt_and_collect(&keys, &encoded, |origin, hop, envelope, set| {
+                if let Some(envelope) = envelope.filter(|_| dla_telemetry::is_active()) {
                     dla_telemetry::event(
                         "relay-hop",
                         envelope.deliver_at.as_nanos(),
@@ -239,50 +220,21 @@ impl<'a> SsiSession<'a> {
                         ],
                     );
                 }
-                let (origin_check, elements) = decode_set(&envelope.payload)?;
-                if origin_check as usize != origin {
-                    return Err(MpcError::Protocol(format!(
-                        "relay for set {origin} carried origin tag {origin_check}"
-                    )));
-                }
-                let holder_pos = (origin + hop) % n;
-                let re_encrypted = keys[holder_pos].encrypt_batch(&elements, Default::default());
-                layer_history[origin].push(holder_pos);
                 if self.trace {
                     trace.push(TraceHop {
                         origin,
-                        holder: holder_pos,
-                        layers: layer_history[origin].clone(),
-                        elements: re_encrypted.clone(),
+                        holder: (origin + hop) % n,
+                        layers: (0..=hop).map(|h| (origin + h) % n).collect(),
+                        elements: set.to_vec(),
                     });
                 }
-                sets[origin] = re_encrypted;
-            }
-        }
+            })?;
 
-        // Collection round: final holders ship the fully-encrypted sets to
-        // the collector, which intersects ciphertext sets.
-        let own = ring.position(collector);
-        let collection = sets.iter().enumerate().map(|(origin, set)| {
-            let final_holder = ring.at((origin + n - 1) % n);
-            (final_holder, collector, encode_set(origin as u64, set))
-        });
-        let mut returned: Vec<Vec<Ubig>> = Vec::with_capacity(n);
-        for (origin, envelope) in net.round(collection)?.into_iter().enumerate() {
-            let (_, elements) = decode_set(&envelope.payload)?;
-            if own == Some(origin) {
-                check_own_set(&elements, encoded[origin].len())?;
-            }
-            returned.push(elements);
-        }
-        let received: Vec<BTreeSet<Vec<u8>>> = returned
-            .iter()
+        // The collector intersects the ciphertext sets.
+        let common: BTreeSet<Vec<u8>> = (returned.iter())
             .map(|set| set.iter().map(Ubig::to_bytes_be).collect())
-            .collect();
-        let mut common: BTreeSet<Vec<u8>> = received.first().cloned().unwrap_or_default();
-        for set in &received[1..] {
-            common = common.intersection(set).cloned().collect();
-        }
+            .reduce(|common: BTreeSet<_>, set| &common & &set)
+            .unwrap_or_default();
         let common_encrypted: Vec<Ubig> = common.iter().map(|b| Ubig::from_bytes_be(b)).collect();
 
         // Optional reveal. A ring-position collector already holds every
@@ -290,122 +242,50 @@ impl<'a> SsiSession<'a> {
         // positions of its own returned set, survived the intersection.
         // Anyone else needs one decryption pass around the ring.
         let mut rounds = (n - 1) + 1;
-        let common_items = if !reveal {
+        let plain = if !reveal {
             None
-        } else if let Some(pos) = own {
-            let mut items: Vec<Vec<u8>> = returned[pos]
-                .iter()
-                .zip(&encoded[pos])
-                .filter(|(ciphertext, _)| common.contains(&ciphertext.to_bytes_be()))
-                .map(|(_, plain)| domain.decode(plain))
-                .collect();
-            items.sort();
-            Some(items)
+        } else if let Some(pos) = ring.position(collector) {
+            let held = returned[pos].iter().zip(&encoded[pos]);
+            Some(
+                held.filter(|(ciphertext, _)| common.contains(&ciphertext.to_bytes_be()))
+                    .map(|(_, plain)| plain.clone())
+                    .collect(),
+            )
         } else {
-            let mut current = common_encrypted.clone();
-            let mut holder = collector;
-            #[allow(clippy::needless_range_loop)] // pos walks the ring and the key table together
-            for pos in 0..n {
-                let node = ring.at(pos);
-                net.send(holder, node, encode_set(u64::MAX, &current));
-                let envelope = net.recv_from(node, holder)?;
-                let (_, elements) = decode_set(&envelope.payload)?;
-                current = keys[pos].decrypt_batch(&elements, Default::default());
-                holder = node;
-            }
-            net.send(holder, collector, encode_set(u64::MAX, &current));
-            let envelope = net.recv_from(collector, holder)?;
-            let (_, elements) = decode_set(&envelope.payload)?;
-            rounds += n + 1;
-            let mut items: Vec<Vec<u8>> = elements.iter().map(|e| domain.decode(e)).collect();
-            items.sort();
-            Some(items)
+            let everyone: Vec<usize> = (0..n).collect();
+            let (plain, pass_rounds) =
+                relay.decryption_pass(&keys, &everyone, common_encrypted.clone())?;
+            rounds += pass_rounds;
+            Some(plain)
         };
 
         Ok(SsiOutcome {
             common_encrypted,
-            common_items,
+            common_items: plain.map(|plain| sorted_items(domain, &plain)),
             trace,
             report: meter.finish(n, rounds),
         })
     }
 }
 
-/// Each party's set encoded into the QR subgroup in canonical
-/// (sorted-plaintext) order — the order it travels in — and
-/// deduplicated on the *encoding*: items that differ only in leading
-/// zero bytes encode alike, and a set travels as distinct elements.
-pub(crate) fn encode_canonical(
-    domain: &CommutativeDomain,
-    inputs: &[Vec<Vec<u8>>],
-) -> Result<Vec<Vec<Ubig>>, MpcError> {
-    inputs
-        .iter()
-        .map(|raw| {
-            let canonical: BTreeSet<&Vec<u8>> = raw.iter().collect();
-            let mut seen = BTreeSet::new();
-            let mut encoded = Vec::with_capacity(canonical.len());
-            for item in canonical {
-                let element = domain.encode(item)?;
-                if seen.insert(element.clone()) {
-                    encoded.push(element);
-                }
-            }
-            Ok(encoded)
-        })
-        .collect()
-}
-
-/// A ring-position collector's own set must come back from the ring
-/// as `sent` distinct ciphertexts (the cipher is a bijection on
-/// distinct plaintexts): a relay that dropped, added or duplicated an
-/// element stops the run rather than shifting the answer. This is a
-/// shape check only — a relay that *reorders* the set, or swaps in as
-/// many other distinct values, passes it (see the module docs).
-pub(crate) fn check_own_set(returned: &[Ubig], sent: usize) -> Result<(), MpcError> {
-    let distinct: BTreeSet<&Ubig> = returned.iter().collect();
-    if returned.len() == sent && distinct.len() == sent {
-        Ok(())
-    } else {
-        Err(MpcError::Protocol(format!(
-            "collector's own set left with {sent} elements and returned with {} ({} distinct)",
-            returned.len(),
-            distinct.len()
-        )))
-    }
+/// The plaintext items of `elements`, sorted.
+fn sorted_items(domain: &CommutativeDomain, elements: &[Ubig]) -> Vec<Vec<u8>> {
+    let mut items: Vec<Vec<u8>> = elements.iter().map(|e| domain.decode(e)).collect();
+    items.sort();
+    items
 }
 
 /// Wire tag of every SSI relay/collection message — the byte an
 /// interposed adversary matches on to target ring ciphertext blobs
 /// (see `dla_net::adversary`).
-pub const SET_TAG: u8 = 0x01;
-
-fn encode_set(origin: u64, elements: &[Ubig]) -> bytes::Bytes {
-    let mut w = Writer::new();
-    w.put_u8(SET_TAG)
-        .put_u64(origin)
-        .put_list(elements, |w, e| {
-            w.put_bytes(&e.to_bytes_be());
-        });
-    w.finish()
-}
-
-fn decode_set(payload: &[u8]) -> Result<(u64, Vec<Ubig>), MpcError> {
-    let mut r = Reader::new(payload);
-    let tag = r.get_u8()?;
-    if tag != SET_TAG {
-        return Err(MpcError::Wire(format!("unexpected message tag {tag}")));
-    }
-    let origin = r.get_u64()?;
-    let elements = r.get_list(|r| r.get_minimal_uint().map(Ubig::from_bytes_be))?;
-    r.finish()?;
-    Ok((origin, elements))
-}
+pub const SET_TAG: u8 = SetFrame::Intersection as u8;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::one_encoding;
+    use crate::relay::tests::{canonical, element_bytes};
+    use dla_net::wire::Writer;
     use dla_net::{NetConfig, SharedNet, SimNet};
     use proptest::prelude::*;
     use rand::SeedableRng;
@@ -597,23 +477,30 @@ mod tests {
 
         /// A set decodes only from its one encoding: an element with a
         /// leading zero byte is refused (it would decode to the same
-        /// number as its minimal form), and arbitrary bytes never panic.
+        /// number as its minimal form), as is one at or above the
+        /// modulus (it would act as its own reduction), and arbitrary
+        /// bytes never panic.
         #[test]
         fn a_set_payload_has_one_encoding(
             origin in any::<u64>(),
             elements in prop::collection::vec(
-                prop::collection::vec(prop_oneof![Just(0u8), any::<u8>()], 0..6),
+                element_bytes(CommutativeDomain::fixed_256().modulus()),
                 0..4,
             ),
             noise in prop::collection::vec(any::<u8>(), 0..40),
         ) {
+            let modulus = CommutativeDomain::fixed_256().modulus().clone();
             let mut w = Writer::new();
             w.put_u8(SET_TAG).put_u64(origin).put_list(&elements, |w, e| {
                 w.put_bytes(e);
             });
-            let minimal = elements.iter().all(|e| e.first() != Some(&0));
-            let reencode = |b: &[u8]| decode_set(b).map(|(o, set)| encode_set(o, &set));
-            prop_assert_eq!(one_encoding(&w.finish(), reencode)?, minimal);
+            let frame = SetFrame::Intersection;
+            let reencode = |b: &[u8]| {
+                let (origin, set) = frame.decode(b, &modulus)?;
+                Ok(frame.encode(origin.expect("an intersection frame names its origin"), &set))
+            };
+            let canonical = canonical(&elements, &modulus);
+            prop_assert_eq!(one_encoding(&w.finish(), reencode)?, canonical);
             one_encoding(&noise, reencode)?;
         }
     }

@@ -1,7 +1,8 @@
 //! Secure set union `∪_s` (paper §3.4).
 //!
-//! Same relay skeleton as [`crate::set_intersection`]: every set
-//! acquires all `n` encryption layers on its way around the ring. The
+//! The ring relay of [`crate::set_intersection`] — one crate-private
+//! relay serves both — with another collector step: every set acquires
+//! all `n` encryption layers on its way around the ring, and the
 //! collector keeps **one copy of any redundant entries** among the
 //! fully-encrypted elements (equal plaintexts have equal n-fold
 //! ciphertexts) and recovers the union's plaintexts with a decryption
@@ -31,13 +32,12 @@
 //! collection round.) A collector outside the ring has no key: the
 //! pass runs `0, 1, …, n−1` and hands it the plaintexts.
 
+use crate::relay::{encode_canonical, Relay, SetFrame};
 use crate::report::{Meter, ProtocolReport};
-use crate::set_intersection::{check_own_set, encode_canonical};
 use crate::MpcError;
 use dla_bigint::Ubig;
 use dla_crypto::pohlig_hellman::{CommutativeDomain, PhKey};
 use dla_net::topology::Ring;
-use dla_net::wire::{Reader, Writer};
 use dla_net::{NodeId, Session};
 use rand::Rng;
 use std::collections::BTreeSet;
@@ -109,53 +109,28 @@ impl<'a> UnionSession<'a> {
         assert_eq!(inputs.len(), n, "one input set per ring position");
         let meter = Meter::begin(net, "secure-set-union");
 
+        let relay = Relay {
+            net,
+            ring,
+            modulus: domain.modulus(),
+            collector,
+            frame: SetFrame::Union,
+        };
+
         let keys: Vec<PhKey> = (0..n).map(|_| PhKey::generate(domain, rng)).collect();
-
-        // Owner encryption, in canonical (sorted-plaintext) order.
         let encoded = encode_canonical(domain, inputs)?;
-        let mut sets: Vec<Vec<Ubig>> = keys
-            .iter()
-            .zip(&encoded)
-            .map(|(key, plain)| key.encrypt_batch(plain, Default::default()))
-            .collect();
+        let returned = relay.encrypt_and_collect(&keys, &encoded, |_, _, _, _| {})?;
 
-        // Relay rounds: all n sets move one hop at a time.
-        for hop in 1..n {
-            let relays = sets.iter().enumerate().map(|(origin, set)| {
-                let from = ring.at((origin + hop - 1) % n);
-                let to = ring.at((origin + hop) % n);
-                (from, to, encode_msg(set))
-            });
-            for (origin, envelope) in net.round(relays)?.into_iter().enumerate() {
-                let elements = decode_msg(&envelope.payload)?;
-                let holder = (origin + hop) % n;
-                sets[origin] = keys[holder].encrypt_batch(&elements, Default::default());
-            }
-        }
-
-        // Collect and deduplicate ("keeping only one copy of any redundant
-        // entries"). A collector in the ring sets its own returned
-        // ciphertexts aside: it knows what they decrypt to.
+        // Deduplicate ("keeping only one copy of any redundant entries").
+        // A collector in the ring sets its own returned ciphertexts
+        // aside: it knows what they decrypt to.
         let own = ring.position(collector);
-        let collection = sets.iter().enumerate().map(|(origin, set)| {
-            let final_holder = ring.at((origin + n - 1) % n);
-            (final_holder, collector, encode_msg(set))
-        });
-        let mut own_returned: Vec<Vec<u8>> = Vec::new();
-        let mut merged: BTreeSet<Vec<u8>> = BTreeSet::new();
-        for (origin, envelope) in net.round(collection)?.into_iter().enumerate() {
-            let elements = decode_msg(&envelope.payload)?;
-            if own == Some(origin) {
-                check_own_set(&elements, encoded[origin].len())?;
-                own_returned = elements.iter().map(Ubig::to_bytes_be).collect();
-            } else {
-                merged.extend(elements.iter().map(Ubig::to_bytes_be));
-            }
+        let mut merged: BTreeSet<Vec<u8>> =
+            returned.iter().flatten().map(Ubig::to_bytes_be).collect();
+        for ciphertext in own.map_or(&[][..], |pos| &returned[pos]) {
+            merged.remove(&ciphertext.to_bytes_be());
         }
-        for ciphertext in &own_returned {
-            merged.remove(ciphertext);
-        }
-        let mut current: Vec<Ubig> = merged.iter().map(|b| Ubig::from_bytes_be(b)).collect();
+        let rest: Vec<Ubig> = merged.iter().map(|b| Ubig::from_bytes_be(b)).collect();
 
         // Decryption pass. A ring collector sends the rest backwards round
         // the ring and removes its own layer last, locally; an outside
@@ -164,21 +139,7 @@ impl<'a> UnionSession<'a> {
             Some(c) => (1..n).map(|k| (c + n - k) % n).collect(),
             None => (0..n).collect(),
         };
-        let mut rounds = (n - 1) + 1 + pass.len();
-        let mut holder = collector;
-        for &pos in &pass {
-            let node = ring.at(pos);
-            net.send(holder, node, encode_msg(&current));
-            let envelope = net.recv_from(node, holder)?;
-            current = keys[pos].decrypt_batch(&decode_msg(&envelope.payload)?, Default::default());
-            holder = node;
-        }
-        if holder != collector {
-            net.send(holder, collector, encode_msg(&current));
-            let envelope = net.recv_from(collector, holder)?;
-            current = decode_msg(&envelope.payload)?;
-            rounds += 1;
-        }
+        let (mut current, pass_rounds) = relay.decryption_pass(&keys, &pass, rest)?;
         if let Some(c) = own {
             current = keys[c].decrypt_batch(&current, Default::default());
         }
@@ -190,34 +151,17 @@ impl<'a> UnionSession<'a> {
         items.sort();
         items.dedup();
 
-        let report = meter.finish(n, rounds);
+        let report = meter.finish(n, (n - 1) + 1 + pass_rounds);
         Ok(UnionOutcome { items, report })
     }
-}
-
-fn encode_msg(elements: &[Ubig]) -> bytes::Bytes {
-    let mut w = Writer::new();
-    w.put_u8(0x02).put_list(elements, |w, e| {
-        w.put_bytes(&e.to_bytes_be());
-    });
-    w.finish()
-}
-
-fn decode_msg(payload: &[u8]) -> Result<Vec<Ubig>, MpcError> {
-    let mut r = Reader::new(payload);
-    let tag = r.get_u8()?;
-    if tag != 0x02 {
-        return Err(MpcError::Wire(format!("unexpected message tag {tag}")));
-    }
-    let elements = r.get_list(|r| r.get_minimal_uint().map(Ubig::from_bytes_be))?;
-    r.finish()?;
-    Ok(elements)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::one_encoding;
+    use crate::relay::tests::{canonical, element_bytes};
+    use dla_net::wire::Writer;
     use dla_net::{NetConfig, SharedNet, SimNet};
     use proptest::prelude::*;
     use rand::SeedableRng;
@@ -342,23 +286,26 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// A relay message decodes only from its one encoding: an
-        /// element with a leading zero byte is refused, and arbitrary
-        /// bytes never panic.
+        /// element with a leading zero byte is refused, as is one at or
+        /// above the modulus, and arbitrary bytes never panic.
         #[test]
         fn a_relay_payload_has_one_encoding(
             elements in prop::collection::vec(
-                prop::collection::vec(prop_oneof![Just(0u8), any::<u8>()], 0..6),
+                element_bytes(CommutativeDomain::fixed_256().modulus()),
                 0..4,
             ),
             noise in prop::collection::vec(any::<u8>(), 0..40),
         ) {
+            let modulus = CommutativeDomain::fixed_256().modulus().clone();
             let mut w = Writer::new();
             w.put_u8(0x02).put_list(&elements, |w, e| {
                 w.put_bytes(e);
             });
-            let minimal = elements.iter().all(|e| e.first() != Some(&0));
-            let reencode = |b: &[u8]| decode_msg(b).map(|set| encode_msg(&set));
-            prop_assert_eq!(one_encoding(&w.finish(), reencode)?, minimal);
+            let frame = SetFrame::Union;
+            let reencode =
+                |b: &[u8]| frame.decode(b, &modulus).map(|(_, set)| frame.encode(0, &set));
+            let canonical = canonical(&elements, &modulus);
+            prop_assert_eq!(one_encoding(&w.finish(), reencode)?, canonical);
             one_encoding(&noise, reencode)?;
         }
     }

@@ -172,11 +172,7 @@ fn encode_share(origin: u64, y: F61) -> bytes::Bytes {
 }
 
 fn decode_share(payload: &[u8]) -> Result<(u64, F61), MpcError> {
-    let mut r = Reader::new(payload);
-    let tag = r.get_u8()?;
-    if tag != 0x03 {
-        return Err(MpcError::Wire(format!("unexpected message tag {tag}")));
-    }
+    let mut r = Reader::open(payload, 0x03)?;
     let origin = r.get_u64()?;
     // A field element has one encoding: a value at or above the modulus
     // would reduce onto another share's bytes.

@@ -136,6 +136,21 @@ impl<'a> Reader<'a> {
         Reader { rest: data }
     }
 
+    /// Opens a frame received from a peer: a reader positioned behind
+    /// the leading tag byte, which must be `tag` — a well-formed frame of
+    /// another message kind is as garbled an answer as a truncated one.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WireError`] on an empty payload or another tag.
+    pub fn open(payload: &'a [u8], tag: u8) -> Result<Self, WireError> {
+        let mut r = Reader::new(payload);
+        if r.get_u8()? != tag {
+            return Err(WireError::new("unexpected frame tag"));
+        }
+        Ok(r)
+    }
+
     /// Consumes a `u8`.
     ///
     /// # Errors
@@ -372,6 +387,21 @@ mod tests {
         assert_eq!(r.get_bytes().unwrap(), b"");
         assert!(r.get_list(|r| r.get_u64()).unwrap().is_empty());
         r.finish().unwrap();
+    }
+
+    #[test]
+    fn a_frame_opens_only_against_its_own_tag() {
+        let mut r = Reader::open(&[0x70, 0x00], 0x70).unwrap();
+        assert_eq!(r.get_u8().unwrap(), 0);
+        r.finish().unwrap();
+        assert_eq!(
+            Reader::open(&[0x71, 0x00], 0x70).unwrap_err().to_string(),
+            "malformed wire message: unexpected frame tag"
+        );
+        assert_eq!(
+            Reader::open(&[], 0x70).unwrap_err().to_string(),
+            "malformed wire message: truncated u8"
+        );
     }
 
     #[test]

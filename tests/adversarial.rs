@@ -652,6 +652,101 @@ fn a_relay_reshaping_the_collectors_own_set_fail_stops_the_run() {
 }
 
 #[test]
+fn a_collected_element_at_or_above_the_modulus_fail_stops_the_run() {
+    // A ring element has one encoding. The final holder of the
+    // collector's own set ships `X + p` in place of its element `X`:
+    // the same residue, a number no layer produced, and a set that
+    // still has the right shape. The set-frame decoder refuses it, for
+    // ∩ₛ and ∪ₛ alike.
+    use confidential_audit::bigint::Ubig;
+    use confidential_audit::crypto::pohlig_hellman::CommutativeDomain;
+    use confidential_audit::mpc::set_intersection::SET_TAG;
+    use confidential_audit::mpc::{MpcError, SsiSession, UnionSession};
+    use confidential_audit::net::adversary::{Adversary, ScriptedAdversary, Tamper, TamperRule};
+    use confidential_audit::net::topology::Ring;
+    use confidential_audit::net::wire::{Reader, Writer};
+    use confidential_audit::net::{AdversaryNet, NetConfig, NodeId, Session, SharedNet, SimNet};
+    const UNION_TAG: u8 = 0x02;
+
+    let domain = CommutativeDomain::fixed_256();
+    let ring = Ring::canonical(3);
+    let set =
+        |names: &[&str]| -> Vec<Vec<u8>> { names.iter().map(|s| s.as_bytes().to_vec()).collect() };
+    let inputs = vec![
+        set(&["c", "d", "e"]),
+        set(&["d", "e", "f"]),
+        set(&["e", "f", "g"]),
+    ];
+    // Node 2's third message to node 0 is the collection frame of the
+    // collector's own set (the first two are relay hops). One seeded
+    // run at collector node 0 under a tap that records the wire, with
+    // `action`, if any, on that frame.
+    let run = |tag: u8, action: Option<Tamper>| {
+        let net = AdversaryNet::new(SharedNet::new(SimNet::new(3, NetConfig::ideal())));
+        let mut adversary = (0..3).fold(ScriptedAdversary::new(), ScriptedAdversary::curious);
+        if let Some(action) = action {
+            adversary = adversary.compromise(2).rule(TamperRule {
+                from: Some(2),
+                to: Some(0),
+                tag: Some(tag),
+                skip: 2,
+                fires: 1,
+                action,
+            });
+        }
+        let adversary = Arc::new(adversary);
+        net.set_adversary(Arc::clone(&adversary) as Arc<dyn Adversary>);
+        let session = Session::root(&net);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(51);
+        let answer = if tag == SET_TAG {
+            SsiSession::new(session, &ring, &domain, NodeId(0))
+                .reveal(true)
+                .run(&inputs, &mut rng)
+                .map(|o| o.common_items.expect("reveal was requested"))
+        } else {
+            UnionSession::new(session, &ring, &domain, NodeId(0))
+                .run(&inputs, &mut rng)
+                .map(|o| o.items)
+        };
+        let collected = (adversary.captured().into_iter())
+            .filter(|m| (m.from, m.to) == (NodeId(2), NodeId(0)))
+            .nth(2)
+            .expect("the collection frame of the collector's set")
+            .payload;
+        (answer, collected, adversary.report().forged)
+    };
+
+    for (tag, honest) in [
+        (SET_TAG, set(&["e"])),
+        (UNION_TAG, set(&["c", "d", "e", "f", "g"])),
+    ] {
+        let (answer, collected, _) = run(tag, None);
+        assert_eq!(answer.unwrap(), honest);
+        // The same frame with its first element X sent as X + p.
+        let mut r = Reader::new(&collected);
+        let mut w = Writer::new();
+        w.put_u8(r.get_u8().unwrap());
+        if tag == SET_TAG {
+            w.put_u64(r.get_u64().unwrap());
+        }
+        let mut elements = r
+            .get_list(|r| r.get_bytes().map(Ubig::from_bytes_be))
+            .unwrap();
+        assert_eq!(elements.len(), 3);
+        elements[0] = &elements[0] + domain.modulus();
+        w.put_list(&elements, |w, e| {
+            w.put_bytes(&e.to_bytes_be());
+        });
+        let (answer, _, forged) = run(tag, Some(Tamper::Replace(w.finish())));
+        assert_eq!(forged, 1, "the rule must hit the collection frame");
+        assert!(
+            matches!(answer, Err(MpcError::Wire(_))),
+            "tag {tag:#x}: X + p in the collector's own set gave {answer:?}"
+        );
+    }
+}
+
+#[test]
 fn a_relay_reordering_the_collectors_own_set_is_an_undetected_lie() {
     // Pins the trust assumption of the ring-collector ∩ₛ reveal:
     // relays preserve element order. One that permutes the collector's
