@@ -10,6 +10,46 @@ echo "non-test lines under crates/: $(find crates/*/src -name '*.rs' -exec awk '
     FNR == 1 { stop = 0 } /#\[cfg\(test\)\]/ { stop = 1 } !stop { n++ } END { print n }' {} + |
     awk '{ s += $1 } END { print s }')"
 
+echo "==> every DESIGN §N citation names a section, and a cited *Title* is text in it"
+# Citations in code, tests, ci.sh, README.md and ROADMAP.md:
+# `DESIGN §N` or `DESIGN.md §N` (also `§8/§13`), optionally followed by
+# an italic `*Title*`. A section is its `## N.` heading through the
+# line before the next `## ` heading; the title must appear in it,
+# whitespace folded, so a renamed or renumbered section fails here.
+git ls-files '*.rs' ci.sh README.md ROADMAP.md | xargs perl -e '
+    # Section N of DESIGN.md: its heading line through the line before the next "## ".
+    open my $fh, "<", "DESIGN.md" or die "DESIGN.md: $!";
+    my ($n, %section);
+    while (<$fh>) {
+        $n = $1 if /^## (\d+)\./;
+        $n = undef if /^## / && !/^## \d+\./;
+        $section{$n} .= $_ if defined $n;
+    }
+    s/\s+/ /g for values %section;
+    my $bad = 0;
+    for my $file (@ARGV) {
+        open my $in, "<", $file or die "$file: $!";
+        # One line of text per file: comment markers and indentation
+        # dropped, so a citation wrapped over two lines reads whole.
+        my $text = join " ", map { s{^\s*(?://[/!]?|#)?\s*}{}r } <$in>;
+        $text =~ s/\s+/ /g;
+        while ($text =~ /DESIGN(?:\.md)? §(\d+)((?:\/§\d+)*)(?: \*([^*]+)\*)?/g) {
+            my ($first, $more, $title) = ($1, $2, $3);
+            my @cited = ($first, $more =~ /(\d+)/g);
+            for my $s (@cited) {
+                next if exists $section{$s};
+                print STDERR "$file: DESIGN §$s has no heading\n";
+                $bad = 1;
+            }
+            next unless defined $title && exists $section{$cited[-1]};
+            next if index($section{$cited[-1]}, $title) >= 0;
+            print STDERR "$file: DESIGN §$cited[-1] has no *$title*\n";
+            $bad = 1;
+        }
+    }
+    exit $bad;
+'
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 

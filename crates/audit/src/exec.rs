@@ -617,12 +617,16 @@ fn run_subquery(
     rng: &mut StdRng,
     window: Option<(Glsn, Glsn)>,
 ) -> Result<(usize, GlsnSet, Vec<ProtocolReport>), AuditError> {
-    let _scope = dla_telemetry::scope("subquery", session.id().0);
     let kind = match &subquery.kind {
         SubqueryKind::Local { .. } => "local",
         SubqueryKind::Cross { .. } => "cross",
     };
-    let span = dla_telemetry::span("subquery", kind, session.elapsed().as_nanos());
+    let span = dla_telemetry::session_span(
+        "subquery",
+        kind,
+        session.id().0,
+        session.elapsed().as_nanos(),
+    );
     let result = match &subquery.kind {
         SubqueryKind::Local { node } => {
             let set = scan_clause_local(cluster, *node, subquery, window)?;

@@ -2,7 +2,8 @@
 //! recorder installed must be observably identical to an instrumented
 //! one — the same query answers, the same message and byte counts, the
 //! same virtual elapsed time. Telemetry may watch the system; it must
-//! never steer it.
+//! never steer it. And what it watches is billed in full: a warm
+//! query's every operation lands in one of its spans.
 //!
 //! Also exercises the cluster-level meta-audit trail: ordinary
 //! operation journals deposits/registrations, the trail verifies
@@ -37,14 +38,18 @@ struct Observation {
 }
 
 fn loaded(seed: u64) -> DlaCluster {
+    loaded_with(seed, |config| config)
+}
+
+fn loaded_with(seed: u64, configure: impl FnOnce(ClusterConfig) -> ClusterConfig) -> DlaCluster {
     let schema = Schema::paper_example();
     let partition = Partition::paper_example(&schema);
-    let mut cluster = DlaCluster::new(
+    let mut cluster = DlaCluster::new(configure(
         ClusterConfig::new(4, schema)
             .with_partition(partition)
             .with_seed(seed)
             .with_latency(LatencyModel::lan()),
-    )
+    ))
     .expect("cluster builds");
     let user = cluster.register_user("u").expect("capacity");
     cluster.log_records(&user, &paper_table1()).expect("logs");
@@ -90,7 +95,10 @@ fn uninstrumented_run_is_identical_to_instrumented_run() {
     // Guard against a vacuous pass: the instrumented run really did
     // record a full trace while leaving the observations untouched.
     assert!(!trace.spans.is_empty(), "no spans captured");
-    assert!(!trace.scopes.is_empty(), "no cost scopes captured");
+    assert!(
+        trace.spans.iter().any(|s| !s.costs.is_zero()),
+        "no span was charged a cost"
+    );
     let total = trace.total_cost();
     assert!(total.msgs_sent > 0, "no traffic attributed");
     let baseline_msgs: u64 = baseline.iter().map(|o| o.messages).sum();
@@ -98,6 +106,35 @@ fn uninstrumented_run_is_identical_to_instrumented_run() {
         total.msgs_sent, baseline_msgs,
         "attributed traffic disagrees with the meters"
     );
+}
+
+/// A warm query's bill is whole: every operation it records, the
+/// sealed epochs the engine serves from what it kept included, is
+/// charged to one of its spans, and the bill by span name sums to the
+/// trace's total.
+#[test]
+fn a_warm_query_is_billed_in_full_to_its_spans() {
+    let mut cluster = loaded_with(79, |config| config.with_epoch_length(2));
+    // Cold: the revealed answers of the sealed epochs are kept.
+    run_all(&mut cluster);
+    let recorder = Recorder::new();
+    {
+        let _install = recorder.install();
+        run_all(&mut cluster);
+    }
+    let trace = recorder.take();
+    let total = trace.total_cost();
+    assert!(total.answer_hits > 0, "no sealed epoch was served warm");
+    assert!(
+        trace.unattributed.is_zero(),
+        "recorded outside every span: {}",
+        trace.unattributed
+    );
+    let mut billed = trace.unattributed;
+    for costs in trace.cost_by_label().values() {
+        billed.merge(costs);
+    }
+    assert_eq!(billed, total);
 }
 
 /// Ordinary cluster operation populates the meta-audit trail, and the

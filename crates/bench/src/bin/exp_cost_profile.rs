@@ -56,8 +56,8 @@ struct Profile {
     costs: CostVector,
 }
 
-/// Runs `f` under a fresh recorder and pulls out the cost scope the
-/// protocol attributed itself to.
+/// Runs `f` under a fresh recorder and pulls out the cost of the spans
+/// named after the protocol (its meter's span).
 fn profile(label: &'static str, f: impl FnOnce() -> ProtocolReport) -> Profile {
     let recorder = Recorder::new();
     let report = {

@@ -4,11 +4,10 @@
 //!
 //! [`Meter`] is the one bracket a protocol run opens on its session: it
 //! snapshots the session's counters for the [`ProtocolReport`] and
-//! bridges the run into the `dla-telemetry` subsystem — one cost scope
-//! (so crypto/net operation counts are attributed to the protocol
-//! session) plus one span over the session's virtual-time interval.
-//! The telemetry half is a single-branch no-op when no recorder is
-//! installed.
+//! bridges the run into the `dla-telemetry` subsystem — one span over
+//! the session's virtual-time interval, which is charged the run's
+//! crypto/net operation counts. The telemetry half is a single-branch
+//! no-op when no recorder is installed.
 
 use dla_net::{Session, SimTime};
 use std::fmt;
@@ -44,10 +43,10 @@ impl fmt::Display for ProtocolReport {
 }
 
 /// The bracket around one protocol run on `session`. [`Meter::begin`]
-/// snapshots the session's counters, opens a cost scope labelled with
-/// the protocol name (attributing every modexp, Shamir evaluation,
-/// send, ... to this session) and a `"protocol"` span from the
-/// session's current virtual makespan; [`Meter::finish`] turns the
+/// snapshots the session's counters and opens a `"protocol"` span
+/// named after the protocol, in this session, from the session's
+/// current virtual makespan (it is charged every modexp, Shamir
+/// evaluation, send, ... of the run); [`Meter::finish`] turns the
 /// counter deltas into the run's [`ProtocolReport`]. Counters are read
 /// *per session*, so a report stays exact while other sessions are in
 /// flight on the same transport. Dropping the meter — at `finish`, or
@@ -61,7 +60,6 @@ pub struct Meter<'a> {
     bytes0: u64,
     elapsed0: SimTime,
     span: Option<dla_telemetry::SpanGuard>,
-    _scope: dla_telemetry::ScopeGuard,
 }
 
 impl<'a> Meter<'a> {
@@ -69,8 +67,8 @@ impl<'a> Meter<'a> {
     pub fn begin(session: &Session<'a>, protocol: &'static str) -> Self {
         let (messages0, bytes0) = session.counters();
         let elapsed0 = session.elapsed();
-        let scope = dla_telemetry::scope(protocol, session.id().0);
-        let span = dla_telemetry::span("protocol", protocol, elapsed0.as_nanos());
+        let span =
+            dla_telemetry::session_span("protocol", protocol, session.id().0, elapsed0.as_nanos());
         Meter {
             session: *session,
             protocol,
@@ -78,7 +76,6 @@ impl<'a> Meter<'a> {
             bytes0,
             elapsed0,
             span: span.is_recording().then_some(span),
-            _scope: scope,
         }
     }
 

@@ -399,7 +399,6 @@ impl Inbox {
         stats
             .lock()
             .record_delivery(envelope.session, envelope.payload.len());
-        dla_telemetry::record(dla_telemetry::CostKind::MsgDelivered, 1);
         Ok(envelope)
     }
 }
@@ -482,8 +481,6 @@ impl Transport for ChannelNet {
         self.stats
             .lock()
             .record_send(session, from.0, to.0, payload.len(), SimTime::ZERO);
-        dla_telemetry::record(dla_telemetry::CostKind::MsgSent, 1);
-        dla_telemetry::record(dla_telemetry::CostKind::BytesSent, payload.len() as u64);
         let frame =
             Envelope::new(session, from, to, payload, SimTime::ZERO, SimTime::ZERO).encode();
         // This call is the socket and `TcpNet`'s reader thread in one:

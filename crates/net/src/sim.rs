@@ -368,8 +368,6 @@ impl SimNet {
         let sent_at = state.clocks[from.0];
         self.stats
             .record_send(session, from.0, to.0, payload.len(), sent_at);
-        dla_telemetry::record(dla_telemetry::CostKind::MsgSent, 1);
-        dla_telemetry::record(dla_telemetry::CostKind::BytesSent, payload.len() as u64);
         let checksum = crc32(&payload);
         let link = state.links.entry((from.0, to.0)).or_default();
         link.sent += 1;
@@ -508,7 +506,6 @@ impl SimNet {
                 state.clocks[node.0] = state.clocks[node.0].max(pending.deliver_at);
                 self.stats
                     .record_delivery(session, pending.envelope.payload.len());
-                dla_telemetry::record(dla_telemetry::CostKind::MsgDelivered, 1);
                 Ok(pending.envelope)
             }
             (None, Some(expected), Some(actual)) => Err(NetError::UnexpectedSender {

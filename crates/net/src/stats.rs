@@ -91,6 +91,8 @@ impl TrafficStats {
     /// Records a send of `bytes` payload bytes on `from → to` within
     /// `session`, stamped with the sender's virtual clock `sent_at`
     /// (pass [`SimTime::ZERO`] on transports without virtual time).
+    /// The same send is counted to telemetry here, so its `MsgSent` and
+    /// `BytesSent` are exactly this ledger's.
     pub fn record_send(
         &mut self,
         session: SessionId,
@@ -115,6 +117,8 @@ impl TrafficStats {
         s.bytes += bytes as u64;
         s.last_event = event;
         s.last_send_at = s.last_send_at.max(sent_at);
+        dla_telemetry::record(dla_telemetry::CostKind::MsgSent, 1);
+        dla_telemetry::record(dla_telemetry::CostKind::BytesSent, bytes as u64);
     }
 
     /// Records a delivery of `bytes` payload bytes within `session`.
@@ -122,13 +126,15 @@ impl TrafficStats {
     /// Every transport delivery path must come through here, so the
     /// global `messages_delivered`/`bytes_delivered` counters and the
     /// per-session ones move in lockstep: for any trace,
-    /// `Σ_session messages_delivered == messages_delivered`.
+    /// `Σ_session messages_delivered == messages_delivered`. Telemetry's
+    /// `MsgDelivered` is counted here too.
     pub fn record_delivery(&mut self, session: SessionId, bytes: usize) {
         self.messages_delivered += 1;
         self.bytes_delivered += bytes as u64;
         let s = self.hot_session(session, SessionStats::default);
         s.messages_delivered += 1;
         s.bytes_delivered += bytes as u64;
+        dla_telemetry::record(dla_telemetry::CostKind::MsgDelivered, 1);
     }
 
     /// The counters of `session`, made the one at hand: the previous

@@ -801,8 +801,6 @@ impl Transport for TcpNet {
         self.stats
             .lock()
             .record_send(session, from.0, to.0, payload.len(), SimTime::ZERO);
-        dla_telemetry::record(dla_telemetry::CostKind::MsgSent, 1);
-        dla_telemetry::record(dla_telemetry::CostKind::BytesSent, payload.len() as u64);
         let now = self.inbox.clock.now();
         let envelope = Envelope::new(session, from, to, payload, now, now);
         let hosted = |node: usize| self.local.contains(&node) || self.links[node].is_none();

@@ -2,10 +2,9 @@
 //! paper's relaxed-vs-classical efficiency argument (§3, §6).
 //!
 //! Instrumented call sites report individual operations through
-//! [`record`](crate::record), which aggregates them into a
-//! [`CostVector`] attributed to the innermost active cost scope
-//! (normally one protocol session), so every session ends up with an
-//! exact op/byte/round budget.
+//! [`record`](crate::record), which aggregates them into the
+//! [`CostVector`] of the innermost open span (a protocol run's span,
+//! normally), so every span ends up with an exact op/byte/round budget.
 
 use std::fmt;
 
@@ -39,7 +38,8 @@ pub enum CostKind {
     MsgSent,
     /// Payload bytes handed to the transport.
     BytesSent,
-    /// Message delivered to a receiver (duplicates included).
+    /// Message delivered to a receiver. A duplicate copy the simulator
+    /// discards before delivery is not one.
     MsgDelivered,
     /// Frame resent by the reliable (ARQ) layer.
     Retransmit,
@@ -91,7 +91,7 @@ pub struct CostVector {
     pub msgs_sent: u64,
     /// Payload bytes handed to the transport.
     pub bytes_sent: u64,
-    /// Messages delivered (duplicates included).
+    /// Messages delivered (a discarded duplicate copy is not).
     pub msgs_delivered: u64,
     /// Frames resent by the reliable layer.
     pub retransmits: u64,

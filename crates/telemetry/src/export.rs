@@ -89,7 +89,7 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
 mod tests {
     use super::*;
     use crate::cost::{CostKind, CostVector};
-    use crate::trace::{EventRecord, ScopeRecord, SpanRecord};
+    use crate::trace::{EventRecord, SpanRecord};
 
     fn sample_trace() -> Trace {
         let mut costs = CostVector::default();
@@ -105,6 +105,7 @@ mod tests {
                     session: 0,
                     start_ns: 0,
                     end_ns: 2_500,
+                    costs: CostVector::default(),
                 },
                 SpanRecord {
                     id: 2,
@@ -114,6 +115,7 @@ mod tests {
                     session: 3,
                     start_ns: 500,
                     end_ns: 1_500,
+                    costs,
                 },
             ],
             events: vec![EventRecord {
@@ -121,11 +123,6 @@ mod tests {
                 name: "relay-hop".to_string(),
                 at_ns: 750,
                 kvs: vec![("from".to_string(), "0".to_string())],
-            }],
-            scopes: vec![ScopeRecord {
-                label: "ssi".to_string(),
-                session: 3,
-                costs,
             }],
             unattributed: CostVector::default(),
         }

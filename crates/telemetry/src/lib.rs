@@ -7,10 +7,12 @@
 //! A [`Recorder`] owns one merged [`Trace`]. Code opts in by
 //! [`Recorder::install`]ing it on the current thread; instrumentation
 //! sites throughout `bigint`, `crypto`, `net`, `mpc` and `audit` then
-//! report through the free functions [`span`], [`event`], [`scope`]
-//! and [`record`]. All records land in a **lock-cheap per-thread
-//! buffer** and are merged into the recorder's trace when the install
-//! guard drops (or on [`Recorder::snapshot`]).
+//! report through the free functions [`span`], [`session_span`],
+//! [`event`] and [`record`]. A span is the unit of cost: every
+//! [`record`] charges the innermost open span, so a closed span carries
+//! its own exclusive [`CostVector`]. All records land in a **lock-cheap
+//! per-thread buffer** and are merged into the recorder's trace when
+//! the install guard drops (or on [`Recorder::snapshot`]).
 //!
 //! Telemetry is **off by default**: with no recorder installed
 //! anywhere, every instrumentation site costs one relaxed atomic load
@@ -40,7 +42,7 @@ pub mod trace;
 pub use cost::{CostKind, CostVector};
 pub use crc::crc32;
 pub use export::chrome_trace_json;
-pub use trace::{EventRecord, ScopeRecord, SpanRecord, Trace};
+pub use trace::{EventRecord, SpanRecord, Trace};
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -50,12 +52,13 @@ use std::sync::{Arc, Mutex};
 /// gate. Zero means every instrumentation call returns immediately.
 static ACTIVE_INSTALLS: AtomicUsize = AtomicUsize::new(0);
 
-/// Global span-id allocator (0 is reserved for "no span").
-static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
-
 #[derive(Default)]
 struct Shared {
     trace: Mutex<Trace>,
+    /// Spans opened so far: the next span's id is one more (0 is
+    /// reserved for "no span"), so each recorder numbers its own spans
+    /// 1, 2, 3, … whatever other recorders do.
+    spans_opened: AtomicU64,
 }
 
 /// Handle to one telemetry capture. Clones share the same trace.
@@ -110,6 +113,10 @@ impl Recorder {
         std::mem::take(&mut *self.shared.trace.lock().expect("telemetry trace lock"))
     }
 
+    fn next_span_id(&self) -> u64 {
+        self.shared.spans_opened.fetch_add(1, Ordering::Relaxed) + 1
+    }
+
     fn absorb(&self, buf: Trace) {
         if !buf.is_empty() {
             self.shared
@@ -153,12 +160,6 @@ struct OpenSpan {
     name: String,
     session: u64,
     start_ns: u64,
-    explicit_end: Option<u64>,
-}
-
-struct ScopeFrame {
-    label: String,
-    session: u64,
     costs: CostVector,
 }
 
@@ -166,7 +167,6 @@ struct ScopeFrame {
 struct ThreadState {
     recorder: Option<Recorder>,
     open_spans: Vec<OpenSpan>,
-    scopes: Vec<ScopeFrame>,
     buf: Trace,
     /// Latest virtual timestamp observed on this thread; used as the
     /// implicit end time of spans closed by guard drop.
@@ -196,9 +196,10 @@ fn flush_current_thread() {
     });
 }
 
-/// Records `amount` operations of class `kind`, attributed to the
-/// innermost [`scope`] on this thread (or the trace's unattributed
-/// bucket). A single-branch no-op when telemetry is off.
+/// Records `amount` operations of class `kind`, charged to the
+/// innermost open span on this thread (or, outside every span, to the
+/// trace's unattributed bucket). A single-branch no-op when telemetry
+/// is off.
 #[inline]
 pub fn record(kind: CostKind, amount: u64) {
     if !is_active() {
@@ -214,31 +215,45 @@ fn record_slow(kind: CostKind, amount: u64) {
         if state.recorder.is_none() {
             return;
         }
-        match state.scopes.last_mut() {
-            Some(frame) => frame.costs.add(kind, amount),
+        match state.open_spans.last_mut() {
+            Some(open) => open.costs.add(kind, amount),
             None => state.buf.unattributed.add(kind, amount),
         }
     });
 }
 
-/// Opens a hierarchical span starting at virtual time `start_ns`.
-/// Close it explicitly with [`SpanGuard::end`] to supply the end
-/// timestamp, or let the guard drop to close at the latest timestamp
-/// this thread has observed. Returns an inert guard when telemetry is
-/// off.
+/// Opens a hierarchical span starting at virtual time `start_ns`, in
+/// the session of its parent span (0 at the root). Close it explicitly
+/// with [`SpanGuard::end`] to supply the end timestamp, or let the
+/// guard drop to close at the latest timestamp this thread has
+/// observed. Returns an inert guard when telemetry is off.
 #[must_use = "the span closes when the guard drops"]
 pub fn span(category: &'static str, name: &str, start_ns: u64) -> SpanGuard {
+    open_span(category, name, None, start_ns)
+}
+
+/// [`span`] for the work of one protocol or subquery session: the span,
+/// and every plain [`span`] opened inside it, is attributed to
+/// `session`, so [`Trace::cost_by_session`] bills that session for what
+/// they record.
+#[must_use = "the span closes when the guard drops"]
+pub fn session_span(category: &'static str, name: &str, session: u64, start_ns: u64) -> SpanGuard {
+    open_span(category, name, Some(session), start_ns)
+}
+
+fn open_span(category: &'static str, name: &str, session: Option<u64>, start_ns: u64) -> SpanGuard {
     if !is_active() {
         return SpanGuard { id: 0 };
     }
     TLS.with(|tls| {
         let mut state = tls.borrow_mut();
-        if state.recorder.is_none() {
+        let Some(recorder) = &state.recorder else {
             return SpanGuard { id: 0 };
-        }
-        let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
-        let parent = state.open_spans.last().map_or(0, |s| s.id);
-        let session = state.scopes.last().map_or(0, |s| s.session);
+        };
+        let id = recorder.next_span_id();
+        let parent = state.open_spans.last();
+        let session = session.unwrap_or_else(|| parent.map_or(0, |s| s.session));
+        let parent = parent.map_or(0, |s| s.id);
         state.observe(start_ns);
         state.open_spans.push(OpenSpan {
             id,
@@ -247,7 +262,7 @@ pub fn span(category: &'static str, name: &str, start_ns: u64) -> SpanGuard {
             name: name.to_string(),
             session,
             start_ns,
-            explicit_end: None,
+            costs: CostVector::default(),
         });
         SpanGuard { id }
     })
@@ -297,11 +312,7 @@ fn close_span(id: u64, end_ns: Option<u64>) {
         // close at the same time as the span being ended.
         while state.open_spans.len() > pos {
             let open = state.open_spans.pop().expect("len > pos");
-            let end = open
-                .explicit_end
-                .or(end_ns)
-                .unwrap_or(state.last_ns)
-                .max(open.start_ns);
+            let end = end_ns.unwrap_or(state.last_ns).max(open.start_ns);
             state.buf.spans.push(SpanRecord {
                 id: open.id,
                 parent: open.parent,
@@ -310,6 +321,7 @@ fn close_span(id: u64, end_ns: Option<u64>) {
                 session: open.session,
                 start_ns: open.start_ns,
                 end_ns: end,
+                costs: open.costs,
             });
         }
     });
@@ -340,53 +352,6 @@ pub fn event(name: &str, at_ns: u64, kvs: &[(&str, &str)]) {
     });
 }
 
-/// Opens a cost-attribution scope: until the guard drops, operations
-/// reported via [`record`] on this thread are charged to
-/// `(label, session)`. Scopes nest; the innermost wins. Returns an
-/// inert guard when telemetry is off.
-#[must_use = "costs are attributed only while the guard is alive"]
-pub fn scope(label: &str, session: u64) -> ScopeGuard {
-    if !is_active() {
-        return ScopeGuard { active: false };
-    }
-    TLS.with(|tls| {
-        let mut state = tls.borrow_mut();
-        if state.recorder.is_none() {
-            return ScopeGuard { active: false };
-        }
-        state.scopes.push(ScopeFrame {
-            label: label.to_string(),
-            session,
-            costs: CostVector::default(),
-        });
-        ScopeGuard { active: true }
-    })
-}
-
-/// Guard for a cost scope; dropping emits the accumulated
-/// [`ScopeRecord`] into the thread buffer.
-pub struct ScopeGuard {
-    active: bool,
-}
-
-impl Drop for ScopeGuard {
-    fn drop(&mut self) {
-        if !self.active {
-            return;
-        }
-        TLS.with(|tls| {
-            let mut state = tls.borrow_mut();
-            if let Some(frame) = state.scopes.pop() {
-                state.buf.scopes.push(ScopeRecord {
-                    label: frame.label,
-                    session: frame.session,
-                    costs: frame.costs,
-                });
-            }
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -410,27 +375,31 @@ mod tests {
         {
             let _install = recorder.install();
             let outer = span("query", "q1", 0);
-            let _sc = scope("ssi", 42);
-            let inner = span("protocol", "ssi", 100);
+            let inner = session_span("protocol", "ssi", 42, 100);
+            let hop = span("hop", "relay", 120);
             event("relay-hop", 150, &[("from", "0"), ("to", "1")]);
+            hop.end(180);
             inner.end(200);
-            drop(_sc);
             outer.end(300);
         }
         let mut trace = recorder.take();
         trace.normalize();
-        assert_eq!(trace.spans.len(), 2);
+        assert_eq!(trace.spans.len(), 3);
         let outer = &trace.spans[0];
         let inner = &trace.spans[1];
+        let hop = &trace.spans[2];
         assert_eq!(outer.name, "q1");
         assert_eq!(outer.parent, 0);
+        assert_eq!(outer.session, 0);
         assert_eq!(outer.start_ns, 0);
         assert_eq!(outer.end_ns, 300);
         assert_eq!(inner.parent, outer.id);
         assert_eq!(inner.session, 42);
         assert_eq!((inner.start_ns, inner.end_ns), (100, 200));
+        // A plain span takes its parent's session.
+        assert_eq!((hop.parent, hop.session), (inner.id, 42));
         assert_eq!(trace.events.len(), 1);
-        assert_eq!(trace.events[0].span, inner.id);
+        assert_eq!(trace.events[0].span, hop.id);
         assert_eq!(
             trace.events[0].kvs[0],
             ("from".to_string(), "0".to_string())
@@ -451,15 +420,15 @@ mod tests {
     }
 
     #[test]
-    fn scope_attributes_costs_and_nests() {
+    fn a_span_is_charged_its_exclusive_costs() {
         let recorder = Recorder::new();
         {
             let _install = recorder.install();
-            record(CostKind::ModExp, 1); // before any scope
-            let outer = scope("query", 1);
+            record(CostKind::ModExp, 1); // before any span
+            let outer = session_span("subquery", "query", 1, 0);
             record(CostKind::ModExp, 10);
             {
-                let _inner = scope("ssi", 7);
+                let _inner = session_span("protocol", "ssi", 7, 5);
                 record(CostKind::ModExp, 100);
                 record(CostKind::BytesSent, 64);
             }
@@ -474,6 +443,7 @@ mod tests {
         assert_eq!(by_label["query"].modexp, 10);
         assert_eq!(by_label["query"].rounds, 2);
         assert_eq!(trace.cost_by_session()[&7].modexp, 100);
+        assert_eq!(trace.total_cost().modexp, 111);
     }
 
     #[test]
@@ -485,7 +455,7 @@ mod tests {
                 let handle = recorder.clone();
                 scope_.spawn(move || {
                     let _install = handle.install();
-                    let _sc = scope("worker", worker);
+                    let _span = session_span("worker", "worker", worker, 0);
                     record(CostKind::ModExp, worker + 1);
                 });
             }
@@ -494,6 +464,36 @@ mod tests {
         let by_session = trace.cost_by_session();
         assert_eq!(by_session.len(), 4);
         assert_eq!(trace.total_cost().modexp, 1 + 2 + 3 + 4);
+        // Clones share one numbering: four spans, four distinct ids.
+        let mut ids: Vec<u64> = trace.spans.iter().map(|s| s.id).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, vec![1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn each_recorder_numbers_its_own_spans() {
+        let ids: Vec<Vec<u64>> = std::thread::scope(|scope_| {
+            let threads: Vec<_> = (0..2)
+                .map(|_| {
+                    scope_.spawn(|| {
+                        let recorder = Recorder::new();
+                        {
+                            let _install = recorder.install();
+                            for start in 0..3 {
+                                span("phase", "step", start).end(start + 1);
+                            }
+                        }
+                        let trace = recorder.take();
+                        trace.spans.iter().map(|s| s.id).collect::<Vec<u64>>()
+                    })
+                })
+                .collect();
+            threads
+                .into_iter()
+                .map(|t| t.join().expect("recording thread"))
+                .collect()
+        });
+        assert_eq!(ids, vec![vec![1, 2, 3], vec![1, 2, 3]]);
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Trace data model: hierarchical spans over virtual time, structured
-//! events, and per-scope cost records.
+//! Trace data model: hierarchical spans over virtual time, each with
+//! the costs recorded while it was the innermost open span, and
+//! structured events.
 //!
 //! Instances are produced by the per-thread collectors in the crate
 //! root and merged into one [`Trace`] per [`Recorder`](crate::Recorder).
@@ -21,12 +22,18 @@ pub struct SpanRecord {
     pub category: &'static str,
     /// Human-readable name.
     pub name: String,
-    /// Session the span was attributed to (0 = none/root).
+    /// Session the span was attributed to (0 = none/root): given to a
+    /// [`session_span`](crate::session_span), inherited from the parent
+    /// otherwise.
     pub session: u64,
     /// Virtual start time in nanoseconds.
     pub start_ns: u64,
     /// Virtual end time in nanoseconds (>= `start_ns`).
     pub end_ns: u64,
+    /// The span's exclusive cost: operations recorded while it was the
+    /// innermost open span on its thread (a child span's are the
+    /// child's).
+    pub costs: CostVector,
 }
 
 /// One structured point event, attached to the innermost open span.
@@ -42,19 +49,6 @@ pub struct EventRecord {
     pub kvs: Vec<(String, String)>,
 }
 
-/// Aggregated operation costs for one cost scope (usually one protocol
-/// session). Multiple records may share a `(label, session)` key; they
-/// are summed by the aggregation helpers on [`Trace`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ScopeRecord {
-    /// Scope label, normally the protocol name.
-    pub label: String,
-    /// Session id the scope was opened for (0 = root).
-    pub session: u64,
-    /// Operation counts charged while the scope was innermost.
-    pub costs: CostVector,
-}
-
 /// A merged trace: everything one recorder captured.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Trace {
@@ -62,9 +56,7 @@ pub struct Trace {
     pub spans: Vec<SpanRecord>,
     /// Point events, in flush order.
     pub events: Vec<EventRecord>,
-    /// Per-scope cost records, in flush order.
-    pub scopes: Vec<ScopeRecord>,
-    /// Costs recorded outside any scope.
+    /// Costs recorded outside every span.
     pub unattributed: CostVector,
 }
 
@@ -72,61 +64,54 @@ impl Trace {
     /// True when nothing was recorded.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-            && self.events.is_empty()
-            && self.scopes.is_empty()
-            && self.unattributed.is_zero()
+        self.spans.is_empty() && self.events.is_empty() && self.unattributed.is_zero()
     }
 
     /// Appends every record of `other`.
     pub fn merge(&mut self, other: Trace) {
         self.spans.extend(other.spans);
         self.events.extend(other.events);
-        self.scopes.extend(other.scopes);
         self.unattributed.merge(&other.unattributed);
     }
 
-    /// Sums scope costs by scope label (protocol name).
+    /// Sums span costs by span name (a protocol's span is named after
+    /// the protocol).
     #[must_use]
     pub fn cost_by_label(&self) -> BTreeMap<String, CostVector> {
         let mut out: BTreeMap<String, CostVector> = BTreeMap::new();
-        for scope in &self.scopes {
-            out.entry(scope.label.clone())
-                .or_default()
-                .merge(&scope.costs);
+        for span in &self.spans {
+            out.entry(span.name.clone()).or_default().merge(&span.costs);
         }
         out
     }
 
-    /// Sums scope costs by session id.
+    /// Sums span costs by session id.
     #[must_use]
     pub fn cost_by_session(&self) -> BTreeMap<u64, CostVector> {
         let mut out: BTreeMap<u64, CostVector> = BTreeMap::new();
-        for scope in &self.scopes {
-            out.entry(scope.session).or_default().merge(&scope.costs);
+        for span in &self.spans {
+            out.entry(span.session).or_default().merge(&span.costs);
         }
         out
     }
 
-    /// Sums every cost record, scoped or not.
+    /// Sums every cost record: each span's and the unattributed bucket.
     #[must_use]
     pub fn total_cost(&self) -> CostVector {
         let mut total = self.unattributed;
-        for scope in &self.scopes {
-            total.merge(&scope.costs);
+        for span in &self.spans {
+            total.merge(&span.costs);
         }
         total
     }
 
     /// Sorts spans and events into a deterministic order
     /// (by start time, then id) regardless of which thread flushed
-    /// first. Scope records sort by `(label, session)`.
+    /// first.
     pub fn normalize(&mut self) {
         self.spans.sort_by_key(|s| (s.start_ns, s.session, s.id));
         self.events
             .sort_by(|a, b| (a.at_ns, a.span, &a.name).cmp(&(b.at_ns, b.span, &b.name)));
-        self.scopes
-            .sort_by(|a, b| (&a.label, a.session).cmp(&(&b.label, b.session)));
     }
 }
 
@@ -135,12 +120,17 @@ mod tests {
     use super::*;
     use crate::cost::CostKind;
 
-    fn scope(label: &str, session: u64, modexp: u64) -> ScopeRecord {
+    fn span(id: u64, name: &str, session: u64, modexp: u64) -> SpanRecord {
         let mut costs = CostVector::default();
         costs.add(CostKind::ModExp, modexp);
-        ScopeRecord {
-            label: label.to_string(),
+        SpanRecord {
+            id,
+            parent: 0,
+            category: "protocol",
+            name: name.to_string(),
             session,
+            start_ns: 0,
+            end_ns: 0,
             costs,
         }
     }
@@ -148,7 +138,11 @@ mod tests {
     #[test]
     fn aggregation_sums_duplicate_keys() {
         let trace = Trace {
-            scopes: vec![scope("ssi", 1, 4), scope("ssi", 2, 6), scope("sum", 1, 1)],
+            spans: vec![
+                span(1, "ssi", 1, 4),
+                span(2, "ssi", 2, 6),
+                span(3, "sum", 1, 1),
+            ],
             ..Trace::default()
         };
         let by_label = trace.cost_by_label();
@@ -164,7 +158,7 @@ mod tests {
     fn total_cost_includes_unattributed() {
         let mut trace = Trace::default();
         trace.unattributed.add(CostKind::MsgSent, 3);
-        trace.scopes.push(scope("eq", 9, 2));
+        trace.spans.push(span(1, "eq", 9, 2));
         let total = trace.total_cost();
         assert_eq!(total.msgs_sent, 3);
         assert_eq!(total.modexp, 2);
@@ -181,6 +175,7 @@ mod tests {
             session: 0,
             start_ns: start,
             end_ns: start + 1,
+            costs: CostVector::default(),
         };
         let mut trace = Trace {
             spans: vec![mk(2, 500), mk(1, 100), mk(3, 100)],

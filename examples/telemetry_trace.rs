@@ -11,7 +11,9 @@
 //!   runs on the thread that asks it, so span ids and the merge order
 //!   are the same every run: the file is committed, and a run that
 //!   writes other bytes shows in `git diff`.
-//! * a per-protocol cost breakdown printed to stdout.
+//! * a cost breakdown by span name printed to stdout (a protocol's
+//!   span is named after the protocol; each span is billed its own
+//!   operations, not its children's).
 //!
 //! Run with: `cargo run --example telemetry_trace`
 
@@ -53,12 +55,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     println!(
-        "\ncaptured {} spans, {} events, {} cost scopes",
+        "\ncaptured {} spans, {} events",
         trace.spans.len(),
-        trace.events.len(),
-        trace.scopes.len()
+        trace.events.len()
     );
-    println!("\nper-protocol cost attribution:");
+    println!("\ncost by span name:");
     for (label, costs) in trace.cost_by_label() {
         println!("  {label}: {costs}");
     }
