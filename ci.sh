@@ -6,9 +6,16 @@ cd "$(dirname "$0")"
 # One line count for every change that removes code: the lines of each
 # .rs file under crates/*/src up to its first #[cfg(test)]. Printed, not
 # gated.
-echo "non-test lines under crates/: $(find crates/*/src -name '*.rs' -exec awk '
-    FNR == 1 { stop = 0 } /#\[cfg\(test\)\]/ { stop = 1 } !stop { n++ } END { print n }' {} + |
-    awk '{ s += $1 } END { print s }')"
+non_test_lines() {
+    find "$@" -name '*.rs' -exec awk '
+        FNR == 1 { stop = 0 } /#\[cfg\(test\)\]/ { stop = 1 } !stop { n++ } END { print n }' {} + |
+        awk '{ s += $1 } END { print s }'
+}
+echo "non-test lines under crates/: $(non_test_lines crates/*/src)"
+# The same count per crate, so a change shows where it deleted code.
+for src in crates/*/src; do
+    echo "    ${src%/src}: $(non_test_lines "$src")"
+done
 
 echo "==> every DESIGN §N citation names a section, and a cited *Title* is text in it"
 # Citations in code, tests, ci.sh, README.md and ROADMAP.md:
@@ -86,6 +93,12 @@ if command -v taskset >/dev/null 2>&1; then
     taskset -c 0 cargo test -q --release -p dla-audit --test concurrent_queries
     taskset -c 0 cargo test -q --release -p dla-audit --test history
 fi
+
+echo "==> mutants: each committed defect fails the test its patch names"
+# crates/audit/tests/mutants/: one patch per seam defect, applied to a
+# throwaway copy built in release with its own target directory (about
+# 3 min on a 2-vCPU VM, the copy's workspace build included).
+crates/audit/tests/mutants/run.sh
 
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -22,7 +22,7 @@
 //!   integrity-checked against the aggregate commitment folded into
 //!   each epoch's checkpoint link before they are believed.
 
-use crate::cluster::{epoch_aggregates_digest, served, DlaCluster};
+use crate::cluster::{epoch_aggregates_digest, served, Ask, DlaCluster};
 use crate::exec;
 use crate::plan::TimeWindow;
 use crate::AuditError;
@@ -91,25 +91,10 @@ pub fn sum_matching(
     let mut reports = result.reports;
     let glsns = result.glsns;
 
-    // Phase 2: the auditor ships the glsn list to the owner, which
-    // computes its partial total locally.
-    let (owner, values) = cluster.values_at_owner(0x70, attr, &glsns)?;
-    let mut partial: u64 = 0;
-    for (_, value) in values {
-        match value {
-            AttrValue::Int(v) | AttrValue::Fixed2(v) if v >= 0 => partial += v as u64,
-            AttrValue::Int(_) | AttrValue::Fixed2(_) => {
-                return Err(AuditError::Planning(format!(
-                    "negative value in aggregate over {attr}"
-                )));
-            }
-            _ => {
-                return Err(AuditError::Planning(format!(
-                    "attribute {attr} is not numeric"
-                )));
-            }
-        }
-    }
+    // Phase 2: the auditor asks the owner for its partial total over
+    // the glsn list; the total stays at the owner.
+    let (owner, partial) = cluster.ask_owner(Ask::Sum, attr, 0, &glsns)?;
+    let partial = partial.scalar.unwrap_or(0);
 
     // Phase 3: the §3.5 secure sum over all serving nodes (owner
     // contributes its partial, everyone else 0), reconstructed by the

@@ -26,7 +26,7 @@ use dla_net::wire::{Reader, Writer};
 use dla_net::{AdversaryNet, NetConfig, NodeId, Session, SharedNet, SimNet};
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use rand::rngs::StdRng;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Configuration for [`DlaCluster::new`].
@@ -331,6 +331,141 @@ impl DlaNode {
         r.finish()?;
         let fragment = self.store().read(ticket, glsn).cloned();
         fragment.map_err(|e| AuditError::Log(e.to_string()))
+    }
+
+    /// Answers the owner ask it received ([`Ask::decode`]) from what it
+    /// serves of `home`'s attributes, never with a value.
+    pub(crate) fn answer(&self, payload: &[u8], home: usize) -> Result<(Ask, Answer), AuditError> {
+        let (ask, attr, width, glsns) = Ask::decode(payload)?;
+        let store = self.store();
+        let mut values =
+            (glsns.iter()).filter_map(|&g| Some((g, served(&store, home, g)?.values.get(&attr)?)));
+        let times = values.clone().filter_map(|(g, v)| match v {
+            AttrValue::Time(t) => Some((*t, g)),
+            _ => None,
+        });
+        let mut answer = Answer::default();
+        match ask {
+            Ask::Sum => {
+                answer.scalar = Some(values.try_fold(0, |total, (_, value)| {
+                    let (AttrValue::Int(v) | AttrValue::Fixed2(v)) = value else {
+                        return Err(AuditError::Planning(format!(
+                            "attribute {attr} is not numeric"
+                        )));
+                    };
+                    let negative =
+                        || AuditError::Planning(format!("negative value in aggregate over {attr}"));
+                    Ok(total + u64::try_from(*v).map_err(|_| negative())?)
+                })?)
+            }
+            Ask::Span => {
+                let (first, last) = (times.clone().min(), times.max());
+                answer.scalar = first.zip(last).map(|(first, last)| last.0 - first.0);
+            }
+            Ask::Distinct => {
+                let distinct: BTreeSet<_> = values.map(|(_, v)| v.to_canonical_bytes()).collect();
+                answer.scalar = Some(distinct.len() as u64);
+            }
+            Ask::Buckets => {
+                let mut windows = BTreeMap::<u64, Vec<Glsn>>::new();
+                for (t, g) in times {
+                    windows.entry(t / width).or_default().push(g);
+                }
+                answer.windows = windows.into_iter().collect();
+            }
+        }
+        Ok((ask, answer))
+    }
+}
+
+/// What the auditor asks an attribute's owner about the glsns it
+/// names, not the data; the discriminant is the frame's tag.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Ask {
+    /// The total of non-negative numbers; it stays at the owner.
+    Sum = 0x70,
+    /// The span (max − min) of the times.
+    Span = 0x72,
+    /// How many distinct values there are.
+    Distinct = 0x73,
+    /// The glsns in each tumbling window of the times' width.
+    Buckets = 0x75,
+}
+
+impl Ask {
+    /// The request frame: tag ‖ attribute ‖ window width ‖ glsns.
+    pub(crate) fn encode(self, attr: &AttrName, width: u64, glsns: &[Glsn]) -> bytes::Bytes {
+        let mut w = Writer::new();
+        w.put_u8(self as u8).put_str(attr.as_str()).put_u64(width);
+        w.put_list(glsns, |w, g| {
+            w.put_u64(g.0);
+        });
+        w.finish()
+    }
+
+    /// Opens a request frame: an unknown tag, trailing bytes or a width
+    /// on any ask but a [`Ask::Buckets`], or none on it, are refused.
+    pub(crate) fn decode(payload: &[u8]) -> Result<(Ask, AttrName, u64, Vec<Glsn>), AuditError> {
+        let ask = [Ask::Sum, Ask::Span, Ask::Distinct, Ask::Buckets]
+            .into_iter()
+            .find(|&ask| payload.first() == Some(&(ask as u8)))
+            .ok_or_else(|| AuditError::Wire("unexpected frame tag".into()))?;
+        let mut r = Reader::open(payload, ask as u8)?;
+        let (attr, width) = (AttrName::new(r.get_str()?), r.get_u64()?);
+        let glsns = r.get_list(|r| r.get_u64().map(Glsn))?;
+        r.finish()?;
+        if (width == 0) == (ask == Ask::Buckets) {
+            return Err(AuditError::Wire("a window width on the wrong ask".into()));
+        }
+        Ok((ask, attr, width, glsns))
+    }
+}
+
+/// An owner's answer: the windows of a [`Ask::Buckets`], a scalar else.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Answer {
+    /// One number, or none (a span over no time).
+    pub(crate) scalar: Option<u64>,
+    /// Each window's index and the glsns in it, in window order.
+    pub(crate) windows: Vec<(u64, Vec<Glsn>)>,
+}
+
+impl Answer {
+    /// The reply frame, under the tag of the ask it answers: a flag
+    /// byte and a `u64` for a scalar, (window, glsns) for buckets.
+    pub(crate) fn encode(&self, ask: Ask) -> bytes::Bytes {
+        let mut w = Writer::new();
+        w.put_u8(ask as u8);
+        if ask == Ask::Buckets {
+            w.put_list(&self.windows, |w, (window, glsns)| {
+                w.put_u64(*window).put_list(glsns, |w, g| {
+                    w.put_u64(g.0);
+                });
+            });
+        } else {
+            w.put_u8(self.scalar.is_some().into())
+                .put_u64(self.scalar.unwrap_or(0));
+        }
+        w.finish()
+    }
+
+    /// Opens a reply under the tag of the auditor's own `ask`; a flag
+    /// byte other than 0 (with a zero value) or 1 is [`AuditError::Wire`].
+    pub(crate) fn decode(ask: Ask, payload: &[u8]) -> Result<Answer, AuditError> {
+        let mut r = Reader::open(payload, ask as u8)?;
+        let mut answer = Answer::default();
+        if ask == Ask::Buckets {
+            answer.windows =
+                r.get_list(|r| Ok((r.get_u64()?, r.get_list(|r| r.get_u64().map(Glsn))?)))?;
+        } else {
+            answer.scalar = match (r.get_u8()?, r.get_u64()?) {
+                (0, 0) => None,
+                (1, value) => Some(value),
+                _ => return Err(AuditError::Wire("a scalar answer's flag is 0 or 1".into())),
+            };
+        }
+        r.finish()?;
+        Ok(answer)
     }
 }
 
@@ -1157,31 +1292,33 @@ impl DlaCluster {
         records: &[LogRecord],
     ) -> Result<Vec<Glsn>, AuditError> {
         self.writable()?;
-        let mut batch = Vec::with_capacity(records.len());
-        let mut failure = None;
-        for record in records {
-            match self.ship_one(user, record) {
-                Ok(shipped) => batch.push(shipped),
-                Err(e) => {
-                    failure = Some(e);
-                    break;
+        self.in_span("deposit", |cluster| {
+            let mut batch = Vec::with_capacity(records.len());
+            let mut failure = None;
+            for record in records {
+                match cluster.ship_one(user, record) {
+                    Ok(shipped) => batch.push(shipped),
+                    Err(e) => {
+                        failure = Some(e);
+                        break;
+                    }
                 }
             }
-        }
-        let glsns = batch.iter().map(|d| d.glsn).collect();
-        let flushed = self.flush_deposit_batch(&user.name, batch);
-        match flushed.err().or(failure) {
-            // The record that failed may have reached some nodes, and so
-            // may a batch the trail refused or one whose seal failed
-            // after it committed: none of those glsns has, or will have,
-            // a deposit record. A batch whose append failed is forgotten
-            // already, in memory only.
-            Some(e) => {
-                let committed = |trail: &Trail, glsn| trail.record(glsn).is_some();
-                self.roll_back_uncommitted(committed).and(Err(e))
+            let glsns = batch.iter().map(|d| d.glsn).collect();
+            let flushed = cluster.flush_deposit_batch(&user.name, batch);
+            match flushed.err().or(failure) {
+                // The record that failed may have reached some nodes, and
+                // so may a batch the trail refused or one whose seal
+                // failed after it committed: none of those glsns has, or
+                // will have, a deposit record. A batch whose append
+                // failed is forgotten already, in memory only.
+                Some(e) => {
+                    let committed = |trail: &Trail, glsn| trail.record(glsn).is_some();
+                    cluster.roll_back_uncommitted(committed).and(Err(e))
+                }
+                None => Ok(glsns),
             }
-            None => Ok(glsns),
-        }
+        })
     }
 
     /// The partition half of the query front door: plans a compiled
@@ -1303,35 +1440,46 @@ impl DlaCluster {
         &self.placement.in_force
     }
 
-    /// The owner leg of every "disclose one number, not the data"
-    /// operation: ships `glsns` under `tag` from the auditor to the node
-    /// serving `attr` under the [`DlaCluster::effective_partition`] —
-    /// the adopter, once the node it was deposited at is retired — and
-    /// returns that node with the `(glsn, value)` pairs it holds for the
-    /// list as it decoded it.
-    pub(crate) fn values_at_owner(
-        &self,
-        tag: u8,
+    /// The one owner door, in a span named after `ask`: ships `ask`
+    /// about `attr` over `glsns` (with a window `width` on
+    /// [`Ask::Buckets`] alone) to the node serving `attr` now, which
+    /// answers the frame it decoded ([`DlaNode::answer`]). Returns that
+    /// node and its answer. A total never leaves the owner, whatever
+    /// the auditor asked: it is the node's secure-sum input.
+    pub(crate) fn ask_owner(
+        &mut self,
+        ask: Ask,
         attr: &AttrName,
+        width: u64,
         glsns: &[Glsn],
-    ) -> Result<(usize, Vec<(Glsn, AttrValue)>), AuditError> {
+    ) -> Result<(usize, Answer), AuditError> {
         let (home, owner) = self.placement.owner_of(attr)?;
-        let auditor = self.auditor_node();
-        let mut w = Writer::new();
-        w.put_u8(tag).put_list(glsns, |w, g| {
-            w.put_u64(g.0);
-        });
-        let wire = self.root_session();
-        wire.send(auditor, NodeId(owner), w.finish());
-        let envelope = wire.recv_from(NodeId(owner), auditor)?;
-        let mut r = Reader::open(&envelope.payload, tag)?;
-        let requested = r.get_list(|r| r.get_u64().map(Glsn))?;
-        let store = self.nodes[owner].store();
-        let values = requested
-            .into_iter()
-            .filter_map(|g| Some((g, served(&store, home, g)?.values.get(attr)?.clone())))
-            .collect();
-        Ok((owner, values))
+        let (auditor, owner_id) = (self.auditor_node(), NodeId(owner));
+        self.in_span(format_args!("{ask:?}"), |cluster| {
+            let wire = cluster.root_session();
+            wire.send(auditor, owner_id, ask.encode(attr, width, glsns));
+            let envelope = wire.recv_from(owner_id, auditor)?;
+            let (asked, answer) = cluster.nodes[owner].answer(&envelope.payload, home)?;
+            if asked != Ask::Sum {
+                wire.send(owner_id, auditor, answer.encode(asked));
+            } else if ask == Ask::Sum {
+                return Ok((owner, answer));
+            }
+            let envelope = wire.recv_from(auditor, owner_id)?;
+            Ok((owner, Answer::decode(ask, &envelope.payload)?))
+        })
+    }
+
+    /// Runs `door` inside a span of its own named `name`, on the
+    /// virtual clock, when telemetry is on.
+    fn in_span<R>(&mut self, name: impl fmt::Display, door: impl FnOnce(&mut Self) -> R) -> R {
+        if !dla_telemetry::is_active() {
+            return door(self);
+        }
+        let span = dla_telemetry::span("door", &name.to_string(), self.net().elapsed().as_nanos());
+        let out = door(self);
+        span.end(self.net().elapsed().as_nanos());
+        out
     }
 
     /// The nodes of `dead`, not yet retired, whose retirement would
@@ -2390,5 +2538,168 @@ pub(crate) mod tests {
             "a refused registration is never evaluated again"
         );
         assert_eq!(c.standing_matches(StandingQueryId(0)), None);
+    }
+
+    const ASKS: [Ask; 4] = [Ask::Sum, Ask::Span, Ask::Distinct, Ask::Buckets];
+
+    /// A liar that turns the auditor's ask into a `Sum` learns nothing:
+    /// the owner keeps the total it was asked for, and the auditor's
+    /// ask fails for want of a reply.
+    #[test]
+    fn a_request_rewritten_into_a_sum_sends_no_total() {
+        use dla_net::adversary::{ScriptedAdversary, Tamper, TamperRule};
+        let mut c = cluster();
+        let user = c.register_user("u").unwrap();
+        let glsns = c.log_records(&user, &paper_table1()).unwrap();
+        let c1: AttrName = "c1".into();
+        let (_, owner) = c.placement().owner_of(&c1).unwrap();
+        let auditor = c.auditor_node().0;
+        let sum = Ask::Sum.encode(&c1, 0, &glsns);
+        let swap = TamperRule::once_from(auditor, Ask::Distinct as u8, Tamper::Replace(sum));
+        c.set_adversary(std::sync::Arc::new(
+            ScriptedAdversary::new().compromise(auditor).rule(swap),
+        ));
+        let replies = |c: &DlaCluster| c.net().stats().link(owner, auditor).messages;
+        let before = replies(&c);
+        assert!(c.ask_owner(Ask::Distinct, &c1, 0, &glsns).is_err());
+        assert_eq!(replies(&c), before, "the owner's total went on the wire");
+        c.clear_adversary();
+        let (_, answer) = c.ask_owner(Ask::Distinct, &c1, 0, &glsns).unwrap();
+        assert_eq!(answer.scalar, Some(5), "the wire is clean for the next ask");
+    }
+
+    #[test]
+    fn a_scalar_answer_round_trips_the_whole_range_and_none() {
+        for ask in [Ask::Sum, Ask::Span, Ask::Distinct] {
+            for scalar in [Some(u64::MAX), Some(0), None] {
+                let answer = Answer {
+                    scalar,
+                    ..Answer::default()
+                };
+                let decoded = Answer::decode(ask, &answer.encode(ask)).unwrap();
+                assert_eq!(decoded, answer, "{ask:?}");
+            }
+        }
+        let answer = Answer {
+            windows: vec![(0, vec![Glsn(7)]), (u64::MAX, vec![Glsn(8), Glsn(9)])],
+            ..Answer::default()
+        };
+        let decoded = Answer::decode(Ask::Buckets, &answer.encode(Ask::Buckets));
+        assert_eq!(decoded.unwrap(), answer);
+        // A reply opens under the auditor's own ask alone.
+        let span = Answer::default().encode(Ask::Span);
+        assert!(matches!(
+            Answer::decode(Ask::Distinct, &span),
+            Err(AuditError::Wire(_))
+        ));
+    }
+
+    #[test]
+    fn a_request_carries_what_the_owner_computes_from_and_nothing_else() {
+        let glsns = [Glsn(1), Glsn(u64::MAX)];
+        for ask in ASKS {
+            let width = if ask == Ask::Buckets { 300 } else { 0 };
+            let frame = ask.encode(&"time".into(), width, &glsns);
+            let decoded = Ask::decode(&frame).unwrap();
+            assert_eq!(decoded, (ask, "time".into(), width, glsns.to_vec()));
+        }
+        let refused = |frame: &[u8]| matches!(Ask::decode(frame), Err(AuditError::Wire(_)));
+        assert!(
+            refused(&Ask::Buckets.encode(&"time".into(), 0, &glsns)),
+            "zero width"
+        );
+        for ask in [Ask::Sum, Ask::Span, Ask::Distinct] {
+            assert!(
+                refused(&ask.encode(&"c1".into(), 1, &glsns)),
+                "{ask:?} with a width"
+            );
+        }
+        let mut trailing = Ask::Sum.encode(&"c1".into(), 0, &glsns).to_vec();
+        trailing.push(0);
+        assert!(refused(&trailing), "trailing byte");
+        let mut foreign = Ask::Sum.encode(&"c1".into(), 0, &glsns).to_vec();
+        foreign[0] = 0x71;
+        assert!(refused(&foreign), "0x71 is no ask");
+    }
+
+    #[test]
+    fn a_scalar_reply_has_one_encoding() {
+        for (flag, value) in [(2, 0), (2, 5), (0, 5), (0xff, u64::MAX)] {
+            let mut w = Writer::new();
+            w.put_u8(Ask::Span as u8).put_u8(flag).put_u64(value);
+            let reply = Answer::decode(Ask::Span, &w.finish());
+            assert!(
+                matches!(reply, Err(AuditError::Wire(_))),
+                "flag {flag}, value {value}"
+            );
+        }
+        let mut trailing = Answer::default().encode(Ask::Distinct).to_vec();
+        trailing.push(0);
+        assert!(Answer::decode(Ask::Distinct, &trailing).is_err());
+    }
+
+    /// A frame shaped like a request or a reply, with every field drawn
+    /// from the values the decoders must refuse or accept: any of the
+    /// asks' tags or another, a zero, small or whole-range width or
+    /// scalar, a flag byte up to 3, a list count that may exceed the
+    /// payload, and trailing bytes.
+    fn owner_frame() -> impl proptest::strategy::Strategy<Value = Vec<u8>> {
+        use proptest::prelude::*;
+        (
+            prop::sample::select(vec![0x70u8, 0x71, 0x72, 0x73, 0x75, 0x00]),
+            0u8..4,
+            prop::sample::select(vec![0u64, 1, 120, u64::MAX]),
+            prop::sample::select(vec![0u64, 1, 2, 3, u64::MAX]),
+            prop::collection::vec(any::<u64>(), 0..4),
+            prop::collection::vec(any::<u8>(), 0..12),
+            0u8..3,
+        )
+            .prop_map(|(tag, flag, number, count, items, tail, shape)| {
+                let mut w = Writer::new();
+                w.put_u8(tag);
+                match shape {
+                    // Request: attribute, width, glsns.
+                    0 => w.put_str("time").put_u64(number).put_u64(count),
+                    // Scalar reply: flag byte, value.
+                    1 => w.put_u8(flag).put_u64(number),
+                    // Buckets reply: windows, each a glsn list.
+                    _ => w.put_u64(count).put_u64(number).put_u64(count),
+                };
+                for item in items {
+                    w.put_u64(item);
+                }
+                for byte in tail {
+                    w.put_u8(byte);
+                }
+                w.into_vec()
+            })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn the_owner_codecs_are_total(
+            frame in owner_frame(),
+            bytes in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..64),
+        ) {
+            for input in [&frame, &bytes] {
+                // Every byte string is an answer or an error, never a
+                // panic. A request the owner accepts re-encodes to one it
+                // reads the same (attribute names fold to lower case); a
+                // reply the auditor accepts is what its encoder writes,
+                // byte for byte.
+                if let Ok(request) = Ask::decode(input) {
+                    let (ask, attr, width, glsns) = request.clone();
+                    let again = Ask::decode(&ask.encode(&attr, width, &glsns));
+                    proptest::prop_assert_eq!(again.ok(), Some(request));
+                }
+                for ask in ASKS {
+                    if let Ok(answer) = Answer::decode(ask, input) {
+                        proptest::prop_assert_eq!(&answer.encode(ask)[..], &input[..]);
+                    }
+                }
+            }
+        }
     }
 }

@@ -19,13 +19,9 @@
 //! No timestamp, source id or attribute value ever reaches the
 //! auditor.
 
-use crate::cluster::DlaCluster;
-use crate::transaction::owner_scalar_over_glsns;
+use crate::cluster::{Ask, DlaCluster};
 use crate::AuditError;
-use dla_logstore::model::{AttrName, AttrValue, Glsn};
-use dla_net::wire::{Reader, Writer};
-use dla_net::NodeId;
-use std::collections::BTreeMap;
+use dla_logstore::model::{AttrName, Glsn};
 use std::fmt;
 
 /// What to correlate.
@@ -109,21 +105,18 @@ pub fn detect(
 
     // Step 2: the time owner buckets the glsns into tumbling windows
     // and returns (bucket index, glsns) — indices are coarse timing.
-    let buckets = window_buckets(cluster, &result.glsns, rule.window_seconds)?;
+    let width = rule.window_seconds;
+    let (_, buckets) = cluster.ask_owner(Ask::Buckets, &time_attr, width, &result.glsns)?;
 
     // Step 3: per threshold-crossing bucket, the id owner reports the
     // distinct-source count.
     let mut alerts = Vec::new();
-    for (bucket, glsns) in buckets {
+    for (bucket, glsns) in buckets.windows {
         if glsns.len() < rule.min_events {
             continue;
         }
-        let sources = owner_scalar_over_glsns(cluster, &glsns, &id_attr, 0x74, |values| {
-            let set: std::collections::BTreeSet<Vec<u8>> =
-                values.iter().map(AttrValue::to_canonical_bytes).collect();
-            Some(set.len() as u64)
-        })?
-        .unwrap_or(0) as usize;
+        let answer = cluster.ask_owner(Ask::Distinct, &id_attr, 0, &glsns)?.1;
+        let sources = answer.scalar.unwrap_or(0) as usize;
         if sources < rule.min_sources {
             continue;
         }
@@ -139,51 +132,11 @@ pub fn detect(
     Ok(alerts)
 }
 
-/// Auditor ↔ time-owner exchange: ships the glsn list, receives
-/// `(bucket index, glsn)` pairs computed at the owner.
-fn window_buckets(
-    cluster: &mut DlaCluster,
-    glsns: &[Glsn],
-    window_seconds: u64,
-) -> Result<BTreeMap<u64, Vec<Glsn>>, AuditError> {
-    // Auditor -> time owner: the glsn list, bucketed at the owner.
-    let (owner, times) = cluster.values_at_owner(0x75, &AttrName::new("time"), glsns)?;
-    let pairs: Vec<(u64, Glsn)> = times
-        .into_iter()
-        .filter_map(|(g, value)| match value {
-            AttrValue::Time(t) => Some((t / window_seconds, g)),
-            _ => None,
-        })
-        .collect();
-    let auditor = cluster.auditor_node();
-
-    // Owner -> auditor: the bucketed pairs.
-    let mut w = Writer::new();
-    w.put_u8(0x75).put_list(&pairs, |w, &(bucket, g)| {
-        w.put_u64(bucket);
-        w.put_u64(g.0);
-    });
-    let wire = cluster.root_session();
-    wire.send(NodeId(owner), auditor, w.finish());
-    let envelope = wire.recv_from(auditor, NodeId(owner))?;
-    let mut r = Reader::open(&envelope.payload, 0x75)?;
-    let received = r.get_list(|r| {
-        let bucket = r.get_u64()?;
-        let g = r.get_u64().map(Glsn)?;
-        Ok((bucket, g))
-    })?;
-
-    let mut out: BTreeMap<u64, Vec<Glsn>> = BTreeMap::new();
-    for (bucket, glsn) in received {
-        out.entry(bucket).or_default().push(glsn);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cluster::{AppUser, ClusterConfig};
+    use dla_logstore::model::AttrValue;
     use dla_logstore::model::LogRecord;
     use dla_logstore::schema::{AttrDef, Schema};
 
@@ -286,6 +239,20 @@ mod tests {
         log_event(&mut cluster, &user, 100, "OrgA", 1); // below c1 >= 4
         let alerts = detect(&mut cluster, &rule()).unwrap();
         assert!(alerts.is_empty());
+    }
+
+    #[test]
+    fn a_span_of_the_whole_clock_is_a_span_not_no_events() {
+        use crate::transaction::{verify_transaction, Rule, TransactionSpec};
+        use dla_logstore::model::TransactionId;
+        let (mut cluster, user) = cluster();
+        log_event(&mut cluster, &user, 0, "OrgA", 1);
+        log_event(&mut cluster, &user, u64::MAX, "OrgB", 1);
+        let spec = TransactionSpec::new("t").with_rule(Rule::MaxDuration { seconds: 10 });
+        let report =
+            verify_transaction(&mut cluster, &TransactionId::new("acct-13"), &spec).unwrap();
+        assert!(!report.conforms(), "{report}");
+        assert_eq!(report.verdicts[0].detail, format!("span = {}s", u64::MAX));
     }
 
     #[test]

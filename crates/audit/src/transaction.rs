@@ -12,13 +12,10 @@
 //! Definition 1.
 
 use crate::aggregate;
-use crate::cluster::DlaCluster;
+use crate::cluster::{Ask, DlaCluster};
 use crate::query::{CmpOp, Criteria, Predicate};
 use crate::AuditError;
-use dla_logstore::model::{AttrName, AttrValue, Glsn, TransactionId};
-use dla_net::wire::{Reader, Writer};
-use dla_net::NodeId;
-use std::collections::BTreeSet;
+use dla_logstore::model::{AttrName, AttrValue, TransactionId};
 use std::fmt;
 
 /// One conformance rule `r_j(T)`.
@@ -203,7 +200,9 @@ pub fn verify_transaction(
                 }
             }
             Rule::MaxDuration { seconds } => {
-                let span = time_span(cluster, &tid_criteria)?;
+                // Computed at the time owner; only the span travels.
+                let glsns = cluster.query(&tid_criteria)?.glsns;
+                let span = (cluster.ask_owner(Ask::Span, &"time".into(), 0, &glsns)?.1).scalar;
                 let ok = span.is_none_or(|s| s <= *seconds);
                 RuleVerdict {
                     rule: rule.clone(),
@@ -239,10 +238,13 @@ pub fn verify_transaction(
                 }
             }
             Rule::MinDistinctExecutors { count } => {
-                let distinct = distinct_values(cluster, &tid_criteria, &AttrName::new("id"))?;
+                // Computed at the id owner; only the count travels.
+                let glsns = cluster.query(&tid_criteria)?.glsns;
+                let answer = cluster.ask_owner(Ask::Distinct, &"id".into(), 0, &glsns)?.1;
+                let distinct = answer.scalar.unwrap_or(0);
                 RuleVerdict {
                     rule: rule.clone(),
-                    ok: distinct >= *count,
+                    ok: distinct >= *count as u64,
                     detail: format!("{distinct} distinct executors"),
                 }
             }
@@ -253,80 +255,6 @@ pub fn verify_transaction(
         tid: tid.clone(),
         verdicts,
     })
-}
-
-/// The span (max − min, seconds) of the `time` attribute over the
-/// matching records — computed at the time-owner node; only the span
-/// crosses the network.
-fn time_span(cluster: &mut DlaCluster, criteria: &str) -> Result<Option<u64>, AuditError> {
-    scalar_from_owner(cluster, criteria, &AttrName::new("time"), 0x72, |values| {
-        let times: Vec<u64> = values
-            .iter()
-            .filter_map(|v| match v {
-                AttrValue::Time(t) => Some(*t),
-                _ => None,
-            })
-            .collect();
-        match (times.iter().min(), times.iter().max()) {
-            (Some(min), Some(max)) => Some(max - min),
-            _ => None,
-        }
-    })
-}
-
-/// The number of distinct values of `attr` over the matching records —
-/// computed at the owner; only the count crosses the network.
-fn distinct_values(
-    cluster: &mut DlaCluster,
-    criteria: &str,
-    attr: &AttrName,
-) -> Result<usize, AuditError> {
-    let distinct = scalar_from_owner(cluster, criteria, attr, 0x73, |values| {
-        let set: BTreeSet<Vec<u8>> = values.iter().map(AttrValue::to_canonical_bytes).collect();
-        Some(set.len() as u64)
-    })?;
-    Ok(distinct.unwrap_or(0) as usize)
-}
-
-/// Shared machinery: run the criteria (glsns to the auditor), then
-/// delegate to [`owner_scalar_over_glsns`].
-fn scalar_from_owner(
-    cluster: &mut DlaCluster,
-    criteria: &str,
-    attr: &AttrName,
-    tag: u8,
-    compute: impl FnOnce(&[AttrValue]) -> Option<u64>,
-) -> Result<Option<u64>, AuditError> {
-    let result = cluster.query(criteria)?;
-    owner_scalar_over_glsns(cluster, &result.glsns, attr, tag, compute)
-}
-
-/// Ships a glsn list from the auditor to `attr`'s owner, lets the owner
-/// compute one scalar over its local values for those glsns, and
-/// returns only that scalar — the building block of every
-/// "disclose one number, not the data" rule.
-pub(crate) fn owner_scalar_over_glsns(
-    cluster: &mut DlaCluster,
-    result_glsns: &[Glsn],
-    attr: &AttrName,
-    tag: u8,
-    compute: impl FnOnce(&[AttrValue]) -> Option<u64>,
-) -> Result<Option<u64>, AuditError> {
-    // Auditor -> owner: the glsn list; the owner computes the scalar
-    // over its local values.
-    let (owner, values) = cluster.values_at_owner(tag, attr, result_glsns)?;
-    let values: Vec<AttrValue> = values.into_iter().map(|(_, v)| v).collect();
-    let scalar = compute(&values);
-    let auditor = cluster.auditor_node();
-
-    // Owner -> auditor: the scalar only.
-    let mut w = Writer::new();
-    w.put_u8(tag).put_u64(scalar.map_or(u64::MAX, |s| s));
-    let wire = cluster.root_session();
-    wire.send(NodeId(owner), auditor, w.finish());
-    let envelope = wire.recv_from(auditor, NodeId(owner))?;
-    let raw = Reader::open(&envelope.payload, tag)?.get_u64()?;
-    Ok(if raw == u64::MAX { None } else { Some(raw) })
 }
 
 #[cfg(test)]

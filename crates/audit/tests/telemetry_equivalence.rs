@@ -18,7 +18,7 @@ use dla_logstore::model::Glsn;
 use dla_logstore::schema::Schema;
 use dla_net::latency::LatencyModel;
 use dla_net::SimTime;
-use dla_telemetry::Recorder;
+use dla_telemetry::{CostVector, Recorder};
 
 const QUERIES: &[&str] = &[
     "protocol = 'UDP'",
@@ -135,6 +135,77 @@ fn a_warm_query_is_billed_in_full_to_its_spans() {
         billed.merge(costs);
     }
     assert_eq!(billed, total);
+}
+
+/// What `door` records outside every span, and in all.
+fn unbilled(door: impl FnOnce()) -> (CostVector, CostVector) {
+    let recorder = Recorder::new();
+    {
+        let _install = recorder.install();
+        door();
+    }
+    let trace = recorder.take();
+    (trace.unattributed, trace.total_cost())
+}
+
+/// A deposit and each door that asks an owner for one number are
+/// billed in full: the deposit to its `deposit` span, each owner ask to
+/// a span named after the ask.
+#[test]
+fn a_deposit_and_every_owner_ask_are_billed_to_their_spans() {
+    use dla_audit::aggregate::sum_matching;
+    use dla_audit::correlate::{detect, CorrelationRule};
+    use dla_audit::transaction::{verify_transaction, Rule, TransactionSpec};
+    use dla_logstore::model::TransactionId;
+
+    let schema = Schema::paper_example();
+    let partition = Partition::paper_example(&schema);
+    let config = ClusterConfig::new(4, schema)
+        .with_partition(partition)
+        .with_seed(80)
+        .with_latency(LatencyModel::lan());
+    let mut cluster = DlaCluster::new(config).expect("cluster builds");
+    let user = cluster.register_user("u").expect("capacity");
+    let billed = |door: &str, (unattributed, total): (CostVector, CostVector)| {
+        assert!(total.msgs_sent > 0, "{door} was traced");
+        assert!(unattributed.is_zero(), "{door}: {unattributed}");
+    };
+    billed(
+        "deposit",
+        unbilled(|| {
+            cluster.log_records(&user, &paper_table1()).expect("logs");
+        }),
+    );
+    billed(
+        "sum_matching",
+        unbilled(|| {
+            sum_matching(&mut cluster, "c1 >= 0", &"c1".into()).expect("sums");
+        }),
+    );
+    let spec = TransactionSpec::new("order")
+        .with_rule(Rule::MaxDuration { seconds: 400 })
+        .with_rule(Rule::MinDistinctExecutors { count: 2 });
+    let tid = TransactionId::new("T1100265");
+    billed(
+        "verify_transaction",
+        unbilled(|| {
+            let report = verify_transaction(&mut cluster, &tid, &spec).expect("verifies");
+            assert!(report.conforms(), "{report}");
+        }),
+    );
+    let rule = CorrelationRule {
+        name: "burst".into(),
+        event_criteria: "c1 >= 0".into(),
+        window_seconds: 120,
+        min_events: 1,
+        min_sources: 1,
+    };
+    billed(
+        "detect",
+        unbilled(|| {
+            assert!(!detect(&mut cluster, &rule).expect("detects").is_empty());
+        }),
+    );
 }
 
 /// Ordinary cluster operation populates the meta-audit trail, and the
