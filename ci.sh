@@ -12,6 +12,13 @@ non_test_lines() {
         awk '{ s += $1 } END { print s }'
 }
 echo "non-test lines under crates/: $(non_test_lines crates/*/src)"
+# The runtime crates: every crate but dla-bench, whose figures,
+# experiments and paper/ mechanisms no deployment runs.
+runtime=()
+for src in crates/*/src; do
+    [ "$src" = crates/bench/src ] || runtime+=("$src")
+done
+echo "non-test lines in the runtime crates: $(non_test_lines "${runtime[@]}")"
 # The same count per crate, so a change shows where it deleted code.
 for src in crates/*/src; do
     echo "    ${src%/src}: $(non_test_lines "$src")"
@@ -96,9 +103,11 @@ fi
 
 echo "==> mutants: each committed defect fails the test its patch names"
 # crates/audit/tests/mutants/: one patch per seam defect, applied to a
-# throwaway copy built in release with its own target directory (about
-# 3 min on a 2-vCPU VM, the copy's workspace build included).
+# throwaway copy built in release with its own target directory; the
+# step's wall time, the copy's workspace build included, is printed.
+mutants_start=$SECONDS
 crates/audit/tests/mutants/run.sh
+echo "    mutants step: $((SECONDS - mutants_start)) s wall"
 
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

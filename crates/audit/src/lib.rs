@@ -19,8 +19,6 @@
 //!   revealed to it, so a sealed epoch is asked once.
 //! * [`integrity`] — one-way-accumulator integrity circulation and
 //!   ACL consistency checking (§4.1).
-//! * [`membership`] — the anonymous-but-accountable evidence chain
-//!   with double-use identity exposure (§4.2, Figs. 6–7).
 //! * [`metrics`] — the confidentiality metrics `C_store`,
 //!   `C_auditing`, `C_query`, `C_DLA` (§5, Eqs. 10–13).
 //! * [`meta`] — the tamper-evident meta-audit trail of the cluster's
@@ -55,7 +53,6 @@ use std::fmt;
 
 pub mod adversary;
 pub mod aggregate;
-pub mod attest;
 pub mod centralized;
 pub mod cluster;
 pub mod correlate;
@@ -65,7 +62,6 @@ pub mod federation;
 pub mod health;
 pub mod integrity;
 pub mod kept;
-pub mod membership;
 pub mod meta;
 pub mod metrics;
 pub mod normal;
@@ -92,8 +88,6 @@ pub enum AuditError {
     Log(String),
     /// Integrity-check failure (protocol level, not a tamper verdict).
     Integrity(String),
-    /// Membership/evidence-chain verification failure.
-    Membership(String),
     /// An MPC sub-protocol failed.
     Mpc(dla_mpc::MpcError),
     /// A network operation failed.
@@ -112,7 +106,6 @@ impl fmt::Display for AuditError {
             AuditError::Planning(msg) => write!(f, "planning error: {msg}"),
             AuditError::Log(msg) => write!(f, "logging error: {msg}"),
             AuditError::Integrity(msg) => write!(f, "integrity error: {msg}"),
-            AuditError::Membership(msg) => write!(f, "membership error: {msg}"),
             AuditError::Mpc(e) => write!(f, "secure-computation error: {e}"),
             AuditError::Net(e) => write!(f, "network error: {e}"),
             AuditError::Wire(msg) => write!(f, "wire error: {msg}"),
@@ -157,9 +150,7 @@ mod tests {
         assert!(AuditError::Config("x".into())
             .to_string()
             .starts_with("configuration error"));
-        assert!(AuditError::Membership("y".into())
-            .to_string()
-            .contains("membership"));
+        assert!(AuditError::Wire("y".into()).to_string().contains("wire"));
         let e: AuditError = dla_net::NetError::EmptyInbox(dla_net::NodeId(0)).into();
         assert!(e.to_string().contains("network error"));
     }

@@ -7,7 +7,8 @@
 //! journaled `DlaCluster`, or on a 1-ring and an R-ring
 //! `FederatedCluster` side by side (no crash or retire there). After
 //! every op the named invariants are checked against one reference, a
-//! `CentralizedAuditor` over the committed deposits, by deposit index.
+//! `CentralizedAuditor` over the committed deposits, by deposit index,
+//! and against the system's own meta-audit trail.
 //! A failing history is shrunk by dropping ops one at a time while the
 //! same invariant fails, and printed as the `History` literal that the
 //! seam rows at the bottom replay.
@@ -46,6 +47,7 @@ const STANDING: &str = "standing_is_a_fresh_query_over_sealed_epochs";
 const SEALED: &str = "sealed_is_checkpointed";
 const RESTART: &str = "restart_is_a_committed_prefix";
 const FEDERATED: &str = "federated_is_single_ring";
+const META: &str = "meta_trail_names_each_committed_deposit_once";
 
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Door {
@@ -880,6 +882,17 @@ impl Run {
             let verdict = check_window(ring, &TimeWindow::unbounded());
             ensure!(SEALED, lie || verdict.ok && verdict.chain_ok, "{verdict:?}");
             sealed.push(epochs);
+            // The meta trail holds, and each of its deposit records since
+            // the last restart names a deposit the trail holds, once.
+            let meta = ring.meta_audit();
+            ensure!(META, meta.verify().is_ok(), "{:?}", meta.verify());
+            let mut named = BTreeSet::new();
+            for record in meta.records().iter().filter(|r| r.action == "deposit") {
+                let hex = record.detail.strip_prefix("glsn=");
+                let glsn = hex.and_then(|d| u64::from_str_radix(d.split(' ').next()?, 16).ok());
+                let once = glsn.is_some_and(|g| ring.deposit(Glsn(g)).is_some() && named.insert(g));
+                ensure!(META, once, "{}", record.detail);
+            }
         }
         if let Target::Fed(fed) = &mut self.systems[s].target {
             let root = fed.check_root().ok() && fed.verify_presented(fed.published());
@@ -1036,7 +1049,9 @@ fn generated_histories_hold_every_invariant() {
     let ops = [
         "Deposit", "Window", "Register", "Retire", "Loss", "Lie", "Fail", "Crash",
     ];
-    let invariants = [ANSWERS, AGGREGATES, STANDING, SEALED, RESTART, FEDERATED];
+    let invariants = [
+        ANSWERS, AGGREGATES, STANDING, SEALED, RESTART, FEDERATED, META,
+    ];
     let kinds = doors
         .iter()
         .map(String::as_str)

@@ -7,9 +7,9 @@
 //!
 //! Run with: `cargo run -p dla-bench --bin exp_rank_scaling --release`
 
+use dla_bench::paper::baseline::baseline_ranking;
 use dla_bench::{fmt_bytes, ideal_net, metered, render_table};
 use dla_crypto::pohlig_hellman::CommutativeDomain;
-use dla_mpc::baseline::baseline_ranking;
 use dla_mpc::RankingSession;
 use dla_net::{NodeId, Session};
 use rand::{Rng, SeedableRng};

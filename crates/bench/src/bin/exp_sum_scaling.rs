@@ -9,10 +9,10 @@
 //!
 //! Run with: `cargo run -p dla-bench --bin exp_sum_scaling --release`
 
+use dla_bench::paper::baseline::{plaintext_sum, vss_sum};
 use dla_bench::{fmt_bytes, ideal_net, metered, render_table};
 use dla_bigint::{Ubig, F61};
 use dla_crypto::schnorr::SchnorrGroup;
-use dla_mpc::baseline::{plaintext_sum, vss_sum};
 use dla_mpc::SumSession;
 use dla_net::{NodeId, Session};
 use rand::SeedableRng;

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run -p dla-bench --bin fig6_evidence_chain`
 
-use dla_audit::membership::{EvidenceChain, MembershipAuthority};
+use dla_bench::paper::evidence::{EvidenceChain, MembershipAuthority};
 use dla_bench::render_table;
 use dla_crypto::schnorr::SchnorrGroup;
 use rand::SeedableRng;

@@ -5,8 +5,7 @@
 //!
 //! Run with: `cargo run -p dla-bench --bin fig7_rbinding`
 
-use dla_audit::membership::{EvidenceChain, MembershipAuthority};
-use dla_crypto::evidence::verify_spend;
+use dla_bench::paper::evidence::{verify_spend, EvidenceChain, MembershipAuthority};
 use dla_crypto::schnorr::SchnorrGroup;
 use rand::SeedableRng;
 

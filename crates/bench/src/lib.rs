@@ -11,6 +11,16 @@
 //! the same `BENCH_*.json` (`ci.sh` diffs both). Wall-clock time is
 //! `benchmark/run.sh`'s business and appears nowhere in this crate.
 
+/// The paper's mechanisms that only the figures and experiments run: no
+/// deposit, query, seal or restart reaches them. Each moves back into a
+/// runtime crate with its first runtime caller (ROADMAP items 10(a) and
+/// 10(b)).
+pub mod paper {
+    pub mod attest;
+    pub mod baseline;
+    pub mod evidence;
+}
+
 use dla_audit::cluster::{AppUser, ClusterConfig, DlaCluster};
 use dla_logstore::fragment::Partition;
 use dla_logstore::gen::{self, paper_table1, WorkloadConfig};

@@ -12,25 +12,138 @@
 //!   verification by every receiver, and a full result broadcast so
 //!   *every* participant learns `w` (the classical requirement the
 //!   relaxed model drops). Communication O(n²·k) group elements and
-//!   O(n²·k) modexps of verification compute.
+//!   O(n²·k) modexps of verification compute. Its secrets are group
+//!   exponents, so it shares them with [`BigPolynomial`] over the
+//!   several-hundred-bit subgroup order `q`, not with the 61-bit field
+//!   of [`dla_crypto::shamir`] that the relaxed secure sum uses.
 //! * [`compare_gt`] / [`baseline_ranking`] — two-party secure
 //!   comparison via the Lin–Tzeng 0/1-encoding reduction to set
 //!   intersection, and the n-party ranking built from `n(n−1)/2`
 //!   pairwise comparisons — the classical alternative to the blind-TTP
 //!   `Rank_s` of §3.3.
 
-use crate::report::{Meter, ProtocolReport};
-use crate::set_intersection::SsiSession;
-use crate::MpcError;
-use dla_bigint::modular::{modexp, modmul};
+use dla_bigint::modular::{modexp, modinv, modmul, modsub};
 use dla_bigint::Ubig;
 use dla_crypto::pohlig_hellman::CommutativeDomain;
 use dla_crypto::schnorr::SchnorrGroup;
-use dla_crypto::shamir_big::{self, BigPolynomial, BigShare};
+use dla_crypto::CryptoError;
+use dla_mpc::report::{Meter, ProtocolReport};
+use dla_mpc::set_intersection::SsiSession;
+use dla_mpc::MpcError;
 use dla_net::topology::Ring;
 use dla_net::wire::{Reader, Writer};
 use dla_net::{NodeId, Session};
 use rand::Rng;
+
+/// A share `(x, f(x))` over `Z_q`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct BigShare {
+    /// Public evaluation point (nonzero mod q).
+    pub x: Ubig,
+    /// Secret evaluation `f(x) mod q`.
+    pub y: Ubig,
+}
+
+/// A dealer polynomial over `Z_q` with `f(0) = secret`.
+#[derive(Clone, Debug)]
+pub struct BigPolynomial {
+    modulus: Ubig,
+    coeffs: Vec<Ubig>,
+}
+
+impl BigPolynomial {
+    /// Samples a degree-(k−1) polynomial hiding `secret` mod `q`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is zero or `q < 2`.
+    pub fn random<R: Rng + ?Sized>(secret: &Ubig, k: usize, q: &Ubig, rng: &mut R) -> Self {
+        assert!(k >= 1, "threshold k must be at least 1");
+        assert!(*q >= Ubig::two(), "modulus must be at least 2");
+        let mut coeffs = Vec::with_capacity(k);
+        coeffs.push(secret % q);
+        for _ in 1..k {
+            coeffs.push(Ubig::random_below(rng, q));
+        }
+        BigPolynomial {
+            modulus: q.clone(),
+            coeffs,
+        }
+    }
+
+    /// The hidden secret `f(0)`.
+    #[must_use]
+    pub fn secret(&self) -> &Ubig {
+        &self.coeffs[0]
+    }
+
+    /// The coefficients `f₀ … f_{k−1}` (Feldman VSS commits to these).
+    #[must_use]
+    pub fn coefficients(&self) -> &[Ubig] {
+        &self.coeffs
+    }
+
+    /// Evaluates `f(x) mod q` by Horner's rule.
+    #[must_use]
+    pub fn eval(&self, x: &Ubig) -> Ubig {
+        dla_telemetry::record(dla_telemetry::CostKind::ShamirEval, 1);
+        let q = &self.modulus;
+        self.coeffs
+            .iter()
+            .rev()
+            .fold(Ubig::zero(), |acc, c| (&modmul(&acc, x, q) + c) % q)
+    }
+
+    /// Shares at canonical points `x = 1 … n`.
+    #[must_use]
+    pub fn shares(&self, n: usize) -> Vec<BigShare> {
+        (1..=n as u64)
+            .map(|i| {
+                let x = Ubig::from_u64(i);
+                BigShare {
+                    y: self.eval(&x),
+                    x,
+                }
+            })
+            .collect()
+    }
+}
+
+/// Lagrange-interpolates `f(0)` from shares over `Z_q`.
+///
+/// # Errors
+///
+/// Returns [`CryptoError::InvalidParameter`] on an empty share list or
+/// duplicate evaluation points.
+pub fn reconstruct(shares: &[BigShare], q: &Ubig) -> Result<Ubig, CryptoError> {
+    if shares.is_empty() {
+        return Err(CryptoError::InvalidParameter("no shares"));
+    }
+    for (i, a) in shares.iter().enumerate() {
+        for b in &shares[i + 1..] {
+            if a.x == b.x {
+                return Err(CryptoError::InvalidParameter("duplicate share x"));
+            }
+        }
+    }
+    let mut acc = Ubig::zero();
+    for (i, si) in shares.iter().enumerate() {
+        let mut num = Ubig::one();
+        let mut den = Ubig::one();
+        for (j, sj) in shares.iter().enumerate() {
+            if i == j {
+                continue;
+            }
+            num = modmul(&num, &modsub(&Ubig::zero(), &(&sj.x % q), q), q);
+            den = modmul(&den, &modsub(&(&si.x % q), &(&sj.x % q), q), q);
+        }
+        let inv = modinv(&den, q).ok_or(CryptoError::InvalidParameter(
+            "degenerate evaluation points",
+        ))?;
+        acc = (&acc + &modmul(&si.y, &modmul(&num, &inv, q), q)) % q;
+    }
+    Ok(acc)
+}
 
 /// Result of a baseline sum run.
 #[derive(Debug, Clone)]
@@ -207,7 +320,7 @@ pub fn vss_sum<R: Rng + ?Sized>(
     // Every party reconstructs; all must agree.
     let mut totals: Vec<Ubig> = Vec::with_capacity(n);
     for shares in &all_shares {
-        totals.push(shamir_big::reconstruct(&shares[..k], q)?);
+        totals.push(reconstruct(&shares[..k], q)?);
     }
     let total = totals[0].clone();
     if totals.iter().any(|t| t != &total) {
@@ -299,7 +412,7 @@ pub struct BaselineRankOutcome {
 
 /// Classical ranking: `n(n−1)/2` pairwise secure comparisons (each one
 /// a full two-party set-intersection protocol). Contrast with the
-/// 3-round, `3n−1`-message blind-TTP [`crate::ranking::RankingSession`].
+/// 3-round, `3n−1`-message blind-TTP [`dla_mpc::RankingSession`].
 ///
 /// # Errors
 ///
@@ -355,6 +468,85 @@ mod tests {
     use dla_net::{NetConfig, SharedNet, SimNet};
     use rand::SeedableRng;
 
+    // Shamir sharing over Z_q.
+
+    fn q() -> Ubig {
+        SchnorrGroup::fixed_256().order().clone()
+    }
+
+    fn share_rng() -> rand::rngs::StdRng {
+        rand::rngs::StdRng::seed_from_u64(202)
+    }
+
+    #[test]
+    fn any_k_shares_reconstruct() {
+        let q = q();
+        let mut rng = share_rng();
+        let secret = Ubig::random_below(&mut rng, &q);
+        let poly = BigPolynomial::random(&secret, 3, &q, &mut rng);
+        let shares = poly.shares(6);
+        for subset in [[0usize, 1, 2], [3, 4, 5], [0, 2, 5]] {
+            let picked: Vec<BigShare> = subset.iter().map(|&i| shares[i].clone()).collect();
+            assert_eq!(reconstruct(&picked, &q).unwrap(), secret);
+        }
+    }
+
+    #[test]
+    fn linearity_enables_share_addition() {
+        let q = q();
+        let mut rng = share_rng();
+        let pa = BigPolynomial::random(&Ubig::from_u64(1000), 2, &q, &mut rng);
+        let pb = BigPolynomial::random(&Ubig::from_u64(337), 2, &q, &mut rng);
+        let summed: Vec<BigShare> = (1..=3u64)
+            .map(|i| {
+                let x = Ubig::from_u64(i);
+                BigShare {
+                    y: (&pa.eval(&x) + &pb.eval(&x)) % &q,
+                    x,
+                }
+            })
+            .collect();
+        assert_eq!(reconstruct(&summed[..2], &q).unwrap(), Ubig::from_u64(1337));
+    }
+
+    #[test]
+    fn rejects_bad_inputs() {
+        let q = q();
+        assert!(reconstruct(&[], &q).is_err());
+        let s = BigShare {
+            x: Ubig::one(),
+            y: Ubig::two(),
+        };
+        assert!(reconstruct(&[s.clone(), s], &q).is_err());
+    }
+
+    #[test]
+    fn secret_is_reduced_mod_q() {
+        let q = q();
+        let mut rng = share_rng();
+        let big_secret = &q + &Ubig::from_u64(5);
+        let poly = BigPolynomial::random(&big_secret, 2, &q, &mut rng);
+        assert_eq!(poly.secret(), &Ubig::from_u64(5));
+    }
+
+    #[test]
+    fn coefficients_exposed_for_vss() {
+        let q = q();
+        let mut rng = share_rng();
+        let poly = BigPolynomial::random(&Ubig::from_u64(9), 4, &q, &mut rng);
+        assert_eq!(poly.coefficients().len(), 4);
+        assert_eq!(poly.coefficients()[0], Ubig::from_u64(9));
+    }
+
+    #[test]
+    #[should_panic(expected = "threshold k")]
+    fn zero_threshold_panics() {
+        let mut rng = share_rng();
+        let _ = BigPolynomial::random(&Ubig::one(), 0, &Ubig::from_u64(17), &mut rng);
+    }
+
+    // The baseline protocols.
+
     fn rng() -> rand::rngs::StdRng {
         rand::rngs::StdRng::seed_from_u64(6000)
     }
@@ -405,7 +597,7 @@ mod tests {
 
         let net2 = net(n + 1);
         let inputs_f: Vec<dla_bigint::F61> = (1..=n as u64).map(dla_bigint::F61::new).collect();
-        let relaxed = crate::SumSession::new(Session::root(&net2), &parties, 3, NodeId(n))
+        let relaxed = dla_mpc::SumSession::new(Session::root(&net2), &parties, 3, NodeId(n))
             .run(&inputs_f, &mut rng)
             .unwrap();
 
@@ -518,12 +710,41 @@ mod tests {
             baseline_ranking(&Session::root(&net1), &domain, &parties, &values, &mut rng).unwrap();
 
         let net2 = net(n + 1);
-        let relaxed = crate::RankingSession::new(Session::root(&net2), &parties, NodeId(n))
+        let relaxed = dla_mpc::RankingSession::new(Session::root(&net2), &parties, NodeId(n))
             .run(&values, &mut rng)
             .unwrap();
 
         assert_eq!(classical.ascending, relaxed.ascending);
         assert!(classical.report.messages > relaxed.report.messages * 2);
         assert!(classical.report.bytes > relaxed.report.bytes);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn shamir_big_linear_combinations(
+            a in proptest::prelude::any::<u32>(),
+            b in proptest::prelude::any::<u32>(),
+            seed in 0u64..10_000,
+        ) {
+            let q = SchnorrGroup::fixed_256().order().clone();
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let pa = BigPolynomial::random(&Ubig::from_u64(u64::from(a)), 2, &q, &mut rng);
+            let pb = BigPolynomial::random(&Ubig::from_u64(u64::from(b)), 2, &q, &mut rng);
+            let summed: Vec<BigShare> = (1..=2u64)
+                .map(|i| {
+                    let x = Ubig::from_u64(i);
+                    BigShare {
+                        y: (&pa.eval(&x) + &pb.eval(&x)) % &q,
+                        x,
+                    }
+                })
+                .collect();
+            proptest::prop_assert_eq!(
+                reconstruct(&summed, &q).unwrap(),
+                Ubig::from_u64(u64::from(a) + u64::from(b))
+            );
+        }
     }
 }

@@ -18,9 +18,6 @@
 //! | [`shamir`] | (k, n) secret sharing for secure sum, §3.5 |
 //! | [`affine`] | randomized mappings for `=_s` / `Max_s` / `Min_s` / `Rank_s`, §3.2–3.3 |
 //! | [`schnorr`] | tickets & certificates, §4 |
-//! | [`threshold`] | threshold signatures, §2 |
-//! | [`commitment`] | Pedersen commitments (evidence substrate) |
-//! | [`evidence`] | e-coin tokens with double-use exposure, §4.2 |
 //!
 //! # Examples
 //!
@@ -42,14 +39,10 @@ use std::fmt;
 
 pub mod accumulator;
 pub mod affine;
-pub mod commitment;
-pub mod evidence;
 pub mod pohlig_hellman;
 pub mod schnorr;
 pub mod sha256;
 pub mod shamir;
-pub mod shamir_big;
-pub mod threshold;
 
 /// CRC-32, forwarded from its home in `dla-telemetry` — the one crate
 /// under both `dla-net` and `dla-logstore` — for `dla-logstore`, whose

@@ -12,7 +12,7 @@ use dla_crypto::accumulator::{
 };
 use dla_crypto::pohlig_hellman::{CommutativeDomain, PhKey};
 use dla_crypto::schnorr::{self, SchnorrGroup, SchnorrKeyPair};
-use dla_crypto::{sha256, shamir, shamir_big};
+use dla_crypto::{sha256, shamir};
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -232,31 +232,6 @@ proptest! {
         }
         let picked: Vec<_> = idx[..k].iter().map(|&i| shares[i]).collect();
         prop_assert_eq!(shamir::reconstruct(&picked).unwrap(), F61::new(secret));
-    }
-
-    #[test]
-    fn shamir_big_linear_combinations(
-        a in any::<u32>(),
-        b in any::<u32>(),
-        seed in 0u64..10_000,
-    ) {
-        let q = SchnorrGroup::fixed_256().order().clone();
-        let mut rng = rng_from(seed);
-        let pa = shamir_big::BigPolynomial::random(&Ubig::from_u64(u64::from(a)), 2, &q, &mut rng);
-        let pb = shamir_big::BigPolynomial::random(&Ubig::from_u64(u64::from(b)), 2, &q, &mut rng);
-        let summed: Vec<shamir_big::BigShare> = (1..=2u64)
-            .map(|i| {
-                let x = Ubig::from_u64(i);
-                shamir_big::BigShare {
-                    y: (&pa.eval(&x) + &pb.eval(&x)) % &q,
-                    x,
-                }
-            })
-            .collect();
-        prop_assert_eq!(
-            shamir_big::reconstruct(&summed, &q).unwrap(),
-            Ubig::from_u64(u64::from(a) + u64::from(b))
-        );
     }
 
     #[test]

@@ -17,12 +17,6 @@
 //! | `=_s` secure equality | [`equality`] | randomized affine mapping + blind TTP (§3.2) |
 //! | `Max_s`/`Min_s`/`Rank_s` | [`ranking`] | order-preserving masking + blind TTP (§3.3) |
 //!
-//! [`baseline`] implements the **classical** comparators the paper
-//! argues against (Feldman-VSS verified sharing with result broadcast;
-//! pairwise two-party comparison tournaments built on the Lin–Tzeng
-//! reduction) plus an insecure plaintext reference, so the cost gap the
-//! paper claims is measurable — see `dla-bench`.
-//!
 //! Every protocol is a *session struct* — its fields are the protocol's
 //! parameters, its `run` is the protocol body — bound to a
 //! [`dla_net::Session`], the one door to the wire: the same code runs
@@ -34,7 +28,6 @@
 
 use std::fmt;
 
-pub mod baseline;
 pub mod equality;
 pub mod ranking;
 mod relay;

@@ -8,8 +8,8 @@
 //!
 //! Run with: `cargo run --example evidence_chain`
 
-use confidential_audit::audit::membership::{EvidenceChain, MembershipAuthority};
 use confidential_audit::crypto::schnorr::SchnorrGroup;
+use dla_bench::paper::evidence::{EvidenceChain, MembershipAuthority};
 use rand::SeedableRng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

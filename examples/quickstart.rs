@@ -9,11 +9,11 @@
 //! Run with: `cargo run --example quickstart`
 
 use confidential_audit::audit::aggregate;
-use confidential_audit::audit::attest::{result_message, Attestor};
 use confidential_audit::audit::cluster::{ClusterConfig, DlaCluster};
 use confidential_audit::logstore::fragment::Partition;
 use confidential_audit::logstore::gen::paper_table1;
 use confidential_audit::logstore::schema::Schema;
+use dla_bench::paper::attest::{result_message, Attestor};
 use rand::SeedableRng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -86,7 +86,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let attestor = Attestor::deal(cluster.group(), cluster.num_nodes(), &mut rng)?;
     let result = cluster.query("c1 > 40")?;
     let message = result_message("c1 > 40", &result.glsns);
-    let attestation = attestor.attest(&mut cluster, &message)?;
+    let attestation = attestor.attest(&cluster, &message, &mut rng)?;
     println!(
         "\nresult attested by nodes {:?} ({}-of-{} threshold): verification = {}",
         attestation.signers,

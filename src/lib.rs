@@ -14,14 +14,12 @@
 //!
 //! * [`bigint`] — hand-rolled arbitrary-precision modular arithmetic.
 //! * [`crypto`] — commutative (Pohlig–Hellman) encryption, one-way
-//!   accumulators, Shamir secret sharing, Schnorr/threshold signatures,
-//!   commitments and evidence chains.
+//!   accumulators, Shamir secret sharing and Schnorr signatures.
 //! * [`net`] — the simulated cluster message network.
 //! * [`logstore`] — the event-log model, fragmentation and access control.
-//! * [`mpc`] — relaxed secure multiparty primitives and classical
-//!   baselines.
+//! * [`mpc`] — relaxed secure multiparty primitives.
 //! * [`audit`] — the DLA cluster core: query processing, integrity
-//!   checking, membership and confidentiality metrics.
+//!   checking and confidentiality metrics.
 //! * [`telemetry`] — virtual-time span tracing, crypto/network cost
 //!   accounting and the tamper-evident meta-audit journal.
 //!
@@ -43,6 +41,9 @@
 //!
 //! See `examples/` for end-to-end scenarios and `crates/bench` for the
 //! experiment harness regenerating every table and figure of the paper.
+//! The paper's mechanisms no deployment runs yet — the evidence chain,
+//! threshold attestation and the classical baselines — live there too,
+//! in `dla_bench::paper`, beside the figures that use them.
 
 pub use dla_audit as audit;
 pub use dla_bigint as bigint;

@@ -5,7 +5,6 @@ use confidential_audit::audit::adversary::{
     run_attack, run_coalition, run_honest, AttackClass, DetectorMatrix,
 };
 use confidential_audit::audit::cluster::{AppUser, ClusterConfig, DlaCluster};
-use confidential_audit::audit::membership::{EvidenceChain, MembershipAuthority};
 use confidential_audit::audit::{aggregate, integrity, AuditError};
 use confidential_audit::crypto::schnorr::SchnorrGroup;
 use confidential_audit::logstore::fragment::Partition;
@@ -14,6 +13,7 @@ use confidential_audit::logstore::model::{AttrValue, Glsn};
 use confidential_audit::logstore::schema::Schema;
 use confidential_audit::net::fault::FaultOutcome;
 use confidential_audit::net::{NetError, ScriptedAdversary, Transport};
+use dla_bench::paper::evidence::{EvidenceChain, MembershipAuthority};
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
@@ -389,9 +389,9 @@ fn the_resilient_ladder_retries_a_flipped_byte_like_a_dropped_frame() {
 #[test]
 fn a_well_formed_frame_with_a_foreign_tag_is_an_error_on_every_cluster_leg() {
     use confidential_audit::audit::adversary::{gossip_heads, CHECK_HOP_TAG, HEAD_GOSSIP_TAG};
-    use confidential_audit::audit::attest::Attestor;
     use confidential_audit::net::adversary::{ScriptedAdversary, Tamper, TamperRule};
     use confidential_audit::net::wire::Writer;
+    use dla_bench::paper::attest::Attestor;
     use std::sync::Arc;
 
     // One driver per leg family; the sender named beside it swaps its
@@ -422,7 +422,7 @@ fn a_well_formed_frame_with_a_foreign_tag_is_an_error_on_every_cluster_leg() {
         ("attestation", 0, 0x60, |c, _, _| {
             let mut rng = rand::rngs::StdRng::seed_from_u64(9);
             let attestor = Attestor::deal(&c.group().clone(), c.num_nodes(), &mut rng)?;
-            attestor.attest(c, b"result").map(drop)
+            attestor.attest(c, b"result", &mut rng).map(drop)
         }),
         ("head gossip", 2, HEAD_GOSSIP_TAG, |c, _, _| {
             let sealed = c.checkpoint_chain().iter().next().expect("epoch 0 sealed");

@@ -3,7 +3,6 @@
 //! attestation — spanning every crate in the workspace.
 
 use confidential_audit::audit::aggregate;
-use confidential_audit::audit::attest::{result_message, Attestor};
 use confidential_audit::audit::cluster::{ClusterConfig, DlaCluster};
 use confidential_audit::audit::integrity;
 use confidential_audit::logstore::fragment::Partition;
@@ -11,6 +10,7 @@ use confidential_audit::logstore::gen::{self, paper_table1, WorkloadConfig};
 use confidential_audit::logstore::model::{AttrValue, Glsn, LogRecord};
 use confidential_audit::logstore::schema::Schema;
 use confidential_audit::net::{ScriptedAdversary, Transport};
+use dla_bench::paper::attest::{result_message, Attestor};
 use rand::SeedableRng;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -52,7 +52,7 @@ fn full_pipeline_on_paper_data() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(2);
     let attestor = Attestor::deal(cluster.group(), cluster.num_nodes(), &mut rng).unwrap();
     let message = result_message("protocol = 'UDP' AND c2 > 100.00", &result.glsns);
-    let attestation = attestor.attest(&mut cluster, &message).unwrap();
+    let attestation = attestor.attest(&cluster, &message, &mut rng).unwrap();
     assert!(attestor.verify(&attestation));
 
     let full = cluster.retrieve_record(&user, glsns[0]).unwrap();
