@@ -178,12 +178,12 @@ echo "==> the runs above reproduced every committed snapshot and left the benchm
 # instead of slipping through.
 git diff --exit-code -- 'BENCH_*.json' telemetry_trace.json benchmark BENCHMARK.json
 
-echo "==> the ten binaries with a golden printed their committed stdout"
+echo "==> the eleven binaries with a golden printed their committed stdout"
 # Paper tables, figures and metric sweeps: a moved value fails here, not
 # only a run that disagrees with itself. A PR that moves one on purpose
 # commits the new crates/bench/golden/<binary>.txt and says why.
-for binary in tables_1_to_6 fig1_centralized fig2_architecture fig3_query_plan exp_tradeoff \
-    exp_metrics fig6_evidence_chain fig7_rbinding exp_sum_scaling exp_rank_scaling; do
+for binary in tables_1_to_6 fig1_centralized fig2_architecture fig3_query_plan fig4_ssi_trace \
+    exp_tradeoff exp_metrics fig6_evidence_chain fig7_rbinding exp_sum_scaling exp_rank_scaling; do
     diff -u "crates/bench/golden/$binary.txt" "$passes/first/$binary"
 done
 

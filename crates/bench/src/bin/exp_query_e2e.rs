@@ -9,7 +9,10 @@
 //! Run with: `cargo run -p dla-bench --bin exp_query_e2e --release`
 //! (writes `BENCH_query_e2e.json`: virtual time, counts and sessions —
 //! a query's wall-clock trajectory is `benchmark/run.sh`'s
-//! `query_scan`).
+//! `query_scan`). Each sealed-epoch row also counts the heap
+//! allocations the query made on its thread, through the counting
+//! allocator below: the simulator runs a query on the thread that asks
+//! it, so the count is the same every run.
 
 use dla_audit::centralized::CentralizedAuditor;
 use dla_audit::cluster::ClusterConfig;
@@ -21,6 +24,74 @@ use dla_bench::{
 use dla_logstore::gen::WorkloadConfig;
 use dla_logstore::schema::Schema;
 use dla_net::latency::LatencyModel;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Allocation requests and the bytes they asked for, on this thread.
+    static ALLOCATED: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+/// The system allocator, counting each thread's requests: an `alloc`
+/// (or `alloc_zeroed`) or a `realloc` is one allocation of the size it
+/// asks for.
+struct CountingAlloc;
+
+impl CountingAlloc {
+    fn record(size: usize) {
+        // `try_with`: a thread tearing down its locals still allocates.
+        let _ = ALLOCATED.try_with(|c| {
+            let (count, bytes) = c.get();
+            c.set((count + 1, bytes + size as u64));
+        });
+    }
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the bookkeeping touches only a
+// thread-local `Cell` and never allocates.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        Self::record(layout.size());
+        // SAFETY: the caller's contract for `alloc` is `System`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        Self::record(new_size);
+        // SAFETY: `ptr` came from `System` with this `layout`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+/// `f`'s result and the allocations and bytes it asked for on this
+/// thread.
+fn allocations<T>(f: impl FnOnce() -> T) -> (T, (u64, u64)) {
+    let (count, bytes) = ALLOCATED.get();
+    let out = f();
+    let (count_after, bytes_after) = ALLOCATED.get();
+    (out, (count_after - count, bytes_after - bytes))
+}
+
+/// [`asked_once_cost`]'s fields with the allocation counts beside the
+/// exponentiations.
+fn asked_once_fields(
+    cost: &dla_telemetry::CostVector,
+    (count, bytes): (u64, u64),
+) -> Vec<(&'static str, Json)> {
+    let mut fields = asked_once_cost(cost);
+    fields.insert(1, ("allocations", count.into()));
+    fields.insert(2, ("allocated_bytes", bytes.into()));
+    fields
+}
 
 const QUERY: &str = "(id = 'U1' OR c1 > 80) AND c2 < 500.00 AND protocol = 'UDP'";
 
@@ -62,12 +133,13 @@ fn asked_once_rows() -> Vec<Json> {
             let plan = cluster.compile(query).expect("compiles");
             let run = || {
                 let net = cluster.shared_net();
-                let (result, cost) =
-                    metered(|| execute_on(&cluster, net, &plan, true, ExecMode::Concurrent, 12));
-                (result.expect("query runs"), cost)
+                let ((result, cost), allocated) = allocations(|| {
+                    metered(|| execute_on(&cluster, net, &plan, true, ExecMode::Concurrent, 12))
+                });
+                (result.expect("query runs"), cost, allocated)
             };
-            let (cold, cold_cost) = run();
-            let (warm, warm_cost) = run();
+            let (cold, cold_cost, cold_allocated) = run();
+            let (warm, warm_cost, warm_allocated) = run();
             assert_eq!(
                 warm.glsns, cold.glsns,
                 "{shape}: warm answer is the cold answer"
@@ -78,13 +150,16 @@ fn asked_once_rows() -> Vec<Json> {
             if *shape == "and2" {
                 assert!(warm_cost.modexp <= AND2_WARM_MODEXP, "{warm_cost}");
             }
-            let mut warm_fields = asked_once_cost(&warm_cost);
+            let mut warm_fields = asked_once_fields(&warm_cost, warm_allocated);
             warm_fields.extend(answered_once_cost(&warm_cost, sealed));
             Json::Object(vec![
                 ("shape", (*shape).into()),
                 ("cross_subqueries", cold.plan.cross_count().into()),
                 ("matches", cold.glsns.len().into()),
-                ("cold", Json::Object(asked_once_cost(&cold_cost))),
+                (
+                    "cold",
+                    Json::Object(asked_once_fields(&cold_cost, cold_allocated)),
+                ),
                 ("warm", Json::Object(warm_fields)),
             ])
         })
