@@ -129,11 +129,12 @@ fn glsn_from_item(bytes: &[u8], total_len: usize) -> Result<Glsn, AuditError> {
             bytes.len()
         ))));
     }
-    let mut buf = vec![0u8; total_len];
-    buf[total_len - bytes.len()..].copy_from_slice(bytes);
-    Ok(Glsn(u64::from_be_bytes(
-        buf[..8].try_into().expect("8 bytes"),
-    )))
+    // The glsn is the element's first 8 of `total_len` bytes: those of
+    // them the decoding kept, after the leading zeros it stripped.
+    let mut glsn = [0u8; 8];
+    let kept = bytes.len().saturating_sub(total_len - 8);
+    glsn[8 - kept..].copy_from_slice(&bytes[..kept]);
+    Ok(Glsn(u64::from_be_bytes(glsn)))
 }
 
 /// Executes a plan on the cluster's own network, drawing the query
@@ -403,14 +404,14 @@ fn run_window(
     // with glsn as the element, revealed to the auditor engine.
     let mut holders: Vec<usize> = holder_sets.keys().copied().collect();
     holders.sort_unstable();
-    let inputs: Vec<Vec<Vec<u8>>> = holders
+    let inputs: Vec<Vec<[u8; 8]>> = holders
         .iter()
         .map(|h| {
             let sets = &holder_sets[h];
             let mut iter = sets.iter();
             let first = iter.next().cloned().unwrap_or_default();
             let local: GlsnSet = iter.fold(first, |acc, s| &acc & s);
-            local.iter().map(|g| g.0.to_be_bytes().to_vec()).collect()
+            local.iter().map(|g| g.0.to_be_bytes()).collect()
         })
         .collect();
 
@@ -842,14 +843,9 @@ fn run_cross_steps(
     // nodes, delivered to the holder.
     let mut contributing: Vec<usize> = per_node.keys().copied().collect();
     contributing.sort_unstable();
-    let inputs: Vec<Vec<Vec<u8>>> = contributing
+    let inputs: Vec<Vec<[u8; 8]>> = contributing
         .iter()
-        .map(|n| {
-            per_node[n]
-                .iter()
-                .map(|g| g.0.to_be_bytes().to_vec())
-                .collect()
-        })
+        .map(|n| per_node[n].iter().map(|g| g.0.to_be_bytes()).collect())
         .collect();
     let ring = Ring::new(contributing.iter().map(|&n| NodeId(n)).collect());
     let outcome =
@@ -886,16 +882,16 @@ fn equality_join(
     let mut reports = Vec::new();
 
     let item = |glsn: Glsn, value: &AttrValue| {
-        let mut out = Vec::with_capacity(24);
-        out.extend_from_slice(&glsn.0.to_be_bytes());
-        out.extend_from_slice(&sha256::digest(&value.to_canonical_bytes())[..16]);
+        let mut out = [0u8; 24];
+        out[..8].copy_from_slice(&glsn.0.to_be_bytes());
+        out[8..].copy_from_slice(&sha256::digest(&value.to_canonical_bytes())[..16]);
         out
     };
-    let left_items: Vec<Vec<u8>> = value_pairs(cluster, left_node, &literal.lhs, window)
+    let left_items: Vec<[u8; 24]> = value_pairs(cluster, left_node, &literal.lhs, window)
         .iter()
         .map(|(g, v)| item(*g, v))
         .collect();
-    let right_items: Vec<Vec<u8>> = value_pairs(cluster, right_node, rhs_attr, window)
+    let right_items: Vec<[u8; 24]> = value_pairs(cluster, right_node, rhs_attr, window)
         .iter()
         .map(|(g, v)| item(*g, v))
         .collect();
@@ -917,13 +913,13 @@ fn equality_join(
     }
 
     // ≠: joint presence minus the equal set.
-    let left_presence: Vec<Vec<u8>> = presence_set(cluster, left_node, &literal.lhs, window)
+    let left_presence: Vec<[u8; 8]> = presence_set(cluster, left_node, &literal.lhs, window)
         .iter()
-        .map(|g| g.0.to_be_bytes().to_vec())
+        .map(|g| g.0.to_be_bytes())
         .collect();
-    let right_presence: Vec<Vec<u8>> = presence_set(cluster, right_node, rhs_attr, window)
+    let right_presence: Vec<[u8; 8]> = presence_set(cluster, right_node, rhs_attr, window)
         .iter()
-        .map(|g| g.0.to_be_bytes().to_vec())
+        .map(|g| g.0.to_be_bytes())
         .collect();
     let ring = Ring::new(vec![NodeId(left_node), NodeId(right_node)]);
     let presence = SsiSession::new(*session, &ring, cluster.domain(), NodeId(left_node))

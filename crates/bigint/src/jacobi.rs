@@ -62,17 +62,30 @@ pub fn jacobi(a: &Ubig, n: &Ubig) -> i8 {
         &reduced
     };
     match n.limbs().len() {
-        0..=4 => symbol::<4>(a, n),
-        5..=8 => symbol::<8>(a, n),
+        0..=4 => symbol(words::load::<4>(a), words::load(n)),
+        5..=8 => symbol(words::load::<8>(a), words::load(n)),
         _ => jacobi_euclid(a, n),
     }
+}
+
+/// [`jacobi`] on `L` little-endian words: `(a/n)` for odd `n` and
+/// `a < n` — the loop [`jacobi`] runs, for a caller that already holds
+/// its values in words (the message encoding's pad probe).
+///
+/// # Panics
+///
+/// Panics if `n` is even or `L < 2`.
+#[must_use]
+pub fn jacobi_words<const L: usize>(a: &[u64; L], n: &[u64; L]) -> i8 {
+    assert!(L >= 2 && n[0] & 1 == 1, "jacobi: modulus must be odd");
+    debug_assert!(a.iter().rev().lt(n.iter().rev()), "jacobi_words: a < n");
+    symbol(*a, *n)
 }
 
 /// `(a/n)` for `a < n`, `n` odd, both in `L` words. The sign is kept
 /// as a bit and every data-dependent choice is a mask, so a step costs
 /// its word operations and no mispredicted branch.
-fn symbol<const L: usize>(a: &Ubig, n: &Ubig) -> i8 {
-    let (mut a, mut n) = (words::load::<L>(a), words::load::<L>(n));
+fn symbol<const L: usize>(mut a: [u64; L], mut n: [u64; L]) -> i8 {
     // Bit 0 is set while the symbol so far is -1.
     let mut sign = 0u64;
     if !descend(&mut a, &mut n, &mut sign, 2) {

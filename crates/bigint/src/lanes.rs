@@ -128,23 +128,24 @@ impl Lanes {
 
     /// Evaluates one window plan for a batch of bases, each already
     /// reduced below `n`, eight at a time: `⌈m/8⌉` zero-padded lane
-    /// groups walk the plan in lockstep. Returns `base^exp mod n` per
-    /// base and the step count the scalar batch walk reports for the
-    /// same call (the padding lanes are not counted).
+    /// groups walk the plan in lockstep. Writes `base^exp mod n` per
+    /// base to `out` and returns the step count the scalar batch walk
+    /// reports for the same call (the padding lanes are not counted).
     pub(crate) fn run_plan_batch(
         &self,
         bases: &[[u64; 4]],
         plan: &[ExpOp],
         window: usize,
-    ) -> (Vec<[u64; 4]>, u64) {
+        out: &mut [[u64; 4]],
+    ) -> u64 {
         // SAFETY: `self` exists, so `Lanes::new` saw `detected()` report
         // avx512f and avx512ifma on this CPU: the target features `walk`
         // is compiled for are present.
-        unsafe { self.walk(bases, plan, window) }
+        unsafe { self.walk(bases, plan, window, out) }
     }
 
     #[target_feature(enable = "avx512f,avx512ifma")]
-    fn walk(&self, bases: &[[u64; 4]], plan: &[ExpOp], window: usize) -> (Vec<[u64; 4]>, u64) {
+    fn walk(&self, bases: &[[u64; 4]], plan: &[ExpOp], window: usize, out: &mut [[u64; 4]]) -> u64 {
         debug_assert!((1..=6).contains(&window));
         let m = bases.len() as u64;
         let c = Consts {
@@ -208,15 +209,13 @@ impl Lanes {
         // conditional subtraction leaves it below n.
         let mut one = [_mm512_setzero_si512(); L];
         one[0] = splat(1);
-        let mut out = Vec::with_capacity(groups.len() * LANES);
-        for acc in &accs {
+        for (acc, chunk) in accs.iter().zip(out.chunks_mut(LANES)) {
             let limbs = mont_mul(acc, &one, &c).map(|v| store(v));
-            let values = (0..LANES).map(|lane| join52(&limbs.map(|l| l[lane])));
-            out.extend(values.map(|v| reduce_once(v, &self.n)));
+            for (lane, v) in chunk.iter_mut().enumerate() {
+                *v = reduce_once(join52(&limbs.map(|l| l[lane])), &self.n);
+            }
         }
-        out.truncate(bases.len());
-        steps += m; // redc
-        (out, steps)
+        steps + m // redc
     }
 }
 

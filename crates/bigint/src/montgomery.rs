@@ -42,7 +42,7 @@
 
 #[cfg(target_arch = "x86_64")]
 use crate::lanes::Lanes;
-use crate::{words, Ubig};
+use crate::Ubig;
 
 /// Precomputed per-modulus state for Montgomery reduction.
 #[derive(Clone, Debug)]
@@ -239,24 +239,6 @@ impl<const K: usize> FixedCtx<K> {
         self.mont_mul(a, &self.r2)
     }
 
-    /// Reduces `v` mod `n` and packs it into a fixed-width operand.
-    /// The common case (`v < n`, as every protocol value is) costs a
-    /// comparison and a copy; only out-of-range inputs divide.
-    pub(crate) fn load(&self, v: &Ubig, ctx: &MontgomeryContext) -> [u64; K] {
-        if v.limbs().len() <= K {
-            let out = words::load::<K>(v);
-            if !Self::geq(&out, &self.n) {
-                return out;
-            }
-        }
-        words::load::<K>(&(v % &ctx.modulus()))
-    }
-
-    /// Unpacks a fixed-width operand into a [`Ubig`].
-    pub(crate) fn store(v: &[u64; K]) -> Ubig {
-        Ubig::from_limbs(v.to_vec())
-    }
-
     /// Snapshots a [`MontgomeryContext`] into fixed-width form, or
     /// `None` when the modulus is not exactly `K` limbs wide.
     pub(crate) fn from_ctx(ctx: &MontgomeryContext) -> Option<Self> {
@@ -283,14 +265,15 @@ impl<const K: usize> FixedCtx<K> {
     /// top of the fixed-width win. This is the one window walk on a 4-
     /// or 8-limb modulus: [`MontgomeryContext::modexp`] is a batch of
     /// one, and the step count is per base, so `n` bases count exactly
-    /// what `n` single powers would.
+    /// what `n` single powers would. Each base must be below `n`; the
+    /// powers are written to `out`, one per base.
     pub(crate) fn run_plan_batch(
         &self,
-        bases: &[Ubig],
+        bases: &[[u64; K]],
         plan: &[ExpOp],
         window: usize,
-        ctx: &MontgomeryContext,
-    ) -> (Vec<Ubig>, u64) {
+        out: &mut [[u64; K]],
+    ) -> u64 {
         debug_assert!((1..=6).contains(&window));
         let n = bases.len();
         let table_len = 1usize << (window - 1);
@@ -300,7 +283,7 @@ impl<const K: usize> FixedCtx<K> {
         // b·table_len.
         let mut tables: Vec<[u64; K]> = Vec::with_capacity(n * table_len);
         for base in bases {
-            let base_m = self.to_mont(&self.load(base, ctx));
+            let base_m = self.to_mont(base);
             steps += 1; // to_mont
             let row = tables.len();
             tables.push(base_m);
@@ -315,42 +298,39 @@ impl<const K: usize> FixedCtx<K> {
             }
         }
 
-        let mut accs = vec![[0u64; K]; n];
+        // The accumulators are `out` itself.
         let mut started = false;
         for op in plan {
             match *op {
                 ExpOp::Square => {
                     if started {
-                        for acc in &mut accs {
+                        for acc in out.iter_mut() {
                             *acc = self.mont_sqr(acc);
                         }
                         steps += n as u64;
                     }
                 }
                 ExpOp::Multiply(idx) => {
-                    if started {
-                        for (b, acc) in accs.iter_mut().enumerate() {
-                            *acc = self.mont_mul(acc, &tables[b * table_len + idx]);
-                        }
-                        steps += n as u64;
-                    } else {
-                        for (b, acc) in accs.iter_mut().enumerate() {
-                            *acc = tables[b * table_len + idx];
-                        }
-                        started = true;
+                    for (b, acc) in out.iter_mut().enumerate() {
+                        let entry = &tables[b * table_len + idx];
+                        *acc = if started {
+                            self.mont_mul(acc, entry)
+                        } else {
+                            *entry
+                        };
                     }
+                    if started {
+                        steps += n as u64;
+                    }
+                    started = true;
                 }
             }
         }
         debug_assert!(started || n == 0, "non-zero exponent always multiplies");
-        let out = accs
-            .iter()
-            .map(|acc| {
-                steps += 1; // redc
-                Self::store(&self.redc(acc))
-            })
-            .collect();
-        (out, steps)
+        for acc in out.iter_mut() {
+            *acc = self.redc(acc);
+        }
+        steps + n as u64 // redc
     }
 }
 
@@ -660,19 +640,27 @@ impl MontgomeryContext {
         }
         let plan = window_plan(exp, window);
         let mut s = self.scratch();
-        let (out, steps) = self.run_plan(base, &plan, window, &mut s);
+        let mut out = vec![0u64; self.k()];
+        let steps = self.run_plan(&self.reduce(base), &plan, window, &mut s, &mut out);
         dla_telemetry::record(dla_telemetry::CostKind::MontMulStep, steps);
-        out
+        Ubig::from_limbs(out)
     }
 
-    /// Evaluates one precomputed window plan for one base, reusing the
-    /// caller's scratch. Returns the result and the number of
-    /// multiplication/squaring steps performed.
-    fn run_plan(&self, base: &Ubig, plan: &[ExpOp], window: usize, s: &mut Scratch) -> (Ubig, u64) {
-        let k = self.k();
+    /// Evaluates one precomputed window plan for one `k`-word base
+    /// below `n`, reusing the caller's scratch, into the `k` words of
+    /// `acc`. Returns the number of multiplication/squaring steps
+    /// performed.
+    fn run_plan(
+        &self,
+        base: &[u64],
+        plan: &[ExpOp],
+        window: usize,
+        s: &mut Scratch,
+        acc: &mut [u64],
+    ) -> u64 {
         let mut steps = 0u64;
         // Convert into Montgomery form through the shared scratch.
-        let mut base_m = pad(&(base % &self.modulus()), k);
+        let mut base_m = base.to_vec();
         self.mont_mul_assign(&mut base_m, &self.r2, s);
         steps += 1;
 
@@ -692,7 +680,6 @@ impl MontgomeryContext {
             }
         }
 
-        let mut acc = vec![0u64; k];
         // Until the first multiply the accumulator is 1; skip its
         // squarings instead of squaring the identity.
         let mut started = false;
@@ -700,13 +687,13 @@ impl MontgomeryContext {
             match *op {
                 ExpOp::Square => {
                     if started {
-                        self.mont_sqr_assign(&mut acc, s);
+                        self.mont_sqr_assign(acc, s);
                         steps += 1;
                     }
                 }
                 ExpOp::Multiply(idx) => {
                     if started {
-                        self.mont_mul_assign(&mut acc, &table[idx], s);
+                        self.mont_mul_assign(acc, &table[idx], s);
                         steps += 1;
                     } else {
                         acc.copy_from_slice(&table[idx]);
@@ -716,9 +703,8 @@ impl MontgomeryContext {
             }
         }
         debug_assert!(started, "non-zero exponent always multiplies");
-        self.redc_assign(&mut acc, s);
-        steps += 1; // conversion out of Montgomery form
-        (Ubig::from_limbs(acc), steps)
+        self.redc_assign(acc, s);
+        steps + 1 // conversion out of Montgomery form
     }
 
     /// `base^exp mod n` by the classic bit-at-a-time square-and-multiply,
@@ -750,12 +736,9 @@ impl MontgomeryContext {
     }
 
     /// `base^exp mod n` for every base in `bases`, sharing one window
-    /// plan and one scratch workspace across the whole batch — the
-    /// per-element cost of a travelling-set encryption drops to table
-    /// build + plan replay, with zero per-step allocation. On a 4-limb
-    /// modulus, a batch of at least four bases walks eight at a time on
-    /// the AVX-512 IFMA lane kernel where the CPU has one (`DESIGN.md`
-    /// §11); everything else walks the scalar kernel.
+    /// plan and one scratch workspace across the whole batch: the
+    /// conversion of each base into and out of words around
+    /// [`Self::modexp_words`], on the kernel that call picks.
     ///
     /// Telemetry parity: records exactly the same `ModExp` and
     /// `MontMulStep` counts as element-at-a-time [`Self::modexp`]
@@ -782,41 +765,103 @@ impl MontgomeryContext {
         self.has_lanes().then(|| self.batch(bases, exp, true))
     }
 
+    /// The number of 64-bit words `k` of the modulus: the width of one
+    /// base in [`Self::modexp_words`].
+    #[must_use]
+    pub fn limbs(&self) -> usize {
+        self.k()
+    }
+
+    /// `base^exp mod n` for every base in `bases` — `k =`
+    /// [`Self::limbs`] little-endian words per base, back to back —
+    /// written in order to `out`, which is as long as `bases`. This is
+    /// the one batch walk: one window plan for the whole batch, one
+    /// allocation for its tables, none per base. On a 4-limb modulus a
+    /// batch of at least four bases walks eight at a time on the
+    /// AVX-512 IFMA lane kernel where the CPU has one (`DESIGN.md`
+    /// §11); everything else walks the scalar kernel. A base at or
+    /// above `n` is reduced first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bases.len()` is not a multiple of `k` or `out` is not
+    /// as long as `bases`.
+    pub fn modexp_words(&self, bases: &[u64], exp: &Ubig, out: &mut [u64]) {
+        let lanes = bases.len() >= LANE_MIN_BATCH * self.k();
+        self.walk(bases, exp, lanes, out);
+    }
+
+    /// The Ubig batch: the bases in words, the walk, the powers back.
+    fn batch(&self, bases: &[Ubig], exp: &Ubig, lanes: bool) -> Vec<Ubig> {
+        let k = self.k();
+        let mut words = vec![0u64; bases.len() * k];
+        for (w, base) in words.chunks_exact_mut(k).zip(bases) {
+            w.copy_from_slice(&self.reduce(base));
+        }
+        let mut out = vec![0u64; words.len()];
+        self.walk(&words, exp, lanes, &mut out);
+        out.chunks_exact(k)
+            .map(|w| Ubig::from_limbs(w.to_vec()))
+            .collect()
+    }
+
+    /// `v mod n` in `k` words.
+    fn reduce(&self, v: &Ubig) -> Vec<u64> {
+        if v.limbs().len() <= self.k() {
+            let w = pad(v, self.k());
+            if !ge(&w, &self.n) {
+                return w;
+            }
+        }
+        pad(&(v % &self.modulus()), self.k())
+    }
+
     /// The batch walk, on the lane kernel when `lanes` asks for it and
     /// this context has one.
-    fn batch(&self, bases: &[Ubig], exp: &Ubig, lanes: bool) -> Vec<Ubig> {
+    fn walk(&self, bases: &[u64], exp: &Ubig, lanes: bool, out: &mut [u64]) {
+        let k = self.k();
+        assert_eq!(bases.len() % k, 0, "bases are k words each");
+        assert_eq!(out.len(), bases.len(), "one power per base");
         if bases.is_empty() {
-            return Vec::new();
+            return;
         }
-        dla_telemetry::record(dla_telemetry::CostKind::ModExp, bases.len() as u64);
+        dla_telemetry::record(dla_telemetry::CostKind::ModExp, (bases.len() / k) as u64);
         if exp.is_zero() {
-            let one = Ubig::one() % &self.modulus();
-            return bases.iter().map(|_| one.clone()).collect();
+            let one = pad(&(Ubig::one() % &self.modulus()), k);
+            for w in out.chunks_exact_mut(k) {
+                w.copy_from_slice(&one);
+            }
+            return;
         }
+        // A base at or above n (never one a protocol sends) is reduced
+        // in a copy; the rest walk from the caller's words.
+        let reduced: Vec<u64>;
+        let bases = if bases.chunks_exact(k).all(|b| !ge(b, &self.n)) {
+            bases
+        } else {
+            reduced = (bases.chunks_exact(k))
+                .flat_map(|b| self.reduce(&Ubig::from_limbs(b.to_vec())))
+                .collect();
+            &reduced
+        };
         let window = window_width(exp.bit_len());
         let plan = window_plan(exp, window);
-        let (out, steps) = if let Some(f) = FixedCtx::<4>::from_ctx(self) {
-            match self.lane_walk(lanes, &f, bases, &plan, window) {
-                Some(walked) => walked,
-                None => f.run_plan_batch(bases, &plan, window, self),
+        let steps = if let Some(f) = FixedCtx::<4>::from_ctx(self) {
+            let (bases, out) = (bases.as_chunks().0, out.as_chunks_mut().0);
+            match self.lane_walk(lanes, bases, &plan, window, out) {
+                Some(steps) => steps,
+                None => f.run_plan_batch(bases, &plan, window, out),
             }
         } else if let Some(f) = FixedCtx::<8>::from_ctx(self) {
-            f.run_plan_batch(bases, &plan, window, self)
+            f.run_plan_batch(bases.as_chunks().0, &plan, window, out.as_chunks_mut().0)
         } else {
             let mut s = self.scratch();
-            let mut steps = 0u64;
-            let out = bases
-                .iter()
-                .map(|base| {
-                    let (r, step) = self.run_plan(base, &plan, window, &mut s);
-                    steps += step;
-                    r
-                })
-                .collect();
-            (out, steps)
+            (bases.chunks_exact(k))
+                .zip(out.chunks_exact_mut(k))
+                .map(|(base, acc)| self.run_plan(base, &plan, window, &mut s, acc))
+                .sum()
         };
         dla_telemetry::record(dla_telemetry::CostKind::MontMulStep, steps);
-        out
     }
 
     #[cfg(target_arch = "x86_64")]
@@ -835,26 +880,24 @@ impl MontgomeryContext {
     fn lane_walk(
         &self,
         lanes: bool,
-        f: &FixedCtx<4>,
-        bases: &[Ubig],
+        bases: &[[u64; 4]],
         plan: &[ExpOp],
         window: usize,
-    ) -> Option<(Vec<Ubig>, u64)> {
+        out: &mut [[u64; 4]],
+    ) -> Option<u64> {
         let kernel = self.lanes.as_ref().filter(|_| lanes)?;
-        let loaded: Vec<[u64; 4]> = bases.iter().map(|b| f.load(b, self)).collect();
-        let (out, steps) = kernel.run_plan_batch(&loaded, plan, window);
-        Some((out.iter().map(FixedCtx::<4>::store).collect(), steps))
+        Some(kernel.run_plan_batch(bases, plan, window, out))
     }
 
     #[cfg(not(target_arch = "x86_64"))]
     fn lane_walk(
         &self,
         _lanes: bool,
-        _f: &FixedCtx<4>,
-        _bases: &[Ubig],
+        _bases: &[[u64; 4]],
         _plan: &[ExpOp],
         _window: usize,
-    ) -> Option<(Vec<Ubig>, u64)> {
+        _out: &mut [[u64; 4]],
+    ) -> Option<u64> {
         None
     }
 

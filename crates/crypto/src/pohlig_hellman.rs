@@ -14,10 +14,17 @@
 //! mapped into the order-`q` subgroup of quadratic residues (see
 //! [`CommutativeDomain::fingerprint`]) so ciphertexts do not even leak
 //! residuosity.
+//!
+//! A protocol carries each element as one `Copy` word array
+//! `[u64; L]` — `L = 4` for a domain of up to 256 bits, `8` up to 512 —
+//! from [`CommutativeDomain::encode_words`], through
+//! [`PhKey::encrypt_words`]/[`PhKey::decrypt_words`], to
+//! [`CommutativeDomain::decode_words`]; the [`Ubig`] entry points
+//! convert around that one path.
 
 use crate::sha256;
 use crate::CryptoError;
-use dla_bigint::jacobi::jacobi;
+use dla_bigint::jacobi::{jacobi, jacobi_words};
 use dla_bigint::modular::modinv;
 use dla_bigint::montgomery::MontgomeryContext;
 use dla_bigint::{prime, Ubig};
@@ -38,6 +45,10 @@ pub enum BatchMode {
     #[default]
     Serial,
 }
+
+/// The widest domain, in 64-bit words: an element travels as a
+/// `[u64; 4]` up to 256 bits and a `[u64; 8]` up to 512.
+pub const MAX_LIMBS: usize = 8;
 
 /// A precomputed 256-bit safe prime (p = 2q + 1, q prime), verified by
 /// the test suite. Used for fast deterministic tests and benches.
@@ -86,12 +97,18 @@ impl CommutativeDomain {
     /// This is expensive (safe primes are sparse); prefer
     /// [`CommutativeDomain::fixed_256`]/[`fixed_512`](Self::fixed_512)
     /// in tests.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bits` exceeds `64 ·` [`MAX_LIMBS`].
     pub fn generate<R: Rng + ?Sized>(bits: usize, rng: &mut R) -> Self {
+        assert!(bits <= 64 * MAX_LIMBS, "a domain is at most 512 bits");
         let (p, q) = prime::gen_safe_prime(bits, rng);
         Self::from_parts(p, q)
     }
 
     fn from_parts(p: Ubig, q: Ubig) -> Self {
+        debug_assert!(p.limbs().len() <= MAX_LIMBS);
         let ctx = MontgomeryContext::new(&p).expect("safe primes are odd");
         let order = &p - &Ubig::one();
         CommutativeDomain {
@@ -113,8 +130,12 @@ impl CommutativeDomain {
     /// # Errors
     ///
     /// Returns [`CryptoError::InvalidParameter`] if `p` is not a safe
-    /// prime (checked probabilistically).
+    /// prime (checked probabilistically) or is wider than [`MAX_LIMBS`]
+    /// words.
     pub fn from_safe_prime<R: Rng + ?Sized>(p: Ubig, rng: &mut R) -> Result<Self, CryptoError> {
+        if p.limbs().len() > MAX_LIMBS {
+            return Err(CryptoError::InvalidParameter("p is wider than 512 bits"));
+        }
         if !prime::is_prime(&p, rng) {
             return Err(CryptoError::InvalidParameter("p is not prime"));
         }
@@ -141,6 +162,25 @@ impl CommutativeDomain {
     #[must_use]
     pub fn modulus(&self) -> &Ubig {
         &self.p
+    }
+
+    /// The number of 64-bit words of `p`, at most [`MAX_LIMBS`]: an
+    /// element is carried in a `[u64; L]` with `L` at least this.
+    #[must_use]
+    pub fn limbs(&self) -> usize {
+        self.ctx.limbs()
+    }
+
+    /// `p` in `L` little-endian words.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is wider than `L` words.
+    #[must_use]
+    pub fn modulus_words<const L: usize>(&self) -> [u64; L] {
+        let mut words = [0; L];
+        words[..self.limbs()].copy_from_slice(self.p.limbs());
+        words
     }
 
     /// The subgroup order `q = (p − 1) / 2`.
@@ -186,6 +226,36 @@ impl CommutativeDomain {
             .modexp_batch(bases, reduced.as_ref().unwrap_or(exp))
     }
 
+    /// [`Self::pow_batch`] on word elements, each below `p`, in `L ≥`
+    /// [`Self::limbs`] words: the batch walk
+    /// ([`MontgomeryContext::modexp_words`]) reads and writes them in
+    /// place when `L` is the modulus width, and the low words of each
+    /// otherwise.
+    fn pow_words<const L: usize>(&self, bases: &[[u64; L]], exp: &Ubig) -> Vec<[u64; L]> {
+        let reduced = self.reduce_exp(exp);
+        let exp = reduced.as_ref().unwrap_or(exp);
+        let mut out = vec![[0; L]; bases.len()];
+        let k = self.limbs();
+        if k == L {
+            self.ctx
+                .modexp_words(bases.as_flattened(), exp, out.as_flattened_mut());
+            return out;
+        }
+        // A domain narrower than its word array (the test prime 23 in
+        // four words) walks its own k words of each element.
+        assert!(
+            bases.iter().all(|b| b[k..].iter().all(|&w| w == 0)),
+            "element wider than the domain"
+        );
+        let packed: Vec<u64> = bases.iter().flat_map(|b| b[..k].to_vec()).collect();
+        let mut walked = vec![0; packed.len()];
+        self.ctx.modexp_words(&packed, exp, &mut walked);
+        for (o, w) in out.iter_mut().zip(walked.chunks_exact(k)) {
+            o[..k].copy_from_slice(w);
+        }
+        out
+    }
+
     /// Whether `x` is a quadratic residue mod `p`, by the binary Jacobi
     /// symbol `(x/p) ≟ 1` — O(bits²) word operations where the Euler
     /// criterion `x^q ≟ 1` would spend a full modexp.
@@ -209,24 +279,56 @@ impl CommutativeDomain {
     /// all encryption layers are removed — which is how Figure 4's
     /// parties "decode the plaintext e by the use of their matched
     /// decoding keys", and how secure set union returns actual items.
+    /// The element of [`encode_words`](Self::encode_words), as a
+    /// [`Ubig`].
     ///
     /// # Errors
     ///
     /// Returns [`CryptoError::InvalidParameter`] if the message exceeds
     /// [`max_encode_len`](Self::max_encode_len).
     pub fn encode(&self, message: &[u8]) -> Result<Ubig, CryptoError> {
+        let words = if self.limbs() <= 4 {
+            self.encode_words::<4>(message)?.to_vec()
+        } else {
+            self.encode_words::<8>(message)?.to_vec()
+        };
+        Ok(Ubig::from_limbs(words))
+    }
+
+    /// [`encode`](Self::encode) in `L` words: the candidate `m ‖ pad`
+    /// is built in words and probed by the fixed-width Jacobi loop
+    /// ([`jacobi_words`]), with no allocation per pad try.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CryptoError::InvalidParameter`] if the message exceeds
+    /// [`max_encode_len`](Self::max_encode_len).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is wider than `L` words or `L < 2`.
+    pub fn encode_words<const L: usize>(&self, message: &[u8]) -> Result<[u64; L], CryptoError> {
         if message.len() > self.max_encode_len() {
             return Err(CryptoError::InvalidParameter(
                 "message too long for group encoding",
             ));
         }
-        let base = Ubig::from_bytes_be(message) << 8;
+        let p = self.modulus_words::<L>();
+        // m ‖ 0x00: the message one byte up, little-endian words. It
+        // fits: max_encode_len leaves the top 16 bits of p free.
+        let mut base = [0u64; L];
+        for (i, &byte) in message.iter().rev().enumerate() {
+            let bit = 8 * (i + 1);
+            base[bit / 64] |= u64::from(byte) << (bit % 64);
+        }
+        let small = base[1..].iter().all(|&w| w == 0);
         for pad in 0..=255u64 {
-            let candidate = &base + &Ubig::from_u64(pad);
-            if candidate.is_zero() || candidate.is_one() {
+            let mut candidate = base;
+            candidate[0] |= pad;
+            if small && candidate[0] <= 1 {
                 continue;
             }
-            if self.is_quadratic_residue(&candidate) {
+            if jacobi_words(&candidate, &p) == 1 {
                 return Ok(candidate);
             }
         }
@@ -241,6 +343,14 @@ impl CommutativeDomain {
     #[must_use]
     pub fn decode(&self, element: &Ubig) -> Vec<u8> {
         (element >> 8).to_bytes_be()
+    }
+
+    /// [`decode`](Self::decode) of a word element: its big-endian bytes
+    /// without the pad byte and without leading zeros.
+    #[must_use]
+    pub fn decode_words<const L: usize>(&self, element: &[u64; L]) -> Vec<u8> {
+        let bytes = element.iter().rev().flat_map(|w| w.to_be_bytes());
+        bytes.take(8 * L - 1).skip_while(|&b| b == 0).collect()
     }
 
     /// Maps arbitrary bytes to a group element in the order-`q`
@@ -369,6 +479,28 @@ impl PhKey {
     #[must_use]
     pub fn decrypt_batch(&self, cs: &[Ubig], _mode: BatchMode) -> Vec<Ubig> {
         self.domain.pow_batch(cs, &self.d)
+    }
+
+    /// [`encrypt_batch`](Self::encrypt_batch) on word elements, each
+    /// below `p` in `L ≥` [`CommutativeDomain::limbs`] words: one
+    /// allocation for the whole set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is wider than `L` words.
+    #[must_use]
+    pub fn encrypt_words<const L: usize>(&self, ms: &[[u64; L]]) -> Vec<[u64; L]> {
+        self.domain.pow_words(ms, &self.e)
+    }
+
+    /// [`decrypt_batch`](Self::decrypt_batch) on word elements.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is wider than `L` words.
+    #[must_use]
+    pub fn decrypt_words<const L: usize>(&self, cs: &[[u64; L]]) -> Vec<[u64; L]> {
+        self.domain.pow_words(cs, &self.d)
     }
 }
 

@@ -5,16 +5,17 @@
 //! their collector steps.
 
 use crate::MpcError;
-use dla_bigint::Ubig;
 use dla_crypto::pohlig_hellman::{CommutativeDomain, PhKey};
 use dla_net::topology::Ring;
-use dla_net::wire::{Reader, Writer};
+use dla_net::wire::{Reader, WireError, Writer};
 use dla_net::{Envelope, NodeId, Session};
-use std::collections::BTreeSet;
+use std::cmp::Ordering;
+use std::collections::HashSet;
 
 /// The frame a relay's sets travel in; the discriminant is its wire tag.
 /// `∩_s` frames are `0x01 ‖ origin ‖ elements`, `∪_s` frames
-/// `0x02 ‖ elements`.
+/// `0x02 ‖ elements`. An element is a `[u64; L]` (DESIGN §11) and
+/// travels as its minimal big-endian bytes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum SetFrame {
     /// `∩_s`: the frame names the ring position whose set it carries.
@@ -27,51 +28,128 @@ pub(crate) enum SetFrame {
 const PASS_ORIGIN: u64 = u64::MAX;
 
 impl SetFrame {
-    pub(crate) fn encode(self, origin: u64, elements: &[Ubig]) -> bytes::Bytes {
-        let mut w = Writer::new();
+    pub(crate) fn encode<const L: usize>(self, origin: u64, elements: &[[u64; L]]) -> bytes::Bytes {
+        let mut w = Writer::with_capacity(1 + 8 + 8 + elements.len() * (8 + 8 * L));
         w.put_u8(self as u8);
         if self == SetFrame::Intersection {
             w.put_u64(origin);
         }
+        let mut buf = [0; 8 * dla_crypto::pohlig_hellman::MAX_LIMBS];
         w.put_list(elements, |w, e| {
-            w.put_bytes(&e.to_bytes_be());
+            w.put_bytes(minimal_be(e, &mut buf));
         });
         w.finish()
     }
 
     /// The origin (`∩_s` only) and the elements of a set frame. An
-    /// element has one encoding: no leading zero byte, and below the
-    /// domain's modulus — at or above it, it would act as its own
-    /// reduction.
-    pub(crate) fn decode(
+    /// element has one encoding: no leading zero byte, no wider than
+    /// the domain's `L` words, and below its modulus — at or above it,
+    /// it would act as its own reduction.
+    pub(crate) fn decode<const L: usize>(
         self,
         payload: &[u8],
-        modulus: &Ubig,
-    ) -> Result<(Option<u64>, Vec<Ubig>), MpcError> {
+        modulus: &[u64; L],
+    ) -> Result<(Option<u64>, Vec<[u64; L]>), MpcError> {
         let mut r = Reader::open(payload, self as u8)?;
         let origin = (self == SetFrame::Intersection)
             .then(|| r.get_u64())
             .transpose()?;
-        let elements = r.get_list(|r| r.get_minimal_uint().map(Ubig::from_bytes_be))?;
+        let elements = r.get_list(|r| from_be(r.get_minimal_uint()?))?;
         r.finish()?;
-        if elements.iter().any(|e| e >= modulus) {
+        if elements.iter().any(|e| !below(e, modulus)) {
             return Err(MpcError::Wire("set element not below the modulus".into()));
         }
         Ok((origin, elements))
     }
 }
 
-/// One relay over `ring` towards `collector`, in `frame`s.
-pub(crate) struct Relay<'s, 'a> {
+/// `e`'s big-endian bytes without leading zeros, in `buf`.
+fn minimal_be<'b, const L: usize>(e: &[u64; L], buf: &'b mut [u8]) -> &'b [u8] {
+    let bytes = &mut buf[..8 * L];
+    for (chunk, w) in bytes.chunks_exact_mut(8).zip(e.iter().rev()) {
+        chunk.copy_from_slice(&w.to_be_bytes());
+    }
+    let zeros = bytes.iter().take_while(|&&b| b == 0).count();
+    &bytes[zeros..]
+}
+
+/// The element whose big-endian bytes are `bytes`, or an error when
+/// they do not fit `L` words.
+fn from_be<const L: usize>(bytes: &[u8]) -> Result<[u64; L], WireError> {
+    if bytes.len() > 8 * L {
+        return Err(WireError::new("set element wider than the domain"));
+    }
+    let mut e = [0; L];
+    for (w, chunk) in e.iter_mut().zip(bytes.rchunks(8)) {
+        let mut word = [0; 8];
+        word[8 - chunk.len()..].copy_from_slice(chunk);
+        *w = u64::from_be_bytes(word);
+    }
+    Ok(e)
+}
+
+/// `a < b` on little-endian words.
+fn below<const L: usize>(a: &[u64; L], b: &[u64; L]) -> bool {
+    a.iter().rev().lt(b.iter().rev())
+}
+
+/// The number of bytes of `e`'s minimal big-endian form.
+fn byte_len<const L: usize>(e: &[u64; L]) -> usize {
+    let bits = (e.iter().rposition(|&w| w != 0))
+        .map_or(0, |top| 64 * (top + 1) - e[top].leading_zeros() as usize);
+    bits.div_ceil(8)
+}
+
+/// `e >> (8 · bytes)`.
+fn shr_bytes<const L: usize>(e: &[u64; L], bytes: usize) -> [u64; L] {
+    let (words, bits) = (bytes / 8, 8 * (bytes % 8) as u32);
+    std::array::from_fn(|i| {
+        let lo = e.get(i + words).copied().unwrap_or(0);
+        let hi = e.get(i + words + 1).copied().unwrap_or(0);
+        // Two shifts, so that `bits = 0` shifts in nothing.
+        (lo >> bits) | ((hi << 1) << (63 - bits))
+    })
+}
+
+/// The order of elements' minimal big-endian bytes — the order a set of
+/// those byte strings sorts in, which is the order the collectors list
+/// their answers and ship a decryption pass in. Of two elements as wide
+/// it is the numeric order; a shorter one compares with the longer
+/// one's leading bytes, and goes first when they are equal.
+pub(crate) fn wire_order<const L: usize>(a: &[u64; L], b: &[u64; L]) -> Ordering {
+    let (la, lb) = (byte_len(a), byte_len(b));
+    let numeric = |x: &[u64; L], y: &[u64; L]| x.iter().rev().cmp(y.iter().rev());
+    match la.cmp(&lb) {
+        Ordering::Equal => numeric(a, b),
+        Ordering::Less => numeric(a, &shr_bytes(b, lb - la)).then(Ordering::Less),
+        Ordering::Greater => numeric(&shr_bytes(a, la - lb), b).then(Ordering::Greater),
+    }
+}
+
+/// `set` in [`wire_order`], without repeats.
+pub(crate) fn sorted<const L: usize>(mut set: Vec<[u64; L]>) -> Vec<[u64; L]> {
+    set.sort_unstable_by(wire_order);
+    set.dedup();
+    set
+}
+
+/// Whether `e` is in `set`, which is [`sorted`].
+pub(crate) fn holds<const L: usize>(set: &[[u64; L]], e: &[u64; L]) -> bool {
+    set.binary_search_by(|x| wire_order(x, e)).is_ok()
+}
+
+/// One relay over `ring` towards `collector`, in `frame`s of `L`-word
+/// elements.
+pub(crate) struct Relay<'s, 'a, const L: usize> {
     pub(crate) net: &'s Session<'a>,
     pub(crate) ring: &'a Ring,
     /// The domain's modulus, which every element must be below.
-    pub(crate) modulus: &'a Ubig,
+    pub(crate) modulus: [u64; L],
     pub(crate) collector: NodeId,
     pub(crate) frame: SetFrame,
 }
 
-impl Relay<'_, '_> {
+impl<const L: usize> Relay<'_, '_, L> {
     /// `set` from `from` to `to` in a round of its own, decoded on
     /// arrival.
     pub(crate) fn hand(
@@ -79,11 +157,11 @@ impl Relay<'_, '_> {
         from: NodeId,
         to: NodeId,
         origin: u64,
-        set: &[Ubig],
-    ) -> Result<Vec<Ubig>, MpcError> {
+        set: &[[u64; L]],
+    ) -> Result<Vec<[u64; L]>, MpcError> {
         self.net.send(from, to, self.frame.encode(origin, set));
         let envelope = self.net.recv_from(to, from)?;
-        let (_, set) = self.frame.decode(&envelope.payload, self.modulus)?;
+        let (_, set) = self.frame.decode(&envelope.payload, &self.modulus)?;
         Ok(set)
     }
 
@@ -97,16 +175,17 @@ impl Relay<'_, '_> {
     /// `on_hop(origin, hop, envelope, set)` sees every set after every
     /// layer: hop 0 is the owner's (no envelope brought it), hop `h` the
     /// layer of ring position `origin + h`.
+    #[allow(clippy::type_complexity)]
     pub(crate) fn encrypt_and_collect(
         &self,
         keys: &[PhKey],
-        encoded: &[Vec<Ubig>],
-        mut on_hop: impl FnMut(usize, usize, Option<&Envelope>, &[Ubig]),
-    ) -> Result<Vec<Vec<Ubig>>, MpcError> {
+        encoded: &[Vec<[u64; L]>],
+        mut on_hop: impl FnMut(usize, usize, Option<&Envelope>, &[[u64; L]]),
+    ) -> Result<Vec<Vec<[u64; L]>>, MpcError> {
         let (ring, n) = (self.ring, self.ring.len());
-        let mut sets: Vec<Vec<Ubig>> = Vec::with_capacity(n);
+        let mut sets: Vec<Vec<[u64; L]>> = Vec::with_capacity(n);
         for (origin, (key, plain)) in keys.iter().zip(encoded).enumerate() {
-            let encrypted = key.encrypt_batch(plain, Default::default());
+            let encrypted = key.encrypt_words(plain);
             on_hop(origin, 0, None, &encrypted);
             sets.push(encrypted);
         }
@@ -118,14 +197,14 @@ impl Relay<'_, '_> {
                 (from, to, self.frame.encode(origin as u64, set))
             });
             for (origin, envelope) in self.net.round(relays)?.into_iter().enumerate() {
-                let (carried, elements) = self.frame.decode(&envelope.payload, self.modulus)?;
+                let (carried, elements) = self.frame.decode(&envelope.payload, &self.modulus)?;
                 if let Some(tag) = carried.filter(|&tag| tag != origin as u64) {
                     return Err(MpcError::Protocol(format!(
                         "relay for set {origin} carried origin tag {tag}"
                     )));
                 }
                 let holder = (origin + hop) % n;
-                sets[origin] = keys[holder].encrypt_batch(&elements, Default::default());
+                sets[origin] = keys[holder].encrypt_words(&elements);
                 on_hop(origin, hop, Some(&envelope), &sets[origin]);
             }
         }
@@ -142,7 +221,7 @@ impl Relay<'_, '_> {
         });
         let mut returned = Vec::with_capacity(n);
         for (origin, envelope) in self.net.round(collection)?.into_iter().enumerate() {
-            let (_, elements) = self.frame.decode(&envelope.payload, self.modulus)?;
+            let (_, elements) = self.frame.decode(&envelope.payload, &self.modulus)?;
             if own == Some(origin) {
                 check_own_set(&elements, encoded[origin].len())?;
             }
@@ -159,13 +238,13 @@ impl Relay<'_, '_> {
         &self,
         keys: &[PhKey],
         positions: &[usize],
-        mut set: Vec<Ubig>,
-    ) -> Result<(Vec<Ubig>, usize), MpcError> {
+        mut set: Vec<[u64; L]>,
+    ) -> Result<(Vec<[u64; L]>, usize), MpcError> {
         let mut holder = self.collector;
         for &pos in positions {
             let node = self.ring.at(pos);
             let arrived = self.hand(holder, node, PASS_ORIGIN, &set)?;
-            set = keys[pos].decrypt_batch(&arrived, Default::default());
+            set = keys[pos].decrypt_words(&arrived);
             holder = node;
         }
         let mut rounds = positions.len();
@@ -181,19 +260,21 @@ impl Relay<'_, '_> {
 /// (sorted-plaintext) order — the order it travels in — and
 /// deduplicated on the *encoding*: items that differ only in leading
 /// zero bytes encode alike, and a set travels as distinct elements.
-pub(crate) fn encode_canonical(
+pub(crate) fn encode_canonical<const L: usize, I: AsRef<[u8]>>(
     domain: &CommutativeDomain,
-    inputs: &[Vec<Vec<u8>>],
-) -> Result<Vec<Vec<Ubig>>, MpcError> {
+    inputs: &[Vec<I>],
+) -> Result<Vec<Vec<[u64; L]>>, MpcError> {
     inputs
         .iter()
         .map(|raw| {
-            let canonical: BTreeSet<&Vec<u8>> = raw.iter().collect();
-            let mut seen = BTreeSet::new();
+            let mut canonical: Vec<&[u8]> = raw.iter().map(AsRef::as_ref).collect();
+            canonical.sort_unstable();
+            canonical.dedup();
+            let mut seen = HashSet::with_capacity(canonical.len());
             let mut encoded = Vec::with_capacity(canonical.len());
             for item in canonical {
-                let element = domain.encode(item)?;
-                if seen.insert(element.clone()) {
+                let element = domain.encode_words(item)?;
+                if seen.insert(element) {
                     encoded.push(element);
                 }
             }
@@ -208,8 +289,10 @@ pub(crate) fn encode_canonical(
 /// element stops the run rather than shifting the answer. This is a
 /// shape check only — a relay that *reorders* the set, or swaps in as
 /// many other distinct values, passes it (see the `∩_s` module docs).
-fn check_own_set(returned: &[Ubig], sent: usize) -> Result<(), MpcError> {
-    let distinct: BTreeSet<&Ubig> = returned.iter().collect();
+fn check_own_set<const L: usize>(returned: &[[u64; L]], sent: usize) -> Result<(), MpcError> {
+    let mut distinct = returned.to_vec();
+    distinct.sort_unstable();
+    distinct.dedup();
     if returned.len() == sent && distinct.len() == sent {
         Ok(())
     } else {
@@ -226,27 +309,88 @@ pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// `v + k` (`add`) or `v − 1 − k` on words, wrapping.
+    fn offset<const L: usize>(v: &[u64; L], k: u64, add: bool) -> [u64; L] {
+        let mut out = *v;
+        let mut carry = if add { k } else { k + 1 };
+        for w in &mut out {
+            let (x, c) = if add {
+                w.overflowing_add(carry)
+            } else {
+                w.overflowing_sub(carry)
+            };
+            *w = x;
+            carry = u64::from(c);
+        }
+        out
+    }
+
     /// The bytes of one set element as a peer might send them: short
-    /// strings that may lead with a zero byte, and values just below
-    /// and at or above `modulus`.
-    pub(crate) fn element_bytes(modulus: &Ubig) -> impl Strategy<Value = Vec<u8>> {
-        let modulus = modulus.clone();
+    /// strings that may lead with a zero byte, values just below and at
+    /// or above `modulus`, and values below it behind one more leading
+    /// byte — wider than the domain's `L` words.
+    pub(crate) fn element_bytes<const L: usize>(
+        modulus: [u64; L],
+    ) -> impl Strategy<Value = Vec<u8>> {
+        let near = move |k: u64, above: bool| {
+            let mut buf = [0; 64];
+            minimal_be(&offset(&modulus, k, above), &mut buf).to_vec()
+        };
         prop_oneof![
             prop::collection::vec(prop_oneof![Just(0u8), any::<u8>()], 0..6),
-            (0u64..4, any::<bool>()).prop_map(move |(k, above)| {
-                let k = Ubig::from_u64(k);
-                let v = if above {
-                    &modulus + &k
-                } else {
-                    &(&modulus - &Ubig::one()) - &k
-                };
-                v.to_bytes_be()
+            (0u64..4, any::<bool>()).prop_map(move |(k, above)| near(k, above)),
+            (1u8..=255, 0u64..4).prop_map(move |(lead, k)| {
+                let below = offset(&modulus, k, false);
+                let mut wide = vec![lead];
+                wide.extend(below.iter().rev().flat_map(|w| w.to_be_bytes()));
+                wide
             }),
         ]
     }
 
     /// Whether `elements` are each in their one encoding below `modulus`.
-    pub(crate) fn canonical(elements: &[Vec<u8>], modulus: &Ubig) -> bool {
-        (elements.iter()).all(|e| e.first() != Some(&0) && Ubig::from_bytes_be(e) < *modulus)
+    pub(crate) fn canonical<const L: usize>(elements: &[Vec<u8>], modulus: &[u64; L]) -> bool {
+        (elements.iter())
+            .all(|e| e.first() != Some(&0) && from_be::<L>(e).is_ok_and(|w| below(&w, modulus)))
+    }
+
+    /// The mutant that keeps the low words of an over-wide element
+    /// would read `1 ‖ X` as `X`: the decoder refuses it whatever `X`.
+    #[test]
+    fn a_set_element_wider_than_the_domain_is_refused() {
+        let modulus = CommutativeDomain::fixed_256().modulus_words::<4>();
+        let x = [7u64, 0, 0, 0];
+        let mut w = Writer::new();
+        let mut wide = vec![1u8];
+        wide.extend(x.iter().rev().flat_map(|w| w.to_be_bytes()));
+        w.put_u8(SetFrame::Union as u8).put_list(&[wide], |w, e| {
+            w.put_bytes(e);
+        });
+        let err = SetFrame::Union.decode(&w.finish(), &modulus).unwrap_err();
+        assert_eq!(
+            err,
+            WireError::new("set element wider than the domain").into()
+        );
+        let narrow = SetFrame::Union.encode(0, &[x]);
+        assert_eq!(SetFrame::Union.decode(&narrow, &modulus).unwrap().1, [x]);
+    }
+
+    #[test]
+    fn wire_order_is_the_order_of_minimal_bytes() {
+        let cases: [[u64; 4]; 7] = [
+            [0; 4],
+            [1, 0, 0, 0],
+            [0x100, 0, 0, 0],
+            [2, 0, 0, 0],
+            [0x1ff, 0, 0, 0],
+            [0, 1, 0, 0],
+            [u64::MAX, 0, 0, 1],
+        ];
+        let bytes = |e: &[u64; 4]| minimal_be(e, &mut [0; 64]).to_vec();
+        for a in &cases {
+            for b in &cases {
+                assert_eq!(wire_order(a, b), bytes(a).cmp(&bytes(b)), "{a:?} {b:?}");
+            }
+        }
     }
 }

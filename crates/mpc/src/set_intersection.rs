@@ -38,7 +38,7 @@
 //! parties a reveal pass visits, which is the paper's "matter of choice
 //! to decide which node(s) would receive" the result.
 
-use crate::relay::{encode_canonical, Relay, SetFrame};
+use crate::relay::{encode_canonical, holds, sorted, Relay, SetFrame};
 use crate::report::{Meter, ProtocolReport};
 use crate::MpcError;
 use dla_bigint::Ubig;
@@ -46,7 +46,6 @@ use dla_crypto::pohlig_hellman::{CommutativeDomain, PhKey};
 use dla_net::topology::Ring;
 use dla_net::{NodeId, Session};
 use rand::Rng;
-use std::collections::BTreeSet;
 
 /// Result of a secure set intersection run.
 #[derive(Debug, Clone)]
@@ -170,9 +169,22 @@ impl<'a> SsiSession<'a> {
     /// # Panics
     ///
     /// Panics if `inputs.len() != ring.len()`.
-    pub fn run<R: Rng + ?Sized>(
+    pub fn run<I: AsRef<[u8]>, R: Rng + ?Sized>(
         &self,
-        inputs: &[Vec<Vec<u8>>],
+        inputs: &[Vec<I>],
+        rng: &mut R,
+    ) -> Result<SsiOutcome, MpcError> {
+        if self.domain.limbs() <= 4 {
+            self.run_in::<4, I, R>(inputs, rng)
+        } else {
+            self.run_in::<8, I, R>(inputs, rng)
+        }
+    }
+
+    /// [`Self::run`] with every element in `L` words.
+    fn run_in<const L: usize, I: AsRef<[u8]>, R: Rng + ?Sized>(
+        &self,
+        inputs: &[Vec<I>],
         rng: &mut R,
     ) -> Result<SsiOutcome, MpcError> {
         let (net, ring, domain) = (&self.session, self.ring, self.domain);
@@ -183,12 +195,12 @@ impl<'a> SsiSession<'a> {
         let relay = Relay {
             net,
             ring,
-            modulus: domain.modulus(),
+            modulus: domain.modulus_words::<L>(),
             collector,
             frame: SetFrame::Intersection,
         };
 
-        let encoded = encode_canonical(domain, inputs)?;
+        let encoded = encode_canonical::<L, I>(domain, inputs)?;
 
         // One holder, reveal: the collector ends up with the holder's
         // plaintexts whatever happens in between, so they are all it is
@@ -197,7 +209,7 @@ impl<'a> SsiSession<'a> {
             let elements = relay.hand(ring.at(0), collector, 0, &encoded[0])?;
             return Ok(SsiOutcome {
                 common_items: Some(sorted_items(domain, &elements)),
-                common_encrypted: elements,
+                common_encrypted: ubigs(&elements),
                 trace: Vec::new(),
                 report: meter.finish(n, 1),
             });
@@ -225,17 +237,17 @@ impl<'a> SsiSession<'a> {
                         origin,
                         holder: (origin + hop) % n,
                         layers: (0..=hop).map(|h| (origin + h) % n).collect(),
-                        elements: set.to_vec(),
+                        elements: ubigs(set),
                     });
                 }
             })?;
 
         // The collector intersects the ciphertext sets.
-        let common: BTreeSet<Vec<u8>> = (returned.iter())
-            .map(|set| set.iter().map(Ubig::to_bytes_be).collect())
-            .reduce(|common: BTreeSet<_>, set| &common & &set)
-            .unwrap_or_default();
-        let common_encrypted: Vec<Ubig> = common.iter().map(|b| Ubig::from_bytes_be(b)).collect();
+        let mut sets = returned.iter().map(|set| sorted(set.clone()));
+        let mut common = sets.next().unwrap_or_default();
+        for set in sets {
+            common.retain(|e| holds(&set, e));
+        }
 
         // Optional reveal. A ring-position collector already holds every
         // common plaintext: the ones whose ciphertexts, at the same
@@ -247,20 +259,19 @@ impl<'a> SsiSession<'a> {
         } else if let Some(pos) = ring.position(collector) {
             let held = returned[pos].iter().zip(&encoded[pos]);
             Some(
-                held.filter(|(ciphertext, _)| common.contains(&ciphertext.to_bytes_be()))
-                    .map(|(_, plain)| plain.clone())
+                held.filter(|(ciphertext, _)| holds(&common, ciphertext))
+                    .map(|(_, plain)| *plain)
                     .collect(),
             )
         } else {
             let everyone: Vec<usize> = (0..n).collect();
-            let (plain, pass_rounds) =
-                relay.decryption_pass(&keys, &everyone, common_encrypted.clone())?;
+            let (plain, pass_rounds) = relay.decryption_pass(&keys, &everyone, common.clone())?;
             rounds += pass_rounds;
             Some(plain)
         };
 
         Ok(SsiOutcome {
-            common_encrypted,
+            common_encrypted: ubigs(&common),
             common_items: plain.map(|plain| sorted_items(domain, &plain)),
             trace,
             report: meter.finish(n, rounds),
@@ -269,10 +280,17 @@ impl<'a> SsiSession<'a> {
 }
 
 /// The plaintext items of `elements`, sorted.
-fn sorted_items(domain: &CommutativeDomain, elements: &[Ubig]) -> Vec<Vec<u8>> {
-    let mut items: Vec<Vec<u8>> = elements.iter().map(|e| domain.decode(e)).collect();
+fn sorted_items<const L: usize>(domain: &CommutativeDomain, elements: &[[u64; L]]) -> Vec<Vec<u8>> {
+    let mut items: Vec<Vec<u8>> = elements.iter().map(|e| domain.decode_words(e)).collect();
     items.sort();
     items
+}
+
+/// Word elements as the [`Ubig`]s [`SsiOutcome`] and [`TraceHop`] show.
+fn ubigs<const L: usize>(elements: &[[u64; L]]) -> Vec<Ubig> {
+    (elements.iter())
+        .map(|e| Ubig::from_limbs(e.to_vec()))
+        .collect()
 }
 
 /// Wire tag of every SSI relay/collection message — the byte an
@@ -484,12 +502,12 @@ mod tests {
         fn a_set_payload_has_one_encoding(
             origin in any::<u64>(),
             elements in prop::collection::vec(
-                element_bytes(CommutativeDomain::fixed_256().modulus()),
+                element_bytes(CommutativeDomain::fixed_256().modulus_words::<4>()),
                 0..4,
             ),
             noise in prop::collection::vec(any::<u8>(), 0..40),
         ) {
-            let modulus = CommutativeDomain::fixed_256().modulus().clone();
+            let modulus = CommutativeDomain::fixed_256().modulus_words::<4>();
             let mut w = Writer::new();
             w.put_u8(SET_TAG).put_u64(origin).put_list(&elements, |w, e| {
                 w.put_bytes(e);

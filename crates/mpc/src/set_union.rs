@@ -32,15 +32,13 @@
 //! collection round.) A collector outside the ring has no key: the
 //! pass runs `0, 1, …, n−1` and hands it the plaintexts.
 
-use crate::relay::{encode_canonical, Relay, SetFrame};
+use crate::relay::{encode_canonical, holds, sorted, Relay, SetFrame};
 use crate::report::{Meter, ProtocolReport};
 use crate::MpcError;
-use dla_bigint::Ubig;
 use dla_crypto::pohlig_hellman::{CommutativeDomain, PhKey};
 use dla_net::topology::Ring;
 use dla_net::{NodeId, Session};
 use rand::Rng;
-use std::collections::BTreeSet;
 
 /// Result of a secure set union run.
 #[derive(Debug, Clone)]
@@ -98,9 +96,22 @@ impl<'a> UnionSession<'a> {
     /// # Panics
     ///
     /// Panics if `inputs.len() != ring.len()`.
-    pub fn run<R: Rng + ?Sized>(
+    pub fn run<I: AsRef<[u8]>, R: Rng + ?Sized>(
         &self,
-        inputs: &[Vec<Vec<u8>>],
+        inputs: &[Vec<I>],
+        rng: &mut R,
+    ) -> Result<UnionOutcome, MpcError> {
+        if self.domain.limbs() <= 4 {
+            self.run_in::<4, I, R>(inputs, rng)
+        } else {
+            self.run_in::<8, I, R>(inputs, rng)
+        }
+    }
+
+    /// [`Self::run`] with every element in `L` words.
+    fn run_in<const L: usize, I: AsRef<[u8]>, R: Rng + ?Sized>(
+        &self,
+        inputs: &[Vec<I>],
         rng: &mut R,
     ) -> Result<UnionOutcome, MpcError> {
         let (net, ring, domain, collector) =
@@ -112,25 +123,24 @@ impl<'a> UnionSession<'a> {
         let relay = Relay {
             net,
             ring,
-            modulus: domain.modulus(),
+            modulus: domain.modulus_words::<L>(),
             collector,
             frame: SetFrame::Union,
         };
 
         let keys: Vec<PhKey> = (0..n).map(|_| PhKey::generate(domain, rng)).collect();
-        let encoded = encode_canonical(domain, inputs)?;
+        let encoded = encode_canonical::<L, I>(domain, inputs)?;
         let returned = relay.encrypt_and_collect(&keys, &encoded, |_, _, _, _| {})?;
 
         // Deduplicate ("keeping only one copy of any redundant entries").
         // A collector in the ring sets its own returned ciphertexts
         // aside: it knows what they decrypt to.
         let own = ring.position(collector);
-        let mut merged: BTreeSet<Vec<u8>> =
-            returned.iter().flatten().map(Ubig::to_bytes_be).collect();
-        for ciphertext in own.map_or(&[][..], |pos| &returned[pos]) {
-            merged.remove(&ciphertext.to_bytes_be());
+        let mut rest = sorted(returned.concat());
+        if let Some(pos) = own {
+            let held = sorted(returned[pos].clone());
+            rest.retain(|e| !holds(&held, e));
         }
-        let rest: Vec<Ubig> = merged.iter().map(|b| Ubig::from_bytes_be(b)).collect();
 
         // Decryption pass. A ring collector sends the rest backwards round
         // the ring and removes its own layer last, locally; an outside
@@ -141,12 +151,12 @@ impl<'a> UnionSession<'a> {
         };
         let (mut current, pass_rounds) = relay.decryption_pass(&keys, &pass, rest)?;
         if let Some(c) = own {
-            current = keys[c].decrypt_batch(&current, Default::default());
+            current = keys[c].decrypt_words(&current);
         }
         let mut items: Vec<Vec<u8>> = current
             .iter()
             .chain(own.map_or(&[][..], |pos| &encoded[pos]))
-            .map(|e| domain.decode(e))
+            .map(|e| domain.decode_words(e))
             .collect();
         items.sort();
         items.dedup();
@@ -291,12 +301,12 @@ mod tests {
         #[test]
         fn a_relay_payload_has_one_encoding(
             elements in prop::collection::vec(
-                element_bytes(CommutativeDomain::fixed_256().modulus()),
+                element_bytes(CommutativeDomain::fixed_256().modulus_words::<4>()),
                 0..4,
             ),
             noise in prop::collection::vec(any::<u8>(), 0..40),
         ) {
-            let modulus = CommutativeDomain::fixed_256().modulus().clone();
+            let modulus = CommutativeDomain::fixed_256().modulus_words::<4>();
             let mut w = Writer::new();
             w.put_u8(0x02).put_list(&elements, |w, e| {
                 w.put_bytes(e);

@@ -16,7 +16,10 @@ pub struct WireError {
 }
 
 impl WireError {
-    fn new(what: &'static str) -> Self {
+    /// An error naming what was malformed — for a decoder that reads
+    /// its own fields through a [`Reader`].
+    #[must_use]
+    pub fn new(what: &'static str) -> Self {
         WireError { what }
     }
 
@@ -57,7 +60,7 @@ impl Writer {
     /// Creates an empty writer with room for `capacity` bytes: a
     /// message whose size is known up front is built in one buffer.
     #[must_use]
-    pub(crate) fn with_capacity(capacity: usize) -> Self {
+    pub fn with_capacity(capacity: usize) -> Self {
         Writer {
             buf: Vec::with_capacity(capacity),
         }
