@@ -70,7 +70,7 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test -q --workspace
 
-echo "==> bigint and crypto differential properties in release"
+echo "==> bigint, crypto and word-element differential properties in release"
 # The lane kernel runs only where the CPU has AVX-512 IFMA; elsewhere the
 # lanes = scalar properties skip their lane leg, so say which this was.
 if grep -qw avx512ifma /proc/cpuinfo 2>/dev/null; then
@@ -82,7 +82,11 @@ fi
 # debug pass above runs them against dev-profile test code, this one
 # with the arithmetic the benchmark runs (overflow wraps, no debug
 # assertions), and it stays seconds however the debug pass is trimmed.
+# The word element's codec and collectors (dla-mpc's word_properties)
+# run here too, against the Ubig codec and byte-string sets they
+# replaced, over the batch walk this CPU dispatches to.
 cargo test -q --release -p dla-bigint -p dla-crypto --test properties
+cargo test -q --release -p dla-mpc --lib word_properties
 
 echo "==> tcp_transport in release, then again pinned to one CPU; the channel's wake tests, warm_cold, concurrent_queries and the history checker pinned too"
 cargo test -q --release -p dla-net --test tcp_transport

@@ -1,7 +1,9 @@
 //! One generated-history checker for every feature's seams. A history
 //! is a seeded list of ops over the public API: deposit a batch (which
-//! seals by the epoch policy), ask through every front door, aggregate a
-//! time window on both paths, register a standing query, retire a node,
+//! seals by the epoch policy), ask through every front door (the owner
+//! asks of `verify_transaction` and `correlate::detect` among them),
+//! aggregate a time window on both paths, register a standing query,
+//! retire a node,
 //! turn loss on or off, install or clear a lie, fail one journal write
 //! and live on, crash at a journal write and restart. It runs on a
 //! journaled `DlaCluster`, or on a 1-ring and an R-ring
@@ -17,19 +19,25 @@ use dla_audit::aggregate::AggregatePath::{Cached, Rescan};
 use dla_audit::aggregate::{count_matching, sum_matching, windowed_bucket_aggregate};
 use dla_audit::centralized::CentralizedAuditor;
 use dla_audit::cluster::{AppUser, ClusterConfig, DlaCluster, DlaNode};
+use dla_audit::correlate::{detect, CorrelationRule};
 use dla_audit::exec::{execute_on, ExecMode, ResilientPolicy};
 use dla_audit::federation::{FederatedCluster, FederatedStandingDelta, FederationConfig};
 use dla_audit::integrity::check_window;
 use dla_audit::plan::TimeWindow;
+use dla_audit::query::CmpOp;
 use dla_audit::standing::StandingQueryId;
+use dla_audit::transaction::{verify_transaction, Rule, TransactionSpec};
+use dla_bigint::Ubig;
+use dla_crypto::pohlig_hellman::CommutativeDomain;
 use dla_crypto::sha256;
 use dla_logstore::epoch::EpochId;
 use dla_logstore::fragment::Partition;
 use dla_logstore::gen::{generate, WorkloadConfig};
 use dla_logstore::journal::failpoint;
-use dla_logstore::model::{AttrValue, Glsn, LogRecord};
+use dla_logstore::model::{AttrValue, Glsn, LogRecord, TransactionId};
 use dla_logstore::schema::Schema;
 use dla_net::adversary::{ScriptedAdversary, Tamper, TamperRule};
+use dla_net::wire::{Reader, Writer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
@@ -57,9 +65,16 @@ enum Door {
     Reliable,
     Count,
     Sum,
+    /// `correlate::detect` over the query's matches and
+    /// `verify_transaction` of one deposited tid: the owner asks (a
+    /// cluster's; a federation is not asked through this door).
+    Owners,
 }
 use Door::*;
-const DOORS: [Door; 6] = [Criteria, Shared, Resilient, Reliable, Count, Sum];
+const DOORS: [Door; 7] = [Criteria, Shared, Resilient, Reliable, Count, Sum, Owners];
+
+/// The tumbling window `Owners` correlates in, in seconds.
+const WINDOW: u64 = 120;
 
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Tap {
@@ -68,6 +83,12 @@ enum Tap {
     DropData,
     /// Drop one deposit broadcast (`0x21`) after skipping this many.
     DropDeposit(u64),
+    /// Send one element X of every ∩ₛ/∪ₛ set frame (`0x01`/`0x02`) as
+    /// X + p: the same residue in an encoding no layer produces.
+    Residue,
+    /// Replace every owner ask the auditor sends (`0x70`, `0x72`,
+    /// `0x73`, `0x75`) with a frame of no ask.
+    Request,
     /// Clear every ring's lie.
     Clear,
 }
@@ -112,6 +133,9 @@ type Coverage = BTreeMap<String, u64>;
 
 thread_local! {
     static COVERED: std::cell::RefCell<Coverage> = Default::default();
+    /// Set elements the `Residue` tap sent as X + p on this thread (a
+    /// query runs on the thread that asks it, and so do its sends).
+    static RESIDUES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 fn cover(kind: &str) {
@@ -189,6 +213,8 @@ fn index_of(placed: &Placement) -> BTreeMap<Glsn, usize> {
 #[derive(Default)]
 struct Flags {
     lie: bool,
+    /// The installed `Request` tap, whose forgeries no ask may survive.
+    request: Option<Arc<ScriptedAdversary>>,
     loss: bool,
     retired: bool,
     /// A journal write failed, and the chain was this long after it: a
@@ -233,20 +259,76 @@ fn time_of(record: &LogRecord) -> u64 {
 }
 
 fn tap(rule: Tap) -> Arc<ScriptedAdversary> {
-    let (tag, skip, fires) = match rule {
-        DropDeposit(skip) => (0x21, skip, 1),
-        _ => (0x01, 0, u64::MAX),
-    };
-    let rule = TamperRule {
+    let every = |tag: u8, action: Tamper| TamperRule {
         from: None,
         to: None,
         tag: Some(tag),
-        skip,
-        fires,
-        action: Tamper::Drop,
+        skip: 0,
+        fires: u64::MAX,
+        action,
     };
-    let tap = (0..NODES).fold(ScriptedAdversary::new(), ScriptedAdversary::compromise);
-    Arc::new(tap.rule(rule))
+    let rules = match rule {
+        DropDeposit(skip) => vec![TamperRule {
+            skip,
+            fires: 1,
+            ..every(0x21, Tamper::Drop)
+        }],
+        Residue => vec![
+            every(0x01, Tamper::Rewrite(plus_p)),
+            every(0x02, Tamper::Rewrite(plus_p)),
+        ],
+        Request => {
+            let mut foreign = Writer::new();
+            foreign.put_u8(0x7f).put_u64(0);
+            let foreign = Tamper::Replace(foreign.finish());
+            let ask = |tag| every(tag, foreign.clone());
+            vec![ask(0x70), ask(0x72), ask(0x73), ask(0x75)]
+        }
+        _ => vec![every(0x01, Tamper::Drop)],
+    };
+    // The DLA nodes, and the auditor engine (node NODES) for `Request`.
+    let liars = if rule == Request {
+        NODES..=NODES
+    } else {
+        0..=NODES - 1
+    };
+    let tap = liars.fold(ScriptedAdversary::new(), ScriptedAdversary::compromise);
+    Arc::new(rules.into_iter().fold(tap, ScriptedAdversary::rule))
+}
+
+/// See [`Run::lies`].
+fn lies(request: &Option<Arc<ScriptedAdversary>>) -> (usize, u64) {
+    let forged = request.as_ref().map_or(0, |tap| tap.report().forged);
+    (forged, RESIDUES.get())
+}
+
+/// `payload` with the first element X of its set frame for which
+/// X + p still fits the domain's 32 bytes sent as X + p; any other
+/// payload unchanged.
+fn plus_p(payload: &[u8]) -> bytes::Bytes {
+    let frame = || -> Option<bytes::Bytes> {
+        let p = CommutativeDomain::fixed_256().modulus().clone();
+        let tag = *payload.first()?;
+        let mut r = Reader::open(payload, tag).ok()?;
+        let origin = (tag == 0x01).then(|| r.get_u64().ok()).flatten();
+        let mut set = r
+            .get_list(|r| r.get_minimal_uint().map(Ubig::from_bytes_be))
+            .ok()?;
+        r.finish().ok()?;
+        let x = set.iter_mut().find(|x| (&**x + &p).bit_len() <= 256)?;
+        *x = &*x + &p;
+        RESIDUES.set(RESIDUES.get() + 1);
+        let mut w = Writer::new();
+        w.put_u8(tag);
+        if tag == 0x01 {
+            w.put_u64(origin?);
+        }
+        w.put_list(&set, |w, x| {
+            w.put_bytes(&x.to_bytes_be());
+        });
+        Some(w.finish())
+    };
+    frame().unwrap_or_else(|| bytes::Bytes::copy_from_slice(payload))
 }
 
 /// Loss on `c`: drops and duplicates, on every door alike.
@@ -432,7 +514,10 @@ impl Run {
         loop {
             return match rng.gen_range(0..21) {
                 0..=4 => Deposit(n),
-                5..=9 => Ask(pick(rng, &DOORS), q),
+                // Under a `Request` lie, only the owner doors have an ask
+                // to forge.
+                5..=9 if f.request.is_some() => Ask(pick(rng, &[Sum, Owners]), q),
+                5..=9 => Ask(pick(rng, &DOORS[..if cluster { 7 } else { 6 }]), q),
                 10 if !times.is_empty() => {
                     let a = pick(rng, &times);
                     let b = pick(rng, &times);
@@ -441,9 +526,11 @@ impl Run {
                 11 | 12 => Register(q),
                 13 => Loss(!f.loss),
                 14 | 15 => {
-                    let tap = match rng.gen_range(0..3) {
+                    let tap = match rng.gen_range(0..5) {
                         _ if f.lie => Clear,
                         0 if cluster => DropDeposit(rng.gen_range(0..4)),
+                        1 => Residue,
+                        2 if cluster => Request,
                         _ => DropData,
                     };
                     Lie(tap, rng.gen_range(0..rings.max(1)))
@@ -461,6 +548,9 @@ impl Run {
         let kind = format!("{op:?}");
         let cut = if let Ask(..) = op { ',' } else { '(' };
         cover(kind.split(cut).next().unwrap_or_default());
+        if let Lie(tap, _) = op {
+            cover(format!("{tap:?}").split('(').next().unwrap_or_default());
+        }
         self.flags.step += 1;
         let lied = self.flags.lie;
         if let Loss(on) = op {
@@ -489,6 +579,7 @@ impl Run {
                 self.flags.torn = rings.first().map(|r| r.checkpoint_chain().iter().count());
             }
             Crash(..) => {
+                self.flags.request = None;
                 self.flags.lie = false;
                 self.flags.loss = false;
                 self.flags.torn = None;
@@ -537,6 +628,8 @@ impl Run {
                 self.systems[s].owed |= failed;
                 self.commit(s, batch)
             }
+            (Ask(Owners, q), Target::Cluster(..)) => self.owners(s, q),
+            (Ask(Owners, _), Target::Fed(..)) => Ok(()),
             (Ask(door, q), _) => self.ask(s, *door, q).map(drop),
             (Window(lo, hi), _) => self.window(s, *lo, *hi),
             (Register(q), _) => self.register(s, q),
@@ -550,11 +643,16 @@ impl Run {
                 for ring in target.rings() {
                     ring.clear_adversary();
                 }
+                self.flags.request = None;
                 Ok(())
             }
             (Lie(rule, r), target) => {
                 let rings = target.rings();
-                rings[r % rings.len()].set_adversary(tap(*rule));
+                let tap = tap(*rule);
+                rings[r % rings.len()].set_adversary(tap.clone());
+                if *rule == Request {
+                    self.flags.request = Some(tap);
+                }
                 Ok(())
             }
             _ => Ok(()),
@@ -755,6 +853,7 @@ impl Run {
                         let sum = door!(sum_matching(c, q, c1));
                         return Ok(Ok(reply(None, sum.count, Some(sum.total))));
                     }
+                    Owners => unreachable!("asked in `owners`"),
                 };
                 let r = door!(r);
                 // One session per subquery, on the cold run.
@@ -775,6 +874,7 @@ impl Run {
                 let sum = door!(fed.sum(q, c1));
                 return Ok(Ok(reply(None, sum.count, Some(sum.total))));
             }
+            Owners => unreachable!("a federation is not asked through `Owners`"),
         };
         let r = door!(r);
         let records = r.records.iter().map(|&i| i as usize).collect();
@@ -790,7 +890,11 @@ impl Run {
     fn ask(&mut self, s: usize, door: Door, q: &str) -> Result<Option<BTreeSet<usize>>, String> {
         let expect = self.reference(q)?;
         let excused = self.excused(matches!(door, Resilient | Reliable));
-        let answer = match self.answer(s, door, q)? {
+        let lies = self.lies();
+        let answer = self.answer(s, door, q)?;
+        let refused = self.lies() == lies || answer.is_err();
+        ensure!(ANSWERS, refused, "{door:?} {q}: answered over a lie");
+        let answer = match answer {
             Ok(answer) => answer,
             Err(e) => {
                 ensure!(ANSWERS, excused, "{door:?} {q}: {e}");
@@ -818,6 +922,152 @@ impl Run {
             );
         }
         Ok(set)
+    }
+
+    /// The lies told so far: owner asks the `Request` tap replaced and
+    /// set elements the `Residue` tap sent as X + p. A call that met
+    /// one must fail — an owner answers the frame it was sent, not the
+    /// ask the auditor meant, and a set element has one encoding.
+    fn lies(&self) -> (usize, u64) {
+        lies(&self.flags.request)
+    }
+
+    /// The `Owners` door on cluster `s`: `correlate::detect` over the
+    /// matches of `q`, in windows of [`WINDOW`] with at least two
+    /// events from two sources, and `verify_transaction` of the tid of
+    /// the first match (or deposit) with every rule drawn from the
+    /// reference — each against what the records say.
+    fn owners(&mut self, s: usize, q: &str) -> Result<(), String> {
+        let expect = self.reference(q)?;
+        let excused = self.excused(false);
+        let placed = self.placement(s)?;
+        let index = index_of(&placed);
+        let record = |i: &usize| &self.pool[self.deposited[*i]];
+        let text = |r: &LogRecord, name| match attr(r, name) {
+            Some(AttrValue::Text(v)) => v.clone(),
+            _ => unreachable!("generated records carry {name}"),
+        };
+        // The reference alerts: (window, events, sources, records).
+        let mut windows: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
+        for i in &expect {
+            windows
+                .entry(time_of(record(i)) / WINDOW)
+                .or_default()
+                .push(*i);
+        }
+        let alerts: Vec<(u64, usize, usize, BTreeSet<usize>)> = windows
+            .into_iter()
+            .map(|(w, members)| {
+                let ids: BTreeSet<String> = members.iter().map(|i| text(record(i), "id")).collect();
+                (
+                    w * WINDOW,
+                    members.len(),
+                    ids.len(),
+                    members.into_iter().collect(),
+                )
+            })
+            .filter(|a| a.1 >= 2 && a.2 >= 2)
+            .collect();
+        // The tid's records and the spec whose every rule they meet.
+        let first = expect
+            .first()
+            .or_else(|| (!self.deposited.is_empty()).then_some(&0));
+        let tid = first.map(|i| text(record(i), "tid"));
+        let of_tid: Vec<&LogRecord> = (0..self.deposited.len())
+            .map(|i| record(&i))
+            .filter(|r| tid.as_ref().is_some_and(|t| text(r, "tid") == *t))
+            .collect();
+        let times: Vec<u64> = of_tid.iter().map(|r| time_of(r)).collect();
+        let span = times
+            .iter()
+            .max()
+            .zip(times.iter().min())
+            .map_or(0, |(hi, lo)| hi - lo);
+        let ids: BTreeSet<String> = of_tid.iter().map(|r| text(r, "id")).collect();
+        let total: u64 = (of_tid.iter())
+            .map(|r| match attr(r, "c1") {
+                Some(AttrValue::Int(v)) => *v as u64,
+                _ => 0,
+            })
+            .sum();
+        let spec = TransactionSpec::new("history")
+            .with_rule(Rule::EventCount {
+                op: CmpOp::Eq,
+                expected: of_tid.len() as u64,
+            })
+            .with_rule(Rule::TotalVolume {
+                attr: "c1".into(),
+                op: CmpOp::Le,
+                limit: total,
+            })
+            .with_rule(Rule::MaxDuration { seconds: span })
+            .with_rule(Rule::MinDistinctExecutors { count: ids.len() })
+            .with_rule(Rule::AllowedExecutors {
+                ids: ids.into_iter().collect(),
+            });
+        let rule = CorrelationRule {
+            name: "history".into(),
+            event_criteria: q.into(),
+            window_seconds: WINDOW,
+            min_events: 2,
+            min_sources: 2,
+        };
+        let Target::Cluster(j) = &mut self.systems[s].target else {
+            unreachable!("a federation has no owner door here")
+        };
+        let c = &mut j.0;
+        let request = self.flags.request.clone();
+        let before = lies(&request);
+        let detected = detect(c, &rule);
+        let between = lies(&request);
+        let verified = tid.map(|tid| verify_transaction(c, &TransactionId::new(&tid), &spec));
+        let after = lies(&request);
+        let answered = (
+            detected.is_ok(),
+            verified.as_ref().is_some_and(Result::is_ok),
+        );
+        ensure!(
+            ANSWERS,
+            !(between != before && answered.0),
+            "detect answered over a lie"
+        );
+        ensure!(
+            ANSWERS,
+            !(after != between && answered.1),
+            "verify answered over a lie"
+        );
+        match detected {
+            Ok(got) => {
+                let got: Vec<_> = (got.iter())
+                    .map(|a| {
+                        let records = a.glsns.iter().map(|g| index.get(g).copied());
+                        let records: Option<BTreeSet<usize>> = records.collect();
+                        (
+                            a.window_start,
+                            a.events,
+                            a.sources,
+                            records.unwrap_or_default(),
+                        )
+                    })
+                    .collect();
+                ensure!(
+                    ANSWERS,
+                    got == alerts,
+                    "detect {q}: {got:?}, expected {alerts:?}"
+                );
+            }
+            Err(e) => ensure!(ANSWERS, excused, "detect {q}: {e}"),
+        }
+        if let Some(verified) = verified {
+            match verified {
+                Ok(report) => {
+                    let failed: Vec<_> = report.verdicts.iter().filter(|v| !v.ok).collect();
+                    ensure!(ANSWERS, failed.is_empty(), "verify: {failed:?}");
+                }
+                Err(e) => ensure!(ANSWERS, excused, "verify: {e}"),
+            }
+        }
+        Ok(())
     }
 
     /// Both aggregate paths over [lo, hi] against the records, and two
@@ -1047,7 +1297,18 @@ fn generated_histories_hold_every_invariant() {
     });
     let doors = DOORS.map(|d| format!("Ask({d:?}"));
     let ops = [
-        "Deposit", "Window", "Register", "Retire", "Loss", "Lie", "Fail", "Crash",
+        "Deposit",
+        "Window",
+        "Register",
+        "Retire",
+        "Loss",
+        "Lie",
+        "Fail",
+        "Crash",
+        "DropData",
+        "DropDeposit",
+        "Residue",
+        "Request",
     ];
     let invariants = [
         ANSWERS, AGGREGATES, STANDING, SEALED, RESTART, FEDERATED, META,

@@ -247,7 +247,7 @@ impl CommutativeDomain {
             bases.iter().all(|b| b[k..].iter().all(|&w| w == 0)),
             "element wider than the domain"
         );
-        let packed: Vec<u64> = bases.iter().flat_map(|b| b[..k].to_vec()).collect();
+        let packed: Vec<u64> = bases.iter().flat_map(|b| &b[..k]).copied().collect();
         let mut walked = vec![0; packed.len()];
         self.ctx.modexp_words(&packed, exp, &mut walked);
         for (o, w) in out.iter_mut().zip(walked.chunks_exact(k)) {
@@ -805,6 +805,9 @@ mod tests {
             }
             for (item, hex) in joins.iter().zip(join_hex) {
                 assert_eq!(domain.encode(item).unwrap().to_hex(), *hex, "{domain:?}");
+                // In eight words, which a 256-bit domain fills half of.
+                let words = domain.encode_words::<8>(item).unwrap();
+                assert_eq!(Ubig::from_limbs(words.to_vec()).to_hex(), *hex);
             }
         }
     }

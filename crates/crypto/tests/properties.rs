@@ -4,6 +4,7 @@
 //! signature soundness on randomized inputs — plus SHA-256 against its
 //! portable oracle and the totality of the accumulator's wire decoders.
 
+use dla_bigint::jacobi::jacobi;
 use dla_bigint::modular::modexp_schoolbook;
 use dla_bigint::montgomery::MontgomeryContext;
 use dla_bigint::{Ubig, F61};
@@ -14,10 +15,45 @@ use dla_crypto::pohlig_hellman::{CommutativeDomain, PhKey};
 use dla_crypto::schnorr::{self, SchnorrGroup, SchnorrKeyPair};
 use dla_crypto::{sha256, shamir};
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn rng_from(seed: u64) -> rand::rngs::StdRng {
     rand::rngs::StdRng::seed_from_u64(seed)
+}
+
+/// The domains a set element travels on as words: 256 and 512 bits, and
+/// the safe prime 23 (one word of four).
+fn word_domains() -> [CommutativeDomain; 3] {
+    let p23 = CommutativeDomain::from_safe_prime(Ubig::from_u64(23), &mut rng_from(23));
+    [
+        CommutativeDomain::fixed_256(),
+        CommutativeDomain::fixed_512(),
+        p23.expect("23 = 2·11 + 1"),
+    ]
+}
+
+/// The `Ubig` pad search `encode` ran before it was built on words:
+/// `m ‖ pad` for the first pad byte whose candidate is a residue.
+fn encode_reference(domain: &CommutativeDomain, message: &[u8]) -> Ubig {
+    let base = Ubig::from_bytes_be(message) << 8;
+    (0..=255u64)
+        .map(|pad| &base + &Ubig::from_u64(pad))
+        .find(|c| !c.is_zero() && !c.is_one() && jacobi(c, domain.modulus()) == 1)
+        .expect("a residue among 256 pads")
+}
+
+/// `set` encrypted and decrypted again by the word batches, as `Ubig`s.
+fn word_walk<const L: usize>(key: &PhKey, set: &[Ubig]) -> (Vec<Ubig>, Vec<Ubig>) {
+    let words: Vec<[u64; L]> = (set.iter())
+        .map(|v| {
+            let mut w = [0; L];
+            w[..v.limbs().len()].copy_from_slice(v.limbs());
+            w
+        })
+        .collect();
+    let encrypted = key.encrypt_words(&words);
+    let ubigs = |ws: &[[u64; L]]| ws.iter().map(|w| Ubig::from_limbs(w.to_vec())).collect();
+    (ubigs(&encrypted), ubigs(&key.decrypt_words(&encrypted)))
 }
 
 /// An [`EpochCheckpoint::encode`] blob spelled out by hand, its digest
@@ -275,6 +311,54 @@ proptest! {
         let domain = CommutativeDomain::fixed_256();
         let element = domain.encode(&message).unwrap();
         prop_assert_eq!(domain.decode(&element), message);
+    }
+
+    /// The word element (DESIGN §11) on the 256- and 512-bit domains
+    /// and the test prime 23: `encode_words` is the `Ubig` pad search it
+    /// replaced, for a message of every length up to `max_encode_len`,
+    /// and `decode_words` inverts it.
+    #[test]
+    fn word_encoding_is_the_ubig_encoding_at_every_length(seed in any::<u64>()) {
+        for domain in word_domains() {
+            let mut rng = rng_from(seed);
+            for len in 0..=domain.max_encode_len() {
+                let message: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+                let reference = encode_reference(&domain, &message);
+                let (words, decoded) = if domain.limbs() <= 4 {
+                    let w = domain.encode_words::<4>(&message).unwrap();
+                    (w.to_vec(), domain.decode_words(&w))
+                } else {
+                    let w = domain.encode_words::<8>(&message).unwrap();
+                    (w.to_vec(), domain.decode_words(&w))
+                };
+                prop_assert_eq!(&Ubig::from_limbs(words), &reference, "{:?} {:?}", domain, message);
+                prop_assert_eq!(&domain.encode(&message).unwrap(), &reference);
+                let stripped: Vec<u8> = message.iter().copied().skip_while(|&b| b == 0).collect();
+                prop_assert_eq!(&decoded, &stripped);
+                prop_assert_eq!(&domain.decode(&reference), &stripped);
+            }
+        }
+    }
+
+    /// `encrypt_words`/`decrypt_words` walk a set to exactly what the
+    /// `Ubig` batches give, on every word domain.
+    #[test]
+    fn word_batches_are_the_ubig_batches(seed in any::<u64>(), n in 0usize..10) {
+        for domain in word_domains() {
+            let mut rng = rng_from(seed);
+            let key = PhKey::generate(&domain, &mut rng);
+            let set: Vec<Ubig> = (0..n).map(|_| Ubig::random_below(&mut rng, domain.modulus())).collect();
+            let encrypted = key.encrypt_batch(&set, Default::default());
+            let decrypted = key.decrypt_batch(&encrypted, Default::default());
+            prop_assert_eq!(&decrypted, &set);
+            let (by_words, back) = if domain.limbs() <= 4 {
+                word_walk::<4>(&key, &set)
+            } else {
+                word_walk::<8>(&key, &set)
+            };
+            prop_assert_eq!(&by_words, &encrypted);
+            prop_assert_eq!(&back, &set);
+        }
     }
 
     /// Known-order exponent reduction is invisible: the cipher path

@@ -35,6 +35,8 @@ pub mod report;
 pub mod set_intersection;
 pub mod set_union;
 pub mod sum;
+#[cfg(test)]
+mod word_properties;
 
 pub use equality::EqualitySession;
 pub use ranking::RankingSession;

@@ -127,10 +127,36 @@ pub(crate) fn wire_order<const L: usize>(a: &[u64; L], b: &[u64; L]) -> Ordering
 }
 
 /// `set` in [`wire_order`], without repeats.
-pub(crate) fn sorted<const L: usize>(mut set: Vec<[u64; L]>) -> Vec<[u64; L]> {
+fn sorted<const L: usize>(mut set: Vec<[u64; L]>) -> Vec<[u64; L]> {
     set.sort_unstable_by(wire_order);
     set.dedup();
     set
+}
+
+/// The `∩_s` collector: the elements every set holds, once each, in
+/// [`wire_order`].
+pub(crate) fn common<const L: usize>(sets: &[Vec<[u64; L]>]) -> Vec<[u64; L]> {
+    let mut sets = sets.iter().map(|set| sorted(set.clone()));
+    let mut common = sets.next().unwrap_or_default();
+    for set in sets {
+        common.retain(|e| holds(&set, e));
+    }
+    common
+}
+
+/// The `∪_s` collector: the elements of any set, once each, in
+/// [`wire_order`] — without those of `held`, the collector's own set
+/// when it is a ring position.
+pub(crate) fn merged<const L: usize>(
+    sets: &[Vec<[u64; L]>],
+    held: Option<&[[u64; L]]>,
+) -> Vec<[u64; L]> {
+    let mut merged = sorted(sets.concat());
+    if let Some(held) = held {
+        let held = sorted(held.to_vec());
+        merged.retain(|e| !holds(&held, e));
+    }
+    merged
 }
 
 /// Whether `e` is in `set`, which is [`sorted`].
@@ -373,6 +399,25 @@ pub(crate) mod tests {
         );
         let narrow = SetFrame::Union.encode(0, &[x]);
         assert_eq!(SetFrame::Union.decode(&narrow, &modulus).unwrap().1, [x]);
+    }
+
+    /// The mutant that drops the below-modulus check would take
+    /// `p + k`, which fits the domain's words, as a second encoding of
+    /// `k`: the decoder refuses it, and takes `p − 1`.
+    #[test]
+    fn a_set_element_at_or_above_the_modulus_is_refused() {
+        let modulus = CommutativeDomain::fixed_256().modulus_words::<4>();
+        let frame = |e: [u64; 4]| SetFrame::Union.encode(0, &[e]);
+        for k in [0, 1, 7] {
+            let err = SetFrame::Union.decode(&frame(offset(&modulus, k, true)), &modulus);
+            let refused = MpcError::Wire("set element not below the modulus".into());
+            assert_eq!(err.unwrap_err(), refused, "p + {k}");
+        }
+        let top = offset(&modulus, 0, false);
+        assert_eq!(
+            SetFrame::Union.decode(&frame(top), &modulus).unwrap().1,
+            [top]
+        );
     }
 
     #[test]

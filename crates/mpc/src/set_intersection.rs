@@ -38,7 +38,7 @@
 //! parties a reveal pass visits, which is the paper's "matter of choice
 //! to decide which node(s) would receive" the result.
 
-use crate::relay::{encode_canonical, holds, sorted, Relay, SetFrame};
+use crate::relay::{common, encode_canonical, holds, Relay, SetFrame};
 use crate::report::{Meter, ProtocolReport};
 use crate::MpcError;
 use dla_bigint::Ubig;
@@ -243,11 +243,7 @@ impl<'a> SsiSession<'a> {
             })?;
 
         // The collector intersects the ciphertext sets.
-        let mut sets = returned.iter().map(|set| sorted(set.clone()));
-        let mut common = sets.next().unwrap_or_default();
-        for set in sets {
-            common.retain(|e| holds(&set, e));
-        }
+        let common = common(&returned);
 
         // Optional reveal. A ring-position collector already holds every
         // common plaintext: the ones whose ciphertexts, at the same

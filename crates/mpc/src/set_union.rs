@@ -32,7 +32,7 @@
 //! collection round.) A collector outside the ring has no key: the
 //! pass runs `0, 1, …, n−1` and hands it the plaintexts.
 
-use crate::relay::{encode_canonical, holds, sorted, Relay, SetFrame};
+use crate::relay::{encode_canonical, merged, Relay, SetFrame};
 use crate::report::{Meter, ProtocolReport};
 use crate::MpcError;
 use dla_crypto::pohlig_hellman::{CommutativeDomain, PhKey};
@@ -136,11 +136,7 @@ impl<'a> UnionSession<'a> {
         // A collector in the ring sets its own returned ciphertexts
         // aside: it knows what they decrypt to.
         let own = ring.position(collector);
-        let mut rest = sorted(returned.concat());
-        if let Some(pos) = own {
-            let held = sorted(returned[pos].clone());
-            rest.retain(|e| !holds(&held, e));
-        }
+        let rest = merged(&returned, own.map(|pos| &returned[pos][..]));
 
         // Decryption pass. A ring collector sends the rest backwards round
         // the ring and removes its own layer last, locally; an outside

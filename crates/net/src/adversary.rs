@@ -58,7 +58,7 @@ pub fn scenario_rng(cluster_seed: u64, scenario_id: u64) -> StdRng {
 /// Every variant except [`Tamper::Drop`] produces a payload that is
 /// re-stamped with a fresh checksum — the lie is wire-consistent and
 /// must be caught by protocol-level verification, not by the envelope.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub enum Tamper {
     /// Send the payload unchanged.
     Pass,
@@ -79,6 +79,10 @@ pub enum Tamper {
     /// Keep only the first `len` bytes — a malformed blob that fails
     /// structural decoding at the receiver.
     Truncate(usize),
+    /// Rewrite the payload with a function of what was sent — a lie
+    /// computed from the honest frame (one element of a set moved to
+    /// another encoding of the same residue).
+    Rewrite(fn(&[u8]) -> Bytes),
     /// Adversarial scheduling: hold the message back, byte-for-byte
     /// intact, and release it onto the wire only after this many
     /// subsequent sends have gone out — reordering without forging
@@ -113,6 +117,7 @@ impl Tamper {
             Tamper::Truncate(len) => Some(Bytes::copy_from_slice(
                 &payload[..(*len).min(payload.len())],
             )),
+            Tamper::Rewrite(rewrite) => Some(rewrite(payload)),
             // The payload itself is untouched; the tap holds it back
             // (see `AdversaryNet::send`).
             Tamper::Delay(_) => Some(payload.clone()),
