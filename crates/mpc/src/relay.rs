@@ -286,14 +286,13 @@ impl<const L: usize> Relay<'_, '_, L> {
 /// (sorted-plaintext) order — the order it travels in — and
 /// deduplicated on the *encoding*: items that differ only in leading
 /// zero bytes encode alike, and a set travels as distinct elements.
-pub(crate) fn encode_canonical<const L: usize, I: AsRef<[u8]>>(
+pub(crate) fn encode_canonical<const L: usize>(
     domain: &CommutativeDomain,
-    inputs: &[Vec<I>],
+    inputs: Vec<Vec<&[u8]>>,
 ) -> Result<Vec<Vec<[u64; L]>>, MpcError> {
     inputs
-        .iter()
-        .map(|raw| {
-            let mut canonical: Vec<&[u8]> = raw.iter().map(AsRef::as_ref).collect();
+        .into_iter()
+        .map(|mut canonical| {
             canonical.sort_unstable();
             canonical.dedup();
             let mut seen = HashSet::with_capacity(canonical.len());

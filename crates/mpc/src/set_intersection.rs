@@ -174,17 +174,20 @@ impl<'a> SsiSession<'a> {
         inputs: &[Vec<I>],
         rng: &mut R,
     ) -> Result<SsiOutcome, MpcError> {
+        let items = inputs
+            .iter()
+            .map(|set| set.iter().map(AsRef::as_ref).collect());
         if self.domain.limbs() <= 4 {
-            self.run_in::<4, I, R>(inputs, rng)
+            self.run_in::<4, R>(items.collect(), rng)
         } else {
-            self.run_in::<8, I, R>(inputs, rng)
+            self.run_in::<8, R>(items.collect(), rng)
         }
     }
 
     /// [`Self::run`] with every element in `L` words.
-    fn run_in<const L: usize, I: AsRef<[u8]>, R: Rng + ?Sized>(
+    fn run_in<const L: usize, R: Rng + ?Sized>(
         &self,
-        inputs: &[Vec<I>],
+        inputs: Vec<Vec<&[u8]>>,
         rng: &mut R,
     ) -> Result<SsiOutcome, MpcError> {
         let (net, ring, domain) = (&self.session, self.ring, self.domain);
@@ -200,7 +203,7 @@ impl<'a> SsiSession<'a> {
             frame: SetFrame::Intersection,
         };
 
-        let encoded = encode_canonical::<L, I>(domain, inputs)?;
+        let encoded = encode_canonical::<L>(domain, inputs)?;
 
         // One holder, reveal: the collector ends up with the holder's
         // plaintexts whatever happens in between, so they are all it is

@@ -101,17 +101,20 @@ impl<'a> UnionSession<'a> {
         inputs: &[Vec<I>],
         rng: &mut R,
     ) -> Result<UnionOutcome, MpcError> {
+        let items = inputs
+            .iter()
+            .map(|set| set.iter().map(AsRef::as_ref).collect());
         if self.domain.limbs() <= 4 {
-            self.run_in::<4, I, R>(inputs, rng)
+            self.run_in::<4, R>(items.collect(), rng)
         } else {
-            self.run_in::<8, I, R>(inputs, rng)
+            self.run_in::<8, R>(items.collect(), rng)
         }
     }
 
     /// [`Self::run`] with every element in `L` words.
-    fn run_in<const L: usize, I: AsRef<[u8]>, R: Rng + ?Sized>(
+    fn run_in<const L: usize, R: Rng + ?Sized>(
         &self,
-        inputs: &[Vec<I>],
+        inputs: Vec<Vec<&[u8]>>,
         rng: &mut R,
     ) -> Result<UnionOutcome, MpcError> {
         let (net, ring, domain, collector) =
@@ -129,7 +132,7 @@ impl<'a> UnionSession<'a> {
         };
 
         let keys: Vec<PhKey> = (0..n).map(|_| PhKey::generate(domain, rng)).collect();
-        let encoded = encode_canonical::<L, I>(domain, inputs)?;
+        let encoded = encode_canonical::<L>(domain, inputs)?;
         let returned = relay.encrypt_and_collect(&keys, &encoded, |_, _, _, _| {})?;
 
         // Deduplicate ("keeping only one copy of any redundant entries").
