@@ -24,7 +24,7 @@
 
 use crate::sha256;
 use crate::CryptoError;
-use dla_bigint::jacobi::{jacobi, jacobi_words};
+use dla_bigint::jacobi::jacobi_words;
 use dla_bigint::modular::modinv;
 use dla_bigint::montgomery::MontgomeryContext;
 use dla_bigint::{prime, Ubig};
@@ -254,14 +254,6 @@ impl CommutativeDomain {
             o[..k].copy_from_slice(w);
         }
         out
-    }
-
-    /// Whether `x` is a quadratic residue mod `p`, by the binary Jacobi
-    /// symbol `(x/p) ≟ 1` — O(bits²) word operations where the Euler
-    /// criterion `x^q ≟ 1` would spend a full modexp.
-    #[must_use]
-    pub fn is_quadratic_residue(&self, x: &Ubig) -> bool {
-        jacobi(x, &self.p) == 1
     }
 
     /// Maximum byte length [`CommutativeDomain::encode`] accepts for
@@ -507,6 +499,7 @@ impl PhKey {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dla_bigint::jacobi::jacobi;
     use dla_bigint::modular::{modexp, modexp_schoolbook};
     use rand::SeedableRng;
 
@@ -826,7 +819,7 @@ mod tests {
                 continue;
             }
             assert_eq!(
-                domain.is_quadratic_residue(&x),
+                jacobi(&x, domain.modulus()) == 1,
                 euler(&x),
                 "x={}",
                 x.to_hex()

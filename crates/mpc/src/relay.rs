@@ -206,7 +206,7 @@ impl<const L: usize> Relay<'_, '_, L> {
         &self,
         keys: &[PhKey],
         encoded: &[Vec<[u64; L]>],
-        mut on_hop: impl FnMut(usize, usize, Option<&Envelope>, &[[u64; L]]),
+        on_hop: &mut dyn FnMut(usize, usize, Option<&Envelope>, &[[u64; L]]),
     ) -> Result<Vec<Vec<[u64; L]>>, MpcError> {
         let (ring, n) = (self.ring, self.ring.len());
         let mut sets: Vec<Vec<[u64; L]>> = Vec::with_capacity(n);

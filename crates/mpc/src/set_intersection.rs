@@ -184,7 +184,9 @@ impl<'a> SsiSession<'a> {
         }
     }
 
-    /// [`Self::run`] with every element in `L` words.
+    /// [`Self::run`] with every element in `L` words. Not inlined: one
+    /// copy per width, not one in each item type's `run`.
+    #[inline(never)]
     fn run_in<const L: usize, R: Rng + ?Sized>(
         &self,
         inputs: Vec<Vec<&[u8]>>,
@@ -223,7 +225,7 @@ impl<'a> SsiSession<'a> {
         let keys: Vec<PhKey> = (0..n).map(|_| PhKey::generate(domain, rng)).collect();
         let mut trace = Vec::new();
         let returned =
-            relay.encrypt_and_collect(&keys, &encoded, |origin, hop, envelope, set| {
+            relay.encrypt_and_collect(&keys, &encoded, &mut |origin, hop, envelope, set| {
                 if let Some(envelope) = envelope.filter(|_| dla_telemetry::is_active()) {
                     dla_telemetry::event(
                         "relay-hop",

@@ -111,7 +111,9 @@ impl<'a> UnionSession<'a> {
         }
     }
 
-    /// [`Self::run`] with every element in `L` words.
+    /// [`Self::run`] with every element in `L` words. Not inlined: one
+    /// copy per width, not one in each item type's `run`.
+    #[inline(never)]
     fn run_in<const L: usize, R: Rng + ?Sized>(
         &self,
         inputs: Vec<Vec<&[u8]>>,
@@ -133,7 +135,7 @@ impl<'a> UnionSession<'a> {
 
         let keys: Vec<PhKey> = (0..n).map(|_| PhKey::generate(domain, rng)).collect();
         let encoded = encode_canonical::<L>(domain, inputs)?;
-        let returned = relay.encrypt_and_collect(&keys, &encoded, |_, _, _, _| {})?;
+        let returned = relay.encrypt_and_collect(&keys, &encoded, &mut |_, _, _, _| {})?;
 
         // Deduplicate ("keeping only one copy of any redundant entries").
         // A collector in the ring sets its own returned ciphertexts
