@@ -640,8 +640,9 @@ impl MontgomeryContext {
         }
         let plan = window_plan(exp, window);
         let mut s = self.scratch();
-        let mut out = vec![0u64; self.k()];
-        let steps = self.run_plan(&self.reduce(base), &plan, window, &mut s, &mut out);
+        let (mut base_words, mut out) = (vec![0u64; self.k()], vec![0u64; self.k()]);
+        self.load(base, &mut base_words);
+        let steps = self.run_plan(&base_words, &plan, window, &mut s, &mut out);
         dla_telemetry::record(dla_telemetry::CostKind::MontMulStep, steps);
         Ubig::from_limbs(out)
     }
@@ -796,7 +797,7 @@ impl MontgomeryContext {
         let k = self.k();
         let mut words = vec![0u64; bases.len() * k];
         for (w, base) in words.chunks_exact_mut(k).zip(bases) {
-            w.copy_from_slice(&self.reduce(base));
+            self.load(base, w);
         }
         let mut out = vec![0u64; words.len()];
         self.walk(&words, exp, lanes, &mut out);
@@ -805,15 +806,20 @@ impl MontgomeryContext {
             .collect()
     }
 
-    /// `v mod n` in `k` words.
-    fn reduce(&self, v: &Ubig) -> Vec<u64> {
-        if v.limbs().len() <= self.k() {
-            let w = pad(v, self.k());
-            if !ge(&w, &self.n) {
-                return w;
+    /// `v mod n` into the `k` words `w`: a copy and a comparison, and a
+    /// division only for a value at or above `n`.
+    fn load(&self, v: &Ubig, w: &mut [u64]) {
+        let limbs = v.limbs();
+        if limbs.len() <= w.len() {
+            w.fill(0);
+            w[..limbs.len()].copy_from_slice(limbs);
+            if !ge(w, &self.n) {
+                return;
             }
         }
-        pad(&(v % &self.modulus()), self.k())
+        let r = v % &self.modulus();
+        w.fill(0);
+        w[..r.limbs().len()].copy_from_slice(r.limbs());
     }
 
     /// The batch walk, on the lane kernel when `lanes` asks for it and
@@ -835,13 +841,14 @@ impl MontgomeryContext {
         }
         // A base at or above n (never one a protocol sends) is reduced
         // in a copy; the rest walk from the caller's words.
-        let reduced: Vec<u64>;
+        let mut reduced: Vec<u64>;
         let bases = if bases.chunks_exact(k).all(|b| !ge(b, &self.n)) {
             bases
         } else {
-            reduced = (bases.chunks_exact(k))
-                .flat_map(|b| self.reduce(&Ubig::from_limbs(b.to_vec())))
-                .collect();
+            reduced = bases.to_vec();
+            for w in reduced.chunks_exact_mut(k) {
+                self.load(&Ubig::from_limbs(w.to_vec()), w);
+            }
             &reduced
         };
         let window = window_width(exp.bit_len());
