@@ -116,7 +116,7 @@ fn shr_bytes<const L: usize>(e: &[u64; L], bytes: usize) -> [u64; L] {
 /// their answers and ship a decryption pass in. Of two elements as wide
 /// it is the numeric order; a shorter one compares with the longer
 /// one's leading bytes, and goes first when they are equal.
-pub(crate) fn wire_order<const L: usize>(a: &[u64; L], b: &[u64; L]) -> Ordering {
+fn wire_order<const L: usize>(a: &[u64; L], b: &[u64; L]) -> Ordering {
     let (la, lb) = (byte_len(a), byte_len(b));
     let numeric = |x: &[u64; L], y: &[u64; L]| x.iter().rev().cmp(y.iter().rev());
     match la.cmp(&lb) {
