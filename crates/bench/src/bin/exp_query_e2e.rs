@@ -81,15 +81,16 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (T, (u64, u64)) {
     (out, (count_after - count, bytes_after - bytes))
 }
 
-/// [`asked_once_cost`]'s fields with the allocation counts beside the
-/// exponentiations.
+/// [`asked_once_cost`]'s fields with the pad search's Jacobi symbols
+/// and the allocation counts beside the exponentiations.
 fn asked_once_fields(
     cost: &dla_telemetry::CostVector,
     (count, bytes): (u64, u64),
 ) -> Vec<(&'static str, Json)> {
     let mut fields = asked_once_cost(cost);
-    fields.insert(1, ("allocations", count.into()));
-    fields.insert(2, ("allocated_bytes", bytes.into()));
+    fields.insert(1, ("jacobi", cost.jacobi.into()));
+    fields.insert(2, ("allocations", count.into()));
+    fields.insert(3, ("allocated_bytes", bytes.into()));
     fields
 }
 

@@ -314,16 +314,20 @@ impl CommutativeDomain {
             base[bit / 64] |= u64::from(byte) << (bit % 64);
         }
         let small = base[1..].iter().all(|&w| w == 0);
+        let mut tried = 0;
         for pad in 0..=255u64 {
             let mut candidate = base;
             candidate[0] |= pad;
             if small && candidate[0] <= 1 {
                 continue;
             }
+            tried += 1;
             if jacobi_words(&candidate, &p) == 1 {
+                dla_telemetry::record(dla_telemetry::CostKind::Jacobi, tried);
                 return Ok(candidate);
             }
         }
+        dla_telemetry::record(dla_telemetry::CostKind::Jacobi, tried);
         // 256 consecutive non-residues has probability ~2^-256.
         Err(CryptoError::InvalidParameter(
             "no quadratic-residue padding found",

@@ -28,6 +28,9 @@ pub enum CostKind {
     /// One `(base, exponent)` term evaluated inside a Straus/Pippenger
     /// multi-exponentiation (the batch analogue of [`CostKind::ModExp`]).
     MultiExpTerm,
+    /// One Jacobi symbol of a candidate the message encoding's pad
+    /// search tested for quadratic residuosity.
+    Jacobi,
     /// Modular inverse (extended Euclid).
     ModInverse,
     /// One-way accumulator fold (§4.1).
@@ -81,6 +84,8 @@ pub struct CostVector {
     pub fixed_base_builds: u64,
     /// Terms evaluated by multi-exponentiation kernels.
     pub multi_exp_terms: u64,
+    /// Jacobi symbols of pad-search candidates.
+    pub jacobi: u64,
     /// Modular inverses.
     pub modinv: u64,
     /// Accumulator folds.
@@ -122,6 +127,7 @@ impl CostVector {
             CostKind::MontMulStep => &mut self.mont_mul_steps,
             CostKind::FixedBaseTableBuild => &mut self.fixed_base_builds,
             CostKind::MultiExpTerm => &mut self.multi_exp_terms,
+            CostKind::Jacobi => &mut self.jacobi,
             CostKind::ModInverse => &mut self.modinv,
             CostKind::AccumulatorFold => &mut self.acc_fold,
             CostKind::ShamirEval => &mut self.shamir_eval,
@@ -147,6 +153,7 @@ impl CostVector {
         self.mont_mul_steps += other.mont_mul_steps;
         self.fixed_base_builds += other.fixed_base_builds;
         self.multi_exp_terms += other.multi_exp_terms;
+        self.jacobi += other.jacobi;
         self.modinv += other.modinv;
         self.acc_fold += other.acc_fold;
         self.shamir_eval += other.shamir_eval;
@@ -172,12 +179,13 @@ impl CostVector {
 
     /// `(label, value)` pairs in a stable order (what `Display` prints).
     #[must_use]
-    pub fn entries(&self) -> [(&'static str, u64); 19] {
+    pub fn entries(&self) -> [(&'static str, u64); 20] {
         [
             ("modexp", self.modexp),
             ("mont_mul_steps", self.mont_mul_steps),
             ("fixed_base_builds", self.fixed_base_builds),
             ("multi_exp_terms", self.multi_exp_terms),
+            ("jacobi", self.jacobi),
             ("modinv", self.modinv),
             ("acc_fold", self.acc_fold),
             ("shamir_eval", self.shamir_eval),
@@ -227,6 +235,7 @@ mod tests {
             CostKind::MontMulStep,
             CostKind::FixedBaseTableBuild,
             CostKind::MultiExpTerm,
+            CostKind::Jacobi,
             CostKind::ModInverse,
             CostKind::AccumulatorFold,
             CostKind::ShamirEval,
@@ -248,7 +257,7 @@ mod tests {
             v.add(*kind, (i + 1) as u64);
         }
         let values: Vec<u64> = v.entries().iter().map(|(_, n)| *n).collect();
-        assert_eq!(values, (1..=19).collect::<Vec<u64>>());
+        assert_eq!(values, (1..=20).collect::<Vec<u64>>());
         assert!(!v.is_zero());
     }
 
