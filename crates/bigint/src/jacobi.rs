@@ -82,6 +82,47 @@ pub fn jacobi_words<const L: usize>(a: &[u64; L], n: &[u64; L]) -> i8 {
     symbol(*a, *n)
 }
 
+/// What [`jacobi_stream`] asks its caller. Called with `None`, it hands
+/// out a numerator to start, as `(tag, a)`; called with
+/// `Some((tag, symbol))`, it takes the symbol of the numerator it handed
+/// out under `tag` and hands out the one to run in its place. `None`
+/// from it leaves that place idle for the rest of the stream.
+pub type Feed<'f> = dyn FnMut(Option<(usize, i8)>) -> Option<(usize, [u64; 4])> + 'f;
+
+/// The Jacobi symbols `(a/n)` of a stream of numerators `a < n` in four
+/// words, odd `n`, where a numerator may depend on the symbols before
+/// it: the message encoding's pad search, which tries an item's next
+/// pad only when its last one was not a residue. Eight numerators are
+/// in flight at a time on the AVX-512 lane kernel where the CPU has it
+/// (`DESIGN.md` §11), one at a time on [`jacobi_words`]' loop
+/// elsewhere; the symbols are the same.
+///
+/// # Panics
+///
+/// Panics if `n` is even.
+pub fn jacobi_stream(n: &[u64; 4], next: &mut Feed<'_>) {
+    assert!(n[0] & 1 == 1, "jacobi: modulus must be odd");
+    #[cfg(target_arch = "x86_64")]
+    if crate::lanes::jacobi_lanes(n, next) {
+        return;
+    }
+    jacobi_stream_scalar(n, next);
+}
+
+/// [`jacobi_stream`] one numerator at a time on [`jacobi_words`]' loop,
+/// whatever the CPU — the lane kernel's differential oracle.
+///
+/// # Panics
+///
+/// Panics if `n` is even.
+pub fn jacobi_stream_scalar(n: &[u64; 4], next: &mut Feed<'_>) {
+    assert!(n[0] & 1 == 1, "jacobi: modulus must be odd");
+    let mut told = None;
+    while let Some((tag, a)) = next(told) {
+        told = Some((tag, symbol(a, *n)));
+    }
+}
+
 /// `(a/n)` for `a < n`, `n` odd, both in `L` words. The sign is kept
 /// as a bit and every data-dependent choice is a mask, so a step costs
 /// its word operations and no mispredicted branch.

@@ -1,11 +1,12 @@
-//! The 8-lane Montgomery kernel: eight 256-bit residues at a time on
-//! AVX-512 IFMA (`vpmadd52luq` / `vpmadd52huq`).
+//! The 8-lane kernels: eight 256-bit residues at a time on AVX-512 —
+//! the batch walk's Montgomery products on IFMA (`vpmadd52luq` /
+//! `vpmadd52huq`), and the message encoding's Jacobi symbols.
 //!
 //! A batch walk applies one window plan to many bases (every ring relay
 //! and decryption pass, `DESIGN.md` §11). The scalar kernel
 //! ([`super::montgomery::FixedCtx`]) runs each Montgomery step as a
 //! 4-limb CIOS in `u128` arithmetic; this one runs the same step for
-//! eight bases at once:
+//! eight bases at once, and each plan step for two lane groups at once:
 //!
 //! * **Radix 2⁵².** A residue is 5 limbs of 52 bits (`R = 2²⁶⁰`), and
 //!   one `__m512i` holds one limb of eight bases. The 52×52-bit limb
@@ -20,19 +21,32 @@
 //! * **Shift-only conversion.** Radix 2⁶⁴ ↔ 2⁵² is bit slicing; the
 //!   lane constants (`n`, `-n⁻¹ mod 2⁵²`, `2⁵²⁰ mod n`) are built once,
 //!   in [`super::montgomery::MontgomeryContext::new`].
+//! * **Two groups in flight.** A product is one long dependency chain;
+//!   [`mont_mul_pair`] interleaves two groups' chains, so the IFMA
+//!   units have independent work while one chain waits.
 //!
-//! A [`Lanes`] exists only where `is_x86_feature_detected!` reported
-//! `avx512f` and `avx512ifma` when it was built — that is the guard
-//! every `unsafe` block below names. Elsewhere the context has none and
-//! every batch stays on the scalar kernel, which is also this kernel's
-//! differential oracle (`tests/properties.rs`).
+//! [`jacobi_lanes`] runs `jacobi::symbol`'s binary step on eight
+//! `[u64; 4]` numerators at once, one word of each per `__m512i`; every
+//! per-lane choice is an AVX-512 mask, and a lane whose symbol is known
+//! takes the next numerator its caller hands it.
+//!
+//! A [`Lanes`] exists, and [`jacobi_lanes`] runs, only where
+//! `is_x86_feature_detected!` reports `avx512f`, `avx512cd` and
+//! `avx512ifma` — that is the guard every `unsafe` block below names.
+//! Elsewhere every batch stays on the scalar kernels, which are also
+//! these kernels' differential oracles (`tests/properties.rs`).
 
 use std::arch::x86_64::{
-    __m512i, _mm512_add_epi64, _mm512_and_si512, _mm512_madd52hi_epu64, _mm512_madd52lo_epu64,
-    _mm512_set1_epi64, _mm512_set_epi64, _mm512_setzero_si512, _mm512_srli_epi64,
-    _mm512_storeu_si512,
+    __m512i, __mmask8, _mm512_add_epi64, _mm512_and_si512, _mm512_cmpeq_epi64_mask,
+    _mm512_cmplt_epu64_mask, _mm512_lzcnt_epi64, _mm512_madd52hi_epu64, _mm512_madd52lo_epu64,
+    _mm512_mask_add_epi64, _mm512_mask_cmpeq_epi64_mask, _mm512_mask_mov_epi64,
+    _mm512_mask_sub_epi64, _mm512_mask_xor_epi64, _mm512_or_si512, _mm512_set1_epi64,
+    _mm512_set_epi64, _mm512_setzero_si512, _mm512_sllv_epi64, _mm512_srli_epi64,
+    _mm512_srlv_epi64, _mm512_storeu_si512, _mm512_sub_epi64, _mm512_test_epi64_mask,
+    _mm512_xor_si512,
 };
 
+use crate::jacobi::Feed;
 use crate::montgomery::ExpOp;
 
 /// Bases per lane group.
@@ -61,9 +75,11 @@ pub(crate) struct Lanes {
     r2: [u64; L],
 }
 
-/// Whether this CPU runs the lane kernel.
+/// Whether this CPU runs the lane kernels.
 fn detected() -> bool {
-    is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512ifma")
+    is_x86_feature_detected!("avx512f")
+        && is_x86_feature_detected!("avx512cd")
+        && is_x86_feature_detected!("avx512ifma")
 }
 
 /// Radix 2⁶⁴ → 2⁵² (the value must be below 2²⁶⁰; four words are).
@@ -139,8 +155,8 @@ impl Lanes {
         out: &mut [[u64; 4]],
     ) -> u64 {
         // SAFETY: `self` exists, so `Lanes::new` saw `detected()` report
-        // avx512f and avx512ifma on this CPU: the target features `walk`
-        // is compiled for are present.
+        // avx512f, avx512cd and avx512ifma on this CPU: the target
+        // features `walk` is compiled for are present.
         unsafe { self.walk(bases, plan, window, out) }
     }
 
@@ -181,23 +197,19 @@ impl Lanes {
             match *op {
                 ExpOp::Square => {
                     if started {
-                        for acc in &mut accs {
-                            *acc = mont_mul(acc, acc, &c);
-                        }
+                        apply(&mut accs, |acc, _| *acc, &c);
                         steps += m;
                     }
                 }
                 ExpOp::Multiply(idx) => {
-                    for (g, acc) in accs.iter_mut().enumerate() {
-                        let entry = &tables[g * table_len + idx];
-                        *acc = if started {
-                            mont_mul(acc, entry, &c)
-                        } else {
-                            *entry
-                        };
-                    }
+                    let entry = |g: usize| tables[g * table_len + idx];
                     if started {
+                        apply(&mut accs, |_, g| entry(g), &c);
                         steps += m;
+                    } else {
+                        for (g, acc) in accs.iter_mut().enumerate() {
+                            *acc = entry(g);
+                        }
                     }
                     started = true;
                 }
@@ -260,10 +272,29 @@ fn store(v: __m512i) -> [u64; LANES] {
     let mut out = [0u64; LANES];
     // SAFETY: `out` is 64 writable bytes and `storeu` takes any
     // alignment; avx512f is enabled on this function, which is only
-    // reached from `Lanes::walk`, whose caller holds a `Lanes` (built
-    // after `detected()` reported avx512f and avx512ifma).
+    // reached from `Lanes::walk` and `jacobi_walk`, whose callers saw
+    // `detected()` report avx512f, avx512cd and avx512ifma.
     unsafe { _mm512_storeu_si512(out.as_mut_ptr().cast(), v) };
     out
+}
+
+/// `acc ← acc · operand(acc, g)` for every group `g`, two groups a
+/// product ([`mont_mul_pair`]); a lone last group takes one of its own.
+#[inline]
+#[target_feature(enable = "avx512f,avx512ifma")]
+fn apply(accs: &mut [Group], operand: impl Fn(&Group, usize) -> Group, c: &Consts) {
+    let g = 2 * (accs.len() / 2);
+    let mut pairs = accs.chunks_exact_mut(2);
+    for (i, pair) in (&mut pairs).enumerate() {
+        let [x, y] = pair else {
+            unreachable!("chunks of two")
+        };
+        let (bx, by) = (operand(x, 2 * i), operand(y, 2 * i + 1));
+        (*x, *y) = mont_mul_pair([x, y], [&bx, &by], c);
+    }
+    if let [last] = pairs.into_remainder() {
+        *last = mont_mul(last, &operand(last, g), c);
+    }
 }
 
 /// Eight Montgomery products `REDC(a·b) = a·b·2⁻²⁶⁰ mod n` at once, by
@@ -298,4 +329,201 @@ fn mont_mul(a: &Group, b: &Group, c: &Consts) -> Group {
         t[j] = _mm512_and_si512(t[j], mask);
     }
     [t[0], t[1], t[2], t[3], t[4]]
+}
+
+/// [`mont_mul`] for two groups at once: the same operations, each of
+/// the two dependency chains interleaved with the other's.
+#[inline]
+#[target_feature(enable = "avx512f,avx512ifma")]
+fn mont_mul_pair(a: [&Group; 2], b: [&Group; 2], c: &Consts) -> (Group, Group) {
+    let zero = _mm512_setzero_si512();
+    let mut t = [[zero; L + 1]; 2];
+    for ai in (0..L).map(|i| [a[0][i], a[1][i]]) {
+        for j in 0..L {
+            for g in 0..2 {
+                t[g][j] = _mm512_madd52lo_epu64(t[g][j], ai[g], b[g][j]);
+                t[g][j + 1] = _mm512_madd52hi_epu64(t[g][j + 1], ai[g], b[g][j]);
+            }
+        }
+        let m = [0, 1].map(|g| _mm512_madd52lo_epu64(zero, t[g][0], c.k0));
+        for j in 0..L {
+            for g in 0..2 {
+                t[g][j] = _mm512_madd52lo_epu64(t[g][j], m[g], c.n[j]);
+                t[g][j + 1] = _mm512_madd52hi_epu64(t[g][j + 1], m[g], c.n[j]);
+            }
+        }
+        for t in &mut t {
+            let carry = _mm512_srli_epi64::<52>(t[0]);
+            *t = [_mm512_add_epi64(t[1], carry), t[2], t[3], t[4], t[5], zero];
+        }
+    }
+    let mask = _mm512_set1_epi64(MASK52 as i64);
+    for t in &mut t {
+        for j in 0..L - 1 {
+            t[j + 1] = _mm512_add_epi64(t[j + 1], _mm512_srli_epi64::<52>(t[j]));
+            t[j] = _mm512_and_si512(t[j], mask);
+        }
+    }
+    let [x, y] = t;
+    (
+        [x[0], x[1], x[2], x[3], x[4]],
+        [y[0], y[1], y[2], y[3], y[4]],
+    )
+}
+
+/// [`crate::jacobi::jacobi_stream`] eight numerators at a time; returns
+/// `false`, having called nothing, where the CPU lacks the lane
+/// features.
+pub(crate) fn jacobi_lanes(n: &[u64; 4], next: &mut Feed<'_>) -> bool {
+    if !detected() {
+        return false;
+    }
+    // SAFETY: `detected()` just reported avx512f, avx512cd and
+    // avx512ifma on this CPU: the target features `jacobi_walk` is
+    // compiled for are present.
+    unsafe { jacobi_walk(n, next) };
+    true
+}
+
+/// The eight lanes of [`jacobi_walk`]: per lane the numerator `a`,
+/// the modulus `m` it is reduced against (both shrink), bit 0 of `sign`
+/// set while the symbol so far is -1, and the caller's tag. An idle or
+/// finished lane holds a = 0.
+struct JacobiState {
+    a: [__m512i; 4],
+    m: [__m512i; 4],
+    sign: __m512i,
+    tags: [usize; LANES],
+    /// The lanes that hold a numerator whose symbol is not yet told.
+    live: __mmask8,
+}
+
+impl JacobiState {
+    /// Starts `lane` on numerator `v` against `modulus`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn load(&mut self, lane: usize, (tag, v): (usize, [u64; 4]), modulus: &[__m512i; 4]) {
+        let bit = 1 << lane;
+        for i in 0..4 {
+            self.a[i] = _mm512_mask_mov_epi64(self.a[i], bit, splat(v[i]));
+            self.m[i] = _mm512_mask_mov_epi64(self.m[i], bit, modulus[i]);
+        }
+        self.sign = _mm512_mask_mov_epi64(self.sign, bit, _mm512_setzero_si512());
+        self.tags[lane] = tag;
+        self.live |= bit;
+    }
+}
+
+#[target_feature(enable = "avx512f,avx512cd")]
+fn jacobi_walk(n: &[u64; 4], next: &mut Feed<'_>) {
+    debug_assert!(n[0] & 1 == 1, "odd modulus");
+    let zero = _mm512_setzero_si512();
+    let one = splat(1);
+    let modulus = n.map(|w| splat(w));
+    let mut s = JacobiState {
+        a: [zero; 4],
+        m: modulus,
+        sign: zero,
+        tags: [0; LANES],
+        live: 0,
+    };
+    for lane in 0..LANES {
+        let Some(first) = next(None) else { break };
+        s.load(lane, first, &modulus);
+    }
+    while s.live != 0 {
+        let a = &s.a;
+        let any = _mm512_or_si512(_mm512_or_si512(a[0], a[1]), _mm512_or_si512(a[2], a[3]));
+        let act = _mm512_test_epi64_mask(any, any);
+        let finished = s.live & !act;
+        if finished == 0 {
+            jacobi_step(&mut s.a, &mut s.m, &mut s.sign, act, zero, one);
+            continue;
+        }
+        // a = 0: the symbol is the sign if the modulus reached 1
+        // (gcd 1), else 0.
+        let (ms, signs) = (s.m.map(|v| store(v)), store(s.sign));
+        for lane in (0..LANES).filter(|&lane| finished >> lane & 1 == 1) {
+            let unit = ms[0][lane] == 1 && (1..4).all(|i| ms[i][lane] == 0);
+            let symbol = match (unit, signs[lane] & 1) {
+                (false, _) => 0,
+                (true, 0) => 1,
+                (true, _) => -1,
+            };
+            s.live &= !(1 << lane);
+            if let Some(following) = next(Some((s.tags[lane], symbol))) {
+                s.load(lane, following, &modulus);
+            }
+        }
+        // A numerator just loaded may be 0 itself: the loop tests again.
+    }
+}
+
+/// One step of `jacobi::descend` on the lanes of `act` (each with
+/// a ≠ 0, m odd): strip a's twos, flipping the sign by `(2/m)` for each,
+/// then `a ← |a − m|`, and on a borrow `m ← a` with the reciprocity
+/// flip when both are ≡ 3 (mod 4). Lanes outside `act` hold a = 0 and
+/// keep it, their sign and their modulus.
+#[inline]
+#[target_feature(enable = "avx512f,avx512cd")]
+fn jacobi_step(
+    a: &mut [__m512i; 4],
+    m: &mut [__m512i; 4],
+    sign: &mut __m512i,
+    act: __mmask8,
+    zero: __m512i,
+    one: __m512i,
+) {
+    // A lane whose low word is zero moves a whole word down: 64 twos,
+    // an even count, leave the sign alone.
+    loop {
+        let z = _mm512_mask_cmpeq_epi64_mask(act, a[0], zero);
+        if z == 0 {
+            break;
+        }
+        a[0] = _mm512_mask_mov_epi64(a[0], z, a[1]);
+        a[1] = _mm512_mask_mov_epi64(a[1], z, a[2]);
+        a[2] = _mm512_mask_mov_epi64(a[2], z, a[3]);
+        a[3] = _mm512_mask_mov_epi64(a[3], z, zero);
+    }
+    // The low word's trailing zeros: 63 − lzcnt of its lowest set bit.
+    let low = _mm512_and_si512(a[0], _mm512_sub_epi64(zero, a[0]));
+    let tz = _mm512_sub_epi64(splat(63), _mm512_lzcnt_epi64(low));
+    let up = _mm512_sub_epi64(splat(64), tz);
+    // A shift by 64 or more yields 0, so tz = 0 shifts in nothing.
+    for i in 0..3 {
+        a[i] = _mm512_or_si512(_mm512_srlv_epi64(a[i], tz), _mm512_sllv_epi64(a[i + 1], up));
+    }
+    a[3] = _mm512_srlv_epi64(a[3], tz);
+    // (2/m) is -1 exactly when m ≡ 3 or 5 (mod 8).
+    let m0 = m[0];
+    let two = _mm512_xor_si512(_mm512_srli_epi64::<1>(m0), _mm512_srli_epi64::<2>(m0));
+    *sign = _mm512_mask_xor_epi64(
+        *sign,
+        act,
+        *sign,
+        _mm512_and_si512(_mm512_and_si512(tz, two), one),
+    );
+    // d = a − m, the borrow carried word to word as a mask.
+    let mut d = [zero; 4];
+    let mut borrow: __mmask8 = 0;
+    for i in 0..4 {
+        let below = _mm512_cmplt_epu64_mask(a[i], m[i]);
+        let equal = _mm512_cmpeq_epi64_mask(a[i], m[i]);
+        let diff = _mm512_sub_epi64(a[i], m[i]);
+        d[i] = _mm512_mask_sub_epi64(diff, borrow, diff, one);
+        borrow = below | (equal & borrow);
+    }
+    let swap = borrow & act;
+    let recip = _mm512_and_si512(_mm512_srli_epi64::<1>(_mm512_and_si512(a[0], m0)), one);
+    *sign = _mm512_mask_xor_epi64(*sign, swap, *sign, recip);
+    // On a borrow, m ← a and a ← m − a = −d (two's complement).
+    let mut carry: __mmask8 = !0;
+    for i in 0..4 {
+        m[i] = _mm512_mask_mov_epi64(m[i], swap, a[i]);
+        let not = _mm512_xor_si512(d[i], splat(u64::MAX));
+        let neg = _mm512_mask_add_epi64(not, carry, not, one);
+        carry &= _mm512_cmpeq_epi64_mask(d[i], zero);
+        a[i] = _mm512_mask_mov_epi64(d[i], swap, neg);
+    }
 }

@@ -3,7 +3,9 @@
 //! differential oracles for the exponentiation/residue hot paths
 //! (windowed vs binary vs schoolbook modexp; Jacobi vs Euler).
 
-use dla_bigint::jacobi::{jacobi, jacobi_euclid};
+use dla_bigint::jacobi::{
+    jacobi, jacobi_euclid, jacobi_stream, jacobi_stream_scalar, jacobi_words, Feed,
+};
 use dla_bigint::montgomery::MontgomeryContext;
 use dla_bigint::{modular, prime, Ubig};
 use proptest::prelude::*;
@@ -594,6 +596,145 @@ fn lane_walk_records_the_scalar_walk_s_counts() {
                 None => assert!(ctx.modexp_batch_lanes(batch, &exp).is_none()),
             }
         }
+    }
+}
+
+/// The lane walk at 1–5 lane groups and at odd group counts: every
+/// batch length whose last group is full, one short and one long, on a
+/// full-width exponent and a window-1 one — so pairs of groups, a lone
+/// last group and a lone first group all meet the scalar walk.
+#[test]
+fn lane_walk_in_pairs_matches_the_scalar_walk_at_every_group_count() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(54);
+    let n = modulus_4_limbs(256, &mut rng);
+    let ctx = MontgomeryContext::new(&n).expect("modulus is odd");
+    let bases: Vec<Ubig> = (0..40).map(|_| Ubig::random_below(&mut rng, &n)).collect();
+    for exp in [Ubig::random_below(&mut rng, &n), Ubig::from_u64(0x9_5A5A)] {
+        for groups in 1..=5usize {
+            for len in [8 * groups - 7, 8 * groups - 1, 8 * groups] {
+                let batch = &bases[..len];
+                let scalar = ctx.modexp_batch_scalar(batch, &exp);
+                if let Some(lanes) = lane_walk(&ctx, batch, &exp) {
+                    assert_eq!(lanes, scalar, "groups={groups} len={len}");
+                }
+            }
+        }
+    }
+}
+
+/// `v` in four little-endian words.
+fn words4(v: &Ubig) -> [u64; 4] {
+    let mut w = [0; 4];
+    w[..v.limbs().len()].copy_from_slice(v.limbs());
+    w
+}
+
+/// The symbols a Jacobi stream tells for `numerators`, in their order:
+/// each place takes the next numerator of the list as soon as it is
+/// free, and every numerator is told exactly once.
+fn stream_symbols(stream: fn(&[u64; 4], &mut Feed<'_>), n: &Ubig, numerators: &[Ubig]) -> Vec<i8> {
+    let mut told = vec![None; numerators.len()];
+    let mut queue = numerators.iter().map(words4).enumerate();
+    stream(&words4(n), &mut |done| {
+        if let Some((tag, symbol)) = done {
+            assert_eq!(
+                told[tag].replace(symbol),
+                None,
+                "numerator {tag} told twice"
+            );
+        }
+        queue.next()
+    });
+    told.into_iter()
+        .map(|s| s.expect("every numerator is told"))
+        .collect()
+}
+
+/// Numerators below `n` whose lanes finish many steps apart: 0, 1, 2,
+/// `n − 1`, one-word values, values with 64–190 trailing zero bits (a
+/// whole-word move), values sharing a factor of 3 with `n` when it has
+/// one, and random ones — `count` of them.
+fn stream_numerators(rng: &mut rand::rngs::StdRng, n: &Ubig, count: usize) -> Vec<Ubig> {
+    let mut v = vec![Ubig::zero(), Ubig::one(), Ubig::two(), n - &Ubig::one()];
+    while v.len() < count {
+        let x = match v.len() % 5 {
+            0 => Ubig::from_u64(rand::Rng::gen(rng)),
+            1 => Ubig::random_bits(rng, 60) << (64 + v.len() % 127),
+            2 => Ubig::from_u64(3) * (Ubig::random_below(rng, n) >> 2),
+            _ => Ubig::random_below(rng, n),
+        };
+        v.push(&x % n);
+    }
+    v.truncate(count);
+    v
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The lane Jacobi kernel ≡ `jacobi_words` ≡ `jacobi_euclid` on
+    /// random 4-word numerators against a random 4-limb prime, a random
+    /// odd modulus and `3·odd` (symbols of 0 where the factor is
+    /// shared), over stream lengths that leave lanes idle at the start
+    /// and at the end; and the scalar stream tells the same symbols.
+    #[test]
+    fn lane_jacobi_matches_the_scalar_loop_and_euclid(
+        count in 1usize..=40,
+        bits in 193usize..=256,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let h = odd(Ubig::random_bits(&mut rng, bits - 3) + (Ubig::one() << (bits - 3)));
+        let moduli = [
+            prime::gen_prime(bits, &mut rng),
+            modulus_4_limbs(bits, &mut rng),
+            &h * &Ubig::from_u64(3),
+        ];
+        for n in &moduli {
+            let numerators = stream_numerators(&mut rng, n, count);
+            let lanes = stream_symbols(jacobi_stream, n, &numerators);
+            let scalar = stream_symbols(jacobi_stream_scalar, n, &numerators);
+            prop_assert_eq!(&lanes, &scalar, "n={}", n);
+            for (a, &symbol) in numerators.iter().zip(&lanes) {
+                prop_assert_eq!(symbol, jacobi_words(&words4(a), &words4(n)), "a={} n={}", a, n);
+                prop_assert_eq!(symbol, jacobi_euclid(a, n), "a={} n={}", a, n);
+            }
+        }
+    }
+}
+
+/// A stream whose next numerator depends on the last symbol — the pad
+/// search's shape: each of 20 chains runs until its first residue, and
+/// the lane and scalar streams walk the same chains to the same ends.
+#[test]
+fn a_dependent_stream_walks_the_same_chains_on_both_paths() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(55);
+    let p = prime::gen_prime(256, &mut rng);
+    let starts: Vec<Ubig> = (0..20)
+        .map(|_| Ubig::random_below(&mut rng, &p) >> 8 << 8)
+        .collect();
+    let walk = |stream: fn(&[u64; 4], &mut Feed<'_>)| {
+        let mut tried = vec![Vec::new(); starts.len()];
+        let mut pending = 0..starts.len();
+        let next_of = |chain: usize, tried: &mut Vec<Vec<u64>>| {
+            let pad = tried[chain].len() as u64;
+            tried[chain].push(pad);
+            Some((chain, words4(&(&starts[chain] + &Ubig::from_u64(pad)))))
+        };
+        stream(&words4(&p), &mut |done| match done {
+            Some((chain, s)) if s != 1 => next_of(chain, &mut tried),
+            _ => {
+                let chain = pending.next()?;
+                next_of(chain, &mut tried)
+            }
+        });
+        tried
+    };
+    let (lanes, scalar) = (walk(jacobi_stream), walk(jacobi_stream_scalar));
+    assert_eq!(lanes, scalar);
+    for (start, tried) in starts.iter().zip(&lanes) {
+        let last = start + &Ubig::from_u64(*tried.last().expect("one pad at least"));
+        assert_eq!(jacobi(&last, &p), 1);
     }
 }
 

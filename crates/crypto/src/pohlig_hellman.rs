@@ -24,7 +24,7 @@
 
 use crate::sha256;
 use crate::CryptoError;
-use dla_bigint::jacobi::jacobi_words;
+use dla_bigint::jacobi::{jacobi_stream, jacobi_stream_scalar, jacobi_words, Feed};
 use dla_bigint::modular::modinv;
 use dla_bigint::montgomery::MontgomeryContext;
 use dla_bigint::{prime, Ubig};
@@ -300,38 +300,127 @@ impl CommutativeDomain {
     ///
     /// Panics if `p` is wider than `L` words or `L < 2`.
     pub fn encode_words<const L: usize>(&self, message: &[u8]) -> Result<[u64; L], CryptoError> {
+        self.search(self.padded(message)?)
+    }
+
+    /// The first of `base`'s [`candidates`] that is a residue, one
+    /// candidate at a time on [`jacobi_words`]' loop.
+    fn search<const L: usize>(&self, base: [u64; L]) -> Result<[u64; L], CryptoError> {
+        let p = self.modulus_words::<L>();
+        let mut tried = 0;
+        let found = candidates(base).find(|candidate| {
+            tried += 1;
+            jacobi_words(candidate, &p) == 1
+        });
+        dla_telemetry::record(dla_telemetry::CostKind::Jacobi, tried);
+        found.ok_or(NO_RESIDUE)
+    }
+
+    /// [`encode_words`](Self::encode_words) of every message, in order,
+    /// bit for bit: each item tries the same pads in the same order. On
+    /// a domain of four words the items wider than two words search
+    /// together on [`jacobi_stream`], eight candidates in flight where
+    /// the CPU has AVX-512 (`DESIGN.md` §11); the rest — every glsn
+    /// item — run [`jacobi_words`]' loop, faster on two words.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CryptoError::InvalidParameter`] if a message exceeds
+    /// [`max_encode_len`](Self::max_encode_len).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is wider than `L` words or `L < 2`.
+    pub fn encode_batch_words<const L: usize>(
+        &self,
+        messages: &[&[u8]],
+    ) -> Result<Vec<[u64; L]>, CryptoError> {
+        self.search_batch(messages, jacobi_stream)
+    }
+
+    /// [`encode_batch_words`](Self::encode_batch_words) with the wide
+    /// items' search on [`jacobi_stream_scalar`] whatever the CPU — the
+    /// lane search's differential oracle.
+    ///
+    /// # Errors
+    ///
+    /// As [`encode_batch_words`](Self::encode_batch_words).
+    ///
+    /// # Panics
+    ///
+    /// As [`encode_batch_words`](Self::encode_batch_words).
+    pub fn encode_batch_words_scalar<const L: usize>(
+        &self,
+        messages: &[&[u8]],
+    ) -> Result<Vec<[u64; L]>, CryptoError> {
+        self.search_batch(messages, jacobi_stream_scalar)
+    }
+
+    fn search_batch<const L: usize>(
+        &self,
+        messages: &[&[u8]],
+        stream: fn(&[u64; 4], &mut Feed<'_>),
+    ) -> Result<Vec<[u64; L]>, CryptoError> {
+        let mut out = vec![[0; L]; messages.len()];
+        // The items for the stream, which takes four words (a wider
+        // array is an 8-limb domain): where each goes, and its pads.
+        let mut wide = Vec::new();
+        for (i, message) in messages.iter().enumerate() {
+            let base = self.padded::<L>(message)?;
+            if L == 4 && base[2..].iter().any(|&w| w != 0) {
+                if wide.is_empty() {
+                    wide.reserve_exact(messages.len() - i);
+                }
+                wide.push((i, candidates(base)));
+            } else {
+                out[i] = self.search(base)?;
+            }
+        }
+        if wide.is_empty() {
+            return Ok(out);
+        }
+        // Each item holds its place until its last candidate, written
+        // to its slot of `out`, is a residue; then the place takes the
+        // next item not yet started.
+        let (mut pending, mut tried, mut exhausted) = (0..wide.len(), 0, false);
+        stream(&self.modulus_words::<4>(), &mut |told| {
+            let mut k = match told {
+                Some((k, symbol)) if symbol != 1 => k,
+                _ => pending.next()?,
+            };
+            loop {
+                let (i, pads) = &mut wide[k];
+                if let Some(candidate) = pads.next() {
+                    tried += 1;
+                    out[*i] = candidate;
+                    return Some((k, std::array::from_fn(|w| candidate[w])));
+                }
+                exhausted = true;
+                k = pending.next()?;
+            }
+        });
+        dla_telemetry::record(dla_telemetry::CostKind::Jacobi, tried);
+        if exhausted {
+            return Err(NO_RESIDUE);
+        }
+        Ok(out)
+    }
+
+    /// `m ‖ 0x00`: the message one byte up, in `L` little-endian words.
+    /// It fits: [`max_encode_len`](Self::max_encode_len) leaves the top
+    /// 16 bits of `p` free.
+    fn padded<const L: usize>(&self, message: &[u8]) -> Result<[u64; L], CryptoError> {
         if message.len() > self.max_encode_len() {
             return Err(CryptoError::InvalidParameter(
                 "message too long for group encoding",
             ));
         }
-        let p = self.modulus_words::<L>();
-        // m ‖ 0x00: the message one byte up, little-endian words. It
-        // fits: max_encode_len leaves the top 16 bits of p free.
         let mut base = [0u64; L];
         for (i, &byte) in message.iter().rev().enumerate() {
             let bit = 8 * (i + 1);
             base[bit / 64] |= u64::from(byte) << (bit % 64);
         }
-        let small = base[1..].iter().all(|&w| w == 0);
-        let mut tried = 0;
-        for pad in 0..=255u64 {
-            let mut candidate = base;
-            candidate[0] |= pad;
-            if small && candidate[0] <= 1 {
-                continue;
-            }
-            tried += 1;
-            if jacobi_words(&candidate, &p) == 1 {
-                dla_telemetry::record(dla_telemetry::CostKind::Jacobi, tried);
-                return Ok(candidate);
-            }
-        }
-        dla_telemetry::record(dla_telemetry::CostKind::Jacobi, tried);
-        // 256 consecutive non-residues has probability ~2^-256.
-        Err(CryptoError::InvalidParameter(
-            "no quadratic-residue padding found",
-        ))
+        Ok(base)
     }
 
     /// Inverts [`encode`](Self::encode): strips the pad byte and
@@ -371,6 +460,24 @@ impl CommutativeDomain {
             counter += 1;
         }
     }
+}
+
+/// Every pad search's error when no pad byte gives a residue: 256
+/// consecutive non-residues, probability ~2⁻²⁵⁶.
+const NO_RESIDUE: CryptoError = CryptoError::InvalidParameter("no quadratic-residue padding found");
+
+/// The candidates `m ‖ pad` of the padded message `base`, pads 0 to 255
+/// in order, without the values 0 and 1 of an empty message, which are
+/// not in the subgroup's range of encodings.
+fn candidates<const L: usize>(base: [u64; L]) -> impl Iterator<Item = [u64; L]> {
+    let small = base[1..].iter().all(|&w| w == 0);
+    (0..=255u64)
+        .map(move |pad| {
+            let mut candidate = base;
+            candidate[0] |= pad;
+            candidate
+        })
+        .filter(move |candidate| !small || candidate[0] > 1)
 }
 
 /// A Pohlig–Hellman key pair `(e, d)` with `e·d ≡ 1 (mod p−1)`:

@@ -42,6 +42,36 @@ fn encode_reference(domain: &CommutativeDomain, message: &[u8]) -> Ubig {
         .expect("a residue among 256 pads")
 }
 
+/// `f`'s result and the Jacobi symbols it counted.
+fn counting_jacobi<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let recorder = dla_telemetry::Recorder::new();
+    let out = {
+        let _install = recorder.install();
+        f()
+    };
+    (out, recorder.take().total_cost().jacobi)
+}
+
+/// The batch pad searches, lane and scalar, against one `encode_words`
+/// per item: the same elements and the same `Jacobi` count.
+fn batch_matches_items<const L: usize>(
+    domain: &CommutativeDomain,
+    items: &[&[u8]],
+) -> Result<(), TestCaseError> {
+    let (each, count) = counting_jacobi(|| {
+        (items.iter())
+            .map(|m| domain.encode_words::<L>(m).unwrap())
+            .collect::<Vec<_>>()
+    });
+    let (batch, batch_count) = counting_jacobi(|| domain.encode_batch_words::<L>(items).unwrap());
+    let (scalar, scalar_count) =
+        counting_jacobi(|| domain.encode_batch_words_scalar::<L>(items).unwrap());
+    prop_assert_eq!(&batch, &each, "{:?}", domain);
+    prop_assert_eq!(&scalar, &each, "{:?}", domain);
+    prop_assert_eq!((batch_count, scalar_count), (count, count), "{:?}", domain);
+    Ok(())
+}
+
 /// `set` encrypted and decrypted again by the word batches, as `Ubig`s.
 fn word_walk<const L: usize>(key: &PhKey, set: &[Ubig]) -> (Vec<Ubig>, Vec<Ubig>) {
     let words: Vec<[u64; L]> = (set.iter())
@@ -337,6 +367,34 @@ proptest! {
                 prop_assert_eq!(&decoded, &stripped);
                 prop_assert_eq!(&domain.decode(&reference), &stripped);
             }
+        }
+    }
+
+    /// The batch pad search (DESIGN §11) is the per-item search: on
+    /// every word domain, a batch holding messages of every length
+    /// `0..=max_encode_len` in a shuffled order encodes each to
+    /// `encode_words`' element — on the lane stream where the CPU has
+    /// one and on the scalar stream forced — and tests exactly the
+    /// candidates the per-item searches test (the `Jacobi` count).
+    #[test]
+    fn batch_pad_search_is_the_per_item_search_at_every_length(seed in any::<u64>()) {
+        for domain in word_domains() {
+            let mut rng = rng_from(seed);
+            let mut messages: Vec<Vec<u8>> = (0..=domain.max_encode_len())
+                .flat_map(|len| [0, 1, 2].map(|_| (0..len).map(|_| rng.gen()).collect::<Vec<u8>>()))
+                .collect();
+            messages.push(vec![0; domain.max_encode_len()]);
+            for i in (1..messages.len()).rev() {
+                messages.swap(i, rng.gen_range(0..=i));
+            }
+            let items: Vec<&[u8]> = messages.iter().map(Vec::as_slice).collect();
+            if domain.limbs() <= 4 {
+                batch_matches_items::<4>(&domain, &items)?;
+            } else {
+                batch_matches_items::<8>(&domain, &items)?;
+            }
+            let too_long = vec![1u8; domain.max_encode_len() + 1];
+            prop_assert!(domain.encode_batch_words::<8>(&[&[7], &too_long]).is_err());
         }
     }
 

@@ -295,14 +295,9 @@ pub(crate) fn encode_canonical<const L: usize>(
         .map(|mut canonical| {
             canonical.sort_unstable();
             canonical.dedup();
-            let mut seen = HashSet::with_capacity(canonical.len());
-            let mut encoded = Vec::with_capacity(canonical.len());
-            for item in canonical {
-                let element = domain.encode_words(item)?;
-                if seen.insert(element) {
-                    encoded.push(element);
-                }
-            }
+            let mut encoded = domain.encode_batch_words::<L>(&canonical)?;
+            let mut seen = HashSet::with_capacity(encoded.len());
+            encoded.retain(|&element| seen.insert(element));
             Ok(encoded)
         })
         .collect()
