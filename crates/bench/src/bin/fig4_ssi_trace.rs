@@ -63,7 +63,7 @@ fn main() {
     // The coincidence check: the fully-encrypted value of "e" is equal
     // across all three sets, regardless of encryption order.
     let finals: Vec<_> = trace.iter().filter(|h| h.layers.len() == 3).collect();
-    let common = &outcome.common_encrypted[0];
+    let common = &outcome.common_encrypted()[0];
     println!("fully-encrypted common value: {}…", &common.to_hex()[..16]);
     for f in &finals {
         let pos = f

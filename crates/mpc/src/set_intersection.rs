@@ -50,10 +50,12 @@ use rand::Rng;
 /// Result of a secure set intersection run.
 #[derive(Debug, Clone)]
 pub struct SsiOutcome {
-    /// Fully-encrypted common elements (sorted, deduplicated). A
-    /// one-position ring with reveal applies no layer: there these are
-    /// the holder's encodings.
-    pub common_encrypted: Vec<Ubig>,
+    /// Fully-encrypted common elements (sorted, deduplicated), `limbs`
+    /// words each, back to back. A one-position ring with reveal applies
+    /// no layer: there these are the holder's encodings.
+    common: Vec<u64>,
+    /// The words of one element: 4 or 8.
+    limbs: usize,
     /// Decrypted common items (present only when `reveal` was
     /// requested).
     pub common_items: Option<Vec<Vec<u8>>>,
@@ -69,7 +71,17 @@ impl SsiOutcome {
     /// The intersection cardinality (available without reveal).
     #[must_use]
     pub fn cardinality(&self) -> usize {
-        self.common_encrypted.len()
+        self.common.len() / self.limbs
+    }
+
+    /// The fully-encrypted common elements, sorted as the collector
+    /// lists them and deduplicated — built as [`Ubig`]s on each call, for
+    /// the Figure 4 printout and the tests; a run carries them as words.
+    #[must_use]
+    pub fn common_encrypted(&self) -> Vec<Ubig> {
+        (self.common.chunks_exact(self.limbs))
+            .map(|e| Ubig::from_limbs(e.to_vec()))
+            .collect()
     }
 }
 
@@ -214,7 +226,8 @@ impl<'a> SsiSession<'a> {
             let elements = relay.hand(ring.at(0), collector, 0, &encoded[0])?;
             return Ok(SsiOutcome {
                 common_items: Some(sorted_items(domain, &elements)),
-                common_encrypted: ubigs(&elements),
+                common: elements.into_flattened(),
+                limbs: L,
                 trace: Vec::new(),
                 report: meter.finish(n, 1),
             });
@@ -242,7 +255,7 @@ impl<'a> SsiSession<'a> {
                         origin,
                         holder: (origin + hop) % n,
                         layers: (0..=hop).map(|h| (origin + h) % n).collect(),
-                        elements: ubigs(set),
+                        elements: (set.iter()).map(|e| Ubig::from_limbs(e.to_vec())).collect(),
                     });
                 }
             })?;
@@ -272,7 +285,8 @@ impl<'a> SsiSession<'a> {
         };
 
         Ok(SsiOutcome {
-            common_encrypted: ubigs(&common),
+            common: common.into_flattened(),
+            limbs: L,
             common_items: plain.map(|plain| sorted_items(domain, &plain)),
             trace,
             report: meter.finish(n, rounds),
@@ -285,13 +299,6 @@ fn sorted_items<const L: usize>(domain: &CommutativeDomain, elements: &[[u64; L]
     let mut items: Vec<Vec<u8>> = elements.iter().map(|e| domain.decode_words(e)).collect();
     items.sort();
     items
-}
-
-/// Word elements as the [`Ubig`]s [`SsiOutcome`] and [`TraceHop`] show.
-fn ubigs<const L: usize>(elements: &[[u64; L]]) -> Vec<Ubig> {
-    (elements.iter())
-        .map(|e| Ubig::from_limbs(e.to_vec()))
-        .collect()
 }
 
 /// Wire tag of every SSI relay/collection message — the byte an
@@ -453,7 +460,7 @@ mod tests {
             .filter(|h| h.layers.len() == 3)
             .collect();
         assert_eq!(finals.len(), 3);
-        let common = &outcome.common_encrypted[0];
+        let common = &outcome.common_encrypted()[0];
         for f in finals {
             assert!(
                 f.elements.contains(common),

@@ -304,7 +304,7 @@ fn single_holder_reveal_is_one_message_between_holder_and_collector() {
         .reveal(true)
         .run(&inputs, &mut rng)
         .unwrap();
-    assert_eq!(outcome.common_items.unwrap(), vec![item(3), item(4)]);
+    assert_eq!(outcome.common_items, Some(vec![item(3), item(4)]));
     let wire = tap.captured();
     assert_eq!(wire.len(), 1);
     assert_eq!((wire[0].from, wire[0].to), (NodeId(2), NodeId(3)));
@@ -313,5 +313,5 @@ fn single_holder_reveal_is_one_message_between_holder_and_collector() {
         .iter()
         .map(|it| domain.encode(it).unwrap())
         .collect();
-    assert_eq!(outcome.common_encrypted, shipped);
+    assert_eq!(outcome.common_encrypted(), shipped);
 }

@@ -62,7 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!(
         "\nfully-encrypted common value (identical in all three sets): {}…",
-        &outcome.common_encrypted[0].to_hex()[..16]
+        &outcome.common_encrypted()[0].to_hex()[..16]
     );
     let items: Vec<String> = outcome
         .common_items

@@ -216,7 +216,7 @@ fn mpc_protocols_answer_alike_on_the_simulator_and_on_channels() {
         assert_eq!(sum.total.value(), 100);
         // 3·2 relays + 3 collections; 4·3 shares + 4 publishes.
         assert_eq!((ssi.report.messages, sum.report.messages), (9, 16));
-        (ssi.common_encrypted, ssi.report.bytes, sum.report.bytes)
+        (ssi.common_encrypted(), ssi.report.bytes, sum.report.bytes)
     });
     assert_eq!(answers[0], answers[1], "simulator vs channels");
 }
