@@ -4,13 +4,34 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 # One line count for every change that removes code: the lines of each
-# .rs file under crates/*/src up to its first #[cfg(test)]. Printed, not
-# gated.
+# .rs file under crates/*/src up to its first #[cfg(test)], without the
+# files of test-only modules. Printed, not gated.
+#
+# A test-only module is a `mod x;` declared under #[cfg(test)] (on its
+# line or the line before): its file, x.rs beside the declaring lib.rs
+# or mod.rs or in the declaring file's own directory, is test code whole.
+test_only_modules() {
+    find crates/*/src -name '*.rs' -exec awk '
+        FNR == 1 { prev = "" }
+        (prev ~ /^[[:space:]]*#\[cfg\(test\)\][[:space:]]*$/ || /#\[cfg\(test\)\][[:space:]]*(pub[^ ]* )?mod /) &&
+            /^[^\/]*mod [a-z0-9_]+;/ {
+            name = $0; sub(/.*mod /, "", name); sub(/;.*/, "", name)
+            dir = FILENAME; sub(/[^\/]*$/, "", dir)
+            file = FILENAME; sub(/.*\//, "", file)
+            if (file != "lib.rs" && file != "mod.rs" && file != "main.rs") {
+                sub(/\.rs$/, "", file); dir = dir file "/"
+            }
+            print dir name ".rs"
+        }
+        { prev = $0 }' {} +
+}
+test_only=$(test_only_modules)
 non_test_lines() {
-    find "$@" -name '*.rs' -exec awk '
-        FNR == 1 { stop = 0 } /#\[cfg\(test\)\]/ { stop = 1 } !stop { n++ } END { print n }' {} + |
+    find "$@" -name '*.rs' | grep -vxF -e "${test_only:-/}" | xargs awk '
+        FNR == 1 { stop = 0 } /#\[cfg\(test\)\]/ { stop = 1 } !stop { n++ } END { print n + 0 }' |
         awk '{ s += $1 } END { print s }'
 }
+echo "test-only modules, not counted: $(echo $test_only)"
 echo "non-test lines under crates/: $(non_test_lines crates/*/src)"
 # The runtime crates: every crate but dla-bench, whose figures,
 # experiments and paper/ mechanisms no deployment runs.

@@ -654,10 +654,11 @@ fn a_relay_reshaping_the_collectors_own_set_fail_stops_the_run() {
 #[test]
 fn a_collected_element_at_or_above_the_modulus_fail_stops_the_run() {
     // A ring element has one encoding. The final holder of the
-    // collector's own set ships `X + p` in place of its element `X`:
-    // the same residue, a number no layer produced, and a set that
-    // still has the right shape. The set-frame decoder refuses it, for
-    // ∩ₛ and ∪ₛ alike.
+    // collector's own set ships `X + p` in place of one of its elements
+    // `X`: the same residue, a number no layer produced, and a set that
+    // still has the right shape. With `X + p` below 2²⁵⁶ it is as wide
+    // as an honest element, so only the below-p check stands in its
+    // way: the set-frame decoder refuses it, for ∩ₛ and ∪ₛ alike.
     use confidential_audit::bigint::Ubig;
     use confidential_audit::crypto::pohlig_hellman::CommutativeDomain;
     use confidential_audit::mpc::set_intersection::SET_TAG;
@@ -678,10 +679,10 @@ fn a_collected_element_at_or_above_the_modulus_fail_stops_the_run() {
         set(&["e", "f", "g"]),
     ];
     // Node 2's third message to node 0 is the collection frame of the
-    // collector's own set (the first two are relay hops). One seeded
-    // run at collector node 0 under a tap that records the wire, with
-    // `action`, if any, on that frame.
-    let run = |tag: u8, action: Option<Tamper>| {
+    // collector's own set (the first two are relay hops). One run at
+    // collector node 0, keys drawn from `seed`, under a tap that records
+    // the wire, with `action`, if any, on that frame.
+    let run = |tag: u8, seed: u64, action: Option<Tamper>| {
         let net = AdversaryNet::new(SharedNet::new(SimNet::new(3, NetConfig::ideal())));
         let mut adversary = (0..3).fold(ScriptedAdversary::new(), ScriptedAdversary::curious);
         if let Some(action) = action {
@@ -697,7 +698,7 @@ fn a_collected_element_at_or_above_the_modulus_fail_stops_the_run() {
         let adversary = Arc::new(adversary);
         net.set_adversary(Arc::clone(&adversary) as Arc<dyn Adversary>);
         let session = Session::root(&net);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(51);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let answer = if tag == SET_TAG {
             SsiSession::new(session, &ring, &domain, NodeId(0))
                 .reveal(true)
@@ -715,32 +716,45 @@ fn a_collected_element_at_or_above_the_modulus_fail_stops_the_run() {
             .payload;
         (answer, collected, adversary.report().forged)
     };
+    // The collection frame's header bytes and its elements.
+    let split = |tag: u8, collected: &[u8]| {
+        let mut r = Reader::new(collected);
+        let mut header = Writer::new();
+        header.put_u8(r.get_u8().unwrap());
+        if tag == SET_TAG {
+            header.put_u64(r.get_u64().unwrap());
+        }
+        let elements = r
+            .get_list(|r| r.get_bytes().map(Ubig::from_bytes_be))
+            .unwrap();
+        (header, elements)
+    };
 
     for (tag, honest) in [
         (SET_TAG, set(&["e"])),
         (UNION_TAG, set(&["c", "d", "e", "f", "g"])),
     ] {
-        let (answer, collected, _) = run(tag, None);
-        assert_eq!(answer.unwrap(), honest);
-        // The same frame with its first element X sent as X + p.
-        let mut r = Reader::new(&collected);
-        let mut w = Writer::new();
-        w.put_u8(r.get_u8().unwrap());
-        if tag == SET_TAG {
-            w.put_u64(r.get_u64().unwrap());
-        }
-        let mut elements = r
-            .get_list(|r| r.get_bytes().map(Ubig::from_bytes_be))
-            .unwrap();
-        assert_eq!(elements.len(), 3);
-        elements[0] = &elements[0] + domain.modulus();
-        w.put_list(&elements, |w, e| {
+        // p ≈ 0.66·2²⁵⁶, so about half of all ciphertexts X have X + p
+        // below 2²⁵⁶: the first key seed whose collected set holds one.
+        let (seed, mut header, mut elements, at) = (51..67)
+            .find_map(|seed| {
+                let (answer, collected, _) = run(tag, seed, None);
+                assert_eq!(answer.unwrap(), honest);
+                let (header, elements) = split(tag, &collected);
+                assert_eq!(elements.len(), 3);
+                let at = (elements.iter())
+                    .position(|x| (x + domain.modulus()).bit_len() <= 256)?;
+                Some((seed, header, elements, at))
+            })
+            .expect("an element X with X + p below 2^256 in 16 seeds");
+        elements[at] = &elements[at] + domain.modulus();
+        header.put_list(&elements, |w, e| {
             w.put_bytes(&e.to_bytes_be());
         });
-        let (answer, _, forged) = run(tag, Some(Tamper::Replace(w.finish())));
+        let (answer, _, forged) = run(tag, seed, Some(Tamper::Replace(header.finish())));
         assert_eq!(forged, 1, "the rule must hit the collection frame");
         assert!(
-            matches!(answer, Err(MpcError::Wire(_))),
+            matches!(&answer, Err(MpcError::Wire(why)) if why.contains("modulus")),
             "tag {tag:#x}: X + p in the collector's own set gave {answer:?}"
         );
     }
