@@ -26,24 +26,25 @@
 //!   units have independent work while one chain waits.
 //!
 //! [`jacobi_lanes`] runs `jacobi::symbol`'s binary step on eight
-//! `[u64; 4]` numerators at once, one word of each per `__m512i`; every
-//! per-lane choice is an AVX-512 mask, and a lane whose symbol is known
-//! takes the next numerator its caller hands it.
+//! `[u64; 4]` numerators at once, one word of each per `__m512i`, and on
+//! two such groups in flight; every per-lane choice is an AVX-512 mask,
+//! and a lane whose symbol is known takes the next numerator its caller
+//! hands it.
 //!
-//! A [`Lanes`] exists, and [`jacobi_lanes`] runs, only where
-//! `is_x86_feature_detected!` reports `avx512f`, `avx512cd` and
-//! `avx512ifma` — that is the guard every `unsafe` block below names.
-//! Elsewhere every batch stays on the scalar kernels, which are also
+//! A [`Lanes`] exists only where `is_x86_feature_detected!` reports
+//! `avx512f` and `avx512ifma`, and [`jacobi_lanes`] runs only where it
+//! reports `avx512f`, `avx512cd` (`vplzcntq`) and `avx512vbmi2`
+//! (`vpshrdvq`) — those are the guards the `unsafe` blocks below name.
+//! Elsewhere everything stays on the scalar kernels, which are also
 //! these kernels' differential oracles (`tests/properties.rs`).
 
 use std::arch::x86_64::{
-    __m512i, __mmask8, _mm512_add_epi64, _mm512_and_si512, _mm512_cmpeq_epi64_mask,
-    _mm512_cmplt_epu64_mask, _mm512_lzcnt_epi64, _mm512_madd52hi_epu64, _mm512_madd52lo_epu64,
-    _mm512_mask_add_epi64, _mm512_mask_cmpeq_epi64_mask, _mm512_mask_mov_epi64,
-    _mm512_mask_sub_epi64, _mm512_mask_xor_epi64, _mm512_or_si512, _mm512_set1_epi64,
-    _mm512_set_epi64, _mm512_setzero_si512, _mm512_sllv_epi64, _mm512_srli_epi64,
-    _mm512_srlv_epi64, _mm512_storeu_si512, _mm512_sub_epi64, _mm512_test_epi64_mask,
-    _mm512_xor_si512,
+    __m512i, __mmask8, _mm512_add_epi64, _mm512_and_si512, _mm512_cmplt_epu64_mask,
+    _mm512_lzcnt_epi64, _mm512_madd52hi_epu64, _mm512_madd52lo_epu64, _mm512_mask_add_epi64,
+    _mm512_mask_cmpeq_epi64_mask, _mm512_mask_mov_epi64, _mm512_mask_sub_epi64,
+    _mm512_mask_ternarylogic_epi64, _mm512_mask_xor_epi64, _mm512_set1_epi64, _mm512_set_epi64,
+    _mm512_setzero_si512, _mm512_shrdv_epi64, _mm512_srli_epi64, _mm512_srlv_epi64,
+    _mm512_storeu_si512, _mm512_sub_epi64, _mm512_xor_si512,
 };
 
 use crate::jacobi::Feed;
@@ -75,11 +76,16 @@ pub(crate) struct Lanes {
     r2: [u64; L],
 }
 
-/// Whether this CPU runs the lane kernels.
+/// Whether this CPU runs the batch walk's lane kernel.
 fn detected() -> bool {
+    is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512ifma")
+}
+
+/// Whether this CPU runs the Jacobi lane kernel.
+fn jacobi_detected() -> bool {
     is_x86_feature_detected!("avx512f")
         && is_x86_feature_detected!("avx512cd")
-        && is_x86_feature_detected!("avx512ifma")
+        && is_x86_feature_detected!("avx512vbmi2")
 }
 
 /// Radix 2⁶⁴ → 2⁵² (the value must be below 2²⁶⁰; four words are).
@@ -155,8 +161,8 @@ impl Lanes {
         out: &mut [[u64; 4]],
     ) -> u64 {
         // SAFETY: `self` exists, so `Lanes::new` saw `detected()` report
-        // avx512f, avx512cd and avx512ifma on this CPU: the target
-        // features `walk` is compiled for are present.
+        // avx512f and avx512ifma on this CPU: the target features `walk`
+        // is compiled for are present.
         unsafe { self.walk(bases, plan, window, out) }
     }
 
@@ -273,7 +279,7 @@ fn store(v: __m512i) -> [u64; LANES] {
     // SAFETY: `out` is 64 writable bytes and `storeu` takes any
     // alignment; avx512f is enabled on this function, which is only
     // reached from `Lanes::walk` and `jacobi_walk`, whose callers saw
-    // `detected()` report avx512f, avx512cd and avx512ifma.
+    // `detected()` or `jacobi_detected()` report avx512f.
     unsafe { _mm512_storeu_si512(out.as_mut_ptr().cast(), v) };
     out
 }
@@ -371,24 +377,24 @@ fn mont_mul_pair(a: [&Group; 2], b: [&Group; 2], c: &Consts) -> (Group, Group) {
     )
 }
 
-/// [`crate::jacobi::jacobi_stream`] eight numerators at a time; returns
+/// [`crate::jacobi::jacobi_stream`] sixteen numerators at a time, two
+/// groups of eight whose steps are independent; returns
 /// `false`, having called nothing, where the CPU lacks the lane
 /// features.
 pub(crate) fn jacobi_lanes(n: &[u64; 4], next: &mut Feed<'_>) -> bool {
-    if !detected() {
+    if !jacobi_detected() {
         return false;
     }
-    // SAFETY: `detected()` just reported avx512f, avx512cd and
-    // avx512ifma on this CPU: the target features `jacobi_walk` is
+    // SAFETY: `jacobi_detected()` just reported avx512f, avx512cd and
+    // avx512vbmi2 on this CPU: the target features `jacobi_walk` is
     // compiled for are present.
     unsafe { jacobi_walk(n, next) };
     true
 }
 
-/// The eight lanes of [`jacobi_walk`]: per lane the numerator `a`,
-/// the modulus `m` it is reduced against (both shrink), bit 0 of `sign`
-/// set while the symbol so far is -1, and the caller's tag. An idle or
-/// finished lane holds a = 0.
+/// One group of eight lanes of [`jacobi_walk`]: per lane the numerator `a` and
+/// the modulus `m` it is reduced against (both shrink), bit 1 of `sign`
+/// set while the symbol so far is -1, and the caller's tag.
 struct JacobiState {
     a: [__m512i; 4],
     m: [__m512i; 4],
@@ -396,6 +402,8 @@ struct JacobiState {
     tags: [usize; LANES],
     /// The lanes that hold a numerator whose symbol is not yet told.
     live: __mmask8,
+    /// The live lanes whose numerator is not yet 0: the ones that step.
+    act: __mmask8,
 }
 
 impl JacobiState {
@@ -411,69 +419,82 @@ impl JacobiState {
         self.sign = _mm512_mask_mov_epi64(self.sign, bit, _mm512_setzero_si512());
         self.tags[lane] = tag;
         self.live |= bit;
+        if v != [0; 4] {
+            self.act |= bit;
+        }
     }
 }
 
-#[target_feature(enable = "avx512f,avx512cd")]
+#[target_feature(enable = "avx512f,avx512cd,avx512vbmi2")]
 fn jacobi_walk(n: &[u64; 4], next: &mut Feed<'_>) {
     debug_assert!(n[0] & 1 == 1, "odd modulus");
     let zero = _mm512_setzero_si512();
-    let one = splat(1);
     let modulus = n.map(|w| splat(w));
-    let mut s = JacobiState {
+    let mut groups = [0, 1].map(|_| JacobiState {
         a: [zero; 4],
         m: modulus,
         sign: zero,
         tags: [0; LANES],
         live: 0,
-    };
-    for lane in 0..LANES {
-        let Some(first) = next(None) else { break };
-        s.load(lane, first, &modulus);
-    }
-    while s.live != 0 {
-        let a = &s.a;
-        let any = _mm512_or_si512(_mm512_or_si512(a[0], a[1]), _mm512_or_si512(a[2], a[3]));
-        let act = _mm512_test_epi64_mask(any, any);
-        let finished = s.live & !act;
-        if finished == 0 {
-            jacobi_step(&mut s.a, &mut s.m, &mut s.sign, act, zero, one);
-            continue;
+        act: 0,
+    });
+    'fill: for s in &mut groups {
+        for lane in 0..LANES {
+            let Some(first) = next(None) else { break 'fill };
+            s.load(lane, first, &modulus);
         }
-        // a = 0: the symbol is the sign if the modulus reached 1
-        // (gcd 1), else 0.
-        let (ms, signs) = (s.m.map(|v| store(v)), store(s.sign));
+    }
+    while groups.iter().any(|s| s.live != 0) {
+        for s in &mut groups {
+            let finished = s.live & !s.act;
+            if finished != 0 {
+                s.tell(finished, next, &modulus);
+            }
+        }
+        for s in &mut groups {
+            let done = jacobi_step(&mut s.a, &mut s.m, &mut s.sign, s.act);
+            s.act &= !done;
+        }
+    }
+}
+
+impl JacobiState {
+    /// Tells the symbols of the `finished` lanes (a = 0: the sign if the
+    /// modulus reached 1, gcd 1, else 0) and loads what `next` hands
+    /// out in their place.
+    #[target_feature(enable = "avx512f")]
+    fn tell(&mut self, finished: __mmask8, next: &mut Feed<'_>, modulus: &[__m512i; 4]) {
+        let (ms, signs) = (self.m.map(|v| store(v)), store(self.sign));
         for lane in (0..LANES).filter(|&lane| finished >> lane & 1 == 1) {
             let unit = ms[0][lane] == 1 && (1..4).all(|i| ms[i][lane] == 0);
-            let symbol = match (unit, signs[lane] & 1) {
+            let symbol = match (unit, signs[lane] & 2) {
                 (false, _) => 0,
                 (true, 0) => 1,
                 (true, _) => -1,
             };
-            s.live &= !(1 << lane);
-            if let Some(following) = next(Some((s.tags[lane], symbol))) {
-                s.load(lane, following, &modulus);
+            self.live &= !(1 << lane);
+            if let Some(following) = next(Some((self.tags[lane], symbol))) {
+                self.load(lane, following, modulus);
             }
         }
-        // A numerator just loaded may be 0 itself: the loop tests again.
     }
 }
 
 /// One step of `jacobi::descend` on the lanes of `act` (each with
 /// a ≠ 0, m odd): strip a's twos, flipping the sign by `(2/m)` for each,
 /// then `a ← |a − m|`, and on a borrow `m ← a` with the reciprocity
-/// flip when both are ≡ 3 (mod 4). Lanes outside `act` hold a = 0 and
-/// keep it, their sign and their modulus.
+/// flip when both are ≡ 3 (mod 4). Returns the lanes whose `a` reached
+/// 0. Lanes outside `act` keep their modulus and sign; their `a` is
+/// not read again before a numerator is loaded there.
 #[inline]
-#[target_feature(enable = "avx512f,avx512cd")]
+#[target_feature(enable = "avx512f,avx512cd,avx512vbmi2")]
 fn jacobi_step(
     a: &mut [__m512i; 4],
     m: &mut [__m512i; 4],
     sign: &mut __m512i,
     act: __mmask8,
-    zero: __m512i,
-    one: __m512i,
-) {
+) -> __mmask8 {
+    let (zero, one) = (_mm512_setzero_si512(), splat(1));
     // A lane whose low word is zero moves a whole word down: 64 twos,
     // an even count, leave the sign alone.
     loop {
@@ -489,41 +510,38 @@ fn jacobi_step(
     // The low word's trailing zeros: 63 − lzcnt of its lowest set bit.
     let low = _mm512_and_si512(a[0], _mm512_sub_epi64(zero, a[0]));
     let tz = _mm512_sub_epi64(splat(63), _mm512_lzcnt_epi64(low));
-    let up = _mm512_sub_epi64(splat(64), tz);
-    // A shift by 64 or more yields 0, so tz = 0 shifts in nothing.
     for i in 0..3 {
-        a[i] = _mm512_or_si512(_mm512_srlv_epi64(a[i], tz), _mm512_sllv_epi64(a[i + 1], up));
+        a[i] = _mm512_shrdv_epi64(a[i], a[i + 1], tz);
     }
     a[3] = _mm512_srlv_epi64(a[3], tz);
-    // (2/m) is -1 exactly when m ≡ 3 or 5 (mod 8).
+    // Flips gather in bit 1 (ternary 0x78: sign ^ (x & y)). (2/m) is -1
+    // exactly when m ≡ 3 or 5 (mod 8): bits 1 and 2 of m differ.
     let m0 = m[0];
-    let two = _mm512_xor_si512(_mm512_srli_epi64::<1>(m0), _mm512_srli_epi64::<2>(m0));
-    *sign = _mm512_mask_xor_epi64(
-        *sign,
-        act,
-        *sign,
-        _mm512_and_si512(_mm512_and_si512(tz, two), one),
-    );
-    // d = a − m, the borrow carried word to word as a mask.
-    let mut d = [zero; 4];
-    let mut borrow: __mmask8 = 0;
+    let two = _mm512_xor_si512(m0, _mm512_srli_epi64::<1>(m0));
+    let odd_twos = _mm512_add_epi64(tz, tz);
+    *sign = _mm512_mask_ternarylogic_epi64::<0x78>(*sign, act, odd_twos, two);
+    // d = a − m. The borrow out of a word: a borrow in and equal words,
+    // or a word below.
+    let mut borrow = [0; 5];
     for i in 0..4 {
         let below = _mm512_cmplt_epu64_mask(a[i], m[i]);
-        let equal = _mm512_cmpeq_epi64_mask(a[i], m[i]);
-        let diff = _mm512_sub_epi64(a[i], m[i]);
-        d[i] = _mm512_mask_sub_epi64(diff, borrow, diff, one);
-        borrow = below | (equal & borrow);
+        borrow[i + 1] = below | _mm512_mask_cmpeq_epi64_mask(borrow[i], a[i], m[i]);
     }
-    let swap = borrow & act;
-    let recip = _mm512_and_si512(_mm512_srli_epi64::<1>(_mm512_and_si512(a[0], m0)), one);
-    *sign = _mm512_mask_xor_epi64(*sign, swap, *sign, recip);
-    // On a borrow, m ← a and a ← m − a = −d (two's complement).
-    let mut carry: __mmask8 = !0;
+    let d: [__m512i; 4] = std::array::from_fn(|i| {
+        let diff = _mm512_sub_epi64(a[i], m[i]);
+        _mm512_mask_sub_epi64(diff, borrow[i], diff, one)
+    });
+    // On a borrow a < m: reciprocity flips when both are ≡ 3 (mod 4),
+    // m ← a, and a ← −d = !d + 1, the 1 carried up while d's lower
+    // words are 0.
+    let swap = borrow[4] & act;
+    *sign = _mm512_mask_ternarylogic_epi64::<0x78>(*sign, swap, a[0], m0);
+    let mut low_zero: __mmask8 = !0;
     for i in 0..4 {
         m[i] = _mm512_mask_mov_epi64(m[i], swap, a[i]);
-        let not = _mm512_xor_si512(d[i], splat(u64::MAX));
-        let neg = _mm512_mask_add_epi64(not, carry, not, one);
-        carry &= _mm512_cmpeq_epi64_mask(d[i], zero);
-        a[i] = _mm512_mask_mov_epi64(d[i], swap, neg);
+        let flipped = _mm512_mask_xor_epi64(d[i], swap, d[i], splat(u64::MAX));
+        a[i] = _mm512_mask_add_epi64(flipped, low_zero & swap, flipped, one);
+        low_zero = _mm512_mask_cmpeq_epi64_mask(low_zero, d[i], zero);
     }
+    low_zero & act
 }

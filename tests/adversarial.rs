@@ -742,8 +742,7 @@ fn a_collected_element_at_or_above_the_modulus_fail_stops_the_run() {
                 assert_eq!(answer.unwrap(), honest);
                 let (header, elements) = split(tag, &collected);
                 assert_eq!(elements.len(), 3);
-                let at = (elements.iter())
-                    .position(|x| (x + domain.modulus()).bit_len() <= 256)?;
+                let at = (elements.iter()).position(|x| (x + domain.modulus()).bit_len() <= 256)?;
                 Some((seed, header, elements, at))
             })
             .expect("an element X with X + p below 2^256 in 16 seeds");
