@@ -203,18 +203,18 @@ impl Lanes {
             match *op {
                 ExpOp::Square => {
                     if started {
-                        apply(&mut accs, |_| None, &c);
+                        apply(&mut accs, |acc, _| *acc, &c);
                         steps += m;
                     }
                 }
                 ExpOp::Multiply(idx) => {
-                    let entry = |g: usize| &tables[g * table_len + idx];
+                    let entry = |g: usize| tables[g * table_len + idx];
                     if started {
-                        apply(&mut accs, |g| Some(entry(g)), &c);
+                        apply(&mut accs, |_, g| entry(g), &c);
                         steps += m;
                     } else {
                         for (g, acc) in accs.iter_mut().enumerate() {
-                            *acc = *entry(g);
+                            *acc = entry(g);
                         }
                     }
                     started = true;
@@ -284,23 +284,22 @@ fn store(v: __m512i) -> [u64; LANES] {
     out
 }
 
-/// `acc ← acc · operand(g)` for every group `g` — `acc²` where the
-/// operand is `None` — two groups a product ([`mont_mul_pair`]); a lone
-/// last group takes one of its own.
+/// `acc ← acc · operand(acc, g)` for every group `g`, two groups a
+/// product ([`mont_mul_pair`]); a lone last group takes one of its own.
 #[inline]
 #[target_feature(enable = "avx512f,avx512ifma")]
-fn apply<'t>(accs: &mut [Group], operand: impl Fn(usize) -> Option<&'t Group>, c: &Consts) {
+fn apply(accs: &mut [Group], operand: impl Fn(&Group, usize) -> Group, c: &Consts) {
     let g = 2 * (accs.len() / 2);
     let mut pairs = accs.chunks_exact_mut(2);
     for (i, pair) in (&mut pairs).enumerate() {
         let [x, y] = pair else {
             unreachable!("chunks of two")
         };
-        let b = [operand(2 * i).unwrap_or(x), operand(2 * i + 1).unwrap_or(y)];
-        (*x, *y) = mont_mul_pair([x, y], b, c);
+        let (bx, by) = (operand(x, 2 * i), operand(y, 2 * i + 1));
+        (*x, *y) = mont_mul_pair([x, y], [&bx, &by], c);
     }
     if let [last] = pairs.into_remainder() {
-        *last = mont_mul(last, operand(g).unwrap_or(last), c);
+        *last = mont_mul(last, &operand(last, g), c);
     }
 }
 
