@@ -92,12 +92,18 @@ echo "==> cargo test -q"
 cargo test -q --workspace
 
 echo "==> bigint, crypto and word-element differential properties in release"
-# The lane kernel runs only where the CPU has AVX-512 IFMA; elsewhere the
-# lanes = scalar properties skip their lane leg, so say which this was.
+# The lane kernels run only where the CPU has their AVX-512 features;
+# elsewhere the lanes = scalar properties compare the scalar kernel with
+# itself, so say which this was.
 if grep -qw avx512ifma /proc/cpuinfo 2>/dev/null; then
-    echo "    lane kernel live: avx512ifma present, lanes = scalar is checked"
+    echo "    walk lane kernel live: avx512ifma present, lanes = scalar is checked"
 else
-    echo "    lane kernel not live: no avx512ifma, only the scalar kernel is checked"
+    echo "    walk lane kernel not live: no avx512ifma, only the scalar kernel is checked"
+fi
+if grep -qw avx512cd /proc/cpuinfo 2>/dev/null && grep -qw avx512_vbmi2 /proc/cpuinfo; then
+    echo "    Jacobi lane kernel live: avx512cd and avx512_vbmi2 present, lanes = scalar is checked"
+else
+    echo "    Jacobi lane kernel not live: only the scalar loop is checked"
 fi
 # The comb's 70 000-bit cases and the epoch-long fold_batch rows: the
 # debug pass above runs them against dev-profile test code, this one
