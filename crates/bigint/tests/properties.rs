@@ -703,41 +703,6 @@ proptest! {
     }
 }
 
-/// A stream whose next numerator depends on the last symbol — the pad
-/// search's shape: each of 20 chains runs until its first residue, and
-/// the lane and scalar streams walk the same chains to the same ends.
-#[test]
-fn a_dependent_stream_walks_the_same_chains_on_both_paths() {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(55);
-    let p = prime::gen_prime(256, &mut rng);
-    let starts: Vec<Ubig> = (0..20)
-        .map(|_| Ubig::random_below(&mut rng, &p) >> 8 << 8)
-        .collect();
-    let walk = |stream: fn(&[u64; 4], &mut Feed<'_>)| {
-        let mut tried = vec![Vec::new(); starts.len()];
-        let mut pending = 0..starts.len();
-        let next_of = |chain: usize, tried: &mut Vec<Vec<u64>>| {
-            let pad = tried[chain].len() as u64;
-            tried[chain].push(pad);
-            Some((chain, words4(&(&starts[chain] + &Ubig::from_u64(pad)))))
-        };
-        stream(&words4(&p), &mut |done| match done {
-            Some((chain, s)) if s != 1 => next_of(chain, &mut tried),
-            _ => {
-                let chain = pending.next()?;
-                next_of(chain, &mut tried)
-            }
-        });
-        tried
-    };
-    let (lanes, scalar) = (walk(jacobi_stream), walk(jacobi_stream_scalar));
-    assert_eq!(lanes, scalar);
-    for (start, tried) in starts.iter().zip(&lanes) {
-        let last = start + &Ubig::from_u64(*tried.last().expect("one pad at least"));
-        assert_eq!(jacobi(&last, &p), 1);
-    }
-}
-
 /// An odd value of exactly `limbs` limbs.
 fn odd_of_limbs(rng: &mut rand::rngs::StdRng, limbs: usize) -> Ubig {
     let bits = 64 * limbs;
