@@ -56,6 +56,8 @@ const SEALED: &str = "sealed_is_checkpointed";
 const RESTART: &str = "restart_is_a_committed_prefix";
 const FEDERATED: &str = "federated_is_single_ring";
 const META: &str = "meta_trail_names_each_committed_deposit_once";
+/// The coverage kind of a set element the `Residue` tap sent as X + p.
+const FIRED: &str = "Residue fired";
 
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Door {
@@ -302,29 +304,48 @@ fn lies(request: &Option<Arc<ScriptedAdversary>>) -> (usize, u64) {
     (forged, RESIDUES.get())
 }
 
+/// The tag, the origin (∩ₛ) and the elements of a ∩ₛ/∪ₛ set frame on
+/// `domain`, each element `k` big-endian words on the wire; `None` for
+/// any other payload.
+fn set_frame(domain: &CommutativeDomain, payload: &[u8]) -> Option<(u8, Option<u64>, Vec<Ubig>)> {
+    let tag = *payload.first().filter(|&&tag| tag == 0x01 || tag == 0x02)?;
+    let mut r = Reader::open(payload, tag).ok()?;
+    let origin = (tag == 0x01).then(|| r.get_u64()).transpose().ok()?;
+    let element = |r: &mut Reader<'_>| {
+        let mut words = (0..domain.limbs())
+            .map(|_| r.get_u64())
+            .collect::<Result<Vec<u64>, _>>()?;
+        words.reverse();
+        Ok(Ubig::from_limbs(words))
+    };
+    let set = r.get_list(element).ok()?;
+    r.finish().ok()?;
+    Some((tag, origin, set))
+}
+
 /// `payload` with the first element X of its set frame for which
-/// X + p still fits the domain's 32 bytes sent as X + p; any other
+/// X + p still fits the domain's `k` words sent as X + p; any other
 /// payload unchanged.
 fn plus_p(payload: &[u8]) -> bytes::Bytes {
     let frame = || -> Option<bytes::Bytes> {
-        let p = CommutativeDomain::fixed_256().modulus().clone();
-        let tag = *payload.first()?;
-        let mut r = Reader::open(payload, tag).ok()?;
-        let origin = (tag == 0x01).then(|| r.get_u64().ok()).flatten();
-        let mut set = r
-            .get_list(|r| r.get_minimal_uint().map(Ubig::from_bytes_be))
-            .ok()?;
-        r.finish().ok()?;
-        let x = set.iter_mut().find(|x| (&**x + &p).bit_len() <= 256)?;
-        *x = &*x + &p;
+        let domain = CommutativeDomain::fixed_256();
+        let (p, k) = (domain.modulus(), domain.limbs());
+        let (tag, origin, mut set) = set_frame(&domain, payload)?;
+        let x = set.iter_mut().find(|x| (&**x + p).bit_len() <= 64 * k)?;
+        *x = &*x + p;
         RESIDUES.set(RESIDUES.get() + 1);
+        cover(FIRED);
         let mut w = Writer::new();
         w.put_u8(tag);
-        if tag == 0x01 {
-            w.put_u64(origin?);
+        if let Some(origin) = origin {
+            w.put_u64(origin);
         }
         w.put_list(&set, |w, x| {
-            w.put_bytes(&x.to_bytes_be());
+            let mut words = x.limbs().to_vec();
+            words.resize(k, 0);
+            for &word in words.iter().rev() {
+                w.put_u64(word);
+            }
         });
         Some(w.finish())
     };
@@ -1308,6 +1329,7 @@ fn generated_histories_hold_every_invariant() {
         "DropData",
         "DropDeposit",
         "Residue",
+        FIRED,
         "Request",
     ];
     let invariants = [

@@ -7,7 +7,7 @@
 use crate::MpcError;
 use dla_crypto::pohlig_hellman::{CommutativeDomain, PhKey};
 use dla_net::topology::Ring;
-use dla_net::wire::{Reader, WireError, Writer};
+use dla_net::wire::{Reader, Writer};
 use dla_net::{Envelope, NodeId, Session};
 use std::cmp::Ordering;
 use std::collections::HashSet;
@@ -15,7 +15,8 @@ use std::collections::HashSet;
 /// The frame a relay's sets travel in; the discriminant is its wire tag.
 /// `∩_s` frames are `0x01 ‖ origin ‖ elements`, `∪_s` frames
 /// `0x02 ‖ elements`. An element is a `[u64; L]` (DESIGN §11) and
-/// travels as its minimal big-endian bytes.
+/// travels as exactly `k` big-endian words, most significant first: `k`
+/// is the modulus's word count, [`CommutativeDomain::limbs`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum SetFrame {
     /// `∩_s`: the frame names the ring position whose set it carries.
@@ -27,34 +28,54 @@ pub(crate) enum SetFrame {
 /// The origin an `∩_s` decryption-pass frame carries.
 const PASS_ORIGIN: u64 = u64::MAX;
 
+/// The words an element below `modulus` needs: the modulus's own.
+fn limbs<const L: usize>(modulus: &[u64; L]) -> usize {
+    L - modulus.iter().rev().take_while(|&&w| w == 0).count()
+}
+
 impl SetFrame {
-    pub(crate) fn encode<const L: usize>(self, origin: u64, elements: &[[u64; L]]) -> bytes::Bytes {
-        let mut w = Writer::with_capacity(1 + 8 + 8 + elements.len() * (8 + 8 * L));
+    /// The frame of `elements`, each below `modulus`.
+    pub(crate) fn encode<const L: usize>(
+        self,
+        modulus: &[u64; L],
+        origin: u64,
+        elements: &[[u64; L]],
+    ) -> bytes::Bytes {
+        let k = limbs(modulus);
+        let mut w = Writer::with_capacity(1 + 8 + 8 + elements.len() * 8 * k);
         w.put_u8(self as u8);
         if self == SetFrame::Intersection {
             w.put_u64(origin);
         }
-        let mut buf = [0; 8 * dla_crypto::pohlig_hellman::MAX_LIMBS];
         w.put_list(elements, |w, e| {
-            w.put_bytes(minimal_be(e, &mut buf));
+            debug_assert!(below(e, modulus), "a set element is below the modulus");
+            for &word in e[..k].iter().rev() {
+                w.put_u64(word);
+            }
         });
         w.finish()
     }
 
-    /// The origin (`∩_s` only) and the elements of a set frame. An
-    /// element has one encoding: no leading zero byte, no wider than
-    /// the domain's `L` words, and below its modulus — at or above it,
-    /// it would act as its own reduction.
+    /// The origin (`∩_s` only) and the elements of a set frame. Each
+    /// element must be below `modulus`: at or above it, it would act as
+    /// its own reduction, a second encoding of a residue.
     pub(crate) fn decode<const L: usize>(
         self,
-        payload: &[u8],
         modulus: &[u64; L],
+        payload: &[u8],
     ) -> Result<(Option<u64>, Vec<[u64; L]>), MpcError> {
+        let k = limbs(modulus);
         let mut r = Reader::open(payload, self as u8)?;
         let origin = (self == SetFrame::Intersection)
             .then(|| r.get_u64())
             .transpose()?;
-        let elements = r.get_list(|r| from_be(r.get_minimal_uint()?))?;
+        let elements = r.get_list(|r| {
+            let mut e = [0; L];
+            for word in e[..k].iter_mut().rev() {
+                *word = r.get_u64()?;
+            }
+            Ok(e)
+        })?;
         r.finish()?;
         if elements.iter().any(|e| !below(e, modulus)) {
             return Err(MpcError::Wire("set element not below the modulus".into()));
@@ -63,78 +84,25 @@ impl SetFrame {
     }
 }
 
-/// `e`'s big-endian bytes without leading zeros, in `buf`.
-fn minimal_be<'b, const L: usize>(e: &[u64; L], buf: &'b mut [u8]) -> &'b [u8] {
-    let bytes = &mut buf[..8 * L];
-    for (chunk, w) in bytes.chunks_exact_mut(8).zip(e.iter().rev()) {
-        chunk.copy_from_slice(&w.to_be_bytes());
-    }
-    let zeros = bytes.iter().take_while(|&&b| b == 0).count();
-    &bytes[zeros..]
+/// The numeric order of elements: most significant word first.
+fn numeric<const L: usize>(a: &[u64; L], b: &[u64; L]) -> Ordering {
+    a.iter().rev().cmp(b.iter().rev())
 }
 
-/// The element whose big-endian bytes are `bytes`, or an error when
-/// they do not fit `L` words.
-fn from_be<const L: usize>(bytes: &[u8]) -> Result<[u64; L], WireError> {
-    if bytes.len() > 8 * L {
-        return Err(WireError::new("set element wider than the domain"));
-    }
-    let mut e = [0; L];
-    for (w, chunk) in e.iter_mut().zip(bytes.rchunks(8)) {
-        let mut word = [0; 8];
-        word[8 - chunk.len()..].copy_from_slice(chunk);
-        *w = u64::from_be_bytes(word);
-    }
-    Ok(e)
-}
-
-/// `a < b` on little-endian words.
+/// `a < b`.
 fn below<const L: usize>(a: &[u64; L], b: &[u64; L]) -> bool {
-    a.iter().rev().lt(b.iter().rev())
+    numeric(a, b) == Ordering::Less
 }
 
-/// The number of bytes of `e`'s minimal big-endian form.
-fn byte_len<const L: usize>(e: &[u64; L]) -> usize {
-    let bits = (e.iter().rposition(|&w| w != 0))
-        .map_or(0, |top| 64 * (top + 1) - e[top].leading_zeros() as usize);
-    bits.div_ceil(8)
-}
-
-/// `e >> (8 · bytes)`.
-fn shr_bytes<const L: usize>(e: &[u64; L], bytes: usize) -> [u64; L] {
-    let (words, bits) = (bytes / 8, 8 * (bytes % 8) as u32);
-    std::array::from_fn(|i| {
-        let lo = e.get(i + words).copied().unwrap_or(0);
-        let hi = e.get(i + words + 1).copied().unwrap_or(0);
-        // Two shifts, so that `bits = 0` shifts in nothing.
-        (lo >> bits) | ((hi << 1) << (63 - bits))
-    })
-}
-
-/// The order of elements' minimal big-endian bytes — the order a set of
-/// those byte strings sorts in, which is the order the collectors list
-/// their answers and ship a decryption pass in. Of two elements as wide
-/// it is the numeric order; a shorter one compares with the longer
-/// one's leading bytes, and goes first when they are equal.
-fn wire_order<const L: usize>(a: &[u64; L], b: &[u64; L]) -> Ordering {
-    let (la, lb) = (byte_len(a), byte_len(b));
-    let numeric = |x: &[u64; L], y: &[u64; L]| x.iter().rev().cmp(y.iter().rev());
-    match la.cmp(&lb) {
-        Ordering::Equal => numeric(a, b),
-        Ordering::Less => numeric(a, &shr_bytes(b, lb - la)).then(Ordering::Less),
-        Ordering::Greater => numeric(&shr_bytes(a, la - lb), b).then(Ordering::Greater),
-    }
-}
-
-/// `set` in [`wire_order`], without repeats.
-fn sorted<const L: usize>(mut set: Vec<[u64; L]>) -> Vec<[u64; L]> {
-    set.sort_unstable_by(wire_order);
+/// `set` in [`numeric`] order, without repeats.
+pub(crate) fn sorted<const L: usize>(mut set: Vec<[u64; L]>) -> Vec<[u64; L]> {
+    set.sort_unstable_by(numeric);
     set.dedup();
     set
 }
 
 /// The `∩_s` collector: the elements every set holds, once each, in
-/// [`wire_order`].
+/// [`numeric`] order.
 pub(crate) fn common<const L: usize>(sets: &[Vec<[u64; L]>]) -> Vec<[u64; L]> {
     let mut sets = sets.iter().map(|set| sorted(set.clone()));
     let mut common = sets.next().unwrap_or_default();
@@ -145,7 +113,7 @@ pub(crate) fn common<const L: usize>(sets: &[Vec<[u64; L]>]) -> Vec<[u64; L]> {
 }
 
 /// The `∪_s` collector: the elements of any set, once each, in
-/// [`wire_order`] — without those of `held`, the collector's own set
+/// [`numeric`] order — without those of `held`, the collector's own set
 /// when it is a ring position.
 pub(crate) fn merged<const L: usize>(
     sets: &[Vec<[u64; L]>],
@@ -161,7 +129,7 @@ pub(crate) fn merged<const L: usize>(
 
 /// Whether `e` is in `set`, which is [`sorted`].
 pub(crate) fn holds<const L: usize>(set: &[[u64; L]], e: &[u64; L]) -> bool {
-    set.binary_search_by(|x| wire_order(x, e)).is_ok()
+    set.binary_search_by(|x| numeric(x, e)).is_ok()
 }
 
 /// One relay over `ring` towards `collector`, in `frame`s of `L`-word
@@ -185,9 +153,10 @@ impl<const L: usize> Relay<'_, '_, L> {
         origin: u64,
         set: &[[u64; L]],
     ) -> Result<Vec<[u64; L]>, MpcError> {
-        self.net.send(from, to, self.frame.encode(origin, set));
+        self.net
+            .send(from, to, self.frame.encode(&self.modulus, origin, set));
         let envelope = self.net.recv_from(to, from)?;
-        let (_, set) = self.frame.decode(&envelope.payload, &self.modulus)?;
+        let (_, set) = self.frame.decode(&self.modulus, &envelope.payload)?;
         Ok(set)
     }
 
@@ -220,10 +189,14 @@ impl<const L: usize> Relay<'_, '_, L> {
             let relays = sets.iter().enumerate().map(|(origin, set)| {
                 let from = ring.at((origin + hop - 1) % n);
                 let to = ring.at((origin + hop) % n);
-                (from, to, self.frame.encode(origin as u64, set))
+                (
+                    from,
+                    to,
+                    self.frame.encode(&self.modulus, origin as u64, set),
+                )
             });
             for (origin, envelope) in self.net.round(relays)?.into_iter().enumerate() {
-                let (carried, elements) = self.frame.decode(&envelope.payload, &self.modulus)?;
+                let (carried, elements) = self.frame.decode(&self.modulus, &envelope.payload)?;
                 if let Some(tag) = carried.filter(|&tag| tag != origin as u64) {
                     return Err(MpcError::Protocol(format!(
                         "relay for set {origin} carried origin tag {tag}"
@@ -242,12 +215,12 @@ impl<const L: usize> Relay<'_, '_, L> {
             (
                 final_holder,
                 collector,
-                self.frame.encode(origin as u64, set),
+                self.frame.encode(&self.modulus, origin as u64, set),
             )
         });
         let mut returned = Vec::with_capacity(n);
         for (origin, envelope) in self.net.round(collection)?.into_iter().enumerate() {
-            let (_, elements) = self.frame.decode(&envelope.payload, &self.modulus)?;
+            let (_, elements) = self.frame.decode(&self.modulus, &envelope.payload)?;
             if own == Some(origin) {
                 check_own_set(&elements, encoded[origin].len())?;
             }
@@ -345,54 +318,85 @@ pub(crate) mod tests {
         out
     }
 
-    /// The bytes of one set element as a peer might send them: short
-    /// strings that may lead with a zero byte, values just below and at
-    /// or above `modulus`, and values below it behind one more leading
-    /// byte — wider than the domain's `L` words.
-    pub(crate) fn element_bytes<const L: usize>(
+    /// One set element as a peer might send it, in the `k` words of
+    /// `modulus`: any value, values just below and at or above the
+    /// modulus, and the top of the words.
+    pub(crate) fn element_words<const L: usize>(
         modulus: [u64; L],
-    ) -> impl Strategy<Value = Vec<u8>> {
-        let near = move |k: u64, above: bool| {
-            let mut buf = [0; 64];
-            minimal_be(&offset(&modulus, k, above), &mut buf).to_vec()
+    ) -> impl Strategy<Value = [u64; L]> {
+        let k = limbs(&modulus);
+        let within = move |mut e: [u64; L]| {
+            e[k..].fill(0);
+            e
         };
+        let any_words = prop::collection::vec(any::<u64>(), L..L + 1)
+            .prop_map(move |words| within(words.try_into().expect("L words")));
         prop_oneof![
-            prop::collection::vec(prop_oneof![Just(0u8), any::<u8>()], 0..6),
-            (0u64..4, any::<bool>()).prop_map(move |(k, above)| near(k, above)),
-            (1u8..=255, 0u64..4).prop_map(move |(lead, k)| {
-                let below = offset(&modulus, k, false);
-                let mut wide = vec![lead];
-                wide.extend(below.iter().rev().flat_map(|w| w.to_be_bytes()));
-                wide
-            }),
+            any_words,
+            (0u64..4, any::<bool>()).prop_map(move |(n, above)| within(offset(&modulus, n, above))),
+            Just(within([u64::MAX; L])),
         ]
     }
 
-    /// Whether `elements` are each in their one encoding below `modulus`.
-    pub(crate) fn canonical<const L: usize>(elements: &[Vec<u8>], modulus: &[u64; L]) -> bool {
-        (elements.iter())
-            .all(|e| e.first() != Some(&0) && from_be::<L>(e).is_ok_and(|w| below(&w, modulus)))
+    /// A set frame of `elements` as a peer might send it: any `k`-word
+    /// values, below the modulus or not.
+    pub(crate) fn raw_frame<const L: usize>(
+        frame: SetFrame,
+        modulus: &[u64; L],
+        origin: u64,
+        elements: &[[u64; L]],
+    ) -> Vec<u8> {
+        let k = limbs(modulus);
+        let mut w = Writer::new();
+        w.put_u8(frame as u8);
+        if frame == SetFrame::Intersection {
+            w.put_u64(origin);
+        }
+        w.put_list(elements, |w, e| {
+            for &word in e[..k].iter().rev() {
+                w.put_u64(word);
+            }
+        });
+        w.into_vec()
     }
 
-    /// The mutant that keeps the low words of an over-wide element
-    /// would read `1 ‖ X` as `X`: the decoder refuses it whatever `X`.
+    /// Whether every one of `elements` is below `modulus`.
+    pub(crate) fn canonical<const L: usize>(elements: &[[u64; L]], modulus: &[u64; L]) -> bool {
+        elements.iter().all(|e| below(e, modulus))
+    }
+
+    /// An element is its domain's words and nothing else: `k` words of
+    /// 8 bytes each, most significant first, no length before them. One
+    /// word more or one fewer is refused.
     #[test]
-    fn a_set_element_wider_than_the_domain_is_refused() {
+    fn a_set_element_is_exactly_its_domains_words() {
         let modulus = CommutativeDomain::fixed_256().modulus_words::<4>();
-        let x = [7u64, 0, 0, 0];
-        let mut w = Writer::new();
-        let mut wide = vec![1u8];
-        wide.extend(x.iter().rev().flat_map(|w| w.to_be_bytes()));
-        w.put_u8(SetFrame::Union as u8).put_list(&[wide], |w, e| {
-            w.put_bytes(e);
-        });
-        let err = SetFrame::Union.decode(&w.finish(), &modulus).unwrap_err();
+        let x = [7u64, 6, 5, 4];
+        let frame = SetFrame::Union.encode(&modulus, 0, &[x]);
+        let words: Vec<u8> = [4u64, 5, 6, 7]
+            .iter()
+            .flat_map(|w| w.to_be_bytes())
+            .collect();
         assert_eq!(
-            err,
-            WireError::new("set element wider than the domain").into()
+            frame[..],
+            [&[0x02][..], &1u64.to_be_bytes(), &words].concat()
         );
-        let narrow = SetFrame::Union.encode(0, &[x]);
-        assert_eq!(SetFrame::Union.decode(&narrow, &modulus).unwrap().1, [x]);
+        assert_eq!(SetFrame::Union.decode(&modulus, &frame).unwrap().1, [x]);
+        let truncated = MpcError::Wire("malformed wire message: truncated u64".into());
+        let err = SetFrame::Union.decode(&modulus, &frame[..frame.len() - 8]);
+        assert_eq!(err.unwrap_err(), truncated);
+        let longer = [&frame[..], &[0; 8]].concat();
+        let trailing = MpcError::Wire("malformed wire message: trailing bytes".into());
+        assert_eq!(
+            SetFrame::Union.decode(&modulus, &longer).unwrap_err(),
+            trailing
+        );
+        // A one-word modulus in four words: elements travel in one word.
+        let one = [23u64, 0, 0, 0];
+        let frame = SetFrame::Intersection.encode(&one, 9, &[[5, 0, 0, 0]]);
+        assert_eq!(frame.len(), 1 + 8 + 8 + 8);
+        let (origin, set) = SetFrame::Intersection.decode(&one, &frame).unwrap();
+        assert_eq!((origin, set), (Some(9), vec![[5, 0, 0, 0]]));
     }
 
     /// The mutant that drops the below-modulus check would take
@@ -401,34 +405,44 @@ pub(crate) mod tests {
     #[test]
     fn a_set_element_at_or_above_the_modulus_is_refused() {
         let modulus = CommutativeDomain::fixed_256().modulus_words::<4>();
-        let frame = |e: [u64; 4]| SetFrame::Union.encode(0, &[e]);
+        let frame = |e: [u64; 4]| raw_frame(SetFrame::Union, &modulus, 0, &[e]);
         for k in [0, 1, 7] {
-            let err = SetFrame::Union.decode(&frame(offset(&modulus, k, true)), &modulus);
+            let err = SetFrame::Union.decode(&modulus, &frame(offset(&modulus, k, true)));
             let refused = MpcError::Wire("set element not below the modulus".into());
             assert_eq!(err.unwrap_err(), refused, "p + {k}");
         }
         let top = offset(&modulus, 0, false);
         assert_eq!(
-            SetFrame::Union.decode(&frame(top), &modulus).unwrap().1,
+            SetFrame::Union.decode(&modulus, &frame(top)).unwrap().1,
             [top]
         );
     }
 
+    /// The collectors list elements in the order of the numbers they
+    /// are: the most significant word decides first.
     #[test]
-    fn wire_order_is_the_order_of_minimal_bytes() {
+    fn the_collectors_order_is_numeric() {
         let cases: [[u64; 4]; 7] = [
-            [0; 4],
-            [1, 0, 0, 0],
+            [u64::MAX, 0, 0, 1],
+            [0, 1, 0, 0],
+            [0x1ff, 0, 0, 0],
             [0x100, 0, 0, 0],
             [2, 0, 0, 0],
-            [0x1ff, 0, 0, 0],
-            [0, 1, 0, 0],
-            [u64::MAX, 0, 0, 1],
+            [1, 0, 0, 0],
+            [0; 4],
         ];
-        let bytes = |e: &[u64; 4]| minimal_be(e, &mut [0; 64]).to_vec();
+        let set = merged(&[cases.to_vec(), cases[..3].to_vec()], None);
+        let mut expect = cases.to_vec();
+        expect.reverse();
+        assert_eq!(set, expect);
+        assert_eq!(
+            common(&[cases.to_vec(), cases[2..4].to_vec()]),
+            [cases[3], cases[2]]
+        );
         for a in &cases {
             for b in &cases {
-                assert_eq!(wire_order(a, b), bytes(a).cmp(&bytes(b)), "{a:?} {b:?}");
+                let value = |e: &[u64; 4]| dla_bigint::Ubig::from_limbs(e.to_vec());
+                assert_eq!(numeric(a, b), value(a).cmp(&value(b)), "{a:?} {b:?}");
             }
         }
     }

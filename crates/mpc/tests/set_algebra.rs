@@ -194,11 +194,14 @@ fn ring_collector_reveal_sends_nothing_after_collection_and_no_plaintext() {
     }
 }
 
-/// The group elements of a `∪ₛ` message.
-fn union_elements(payload: &[u8]) -> BTreeSet<Vec<u8>> {
+/// The group elements of a `∪ₛ` message on the 256-bit domain: four
+/// words each.
+fn union_elements(payload: &[u8]) -> BTreeSet<Vec<u64>> {
     let mut r = Reader::new(payload);
     assert_eq!(r.get_u8().unwrap(), 0x02);
-    let elements = r.get_list(|r| r.get_bytes().map(<[u8]>::to_vec)).unwrap();
+    let elements = r
+        .get_list(|r| (0..4).map(|_| r.get_u64()).collect())
+        .unwrap();
     r.finish().unwrap();
     elements.into_iter().collect()
 }
@@ -250,7 +253,7 @@ fn ring_collector_union_shows_no_relay_a_plaintext_or_a_linkable_ciphertext() {
             // Per relay: nothing it sent or received in the pass equals
             // anything it sent or received before it.
             for relay in (0..n).map(NodeId).filter(|&node| node != collector) {
-                let view = |messages: &[CapturedMessage]| -> BTreeSet<Vec<u8>> {
+                let view = |messages: &[CapturedMessage]| -> BTreeSet<Vec<u64>> {
                     messages
                         .iter()
                         .filter(|m| m.from == relay || m.to == relay)

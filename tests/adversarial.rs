@@ -96,6 +96,38 @@ fn bursts(
     detect(cluster, &rule)
 }
 
+/// The elements of a ∩ₛ/∪ₛ set frame on the 256-bit domain, each as
+/// the four big-endian words it travels in, most significant first.
+type Words = [u64; 4];
+
+/// A set frame: `tag`, the origin of a ∩ₛ frame, then the elements.
+fn set_frame(tag: u8, origin: Option<u64>, elements: &[Words]) -> bytes::Bytes {
+    let mut w = confidential_audit::net::wire::Writer::new();
+    w.put_u8(tag);
+    if let Some(origin) = origin {
+        w.put_u64(origin);
+    }
+    w.put_list(elements, |w, e| {
+        for &word in e {
+            w.put_u64(word);
+        }
+    });
+    w.finish()
+}
+
+/// The tag, the origin (∩ₛ, tag 0x01) and the elements of a set frame.
+fn set_elements(payload: &[u8]) -> (u8, Option<u64>, Vec<Words>) {
+    let mut r = confidential_audit::net::wire::Reader::new(payload);
+    let tag = r.get_u8().unwrap();
+    let origin = (tag == 0x01).then(|| r.get_u64().unwrap());
+    let word = |r: &mut confidential_audit::net::wire::Reader<'_>| -> Result<Words, _> {
+        Ok([r.get_u64()?, r.get_u64()?, r.get_u64()?, r.get_u64()?])
+    };
+    let elements = r.get_list(word).unwrap();
+    r.finish().unwrap();
+    (tag, origin, elements)
+}
+
 #[test]
 fn every_single_node_compromise_is_detected() {
     // For each node and each attribute it stores, tamper and verify the
@@ -562,13 +594,11 @@ fn a_relay_reshaping_the_collectors_own_set_fail_stops_the_run() {
     // the collector-origin hop must stop the run rather than shift or
     // shrink the answer. (A same-length reordering is not caught: see
     // the next test.)
-    use confidential_audit::bigint::Ubig;
     use confidential_audit::crypto::pohlig_hellman::CommutativeDomain;
     use confidential_audit::mpc::set_intersection::SET_TAG;
     use confidential_audit::mpc::{MpcError, SsiSession, UnionSession};
     use confidential_audit::net::adversary::{Adversary, ScriptedAdversary, Tamper, TamperRule};
     use confidential_audit::net::topology::Ring;
-    use confidential_audit::net::wire::Writer;
     use confidential_audit::net::{AdversaryNet, NetConfig, NodeId, Session, SharedNet, SimNet};
     const UNION_TAG: u8 = 0x02;
 
@@ -583,16 +613,8 @@ fn a_relay_reshaping_the_collectors_own_set_fail_stops_the_run() {
     ];
     // A well-formed set message of arbitrary group elements.
     let forged = |tag: u8, values: &[u64]| {
-        let elements: Vec<Ubig> = values.iter().map(|&v| Ubig::from_u64(v)).collect();
-        let mut w = Writer::new();
-        w.put_u8(tag);
-        if tag == SET_TAG {
-            w.put_u64(0);
-        }
-        w.put_list(&elements, |w, e| {
-            w.put_bytes(&e.to_bytes_be());
-        });
-        w.finish()
+        let elements: Vec<Words> = values.iter().map(|&v| [0, 0, 0, v]).collect();
+        set_frame(tag, (tag == SET_TAG).then_some(0), &elements)
     };
     // Node 1's second message to node 2 is the relay hop of the set
     // that left the collector (node 0); `None` is the honest control.
@@ -665,7 +687,6 @@ fn a_collected_element_at_or_above_the_modulus_fail_stops_the_run() {
     use confidential_audit::mpc::{MpcError, SsiSession, UnionSession};
     use confidential_audit::net::adversary::{Adversary, ScriptedAdversary, Tamper, TamperRule};
     use confidential_audit::net::topology::Ring;
-    use confidential_audit::net::wire::{Reader, Writer};
     use confidential_audit::net::{AdversaryNet, NetConfig, NodeId, Session, SharedNet, SimNet};
     const UNION_TAG: u8 = 0x02;
 
@@ -716,18 +737,12 @@ fn a_collected_element_at_or_above_the_modulus_fail_stops_the_run() {
             .payload;
         (answer, collected, adversary.report().forged)
     };
-    // The collection frame's header bytes and its elements.
-    let split = |tag: u8, collected: &[u8]| {
-        let mut r = Reader::new(collected);
-        let mut header = Writer::new();
-        header.put_u8(r.get_u8().unwrap());
-        if tag == SET_TAG {
-            header.put_u64(r.get_u64().unwrap());
-        }
-        let elements = r
-            .get_list(|r| r.get_bytes().map(Ubig::from_bytes_be))
-            .unwrap();
-        (header, elements)
+    let value = |e: &Words| Ubig::from_limbs(e.iter().rev().copied().collect());
+    let words = |v: &Ubig| -> Words {
+        let mut e = [0; 4];
+        e[..v.limbs().len()].copy_from_slice(v.limbs());
+        e.reverse();
+        e
     };
 
     for (tag, honest) in [
@@ -736,21 +751,20 @@ fn a_collected_element_at_or_above_the_modulus_fail_stops_the_run() {
     ] {
         // p ≈ 0.66·2²⁵⁶, so about half of all ciphertexts X have X + p
         // below 2²⁵⁶: the first key seed whose collected set holds one.
-        let (seed, mut header, mut elements, at) = (51..67)
+        let (seed, origin, mut elements, at) = (51..67)
             .find_map(|seed| {
                 let (answer, collected, _) = run(tag, seed, None);
                 assert_eq!(answer.unwrap(), honest);
-                let (header, elements) = split(tag, &collected);
+                let (_, origin, elements) = set_elements(&collected);
                 assert_eq!(elements.len(), 3);
-                let at = (elements.iter()).position(|x| (x + domain.modulus()).bit_len() <= 256)?;
-                Some((seed, header, elements, at))
+                let wide = |x: &Words| (&value(x) + domain.modulus()).bit_len() <= 256;
+                let at = elements.iter().position(wide)?;
+                Some((seed, origin, elements, at))
             })
             .expect("an element X with X + p below 2^256 in 16 seeds");
-        elements[at] = &elements[at] + domain.modulus();
-        header.put_list(&elements, |w, e| {
-            w.put_bytes(&e.to_bytes_be());
-        });
-        let (answer, _, forged) = run(tag, seed, Some(Tamper::Replace(header.finish())));
+        elements[at] = words(&(&value(&elements[at]) + domain.modulus()));
+        let forged = set_frame(tag, origin, &elements);
+        let (answer, _, forged) = run(tag, seed, Some(Tamper::Replace(forged)));
         assert_eq!(forged, 1, "the rule must hit the collection frame");
         assert!(
             matches!(&answer, Err(MpcError::Wire(why)) if why.contains("modulus")),
@@ -772,7 +786,6 @@ fn a_relay_reordering_the_collectors_own_set_is_an_undetected_lie() {
     use confidential_audit::mpc::{SsiSession, UnionSession};
     use confidential_audit::net::adversary::{Adversary, ScriptedAdversary, Tamper, TamperRule};
     use confidential_audit::net::topology::Ring;
-    use confidential_audit::net::wire::{Reader, Writer};
     use confidential_audit::net::{AdversaryNet, NetConfig, NodeId, Session, SharedNet, SimNet};
     const UNION_TAG: u8 = 0x02;
 
@@ -836,19 +849,13 @@ fn a_relay_reordering_the_collectors_own_set_is_an_undetected_lie() {
         assert_eq!(answer, honest);
         // The same message with its first and last element exchanged:
         // position 0 (plaintext c) now wears e's ciphertext.
-        let mut r = Reader::new(&hop);
-        let mut w = Writer::new();
-        w.put_u8(r.get_u8().unwrap());
-        if tag == SET_TAG {
-            w.put_u64(r.get_u64().unwrap());
-        }
-        let mut elements = r.get_list(|r| r.get_bytes().map(<[u8]>::to_vec)).unwrap();
+        let (_, origin, mut elements) = set_elements(&hop);
         assert_eq!(elements.len(), 3);
         elements.swap(0, 2);
-        w.put_list(&elements, |w, e| {
-            w.put_bytes(e);
-        });
-        let (answer, _) = run(tag, Some(Tamper::Replace(w.finish())));
+        let (answer, _) = run(
+            tag,
+            Some(Tamper::Replace(set_frame(tag, origin, &elements))),
+        );
         assert_eq!(answer, lied, "tag {tag:#x}");
     }
 }
@@ -866,7 +873,6 @@ fn an_undetected_lie_told_once_about_a_sealed_epoch_is_served_until_evicted() {
     use confidential_audit::logstore::schema::AttrDef;
     use confidential_audit::mpc::set_intersection::SET_TAG;
     use confidential_audit::net::adversary::{Tamper, TamperRule};
-    use confidential_audit::net::wire::{Reader, Writer};
     use confidential_audit::net::NodeId;
 
     // `a` at P0, `b` at P1, epochs of four: `a = b` is an equality join
@@ -928,17 +934,9 @@ fn an_undetected_lie_told_once_about_a_sealed_epoch_is_served_until_evicted() {
         .nth(1)
         .expect("the relay hop of the collector's set")
         .payload;
-    let mut r = Reader::new(&hop);
-    let (tag, origin) = (r.get_u8().unwrap(), r.get_u64().unwrap());
-    let elements = r.get_list(|r| r.get_bytes().map(<[u8]>::to_vec)).unwrap();
-    assert_eq!((tag, origin, elements.len()), (SET_TAG, 0, 10));
-    let forged = |elements: &[Vec<u8>]| {
-        let mut w = Writer::new();
-        w.put_u8(tag).put_u64(origin).put_list(elements, |w, e| {
-            w.put_bytes(e);
-        });
-        Tamper::Replace(w.finish())
-    };
+    let (tag, origin, elements) = set_elements(&hop);
+    assert_eq!((tag, origin, elements.len()), (SET_TAG, Some(0), 10));
+    let forged = |elements: &[Words]| Tamper::Replace(set_frame(tag, origin, elements));
 
     // The first two records change places: (2, 3) now wears (1, 1)'s
     // ciphertext, and the collector reports it equal.

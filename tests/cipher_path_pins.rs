@@ -5,7 +5,8 @@
 //! proved they all emitted the same bytes. With the alternatives gone
 //! those witnesses are gone too, so the bytes themselves are pinned:
 //! every constant below was captured on the commit *before* the
-//! collapse (`d880b75`) and must never move. A change that alters a
+//! collapse (`d880b75`) and must never move (one re-capture, of the
+//! raw transcript, is told at its constant). A change that alters a
 //! ciphertext, a pad byte, a message order or an answer shows up here.
 //! `QUERY_ELEMENTS_SHA256`, captured later, pins the same scenario's
 //! set frames by the values they carry, so that a change to how a set
@@ -27,9 +28,13 @@ use rand::SeedableRng;
 use std::sync::Arc;
 
 /// SHA-256 over every payload `(from, to, len, bytes)` the wire carried
-/// and every answer glsn of the three-query scenario below.
+/// and every answer glsn of the three-query scenario below. Re-captured
+/// once, when a set element began to travel as its domain's fixed-width
+/// words and the collectors to list elements in numeric order: the
+/// spelling moved, and [`QUERY_ELEMENTS_SHA256`] showed that nothing
+/// the frames say did.
 const QUERY_TRANSCRIPT_SHA256: &str =
-    "592f8ce6dac6be545c92fdd80ed22327d2b79663a4d0348c4bed5c69093f606b";
+    "b7037b0ff30eb61d9bcc454547179b2eb191098c0537c4db68d33ec0e7f4e134";
 
 /// `run_workload(..).digest_hex()` for `WorkloadSpec::default()`.
 const WORKLOAD_DEFAULT_DIGEST: &str =
@@ -119,9 +124,12 @@ fn set_frame(payload: &[u8]) -> (Option<u64>, Vec<Ubig>) {
     let tag = payload[0];
     let mut r = Reader::open(payload, tag).expect("a tag");
     let origin = (tag == SET_TAG).then(|| r.get_u64().expect("an origin"));
-    let elements = r
-        .get_list(|r| r.get_bytes().map(Ubig::from_bytes_be))
-        .expect("a set frame's elements");
+    // Four big-endian words an element on the 256-bit domain.
+    let element = |r: &mut Reader<'_>| {
+        let words = [r.get_u64()?, r.get_u64()?, r.get_u64()?, r.get_u64()?];
+        Ok(Ubig::from_limbs(words.into_iter().rev().collect()))
+    };
+    let elements = r.get_list(element).expect("a set frame's elements");
     r.finish().expect("a set frame ends with its elements");
     (origin, elements)
 }
