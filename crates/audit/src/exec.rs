@@ -116,25 +116,11 @@ fn subquery_seed(query_seed: u64, index: u64) -> u64 {
     query_seed ^ rand::splitmix64(&mut x)
 }
 
-/// Recovers a glsn from a revealed set element. Group decoding strips
-/// leading zero bytes, so the element is right-aligned into its
-/// original `total_len` before the 8-byte glsn prefix is read. An
-/// over-long element means the protocol ran over garbled traffic (e.g.
-/// a frame a lying relay rewrote) and is surfaced as a protocol error
-/// instead of a panic.
-fn glsn_from_item(bytes: &[u8], total_len: usize) -> Result<Glsn, AuditError> {
-    if bytes.len() > total_len {
-        return Err(AuditError::Mpc(dla_mpc::MpcError::Protocol(format!(
-            "revealed set element is {} bytes, expected at most {total_len}",
-            bytes.len()
-        ))));
-    }
-    // The glsn is the element's first 8 of `total_len` bytes: those of
-    // them the decoding kept, after the leading zeros it stripped.
-    let mut glsn = [0u8; 8];
-    let kept = bytes.len().saturating_sub(total_len - 8);
-    glsn[8 - kept..].copy_from_slice(&bytes[..kept]);
-    Ok(Glsn(u64::from_be_bytes(glsn)))
+/// The glsn that leads a revealed item of `N` bytes.
+fn glsn_of<const N: usize>(item: &[u8; N]) -> Glsn {
+    let mut glsn = [0; 8];
+    glsn.copy_from_slice(&item[..8]);
+    Glsn(u64::from_be_bytes(glsn))
 }
 
 /// Executes a plan on the cluster's own network, drawing the query
@@ -424,9 +410,8 @@ fn run_window(
     into.reports.push(outcome.report.clone());
 
     into.cardinality += outcome.cardinality();
-    for bytes in outcome.common_items.iter().flatten() {
-        into.glsns.push(glsn_from_item(bytes, 8)?);
-    }
+    let items = outcome.items_as::<8>()?;
+    into.glsns.extend(items.iter().map(glsn_of));
 
     let end = {
         let mut n = cluster.net();
@@ -851,11 +836,8 @@ fn run_cross_steps(
     let outcome =
         UnionSession::new(*session, &ring, cluster.domain(), NodeId(holder)).run(&inputs, rng)?;
     reports.push(outcome.report.clone());
-    let set: GlsnSet = outcome
-        .items
-        .iter()
-        .map(|bytes| glsn_from_item(bytes, 8))
-        .collect::<Result<_, _>>()?;
+    let items = outcome.items_as::<8>()?;
+    let set: GlsnSet = items.iter().map(glsn_of).collect();
     Ok((set, reports))
 }
 
@@ -901,12 +883,8 @@ fn equality_join(
         .reveal(true)
         .run(&[left_items, right_items], rng)?;
     reports.push(outcome.report.clone());
-    let equal: GlsnSet = outcome
-        .common_items
-        .unwrap_or_default()
-        .iter()
-        .map(|b| glsn_from_item(b, 24))
-        .collect::<Result<_, _>>()?;
+    let items = outcome.items_as::<24>()?;
+    let equal: GlsnSet = items.iter().map(glsn_of).collect();
 
     if !negated {
         return Ok((equal, reports));
@@ -926,12 +904,8 @@ fn equality_join(
         .reveal(true)
         .run(&[left_presence, right_presence], rng)?;
     reports.push(presence.report.clone());
-    let joint: GlsnSet = presence
-        .common_items
-        .unwrap_or_default()
-        .iter()
-        .map(|b| glsn_from_item(b, 8))
-        .collect::<Result<_, _>>()?;
+    let items = presence.items_as::<8>()?;
+    let joint: GlsnSet = items.iter().map(glsn_of).collect();
     Ok((&joint - &equal, reports))
 }
 

@@ -80,7 +80,7 @@ fn main() {
         );
     }
     let decoded: Vec<String> = outcome
-        .common_items
+        .items()
         .unwrap_or_default()
         .iter()
         .map(|b| String::from_utf8_lossy(b).into_owned())

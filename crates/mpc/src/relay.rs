@@ -5,7 +5,7 @@
 //! their collector steps.
 
 use crate::MpcError;
-use dla_crypto::pohlig_hellman::{CommutativeDomain, PhKey};
+use dla_crypto::pohlig_hellman::{CommutativeDomain, PhKey, MAX_LIMBS};
 use dla_net::topology::Ring;
 use dla_net::wire::{Reader, Writer};
 use dla_net::{Envelope, NodeId, Session};
@@ -130,6 +130,74 @@ pub(crate) fn merged<const L: usize>(
 /// Whether `e` is in `set`, which is [`sorted`].
 pub(crate) fn holds<const L: usize>(set: &[[u64; L]], e: &[u64; L]) -> bool {
     set.binary_search_by(|x| numeric(x, e)).is_ok()
+}
+
+/// Revealed plaintext elements, `limbs` words each, back to back:
+/// decoded to items only when asked.
+#[derive(Debug, Clone)]
+pub(crate) struct Items {
+    words: Vec<u64>,
+    limbs: usize,
+}
+
+/// The item of the encoded element `e` (its words, least significant
+/// first), as [`CommutativeDomain::decode_words`] reads it: the
+/// big-endian bytes without the pad byte and without leading zeros, in
+/// `buf`.
+fn plaintext<'b>(e: &[u64], buf: &'b mut [u8; 8 * MAX_LIMBS]) -> &'b [u8] {
+    let bytes = &mut buf[..8 * e.len()];
+    for (chunk, w) in bytes.chunks_exact_mut(8).zip(e.iter().rev()) {
+        chunk.copy_from_slice(&w.to_be_bytes());
+    }
+    let item = &bytes[..8 * e.len() - 1];
+    let zeros = item.iter().take_while(|&&b| b == 0).count();
+    &item[zeros..]
+}
+
+impl Items {
+    pub(crate) fn new<const L: usize>(elements: Vec<[u64; L]>) -> Self {
+        Items {
+            words: elements.into_flattened(),
+            limbs: L,
+        }
+    }
+
+    /// The number of elements.
+    pub(crate) fn len(&self) -> usize {
+        self.words.len() / self.limbs
+    }
+
+    /// Every element's item, sorted.
+    pub(crate) fn sorted(&self) -> Vec<Vec<u8>> {
+        let mut buf = [0; 8 * MAX_LIMBS];
+        let mut items: Vec<Vec<u8>> = (self.words.chunks_exact(self.limbs))
+            .map(|e| plaintext(e, &mut buf).to_vec())
+            .collect();
+        items.sort();
+        items
+    }
+
+    /// Every element's item right-aligned in `N` bytes, in element
+    /// order; an item wider than `N` bytes — a protocol run over
+    /// garbled traffic, e.g. a frame a lying relay rewrote — is a
+    /// protocol error.
+    pub(crate) fn as_width<const N: usize>(&self) -> Result<Vec<[u8; N]>, MpcError> {
+        let mut buf = [0; 8 * MAX_LIMBS];
+        (self.words.chunks_exact(self.limbs))
+            .map(|e| {
+                let item = plaintext(e, &mut buf);
+                let Some(start) = N.checked_sub(item.len()) else {
+                    return Err(MpcError::Protocol(format!(
+                        "revealed item is {} bytes, expected at most {N}",
+                        item.len()
+                    )));
+                };
+                let mut out = [0; N];
+                out[start..].copy_from_slice(item);
+                Ok(out)
+            })
+            .collect()
+    }
 }
 
 /// One relay over `ring` towards `collector`, in `frame`s of `L`-word

@@ -65,8 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &outcome.common_encrypted()[0].to_hex()[..16]
     );
     let items: Vec<String> = outcome
-        .common_items
-        .as_deref()
+        .items()
         .unwrap_or_default()
         .iter()
         .map(|b| String::from_utf8_lossy(b).into_owned())
