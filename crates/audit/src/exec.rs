@@ -350,25 +350,15 @@ fn run_window(
 
     // ∧-join barrier: the conjunction can only start once every
     // subquery session has delivered, so open the combiner session and
-    // advance it to the latest subquery finish. The transport may keep
-    // its own timeline (a wall-clock socket mesh reports real elapsed
-    // time; the cluster's SharedNet reports the same virtual clocks
-    // read below) — fold its view in as well, reading it *before*
-    // taking the SimNet lock because on SharedNet both sides are the
-    // same non-reentrant mutex.
-    let transport_join = sessions
-        .iter()
-        .map(|&sid| transport.elapsed(sid))
-        .max()
-        .unwrap_or_default();
+    // advance it to the latest subquery finish on the cluster's
+    // simulated clock.
     let (combine_session, join_ns) = {
         let mut n = cluster.net();
         let join_at = sessions
             .iter()
             .map(|&sid| n.session_elapsed(sid))
             .max()
-            .unwrap_or(start_elapsed)
-            .max(transport_join);
+            .unwrap_or(start_elapsed);
         let combine_session = n.open_session();
         n.sync_session(combine_session, join_at);
         (
@@ -1050,6 +1040,56 @@ mod tests {
         frame.push(0);
         let trailing = open_mask(&frame).map(|_| ());
         assert!(matches!(trailing, Err(AuditError::Wire(_))), "{trailing:?}");
+    }
+
+    /// A channel transport whose `elapsed` reads a wall clock far past
+    /// the cluster's simulated one, as a socket mesh's does.
+    struct WallElapsed(dla_net::ChannelNet);
+
+    impl Transport for WallElapsed {
+        fn num_nodes(&self) -> usize {
+            self.0.num_nodes()
+        }
+        fn send(&self, session: SessionId, from: NodeId, to: NodeId, payload: bytes::Bytes) {
+            self.0.send(session, from, to, payload);
+        }
+        fn recv(
+            &self,
+            session: SessionId,
+            node: NodeId,
+        ) -> Result<dla_net::Envelope, dla_net::NetError> {
+            self.0.recv(session, node)
+        }
+        fn recv_from(
+            &self,
+            session: SessionId,
+            node: NodeId,
+            from: NodeId,
+        ) -> Result<dla_net::Envelope, dla_net::NetError> {
+            self.0.recv_from(session, node, from)
+        }
+        fn charge(&self, session: SessionId, node: NodeId, cost: SimTime) {
+            self.0.charge(session, node, cost);
+        }
+        fn counters(&self, session: SessionId) -> (u64, u64) {
+            self.0.counters(session)
+        }
+        fn elapsed(&self, _session: SessionId) -> SimTime {
+            SimTime::from_millis(3_600_000)
+        }
+    }
+
+    #[test]
+    fn a_query_on_a_wall_clock_transport_leaves_the_cluster_clock_alone() {
+        let (cluster, _, _) = loaded_cluster();
+        let plan = cluster
+            .compile("(id = 'U1' OR c1 > 30) AND id != c3")
+            .unwrap();
+        let wire = WallElapsed(dla_net::ChannelNet::new(cluster.shared_net().num_nodes()));
+        let before = cluster.net().elapsed();
+        let result = execute_on(&cluster, &wire, &plan, true, ExecMode::Concurrent, 5).unwrap();
+        assert!(result.messages > 0, "the query crossed the wall-clock wire");
+        assert_eq!(cluster.net().elapsed(), before);
     }
 
     /// Builds the paper cluster preloaded with Table 1.
