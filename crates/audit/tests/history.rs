@@ -27,6 +27,7 @@ use dla_audit::plan::TimeWindow;
 use dla_audit::query::CmpOp;
 use dla_audit::standing::StandingQueryId;
 use dla_audit::transaction::{verify_transaction, Rule, TransactionSpec};
+use dla_bigint::jacobi::jacobi;
 use dla_bigint::Ubig;
 use dla_crypto::pohlig_hellman::CommutativeDomain;
 use dla_crypto::sha256;
@@ -36,8 +37,9 @@ use dla_logstore::gen::{generate, WorkloadConfig};
 use dla_logstore::journal::failpoint;
 use dla_logstore::model::{AttrValue, Glsn, LogRecord, TransactionId};
 use dla_logstore::schema::Schema;
-use dla_net::adversary::{ScriptedAdversary, Tamper, TamperRule};
+use dla_net::adversary::{Adversary, ScriptedAdversary, Tamper, TamperRule};
 use dla_net::wire::{Reader, Writer};
+use dla_net::{NodeId, SessionId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
@@ -56,6 +58,7 @@ const SEALED: &str = "sealed_is_checkpointed";
 const RESTART: &str = "restart_is_a_committed_prefix";
 const FEDERATED: &str = "federated_is_single_ring";
 const META: &str = "meta_trail_names_each_committed_deposit_once";
+const RESIDUE: &str = "set_elements_are_residues";
 /// The coverage kind of a set element the `Residue` tap sent as X + p.
 const FIRED: &str = "Residue fired";
 
@@ -138,6 +141,9 @@ thread_local! {
     /// Set elements the `Residue` tap sent as X + p on this thread (a
     /// query runs on the thread that asks it, and so do its sends).
     static RESIDUES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// The first set element a [`Watch`] on this thread found outside
+    /// the residues, and the frame that carried it.
+    static NON_RESIDUE: std::cell::RefCell<Option<String>> = const { std::cell::RefCell::new(None) };
 }
 
 fn cover(kind: &str) {
@@ -352,6 +358,76 @@ fn plus_p(payload: &[u8]) -> bytes::Bytes {
     frame().unwrap_or_else(|| bytes::Bytes::copy_from_slice(payload))
 }
 
+/// The tap every ring wears: an installed lie's verdict on each send,
+/// and a look at every ∩ₛ/∪ₛ set frame no lie rewrote, bare or inside
+/// a `Reliable` DATA frame — each of its elements must be a quadratic
+/// residue mod p (Jacobi symbol 1), as every encoding and every layer
+/// of the cipher leaves it.
+#[derive(Debug)]
+struct Watch {
+    lie: Option<Arc<ScriptedAdversary>>,
+    domain: CommutativeDomain,
+}
+
+impl Watch {
+    fn look(&self, payload: &[u8]) {
+        if let Some((tag, _, set)) = set_frame(&self.domain, payload) {
+            let p = self.domain.modulus();
+            if let Some(x) = set.iter().find(|x| jacobi(x, p) != 1) {
+                let why = format!(
+                    "a {tag:#04x} frame carries {} (Jacobi {})",
+                    x.to_hex(),
+                    jacobi(x, p)
+                );
+                NON_RESIDUE.with_borrow_mut(|first| first.get_or_insert(why).len());
+            }
+            return;
+        }
+        // A `Reliable` DATA frame: 0x01, its sequence number, the
+        // checksum of what it carries, then that payload.
+        let mut r = Reader::new(payload);
+        let data = (r.get_u8().ok() == Some(0x01))
+            .then(|| (r.get_u64().ok(), r.get_u64().ok(), r.get_bytes().ok()));
+        if let Some((Some(_), Some(_), Some(inner))) = data {
+            if r.finish().is_ok() {
+                self.look(inner);
+            }
+        }
+    }
+}
+
+impl Adversary for Watch {
+    fn tamper(&self, session: SessionId, from: NodeId, to: NodeId, payload: &[u8]) -> Tamper {
+        let verdict =
+            (self.lie.as_ref()).map_or(Tamper::Pass, |lie| lie.tamper(session, from, to, payload));
+        let unchanged = match &verdict {
+            Tamper::Pass => true,
+            action => (action.apply(&bytes::Bytes::copy_from_slice(payload)))
+                .is_some_and(|sent| sent[..] == *payload),
+        };
+        if unchanged {
+            self.look(payload);
+        }
+        verdict
+    }
+
+    fn observe(&self, session: SessionId, from: NodeId, to: NodeId, payload: &[u8]) {
+        if let Some(lie) = &self.lie {
+            lie.observe(session, from, to, payload);
+        }
+    }
+
+    fn compromised(&self, node: NodeId) -> bool {
+        self.lie.as_ref().is_some_and(|lie| lie.compromised(node))
+    }
+}
+
+/// Puts a [`Watch`] on `ring`, with `lie` if any.
+fn watch(ring: &DlaCluster, lie: Option<Arc<ScriptedAdversary>>) {
+    let domain = ring.domain().clone();
+    ring.set_adversary(Arc::new(Watch { lie, domain }));
+}
+
 /// Loss on `c`: drops and duplicates, on every door alike.
 fn set_loss(c: &DlaCluster, on: bool) {
     let mut net = c.net();
@@ -461,6 +537,12 @@ impl Run {
                 });
             }
         }
+        for system in &systems {
+            for ring in system.target.rings() {
+                watch(ring, None);
+            }
+        }
+        NON_RESIDUE.take();
         let mut central = CentralizedAuditor::new(schema, 1);
         central.register_user().map_err(err)?;
         Ok(Run {
@@ -662,7 +744,7 @@ impl Run {
             }
             (Lie(Clear, _), target) => {
                 for ring in target.rings() {
-                    ring.clear_adversary();
+                    watch(ring, None);
                 }
                 self.flags.request = None;
                 Ok(())
@@ -670,7 +752,7 @@ impl Run {
             (Lie(rule, r), target) => {
                 let rings = target.rings();
                 let tap = tap(*rule);
-                rings[r % rings.len()].set_adversary(tap.clone());
+                watch(rings[r % rings.len()], Some(tap.clone()));
                 if *rule == Request {
                     self.flags.request = Some(tap);
                 }
@@ -799,6 +881,7 @@ impl Run {
         let restart = || DlaCluster::new(config.clone()).map_err(|e| format!("{RESTART}: {e}"));
         let ledger = ledger_of(&restart()?);
         let c = restart()?;
+        watch(&c, None);
         ensure!(
             RESTART,
             ledger_of(&c) == ledger,
@@ -1138,6 +1221,8 @@ impl Run {
 
     /// The invariants on state, after every op.
     fn check_state(&mut self, s: usize) -> Result<(), String> {
+        let found = NON_RESIDUE.take();
+        ensure!(RESIDUE, found.is_none(), "{}", found.unwrap_or_default());
         let lie = self.flags.lie;
         let owed = self.systems[s].owed || lie;
         let placed = self.placement(s)?;
@@ -1333,7 +1418,7 @@ fn generated_histories_hold_every_invariant() {
         "Request",
     ];
     let invariants = [
-        ANSWERS, AGGREGATES, STANDING, SEALED, RESTART, FEDERATED, META,
+        ANSWERS, AGGREGATES, STANDING, SEALED, RESTART, FEDERATED, META, RESIDUE,
     ];
     let kinds = doors
         .iter()
