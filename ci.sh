@@ -109,9 +109,9 @@ fi
 # debug pass above runs them against dev-profile test code, this one
 # with the arithmetic the benchmark runs (overflow wraps, no debug
 # assertions), and it stays seconds however the debug pass is trimmed.
-# The word element's codec and collectors (dla-mpc's word_properties)
-# run here too, against the Ubig codec and byte-string sets they
-# replaced, over the batch walk this CPU dispatches to.
+# The word element's codec and collectors (dla-mpc's word_properties:
+# round trip, refusals and total decoding on three domains, the
+# collectors against BTreeSets of words) run here too.
 cargo test -q --release -p dla-bigint -p dla-crypto --test properties
 cargo test -q --release -p dla-mpc --lib word_properties
 
