@@ -58,7 +58,7 @@ use dla_crypto::sha256;
 use dla_logstore::epoch::EpochId;
 use dla_logstore::model::{AttrValue, Glsn, LogRecord};
 use dla_mpc::report::ProtocolReport;
-use dla_mpc::{SsiSession, UnionSession};
+use dla_mpc::{Items, SsiSession, UnionSession};
 use dla_net::topology::Ring;
 use dla_net::wire::{Reader, Writer};
 use dla_net::{NodeId, Reliable, ReliableConfig, Session, SessionId, SimTime, Transport};
@@ -116,11 +116,14 @@ fn subquery_seed(query_seed: u64, index: u64) -> u64 {
     query_seed ^ rand::splitmix64(&mut x)
 }
 
-/// The glsn that leads a revealed item of `N` bytes.
-fn glsn_of<const N: usize>(item: &[u8; N]) -> Glsn {
-    let mut glsn = [0; 8];
-    glsn.copy_from_slice(&item[..8]);
-    Glsn(u64::from_be_bytes(glsn))
+/// The glsns that lead revealed `items` of `N` bytes each; none
+/// without a reveal.
+fn glsns_of<const N: usize>(
+    items: Option<&Items>,
+) -> Result<impl Iterator<Item = Glsn>, AuditError> {
+    let items = items.map(Items::items_as::<N>).transpose()?;
+    let glsn = |item: [u8; N]| Glsn(u64::from_be_bytes(item[..8].try_into().expect("8 bytes")));
+    Ok(items.unwrap_or_default().into_iter().map(glsn))
 }
 
 /// Executes a plan on the cluster's own network, drawing the query
@@ -400,8 +403,8 @@ fn run_window(
     into.reports.push(outcome.report.clone());
 
     into.cardinality += outcome.cardinality();
-    let items = outcome.items_as::<8>()?;
-    into.glsns.extend(items.iter().map(glsn_of));
+    into.glsns
+        .extend(glsns_of::<8>(outcome.common_items.as_ref())?);
 
     let end = {
         let mut n = cluster.net();
@@ -826,8 +829,7 @@ fn run_cross_steps(
     let outcome =
         UnionSession::new(*session, &ring, cluster.domain(), NodeId(holder)).run(&inputs, rng)?;
     reports.push(outcome.report.clone());
-    let items = outcome.items_as::<8>()?;
-    let set: GlsnSet = items.iter().map(glsn_of).collect();
+    let set: GlsnSet = glsns_of::<8>(Some(&outcome.items))?.collect();
     Ok((set, reports))
 }
 
@@ -873,8 +875,7 @@ fn equality_join(
         .reveal(true)
         .run(&[left_items, right_items], rng)?;
     reports.push(outcome.report.clone());
-    let items = outcome.items_as::<24>()?;
-    let equal: GlsnSet = items.iter().map(glsn_of).collect();
+    let equal: GlsnSet = glsns_of::<24>(outcome.common_items.as_ref())?.collect();
 
     if !negated {
         return Ok((equal, reports));
@@ -894,8 +895,7 @@ fn equality_join(
         .reveal(true)
         .run(&[left_presence, right_presence], rng)?;
     reports.push(presence.report.clone());
-    let items = presence.items_as::<8>()?;
-    let joint: GlsnSet = items.iter().map(glsn_of).collect();
+    let joint: GlsnSet = glsns_of::<8>(presence.common_items.as_ref())?.collect();
     Ok((&joint - &equal, reports))
 }
 

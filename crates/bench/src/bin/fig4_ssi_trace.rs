@@ -80,7 +80,8 @@ fn main() {
         );
     }
     let decoded: Vec<String> = outcome
-        .items()
+        .common_items
+        .map(|c| c.items())
         .unwrap_or_default()
         .iter()
         .map(|b| String::from_utf8_lossy(b).into_owned())

@@ -50,6 +50,23 @@ pub enum BatchMode {
 /// `[u64; 4]` up to 256 bits and a `[u64; 8]` up to 512.
 pub const MAX_LIMBS: usize = 8;
 
+/// [`CommutativeDomain::decode_words`] into `buf`, for a caller that
+/// holds elements as one flat word vector: the message bytes of
+/// `element` (at most [`MAX_LIMBS`] words, least significant first).
+///
+/// # Panics
+///
+/// Panics if `element` is empty or wider than [`MAX_LIMBS`] words.
+pub fn decode_into<'b>(element: &[u64], buf: &'b mut [u8; 8 * MAX_LIMBS]) -> &'b [u8] {
+    let bytes = &mut buf[..8 * element.len()];
+    for (chunk, w) in bytes.chunks_exact_mut(8).zip(element.iter().rev()) {
+        chunk.copy_from_slice(&w.to_be_bytes());
+    }
+    let message = &bytes[..bytes.len() - 1];
+    let zeros = message.iter().take_while(|&&b| b == 0).count();
+    &message[zeros..]
+}
+
 /// A precomputed 256-bit safe prime (p = 2q + 1, q prime), verified by
 /// the test suite. Used for fast deterministic tests and benches.
 pub const SAFE_PRIME_256_HEX: &str =
@@ -434,8 +451,7 @@ impl CommutativeDomain {
     /// without the pad byte and without leading zeros.
     #[must_use]
     pub fn decode_words<const L: usize>(&self, element: &[u64; L]) -> Vec<u8> {
-        let bytes = element.iter().rev().flat_map(|w| w.to_be_bytes());
-        bytes.take(8 * L - 1).skip_while(|&b| b == 0).collect()
+        decode_into(element, &mut [0; 8 * MAX_LIMBS]).to_vec()
     }
 
     /// Maps arbitrary bytes to a group element in the order-`q`

@@ -40,6 +40,7 @@ mod word_properties;
 
 pub use equality::EqualitySession;
 pub use ranking::RankingSession;
+pub use relay::Items;
 pub use report::ProtocolReport;
 pub use set_intersection::SsiSession;
 pub use set_union::UnionSession;

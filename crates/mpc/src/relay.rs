@@ -5,7 +5,7 @@
 //! their collector steps.
 
 use crate::MpcError;
-use dla_crypto::pohlig_hellman::{CommutativeDomain, PhKey, MAX_LIMBS};
+use dla_crypto::pohlig_hellman::{decode_into, CommutativeDomain, PhKey, MAX_LIMBS};
 use dla_net::topology::Ring;
 use dla_net::wire::{Reader, Writer};
 use dla_net::{Envelope, NodeId, Session};
@@ -15,8 +15,7 @@ use std::collections::HashSet;
 /// The frame a relay's sets travel in; the discriminant is its wire tag.
 /// `∩_s` frames are `0x01 ‖ origin ‖ elements`, `∪_s` frames
 /// `0x02 ‖ elements`. An element is a `[u64; L]` (DESIGN §11) and
-/// travels as exactly `k` big-endian words, most significant first: `k`
-/// is the modulus's word count, [`CommutativeDomain::limbs`].
+/// travels as the modulus's `k` words, most significant first.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum SetFrame {
     /// `∩_s`: the frame names the ring position whose set it carries.
@@ -34,7 +33,6 @@ fn limbs<const L: usize>(modulus: &[u64; L]) -> usize {
 }
 
 impl SetFrame {
-    /// The frame of `elements`, each below `modulus`.
     pub(crate) fn encode<const L: usize>(
         self,
         modulus: &[u64; L],
@@ -48,7 +46,10 @@ impl SetFrame {
             w.put_u64(origin);
         }
         w.put_list(elements, |w, e| {
-            debug_assert!(below(e, modulus), "a set element is below the modulus");
+            debug_assert!(
+                numeric(e, modulus).is_lt(),
+                "a set element is below the modulus"
+            );
             for &word in e[..k].iter().rev() {
                 w.put_u64(word);
             }
@@ -77,7 +78,7 @@ impl SetFrame {
             Ok(e)
         })?;
         r.finish()?;
-        if elements.iter().any(|e| !below(e, modulus)) {
+        if elements.iter().any(|e| numeric(e, modulus).is_ge()) {
             return Err(MpcError::Wire("set element not below the modulus".into()));
         }
         Ok((origin, elements))
@@ -87,11 +88,6 @@ impl SetFrame {
 /// The numeric order of elements: most significant word first.
 fn numeric<const L: usize>(a: &[u64; L], b: &[u64; L]) -> Ordering {
     a.iter().rev().cmp(b.iter().rev())
-}
-
-/// `a < b`.
-fn below<const L: usize>(a: &[u64; L], b: &[u64; L]) -> bool {
-    numeric(a, b) == Ordering::Less
 }
 
 /// `set` in [`numeric`] order, without repeats.
@@ -132,60 +128,49 @@ pub(crate) fn holds<const L: usize>(set: &[[u64; L]], e: &[u64; L]) -> bool {
     set.binary_search_by(|x| numeric(x, e)).is_ok()
 }
 
-/// Revealed plaintext elements, `limbs` words each, back to back:
-/// decoded to items only when asked.
+/// Set elements, `limbs` words each, back to back, decoded when asked.
 #[derive(Debug, Clone)]
-pub(crate) struct Items {
-    words: Vec<u64>,
-    limbs: usize,
-}
-
-/// The item of the encoded element `e` (its words, least significant
-/// first), as [`CommutativeDomain::decode_words`] reads it: the
-/// big-endian bytes without the pad byte and without leading zeros, in
-/// `buf`.
-fn plaintext<'b>(e: &[u64], buf: &'b mut [u8; 8 * MAX_LIMBS]) -> &'b [u8] {
-    let bytes = &mut buf[..8 * e.len()];
-    for (chunk, w) in bytes.chunks_exact_mut(8).zip(e.iter().rev()) {
-        chunk.copy_from_slice(&w.to_be_bytes());
-    }
-    let item = &bytes[..8 * e.len() - 1];
-    let zeros = item.iter().take_while(|&&b| b == 0).count();
-    &item[zeros..]
+pub struct Items {
+    pub(crate) words: Vec<u64>,
+    pub(crate) limbs: usize,
 }
 
 impl Items {
     pub(crate) fn new<const L: usize>(elements: Vec<[u64; L]>) -> Self {
-        Items {
-            words: elements.into_flattened(),
-            limbs: L,
-        }
+        let (words, limbs) = (elements.into_flattened(), L);
+        Items { words, limbs }
     }
 
-    /// The number of elements.
     pub(crate) fn len(&self) -> usize {
         self.words.len() / self.limbs
     }
 
-    /// Every element's item, sorted.
-    pub(crate) fn sorted(&self) -> Vec<Vec<u8>> {
+    /// The items, sorted and distinct, decoded on each call — for
+    /// tests, examples and figures.
+    #[must_use]
+    pub fn items(&self) -> Vec<Vec<u8>> {
         let mut buf = [0; 8 * MAX_LIMBS];
         let mut items: Vec<Vec<u8>> = (self.words.chunks_exact(self.limbs))
-            .map(|e| plaintext(e, &mut buf).to_vec())
+            .map(|e| decode_into(e, &mut buf).to_vec())
             .collect();
         items.sort();
+        items.dedup();
         items
     }
 
-    /// Every element's item right-aligned in `N` bytes, in element
-    /// order; an item wider than `N` bytes — a protocol run over
-    /// garbled traffic, e.g. a frame a lying relay rewrote — is a
-    /// protocol error.
-    pub(crate) fn as_width<const N: usize>(&self) -> Result<Vec<[u8; N]>, MpcError> {
+    /// Each element's item right-aligned in `N` bytes, in element
+    /// order, with no allocation per item.
+    ///
+    /// # Errors
+    ///
+    /// [`MpcError::Protocol`] if an item is wider than `N` bytes: the
+    /// run went over garbled traffic, e.g. a frame a lying relay or
+    /// decryptor rewrote.
+    pub fn items_as<const N: usize>(&self) -> Result<Vec<[u8; N]>, MpcError> {
         let mut buf = [0; 8 * MAX_LIMBS];
         (self.words.chunks_exact(self.limbs))
             .map(|e| {
-                let item = plaintext(e, &mut buf);
+                let item = decode_into(e, &mut buf);
                 let Some(start) = N.checked_sub(item.len()) else {
                     return Err(MpcError::Protocol(format!(
                         "revealed item is {} bytes, expected at most {N}",
@@ -351,9 +336,7 @@ pub(crate) fn encode_canonical<const L: usize>(
 /// shape check only — a relay that *reorders* the set, or swaps in as
 /// many other distinct values, passes it (see the `∩_s` module docs).
 fn check_own_set<const L: usize>(returned: &[[u64; L]], sent: usize) -> Result<(), MpcError> {
-    let mut distinct = returned.to_vec();
-    distinct.sort_unstable();
-    distinct.dedup();
+    let distinct = sorted(returned.to_vec());
     if returned.len() == sent && distinct.len() == sent {
         Ok(())
     } else {
@@ -430,7 +413,7 @@ pub(crate) mod tests {
 
     /// Whether every one of `elements` is below `modulus`.
     pub(crate) fn canonical<const L: usize>(elements: &[[u64; L]], modulus: &[u64; L]) -> bool {
-        elements.iter().all(|e| below(e, modulus))
+        elements.iter().all(|e| numeric(e, modulus).is_lt())
     }
 
     /// An element is its domain's words and nothing else: `k` words of

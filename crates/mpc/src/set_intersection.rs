@@ -50,16 +50,13 @@ use rand::Rng;
 /// Result of a secure set intersection run.
 #[derive(Debug, Clone)]
 pub struct SsiOutcome {
-    /// Fully-encrypted common elements (sorted, deduplicated), `limbs`
-    /// words each, back to back. A one-position ring with reveal applies
-    /// no layer: there these are the holder's encodings.
-    common: Vec<u64>,
-    /// The words of one element: 4 or 8.
-    limbs: usize,
-    /// The decrypted common elements, present only when `reveal` was
-    /// requested: decoded to items by [`Self::items`] and
-    /// [`Self::items_as`].
-    common_items: Option<Items>,
+    /// Fully-encrypted common elements (sorted, deduplicated). A
+    /// one-position ring with reveal applies no layer: there these are
+    /// the holder's encodings.
+    common: Items,
+    /// The decrypted common elements (present only when `reveal` was
+    /// requested).
+    pub common_items: Option<Items>,
     /// Every encryption hop of the relay phase, in protocol order —
     /// the Figure 4 walkthrough. Empty unless the run was
     /// [`SsiSession::traced`].
@@ -72,28 +69,7 @@ impl SsiOutcome {
     /// The intersection cardinality (available without reveal).
     #[must_use]
     pub fn cardinality(&self) -> usize {
-        self.common.len() / self.limbs
-    }
-
-    /// The revealed common items, sorted; `None` unless `reveal` was
-    /// requested. Decoded on each call, for tests, examples and figures.
-    #[must_use]
-    pub fn items(&self) -> Option<Vec<Vec<u8>>> {
-        self.common_items.as_ref().map(Items::sorted)
-    }
-
-    /// The revealed common items, each right-aligned in `N` bytes, with
-    /// no allocation per item; empty unless `reveal` was requested.
-    ///
-    /// # Errors
-    ///
-    /// [`MpcError::Protocol`] if an item is wider than `N` bytes: the
-    /// run went over garbled traffic, e.g. a frame a lying relay or
-    /// decryptor rewrote.
-    pub fn items_as<const N: usize>(&self) -> Result<Vec<[u8; N]>, MpcError> {
-        self.common_items
-            .as_ref()
-            .map_or(Ok(Vec::new()), Items::as_width)
+        self.common.len()
     }
 
     /// The fully-encrypted common elements, sorted as the collector
@@ -101,7 +77,7 @@ impl SsiOutcome {
     /// the Figure 4 printout and the tests; a run carries them as words.
     #[must_use]
     pub fn common_encrypted(&self) -> Vec<Ubig> {
-        (self.common.chunks_exact(self.limbs))
+        (self.common.words.chunks_exact(self.common.limbs))
             .map(|e| Ubig::from_limbs(e.to_vec()))
             .collect()
     }
@@ -248,8 +224,7 @@ impl<'a> SsiSession<'a> {
             let elements = relay.hand(ring.at(0), collector, 0, &encoded[0])?;
             return Ok(SsiOutcome {
                 common_items: Some(Items::new(elements.clone())),
-                common: elements.into_flattened(),
-                limbs: L,
+                common: Items::new(elements),
                 trace: Vec::new(),
                 report: meter.finish(n, 1),
             });
@@ -307,8 +282,7 @@ impl<'a> SsiSession<'a> {
         };
 
         Ok(SsiOutcome {
-            common: common.into_flattened(),
-            limbs: L,
+            common: Items::new(common),
             common_items: plain.map(Items::new),
             trace,
             report: meter.finish(n, rounds),
@@ -370,7 +344,7 @@ mod tests {
     fn figure4_example_intersects_to_e() {
         let outcome = intersect(&figure4_inputs(), NodeId(0), true).unwrap();
         assert_eq!(outcome.cardinality(), 1);
-        assert_eq!(outcome.items().unwrap(), items(&["e"]));
+        assert_eq!(outcome.common_items.unwrap().items(), items(&["e"]));
         assert!(outcome.trace.is_empty(), "no trace unless asked for");
     }
 
@@ -379,7 +353,7 @@ mod tests {
         let inputs = vec![items(&["a"]), items(&["b"]), items(&["c"])];
         let outcome = intersect(&inputs, NodeId(1), true).unwrap();
         assert_eq!(outcome.cardinality(), 0);
-        assert_eq!(outcome.items().unwrap(), Vec::<Vec<u8>>::new());
+        assert_eq!(outcome.common_items.unwrap().items(), Vec::<Vec<u8>>::new());
     }
 
     #[test]
@@ -389,14 +363,14 @@ mod tests {
         let outcome = intersect(&inputs, NodeId(0), true).unwrap();
         let mut expect = set;
         expect.sort();
-        assert_eq!(outcome.items().unwrap(), expect);
+        assert_eq!(outcome.common_items.unwrap().items(), expect);
     }
 
     #[test]
     fn duplicates_in_input_are_collapsed() {
         let inputs = vec![items(&["a", "a", "b"]), items(&["a", "b", "b"])];
         let outcome = intersect(&inputs, NodeId(0), true).unwrap();
-        assert_eq!(outcome.items().unwrap(), items(&["a", "b"]));
+        assert_eq!(outcome.common_items.unwrap().items(), items(&["a", "b"]));
     }
 
     #[test]
@@ -404,7 +378,7 @@ mod tests {
         let inputs = vec![items(&["k1", "k2"]), items(&["k2", "k3"]), items(&["k2"])];
         let outcome = intersect(&inputs, NodeId(2), false).unwrap();
         assert_eq!(outcome.cardinality(), 1);
-        assert!(outcome.items().is_none());
+        assert!(outcome.common_items.is_none());
     }
 
     #[test]
@@ -418,7 +392,7 @@ mod tests {
                 let report = &outcome.report;
                 assert_eq!(report.messages as usize, n * (n - 1) + n, "n={n}");
                 assert_eq!(report.rounds, n, "n={n} reveal={reveal}");
-                assert_eq!(outcome.items().is_some(), reveal);
+                assert_eq!(outcome.common_items.is_some(), reveal);
             }
         }
     }
@@ -439,7 +413,7 @@ mod tests {
                 assert_eq!(report.messages as usize, messages, "n={n} reveal={reveal}");
                 assert_eq!(report.rounds, rounds, "n={n} reveal={reveal}");
                 if reveal {
-                    assert_eq!(outcome.items().unwrap(), items(&["a", "b"]));
+                    assert_eq!(outcome.common_items.unwrap().items(), items(&["a", "b"]));
                 }
             }
         }
@@ -502,22 +476,24 @@ mod tests {
         let inputs = vec![items(&["only", "only", "one"])];
         let outcome = intersect(&inputs, NodeId(0), true).unwrap();
         assert_eq!(outcome.cardinality(), 2);
-        assert_eq!(outcome.items().unwrap(), items(&["one", "only"]));
+        assert_eq!(
+            outcome.common_items.unwrap().items(),
+            items(&["one", "only"])
+        );
         assert_eq!((outcome.report.messages, outcome.report.rounds), (1, 1));
     }
 
     #[test]
     fn an_item_wider_than_its_width_is_a_protocol_error() {
         let inputs = vec![items(&["abc", "x"]), items(&["abc", "x"])];
-        let outcome = intersect(&inputs, NodeId(0), true).unwrap();
-        let mut widened = outcome.items_as::<3>().unwrap();
+        let revealed = intersect(&inputs, NodeId(0), true).unwrap().common_items;
+        let revealed = revealed.unwrap();
+        let mut widened = revealed.items_as::<3>().unwrap();
         widened.sort();
         assert_eq!(widened, [*b"\0\0x", *b"abc"]);
-        let err = outcome.items_as::<2>().unwrap_err();
+        let err = revealed.items_as::<2>().unwrap_err();
         let wider = MpcError::Protocol("revealed item is 3 bytes, expected at most 2".into());
         assert_eq!(err, wider);
-        let hidden = intersect(&inputs, NodeId(0), false).unwrap();
-        assert!(hidden.items_as::<2>().unwrap().is_empty());
     }
 
     #[test]

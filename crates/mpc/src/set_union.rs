@@ -43,10 +43,9 @@ use rand::Rng;
 /// Result of a secure set union run.
 #[derive(Debug, Clone)]
 pub struct UnionOutcome {
-    /// The union's plaintext elements, distinct and in numeric order
-    /// (ownership not attributable): decoded to items by
-    /// [`Self::items`] and [`Self::items_as`].
-    items: Items,
+    /// The union's plaintext elements, distinct (ownership not
+    /// attributable).
+    pub items: Items,
     /// Cost accounting.
     pub report: ProtocolReport,
 }
@@ -56,27 +55,6 @@ impl UnionOutcome {
     #[must_use]
     pub fn cardinality(&self) -> usize {
         self.items.len()
-    }
-
-    /// The union's items, sorted and distinct. Decoded on each call,
-    /// for tests, examples and figures.
-    #[must_use]
-    pub fn items(&self) -> Vec<Vec<u8>> {
-        let mut items = self.items.sorted();
-        items.dedup();
-        items
-    }
-
-    /// The union's items, each right-aligned in `N` bytes, with no
-    /// allocation per item.
-    ///
-    /// # Errors
-    ///
-    /// [`MpcError::Protocol`] if an item is wider than `N` bytes: the
-    /// run went over garbled traffic, e.g. a frame a lying decryptor
-    /// rewrote.
-    pub fn items_as<const N: usize>(&self) -> Result<Vec<[u8; N]>, MpcError> {
-        self.items.as_width()
     }
 }
 
@@ -216,7 +194,7 @@ mod tests {
             items(&["e", "f", "g"]),
         ];
         let outcome = unite(&inputs, NodeId(0)).unwrap();
-        assert_eq!(outcome.items(), items(&["c", "d", "e", "f", "g"]));
+        assert_eq!(outcome.items.items(), items(&["c", "d", "e", "f", "g"]));
         assert_eq!(outcome.cardinality(), 5);
     }
 
@@ -224,26 +202,26 @@ mod tests {
     fn union_of_disjoint_sets_is_concatenation() {
         let inputs = vec![items(&["a", "b"]), items(&["c"])];
         let outcome = unite(&inputs, NodeId(1)).unwrap();
-        assert_eq!(outcome.items(), items(&["a", "b", "c"]));
+        assert_eq!(outcome.items.items(), items(&["a", "b", "c"]));
     }
 
     #[test]
     fn duplicates_across_parties_collapse() {
         let inputs = vec![items(&["x"]), items(&["x"]), items(&["x"]), items(&["x"])];
         let outcome = unite(&inputs, NodeId(0)).unwrap();
-        assert_eq!(outcome.items(), items(&["x"]));
+        assert_eq!(outcome.items.items(), items(&["x"]));
     }
 
     #[test]
     fn empty_inputs_yield_empty_union() {
         let outcome = unite(&[vec![], vec![], vec![]], NodeId(0)).unwrap();
-        assert!(outcome.items().is_empty());
+        assert!(outcome.items.items().is_empty());
     }
 
     #[test]
     fn some_empty_some_not() {
         let outcome = unite(&[vec![], items(&["q"]), vec![]], NodeId(2)).unwrap();
-        assert_eq!(outcome.items(), items(&["q"]));
+        assert_eq!(outcome.items.items(), items(&["q"]));
     }
 
     #[test]
@@ -282,7 +260,7 @@ mod tests {
                 let _guard = recorder.install();
                 unite(inputs, NodeId(0)).unwrap()
             };
-            (outcome.items(), recorder.take().total_cost().modexp)
+            (outcome.items.items(), recorder.take().total_cost().modexp)
         };
         let (union, modexp) =
             count_modexp(&[items(&["a", "b", "c"]), items(&["b"]), items(&["c", "a"])]);

@@ -93,7 +93,7 @@ fn ssi(
     SsiSession::new(Session::root(net), &ring, &domain, NodeId(collector))
         .reveal(true)
         .run(&inputs, &mut rng)
-        .map(|o| (format!("{:?}", o.items()), o.report))
+        .map(|o| (format!("{:?}", o.common_items.map(|c| c.items())), o.report))
 }
 
 fn union(
@@ -106,7 +106,7 @@ fn union(
     let mut rng = StdRng::seed_from_u64(35);
     UnionSession::new(Session::root(net), &ring, &domain, NodeId(collector))
         .run(&inputs, &mut rng)
-        .map(|o| (format!("{:?}", o.items()), o.report))
+        .map(|o| (format!("{:?}", o.items.items()), o.report))
 }
 
 #[test]

@@ -112,12 +112,12 @@ proptest! {
             .run(&inputs, &mut rng)
             .unwrap();
         prop_assert_eq!(ssi.cardinality(), intersection.len());
-        prop_assert_eq!(ssi.items(), reveal.then_some(intersection));
+        prop_assert_eq!(ssi.common_items.map(|c| c.items()), reveal.then_some(intersection));
 
         let joined = UnionSession::new(Session::new(&link, union_id), &ring, &domain, collector)
             .run(&inputs, &mut rng)
             .unwrap();
-        prop_assert_eq!(joined.items(), union);
+        prop_assert_eq!(joined.items.items(), union);
     }
 }
 
@@ -167,7 +167,10 @@ fn ring_collector_reveal_sends_nothing_after_collection_and_no_plaintext() {
             .reveal(true)
             .run(&inputs, &mut rng)
             .unwrap();
-        assert_eq!(outcome.items().unwrap(), vec![item(0), item(1)]);
+        assert_eq!(
+            outcome.common_items.unwrap().items(),
+            vec![item(0), item(1)]
+        );
 
         // n(n−1) relay hops, then the collection round — and nothing
         // after it: no node is asked to decrypt anything.
@@ -289,11 +292,14 @@ fn items_differing_in_leading_zeros_are_one_element() {
         .reveal(true)
         .run(&inputs, &mut rng)
         .unwrap();
-    assert_eq!(ssi.items().unwrap(), vec![vec![0x01]]);
+    assert_eq!(ssi.common_items.unwrap().items(), vec![vec![0x01]]);
     let union = UnionSession::new(session, &ring, &domain, NodeId(0))
         .run(&inputs, &mut rng)
         .unwrap();
-    assert_eq!(union.items(), vec![vec![0x01], vec![0x02], vec![0x03]]);
+    assert_eq!(
+        union.items.items(),
+        vec![vec![0x01], vec![0x02], vec![0x03]]
+    );
 }
 
 #[test]
@@ -307,7 +313,8 @@ fn single_holder_reveal_is_one_message_between_holder_and_collector() {
         .reveal(true)
         .run(&inputs, &mut rng)
         .unwrap();
-    assert_eq!(outcome.items(), Some(vec![item(3), item(4)]));
+    let revealed = outcome.common_items.as_ref().map(|c| c.items());
+    assert_eq!(revealed, Some(vec![item(3), item(4)]));
     let wire = tap.captured();
     assert_eq!(wire.len(), 1);
     assert_eq!((wire[0].from, wire[0].to), (NodeId(2), NodeId(3)));

@@ -65,7 +65,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &outcome.common_encrypted()[0].to_hex()[..16]
     );
     let items: Vec<String> = outcome
-        .items()
+        .common_items
+        .as_ref()
+        .map(|c| c.items())
         .unwrap_or_default()
         .iter()
         .map(|b| String::from_utf8_lossy(b).into_owned())

@@ -639,11 +639,11 @@ fn a_relay_reshaping_the_collectors_own_set_fail_stops_the_run() {
             SsiSession::new(session, &ring, &domain, NodeId(0))
                 .reveal(true)
                 .run(&inputs, &mut rng)
-                .map(|o| o.items().expect("reveal was requested"))
+                .map(|o| o.common_items.expect("reveal was requested").items())
         } else {
             UnionSession::new(session, &ring, &domain, NodeId(0))
                 .run(&inputs, &mut rng)
-                .map(|o| o.items())
+                .map(|o| o.items.items())
         };
         (answer, adversary.report().forged)
     };
@@ -724,11 +724,11 @@ fn a_collected_element_at_or_above_the_modulus_fail_stops_the_run() {
             SsiSession::new(session, &ring, &domain, NodeId(0))
                 .reveal(true)
                 .run(&inputs, &mut rng)
-                .map(|o| o.items().expect("reveal was requested"))
+                .map(|o| o.common_items.expect("reveal was requested").items())
         } else {
             UnionSession::new(session, &ring, &domain, NodeId(0))
                 .run(&inputs, &mut rng)
-                .map(|o| o.items())
+                .map(|o| o.items.items())
         };
         let collected = (adversary.captured().into_iter())
             .filter(|m| (m.from, m.to) == (NodeId(2), NodeId(0)))
@@ -823,11 +823,11 @@ fn a_relay_reordering_the_collectors_own_set_is_an_undetected_lie() {
             SsiSession::new(session, &ring, &domain, NodeId(0))
                 .reveal(true)
                 .run(&inputs, &mut rng)
-                .map(|o| o.items().expect("reveal was requested"))
+                .map(|o| o.common_items.expect("reveal was requested").items())
         } else {
             UnionSession::new(session, &ring, &domain, NodeId(0))
                 .run(&inputs, &mut rng)
-                .map(|o| o.items())
+                .map(|o| o.items.items())
         };
         let hop = (adversary.captured().into_iter())
             .filter(|m| (m.from, m.to) == (NodeId(1), NodeId(2)))

@@ -122,7 +122,7 @@ proptest! {
                 },
             );
         let got: BTreeSet<Vec<u8>> =
-            outcome.items().unwrap().into_iter().collect();
+            outcome.common_items.unwrap().items().into_iter().collect();
         prop_assert_eq!(got, expect);
     }
 
@@ -151,7 +151,7 @@ proptest! {
             .iter()
             .flat_map(|s| s.iter().map(|e| e.as_bytes().to_vec()))
             .collect();
-        let got: BTreeSet<Vec<u8>> = outcome.items().into_iter().collect();
+        let got: BTreeSet<Vec<u8>> = outcome.items.items().into_iter().collect();
         prop_assert_eq!(got, expect);
     }
 }
